@@ -10,8 +10,9 @@
 //!    (paper: three for the C2070's two copy engines + compute).
 
 use kfusion_bench::{chain, gbps, print_header, ratio, system, Table};
-use kfusion_core::cost::{split_select_chain, split_select_chain_summed, FusionBudget};
-use kfusion_core::microbench::{run_compute_only, run_with_cards, SelectChain, Strategy};
+use kfusion_core::exec::Strategy;
+use kfusion_core::microbench::{run, run_with_cards, select_plan, SelectChain};
+use kfusion_core::{fuse_plan, FusionBudget, OpKind, PlanGraph};
 use kfusion_ir::opt::OptLevel;
 use kfusion_relalg::profiles::STAGE_REGS;
 use kfusion_vgpu::DeviceSpec;
@@ -25,8 +26,8 @@ fn main() {
     for level in OptLevel::ALL {
         let mut c = chain(33_554_432, &[0.5, 0.5]);
         c.level = level;
-        let unfused = run_compute_only(&sys, &c, false).unwrap().throughput_gbps();
-        let fused = run_compute_only(&sys, &c, true).unwrap().throughput_gbps();
+        let unfused = run(&sys, &c, Strategy::Serial).unwrap().compute_throughput_gbps();
+        let fused = run(&sys, &c, Strategy::Fusion).unwrap().compute_throughput_gbps();
         t.row([level.to_string(), gbps(unfused), gbps(fused), ratio(fused / unfused)]);
     }
     t.print();
@@ -36,7 +37,7 @@ fn main() {
     print_header("Ablation 2", "fission segment count (1 SELECT, 1G elements)");
     let c = chain(1_000_000_000, &[0.5]);
     let cards = c.cardinalities().unwrap();
-    let serial = run_with_cards(&sys, &c, Strategy::WithRoundTrip, &cards).unwrap();
+    let serial = run_with_cards(&sys, &c, Strategy::SerialRoundTrip, &cards).unwrap();
     let mut t = Table::new(["segments", "throughput GB/s", "vs serial"]);
     t.row(["serial".to_string(), gbps(serial.throughput_gbps()), ratio(1.0)]);
     for segments in [2u32, 4, 8, 16, 32, 64, 128, 256] {
@@ -54,51 +55,30 @@ fn main() {
     // Two shapes of chain: thresholds on one key column (the compares
     // collapse when fused — liveness sees ~2 live registers no matter the
     // depth) and predicates on eight distinct columns (every boolean stays
-    // live until the final AND). The analyzed splitter
-    // (`split_select_chain`, liveness over the fused+O3 body) is compared
-    // against the pre-analysis baseline that sums per-predicate counts;
-    // rows marked `<- flip` are fusion decisions the dataflow layer changes.
-    let same_preds: Vec<_> = (0..8).map(|k| kfusion_relalg::predicates::key_lt(100 + k)).collect();
-    let distinct_preds: Vec<_> = (0..8)
-        .map(|k| kfusion_relalg::predicates::col_cmp_i64(k, kfusion_ir::CmpOp::Lt, 100 + k as i64))
-        .collect();
-    let mut t = Table::new([
-        "budget (regs)",
-        "same-col analyzed",
-        "same-col summed",
-        "distinct analyzed",
-        "distinct summed",
-        "",
-    ]);
-    let mut flips = 0usize;
+    // live until the final AND). Kernel counts are the fusion pass's own
+    // groups (liveness over each candidate group's fused+O3 body).
+    let same = select_plan((0..8).map(|k| kfusion_relalg::predicates::key_lt(100 + k)).collect());
+    let distinct = select_plan(
+        (0..8)
+            .map(|k| {
+                kfusion_relalg::predicates::col_cmp_i64(k, kfusion_ir::CmpOp::Lt, 100 + k as i64)
+            })
+            .collect(),
+    );
+    let mut t = Table::new(["budget (regs)", "same-column chain", "distinct-column chain"]);
     for extra in [2u32, 4, 8, 16, 32, 64] {
         let budget = FusionBudget { max_regs_per_thread: STAGE_REGS + extra };
-        let kernels = |preds: &[kfusion_ir::KernelBody], summed: bool| {
-            let runs = if summed {
-                split_select_chain_summed(preds, &budget, OptLevel::O3)
-            } else {
-                split_select_chain(preds, &budget, OptLevel::O3)
-            };
-            runs.len()
-        };
-        let (sa, ss) = (kernels(&same_preds, false), kernels(&same_preds, true));
-        let (da, ds) = (kernels(&distinct_preds, false), kernels(&distinct_preds, true));
-        let flip = sa != ss || da != ds;
-        flips += usize::from(flip);
+        let kernels = |g: &PlanGraph| fuse_plan(g, &budget, OptLevel::O3).groups.len();
         t.row([
             (STAGE_REGS + extra).to_string(),
-            format!("{sa} kernels"),
-            format!("{ss} kernels"),
-            format!("{da} kernels"),
-            format!("{ds} kernels"),
-            if flip { "<- flip".to_string() } else { String::new() },
+            format!("{} kernels", kernels(&same)),
+            format!("{} kernels", kernels(&distinct)),
         ]);
     }
     t.print();
-    println!("{flips} budget point(s) where liveness analysis flips the fusion decision:");
-    println!("collapsible chains fuse whole where the summed estimate would split them.");
-    println!("smaller budgets still split genuinely independent chains — the paper's");
-    println!("fusion-depth limit made concrete.\n");
+    println!("collapsible chains fuse whole at any budget (summing per-predicate");
+    println!("registers would split them); smaller budgets still split genuinely");
+    println!("independent chains — the paper's fusion-depth limit made concrete.\n");
 
     print_header("Ablation 4", "stream count for the fission pipeline");
     // Vary the device's copy engines to show why 3 streams matter on a
@@ -132,8 +112,6 @@ fn main() {
     );
 
     print_header("Ablation 6", "cross-query fusion (paper SIII-A: fusing across queries)");
-    use kfusion_core::exec::Strategy as XStrategy;
-    use kfusion_core::{OpKind, PlanGraph};
     use kfusion_relalg::{gen, predicates};
     let mk_query = |t: u64| {
         let mut g = PlanGraph::new();
@@ -149,7 +127,7 @@ fn main() {
             &sys,
             &plans,
             std::slice::from_ref(&input),
-            XStrategy::Fusion,
+            Strategy::Fusion,
         )
         .unwrap();
         t.row([k.to_string(), format!("{speedup:.2}x")]);

@@ -5,22 +5,25 @@
 //! Four ways to run one 50% SELECT over compressible 20-bit keys:
 //!
 //! 1. plain — raw 4 B/element over PCIe, filter, gather, out;
-//! 2. compressed — bit-packed transfer, decompress kernel to global
-//!    memory, then the same SELECT;
-//! 3. comp+fused — the decompress stage FUSES into the filter: packed
-//!    bytes in, expanded values live only in registers (the paper's
-//!    Fig. 7(c) benefit applied to the decompressor);
+//! 2. compressed — bit-packed transfer, a decode operator expanding it to
+//!    global memory, then the same SELECT;
+//! 3. comp+fused — the decode FUSES into the filter: packed bytes in,
+//!    expanded values live only in registers (the paper's Fig. 7(c) benefit
+//!    applied to the decompressor);
 //! 4. comp+fused+fission — and pipelined over three streams.
 //!
 //! Compression attacks the same bottleneck as fusion/fission (PCIe), and
-//! the three compose.
+//! the three compose: variants 2–4 are one plan (packed input → decode →
+//! SELECT) under the executor's serial, fusion and fusion+fission
+//! strategies, sized by given cardinalities.
 
 use kfusion_bench::{gbps, print_header, system, Table};
-use kfusion_core::microbench::{SelectChain, CPU_GATHER_BW, FISSION_STREAMS};
+use kfusion_core::exec::{simulate_given, Cardinalities, ExecConfig, Strategy};
+use kfusion_core::microbench::SelectChain;
+use kfusion_core::{OpKind, PlanGraph};
+use kfusion_ir::builder::{BodyBuilder, Expr};
 use kfusion_prng::Rng;
-use kfusion_relalg::compress::{best_for, decompress_kernel};
-use kfusion_relalg::profiles;
-use kfusion_vgpu::{Command, CommandClass, HostMemKind, LaunchConfig, Schedule};
+use kfusion_relalg::compress::best_for;
 
 fn main() {
     let _trace = kfusion_bench::trace_session("compression");
@@ -43,118 +46,42 @@ fn main() {
 
     let chain = SelectChain::auto(n as u64, &[0.5]);
     let cards = chain.cardinalities().unwrap();
-    let sel = cards[1] as f64 / cards[0] as f64;
-    let row = 4.0f64;
-    let out_bytes = (cards[1] as f64 * row) as u64;
-    let pred = chain.predicate(0);
-    let launch_n = |elems: u64| LaunchConfig::for_elements(elems.max(1), &sys.spec);
+    let plain = (chain.to_plan(), chain.given(&cards));
 
-    let filter = profiles::select_filter("filter", &pred, chain.level, row, sel);
-    let gather = profiles::select_gather("gather", row);
+    // Packed input -> decode (word / 2^shift & mask, per element) -> SELECT.
+    let mut decode = BodyBuilder::new(1);
+    let mask = (1i64 << block.bits) - 1;
+    decode.emit_output(Expr::input(0).div(Expr::lit(1i64 << 12)).and(Expr::lit(mask)));
+    let mut packed_plan = PlanGraph::new();
+    let input = packed_plan.input(0);
+    let expanded = packed_plan.add(OpKind::Arith { body: decode.build() }, vec![input]);
+    packed_plan.add(OpKind::Select { pred: chain.predicate(0) }, vec![expanded]);
+    let packed = (
+        packed_plan,
+        Cardinalities {
+            rows: vec![cards[0], cards[0], cards[1]],
+            row_bytes: vec![block.wire_bytes() as f64 / n as f64, chain.row_bytes, chain.row_bytes],
+        },
+    );
 
-    // 1. plain
-    let plain = Schedule::serial(vec![
-        Command::h2d("in", CommandClass::InputOutput, (n as f64 * row) as u64, HostMemKind::Paged),
-        Command::kernel(filter.clone(), launch_n(n as u64), n as u64),
-        Command::kernel(gather.clone(), launch_n(cards[1]), cards[1]),
-        Command::d2h("out", CommandClass::InputOutput, out_bytes, HostMemKind::Paged),
-    ]);
-
-    // 2. compressed transfer + separate decompress kernel
-    let decomp = decompress_kernel(&block, row, false);
-    let compressed = Schedule::serial(vec![
-        Command::h2d(
-            "in_packed",
-            CommandClass::InputOutput,
-            block.wire_bytes(),
-            HostMemKind::Paged,
-        ),
-        Command::kernel(decomp, launch_n(n as u64), n as u64),
-        Command::kernel(filter.clone(), launch_n(n as u64), n as u64),
-        Command::kernel(gather.clone(), launch_n(cards[1]), cards[1]),
-        Command::d2h("out", CommandClass::InputOutput, out_bytes, HostMemKind::Paged),
-    ]);
-
-    // 3. decompress fused into the filter: packed bytes in, registers out.
-    let fused_decomp = decompress_kernel(&block, row, true);
-    let fused_filter = profiles::select_filter("fused_dfilter", &pred, chain.level, 0.0, sel)
-        .instr_per_elem(fused_decomp.instr_per_elem + filter.instr_per_elem)
-        .bytes_read_per_elem(fused_decomp.bytes_read_per_elem);
-    let comp_fused = Schedule::serial(vec![
-        Command::h2d(
-            "in_packed",
-            CommandClass::InputOutput,
-            block.wire_bytes(),
-            HostMemKind::Paged,
-        ),
-        Command::kernel(fused_filter.clone(), launch_n(n as u64), n as u64),
-        Command::kernel(gather.clone(), launch_n(cards[1]), cards[1]),
-        Command::d2h("out", CommandClass::InputOutput, out_bytes, HostMemKind::Paged),
-    ]);
-
-    // 4. ...and fissioned over three streams.
-    let segments = 8u64;
-    let mut pipe = Schedule::new();
-    for _ in 0..FISSION_STREAMS {
-        pipe.add_stream();
-    }
-    let host = pipe.add_stream();
-    for s in 0..segments {
-        let st = (s % FISSION_STREAMS as u64) as usize;
-        let seg_n = n as u64 / segments;
-        let seg_out = cards[1] / segments;
-        pipe.push(
-            st,
-            Command::h2d(
-                format!("in_packed[{s}]"),
-                CommandClass::InputOutput,
-                block.wire_bytes() / segments,
-                HostMemKind::Pinned,
-            ),
-        );
-        let mut f = fused_filter.clone();
-        f.name = format!("fused_dfilter[{s}]");
-        pipe.push(st, Command::kernel(f, launch_n(seg_n), seg_n));
-        let mut g = gather.clone();
-        g.name = format!("gather[{s}]");
-        pipe.push(st, Command::kernel(g, launch_n(seg_out), seg_out));
-        pipe.push(
-            st,
-            Command::d2h(
-                format!("out[{s}]"),
-                CommandClass::InputOutput,
-                out_bytes / segments,
-                HostMemKind::Pinned,
-            ),
-        );
-        let ev = kfusion_vgpu::des::EventId(s as u32);
-        pipe.push(st, Command::record(ev));
-        pipe.push(host, Command::wait(ev));
-        pipe.push(
-            host,
-            Command::host_work(
-                format!("cpu_gather[{s}]"),
-                (out_bytes / segments) as f64 / CPU_GATHER_BW,
-            ),
-        );
-    }
-
+    let total = |(plan, given): &(PlanGraph, Cardinalities), strategy| {
+        simulate_given(&sys, plan, given, &ExecConfig::new(strategy, &sys)).unwrap().total()
+    };
     let mut t = Table::new(["method", "throughput GB/s", "vs plain"]);
-    let base = sys.simulate(&plain).unwrap().total();
-    for (name, sched) in [
-        ("plain", plain),
-        ("compressed", compressed),
-        ("compressed+fused", comp_fused),
-        ("compressed+fused+fission", pipe),
+    let base = total(&plain, Strategy::Serial);
+    for (name, total) in [
+        ("plain", base),
+        ("compressed", total(&packed, Strategy::Serial)),
+        ("compressed+fused", total(&packed, Strategy::Fusion)),
+        ("compressed+fused+fission", total(&packed, Strategy::FusionFission { segments: 8 })),
     ] {
-        let total = sys.simulate(&sched).unwrap().total();
         t.row([
             name.to_string(),
-            gbps(n as f64 * row / total / 1e9),
+            gbps(n as f64 * chain.row_bytes / total / 1e9),
             format!("{:.2}x", base / total),
         ]);
     }
     t.print();
-    println!("compression shrinks the PCIe term; fusing the decompressor removes");
+    println!("compression shrinks the PCIe term; fusing the decoder removes");
     println!("its global-memory round trip; fission hides what transfer remains.");
 }

@@ -6,7 +6,8 @@
 //! (90%) over the CPU, and less-selective filters are faster on both.
 
 use kfusion_bench::{chain, fusion_axis, gbps, print_header, ratio, system, Table};
-use kfusion_core::microbench::{run_compute_only, run_cpu};
+use kfusion_core::exec::Strategy;
+use kfusion_core::microbench::{run, run_cpu};
 use kfusion_vgpu::DeviceSpec;
 
 fn main() {
@@ -33,7 +34,7 @@ fn main() {
         let mut cpu_thr = [0.0; 3];
         for (k, &s) in sels.iter().enumerate() {
             let c = chain(n, &[s]);
-            gpu_thr[k] = run_compute_only(&sys, &c, false).unwrap().throughput_gbps();
+            gpu_thr[k] = run(&sys, &c, Strategy::Serial).unwrap().compute_throughput_gbps();
             cpu_thr[k] = run_cpu(&cpu, &c).unwrap().throughput_gbps();
         }
         for v in gpu_thr {

@@ -9,7 +9,8 @@
 //! Paper: fused is +79.9% on the compute part.
 
 use kfusion_bench::{chain, fusion_axis, gbps, print_header, ratio, system, Table};
-use kfusion_core::microbench::{run_compute_only, run_with_cards, Strategy};
+use kfusion_core::exec::Strategy;
+use kfusion_core::microbench::run_with_cards;
 
 fn main() {
     let _trace = kfusion_bench::trace_session("fig08_fusion_throughput");
@@ -28,21 +29,19 @@ fn main() {
     for &n in &axis {
         let c = chain(n, &[0.5, 0.5]);
         let cards = c.cardinalities().unwrap();
-        let with_rt = run_with_cards(&sys, &c, Strategy::WithRoundTrip, &cards).unwrap();
-        let without = run_with_cards(&sys, &c, Strategy::WithoutRoundTrip, &cards).unwrap();
-        let fused = run_with_cards(&sys, &c, Strategy::Fused, &cards).unwrap();
-        let comp_unfused = run_compute_only(&sys, &c, false).unwrap();
-        let comp_fused = run_compute_only(&sys, &c, true).unwrap();
+        let with_rt = run_with_cards(&sys, &c, Strategy::SerialRoundTrip, &cards).unwrap();
+        let without = run_with_cards(&sys, &c, Strategy::Serial, &cards).unwrap();
+        let fused = run_with_cards(&sys, &c, Strategy::Fusion, &cards).unwrap();
         g_rt += fused.throughput_gbps() / with_rt.throughput_gbps();
         g_wo += fused.throughput_gbps() / without.throughput_gbps();
-        g_comp += comp_fused.throughput_gbps() / comp_unfused.throughput_gbps();
+        g_comp += fused.compute_throughput_gbps() / without.compute_throughput_gbps();
         t.row([
             n.to_string(),
             gbps(with_rt.throughput_gbps()),
             gbps(without.throughput_gbps()),
             gbps(fused.throughput_gbps()),
-            gbps(comp_fused.throughput_gbps()),
-            gbps(comp_unfused.throughput_gbps()),
+            gbps(fused.compute_throughput_gbps()),
+            gbps(without.compute_throughput_gbps()),
         ]);
     }
     t.print();

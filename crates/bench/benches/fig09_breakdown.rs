@@ -8,7 +8,8 @@
 //! identical across methods.
 
 use kfusion_bench::{chain, print_header, ratio, system, Table};
-use kfusion_core::microbench::{run_with_cards, Strategy};
+use kfusion_core::exec::Strategy;
+use kfusion_core::microbench::run_with_cards;
 use kfusion_vgpu::CommandClass;
 
 fn main() {
@@ -22,12 +23,9 @@ fn main() {
         let c = chain(n, &[0.5, 0.5]);
         let cards = c.cardinalities().unwrap();
         let reports = [
-            ("w/ round trip", run_with_cards(&sys, &c, Strategy::WithRoundTrip, &cards).unwrap()),
-            (
-                "w/o round trip",
-                run_with_cards(&sys, &c, Strategy::WithoutRoundTrip, &cards).unwrap(),
-            ),
-            ("fused", run_with_cards(&sys, &c, Strategy::Fused, &cards).unwrap()),
+            ("w/ round trip", run_with_cards(&sys, &c, Strategy::SerialRoundTrip, &cards).unwrap()),
+            ("w/o round trip", run_with_cards(&sys, &c, Strategy::Serial, &cards).unwrap()),
+            ("fused", run_with_cards(&sys, &c, Strategy::Fusion, &cards).unwrap()),
         ];
         let base = reports[0].1.total();
         for (name, r) in &reports {
@@ -44,7 +42,7 @@ fn main() {
     t.print();
     let c = chain(205_520_896, &[0.5, 0.5]);
     let cards = c.cardinalities().unwrap();
-    let rt = run_with_cards(&sys, &c, Strategy::WithRoundTrip, &cards).unwrap();
+    let rt = run_with_cards(&sys, &c, Strategy::SerialRoundTrip, &cards).unwrap();
     println!(
         "round-trip share of w/ round trip at 205M: {:.1}%  (paper: 54.0%)",
         100.0 * rt.class_time(CommandClass::RoundTrip) / rt.total()

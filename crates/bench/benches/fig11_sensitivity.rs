@@ -9,13 +9,18 @@
 //! data selected, because more data movement is eliminated.
 
 use kfusion_bench::{chain, fusion_axis, gbps, print_header, ratio, system, Table};
-use kfusion_core::microbench::run_compute_only;
+use kfusion_core::exec::Strategy;
+use kfusion_core::microbench::{run, SelectChain};
 
 fn main() {
     let _trace = kfusion_bench::trace_session("fig11_sensitivity");
     print_header("Fig. 11(a)", "sensitivity to the number of fused SELECTs (compute)");
     let sys = system();
     let axis = fusion_axis();
+    // GPU computation only (PCIe excluded): fused vs one kernel set per SELECT.
+    let fused = |c: &SelectChain| run(&sys, c, Strategy::Fusion).unwrap().compute_throughput_gbps();
+    let unfused =
+        |c: &SelectChain| run(&sys, c, Strategy::Serial).unwrap().compute_throughput_gbps();
 
     let mut t = Table::new([
         "elements",
@@ -28,10 +33,8 @@ fn main() {
     for &n in &axis {
         let c2 = chain(n, &[0.5, 0.5]);
         let c3 = chain(n, &[0.5, 0.5, 0.5]);
-        let f3 = run_compute_only(&sys, &c3, true).unwrap().throughput_gbps();
-        let u3 = run_compute_only(&sys, &c3, false).unwrap().throughput_gbps();
-        let f2 = run_compute_only(&sys, &c2, true).unwrap().throughput_gbps();
-        let u2 = run_compute_only(&sys, &c2, false).unwrap().throughput_gbps();
+        let (f3, u3) = (fused(&c3), unfused(&c3));
+        let (f2, u2) = (fused(&c2), unfused(&c2));
         g3 += f3 / u3;
         g2 += f2 / u2;
         t.row([n.to_string(), gbps(f3), gbps(u3), gbps(f2), gbps(u2)]);
@@ -54,10 +57,8 @@ fn main() {
     for &n in &axis {
         let c10 = chain(n, &[0.1, 0.1]);
         let c90 = chain(n, &[0.9, 0.9]);
-        let f10 = run_compute_only(&sys, &c10, true).unwrap().throughput_gbps();
-        let u10 = run_compute_only(&sys, &c10, false).unwrap().throughput_gbps();
-        let f90 = run_compute_only(&sys, &c90, true).unwrap().throughput_gbps();
-        let u90 = run_compute_only(&sys, &c90, false).unwrap().throughput_gbps();
+        let (f10, u10) = (fused(&c10), unfused(&c10));
+        let (f90, u90) = (fused(&c90), unfused(&c90));
         lo += f10 / u10;
         hi += f90 / u90;
         t.row([n.to_string(), gbps(f10), gbps(u10), gbps(f90), gbps(u90)]);

@@ -8,7 +8,8 @@
 //! Paper: fission averages +36.9% throughput.
 
 use kfusion_bench::{chain, fission_axis, gbps, print_header, system, Table};
-use kfusion_core::microbench::{run_with_cards, Strategy};
+use kfusion_core::exec::Strategy;
+use kfusion_core::microbench::run_with_cards;
 
 fn main() {
     let _trace = kfusion_bench::trace_session("fig14_fission");
@@ -26,7 +27,7 @@ fn main() {
         let cards = c.cardinalities().unwrap();
         // Serial = memory-sized batches with synchronous transfers; batch
         // intermediates fit on the device, so no round trip is paid.
-        let serial = run_with_cards(&sys, &c, Strategy::WithoutRoundTrip, &cards).unwrap();
+        let serial = run_with_cards(&sys, &c, Strategy::Serial, &cards).unwrap();
         let segments = (n / 64_000_000).max(8) as u32;
         let fission = run_with_cards(&sys, &c, Strategy::Fission { segments }, &cards).unwrap();
         let g = fission.throughput_gbps() / serial.throughput_gbps() - 1.0;

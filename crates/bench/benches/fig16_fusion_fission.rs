@@ -6,7 +6,8 @@
 //! 31.3%, and fission-only by 10.1% on average.
 
 use kfusion_bench::{chain, fission_axis, gbps, print_header, system, Table};
-use kfusion_core::microbench::{run_with_cards, Strategy};
+use kfusion_core::exec::Strategy;
+use kfusion_core::microbench::run_with_cards;
 
 fn main() {
     let _trace = kfusion_bench::trace_session("fig16_fusion_fission");
@@ -25,10 +26,10 @@ fn main() {
         let c = chain(n, &[0.5, 0.5]);
         let cards = c.cardinalities().unwrap();
         let segments = (n / 64_000_000).max(8) as u32;
-        let serial = run_with_cards(&sys, &c, Strategy::WithoutRoundTrip, &cards).unwrap();
-        let fusion = run_with_cards(&sys, &c, Strategy::Fused, &cards).unwrap();
+        let serial = run_with_cards(&sys, &c, Strategy::Serial, &cards).unwrap();
+        let fusion = run_with_cards(&sys, &c, Strategy::Fusion, &cards).unwrap();
         let fission = run_with_cards(&sys, &c, Strategy::Fission { segments }, &cards).unwrap();
-        let both = run_with_cards(&sys, &c, Strategy::FusedFission { segments }, &cards).unwrap();
+        let both = run_with_cards(&sys, &c, Strategy::FusionFission { segments }, &cards).unwrap();
         vs_serial += both.throughput_gbps() / serial.throughput_gbps();
         vs_fusion += both.throughput_gbps() / fusion.throughput_gbps();
         vs_fission += both.throughput_gbps() / fission.throughput_gbps();

@@ -8,7 +8,8 @@
 //! harnesses.
 
 use kfusion_bench::{print_header, system, time_median as time_it, Table};
-use kfusion_core::microbench::{run_with_cards, SelectChain, Strategy};
+use kfusion_core::exec::Strategy;
+use kfusion_core::microbench::{run_with_cards, SelectChain};
 use kfusion_ir::builder::BodyBuilder;
 use kfusion_ir::fuse::fuse_predicate_chain;
 use kfusion_ir::interp::Machine;
@@ -62,7 +63,7 @@ fn main() {
     let chain = SelectChain::auto(1 << 30, &[0.5, 0.5]);
     let cards = chain.cardinalities().unwrap();
     let secs = time_it(9, 20, || {
-        run_with_cards(&sys, &chain, Strategy::FusedFission { segments: 64 }, &cards).unwrap()
+        run_with_cards(&sys, &chain, Strategy::FusionFission { segments: 64 }, &cards).unwrap()
     });
     row(&mut t, "des_fused_fission_64seg", secs, None);
 

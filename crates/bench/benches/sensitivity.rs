@@ -12,7 +12,8 @@
 //!    forces the round-trip strategy earlier.
 
 use kfusion_bench::{chain, gbps, print_header, ratio, system, Table};
-use kfusion_core::microbench::{run_compute_only, run_with_cards, Strategy};
+use kfusion_core::exec::Strategy;
+use kfusion_core::microbench::{run, run_with_cards};
 use kfusion_vgpu::{DeviceSpec, GpuSystem, PcieModel};
 
 fn main() {
@@ -30,22 +31,21 @@ fn main() {
         // Fusion benefit (Fig. 8 shape) at 16M elements.
         let c = chain(1 << 24, &[0.5, 0.5]);
         let cards = c.cardinalities().unwrap();
-        let rt = run_with_cards(&sys, &c, Strategy::WithRoundTrip, &cards).unwrap();
-        let fused = run_with_cards(&sys, &c, Strategy::Fused, &cards).unwrap();
+        let rt = run_with_cards(&sys, &c, Strategy::SerialRoundTrip, &cards).unwrap();
+        let fused = run_with_cards(&sys, &c, Strategy::Fusion, &cards).unwrap();
         // Fission benefit (Fig. 14 shape) at 1G elements.
         let big = chain(1_000_000_000, &[0.5]);
         let bcards = big.cardinalities().unwrap();
-        let serial = run_with_cards(&sys, &big, Strategy::WithoutRoundTrip, &bcards).unwrap();
+        let serial = run_with_cards(&sys, &big, Strategy::Serial, &bcards).unwrap();
         let fission =
             run_with_cards(&sys, &big, Strategy::Fission { segments: 16 }, &bcards).unwrap();
         // Compute-only gain is link-independent by construction.
-        let cu = run_compute_only(&sys, &c, false).unwrap();
-        let cf = run_compute_only(&sys, &c, true).unwrap();
+        let unfused = run_with_cards(&sys, &c, Strategy::Serial, &cards).unwrap();
         t.row([
             name.to_string(),
             format!("{}x", ratio(fused.throughput_gbps() / rt.throughput_gbps())),
             format!("{}x", ratio(fission.throughput_gbps() / serial.throughput_gbps())),
-            format!("{}x", ratio(cf.throughput_gbps() / cu.throughput_gbps())),
+            format!("{}x", ratio(unfused.compute_time() / fused.compute_time())),
         ]);
     }
     t.print();
@@ -59,16 +59,16 @@ fn main() {
     for spec in devices {
         let sys = GpuSystem { spec: spec.clone(), pcie: PcieModel::pcie2_x16() };
         let c = chain(1 << 24, &[0.5]);
-        let comp = run_compute_only(&sys, &c, false).unwrap();
+        let comp = run(&sys, &c, Strategy::Serial).unwrap();
         let big = chain(1_000_000_000, &[0.5]);
         let bcards = big.cardinalities().unwrap();
-        let serial = run_with_cards(&sys, &big, Strategy::WithoutRoundTrip, &bcards).unwrap();
+        let serial = run_with_cards(&sys, &big, Strategy::Serial, &bcards).unwrap();
         let fission =
             run_with_cards(&sys, &big, Strategy::Fission { segments: 16 }, &bcards).unwrap();
         t.row([
             spec.name.to_string(),
             spec.copy_engines.to_string(),
-            gbps(comp.throughput_gbps()),
+            gbps(comp.compute_throughput_gbps()),
             format!("{}x", ratio(fission.throughput_gbps() / serial.throughput_gbps())),
         ]);
     }

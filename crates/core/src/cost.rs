@@ -69,9 +69,7 @@ pub fn group_regs(graph: &PlanGraph, members: &[NodeId], level: OptLevel) -> u32
 }
 
 /// The pre-analysis estimate: the shared multi-stage skeleton plus every
-/// member's *individual* register count, summed. Kept as the comparison
-/// baseline (the ablation bench shows where the analyzed estimate flips
-/// fusion decisions this one gets wrong) and as the fallback when a group's
+/// member's *individual* register count, summed. The fallback when a group's
 /// bodies cannot be spliced into one verifiable stage.
 pub fn group_regs_summed(graph: &PlanGraph, members: &[NodeId], level: OptLevel) -> u32 {
     STAGE_REGS + members.iter().map(|&m| node_regs(&graph.nodes[m].kind, level)).sum::<u32>()
@@ -101,147 +99,10 @@ pub fn member_instr(kind: &OpKind, level: OptLevel) -> f64 {
     }
 }
 
-/// Split a chain of SELECT predicates into maximal fusable runs under the
-/// register budget — the depth cut-off the paper leaves as "the subject of
-/// ongoing work". Each run fuses into one kernel.
-///
-/// A run's cost is the *analyzed* pressure of its fused, optimized body
-/// ([`run_regs`]): predicates that collapse together (same column) extend a
-/// run for free, while genuinely independent predicates accumulate live
-/// booleans until the budget forces a split.
-pub fn split_select_chain(
-    preds: &[KernelBody],
-    budget: &FusionBudget,
-    level: OptLevel,
-) -> Vec<Vec<KernelBody>> {
-    let mut runs: Vec<Vec<KernelBody>> = Vec::new();
-    let mut cur: Vec<KernelBody> = Vec::new();
-    for p in preds {
-        cur.push(p.clone());
-        if cur.len() > 1 && run_regs(&cur, level) > budget.max_regs_per_thread {
-            let keep = cur.pop().expect("just pushed");
-            runs.push(std::mem::take(&mut cur));
-            cur.push(keep);
-        }
-    }
-    if !cur.is_empty() {
-        runs.push(cur);
-    }
-    runs
-}
-
-/// Analyzed per-thread registers of one fused predicate run: skeleton plus
-/// the liveness maximum of the fused, optimized conjunction body. A run
-/// whose predicates cannot splice into one well-typed body (conflicting
-/// slot types) falls back to the summed estimate.
-pub fn run_regs(preds: &[KernelBody], level: OptLevel) -> u32 {
-    use kfusion_ir::fuse::{fuse, FuseError, FusedOutput, SlotSource};
-    #[cfg(feature = "validate")]
-    let _probe = kfusion_ir::symexec::speculation();
-    if preds.is_empty() {
-        return STAGE_REGS;
-    }
-    let wiring: Vec<Vec<SlotSource>> =
-        preds.iter().map(|p| (0..p.n_inputs).map(SlotSource::External).collect()).collect();
-    let outputs: Vec<FusedOutput> =
-        (0..preds.len()).map(|b| FusedOutput { body: b, output: 0 }).collect();
-    match fuse(preds, &wiring, &outputs) {
-        Ok(mut fused) => {
-            let mut acc = fused.outputs[0];
-            for k in 1..fused.outputs.len() {
-                let rhs = fused.outputs[k];
-                acc = fused.push(kfusion_ir::Instr::Bin {
-                    op: kfusion_ir::BinOp::And,
-                    lhs: acc,
-                    rhs,
-                });
-            }
-            fused.outputs = vec![acc];
-            STAGE_REGS + max_live_regs(&optimize(&fused, level)) as u32
-        }
-        Err(FuseError::Invalid { .. }) => {
-            STAGE_REGS + preds.iter().map(|p| body_regs(p, level)).sum::<u32>()
-        }
-        Err(e) => unreachable!("predicate-chain wiring is structurally valid: {e}"),
-    }
-}
-
-/// The pre-analysis splitter: accumulates each predicate's *individual*
-/// optimized register count until the sum exceeds the budget. Kept as the
-/// ablation baseline; [`split_select_chain`] is what planning uses.
-pub fn split_select_chain_summed(
-    preds: &[KernelBody],
-    budget: &FusionBudget,
-    level: OptLevel,
-) -> Vec<Vec<KernelBody>> {
-    let mut runs: Vec<Vec<KernelBody>> = Vec::new();
-    let mut cur: Vec<KernelBody> = Vec::new();
-    let mut cur_regs = STAGE_REGS;
-    for p in preds {
-        let r = body_regs(p, level);
-        if !cur.is_empty() && cur_regs + r > budget.max_regs_per_thread {
-            runs.push(std::mem::take(&mut cur));
-            cur_regs = STAGE_REGS;
-        }
-        cur_regs += r;
-        cur.push(p.clone());
-    }
-    if !cur.is_empty() {
-        runs.push(cur);
-    }
-    runs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kfusion_relalg::predicates;
-
-    #[test]
-    fn select_chain_fits_one_run_under_generous_budget() {
-        let preds: Vec<_> = (0..4).map(|k| predicates::key_lt(100 + k)).collect();
-        let budget = FusionBudget { max_regs_per_thread: 63 };
-        let runs = split_select_chain(&preds, &budget, OptLevel::O3);
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].len(), 4);
-    }
-
-    #[test]
-    fn tight_budget_splits_chain() {
-        // Distinct columns: each predicate's boolean stays live until the
-        // final AND, so the analyzed pressure genuinely grows with depth.
-        let preds: Vec<_> = (0..8)
-            .map(|k| predicates::col_cmp_i64(k, kfusion_ir::CmpOp::Lt, 100 + k as i64))
-            .collect();
-        let budget = FusionBudget { max_regs_per_thread: STAGE_REGS + 5 };
-        let runs = split_select_chain(&preds, &budget, OptLevel::O3);
-        assert!(runs.len() > 1, "expected a split, got {} runs", runs.len());
-        let total: usize = runs.iter().map(Vec::len).sum();
-        assert_eq!(total, 8, "no predicate lost");
-        assert!(runs.iter().all(|r| !r.is_empty()));
-    }
-
-    #[test]
-    fn same_column_chain_never_splits_under_analysis() {
-        // The compares combine into one under O3, so the analyzed run cost
-        // stays flat — the summed splitter would cut this chain in pieces.
-        let preds: Vec<_> = (0..8).map(|k| predicates::key_lt(100 + k)).collect();
-        let budget = FusionBudget { max_regs_per_thread: STAGE_REGS + 5 };
-        let analyzed = split_select_chain(&preds, &budget, OptLevel::O3);
-        assert_eq!(analyzed.len(), 1, "collapsible chain should fuse whole");
-        let summed = split_select_chain_summed(&preds, &budget, OptLevel::O3);
-        assert!(summed.len() > 1, "baseline splits what analysis proves cheap");
-    }
-
-    #[test]
-    fn pathological_budget_still_progresses() {
-        // Budget below even one predicate: every run is a singleton (the
-        // pass must not loop or drop work).
-        let preds: Vec<_> = (0..3).map(predicates::key_lt).collect();
-        let budget = FusionBudget { max_regs_per_thread: 1 };
-        let runs = split_select_chain(&preds, &budget, OptLevel::O3);
-        assert_eq!(runs.len(), 3);
-    }
 
     #[test]
     fn group_regs_includes_skeleton() {

@@ -5,9 +5,13 @@
 //! the [`PlanGraph`] on real relations (host threads), which both produces
 //! the query answer and measures every intermediate cardinality. The
 //! **timing phase** then emits the strategy's command stream — whose kernel
-//! profiles and transfer sizes are driven by those measured cardinalities —
-//! and runs it through the virtual GPU's discrete-event simulator.
+//! profiles and transfer sizes are driven by those [`Cardinalities`] — and
+//! runs it through the virtual GPU's discrete-event simulator. The seam is
+//! public: [`simulate_given`] runs the timing phase alone over cardinalities
+//! the caller supplies, which is how the micro-figures sweep to data sets no
+//! host could materialize.
 //!
+//! This module is the only place a strategy becomes `vgpu` commands.
 //! Strategies mirror the paper's evaluation (§V):
 //!
 //! * [`Strategy::Serial`] — the "not optimized" baseline: one kernel set
@@ -15,9 +19,10 @@
 //! * [`Strategy::SerialRoundTrip`] — additionally bounces every
 //!   intermediate through the CPU (forced when GPU memory is short).
 //! * [`Strategy::Fusion`] — kernels merged per the fusion pass.
-//! * [`Strategy::FusionFission`] — fused kernels whose leading streamable
-//!   groups are segmented and pipelined over streams to hide the input
-//!   transfer (the paper's combined optimization on Q1/Q21).
+//! * [`Strategy::Fission`] — unfused kernels whose streamable regions are
+//!   segmented and pipelined over [`FISSION_STREAMS`] streams (Fig. 13).
+//! * [`Strategy::FusionFission`] — the same pipeline over fused kernels
+//!   (Fig. 15; the paper's combined optimization on Q1/Q21).
 
 use crate::cost::{group_regs, member_instr, FusionBudget};
 use crate::deps::streamable;
@@ -33,7 +38,8 @@ use kfusion_relalg::profiles::{
 use kfusion_relalg::{ops, Relation};
 use kfusion_vgpu::des::EventId;
 use kfusion_vgpu::{
-    segment, Command, CommandClass, GpuSystem, HostMemKind, KernelProfile, LaunchConfig, Schedule,
+    segment, Command, CommandClass, Direction, GpuSystem, HostMemKind, KernelProfile, LaunchConfig,
+    Schedule,
 };
 
 /// Execution strategy.
@@ -45,12 +51,37 @@ pub enum Strategy {
     SerialRoundTrip,
     /// Kernel fusion only.
     Fusion,
-    /// Kernel fusion plus fission on streamable leading groups.
+    /// Kernel fission only: unfused kernels, streamable regions pipelined.
+    Fission {
+        /// Segments per pipelined region.
+        segments: u32,
+    },
+    /// Kernel fusion plus fission on streamable regions.
     FusionFission {
-        /// Segments per pipelined group.
+        /// Segments per pipelined region.
         segments: u32,
     },
 }
+
+impl Strategy {
+    /// Whether the strategy runs the fusion pass; otherwise every operator
+    /// is its own kernel group.
+    pub fn fuses(self) -> bool {
+        matches!(self, Strategy::Fusion | Strategy::FusionFission { .. })
+    }
+}
+
+/// Streams a fission pipeline rotates its segments over — the paper's
+/// minimum for full C2070 concurrency (§IV-B: one stream downloading, one
+/// computing, one uploading).
+pub const FISSION_STREAMS: usize = 3;
+
+/// Host-side reassembly bandwidth (bytes/s) of the CPU gather that
+/// concatenates a pipeline's per-segment results (§IV-C).
+pub const CPU_GATHER_BW: f64 = 4.0e9;
+
+/// Minimum bytes per fission segment for a pipeline to pay off.
+pub const MIN_SEGMENT_BYTES: u64 = 256 * 1024;
 
 /// Executor configuration.
 #[derive(Debug, Clone, Copy)]
@@ -97,6 +128,31 @@ pub struct ExecResult {
     pub peak_resident_bytes: u64,
 }
 
+/// Per-node cardinalities — `rows[id]` tuples of `row_bytes[id]` bytes at
+/// plan node `id` — from which the timing phase sizes every transfer and
+/// kernel. Either *measured* by the functional phase ([`execute`],
+/// [`plan_schedule`]) or *given* by the caller ([`simulate_given`]) for
+/// workloads too large to materialize.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cardinalities {
+    /// Tuples produced by each node.
+    pub rows: Vec<u64>,
+    /// Logical bytes per tuple of each node's output.
+    pub row_bytes: Vec<f64>,
+}
+
+impl Cardinalities {
+    /// Bytes of node `id`'s output.
+    pub fn bytes(&self, id: NodeId) -> u64 {
+        (self.rows[id] as f64 * self.row_bytes[id]).ceil() as u64
+    }
+
+    fn record(&mut self, id: NodeId, rel: &Relation) {
+        self.rows[id] = rel.len() as u64;
+        self.row_bytes[id] = rel.row_bytes() as f64;
+    }
+}
+
 /// Execute `graph` over `inputs` on `system` with `cfg`.
 pub fn execute(
     system: &GpuSystem,
@@ -104,16 +160,7 @@ pub fn execute(
     inputs: &[Relation],
     cfg: &ExecConfig,
 ) -> Result<ExecResult, CoreError> {
-    let roots = [graph.root];
-    let (mut outputs, report, explain, fusion, peak) =
-        run_plan(system, graph, inputs, cfg, &roots, None)?;
-    Ok(ExecResult {
-        output: outputs.pop().expect("one root"),
-        report,
-        explain,
-        fusion,
-        peak_resident_bytes: peak,
-    })
+    single_root(run_plan(system, graph, inputs, cfg, &[graph.root], None)?)
 }
 
 /// Run the compile-side pipeline alone — verify (under the `check`
@@ -122,7 +169,7 @@ pub fn execute(
 /// an execution; `kfusion-server` caches its result behind an `Arc` so
 /// concurrent submissions of structurally identical plans pay it once.
 ///
-/// Serial strategies get the singleton plan the executor would build for
+/// Unfused strategies get the singleton plan the executor would build for
 /// them, so a cached plan is valid for exactly the `(strategy-class,
 /// budget, level)` it was prepared under.
 pub fn prepare_fusion(graph: &PlanGraph, cfg: &ExecConfig) -> Result<FusionPlan, CoreError> {
@@ -132,9 +179,10 @@ pub fn prepare_fusion(graph: &PlanGraph, cfg: &ExecConfig) -> Result<FusionPlan,
     graph.validate()?;
     let _span =
         kfusion_trace::enabled().then(|| kfusion_trace::host_span("host", "prepare_fusion"));
-    Ok(match cfg.strategy {
-        Strategy::Serial | Strategy::SerialRoundTrip => singleton_plan(graph),
-        _ => fuse_plan(graph, &cfg.budget, cfg.level),
+    Ok(if cfg.strategy.fuses() {
+        fuse_plan(graph, &cfg.budget, cfg.level)
+    } else {
+        singleton_plan(graph)
     })
 }
 
@@ -154,16 +202,40 @@ pub fn plan_schedule(
     cfg: &ExecConfig,
 ) -> Result<Schedule, CoreError> {
     let fusion = prepare_fusion(graph, cfg)?;
-    let mut slots: Vec<Option<NodeVal>> = (0..graph.len()).map(|_| None).collect();
-    for wave in wavefronts(graph) {
-        for id in wave {
-            slots[id] = Some(eval_node(graph, id, inputs, &slots, None)?);
-        }
+    let roots = [graph.root];
+    let measured = functional_phase(graph, inputs, &roots)?;
+    Ok(build_schedule(system, graph, &fusion, &measured.cards, cfg, &roots))
+}
+
+/// [`plan_schedule`] over *given* cardinalities: no relation is generated
+/// or evaluated, so `cards` may describe data far beyond host memory.
+pub fn schedule_given(
+    system: &GpuSystem,
+    graph: &PlanGraph,
+    cards: &Cardinalities,
+    cfg: &ExecConfig,
+) -> Result<Schedule, CoreError> {
+    if cards.rows.len() != graph.len() || cards.row_bytes.len() != graph.len() {
+        return Err(CoreError::Unsupported(format!(
+            "cardinalities cover {} nodes, the plan has {}",
+            cards.rows.len().min(cards.row_bytes.len()),
+            graph.len()
+        )));
     }
-    let results: Vec<NodeVal> =
-        slots.into_iter().map(|r| r.expect("every wave filled its nodes")).collect();
-    let stats = Stats::collect(&results);
-    Ok(build_schedule(system, graph, &fusion, &stats, cfg, &[graph.root]))
+    let fusion = prepare_fusion(graph, cfg)?;
+    Ok(build_schedule(system, graph, &fusion, cards, cfg, &[graph.root]))
+}
+
+/// The timing phase alone: build the schedule [`execute`] would build had
+/// the functional phase measured `cards`, and simulate it.
+pub fn simulate_given(
+    system: &GpuSystem,
+    graph: &PlanGraph,
+    cards: &Cardinalities,
+    cfg: &ExecConfig,
+) -> Result<Report, CoreError> {
+    let schedule = schedule_given(system, graph, cards, cfg)?;
+    Ok(plan_report(graph, cards, system.simulate(&schedule)?))
 }
 
 /// [`execute`], but with the compile-side pipeline already done: `fusion`
@@ -179,16 +251,7 @@ pub fn execute_prepared(
     cfg: &ExecConfig,
     fusion: &FusionPlan,
 ) -> Result<ExecResult, CoreError> {
-    let roots = [graph.root];
-    let (mut outputs, report, explain, fusion, peak) =
-        run_plan(system, graph, inputs, cfg, &roots, Some(fusion))?;
-    Ok(ExecResult {
-        output: outputs.pop().expect("one root"),
-        report,
-        explain,
-        fusion,
-        peak_resident_bytes: peak,
-    })
+    single_root(run_plan(system, graph, inputs, cfg, &[graph.root], Some(fusion))?)
 }
 
 /// Multi-root execution used by [`crate::multiquery`]: same engine, one
@@ -206,6 +269,20 @@ pub(crate) fn execute_multi_impl(
     Ok(crate::multiquery::MultiResult { outputs, report, fusion })
 }
 
+type PlanRun = (Vec<Relation>, Report, kfusion_trace::explain::ExplainNode, FusionPlan, u64);
+
+fn single_root(
+    (mut outputs, report, explain, fusion, peak): PlanRun,
+) -> Result<ExecResult, CoreError> {
+    Ok(ExecResult {
+        output: outputs.pop().expect("one root"),
+        report,
+        explain,
+        fusion,
+        peak_resident_bytes: peak,
+    })
+}
+
 /// The shared engine: functional phase, fusion, schedule, simulate. Returns
 /// the relations at `roots` (in order) plus the report, the explain tree
 /// (rooted at `roots[0]`), the fusion plan, and peak residency.
@@ -216,106 +293,31 @@ fn run_plan(
     cfg: &ExecConfig,
     roots: &[NodeId],
     prepared: Option<&FusionPlan>,
-) -> Result<(Vec<Relation>, Report, kfusion_trace::explain::ExplainNode, FusionPlan, u64), CoreError>
-{
+) -> Result<PlanRun, CoreError> {
     // With the `check` feature (default-on) the full plan verifier runs —
     // body typing, column bounds, sortedness preconditions — so executor
     // and simulator only ever see plans that cannot trip their own asserts.
     // A prepared fusion plan certifies the full check already ran (in
     // `prepare_fusion`) on this structure; only the cheap validation stays.
-    match prepared {
-        Some(_) => graph.validate()?,
-        None => {
-            #[cfg(feature = "check")]
-            crate::check::check_plan(graph)?;
-            #[cfg(not(feature = "check"))]
+    let fusion = match prepared {
+        Some(p) => {
             graph.validate()?;
+            p.clone()
         }
-    }
-    // ---- Functional phase -------------------------------------------------
-    // Independent nodes evaluate in parallel: topological wavefronts (a
-    // node's level is one past its deepest input) run on scoped threads,
-    // results land indexed by node id, and a wave's errors surface in id
-    // order — so answers are deterministic and identical to a serial loop.
-    let mut slots: Vec<Option<NodeVal>> = (0..graph.len()).map(|_| None).collect();
-    let mut host_secs = vec![0.0f64; graph.len()];
-    // Cardinalities are captured the moment a slot fills, because a
-    // downstream in-place operator may later *steal* the relation out of a
-    // single-consumer slot (see `steal_input`) — the timing phase still
-    // needs every node's measured size.
-    let mut stats = Stats { rows: vec![0; graph.len()], row_bytes: vec![0.0; graph.len()] };
-    let consumers = graph.consumer_counts();
-    {
-        let _phase = kfusion_trace::host_span("host", "functional_phase");
-        for (level, wave) in wavefronts(graph).into_iter().enumerate() {
-            let _wave = kfusion_trace::enabled()
-                .then(|| kfusion_trace::host_span("host", &format!("wave#{level}")));
-            if wave.len() == 1 {
-                let id = wave[0];
-                let stolen = steal_input(graph, id, roots, &consumers, &mut slots);
-                let (rel, secs) = eval_node_timed(graph, id, inputs, &slots, stolen)?;
-                stats.record(id, rel.as_rel());
-                slots[id] = Some(rel);
-                host_secs[id] = secs;
-            } else {
-                let mut stolen: Vec<Option<Relation>> = wave
-                    .iter()
-                    .map(|&id| steal_input(graph, id, roots, &consumers, &mut slots))
-                    .collect();
-                type WaveResults<'a> = Vec<(NodeId, Result<(NodeVal<'a>, f64), CoreError>)>;
-                let evaluated: WaveResults = std::thread::scope(|scope| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .zip(stolen.iter_mut().map(Option::take))
-                        .map(|(&id, st)| {
-                            let slots = &slots;
-                            (id, scope.spawn(move || eval_node_timed(graph, id, inputs, slots, st)))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(id, h)| (id, h.join().expect("plan node evaluation panicked")))
-                        .collect()
-                });
-                for (id, r) in evaluated {
-                    let (rel, secs) = r?;
-                    stats.record(id, rel.as_rel());
-                    slots[id] = Some(rel);
-                    host_secs[id] = secs;
-                }
-            }
-        }
-    }
-
-    // ---- Timing phase -----------------------------------------------------
-    let (fusion, timeline) = {
-        let _phase = kfusion_trace::host_span("host", "timing_phase");
-        let fusion = match prepared {
-            Some(p) => p.clone(),
-            None => match cfg.strategy {
-                Strategy::Serial | Strategy::SerialRoundTrip => singleton_plan(graph),
-                _ => fuse_plan(graph, &cfg.budget, cfg.level),
-            },
-        };
-        let schedule = build_schedule(system, graph, &fusion, &stats, cfg, roots);
-        let timeline = system.simulate(&schedule)?;
-        (fusion, timeline)
+        None => prepare_fusion(graph, cfg)?,
     };
-    let input_bytes: f64 = plan_input_bytes(graph, &stats);
-    let elements: u64 = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| matches!(n.kind, OpKind::Input { .. }))
-        .map(|(id, _)| stats.rows[id])
-        .sum();
-    let peak = peak_resident_bytes(graph, &stats);
+    let Measured { slots, cards, host_secs } = functional_phase(graph, inputs, roots)?;
+    let timeline = {
+        let _phase = kfusion_trace::host_span("host", "timing_phase");
+        system.simulate(&build_schedule(system, graph, &fusion, &cards, cfg, roots))?
+    };
+    let peak = peak_resident_bytes(graph, &cards);
     let outputs: Vec<Relation> = roots
         .iter()
         .map(|&r| slots[r].as_ref().expect("roots are never stolen").as_rel().clone())
         .collect();
     let measurements =
-        crate::explain::NodeMeasurements { rows: &stats.rows, host_seconds: &host_secs };
+        crate::explain::NodeMeasurements { rows: &cards.rows, host_seconds: &host_secs };
     let explain = crate::explain::build_explain(
         graph,
         &fusion,
@@ -324,7 +326,93 @@ fn run_plan(
         cfg.level,
         roots[0],
     );
-    Ok((outputs, Report::new(timeline, elements, input_bytes), explain, fusion, peak))
+    Ok((outputs, plan_report(graph, &cards, timeline), explain, fusion, peak))
+}
+
+/// A timeline's report, with the figures' x-axis (plan-input elements) and
+/// throughput numerator (plan-input bytes) taken from `cards`.
+fn plan_report(
+    graph: &PlanGraph,
+    cards: &Cardinalities,
+    timeline: kfusion_vgpu::Timeline,
+) -> Report {
+    let elements = plan_inputs(graph).map(|i| cards.rows[i]).sum();
+    let input_bytes = plan_inputs(graph).map(|i| cards.bytes(i) as f64).sum();
+    Report::new(timeline, elements, input_bytes)
+}
+
+/// Ids of the plan's `Input` leaves, ascending.
+fn plan_inputs(graph: &PlanGraph) -> impl Iterator<Item = NodeId> + '_ {
+    (0..graph.len()).filter(|&id| matches!(graph.nodes[id].kind, OpKind::Input { .. }))
+}
+
+/// What the functional phase leaves behind: every node's relation (unless a
+/// downstream in-place operator stole it), measured size, and host seconds.
+struct Measured<'a> {
+    slots: Vec<Option<NodeVal<'a>>>,
+    cards: Cardinalities,
+    host_secs: Vec<f64>,
+}
+
+/// Evaluate every node of `graph` over `inputs`.
+///
+/// Independent nodes evaluate in parallel: topological wavefronts (a node's
+/// level is one past its deepest input) run on scoped threads, results land
+/// indexed by node id, and a wave's errors surface in id order — so answers
+/// are deterministic and identical to a serial loop.
+fn functional_phase<'a>(
+    graph: &PlanGraph,
+    inputs: &'a [Relation],
+    roots: &[NodeId],
+) -> Result<Measured<'a>, CoreError> {
+    let mut slots: Vec<Option<NodeVal>> = (0..graph.len()).map(|_| None).collect();
+    let mut host_secs = vec![0.0f64; graph.len()];
+    // Cardinalities are captured the moment a slot fills, because a
+    // downstream in-place operator may later *steal* the relation out of a
+    // single-consumer slot (see `steal_input`) — the timing phase still
+    // needs every node's measured size.
+    let mut cards = Cardinalities { rows: vec![0; graph.len()], row_bytes: vec![0.0; graph.len()] };
+    let consumers = graph.consumer_counts();
+    let _phase = kfusion_trace::host_span("host", "functional_phase");
+    for (level, wave) in wavefronts(graph).into_iter().enumerate() {
+        let _wave = kfusion_trace::enabled()
+            .then(|| kfusion_trace::host_span("host", &format!("wave#{level}")));
+        if wave.len() == 1 {
+            let id = wave[0];
+            let stolen = steal_input(graph, id, roots, &consumers, &mut slots);
+            let (rel, secs) = eval_node_timed(graph, id, inputs, &slots, stolen)?;
+            cards.record(id, rel.as_rel());
+            slots[id] = Some(rel);
+            host_secs[id] = secs;
+        } else {
+            let mut stolen: Vec<Option<Relation>> = wave
+                .iter()
+                .map(|&id| steal_input(graph, id, roots, &consumers, &mut slots))
+                .collect();
+            type WaveResults<'a> = Vec<(NodeId, Result<(NodeVal<'a>, f64), CoreError>)>;
+            let evaluated: WaveResults = std::thread::scope(|scope| {
+                let handles: Vec<_> = wave
+                    .iter()
+                    .zip(stolen.iter_mut().map(Option::take))
+                    .map(|(&id, st)| {
+                        let slots = &slots;
+                        (id, scope.spawn(move || eval_node_timed(graph, id, inputs, slots, st)))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|(id, h)| (id, h.join().expect("plan node evaluation panicked")))
+                    .collect()
+            });
+            for (id, r) in evaluated {
+                let (rel, secs) = r?;
+                cards.record(id, rel.as_rel());
+                slots[id] = Some(rel);
+                host_secs[id] = secs;
+            }
+        }
+    }
+    Ok(Measured { slots, cards, host_secs })
 }
 
 /// Evaluate one node under a host trace span, returning the relation and
@@ -466,20 +554,20 @@ fn eval_node<'a>(
 /// upload, each node's output is allocated at its definition and released
 /// after its last consumer — a liveness scan over the topological order,
 /// exercised against [`kfusion_vgpu::DeviceMemory`] in the tests.
-fn peak_resident_bytes(graph: &PlanGraph, stats: &Stats) -> u64 {
+fn peak_resident_bytes(graph: &PlanGraph, cards: &Cardinalities) -> u64 {
     let mut remaining = graph.consumer_counts();
     let mut mem = kfusion_vgpu::DeviceMemory::new(u64::MAX);
     let mut live: Vec<Option<kfusion_vgpu::memory::AllocId>> = vec![None; graph.len()];
     for (id, node) in graph.nodes.iter().enumerate() {
         if matches!(node.kind, OpKind::Input { .. }) {
-            live[id] = Some(mem.alloc(stats.bytes(id)).expect("unbounded tracker"));
+            live[id] = Some(mem.alloc(cards.bytes(id)).expect("unbounded tracker"));
         }
     }
     for (id, node) in graph.nodes.iter().enumerate() {
         if matches!(node.kind, OpKind::Input { .. }) {
             continue;
         }
-        live[id] = Some(mem.alloc(stats.bytes(id)).expect("unbounded tracker"));
+        live[id] = Some(mem.alloc(cards.bytes(id)).expect("unbounded tracker"));
         for &p in &node.inputs {
             remaining[p] -= 1;
             if remaining[p] == 0 && p != graph.root {
@@ -523,53 +611,19 @@ fn singleton_plan(graph: &PlanGraph) -> FusionPlan {
     FusionPlan { group_of, groups }
 }
 
-/// Measured sizes from the functional phase.
-struct Stats {
-    rows: Vec<u64>,
-    row_bytes: Vec<f64>,
-}
-
-impl Stats {
-    fn collect(results: &[NodeVal]) -> Self {
-        Stats {
-            rows: results.iter().map(|r| r.as_rel().len() as u64).collect(),
-            row_bytes: results.iter().map(|r| r.as_rel().row_bytes() as f64).collect(),
-        }
-    }
-
-    fn record(&mut self, id: NodeId, rel: &Relation) {
-        self.rows[id] = rel.len() as u64;
-        self.row_bytes[id] = rel.row_bytes() as f64;
-    }
-
-    fn bytes(&self, id: NodeId) -> u64 {
-        (self.rows[id] as f64 * self.row_bytes[id]).ceil() as u64
-    }
-}
-
-fn plan_input_bytes(graph: &PlanGraph, stats: &Stats) -> f64 {
-    graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| matches!(n.kind, OpKind::Input { .. }))
-        .map(|(id, _)| stats.bytes(id) as f64)
-        .sum()
-}
-
 /// The kernels of one *unfused* operator, with element counts.
-fn node_kernels(
+pub(crate) fn node_kernels(
     graph: &PlanGraph,
-    stats: &Stats,
+    cards: &Cardinalities,
     id: NodeId,
     level: OptLevel,
 ) -> Vec<(KernelProfile, u64)> {
     let node = &graph.nodes[id];
     let in0 = node.inputs.first().copied();
-    let in_rows = in0.map_or(0, |i| stats.rows[i]);
-    let in_bytes = in0.map_or(8.0, |i| stats.row_bytes[i]);
-    let out_rows = stats.rows[id];
-    let out_bytes = stats.row_bytes[id];
+    let in_rows = in0.map_or(0, |i| cards.rows[i]);
+    let in_bytes = in0.map_or(8.0, |i| cards.row_bytes[i]);
+    let out_rows = cards.rows[id];
+    let out_bytes = cards.row_bytes[id];
     let sel = if in_rows == 0 { 0.0 } else { out_rows as f64 / in_rows as f64 };
     let nm = |s: &str| format!("{s}#{id}");
     match &node.kind {
@@ -606,9 +660,9 @@ fn node_kernels(
         ],
         OpKind::Join | OpKind::Semijoin | OpKind::Antijoin => {
             let (a, b) = (node.inputs[0], node.inputs[1]);
-            let elems = stats.rows[a].max(stats.rows[b]).max(1);
-            let read = (stats.bytes(a) + stats.bytes(b)) as f64 / elems as f64;
-            let write = stats.bytes(id) as f64 / elems as f64;
+            let elems = cards.rows[a].max(cards.rows[b]).max(1);
+            let read = (cards.bytes(a) + cards.bytes(b)) as f64 / elems as f64;
+            let write = cards.bytes(id) as f64 / elems as f64;
             vec![
                 (
                     KernelProfile::new(nm("join_match"))
@@ -624,8 +678,8 @@ fn node_kernels(
         }
         OpKind::ColumnJoin => {
             let (a, b) = (node.inputs[0], node.inputs[1]);
-            let elems = stats.rows[a].max(1);
-            let read = (stats.bytes(a) + stats.bytes(b)) as f64 / elems as f64;
+            let elems = cards.rows[a].max(1);
+            let read = (cards.bytes(a) + cards.bytes(b)) as f64 / elems as f64;
             vec![
                 (
                     KernelProfile::new(nm("col_join"))
@@ -648,13 +702,13 @@ fn node_kernels(
         )],
         OpKind::Union | OpKind::Intersect | OpKind::Difference => {
             let (a, b) = (node.inputs[0], node.inputs[1]);
-            let elems = (stats.rows[a] + stats.rows[b]).max(1);
-            let read = (stats.bytes(a) + stats.bytes(b)) as f64 / elems as f64;
+            let elems = (cards.rows[a] + cards.rows[b]).max(1);
+            let read = (cards.bytes(a) + cards.bytes(b)) as f64 / elems as f64;
             vec![(
                 KernelProfile::new(nm("setop"))
                     .instr_per_elem(14.0)
                     .bytes_read_per_elem(read)
-                    .bytes_written_per_elem(stats.bytes(id) as f64 / elems as f64)
+                    .bytes_written_per_elem(cards.bytes(id) as f64 / elems as f64)
                     .mem_efficiency(STREAM_MEM_EFF),
                 elems,
             )]
@@ -735,20 +789,20 @@ fn group_outputs(
 fn group_kernels(
     graph: &PlanGraph,
     plan: &FusionPlan,
-    stats: &Stats,
+    cards: &Cardinalities,
     members: &[NodeId],
     level: OptLevel,
     gidx: usize,
     roots: &[NodeId],
 ) -> Vec<(KernelProfile, u64)> {
     if members.len() == 1 {
-        return node_kernels(graph, stats, members[0], level);
+        return node_kernels(graph, cards, members[0], level);
     }
     let externals = group_externals(graph, members);
     let outputs = group_outputs(graph, plan, members, roots);
-    let elems = externals.iter().map(|&e| stats.rows[e]).max().unwrap_or(1).max(1);
-    let read: f64 = externals.iter().map(|&e| stats.bytes(e) as f64).sum::<f64>() / elems as f64;
-    let write: f64 = outputs.iter().map(|&o| stats.bytes(o) as f64).sum::<f64>() / elems as f64;
+    let elems = externals.iter().map(|&e| cards.rows[e]).max().unwrap_or(1).max(1);
+    let read: f64 = externals.iter().map(|&e| cards.bytes(e) as f64).sum::<f64>() / elems as f64;
+    let write: f64 = outputs.iter().map(|&o| cards.bytes(o) as f64).sum::<f64>() / elems as f64;
 
     // Instruction count: fused SELECT predicates enjoy the Table III
     // cross-kernel optimization; other members contribute their step costs.
@@ -779,11 +833,11 @@ fn group_kernels(
         .regs_per_thread(regs)
         .mem_efficiency(STREAM_MEM_EFF);
 
-    let out_rows: u64 = outputs.iter().map(|&o| stats.rows[o]).max().unwrap_or(0);
+    let out_rows: u64 = outputs.iter().map(|&o| cards.rows[o]).max().unwrap_or(0);
     let out_bytes: f64 = if out_rows == 0 {
         8.0
     } else {
-        outputs.iter().map(|&o| stats.bytes(o) as f64).sum::<f64>() / out_rows as f64
+        outputs.iter().map(|&o| cards.bytes(o) as f64).sum::<f64>() / out_rows as f64
     };
     vec![
         (compute, elems),
@@ -805,287 +859,333 @@ fn build_schedule(
     system: &GpuSystem,
     graph: &PlanGraph,
     plan: &FusionPlan,
-    stats: &Stats,
+    cards: &Cardinalities,
     cfg: &ExecConfig,
     roots: &[NodeId],
 ) -> Schedule {
-    let inputs: Vec<NodeId> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| matches!(n.kind, OpKind::Input { .. }))
-        .map(|(id, _)| id)
-        .collect();
-
     match cfg.strategy {
-        Strategy::Serial | Strategy::Fusion => {
-            let mut cmds = Vec::new();
-            for &i in &inputs {
-                cmds.push(Command::h2d(
-                    format!("in#{i}"),
-                    CommandClass::InputOutput,
-                    stats.bytes(i),
-                    cfg.mem_kind,
-                ));
-            }
-            for (gidx, members) in plan.groups.iter().enumerate() {
-                cmds.extend(kernel_cmds(
-                    system,
-                    group_kernels(graph, plan, stats, members, cfg.level, gidx, roots),
-                ));
-            }
-            for &r in roots {
-                cmds.push(Command::d2h(
-                    format!("out#{r}"),
-                    CommandClass::InputOutput,
-                    stats.bytes(r),
-                    cfg.mem_kind,
-                ));
-            }
-            Schedule::serial(cmds)
+        Strategy::Serial | Strategy::SerialRoundTrip | Strategy::Fusion => {
+            serial_schedule(system, graph, plan, cards, cfg, roots)
         }
-        Strategy::SerialRoundTrip => {
-            let mut cmds = Vec::new();
-            for &i in &inputs {
-                cmds.push(Command::h2d(
-                    format!("in#{i}"),
-                    CommandClass::InputOutput,
-                    stats.bytes(i),
-                    cfg.mem_kind,
-                ));
-            }
-            for (gidx, members) in plan.groups.iter().enumerate() {
-                cmds.extend(kernel_cmds(
-                    system,
-                    group_kernels(graph, plan, stats, members, cfg.level, gidx, roots),
-                ));
-                let node = *members.last().expect("groups are non-empty");
-                if !roots.contains(&node) {
-                    let b = stats.bytes(node);
-                    cmds.push(Command::d2h(
-                        format!("tmp_out#{node}"),
-                        CommandClass::RoundTrip,
-                        b,
-                        cfg.mem_kind,
-                    ));
-                    cmds.push(Command::h2d(
-                        format!("tmp_in#{node}"),
-                        CommandClass::RoundTrip,
-                        b,
-                        cfg.mem_kind,
-                    ));
-                }
-            }
-            for &r in roots {
-                cmds.push(Command::d2h(
-                    format!("out#{r}"),
-                    CommandClass::InputOutput,
-                    stats.bytes(r),
-                    cfg.mem_kind,
-                ));
-            }
-            Schedule::serial(cmds)
-        }
-        Strategy::FusionFission { segments } => {
-            fission_schedule(system, graph, plan, stats, cfg, segments, roots)
+        Strategy::Fission { segments } | Strategy::FusionFission { segments } => {
+            fission_schedule(system, graph, plan, cards, cfg, segments, roots)
         }
     }
 }
 
-/// Minimum bytes per fission segment for a pipeline to pay off.
-pub const MIN_SEGMENT_BYTES: u64 = 256 * 1024;
+/// One stream, synchronous transfers: upload every input, run each group's
+/// kernels, download the roots. [`Strategy::SerialRoundTrip`] additionally
+/// bounces every non-root group result through the host.
+fn serial_schedule(
+    system: &GpuSystem,
+    graph: &PlanGraph,
+    plan: &FusionPlan,
+    cards: &Cardinalities,
+    cfg: &ExecConfig,
+    roots: &[NodeId],
+) -> Schedule {
+    let mut cmds: Vec<Command> = plan_inputs(graph)
+        .map(|i| {
+            Command::h2d(format!("in#{i}"), CommandClass::InputOutput, cards.bytes(i), cfg.mem_kind)
+        })
+        .collect();
+    for (gidx, members) in plan.groups.iter().enumerate() {
+        cmds.extend(kernel_cmds(
+            system,
+            group_kernels(graph, plan, cards, members, cfg.level, gidx, roots),
+        ));
+        let node = *members.last().expect("groups are non-empty");
+        if cfg.strategy == Strategy::SerialRoundTrip && !roots.contains(&node) {
+            let b = cards.bytes(node);
+            let class = CommandClass::RoundTrip;
+            cmds.push(Command::d2h(format!("tmp_out#{node}"), class, b, cfg.mem_kind));
+            cmds.push(Command::h2d(format!("tmp_in#{node}"), class, b, cfg.mem_kind));
+        }
+    }
+    cmds.extend(roots.iter().map(|&r| {
+        Command::d2h(format!("out#{r}"), CommandClass::InputOutput, cards.bytes(r), cfg.mem_kind)
+    }));
+    Schedule::serial(cmds)
+}
 
-/// Fusion + fission: streamable leading groups (all members elementwise,
-/// all external inputs plan inputs) are segmented and pipelined over three
-/// streams, hiding their H2D under compute (the paper's Q1: fission hides
-/// the input transfer of the fused JOIN block). Everything else runs
-/// serially afterwards on the main stream.
+/// Whether pipelining a group — its `upload` in, its `kernels`, its
+/// `download` (the requested roots it produces) out — beats synchronous
+/// transfers around the same kernels. Fission is applied judiciously: only
+/// with enough data per segment, and only when the cost model says the
+/// pipeline wins — async copies run below bandwidthTest rates, so hiding a
+/// transfer that is cheap relative to the group's compute can *lose* (the
+/// paper's §IV-A point that "the application of kernel fission must
+/// distinguish between such cases").
+fn worth_pipelining(
+    system: &GpuSystem,
+    cards: &Cardinalities,
+    cfg: &ExecConfig,
+    segments: u32,
+    upload: &[NodeId],
+    kernels: &[(KernelProfile, u64)],
+    download: &[NodeId],
+) -> bool {
+    let bytes: u64 = upload.iter().map(|&e| cards.bytes(e)).sum();
+    if bytes < segments as u64 * MIN_SEGMENT_BYTES {
+        return false;
+    }
+    let kernel_time: f64 = kernels
+        .iter()
+        .map(|(p, n)| {
+            p.time(&system.spec, &LaunchConfig::for_elements((*n).max(1), &system.spec), *n)
+        })
+        .sum();
+    // (synchronous, derated per-segment asynchronous) seconds to move `nodes`.
+    let transfer = |nodes: &[NodeId], dir: Direction| {
+        nodes.iter().fold((0.0, 0.0), |(sync, piped), &e| {
+            let seg = cards.bytes(e) / segments as u64;
+            let seg_time = system.pcie.transfer_time(seg, dir, HostMemKind::Pinned);
+            (
+                sync + system.pcie.transfer_time(cards.bytes(e), dir, cfg.mem_kind),
+                piped + seg_time * segments as f64 / system.pcie.async_efficiency,
+            )
+        })
+    };
+    let (sync_up, async_up) = transfer(upload, Direction::H2D);
+    let (sync_down, async_down) = transfer(download, Direction::D2H);
+    // Serial = the three stages back to back; pipelined = the slowest stage
+    // plus one segment's upload before and download after it.
+    let fill = (async_up + async_down) / segments as f64;
+    async_up.max(kernel_time).max(async_down) + fill < sync_up + kernel_time + sync_down
+}
+
+/// An exact balanced partition of `total` (bytes of a transfer, elements of
+/// a kernel) into fission segments. Scaling by `1/segments` and rounding can
+/// over- or under-cover the whole (`round(10/4) = 3` per segment covers 12
+/// of 10 elements), which translation validation rejects.
+#[cfg_attr(not(feature = "validate"), allow(unused_variables))]
+fn segmented(total: u64, segments: u32, what: &str) -> Vec<segment::SegRange> {
+    let parts = segment::partition(total, segments);
+    #[cfg(feature = "validate")]
+    if let Err(err) = segment::check_partition(total, &parts) {
+        panic!("fission segments do not partition the {total} {what}: {err}");
+    }
+    parts
+}
+
+/// How a plan input reached the device.
+#[derive(Clone, Copy, PartialEq)]
+enum Resident {
+    No,
+    /// One synchronous copy on the main stream.
+    Whole,
+    /// Per-segment pinned copies on the pipeline streams.
+    Segmented,
+}
+
+/// One group of a pipelined region, cut into segments.
+struct RegionGroup {
+    /// Plan inputs this group is the first to need, per-segment bytes.
+    uploads: Vec<(NodeId, Vec<segment::SegRange>)>,
+    /// Every plan input the group's kernels read.
+    inputs: Vec<NodeId>,
+    kernels: Vec<(KernelProfile, Vec<segment::SegRange>)>,
+    /// Requested roots among the group's outputs, per-segment bytes.
+    roots: Vec<(NodeId, Vec<segment::SegRange>)>,
+}
+
+/// The streams of a fission schedule under construction.
+struct Pipelines {
+    sched: Schedule,
+    main: usize,
+    pipes: Vec<usize>,
+    /// Added on first use, so schedules whose roots are sorts or aggregates
+    /// keep exactly the main + pipeline stream set.
+    host: Option<usize>,
+    next_event: u32,
+    /// Segment-completion events the main stream has not joined yet.
+    pending: Vec<EventId>,
+}
+
+impl Pipelines {
+    /// Emit `region` segment by segment, rotating over the pipeline streams:
+    /// uploads and kernels group by group, then the root slices' downloads,
+    /// an event for the main stream to join, and the host-side gathers.
+    fn emit(&mut self, system: &GpuSystem, region: &[RegionGroup], segments: u32) {
+        let pinned_io = |label: String, bytes: u64, d2h: bool| {
+            let copy = if d2h { Command::d2h } else { Command::h2d };
+            copy(label, CommandClass::InputOutput, bytes, HostMemKind::Pinned)
+        };
+        if region.is_empty() {
+            return;
+        }
+        let roots: Vec<_> = region.iter().flat_map(|g| &g.roots).collect();
+        for s in 0..segments as usize {
+            let stream = self.pipes[s % self.pipes.len()];
+            for group in region {
+                for (e, parts) in &group.uploads {
+                    let cmd = pinned_io(format!("in#{e}[seg{s}]"), parts[s].len(), false);
+                    self.sched.push(stream, cmd);
+                }
+                for (p, parts) in &group.kernels {
+                    let seg_n = parts[s].len();
+                    let mut p = p.clone();
+                    p.name = format!("{}[seg{s}]", p.name);
+                    let launch = LaunchConfig::for_elements(seg_n.max(1), &system.spec);
+                    // Declare the segment inputs so the hazard detector can
+                    // prove the kernel runs after its own segment's upload
+                    // (same stream) and never against another stream's.
+                    let cmd =
+                        group.inputs.iter().fold(Command::kernel(p, launch, seg_n), |c, e| {
+                            c.reading(format!("in#{e}[seg{s}]"))
+                        });
+                    self.sched.push(stream, cmd);
+                }
+            }
+            for (r, parts) in &roots {
+                let cmd = pinned_io(format!("out#{r}[seg{s}]"), parts[s].len(), true);
+                self.sched.push(stream, cmd);
+            }
+            let ev = EventId(self.next_event);
+            self.next_event += 1;
+            self.sched.push(stream, Command::record(ev));
+            self.pending.push(ev);
+            if !roots.is_empty() {
+                let host = *self.host.get_or_insert_with(|| self.sched.add_stream());
+                self.sched.push(host, Command::wait(ev));
+                for (r, parts) in &roots {
+                    let secs = parts[s].len() as f64 / CPU_GATHER_BW;
+                    let gather = Command::host_work(format!("cpu_gather#{r}[seg{s}]"), secs);
+                    self.sched.push(host, gather);
+                }
+            }
+        }
+    }
+
+    /// Make the main stream wait for every pipeline segment emitted so far.
+    fn join_main(&mut self) {
+        for ev in self.pending.drain(..) {
+            self.sched.push(self.main, Command::wait(ev));
+        }
+    }
+}
+
+/// Kernel fission (Figs. 13 and 15). Consecutive streamable groups — all
+/// members elementwise, every external a plan input or an output of the
+/// region so far — form a *region* that is segmented and pipelined over
+/// [`FISSION_STREAMS`] streams: each segment uploads its slice of the
+/// region's inputs, runs every group's kernels on it, and, where the region
+/// produces a requested root, downloads that slice for a CPU-side gather on
+/// a host stream. Everything else runs on the main stream after joining the
+/// pipelines. A group that brings a new upload joins only if
+/// [`worth_pipelining`] says so; one that needs none continues an open
+/// region for free. Every plan input crosses PCIe exactly once.
+///
+/// Free joiners are ungated on purpose: the gate prices the decision that
+/// costs something — moving an upload from one synchronous copy to derated
+/// per-segment copies — for the group that owns it. A dependent group adds
+/// no transfer to the region; run per segment it only keeps overlapping
+/// with later uploads, and its root slices leave overlapped instead of in
+/// one synchronous copy after the join. So its kernels and downloads are
+/// never priced, and `Fission` (the gated group is the chain's first
+/// SELECT) and `FusionFission` (the gated group is the whole fused chain,
+/// download included) can decide differently for the same chain.
 fn fission_schedule(
     system: &GpuSystem,
     graph: &PlanGraph,
     plan: &FusionPlan,
-    stats: &Stats,
+    cards: &Cardinalities,
     cfg: &ExecConfig,
     segments: u32,
     roots: &[NodeId],
 ) -> Schedule {
     let mut sched = Schedule::new();
     let main = sched.add_stream();
-    let pipes: Vec<usize> = (0..3).map(|_| sched.add_stream()).collect();
-    let mut next_event = 0u32;
-    let mut pending_events: Vec<EventId> = Vec::new();
-    // Per-plan bitset: O(1) "already uploaded?" checks however many inputs
-    // the plan has.
-    let mut h2d_done: Vec<bool> = vec![false; graph.len()];
-
-    // Fission is applied judiciously: only to streamable leading groups,
-    // only with enough data per segment, and only when the cost model says
-    // the pipeline beats synchronous transfers — async copies run below
-    // bandwidthTest rates, so hiding a transfer that is cheap relative to
-    // the group's compute can *lose* (the paper's §IV-A point that "the
-    // application of kernel fission must distinguish between such cases").
-    let should_pipeline = |members: &[NodeId], kernels: &[(KernelProfile, u64)]| {
-        let externals = group_externals(graph, members);
-        let bytes: u64 = externals.iter().map(|&e| stats.bytes(e)).sum();
-        let structurally_ok = members.iter().all(|&m| streamable(&graph.nodes[m].kind))
-            && externals.iter().all(|&e| matches!(graph.nodes[e].kind, OpKind::Input { .. }))
-            && bytes >= segments as u64 * MIN_SEGMENT_BYTES;
-        if !structurally_ok {
-            return false;
-        }
-        // Cost check: serial = sync upload + kernels; pipelined = the slower
-        // of (derated async upload, kernels) plus per-segment latency.
-        let kernel_time: f64 = kernels
-            .iter()
-            .map(|(p, n)| {
-                p.time(&system.spec, &LaunchConfig::for_elements((*n).max(1), &system.spec), *n)
-            })
-            .sum();
-        let sync_upload: f64 = externals
-            .iter()
-            .map(|&e| {
-                system.pcie.transfer_time(
-                    stats.bytes(e),
-                    kfusion_vgpu::Direction::H2D,
-                    cfg.mem_kind,
-                )
-            })
-            .sum();
-        let async_upload: f64 = externals
-            .iter()
-            .map(|&e| {
-                system.pcie.transfer_time(
-                    stats.bytes(e) / segments as u64,
-                    kfusion_vgpu::Direction::H2D,
-                    HostMemKind::Pinned,
-                ) * segments as f64
-                    / system.pcie.async_efficiency
-            })
-            .sum();
-        let t_serial = sync_upload + kernel_time;
-        let fill = async_upload / segments as f64;
-        let t_pipe = async_upload.max(kernel_time) + fill;
-        t_pipe < t_serial
-    };
+    let pipes = (0..FISSION_STREAMS).map(|_| sched.add_stream()).collect();
+    let mut out = Pipelines { sched, main, pipes, host: None, next_event: 0, pending: Vec::new() };
+    let mut resident = vec![Resident::No; graph.len()];
+    let mut downloaded = vec![false; graph.len()];
+    let mut in_region = vec![false; graph.len()];
+    let mut region: Vec<RegionGroup> = Vec::new();
 
     for (gidx, members) in plan.groups.iter().enumerate() {
-        let kernels = group_kernels(graph, plan, stats, members, cfg.level, gidx, roots);
-        if segments > 1 && should_pipeline(members, &kernels) {
-            // Pipeline this group: segment its inputs and kernels. Segment
-            // sizes come from exact balanced partitions — the previous
-            // `ceil`/`round` scaling could over- or under-cover the transfer
-            // and iteration space (e.g. `round(10/4) = 3` per segment covers
-            // 12 of 10 elements), which translation validation now rejects.
-            let externals = group_externals(graph, members);
-            let byte_parts: Vec<Vec<segment::SegRange>> =
-                externals.iter().map(|&e| segment::partition(stats.bytes(e), segments)).collect();
-            let elem_parts: Vec<Vec<segment::SegRange>> =
-                kernels.iter().map(|(_, n)| segment::partition(*n, segments)).collect();
-            #[cfg(feature = "validate")]
-            {
-                for (&e, parts) in externals.iter().zip(&byte_parts) {
-                    if let Err(err) = segment::check_partition(stats.bytes(e), parts) {
-                        panic!(
-                            "fission segments for input #{e} do not partition its \
-                             {} transfer bytes: {err}",
-                            stats.bytes(e)
-                        );
-                    }
-                }
-                for ((_, n), parts) in kernels.iter().zip(&elem_parts) {
-                    if let Err(err) = segment::check_partition(*n, parts) {
-                        panic!(
-                            "fission segments do not partition the {n}-element \
-                             iteration space: {err}"
-                        );
-                    }
-                }
+        let kernels = group_kernels(graph, plan, cards, members, cfg.level, gidx, roots);
+        let (inputs, produced): (Vec<NodeId>, Vec<NodeId>) = group_externals(graph, members)
+            .into_iter()
+            .partition(|&e| matches!(graph.nodes[e].kind, OpKind::Input { .. }));
+        let upload: Vec<NodeId> =
+            inputs.iter().copied().filter(|&e| resident[e] == Resident::No).collect();
+        let group_roots: Vec<NodeId> =
+            roots.iter().copied().filter(|&r| plan.group_of[r] == Some(gidx)).collect();
+        // A pipeline stream never waits for the main stream, so a region
+        // cannot read what the main stream uploaded or computed.
+        let joins = segments > 1
+            && members.iter().all(|&m| streamable(&graph.nodes[m].kind))
+            && produced.iter().all(|&e| in_region[e])
+            && inputs.iter().all(|&e| resident[e] != Resident::Whole)
+            && if upload.is_empty() {
+                !region.is_empty()
+            } else {
+                worth_pipelining(system, cards, cfg, segments, &upload, &kernels, &group_roots)
+            };
+        if joins {
+            let cut = |e: NodeId, what: &str| (e, segmented(cards.bytes(e), segments, what));
+            for &m in members {
+                in_region[m] = true;
             }
-            for s in 0..segments {
-                let stream = pipes[(s as usize) % pipes.len()];
-                for (ei, &e) in externals.iter().enumerate() {
-                    let b = byte_parts[ei][s as usize].len();
-                    sched.push(
-                        stream,
-                        Command::h2d(
-                            format!("in#{e}[seg{s}]"),
-                            CommandClass::InputOutput,
-                            b,
-                            HostMemKind::Pinned,
-                        ),
-                    );
-                }
-                for (ki, (p, _)) in kernels.iter().enumerate() {
-                    let seg_n = elem_parts[ki][s as usize].len();
-                    let mut p = p.clone();
-                    p.name = format!("{}[seg{s}]", p.name);
-                    let launch = LaunchConfig::for_elements(seg_n.max(1), &system.spec);
-                    let mut cmd = Command::kernel(p, launch, seg_n);
-                    // Declare the segment inputs so the hazard detector can
-                    // prove the kernel runs after its own segment's upload
-                    // (same stream) and never against another stream's.
-                    for &e in &externals {
-                        cmd = cmd.reading(format!("in#{e}[seg{s}]"));
-                    }
-                    sched.push(stream, cmd);
-                }
-                let ev = EventId(next_event);
-                next_event += 1;
-                sched.push(stream, Command::record(ev));
-                pending_events.push(ev);
+            for &r in &group_roots {
+                downloaded[r] = true;
             }
-            for &e in &externals {
-                h2d_done[e] = true;
+            for &e in &upload {
+                resident[e] = Resident::Segmented;
             }
-        } else {
-            // Serial on the main stream; first join any pending pipelines
-            // and upload any inputs the pipelines didn't cover.
-            for ev in pending_events.drain(..) {
-                sched.push(main, Command::wait(ev));
-            }
-            let input_externals: Vec<NodeId> = group_externals(graph, members)
-                .into_iter()
-                .filter(|&e| matches!(graph.nodes[e].kind, OpKind::Input { .. }))
-                .collect();
-            for &e in &input_externals {
-                if !h2d_done[e] {
-                    sched.push(
-                        main,
-                        Command::h2d(
-                            format!("in#{e}"),
-                            CommandClass::InputOutput,
-                            stats.bytes(e),
-                            cfg.mem_kind,
-                        ),
-                    );
-                    h2d_done[e] = true;
-                }
-            }
-            for cmd in kernel_cmds(system, kernels) {
-                // Inputs uploaded segment-wise by an earlier pipeline carry
-                // per-segment buffer names; reads of the whole-input name
-                // then have no writer and are skipped by the detector, while
-                // same-stream uploads above are proven ordered.
-                let cmd = input_externals.iter().fold(cmd, |c, &e| c.reading(format!("in#{e}")));
-                sched.push(main, cmd);
-            }
+            region.push(RegionGroup {
+                uploads: upload.iter().map(|&e| cut(e, "transfer bytes")).collect(),
+                inputs,
+                kernels: kernels
+                    .into_iter()
+                    .map(|(p, n)| (p, segmented(n, segments, "kernel elements")))
+                    .collect(),
+                roots: group_roots.iter().map(|&r| cut(r, "result bytes")).collect(),
+            });
+            continue;
+        }
+        // Serial on the main stream: close the region, join every pending
+        // pipeline, and upload whichever inputs are not on the device yet.
+        out.emit(system, &region, segments);
+        region.clear();
+        in_region.fill(false);
+        out.join_main();
+        for &e in &upload {
+            out.sched.push(
+                main,
+                Command::h2d(
+                    format!("in#{e}"),
+                    CommandClass::InputOutput,
+                    cards.bytes(e),
+                    cfg.mem_kind,
+                ),
+            );
+            resident[e] = Resident::Whole;
+        }
+        for cmd in kernel_cmds(system, kernels) {
+            // Inputs uploaded segment-wise by an earlier pipeline carry
+            // per-segment buffer names; reads of the whole-input name
+            // then have no writer and are skipped by the detector, while
+            // same-stream uploads above are proven ordered.
+            let cmd = inputs.iter().fold(cmd, |c, &e| c.reading(format!("in#{e}")));
+            out.sched.push(main, cmd);
         }
     }
-    for ev in pending_events.drain(..) {
-        sched.push(main, Command::wait(ev));
-    }
-    for &r in roots {
-        sched.push(
+    out.emit(system, &region, segments);
+    out.join_main();
+    for &r in roots.iter().filter(|&&r| !downloaded[r]) {
+        out.sched.push(
             main,
             Command::d2h(
                 format!("out#{r}"),
                 CommandClass::InputOutput,
-                stats.bytes(r),
+                cards.bytes(r),
                 cfg.mem_kind,
             ),
         );
     }
-    Schedule { streams: sched.streams }
+    out.sched
 }
 
 #[cfg(test)]
@@ -1094,6 +1194,7 @@ mod tests {
     use crate::patterns;
     use kfusion_relalg::gen;
     use kfusion_relalg::predicates;
+    use kfusion_vgpu::Engine;
 
     fn sys() -> GpuSystem {
         GpuSystem::c2070()
@@ -1145,24 +1246,27 @@ mod tests {
         assert_eq!(fused.fusion.groups.len(), 1);
     }
 
+    /// A deep arithmetic expression: a compute-bound kernel, the paper's
+    /// "complex statistical operators" case where a pipeline pays.
+    fn heavy_arith(seed: i64) -> OpKind {
+        use kfusion_ir::builder::{BodyBuilder, Expr};
+        let mut expr = Expr::input(0);
+        for k in 1..400i64 {
+            expr = expr.mul(Expr::lit(2 * k + seed)).add(Expr::lit(k));
+        }
+        let mut body = BodyBuilder::new(1);
+        body.emit_output(expr);
+        OpKind::Arith { body: body.build() }
+    }
+
     #[test]
     fn fission_overlaps_input_transfer() {
         // The pipeline pays derated async bandwidth, so it only wins when
-        // the group's compute is substantial relative to the upload — the
-        // paper's "complex statistical operators" case. Build a deep
-        // arithmetic expression so the fused kernel is compute-bound.
+        // the group's compute is substantial relative to the upload.
         let s = sys();
         let mut g = PlanGraph::new();
         let i = g.input(0);
-        let mut expr = kfusion_ir::builder::Expr::input(0);
-        for k in 1..400i64 {
-            expr = expr
-                .mul(kfusion_ir::builder::Expr::lit(2 * k + 1))
-                .add(kfusion_ir::builder::Expr::lit(k));
-        }
-        let mut body = kfusion_ir::builder::BodyBuilder::new(1);
-        body.emit_output(expr);
-        g.add(OpKind::Arith { body: body.build() }, vec![i]);
+        g.add(heavy_arith(1), vec![i]);
         let input = gen::random_keys(1 << 22, 5);
         let fused =
             execute(&s, &g, std::slice::from_ref(&input), &ExecConfig::new(Strategy::Fusion, &s))
@@ -1180,6 +1284,63 @@ mod tests {
             both.report.total(),
             fused.report.total()
         );
+        // The root is the pipelined group's output: it leaves per segment and
+        // is reassembled host-side (Fig. 13), not by one trailing download.
+        assert_eq!(both.report.label_time("out#1["), both.report.engine_time(Engine::CopyD2H));
+        assert!(both.report.label_time("cpu_gather#1[") > 0.0);
+    }
+
+    /// `(copies, bytes)` of the `InputOutput` uploads of each plan input.
+    fn uploads(sched: &Schedule) -> std::collections::BTreeMap<NodeId, (u32, u64)> {
+        let mut by_input = std::collections::BTreeMap::new();
+        for cmd in sched.streams.iter().flatten() {
+            if let kfusion_vgpu::des::CommandKind::CopyH2D { bytes, .. } = cmd.kind {
+                if cmd.class == CommandClass::InputOutput {
+                    let id = cmd.label.trim_start_matches("in#").split('[').next().unwrap();
+                    let e: &mut (u32, u64) = by_input.entry(id.parse().unwrap()).or_default();
+                    *e = (e.0 + 1, e.1 + bytes);
+                }
+            }
+        }
+        by_input
+    }
+
+    #[test]
+    fn every_plan_input_is_uploaded_exactly_once() {
+        // Two pipelined groups reading the same input: each used to upload
+        // it (16 segment copies, 64 MiB over PCIe for a 32 MiB input).
+        let mut probe = PlanGraph::new();
+        let i = probe.input(0);
+        let a = probe.add(heavy_arith(1), vec![i]);
+        let b = probe.add(heavy_arith(3), vec![i]);
+        probe.add(OpKind::ColumnJoin, vec![a, b]);
+        let mut plans = patterns::all();
+        plans.push(("shared-input probe", probe));
+
+        let s = sys();
+        for (name, g) in &plans {
+            let cards =
+                Cardinalities { rows: vec![1 << 22; g.len()], row_bytes: vec![8.0; g.len()] };
+            for strat in [
+                Strategy::Serial,
+                Strategy::SerialRoundTrip,
+                Strategy::Fusion,
+                Strategy::Fission { segments: 8 },
+                Strategy::FusionFission { segments: 8 },
+            ] {
+                let sched = schedule_given(&s, g, &cards, &ExecConfig::new(strat, &s)).unwrap();
+                let up = uploads(&sched);
+                let inputs: Vec<NodeId> = plan_inputs(g).collect();
+                assert_eq!(up.keys().copied().collect::<Vec<_>>(), inputs, "{name} {strat:?}");
+                for (e, (_, bytes)) in &up {
+                    assert_eq!(*bytes, cards.bytes(*e), "{name} {strat:?}: input #{e}");
+                }
+                if *name == "shared-input probe" && matches!(strat, Strategy::FusionFission { .. })
+                {
+                    assert_eq!(up[&0].0, 8, "the probe's input is pipelined, once");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! to fully utilize the available computation power."
 //!
 //! The implementation extends the fission pipeline: the input is segmented
-//! as usual, but a fraction of the segments never cross PCIe at all — the
+//! as usual ([`crate::exec`] emits the GPU's segments; this module only adds
+//! host work), but a fraction of the segments never cross PCIe at all — the
 //! *host* executes their fused kernel directly from host memory (Ocelot's
 //! PTX→CPU translation, here the same IR body interpreted by the CPU cost
 //! model). Because the GPU pipeline is PCIe-bound on data-warehousing
@@ -12,15 +13,12 @@
 //! optimum split balances the host's compute rate against the GPU
 //! pipeline's transfer rate.
 
-use crate::cost::{split_select_chain, FusionBudget};
-use crate::microbench::{SelectChain, CPU_GATHER_BW, FISSION_STREAMS};
+use crate::exec::{self, ExecConfig, Strategy, CPU_GATHER_BW};
+use crate::microbench::SelectChain;
 use crate::report::Report;
 use crate::CoreError;
-use kfusion_ir::fuse::fuse_predicate_chain;
 use kfusion_relalg::profiles;
-use kfusion_vgpu::{
-    Command, CommandClass, DeviceSpec, GpuSystem, HostMemKind, LaunchConfig, Schedule,
-};
+use kfusion_vgpu::{segment, Command, DeviceSpec, GpuSystem, LaunchConfig, Schedule};
 
 /// Run `chain` under fused fission with `cpu_fraction` of the segments
 /// executed by the host (`cpu` spec) instead of the GPU.
@@ -34,104 +32,72 @@ pub fn run_hetero(
     cpu_fraction: f64,
 ) -> Result<Report, CoreError> {
     let cards = chain.cardinalities()?;
+    let schedule = hetero_schedule(system, cpu, chain, &cards, segments, cpu_fraction)?;
+    Ok(Report::from_row_bytes(system.simulate(&schedule)?, chain.n, chain.row_bytes))
+}
+
+/// Every stage's cardinality cut into `segments` exact parts; the GPU takes
+/// the first `gpu_segments` of each, the host the rest.
+fn split(cards: &[u64], segments: u32, gpu_segments: u32) -> (Vec<u64>, Vec<Vec<u64>>) {
+    let parts: Vec<Vec<u64>> = cards
+        .iter()
+        .map(|&c| segment::partition(c, segments).iter().map(segment::SegRange::len).collect())
+        .collect();
+    let g = gpu_segments as usize;
+    let gpu = parts.iter().map(|p| p[..g].iter().sum()).collect();
+    let host = (g..segments as usize).map(|s| parts.iter().map(|p| p[s]).collect()).collect();
+    (gpu, host)
+}
+
+fn hetero_schedule(
+    system: &GpuSystem,
+    cpu: &DeviceSpec,
+    chain: &SelectChain,
+    cards: &[u64],
+    segments: u32,
+    cpu_fraction: f64,
+) -> Result<Schedule, CoreError> {
     let cpu_segments =
         ((segments as f64 * cpu_fraction.clamp(0.0, 1.0)).round() as u32).min(segments);
     let gpu_segments = segments - cpu_segments;
-    let scale = 1.0 / segments as f64;
+    let (gpu_cards, host_cards) = split(cards, segments, gpu_segments);
 
-    let budget = FusionBudget::for_device(&system.spec);
-    let runs = split_select_chain(&chain.predicates(), &budget, chain.level);
+    // GPU segments: the ordinary fused pipeline over the GPU's share. The
+    // first `g` parts of a balanced `k`-way partition are themselves the
+    // balanced `g`-way partition of their sum, so the one schedule builder
+    // cuts the share into exactly these segments.
+    let mut sched = if gpu_segments == 0 {
+        Schedule::new()
+    } else {
+        let strategy = Strategy::FusionFission { segments: gpu_segments };
+        let cfg = ExecConfig { level: chain.level, ..ExecConfig::new(strategy, system) };
+        exec::schedule_given(system, &chain.to_plan(), &chain.given(&gpu_cards), &cfg)?
+    };
 
-    let mut sched = Schedule::new();
+    // CPU segments: no PCIe at all — the host runs the chain stage by stage
+    // at its own rate (fusing on the CPU shares the scan but still evaluates
+    // each predicate on the survivors; no separate gather kernel), then
+    // appends its results to the output buffer like the CPU-side gather of
+    // §IV-C.
     let host_stream = sched.add_stream();
-    let pipes: Vec<usize> = (0..FISSION_STREAMS).map(|_| sched.add_stream()).collect();
-
-    let seg_in = ((chain.n as f64) * scale).round() as u64;
-    let seg_out = ((cards[chain.depth()] as f64) * scale).round() as u64;
-    let bytes = |elems: u64| (elems as f64 * chain.row_bytes).ceil() as u64;
-
-    // GPU segments: the ordinary fused pipeline (H2D, fused kernels, D2H).
-    for s in 0..gpu_segments {
-        let stream = pipes[(s as usize) % pipes.len()];
-        sched.push(
-            stream,
-            Command::h2d(
-                format!("in[g{s}]"),
-                CommandClass::InputOutput,
-                bytes(seg_in),
-                HostMemKind::Pinned,
-            ),
-        );
-        let mut stage = 0usize;
-        for (r, run) in runs.iter().enumerate() {
-            let in_elems = ((cards[stage] as f64) * scale).round() as u64;
-            let out_stage = stage + run.len();
-            let out_elems = ((cards[out_stage] as f64) * scale).round() as u64;
-            let sel =
-                if cards[stage] == 0 { 0.0 } else { cards[out_stage] as f64 / cards[stage] as f64 };
-            let fused_pred = fuse_predicate_chain(run);
-            let filter = profiles::select_filter(
-                format!("fused_filter{r}[g{s}]"),
-                &fused_pred,
-                chain.level,
-                chain.row_bytes,
-                sel,
-            );
-            sched.push(
-                stream,
-                Command::kernel(
-                    filter,
-                    LaunchConfig::for_elements(in_elems.max(1), &system.spec),
-                    in_elems,
-                ),
-            );
-            let gather = profiles::select_gather(format!("fused_gather{r}[g{s}]"), chain.row_bytes);
-            sched.push(
-                stream,
-                Command::kernel(
-                    gather,
-                    LaunchConfig::for_elements(out_elems.max(1), &system.spec),
-                    out_elems,
-                ),
-            );
-            stage = out_stage;
-        }
-        sched.push(
-            stream,
-            Command::d2h(
-                format!("out[g{s}]"),
-                CommandClass::InputOutput,
-                bytes(seg_out),
-                HostMemKind::Pinned,
-            ),
-        );
-    }
-
-    // CPU segments: no PCIe at all — the host runs the fused chain at its
-    // own rate (one pass; the CPU implementation needs no separate gather),
-    // then appends its results to the output buffer like the CPU-side
-    // gather of §IV-C.
     let cpu_launch =
         LaunchConfig { ctas: cpu.sm_count * cpu.max_threads_per_sm, threads_per_cta: 1 };
-    for s in 0..cpu_segments {
-        // The host runs the chain stage by stage (fusing on the CPU shares
-        // the scan but still evaluates each predicate on the survivors).
-        let mut t = 0.0;
-        for i in 0..chain.depth() {
-            let stage_in = ((cards[i] as f64) * scale).round() as u64;
-            let sel = if cards[i] == 0 { 0.0 } else { cards[i + 1] as f64 / cards[i] as f64 };
-            let p = profiles::cpu_select(chain.row_bytes, sel);
-            t += p.time(cpu, &cpu_launch, stage_in);
-        }
+    for (s, seg) in host_cards.iter().enumerate() {
+        let t: f64 = seg
+            .windows(2)
+            .map(|w| {
+                let sel = if w[0] == 0 { 0.0 } else { w[1] as f64 / w[0] as f64 };
+                profiles::cpu_select(chain.row_bytes, sel).time(cpu, &cpu_launch, w[0])
+            })
+            .sum();
+        let out_bytes = seg[chain.depth()] as f64 * chain.row_bytes;
         sched.push(host_stream, Command::host_work(format!("cpu_fused[c{s}]"), t));
         sched.push(
             host_stream,
-            Command::host_work(format!("cpu_gather[c{s}]"), bytes(seg_out) as f64 / CPU_GATHER_BW),
+            Command::host_work(format!("cpu_gather[c{s}]"), out_bytes / CPU_GATHER_BW),
         );
     }
-
-    let timeline = system.simulate(&sched)?;
-    Ok(Report::from_row_bytes(timeline, chain.n, chain.row_bytes))
+    Ok(sched)
 }
 
 /// Sweep the CPU fraction and return `(best_fraction, best_report)`.
@@ -170,6 +136,43 @@ mod tests {
         let r = run_hetero(&sys, &cpu, &chain, 16, 0.0).unwrap();
         assert!(r.total() > 0.0);
         assert!(r.label_time("cpu_fused") == 0.0, "no CPU kernels at fraction 0");
+    }
+
+    #[test]
+    fn gpu_and_cpu_segments_cover_a_non_divisible_input_exactly() {
+        // 20 segments at a 15 % CPU share (17 GPU + 3 host) of 100 000 019
+        // elements: uploads, every kernel's launches, and the host's slices
+        // must add up to the whole — `round(n / 20)` each would not.
+        use kfusion_vgpu::des::CommandKind;
+        let (sys, cpu, _) = setup();
+        let mut chain = SelectChain::auto(100_000_019, &[0.5, 0.5]);
+        chain.mode = crate::microbench::DataMode::Synthetic;
+        let cards = chain.cardinalities().unwrap();
+        let (gpu, host) = split(&cards, 20, 17);
+        assert_eq!(host.len(), 3);
+        for (i, &whole) in cards.iter().enumerate() {
+            assert_eq!(gpu[i] + host.iter().map(|seg| seg[i]).sum::<u64>(), whole, "stage {i}");
+        }
+        let sched = hetero_schedule(&sys, &cpu, &chain, &cards, 20, 0.15).unwrap();
+        let total = |prefix: &str| -> (u64, usize) {
+            let sizes: Vec<u64> = sched
+                .streams
+                .iter()
+                .flatten()
+                .filter(|c| c.label.starts_with(prefix))
+                .map(|c| match &c.kind {
+                    CommandKind::CopyH2D { bytes, .. } => *bytes,
+                    CommandKind::Kernel { elems, .. } => *elems,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect();
+            (sizes.iter().sum(), sizes.len())
+        };
+        assert_eq!(total("in#0"), (4 * gpu[0], 17));
+        assert_eq!(total("fused_compute"), (gpu[0], 17));
+        assert_eq!(total("fused_gather"), (gpu[2], 17));
+        let host_cmds = sched.streams.last().unwrap();
+        assert_eq!(host_cmds.iter().filter(|c| c.label.starts_with("cpu_fused")).count(), 3);
     }
 
     #[test]

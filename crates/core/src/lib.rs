@@ -20,11 +20,13 @@
 //! * [`fusion`] — the fusion pass: greedy group formation with merging
 //!   (Fig. 2(f)) under a register-pressure budget.
 //! * [`cost`] — the cost model bounding fusion depth.
-//! * [`exec`] — the plan executor: functional evaluation + simulated
-//!   timing under the paper's strategies (serial / fusion / fission /
+//! * [`exec`] — the plan executor and the one schedule builder: functional
+//!   evaluation (or given cardinalities) + simulated timing under the
+//!   paper's strategies (serial / round trip / fusion / fission /
 //!   fusion+fission).
-//! * [`microbench`] — the back-to-back SELECT experiment engine behind the
-//!   paper's Figs. 4(a), 8–12, 14 and 16.
+//! * [`microbench`] — the back-to-back SELECT *workload* of the paper's
+//!   Figs. 4(a), 8–12, 14 and 16, run through [`exec`]; [`hetero`] adds a
+//!   CPU share to its fission pipeline (§III-C's Ocelot direction).
 //! * [`report`] — timing reports with the figures' breakdowns, plus
 //!   Chrome-trace artifact export.
 //! * [`explain`] — `EXPLAIN ANALYZE` trees: per-node rows, simulated and
@@ -35,13 +37,14 @@
 //! # Example: fuse and run a SELECT chain
 //!
 //! ```
-//! use kfusion_core::microbench::{run, SelectChain, Strategy};
+//! use kfusion_core::exec::Strategy;
+//! use kfusion_core::microbench::{run, SelectChain};
 //! use kfusion_vgpu::GpuSystem;
 //!
 //! let system = GpuSystem::c2070();
 //! let chain = SelectChain::auto(1 << 20, &[0.5, 0.5]);
-//! let serial = run(&system, &chain, Strategy::WithoutRoundTrip).unwrap();
-//! let fused = run(&system, &chain, Strategy::Fused).unwrap();
+//! let serial = run(&system, &chain, Strategy::Serial).unwrap();
+//! let fused = run(&system, &chain, Strategy::Fusion).unwrap();
 //! assert!(fused.total() < serial.total());
 //! ```
 

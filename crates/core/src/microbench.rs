@@ -1,12 +1,13 @@
-//! Back-to-back SELECT experiments — the engine behind the paper's
+//! Back-to-back SELECT experiments — the workload behind the paper's
 //! micro-benchmark figures (Figs. 4(a), 8, 9, 10, 11, 12, 14, 16).
 //!
 //! A [`SelectChain`] is the paper's workload: `k` SELECT operators applied
 //! in sequence to `n` random 32-bit elements, each filtering an independent
 //! pseudo-attribute derived from the element by multiplicative hashing (so
-//! two 50% selections keep 25%, as the paper states). [`run`] executes the
-//! chain under one of the paper's five strategies on the virtual GPU and
-//! returns a [`Report`].
+//! two 50% selections keep 25%, as the paper states). This module owns only
+//! that description; [`run`] hands the chain, as a plan
+//! ([`SelectChain::to_plan`]) with given cardinalities, to the one schedule
+//! builder in [`crate::exec`] and returns its [`Report`].
 //!
 //! Data modes: `Real` generates, filters, and validates actual relations
 //! (cardinalities are *measured*); `Synthetic` uses the expected
@@ -14,7 +15,8 @@
 //! element x-axes without materializing 16 GB (the command stream and cost
 //! model are identical — DESIGN.md §2 documents this substitution).
 
-use crate::cost::{split_select_chain, FusionBudget};
+use crate::exec::{self, Cardinalities, ExecConfig, Strategy};
+use crate::graph::{OpKind, PlanGraph};
 use crate::report::Report;
 use crate::CoreError;
 use kfusion_ir::builder::{BodyBuilder, Expr};
@@ -133,52 +135,37 @@ impl SelectChain {
         Ok((out, counts))
     }
 
-    fn bytes(&self, elems: u64) -> u64 {
-        (elems as f64 * self.row_bytes).ceil() as u64
+    /// The chain as a plan: [`select_plan`] over the stage predicates.
+    pub fn to_plan(&self) -> PlanGraph {
+        select_plan(self.predicates())
+    }
+
+    /// `cards` (as [`SelectChain::cardinalities`] returns them) keyed by
+    /// [`SelectChain::to_plan`]'s node ids.
+    pub fn given(&self, cards: &[u64]) -> Cardinalities {
+        Cardinalities { rows: cards.to_vec(), row_bytes: vec![self.row_bytes; cards.len()] }
     }
 }
 
-/// The paper's execution strategies for a SELECT chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Each SELECT round-trips its result to the CPU (§III-B "with round
-    /// trip" — forced when GPU memory cannot hold intermediates).
-    WithRoundTrip,
-    /// Intermediates stay in GPU memory ("without round trip").
-    WithoutRoundTrip,
-    /// One fused kernel per register-budget run ("fused").
-    Fused,
-    /// Unfused kernels, input segmented and pipelined over streams
-    /// (kernel fission, §IV-B).
-    Fission {
-        /// Number of input segments.
-        segments: u32,
-    },
-    /// Fused kernels over pipelined segments (§IV-C).
-    FusedFission {
-        /// Number of input segments.
-        segments: u32,
-    },
+/// One `Input`, then one `Select` per predicate, each reading the last.
+pub fn select_plan(preds: Vec<KernelBody>) -> PlanGraph {
+    let mut g = PlanGraph::new();
+    let mut cur = g.input(0);
+    for pred in preds {
+        cur = g.add(OpKind::Select { pred }, vec![cur]);
+    }
+    g
 }
 
-/// Streams used by the fission pipelines — the paper's minimum for full
-/// C2070 concurrency.
-pub const FISSION_STREAMS: usize = 3;
-
-/// Host-side reassembly bandwidth for the CPU gather that fission needs
-/// (bytes/s).
-pub const CPU_GATHER_BW: f64 = 4.0e9;
-
-/// Execute `chain` under `strategy` on `system`, returning the simulated
-/// report. In `Real` mode the relations are actually filtered (and the
-/// measured cardinalities drive the command stream).
+/// Simulate `chain` under `strategy` on `system`. In `Real` mode the
+/// relations are actually filtered (and the measured cardinalities drive the
+/// command stream).
 pub fn run(
     system: &GpuSystem,
     chain: &SelectChain,
     strategy: Strategy,
 ) -> Result<Report, CoreError> {
-    let cards = chain.cardinalities()?;
-    run_with_cards(system, chain, strategy, &cards)
+    run_with_cards(system, chain, strategy, &chain.cardinalities()?)
 }
 
 /// [`run`] with precomputed cardinalities (lets harnesses reuse one
@@ -189,27 +176,8 @@ pub fn run_with_cards(
     strategy: Strategy,
     cards: &[u64],
 ) -> Result<Report, CoreError> {
-    let schedule = build_schedule(system, chain, strategy, cards);
-    let timeline = system.simulate(&schedule)?;
-    Ok(Report::from_row_bytes(timeline, chain.n, chain.row_bytes))
-}
-
-/// Compute-only run: kernels without any PCIe transfers, as the paper's
-/// Fig. 4(a)/8(b)/10/11 measure. `fused` selects fused vs unfused kernels.
-pub fn run_compute_only(
-    system: &GpuSystem,
-    chain: &SelectChain,
-    fused: bool,
-) -> Result<Report, CoreError> {
-    let cards = chain.cardinalities()?;
-    let mut cmds = Vec::new();
-    if fused {
-        emit_fused_kernels(&mut cmds, system, chain, &cards, 1.0, "");
-    } else {
-        emit_unfused_kernels(&mut cmds, system, chain, &cards, 1.0, "");
-    }
-    let timeline = system.simulate(&Schedule::serial(cmds))?;
-    Ok(Report::from_row_bytes(timeline, chain.n, chain.row_bytes))
+    let cfg = ExecConfig { level: chain.level, ..ExecConfig::new(strategy, system) };
+    exec::simulate_given(system, &chain.to_plan(), &chain.given(cards), &cfg)
 }
 
 /// The 16-thread CPU baseline of Fig. 4(a): the same chain on the Xeon
@@ -245,239 +213,6 @@ fn stage_sel(cards: &[u64], i: usize) -> f64 {
     }
 }
 
-/// Append the unfused per-SELECT kernels (filter + gather per stage) for a
-/// `scale` fraction of the input, labels suffixed with `tag`.
-fn emit_unfused_kernels(
-    cmds: &mut Vec<Command>,
-    system: &GpuSystem,
-    chain: &SelectChain,
-    cards: &[u64],
-    scale: f64,
-    tag: &str,
-) {
-    for i in 0..chain.depth() {
-        let in_elems = ((cards[i] as f64) * scale).round() as u64;
-        let out_elems = ((cards[i + 1] as f64) * scale).round() as u64;
-        let sel = stage_sel(cards, i);
-        let filter = profiles::select_filter(
-            format!("filter{i}{tag}"),
-            &chain.predicate(i),
-            chain.level,
-            chain.row_bytes,
-            sel,
-        );
-        let launch = LaunchConfig::for_elements(in_elems, &system.spec);
-        cmds.push(Command::kernel(filter, launch, in_elems));
-        let gather = profiles::select_gather(format!("gather{i}{tag}"), chain.row_bytes);
-        let glaunch = LaunchConfig::for_elements(out_elems.max(1), &system.spec);
-        cmds.push(Command::kernel(gather, glaunch, out_elems));
-    }
-}
-
-/// Append the fused kernels: one filter (fused predicate) + one gather per
-/// register-budget run.
-fn emit_fused_kernels(
-    cmds: &mut Vec<Command>,
-    system: &GpuSystem,
-    chain: &SelectChain,
-    cards: &[u64],
-    scale: f64,
-    tag: &str,
-) {
-    let budget = FusionBudget::for_device(&system.spec);
-    let runs = split_select_chain(&chain.predicates(), &budget, chain.level);
-    let mut stage = 0usize;
-    for (r, run) in runs.iter().enumerate() {
-        let in_elems = ((cards[stage] as f64) * scale).round() as u64;
-        let out_stage = stage + run.len();
-        let out_elems = ((cards[out_stage] as f64) * scale).round() as u64;
-        let sel =
-            if cards[stage] == 0 { 0.0 } else { cards[out_stage] as f64 / cards[stage] as f64 };
-        let fused_pred = fuse_predicate_chain(run);
-        let filter = profiles::select_filter(
-            format!("fused_filter{r}{tag}"),
-            &fused_pred,
-            chain.level,
-            chain.row_bytes,
-            sel,
-        );
-        let launch = LaunchConfig::for_elements(in_elems, &system.spec);
-        cmds.push(Command::kernel(filter, launch, in_elems));
-        let gather = profiles::select_gather(format!("fused_gather{r}{tag}"), chain.row_bytes);
-        let glaunch = LaunchConfig::for_elements(out_elems.max(1), &system.spec);
-        cmds.push(Command::kernel(gather, glaunch, out_elems));
-        stage = out_stage;
-    }
-}
-
-fn build_schedule(
-    system: &GpuSystem,
-    chain: &SelectChain,
-    strategy: Strategy,
-    cards: &[u64],
-) -> Schedule {
-    let k = chain.depth();
-    let final_out = cards[k];
-    match strategy {
-        Strategy::WithRoundTrip => {
-            let mut cmds = Vec::new();
-            for i in 0..k {
-                let class_in =
-                    if i == 0 { CommandClass::InputOutput } else { CommandClass::RoundTrip };
-                cmds.push(Command::h2d(
-                    format!("in{i}"),
-                    class_in,
-                    chain.bytes(cards[i]),
-                    HostMemKind::Paged,
-                ));
-                emit_stage_kernels(&mut cmds, system, chain, cards, i, 1.0, "");
-                let class_out =
-                    if i == k - 1 { CommandClass::InputOutput } else { CommandClass::RoundTrip };
-                cmds.push(Command::d2h(
-                    format!("out{i}"),
-                    class_out,
-                    chain.bytes(cards[i + 1]),
-                    HostMemKind::Paged,
-                ));
-            }
-            Schedule::serial(cmds)
-        }
-        Strategy::WithoutRoundTrip => {
-            let mut cmds = vec![Command::h2d(
-                "in",
-                CommandClass::InputOutput,
-                chain.bytes(chain.n),
-                HostMemKind::Paged,
-            )];
-            emit_unfused_kernels(&mut cmds, system, chain, cards, 1.0, "");
-            cmds.push(Command::d2h(
-                "out",
-                CommandClass::InputOutput,
-                chain.bytes(final_out),
-                HostMemKind::Paged,
-            ));
-            Schedule::serial(cmds)
-        }
-        Strategy::Fused => {
-            let mut cmds = vec![Command::h2d(
-                "in",
-                CommandClass::InputOutput,
-                chain.bytes(chain.n),
-                HostMemKind::Paged,
-            )];
-            emit_fused_kernels(&mut cmds, system, chain, cards, 1.0, "");
-            cmds.push(Command::d2h(
-                "out",
-                CommandClass::InputOutput,
-                chain.bytes(final_out),
-                HostMemKind::Paged,
-            ));
-            Schedule::serial(cmds)
-        }
-        Strategy::Fission { segments } => pipelined_schedule(system, chain, cards, segments, false),
-        Strategy::FusedFission { segments } => {
-            pipelined_schedule(system, chain, cards, segments, true)
-        }
-    }
-}
-
-/// Emit exactly stage `i`'s filter+gather kernels.
-fn emit_stage_kernels(
-    cmds: &mut Vec<Command>,
-    system: &GpuSystem,
-    chain: &SelectChain,
-    cards: &[u64],
-    i: usize,
-    scale: f64,
-    tag: &str,
-) {
-    let in_elems = ((cards[i] as f64) * scale).round() as u64;
-    let out_elems = ((cards[i + 1] as f64) * scale).round() as u64;
-    let sel = stage_sel(cards, i);
-    let filter = profiles::select_filter(
-        format!("filter{i}{tag}"),
-        &chain.predicate(i),
-        chain.level,
-        chain.row_bytes,
-        sel,
-    );
-    cmds.push(Command::kernel(
-        filter,
-        LaunchConfig::for_elements(in_elems, &system.spec),
-        in_elems,
-    ));
-    let gather = profiles::select_gather(format!("gather{i}{tag}"), chain.row_bytes);
-    cmds.push(Command::kernel(
-        gather,
-        LaunchConfig::for_elements(out_elems.max(1), &system.spec),
-        out_elems,
-    ));
-}
-
-/// The fission pipeline (Fig. 13 / Fig. 15): the input is cut into
-/// segments; each segment's H2D → kernels → D2H runs on one of
-/// [`FISSION_STREAMS`] rotating streams, so transfers of one segment hide
-/// under compute of another. Fission requires pinned memory (§IV-B). The
-/// per-segment results are reassembled by a CPU-side gather (§IV-C), which
-/// occupies the host engine and overlaps with GPU work.
-fn pipelined_schedule(
-    system: &GpuSystem,
-    chain: &SelectChain,
-    cards: &[u64],
-    segments: u32,
-    fused: bool,
-) -> Schedule {
-    let mut sched = Schedule::new();
-    for _ in 0..FISSION_STREAMS {
-        sched.add_stream();
-    }
-    let host_stream = sched.add_stream();
-    let scale = 1.0 / segments as f64;
-    let seg_out_bytes = chain.bytes(((cards[chain.depth()] as f64) * scale).round() as u64);
-    for s in 0..segments {
-        let next_event = s; // one sync event per segment
-        let stream = (s as usize) % FISSION_STREAMS;
-        let tag = format!("[seg{s}]");
-        sched.push(
-            stream,
-            Command::h2d(
-                format!("in{tag}"),
-                CommandClass::InputOutput,
-                chain.bytes(((chain.n as f64) * scale).round() as u64),
-                HostMemKind::Pinned,
-            ),
-        );
-        let mut kernels = Vec::new();
-        if fused {
-            emit_fused_kernels(&mut kernels, system, chain, cards, scale, &tag);
-        } else {
-            emit_unfused_kernels(&mut kernels, system, chain, cards, scale, &tag);
-        }
-        for kcmd in kernels {
-            sched.push(stream, kcmd);
-        }
-        sched.push(
-            stream,
-            Command::d2h(
-                format!("out{tag}"),
-                CommandClass::InputOutput,
-                seg_out_bytes,
-                HostMemKind::Pinned,
-            ),
-        );
-        // CPU gather for this segment, ordered after its D2H via an event;
-        // runs on the host engine concurrently with later segments.
-        let ev = kfusion_vgpu::des::EventId(next_event);
-        sched.push(stream, Command::record(ev));
-        sched.push(host_stream, Command::wait(ev));
-        sched.push(
-            host_stream,
-            Command::host_work(format!("cpu_gather{tag}"), seg_out_bytes as f64 / CPU_GATHER_BW),
-        );
-    }
-    sched
-}
-
 /// Fig. 12's three configurations for running SELECT(s) over `n` total
 /// elements at `sel` selectivity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -491,8 +226,10 @@ pub enum ConcurrentVariant {
     Stream,
 }
 
-/// Run one Fig. 12 configuration end-to-end (transfers included; the
-/// stream variant uses pinned memory as async copies require).
+/// Run one Fig. 12 configuration end-to-end (transfers included, pinned as
+/// async copies require). Halving a launch configuration is not a
+/// fusion/fission strategy, so the three command streams are assembled
+/// here, around the SELECT kernels [`exec`] emits for the node.
 pub fn run_concurrent(
     system: &GpuSystem,
     n: u64,
@@ -501,55 +238,31 @@ pub fn run_concurrent(
 ) -> Result<Report, CoreError> {
     let chain = SelectChain::auto(n, &[sel]);
     let cards = chain.cardinalities()?;
-    let mk_cmds = |elems: u64, out: u64, halved: bool, tag: &str, mem: HostMemKind| {
-        let mut cmds = vec![Command::h2d(
-            format!("in{tag}"),
-            CommandClass::InputOutput,
-            chain.bytes(elems),
-            mem,
-        )];
-        let filter = profiles::select_filter(
-            format!("filter{tag}"),
-            &chain.predicate(0),
-            chain.level,
-            chain.row_bytes,
-            sel,
-        );
-        let mut launch = LaunchConfig::for_elements(elems, &system.spec);
-        if halved {
-            launch = launch.halved();
+    let plan = chain.to_plan();
+    let (io, pinned) = (CommandClass::InputOutput, HostMemKind::Pinned);
+    let mk_cmds = |elems: u64, out: u64, halved: bool, tag: &str| {
+        let given = chain.given(&[elems, out]);
+        let mut cmds = vec![Command::h2d(format!("in{tag}"), io, given.bytes(0), pinned)];
+        for (mut profile, elems) in exec::node_kernels(&plan, &given, plan.root, chain.level) {
+            profile.name.push_str(tag);
+            let launch = LaunchConfig::for_elements(elems.max(1), &system.spec);
+            let launch = if halved { launch.halved() } else { launch };
+            cmds.push(Command::kernel(profile, launch, elems));
         }
-        cmds.push(Command::kernel(filter, launch, elems));
-        let gather = profiles::select_gather(format!("gather{tag}"), chain.row_bytes);
-        let mut glaunch = LaunchConfig::for_elements(out.max(1), &system.spec);
-        if halved {
-            glaunch = glaunch.halved();
-        }
-        cmds.push(Command::kernel(gather, glaunch, out));
-        cmds.push(Command::d2h(
-            format!("out{tag}"),
-            CommandClass::InputOutput,
-            chain.bytes(out),
-            mem,
-        ));
+        cmds.push(Command::d2h(format!("out{tag}"), io, given.bytes(plan.root), pinned));
         cmds
     };
     let schedule = match variant {
-        ConcurrentVariant::NoStreamOld => {
-            Schedule::serial(mk_cmds(n, cards[1], false, "", HostMemKind::Pinned))
-        }
-        ConcurrentVariant::NoStreamNew => {
-            Schedule::serial(mk_cmds(n, cards[1], true, "", HostMemKind::Pinned))
-        }
+        ConcurrentVariant::NoStreamOld => Schedule::serial(mk_cmds(n, cards[1], false, "")),
+        ConcurrentVariant::NoStreamNew => Schedule::serial(mk_cmds(n, cards[1], true, "")),
         ConcurrentVariant::Stream => {
             let mut sched = Schedule::new();
             let a = sched.add_stream();
             let b = sched.add_stream();
-            for cmd in mk_cmds(n / 2, cards[1] / 2, true, "[A]", HostMemKind::Pinned) {
+            for cmd in mk_cmds(n / 2, cards[1] / 2, true, "[A]") {
                 sched.push(a, cmd);
             }
-            for cmd in mk_cmds(n - n / 2, cards[1] - cards[1] / 2, true, "[B]", HostMemKind::Pinned)
-            {
+            for cmd in mk_cmds(n - n / 2, cards[1] - cards[1] / 2, true, "[B]") {
                 sched.push(b, cmd);
             }
             sched
@@ -603,9 +316,9 @@ mod tests {
         let chain = chain_2x50(1 << 22);
         let cards = chain.cardinalities().unwrap();
         let s = sys();
-        let with_rt = run_with_cards(&s, &chain, Strategy::WithRoundTrip, &cards).unwrap();
-        let without = run_with_cards(&s, &chain, Strategy::WithoutRoundTrip, &cards).unwrap();
-        let fused = run_with_cards(&s, &chain, Strategy::Fused, &cards).unwrap();
+        let with_rt = run_with_cards(&s, &chain, Strategy::SerialRoundTrip, &cards).unwrap();
+        let without = run_with_cards(&s, &chain, Strategy::Serial, &cards).unwrap();
+        let fused = run_with_cards(&s, &chain, Strategy::Fusion, &cards).unwrap();
         assert!(
             fused.total() < without.total(),
             "fused {} vs without {}",
@@ -620,9 +333,9 @@ mod tests {
         // Fig. 8(b): fused ~1.8x on the compute part.
         let chain = chain_2x50(1 << 22);
         let s = sys();
-        let unfused = run_compute_only(&s, &chain, false).unwrap();
-        let fused = run_compute_only(&s, &chain, true).unwrap();
-        let gain = unfused.total() / fused.total();
+        let unfused = run(&s, &chain, Strategy::Serial).unwrap();
+        let fused = run(&s, &chain, Strategy::Fusion).unwrap();
+        let gain = unfused.compute_time() / fused.compute_time();
         assert!(gain > 1.4, "compute-only fusion gain {gain}");
     }
 
@@ -631,7 +344,7 @@ mod tests {
         // Fig. 9: round trip ≈ half of the with-round-trip execution.
         let chain = chain_2x50(1 << 24);
         let s = sys();
-        let r = run(&s, &chain, Strategy::WithRoundTrip).unwrap();
+        let r = run(&s, &chain, Strategy::SerialRoundTrip).unwrap();
         let (_io, rt, _c) = r.breakdown_fractions();
         assert!(rt > 0.3, "round-trip share {rt}");
     }
@@ -642,7 +355,7 @@ mod tests {
         let chain = SelectChain::auto(2_000_000_000, &[0.5]);
         let s = sys();
         let cards = chain.cardinalities().unwrap();
-        let serial = run_with_cards(&s, &chain, Strategy::WithRoundTrip, &cards).unwrap();
+        let serial = run_with_cards(&s, &chain, Strategy::SerialRoundTrip, &cards).unwrap();
         let fission =
             run_with_cards(&s, &chain, Strategy::Fission { segments: 32 }, &cards).unwrap();
         assert!(
@@ -654,17 +367,36 @@ mod tests {
     }
 
     #[test]
+    fn fission_gantt_shows_overlapping_engines() {
+        // Fig. 13 from a terminal: a real DES timeline through
+        // `timeline_trace` + `Report::gantt`. Only the pipeline has several
+        // engine rows busy in the same cells (boundary cells aside).
+        let chain = SelectChain::auto(2_000_000_000, &[0.5]);
+        let busy_together = |strategy| {
+            let g = run(&sys(), &chain, strategy).unwrap().gantt(100);
+            let rows: Vec<&[u8]> = g
+                .lines()
+                .filter_map(|l| Some(&l.as_bytes()[l.find('|')? + 1..l.len() - 1]))
+                .collect();
+            assert!(rows.len() >= 3, "H2D, compute and D2H rows:\n{g}");
+            (0..100).filter(|&c| rows.iter().filter(|r| r[c] == b'#').count() > 1).count()
+        };
+        assert!(busy_together(Strategy::Serial) <= 6);
+        assert!(busy_together(Strategy::Fission { segments: 32 }) > 50);
+    }
+
+    #[test]
     fn fig16_strategy_ordering() {
         // serial < fusion < fission < fusion+fission (in throughput).
         let chain = SelectChain::auto(1_000_000_000, &[0.5, 0.5]);
         let s = sys();
         let cards = chain.cardinalities().unwrap();
-        let serial = run_with_cards(&s, &chain, Strategy::WithRoundTrip, &cards).unwrap();
-        let fused = run_with_cards(&s, &chain, Strategy::Fused, &cards).unwrap();
+        let serial = run_with_cards(&s, &chain, Strategy::SerialRoundTrip, &cards).unwrap();
+        let fused = run_with_cards(&s, &chain, Strategy::Fusion, &cards).unwrap();
         let fission =
             run_with_cards(&s, &chain, Strategy::Fission { segments: 32 }, &cards).unwrap();
         let both =
-            run_with_cards(&s, &chain, Strategy::FusedFission { segments: 32 }, &cards).unwrap();
+            run_with_cards(&s, &chain, Strategy::FusionFission { segments: 32 }, &cards).unwrap();
         assert!(fused.total() < serial.total());
         assert!(
             fission.total() < fused.total(),
@@ -714,13 +446,56 @@ mod tests {
         let two = SelectChain::auto(1 << 22, &[0.5, 0.5]);
         let three = SelectChain::auto(1 << 22, &[0.5, 0.5, 0.5]);
         let gain = |c: &SelectChain| {
-            let unfused = run_compute_only(&s, c, false).unwrap().total();
-            let fused = run_compute_only(&s, c, true).unwrap().total();
-            unfused / fused
+            let cards = c.cardinalities().unwrap();
+            let unfused = run_with_cards(&s, c, Strategy::Serial, &cards).unwrap();
+            let fused = run_with_cards(&s, c, Strategy::Fusion, &cards).unwrap();
+            unfused.compute_time() / fused.compute_time()
         };
         let g2 = gain(&two);
         let g3 = gain(&three);
         assert!(g3 > g2, "gain3 {g3} <= gain2 {g2}");
+    }
+
+    #[test]
+    fn non_divisible_sizes_are_segmented_exactly() {
+        // 100 000 019 elements over 32 segments: `round(n / 32)` per segment
+        // covers 100 000 032. Per-segment uploads and per-segment launches of
+        // every kernel must sum to exactly the unsegmented command's size.
+        use kfusion_vgpu::des::CommandKind;
+        let s = sys();
+        let mut chain = chain_2x50(100_000_019);
+        chain.mode = DataMode::Synthetic;
+        let given = chain.given(&chain.cardinalities().unwrap());
+        for fused in [false, true] {
+            let (whole, piped) = if fused {
+                (Strategy::Fusion, Strategy::FusionFission { segments: 32 })
+            } else {
+                (Strategy::Serial, Strategy::Fission { segments: 32 })
+            };
+            let sizes = |strategy| {
+                let cfg = ExecConfig::new(strategy, &s);
+                let sched = exec::schedule_given(&s, &chain.to_plan(), &given, &cfg).unwrap();
+                let mut by_name = std::collections::BTreeMap::<String, (u64, u32)>::new();
+                for cmd in sched.streams.iter().flatten() {
+                    let size = match &cmd.kind {
+                        CommandKind::CopyH2D { bytes, .. } => *bytes,
+                        CommandKind::Kernel { elems, .. } => *elems,
+                        _ => continue,
+                    };
+                    let name = cmd.label.split('[').next().unwrap().to_string();
+                    let e = by_name.entry(name).or_default();
+                    *e = (e.0 + size, e.1 + 1);
+                }
+                by_name
+            };
+            let (whole, piped) = (sizes(whole), sizes(piped));
+            assert_eq!(whole["in#0"], (400_000_076, 1));
+            assert_eq!(whole.len(), piped.len());
+            for (name, (total, pieces)) in &piped {
+                assert_eq!(*pieces, 32, "{name} was not pipelined");
+                assert_eq!(*total, whole[name].0, "{name}: segments do not sum to the whole");
+            }
+        }
     }
 
     #[test]

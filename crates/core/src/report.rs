@@ -53,8 +53,8 @@ impl Report {
         std::fs::write(path, self.trace_json())
     }
 
-    /// ASCII gantt of the simulated timeline (same renderer as
-    /// [`kfusion_vgpu::gantt::render`]).
+    /// ASCII gantt of the simulated timeline: one row per engine, so a
+    /// fission pipeline's overlap (the paper's Fig. 13) shows in a terminal.
     pub fn gantt(&self, width: usize) -> String {
         kfusion_trace::gantt::render(&self.trace, Clock::Sim, width)
     }
@@ -68,6 +68,12 @@ impl Report {
     /// by total execution time.
     pub fn throughput_gbps(&self) -> f64 {
         self.input_bytes / self.total() / 1e9
+    }
+
+    /// Data throughput over kernel time alone, in GB/s — how the paper plots
+    /// GPU computation with PCIe excluded (Figs. 4(a), 8(b), 10, 11).
+    pub fn compute_throughput_gbps(&self) -> f64 {
+        self.input_bytes / self.compute_time() / 1e9
     }
 
     /// Engine-busy seconds in one command class (Fig. 9's breakdown).
@@ -143,6 +149,7 @@ mod tests {
         let r = sample();
         assert_eq!(r.total(), 3.25);
         assert!((r.throughput_gbps() - 4000.0 / 3.25 / 1e9).abs() < 1e-18);
+        assert!((r.compute_throughput_gbps() - 4000.0 / 0.75 / 1e9).abs() < 1e-18);
     }
 
     #[test]

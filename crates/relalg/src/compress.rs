@@ -11,15 +11,12 @@
 //!   reference is the first value);
 //! * [`Scheme::Rle`] — run-length encoding for low-cardinality columns.
 //!
-//! [`best_for`] picks the smallest encoding. The decompression kernel's
-//! cost profile lives here too, so the executor can weigh *compressed
-//! transfer + decompress kernel* against plain transfers — and, in the
-//! spirit of the paper, the decompress stage is elementwise, so it can
-//! **fuse** with the consuming filter: the decompressed column then never
-//! touches GPU global memory at all.
-
-use crate::profiles::STREAM_MEM_EFF;
-use kfusion_vgpu::KernelProfile;
+//! [`best_for`] picks the smallest encoding. On the GPU side the decoder is
+//! an ordinary elementwise plan operator (the `compression` bench builds
+//! packed input → decode → SELECT), so the executor weighs *compressed
+//! transfer + decode* against plain transfers — and, in the spirit of the
+//! paper, the decode **fuses** with the consuming filter: the decompressed
+//! column then never touches GPU global memory at all.
 
 /// A compression scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,28 +234,6 @@ pub fn best_for(values: &[u64]) -> CompressedBlock {
     best
 }
 
-/// Cost profile of the GPU decompression kernel: read packed bits, write
-/// the expanded column. When *fused* with the consumer, the write
-/// disappears (expanded values stay in registers) — set `fused_consumer`.
-pub fn decompress_kernel(
-    block: &CompressedBlock,
-    out_bytes: f64,
-    fused_consumer: bool,
-) -> KernelProfile {
-    let read = block.wire_bytes() as f64 / block.n.max(1) as f64;
-    let instr = match block.scheme {
-        Scheme::BitPack => 7.0,
-        Scheme::Delta => 10.0, // gap unpack + prefix-sum step
-        Scheme::Rle => 9.0,
-    };
-    KernelProfile::new(if fused_consumer { "decompress_fused" } else { "decompress" })
-        .instr_per_elem(instr)
-        .bytes_read_per_elem(read)
-        .bytes_written_per_elem(if fused_consumer { 0.0 } else { out_bytes })
-        .regs_per_thread(crate::profiles::STAGE_REGS + 4)
-        .mem_efficiency(STREAM_MEM_EFF)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,15 +306,5 @@ mod tests {
         let b = compress(&vals, Scheme::BitPack).unwrap();
         assert_eq!(b.bits, 64);
         assert_eq!(decompress(&b), vals);
-    }
-
-    #[test]
-    fn fused_decompress_writes_nothing() {
-        let vals: Vec<u64> = (0..1000).collect();
-        let block = compress(&vals, Scheme::Delta).unwrap();
-        let plain = decompress_kernel(&block, 4.0, false);
-        let fused = decompress_kernel(&block, 4.0, true);
-        assert_eq!(fused.bytes_written_per_elem, 0.0);
-        assert!(plain.bytes_written_per_elem > 0.0);
     }
 }

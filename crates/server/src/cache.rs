@@ -28,7 +28,7 @@ use kfusion_model::sync::atomic::{AtomicU64, Ordering};
 use kfusion_model::sync::{Arc, Mutex, MutexGuard};
 use std::collections::HashMap;
 
-/// Serial strategies prepare singleton plans, fused strategies run the
+/// Unfused strategies prepare singleton plans, fused strategies run the
 /// fusion pass; a cached entry is only valid within its class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum PlanClass {
@@ -37,9 +37,10 @@ enum PlanClass {
 }
 
 fn class_of(strategy: Strategy) -> PlanClass {
-    match strategy {
-        Strategy::Serial | Strategy::SerialRoundTrip => PlanClass::Singleton,
-        Strategy::Fusion | Strategy::FusionFission { .. } => PlanClass::Fused,
+    if strategy.fuses() {
+        PlanClass::Fused
+    } else {
+        PlanClass::Singleton
     }
 }
 

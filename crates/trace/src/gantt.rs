@@ -1,9 +1,10 @@
 //! ASCII Gantt rendering of a trace — one row per track, time on the
 //! horizontal axis, `#` for busy cells.
 //!
-//! This is the single renderer behind `kfusion_vgpu::gantt::render` (which
-//! converts its simulated `Timeline` to a [`Trace`] and delegates here), and
-//! it draws host-clock traces just as well — pass [`Clock::Host`].
+//! Simulated timelines reach it as traces (`kfusion_vgpu::tracing::
+//! timeline_trace`, `Report::gantt`) — enough to *see* kernel fission's
+//! overlap (the paper's Fig. 13) straight from a terminal — and it draws
+//! host-clock traces just as well: pass [`Clock::Host`].
 //!
 //! ```text
 //! H2D     |####__####__####__                  |
@@ -97,6 +98,39 @@ mod tests {
         assert!(lines[1].starts_with("compute |"));
         assert!(lines[2].starts_with("D2H     |"));
         assert!(lines[3].starts_with("total: "));
+    }
+
+    #[test]
+    fn pipelined_timeline_shows_overlapping_engine_rows() {
+        // Three segments: back to back on one stream, or staggered over
+        // three (Fig. 13). Only the pipeline has more than one engine busy
+        // in the same cell, boundary cells aside.
+        let busy_together = |stagger: f64| {
+            let mut t = Trace::default();
+            for seg in 0..3 {
+                let t0 = seg as f64 * stagger;
+                t.spans.push(span("H2D", t0, t0 + 1.0));
+                t.spans.push(span("compute", t0 + 1.0, t0 + 2.0));
+                t.spans.push(span("D2H", t0 + 2.0, t0 + 3.0));
+            }
+            let g = render(&t, Clock::Sim, 100);
+            let rows: Vec<&[u8]> = g
+                .lines()
+                .filter_map(|l| Some(&l.as_bytes()[l.find('|')? + 1..l.len() - 1]))
+                .collect();
+            assert_eq!(rows.len(), 3);
+            (0..100).filter(|&c| rows.iter().filter(|r| r[c] == b'#').count() > 1).count()
+        };
+        assert!(busy_together(3.0) <= 9, "serial segments never overlap");
+        assert!(busy_together(1.0) > 10, "pipelined segments visibly overlap");
+    }
+
+    #[test]
+    fn width_is_clamped() {
+        let mut t = Trace::default();
+        t.spans.push(span("compute", 0.0, 1.0));
+        let g = render(&t, Clock::Sim, 1);
+        assert!(g.lines().next().unwrap().len() > 10, "width 1 still yields a usable chart:\n{g}");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * three **exporters**: Chrome trace-event JSON ([`chrome`], loadable in
 //!   Perfetto / `chrome://tracing`), Prometheus-style text metrics
 //!   ([`metrics`]), and an `EXPLAIN ANALYZE` plan-tree report ([`explain`]);
-//! * an ASCII **Gantt** view over any trace ([`gantt`]) — the single
-//!   renderer behind `kfusion_vgpu::gantt`;
+//! * an ASCII **Gantt** view over any trace ([`gantt`]), simulated
+//!   timelines included;
 //! * a dependency-free **JSON parser** ([`json`]) and the artifact
 //!   **validator** ([`validate`]) behind the `kfusion-trace-check` binary
 //!   and the golden tests.

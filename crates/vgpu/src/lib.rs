@@ -53,7 +53,6 @@
 pub mod des;
 pub mod device;
 pub mod exec;
-pub mod gantt;
 pub mod hazard;
 pub mod kernel;
 pub mod memory;

@@ -10,7 +10,8 @@
 //! trip / fused), verify the fused kernel computes the identical relation,
 //! and print the throughput and time breakdown of each method.
 
-use kfusion::core::microbench::{run_with_cards, verify_chain_equivalence, SelectChain, Strategy};
+use kfusion::core::exec::Strategy;
+use kfusion::core::microbench::{run_with_cards, verify_chain_equivalence, SelectChain};
 use kfusion::vgpu::GpuSystem;
 
 fn main() {
@@ -29,9 +30,9 @@ fn main() {
     );
 
     for (name, strategy) in [
-        ("with round trip", Strategy::WithRoundTrip),
-        ("without round trip", Strategy::WithoutRoundTrip),
-        ("fused", Strategy::Fused),
+        ("with round trip", Strategy::SerialRoundTrip),
+        ("without round trip", Strategy::Serial),
+        ("fused", Strategy::Fusion),
     ] {
         let report = run_with_cards(&system, &chain, strategy, &cards).expect("simulation");
         println!("== {name} ==");

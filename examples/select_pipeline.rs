@@ -11,7 +11,8 @@
 //! input into segments and overlaps H2D / compute / D2H on the device's two
 //! DMA engines; combined with fusion it reaches the paper's best strategy.
 
-use kfusion::core::microbench::{run_with_cards, SelectChain, Strategy};
+use kfusion::core::exec::Strategy;
+use kfusion::core::microbench::{run_with_cards, SelectChain};
 use kfusion::vgpu::{Engine, GpuSystem};
 
 fn main() {
@@ -28,10 +29,10 @@ fn main() {
     let segments = 32;
 
     let strategies = [
-        ("serial (batched, with round trip)", Strategy::WithRoundTrip),
-        ("fusion only", Strategy::Fused),
+        ("serial (batched, with round trip)", Strategy::SerialRoundTrip),
+        ("fusion only", Strategy::Fusion),
         ("fission only", Strategy::Fission { segments }),
-        ("fusion + fission", Strategy::FusedFission { segments }),
+        ("fusion + fission", Strategy::FusionFission { segments }),
     ];
 
     let mut rows = Vec::new();
@@ -58,7 +59,7 @@ fn main() {
     println!("makespan: {:.4} s — close to the busiest engine, not the sum", best.total());
 
     println!("\npipeline Gantt (first rows of the fused+fission timeline):");
-    print!("{}", kfusion::vgpu::gantt::render(&best.timeline, 84));
+    print!("{}", best.gantt(84));
     println!(
         "\npaper Fig. 16: fusion+fission beats serial by ~41%, fusion by ~31%, fission by ~10%."
     );

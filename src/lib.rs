@@ -11,7 +11,7 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`core`] | `kfusion-core` | fusion/fission passes, plan executor, micro-benchmark engine |
+//! | [`core`] | `kfusion-core` | fusion/fission passes, plan executor + schedule builder, micro-benchmark workload |
 //! | [`ir`] | `kfusion-ir` | kernel IR, optimizer (`O0`–`O3`), IR-level fusion |
 //! | [`relalg`] | `kfusion-relalg` | RA operators as multi-stage kernels + cost profiles |
 //! | [`vgpu`] | `kfusion-vgpu` | virtual GPU: device model, PCIe curves, DES scheduler |
@@ -25,15 +25,16 @@
 //! ## Quick start
 //!
 //! ```
-//! use kfusion::core::microbench::{run, SelectChain, Strategy};
+//! use kfusion::core::exec::Strategy;
+//! use kfusion::core::microbench::{run, SelectChain};
 //! use kfusion::vgpu::GpuSystem;
 //!
 //! // The paper's headline experiment: two back-to-back 50% SELECTs.
 //! let system = GpuSystem::c2070();
 //! let chain = SelectChain::auto(1 << 20, &[0.5, 0.5]);
 //!
-//! let with_rt = run(&system, &chain, Strategy::WithRoundTrip).unwrap();
-//! let fused = run(&system, &chain, Strategy::Fused).unwrap();
+//! let with_rt = run(&system, &chain, Strategy::SerialRoundTrip).unwrap();
+//! let fused = run(&system, &chain, Strategy::Fusion).unwrap();
 //! assert!(fused.throughput_gbps() > with_rt.throughput_gbps());
 //! ```
 //!

@@ -3,7 +3,7 @@
 //! degenerate configurations.
 
 use kfusion::core::exec::{execute, ExecConfig, Strategy};
-use kfusion::core::microbench::{run_with_cards, DataMode, SelectChain, Strategy as MStrategy};
+use kfusion::core::microbench::{run_with_cards, DataMode, SelectChain};
 use kfusion::core::{CoreError, OpKind, PlanGraph};
 use kfusion::relalg::ops::{Agg, SortBy};
 use kfusion::relalg::{gen, predicates, Column, Relation};
@@ -48,10 +48,10 @@ fn zero_and_full_selectivity_chains() {
             assert_eq!(cards[2], 100_000);
         }
         for strat in [
-            MStrategy::WithRoundTrip,
-            MStrategy::WithoutRoundTrip,
-            MStrategy::Fused,
-            MStrategy::Fission { segments: 4 },
+            Strategy::SerialRoundTrip,
+            Strategy::Serial,
+            Strategy::Fusion,
+            Strategy::Fission { segments: 4 },
         ] {
             let r = run_with_cards(&s, &chain, strat, &cards)
                 .unwrap_or_else(|e| panic!("{strat:?} at sel {sel}: {e}"));
@@ -142,7 +142,7 @@ fn degenerate_device_configs_do_not_break_simulation() {
     s.spec.mem_capacity = 1 << 22;
     let chain = SelectChain::auto(100_000, &[0.5]);
     let cards = chain.cardinalities().unwrap();
-    for strat in [MStrategy::WithRoundTrip, MStrategy::Fused, MStrategy::Fission { segments: 3 }] {
+    for strat in [Strategy::SerialRoundTrip, Strategy::Fusion, Strategy::Fission { segments: 3 }] {
         let r = run_with_cards(&s, &chain, strat, &cards).unwrap();
         assert!(r.total().is_finite() && r.total() > 0.0);
     }
