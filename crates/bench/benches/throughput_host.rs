@@ -3,7 +3,7 @@
 //!
 //! Unlike the fig/table benches, which report *simulated* GPU time, this
 //! harness measures real host wall-clock — the first perf-trajectory
-//! artifact for the functional layer. Five cases:
+//! artifact for the functional layer. Six cases:
 //!
 //! 1. `fused_q1_predicate` — rows/sec evaluating the O3-optimized Q1
 //!    date-range predicate (the body inside the fused JOIN+SELECT block)
@@ -22,13 +22,19 @@
 //!    allocations in the `scalar` column, steady-state-region allocations
 //!    (the per-batch loops, DESIGN.md §14) in the `batch` column. The
 //!    steady state must allocate *nothing*.
+//! 5. `host_fusion` — the functional phases of Q6 as SQL and of the Fig. 18
+//!    Q1 plan under `Strategy::Serial` (the `scalar` column: every node
+//!    materializes) against `Strategy::Fusion` (the `batch` column: fused
+//!    groups exchange views, DESIGN.md §17), batch engine on both sides,
+//!    plus the exact bytes each wrote through the gather primitive.
 //!
 //! Writes `BENCH_host_throughput.json` at the repo root (override with
 //! `--out`) plus the standard `BENCH_host_throughput.trace.json` /
 //! `.metrics.txt` artifacts, and exits nonzero on any perf-smoke gate:
 //! batch slower than scalar on the predicate or Q1 functional cases, the
-//! recorder overhead above its pin, or a nonzero steady-state allocation
-//! count.
+//! recorder overhead above its pin, a nonzero steady-state allocation
+//! count, or fused groups that materialize as much as the unfused plan or
+//! run slower than it.
 //!
 //! ```sh
 //! cargo bench --bench throughput_host -- [--rows N] [--scale SF] [--out PATH]
@@ -43,7 +49,7 @@ use kfusion_ir::opt::{optimize, OptLevel};
 use kfusion_ir::{CmpOp, KernelBody, Value};
 use kfusion_relalg::{engine, predicates, Column, Relation};
 use kfusion_tpch::gen::{generate, TpchConfig, MAX_DAY, Q1_CUTOFF_DAY};
-use kfusion_tpch::{q1, q6};
+use kfusion_tpch::{q1, q6, sql};
 use kfusion_trace::allocwatch;
 use kfusion_vgpu::GpuSystem;
 
@@ -54,8 +60,10 @@ static ALLOC: allocwatch::CountingAlloc = allocwatch::CountingAlloc;
 
 const REPS: usize = 3;
 
-/// Reps for the recorder-overhead case: the two loops differ by one atomic
-/// load per batch, so more reps squeeze out scheduler noise.
+/// Reps for the cases gated on "not slower": the recorder-overhead loops
+/// differ by one atomic load per batch, and at CI's small scale the fused
+/// and unfused functional phases by a millisecond — more reps squeeze out
+/// scheduler noise.
 const OVERHEAD_REPS: usize = 7;
 
 /// Maximum tolerated disabled-recorder overhead (fraction) on the batch
@@ -255,6 +263,40 @@ fn main() {
         speedup: (run_per_batch + 1.0) / (steady_per_batch + 1.0),
     });
 
+    // Case 6: fused groups on the host. Same plans, same engine; the
+    // strategy alone decides whether a group's members exchange views or
+    // relations. Bytes are exact (one run each); time is the best of as
+    // many reps as the other near-tie case takes.
+    let q6_sql_plan = kfusion_frontend::compile(&sql::q6_sql(), &sql::q6_catalog())
+        .expect("Q6 SQL compiles")
+        .plan;
+    let q6_table = [sql::q6_wide_table(&db)];
+    let host_fusion = |strategy: Strategy| {
+        let cfg = ExecConfig::new(strategy, &sys);
+        let run = || {
+            execute(&sys, &q6_sql_plan, &q6_table, &cfg).unwrap();
+            execute(&sys, &q1_plan, &q1_inputs, &cfg).unwrap();
+        };
+        let written = || kfusion_trace::snapshot().counter("kfusion_host_materialized_bytes_total");
+        let before = written();
+        run();
+        let bytes = written() - before;
+        (bytes, time_best(OVERHEAD_REPS, run).1)
+    };
+    let (serial_bytes, serial_secs) = host_fusion(Strategy::Serial);
+    let (fused_bytes, fused_secs) = host_fusion(Strategy::Fusion);
+    println!(
+        "host fusion: {serial_bytes} B materialized unfused, {fused_bytes} B fused ({:.1}%)\n",
+        100.0 * fused_bytes as f64 / serial_bytes as f64
+    );
+    cases.push(Case {
+        name: "host_fusion",
+        unit: "wall_ms",
+        scalar: serial_secs * 1e3,
+        batch: fused_secs * 1e3,
+        speedup: serial_secs / fused_secs,
+    });
+
     for c in &cases {
         println!(
             "{:24} scalar {:>14.1} {u}   batch {:>14.1} {u}   speedup {:.2}x",
@@ -276,7 +318,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"throughput_host\",\n  \"predicate_rows\": {rows},\n  \"tpch_scale\": {scale},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"throughput_host\",\n  \"predicate_rows\": {rows},\n  \"tpch_scale\": {scale},\n  \"materialized_bytes\": {{\"serial\": {serial_bytes}, \"fusion\": {fused_bytes}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write JSON artifact");
@@ -317,6 +359,17 @@ fn main() {
         eprintln!(
             "FAIL: steady-state regions allocated {steady_allocs} times ({steady_bytes} bytes) \
              across {batches} batches; the per-batch loops must not allocate"
+        );
+        std::process::exit(1);
+    }
+    // CI gate: a fused group writes strictly less than its members would
+    // one by one, and that must not cost time.
+    if fused_bytes >= serial_bytes || fused_secs > serial_secs {
+        eprintln!(
+            "FAIL: fused groups materialized {fused_bytes} B in {:.1} ms, unfused {serial_bytes} B \
+             in {:.1} ms; fusion must write fewer bytes and not run slower",
+            fused_secs * 1e3,
+            serial_secs * 1e3
         );
         std::process::exit(1);
     }

@@ -3,7 +3,9 @@
 //!
 //! Execution is two-phase. The **functional phase** evaluates every node of
 //! the [`PlanGraph`] on real relations (host threads), which both produces
-//! the query answer and measures every intermediate cardinality. The
+//! the query answer and measures every intermediate cardinality — and, like
+//! the fused kernels it stands for, writes no intermediate that only
+//! members of one fusion group read (DESIGN.md §17). The
 //! **timing phase** then emits the strategy's command stream — whose kernel
 //! profiles and transfer sizes are driven by those [`Cardinalities`] — and
 //! runs it through the virtual GPU's discrete-event simulator. The seam is
@@ -35,12 +37,13 @@ use kfusion_ir::opt::OptLevel;
 use kfusion_relalg::profiles::{
     self, FILTER_BOOKKEEPING_BYTES, FILTER_STAGE_INSTR, STREAM_MEM_EFF,
 };
-use kfusion_relalg::{ops, Relation};
+use kfusion_relalg::{materialize, ops, Relation, View};
 use kfusion_vgpu::des::EventId;
 use kfusion_vgpu::{
     segment, Command, CommandClass, Direction, GpuSystem, HostMemKind, KernelProfile, LaunchConfig,
     Schedule,
 };
+use std::sync::Arc;
 
 /// Execution strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,6 +129,9 @@ pub struct ExecResult {
     /// from upload, each output allocated at its definition and released
     /// after its last consumer).
     pub peak_resident_bytes: u64,
+    /// Every node's measured output size — what the timing phase was sized
+    /// from, and the same under every strategy and host engine.
+    pub cards: Cardinalities,
 }
 
 /// Per-node cardinalities — `rows[id]` tuples of `row_bytes[id]` bytes at
@@ -145,11 +151,6 @@ impl Cardinalities {
     /// Bytes of node `id`'s output.
     pub fn bytes(&self, id: NodeId) -> u64 {
         (self.rows[id] as f64 * self.row_bytes[id]).ceil() as u64
-    }
-
-    fn record(&mut self, id: NodeId, rel: &Relation) {
-        self.rows[id] = rel.len() as u64;
-        self.row_bytes[id] = rel.row_bytes() as f64;
     }
 }
 
@@ -203,7 +204,7 @@ pub fn plan_schedule(
 ) -> Result<Schedule, CoreError> {
     let fusion = prepare_fusion(graph, cfg)?;
     let roots = [graph.root];
-    let measured = functional_phase(graph, inputs, &roots)?;
+    let measured = functional_phase(graph, inputs, &roots, &fusion)?;
     Ok(build_schedule(system, graph, &fusion, &measured.cards, cfg, &roots))
 }
 
@@ -241,9 +242,17 @@ pub fn simulate_given(
 /// [`execute`], but with the compile-side pipeline already done: `fusion`
 /// must come from [`prepare_fusion`] on a structurally identical graph
 /// under the same `cfg`. The full plan check is skipped (it ran in
-/// `prepare_fusion`); only the cheap structural validation repeats. The
-/// functional phase never consumes the fusion plan, so the answer is
-/// byte-identical to an uncached [`execute`] by construction.
+/// `prepare_fusion`); only the cheap structural validation repeats.
+///
+/// The functional phase reads `fusion` to decide which intermediates are
+/// materialized (DESIGN.md §17), so the answer no longer ignores it by
+/// construction. Two things keep it byte-identical to an uncached
+/// [`execute`] all the same: a plan that is not a partition of *this*
+/// graph's operators ([`FusionPlan::covers`]) is set aside and recompiled,
+/// and under any partition whatsoever a view and the relation it stands
+/// for hold the same tuples — which `tests/strategy_equivalence.rs` and
+/// `tests/engine_equivalence.rs` check cell by cell. A wrong plan can cost
+/// time, never an answer.
 pub fn execute_prepared(
     system: &GpuSystem,
     graph: &PlanGraph,
@@ -264,23 +273,25 @@ pub(crate) fn execute_multi_impl(
     roots: &[NodeId],
     prepared: Option<&FusionPlan>,
 ) -> Result<crate::multiquery::MultiResult, CoreError> {
-    let (outputs, report, _explain, fusion, _peak) =
+    let PlanRun { outputs, report, fusion, cards, .. } =
         run_plan(system, graph, inputs, cfg, roots, prepared)?;
-    Ok(crate::multiquery::MultiResult { outputs, report, fusion })
+    Ok(crate::multiquery::MultiResult { outputs, report, fusion, cards })
 }
 
-type PlanRun = (Vec<Relation>, Report, kfusion_trace::explain::ExplainNode, FusionPlan, u64);
+/// What [`run_plan`] hands back: [`ExecResult`] with one output per root.
+struct PlanRun {
+    outputs: Vec<Relation>,
+    report: Report,
+    explain: kfusion_trace::explain::ExplainNode,
+    fusion: FusionPlan,
+    peak_resident_bytes: u64,
+    cards: Cardinalities,
+}
 
-fn single_root(
-    (mut outputs, report, explain, fusion, peak): PlanRun,
-) -> Result<ExecResult, CoreError> {
-    Ok(ExecResult {
-        output: outputs.pop().expect("one root"),
-        report,
-        explain,
-        fusion,
-        peak_resident_bytes: peak,
-    })
+fn single_root(run: PlanRun) -> Result<ExecResult, CoreError> {
+    let PlanRun { mut outputs, report, explain, fusion, peak_resident_bytes, cards } = run;
+    let output = outputs.pop().expect("one root");
+    Ok(ExecResult { output, report, explain, fusion, peak_resident_bytes, cards })
 }
 
 /// The shared engine: functional phase, fusion, schedule, simulate. Returns
@@ -299,22 +310,25 @@ fn run_plan(
     // and simulator only ever see plans that cannot trip their own asserts.
     // A prepared fusion plan certifies the full check already ran (in
     // `prepare_fusion`) on this structure; only the cheap validation stays.
+    // The plan steers how the functional phase computes the answer, so one
+    // that does not partition *this* graph's operators (a cache-key
+    // collision) is set aside and recompiled: it costs time, nothing else.
     let fusion = match prepared {
-        Some(p) => {
+        Some(p) if p.covers(graph) => {
             graph.validate()?;
             p.clone()
         }
-        None => prepare_fusion(graph, cfg)?,
+        _ => prepare_fusion(graph, cfg)?,
     };
-    let Measured { slots, cards, host_secs } = functional_phase(graph, inputs, roots)?;
+    let Measured { slots, cards, host_secs } = functional_phase(graph, inputs, roots, &fusion)?;
     let timeline = {
         let _phase = kfusion_trace::host_span("host", "timing_phase");
         system.simulate(&build_schedule(system, graph, &fusion, &cards, cfg, roots))?
     };
-    let peak = peak_resident_bytes(graph, &cards);
+    let peak_resident_bytes = peak_resident_bytes(graph, &cards);
     let outputs: Vec<Relation> = roots
         .iter()
-        .map(|&r| slots[r].as_ref().expect("roots are never stolen").as_rel().clone())
+        .map(|&r| slots.vals[r].as_ref().expect("roots are never released").as_rel().clone())
         .collect();
     let measurements =
         crate::explain::NodeMeasurements { rows: &cards.rows, host_seconds: &host_secs };
@@ -326,7 +340,8 @@ fn run_plan(
         cfg.level,
         roots[0],
     );
-    Ok((outputs, plan_report(graph, &cards, timeline), explain, fusion, peak))
+    let report = plan_report(graph, &cards, timeline);
+    Ok(PlanRun { outputs, report, explain, fusion, peak_resident_bytes, cards })
 }
 
 /// A timeline's report, with the figures' x-axis (plan-input elements) and
@@ -346,12 +361,120 @@ fn plan_inputs(graph: &PlanGraph) -> impl Iterator<Item = NodeId> + '_ {
     (0..graph.len()).filter(|&id| matches!(graph.nodes[id].kind, OpKind::Input { .. }))
 }
 
-/// What the functional phase leaves behind: every node's relation (unless a
-/// downstream in-place operator stole it), measured size, and host seconds.
+/// What the functional phase leaves behind: the relations still held when it
+/// ends (the requested roots at least), every node's measured size, and host
+/// seconds.
 struct Measured<'a> {
-    slots: Vec<Option<NodeVal<'a>>>,
+    slots: Slots<'a>,
     cards: Cardinalities,
     host_secs: Vec<f64>,
+}
+
+/// A functional-phase slot value.
+enum NodeVal<'a> {
+    /// A plan input, borrowed from the caller (base tables are the largest
+    /// relations in every TPC-H plan; they are never copied).
+    Ref(&'a Relation),
+    /// A computed relation. Shared, so that views over it stay valid after
+    /// the slot is released or handed to another wave's threads.
+    Owned(Arc<Relation>),
+    /// The output of a fused-group member nobody outside the group reads:
+    /// references and a selection, never materialized at this node.
+    View(View<'a>),
+}
+
+impl<'a> NodeVal<'a> {
+    /// The stored relation; views are forced before anything asks.
+    fn as_rel(&self) -> &Relation {
+        match self {
+            NodeVal::Ref(r) => r,
+            NodeVal::Owned(r) => r,
+            NodeVal::View(_) => unreachable!("views are forced before a storage operator runs"),
+        }
+    }
+
+    /// `(rows, bytes per row)` of the relation this value is or stands for.
+    fn size(&self) -> (usize, u64) {
+        match self {
+            NodeVal::Ref(r) => (r.len(), r.row_bytes()),
+            NodeVal::Owned(r) => (r.len(), r.row_bytes()),
+            NodeVal::View(v) => (v.len(), v.row_bytes()),
+        }
+    }
+
+    fn view(&self) -> View<'a> {
+        match self {
+            NodeVal::Ref(r) => View::of(r),
+            NodeVal::Owned(r) => View::shared(Arc::clone(r)),
+            NodeVal::View(v) => v.clone(),
+        }
+    }
+}
+
+/// The functional phase's per-node values, with the bytes of the computed
+/// relations they currently hold and that figure's high-water mark.
+struct Slots<'a> {
+    vals: Vec<Option<NodeVal<'a>>>,
+    live_bytes: u64,
+    peak_bytes: u64,
+}
+
+impl<'a> Slots<'a> {
+    fn put(&mut self, id: NodeId, val: NodeVal<'a>) {
+        if let NodeVal::Owned(r) = &val {
+            self.live_bytes += r.total_bytes();
+            self.peak_bytes = self.peak_bytes.max(self.live_bytes);
+        }
+        self.vals[id] = Some(val);
+    }
+
+    fn take(&mut self, id: NodeId) -> Option<NodeVal<'a>> {
+        let val = self.vals[id].take();
+        if let Some(NodeVal::Owned(r)) = &val {
+            self.live_bytes -= r.total_bytes();
+        }
+        val
+    }
+
+    /// Give node `id`'s value real storage if it is still a view — the one
+    /// gather a fused group pays, at the first member that needs rows.
+    fn force(&mut self, id: NodeId) {
+        if let Some(NodeVal::View(_)) = &self.vals[id] {
+            let _span = kfusion_trace::enabled()
+                .then(|| kfusion_trace::host_span("host", &format!("materialize#{id}")));
+            let Some(NodeVal::View(v)) = self.take(id) else { unreachable!("matched above") };
+            self.put(id, NodeVal::Owned(Arc::new(materialize(v))));
+        }
+    }
+}
+
+/// Whether an operator works on views: it reads its inputs through
+/// [`NodeVal::view`] and never needs them materialized.
+fn reads_views(kind: &OpKind) -> bool {
+    matches!(kind, OpKind::Select { .. } | OpKind::ColumnJoin | OpKind::Project { .. })
+}
+
+/// The nodes whose output stays a view: SELECT, COLUMN-JOIN and PROJECT
+/// members of a fused group whose every consumer is in the same group, and
+/// which no caller asked for. This is the fusion plan's only influence on
+/// the functional phase — a singleton plan marks nothing, so the unfused
+/// strategies materialize every node.
+fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<bool> {
+    let mut inside = vec![false; graph.len()];
+    let mut outside = vec![false; graph.len()];
+    for (c, node) in graph.nodes.iter().enumerate() {
+        for &p in &node.inputs {
+            let side =
+                if fusion.group_of[p] == fusion.group_of[c] { &mut inside } else { &mut outside };
+            side[p] = true;
+        }
+    }
+    for &r in roots {
+        outside[r] = true;
+    }
+    (0..graph.len())
+        .map(|id| reads_views(&graph.nodes[id].kind) && inside[id] && !outside[id])
+        .collect()
 }
 
 /// Evaluate every node of `graph` over `inputs`.
@@ -360,58 +483,86 @@ struct Measured<'a> {
 /// level is one past its deepest input) run on scoped threads, results land
 /// indexed by node id, and a wave's errors surface in id order — so answers
 /// are deterministic and identical to a serial loop.
+///
+/// `fusion` decides which intermediates exist ([`lazy_nodes`]); it cannot
+/// change an answer, a cardinality or an error, only how many rows are
+/// copied on the way (DESIGN.md §17).
 fn functional_phase<'a>(
     graph: &PlanGraph,
     inputs: &'a [Relation],
     roots: &[NodeId],
+    fusion: &FusionPlan,
 ) -> Result<Measured<'a>, CoreError> {
-    let mut slots: Vec<Option<NodeVal>> = (0..graph.len()).map(|_| None).collect();
+    let mut slots =
+        Slots { vals: (0..graph.len()).map(|_| None).collect(), live_bytes: 0, peak_bytes: 0 };
     let mut host_secs = vec![0.0f64; graph.len()];
-    // Cardinalities are captured the moment a slot fills, because a
-    // downstream in-place operator may later *steal* the relation out of a
-    // single-consumer slot (see `steal_input`) — the timing phase still
-    // needs every node's measured size.
+    // Cardinalities are captured the moment a slot fills: a downstream
+    // in-place operator may later *steal* the relation out of a
+    // single-consumer slot (see `steal_input`), and a slot is released after
+    // its last consumer — the timing phase still needs every node's size.
     let mut cards = Cardinalities { rows: vec![0; graph.len()], row_bytes: vec![0.0; graph.len()] };
     let consumers = graph.consumer_counts();
+    let mut unserved = consumers.clone();
+    let lazy = lazy_nodes(graph, fusion, roots);
     let _phase = kfusion_trace::host_span("host", "functional_phase");
     for (level, wave) in wavefronts(graph).into_iter().enumerate() {
         let _wave = kfusion_trace::enabled()
             .then(|| kfusion_trace::host_span("host", &format!("wave#{level}")));
-        if wave.len() == 1 {
-            let id = wave[0];
-            let stolen = steal_input(graph, id, roots, &consumers, &mut slots);
-            let (rel, secs) = eval_node_timed(graph, id, inputs, &slots, stolen)?;
-            cards.record(id, rel.as_rel());
-            slots[id] = Some(rel);
-            host_secs[id] = secs;
+        // Operators that need stored rows get them before the wave's threads
+        // share the slots: views among their inputs are materialized (once,
+        // whoever asks first), then in-place operators take what they may.
+        let mut stolen = Vec::with_capacity(wave.len());
+        for &id in &wave {
+            let began = std::time::Instant::now();
+            if !reads_views(&graph.nodes[id].kind) {
+                for &p in &graph.nodes[id].inputs {
+                    slots.force(p);
+                }
+            }
+            stolen.push(steal_input(graph, id, roots, &consumers, &mut slots));
+            host_secs[id] = began.elapsed().as_secs_f64();
+        }
+        let eval = |id: NodeId, st: Option<Relation>| {
+            eval_node_timed(graph, id, inputs, &slots.vals, st, lazy[id])
+        };
+        let evaluated: Vec<Result<(NodeVal<'a>, f64), CoreError>> = if wave.len() == 1 {
+            vec![eval(wave[0], stolen.pop().expect("one per node"))]
         } else {
-            let mut stolen: Vec<Option<Relation>> = wave
-                .iter()
-                .map(|&id| steal_input(graph, id, roots, &consumers, &mut slots))
-                .collect();
-            type WaveResults<'a> = Vec<(NodeId, Result<(NodeVal<'a>, f64), CoreError>)>;
-            let evaluated: WaveResults = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = wave
                     .iter()
-                    .zip(stolen.iter_mut().map(Option::take))
-                    .map(|(&id, st)| {
-                        let slots = &slots;
-                        (id, scope.spawn(move || eval_node_timed(graph, id, inputs, slots, st)))
-                    })
+                    .zip(stolen)
+                    .map(|(&id, st)| scope.spawn(move || eval(id, st)))
                     .collect();
                 handles
                     .into_iter()
-                    .map(|(id, h)| (id, h.join().expect("plan node evaluation panicked")))
+                    .map(|h| h.join().expect("plan node evaluation panicked"))
                     .collect()
-            });
-            for (id, r) in evaluated {
-                let (rel, secs) = r?;
-                cards.record(id, rel.as_rel());
-                slots[id] = Some(rel);
-                host_secs[id] = secs;
+            })
+        };
+        for (&id, r) in wave.iter().zip(evaluated) {
+            let (val, secs) = r?;
+            let (rows, row_bytes) = val.size();
+            cards.rows[id] = rows as u64;
+            cards.row_bytes[id] = row_bytes as f64;
+            host_secs[id] += secs;
+            if matches!(val, NodeVal::View(_)) {
+                kfusion_trace::counter("kfusion_host_views_total", 1);
+            }
+            slots.put(id, val);
+        }
+        // A value nobody will read again is dropped now, not when the query
+        // ends (requested roots stay; `graph.root` counts itself a consumer).
+        for &id in &wave {
+            for &p in &graph.nodes[id].inputs {
+                unserved[p] -= 1;
+                if unserved[p] == 0 && !roots.contains(&p) {
+                    slots.take(p);
+                }
             }
         }
     }
+    kfusion_trace::counter("kfusion_host_live_bytes_peak_total", slots.peak_bytes);
     Ok(Measured { slots, cards, host_secs })
 }
 
@@ -425,13 +576,14 @@ fn eval_node_timed<'a>(
     inputs: &'a [Relation],
     slots: &[Option<NodeVal<'a>>],
     stolen: Option<Relation>,
+    lazy: bool,
 ) -> Result<(NodeVal<'a>, f64), CoreError> {
     let _span = kfusion_trace::enabled().then(|| {
         let name = format!("{}#{id}", graph.nodes[id].kind.name().to_lowercase());
         kfusion_trace::host_span("host", &name)
     });
     let t0 = std::time::Instant::now();
-    let rel = eval_node(graph, id, inputs, slots, stolen)?;
+    let rel = eval_node(graph, id, inputs, slots, stolen, lazy)?;
     Ok((rel, t0.elapsed().as_secs_f64()))
 }
 
@@ -445,7 +597,7 @@ fn steal_input(
     id: NodeId,
     roots: &[NodeId],
     consumers: &[usize],
-    slots: &mut [Option<NodeVal>],
+    slots: &mut Slots<'_>,
 ) -> Option<Relation> {
     let node = &graph.nodes[id];
     if !matches!(node.kind, OpKind::ArithExtend { .. } | OpKind::Rekey { .. }) {
@@ -455,10 +607,16 @@ fn steal_input(
     if consumers[p] != 1 || roots.contains(&p) {
         return None;
     }
-    match slots[p].take() {
-        Some(NodeVal::Owned(r)) => Some(r),
+    match slots.take(p) {
+        Some(NodeVal::Owned(shared)) => match Arc::try_unwrap(shared) {
+            Ok(rel) => Some(rel),
+            Err(shared) => {
+                slots.put(p, NodeVal::Owned(shared));
+                None
+            }
+        },
         other => {
-            slots[p] = other;
+            slots.vals[p] = other;
             None
         }
     }
@@ -482,60 +640,54 @@ fn wavefronts(graph: &PlanGraph) -> Vec<Vec<NodeId>> {
     waves
 }
 
-/// A functional-phase slot value. Input nodes *borrow* the caller's
-/// relation instead of cloning it (base tables are the largest relations in
-/// every TPC-H plan, and the old per-node clone was a full-table copy);
-/// every other operator owns its freshly computed output.
-enum NodeVal<'a> {
-    Ref(&'a Relation),
-    Owned(Relation),
-}
-
-impl NodeVal<'_> {
-    fn as_rel(&self) -> &Relation {
-        match self {
-            NodeVal::Ref(r) => r,
-            NodeVal::Owned(r) => r,
-        }
-    }
-}
-
 /// Evaluate one plan node; `slots` must hold the results of all its inputs
-/// (guaranteed by wavefront order).
+/// (guaranteed by wavefront order), stored ones unless the operator
+/// [`reads_views`]. A `lazy` node's output stays a view.
 fn eval_node<'a>(
     graph: &PlanGraph,
     id: NodeId,
     inputs: &'a [Relation],
     slots: &[Option<NodeVal<'a>>],
     stolen: Option<Relation>,
+    lazy: bool,
 ) -> Result<NodeVal<'a>, CoreError> {
     let node = &graph.nodes[id];
-    let get = |i: usize| slots[node.inputs[i]].as_ref().expect("input wave completed").as_rel();
+    let val = |i: usize| slots[node.inputs[i]].as_ref().expect("input wave completed");
+    let get = |i: usize| val(i).as_rel();
     if let OpKind::Input { input } = &node.kind {
         return inputs
             .get(*input)
             .map(NodeVal::Ref)
             .ok_or_else(|| CoreError::Unsupported(format!("missing plan input {input}")));
     }
+    let owned = |rel: Relation| NodeVal::Owned(Arc::new(rel));
     // In-place fast paths: a stolen single-consumer input is mutated rather
     // than copied. The owned variants compute the same relation as the
     // borrowing ones by construction (their tests compare the two).
     if let Some(rel) = stolen {
-        return Ok(NodeVal::Owned(match &node.kind {
+        return Ok(owned(match &node.kind {
             OpKind::ArithExtend { body } => ops::arith_extend_owned(rel, body)?,
             OpKind::Rekey { col } => ops::rekey_owned(rel, *col)?,
             _ => unreachable!("steal_input only feeds in-place operators"),
         }));
     }
-    Ok(NodeVal::Owned(match &node.kind {
+    // The operators that are `materialize ∘ view-op`: inside a fused group
+    // the gather is left to whoever first needs the rows.
+    let finish = |view: View<'a>| match lazy {
+        true => NodeVal::View(view),
+        false => owned(materialize(view)),
+    };
+    Ok(owned(match &node.kind {
         OpKind::Input { .. } => unreachable!("handled above"),
-        OpKind::Select { pred } => ops::select(get(0), pred)?,
-        OpKind::Project { keep } => ops::project(get(0), keep)?,
+        OpKind::Select { pred } => return Ok(finish(ops::select_view(&val(0).view(), pred)?)),
+        OpKind::ColumnJoin => {
+            return Ok(finish(ops::column_join_view(&val(0).view(), &val(1).view())?))
+        }
+        OpKind::Project { keep } => return Ok(finish(ops::project_view(&val(0).view(), keep)?)),
         OpKind::Rekey { col } => ops::rekey(get(0), *col)?,
         OpKind::Arith { body } => ops::arith_map(get(0), body)?,
         OpKind::ArithExtend { body } => ops::arith_extend(get(0), body)?,
         OpKind::Join => ops::join(get(0), get(1))?,
-        OpKind::ColumnJoin => ops::column_join(get(0), get(1))?,
         OpKind::Semijoin => ops::semijoin(get(0), get(1))?,
         OpKind::Antijoin => ops::antijoin(get(0), get(1))?,
         OpKind::Product => ops::product(get(0), get(1))?,

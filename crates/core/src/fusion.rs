@@ -38,6 +38,24 @@ impl FusionPlan {
     pub fn max_group_len(&self) -> usize {
         self.groups.iter().map(Vec::len).max().unwrap_or(0)
     }
+
+    /// Whether this plan is a partition of `graph`'s operators: every
+    /// non-input node is a member of exactly the group `group_of` names,
+    /// inputs belong to none, and no group is empty or names a node the
+    /// graph lacks. The executor indexes both tables by node id, so a plan
+    /// prepared for a different graph must fail here rather than there.
+    pub fn covers(&self, graph: &PlanGraph) -> bool {
+        let members: usize = self.groups.iter().map(Vec::len).sum();
+        let is_input = |n: &crate::graph::Node| matches!(n.kind, OpKind::Input { .. });
+        self.group_of.len() == graph.len()
+            && graph.nodes.iter().zip(&self.group_of).all(|(n, g)| is_input(n) == g.is_none())
+            && members == self.group_of.iter().flatten().count()
+            && self.groups.iter().enumerate().all(|(g, group)| {
+                !group.is_empty()
+                    && group.windows(2).all(|w| w[0] < w[1])
+                    && group.iter().all(|&m| self.group_of.get(m) == Some(&Some(g)))
+            })
+    }
 }
 
 #[derive(Debug)]

@@ -58,6 +58,8 @@ pub struct MultiResult {
     pub report: Report,
     /// The fusion plan over the merged graph.
     pub fusion: FusionPlan,
+    /// Every merged-graph node's measured output size.
+    pub cards: crate::exec::Cardinalities,
 }
 
 /// Execute a merged batch of queries under `cfg`. Functionally identical to

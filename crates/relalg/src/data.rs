@@ -456,23 +456,6 @@ impl Relation {
         }
     }
 
-    /// Clear `self` and make it share `src`'s schema, reusing each column
-    /// buffer whose type already matches — the reset step of the `_into`
-    /// operator variants when the caller-owned output may have come from a
-    /// different operator.
-    pub fn reset_like(&mut self, src: &Relation) {
-        self.key.clear();
-        if self.cols.len() == src.cols.len()
-            && self.cols.iter().zip(&src.cols).all(|(a, b)| a.same_type(b))
-        {
-            for c in &mut self.cols {
-                c.clear();
-            }
-        } else {
-            self.cols = src.cols.iter().map(Column::empty_like).collect();
-        }
-    }
-
     /// Replace `self`'s rows with the concatenation of `parts` (which must
     /// share `self`'s schema), copying the parts in parallel — one worker
     /// per part, each writing a disjoint row-window sized up front. Small

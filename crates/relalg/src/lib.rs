@@ -43,5 +43,7 @@ pub mod ops;
 pub mod predicates;
 pub mod profiles;
 pub mod scratch;
+pub mod view;
 
 pub use data::{Column, RelError, Relation};
+pub use view::{materialize, View};

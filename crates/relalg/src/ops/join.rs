@@ -6,6 +6,7 @@
 //! TPC-H Q21.
 
 use crate::data::{RelError, Relation};
+use crate::view::{materialize, View};
 
 fn group_end(keys: &[u64], start: usize) -> usize {
     let k = keys[start];
@@ -65,27 +66,47 @@ pub fn join(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
 /// class (i) of §III-C — freely fusable *and* fissionable, unlike the
 /// general merge join.
 pub fn column_join(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
-    if a.key != b.key {
+    Ok(materialize(column_join_view(&View::of(a), &View::of(b))?))
+}
+
+/// [`column_join`] without the copy: after the same key check, the result
+/// references `a`'s key and both sides' columns where they already are. A
+/// side that carries a selection is materialized first, so that both sides
+/// are over base rows that correspond one to one.
+pub fn column_join_view<'a>(a: &View<'a>, b: &View<'a>) -> Result<View<'a>, RelError> {
+    let dense = |v: &View<'a>| match v.selection() {
+        Some(_) => materialize(v.clone()).into(),
+        None => v.clone(),
+    };
+    let (a, b) = (dense(a), dense(b));
+    if a.key() != b.key() {
         return Err(RelError::SchemaMismatch);
     }
-    let mut cols = Vec::with_capacity(a.n_cols() + b.n_cols());
-    cols.extend(a.cols.iter().cloned());
-    cols.extend(b.cols.iter().cloned());
-    Relation::new(a.key.clone(), cols)
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"column_join\"}", 2 * a.len() as u64);
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"column_join\"}", a.len() as u64);
+    Ok(a.with_columns_of(&b))
 }
 
 /// Semijoin: tuples of `a` whose key appears in `b` (EXISTS). Keeps `a`'s
 /// schema; duplicate matches in `b` do not duplicate output.
 pub fn semijoin(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
-    filter_by_membership(a, b, true)
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"semijoin\"}", (a.len() + b.len()) as u64);
+    let out = filter_by_membership(a, b, true)?;
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"semijoin\"}", out.len() as u64);
+    Ok(out)
 }
 
 /// Antijoin: tuples of `a` whose key does **not** appear in `b`
 /// (NOT EXISTS). Keeps `a`'s schema.
 pub fn antijoin(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
-    filter_by_membership(a, b, false)
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"antijoin\"}", (a.len() + b.len()) as u64);
+    let out = filter_by_membership(a, b, false)?;
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"antijoin\"}", out.len() as u64);
+    Ok(out)
 }
 
+/// The merge walk marks `a`'s survivors in a selection bitmap; the gather
+/// is the one every view materializes through.
 fn filter_by_membership(
     a: &Relation,
     b: &Relation,
@@ -93,7 +114,8 @@ fn filter_by_membership(
 ) -> Result<Relation, RelError> {
     a.require_sorted()?;
     b.require_sorted()?;
-    let mut out = a.empty_like();
+    let mut sel = vec![0u64; a.len().div_ceil(64)];
+    let mut rows = 0usize;
     let mut j = 0usize;
     for i in 0..a.len() {
         while j < b.len() && b.key[j] < a.key[i] {
@@ -101,10 +123,11 @@ fn filter_by_membership(
         }
         let present = j < b.len() && b.key[j] == a.key[i];
         if present == keep_present {
-            out.push_row_from(a, i);
+            sel[i / 64] |= 1 << (i % 64);
+            rows += 1;
         }
     }
-    Ok(out)
+    Ok(materialize(View::of(a).with_selection(sel, rows)))
 }
 
 #[cfg(test)]
@@ -179,6 +202,21 @@ mod tests {
         let a = Relation::from_keys(vec![0, 1]);
         let b = Relation::from_keys(vec![0, 2]);
         assert!(matches!(column_join(&a, &b), Err(RelError::SchemaMismatch)));
+    }
+
+    #[test]
+    fn column_join_view_references_until_a_side_is_filtered() {
+        let a = Relation::new((0..100).collect(), vec![Column::I64((0..100).collect())]).unwrap();
+        let b = Relation::new((0..100).collect(), vec![Column::F64(vec![0.5; 100])]).unwrap();
+        let wide = column_join_view(&View::of(&a), &View::of(&b)).unwrap();
+        assert_eq!((wide.len(), wide.n_cols()), (100, 2));
+        assert_eq!(materialize(wide), column_join(&a, &b).unwrap());
+        // A filtered side no longer lines up row for row with the other.
+        let few = crate::ops::select_view(&View::of(&a), &crate::predicates::key_lt(10)).unwrap();
+        assert!(matches!(column_join_view(&few, &View::of(&b)), Err(RelError::SchemaMismatch)));
+        let both = column_join_view(&few, &few).unwrap();
+        assert_eq!((both.len(), both.n_cols()), (10, 2));
+        assert_eq!(materialize(both).cols[1].as_i64().unwrap(), (0..10).collect::<Vec<i64>>());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! only results.
 
 use crate::data::{RelError, Relation, PAR_COPY_MIN_ROWS};
+use crate::view::{materialize, View};
 
 /// Re-key the relation by an i64 payload column: the column's values become
 /// the tuple keys and the column leaves the payload. The query plans use
@@ -64,30 +65,20 @@ pub fn rekey_owned(mut input: Relation, col: usize) -> Result<Relation, RelError
     Ok(input)
 }
 
+/// PROJECT without the copy: the key plus the payload columns listed in
+/// `keep`, in that order, as references into `input`'s storage.
+pub fn project_view<'a>(input: &View<'a>, keep: &[usize]) -> Result<View<'a>, RelError> {
+    if let Some(&col) = keep.iter().find(|&&c| c >= input.n_cols()) {
+        return Err(RelError::NoSuchColumn { col, available: input.n_cols() });
+    }
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"project\"}", input.len() as u64);
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"project\"}", input.len() as u64);
+    Ok(input.with_columns(keep))
+}
+
 /// Keep the key plus the payload columns listed in `keep`, in that order.
 pub fn project(input: &Relation, keep: &[usize]) -> Result<Relation, RelError> {
-    let mut srcs = Vec::with_capacity(keep.len());
-    for &c in keep {
-        srcs.push(
-            input
-                .cols
-                .get(c)
-                .ok_or(RelError::NoSuchColumn { col: c, available: input.n_cols() })?,
-        );
-    }
-    if input.len() < PAR_COPY_MIN_ROWS {
-        return Ok(Relation { key: input.key.clone(), cols: srcs.into_iter().cloned().collect() });
-    }
-    // Parallel per-column materialization, as in [`rekey`].
-    let (key, cols) = std::thread::scope(|scope| {
-        let kh = scope.spawn(|| input.key.clone());
-        let hs: Vec<_> = srcs.into_iter().map(|c| scope.spawn(move || c.clone())).collect();
-        (
-            kh.join().expect("project worker panicked"),
-            hs.into_iter().map(|h| h.join().expect("project worker panicked")).collect(),
-        )
-    });
-    Ok(Relation { key, cols })
+    Ok(materialize(project_view(&View::of(input), keep)?))
 }
 
 #[cfg(test)]
@@ -124,6 +115,16 @@ mod tests {
         let out = project(&x(), &[]).unwrap();
         assert_eq!(out.n_cols(), 0);
         assert_eq!(out.key, vec![3, 4, 2]);
+    }
+
+    #[test]
+    fn project_view_keeps_the_selection() {
+        let r = x();
+        let two = crate::ops::select_view(&View::of(&r), &crate::predicates::key_lt(4)).unwrap();
+        let out = materialize(project_view(&two, &[1]).unwrap());
+        assert_eq!(out.key, vec![3, 2]);
+        assert_eq!(out.cols[0].as_i64().unwrap(), &[1, 2]);
+        assert!(matches!(project_view(&two, &[2]), Err(RelError::NoSuchColumn { col: 2, .. })));
     }
 
     #[test]

@@ -11,24 +11,28 @@
 //!
 //! Predicates are evaluated by the vectorized batch engine when the body
 //! compiles against the relation's column types ([`crate::engine`]): each
-//! CTA runs a [`BatchMachine`] over [`BATCH_ROWS`]-row batches and gathers
-//! survivors from the resulting selection bitmask. Bodies that fail batch
-//! compilation fall back to the per-tuple interpreter, preserving its error
-//! behavior exactly.
+//! CTA runs a `BatchMachine` over [`BATCH_ROWS`]-row batches and keeps only
+//! the selection bitmask. Bodies that fail batch compilation fall back to
+//! the per-tuple interpreter, preserving its error behavior exactly.
+//!
+//! The two kernels are two functions: [`select_view`] partitions, filters
+//! and buffers, and yields a [`View`] — the input's columns under a
+//! narrowed selection — and [`crate::view::materialize`] is the gather.
+//! [`select`] is their composition; a fused group calls the first per
+//! member and the second once (DESIGN.md §17).
 
-use crate::data::{
-    col_windows, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
-};
+use crate::data::{RelError, Relation};
 use crate::engine;
+use crate::view::{materialize, materialize_into, View};
 use kfusion_ir::batch::{CompiledKernel, BATCH_ROWS};
 use kfusion_ir::interp::Machine;
 use kfusion_ir::{KernelBody, Ty, Value};
-use kfusion_vgpu::exec::{cta_ranges, par_range_map, DEFAULT_CTA_CHUNK};
+use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
 
 /// Compile `predicate` for batch execution over `input`'s columns, if the
 /// engine is on and the body both resolves to concrete types and yields a
 /// boolean in output slot 0.
-fn compile_predicate(input: &Relation, predicate: &KernelBody) -> Option<CompiledKernel> {
+fn compile_predicate(input: &View<'_>, predicate: &KernelBody) -> Option<CompiledKernel> {
     if !engine::batch_enabled() || input.is_empty() {
         return None;
     }
@@ -48,164 +52,71 @@ fn compile_predicate(input: &Relation, predicate: &KernelBody) -> Option<Compile
     compiled
 }
 
-/// Visit each selected row index in `range`, reading the predicate's
-/// selection bitmask batch by batch. The machine comes from (and returns
-/// to) this worker's scratch arena.
-fn for_each_selected(
-    k: &CompiledKernel,
-    input: &Relation,
-    range: std::ops::Range<usize>,
-    mut visit: impl FnMut(usize),
-) {
+/// Partition + filter (the first kernel of Fig. 3): evaluate `k` over
+/// `input`'s base rows and AND the outcome into its selection. Returns the
+/// narrowed bitmap and its popcount — selection is bitmap-only, unselected
+/// lanes are never written anywhere.
+fn filter(input: &View<'_>, k: &CompiledKernel) -> (Vec<u64>, usize) {
     let cols = input.ir_cols();
-    crate::scratch::with_scratch(|s| {
-        let mut bm = s.machine(k);
-        let mut base = range.start;
-        while base < range.end {
-            let n = (range.end - base).min(BATCH_ROWS);
-            bm.run(k, &cols, base, n);
-            let mask = bm.selection_mask(k);
-            for (w, &word) in mask.iter().enumerate().take(n.div_ceil(64)) {
-                let lo = w * 64;
-                let mut m = word;
-                if n - lo < 64 {
-                    m &= (1u64 << (n - lo)) - 1; // tail lanes are unspecified
-                }
-                while m != 0 {
-                    visit(base + lo + m.trailing_zeros() as usize);
-                    m &= m - 1;
-                }
-            }
-            base += n;
-        }
-        s.put_machine(k, bm);
-    });
-}
-
-/// Copy one CTA's survivors (the set bits of `words`, lane 0 = input row
-/// `start`) into its output windows, column at a time — the gather stage of
-/// the two-phase batch SELECT. The windows are exactly as long as the
-/// survivor count, so a full walk fills them completely.
-fn scatter_window(
-    input: &Relation,
-    start: usize,
-    words: &[u64],
-    kw: &mut [u64],
-    cw: Vec<ColWindow<'_>>,
-) {
-    scatter_col(&input.key, start, words, kw);
-    for (win, col) in cw.into_iter().zip(&input.cols) {
-        match (win, col) {
-            (ColWindow::I64(d), Column::I64(s)) => scatter_col(s, start, words, d),
-            (ColWindow::F64(d), Column::F64(s)) => scatter_col(s, start, words, d),
-            _ => unreachable!("output schema reset from input"),
-        }
-    }
-}
-
-/// Compact `src`'s selected lanes into `dst`: one value per set bit of
-/// `words`, in lane order.
-fn scatter_col<T: Copy>(src: &[T], start: usize, words: &[u64], dst: &mut [T]) {
-    let mut pos = 0;
-    for (w, &word) in words.iter().enumerate() {
-        let base = start + w * 64;
-        let mut m = word;
-        while m != 0 {
-            dst[pos] = src[base + m.trailing_zeros() as usize];
-            pos += 1;
-            m &= m - 1;
-        }
-    }
-}
-
-/// Filter `input` to the tuples satisfying `predicate`.
-///
-/// The predicate is an IR body with the library calling convention: input
-/// slot 0 is the key (as `i64`), slot `1+c` is payload column `c`; output 0
-/// must be a boolean.
-pub fn select(input: &Relation, predicate: &KernelBody) -> Result<Relation, RelError> {
-    let mut out = input.empty_like();
-    select_into(input, predicate, &mut out)?;
-    Ok(out)
-}
-
-/// [`select`] writing into a caller-owned relation: `out` is cleared (its
-/// capacity retained) and filled with the surviving tuples, so a caller
-/// that filters repeatedly can reuse one output allocation across calls
-/// (the `_into` contract, DESIGN.md §14).
-///
-/// # Panics
-/// If `out`'s schema differs from `input`'s.
-pub fn select_into(
-    input: &Relation,
-    predicate: &KernelBody,
-    out: &mut Relation,
-) -> Result<(), RelError> {
-    out.clear();
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"select\"}", input.len() as u64);
-    if let Some(k) = compile_predicate(input, predicate) {
-        // Phase 1 — partition + filter: each CTA evaluates the predicate
-        // batch-at-a-time and keeps only the selection bitmask plus its
-        // popcount (selection is bitmap-only — unselected lanes are never
-        // written anywhere). Mask storage is one word per 64 rows, sized in
-        // the per-morsel setup; the per-batch loop inside the steady-state
-        // region allocates nothing. `BATCH_ROWS` is 64-divisible, so every
-        // non-final batch contributes whole words and the chunk's words
-        // concatenate exactly.
-        let parts: Vec<(Vec<u64>, usize)> =
-            par_range_map(input.len(), DEFAULT_CTA_CHUNK, |_cta, range| {
-                crate::scratch::with_scratch(|s| {
-                    let cols = input.ir_cols();
-                    let mut bm = s.machine(&k);
-                    let mut words: Vec<u64> = Vec::with_capacity(range.len().div_ceil(64) + 16);
-                    let mut count = 0usize;
-                    {
-                        let _steady = kfusion_trace::allocwatch::region();
-                        let mut base = range.start;
-                        while base < range.end {
-                            let n = (range.end - base).min(BATCH_ROWS);
-                            bm.run(&k, &cols, base, n);
-                            let mask = bm.selection_mask(&k);
-                            for (w, &word) in mask.iter().enumerate().take(n.div_ceil(64)) {
-                                let lo = w * 64;
-                                let mut m = word;
-                                if n - lo < 64 {
-                                    m &= (1u64 << (n - lo)) - 1; // tail lanes are unspecified
-                                }
-                                count += m.count_ones() as usize;
-                                words.push(m);
-                            }
+    let sel_in = input.selection();
+    // Each CTA keeps one mask word per 64 rows, sized in the per-morsel
+    // setup; the per-batch loop inside the steady-state region allocates
+    // nothing. `DEFAULT_CTA_CHUNK` and `BATCH_ROWS` are 64-divisible, so
+    // every non-final batch contributes whole words and the CTAs' words
+    // concatenate exactly.
+    let parts: Vec<(Vec<u64>, usize)> =
+        par_range_map(input.base_len(), DEFAULT_CTA_CHUNK, |_cta, range| {
+            crate::scratch::with_scratch(|s| {
+                let mut bm = s.machine(k);
+                let mut words: Vec<u64> = Vec::with_capacity(range.len().div_ceil(64));
+                let mut count = 0usize;
+                {
+                    let _steady = kfusion_trace::allocwatch::region();
+                    let mut base = range.start;
+                    while base < range.end {
+                        let n = (range.end - base).min(BATCH_ROWS);
+                        let n_words = n.div_ceil(64);
+                        let live = sel_in.map(|sel| &sel[base / 64..base / 64 + n_words]);
+                        if live.is_some_and(|ws| ws.iter().all(|&w| w == 0)) {
+                            // Nothing upstream survived in this batch.
+                            words.resize(words.len() + n_words, 0);
                             base += n;
+                            continue;
                         }
+                        bm.run(k, &cols, base, n);
+                        let mask = bm.selection_mask(k);
+                        for (w, &word) in mask.iter().enumerate().take(n_words) {
+                            let lo = w * 64;
+                            let mut m = word;
+                            if n - lo < 64 {
+                                m &= (1u64 << (n - lo)) - 1; // tail lanes are unspecified
+                            }
+                            if let Some(ws) = live {
+                                m &= ws[w];
+                            }
+                            count += m.count_ones() as usize;
+                            words.push(m);
+                        }
+                        base += n;
                     }
-                    s.put_machine(&k, bm);
-                    (words, count)
-                })
-            });
-        // Phase 2 — global sync + gather: survivors copy straight from the
-        // input into disjoint windows of the output, one worker per CTA, so
-        // the result is materialized exactly once.
-        let counts: Vec<usize> = parts.iter().map(|p| p.1).collect();
-        let total: usize = counts.iter().sum();
-        out.reset_like(input);
-        resize_zeroed_vec(&mut out.key, total);
-        for c in &mut out.cols {
-            c.resize_zeroed(total);
-        }
-        let ranges = cta_ranges(input.len(), DEFAULT_CTA_CHUNK);
-        let key_wins = slice_windows(&mut out.key, &counts);
-        let col_wins = col_windows(&mut out.cols, &counts);
-        std::thread::scope(|scope| {
-            for (((range, (words, _)), kw), cw) in
-                ranges.into_iter().zip(&parts).zip(key_wins).zip(col_wins)
-            {
-                scope.spawn(move || scatter_window(input, range.start, words, kw, cw));
-            }
+                }
+                s.put_machine(k, bm);
+                (words, count)
+            })
         });
-        kfusion_trace::counter("kfusion_rows_out_total{op=\"select\"}", total as u64);
-        return Ok(());
+    let mut sel = Vec::with_capacity(input.base_len().div_ceil(64));
+    let mut rows = 0;
+    for (words, count) in parts {
+        sel.extend_from_slice(&words);
+        rows += count;
     }
-    // Scalar fallback: per-tuple interpretation.
+    (sel, rows)
+}
+
+/// Per-tuple interpretation of `predicate` — the path for the scalar engine
+/// and for bodies the batch engine declines, with the interpreter's error
+/// behaviour.
+fn select_scalar(input: &Relation, predicate: &KernelBody) -> Result<Relation, RelError> {
     let parts: Vec<Result<Relation, RelError>> =
         par_range_map(input.len(), DEFAULT_CTA_CHUNK, |_cta, range| {
             let mut m = Machine::for_body(predicate);
@@ -219,10 +130,49 @@ pub fn select_into(
             }
             Ok(buf)
         });
+    let mut out = input.empty_like();
     for p in parts {
         out.extend_from(&p?);
     }
+    Ok(out)
+}
+
+/// SELECT without the gather: the tuples of `input` satisfying `predicate`,
+/// as a view over the same base rows with a narrowed selection. Nothing is
+/// copied on the batch engine; the scalar fallback materializes `input`,
+/// filters it tuple by tuple and returns a view of that result.
+///
+/// The predicate is an IR body with the library calling convention: input
+/// slot 0 is the key (as `i64`), slot `1+c` is payload column `c`; output 0
+/// must be a boolean.
+pub fn select_view<'a>(input: &View<'a>, predicate: &KernelBody) -> Result<View<'a>, RelError> {
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"select\"}", input.len() as u64);
+    let out = match compile_predicate(input, predicate) {
+        Some(k) => {
+            let (sel, rows) = filter(input, &k);
+            input.with_selection(sel, rows)
+        }
+        None => select_scalar(&input.to_relation(), predicate)?.into(),
+    };
     kfusion_trace::counter("kfusion_rows_out_total{op=\"select\"}", out.len() as u64);
+    Ok(out)
+}
+
+/// Filter `input` to the tuples satisfying `predicate`: [`select_view`],
+/// then the gather.
+pub fn select(input: &Relation, predicate: &KernelBody) -> Result<Relation, RelError> {
+    Ok(materialize(select_view(&View::of(input), predicate)?))
+}
+
+/// [`select`] writing into a caller-owned relation: `out` is overwritten
+/// with the surviving tuples, so a caller that filters repeatedly can reuse
+/// one output allocation across calls (the `_into` contract, DESIGN.md §14).
+pub fn select_into(
+    input: &Relation,
+    predicate: &KernelBody,
+    out: &mut Relation,
+) -> Result<(), RelError> {
+    materialize_into(&select_view(&View::of(input), predicate)?, out);
     Ok(())
 }
 
@@ -234,13 +184,16 @@ pub fn select_chain_unfused(
     input: &Relation,
     predicates: &[KernelBody],
 ) -> Result<(Relation, Vec<usize>), RelError> {
-    // Ping-pong two buffers through the chain: each pass filters `cur`
-    // into `next`, then the buffers swap — after the first pass no pass
-    // allocates beyond capacity growth.
-    let mut cur = input.clone();
-    let mut next = input.empty_like();
-    let mut cards = Vec::with_capacity(predicates.len());
-    for p in predicates {
+    let Some((first, rest)) = predicates.split_first() else {
+        return Ok((input.clone(), Vec::new()));
+    };
+    // The first pass reads `input` itself; from then on two buffers
+    // ping-pong through the chain — each pass filters `cur` into `next`,
+    // then they swap — so no pass allocates beyond capacity growth.
+    let mut cur = select(input, first)?;
+    let mut next = Relation::default();
+    let mut cards = vec![cur.len()];
+    for p in rest {
         select_into(&cur, p, &mut next)?;
         std::mem::swap(&mut cur, &mut next);
         cards.push(cur.len());
@@ -251,32 +204,7 @@ pub fn select_chain_unfused(
 /// Count (without materializing) how many tuples satisfy `predicate` — used
 /// by harnesses that only need cardinalities.
 pub fn count_selected(input: &Relation, predicate: &KernelBody) -> Result<usize, RelError> {
-    if let Some(k) = compile_predicate(input, predicate) {
-        let parts: Vec<usize> = par_range_map(input.len(), DEFAULT_CTA_CHUNK, |_cta, range| {
-            let mut n = 0usize;
-            for_each_selected(&k, input, range, |_| n += 1);
-            n
-        });
-        return Ok(parts.into_iter().sum());
-    }
-    let parts: Vec<Result<usize, RelError>> =
-        par_range_map(input.len(), DEFAULT_CTA_CHUNK, |_cta, range| {
-            let mut m = Machine::for_body(predicate);
-            let mut row: Vec<Value> = Vec::with_capacity(1 + input.n_cols());
-            let mut n = 0usize;
-            for i in range {
-                input.ir_inputs(i, &mut row);
-                if m.run_predicate(predicate, &row)? {
-                    n += 1;
-                }
-            }
-            Ok(n)
-        });
-    let mut total = 0;
-    for p in parts {
-        total += p?;
-    }
-    Ok(total)
+    Ok(select_view(&View::of(input), predicate)?.len())
 }
 
 #[cfg(test)]
@@ -358,6 +286,45 @@ mod tests {
         let r = Relation::from_keys((0..10_000).map(|k| k * 7 % 1000).collect());
         let p = predicates::key_lt(500);
         assert_eq!(count_selected(&r, &p).unwrap(), select(&r, &p).unwrap().len());
+    }
+
+    /// The fused shape: each SELECT narrows the previous one's selection
+    /// over the same base rows, and one gather at the end reproduces the
+    /// chain of materializing SELECTs — across CTA and batch boundaries,
+    /// and through a batch none of whose rows survived upstream.
+    #[test]
+    fn view_chain_gathers_what_the_materializing_chain_does() {
+        let n = 2 * DEFAULT_CTA_CHUNK as u64 + 4321;
+        let keys: Vec<u64> = (0..n).map(|k| k.wrapping_mul(2654435761) % 1000).collect();
+        let hole = |i: u64| (70_000..75_000).contains(&i);
+        let col: Vec<i64> = (0..n).map(|i| if hole(i) { -1 } else { (i % 97) as i64 }).collect();
+        let r = Relation::new(keys, vec![Column::I64(col)]).unwrap();
+        let preds = [
+            predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Ge, 0),
+            predicates::key_lt(600),
+            predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Lt, 50),
+        ];
+        let mut view = View::of(&r);
+        let mut stored = r.clone();
+        for p in &preds {
+            view = select_view(&view, p).unwrap();
+            stored = select(&stored, p).unwrap();
+            assert_eq!(view.len(), stored.len());
+        }
+        assert!(!stored.is_empty());
+        assert_eq!(materialize(view), stored);
+    }
+
+    #[test]
+    fn scalar_fallback_over_a_view_filters_its_selected_rows() {
+        let r = Relation::new((0..100).collect(), vec![Column::I64((0..100).collect())]).unwrap();
+        let narrowed = select_view(&View::of(&r), &predicates::key_lt(40)).unwrap();
+        // An f64 comparison on an i64 column: batch compilation declines,
+        // and the interpreter reports the type error — unless no row is left.
+        let declined = predicates::col_cmp_f64(0, kfusion_ir::CmpOp::Lt, 0.5);
+        assert!(matches!(select_view(&narrowed, &declined), Err(RelError::Eval(_))));
+        let none = select_view(&narrowed, &predicates::key_lt(0)).unwrap();
+        assert!(select_view(&none, &declined).unwrap().is_empty());
     }
 
     #[test]

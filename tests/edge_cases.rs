@@ -2,7 +2,7 @@
 //! all-or-nothing selectivities, runtime errors surfacing cleanly, and
 //! degenerate configurations.
 
-use kfusion::core::exec::{execute, ExecConfig, Strategy};
+use kfusion::core::exec::{execute, execute_prepared, prepare_fusion, ExecConfig, Strategy};
 use kfusion::core::microbench::{run_with_cards, DataMode, SelectChain};
 use kfusion::core::{CoreError, OpKind, PlanGraph};
 use kfusion::relalg::ops::{Agg, SortBy};
@@ -166,4 +166,52 @@ fn deep_chain_with_tiny_register_budget_still_correct() {
     assert_eq!(fused.output, serial.output);
     // Under a 1-register budget nothing multi-member can form.
     assert_eq!(fused.fusion.fused_group_count(), 0);
+}
+
+/// A prepared fusion plan steers how the functional phase computes the
+/// answer (which intermediates stay views), so one prepared for another
+/// graph — what a plan-cache key collision would hand the executor — must
+/// cost time at most: the right answer or a `CoreError`, never a wrong
+/// answer or a panic.
+#[test]
+fn foreign_prepared_plan_never_changes_the_answer() {
+    let s = sys();
+    let chain = |depth: u64| {
+        let mut g = PlanGraph::new();
+        let mut cur = g.input(0);
+        for k in 0..depth {
+            cur = g.add(OpKind::Select { pred: predicates::key_lt(900 - 100 * k) }, vec![cur]);
+        }
+        g
+    };
+    let mut wide = PlanGraph::new();
+    let (a, b) = (wide.input(0), wide.input(0));
+    let j = wide.add(OpKind::ColumnJoin, vec![a, b]);
+    wide.add(OpKind::AggregateAll { aggs: vec![Agg::Count] }, vec![j]);
+    let input = Relation::from_keys((0..1000).collect());
+    let target = chain(3);
+    for strat in [Strategy::Serial, Strategy::Fusion, Strategy::FusionFission { segments: 4 }] {
+        let cfg = ExecConfig::new(strat, &s);
+        let want = execute(&s, &target, std::slice::from_ref(&input), &cfg).unwrap();
+        let own = prepare_fusion(&target, &cfg).unwrap();
+        // As many nodes as `target` but inputs where it has operators; fewer
+        // nodes; more nodes; a group naming a node `target` lacks; and a
+        // partition of `target` this strategy would not have chosen.
+        let mut foreign: Vec<_> =
+            [&wide, &chain(1), &chain(5)].map(|g| prepare_fusion(g, &cfg).unwrap()).into();
+        foreign.push(own.clone());
+        foreign[3].groups.push(vec![target.len() + 7]);
+        foreign.push(own.clone());
+        foreign[4].groups = vec![vec![1, 2, 3]];
+        foreign[4].group_of = vec![None, Some(0), Some(0), Some(0)];
+        for plan in &foreign {
+            match execute_prepared(&s, &target, std::slice::from_ref(&input), &cfg, plan) {
+                Ok(got) => {
+                    assert_eq!(got.output, want.output, "{strat:?} {plan:?}");
+                    assert_eq!(got.cards, want.cards, "{strat:?} {plan:?}");
+                }
+                Err(e) => assert!(!e.to_string().is_empty()),
+            }
+        }
+    }
 }

@@ -23,21 +23,26 @@ fn warm_q1_steady_state_allocates_nothing() {
     let db = generate(TpchConfig::scale(0.02));
     let sys = GpuSystem::c2070();
     engine::set_batch_enabled(true);
-    // Warm run: grows every reusable buffer and scratch bank to capacity.
-    q1::run_q1(&sys, &db, Strategy::Serial).unwrap();
+    // `Serial` materializes every node; `FusionFission` is what the service
+    // runs, where the fused groups exchange views (DESIGN.md §17) — the
+    // gate holds on both sides of that choice.
+    for strategy in [Strategy::Serial, Strategy::FusionFission { segments: 8 }] {
+        // Warm run: grows every reusable buffer and scratch bank to capacity.
+        q1::run_q1(&sys, &db, strategy).unwrap();
 
-    allocwatch::reset();
-    allocwatch::set_enabled(true);
-    q1::run_q1(&sys, &db, Strategy::Serial).unwrap();
-    allocwatch::set_enabled(false);
+        allocwatch::reset();
+        allocwatch::set_enabled(true);
+        q1::run_q1(&sys, &db, strategy).unwrap();
+        allocwatch::set_enabled(false);
 
-    let (region_allocs, region_bytes) = allocwatch::region_counts();
-    let (total_allocs, _) = allocwatch::total_counts();
-    assert!(total_allocs > 0, "counting allocator saw no allocations at all");
-    assert_eq!(
-        (region_allocs, region_bytes),
-        (0, 0),
-        "steady-state regions must not allocate: {region_allocs} allocations \
-         ({region_bytes} bytes) observed inside per-batch loops"
-    );
+        let (region_allocs, region_bytes) = allocwatch::region_counts();
+        let (total_allocs, _) = allocwatch::total_counts();
+        assert!(total_allocs > 0, "counting allocator saw no allocations at all");
+        assert_eq!(
+            (region_allocs, region_bytes),
+            (0, 0),
+            "{strategy:?}: steady-state regions must not allocate: {region_allocs} allocations \
+             ({region_bytes} bytes) observed inside per-batch loops"
+        );
+    }
 }
