@@ -3,7 +3,7 @@
 //!
 //! Unlike the fig/table benches, which report *simulated* GPU time, this
 //! harness measures real host wall-clock — the first perf-trajectory
-//! artifact for the functional layer. Six cases:
+//! artifact for the functional layer. Seven cases:
 //!
 //! 1. `fused_q1_predicate` — rows/sec evaluating the O3-optimized Q1
 //!    date-range predicate (the body inside the fused JOIN+SELECT block)
@@ -27,30 +27,40 @@
 //!    materializes) against `Strategy::Fusion` (the `batch` column: fused
 //!    groups exchange views, DESIGN.md §17), batch engine on both sides,
 //!    plus the exact bytes each wrote through the gather primitive.
+//! 6. `tpch_q21_functional` — the Fig. 18(b) Q21 plan the same way
+//!    (`Serial` in the `scalar` column, `Fusion` in the `batch` column),
+//!    with the host milliseconds its SORT and its keyed AGGREGATE nodes take
+//!    under `Fusion`, read off the EXPLAIN ANALYZE tree: the two barriers
+//!    that do only the work their input requires (DESIGN.md §17). Lineitem
+//!    is clustered on orderkey, so the two SORTs in front of the merge joins
+//!    must pass their input through without copying a byte.
 //!
 //! Writes `BENCH_host_throughput.json` at the repo root (override with
 //! `--out`) plus the standard `BENCH_host_throughput.trace.json` /
 //! `.metrics.txt` artifacts, and exits nonzero on any perf-smoke gate:
 //! batch slower than scalar on the predicate or Q1 functional cases, the
 //! recorder overhead above its pin, a nonzero steady-state allocation
-//! count, or fused groups that materialize as much as the unfused plan or
-//! run slower than it.
+//! count, fused groups that materialize as much as the unfused plan or
+//! run slower than it, or an ordered SORT that copies rows.
 //!
 //! ```sh
 //! cargo bench --bench throughput_host -- [--rows N] [--scale SF] [--out PATH]
 //! ```
 
 use kfusion_bench::time_best;
-use kfusion_core::exec::{execute, ExecConfig, Strategy};
+use kfusion_core::exec::{execute, ExecConfig, ExecResult, Strategy};
+use kfusion_core::{OpKind, PlanGraph};
 use kfusion_ir::batch::{BatchMachine, CompiledKernel, BATCH_ROWS};
 use kfusion_ir::fuse::fuse_predicate_chain;
 use kfusion_ir::interp::Machine;
 use kfusion_ir::opt::{optimize, OptLevel};
 use kfusion_ir::{CmpOp, KernelBody, Value};
+use kfusion_relalg::ops::SortBy;
 use kfusion_relalg::{engine, predicates, Column, Relation};
 use kfusion_tpch::gen::{generate, TpchConfig, MAX_DAY, Q1_CUTOFF_DAY};
-use kfusion_tpch::{q1, q6, sql};
+use kfusion_tpch::{q1, q21, q6, sql};
 use kfusion_trace::allocwatch;
+use kfusion_trace::explain::ExplainNode;
 use kfusion_vgpu::GpuSystem;
 
 /// Every allocation in this process ticks [`allocwatch`]'s counters while
@@ -157,6 +167,43 @@ fn functional_case(
         batch: t_batch * 1e3,
         speedup: t_scalar / t_batch,
     }
+}
+
+/// Host milliseconds of the plan nodes whose label starts with `kind`,
+/// each node once however many parents the tree shows it under.
+fn host_ms(tree: &ExplainNode, kind: &str) -> f64 {
+    fn collect<'t>(node: &'t ExplainNode, kind: &str, seen: &mut Vec<&'t str>) -> f64 {
+        let children: f64 = node.children.iter().map(|c| collect(c, kind, seen)).sum();
+        if !node.label.starts_with(kind) || seen.contains(&node.label.as_str()) {
+            return children;
+        }
+        seen.push(&node.label);
+        children + node.host_seconds * 1e3
+    }
+    collect(tree, kind, &mut Vec::new())
+}
+
+/// The most bytes a Q21 execution may write if the SORTs over input that
+/// is clustered on the key already — by key, not behind a REKEY — copy
+/// nothing: every other node's whole output, except what never goes through
+/// a gather (AGGREGATE and REKEY build their rows, a PROJECT only an
+/// AGGREGATE reads is folded where it is).
+fn q21_write_budget(plan: &PlanGraph, run: &ExecResult) -> u64 {
+    let kind = |id: usize| &plan.nodes[id].kind;
+    let feeds_only_aggregates = |id: usize| {
+        (0..plan.len())
+            .filter(|&c| plan.nodes[c].inputs.contains(&id))
+            .all(|c| matches!(kind(c), OpKind::Aggregate { .. }))
+    };
+    let writes = |id: usize| match kind(id) {
+        OpKind::Input { .. } | OpKind::Aggregate { .. } | OpKind::Rekey { .. } => false,
+        OpKind::Sort { by: SortBy::Key } => {
+            matches!(kind(plan.nodes[id].inputs[0]), OpKind::Rekey { .. })
+        }
+        OpKind::Project { .. } => !feeds_only_aggregates(id),
+        _ => true,
+    };
+    (0..plan.len()).filter(|&id| writes(id)).map(|id| run.cards.bytes(id)).sum()
 }
 
 fn main() {
@@ -297,6 +344,42 @@ fn main() {
         speedup: serial_secs / fused_secs,
     });
 
+    // Case 7: Q21, whose heaviest host nodes were its barriers. Same
+    // protocol as case 6; the tree is the last fused run's.
+    let q21_plan = q21::q21_plan(20);
+    let q21_inputs = q21::q21_inputs(&db);
+    let q21_case = |strategy: Strategy| {
+        let cfg = ExecConfig::new(strategy, &sys);
+        let counters = || {
+            let t = kfusion_trace::snapshot();
+            (
+                t.counter("kfusion_host_materialized_bytes_total"),
+                t.counter("kfusion_sort_ordered_total"),
+            )
+        };
+        let before = counters();
+        let run = execute(&sys, &q21_plan, &q21_inputs, &cfg).unwrap();
+        let after = counters();
+        let secs = time_best(OVERHEAD_REPS, || execute(&sys, &q21_plan, &q21_inputs, &cfg)).1;
+        (run, after.0 - before.0, after.1 - before.1, secs)
+    };
+    let (_, _, _, q21_serial_secs) = q21_case(Strategy::Serial);
+    let (q21_run, q21_bytes, q21_ordered, q21_fused_secs) = q21_case(Strategy::Fusion);
+    let q21_budget = q21_write_budget(&q21_plan, &q21_run);
+    let (q21_sort_ms, q21_aggregate_ms) =
+        (host_ms(&q21_run.explain, "sort#"), host_ms(&q21_run.explain, "aggregate#"));
+    println!(
+        "Q21 fused: sort {q21_sort_ms:.2} ms ({q21_ordered} of 4 passed through), aggregate \
+         {q21_aggregate_ms:.2} ms host; {q21_bytes} B materialized (budget {q21_budget} B)\n"
+    );
+    cases.push(Case {
+        name: "tpch_q21_functional",
+        unit: "wall_ms",
+        scalar: q21_serial_secs * 1e3,
+        batch: q21_fused_secs * 1e3,
+        speedup: q21_serial_secs / q21_fused_secs,
+    });
+
     for c in &cases {
         println!(
             "{:24} scalar {:>14.1} {u}   batch {:>14.1} {u}   speedup {:.2}x",
@@ -318,7 +401,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"throughput_host\",\n  \"predicate_rows\": {rows},\n  \"tpch_scale\": {scale},\n  \"materialized_bytes\": {{\"serial\": {serial_bytes}, \"fusion\": {fused_bytes}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"throughput_host\",\n  \"predicate_rows\": {rows},\n  \"tpch_scale\": {scale},\n  \"materialized_bytes\": {{\"serial\": {serial_bytes}, \"fusion\": {fused_bytes}}},\n  \"q21_fusion\": {{\"sort_host_ms\": {q21_sort_ms:.3}, \"aggregate_host_ms\": {q21_aggregate_ms:.3}, \"sorts_ordered\": {q21_ordered}, \"materialized_bytes\": {q21_bytes}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write JSON artifact");
@@ -370,6 +453,16 @@ fn main() {
              in {:.1} ms; fusion must write fewer bytes and not run slower",
             fused_secs * 1e3,
             serial_secs * 1e3
+        );
+        std::process::exit(1);
+    }
+    // CI gate: a SORT whose input is in order already hands it through.
+    // Q21 has two over lineitem's clustered orderkey; had either copied its
+    // input, the run would have written more than every other node's output.
+    if q21_ordered < 2 || q21_bytes > q21_budget {
+        eprintln!(
+            "FAIL: Q21 passed {q21_ordered} SORTs through (2 are over clustered input) and \
+             materialized {q21_bytes} B, {q21_budget} B without them; an ordered SORT copied rows"
         );
         std::process::exit(1);
     }

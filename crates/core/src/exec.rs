@@ -422,8 +422,10 @@ struct Slots<'a> {
 impl<'a> Slots<'a> {
     fn put(&mut self, id: NodeId, val: NodeVal<'a>) {
         if let NodeVal::Owned(r) = &val {
-            self.live_bytes += r.total_bytes();
-            self.peak_bytes = self.peak_bytes.max(self.live_bytes);
+            if !self.holds(r) {
+                self.live_bytes += r.total_bytes();
+                self.peak_bytes = self.peak_bytes.max(self.live_bytes);
+            }
         }
         self.vals[id] = Some(val);
     }
@@ -431,9 +433,17 @@ impl<'a> Slots<'a> {
     fn take(&mut self, id: NodeId) -> Option<NodeVal<'a>> {
         let val = self.vals[id].take();
         if let Some(NodeVal::Owned(r)) = &val {
-            self.live_bytes -= r.total_bytes();
+            if !self.holds(r) {
+                self.live_bytes -= r.total_bytes();
+            }
         }
         val
+    }
+
+    /// Whether some slot stores this very relation. An ordered SORT's slot
+    /// shares its input's storage, and those bytes are live once.
+    fn holds(&self, rel: &Arc<Relation>) -> bool {
+        self.vals.iter().flatten().any(|v| matches!(v, NodeVal::Owned(r) if Arc::ptr_eq(r, rel)))
     }
 
     /// Give node `id`'s value real storage if it is still a view — the one
@@ -448,10 +458,19 @@ impl<'a> Slots<'a> {
     }
 }
 
-/// Whether an operator works on views: it reads its inputs through
-/// [`NodeVal::view`] and never needs them materialized.
-fn reads_views(kind: &OpKind) -> bool {
+/// Whether an operator's result can be described by reference — its input's
+/// columns under a narrower selection or in another arrangement.
+fn yields_view(kind: &OpKind) -> bool {
     matches!(kind, OpKind::Select { .. } | OpKind::ColumnJoin | OpKind::Project { .. })
+}
+
+/// Whether an operator works on views: it reads its inputs through
+/// [`NodeVal::view`] and never needs them materialized. Keyed AGGREGATE
+/// does — it folds the key and the columns its aggregates name where they
+/// are, once a view that carries a selection has been forced — though what
+/// it produces is new rows.
+fn reads_views(kind: &OpKind) -> bool {
+    yields_view(kind) || matches!(kind, OpKind::Aggregate { .. })
 }
 
 /// The nodes whose output stays a view: SELECT, COLUMN-JOIN and PROJECT
@@ -473,7 +492,7 @@ fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<b
         outside[r] = true;
     }
     (0..graph.len())
-        .map(|id| reads_views(&graph.nodes[id].kind) && inside[id] && !outside[id])
+        .map(|id| yields_view(&graph.nodes[id].kind) && inside[id] && !outside[id])
         .collect()
 }
 
@@ -514,8 +533,13 @@ fn functional_phase<'a>(
         let mut stolen = Vec::with_capacity(wave.len());
         for &id in &wave {
             let began = std::time::Instant::now();
-            if !reads_views(&graph.nodes[id].kind) {
-                for &p in &graph.nodes[id].inputs {
+            let kind = &graph.nodes[id].kind;
+            for &p in &graph.nodes[id].inputs {
+                // A keyed AGGREGATE folds runs of base rows, so a filtered
+                // view is gathered for it too — here, into the slot, where a
+                // later reader finds the same rows rather than gathers again.
+                let filtered = matches!(&slots.vals[p], Some(NodeVal::View(v)) if !v.is_dense());
+                if !reads_views(kind) || (filtered && matches!(kind, OpKind::Aggregate { .. })) {
                     slots.force(p);
                 }
             }
@@ -694,9 +718,15 @@ fn eval_node<'a>(
         OpKind::Union => ops::union(get(0), get(1))?,
         OpKind::Intersect => ops::intersection(get(0), get(1))?,
         OpKind::Difference => ops::difference(get(0), get(1))?,
-        OpKind::Aggregate { aggs } => ops::aggregate_by_key(get(0), aggs)?,
+        OpKind::Aggregate { aggs } => ops::aggregate_by_key_view(&val(0).view(), aggs)?,
         OpKind::AggregateAll { aggs } => ops::aggregate_all(get(0), aggs)?,
-        OpKind::Sort { by } => ops::sort(get(0), *by)?,
+        // An intermediate that is already in order is shared once more — the
+        // same storage under two slots until the input's is released; a plan
+        // input is borrowed, so it is copied.
+        OpKind::Sort { by } => match val(0) {
+            NodeVal::Owned(shared) => return Ok(NodeVal::Owned(ops::sort_shared(shared, *by)?)),
+            input => ops::sort(input.as_rel(), *by)?,
+        },
         OpKind::Unique => ops::unique(get(0))?,
     }))
 }
@@ -958,18 +988,45 @@ fn group_kernels(
 
     // Instruction count: fused SELECT predicates enjoy the Table III
     // cross-kernel optimization; other members contribute their step costs.
-    let select_preds: Vec<_> = members
+    // Predicates name input slots by position, so only SELECTs that number
+    // their slots alike can be spliced into one body. SELECT keeps its
+    // input's schema and COLUMN-JOIN appends its right side's columns to its
+    // left side's, so a SELECT's numbering is given by the node its input
+    // leads back to through those two and the right sides appended on the
+    // way; two numberings agree when one is a prefix of the other. Past a
+    // PROJECT slot `k` is another column, perhaps of another type, and each
+    // predicate is charged alone.
+    let numbering = |mut id: NodeId| {
+        let mut appended = Vec::new();
+        loop {
+            let node = &graph.nodes[id];
+            match node.kind {
+                OpKind::Select { .. } => {}
+                OpKind::ColumnJoin => appended.push(node.inputs[1]),
+                _ => break,
+            }
+            id = node.inputs[0];
+        }
+        appended.reverse();
+        (id, appended)
+    };
+    let selects: Vec<_> = members
         .iter()
         .filter_map(|&m| match &graph.nodes[m].kind {
-            OpKind::Select { pred } => Some(pred.clone()),
+            OpKind::Select { pred } => Some((numbering(m), pred)),
             _ => None,
         })
         .collect();
+    let one_schema =
+        selects.iter().map(|(n, _)| n).max_by_key(|n| n.1.len()).is_some_and(|widest| {
+            selects.iter().all(|(n, _)| n.0 == widest.0 && widest.1.starts_with(&n.1))
+        });
     let mut instr = FILTER_STAGE_INSTR;
-    if select_preds.len() >= 2 {
-        instr += profiles::body_instr(&fuse_predicate_chain(&select_preds), level);
+    if selects.len() >= 2 && one_schema {
+        let preds: Vec<_> = selects.iter().map(|&(_, pred)| pred.clone()).collect();
+        instr += profiles::body_instr(&fuse_predicate_chain(&preds), level);
     } else {
-        instr += select_preds.iter().map(|p| profiles::body_instr(p, level) + 2.0).sum::<f64>();
+        instr += selects.iter().map(|(_, p)| profiles::body_instr(p, level) + 2.0).sum::<f64>();
     }
     instr += members
         .iter()
@@ -1344,7 +1401,9 @@ fn fission_schedule(
 mod tests {
     use super::*;
     use crate::patterns;
+    use kfusion_ir::KernelBody;
     use kfusion_relalg::gen;
+    use kfusion_relalg::ops::SortBy;
     use kfusion_relalg::predicates;
     use kfusion_vgpu::Engine;
 
@@ -1595,6 +1654,101 @@ mod tests {
             assert_eq!(prepared.report.total(), plain.report.total());
             assert_eq!(prepared.fusion.groups, plain.fusion.groups);
         }
+    }
+
+    /// A SORT that finds its input in order puts the same storage under a
+    /// second slot; those bytes are live once, however many slots hold them.
+    #[test]
+    fn an_ordered_sort_shares_storage_that_is_live_once() {
+        let select_then_sort = |by: SortBy| {
+            let mut g = PlanGraph::new();
+            let i = g.input(0);
+            let kept = g.add(OpKind::Select { pred: predicates::key_lt(1 << 40) }, vec![i]);
+            let sorted = g.add(OpKind::Sort { by }, vec![kept]);
+            (g, kept, sorted)
+        };
+        let input = gen::sorted_table(10_000, 2, 1);
+        let (g, kept, sorted) = select_then_sort(SortBy::Key);
+        let plan = singleton_plan(&g);
+        for roots in [vec![sorted], vec![kept, sorted]] {
+            let m = functional_phase(&g, std::slice::from_ref(&input), &roots, &plan).unwrap();
+            assert_eq!(m.slots.peak_bytes, input.total_bytes(), "{roots:?}");
+            assert_eq!(m.slots.live_bytes, input.total_bytes(), "{roots:?}");
+            assert_eq!(m.slots.vals[sorted].as_ref().unwrap().as_rel(), &input);
+            assert_eq!(m.slots.vals[kept].is_some(), roots.contains(&kept));
+        }
+        // Out of order, the SORT's rows are its own and both relations live.
+        let (g, _, desc) = select_then_sort(SortBy::KeyDesc);
+        let plan = singleton_plan(&g);
+        let m = functional_phase(&g, std::slice::from_ref(&input), &[desc], &plan).unwrap();
+        assert_eq!(m.slots.peak_bytes, 2 * input.total_bytes());
+        assert_eq!(m.slots.live_bytes, input.total_bytes());
+    }
+
+    /// The compute kernel of the one fused group `g` forms under FUSION.
+    fn fused_compute_instr(g: &PlanGraph) -> f64 {
+        let s = sys();
+        let cards = Cardinalities { rows: vec![1 << 20; g.len()], row_bytes: vec![16.0; g.len()] };
+        let sched = schedule_given(&s, g, &cards, &ExecConfig::new(Strategy::Fusion, &s)).unwrap();
+        let mut fused = sched.streams.iter().flatten().filter_map(|cmd| match &cmd.kind {
+            kfusion_vgpu::des::CommandKind::Kernel { profile, .. }
+                if cmd.label.starts_with("fused_compute") =>
+            {
+                Some(profile.instr_per_elem)
+            }
+            _ => None,
+        });
+        let instr = fused.next().expect("a fused group");
+        assert!(fused.next().is_none(), "one fused group");
+        instr
+    }
+
+    /// The sim clock's charge for fused SELECTs, both ways: one spliced body
+    /// (the Table III credit) when they number their slots alike — directly
+    /// chained, or with a COLUMN-JOIN widening the tuple between them — and
+    /// each predicate on its own when a PROJECT renumbers between them or
+    /// two COLUMN-JOINs put different columns into the same slots.
+    #[test]
+    fn only_selects_over_one_schema_are_charged_as_one_body() {
+        let level = ExecConfig::new(Strategy::Fusion, &sys()).level;
+        let (a, b) = (predicates::key_lt(1 << 40), predicates::key_lt(1 << 30));
+        let alone = |p: &KernelBody| profiles::body_instr(p, level) + 2.0;
+        let select = |p: &KernelBody| OpKind::Select { pred: p.clone() };
+        let spliced = profiles::body_instr(&fuse_predicate_chain(&[a.clone(), b.clone()]), level);
+        assert!(spliced < alone(&a) + alone(&b));
+
+        let mut chain = PlanGraph::new();
+        let i = chain.input(0);
+        let first = chain.add(select(&a), vec![i]);
+        chain.add(select(&b), vec![first]);
+        assert_eq!(fused_compute_instr(&chain), FILTER_STAGE_INSTR + spliced);
+
+        for between in [OpKind::ColumnJoin, OpKind::Project { keep: vec![0] }] {
+            let mut g = PlanGraph::new();
+            let (i, other) = (g.input(0), g.input(1));
+            let first = g.add(select(&a), vec![i]);
+            let widens = matches!(between, OpKind::ColumnJoin);
+            let inputs = if widens { vec![first, other] } else { vec![first] };
+            let step = member_instr(&between, level);
+            let mid = g.add(between, inputs);
+            g.add(select(&b), vec![mid]);
+            let selects = if widens { spliced } else { alone(&a) + alone(&b) };
+            assert_eq!(fused_compute_instr(&g), FILTER_STAGE_INSTR + selects + step);
+        }
+
+        // One SELECT's output widened two ways: slot 2 is `x`'s column for
+        // one consumer and `y`'s for the other.
+        let mut g = PlanGraph::new();
+        let (i, x, y) = (g.input(0), g.input(1), g.input(2));
+        let first = g.add(select(&a), vec![i]);
+        let with_x = g.add(OpKind::ColumnJoin, vec![first, x]);
+        let with_y = g.add(OpKind::ColumnJoin, vec![first, y]);
+        let over_x = g.add(select(&b), vec![with_x]);
+        let over_y = g.add(select(&b), vec![with_y]);
+        g.add(OpKind::ColumnJoin, vec![over_x, over_y]);
+        let steps = 3.0 * member_instr(&OpKind::ColumnJoin, level);
+        let selects = alone(&a) + 2.0 * alone(&b);
+        assert_eq!(fused_compute_instr(&g), FILTER_STAGE_INSTR + selects + steps);
     }
 
     #[test]

@@ -1,19 +1,36 @@
 //! AGGREGATION: group by key, reduce payload columns.
 //!
 //! TPC-H Q1's tail is exactly this — sums, averages, and counts per
-//! `(returnflag, linestatus)` group. Callers pack compound group attributes
-//! into the key with [`pack_key2`]. Input must be key-sorted (the paper's
-//! Q1 plan SORTs before aggregating, Fig. 17(a)), making the reduction a
-//! single linear segmented scan.
+//! `(returnflag, linestatus)` group — and Q21 decides its EXISTS / NOT
+//! EXISTS with grouped MIN/MAX over 300 k orders. Callers pack compound
+//! group attributes into the key with [`pack_key2`]. Input must be
+//! key-sorted (the paper's plans SORT before aggregating, Fig. 17), which
+//! makes the reduction a segmented fold: a group is a run of equal keys.
+//!
+//! The fold is columnar. The input is cut into morsels that end on run
+//! boundaries; per morsel the runs are found once ([`run_starts`]), then
+//! each aggregate makes one typed pass over its own column
+//! ([`fold_runs`]) and writes one value per run into that morsel's window
+//! of the output. No run crosses a morsel and every run is folded left to
+//! right from the aggregate's identity, so each float sum, wrapping integer
+//! sum and `min`/`max` is bit for bit what a row-at-a-time scan of the whole
+//! input produces, however many morsels or threads there are.
+//!
+//! The input is a [`View`]: only the key and the columns the aggregates
+//! name are read, where they already are — a PROJECT in front of an
+//! AGGREGATE inside one fused kernel copies nothing (DESIGN.md §17).
 
-use crate::data::{Column, RelError, Relation};
+use crate::data::{
+    col_windows, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
+};
+use crate::view::View;
 use kfusion_vgpu::exec::{par_cta_map, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
 
 /// One aggregate over a payload column (or over the rows themselves).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Agg {
-    /// Sum of column `c` (result type = column type).
+    /// Sum of column `c` (result type = column type; i64 sums wrap).
     Sum(usize),
     /// Count of rows in the group (i64).
     Count,
@@ -45,138 +62,45 @@ pub fn unpack_key2(k: u64) -> (u64, u64) {
     (k >> 16, k & 0xFFFF)
 }
 
-enum Acc {
-    I64(i64),
-    F64(f64),
-    Count(i64),
-    AvgF { sum: f64, n: u64 },
-    AvgI { sum: i64, n: u64 },
-}
-
-fn make_acc(rel: &Relation, agg: Agg) -> Result<Acc, RelError> {
-    let col_ty = |c: usize| -> Result<&Column, RelError> {
-        rel.cols.get(c).ok_or(RelError::NoSuchColumn { col: c, available: rel.n_cols() })
-    };
-    Ok(match agg {
-        Agg::Count => Acc::Count(0),
-        Agg::Sum(c) => match col_ty(c)? {
-            Column::I64(_) => Acc::I64(0),
-            Column::F64(_) => Acc::F64(0.0),
-        },
-        Agg::Min(c) => match col_ty(c)? {
-            Column::I64(_) => Acc::I64(i64::MAX),
-            Column::F64(_) => Acc::F64(f64::INFINITY),
-        },
-        Agg::Max(c) => match col_ty(c)? {
-            Column::I64(_) => Acc::I64(i64::MIN),
-            Column::F64(_) => Acc::F64(f64::NEG_INFINITY),
-        },
-        Agg::Avg(c) => match col_ty(c)? {
-            Column::I64(_) => Acc::AvgI { sum: 0, n: 0 },
-            Column::F64(_) => Acc::AvgF { sum: 0.0, n: 0 },
-        },
-    })
-}
-
-fn feed(acc: &mut Acc, agg: Agg, rel: &Relation, i: usize) {
-    match (acc, agg) {
-        (Acc::Count(n), Agg::Count) => *n += 1,
-        (Acc::I64(s), Agg::Sum(c)) => *s += rel.cols[c].as_i64().unwrap()[i],
-        (Acc::F64(s), Agg::Sum(c)) => *s += rel.cols[c].as_f64().unwrap()[i],
-        (Acc::I64(s), Agg::Min(c)) => *s = (*s).min(rel.cols[c].as_i64().unwrap()[i]),
-        (Acc::F64(s), Agg::Min(c)) => *s = (*s).min(rel.cols[c].as_f64().unwrap()[i]),
-        (Acc::I64(s), Agg::Max(c)) => *s = (*s).max(rel.cols[c].as_i64().unwrap()[i]),
-        (Acc::F64(s), Agg::Max(c)) => *s = (*s).max(rel.cols[c].as_f64().unwrap()[i]),
-        (Acc::AvgI { sum, n }, Agg::Avg(c)) => {
-            *sum += rel.cols[c].as_i64().unwrap()[i];
-            *n += 1;
-        }
-        (Acc::AvgF { sum, n }, Agg::Avg(c)) => {
-            *sum += rel.cols[c].as_f64().unwrap()[i];
-            *n += 1;
-        }
-        _ => unreachable!("accumulator/aggregate mismatch"),
-    }
-}
-
-fn out_column(aggs: &[Agg], rel: &Relation, k: usize) -> Column {
-    match aggs[k] {
+/// The (empty) output column of `agg` over `input`, whose columns
+/// [`validate_agg_cols`] has checked.
+fn out_column(agg: Agg, input: &View<'_>) -> Column {
+    match agg {
         Agg::Count => Column::I64(Vec::new()),
         Agg::Avg(_) => Column::F64(Vec::new()),
-        Agg::Sum(c) | Agg::Min(c) | Agg::Max(c) => match &rel.cols[c] {
-            Column::I64(_) => Column::I64(Vec::new()),
-            Column::F64(_) => Column::F64(Vec::new()),
-        },
+        Agg::Sum(c) | Agg::Min(c) | Agg::Max(c) => input.col(c).empty_like(),
     }
 }
 
-fn flush(acc: Acc, col: &mut Column) {
-    match (acc, col) {
-        (Acc::Count(n), Column::I64(v)) => v.push(n),
-        (Acc::I64(s), Column::I64(v)) => v.push(s),
-        (Acc::F64(s), Column::F64(v)) => v.push(s),
-        (Acc::AvgF { sum, n }, Column::F64(v)) => v.push(if n == 0 { 0.0 } else { sum / n as f64 }),
-        (Acc::AvgI { sum, n }, Column::F64(v)) => {
-            v.push(if n == 0 { 0.0 } else { sum as f64 / n as f64 })
-        }
-        _ => unreachable!("accumulator/column mismatch"),
+fn validate_agg_cols(input: &View<'_>, aggs: &[Agg]) -> Result<(), RelError> {
+    match aggs.iter().filter_map(Agg::col).find(|&c| c >= input.n_cols()) {
+        Some(col) => Err(RelError::NoSuchColumn { col, available: input.n_cols() }),
+        None => Ok(()),
     }
 }
 
-fn validate_agg_cols(input: &Relation, aggs: &[Agg]) -> Result<(), RelError> {
-    for a in aggs {
-        if let Some(c) = a.col() {
-            if c >= input.n_cols() {
-                return Err(RelError::NoSuchColumn { col: c, available: input.n_cols() });
-            }
-        }
+/// Give `out` the aggregate schema with `rows` zeroed rows per column,
+/// keeping its buffers where the column types already match.
+fn shape_output(input: &View<'_>, aggs: &[Agg], rows: usize, out: &mut Relation) {
+    let fresh: Vec<Column> = aggs.iter().map(|&a| out_column(a, input)).collect();
+    if out.cols.len() != fresh.len() || out.cols.iter().zip(&fresh).any(|(o, f)| !o.same_type(f)) {
+        out.cols = fresh;
     }
-    Ok(())
-}
-
-/// The serial segmented scan over one row range; `range` must start and end
-/// on group boundaries for the result to compose with neighbors.
-fn aggregate_range(input: &Relation, aggs: &[Agg], range: Range<usize>) -> Relation {
-    let mut out = Relation {
-        key: Vec::new(),
-        cols: (0..aggs.len()).map(|k| out_column(aggs, input, k)).collect(),
-    };
-    aggregate_range_into(input, aggs, range, &mut out);
-    out
-}
-
-/// [`aggregate_range`] as an appending partial (the `_into` contract,
-/// DESIGN.md §14): group rows are *appended* to `out`, whose columns must
-/// already match the aggregate schema. The fold is the same serial scan, so
-/// float sums are bit-identical no matter which buffer receives them.
-fn aggregate_range_into(input: &Relation, aggs: &[Agg], range: Range<usize>, out: &mut Relation) {
-    let mut i = range.start;
-    while i < range.end {
-        let k = input.key[i];
-        let mut accs: Vec<Acc> = aggs
-            .iter()
-            .map(|&a| make_acc(input, a))
-            .collect::<Result<_, _>>()
-            .expect("columns validated by caller");
-        while i < range.end && input.key[i] == k {
-            for (acc, &agg) in accs.iter_mut().zip(aggs) {
-                feed(acc, agg, input, i);
-            }
-            i += 1;
-        }
-        out.key.push(k);
-        for (acc, col) in accs.into_iter().zip(out.cols.iter_mut()) {
-            flush(acc, col);
-        }
+    resize_zeroed_vec(&mut out.key, rows);
+    for c in &mut out.cols {
+        c.resize_zeroed(rows);
     }
 }
 
 /// Split `0..keys.len()` into ~`chunk`-row morsels whose boundaries sit on
 /// key-run boundaries, so every group lands wholly inside one morsel and
 /// per-group accumulation order (hence float summation order) is exactly
-/// the serial scan's.
+/// the serial scan's. No rows, no morsels.
 fn group_aligned_ranges(keys: &[u64], chunk: usize) -> Vec<Range<usize>> {
     let n = keys.len();
+    if n == 0 {
+        return Vec::new();
+    }
     let mut bounds = vec![0usize];
     loop {
         let start = *bounds.last().unwrap();
@@ -196,6 +120,131 @@ fn group_aligned_ranges(keys: &[u64], chunk: usize) -> Vec<Range<usize>> {
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
+/// The runs of equal keys in the non-empty `range`: run `g` is rows
+/// `starts[g]..starts[g + 1]`. Counted first — in the scan that also checks
+/// the rows are in key order, the one before `range` included — so the list
+/// is allocated once at its final size, then filled without a branch per
+/// row: every row writes its index into the next open slot and only a key
+/// change moves on.
+fn run_starts(keys: &[u64], range: Range<usize>) -> Result<Vec<usize>, RelError> {
+    let morsel = &keys[range.clone()];
+    let (mut runs, mut inversions) = (1, 0);
+    for w in morsel.windows(2) {
+        runs += (w[0] != w[1]) as usize;
+        inversions += (w[0] > w[1]) as usize;
+    }
+    if inversions > 0 || range.start > 0 && keys[range.start - 1] > keys[range.start] {
+        return Err(RelError::NotSorted);
+    }
+    let mut starts = vec![range.start; runs + 1];
+    let mut open = 1;
+    for (i, w) in morsel.windows(2).enumerate() {
+        starts[open] = range.start + i + 1;
+        open += (w[0] != w[1]) as usize;
+    }
+    starts[runs] = range.end;
+    Ok(starts)
+}
+
+/// One aggregate's pass over one morsel — `keys` and `vals` are its rows,
+/// `dst` has a slot per run: fold every run left to right from `init` and
+/// leave `finish(fold)` in the run's slot. Runs are a few rows long as
+/// often as a few hundred thousand (Q21's orders, Q1's flags), so there is
+/// no loop per run to mispredict: every row restarts or extends the fold by
+/// a select and stores it, and a run's last row stores last. A morsel that
+/// is a single run — all AGGREGATE-ALL ever has, whatever its keys — is
+/// folded outright.
+fn fold_runs<T: Copy, A: Copy, U>(
+    keys: &[u64],
+    vals: &[T],
+    dst: &mut [U],
+    init: A,
+    step: impl Fn(A, T) -> A,
+    finish: impl Fn(A) -> U,
+) {
+    if let [only] = dst {
+        *only = finish(vals.iter().fold(init, |acc, &v| step(acc, v)));
+        return;
+    }
+    let (mut run, mut acc, mut prev) = (0, init, keys[0]);
+    for (&key, &v) in keys.iter().zip(vals) {
+        let fresh = key != prev;
+        run += fresh as usize;
+        acc = step(if fresh { init } else { acc }, v);
+        dst[run] = finish(acc);
+        prev = key;
+    }
+}
+
+/// Compute `agg` into `dst`, one slot per run of the morsel `starts`
+/// delimits. The identities and the operand order are the row-at-a-time
+/// fold's, which the tests keep as the oracle.
+fn fold_agg(agg: Agg, input: &View<'_>, starts: &[usize], dst: ColWindow<'_>) {
+    let rows = starts[0]..starts[starts.len() - 1];
+    let keys = &input.key()[rows.clone()];
+    let lens = || starts.windows(2).map(|run| run[1] - run[0]);
+    let fsum = |acc: f64, v: f64| acc + v;
+    match (agg, agg.col().map(|c| input.col(c)), dst) {
+        (Agg::Count, None, ColWindow::I64(d)) => {
+            for (slot, len) in d.iter_mut().zip(lens()) {
+                *slot = len as i64;
+            }
+        }
+        (Agg::Sum(_), Some(Column::I64(v)), ColWindow::I64(d)) => {
+            fold_runs(keys, &v[rows], d, 0, i64::wrapping_add, |sum| sum)
+        }
+        (Agg::Sum(_), Some(Column::F64(v)), ColWindow::F64(d)) => {
+            fold_runs(keys, &v[rows], d, 0.0, fsum, |sum| sum)
+        }
+        (Agg::Min(_), Some(Column::I64(v)), ColWindow::I64(d)) => {
+            fold_runs(keys, &v[rows], d, i64::MAX, i64::min, |min| min)
+        }
+        (Agg::Min(_), Some(Column::F64(v)), ColWindow::F64(d)) => {
+            fold_runs(keys, &v[rows], d, f64::INFINITY, f64::min, |min| min)
+        }
+        (Agg::Max(_), Some(Column::I64(v)), ColWindow::I64(d)) => {
+            fold_runs(keys, &v[rows], d, i64::MIN, i64::max, |max| max)
+        }
+        (Agg::Max(_), Some(Column::F64(v)), ColWindow::F64(d)) => {
+            fold_runs(keys, &v[rows], d, f64::NEG_INFINITY, f64::max, |max| max)
+        }
+        // The mean is the sum — an integer one converted last — over the
+        // run length.
+        (Agg::Avg(_), Some(col), ColWindow::F64(d)) => {
+            match col {
+                Column::I64(v) => {
+                    fold_runs(keys, &v[rows], d, 0, i64::wrapping_add, |sum| sum as f64)
+                }
+                Column::F64(v) => fold_runs(keys, &v[rows], d, 0.0, fsum, |sum| sum),
+            }
+            for (slot, len) in d.iter_mut().zip(lens()) {
+                *slot /= len as f64;
+            }
+        }
+        _ => unreachable!("output schema set from the aggregates"),
+    }
+}
+
+/// One morsel of the fold: its runs, and its windows of the output.
+struct Morsel<'o> {
+    starts: Vec<usize>,
+    key: &'o mut [u64],
+    cols: Vec<ColWindow<'o>>,
+}
+
+impl Morsel<'_> {
+    fn fold(self, input: &View<'_>, aggs: &[Agg]) {
+        let _steady = kfusion_trace::allocwatch::region();
+        let keys = input.key();
+        for (slot, &start) in self.key.iter_mut().zip(&self.starts) {
+            *slot = keys[start];
+        }
+        for (&agg, dst) in aggs.iter().zip(self.cols) {
+            fold_agg(agg, input, &self.starts, dst);
+        }
+    }
+}
+
 /// Group the (key-sorted) input by key and compute `aggs` per group. The
 /// result has one row per distinct key and one column per aggregate.
 ///
@@ -203,81 +252,91 @@ fn group_aligned_ranges(keys: &[u64], chunk: usize) -> Vec<Range<usize>> {
 /// no group spans a morsel boundary, the per-group fold order — and thus
 /// every float sum — is bit-identical to the serial scan.
 pub fn aggregate_by_key(input: &Relation, aggs: &[Agg]) -> Result<Relation, RelError> {
+    aggregate_by_key_view(&View::of(input), aggs)
+}
+
+/// [`aggregate_by_key`] over a view: the key and the columns `aggs` name
+/// are read in place, the view's other columns not at all. A view with a
+/// selection is made dense first, so that a group is a run of base rows.
+pub fn aggregate_by_key_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, RelError> {
     let mut out = Relation::default();
-    aggregate_by_key_into(input, aggs, &mut out)?;
+    fold_by_key(input, aggs, &mut out)?;
     Ok(out)
 }
 
 /// [`aggregate_by_key`] writing into a caller-owned relation (the `_into`
-/// contract, DESIGN.md §14): `out` is cleared and refilled, reusing its key
-/// and column buffers whenever they already match the aggregate schema.
+/// contract, DESIGN.md §14): `out` is overwritten, reusing its key and
+/// column buffers whenever they already match the aggregate schema.
 pub fn aggregate_by_key_into(
     input: &Relation,
     aggs: &[Agg],
     out: &mut Relation,
 ) -> Result<(), RelError> {
-    input.require_sorted()?;
+    fold_by_key(&View::of(input), aggs, out)
+}
+
+fn fold_by_key(input: &View<'_>, aggs: &[Agg], out: &mut Relation) -> Result<(), RelError> {
+    let input = &input.dense();
+    let keys = input.key();
+    let ranges = group_aligned_ranges(keys, DEFAULT_CTA_CHUNK);
+    // Runs first — their number is the output's size, and finding them is
+    // the scan that rejects unsorted keys — then the folds, each morsel
+    // into its own window of every output column.
+    let starts = par_cta_map(&ranges, 1, |_, r| run_starts(keys, r[0].clone()));
+    let starts = starts.into_iter().collect::<Result<Vec<_>, _>>()?;
     validate_agg_cols(input, aggs)?;
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
-    out.key.clear();
-    let matches = out.cols.len() == aggs.len()
-        && (0..aggs.len()).all(|k| {
-            matches!(
-                (&out.cols[k], out_column(aggs, input, k)),
-                (Column::I64(_), Column::I64(_)) | (Column::F64(_), Column::F64(_))
-            )
-        });
-    if matches {
-        for c in &mut out.cols {
-            c.clear();
-        }
-    } else {
-        out.cols = (0..aggs.len()).map(|k| out_column(aggs, input, k)).collect();
-    }
-    if input.len() <= DEFAULT_CTA_CHUNK {
-        aggregate_range_into(input, aggs, 0..input.len(), out);
-    } else {
-        let ranges = group_aligned_ranges(&input.key, DEFAULT_CTA_CHUNK);
-        let parts: Vec<Relation> =
-            par_cta_map(&ranges, 1, |_cta, r| aggregate_range(input, aggs, r[0].clone()));
-        for p in &parts {
-            out.extend_from(p);
-        }
-    }
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", keys.len() as u64);
+    let runs: Vec<usize> = starts.iter().map(|s| s.len() - 1).collect();
+    shape_output(input, aggs, runs.iter().sum(), out);
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
+    let morsels = starts
+        .into_iter()
+        .zip(slice_windows(&mut out.key, &runs))
+        .zip(col_windows(&mut out.cols, &runs))
+        .map(|((starts, key), cols)| Morsel { starts, key, cols });
+    // One worker per core, morsels dealt round-robin as `par_cta_map` does.
+    let workers = std::thread::available_parallelism().map_or(4, |p| p.get()).min(ranges.len());
+    if workers <= 1 {
+        morsels.for_each(|m| m.fold(input, aggs));
+        return Ok(());
+    }
+    let mut lanes: Vec<Vec<Morsel<'_>>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, m) in morsels.enumerate() {
+        lanes[i % workers].push(m);
+    }
+    std::thread::scope(|scope| {
+        for lane in lanes {
+            scope.spawn(move || lane.into_iter().for_each(|m| m.fold(input, aggs)));
+        }
+    });
     Ok(())
 }
 
 /// Aggregate the whole relation as a single group (no key), producing a
 /// one-row relation with key 0 — the paper's plain AGGREGATION after a
-/// SELECT (Fig. 2(g)). One linear pass; no re-keyed copy of the input.
+/// SELECT (Fig. 2(g)): the same fold over one run, no re-keyed copy of the
+/// input.
 pub fn aggregate_all(input: &Relation, aggs: &[Agg]) -> Result<Relation, RelError> {
-    validate_agg_cols(input, aggs)?;
+    let view = &View::of(input);
+    validate_agg_cols(view, aggs)?;
     kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
-    let mut out_cols: Vec<Column> = (0..aggs.len()).map(|k| out_column(aggs, input, k)).collect();
+    let mut out = Relation::default();
+    shape_output(view, aggs, usize::from(!input.is_empty()), &mut out);
     if input.is_empty() {
-        return Relation::new(Vec::new(), out_cols);
+        return Ok(out);
     }
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", 1);
-    let mut accs: Vec<Acc> = aggs
-        .iter()
-        .map(|&a| make_acc(input, a))
-        .collect::<Result<_, _>>()
-        .expect("columns validated above");
-    for i in 0..input.len() {
-        for (acc, &agg) in accs.iter_mut().zip(aggs) {
-            feed(acc, agg, input, i);
-        }
+    let cols = col_windows(&mut out.cols, &[1]).pop().expect("one window asked for");
+    for (&agg, dst) in aggs.iter().zip(cols) {
+        fold_agg(agg, view, &[0, input.len()], dst);
     }
-    for (acc, col) in accs.into_iter().zip(out_cols.iter_mut()) {
-        flush(acc, col);
-    }
-    Relation::new(vec![0], out_cols)
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kfusion_prng::Rng;
 
     fn sales() -> Relation {
         // key = group, col0 = i64 quantity, col1 = f64 price.
@@ -315,25 +374,28 @@ mod tests {
     #[test]
     fn aggregate_all_single_group() {
         let out = aggregate_all(&sales(), &[Agg::Sum(0), Agg::Count]).unwrap();
-        assert_eq!(out.len(), 1);
+        assert_eq!(out.key, vec![0]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[70]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[6]);
     }
 
     #[test]
     fn missing_column_is_reported() {
-        assert!(matches!(
-            aggregate_by_key(&sales(), &[Agg::Sum(9)]),
-            Err(RelError::NoSuchColumn { col: 9, .. })
-        ));
+        for aggs in [&[Agg::Sum(9)][..], &[Agg::Count, Agg::Max(9)]] {
+            let want = RelError::NoSuchColumn { col: 9, available: 2 };
+            assert_eq!(aggregate_by_key(&sales(), aggs), Err(want.clone()));
+            assert_eq!(aggregate_all(&sales(), aggs), Err(want));
+        }
     }
 
     #[test]
     fn empty_input_empty_output() {
-        let r = Relation::new(vec![], vec![Column::I64(vec![])]).unwrap();
-        let out = aggregate_by_key(&r, &[Agg::Sum(0)]).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(out.n_cols(), 1);
+        let r = Relation::new(vec![], vec![Column::I64(vec![]), Column::F64(vec![])]).unwrap();
+        let aggs = [Agg::Sum(0), Agg::Avg(0), Agg::Min(1), Agg::Count];
+        for out in [aggregate_by_key(&r, &aggs).unwrap(), aggregate_all(&r, &aggs).unwrap()] {
+            assert!(out.is_empty());
+            assert_same_bits(&out, &oracle(&r, &aggs, true), "empty");
+        }
     }
 
     #[test]
@@ -346,32 +408,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_morsels_match_serial_scan_bitwise() {
-        // Rows well past DEFAULT_CTA_CHUNK with long runs per key, so morsel
-        // boundaries must snap; compare against a forced single-range scan.
-        let n = 3 * DEFAULT_CTA_CHUNK + 17;
-        let keys: Vec<u64> = (0..n).map(|i| (i / 40_000) as u64).collect();
-        let vals: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let ints: Vec<i64> = (0..n).map(|i| i as i64 % 101 - 50).collect();
-        let r = Relation::new(keys, vec![Column::F64(vals), Column::I64(ints)]).unwrap();
-        let aggs = [Agg::Sum(0), Agg::Avg(0), Agg::Sum(1), Agg::Min(1), Agg::Count];
-        let serial = aggregate_range(&r, &aggs, 0..r.len());
-        let parallel = aggregate_by_key(&r, &aggs).unwrap();
-        assert_eq!(serial.key, parallel.key);
-        for (a, b) in serial.cols.iter().zip(&parallel.cols) {
-            match (a, b) {
-                (Column::I64(x), Column::I64(y)) => assert_eq!(x, y),
-                (Column::F64(x), Column::F64(y)) => {
-                    assert!(x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits()))
-                }
-                _ => panic!("column types diverged"),
-            }
-        }
-    }
-
-    #[test]
     fn group_aligned_ranges_land_on_run_boundaries() {
         let keys: Vec<u64> = (0..1000u64).map(|i| i / 90).collect();
+        assert!(group_aligned_ranges(&[], 100).is_empty());
+        assert_eq!(group_aligned_ranges(&keys[..100], 100), vec![0..100]);
         let ranges = group_aligned_ranges(&keys, 100);
         assert_eq!(ranges.first().unwrap().start, 0);
         assert_eq!(ranges.last().unwrap().end, keys.len());
@@ -382,9 +422,227 @@ mod tests {
     }
 
     #[test]
+    fn run_starts_delimit_every_run_of_a_range() {
+        let keys = [7, 7, 8, 9, 9, 9, 12, 12];
+        assert_eq!(run_starts(&keys, 0..8), Ok(vec![0, 2, 3, 6, 8]));
+        assert_eq!(run_starts(&keys, 2..6), Ok(vec![2, 3, 6]));
+        assert_eq!(run_starts(&keys, 3..4), Ok(vec![3, 4]));
+        // Out of order inside the range, or against the row before it.
+        assert_eq!(run_starts(&[1, 3, 2], 0..3), Err(RelError::NotSorted));
+        assert_eq!(run_starts(&[5, 1, 2], 1..3), Err(RelError::NotSorted));
+    }
+
+    #[test]
     fn avg_of_i64_column_is_f64() {
         let r = Relation::new(vec![1, 1], vec![Column::I64(vec![1, 2])]).unwrap();
         let out = aggregate_by_key(&r, &[Agg::Avg(0)]).unwrap();
         assert_eq!(out.cols[0].as_f64().unwrap(), &[1.5]);
+    }
+
+    // -----------------------------------------------------------------
+    // The oracle: the row-at-a-time fold this module ran before the
+    // columnar one — an accumulator per aggregate, fed one row at a time,
+    // flushed when the key changes (i64 sums written as the wrapping adds
+    // release builds performed). The columnar fold must reproduce it bit
+    // for bit.
+
+    enum Acc {
+        I64(i64),
+        F64(f64),
+        Count(i64),
+        AvgF { sum: f64, n: u64 },
+        AvgI { sum: i64, n: u64 },
+    }
+
+    fn make_acc(rel: &Relation, agg: Agg) -> Acc {
+        match (agg, agg.col().map(|c| &rel.cols[c])) {
+            (Agg::Count, _) => Acc::Count(0),
+            (Agg::Sum(_), Some(Column::I64(_))) => Acc::I64(0),
+            (Agg::Sum(_), Some(Column::F64(_))) => Acc::F64(0.0),
+            (Agg::Min(_), Some(Column::I64(_))) => Acc::I64(i64::MAX),
+            (Agg::Min(_), Some(Column::F64(_))) => Acc::F64(f64::INFINITY),
+            (Agg::Max(_), Some(Column::I64(_))) => Acc::I64(i64::MIN),
+            (Agg::Max(_), Some(Column::F64(_))) => Acc::F64(f64::NEG_INFINITY),
+            (Agg::Avg(_), Some(Column::I64(_))) => Acc::AvgI { sum: 0, n: 0 },
+            (Agg::Avg(_), Some(Column::F64(_))) => Acc::AvgF { sum: 0.0, n: 0 },
+            _ => unreachable!("column aggregates name a column"),
+        }
+    }
+
+    fn feed(acc: &mut Acc, agg: Agg, rel: &Relation, i: usize) {
+        match (acc, agg) {
+            (Acc::Count(n), Agg::Count) => *n += 1,
+            (Acc::I64(s), Agg::Sum(c)) => *s = s.wrapping_add(rel.cols[c].as_i64().unwrap()[i]),
+            (Acc::F64(s), Agg::Sum(c)) => *s += rel.cols[c].as_f64().unwrap()[i],
+            (Acc::I64(s), Agg::Min(c)) => *s = (*s).min(rel.cols[c].as_i64().unwrap()[i]),
+            (Acc::F64(s), Agg::Min(c)) => *s = (*s).min(rel.cols[c].as_f64().unwrap()[i]),
+            (Acc::I64(s), Agg::Max(c)) => *s = (*s).max(rel.cols[c].as_i64().unwrap()[i]),
+            (Acc::F64(s), Agg::Max(c)) => *s = (*s).max(rel.cols[c].as_f64().unwrap()[i]),
+            (Acc::AvgI { sum, n }, Agg::Avg(c)) => {
+                *sum = sum.wrapping_add(rel.cols[c].as_i64().unwrap()[i]);
+                *n += 1;
+            }
+            (Acc::AvgF { sum, n }, Agg::Avg(c)) => {
+                *sum += rel.cols[c].as_f64().unwrap()[i];
+                *n += 1;
+            }
+            _ => unreachable!("accumulator/aggregate mismatch"),
+        }
+    }
+
+    fn flush(acc: Acc, col: &mut Column) {
+        match (acc, col) {
+            (Acc::Count(n), Column::I64(v)) => v.push(n),
+            (Acc::I64(s), Column::I64(v)) => v.push(s),
+            (Acc::F64(s), Column::F64(v)) => v.push(s),
+            (Acc::AvgF { sum, n }, Column::F64(v)) => v.push(sum / n as f64),
+            (Acc::AvgI { sum, n }, Column::F64(v)) => v.push(sum as f64 / n as f64),
+            _ => unreachable!("accumulator/column mismatch"),
+        }
+    }
+
+    /// One serial scan of the whole input: per key run, or — `all` — as a
+    /// single group under key 0.
+    fn oracle(input: &Relation, aggs: &[Agg], all: bool) -> Relation {
+        let view = View::of(input);
+        let mut out = Relation {
+            key: Vec::new(),
+            cols: aggs.iter().map(|&a| out_column(a, &view)).collect(),
+        };
+        let mut i = 0;
+        while i < input.len() {
+            let k = input.key[i];
+            let mut accs: Vec<Acc> = aggs.iter().map(|&a| make_acc(input, a)).collect();
+            while i < input.len() && (all || input.key[i] == k) {
+                for (acc, &agg) in accs.iter_mut().zip(aggs) {
+                    feed(acc, agg, input, i);
+                }
+                i += 1;
+            }
+            out.key.push(if all { 0 } else { k });
+            for (acc, col) in accs.into_iter().zip(out.cols.iter_mut()) {
+                flush(acc, col);
+            }
+        }
+        out
+    }
+
+    /// Compare two relations down to the bit — `==` would call NaN unequal
+    /// to itself and `-0.0` equal to `0.0` — naming the first difference.
+    /// One NaN is as good as another: which operand's payload `a + b` keeps
+    /// is the code generator's choice, not the language's.
+    #[track_caller]
+    fn assert_same_bits(got: &Relation, want: &Relation, what: &str) {
+        let float_bits = |v: &f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+        assert_eq!(got.key, want.key, "{what}: keys");
+        assert_eq!(got.n_cols(), want.n_cols(), "{what}: column count");
+        for (c, pair) in got.cols.iter().zip(&want.cols).enumerate() {
+            let first_diff = match pair {
+                (Column::I64(g), Column::I64(w)) => g.iter().zip(w).position(|(g, w)| g != w),
+                (Column::F64(g), Column::F64(w)) => {
+                    g.iter().zip(w).position(|(g, w)| float_bits(g) != float_bits(w))
+                }
+                _ => panic!("{what}: column {c} changed type"),
+            };
+            if let Some(row) = first_diff {
+                let at = |r: &Relation| r.cols[c].value(row);
+                panic!("{what}: column {c}, group {row}: {:?}, oracle {:?}", at(got), at(want));
+            }
+        }
+    }
+
+    /// Every aggregate over an i64 column (0) and an f64 column (1).
+    const EVERY_AGG: [Agg; 9] = [
+        Agg::Sum(0),
+        Agg::Sum(1),
+        Agg::Min(0),
+        Agg::Min(1),
+        Agg::Max(0),
+        Agg::Max(1),
+        Agg::Avg(0),
+        Agg::Avg(1),
+        Agg::Count,
+    ];
+
+    /// Key-sorted rows with the given run lengths; values drawn from the
+    /// awkward ones — `-0.0`, NaN, the infinities, i64 extremes whose sums
+    /// wrap — as often as from ordinary ones.
+    fn awkward(run_lens: impl IntoIterator<Item = usize>, seed: u64) -> Relation {
+        const F: [f64; 6] = [-0.0, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e308];
+        const I: [i64; 4] = [i64::MAX, i64::MIN, i64::MAX - 1, -1];
+        let mut rng = Rng::seed_from_u64(seed);
+        let (mut key, mut ints, mut floats) = (Vec::new(), Vec::new(), Vec::new());
+        for (g, len) in run_lens.into_iter().enumerate() {
+            for _ in 0..len {
+                key.push(3 * g as u64 + 1);
+                ints.push(match rng.gen_range(0usize..8) {
+                    k if k < I.len() => I[k],
+                    _ => rng.gen_range(-1000i64..1000),
+                });
+                floats.push(match rng.gen_range(0usize..12) {
+                    k if k < F.len() => F[k],
+                    _ => rng.gen_range(-1000i64..1000) as f64 * 0.37,
+                });
+            }
+        }
+        Relation::new(key, vec![Column::I64(ints), Column::F64(floats)]).unwrap()
+    }
+
+    fn assert_matches_oracle(r: &Relation, what: &str) {
+        let want = oracle(r, &EVERY_AGG, false);
+        assert_same_bits(&aggregate_by_key(r, &EVERY_AGG).unwrap(), &want, what);
+        // Into a buffer of another shape and size, and into a warm one.
+        let mut out = sales();
+        for _ in 0..2 {
+            aggregate_by_key_into(r, &EVERY_AGG, &mut out).unwrap();
+            assert_same_bits(&out, &want, &format!("{what}, _into"));
+        }
+        let all = aggregate_all(r, &EVERY_AGG).unwrap();
+        assert_same_bits(&all, &oracle(r, &EVERY_AGG, true), &format!("{what}, as one group"));
+    }
+
+    #[test]
+    fn columnar_fold_matches_the_row_fold_bit_for_bit() {
+        crate::engine::set_scratch_poison(true);
+        let mut rng = Rng::seed_from_u64(14);
+        // Short runs (Q21's shape: single-row groups among them), inside
+        // one morsel and across several.
+        for (case, groups) in [(0u64, 1), (1, 7), (2, 5_000), (3, 60_000)] {
+            let lens: Vec<usize> = (0..groups).map(|_| rng.gen_range(1usize..8)).collect();
+            assert_matches_oracle(&awkward(lens, case), &format!("{groups} short runs"));
+        }
+        // One group spanning several morsels, between two small ones.
+        let chunk = DEFAULT_CTA_CHUNK;
+        assert_matches_oracle(&awkward([3, 3 * chunk + 17, 2], 4), "a run over three morsels");
+        // Runs ending exactly on morsel boundaries, and one row past them.
+        assert_matches_oracle(&awkward([chunk, chunk, 1, chunk - 1, 5], 5), "runs end on the cut");
+        assert_matches_oracle(&awkward([chunk - 1, 2, chunk - 1, 1], 6), "runs straddle the cut");
+        // Q1's shape: a handful of long runs.
+        assert_matches_oracle(&awkward([90_000, 1, 120_000, 70_000], 7), "long runs");
+        crate::engine::set_scratch_poison(false);
+    }
+
+    #[test]
+    fn a_view_is_aggregated_where_its_columns_are() {
+        let r = awkward((0..3_000).map(|g| 1 + g % 5), 8);
+        let aggs = [Agg::Min(0), Agg::Sum(1), Agg::Count];
+        // PROJECT[1, 0, 1] renumbers the columns and copies nothing.
+        let projected = crate::ops::project_view(&View::of(&r), &[1, 0, 1]).unwrap();
+        let stored = crate::ops::project(&r, &[1, 0, 1]).unwrap();
+        let remapped = [Agg::Min(1), Agg::Sum(2), Agg::Count];
+        let want = oracle(&r, &aggs, false);
+        assert_same_bits(&aggregate_by_key_view(&projected, &remapped).unwrap(), &want, "view");
+        assert_same_bits(&aggregate_by_key(&stored, &remapped).unwrap(), &want, "stored");
+        // A filtered view aggregates the rows it selects.
+        let pred = crate::predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Lt, 0);
+        let few = crate::ops::select_view(&View::of(&r), &pred).unwrap();
+        assert!(few.selection().is_some() && !few.is_empty());
+        let want = oracle(&crate::ops::select(&r, &pred).unwrap(), &aggs, false);
+        assert_same_bits(&aggregate_by_key_view(&few, &aggs).unwrap(), &want, "filtered view");
+        // Errors are the stored relation's.
+        assert_eq!(
+            aggregate_by_key_view(&projected, &[Agg::Sum(3)]),
+            Err(RelError::NoSuchColumn { col: 3, available: 3 })
+        );
     }
 }

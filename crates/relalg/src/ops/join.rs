@@ -74,11 +74,7 @@ pub fn column_join(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
 /// side that carries a selection is materialized first, so that both sides
 /// are over base rows that correspond one to one.
 pub fn column_join_view<'a>(a: &View<'a>, b: &View<'a>) -> Result<View<'a>, RelError> {
-    let dense = |v: &View<'a>| match v.selection() {
-        Some(_) => materialize(v.clone()).into(),
-        None => v.clone(),
-    };
-    let (a, b) = (dense(a), dense(b));
+    let (a, b) = (a.dense(), b.dense());
     if a.key() != b.key() {
         return Err(RelError::SchemaMismatch);
     }

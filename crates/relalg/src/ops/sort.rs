@@ -5,13 +5,34 @@
 //! whole input (dependence class (ii)). They bound fused regions in both
 //! TPC-H query plans (Fig. 17).
 //!
-//! The functional sort is a parallel chunk-sort + k-way merge — the same
-//! BSP shape a GPU merge sort has, and the cost model prices it as
-//! `log2(n)` full read+write passes, which is what makes SORT ~71% of the
-//! un-optimized Q1 runtime as the paper reports.
+//! A barrier still does only the work its input requires. One scan of the
+//! rank finds its range and whether it is already non-decreasing, and picks
+//! among three paths that produce the *identical* stable permutation:
+//!
+//! * **ordered** — a stable sort of a non-decreasing rank is the identity,
+//!   so the input *is* the output. This is what TPC-H Q21 takes: lineitem
+//!   is clustered on orderkey and SELECT / SEMIJOIN keep row order, so the
+//!   SORTs Fig. 17(b) puts in front of each merge join have nothing to do.
+//!   [`sort_shared`] then hands the input itself on; [`sort`], which only
+//!   borrows it, pays one whole-column copy.
+//! * **counting** — a narrow rank range (Q1 sorts ~6 packed group codes)
+//!   takes two linear sweeps instead of `n log n` comparisons.
+//! * **merge** — parallel chunk sorts and a pairwise k-way merge, the BSP
+//!   shape a GPU merge sort has.
+//!
+//! None of this reaches the sim clock: the cost model prices every SORT as
+//! the bitonic network's `log²n` read+write passes ([`bitonic_sort`]), which
+//! is what makes it ~71% of the un-optimized Q1 runtime as the paper reports.
+//!
+//! UNIQUE marks the first row of every run of equal tuples in a selection
+//! bitmap, column at a time, and gathers through [`crate::view`] like every
+//! other filtering operator.
 
-use crate::data::{RelError, Relation};
+use crate::data::{Column, RelError, Relation};
+use crate::view::{materialize, View};
 use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// What to order by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,72 +81,102 @@ fn f64_rank(v: f64) -> u64 {
     }
 }
 
-/// Extract the u64 rank vector a sort orders by. Ranks are ascending; a
-/// descending sort inverts the bits (stability ties still break by
-/// ascending original index, which is what a stable descending SQL sort
-/// does).
-fn rank_vec(input: &Relation, by: SortBy) -> Result<Vec<u64>, RelError> {
-    let ascending: Vec<u64> = match by {
-        SortBy::Key | SortBy::KeyDesc => input.key.clone(),
+/// The u64 rank vector a sort orders by — the key itself, borrowed, for
+/// [`SortBy::Key`]. Ranks are ascending; a descending sort inverts the bits
+/// (stability ties still break by ascending original index, which is what a
+/// stable descending SQL sort does).
+fn rank_vec(input: &Relation, by: SortBy) -> Result<Cow<'_, [u64]>, RelError> {
+    let flip = if by.descending() { u64::MAX } else { 0 };
+    let col = |c: usize| {
+        input.cols.get(c).ok_or(RelError::NoSuchColumn { col: c, available: input.n_cols() })
+    };
+    Ok(match by {
+        SortBy::Key => Cow::Borrowed(&input.key[..]),
+        SortBy::KeyDesc => input.key.iter().map(|&k| !k).collect(),
         SortBy::I64Col(c) | SortBy::I64ColDesc(c) => {
-            let col = input
-                .cols
-                .get(c)
-                .ok_or(RelError::NoSuchColumn { col: c, available: input.n_cols() })?
-                .as_i64()
-                .ok_or(RelError::SchemaMismatch)?;
+            let vals = col(c)?.as_i64().ok_or(RelError::SchemaMismatch)?;
             // Order-preserving map i64 -> u64 so one comparator serves both.
-            col.iter().map(|&v| (v as u64) ^ (1 << 63)).collect()
+            vals.iter().map(|&v| ((v as u64) ^ (1 << 63)) ^ flip).collect()
         }
         SortBy::F64Col(c) | SortBy::F64ColDesc(c) => {
-            let col = input
-                .cols
-                .get(c)
-                .ok_or(RelError::NoSuchColumn { col: c, available: input.n_cols() })?
-                .as_f64()
-                .ok_or(RelError::SchemaMismatch)?;
-            col.iter().map(|&v| f64_rank(v)).collect()
+            let vals = col(c)?.as_f64().ok_or(RelError::SchemaMismatch)?;
+            vals.iter().map(|&v| f64_rank(v) ^ flip).collect()
         }
-    };
-    Ok(if by.descending() { ascending.into_iter().map(|r| !r).collect() } else { ascending })
+    })
 }
 
-/// Sort the relation (stable).
+/// The stable permutation that sorts `input`, or `None` when that is the
+/// identity — the rows are already in order and nothing has to move.
+fn sort_permutation(input: &Relation, by: SortBy) -> Result<Option<Vec<usize>>, RelError> {
+    let idx = sort_index(&rank_vec(input, by)?);
+    if idx.is_none() {
+        kfusion_trace::counter("kfusion_sort_ordered_total", 1);
+    }
+    Ok(idx)
+}
+
+/// `input`'s rows in the order `idx` — as they stand for `None`, the
+/// identity — in storage of their own: the one place SORT copies rows, and
+/// it says how many bytes.
+fn copied(input: &Relation, idx: Option<&[usize]>) -> Relation {
+    kfusion_trace::counter("kfusion_host_materialized_bytes_total", input.total_bytes());
+    match idx {
+        Some(idx) => input.gathered(idx),
+        None => input.clone(),
+    }
+}
+
+/// Sort the relation (stable). Ordered input is copied as it stands.
 pub fn sort(input: &Relation, by: SortBy) -> Result<Relation, RelError> {
-    let rank = rank_vec(input, by)?;
-    let idx = sort_index(&rank);
-    Ok(input.gathered(&idx))
+    Ok(copied(input, sort_permutation(input, by)?.as_deref()))
+}
+
+/// [`sort`] for an input held in an `Arc` — what the plan executor keeps its
+/// intermediates in: ordered input is shared once more, not a row copied.
+pub fn sort_shared(input: &Arc<Relation>, by: SortBy) -> Result<Arc<Relation>, RelError> {
+    Ok(match sort_permutation(input, by)? {
+        Some(idx) => Arc::new(copied(input, Some(&idx))),
+        None => Arc::clone(input),
+    })
 }
 
 /// Stable sort permutation over `rank`: position `p` of the output holds
-/// `idx[p]`, the input row ranked `p`-th by `(rank, original index)`.
+/// `idx[p]`, the input row ranked `p`-th by `(rank, original index)` — or
+/// `None` when `rank` is already non-decreasing, since then that
+/// permutation is the identity (equal ranks keep their order, every other
+/// pair is in order already).
 ///
-/// Picks between two stable algorithms that produce the *identical*
-/// permutation (both order by `(rank, index)`), so the choice is invisible
-/// to callers and to cross-engine bit-equality:
+/// Otherwise picks between two stable algorithms that produce the
+/// *identical* permutation (both order by `(rank, index)`), so the choice is
+/// invisible to callers and to cross-engine bit-equality:
 /// - a two-pass counting sort when the rank range is small relative to `n`
 ///   (the common case after REKEY packs a handful of group codes — Q1's
 ///   post-rekey sort has ~6 distinct ranks, turning `n log n` comparisons
 ///   into two linear sweeps);
 /// - the parallel chunk-sort + pairwise-merge otherwise (the BSP shape the
 ///   cost model prices).
-fn sort_index(rank: &[u64]) -> Vec<usize> {
+fn sort_index(rank: &[u64]) -> Option<Vec<usize>> {
     let n = rank.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let (mut lo, mut hi) = (u64::MAX, 0u64);
+    // One scan: the range picks the algorithm, the inversion count decides
+    // whether any is needed. Branch-free, so it runs at memory speed.
+    let (mut lo, mut hi, mut prev, mut inversions) = (u64::MAX, 0u64, 0u64, 0usize);
     for &r in rank {
         lo = lo.min(r);
         hi = hi.max(r);
+        inversions += (r < prev) as usize;
+        prev = r;
+    }
+    if inversions == 0 {
+        return None;
     }
     // Counting-sort threshold: bucket array must stay O(n) (+ a fixed floor
     // so tiny inputs with moderate ranges still qualify).
     let limit = 4 * (n as u64) + 65_536;
-    if hi - lo < limit {
-        return counting_sort_index(rank, lo, (hi - lo) as usize + 1);
-    }
-    merge_sort_index(rank)
+    Some(if hi - lo < limit {
+        counting_sort_index(rank, lo, (hi - lo) as usize + 1)
+    } else {
+        merge_sort_index(rank)
+    })
 }
 
 /// Stable counting sort: histogram, exclusive prefix sum, then a scatter in
@@ -254,14 +305,29 @@ pub fn bitonic_pass_count(n: u64) -> u64 {
 /// sorted relation.
 pub fn unique(input: &Relation) -> Result<Relation, RelError> {
     input.require_sorted()?;
-    let mut out = input.empty_like();
-    for i in 0..input.len() {
-        let dup = i > 0 && input.tuple_eq(i, input, i - 1);
-        if !dup {
-            out.push_row_from(input, i);
+    // Bit `i` is set when row `i` differs from row `i - 1` in the key or in
+    // any column (floats by bit pattern): the first row of every run.
+    let mut sel = vec![0u64; input.len().div_ceil(64)];
+    if let Some(first) = sel.first_mut() {
+        *first = 1;
+    }
+    mark_changes(&input.key, &mut sel, |a, b| a != b);
+    for c in &input.cols {
+        match c {
+            Column::I64(v) => mark_changes(v, &mut sel, |a, b| a != b),
+            Column::F64(v) => mark_changes(v, &mut sel, |a, b| a.to_bits() != b.to_bits()),
         }
     }
-    Ok(out)
+    let rows = sel.iter().map(|w| w.count_ones() as usize).sum();
+    Ok(materialize(View::of(input).with_selection(sel, rows)))
+}
+
+/// Set bit `i` of `sel` wherever `vals[i]` differs from `vals[i - 1]`.
+fn mark_changes<T: Copy>(vals: &[T], sel: &mut [u64], differs: impl Fn(T, T) -> bool) {
+    for (i, w) in vals.windows(2).enumerate() {
+        let row = i + 1;
+        sel[row / 64] |= (differs(w[1], w[0]) as u64) << (row % 64);
+    }
 }
 
 #[cfg(test)]
@@ -338,6 +404,67 @@ mod tests {
         let out = sort(&r, SortBy::Key).unwrap();
         assert!(out.is_key_sorted());
         assert_eq!(out.len(), n);
+    }
+
+    /// Rows whose key, i64 column and f64 column each run in order —
+    /// ascending keys, descending columns, ties in all three.
+    fn ordered_table(n: usize) -> Relation {
+        let ints = (0..n).map(|i| ((n - i) / 3) as i64 - 7).collect();
+        let floats = (0..n).map(|i| ((n - i) / 4) as f64 * 0.5 - 2.0).collect();
+        let key = (0..n as u64).map(|i| i / 2).collect();
+        Relation::new(key, vec![Column::I64(ints), Column::F64(floats)]).unwrap()
+    }
+
+    #[test]
+    fn ordered_input_passes_through_and_equals_the_network() {
+        for n in [0usize, 1, 2, 1000, 70_000] {
+            let r = ordered_table(n);
+            for by in [
+                SortBy::Key,
+                SortBy::I64ColDesc(0),
+                SortBy::F64ColDesc(1),
+                SortBy::KeyDesc,
+                SortBy::I64Col(0),
+                SortBy::F64Col(1),
+            ] {
+                let ordered = sort_index(&rank_vec(&r, by).unwrap()).is_none();
+                let runs_with_the_order =
+                    matches!(by, SortBy::Key | SortBy::I64ColDesc(_) | SortBy::F64ColDesc(_));
+                // Up to two rows, every column is one tie.
+                assert_eq!(ordered, runs_with_the_order || n <= 2, "n={n} {by:?}");
+                let sorted = sort(&r, by).unwrap();
+                if n <= 1000 {
+                    assert_eq!(sorted, bitonic_sort(&r, by).unwrap(), "n={n} {by:?}");
+                }
+                if ordered {
+                    assert_eq!(sorted, r, "n={n} {by:?}");
+                }
+                assert_eq!(*sort_shared(&Arc::new(r.clone()), by).unwrap(), sorted, "n={n} {by:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_trailing_inversion_takes_the_sorting_path() {
+        let mut rank: Vec<u64> = (0..10_000).collect();
+        assert!(sort_index(&rank).is_none());
+        rank.push(9_998);
+        let idx = sort_index(&rank).expect("the last row is out of place");
+        assert_eq!(idx[9_997..], [9_997, 9_998, 10_000, 9_999]);
+        // Equal neighbours are not an inversion.
+        assert!(sort_index(&[3, 3, 3, 4, 4]).is_none());
+    }
+
+    #[test]
+    fn a_shared_input_is_shared_once_more_or_left_untouched() {
+        let shared = Arc::new(ordered_table(5000));
+        let copy = Relation::clone(&shared);
+        let same = sort_shared(&shared, SortBy::Key).unwrap();
+        assert!(Arc::ptr_eq(&same, &shared));
+        let moved = sort_shared(&shared, SortBy::F64Col(1)).unwrap();
+        assert!(!Arc::ptr_eq(&moved, &shared));
+        assert_eq!(*moved, sort(&copy, SortBy::F64Col(1)).unwrap());
+        assert_eq!(*shared, copy, "other readers see what they saw");
     }
 
     #[test]
@@ -474,6 +601,19 @@ mod tests {
         // (2,8) and (2,7) differ in payload: both kept.
         assert_eq!(out.key, vec![1, 2, 2, 3]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[9, 8, 7, 6]);
+    }
+
+    #[test]
+    fn unique_compares_floats_by_bit_pattern_across_words() {
+        // 200 rows in runs of three, so runs straddle the bitmap's words.
+        let n = 200usize;
+        let key: Vec<u64> = (0..n as u64).map(|i| i / 3).collect();
+        let r = Relation::new(key.clone(), vec![Column::F64(vec![f64::NAN; n])]).unwrap();
+        let out = unique(&r).unwrap();
+        assert_eq!(out.key, (0..n.div_ceil(3) as u64).collect::<Vec<_>>(), "NaN repeats NaN");
+        let signed = Relation::new(vec![4, 4, 4], vec![Column::F64(vec![0.0, -0.0, -0.0])]);
+        assert_eq!(unique(&signed.unwrap()).unwrap().len(), 2, "-0.0 is not 0.0");
+        assert!(unique(&Relation::from_keys(vec![])).unwrap().is_empty());
     }
 
     #[test]

@@ -98,6 +98,12 @@ impl<'a> View<'a> {
         8 + self.cols.len() as u64 * Column::BYTES_PER_VALUE
     }
 
+    /// Whether every base row is selected — the tuples are the stored rows,
+    /// position for position ([`View::dense`] then has nothing to gather).
+    pub fn is_dense(&self) -> bool {
+        self.sel.is_none()
+    }
+
     /// Rows of the referenced storage, selected or not.
     pub(crate) fn base_len(&self) -> usize {
         self.key.len()
@@ -107,7 +113,8 @@ impl<'a> View<'a> {
         &self.key.key
     }
 
-    fn col(&self, c: usize) -> &Column {
+    /// Payload column `c`, all base rows of it.
+    pub(crate) fn col(&self, c: usize) -> &Column {
         let (src, i) = &self.cols[c];
         &src.cols[*i]
     }
@@ -121,6 +128,17 @@ impl<'a> View<'a> {
     pub(crate) fn with_selection(&self, sel: Vec<u64>, rows: usize) -> View<'a> {
         debug_assert_eq!(sel.len(), self.base_len().div_ceil(64));
         View { key: self.key.clone(), cols: self.cols.clone(), sel: Some(Arc::new(sel)), rows }
+    }
+
+    /// The same tuples with every base row selected: this view if it has no
+    /// selection, its materialization otherwise. What an operator that
+    /// pairs rows by position (COLUMN-JOIN) or walks runs of them (keyed
+    /// AGGREGATE) asks for first.
+    pub(crate) fn dense(&self) -> View<'a> {
+        match self.sel {
+            Some(_) => materialize(self.clone()).into(),
+            None => self.clone(),
+        }
     }
 
     /// This view widened by `other`'s payload columns. Both must select the

@@ -7,14 +7,17 @@
 //! (`kfusion_host_materialized_bytes_total`), nodes that stayed views
 //! (`kfusion_host_views_total`), and the high-water mark of bytes the
 //! functional phase held in computed relations
-//! (`kfusion_host_live_bytes_peak_total`).
+//! (`kfusion_host_live_bytes_peak_total`). The barriers are counted the
+//! same way: a SORT adds the bytes it moves to the first counter and, when
+//! its input was in order already, one to `kfusion_sort_ordered_total`.
 
 use kfusion::core::exec::{execute, ExecConfig, ExecResult, Strategy};
 use kfusion::core::{OpKind, PlanGraph};
 use kfusion::frontend::compile;
-use kfusion::relalg::Relation;
+use kfusion::relalg::ops::{Agg, SortBy};
+use kfusion::relalg::{gen, predicates, Relation};
 use kfusion::tpch::gen::{generate, TpchConfig};
-use kfusion::tpch::{q1, sql};
+use kfusion::tpch::{q1, q21, sql};
 use kfusion::trace::Trace;
 use kfusion::vgpu::GpuSystem;
 
@@ -36,6 +39,7 @@ fn traced(plan: &PlanGraph, inputs: &[Relation], strategy: Strategy) -> (ExecRes
 const MATERIALIZED: &str = "kfusion_host_materialized_bytes_total";
 const VIEWS: &str = "kfusion_host_views_total";
 const LIVE_PEAK: &str = "kfusion_host_live_bytes_peak_total";
+const SORT_ORDERED: &str = "kfusion_sort_ordered_total";
 
 #[test]
 fn fused_q6_sql_gathers_once() {
@@ -97,4 +101,99 @@ fn fused_q1_never_writes_its_column_joins() {
     assert!(fused_peak > 0 && fused_peak < serial_peak, "{fused_peak} vs {serial_peak}");
     assert!(serial_peak < all_outputs, "{serial_peak} vs {all_outputs}");
     assert!(fused_peak * 4 < all_outputs, "{fused_peak} vs {all_outputs}");
+}
+
+#[test]
+fn q21_barriers_move_only_what_is_out_of_place() {
+    let _g = serial();
+    let db = generate(TpchConfig::scale(0.02));
+    let (plan, inputs) = (q21::q21_plan(20), q21::q21_inputs(&db));
+    let (serial_run, serial_trace) = traced(&plan, &inputs, Strategy::Serial);
+    let (fused_run, fused_trace) = traced(&plan, &inputs, Strategy::FusionFission { segments: 8 });
+    assert!(sql::bit_identical(&serial_run.output, &fused_run.output));
+    assert_eq!(serial_run.cards, fused_run.cards);
+
+    let cards = &fused_run.cards;
+    let kind = |id: usize| &plan.nodes[id].kind;
+    let feeds = |id: usize| kind(plan.nodes[id].inputs[0]);
+    let bytes_of = |pick: &dyn Fn(usize) -> bool| -> u64 {
+        (0..plan.len()).filter(|&id| pick(id)).map(|id| cards.bytes(id)).sum()
+    };
+    // Lineitem is clustered on orderkey and SELECT / SEMIJOIN keep row
+    // order, so the two SORTs Fig. 17(b) puts in front of the merge joins
+    // find nothing to do, under either strategy: their single-consumer
+    // inputs are handed through, not a byte copied. The SORT behind REKEY
+    // does reorder its rows; so does the final one by waiting count, unless
+    // the counts happen to rise with the supplier keys UNIQUE hands it —
+    // which the answer shows.
+    let by_key = |id: usize| matches!(kind(id), OpKind::Sort { by: SortBy::Key });
+    let clustered = |id: usize| by_key(id) && !matches!(feeds(id), OpKind::Rekey { .. });
+    assert_eq!((0..plan.len()).filter(|&id| clustered(id)).count(), 2);
+    let in_order =
+        |id: usize| clustered(id) || (id == plan.root && fused_run.output.is_key_sorted());
+    let reorders = |id: usize| matches!(kind(id), OpKind::Sort { .. }) && !in_order(id);
+    let passed_through = (0..plan.len()).filter(|&id| in_order(id)).count() as u64;
+    assert_eq!(serial_trace.counter(SORT_ORDERED), passed_through);
+    assert_eq!(fused_trace.counter(SORT_ORDERED), passed_through);
+
+    // What does write rows: every SELECT, SEMIJOIN / ANTIJOIN and UNIQUE
+    // through the gather, the SORTs that reorder — and PROJECT, where its
+    // rows are needed: fused, only in front of REKEY. The two PROJECTs in
+    // front of the keyed MIN/MAX AGGREGATEs are read where they are.
+    let filters = |id: usize| {
+        matches!(
+            kind(id),
+            OpKind::Select { .. } | OpKind::Semijoin | OpKind::Antijoin | OpKind::Unique
+        )
+    };
+    let project = |id: usize| matches!(kind(id), OpKind::Project { .. });
+    let aggregated = |id: usize| {
+        project(id)
+            && (0..plan.len()).all(|c| {
+                !plan.nodes[c].inputs.contains(&id) || matches!(kind(c), OpKind::Aggregate { .. })
+            })
+    };
+    assert_eq!((0..plan.len()).filter(|&id| aggregated(id)).count(), 2);
+    let common = bytes_of(&filters) + bytes_of(&reorders);
+    assert_eq!(serial_trace.counter(MATERIALIZED), common + bytes_of(&project));
+    assert_eq!(
+        fused_trace.counter(MATERIALIZED),
+        common + bytes_of(&|id| project(id) && !aggregated(id))
+    );
+    // Both of them, the PROJECT REKEY forces and the SELECT between two
+    // SEMIJOINs stayed views.
+    assert_eq!(fused_trace.counter(VIEWS), 4);
+    assert_eq!(serial_trace.counter(VIEWS), 0);
+}
+
+/// Keyed AGGREGATE folds runs of base rows, so a filtered view is gathered
+/// for it — once, into the view's slot: the JOIN that reads the same SELECT
+/// a wave later finds those rows there and gathers nothing again.
+#[test]
+fn a_filtered_view_under_an_aggregate_is_gathered_once() {
+    let _g = serial();
+    let select = |t: u64| OpKind::Select { pred: predicates::key_lt(t) };
+    let mut g = PlanGraph::new();
+    let (left, right) = (g.input(0), g.input(1));
+    let kept = g.add(select(5000), vec![left]);
+    let most = g.add(select(8000), vec![right]);
+    let fewer = g.add(select(7000), vec![most]);
+    g.add(OpKind::Join, vec![kept, fewer]);
+    g.add(OpKind::Aggregate { aggs: vec![Agg::Count] }, vec![kept]);
+    let inputs = [gen::sorted_table(10_000, 2, 1), gen::sorted_table(10_000, 1, 2)];
+    let (serial_run, serial_trace) = traced(&g, &inputs, Strategy::Serial);
+    let (fused_run, fused_trace) = traced(&g, &inputs, Strategy::Fusion);
+    assert_eq!(serial_run.output, fused_run.output);
+    assert_eq!(serial_run.cards, fused_run.cards);
+    assert_eq!(fused_run.fusion.groups.len(), 1, "{:?}", fused_run.fusion.groups);
+
+    // Fused, the three SELECTs stay views; the AGGREGATE (second wave)
+    // and the JOIN (third) both read `kept`, and the JOIN `fewer`.
+    let cards = &fused_run.cards;
+    assert_eq!(fused_trace.counter(VIEWS), 3);
+    assert_eq!(fused_trace.counter(MATERIALIZED), cards.bytes(kept) + cards.bytes(fewer));
+    assert_eq!(
+        serial_trace.counter(MATERIALIZED),
+        cards.bytes(kept) + cards.bytes(most) + cards.bytes(fewer)
+    );
 }

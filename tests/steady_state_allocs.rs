@@ -7,19 +7,32 @@
 //! no other test pays for it), warms the engine with one run, then fails
 //! on the first region allocation of a second run — the same measurement
 //! the `throughput_host` bench gates in CI, here at test scale.
+//!
+//! The keyed AGGREGATE is held to the same contract from outside: what a
+//! warm call allocates depends on how many morsels its input is cut into,
+//! never on how many groups the morsels hold.
 
 use kfusion::core::exec::Strategy;
-use kfusion::relalg::engine;
+use kfusion::relalg::ops::{self, Agg};
+use kfusion::relalg::{engine, Column, Relation};
 use kfusion::tpch::gen::{generate, TpchConfig};
 use kfusion::tpch::q1;
 use kfusion::trace::allocwatch;
+use kfusion::vgpu::exec::DEFAULT_CTA_CHUNK;
 use kfusion::vgpu::GpuSystem;
 
 #[global_allocator]
 static ALLOC: allocwatch::CountingAlloc = allocwatch::CountingAlloc;
 
+// The allocation counters are process-global; tests here take turns.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn warm_q1_steady_state_allocates_nothing() {
+    let _g = serial();
     let db = generate(TpchConfig::scale(0.02));
     let sys = GpuSystem::c2070();
     engine::set_batch_enabled(true);
@@ -45,4 +58,37 @@ fn warm_q1_steady_state_allocates_nothing() {
              ({region_bytes} bytes) observed inside per-batch loops"
         );
     }
+}
+
+#[test]
+fn warm_keyed_aggregate_allocates_the_same_for_ten_groups_as_for_a_hundred_thousand() {
+    let _g = serial();
+    // Ten morsels either way: runs of exactly one morsel, or of five rows.
+    let n = 10 * DEFAULT_CTA_CHUNK;
+    let aggs = [Agg::Sum(0), Agg::Min(1), Agg::Avg(1), Agg::Count];
+    let warm_call = |run_len: usize| {
+        let input = Relation::new(
+            (0..n).map(|i| (i / run_len) as u64).collect(),
+            vec![
+                Column::I64((0..n as i64).map(|i| i % 97 - 40).collect()),
+                Column::F64((0..n).map(|i| (i % 89) as f64 * 0.125).collect()),
+            ],
+        )
+        .unwrap();
+        let mut out = Relation::default();
+        ops::aggregate_by_key_into(&input, &aggs, &mut out).unwrap();
+
+        allocwatch::reset();
+        allocwatch::set_enabled(true);
+        ops::aggregate_by_key_into(&input, &aggs, &mut out).unwrap();
+        allocwatch::set_enabled(false);
+        assert_eq!(out, ops::aggregate_by_key(&input, &aggs).unwrap());
+        (out.len(), allocwatch::total_counts().0, allocwatch::region_counts())
+    };
+    let (few, few_blocks, few_steady) = warm_call(DEFAULT_CTA_CHUNK);
+    let (many, many_blocks, many_steady) = warm_call(5);
+    assert_eq!((few, many), (10, n / 5));
+    assert!(few_blocks > 0, "counting allocator saw no allocations at all");
+    assert_eq!(few_blocks, many_blocks, "blocks allocated: {few} groups vs {many} groups");
+    assert_eq!((few_steady, many_steady), ((0, 0), (0, 0)), "the folds must not allocate");
 }

@@ -68,9 +68,11 @@ enum InputKind {
     /// The table the plan filters: sorted keys with duplicates, two i64
     /// columns (the second non-negative, so REKEY accepts it).
     Base,
-    /// One more column over the base table's exact key vector — what
+    /// One more i64 column over the base table's exact key vector — what
     /// COLUMN-JOIN zips.
     Column,
+    /// The same, of f64s (quarters, so every sum of them is exact).
+    FloatColumn,
     /// Unrelated sorted keys, for SEMIJOIN / ANTIJOIN.
     Probe,
 }
@@ -82,14 +84,21 @@ fn make_inputs(kinds: &[InputKind], seed: u64, n: usize) -> Vec<Relation> {
     kinds
         .iter()
         .map(|kind| {
-            let mut col = |lo: i64, hi: i64| -> Column {
-                Column::I64((0..n).map(|_| rng.gen_range(lo..hi)).collect())
-            };
+            let mut ints =
+                |lo: i64, hi: i64| -> Vec<i64> { (0..n).map(|_| rng.gen_range(lo..hi)).collect() };
             match kind {
-                InputKind::Base => {
-                    Relation::new(keys.clone(), vec![col(-50, 50), col(0, 40)]).unwrap()
+                InputKind::Base => Relation::new(
+                    keys.clone(),
+                    vec![Column::I64(ints(-50, 50)), Column::I64(ints(0, 40))],
+                )
+                .unwrap(),
+                InputKind::Column => {
+                    Relation::new(keys.clone(), vec![Column::I64(ints(-9, 9))]).unwrap()
                 }
-                InputKind::Column => Relation::new(keys.clone(), vec![col(-9, 9)]).unwrap(),
+                InputKind::FloatColumn => {
+                    let quarters = ints(-160, 160).into_iter().map(|v| v as f64 * 0.25).collect();
+                    Relation::new(keys.clone(), vec![Column::F64(quarters)]).unwrap()
+                }
                 InputKind::Probe => {
                     let mut probe: Vec<u64> =
                         (0..n / 2).map(|_| rng.gen_range(0u64..1500)).collect();
@@ -101,10 +110,11 @@ fn make_inputs(kinds: &[InputKind], seed: u64, n: usize) -> Vec<Relation> {
         .collect()
 }
 
-/// The relation a plan under construction currently ends in.
+/// The relation a plan under construction currently ends in; `floats[c]`
+/// says payload column `c` is f64.
 struct Cur {
     id: NodeId,
-    cols: usize,
+    floats: Vec<bool>,
     sorted: bool,
 }
 
@@ -113,60 +123,78 @@ fn new_input(g: &mut PlanGraph, kinds: &mut Vec<InputKind>, kind: InputKind) -> 
     g.input(kinds.len() - 1)
 }
 
-/// `col * 3 + key`, appended as one more i64 column.
-fn extend_body(cols: usize, col: usize) -> kfusion::ir::KernelBody {
+/// One more column: `col * 3 + key` of an i64 column, `col * 0.5` of an f64.
+fn extend_body(cols: usize, col: usize, float: bool) -> kfusion::ir::KernelBody {
     let mut b = BodyBuilder::new(1 + cols as u32);
-    b.emit_output(Expr::input(1 + col as u32).mul(Expr::lit(3i64)).add(Expr::input(0)));
+    let src = Expr::input(1 + col as u32);
+    b.emit_output(match float {
+        true => src.mul(Expr::lit(0.5f64)),
+        false => src.mul(Expr::lit(3i64)).add(Expr::input(0)),
+    });
     b.build()
+}
+
+/// `col < v`, typed as the column is.
+fn col_lt(col: usize, float: bool, v: i64) -> kfusion::ir::KernelBody {
+    match float {
+        true => predicates::col_cmp_f64(col, CmpOp::Lt, v as f64 * 0.25),
+        false => predicates::col_cmp_i64(col, CmpOp::Lt, v),
+    }
 }
 
 /// A random plan over input 0 (the base table), drawing further inputs
 /// from `kinds`. Every operator the view path touches appears: SELECTs
-/// (random, all-true, all-false), COLUMN-JOIN against fresh columns (key mismatch once anything upstream
-/// filtered) and against a projection of the current relation (a diamond
-/// inside one group), PROJECT, ARITH+, REKEY, the barriers and merge
-/// operators (SORT, UNIQUE, SEMIJOIN, ANTIJOIN, AGGREGATE), and a view read
-/// both inside its group (SELECT) and outside it (SORT).
+/// (random, all-true, all-false, and — rarely — one the batch engine
+/// declines), over i64 and f64 columns whose positions PROJECT and
+/// COLUMN-JOIN shuffle, so one fused group's predicates read the same slot
+/// at different types; COLUMN-JOIN against fresh columns (key mismatch once
+/// anything upstream filtered) and against a projection of the current
+/// relation (a diamond inside one group), PROJECT, ARITH+, REKEY, the
+/// barriers and merge operators (SORT, UNIQUE, SEMIJOIN, ANTIJOIN,
+/// AGGREGATE — behind a PROJECT too, which it reads as a view), and a view
+/// read both inside its group (SELECT) and outside it (SORT).
 fn arb_dag(rng: &mut Rng, g: &mut PlanGraph, base: NodeId, kinds: &mut Vec<InputKind>) -> NodeId {
-    let mut cur = Cur { id: base, cols: 2, sorted: true };
+    let mut cur = Cur { id: base, floats: vec![false, false], sorted: true };
     for _ in 0..rng.gen_range(2usize..9) {
-        let col = if cur.cols > 0 { rng.gen_range(0..cur.cols) } else { 0 };
+        let cols = cur.floats.len();
+        let col = if cols > 0 { rng.gen_range(0..cols) } else { 0 };
+        let float = cur.floats.get(col).copied().unwrap_or(false);
         let select =
             |g: &mut PlanGraph, pred, from: NodeId| g.add(OpKind::Select { pred }, vec![from]);
-        match rng.gen_range(0usize..17) {
+        match rng.gen_range(0usize..19) {
             0 => cur.id = select(g, predicates::key_lt(rng.gen_range(0u64..2000)), cur.id),
-            1 if cur.cols > 0 => {
-                let v = rng.gen_range(-40i64..40);
-                cur.id = select(g, predicates::col_cmp_i64(col, CmpOp::Lt, v), cur.id);
+            1 | 17 if cols > 0 => {
+                cur.id = select(g, col_lt(col, float, rng.gen_range(-40i64..40)), cur.id);
             }
             2 => cur.id = select(g, predicates::key_lt(1 << 40), cur.id),
             3 => cur.id = select(g, predicates::key_lt(0), cur.id),
             4 | 5 => {
-                let rhs = new_input(g, kinds, InputKind::Column);
+                let float = rng.gen_range(0u32..2) == 0;
+                let kind = if float { InputKind::FloatColumn } else { InputKind::Column };
+                let rhs = new_input(g, kinds, kind);
                 cur.id = g.add(OpKind::ColumnJoin, vec![cur.id, rhs]);
-                cur.cols += 1;
+                cur.floats.push(float);
             }
-            6 if cur.cols > 0 => {
+            6 if cols > 0 => {
                 let side = g.add(OpKind::Project { keep: vec![col] }, vec![cur.id]);
                 cur.id = g.add(OpKind::ColumnJoin, vec![cur.id, side]);
-                cur.cols += 1;
+                cur.floats.push(float);
             }
             7 => {
-                let keep: Vec<usize> = (0..rng.gen_range(0usize..4))
-                    .map(|_| rng.gen_range(0..cur.cols.max(1)))
-                    .collect();
-                let keep = if cur.cols == 0 { Vec::new() } else { keep };
-                cur.cols = keep.len();
+                let keep: Vec<usize> =
+                    (0..rng.gen_range(0usize..4)).map(|_| rng.gen_range(0..cols.max(1))).collect();
+                let keep = if cols == 0 { Vec::new() } else { keep };
+                cur.floats = keep.iter().map(|&c| cur.floats[c]).collect();
                 cur.id = g.add(OpKind::Project { keep }, vec![cur.id]);
             }
-            8 | 9 if cur.cols > 0 => {
-                cur.id =
-                    g.add(OpKind::ArithExtend { body: extend_body(cur.cols, col) }, vec![cur.id]);
-                cur.cols += 1;
+            8 | 9 if cols > 0 => {
+                let body = extend_body(cols, col, float);
+                cur.id = g.add(OpKind::ArithExtend { body }, vec![cur.id]);
+                cur.floats.push(float);
             }
-            10 if cur.cols > 0 => {
+            10 if cols > 0 && !float => {
                 cur.id = g.add(OpKind::Rekey { col }, vec![cur.id]);
-                cur.cols -= 1;
+                cur.floats.remove(col);
                 cur.sorted = false;
             }
             11 => {
@@ -179,10 +207,10 @@ fn arb_dag(rng: &mut Rng, g: &mut PlanGraph, base: NodeId, kinds: &mut Vec<Input
                     if rng.gen_range(0u32..2) == 0 { OpKind::Semijoin } else { OpKind::Antijoin };
                 cur.id = g.add(kind, vec![cur.id, rhs]);
             }
-            13 if cur.sorted && cur.cols > 0 => {
-                cur.id = g
-                    .add(OpKind::Aggregate { aggs: vec![Agg::Sum(col), Agg::Count] }, vec![cur.id]);
-                cur.cols = 2;
+            13 if cur.sorted && cols > 0 => {
+                let aggs = vec![Agg::Sum(col), Agg::Count, Agg::Min(col)];
+                cur.id = g.add(OpKind::Aggregate { aggs }, vec![cur.id]);
+                cur.floats = vec![float, false, float];
             }
             14 if cur.sorted => cur.id = g.add(OpKind::Unique, vec![cur.id]),
             15 | 16 => {
@@ -194,10 +222,15 @@ fn arb_dag(rng: &mut Rng, g: &mut PlanGraph, base: NodeId, kinds: &mut Vec<Input
                 cur.id = g.add(OpKind::Semijoin, vec![outside, inside]);
                 cur.sorted = true;
             }
+            // Typed the wrong way round: the batch engine declines it and
+            // the interpreter fails on the first row that reaches it.
+            18 if cols > 0 && rng.gen_range(0u32..3) == 0 => {
+                cur.id = select(g, col_lt(col, !float, 1), cur.id);
+            }
             _ => {}
         }
     }
-    if cur.cols > 0 && rng.gen_range(0u32..4) == 0 {
+    if !cur.floats.is_empty() && rng.gen_range(0u32..4) == 0 {
         cur.id = g.add(OpKind::AggregateAll { aggs: vec![Agg::Sum(0), Agg::Count] }, vec![cur.id]);
     }
     cur.id
@@ -231,7 +264,7 @@ fn same_in_every_cell(what: &str, run: impl Fn(ExecStrategy) -> Outcome) -> Outc
         engine::set_scratch_poison(false);
         match &reference {
             None => reference = Some(got),
-            // All columns are i64, so `==` is bit identity.
+            // No NaN and no -0.0 is ever generated, so `==` is bit identity.
             Some(want) => assert_eq!(
                 &got, want,
                 "{what}: {strat:?} batch={batch} poison={poison} differs from the unfused scalar run"
@@ -245,7 +278,7 @@ fn same_in_every_cell(what: &str, run: impl Fn(ExecStrategy) -> Outcome) -> Outc
 fn views_never_change_answers_cardinalities_or_errors() {
     let _g = serial();
     let sys = GpuSystem::c2070();
-    let (mut ok, mut mismatched) = (0, 0);
+    let (mut ok, mut mismatched, mut declined) = (0, 0, 0);
     for case in 0u64..96 {
         let mut rng = Rng::seed_from_u64(0xE3 << 32 | case);
         let mut g = PlanGraph::new();
@@ -271,11 +304,48 @@ fn views_never_change_answers_cardinalities_or_errors() {
         match outcome {
             Ok(_) => ok += 1,
             Err(e) if e.contains("different schemas") => mismatched += 1,
+            Err(e) if e.contains("evaluation failed") => declined += 1,
             Err(e) => panic!("case {case}: unexpected error {e}"),
         }
     }
-    // The generator must actually reach both outcomes it exists for.
-    assert!(ok > 20 && mismatched > 5, "{ok} ok, {mismatched} key mismatches");
+    // The generator must actually reach every outcome it exists for.
+    assert!(
+        ok > 20 && mismatched > 5 && declined > 0,
+        "{ok} ok, {mismatched} key mismatches, {declined} declined predicates"
+    );
+}
+
+/// ROADMAP item 4's defect, pinned: a fused group whose SELECTs read one
+/// input slot at two types. Well-typed — the PROJECT between them moves an
+/// f64 column into the slot the first SELECT read as i64 — and answered
+/// correctly by every strategy's functional phase, it used to panic in the
+/// fusing strategies' *timing* phase, which spliced the two predicates into
+/// one body as if they numbered their slots alike.
+#[test]
+fn selects_over_different_schemas_share_a_group_not_a_body() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let mut g = PlanGraph::new();
+    let (base, col) = (g.input(0), g.input(1));
+    let wide = g.add(OpKind::ColumnJoin, vec![base, col]);
+    let ints = g.add(OpKind::Select { pred: col_lt(0, false, 10) }, vec![wide]);
+    let moved = g.add(OpKind::Project { keep: vec![2] }, vec![ints]);
+    let floats = g.add(OpKind::Select { pred: col_lt(0, true, 8) }, vec![moved]);
+    let inputs = make_inputs(&[InputKind::Base, InputKind::FloatColumn], 11, 800);
+    let (roots, _) = same_in_every_cell("i64 and f64 at slot 1", |strat| {
+        execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+            .map(|r| {
+                if strat.fuses() {
+                    let group = r.fusion.group_of[ints];
+                    assert!(group.is_some() && group == r.fusion.group_of[floats], "{strat:?}");
+                }
+                (vec![r.output], r.cards)
+            })
+            .map_err(|e| e.to_string())
+    })
+    .expect("a well-typed plan");
+    assert!(!roots[0].is_empty() && roots[0].len() < 800);
+    assert!(roots[0].cols[0].as_f64().unwrap().iter().all(|&v| v < 2.0));
 }
 
 /// A predicate the batch engine declines — an f64 comparison on an i64
@@ -295,7 +365,7 @@ fn declined_predicates_fall_back_identically() {
         let gated = g.add(OpKind::Select { pred: predicates::key_lt(gate) }, vec![wide]);
         let declined =
             g.add(OpKind::Select { pred: predicates::col_cmp_f64(2, CmpOp::Lt, 0.5) }, vec![gated]);
-        g.add(OpKind::ArithExtend { body: extend_body(3, 0) }, vec![declined]);
+        g.add(OpKind::ArithExtend { body: extend_body(3, 0, false) }, vec![declined]);
         let inputs = make_inputs(&[InputKind::Base, InputKind::Column], 7, 800);
         let outcome =
             same_in_every_cell(&format!("declined, rows reach it: {reaches_rows}"), |s| {
