@@ -110,7 +110,6 @@ pub fn demo_defects() -> LintReport {
 
     // 7. A semantics-changing rewrite: the "optimizer" flipped the compare
     //    direction. The translation validator refutes it with a witness.
-    #[cfg(feature = "validate")]
     {
         use kfusion_ir::builder::BodyBuilder;
         let original = BodyBuilder::threshold_lt(0, 100).build();
@@ -266,7 +265,6 @@ mod tests {
         ] {
             assert!(ids.contains(&expected), "missing {expected} in {ids:?}");
         }
-        #[cfg(feature = "validate")]
         assert!(ids.contains(&"rewrite-changed-semantics"), "{ids:?}");
         assert!(report.fails(false));
     }

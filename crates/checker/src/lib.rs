@@ -2,9 +2,8 @@
 //!
 //! The three analyses live next to the data structures they check, so the
 //! pass-sandwich wiring (`optimize`/`fuse`/`fuse_plan`/`simulate` verifying
-//! their own outputs under the default-on `check` feature) needs no
-//! cross-crate cycles. This crate re-exports them under one roof for tools
-//! that want to run the whole suite:
+//! their own outputs) needs no cross-crate cycles. This crate re-exports
+//! them under one roof for tools that want to run the whole suite:
 //!
 //! * [`ir`] — the typed IR verifier over [`kfusion_ir::KernelBody`]:
 //!   type-checks every instruction under the library calling convention and
@@ -57,7 +56,6 @@ pub mod schedule {
 
 /// Translation validation (re-export of [`kfusion_ir::symexec`] plus the
 /// fission segment partition validator from [`kfusion_vgpu::segment`]).
-#[cfg(feature = "validate")]
 pub mod prover {
     pub use kfusion_ir::symexec::{
         prove_body_equiv, prove_conjunction, prove_fuse_equiv, Counterexample, Verdict,

@@ -460,7 +460,6 @@ pub fn lint_schedule(origin: &str, schedule: &Schedule) -> Vec<Lint> {
 /// (DESIGN.md §12): a [`Refuted`](kfusion_ir::symexec::Verdict::Refuted)
 /// verdict becomes a deny-level `rewrite-changed-semantics` diagnostic whose
 /// notes carry the concrete counterexample.
-#[cfg(feature = "validate")]
 pub fn lint_rewrite(origin: &str, original: &KernelBody, rewritten: &KernelBody) -> Vec<Lint> {
     let mut lints = Vec::new();
     if let kfusion_ir::symexec::Verdict::Refuted(cx) =
@@ -877,7 +876,6 @@ mod tests {
         assert!(lint_schedule("demo", &piped).is_empty());
     }
 
-    #[cfg(feature = "validate")]
     #[test]
     fn flags_semantics_changing_rewrite() {
         // x < 100 "optimized" to x > 100: the prover must refute it and the

@@ -8,10 +8,6 @@
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test -p kfusion-check --test lint_json
 //! ```
-//!
-//! The corpus (and therefore the golden) includes the translation-validation
-//! entry, so the test requires the default `validate` feature.
-#![cfg(feature = "validate")]
 
 use kfusion_check::demo::demo_defects;
 use kfusion_check::lint::targets_json;

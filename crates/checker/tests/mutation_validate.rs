@@ -5,8 +5,6 @@
 //! flagged. A validator that only ever says `Verified` proves nothing about
 //! itself; these are its positive controls.
 
-#![cfg(feature = "validate")]
-
 use kfusion_check::prover::{check_partition, partition, prove_body_equiv, Verdict};
 use kfusion_ir::builder::{BodyBuilder, Expr};
 use kfusion_ir::fuse::fuse_predicate_chain;

@@ -8,6 +8,12 @@
 //! past the device budget; the virtual GPU independently charges spill
 //! traffic if a profile exceeds the budget anyway, so both the *decision*
 //! and the *consequence* sides of the paper's trade-off are modeled.
+//!
+//! One metric gates: [`group_regs`], the liveness maximum of the group's
+//! spliced, optimized body. [`group_regs_summed`] is not a second opinion
+//! but `analyze::analyzed_group_regs`'s fallback for the groups that have no
+//! single body to analyze (members whose bodies cannot be spliced into one
+//! verifiable stage); nothing else calls it.
 
 use crate::graph::{NodeId, OpKind, PlanGraph};
 use kfusion_ir::cost::max_live_regs;
@@ -49,7 +55,6 @@ pub fn node_regs(kind: &OpKind, level: OptLevel) -> u32 {
 }
 
 fn body_regs(body: &KernelBody, level: OptLevel) -> u32 {
-    #[cfg(feature = "validate")]
     let _probe = kfusion_ir::symexec::speculation();
     max_live_regs(&optimize(body, level)) as u32
 }
@@ -63,7 +68,6 @@ pub fn group_regs(graph: &PlanGraph, members: &[NodeId], level: OptLevel) -> u32
     // A cost probe, not an emission: the spliced body is measured and
     // discarded, so the translation validator skips it (the chosen group is
     // recompiled — and proved — on the emit path).
-    #[cfg(feature = "validate")]
     let _probe = kfusion_ir::symexec::speculation();
     crate::analyze::analyzed_group_regs(graph, members, level)
 }
@@ -79,7 +83,6 @@ pub fn group_regs_summed(graph: &PlanGraph, members: &[NodeId], level: OptLevel)
 /// (its IR body, optimized, plus a small operator-specific step cost).
 pub fn member_instr(kind: &OpKind, level: OptLevel) -> f64 {
     use kfusion_ir::cost::instruction_count;
-    #[cfg(feature = "validate")]
     let _probe = kfusion_ir::symexec::speculation();
     let body = |b: &KernelBody| instruction_count(&optimize(b, level)) as f64;
     match kind {

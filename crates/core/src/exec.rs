@@ -86,6 +86,9 @@ pub const CPU_GATHER_BW: f64 = 4.0e9;
 /// Minimum bytes per fission segment for a pipeline to pay off.
 pub const MIN_SEGMENT_BYTES: u64 = 256 * 1024;
 
+/// Host memory kind of the synchronous transfers (fission always pins).
+pub const MEM_KIND: HostMemKind = HostMemKind::Paged;
+
 /// Executor configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
@@ -93,8 +96,6 @@ pub struct ExecConfig {
     pub strategy: Strategy,
     /// Optimization level for IR bodies.
     pub level: OptLevel,
-    /// Host memory kind for synchronous transfers (fission always pins).
-    pub mem_kind: HostMemKind,
     /// Register budget for the fusion pass.
     pub budget: FusionBudget,
 }
@@ -103,12 +104,7 @@ impl ExecConfig {
     /// A configuration for `strategy` with paper defaults (O3, paged
     /// synchronous transfers, device register budget).
     pub fn new(strategy: Strategy, system: &GpuSystem) -> Self {
-        ExecConfig {
-            strategy,
-            level: OptLevel::O3,
-            mem_kind: HostMemKind::Paged,
-            budget: FusionBudget::for_device(&system.spec),
-        }
+        ExecConfig { strategy, level: OptLevel::O3, budget: FusionBudget::for_device(&system.spec) }
     }
 }
 
@@ -164,20 +160,17 @@ pub fn execute(
     single_root(run_plan(system, graph, inputs, cfg, &[graph.root], None)?)
 }
 
-/// Run the compile-side pipeline alone — verify (under the `check`
-/// feature), then fuse at `cfg.level` under `cfg.budget` — and return the
-/// [`FusionPlan`] it settles on. This is the expensive per-*shape* half of
-/// an execution; `kfusion-server` caches its result behind an `Arc` so
-/// concurrent submissions of structurally identical plans pay it once.
+/// Run the compile-side pipeline alone — verify, then fuse at `cfg.level`
+/// under `cfg.budget` — and return the [`FusionPlan`] it settles on. This
+/// is the expensive per-*shape* half of an execution; `kfusion-server`
+/// caches its result behind an `Arc` so concurrent submissions of
+/// structurally identical plans pay it once.
 ///
 /// Unfused strategies get the singleton plan the executor would build for
 /// them, so a cached plan is valid for exactly the `(strategy-class,
 /// budget, level)` it was prepared under.
 pub fn prepare_fusion(graph: &PlanGraph, cfg: &ExecConfig) -> Result<FusionPlan, CoreError> {
-    #[cfg(feature = "check")]
     crate::check::check_plan(graph)?;
-    #[cfg(not(feature = "check"))]
-    graph.validate()?;
     let _span =
         kfusion_trace::enabled().then(|| kfusion_trace::host_span("host", "prepare_fusion"));
     Ok(if cfg.strategy.fuses() {
@@ -305,9 +298,9 @@ fn run_plan(
     roots: &[NodeId],
     prepared: Option<&FusionPlan>,
 ) -> Result<PlanRun, CoreError> {
-    // With the `check` feature (default-on) the full plan verifier runs —
-    // body typing, column bounds, sortedness preconditions — so executor
-    // and simulator only ever see plans that cannot trip their own asserts.
+    // The full plan verifier runs — body typing, column bounds, sortedness
+    // preconditions — so executor and simulator only ever see plans that
+    // cannot trip their own asserts.
     // A prepared fusion plan certifies the full check already ran (in
     // `prepare_fusion`) on this structure; only the cheap validation stays.
     // The plan steers how the functional phase computes the answer, so one
@@ -1095,7 +1088,7 @@ fn serial_schedule(
 ) -> Schedule {
     let mut cmds: Vec<Command> = plan_inputs(graph)
         .map(|i| {
-            Command::h2d(format!("in#{i}"), CommandClass::InputOutput, cards.bytes(i), cfg.mem_kind)
+            Command::h2d(format!("in#{i}"), CommandClass::InputOutput, cards.bytes(i), MEM_KIND)
         })
         .collect();
     for (gidx, members) in plan.groups.iter().enumerate() {
@@ -1107,12 +1100,12 @@ fn serial_schedule(
         if cfg.strategy == Strategy::SerialRoundTrip && !roots.contains(&node) {
             let b = cards.bytes(node);
             let class = CommandClass::RoundTrip;
-            cmds.push(Command::d2h(format!("tmp_out#{node}"), class, b, cfg.mem_kind));
-            cmds.push(Command::h2d(format!("tmp_in#{node}"), class, b, cfg.mem_kind));
+            cmds.push(Command::d2h(format!("tmp_out#{node}"), class, b, MEM_KIND));
+            cmds.push(Command::h2d(format!("tmp_in#{node}"), class, b, MEM_KIND));
         }
     }
     cmds.extend(roots.iter().map(|&r| {
-        Command::d2h(format!("out#{r}"), CommandClass::InputOutput, cards.bytes(r), cfg.mem_kind)
+        Command::d2h(format!("out#{r}"), CommandClass::InputOutput, cards.bytes(r), MEM_KIND)
     }));
     Schedule::serial(cmds)
 }
@@ -1128,7 +1121,6 @@ fn serial_schedule(
 fn worth_pipelining(
     system: &GpuSystem,
     cards: &Cardinalities,
-    cfg: &ExecConfig,
     segments: u32,
     upload: &[NodeId],
     kernels: &[(KernelProfile, u64)],
@@ -1150,7 +1142,7 @@ fn worth_pipelining(
             let seg = cards.bytes(e) / segments as u64;
             let seg_time = system.pcie.transfer_time(seg, dir, HostMemKind::Pinned);
             (
-                sync + system.pcie.transfer_time(cards.bytes(e), dir, cfg.mem_kind),
+                sync + system.pcie.transfer_time(cards.bytes(e), dir, MEM_KIND),
                 piped + seg_time * segments as f64 / system.pcie.async_efficiency,
             )
         })
@@ -1167,10 +1159,8 @@ fn worth_pipelining(
 /// a kernel) into fission segments. Scaling by `1/segments` and rounding can
 /// over- or under-cover the whole (`round(10/4) = 3` per segment covers 12
 /// of 10 elements), which translation validation rejects.
-#[cfg_attr(not(feature = "validate"), allow(unused_variables))]
 fn segmented(total: u64, segments: u32, what: &str) -> Vec<segment::SegRange> {
     let parts = segment::partition(total, segments);
-    #[cfg(feature = "validate")]
     if let Err(err) = segment::check_partition(total, &parts) {
         panic!("fission segments do not partition the {total} {what}: {err}");
     }
@@ -1330,7 +1320,7 @@ fn fission_schedule(
             && if upload.is_empty() {
                 !region.is_empty()
             } else {
-                worth_pipelining(system, cards, cfg, segments, &upload, &kernels, &group_roots)
+                worth_pipelining(system, cards, segments, &upload, &kernels, &group_roots)
             };
         if joins {
             let cut = |e: NodeId, what: &str| (e, segmented(cards.bytes(e), segments, what));
@@ -1367,7 +1357,7 @@ fn fission_schedule(
                     format!("in#{e}"),
                     CommandClass::InputOutput,
                     cards.bytes(e),
-                    cfg.mem_kind,
+                    MEM_KIND,
                 ),
             );
             resident[e] = Resident::Whole;
@@ -1386,12 +1376,7 @@ fn fission_schedule(
     for &r in roots.iter().filter(|&&r| !downloaded[r]) {
         out.sched.push(
             main,
-            Command::d2h(
-                format!("out#{r}"),
-                CommandClass::InputOutput,
-                cards.bytes(r),
-                cfg.mem_kind,
-            ),
+            Command::d2h(format!("out#{r}"), CommandClass::InputOutput, cards.bytes(r), MEM_KIND),
         );
     }
     out.sched

@@ -175,7 +175,6 @@ pub fn fuse_plan(graph: &PlanGraph, budget: &FusionBudget, level: OptLevel) -> F
     let plan = FusionPlan { group_of: final_of, groups: final_groups };
     // Pass sandwich: the legality checker audits every fusion decision. A
     // failure here is a bug in this pass, not in the caller's plan.
-    #[cfg(feature = "check")]
     if let Err(e) = crate::check::check_fusion(graph, &plan) {
         panic!("fuse_plan produced an illegal fusion: {e}");
     }

@@ -30,6 +30,14 @@
 //! add. Occupancy and fusion-budget decisions must consume the liveness
 //! metric; the distinct count only bounds it from above.
 //!
+//! [`max_live_regs`] is therefore the one *cost* metric: the fusion budget,
+//! the occupancy/spill model and `EXPLAIN` all read it (per group through
+//! `kfusion_core::cost::group_regs`, whose summed-per-member fallback
+//! covers only groups that cannot be spliced into one body).
+//! [`distinct_regs`] is reporting-only — Table III's no-reuse column and
+//! the upper bound `tests/prop_dataflow.rs` holds the liveness metric to —
+//! and no decision consumes it.
+//!
 //! Note that optimization can *raise* `max_live_regs` while lowering the
 //! instruction count: CSE replaces a recomputation with an extended live
 //! range (pinned in `tests/prop_dataflow.rs::cse_can_trade_recompute_for_pressure`).
@@ -73,13 +81,6 @@ pub fn max_live_regs(body: &KernelBody) -> usize {
     liveness::max_live_regs(body)
 }
 
-/// Register pressure of `body` — an alias for [`max_live_regs`], kept so
-/// the historical name keeps working; new code should call the explicit
-/// metric (or [`distinct_regs`] when the no-reuse bound is really wanted).
-pub fn register_pressure(body: &KernelBody) -> usize {
-    max_live_regs(body)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,7 +91,7 @@ mod tests {
     fn empty_body_has_zero_cost() {
         let body = KernelBody::new(0);
         assert_eq!(instruction_count(&body), 0);
-        assert_eq!(register_pressure(&body), 0);
+        assert_eq!(max_live_regs(&body), 0);
         assert_eq!(distinct_regs(&body), 0);
     }
 
@@ -107,7 +108,7 @@ mod tests {
         b.emit_output(
             Expr::input(0).add(Expr::lit(1i64)).add(Expr::lit(1i64)).add(Expr::lit(1i64)),
         );
-        let p = register_pressure(&b.build());
+        let p = max_live_regs(&b.build());
         assert!(p <= 3, "chain pressure was {p}");
     }
 
@@ -144,11 +145,11 @@ mod tests {
                 .add(Expr::input(2).add(Expr::input(3).add(Expr::input(4).add(Expr::input(5))))),
         );
         b.emit_output(e);
-        let wide = register_pressure(&b.build());
+        let wide = max_live_regs(&b.build());
 
         let mut c = BodyBuilder::new(1);
         c.emit_output(Expr::input(0).add(Expr::lit(1i64)));
-        let narrow = register_pressure(&c.build());
+        let narrow = max_live_regs(&c.build());
         assert!(wide > narrow, "wide={wide} narrow={narrow}");
     }
 
@@ -156,7 +157,7 @@ mod tests {
     fn o3_does_not_increase_pressure_on_threshold() {
         let body = BodyBuilder::threshold_lt(0, 10).build();
         let o3 = optimize(&body, OptLevel::O3);
-        assert!(register_pressure(&o3) <= register_pressure(&body));
+        assert!(max_live_regs(&o3) <= max_live_regs(&body));
     }
 
     #[test]
@@ -166,6 +167,6 @@ mod tests {
         let fused = fuse_predicate_chain(&preds);
         // Naive fused body holds every predicate result live until the ANDs;
         // pressure must reflect that (this is the paper's fusion limit).
-        assert!(register_pressure(&fused) >= 4);
+        assert!(max_live_regs(&fused) >= 4);
     }
 }

@@ -113,7 +113,7 @@ mod tests {
     use crate::value::Value;
 
     /// Independent reference: the definition-to-last-use interval scan that
-    /// `cost::register_pressure` used before it delegated to liveness.
+    /// the cost metric used before it delegated to liveness.
     fn interval_scan_pressure(body: &KernelBody) -> usize {
         let n = body.instrs.len();
         if n == 0 {

@@ -68,15 +68,15 @@ pub enum FuseError {
         output: usize,
     },
     /// The fused body failed verification (rendered diagnostic attached).
-    /// With the `check` feature, every fusion result is verified — a wiring
-    /// that connects a producer output to a consumer slot of a different
-    /// type surfaces here instead of as a runtime interpreter error.
+    /// Every fusion result is verified — a wiring that connects a producer
+    /// output to a consumer slot of a different type surfaces here instead
+    /// of as a runtime interpreter error.
     Invalid {
         /// The rendered [`crate::verify::VerifyError`] diagnostic.
         detail: String,
     },
     /// Translation validation refuted the splice: the fused body disagrees
-    /// with the unfused chain on a concrete input (`validate` feature).
+    /// with the unfused chain on a concrete input.
     SemanticsChanged {
         /// The rendered counterexample.
         detail: String,
@@ -177,18 +177,14 @@ pub fn fuse(
             .ok_or(FuseError::NoSuchOutput { body: fo.body, output: fo.output })?;
         fused.outputs.push(reg);
     }
-    // With the `check` feature (default-on), a malformed or ill-typed splice
-    // is a real error in every build profile, not a debug-only assert.
-    #[cfg(feature = "check")]
+    // A malformed or ill-typed splice is a real error in every build
+    // profile, not a debug-only assert.
     if let Err(e) = crate::verify::verify(&fused) {
         return Err(FuseError::Invalid { detail: e.render(&fused) });
     }
-    #[cfg(not(feature = "check"))]
-    debug_assert!(fused.validate().is_ok());
     // Translation-validation sandwich: prove the splice computes exactly
     // what the unfused chain computes (the symbolic proof is immediate for
     // a correct splice — terms thread through the wiring unchanged).
-    #[cfg(feature = "validate")]
     if crate::symexec::enabled() {
         if let crate::symexec::Verdict::Refuted(cx) =
             crate::symexec::prove_fuse_equiv(bodies, wiring, outputs, &fused)
@@ -225,7 +221,6 @@ pub fn fuse_predicate_chain(preds: &[KernelBody]) -> KernelBody {
     }
     fused.outputs = vec![acc];
     // Validate the conjunction against the member predicates directly.
-    #[cfg(feature = "validate")]
     if crate::symexec::enabled() {
         if let crate::symexec::Verdict::Refuted(cx) =
             crate::symexec::prove_conjunction(preds, &fused)

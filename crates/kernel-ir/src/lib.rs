@@ -53,7 +53,6 @@ pub mod fuse;
 pub mod interp;
 pub mod ir;
 pub mod opt;
-#[cfg(feature = "validate")]
 pub mod symexec;
 pub mod text;
 pub mod value;

@@ -181,22 +181,18 @@ pub fn optimize_report(body: &KernelBody, level: OptLevel) -> (KernelBody, OptRe
             }
         }
     }
-    // Pass sandwich: with the `check` feature (default-on) every optimize
-    // call verifies its output in release builds too, and a failure names
-    // the culprit — the pipeline, or an ill-typed input it was handed.
-    #[cfg(feature = "check")]
+    // Pass sandwich: every optimize call verifies its output in release
+    // builds too, and a failure names the culprit — the pipeline, or an
+    // ill-typed input it was handed.
     if let Err(e) = crate::verify::verify(&out) {
         if let Err(e0) = crate::verify::verify(body) {
             panic!("optimize({level}) called on ill-typed body:\n{}", e0.render(body));
         }
         panic!("optimizer produced ill-typed IR at {level}:\n{}", e.render(&out));
     }
-    #[cfg(not(feature = "check"))]
-    debug_assert!(out.validate().is_ok(), "optimizer produced invalid IR");
     // Translation-validation sandwich: prove the end-to-end rewrite
     // preserved semantics; on refutation, replay the pipeline step by step
     // so the panic names the guilty pass from the rewrite log.
-    #[cfg(feature = "validate")]
     if crate::symexec::enabled() {
         if let crate::symexec::Verdict::Refuted(cx) = crate::symexec::prove_body_equiv(body, &out) {
             let guilty =
@@ -212,7 +208,6 @@ pub fn optimize_report(body: &KernelBody, level: OptLevel) -> (KernelBody, OptRe
 /// Failure-path diagnosis: re-run the pipeline for `level`, validating
 /// after each individual pass, and name the first pass whose application
 /// is refuted.
-#[cfg(feature = "validate")]
 fn find_guilty_pass(body: &KernelBody, level: OptLevel) -> Option<&'static str> {
     let pipeline = match level {
         OptLevel::O0 => return None,

@@ -15,11 +15,11 @@
 //! The three-way outcome is [`Verdict::Verified`] / [`Verdict::Refuted`] /
 //! [`Verdict::Inconclusive`].
 //!
-//! Validation is on by default (the `validate` feature) and compiled out
-//! under `--no-default-features`, mirroring the `check` plumbing. The
-//! runtime toggle below lets benchmarks separate validated from
-//! unvalidated compile time; the nanosecond counter feeds the
-//! validator-overhead gate in CI.
+//! Validation is always compiled in and on by default. The runtime toggle
+//! below ([`set_enabled`]) is the one switch: `kfusion-prove
+//! --gate-overhead` compiles each corpus entry with it off and on to
+//! separate validated from unvalidated compile time; the nanosecond counter
+//! feeds that validator-overhead gate in CI.
 
 pub mod fx;
 pub mod prove;

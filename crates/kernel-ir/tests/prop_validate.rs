@@ -10,8 +10,6 @@
 //! trials), but the corpus asserts it stays rare — the symbolic prover, not
 //! the fallback, must carry the load.
 
-#![cfg(feature = "validate")]
-
 use kfusion_ir::fuse::{fuse, fuse_predicate_chain, FusedOutput, SlotSource};
 use kfusion_ir::opt::{optimize, OptLevel};
 use kfusion_ir::symexec::{prove_body_equiv, prove_conjunction, prove_fuse_equiv, Verdict};

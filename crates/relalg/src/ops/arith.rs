@@ -41,32 +41,20 @@ fn empty_cols(tys: &[Ty], cap: usize) -> Vec<Column> {
 /// input's column types ([`crate::engine`]); otherwise falls back to the
 /// per-tuple interpreter, preserving its error behavior.
 pub fn arith_map(input: &Relation, body: &KernelBody) -> Result<Relation, RelError> {
-    let mut out = Relation::default();
-    arith_map_into(input, body, &mut out)?;
-    Ok(out)
-}
-
-/// [`arith_map`] writing into a caller-owned relation (the `_into`
-/// contract, DESIGN.md §14): `out` is cleared and refilled; its key and
-/// column buffers are reused whenever the output schema matches what `out`
-/// already holds, so repeated maps into one buffer stop allocating once
-/// capacity has grown to fit.
-pub fn arith_map_into(
-    input: &Relation,
-    body: &KernelBody,
-    out: &mut Relation,
-) -> Result<(), RelError> {
     let (tys, parts) = arith_parts(input, body)?;
-    reset_cols(out, &tys);
-    assemble_parallel(out, &input.key, &[], &parts);
-    Ok(())
+    let mut out = Relation { key: Vec::new(), cols: empty_cols(&tys, 0) };
+    assemble_parallel(&mut out, &input.key, &[], &parts);
+    Ok(out)
 }
 
 /// Assemble an ARITH output in parallel: the key copies from `key`, the
 /// first `passthrough.len()` columns copy whole from `passthrough` (the
 /// extend variant's sources), and the remaining columns concatenate the
 /// per-chunk computed `parts` — every worker writing a disjoint window of
-/// buffers sized once up front. Small results assemble serially.
+/// buffers sized once up front. `out` arrives with *empty* columns of the
+/// output schema on purpose: the zeroed allocations requested here fault
+/// their pages in on the workers that first write them rather than serially
+/// up front. Small results assemble serially.
 fn assemble_parallel(
     out: &mut Relation,
     key: &[u64],
@@ -101,7 +89,7 @@ fn assemble_parallel(
             scope.spawn(move || match (d, s) {
                 (Column::I64(d), Column::I64(s)) => d.copy_from_slice(s),
                 (Column::F64(d), Column::F64(s)) => d.copy_from_slice(s),
-                _ => unreachable!("schema fixed by reset_cols"),
+                _ => unreachable!("schema fixed by the caller"),
             });
         }
         for (cw, part) in computed_wins.into_iter().zip(parts) {
@@ -115,7 +103,7 @@ fn assemble_parallel(
 }
 
 /// Per-chunk output columns of `body` over `input`, on whichever engine
-/// applies — the compute stage both `_into` assemblers share.
+/// applies — the compute stage [`arith_map`] and both extends share.
 fn arith_parts(
     input: &Relation,
     body: &KernelBody,
@@ -163,30 +151,6 @@ fn arith_parts(
     Ok((tys, parts))
 }
 
-/// Clear `out` and make its columns match `tys` exactly, reusing each
-/// already-matching column buffer (a bool output occupies an i64 column,
-/// as in the scalar path). Mismatched columns become *empty* vectors on
-/// purpose: the parallel assembler then requests fresh zeroed allocations,
-/// whose pages fault in on the workers that first write them rather than
-/// serially up front.
-fn reset_cols(out: &mut Relation, tys: &[Ty]) {
-    out.key.clear();
-    let matches = out.cols.len() == tys.len()
-        && out.cols.iter().zip(tys).all(|(c, t)| match (c, t) {
-            (Column::F64(_), Ty::F64) => true,
-            (Column::I64(_), Ty::F64) => false,
-            (Column::I64(_), _) => true,
-            _ => false,
-        });
-    if matches {
-        for c in &mut out.cols {
-            c.clear();
-        }
-    } else {
-        out.cols = empty_cols(tys, 0);
-    }
-}
-
 /// Batch-engine ARITH: each CTA evaluates the compiled kernel over
 /// [`BATCH_ROWS`]-row batches and appends whole typed lanes to its output
 /// columns. Boolean outputs become i64 flag columns, as in the scalar path.
@@ -228,20 +192,6 @@ fn arith_parts_batch(input: &Relation, k: &CompiledKernel) -> (Vec<Ty>, Vec<Vec<
 /// Like [`arith_map`] but *appends* the computed columns to the existing
 /// payload instead of replacing it.
 pub fn arith_extend(input: &Relation, body: &KernelBody) -> Result<Relation, RelError> {
-    let mut out = Relation::default();
-    arith_extend_into(input, body, &mut out)?;
-    Ok(out)
-}
-
-/// [`arith_extend`] writing into a caller-owned relation (the `_into`
-/// contract, DESIGN.md §14). The output schema is the input's columns
-/// followed by one column per body output; as with [`arith_map_into`],
-/// `out`'s buffers are reused when they already match that schema.
-pub fn arith_extend_into(
-    input: &Relation,
-    body: &KernelBody,
-    out: &mut Relation,
-) -> Result<(), RelError> {
     let (tys, parts) = arith_parts(input, body)?;
     let mut all_tys: Vec<Ty> = input
         .cols
@@ -252,9 +202,9 @@ pub fn arith_extend_into(
         })
         .collect();
     all_tys.extend_from_slice(&tys);
-    reset_cols(out, &all_tys);
-    assemble_parallel(out, &input.key, &input.cols, &parts);
-    Ok(())
+    let mut out = Relation { key: Vec::new(), cols: empty_cols(&all_tys, 0) };
+    assemble_parallel(&mut out, &input.key, &input.cols, &parts);
+    Ok(out)
 }
 
 /// [`arith_extend`] for a caller that owns the input relation: the computed

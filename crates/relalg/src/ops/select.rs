@@ -23,7 +23,7 @@
 
 use crate::data::{RelError, Relation};
 use crate::engine;
-use crate::view::{materialize, materialize_into, View};
+use crate::view::{materialize, View};
 use kfusion_ir::batch::{CompiledKernel, BATCH_ROWS};
 use kfusion_ir::interp::Machine;
 use kfusion_ir::{KernelBody, Ty, Value};
@@ -164,18 +164,6 @@ pub fn select(input: &Relation, predicate: &KernelBody) -> Result<Relation, RelE
     Ok(materialize(select_view(&View::of(input), predicate)?))
 }
 
-/// [`select`] writing into a caller-owned relation: `out` is overwritten
-/// with the surviving tuples, so a caller that filters repeatedly can reuse
-/// one output allocation across calls (the `_into` contract, DESIGN.md §14).
-pub fn select_into(
-    input: &Relation,
-    predicate: &KernelBody,
-    out: &mut Relation,
-) -> Result<(), RelError> {
-    materialize_into(&select_view(&View::of(input), predicate)?, out);
-    Ok(())
-}
-
 /// SELECT with a *chain* of predicates applied as separate passes — the
 /// unfused back-to-back configuration the paper measures against. Returns
 /// every intermediate cardinality alongside the final relation, because the
@@ -187,15 +175,10 @@ pub fn select_chain_unfused(
     let Some((first, rest)) = predicates.split_first() else {
         return Ok((input.clone(), Vec::new()));
     };
-    // The first pass reads `input` itself; from then on two buffers
-    // ping-pong through the chain — each pass filters `cur` into `next`,
-    // then they swap — so no pass allocates beyond capacity growth.
     let mut cur = select(input, first)?;
-    let mut next = Relation::default();
     let mut cards = vec![cur.len()];
     for p in rest {
-        select_into(&cur, p, &mut next)?;
-        std::mem::swap(&mut cur, &mut next);
+        cur = select(&cur, p)?;
         cards.push(cur.len());
     }
     Ok((cur, cards))

@@ -207,37 +207,22 @@ pub fn materialize(view: View<'_>) -> Relation {
     } else {
         view
     };
-    let mut out = Relation::default();
-    materialize_into(&view, &mut out);
-    out
-}
-
-/// [`materialize`] into a caller-owned relation (the `_into` contract,
-/// DESIGN.md §14): `out` is overwritten with the view's tuples, reusing its
-/// buffers where the schema already matches.
-pub(crate) fn materialize_into(view: &View<'_>, out: &mut Relation) {
     kfusion_trace::counter(
         "kfusion_host_materialized_bytes_total",
         view.len() as u64 * view.row_bytes(),
     );
-    let schema_matches = out.cols.len() == view.n_cols()
-        && out.cols.iter().enumerate().all(|(c, col)| col.same_type(view.col(c)));
-    if !schema_matches {
-        out.cols = (0..view.n_cols()).map(|c| view.col(c).empty_like()).collect();
-    }
     let Some(sel) = view.selection() else {
-        // Every base row survives: whole-column copies, appended rather
-        // than written into zeroed buffers (a recycled allocation would be
-        // cleared first, then overwritten). One thread: on the 2-core
-        // machines this was measured on, a worker per column lost a quarter
-        // to contention on the fresh buffers' page faults.
-        out.key.clear();
-        out.key.extend_from_slice(view.key());
-        for (c, col) in out.cols.iter_mut().enumerate() {
-            col.clear();
-            col.extend_from(view.col(c));
-        }
-        return;
+        // Every base row survives: whole-column copies. One thread: on the
+        // 2-core machines this was measured on, a worker per column lost a
+        // quarter to contention on the fresh buffers' page faults.
+        return Relation {
+            key: view.key().to_vec(),
+            cols: (0..view.n_cols()).map(|c| view.col(c).clone()).collect(),
+        };
+    };
+    let mut out = Relation {
+        key: Vec::new(),
+        cols: (0..view.n_cols()).map(|c| view.col(c).empty_like()).collect(),
     };
     resize_zeroed_vec(&mut out.key, view.len());
     for c in &mut out.cols {
@@ -256,17 +241,19 @@ pub(crate) fn materialize_into(view: &View<'_>, out: &mut Relation) {
         .zip(slice_windows(&mut out.key, &counts))
         .zip(col_windows(&mut out.cols, &counts))
         .enumerate();
+    let view = &view;
     if counts.len() == 1 {
         for (cta, ((words, kw), cw)) in ctas {
             scatter_cta(view, cta * DEFAULT_CTA_CHUNK, words, kw, cw);
         }
-        return;
+    } else {
+        std::thread::scope(|scope| {
+            for (cta, ((words, kw), cw)) in ctas {
+                scope.spawn(move || scatter_cta(view, cta * DEFAULT_CTA_CHUNK, words, kw, cw));
+            }
+        });
     }
-    std::thread::scope(|scope| {
-        for (cta, ((words, kw), cw)) in ctas {
-            scope.spawn(move || scatter_cta(view, cta * DEFAULT_CTA_CHUNK, words, kw, cw));
-        }
-    });
+    out
 }
 
 /// Copy one CTA's survivors — the set bits of `words`, lane 0 being base
@@ -367,20 +354,5 @@ mod tests {
         assert_eq!(out.n_cols(), 2);
         assert_eq!(out.cols[0], a.cols[1]);
         assert_eq!(out.cols[1], b.cols[0]);
-    }
-
-    #[test]
-    fn materialize_into_reuses_matching_buffers() {
-        let r = rel(500);
-        let mut out = rel(2000);
-        let cap = out.key.capacity();
-        let (sel, rows) = every_third(500);
-        materialize_into(&View::of(&r).with_selection(sel, rows), &mut out);
-        assert_eq!(out.len(), rows);
-        assert_eq!(out.key.capacity(), cap);
-        // A different schema replaces the columns.
-        let keys = Relation::from_keys(vec![7, 8]);
-        materialize_into(&View::of(&keys), &mut out);
-        assert_eq!(out, keys);
     }
 }

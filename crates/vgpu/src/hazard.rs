@@ -415,18 +415,16 @@ mod tests {
     }
 
     #[test]
-    fn simulate_rejects_hazardous_schedules_with_check_on() {
+    fn simulate_rejects_hazardous_schedules() {
         let mut sched = Schedule::new();
         let a = sched.add_stream();
         let b = sched.add_stream();
         sched.push(a, h2d("in"));
         sched.push(b, kern("filter").reading("in"));
         let sys = crate::GpuSystem::c2070();
-        let r = sys.simulate(&sched);
-        if cfg!(feature = "check") {
-            assert!(matches!(r, Err(crate::SimError::Hazard(Hazard::UseBeforeDef { .. }))));
-        } else {
-            assert!(r.is_ok());
-        }
+        assert!(matches!(
+            sys.simulate(&sched),
+            Err(crate::SimError::Hazard(Hazard::UseBeforeDef { .. }))
+        ));
     }
 }

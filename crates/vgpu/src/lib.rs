@@ -90,12 +90,11 @@ impl GpuSystem {
 
     /// Simulate a schedule of stream commands on this system.
     ///
-    /// With the `check` feature (default-on) the [`hazard`] detector runs
-    /// first: a schedule whose declared buffer accesses race fails with
-    /// [`SimError::Hazard`] instead of silently simulating a timing for a
-    /// computation that would corrupt data on real hardware.
+    /// The [`hazard`] detector runs first: a schedule whose declared buffer
+    /// accesses race fails with [`SimError::Hazard`] instead of silently
+    /// simulating a timing for a computation that would corrupt data on real
+    /// hardware.
     pub fn simulate(&self, schedule: &Schedule) -> Result<Timeline, SimError> {
-        #[cfg(feature = "check")]
         {
             let _span = kfusion_trace::host_span("checker", "check_schedule");
             hazard::check_schedule(schedule).map_err(SimError::Hazard)?;

@@ -109,9 +109,8 @@ pub fn partition(total: u64, k: u32) -> Vec<SegRange> {
             seg
         })
         .collect();
-    // Self-check under the validate feature: defense in depth for callers
-    // that bypass the scheduler's explicit check.
-    #[cfg(feature = "validate")]
+    // Defense in depth for callers that bypass the scheduler's explicit
+    // check.
     debug_assert!(check_partition(total, &out).is_ok());
     out
 }

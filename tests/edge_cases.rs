@@ -7,6 +7,7 @@ use kfusion::core::microbench::{run_with_cards, DataMode, SelectChain};
 use kfusion::core::{CoreError, OpKind, PlanGraph};
 use kfusion::relalg::ops::{Agg, SortBy};
 use kfusion::relalg::{gen, predicates, Column, Relation};
+use kfusion::server::{QueryService, RecordOutcome, ServerConfig, ServerError};
 use kfusion::vgpu::GpuSystem;
 
 fn sys() -> GpuSystem {
@@ -214,4 +215,56 @@ fn foreign_prepared_plan_never_changes_the_answer() {
             }
         }
     }
+}
+
+/// JOIN needs key-sorted inputs and REKEY destroys key order: structurally
+/// the plan is fine (`PlanGraph::validate` accepts it), so only the static
+/// checker stands between it and a merge join over unsorted keys.
+fn join_over_unsorted_rekey() -> (PlanGraph, Vec<Relation>) {
+    let mut g = PlanGraph::new();
+    let (a, b) = (g.input(0), g.input(1));
+    let rk = g.add(OpKind::Rekey { col: 0 }, vec![a]);
+    g.add(OpKind::Join, vec![rk, b]);
+    assert!(g.validate().is_ok());
+    let left = Relation::new(vec![0, 1, 2, 3], vec![Column::I64(vec![3, 1, 2, 0])]).unwrap();
+    (g, vec![left, Relation::from_keys(vec![0, 1, 2, 3])])
+}
+
+#[test]
+fn executor_rejects_an_illegal_plan_with_the_checkers_error() {
+    let (g, inputs) = join_over_unsorted_rekey();
+    for strat in [
+        Strategy::Serial,
+        Strategy::SerialRoundTrip,
+        Strategy::Fusion,
+        Strategy::Fission { segments: 4 },
+        Strategy::FusionFission { segments: 4 },
+    ] {
+        let r = execute(&sys(), &g, &inputs, &ExecConfig::new(strat, &sys()));
+        assert!(matches!(r, Err(CoreError::Check(_))), "{strat:?}: {r:?}");
+    }
+}
+
+#[test]
+fn service_fails_an_illegal_plan_and_keeps_its_worker() {
+    let (bad, tables) = join_over_unsorted_rekey();
+    let mut good = PlanGraph::new();
+    let i = good.input(1);
+    good.add(OpKind::Select { pred: predicates::key_lt(2) }, vec![i]);
+    let mut cfg = ServerConfig::new(ExecConfig::new(Strategy::Fusion, &sys()));
+    cfg.workers = 1;
+    let (rejected, served, stats) = QueryService::serve(&sys(), &tables, &cfg, |c| {
+        // One worker: the second query is answered only if the first left
+        // it alive.
+        let rejected = c.query(bad);
+        (rejected, c.query(good), c.server_stats())
+    });
+    match rejected {
+        Err(ServerError::Exec(msg)) => assert!(msg.contains("static checker"), "{msg}"),
+        other => panic!("expected the checker's rejection, got {other:?}"),
+    }
+    assert_eq!(served.unwrap().output, Relation::from_keys(vec![0, 1]));
+    assert_eq!((stats.submitted, stats.failed, stats.completed), (2, 1, 1));
+    let outcomes: Vec<_> = stats.recent.iter().map(|r| r.outcome).collect();
+    assert_eq!(outcomes, [RecordOutcome::Failed, RecordOutcome::Completed]);
 }
