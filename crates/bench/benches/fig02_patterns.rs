@@ -7,12 +7,12 @@
 use kfusion_bench::{ms, print_header, ratio, system, Table};
 use kfusion_core::exec::{execute, ExecConfig, Strategy};
 use kfusion_core::fusion::fuse_plan;
-use kfusion_core::{patterns, FusionBudget, OpKind};
+use kfusion_core::{patterns, FusionBudget};
 use kfusion_ir::opt::OptLevel;
 use kfusion_relalg::{gen, Column, Relation};
 
 fn inputs_for(g: &kfusion_core::PlanGraph, rows: usize) -> Vec<Relation> {
-    let n_inputs = g.nodes.iter().filter(|n| matches!(n.kind, OpKind::Input { .. })).count();
+    let n_inputs = g.inputs().count();
     (0..n_inputs)
         .map(|k| {
             let mut t = gen::sorted_table(rows, 2, k as u64);
@@ -38,7 +38,7 @@ fn main() {
     ]);
     for (name, g) in patterns::all() {
         let plan = fuse_plan(&g, &budget, OptLevel::O3);
-        let n_ops = g.nodes.iter().filter(|n| !matches!(n.kind, OpKind::Input { .. })).count();
+        let n_ops = g.len() - g.inputs().count();
         let inputs = inputs_for(&g, 400_000);
         let serial = execute(&sys, &g, &inputs, &ExecConfig::new(Strategy::Serial, &sys)).unwrap();
         let fused = execute(&sys, &g, &inputs, &ExecConfig::new(Strategy::Fusion, &sys)).unwrap();

@@ -26,11 +26,10 @@
 
 use kfusion_check::prover;
 use kfusion_core::analyze::fused_group_body;
-use kfusion_core::graph::{OpKind, PlanGraph};
+use kfusion_core::graph::PlanGraph;
 use kfusion_core::{fuse_plan, FusionBudget};
 use kfusion_ir::opt::{optimize, OptLevel};
 use kfusion_ir::symexec;
-use kfusion_ir::KernelBody;
 use kfusion_vgpu::DeviceSpec;
 use std::time::Instant;
 
@@ -79,14 +78,6 @@ impl Tally {
     }
 }
 
-fn node_ir(kind: &OpKind) -> Option<&KernelBody> {
-    match kind {
-        OpKind::Select { pred } => Some(pred),
-        OpKind::Arith { body } | OpKind::ArithExtend { body } => Some(body),
-        _ => None,
-    }
-}
-
 fn budget() -> FusionBudget {
     FusionBudget::for_device(&DeviceSpec::tesla_c2070())
 }
@@ -100,7 +91,7 @@ fn prove_target_level(target: &str, graph: &PlanGraph, level: OptLevel, strategy
 
     // Per-operator bodies: the rewrite `optimize` performs on each one.
     for (id, node) in graph.nodes.iter().enumerate() {
-        if let Some(body) = node_ir(&node.kind) {
+        if let Some((body, _)) = node.kind.body() {
             let opt = optimize(body, level);
             let origin = format!("{target} {level:?} {strategy}: node {id}");
             tally.add(&origin, prover::prove_body_equiv(body, &opt));
@@ -166,7 +157,7 @@ fn measure_overhead(graph: &PlanGraph) -> f64 {
         let _ = kfusion_core::check::check_plan(graph);
         for level in [OptLevel::O1, OptLevel::O2, OptLevel::O3] {
             for node in &graph.nodes {
-                if let Some(body) = node_ir(&node.kind) {
+                if let Some((body, _)) = node.kind.body() {
                     let opt = optimize(body, level);
                     // The executor's vectorized path compiles each body for
                     // i64-bound columns (polymorphic slots resolve at bind

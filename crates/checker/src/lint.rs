@@ -12,7 +12,7 @@
 //! The catalog (one line per lint) lives in DESIGN.md §8.
 
 use kfusion_core::analyze::analyzed_group_regs;
-use kfusion_core::graph::{NodeId, OpKind, PlanGraph};
+use kfusion_core::graph::{BodyRole, NodeId, PlanGraph};
 use kfusion_core::{fuse_plan, FusionBudget, FusionPlan};
 use kfusion_ir::dataflow::{available, liveness, range};
 use kfusion_ir::opt::{optimize_report, OptLevel};
@@ -316,37 +316,6 @@ pub fn lint_body(origin: &str, body: &KernelBody, is_predicate: bool) -> Vec<Lin
     lints
 }
 
-fn kind_name(kind: &OpKind) -> &'static str {
-    match kind {
-        OpKind::Input { .. } => "INPUT",
-        OpKind::Select { .. } => "SELECT",
-        OpKind::Project { .. } => "PROJECT",
-        OpKind::Arith { .. } => "ARITH",
-        OpKind::ArithExtend { .. } => "ARITH-EXTEND",
-        OpKind::Rekey { .. } => "REKEY",
-        OpKind::Join => "JOIN",
-        OpKind::ColumnJoin => "COLUMN-JOIN",
-        OpKind::Semijoin => "SEMIJOIN",
-        OpKind::Antijoin => "ANTIJOIN",
-        OpKind::Product => "PRODUCT",
-        OpKind::Union => "UNION",
-        OpKind::Intersect => "INTERSECT",
-        OpKind::Difference => "DIFFERENCE",
-        OpKind::Aggregate { .. } => "AGGREGATE",
-        OpKind::AggregateAll { .. } => "AGGREGATE-ALL",
-        OpKind::Sort { .. } => "SORT",
-        OpKind::Unique => "UNIQUE",
-    }
-}
-
-fn node_ir(kind: &OpKind) -> Option<(&KernelBody, bool)> {
-    match kind {
-        OpKind::Select { pred } => Some((pred, true)),
-        OpKind::Arith { body } | OpKind::ArithExtend { body } => Some((body, false)),
-        _ => None,
-    }
-}
-
 /// Lint a fusion plan's groups against the device register budget, using
 /// the *analyzed* pressure of each group's fused, optimized body.
 pub fn lint_fusion(
@@ -368,7 +337,7 @@ pub fn lint_fusion(
         if regs > budget.max_regs_per_thread {
             let names: Vec<String> = members
                 .iter()
-                .map(|&m: &NodeId| format!("n{m}:{}", kind_name(&graph.nodes[m].kind)))
+                .map(|&m: &NodeId| format!("n{m}:{}", graph.nodes[m].kind.name()))
                 .collect();
             lints.push(
                 Lint::new(
@@ -399,9 +368,9 @@ pub fn lint_plan(graph: &PlanGraph, budget: &FusionBudget, level: OptLevel) -> L
         return report;
     }
     for (id, node) in graph.nodes.iter().enumerate() {
-        if let Some((body, is_pred)) = node_ir(&node.kind) {
-            let origin = format!("node {id} ({})", kind_name(&node.kind));
-            report.lints.extend(lint_body(&origin, body, is_pred));
+        if let Some((body, role)) = node.kind.body() {
+            let origin = format!("node {id} ({})", node.kind.name());
+            report.lints.extend(lint_body(&origin, body, role == BodyRole::Predicate));
         }
     }
     let fusion = fuse_plan(graph, budget, level);
@@ -676,6 +645,7 @@ pub fn lint_model_violation(v: &kfusion_model::ViolationInfo) -> Vec<Lint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kfusion_core::OpKind;
     use kfusion_ir::{BinOp, CmpOp, Instr, Value};
     use kfusion_relalg::predicates;
     use kfusion_relalg::profiles::STAGE_REGS;

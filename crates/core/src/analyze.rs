@@ -12,30 +12,14 @@
 //! the distinction the paper's register-pressure limit (§III-C) is about,
 //! and one per-op constants cannot express.
 
-use crate::cost::node_regs;
-use crate::graph::{NodeId, OpKind, PlanGraph};
+use crate::cost::fused_step;
+use crate::graph::{BodyRole, NodeId, PlanGraph};
 use kfusion_ir::cost::max_live_regs;
 use kfusion_ir::fuse::{fuse, FuseError, FusedOutput, SlotSource};
 use kfusion_ir::ir::{BinOp, Instr};
 use kfusion_ir::opt::{optimize, OptLevel};
 use kfusion_ir::KernelBody;
 use kfusion_relalg::profiles::STAGE_REGS;
-
-/// The IR body an operator contributes to a fused compute stage, if any.
-fn ir_body(kind: &OpKind) -> Option<&KernelBody> {
-    match kind {
-        OpKind::Select { pred } => Some(pred),
-        OpKind::Arith { body } | OpKind::ArithExtend { body } => Some(body),
-        _ => None,
-    }
-}
-
-/// Whether a group member forwards its input tuple unchanged to consumers
-/// (so a consumer inside the same group reads the *same element* the member
-/// read, and their bodies can share input slots).
-fn passes_tuple_through(kind: &OpKind) -> bool {
-    matches!(kind, OpKind::Select { .. })
-}
 
 /// Build the fused compute body of a group's IR-bearing members, mirroring
 /// what code generation does: bodies splice in topological order; a member
@@ -52,10 +36,12 @@ pub fn fused_group_body(
     members: &[NodeId],
     level: OptLevel,
 ) -> Option<KernelBody> {
-    // IR members in topological (= id) order.
-    let mut ir_members: Vec<NodeId> =
-        members.iter().copied().filter(|&m| ir_body(&graph.nodes[m].kind).is_some()).collect();
-    ir_members.sort_unstable();
+    // IR members in topological (= id) order, each with its body.
+    let mut ir_members: Vec<(NodeId, &KernelBody, BodyRole)> = members
+        .iter()
+        .filter_map(|&m| graph.nodes[m].kind.body().map(|(body, role)| (m, body, role)))
+        .collect();
+    ir_members.sort_unstable_by_key(|&(m, ..)| m);
     if ir_members.is_empty() {
         return None;
     }
@@ -66,12 +52,11 @@ pub fn fused_group_body(
     // producer is an in-group tuple-passer with a region of its own.
     let mut region_of: Vec<usize> = Vec::with_capacity(ir_members.len());
     let mut region_widths: Vec<u32> = Vec::new();
-    for (i, &m) in ir_members.iter().enumerate() {
-        let body = ir_body(&graph.nodes[m].kind).expect("filtered to IR members");
+    for (i, &(m, body, _)) in ir_members.iter().enumerate() {
         let producer = graph.nodes[m].inputs.first().copied();
         let inherited = producer.and_then(|p| {
-            if in_group(p) && passes_tuple_through(&graph.nodes[p].kind) {
-                ir_members[..i].iter().position(|&q| q == p).map(|qi| region_of[qi])
+            if in_group(p) && graph.nodes[p].kind.traits().keeps_schema {
+                ir_members[..i].iter().position(|&(q, ..)| q == p).map(|qi| region_of[qi])
             } else {
                 None
             }
@@ -90,8 +75,7 @@ pub fn fused_group_body(
         next += width;
     }
 
-    let bodies: Vec<KernelBody> =
-        ir_members.iter().map(|&m| ir_body(&graph.nodes[m].kind).unwrap().clone()).collect();
+    let bodies: Vec<KernelBody> = ir_members.iter().map(|&(_, body, _)| body.clone()).collect();
     let wiring: Vec<Vec<SlotSource>> = bodies
         .iter()
         .zip(&region_of)
@@ -101,14 +85,14 @@ pub fn fused_group_body(
     // value output an Arith/ArithExtend member exposes.
     let mut pred_outputs = 0usize;
     let mut outputs: Vec<FusedOutput> = Vec::new();
-    for (bi, &m) in ir_members.iter().enumerate() {
-        if matches!(graph.nodes[m].kind, OpKind::Select { .. }) {
+    for (bi, &(.., role)) in ir_members.iter().enumerate() {
+        if role == BodyRole::Predicate {
             outputs.push(FusedOutput { body: bi, output: 0 });
             pred_outputs += 1;
         }
     }
-    for (bi, &m) in ir_members.iter().enumerate() {
-        if !matches!(graph.nodes[m].kind, OpKind::Select { .. }) {
+    for (bi, &(.., role)) in ir_members.iter().enumerate() {
+        if role == BodyRole::Values {
             for o in 0..bodies[bi].outputs.len() {
                 outputs.push(FusedOutput { body: bi, output: o });
             }
@@ -144,14 +128,15 @@ pub fn fused_group_body(
 /// Falls back to the summed per-op estimate ([`crate::cost::group_regs_summed`])
 /// when the group's bodies cannot be spliced into one verifiable stage.
 pub fn analyzed_group_regs(graph: &PlanGraph, members: &[NodeId], level: OptLevel) -> u32 {
+    let kind = |m: NodeId| &graph.nodes[m].kind;
     let non_ir: u32 = members
         .iter()
-        .filter(|&&m| ir_body(&graph.nodes[m].kind).is_none())
-        .map(|&m| node_regs(&graph.nodes[m].kind, level))
+        .filter(|&&m| kind(m).body().is_none())
+        .map(|&m| fused_step(kind(m), level).regs)
         .sum();
     match fused_group_body(graph, members, level) {
         Some(body) => STAGE_REGS + max_live_regs(&body) as u32 + non_ir,
-        None if members.iter().any(|&m| ir_body(&graph.nodes[m].kind).is_some()) => {
+        None if members.iter().any(|&m| kind(m).body().is_some()) => {
             crate::cost::group_regs_summed(graph, members, level)
         }
         None => STAGE_REGS + non_ir,
@@ -162,6 +147,7 @@ pub fn analyzed_group_regs(graph: &PlanGraph, members: &[NodeId], level: OptLeve
 mod tests {
     use super::*;
     use crate::cost::group_regs_summed;
+    use crate::graph::OpKind;
     use kfusion_ir::CmpOp;
     use kfusion_relalg::predicates;
 
@@ -202,7 +188,7 @@ mod tests {
         let j = g.add(OpKind::ColumnJoin, vec![a, b]);
         assert_eq!(
             analyzed_group_regs(&g, &[j], OptLevel::O3),
-            STAGE_REGS + node_regs(&g.nodes[j].kind, OptLevel::O3)
+            STAGE_REGS + fused_step(&g.nodes[j].kind, OptLevel::O3).regs
         );
     }
 

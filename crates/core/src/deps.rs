@@ -14,98 +14,39 @@
 //! AGGREGATION may terminate a fused kernel (Fig. 2(g) fuses
 //! SELECT→AGGREGATION) but nothing can fuse *after* it inside the same
 //! kernel, since its output exists only once the whole input is reduced.
+//!
+//! §IV adds the fission question — can output segment `i` be computed from
+//! input segment `i` alone? — which only the strictly elementwise operators
+//! answer yes to. [`Dep`] folds both into one class per operator, so
+//! "segmentable ⇒ fusable" holds by construction; which operator is in
+//! which class is a column of [`OpKind::traits`](crate::graph::OpKind::traits).
 
-use crate::graph::OpKind;
-
-/// Fusion classification of an operator.
+/// An operator's dependence class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fusability {
-    /// May appear anywhere in a fused kernel.
+pub enum Dep {
+    /// A plan input: not an operator, a member of no kernel.
+    Leaf,
+    /// Output element `i` depends on input element `i` alone: fuses anywhere
+    /// in a kernel *and* may be segmented for fission.
+    Elementwise,
+    /// Fuses anywhere in a kernel but cannot be segmented: a segment
+    /// boundary can split a merge join's key group.
     Fusable,
     /// May appear only as the last member of a fused kernel (AGGREGATION).
-    FusableTerminal,
+    Terminal,
     /// May never fuse (SORT, UNIQUE, and — conservatively — the whole-tuple
     /// set operators, which the paper's Fig. 2 patterns do not cover).
     Barrier,
 }
 
-/// Classify an operator for fusion.
-pub fn fusability(kind: &OpKind) -> Fusability {
-    match kind {
-        OpKind::Input { .. } => Fusability::Barrier, // leaves are not operators
-        OpKind::Select { .. }
-        | OpKind::Project { .. }
-        | OpKind::Rekey { .. }
-        | OpKind::Arith { .. }
-        | OpKind::ArithExtend { .. }
-        | OpKind::Join
-        | OpKind::ColumnJoin
-        | OpKind::Semijoin
-        | OpKind::Antijoin
-        | OpKind::Product => Fusability::Fusable,
-        OpKind::Aggregate { .. } | OpKind::AggregateAll { .. } => Fusability::FusableTerminal,
-        OpKind::Sort { .. }
-        | OpKind::Unique
-        | OpKind::Union
-        | OpKind::Intersect
-        | OpKind::Difference => Fusability::Barrier,
-    }
-}
-
-/// Whether an operator can be *segmented* for kernel fission: output
-/// segment `i` must be computable from input segment `i` alone. True for
-/// the strictly elementwise operators; false for merge joins (a segment
-/// boundary can split a key group), reductions, and barriers.
-pub fn streamable(kind: &OpKind) -> bool {
-    matches!(
-        kind,
-        OpKind::Select { .. }
-            | OpKind::Project { .. }
-            | OpKind::Rekey { .. }
-            | OpKind::Arith { .. }
-            | OpKind::ArithExtend { .. }
-            | OpKind::ColumnJoin
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use kfusion_relalg::ops::{Agg, SortBy};
-    use kfusion_relalg::predicates;
-
-    #[test]
-    fn paper_barrier_operators() {
-        // §III-C: "SORT and UNIQUE cannot be fused with any other operators".
-        assert_eq!(fusability(&OpKind::Sort { by: SortBy::Key }), Fusability::Barrier);
-        assert_eq!(fusability(&OpKind::Unique), Fusability::Barrier);
+impl Dep {
+    /// Whether the operator may share a fused kernel with others.
+    pub fn fuses(self) -> bool {
+        matches!(self, Dep::Elementwise | Dep::Fusable | Dep::Terminal)
     }
 
-    #[test]
-    fn fig2_pattern_members_are_fusable() {
-        // Every operator appearing in the paper's Fig. 2 patterns.
-        assert_eq!(
-            fusability(&OpKind::Select { pred: predicates::key_lt(1) }),
-            Fusability::Fusable
-        );
-        assert_eq!(fusability(&OpKind::Join), Fusability::Fusable);
-        assert_eq!(
-            fusability(&OpKind::Arith { body: predicates::discounted_price(0, 1) }),
-            Fusability::Fusable
-        );
-        assert_eq!(fusability(&OpKind::Project { keep: vec![0] }), Fusability::Fusable);
-        assert_eq!(
-            fusability(&OpKind::Aggregate { aggs: vec![Agg::Count] }),
-            Fusability::FusableTerminal
-        );
-    }
-
-    #[test]
-    fn streamable_is_strictly_elementwise() {
-        assert!(streamable(&OpKind::Select { pred: predicates::key_lt(1) }));
-        assert!(streamable(&OpKind::ColumnJoin));
-        assert!(!streamable(&OpKind::Join), "merge join can split key groups");
-        assert!(!streamable(&OpKind::Aggregate { aggs: vec![Agg::Count] }));
-        assert!(!streamable(&OpKind::Sort { by: SortBy::Key }));
+    /// Whether a kernel stays open to further members after this one.
+    pub fn stays_open(self) -> bool {
+        matches!(self, Dep::Elementwise | Dep::Fusable)
     }
 }

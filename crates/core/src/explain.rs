@@ -72,26 +72,22 @@ fn build_node(
     fusion: &FusionPlan,
     sim: &[f64],
     m: &NodeMeasurements<'_>,
-    level: OptLevel,
+    group_regs: &[u32],
     id: NodeId,
 ) -> ExplainNode {
     let node = &graph.nodes[id];
     let fusion_group = fusion.group_of[id];
-    let max_live_regs = match fusion_group {
-        Some(g) => group_regs(graph, &fusion.groups[g], level),
-        None => 0,
-    };
     ExplainNode {
         label: format!("{}#{id}", node.kind.name().to_lowercase()),
         rows: m.rows.get(id).copied().unwrap_or(0),
         sim_seconds: sim.get(id).copied().unwrap_or(0.0),
         host_seconds: m.host_seconds.get(id).copied().unwrap_or(0.0),
         fusion_group,
-        max_live_regs,
+        max_live_regs: fusion_group.map_or(0, |g| group_regs[g]),
         children: node
             .inputs
             .iter()
-            .map(|&p| build_node(graph, fusion, sim, m, level, p))
+            .map(|&p| build_node(graph, fusion, sim, m, group_regs, p))
             .collect(),
     }
 }
@@ -110,7 +106,10 @@ pub fn build_explain(
     root: NodeId,
 ) -> ExplainNode {
     let sim = sim_seconds_per_node(graph, fusion, timeline);
-    build_node(graph, fusion, &sim, measurements, level, root)
+    // Once per group, not per node: each is a splice and an optimizer run
+    // over the whole group body.
+    let regs: Vec<u32> = fusion.groups.iter().map(|g| group_regs(graph, g, level)).collect();
+    build_node(graph, fusion, &sim, measurements, &regs, root)
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //! with both of its SELECT producers pulls two existing groups into one).
 
 use crate::cost::{group_regs, FusionBudget};
-use crate::deps::{fusability, Fusability};
-use crate::graph::{NodeId, OpKind, PlanGraph};
+use crate::deps::Dep;
+use crate::graph::{NodeId, PlanGraph};
 use kfusion_ir::opt::OptLevel;
 
 /// The result of the fusion pass.
@@ -46,9 +46,8 @@ impl FusionPlan {
     /// prepared for a different graph must fail here rather than there.
     pub fn covers(&self, graph: &PlanGraph) -> bool {
         let members: usize = self.groups.iter().map(Vec::len).sum();
-        let is_input = |n: &crate::graph::Node| matches!(n.kind, OpKind::Input { .. });
         self.group_of.len() == graph.len()
-            && graph.nodes.iter().zip(&self.group_of).all(|(n, g)| is_input(n) == g.is_none())
+            && graph.nodes.iter().zip(&self.group_of).all(|(n, g)| n.kind.is_input() == g.is_none())
             && members == self.group_of.iter().flatten().count()
             && self.groups.iter().enumerate().all(|(g, group)| {
                 !group.is_empty()
@@ -86,13 +85,12 @@ pub fn fuse_plan(graph: &PlanGraph, budget: &FusionBudget, level: OptLevel) -> F
     let mut leaf_groups: Vec<Vec<usize>> = vec![Vec::new(); n];
 
     for id in 0..n {
-        let kind = &graph.nodes[id].kind;
-        if matches!(kind, OpKind::Input { .. }) {
+        let dep = graph.nodes[id].kind.traits().dep;
+        if dep == Dep::Leaf {
             continue;
         }
-        let f = fusability(kind);
         let mut placed = false;
-        if f != Fusability::Barrier {
+        if dep.fuses() {
             // Open groups feeding this node.
             let mut producer_groups: Vec<usize> = graph.nodes[id]
                 .inputs
@@ -136,21 +134,24 @@ pub fn fuse_plan(graph: &PlanGraph, budget: &FusionBudget, level: OptLevel) -> F
                         groups[g].open = false;
                     }
                     groups[target].members = members;
-                    groups[target].open = f == Fusability::Fusable;
+                    groups[target].open = dep.stays_open();
                     group_of[id] = Some(target);
                     placed = true;
                 }
             }
         }
         if !placed {
-            let open = f == Fusability::Fusable;
-            groups.push(GroupState { members: vec![id], open, merged_into: None });
+            groups.push(GroupState {
+                members: vec![id],
+                open: dep.stays_open(),
+                merged_into: None,
+            });
             group_of[id] = Some(groups.len() - 1);
         }
         // Register this node's group on every Input leaf it reads directly.
         if let Some(g) = group_of[id] {
             for &p in &graph.nodes[id].inputs {
-                if matches!(graph.nodes[p].kind, OpKind::Input { .. }) {
+                if graph.nodes[p].kind.is_input() {
                     leaf_groups[p].push(g);
                 }
             }

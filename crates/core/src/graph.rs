@@ -6,6 +6,7 @@
 //! paper's compiler; the Fig. 17 TPC-H plans and the Fig. 2 fusable
 //! patterns are all constructed as `PlanGraph`s.
 
+use crate::deps::Dep;
 use kfusion_ir::KernelBody;
 use kfusion_relalg::ops::{Agg, SortBy};
 
@@ -83,45 +84,110 @@ pub enum OpKind {
     Unique,
 }
 
+/// How the host executor holds an operator's inputs and output
+/// (DESIGN.md §17).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Host {
+    /// Reads its inputs as views and yields one: its result is its input's
+    /// columns under a narrower selection or in another arrangement, so
+    /// inside a fused group it is never materialized.
+    View,
+    /// Reads a dense view where it is (a filtered one is gathered first);
+    /// what it produces is new rows.
+    ReadsViews,
+    /// Needs stored rows and has an in-place variant: an intermediate it is
+    /// the only consumer of is mutated rather than copied.
+    InPlace,
+    /// Needs stored rows, produces stored rows.
+    Stored,
+}
+
+/// What an operator's IR body computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BodyRole {
+    /// Output 0 is the keep/drop mask of a filter.
+    Predicate,
+    /// Every output is a payload column of the result.
+    Values,
+}
+
+/// Everything the compiler and the executor know about an operator without
+/// looking at its payload — one row of the table in [`OpKind::traits`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpTraits {
+    /// Display name: EXPLAIN labels, host span names, lint diagnostics.
+    pub name: &'static str,
+    /// How many relation inputs the operator takes.
+    pub arity: usize,
+    /// Dependence class (§III-C / §IV): what fuses, what segments.
+    pub dep: Dep,
+    /// How the host executor holds its inputs and output.
+    pub host: Host,
+    /// Whether every input must be key-sorted — checked statically by
+    /// `check_plan`, enforced at run time by `relalg::ops`.
+    pub needs_sorted: bool,
+    /// Whether the output tuple is input 0's tuple unchanged (same key, same
+    /// columns), so a fused consumer's IR body addresses the slots its
+    /// producer's did.
+    pub keeps_schema: bool,
+}
+
 impl OpKind {
+    /// The operator table. Each column is read by one layer — `dep` by
+    /// `fusion`, `check` and the schedule builder, `host` by `exec::host`,
+    /// `needs_sorted` by `check`, `keeps_schema` by `analyze` — and none of
+    /// them keeps a copy; a new operator fills in one row here.
+    #[rustfmt::skip]
+    pub fn traits(&self) -> OpTraits {
+        use {Dep::*, Host::*};
+        let row = |name, arity, dep, host, needs_sorted, keeps_schema| {
+            OpTraits { name, arity, dep, host, needs_sorted, keeps_schema }
+        };
+        match self {
+            //                                   name    arity  dep          host        sorted keeps
+            OpKind::Input { .. }        => row("INPUT",      0, Leaf,        Stored,     false, false),
+            OpKind::Select { .. }       => row("SELECT",     1, Elementwise, View,       false, true),
+            OpKind::Project { .. }      => row("PROJECT",    1, Elementwise, View,       false, false),
+            OpKind::Arith { .. }        => row("ARITH",      1, Elementwise, Stored,     false, false),
+            OpKind::ArithExtend { .. }  => row("ARITH+",     1, Elementwise, InPlace,    false, false),
+            OpKind::Rekey { .. }        => row("REKEY",      1, Elementwise, InPlace,    false, false),
+            OpKind::Join                => row("JOIN",       2, Fusable,     Stored,     true,  false),
+            OpKind::ColumnJoin          => row("COLJOIN",    2, Elementwise, View,       false, false),
+            OpKind::Semijoin            => row("SEMIJOIN",   2, Fusable,     Stored,     true,  true),
+            OpKind::Antijoin            => row("ANTIJOIN",   2, Fusable,     Stored,     true,  true),
+            OpKind::Product             => row("PRODUCT",    2, Fusable,     Stored,     false, false),
+            OpKind::Union               => row("UNION",      2, Barrier,     Stored,     false, false),
+            OpKind::Intersect           => row("INTERSECT",  2, Barrier,     Stored,     false, false),
+            OpKind::Difference          => row("DIFFERENCE", 2, Barrier,     Stored,     false, false),
+            OpKind::Aggregate { .. }    => row("AGGREGATE",  1, Terminal,    ReadsViews, true,  false),
+            OpKind::AggregateAll { .. } => row("AGGREGATE*", 1, Terminal,    Stored,     false, false),
+            OpKind::Sort { .. }         => row("SORT",       1, Barrier,     Stored,     false, true),
+            OpKind::Unique              => row("UNIQUE",     1, Barrier,     Stored,     true,  true),
+        }
+    }
+
+    /// The IR body the operator carries, and what it computes.
+    pub fn body(&self) -> Option<(&KernelBody, BodyRole)> {
+        match self {
+            OpKind::Select { pred } => Some((pred, BodyRole::Predicate)),
+            OpKind::Arith { body } | OpKind::ArithExtend { body } => Some((body, BodyRole::Values)),
+            _ => None,
+        }
+    }
+
     /// Short display name.
     pub fn name(&self) -> &'static str {
-        match self {
-            OpKind::Input { .. } => "INPUT",
-            OpKind::Select { .. } => "SELECT",
-            OpKind::Project { .. } => "PROJECT",
-            OpKind::Rekey { .. } => "REKEY",
-            OpKind::Arith { .. } => "ARITH",
-            OpKind::ArithExtend { .. } => "ARITH+",
-            OpKind::Join => "JOIN",
-            OpKind::ColumnJoin => "COLJOIN",
-            OpKind::Semijoin => "SEMIJOIN",
-            OpKind::Antijoin => "ANTIJOIN",
-            OpKind::Product => "PRODUCT",
-            OpKind::Union => "UNION",
-            OpKind::Intersect => "INTERSECT",
-            OpKind::Difference => "DIFFERENCE",
-            OpKind::Aggregate { .. } => "AGGREGATE",
-            OpKind::AggregateAll { .. } => "AGGREGATE*",
-            OpKind::Sort { .. } => "SORT",
-            OpKind::Unique => "UNIQUE",
-        }
+        self.traits().name
     }
 
     /// How many relation inputs the operator takes.
     pub fn arity(&self) -> usize {
-        match self {
-            OpKind::Input { .. } => 0,
-            OpKind::Join
-            | OpKind::ColumnJoin
-            | OpKind::Semijoin
-            | OpKind::Antijoin
-            | OpKind::Product
-            | OpKind::Union
-            | OpKind::Intersect
-            | OpKind::Difference => 2,
-            _ => 1,
-        }
+        self.traits().arity
+    }
+
+    /// Whether this is a plan-input leaf rather than an operator.
+    pub fn is_input(&self) -> bool {
+        self.traits().dep == Dep::Leaf
     }
 }
 
@@ -223,6 +289,11 @@ impl PlanGraph {
         self.nodes.is_empty()
     }
 
+    /// Ids of the plan-input leaves, ascending.
+    pub fn inputs(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.len()).filter(|&id| self.nodes[id].kind.is_input())
+    }
+
     /// Validate structure (redundant with `add`'s assertions; for graphs
     /// deserialized or built by other means).
     pub fn validate(&self) -> Result<(), GraphError> {
@@ -263,7 +334,122 @@ impl PlanGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kfusion_relalg::predicates;
+    use crate::check::{check_plan, PlanCheckError};
+    use crate::exec::{execute, ExecConfig, Strategy};
+    use crate::CoreError;
+    use kfusion_relalg::{predicates, Column, RelError, Relation};
+
+    /// An instance of every variant. The match beside it has no wildcard, so
+    /// a new variant does not compile until it is listed here — and with
+    /// that is covered by every table test below.
+    fn all_kinds() -> Vec<OpKind> {
+        let kinds = vec![
+            OpKind::Input { input: 0 },
+            OpKind::Select { pred: predicates::key_lt(10) },
+            OpKind::Project { keep: vec![0] },
+            OpKind::Arith { body: predicates::discounted_price(0, 1) },
+            OpKind::ArithExtend { body: predicates::discounted_price(0, 1) },
+            OpKind::Rekey { col: 2 },
+            OpKind::Join,
+            OpKind::ColumnJoin,
+            OpKind::Semijoin,
+            OpKind::Antijoin,
+            OpKind::Product,
+            OpKind::Union,
+            OpKind::Intersect,
+            OpKind::Difference,
+            OpKind::Aggregate { aggs: vec![Agg::Count] },
+            OpKind::AggregateAll { aggs: vec![Agg::Count] },
+            OpKind::Sort { by: SortBy::Key },
+            OpKind::Unique,
+        ];
+        for kind in &kinds {
+            match kind {
+                OpKind::Input { .. }
+                | OpKind::Select { .. }
+                | OpKind::Project { .. }
+                | OpKind::Arith { .. }
+                | OpKind::ArithExtend { .. }
+                | OpKind::Rekey { .. }
+                | OpKind::Join
+                | OpKind::ColumnJoin
+                | OpKind::Semijoin
+                | OpKind::Antijoin
+                | OpKind::Product
+                | OpKind::Union
+                | OpKind::Intersect
+                | OpKind::Difference
+                | OpKind::Aggregate { .. }
+                | OpKind::AggregateAll { .. }
+                | OpKind::Sort { .. }
+                | OpKind::Unique => {}
+            }
+        }
+        kinds
+    }
+
+    #[test]
+    fn the_table_is_consistent_with_itself() {
+        for kind in all_kinds() {
+            let t = kind.traits();
+            // What never needs its rows stored, or rewrites them where they
+            // are, works a tuple at a time.
+            if matches!(t.host, Host::View | Host::InPlace) {
+                assert_eq!(t.dep, Dep::Elementwise, "{}", t.name);
+            }
+            let carries_ir = ["SELECT", "ARITH", "ARITH+"].contains(&t.name);
+            assert_eq!(kind.body().is_some(), carries_ir, "{}", t.name);
+            assert_eq!(kind.is_input(), t.arity == 0, "{}", t.name);
+        }
+    }
+
+    /// `needs_sorted` is one fact with two enforcers: `check_plan` rejects a
+    /// provably unsorted producer statically, `relalg::ops` rejects unsorted
+    /// rows at run time. Both must agree with the table for every operator.
+    #[test]
+    fn sortedness_is_required_statically_and_at_run_time_by_the_same_operators() {
+        let system = kfusion_vgpu::GpuSystem::c2070();
+        let unsorted = Relation::new(
+            vec![3, 1, 2],
+            vec![
+                Column::F64(vec![10.0, 20.0, 30.0]),
+                Column::F64(vec![0.1, 0.2, 0.3]),
+                Column::I64(vec![7, 8, 9]),
+            ],
+        )
+        .unwrap();
+        for kind in all_kinds().into_iter().filter(|k| k.arity() >= 1) {
+            let needs_sorted = kind.traits().needs_sorted;
+
+            let mut g = PlanGraph::new();
+            let i = g.input(0);
+            g.add(kind.clone(), vec![i; kind.arity()]);
+            for strategy in [Strategy::Serial, Strategy::Fusion] {
+                let run = execute(
+                    &system,
+                    &g,
+                    std::slice::from_ref(&unsorted),
+                    &ExecConfig::new(strategy, &system),
+                );
+                match run {
+                    Err(CoreError::Rel(RelError::NotSorted)) if needs_sorted => {}
+                    Ok(_) if !needs_sorted => {}
+                    other => panic!("{} under {strategy:?}: {other:?}", kind.name()),
+                }
+            }
+
+            let mut g = PlanGraph::new();
+            let i = g.input(0);
+            let rekeyed = g.add(OpKind::Rekey { col: 2 }, vec![i]);
+            g.add(kind.clone(), vec![rekeyed; kind.arity()]);
+            match check_plan(&g) {
+                Err(PlanCheckError::UnsortedInput { destroyed_by: "REKEY", .. })
+                    if needs_sorted => {}
+                Ok(()) if !needs_sorted => {}
+                other => panic!("REKEY -> {}: {other:?}", kind.name()),
+            }
+        }
+    }
 
     #[test]
     fn build_simple_chain() {

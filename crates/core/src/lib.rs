@@ -13,17 +13,21 @@
 //!
 //! Module map:
 //!
-//! * [`graph`] — the logical operator DAG a query plan lowers to.
-//! * [`deps`] — dependence analysis: what fuses (elementwise chains, JOINs,
-//!   terminal AGGREGATIONs) and what doesn't (SORT/UNIQUE barriers), plus
-//!   what fission can segment.
+//! * [`graph`] — the logical operator DAG a query plan lowers to, and the
+//!   operator table ([`OpKind::traits`], [`OpKind::body`]): each
+//!   payload-independent fact about an operator, stated once.
+//! * [`deps`] — the dependence classes ([`deps::Dep`]) the table sorts
+//!   operators into: what fuses (elementwise chains, JOINs, terminal
+//!   AGGREGATIONs), what doesn't (SORT/UNIQUE barriers), what fission can
+//!   segment.
 //! * [`fusion`] — the fusion pass: greedy group formation with merging
 //!   (Fig. 2(f)) under a register-pressure budget.
-//! * [`cost`] — the cost model bounding fusion depth.
+//! * [`cost`] — the cost model: the register estimate bounding fusion
+//!   depth, and an operator's sim price alone and as a group member.
 //! * [`exec`] — the plan executor and the one schedule builder: functional
-//!   evaluation (or given cardinalities) + simulated timing under the
-//!   paper's strategies (serial / round trip / fusion / fission /
-//!   fusion+fission).
+//!   evaluation (`exec/host.rs`; or given cardinalities) + simulated timing
+//!   (`exec/schedule.rs`) under the paper's strategies (serial / round trip
+//!   / fusion / fission / fusion+fission).
 //! * [`microbench`] — the back-to-back SELECT *workload* of the paper's
 //!   Figs. 4(a), 8–12, 14 and 16, run through [`exec`]; [`hetero`] adds a
 //!   CPU share to its fission pipeline (§III-C's Ocelot direction).
@@ -62,7 +66,6 @@ pub mod microbench;
 pub mod multiquery;
 pub mod patterns;
 pub mod report;
-pub mod viz;
 
 pub use cost::FusionBudget;
 pub use fingerprint::{fingerprint_plan, Fingerprint, PlanKey};

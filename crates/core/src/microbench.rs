@@ -15,6 +15,7 @@
 //! element x-axes without materializing 16 GB (the command stream and cost
 //! model are identical — DESIGN.md §2 documents this substitution).
 
+use crate::cost;
 use crate::exec::{self, Cardinalities, ExecConfig, Strategy};
 use crate::graph::{OpKind, PlanGraph};
 use crate::report::Report;
@@ -243,7 +244,7 @@ pub fn run_concurrent(
     let mk_cmds = |elems: u64, out: u64, halved: bool, tag: &str| {
         let given = chain.given(&[elems, out]);
         let mut cmds = vec![Command::h2d(format!("in{tag}"), io, given.bytes(0), pinned)];
-        for (mut profile, elems) in exec::node_kernels(&plan, &given, plan.root, chain.level) {
+        for (mut profile, elems) in cost::node_kernels(&plan, &given, plan.root, chain.level) {
             profile.name.push_str(tag);
             let launch = LaunchConfig::for_elements(elems.max(1), &system.spec);
             let launch = if halved { launch.halved() } else { launch };

@@ -141,8 +141,7 @@ mod tests {
     #[test]
     fn merge_shares_input_leaves() {
         let merged = merge_plans(&[query(&[100]), query(&[200])]);
-        let inputs =
-            merged.graph.nodes.iter().filter(|n| matches!(n.kind, OpKind::Input { .. })).count();
+        let inputs = merged.graph.inputs().count();
         assert_eq!(inputs, 1, "same input index must merge");
         assert_eq!(merged.roots.len(), 2);
         assert!(merged.graph.validate().is_ok());
@@ -154,8 +153,7 @@ mod tests {
         let i = q2.input(1);
         q2.add(OpKind::Select { pred: predicates::key_lt(5) }, vec![i]);
         let merged = merge_plans(&[query(&[100]), q2]);
-        let inputs =
-            merged.graph.nodes.iter().filter(|n| matches!(n.kind, OpKind::Input { .. })).count();
+        let inputs = merged.graph.inputs().count();
         assert_eq!(inputs, 2);
     }
 

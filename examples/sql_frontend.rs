@@ -49,7 +49,7 @@ fn main() {
     let q = compile(sql, &catalog).expect("compiles");
     println!("naive plan ({} operators):", q.plan.len() - 1);
     for node in &q.plan.nodes {
-        if !matches!(node.kind, kfusion::core::OpKind::Input { .. }) {
+        if !node.kind.is_input() {
             print!(" {}", node.kind.name());
         }
     }

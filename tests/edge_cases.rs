@@ -268,3 +268,36 @@ fn service_fails_an_illegal_plan_and_keeps_its_worker() {
     let outcomes: Vec<_> = stats.recent.iter().map(|r| r.outcome).collect();
     assert_eq!(outcomes, [RecordOutcome::Failed, RecordOutcome::Completed]);
 }
+
+/// One name per operator: the lint line that blames a fused group's members
+/// and the EXPLAIN tree of the same plan spell every node as
+/// `OpKind::name()` does — `ARITH+`, `COLJOIN`, `AGGREGATE*` included, which
+/// `kfusion-lint` used to call `ARITH-EXTEND`, `COLUMN-JOIN`, `AGGREGATE-ALL`.
+#[test]
+fn a_lint_line_and_an_explain_label_name_a_node_the_same_way() {
+    use kfusion::check::lint::lint_fusion;
+    use kfusion::core::FusionBudget;
+
+    let mut g = PlanGraph::new();
+    let (a, b) = (g.input(0), g.input(1));
+    let wide = g.add(OpKind::ColumnJoin, vec![a, b]);
+    let priced =
+        g.add(OpKind::ArithExtend { body: predicates::discounted_price(0, 1) }, vec![wide]);
+    g.add(OpKind::AggregateAll { aggs: vec![Agg::Count] }, vec![priced]);
+    let column = |v: f64| Relation::new(vec![1, 2, 3], vec![Column::F64(vec![v; 3])]).unwrap();
+
+    let s = sys();
+    let cfg = ExecConfig::new(Strategy::Fusion, &s);
+    let run = execute(&s, &g, &[column(10.0), column(0.1)], &cfg).unwrap();
+    assert_eq!(run.fusion.groups, vec![vec![2, 3, 4]], "one fused group");
+    let explain = run.explain.render();
+
+    let starved = FusionBudget { max_regs_per_thread: 1 };
+    let lints = lint_fusion(&g, &run.fusion, &starved, cfg.level);
+    let blamed = lints.iter().find(|l| l.id == "over-budget-group").expect("over budget");
+    for &m in &run.fusion.groups[0] {
+        let name = g.nodes[m].kind.name();
+        assert!(blamed.notes[0].contains(&format!("n{m}:{name}")), "{:?}", blamed.notes);
+        assert!(explain.contains(&format!("{}#{m}", name.to_lowercase())), "{explain}");
+    }
+}

@@ -1,7 +1,7 @@
 //! The Fig. 2 fusion-legality matrix and the paper's §III-C dependence
 //! rules, asserted end-to-end through the fusion pass.
 
-use kfusion::core::deps::{fusability, streamable, Fusability};
+use kfusion::core::deps::Dep;
 use kfusion::core::fusion::fuse_plan;
 use kfusion::core::{patterns, FusionBudget, OpKind, PlanGraph};
 use kfusion::ir::opt::OptLevel;
@@ -41,6 +41,8 @@ fn join_join_fuses_but_sort_join_does_not() {
     let j = g.add(OpKind::Join, vec![s, b]);
     let plan = fuse_plan(&g, &budget(), OptLevel::O3);
     assert_ne!(plan.group_of[s], plan.group_of[j], "SORT-JOIN must not fuse");
+    // Fusable, yet not segmentable for fission: a boundary can split a key group.
+    assert_eq!(OpKind::Join.traits().dep, Dep::Fusable);
 }
 
 #[test]
@@ -48,6 +50,7 @@ fn sort_and_unique_fuse_with_nothing() {
     // "In particular, SORT and UNIQUE cannot be fused with any other
     // operators."
     for barrier in [OpKind::Sort { by: SortBy::Key }, OpKind::Unique] {
+        assert_eq!(barrier.traits().dep, Dep::Barrier);
         let mut g = PlanGraph::new();
         let i = g.input(0);
         let pre = g.add(OpKind::Select { pred: predicates::key_lt(10) }, vec![i]);
@@ -59,34 +62,6 @@ fn sort_and_unique_fuse_with_nothing() {
         assert_ne!(plan.group_of[pre], plan.group_of[bar]);
         assert_ne!(plan.group_of[post], plan.group_of[bar]);
     }
-}
-
-#[test]
-fn fusability_and_streamability_are_consistent() {
-    // Everything streamable must be fusable (fission of a fused kernel is
-    // the paper's combined optimization), but not vice versa.
-    let kinds: Vec<OpKind> = vec![
-        OpKind::Select { pred: predicates::key_lt(1) },
-        OpKind::Project { keep: vec![0] },
-        OpKind::Rekey { col: 0 },
-        OpKind::ColumnJoin,
-        OpKind::Join,
-        OpKind::Semijoin,
-        OpKind::Product,
-        OpKind::Unique,
-        OpKind::Sort { by: SortBy::Key },
-    ];
-    for kind in &kinds {
-        if streamable(kind) {
-            assert_eq!(
-                fusability(kind),
-                Fusability::Fusable,
-                "{} streamable but not fusable",
-                kind.name()
-            );
-        }
-    }
-    assert!(!streamable(&OpKind::Join), "merge join is fusable but not streamable");
 }
 
 #[test]

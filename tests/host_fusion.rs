@@ -93,7 +93,7 @@ fn fused_q1_never_writes_its_column_joins() {
     // phase never holds what a keep-everything executor would — under
     // either strategy — and fused it holds less still.
     let all_outputs: u64 = (0..plan.len())
-        .filter(|&id| !matches!(plan.nodes[id].kind, OpKind::Input { .. }))
+        .filter(|&id| !plan.nodes[id].kind.is_input())
         .map(|id| cards.bytes(id))
         .sum();
     let (serial_peak, fused_peak) =
