@@ -26,7 +26,10 @@
 //!    Q1 plan under `Strategy::Serial` (the `scalar` column: every node
 //!    materializes) against `Strategy::Fusion` (the `batch` column: fused
 //!    groups exchange views, DESIGN.md §17), batch engine on both sides,
-//!    plus the exact bytes each wrote through the gather primitive.
+//!    plus the exact bytes each wrote through the gather primitive — and,
+//!    for fused Q1 alone, those bytes against its barriers' output and its
+//!    SORT's host milliseconds: the filtered wide table reaches the SORT as
+//!    a view and is gathered once.
 //! 6. `tpch_q21_functional` — the Fig. 18(b) Q21 plan the same way
 //!    (`Serial` in the `scalar` column, `Fusion` in the `batch` column),
 //!    with the host milliseconds its SORT and its keyed AGGREGATE nodes take
@@ -41,7 +44,8 @@
 //! batch slower than scalar on the predicate or Q1 functional cases, the
 //! recorder overhead above its pin, a nonzero steady-state allocation
 //! count, fused groups that materialize as much as the unfused plan or
-//! run slower than it, or an ordered SORT that copies rows.
+//! run slower than it, a fused Q1 that writes more than its SORT and
+//! UNIQUE, or an ordered SORT that copies rows.
 //!
 //! ```sh
 //! cargo bench --bench throughput_host -- [--rows N] [--scale SF] [--out PATH]
@@ -181,6 +185,17 @@ fn host_ms(tree: &ExplainNode, kind: &str) -> f64 {
         children + node.host_seconds * 1e3
     }
     collect(tree, kind, &mut Vec::new())
+}
+
+/// Bytes written through the gather primitive so far.
+fn written_bytes() -> u64 {
+    kfusion_trace::snapshot().counter("kfusion_host_materialized_bytes_total")
+}
+
+/// The bytes of `plan`'s barriers' outputs — all a fused Q1 may write.
+fn barrier_bytes(plan: &PlanGraph, run: &ExecResult) -> u64 {
+    let barrier = |id: usize| matches!(plan.nodes[id].kind, OpKind::Sort { .. } | OpKind::Unique);
+    (0..plan.len()).filter(|&id| barrier(id)).map(|id| run.cards.bytes(id)).sum()
 }
 
 /// The most bytes a Q21 execution may write if the SORTs over input that
@@ -324,17 +339,29 @@ fn main() {
             execute(&sys, &q6_sql_plan, &q6_table, &cfg).unwrap();
             execute(&sys, &q1_plan, &q1_inputs, &cfg).unwrap();
         };
-        let written = || kfusion_trace::snapshot().counter("kfusion_host_materialized_bytes_total");
-        let before = written();
+        let before = written_bytes();
         run();
-        let bytes = written() - before;
+        let bytes = written_bytes() - before;
         (bytes, time_best(OVERHEAD_REPS, run).1)
     };
     let (serial_bytes, serial_secs) = host_fusion(Strategy::Serial);
     let (fused_bytes, fused_secs) = host_fusion(Strategy::Fusion);
     println!(
-        "host fusion: {serial_bytes} B materialized unfused, {fused_bytes} B fused ({:.1}%)\n",
+        "host fusion: {serial_bytes} B materialized unfused, {fused_bytes} B fused ({:.1}%)",
         100.0 * fused_bytes as f64 / serial_bytes as f64
+    );
+    // Q1 fused alone: the filtered wide table reaches its one barrier as a
+    // view, so only the SORT's gather and the UNIQUE write rows.
+    let (q1_run, q1_bytes) = {
+        let before = written_bytes();
+        let run = execute(&sys, &q1_plan, &q1_inputs, &ExecConfig::new(Strategy::Fusion, &sys));
+        (run.unwrap(), written_bytes() - before)
+    };
+    let q1_budget = barrier_bytes(&q1_plan, &q1_run);
+    let q1_sort_ms = host_ms(&q1_run.explain, "sort#");
+    println!(
+        "Q1 fused: sort {q1_sort_ms:.2} ms host; {q1_bytes} B materialized (SORT + UNIQUE \
+         {q1_budget} B)\n"
     );
     cases.push(Case {
         name: "host_fusion",
@@ -401,7 +428,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"throughput_host\",\n  \"predicate_rows\": {rows},\n  \"tpch_scale\": {scale},\n  \"materialized_bytes\": {{\"serial\": {serial_bytes}, \"fusion\": {fused_bytes}}},\n  \"q21_fusion\": {{\"sort_host_ms\": {q21_sort_ms:.3}, \"aggregate_host_ms\": {q21_aggregate_ms:.3}, \"sorts_ordered\": {q21_ordered}, \"materialized_bytes\": {q21_bytes}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"throughput_host\",\n  \"predicate_rows\": {rows},\n  \"tpch_scale\": {scale},\n  \"materialized_bytes\": {{\"serial\": {serial_bytes}, \"fusion\": {fused_bytes}}},\n  \"q1_fusion\": {{\"sort_host_ms\": {q1_sort_ms:.3}, \"materialized_bytes\": {q1_bytes}, \"barrier_bytes\": {q1_budget}}},\n  \"q21_fusion\": {{\"sort_host_ms\": {q21_sort_ms:.3}, \"aggregate_host_ms\": {q21_aggregate_ms:.3}, \"sorts_ordered\": {q21_ordered}, \"materialized_bytes\": {q21_bytes}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write JSON artifact");
@@ -453,6 +480,15 @@ fn main() {
              in {:.1} ms; fusion must write fewer bytes and not run slower",
             fused_secs * 1e3,
             serial_secs * 1e3
+        );
+        std::process::exit(1);
+    }
+    // CI gate: fused Q1 writes nothing in front of its barrier — the
+    // filtered wide table is gathered once, by the SORT.
+    if q1_bytes > q1_budget {
+        eprintln!(
+            "FAIL: fused Q1 materialized {q1_bytes} B, more than its SORT and UNIQUE \
+             ({q1_budget} B); a member of the group in front of the SORT wrote its rows"
         );
         std::process::exit(1);
     }

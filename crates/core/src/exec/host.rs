@@ -3,16 +3,19 @@
 //! phase is sized from.
 //!
 //! Like the fused kernels it stands for, it writes no intermediate that
-//! only members of one fusion group read (DESIGN.md §17): which operators
-//! can hand a view on, read one, or rewrite their input in place is the
-//! `host` column of [`OpKind::traits`].
+//! only members of one fusion group — and the SORT behind them — read
+//! (DESIGN.md §17): which operators hand a view on and which read one is
+//! the `host` column of [`OpKind::traits`]. Every intermediate with one
+//! reader is handed to it by value, so a view that reader builds holds its
+//! storage alone and [`materialize`] moves it rather than copies.
 
 use super::Cardinalities;
 use crate::fusion::FusionPlan;
 use crate::graph::{Host, NodeId, OpKind, PlanGraph};
 use crate::CoreError;
-use kfusion_relalg::{materialize, ops, Relation, View};
+use kfusion_relalg::{materialize, ops, Column, Relation, View};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// What the functional phase leaves behind: the relations still held when it
 /// ends (the requested roots at least), every node's measured size, and host
@@ -31,8 +34,8 @@ pub(super) enum NodeVal<'a> {
     /// A computed relation. Shared, so that views over it stay valid after
     /// the slot is released or handed to another wave's threads.
     Owned(Arc<Relation>),
-    /// The output of a fused-group member nobody outside the group reads:
-    /// references and a selection, never materialized at this node.
+    /// The output of a fused-group member nobody outside the group but a
+    /// SORT reads: references and a selection, never materialized here.
     View(View<'a>),
 }
 
@@ -55,48 +58,76 @@ impl<'a> NodeVal<'a> {
         }
     }
 
-    fn view(&self) -> View<'a> {
+    fn into_view(self) -> View<'a> {
         match self {
             NodeVal::Ref(r) => View::of(r),
-            NodeVal::Owned(r) => View::shared(Arc::clone(r)),
-            NodeVal::View(v) => v.clone(),
+            NodeVal::Owned(r) => View::shared(r),
+            NodeVal::View(v) => v,
         }
+    }
+
+    /// The buffers of the intermediates this value keeps alive, as
+    /// `(address, bytes)`: a column moved from one relation into another
+    /// is the same buffer in both.
+    fn buffers(&self) -> Vec<(usize, u64)> {
+        let held: Vec<&Relation> = match self {
+            NodeVal::Ref(_) => Vec::new(),
+            NodeVal::Owned(r) => vec![r],
+            NodeVal::View(v) => v.shared_storage().map(|r| &**r).collect(),
+        };
+        let buffer = |ptr: usize, len: usize| (ptr, len as u64 * Column::BYTES_PER_VALUE);
+        let mut out = Vec::new();
+        for r in held {
+            out.push(buffer(r.key.as_ptr() as usize, r.key.len()));
+            out.extend(r.cols.iter().map(|c| match c {
+                Column::I64(v) => buffer(v.as_ptr() as usize, v.len()),
+                Column::F64(v) => buffer(v.as_ptr() as usize, v.len()),
+            }));
+        }
+        out
     }
 }
 
-/// The functional phase's per-node values, with the bytes of the computed
-/// relations they currently hold and that figure's high-water mark.
+/// The functional phase's per-node values, and the high-water mark of the
+/// bytes of computed relations they — and the inputs lent to a running
+/// wave — held.
 pub(super) struct Slots<'a> {
     pub(super) vals: Vec<Option<NodeVal<'a>>>,
-    live_bytes: u64,
+    /// Buffers handed to the running wave's operators: live until they
+    /// return, though no slot holds them.
+    lent: Vec<(usize, u64)>,
     peak_bytes: u64,
 }
 
 impl<'a> Slots<'a> {
-    fn put(&mut self, id: NodeId, val: NodeVal<'a>) {
-        if let NodeVal::Owned(r) = &val {
-            if !self.holds(r) {
-                self.live_bytes += r.total_bytes();
-                self.peak_bytes = self.peak_bytes.max(self.live_bytes);
-            }
-        }
-        self.vals[id] = Some(val);
+    fn new(nodes: usize) -> Self {
+        Slots { vals: (0..nodes).map(|_| None).collect(), lent: Vec::new(), peak_bytes: 0 }
     }
 
-    fn take(&mut self, id: NodeId) -> Option<NodeVal<'a>> {
-        let val = self.vals[id].take();
-        if let Some(NodeVal::Owned(r)) = &val {
-            if !self.holds(r) {
-                self.live_bytes -= r.total_bytes();
-            }
-        }
-        val
+    /// Bytes of the distinct buffers the slots and the lent inputs hold —
+    /// an ordered SORT's slot, a view, or a relation whose columns moved
+    /// shares them with others, and those bytes are live once.
+    fn live_bytes(&self) -> u64 {
+        let mut live = self.lent.clone();
+        live.extend(self.vals.iter().flatten().flat_map(NodeVal::buffers));
+        live.sort_unstable();
+        live.dedup_by_key(|(ptr, _)| *ptr);
+        live.iter().map(|(_, bytes)| bytes).sum()
     }
 
-    /// Whether some slot stores this very relation. An ordered SORT's slot
-    /// shares its input's storage, and those bytes are live once.
-    fn holds(&self, rel: &Arc<Relation>) -> bool {
-        self.vals.iter().flatten().any(|v| matches!(v, NodeVal::Owned(r) if Arc::ptr_eq(r, rel)))
+    /// Node `p`'s value for one of its readers: moved out of the slot when
+    /// that reader is its last, shared otherwise.
+    fn lend(&mut self, p: NodeId, last_reader: bool) -> NodeVal<'a> {
+        let val = self.vals[p].as_ref().expect("input wave completed");
+        if !last_reader {
+            return match val {
+                NodeVal::Ref(r) => NodeVal::Ref(r),
+                NodeVal::Owned(r) => NodeVal::Owned(Arc::clone(r)),
+                NodeVal::View(v) => NodeVal::View(v.clone()),
+            };
+        }
+        self.lent.extend(val.buffers());
+        self.vals[p].take().expect("checked above")
     }
 
     /// Give node `id`'s value real storage if it is still a view — the one
@@ -105,33 +136,56 @@ impl<'a> Slots<'a> {
         if let Some(NodeVal::View(_)) = &self.vals[id] {
             let _span = kfusion_trace::enabled()
                 .then(|| kfusion_trace::host_span("host", &format!("materialize#{id}")));
-            let Some(NodeVal::View(v)) = self.take(id) else { unreachable!("matched above") };
-            self.put(id, NodeVal::Owned(Arc::new(materialize(v))));
+            let Some(NodeVal::View(v)) = self.vals[id].take() else {
+                unreachable!("matched above")
+            };
+            self.vals[id] = Some(NodeVal::Owned(Arc::new(materialize(v))));
         }
     }
 }
 
 /// The nodes whose output stays a view: the [`Host::View`] members (SELECT,
-/// COLUMN-JOIN, PROJECT) of a fused group whose every consumer is in the
-/// same group, and which no caller asked for. This is the fusion plan's only influence on
-/// the functional phase — a singleton plan marks nothing, so the unfused
-/// strategies materialize every node.
+/// COLUMN-JOIN, PROJECT, ARITH+, REKEY) of a fused group with other members,
+/// which no caller asked for and nothing outside the group reads but an
+/// operator that reads views (SORT). This is the fusion plan's only
+/// influence on the functional phase — a singleton plan marks nothing, so
+/// the unfused strategies materialize every node.
 fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<bool> {
-    let mut inside = vec![false; graph.len()];
-    let mut outside = vec![false; graph.len()];
+    let mut escapes = vec![false; graph.len()];
     for (c, node) in graph.nodes.iter().enumerate() {
         for &p in &node.inputs {
-            let side =
-                if fusion.group_of[p] == fusion.group_of[c] { &mut inside } else { &mut outside };
-            side[p] = true;
+            let outside = fusion.group_of[p] != fusion.group_of[c];
+            escapes[p] |= outside && node.kind.traits().host != Host::ReadsViews;
         }
     }
     for &r in roots {
-        outside[r] = true;
+        escapes[r] = true;
     }
+    let fused = |id: NodeId| fusion.group_of[id].is_some_and(|g| fusion.groups[g].len() > 1);
     (0..graph.len())
-        .map(|id| graph.nodes[id].kind.traits().host == Host::View && inside[id] && !outside[id])
+        .map(|id| graph.nodes[id].kind.traits().host == Host::View && fused(id) && !escapes[id])
         .collect()
+}
+
+/// Whether `kind` needs its input `val` gathered into its slot before it
+/// runs: a view, for an operator that needs stored rows; a filtered one,
+/// for one that walks base rows in order (keyed AGGREGATE) or — ARITH+ and
+/// REKEY — would write more bytes at base length than the view's rows hold,
+/// or cannot run its kernel where the view is.
+fn gathers_first(kind: &OpKind, val: &NodeVal<'_>) -> bool {
+    let NodeVal::View(v) = val else { return false };
+    match kind.traits().host {
+        Host::Stored => true,
+        Host::ReadsDense => !v.is_dense(),
+        Host::ReadsViews => false,
+        Host::View => match kind {
+            OpKind::ArithExtend { body } => ops::arith_extend_gathers_first(v, body),
+            OpKind::Rekey { .. } => ops::rekey_gathers_first(v),
+            // SELECT and PROJECT keep the selection; COLUMN-JOIN pairs
+            // base rows, and gathers a filtered side itself.
+            _ => false,
+        },
+    }
 }
 
 /// Evaluate every node of `graph` over `inputs`.
@@ -150,13 +204,11 @@ pub(super) fn functional_phase<'a>(
     roots: &[NodeId],
     fusion: &FusionPlan,
 ) -> Result<Measured<'a>, CoreError> {
-    let mut slots =
-        Slots { vals: (0..graph.len()).map(|_| None).collect(), live_bytes: 0, peak_bytes: 0 };
+    let mut slots = Slots::new(graph.len());
     let mut host_secs = vec![0.0f64; graph.len()];
-    // Cardinalities are captured the moment a slot fills: a downstream
-    // in-place operator may later *steal* the relation out of a
-    // single-consumer slot (see `steal_input`), and a slot is released after
-    // its last consumer — the timing phase still needs every node's size.
+    // Cardinalities are captured the moment a slot fills: a value is handed
+    // to its last reader and released after it — the timing phase still
+    // needs every node's size.
     let mut cards = Cardinalities { rows: vec![0; graph.len()], row_bytes: vec![0.0; graph.len()] };
     let consumers = graph.consumer_counts();
     let mut unserved = consumers.clone();
@@ -165,41 +217,40 @@ pub(super) fn functional_phase<'a>(
     for (level, wave) in wavefronts(graph).into_iter().enumerate() {
         let _wave = kfusion_trace::enabled()
             .then(|| kfusion_trace::host_span("host", &format!("wave#{level}")));
-        // Operators that need stored rows get them before the wave's threads
-        // share the slots: views among their inputs are materialized (once,
-        // whoever asks first), then in-place operators take what they may.
-        let mut stolen = Vec::with_capacity(wave.len());
+        // Each operator gets its inputs as values before the wave's threads
+        // start: a view it cannot read where it is gathered into its slot
+        // first (once, whoever asks first; booked to the view's own node),
+        // then every input lent — moved to its last reader.
+        let mut args = Vec::with_capacity(wave.len());
         for &id in &wave {
-            let began = std::time::Instant::now();
-            let host = graph.nodes[id].kind.traits().host;
-            for &p in &graph.nodes[id].inputs {
-                // A keyed AGGREGATE folds runs of base rows, so a filtered
-                // view is gathered for it too — here, into the slot, where a
-                // later reader finds the same rows rather than gathers again.
-                let filtered = matches!(&slots.vals[p], Some(NodeVal::View(v)) if !v.is_dense());
-                let needs_rows = match host {
-                    Host::View => false,
-                    Host::ReadsViews => filtered,
-                    Host::InPlace | Host::Stored => true,
-                };
-                if needs_rows {
+            let node = &graph.nodes[id];
+            let mut stays_view = lazy[id];
+            for &p in &node.inputs {
+                let val = slots.vals[p].as_ref().expect("input wave completed");
+                if gathers_first(&node.kind, val) {
+                    let began = Instant::now();
                     slots.force(p);
+                    host_secs[p] += began.elapsed().as_secs_f64();
+                    // Exactly as if it had always needed stored rows.
+                    stays_view = false;
                 }
             }
-            stolen.push(steal_input(graph, id, roots, &consumers, &mut slots));
-            host_secs[id] = began.elapsed().as_secs_f64();
+            let last = |p: NodeId| consumers[p] == 1 && !roots.contains(&p);
+            let vals: Vec<NodeVal<'a>> =
+                node.inputs.iter().map(|&p| slots.lend(p, last(p))).collect();
+            args.push((vals, stays_view));
         }
-        let eval = |id: NodeId, st: Option<Relation>| {
-            eval_node_timed(graph, id, inputs, &slots.vals, st, lazy[id])
+        let eval = |id: NodeId, (vals, lazy): (Vec<NodeVal<'a>>, bool)| {
+            eval_node_timed(graph, id, inputs, vals, lazy)
         };
         let evaluated: Vec<Result<(NodeVal<'a>, f64), CoreError>> = if wave.len() == 1 {
-            vec![eval(wave[0], stolen.pop().expect("one per node"))]
+            vec![eval(wave[0], args.pop().expect("one per node"))]
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = wave
                     .iter()
-                    .zip(stolen)
-                    .map(|(&id, st)| scope.spawn(move || eval(id, st)))
+                    .zip(args)
+                    .map(|(&id, a)| scope.spawn(move || eval(id, a)))
                     .collect();
                 handles
                     .into_iter()
@@ -216,15 +267,17 @@ pub(super) fn functional_phase<'a>(
             if matches!(val, NodeVal::View(_)) {
                 kfusion_trace::counter("kfusion_host_views_total", 1);
             }
-            slots.put(id, val);
+            slots.vals[id] = Some(val);
         }
+        slots.peak_bytes = slots.peak_bytes.max(slots.live_bytes());
+        slots.lent.clear();
         // A value nobody will read again is dropped now, not when the query
         // ends (requested roots stay; `graph.root` counts itself a consumer).
         for &id in &wave {
             for &p in &graph.nodes[id].inputs {
                 unserved[p] -= 1;
                 if unserved[p] == 0 && !roots.contains(&p) {
-                    slots.take(p);
+                    slots.vals[p] = None;
                 }
             }
         }
@@ -241,52 +294,16 @@ fn eval_node_timed<'a>(
     graph: &PlanGraph,
     id: NodeId,
     inputs: &'a [Relation],
-    slots: &[Option<NodeVal<'a>>],
-    stolen: Option<Relation>,
+    args: Vec<NodeVal<'a>>,
     lazy: bool,
 ) -> Result<(NodeVal<'a>, f64), CoreError> {
     let _span = kfusion_trace::enabled().then(|| {
         let name = format!("{}#{id}", graph.nodes[id].kind.name().to_lowercase());
         kfusion_trace::host_span("host", &name)
     });
-    let t0 = std::time::Instant::now();
-    let rel = eval_node(graph, id, inputs, slots, stolen, lazy)?;
+    let t0 = Instant::now();
+    let rel = eval_node(&graph.nodes[id].kind, inputs, args, lazy)?;
     Ok((rel, t0.elapsed().as_secs_f64()))
-}
-
-/// If node `id` may consume its first input in place — it has an in-place
-/// variant, the input is an owned intermediate (never a plan input or a
-/// requested root), and `id` is its only consumer — take the relation out
-/// of the slot and hand it over. The stolen slot stays `None`; its
-/// cardinality was recorded when it filled.
-fn steal_input(
-    graph: &PlanGraph,
-    id: NodeId,
-    roots: &[NodeId],
-    consumers: &[usize],
-    slots: &mut Slots<'_>,
-) -> Option<Relation> {
-    let node = &graph.nodes[id];
-    if node.kind.traits().host != Host::InPlace {
-        return None;
-    }
-    let p = *node.inputs.first()?;
-    if consumers[p] != 1 || roots.contains(&p) {
-        return None;
-    }
-    match slots.take(p) {
-        Some(NodeVal::Owned(shared)) => match Arc::try_unwrap(shared) {
-            Ok(rel) => Some(rel),
-            Err(shared) => {
-                slots.put(p, NodeVal::Owned(shared));
-                None
-            }
-        },
-        other => {
-            slots.vals[p] = other;
-            None
-        }
-    }
 }
 
 /// Partition node ids into topological wavefronts: level 0 holds nodes with
@@ -307,70 +324,51 @@ fn wavefronts(graph: &PlanGraph) -> Vec<Vec<NodeId>> {
     waves
 }
 
-/// Evaluate one plan node; `slots` must hold the results of all its inputs
-/// (guaranteed by wavefront order), stored ones unless the operator reads
-/// views. A `lazy` node's output stays a view; `stolen` is the input
-/// [`steal_input`] took out of its slot for an in-place operator.
+/// Evaluate one plan node over `args`, its inputs' values in order —
+/// stored ones unless the operator reads views. A `lazy` node's output
+/// stays a view; any other's is stored, sharing an intermediate it is
+/// exactly rather than copying it.
 fn eval_node<'a>(
-    graph: &PlanGraph,
-    id: NodeId,
+    kind: &OpKind,
     inputs: &'a [Relation],
-    slots: &[Option<NodeVal<'a>>],
-    stolen: Option<Relation>,
+    args: Vec<NodeVal<'a>>,
     lazy: bool,
 ) -> Result<NodeVal<'a>, CoreError> {
-    let node = &graph.nodes[id];
-    let val = |i: usize| slots[node.inputs[i]].as_ref().expect("input wave completed");
-    let get = |i: usize| val(i).as_rel();
-    let owned = |rel: Relation| NodeVal::Owned(Arc::new(rel));
-    // The operators that are `materialize ∘ view-op`: inside a fused group
-    // the gather is left to whoever first needs the rows.
-    let finish = |view: View<'a>| match lazy {
-        true => NodeVal::View(view),
-        false => owned(materialize(view)),
-    };
-    Ok(owned(match &node.kind {
+    let mut args = args.into_iter();
+    let mut next = || args.next().expect("one value per input");
+    // Each arm's inputs drop with the arm, so the result alone holds what
+    // it was handed.
+    let out: View<'a> = match kind {
         OpKind::Input { input } => {
             return inputs
                 .get(*input)
                 .map(NodeVal::Ref)
                 .ok_or_else(|| CoreError::Unsupported(format!("missing plan input {input}")))
         }
-        OpKind::Select { pred } => return Ok(finish(ops::select_view(&val(0).view(), pred)?)),
-        OpKind::ColumnJoin => {
-            return Ok(finish(ops::column_join_view(&val(0).view(), &val(1).view())?))
-        }
-        OpKind::Project { keep } => return Ok(finish(ops::project_view(&val(0).view(), keep)?)),
-        // In place: a stolen single-consumer input is mutated rather than
-        // copied. The owned variants compute the same relation as the
-        // borrowing ones by construction (their tests compare the two).
-        OpKind::Rekey { col } => match stolen {
-            Some(rel) => ops::rekey_owned(rel, *col)?,
-            None => ops::rekey(get(0), *col)?,
-        },
-        OpKind::ArithExtend { body } => match stolen {
-            Some(rel) => ops::arith_extend_owned(rel, body)?,
-            None => ops::arith_extend(get(0), body)?,
-        },
-        OpKind::Arith { body } => ops::arith_map(get(0), body)?,
-        OpKind::Join => ops::join(get(0), get(1))?,
-        OpKind::Semijoin => ops::semijoin(get(0), get(1))?,
-        OpKind::Antijoin => ops::antijoin(get(0), get(1))?,
-        OpKind::Product => ops::product(get(0), get(1))?,
-        OpKind::Union => ops::union(get(0), get(1))?,
-        OpKind::Intersect => ops::intersection(get(0), get(1))?,
-        OpKind::Difference => ops::difference(get(0), get(1))?,
-        OpKind::Aggregate { aggs } => ops::aggregate_by_key_view(&val(0).view(), aggs)?,
-        OpKind::AggregateAll { aggs } => ops::aggregate_all(get(0), aggs)?,
-        // An intermediate that is already in order is shared once more — the
-        // same storage under two slots until the input's is released; a plan
-        // input is borrowed, so it is copied.
-        OpKind::Sort { by } => match val(0) {
-            NodeVal::Owned(shared) => return Ok(NodeVal::Owned(ops::sort_shared(shared, *by)?)),
-            input => ops::sort(input.as_rel(), *by)?,
-        },
-        OpKind::Unique => ops::unique(get(0))?,
-    }))
+        OpKind::Select { pred } => ops::select_view(&next().into_view(), pred)?,
+        OpKind::ColumnJoin => ops::column_join_view(&next().into_view(), &next().into_view())?,
+        OpKind::Project { keep } => ops::project_view(&next().into_view(), keep)?,
+        OpKind::Rekey { col } => ops::rekey_view(&next().into_view(), *col)?,
+        OpKind::ArithExtend { body } => ops::arith_extend_view(&next().into_view(), body)?,
+        // In order already, the input comes back: a stored intermediate is
+        // shared once more, a plan input (borrowed) copied, a view gathered.
+        OpKind::Sort { by } => ops::sort_view(&next().into_view(), *by)?,
+        OpKind::Aggregate { aggs } => ops::aggregate_by_key_view(&next().into_view(), aggs)?.into(),
+        OpKind::AggregateAll { aggs } => ops::aggregate_all_view(&next().into_view(), aggs)?.into(),
+        OpKind::Arith { body } => ops::arith_map(next().as_rel(), body)?.into(),
+        OpKind::Join => ops::join(next().as_rel(), next().as_rel())?.into(),
+        OpKind::Semijoin => ops::semijoin(next().as_rel(), next().as_rel())?.into(),
+        OpKind::Antijoin => ops::antijoin(next().as_rel(), next().as_rel())?.into(),
+        OpKind::Product => ops::product(next().as_rel(), next().as_rel())?.into(),
+        OpKind::Union => ops::union(next().as_rel(), next().as_rel())?.into(),
+        OpKind::Intersect => ops::intersection(next().as_rel(), next().as_rel())?.into(),
+        OpKind::Difference => ops::difference(next().as_rel(), next().as_rel())?.into(),
+        OpKind::Unique => ops::unique(next().as_rel())?.into(),
+    };
+    Ok(match lazy {
+        true => NodeVal::View(out),
+        false => NodeVal::Owned(out.into_shared()),
+    })
 }
 
 #[cfg(test)]
@@ -397,15 +395,16 @@ mod tests {
         for roots in [vec![sorted], vec![kept, sorted]] {
             let m = functional_phase(&g, std::slice::from_ref(&input), &roots, &plan).unwrap();
             assert_eq!(m.slots.peak_bytes, input.total_bytes(), "{roots:?}");
-            assert_eq!(m.slots.live_bytes, input.total_bytes(), "{roots:?}");
+            assert_eq!(m.slots.live_bytes(), input.total_bytes(), "{roots:?}");
             assert_eq!(m.slots.vals[sorted].as_ref().unwrap().as_rel(), &input);
             assert_eq!(m.slots.vals[kept].is_some(), roots.contains(&kept));
         }
-        // Out of order, the SORT's rows are its own and both relations live.
+        // Out of order, the SORT's rows are its own and both relations live
+        // — the input handed to the SORT counts until the SORT returns.
         let (g, _, desc) = select_then_sort(SortBy::KeyDesc);
         let plan = singleton_plan(&g);
         let m = functional_phase(&g, std::slice::from_ref(&input), &[desc], &plan).unwrap();
         assert_eq!(m.slots.peak_bytes, 2 * input.total_bytes());
-        assert_eq!(m.slots.live_bytes, input.total_bytes());
+        assert_eq!(m.slots.live_bytes(), input.total_bytes());
     }
 }

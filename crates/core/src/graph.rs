@@ -89,15 +89,17 @@ pub enum OpKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Host {
     /// Reads its inputs as views and yields one: its result is its input's
-    /// columns under a narrower selection or in another arrangement, so
-    /// inside a fused group it is never materialized.
+    /// columns under a narrower selection, in another arrangement, or beside
+    /// the columns it computes, so inside a fused group it is never
+    /// materialized. A filtered input it would widen by more bytes than the
+    /// input's rows is gathered first (`relalg::View::gathers_first`).
     View,
+    /// Reads any view where it is, filtered or not; what it produces is new
+    /// rows — so a group's last view may leave the group for it.
+    ReadsViews,
     /// Reads a dense view where it is (a filtered one is gathered first);
     /// what it produces is new rows.
-    ReadsViews,
-    /// Needs stored rows and has an in-place variant: an intermediate it is
-    /// the only consumer of is mutated rather than copied.
-    InPlace,
+    ReadsDense,
     /// Needs stored rows, produces stored rows.
     Stored,
 }
@@ -149,8 +151,8 @@ impl OpKind {
             OpKind::Select { .. }       => row("SELECT",     1, Elementwise, View,       false, true),
             OpKind::Project { .. }      => row("PROJECT",    1, Elementwise, View,       false, false),
             OpKind::Arith { .. }        => row("ARITH",      1, Elementwise, Stored,     false, false),
-            OpKind::ArithExtend { .. }  => row("ARITH+",     1, Elementwise, InPlace,    false, false),
-            OpKind::Rekey { .. }        => row("REKEY",      1, Elementwise, InPlace,    false, false),
+            OpKind::ArithExtend { .. }  => row("ARITH+",     1, Elementwise, View,       false, false),
+            OpKind::Rekey { .. }        => row("REKEY",      1, Elementwise, View,       false, false),
             OpKind::Join                => row("JOIN",       2, Fusable,     Stored,     true,  false),
             OpKind::ColumnJoin          => row("COLJOIN",    2, Elementwise, View,       false, false),
             OpKind::Semijoin            => row("SEMIJOIN",   2, Fusable,     Stored,     true,  true),
@@ -159,9 +161,9 @@ impl OpKind {
             OpKind::Union               => row("UNION",      2, Barrier,     Stored,     false, false),
             OpKind::Intersect           => row("INTERSECT",  2, Barrier,     Stored,     false, false),
             OpKind::Difference          => row("DIFFERENCE", 2, Barrier,     Stored,     false, false),
-            OpKind::Aggregate { .. }    => row("AGGREGATE",  1, Terminal,    ReadsViews, true,  false),
-            OpKind::AggregateAll { .. } => row("AGGREGATE*", 1, Terminal,    Stored,     false, false),
-            OpKind::Sort { .. }         => row("SORT",       1, Barrier,     Stored,     false, true),
+            OpKind::Aggregate { .. }    => row("AGGREGATE",  1, Terminal,    ReadsDense, true,  false),
+            OpKind::AggregateAll { .. } => row("AGGREGATE*", 1, Terminal,    ReadsDense, false, false),
+            OpKind::Sort { .. }         => row("SORT",       1, Barrier,     ReadsViews, false, true),
             OpKind::Unique              => row("UNIQUE",     1, Barrier,     Stored,     true,  true),
         }
     }
@@ -392,9 +394,8 @@ mod tests {
     fn the_table_is_consistent_with_itself() {
         for kind in all_kinds() {
             let t = kind.traits();
-            // What never needs its rows stored, or rewrites them where they
-            // are, works a tuple at a time.
-            if matches!(t.host, Host::View | Host::InPlace) {
+            // What never needs its rows stored works a tuple at a time.
+            if t.host == Host::View {
                 assert_eq!(t.dep, Dep::Elementwise, "{}", t.name);
             }
             let carries_ir = ["SELECT", "ARITH", "ARITH+"].contains(&t.name);

@@ -217,26 +217,6 @@ impl ColWindow<'_> {
             _ => panic!("column type mismatch in ColWindow::copy_from"),
         }
     }
-
-    /// Fill this window with `src[idx[j]]` for each position `j`.
-    ///
-    /// # Panics
-    /// If types differ or `idx` is shorter than the window.
-    pub(crate) fn gather_from(&mut self, src: &Column, idx: &[usize]) {
-        match (self, src) {
-            (ColWindow::I64(d), Column::I64(s)) => {
-                for (o, &i) in d.iter_mut().zip(idx) {
-                    *o = s[i];
-                }
-            }
-            (ColWindow::F64(d), Column::F64(s)) => {
-                for (o, &i) in d.iter_mut().zip(idx) {
-                    *o = s[i];
-                }
-            }
-            _ => panic!("column type mismatch in ColWindow::gather_from"),
-        }
-    }
 }
 
 /// Split `s` into consecutive disjoint mutable windows of the given
@@ -286,6 +266,27 @@ pub(crate) fn col_windows<'a>(cols: &'a mut [Column], lens: &[usize]) -> Vec<Vec
 /// Row count below which the parallel materialization helpers fall back to
 /// their serial equivalents (thread spawn would cost more than the copy).
 pub(crate) const PAR_COPY_MIN_ROWS: usize = 64 * 1024;
+
+/// Run `work` on every item, on one scoped thread per core with the items
+/// dealt round-robin (inline when there is one item or one core) — the
+/// executor for morsels that each own a disjoint window of an output.
+pub(crate) fn par_each<T: Send>(items: Vec<T>, work: impl Fn(T) + Sync) {
+    let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
+    let workers = cores.min(items.len());
+    if workers <= 1 {
+        return items.into_iter().for_each(work);
+    }
+    let mut lanes: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        lanes[i % workers].push(item);
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        for lane in lanes {
+            scope.spawn(move || lane.into_iter().for_each(work));
+        }
+    });
+}
 
 /// Structural errors on relations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -489,53 +490,6 @@ impl Relation {
                 });
             }
         });
-    }
-
-    /// The relation whose row `i` is row `idx[i]` of `self` — `permute`
-    /// without first cloning the unpermuted payload (SORT's output step
-    /// builds each column exactly once this way). Large gathers run in
-    /// parallel over disjoint output windows.
-    pub fn gathered(&self, idx: &[usize]) -> Relation {
-        let n = idx.len();
-        if n < PAR_COPY_MIN_ROWS {
-            return Relation {
-                key: idx.iter().map(|&i| self.key[i]).collect(),
-                cols: self.cols.iter().map(|c| c.gather(idx)).collect(),
-            };
-        }
-        let mut out = self.empty_like();
-        resize_zeroed_vec(&mut out.key, n);
-        for c in &mut out.cols {
-            c.resize_zeroed(n);
-        }
-        let lens: Vec<usize> = {
-            let mut v = Vec::new();
-            let mut rest = n;
-            while rest > 0 {
-                let take = rest.min(PAR_COPY_MIN_ROWS);
-                v.push(take);
-                rest -= take;
-            }
-            v
-        };
-        let key_wins = slice_windows(&mut out.key, &lens);
-        let col_wins = col_windows(&mut out.cols, &lens);
-        std::thread::scope(|scope| {
-            let mut start = 0usize;
-            for ((kw, cw), &len) in key_wins.into_iter().zip(col_wins).zip(&lens) {
-                let ids = &idx[start..start + len];
-                start += len;
-                scope.spawn(move || {
-                    for (o, &i) in kw.iter_mut().zip(ids) {
-                        *o = self.key[i];
-                    }
-                    for (mut w, c) in cw.into_iter().zip(&self.cols) {
-                        w.gather_from(c, ids);
-                    }
-                });
-            }
-        });
-        out
     }
 
     /// Append the rows at `base + idx[..]` of `src` (same schema) onto

@@ -21,7 +21,7 @@
 //! AGGREGATE inside one fused kernel copies nothing (DESIGN.md §17).
 
 use crate::data::{
-    col_windows, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
+    col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
 };
 use crate::view::View;
 use kfusion_vgpu::exec::{par_cta_map, DEFAULT_CTA_CHUNK};
@@ -293,22 +293,9 @@ fn fold_by_key(input: &View<'_>, aggs: &[Agg], out: &mut Relation) -> Result<(),
         .into_iter()
         .zip(slice_windows(&mut out.key, &runs))
         .zip(col_windows(&mut out.cols, &runs))
-        .map(|((starts, key), cols)| Morsel { starts, key, cols });
-    // One worker per core, morsels dealt round-robin as `par_cta_map` does.
-    let workers = std::thread::available_parallelism().map_or(4, |p| p.get()).min(ranges.len());
-    if workers <= 1 {
-        morsels.for_each(|m| m.fold(input, aggs));
-        return Ok(());
-    }
-    let mut lanes: Vec<Vec<Morsel<'_>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, m) in morsels.enumerate() {
-        lanes[i % workers].push(m);
-    }
-    std::thread::scope(|scope| {
-        for lane in lanes {
-            scope.spawn(move || lane.into_iter().for_each(|m| m.fold(input, aggs)));
-        }
-    });
+        .map(|((starts, key), cols)| Morsel { starts, key, cols })
+        .collect();
+    par_each(morsels, |m: Morsel<'_>| m.fold(input, aggs));
     Ok(())
 }
 
@@ -317,18 +304,25 @@ fn fold_by_key(input: &View<'_>, aggs: &[Agg], out: &mut Relation) -> Result<(),
 /// SELECT (Fig. 2(g)): the same fold over one run, no re-keyed copy of the
 /// input.
 pub fn aggregate_all(input: &Relation, aggs: &[Agg]) -> Result<Relation, RelError> {
-    let view = &View::of(input);
-    validate_agg_cols(view, aggs)?;
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
+    aggregate_all_view(&View::of(input), aggs)
+}
+
+/// [`aggregate_all`] over a view, which it reads where it is, as
+/// [`aggregate_by_key_view`] does — a view with a selection is made dense
+/// first.
+pub fn aggregate_all_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, RelError> {
+    validate_agg_cols(input, aggs)?;
+    let view = &input.dense();
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", view.len() as u64);
     let mut out = Relation::default();
-    shape_output(view, aggs, usize::from(!input.is_empty()), &mut out);
-    if input.is_empty() {
+    shape_output(view, aggs, usize::from(!view.is_empty()), &mut out);
+    if view.is_empty() {
         return Ok(out);
     }
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", 1);
     let cols = col_windows(&mut out.cols, &[1]).pop().expect("one window asked for");
     for (&agg, dst) in aggs.iter().zip(cols) {
-        fold_agg(agg, view, &[0, input.len()], dst);
+        fold_agg(agg, view, &[0, view.len()], dst);
     }
     Ok(out)
 }

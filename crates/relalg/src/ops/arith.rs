@@ -2,18 +2,22 @@
 //! Fig. 2(e)/(h)).
 //!
 //! An arithmetic map runs one IR body per tuple; each body output becomes a
-//! column of the result. Like SELECT, it is a partition/compute/gather
-//! multi-stage kernel, and because each output element depends on exactly
-//! one input element it is freely fusable with its neighbours (dependence
-//! class (i) of §III-C).
+//! column of the result. Because each output element depends on exactly one
+//! input element it is freely fusable with its neighbours (dependence class
+//! (i) of §III-C) — and on the host it writes nothing but the columns it
+//! computes: [`arith_extend_view`] computes them where its input is, as
+//! base-length columns beside the input's own, so a fused group hands them
+//! on without a gather (DESIGN.md §17).
 
-use crate::data::{Column, RelError, Relation};
+use crate::data::{col_windows, par_each, ColWindow, Column, RelError, Relation};
 use crate::engine;
+use crate::view::{materialize, View};
 use kfusion_ir::batch::{mask_lane, BankView, CompiledKernel, BATCH_ROWS};
 use kfusion_ir::interp::Machine;
 use kfusion_ir::opt::infer_types;
 use kfusion_ir::{KernelBody, Ty, Value};
-use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
+use kfusion_vgpu::exec::{cta_ranges, par_range_map, DEFAULT_CTA_CHUNK};
+use std::ops::Range;
 
 fn output_tys(body: &KernelBody) -> Vec<Ty> {
     let tys = infer_types(body);
@@ -33,93 +37,33 @@ fn empty_cols(tys: &[Ty], cap: usize) -> Vec<Column> {
         .collect()
 }
 
-/// Compute `body` per tuple; the result keeps the input keys and has one
-/// column per body output (the sources are discarded, as PROJECT does in
-/// the paper's ARITH→PROJECT idiom).
-///
-/// Runs on the vectorized batch engine when the body compiles against the
-/// input's column types ([`crate::engine`]); otherwise falls back to the
-/// per-tuple interpreter, preserving its error behavior.
-pub fn arith_map(input: &Relation, body: &KernelBody) -> Result<Relation, RelError> {
-    let (tys, parts) = arith_parts(input, body)?;
-    let mut out = Relation { key: Vec::new(), cols: empty_cols(&tys, 0) };
-    assemble_parallel(&mut out, &input.key, &[], &parts);
-    Ok(out)
+/// `body` compiled for the batch engine over `input`'s columns — if the
+/// engine is on, there is a row to run it on, and the body binds.
+fn compile(input: &View<'_>, body: &KernelBody) -> Option<CompiledKernel> {
+    if !engine::batch_enabled() || input.is_empty() {
+        return None;
+    }
+    CompiledKernel::compile(body, &input.ir_slot_types())
+        .ok()
+        .filter(|k| k.check_binding(&input.ir_cols()).is_ok())
 }
 
-/// Assemble an ARITH output in parallel: the key copies from `key`, the
-/// first `passthrough.len()` columns copy whole from `passthrough` (the
-/// extend variant's sources), and the remaining columns concatenate the
-/// per-chunk computed `parts` — every worker writing a disjoint window of
-/// buffers sized once up front. `out` arrives with *empty* columns of the
-/// output schema on purpose: the zeroed allocations requested here fault
-/// their pages in on the workers that first write them rather than serially
-/// up front. Small results assemble serially.
-fn assemble_parallel(
-    out: &mut Relation,
-    key: &[u64],
-    passthrough: &[Column],
-    parts: &[Vec<Column>],
-) {
-    let n = key.len();
-    let n_pass = passthrough.len();
-    if n < crate::data::PAR_COPY_MIN_ROWS {
-        out.key.extend_from_slice(key);
-        for (d, s) in out.cols.iter_mut().zip(passthrough) {
-            d.extend_from(s);
-        }
-        for p in parts {
-            for (d, s) in out.cols[n_pass..].iter_mut().zip(p.iter()) {
-                d.extend_from(s);
-            }
-        }
-        return;
-    }
-    let Relation { key: out_key, cols: out_cols } = out;
-    crate::data::resize_zeroed_vec(out_key, n);
-    for c in out_cols.iter_mut() {
-        c.resize_zeroed(n);
-    }
-    let lens: Vec<usize> = parts.iter().map(|p| p.first().map_or(0, Column::len)).collect();
-    let (pass_cols, computed_cols) = out_cols.split_at_mut(n_pass);
-    let computed_wins = crate::data::col_windows(computed_cols, &lens);
-    std::thread::scope(|scope| {
-        scope.spawn(|| out_key.copy_from_slice(key));
-        for (d, s) in pass_cols.iter_mut().zip(passthrough) {
-            scope.spawn(move || match (d, s) {
-                (Column::I64(d), Column::I64(s)) => d.copy_from_slice(s),
-                (Column::F64(d), Column::F64(s)) => d.copy_from_slice(s),
-                _ => unreachable!("schema fixed by the caller"),
-            });
-        }
-        for (cw, part) in computed_wins.into_iter().zip(parts) {
-            scope.spawn(move || {
-                for (mut w, s) in cw.into_iter().zip(part) {
-                    w.copy_from(s);
-                }
-            });
-        }
-    });
-}
-
-/// Per-chunk output columns of `body` over `input`, on whichever engine
-/// applies — the compute stage [`arith_map`] and both extends share.
-fn arith_parts(
-    input: &Relation,
+/// The output columns of `body` over every base row of `input`, on
+/// whichever engine applies: `kernel`'s batches where the view is, or —
+/// with no kernel, over a dense input only — the per-tuple interpreter,
+/// whose error behavior is the reference.
+fn computed(
+    input: &View<'_>,
     body: &KernelBody,
-) -> Result<(Vec<Ty>, Vec<Vec<Column>>), RelError> {
-    // ARITH preserves cardinality: rows out == rows in, counted up front.
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"arith\"}", input.len() as u64);
-    kfusion_trace::counter("kfusion_rows_out_total{op=\"arith\"}", input.len() as u64);
-    if engine::batch_enabled() && !input.is_empty() {
-        let compiled = CompiledKernel::compile(body, &input.ir_slot_types())
-            .ok()
-            .filter(|k| k.check_binding(&input.ir_cols()).is_ok());
-        match compiled {
-            Some(k) => return Ok(arith_parts_batch(input, &k)),
-            None => kfusion_trace::counter("kfusion_batch_fallback_total{op=\"arith\"}", 1),
-        }
+    kernel: Option<&CompiledKernel>,
+) -> Result<Vec<Column>, RelError> {
+    if let Some(k) = kernel {
+        return Ok(computed_batch(input, k));
     }
+    if engine::batch_enabled() && !input.is_empty() {
+        kfusion_trace::counter("kfusion_batch_fallback_total{op=\"arith\"}", 1);
+    }
+    debug_assert!(input.is_dense(), "the interpreter runs over gathered rows");
     // Output column types: static inference can't see through input slots
     // (they are bound at execution time), so type from the first row's
     // actual values when there is one; inference covers the empty case.
@@ -147,99 +91,138 @@ fn arith_parts(
             }
             Ok(cols)
         });
-    let parts = parts.into_iter().collect::<Result<Vec<Vec<Column>>, RelError>>()?;
-    Ok((tys, parts))
+    let mut out = empty_cols(&tys, input.len());
+    for part in parts {
+        for (d, s) in out.iter_mut().zip(&part?) {
+            d.extend_from(s);
+        }
+    }
+    Ok(out)
 }
 
-/// Batch-engine ARITH: each CTA evaluates the compiled kernel over
-/// [`BATCH_ROWS`]-row batches and appends whole typed lanes to its output
-/// columns. Boolean outputs become i64 flag columns, as in the scalar path.
-fn arith_parts_batch(input: &Relation, k: &CompiledKernel) -> (Vec<Ty>, Vec<Vec<Column>>) {
-    let tys: Vec<Ty> = (0..k.n_outputs()).map(|s| k.output_ty(s)).collect();
-    let cols_in = input.ir_cols();
-    let parts: Vec<Vec<Column>> = par_range_map(input.len(), DEFAULT_CTA_CHUNK, |_cta, range| {
+/// Batch-engine ARITH over `input`'s base rows: each CTA evaluates the
+/// compiled kernel over [`BATCH_ROWS`]-row batches and writes whole typed
+/// lanes straight into its window of the base-length output columns, which
+/// are therefore written exactly once. A batch none of whose rows the view
+/// selects is skipped; its lanes stay zero and nobody reads them. Boolean
+/// outputs become i64 flag columns, as in the scalar path.
+fn computed_batch(input: &View<'_>, k: &CompiledKernel) -> Vec<Column> {
+    let base_len = input.base_len();
+    let mut cols: Vec<Column> = (0..k.n_outputs())
+        .map(|s| match k.output_ty(s) {
+            Ty::F64 => Column::F64(Vec::new()),
+            _ => Column::I64(Vec::new()),
+        })
+        .collect();
+    // Zeroed buffers fault their pages in on the workers that write them.
+    for c in &mut cols {
+        c.resize_zeroed(base_len);
+    }
+    let ranges = cta_ranges(base_len, DEFAULT_CTA_CHUNK);
+    let lens: Vec<usize> = ranges.iter().map(Range::len).collect();
+    let ctas: Vec<_> = ranges.into_iter().zip(col_windows(&mut cols, &lens)).collect();
+    let (bound, sel) = (input.ir_cols(), input.selection());
+    par_each(ctas, |(range, mut windows)| {
         crate::scratch::with_scratch(|s| {
             // Per-morsel setup; the per-batch loop below runs inside a
-            // steady-state region and appends into preallocated columns.
+            // steady-state region and writes into preallocated windows.
             let mut bm = s.machine(k);
-            let mut cols = empty_cols(&tys, range.len());
             {
                 let _steady = kfusion_trace::allocwatch::region();
                 let mut base = range.start;
                 while base < range.end {
                     let n = (range.end - base).min(BATCH_ROWS);
-                    bm.run(k, &cols_in, base, n);
-                    for (slot, col) in cols.iter_mut().enumerate() {
-                        match (col, bm.output(k, slot)) {
-                            (Column::I64(c), BankView::I64(v)) => c.extend_from_slice(&v[..n]),
-                            (Column::F64(c), BankView::F64(v)) => c.extend_from_slice(&v[..n]),
-                            (Column::I64(c), BankView::Bool(m)) => {
-                                c.extend((0..n).map(|j| mask_lane(m, j) as i64))
+                    let words = base / 64..(base + n).div_ceil(64);
+                    let live = sel.is_none_or(|sel| sel[words].iter().any(|&w| w != 0));
+                    if live {
+                        bm.run(k, &bound, base, n);
+                        let at = base - range.start;
+                        for (slot, window) in windows.iter_mut().enumerate() {
+                            match (window, bm.output(k, slot)) {
+                                (ColWindow::I64(d), BankView::I64(v)) => {
+                                    d[at..at + n].copy_from_slice(&v[..n])
+                                }
+                                (ColWindow::F64(d), BankView::F64(v)) => {
+                                    d[at..at + n].copy_from_slice(&v[..n])
+                                }
+                                (ColWindow::I64(d), BankView::Bool(m)) => {
+                                    for (j, lane) in d[at..at + n].iter_mut().enumerate() {
+                                        *lane = mask_lane(m, j) as i64;
+                                    }
+                                }
+                                _ => unreachable!("output column type fixed by compile"),
                             }
-                            _ => unreachable!("output column type fixed by compile"),
                         }
                     }
                     base += n;
                 }
             }
             s.put_machine(k, bm);
-            cols
         })
     });
-    (tys, parts)
+    cols
+}
+
+/// Compute `body` per tuple; the result keeps the input keys and has one
+/// column per body output (the sources are discarded, as PROJECT does in
+/// the paper's ARITH→PROJECT idiom).
+///
+/// Runs on the vectorized batch engine when the body compiles against the
+/// input's column types ([`crate::engine`]); otherwise falls back to the
+/// per-tuple interpreter, preserving its error behavior.
+pub fn arith_map(input: &Relation, body: &KernelBody) -> Result<Relation, RelError> {
+    let view = View::of(input);
+    count_rows(&view);
+    let cols = computed(&view, body, compile(&view, body).as_ref())?;
+    Ok(Relation { key: input.key.clone(), cols })
+}
+
+/// ARITH preserves cardinality: rows out == rows in, counted up front.
+fn count_rows(input: &View<'_>) {
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"arith\"}", input.len() as u64);
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"arith\"}", input.len() as u64);
+}
+
+/// Whether [`arith_extend_view`] gathers a filtered `input` before it
+/// computes: when the columns it adds, at base length, would be more bytes
+/// than the selected rows ([`View::gathers_first`]), or when the batch
+/// engine cannot run `body` where the view is (the engine is off, or
+/// declines the body) and the interpreter needs gathered rows. The plan
+/// executor asks first, so the gather lands in the view's slot.
+pub fn arith_extend_gathers_first(input: &View<'_>, body: &KernelBody) -> bool {
+    gathers_first(input, body, || compile(input, body).is_some())
+}
+
+fn gathers_first(input: &View<'_>, body: &KernelBody, compiles: impl FnOnce() -> bool) -> bool {
+    !input.is_dense() && (input.gathers_first(body.outputs.len()) || !compiles())
+}
+
+/// ARITH+ without the copy: `input` widened by the outputs of `body`, which
+/// are computed over its base rows and written once, beside the columns it
+/// references ([`arith_extend_gathers_first`] says when a filtered input is
+/// gathered first instead).
+pub fn arith_extend_view<'a>(input: &View<'a>, body: &KernelBody) -> Result<View<'a>, RelError> {
+    count_rows(input);
+    let kernel = compile(input, body);
+    if gathers_first(input, body, || kernel.is_some()) {
+        let dense = input.dense();
+        return Ok(dense.with_computed(computed(&dense, body, kernel.as_ref())?));
+    }
+    Ok(input.with_computed(computed(input, body, kernel.as_ref())?))
 }
 
 /// Like [`arith_map`] but *appends* the computed columns to the existing
-/// payload instead of replacing it.
+/// payload instead of replacing it: [`arith_extend_view`], then the gather.
 pub fn arith_extend(input: &Relation, body: &KernelBody) -> Result<Relation, RelError> {
-    let (tys, parts) = arith_parts(input, body)?;
-    let mut all_tys: Vec<Ty> = input
-        .cols
-        .iter()
-        .map(|c| match c {
-            Column::F64(_) => Ty::F64,
-            Column::I64(_) => Ty::I64,
-        })
-        .collect();
-    all_tys.extend_from_slice(&tys);
-    let mut out = Relation { key: Vec::new(), cols: empty_cols(&all_tys, 0) };
-    assemble_parallel(&mut out, &input.key, &input.cols, &parts);
-    Ok(out)
+    Ok(materialize(arith_extend_view(&View::of(input), body)?))
 }
 
-/// [`arith_extend`] for a caller that owns the input relation: the computed
-/// columns are appended in place, so the key and the existing payload are
-/// never copied at all. The plan executor routes single-consumer owned
-/// intermediates here — on the TPC-H plans that removes the widest copies
-/// of the whole query.
-pub fn arith_extend_owned(mut input: Relation, body: &KernelBody) -> Result<Relation, RelError> {
-    let (tys, parts) = arith_parts(&input, body)?;
-    let n = input.len();
-    let mut computed = empty_cols(&tys, 0);
-    if n < crate::data::PAR_COPY_MIN_ROWS {
-        for p in &parts {
-            for (d, s) in computed.iter_mut().zip(p) {
-                d.extend_from(s);
-            }
-        }
-    } else {
-        for c in computed.iter_mut() {
-            c.resize_zeroed(n);
-        }
-        let lens: Vec<usize> = parts.iter().map(|p| p.first().map_or(0, Column::len)).collect();
-        let wins = crate::data::col_windows(&mut computed, &lens);
-        std::thread::scope(|scope| {
-            for (cw, part) in wins.into_iter().zip(&parts) {
-                scope.spawn(move || {
-                    for (mut w, s) in cw.into_iter().zip(part) {
-                        w.copy_from(s);
-                    }
-                });
-            }
-        });
-    }
-    input.cols.extend(computed);
-    Ok(input)
+/// [`arith_extend`] for a caller that owns the input relation: the view
+/// alone holds it, so [`materialize`] moves the key and the existing
+/// payload instead of copying them.
+pub fn arith_extend_owned(input: Relation, body: &KernelBody) -> Result<Relation, RelError> {
+    let extended = arith_extend_view(&View::from(input), body)?;
+    Ok(materialize(extended))
 }
 
 fn push_coerced(col: &mut Column, v: Value) -> Result<(), RelError> {
@@ -292,10 +275,39 @@ mod tests {
         let r = Relation::new(vec![1], vec![Column::I64(vec![5])]).unwrap();
         let mut b = BodyBuilder::new(2);
         b.emit_output(Expr::input(1).neg());
-        let out = arith_extend(&r, &b.build()).unwrap();
+        let body = b.build();
+        let out = arith_extend(&r, &body).unwrap();
         assert_eq!(out.n_cols(), 2);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[5]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[-5]);
+        assert_eq!(arith_extend_owned(r, &body).unwrap(), out);
+    }
+
+    /// Over a filtered view the new column is computed where the view is —
+    /// batches no selected row falls in are skipped — and gathers with the
+    /// others to exactly what extending the gathered rows gives; a view
+    /// that keeps too few rows for that to pay is gathered first.
+    #[test]
+    fn extend_view_computes_beside_a_selection() {
+        let n = 3 * DEFAULT_CTA_CHUNK + 99;
+        let r = Relation::new(
+            (0..n as u64).collect(),
+            vec![Column::I64((0..n as i64).map(|v| v % 1000).collect())],
+        )
+        .unwrap();
+        let mut b = BodyBuilder::new(2);
+        b.emit_output(Expr::input(1).mul(Expr::lit(3i64)).add(Expr::input(0)));
+        let body = b.build();
+        // Two thirds of the rows (the last CTA keeps none), then a fortieth:
+        // fewer bytes than the column the body adds.
+        for (t, gathered) in [(2 * n as u64 / 3, false), (n as u64 / 40, true)] {
+            let pred = predicates::key_in_range(0, t);
+            let kept = crate::ops::select_view(&View::of(&r), &pred).unwrap();
+            assert_eq!(kept.gathers_first(1), gathered, "t={t}");
+            let extended = arith_extend_view(&kept, &body).unwrap();
+            let want = arith_extend(&crate::ops::select(&r, &pred).unwrap(), &body).unwrap();
+            assert_eq!(materialize(extended), want, "t={t}");
+        }
     }
 
     #[test]

@@ -5,64 +5,79 @@
 //! The paper's Fig. 2(h) uses PROJECT to discard arithmetic sources and keep
 //! only results.
 
-use crate::data::{RelError, Relation, PAR_COPY_MIN_ROWS};
+use crate::data::{par_each, resize_zeroed_vec, slice_windows, RelError, Relation};
 use crate::view::{materialize, View};
+use kfusion_vgpu::exec::{cta_ranges, DEFAULT_CTA_CHUNK};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Re-key the relation by an i64 payload column: the column's values become
-/// the tuple keys and the column leaves the payload. The query plans use
-/// this before a SORT "by a different key" (paper Fig. 17(a)) — e.g. Q1
-/// re-keys the wide lineitem table by its packed group attribute before
-/// sorting and aggregating.
-///
-/// Values must be non-negative (keys are unsigned).
-pub fn rekey(input: &Relation, col: usize) -> Result<Relation, RelError> {
-    let vals = input
-        .cols
-        .get(col)
-        .ok_or(RelError::NoSuchColumn { col, available: input.n_cols() })?
-        .as_i64()
-        .ok_or(RelError::SchemaMismatch)?;
-    if vals.iter().any(|&v| v < 0) {
-        return Err(RelError::SchemaMismatch);
-    }
-    let kept = input.cols.iter().enumerate().filter(|(i, _)| *i != col).map(|(_, c)| c);
-    let (key, cols) = if input.len() < PAR_COPY_MIN_ROWS {
-        (vals.iter().map(|&v| v as u64).collect(), kept.cloned().collect())
-    } else {
-        // Wide-relation materialization: one worker per surviving column
-        // (plus one for the new key), so the copy's page faults spread
-        // across threads instead of landing serially on the caller.
-        std::thread::scope(|scope| {
-            let kh = scope.spawn(|| vals.iter().map(|&v| v as u64).collect::<Vec<u64>>());
-            let hs: Vec<_> = kept.map(|c| scope.spawn(move || c.clone())).collect();
-            (
-                kh.join().expect("rekey worker panicked"),
-                hs.into_iter().map(|h| h.join().expect("rekey worker panicked")).collect(),
-            )
-        })
-    };
-    Relation::new(key, cols)
+/// Whether [`rekey_view`] gathers a filtered `input` before it writes the
+/// new key: when a key at base length would be more bytes than the selected
+/// rows ([`View::gathers_first`]). The plan executor asks first, so the
+/// gather lands in the view's slot.
+pub fn rekey_gathers_first(input: &View<'_>) -> bool {
+    input.gathers_first(1)
 }
 
-/// [`rekey`] for a caller that owns the input relation: only the new key
-/// vector is materialized; the surviving payload columns move instead of
-/// cloning. Used by the plan executor for single-consumer intermediates.
-pub fn rekey_owned(mut input: Relation, col: usize) -> Result<Relation, RelError> {
-    let key: Vec<u64> = {
-        let vals = input
-            .cols
-            .get(col)
-            .ok_or(RelError::NoSuchColumn { col, available: input.n_cols() })?
-            .as_i64()
-            .ok_or(RelError::SchemaMismatch)?;
-        if vals.iter().any(|&v| v < 0) {
-            return Err(RelError::SchemaMismatch);
+/// REKEY without the copy: the i64 payload column `col`'s values become the
+/// tuple keys — written once, at base length — and the column leaves the
+/// payload; every other column stays where it is. The query plans use this
+/// before a SORT "by a different key" (paper Fig. 17(a)) — e.g. Q1 re-keys
+/// the wide lineitem table by its packed group attribute before sorting and
+/// aggregating.
+///
+/// Selected values must be non-negative (keys are unsigned); what rows the
+/// view does not select may hold is nobody's business.
+pub fn rekey_view<'a>(input: &View<'a>, col: usize) -> Result<View<'a>, RelError> {
+    if col >= input.n_cols() {
+        return Err(RelError::NoSuchColumn { col, available: input.n_cols() });
+    }
+    if rekey_gathers_first(input) {
+        return rekey_view(&input.dense(), col);
+    }
+    let vals = input.col(col).as_i64().ok_or(RelError::SchemaMismatch)?;
+    let mut key = Vec::new();
+    resize_zeroed_vec(&mut key, input.base_len());
+    let ranges = cta_ranges(key.len(), DEFAULT_CTA_CHUNK);
+    let lens: Vec<usize> = ranges.iter().map(Range::len).collect();
+    let ctas: Vec<_> = ranges.into_iter().zip(slice_windows(&mut key, &lens)).collect();
+    let negative = AtomicBool::new(false);
+    par_each(ctas, |(range, window)| {
+        for (k, &v) in window.iter_mut().zip(&vals[range.clone()]) {
+            *k = v as u64;
         }
-        vals.iter().map(|&v| v as u64).collect()
-    };
-    input.key = key;
-    input.cols.remove(col);
-    Ok(input)
+        if selects_a_negative(input, vals, range) {
+            negative.store(true, Ordering::Relaxed);
+        }
+    });
+    if negative.into_inner() {
+        return Err(RelError::SchemaMismatch);
+    }
+    Ok(input.rekeyed(key, col))
+}
+
+/// Whether a base row of `range` (starting on a bitmap word) that `input`
+/// selects holds a negative value in `vals`.
+fn selects_a_negative(input: &View<'_>, vals: &[i64], range: Range<usize>) -> bool {
+    let Some(sel) = input.selection() else { return vals[range].iter().any(|&v| v < 0) };
+    vals[range.clone()].chunks(64).zip(&sel[range.start / 64..]).any(|(lanes, &word)| {
+        let negative = lanes.iter().enumerate().fold(0u64, |m, (j, &v)| m | ((v < 0) as u64) << j);
+        negative & word != 0
+    })
+}
+
+/// Re-key the relation by an i64 payload column: [`rekey_view`], then the
+/// gather.
+pub fn rekey(input: &Relation, col: usize) -> Result<Relation, RelError> {
+    Ok(materialize(rekey_view(&View::of(input), col)?))
+}
+
+/// [`rekey`] for a caller that owns the input relation: the view alone
+/// holds it, so [`materialize`] moves the surviving columns instead of
+/// copying them; only the new key is written.
+pub fn rekey_owned(input: Relation, col: usize) -> Result<Relation, RelError> {
+    let rekeyed = rekey_view(&View::from(input), col)?;
+    Ok(materialize(rekeyed))
 }
 
 /// PROJECT without the copy: the key plus the payload columns listed in
@@ -166,5 +181,24 @@ mod rekey_tests {
     fn rekey_missing_column() {
         let r = Relation::from_keys(vec![1]);
         assert!(matches!(rekey(&r, 0), Err(RelError::NoSuchColumn { .. })));
+    }
+
+    /// Only selected values must be keys: a negative one the view filtered
+    /// out is never looked at, one it keeps fails the REKEY — across CTAs,
+    /// where the view is and gathered first alike.
+    #[test]
+    fn a_filtered_view_rekeys_what_it_selects() {
+        let n = 2 * DEFAULT_CTA_CHUNK + 300;
+        let vals: Vec<i64> = (0..n as i64).map(|i| if i % 7 == 3 { -i } else { i }).collect();
+        let r = Relation::new((0..n as u64).collect(), vec![Column::I64(vals)]).unwrap();
+        let skip_negatives = crate::predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Ge, 0);
+        for (pred, few) in [(skip_negatives, false), (crate::predicates::key_lt(40), true)] {
+            let kept = crate::ops::select_view(&View::of(&r), &pred).unwrap();
+            assert_eq!(rekey_gathers_first(&kept), few);
+            let stored = crate::ops::select(&r, &pred).unwrap();
+            let got = rekey_view(&kept, 0).map(materialize);
+            assert_eq!(got, rekey(&stored, 0));
+            assert_eq!(got.is_ok(), stored.cols[0].as_i64().unwrap().iter().all(|&v| v >= 0));
+        }
     }
 }

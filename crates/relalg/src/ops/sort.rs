@@ -5,20 +5,28 @@
 //! whole input (dependence class (ii)). They bound fused regions in both
 //! TPC-H query plans (Fig. 17).
 //!
-//! A barrier still does only the work its input requires. One scan of the
-//! rank finds its range and whether it is already non-decreasing, and picks
-//! among three paths that produce the *identical* stable permutation:
+//! A barrier still does only the work its input requires. SORT reads a
+//! [`View`] where it is — a fused group in front of it hands over its
+//! filtered, re-keyed columns without gathering them — and ranks only the
+//! rows the view selects. One scan of the rank finds its range and whether
+//! it is already non-decreasing, and picks among three paths that produce
+//! the *identical* stable order:
 //!
 //! * **ordered** — a stable sort of a non-decreasing rank is the identity,
 //!   so the input *is* the output. This is what TPC-H Q21 takes: lineitem
 //!   is clustered on orderkey and SELECT / SEMIJOIN keep row order, so the
 //!   SORTs Fig. 17(b) puts in front of each merge join have nothing to do.
-//!   [`sort_shared`] then hands the input itself on; [`sort`], which only
-//!   borrows it, pays one whole-column copy.
-//! * **counting** — a narrow rank range (Q1 sorts ~6 packed group codes)
-//!   takes two linear sweeps instead of `n log n` comparisons.
+//!   [`sort_view`] then hands the view itself on, and a view that is
+//!   exactly a stored intermediate is shared, not copied.
+//! * **counting** — a narrow rank range (Q1 sorts ~6 packed group codes):
+//!   per-morsel histograms, one prefix sum and a per-morsel scatter of
+//!   `u32` base-row positions, in buffers from the thread-local
+//!   [`crate::scratch`].
 //! * **merge** — parallel chunk sorts and a pairwise k-way merge, the BSP
 //!   shape a GPU merge sort has.
+//!
+//! Either sorting path ends in the one gather: every column copied once,
+//! from wherever the view's columns are, into the sorted relation.
 //!
 //! None of this reaches the sim clock: the cost model prices every SORT as
 //! the bitonic network's `log²n` read+write passes ([`bitonic_sort`]), which
@@ -28,11 +36,12 @@
 //! bitmap, column at a time, and gathers through [`crate::view`] like every
 //! other filtering operator.
 
-use crate::data::{Column, RelError, Relation};
-use crate::view::{materialize, View};
-use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
-use std::borrow::Cow;
-use std::sync::Arc;
+use crate::data::{par_each, Column, RelError, Relation};
+use crate::scratch::with_scratch;
+use crate::view::{gather, materialize, View};
+use kfusion_ir::batch::Scratch;
+use kfusion_vgpu::exec::{cta_ranges, par_range_map, DEFAULT_CTA_CHUNK};
+use std::ops::Range;
 
 /// What to order by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,125 +90,223 @@ fn f64_rank(v: f64) -> u64 {
     }
 }
 
-/// The u64 rank vector a sort orders by — the key itself, borrowed, for
-/// [`SortBy::Key`]. Ranks are ascending; a descending sort inverts the bits
-/// (stability ties still break by ascending original index, which is what a
-/// stable descending SQL sort does).
-fn rank_vec(input: &Relation, by: SortBy) -> Result<Cow<'_, [u64]>, RelError> {
-    let flip = if by.descending() { u64::MAX } else { 0 };
-    let col = |c: usize| {
-        input.cols.get(c).ok_or(RelError::NoSuchColumn { col: c, available: input.n_cols() })
-    };
-    Ok(match by {
-        SortBy::Key => Cow::Borrowed(&input.key[..]),
-        SortBy::KeyDesc => input.key.iter().map(|&k| !k).collect(),
-        SortBy::I64Col(c) | SortBy::I64ColDesc(c) => {
-            let vals = col(c)?.as_i64().ok_or(RelError::SchemaMismatch)?;
+/// The u64 a sort orders base row `i` by, read off the column where it is.
+/// Ranks are ascending; a descending sort inverts the bits (stability ties
+/// still break by ascending position, which is what a stable descending SQL
+/// sort does).
+#[derive(Clone, Copy)]
+enum Rank<'v> {
+    Key(&'v [u64], u64),
+    I64(&'v [i64], u64),
+    F64(&'v [f64], u64),
+}
+
+impl<'v> Rank<'v> {
+    fn of(input: &'v View<'_>, by: SortBy) -> Result<Self, RelError> {
+        let flip = if by.descending() { u64::MAX } else { 0 };
+        let col = |c: usize| match c < input.n_cols() {
+            true => Ok(input.col(c)),
+            false => Err(RelError::NoSuchColumn { col: c, available: input.n_cols() }),
+        };
+        Ok(match by {
+            SortBy::Key | SortBy::KeyDesc => Rank::Key(input.key(), flip),
+            SortBy::I64Col(c) | SortBy::I64ColDesc(c) => {
+                Rank::I64(col(c)?.as_i64().ok_or(RelError::SchemaMismatch)?, flip)
+            }
+            SortBy::F64Col(c) | SortBy::F64ColDesc(c) => {
+                Rank::F64(col(c)?.as_f64().ok_or(RelError::SchemaMismatch)?, flip)
+            }
+        })
+    }
+
+    #[inline]
+    fn at(self, i: usize) -> u64 {
+        match self {
+            Rank::Key(keys, flip) => keys[i] ^ flip,
             // Order-preserving map i64 -> u64 so one comparator serves both.
-            vals.iter().map(|&v| ((v as u64) ^ (1 << 63)) ^ flip).collect()
+            Rank::I64(vals, flip) => (vals[i] as u64 ^ (1 << 63)) ^ flip,
+            Rank::F64(vals, flip) => f64_rank(vals[i]) ^ flip,
         }
-        SortBy::F64Col(c) | SortBy::F64ColDesc(c) => {
-            let vals = col(c)?.as_f64().ok_or(RelError::SchemaMismatch)?;
-            vals.iter().map(|&v| f64_rank(v) ^ flip).collect()
-        }
-    })
-}
-
-/// The stable permutation that sorts `input`, or `None` when that is the
-/// identity — the rows are already in order and nothing has to move.
-fn sort_permutation(input: &Relation, by: SortBy) -> Result<Option<Vec<usize>>, RelError> {
-    let idx = sort_index(&rank_vec(input, by)?);
-    if idx.is_none() {
-        kfusion_trace::counter("kfusion_sort_ordered_total", 1);
-    }
-    Ok(idx)
-}
-
-/// `input`'s rows in the order `idx` — as they stand for `None`, the
-/// identity — in storage of their own: the one place SORT copies rows, and
-/// it says how many bytes.
-fn copied(input: &Relation, idx: Option<&[usize]>) -> Relation {
-    kfusion_trace::counter("kfusion_host_materialized_bytes_total", input.total_bytes());
-    match idx {
-        Some(idx) => input.gathered(idx),
-        None => input.clone(),
     }
 }
 
-/// Sort the relation (stable). Ordered input is copied as it stands.
+/// What one scan of a morsel's selected ranks finds.
+#[derive(Clone, Copy)]
+struct Scan {
+    rows: usize,
+    lo: u64,
+    hi: u64,
+    first: u64,
+    last: u64,
+    inversions: usize,
+}
+
+impl Scan {
+    fn of(input: &View<'_>, rank: Rank<'_>, range: Range<usize>) -> Scan {
+        let mut s = Scan { rows: 0, lo: u64::MAX, hi: 0, first: 0, last: 0, inversions: 0 };
+        let _steady = kfusion_trace::allocwatch::region();
+        input.for_each_row(range, |i| {
+            let r = rank.at(i);
+            if s.rows == 0 {
+                (s.first, s.last) = (r, r);
+            }
+            s.lo = s.lo.min(r);
+            s.hi = s.hi.max(r);
+            s.inversions += (r < s.last) as usize;
+            s.last = r;
+            s.rows += 1;
+        });
+        s
+    }
+
+    /// The scan of `self`'s rows followed by `next`'s.
+    fn then(self, next: Scan) -> Scan {
+        match (self.rows, next.rows) {
+            (0, _) => next,
+            (_, 0) => self,
+            _ => Scan {
+                rows: self.rows + next.rows,
+                lo: self.lo.min(next.lo),
+                hi: self.hi.max(next.hi),
+                first: self.first,
+                last: next.last,
+                inversions: self.inversions + next.inversions + (next.first < self.last) as usize,
+            },
+        }
+    }
+}
+
+/// SORT without the copy of what is in order already: `input`'s tuples in
+/// the stable order of `by`. Ordered input comes back as the view it is —
+/// nothing ranked, nothing moved; otherwise the sorted rows are gathered,
+/// once, into storage of their own.
+pub fn sort_view<'a>(input: &View<'a>, by: SortBy) -> Result<View<'a>, RelError> {
+    let rank = Rank::of(input, by)?;
+    let mut buf = with_scratch(Scratch::idx_buf);
+    let sorted = match sort_positions(input, rank, &mut buf) {
+        Some(n) => View::from(gather(input, &buf[..n])),
+        None => {
+            kfusion_trace::counter("kfusion_sort_ordered_total", 1);
+            input.clone()
+        }
+    };
+    with_scratch(|s| s.put_idx_buf(buf));
+    Ok(sorted)
+}
+
+/// Sort the relation (stable): [`sort_view`], then the gather — ordered
+/// input is copied as it stands.
 pub fn sort(input: &Relation, by: SortBy) -> Result<Relation, RelError> {
-    Ok(copied(input, sort_permutation(input, by)?.as_deref()))
+    Ok(materialize(sort_view(&View::of(input), by)?))
 }
 
-/// [`sort`] for an input held in an `Arc` — what the plan executor keeps its
-/// intermediates in: ordered input is shared once more, not a row copied.
-pub fn sort_shared(input: &Arc<Relation>, by: SortBy) -> Result<Arc<Relation>, RelError> {
-    Ok(match sort_permutation(input, by)? {
-        Some(idx) => Arc::new(copied(input, Some(&idx))),
-        None => Arc::clone(input),
-    })
+/// Fewest rows a morsel of [`worker_ranges`] is given.
+const MIN_WORKER_ROWS: usize = 4096;
+
+/// `0..n` cut into one contiguous range per worker (each a whole number of
+/// 64-row bitmap words but for the last), at least [`MIN_WORKER_ROWS`]
+/// long. The count depends on the cores, not on `n` beyond that floor, so
+/// a SORT allocates as much for 64 Ki rows as for 1 Mi.
+fn worker_ranges(n: usize) -> Vec<Range<usize>> {
+    let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
+    let workers = cores.min(n.div_ceil(MIN_WORKER_ROWS)).max(1);
+    cta_ranges(n, n.div_ceil(workers).next_multiple_of(64).max(64))
 }
 
-/// Stable sort permutation over `rank`: position `p` of the output holds
-/// `idx[p]`, the input row ranked `p`-th by `(rank, original index)` — or
-/// `None` when `rank` is already non-decreasing, since then that
-/// permutation is the identity (equal ranks keep their order, every other
-/// pair is in order already).
+/// The stable order of `input`'s selected rows by `(rank, position)`, as
+/// base-row positions in `buf[..n]` (`buf` is scratch, resized here) — or
+/// `None` when that order is the view's own (the ranks never decrease, so
+/// equal ones keep their order and every other pair is in order already).
 ///
 /// Otherwise picks between two stable algorithms that produce the
-/// *identical* permutation (both order by `(rank, index)`), so the choice is
-/// invisible to callers and to cross-engine bit-equality:
-/// - a two-pass counting sort when the rank range is small relative to `n`
-///   (the common case after REKEY packs a handful of group codes — Q1's
-///   post-rekey sort has ~6 distinct ranks, turning `n log n` comparisons
-///   into two linear sweeps);
-/// - the parallel chunk-sort + pairwise-merge otherwise (the BSP shape the
-///   cost model prices).
-fn sort_index(rank: &[u64]) -> Option<Vec<usize>> {
-    let n = rank.len();
-    // One scan: the range picks the algorithm, the inversion count decides
-    // whether any is needed. Branch-free, so it runs at memory speed.
-    let (mut lo, mut hi, mut prev, mut inversions) = (u64::MAX, 0u64, 0u64, 0usize);
-    for &r in rank {
-        lo = lo.min(r);
-        hi = hi.max(r);
-        inversions += (r < prev) as usize;
-        prev = r;
-    }
-    if inversions == 0 {
+/// *identical* order, so the choice is invisible to callers and to
+/// cross-engine bit-equality: counting when the rank range is small
+/// relative to the rows (the common case after REKEY packs a handful of
+/// group codes — Q1's post-rekey sort has ~6 distinct ranks), the parallel
+/// chunk-sort + pairwise-merge otherwise (the BSP shape the cost model
+/// prices).
+fn sort_positions(input: &View<'_>, rank: Rank<'_>, buf: &mut Vec<u32>) -> Option<usize> {
+    // One scan per morsel: the range picks the algorithm, the inversion
+    // count decides whether any is needed.
+    let morsels = worker_ranges(input.base_len());
+    let chunk = morsels.first().map_or(1, Range::len);
+    let scans = par_range_map(input.base_len(), chunk, |_, range| Scan::of(input, rank, range));
+    let scan = scans.into_iter().reduce(Scan::then)?;
+    if scan.inversions == 0 {
         return None;
     }
-    // Counting-sort threshold: bucket array must stay O(n) (+ a fixed floor
-    // so tiny inputs with moderate ranges still qualify).
-    let limit = 4 * (n as u64) + 65_536;
-    Some(if hi - lo < limit {
-        counting_sort_index(rank, lo, (hi - lo) as usize + 1)
+    // Counting-sort threshold: the histograms must stay O(n) (+ a fixed
+    // floor so tiny inputs with moderate ranges still qualify).
+    let n = scan.rows;
+    let buckets = scan.hi - scan.lo + 1;
+    if buckets < 4 * n as u64 + 65_536 {
+        counting_positions(input, rank, &morsels, scan.lo, buckets as usize, n, buf);
     } else {
-        merge_sort_index(rank)
-    })
+        merge_positions(input, rank, n, buf);
+    }
+    Some(n)
 }
 
-/// Stable counting sort: histogram, exclusive prefix sum, then a scatter in
-/// original index order (equal ranks keep ascending index — the same
-/// tie-break as `merge_sort_index`).
-fn counting_sort_index(rank: &[u64], lo: u64, buckets: usize) -> Vec<usize> {
-    let mut offsets = vec![0usize; buckets];
-    for &r in rank {
-        offsets[(r - lo) as usize] += 1;
+/// Stable counting sort into `buf[..n]`: a histogram per morsel, one
+/// prefix sum bucket-major (morsel-minor within a bucket, so equal ranks
+/// keep ascending position — the same tie-break as [`merge_sort_index`]),
+/// and a per-morsel scatter. The prefix sum carves the output into one
+/// window per nonempty (bucket, morsel) pair, so each morsel writes only
+/// windows of its own.
+fn counting_positions(
+    input: &View<'_>,
+    rank: Rank<'_>,
+    morsels: &[Range<usize>],
+    lo: u64,
+    buckets: usize,
+    n: usize,
+    buf: &mut Vec<u32>,
+) {
+    buf.clear();
+    buf.resize(n + morsels.len() * buckets, 0);
+    let (out, hists) = buf.split_at_mut(n);
+    let slot = |i: usize| (rank.at(i) - lo) as usize;
+    let counting: Vec<_> = morsels.iter().cloned().zip(hists.chunks_mut(buckets)).collect();
+    par_each(counting, |(range, hist)| {
+        let _steady = kfusion_trace::allocwatch::region();
+        input.for_each_row(range, |i| hist[slot(i)] += 1)
+    });
+    // Each count becomes the index of its window in its morsel's list.
+    let mut windows: Vec<Vec<&mut [u32]>> = morsels.iter().map(|_| Vec::new()).collect();
+    let mut rest = out;
+    for b in 0..buckets {
+        for (m, list) in windows.iter_mut().enumerate() {
+            let count = &mut hists[m * buckets + b];
+            if *count > 0 {
+                let (window, tail) = std::mem::take(&mut rest).split_at_mut(*count as usize);
+                *count = list.len() as u32;
+                list.push(window);
+                rest = tail;
+            }
+        }
     }
-    let mut sum = 0usize;
-    for slot in offsets.iter_mut() {
-        let count = *slot;
-        *slot = sum;
-        sum += count;
-    }
-    let mut idx = vec![0usize; rank.len()];
-    for (i, &r) in rank.iter().enumerate() {
-        let b = (r - lo) as usize;
-        idx[offsets[b]] = i;
-        offsets[b] += 1;
-    }
-    idx
+    let scatter: Vec<_> = morsels.iter().cloned().zip(hists.chunks(buckets)).zip(windows).collect();
+    par_each(scatter, |((range, hist), mut windows)| {
+        let _steady = kfusion_trace::allocwatch::region();
+        input.for_each_row(range, |i| {
+            let w = &mut windows[hist[slot(i)] as usize];
+            let (first, rest) = std::mem::take(w).split_first_mut().expect("counted");
+            *first = i as u32;
+            *w = rest;
+        })
+    });
+}
+
+/// The merge path into `buf[..n]`: the selected rows' ranks in view order
+/// through [`merge_sort_index`], mapped back to base positions.
+fn merge_positions(input: &View<'_>, rank: Rank<'_>, n: usize, buf: &mut Vec<u32>) {
+    let (mut ranks, mut positions) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    input.for_each_row(0..input.base_len(), |i| {
+        ranks.push(rank.at(i));
+        positions.push(i as u32);
+    });
+    buf.clear();
+    buf.extend(merge_sort_index(&ranks).into_iter().map(|j| positions[j]));
 }
 
 fn merge_sort_index(rank: &[u64]) -> Vec<usize> {
@@ -258,12 +365,13 @@ pub fn bitonic_sort(input: &Relation, by: SortBy) -> Result<Relation, RelError> 
     if n <= 1 {
         return Ok(input.clone());
     }
-    let rank = rank_vec(input, by)?;
+    let view = View::of(input);
+    let rank = Rank::of(&view, by)?;
     // Pad to a power of two with +inf sentinels (index n == sentinel).
     let m = n.next_power_of_two();
     let sentinel = u64::MAX;
     let key_of =
-        |idx: usize| if idx < n { (rank[idx], idx as u64) } else { (sentinel, idx as u64) };
+        |idx: usize| if idx < n { (rank.at(idx), idx as u64) } else { (sentinel, idx as u64) };
     let mut idx: Vec<usize> = (0..m).collect();
     // The classic network: k = subsequence size, j = compare distance.
     let mut k = 2usize;
@@ -286,8 +394,8 @@ pub fn bitonic_sort(input: &Relation, by: SortBy) -> Result<Relation, RelError> 
         }
         k *= 2;
     }
-    let order: Vec<usize> = idx.into_iter().filter(|&i| i < n).collect();
-    Ok(input.gathered(&order))
+    let order: Vec<u32> = idx.into_iter().filter(|&i| i < n).map(|i| i as u32).collect();
+    Ok(gather(&view, &order))
 }
 
 /// Number of compare-exchange passes a bitonic network over `n` elements
@@ -334,6 +442,14 @@ fn mark_changes<T: Copy>(vals: &[T], sel: &mut [u64], differs: impl Fn(T, T) -> 
 mod tests {
     use super::*;
     use crate::data::Column;
+    use std::sync::Arc;
+
+    /// The order `sort_positions` finds, `None` for the view's own.
+    fn positions(input: &View<'_>, by: SortBy) -> Option<Vec<u32>> {
+        let mut buf = Vec::new();
+        let n = sort_positions(input, Rank::of(input, by).unwrap(), &mut buf)?;
+        Some(buf[..n].to_vec())
+    }
 
     #[test]
     fn sort_by_key_small() {
@@ -379,18 +495,24 @@ mod tests {
 
     #[test]
     fn counting_and_merge_paths_produce_identical_permutations() {
-        // Both index sorts are stable on (rank, index), so they must agree
+        // Both sorts are stable on (rank, position), so they must agree
         // exactly — this is what makes the fast path invisible to callers.
-        for (n, modulus) in [(0usize, 1u64), (1, 1), (977, 7), (50_000, 1000), (10_000, 3)] {
-            let rank: Vec<u64> =
-                (0..n as u64).map(|i| (i.wrapping_mul(2_654_435_761)) % modulus).collect();
-            let fast = counting_sort_index(
-                &rank,
-                rank.iter().copied().min().unwrap_or(0),
-                modulus as usize,
-            );
-            let general = merge_sort_index(&rank);
-            assert_eq!(fast, general, "n={n} modulus={modulus}");
+        for (n, modulus) in [(1usize, 1u64), (977, 7), (50_000, 1000), (10_000, 3), (70_000, 5)] {
+            // Row 0's rank is 0, the range's low end.
+            let keys = (0..n as u64).map(|i| (i.wrapping_mul(2_654_435_761)) % modulus).collect();
+            let r = Relation::from_keys(keys);
+            // Every third row of it too: positions are the view's base rows.
+            let mut sel = vec![0u64; n.div_ceil(64)];
+            (0..n).step_by(3).for_each(|i| sel[i / 64] |= 1 << (i % 64));
+            let thirds = View::of(&r).with_selection(sel, n.div_ceil(3));
+            for view in [View::of(&r), thirds] {
+                let (rank, rows) = (Rank::of(&view, SortBy::Key).unwrap(), view.len());
+                let (mut fast, mut general) = (Vec::new(), Vec::new());
+                let morsels = worker_ranges(view.base_len());
+                counting_positions(&view, rank, &morsels, 0, modulus as usize, rows, &mut fast);
+                merge_positions(&view, rank, rows, &mut general);
+                assert_eq!(fast[..rows], general[..rows], "n={n} modulus={modulus}");
+            }
         }
     }
 
@@ -415,19 +537,21 @@ mod tests {
         Relation::new(key, vec![Column::I64(ints), Column::F64(floats)]).unwrap()
     }
 
+    const EVERY_SORT: [SortBy; 6] = [
+        SortBy::Key,
+        SortBy::I64ColDesc(0),
+        SortBy::F64ColDesc(1),
+        SortBy::KeyDesc,
+        SortBy::I64Col(0),
+        SortBy::F64Col(1),
+    ];
+
     #[test]
     fn ordered_input_passes_through_and_equals_the_network() {
         for n in [0usize, 1, 2, 1000, 70_000] {
             let r = ordered_table(n);
-            for by in [
-                SortBy::Key,
-                SortBy::I64ColDesc(0),
-                SortBy::F64ColDesc(1),
-                SortBy::KeyDesc,
-                SortBy::I64Col(0),
-                SortBy::F64Col(1),
-            ] {
-                let ordered = sort_index(&rank_vec(&r, by).unwrap()).is_none();
+            for by in EVERY_SORT {
+                let ordered = positions(&View::of(&r), by).is_none();
                 let runs_with_the_order =
                     matches!(by, SortBy::Key | SortBy::I64ColDesc(_) | SortBy::F64ColDesc(_));
                 // Up to two rows, every column is one tie.
@@ -439,29 +563,51 @@ mod tests {
                 if ordered {
                     assert_eq!(sorted, r, "n={n} {by:?}");
                 }
-                assert_eq!(*sort_shared(&Arc::new(r.clone()), by).unwrap(), sorted, "n={n} {by:?}");
+                let shared = View::from(r.clone());
+                assert_eq!(materialize(sort_view(&shared, by).unwrap()), sorted, "n={n} {by:?}");
             }
+        }
+    }
+
+    /// A SORT over a filtered, rearranged view ranks and gathers only the
+    /// rows the view selects, reading each column from its own source —
+    /// exactly what sorting the gathered view gives, ordered or not.
+    #[test]
+    fn a_view_sorts_as_its_gathered_rows_do() {
+        let n = 2 * DEFAULT_CTA_CHUNK + 77;
+        let (a, b) = (ordered_table(n), ordered_table(n));
+        let pred = crate::predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Lt, n as i64 / 5);
+        let kept = crate::ops::select_view(&View::of(&a), &pred).unwrap();
+        let view = kept.with_columns(&[1]).with_columns_of(&View::of(&b).with_columns(&[0]));
+        assert!(!view.is_dense() && !view.is_empty());
+        let stored = materialize(view.clone());
+        for by in [SortBy::Key, SortBy::KeyDesc, SortBy::F64Col(0), SortBy::I64ColDesc(1)] {
+            let sorted = sort_view(&view, by).unwrap();
+            assert_eq!(materialize(sorted), sort(&stored, by).unwrap(), "{by:?}");
         }
     }
 
     #[test]
     fn one_trailing_inversion_takes_the_sorting_path() {
-        let mut rank: Vec<u64> = (0..10_000).collect();
-        assert!(sort_index(&rank).is_none());
-        rank.push(9_998);
-        let idx = sort_index(&rank).expect("the last row is out of place");
+        let mut keys: Vec<u64> = (0..10_000).collect();
+        assert!(positions(&View::of(&Relation::from_keys(keys.clone())), SortBy::Key).is_none());
+        keys.push(9_998);
+        let idx = positions(&View::of(&Relation::from_keys(keys)), SortBy::Key)
+            .expect("the last row is out of place");
         assert_eq!(idx[9_997..], [9_997, 9_998, 10_000, 9_999]);
         // Equal neighbours are not an inversion.
-        assert!(sort_index(&[3, 3, 3, 4, 4]).is_none());
+        let ties = Relation::from_keys(vec![3, 3, 3, 4, 4]);
+        assert!(positions(&View::of(&ties), SortBy::Key).is_none());
     }
 
     #[test]
     fn a_shared_input_is_shared_once_more_or_left_untouched() {
         let shared = Arc::new(ordered_table(5000));
         let copy = Relation::clone(&shared);
-        let same = sort_shared(&shared, SortBy::Key).unwrap();
-        assert!(Arc::ptr_eq(&same, &shared));
-        let moved = sort_shared(&shared, SortBy::F64Col(1)).unwrap();
+        let same = sort_view(&View::shared(Arc::clone(&shared)), SortBy::Key).unwrap();
+        assert!(Arc::ptr_eq(&same.into_shared(), &shared));
+        let moved = sort_view(&View::shared(Arc::clone(&shared)), SortBy::F64Col(1)).unwrap();
+        let moved = moved.into_shared();
         assert!(!Arc::ptr_eq(&moved, &shared));
         assert_eq!(*moved, sort(&copy, SortBy::F64Col(1)).unwrap());
         assert_eq!(*shared, copy, "other readers see what they saw");
@@ -481,6 +627,9 @@ mod tests {
         assert!(matches!(sort(&f, SortBy::I64Col(0)), Err(RelError::SchemaMismatch)));
         let i = Relation::new(vec![1], vec![Column::I64(vec![1])]).unwrap();
         assert!(matches!(sort(&i, SortBy::F64Col(0)), Err(RelError::SchemaMismatch)));
+        let none = Relation::from_keys(vec![]);
+        let missing = RelError::NoSuchColumn { col: 2, available: 0 };
+        assert_eq!(sort(&none, SortBy::I64Col(2)), Err(missing));
     }
 
     #[test]

@@ -6,21 +6,30 @@
 //! columns *referenced* in stored relations, an optional selection bitmap
 //! over those base rows, and the exact count of selected rows. SELECT on a
 //! view only narrows the bitmap ([`crate::ops::select_view`]), COLUMN-JOIN
-//! and PROJECT only rearrange references; nothing is copied until
-//! [`materialize`] — the gather stage every multi-stage operator ends with —
-//! is asked for real storage. The materializing operators are exactly
-//! `materialize ∘ view-op`, so a fused group and the unfused baseline run
-//! the same filter and the same gather, only a different number of times.
+//! and PROJECT only rearrange references, and ARITH+ and REKEY write just
+//! the columns they compute, at base length, beside the ones they read
+//! ([`crate::ops::arith_extend_view`], [`crate::ops::rekey_view`]); nothing
+//! is copied until [`materialize`] — the gather stage every multi-stage
+//! operator ends with — is asked for real storage, or SORT gathers the
+//! view in its own order ([`gather`]). The materializing operators are
+//! exactly `materialize ∘ view-op`, so a fused group and the unfused
+//! baseline run the same filter and the same gather, only a different
+//! number of times.
 
-use crate::data::{col_windows, resize_zeroed_vec, slice_windows, ColWindow, Column, Relation};
+use crate::data::{
+    col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, Relation,
+};
 use kfusion_ir::batch::ColRef;
-use kfusion_ir::Ty;
+use kfusion_ir::{Ty, Value};
 use kfusion_vgpu::exec::DEFAULT_CTA_CHUNK;
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Stored rows a view's columns point into: a caller's relation, or an
 /// intermediate kept alive by the views (and executor slots) sharing it.
+/// The columns ARITH+ computes are kept in a relation of their own whose
+/// key is empty: the view's key is always another storage's.
 #[derive(Debug, Clone)]
 enum Src<'a> {
     Borrowed(&'a Relation),
@@ -104,6 +113,15 @@ impl<'a> View<'a> {
         self.sel.is_none()
     }
 
+    /// Whether an operator that writes `added` columns at base length
+    /// beside this view should run on it gathered instead: it is filtered,
+    /// and its selected rows are fewer bytes than those columns would be.
+    /// Reads only what the view carries — rows, base length, row bytes.
+    pub fn gathers_first(&self, added: usize) -> bool {
+        let base_bytes = self.base_len() as u64 * added as u64 * Column::BYTES_PER_VALUE;
+        !self.is_dense() && (self.rows as u64 * self.row_bytes()) < base_bytes
+    }
+
     /// Rows of the referenced storage, selected or not.
     pub(crate) fn base_len(&self) -> usize {
         self.key.len()
@@ -122,6 +140,21 @@ impl<'a> View<'a> {
     /// The selection bitmap, `None` when every base row is selected.
     pub(crate) fn selection(&self) -> Option<&[u64]> {
         self.sel.as_deref().map(Vec::as_slice)
+    }
+
+    /// Call `f` with each selected base row in `range`, ascending. `range`
+    /// starts on a bitmap word.
+    pub(crate) fn for_each_row(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
+        let Some(sel) = self.selection() else { return range.for_each(f) };
+        debug_assert_eq!(range.start % 64, 0);
+        let first = range.start / 64;
+        for (w, &word) in (first..).zip(&sel[first..range.end.div_ceil(64)]) {
+            let mut m = word;
+            while m != 0 {
+                f(w * 64 + m.trailing_zeros() as usize);
+                m &= m - 1;
+            }
+        }
     }
 
     /// The same columns under a different selection of `rows` base rows.
@@ -155,6 +188,26 @@ impl<'a> View<'a> {
         View { key: self.key.clone(), cols, sel: self.sel.clone(), rows: self.rows }
     }
 
+    /// This view widened by `computed`, columns of base length the caller
+    /// wrote for it (ARITH+).
+    pub(crate) fn with_computed(&self, computed: Vec<Column>) -> View<'a> {
+        debug_assert!(computed.iter().all(|c| c.len() == self.base_len()));
+        let store = Src::Shared(Arc::new(Relation { key: Vec::new(), cols: computed }));
+        let mut out = self.clone();
+        out.cols.extend((0..store.n_cols()).map(|c| (store.clone(), c)));
+        out
+    }
+
+    /// This view keyed by `key`, a base-length column the caller wrote for
+    /// it, with payload column `col` gone (REKEY).
+    pub(crate) fn rekeyed(&self, key: Vec<u64>, col: usize) -> View<'a> {
+        debug_assert_eq!(key.len(), self.base_len());
+        let mut cols = self.cols.clone();
+        cols.remove(col);
+        let key = Src::Shared(Arc::new(Relation::from_keys(key)));
+        View { key, cols, sel: self.sel.clone(), rows: self.rows }
+    }
+
     /// The batch-engine binding of the library calling convention over the
     /// base rows ([`Relation::ir_cols`]): slot 0 the key, slot `1+c` payload
     /// column `c`.
@@ -171,6 +224,22 @@ impl<'a> View<'a> {
     /// The IR type of each input slot ([`Relation::ir_slot_types`]).
     pub(crate) fn ir_slot_types(&self) -> Vec<Option<Ty>> {
         self.ir_cols().iter().map(|c| Some(c.ty())).collect()
+    }
+
+    /// The interpreter's input row for base row `i` ([`Relation::ir_inputs`]).
+    pub(crate) fn ir_inputs(&self, i: usize, out: &mut Vec<Value>) {
+        out.clear();
+        out.push(Value::I64(self.key()[i] as i64));
+        out.extend((0..self.cols.len()).map(|c| self.col(c).value(i)));
+    }
+
+    /// The intermediates this view keeps alive — each shared storage it
+    /// references, once per reference (plan inputs it borrows are not).
+    pub fn shared_storage(&self) -> impl Iterator<Item = &Arc<Relation>> {
+        std::iter::once(&self.key).chain(self.cols.iter().map(|(s, _)| s)).filter_map(|s| match s {
+            Src::Shared(rel) => Some(rel),
+            Src::Borrowed(_) => None,
+        })
     }
 
     /// The stored relation this view is exactly — all of its rows, all of
@@ -190,22 +259,76 @@ impl<'a> View<'a> {
             None => Cow::Owned(materialize(self.clone())),
         }
     }
+
+    /// The view's tuples as a shared relation: the intermediate itself when
+    /// the view is exactly one — however many others share it —
+    /// [`materialize`]d otherwise.
+    pub fn into_shared(self) -> Arc<Relation> {
+        match (self.as_stored(), &self.key) {
+            (Some(_), Src::Shared(rel)) => Arc::clone(rel),
+            _ => Arc::new(materialize(self)),
+        }
+    }
+
+    /// The view's tuples without copying a value, when it alone holds its
+    /// storage: no selection, every source an intermediate, and no handle
+    /// to any of them outside this view. Each storage is then reclaimed
+    /// and its columns move into the result.
+    fn into_moved(self) -> Result<Relation, View<'a>> {
+        let handles = || std::iter::once(&self.key).chain(self.cols.iter().map(|(s, _)| s));
+        let alone = self.sel.is_none()
+            && handles().all(|s| match s {
+                Src::Shared(rel) => {
+                    Arc::strong_count(rel) == handles().filter(|t| t.same_storage(s)).count()
+                }
+                Src::Borrowed(_) => false,
+            });
+        if !alone {
+            return Err(self);
+        }
+        let View { key, cols, .. } = self;
+        let picks: Vec<usize> = cols.iter().map(|&(_, i)| i).collect();
+        // Storage `s` of the view, reclaimed by whichever handle is its
+        // last; `of[h]` is handle `h`'s storage (handle 0 is the key's).
+        let mut stores: Vec<(*const Relation, Option<Relation>)> = Vec::new();
+        let mut of = Vec::with_capacity(1 + picks.len());
+        for src in std::iter::once(key).chain(cols.into_iter().map(|(s, _)| s)) {
+            let Src::Shared(rel) = src else { unreachable!("checked above") };
+            let ptr = Arc::as_ptr(&rel);
+            let s = stores.iter().position(|(p, _)| *p == ptr).unwrap_or_else(|| {
+                stores.push((ptr, None));
+                stores.len() - 1
+            });
+            of.push(s);
+            if let Ok(rel) = Arc::try_unwrap(rel) {
+                stores[s].1 = Some(rel);
+            }
+        }
+        let mut rels: Vec<Relation> =
+            stores.into_iter().map(|(_, rel)| rel.expect("the last handle reclaims")).collect();
+        let key = std::mem::take(&mut rels[of[0]].key);
+        let mut moved: Vec<Column> = Vec::with_capacity(picks.len());
+        for (c, (&s, &i)) in of[1..].iter().zip(&picks).enumerate() {
+            // A column the view lists twice moves once and is cloned after.
+            let col = match (0..c).find(|&d| of[1 + d] == s && picks[d] == i) {
+                Some(d) => moved[d].clone(),
+                None => std::mem::replace(&mut rels[s].cols[i], Column::I64(Vec::new())),
+            };
+            moved.push(col);
+        }
+        Ok(Relation { key, cols: moved })
+    }
 }
 
 /// Give `view` real storage: the gather stage of the multi-stage operators
 /// (paper Fig. 3), and the only place a view's rows are copied. A view that
-/// is exactly an intermediate nobody else shares hands that relation over
-/// without copying.
+/// alone holds the intermediates it references — the one an operator
+/// builds over an input handed to it — takes their columns over without
+/// copying a value; only copied bytes are counted.
 pub fn materialize(view: View<'_>) -> Relation {
-    let view = if view.as_stored().is_some() && matches!(view.key, Src::Shared(_)) {
-        let View { key: Src::Shared(rel), cols, .. } = view else { unreachable!("matched above") };
-        drop(cols);
-        match Arc::try_unwrap(rel) {
-            Ok(rel) => return rel,
-            Err(shared) => View::shared(shared),
-        }
-    } else {
-        view
+    let view = match view.into_moved() {
+        Ok(rel) => return rel,
+        Err(view) => view,
     };
     kfusion_trace::counter(
         "kfusion_host_materialized_bytes_total",
@@ -254,6 +377,45 @@ pub fn materialize(view: View<'_>) -> Relation {
         });
     }
     out
+}
+
+/// The tuples of `view` at base rows `idx`, in that order, in storage of
+/// their own — SORT's gather: every column copied once, straight from the
+/// view's sources. Whole columns are dealt to the workers. Each buffer is
+/// reserved, not zeroed, and its worker writes it exactly once: a zeroed
+/// one is zeroed first, serially, wherever the allocator recycles memory
+/// rather than maps fresh pages (EXPERIMENTS.md Note 17).
+pub(crate) fn gather(view: &View<'_>, idx: &[u32]) -> Relation {
+    kfusion_trace::counter(
+        "kfusion_host_materialized_bytes_total",
+        idx.len() as u64 * view.row_bytes(),
+    );
+    let mut out = Relation {
+        key: Vec::with_capacity(idx.len()),
+        cols: (0..view.n_cols()).map(|c| view.col(c).empty_like_with_capacity(idx.len())).collect(),
+    };
+    let Relation { key, cols } = &mut out;
+    let mut tasks = vec![Gather::Key(key, view.key())];
+    tasks.extend(cols.iter_mut().enumerate().map(|(c, dst)| Gather::Col(dst, view.col(c))));
+    par_each(tasks, |task| match task {
+        Gather::Key(dst, src) => gather_col(src, idx, dst),
+        Gather::Col(Column::I64(dst), Column::I64(src)) => gather_col(src, idx, dst),
+        Gather::Col(Column::F64(dst), Column::F64(src)) => gather_col(src, idx, dst),
+        Gather::Col(..) => unreachable!("output schema set from the view"),
+    });
+    out
+}
+
+/// One column of [`gather`]'s output and the source it reads.
+enum Gather<'o, 's> {
+    Key(&'o mut Vec<u64>, &'s [u64]),
+    Col(&'o mut Column, &'s Column),
+}
+
+/// `dst = src[idx[..]]`, into the capacity `dst` has.
+fn gather_col<T: Copy>(src: &[T], idx: &[u32], dst: &mut Vec<T>) {
+    let _steady = kfusion_trace::allocwatch::region();
+    dst.extend(idx.iter().map(|&i| src[i as usize]));
 }
 
 /// Copy one CTA's survivors — the set bits of `words`, lane 0 being base
@@ -331,6 +493,38 @@ mod tests {
         assert_eq!(out.key.as_ptr(), ptr);
     }
 
+    /// A view over intermediates nothing else holds moves their columns —
+    /// computed ones and rearranged ones, a column listed twice cloned once —
+    /// and one shared handle anywhere else makes it copy instead.
+    #[test]
+    fn a_view_that_alone_holds_its_storage_moves_it() {
+        let input = Arc::new(rel(100));
+        let (key, ints) = (input.key.as_ptr(), input.cols[0].as_i64().unwrap().as_ptr());
+        let computed = vec![Column::I64((0..100).collect())];
+        let view = View::shared(input).with_columns(&[1, 0, 0]).with_computed(computed);
+        let want = materialize(view.clone());
+        let moved = materialize(view);
+        assert_eq!(moved, want);
+        assert_eq!(moved.key.as_ptr(), key);
+        assert_eq!(moved.cols[1].as_i64().unwrap().as_ptr(), ints);
+        assert_ne!(moved.cols[2].as_i64().unwrap().as_ptr(), ints);
+
+        let shared = Arc::new(rel(100));
+        let view = View::shared(Arc::clone(&shared)).with_computed(vec![Column::I64(vec![0; 100])]);
+        assert_ne!(materialize(view).key.as_ptr(), shared.key.as_ptr());
+    }
+
+    #[test]
+    fn rekeyed_views_take_their_key_and_lose_the_column() {
+        let r = rel(200);
+        let (sel, rows) = every_third(200);
+        let v = View::of(&r).with_selection(sel, rows).rekeyed((0..200).rev().collect(), 0);
+        let out = materialize(v);
+        assert_eq!(out.n_cols(), 1);
+        assert_eq!(out.key[..3], [199, 196, 193]);
+        assert_eq!(out.cols[0].as_f64().unwrap()[1], 1.5);
+    }
+
     #[test]
     fn selection_gathers_in_base_order_across_ctas() {
         // Three CTAs' worth of rows, the last one partial.
@@ -354,5 +548,18 @@ mod tests {
         assert_eq!(out.n_cols(), 2);
         assert_eq!(out.cols[0], a.cols[1]);
         assert_eq!(out.cols[1], b.cols[0]);
+    }
+
+    #[test]
+    fn gather_reads_base_positions_from_every_source() {
+        let n = 3 * 4096 + 5;
+        let (a, b) = (rel(n as u64), rel(n as u64));
+        let v = View::of(&a).with_columns(&[1]).with_columns_of(&View::of(&b).with_columns(&[0]));
+        let idx: Vec<u32> = (0..n as u32).rev().step_by(2).collect();
+        let out = gather(&v, &idx);
+        assert_eq!(out.len(), idx.len());
+        assert_eq!(out.key[..2], [n as u64 - 1, n as u64 - 3]);
+        assert_eq!(out.cols[0].as_f64().unwrap()[1], (n - 3) as f64 * 0.5);
+        assert_eq!(out.cols[1].as_i64().unwrap()[1], (n as i64 - 3) * 10);
     }
 }

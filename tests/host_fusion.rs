@@ -77,17 +77,29 @@ fn fused_q1_never_writes_its_column_joins() {
     assert_eq!(serial_run.cards, fused_run.cards);
 
     let cards = &fused_run.cards;
-    let joins: Vec<usize> =
-        (0..plan.len()).filter(|&id| matches!(plan.nodes[id].kind, OpKind::ColumnJoin)).collect();
-    assert_eq!(joins.len(), 6);
-    let join_bytes: u64 = joins.iter().map(|&id| cards.bytes(id)).sum();
+    let is = |id: usize, kind: fn(&OpKind) -> bool| kind(&plan.nodes[id].kind);
+    let bytes_of = |kind: fn(&OpKind) -> bool| -> u64 {
+        (0..plan.len()).filter(|&id| is(id, kind)).map(|id| cards.bytes(id)).sum()
+    };
+    let joins = |k: &OpKind| matches!(k, OpKind::ColumnJoin);
+    assert_eq!((0..plan.len()).filter(|&id| is(id, joins)).count(), 6);
+    let (join_bytes, select_bytes) =
+        (bytes_of(joins), bytes_of(|k| matches!(k, OpKind::Select { .. })));
+    let barrier_bytes = bytes_of(|k| matches!(k, OpKind::Sort { .. } | OpKind::Unique));
+    // Unfused, the six joins, the SELECT and the two barriers write their
+    // rows; ARITH+ and REKEY move the relation they are handed and write
+    // only their new columns. Fused, the filtered wide table reaches the
+    // SORT as a view and is gathered once, in sorted order.
+    assert_eq!(serial_trace.counter(MATERIALIZED), join_bytes + select_bytes + barrier_bytes);
+    assert_eq!(fused_trace.counter(MATERIALIZED), barrier_bytes);
     assert_eq!(
         serial_trace.counter(MATERIALIZED) - fused_trace.counter(MATERIALIZED),
-        join_bytes,
-        "fusion saves exactly the six wide intermediates"
+        join_bytes + select_bytes,
+        "fusion saves exactly the six wide intermediates and the filtered table"
     );
-    // The six joins and the SELECT they feed stay views.
-    assert_eq!(fused_trace.counter(VIEWS), 7);
+    // The six joins, the SELECT, the pack ARITH+ and the REKEY in front of
+    // the SORT, and the money ARITH+ the AGGREGATE reads stay views.
+    assert_eq!(fused_trace.counter(VIEWS), 10);
 
     // A relation is dropped after its last consumer, so the functional
     // phase never holds what a keep-everything executor would — under
@@ -137,9 +149,11 @@ fn q21_barriers_move_only_what_is_out_of_place() {
     assert_eq!(fused_trace.counter(SORT_ORDERED), passed_through);
 
     // What does write rows: every SELECT, SEMIJOIN / ANTIJOIN and UNIQUE
-    // through the gather, the SORTs that reorder — and PROJECT, where its
-    // rows are needed: fused, only in front of REKEY. The two PROJECTs in
-    // front of the keyed MIN/MAX AGGREGATEs are read where they are.
+    // through the gather, the SORTs that reorder — and, unfused, PROJECT.
+    // Fused, none does: the two in front of the keyed MIN/MAX AGGREGATEs
+    // are read where they are, and the one in front of REKEY reaches the
+    // SORT behind it as a view. The first SELECT reaches its SORT as a view
+    // too, which gathers it in the order it is in: the same bytes.
     let filters = |id: usize| {
         matches!(
             kind(id),
@@ -154,16 +168,53 @@ fn q21_barriers_move_only_what_is_out_of_place() {
             })
     };
     assert_eq!((0..plan.len()).filter(|&id| aggregated(id)).count(), 2);
+    // Unfused, a PROJECT that is the only reader of a computed relation is
+    // handed it and moves the columns it keeps instead of copying them.
+    let readers = plan.consumer_counts();
+    let alone = |id: usize| {
+        let p = || plan.nodes[id].inputs[0];
+        project(id) && !kind(p()).is_input() && readers[p()] == 1
+    };
+    assert_eq!((0..plan.len()).filter(|&id| alone(id)).count(), 1);
     let common = bytes_of(&filters) + bytes_of(&reorders);
-    assert_eq!(serial_trace.counter(MATERIALIZED), common + bytes_of(&project));
     assert_eq!(
-        fused_trace.counter(MATERIALIZED),
-        common + bytes_of(&|id| project(id) && !aggregated(id))
+        serial_trace.counter(MATERIALIZED),
+        common + bytes_of(&|id| project(id) && !alone(id))
     );
-    // Both of them, the PROJECT REKEY forces and the SELECT between two
-    // SEMIJOINs stayed views.
-    assert_eq!(fused_trace.counter(VIEWS), 4);
+    assert_eq!(fused_trace.counter(MATERIALIZED), common);
+    // The three PROJECTs, the REKEY, the SELECT between two SEMIJOINs and
+    // the one in front of the first SORT stay views.
+    assert_eq!(fused_trace.counter(VIEWS), 6);
     assert_eq!(serial_trace.counter(VIEWS), 0);
+}
+
+/// A view a reader cannot use where it is gets gathered before the reader
+/// runs — and that time is the view's: its node's host seconds cover the
+/// `materialize#` span, while the reader's stay inside its own evaluation
+/// span. (Nested timers, so the test holds on any machine.)
+#[test]
+fn a_forced_gather_is_booked_to_the_view_it_gathers() {
+    let _g = serial();
+    // One group: the SELECT stays a view, and the keyed AGGREGATE, which
+    // folds runs of base rows, has it gathered first.
+    let mut g = PlanGraph::new();
+    let input = g.input(0);
+    let pred = predicates::col_cmp_i64(0, kfusion::ir::CmpOp::Lt, 0);
+    let kept = g.add(OpKind::Select { pred }, vec![input]);
+    let folded = g.add(OpKind::Aggregate { aggs: vec![Agg::Count, Agg::Sum(1)] }, vec![kept]);
+    let (run, trace) = traced(&g, &[gen::sorted_table(300_000, 2, 4)], Strategy::Fusion);
+    assert_eq!(run.fusion.group_of[kept], run.fusion.group_of[folded]);
+    let span = |name: &str| {
+        let found = trace.spans.iter().find(|s| s.name == name);
+        found.unwrap_or_else(|| panic!("no {name} span")).duration()
+    };
+    let host = |label: &str| {
+        let (root, select) = (&run.explain, &run.explain.children[0]);
+        [root, select].into_iter().find(|n| n.label == label).expect(label).host_seconds
+    };
+    let (view, reader) = (format!("select#{kept}"), format!("aggregate#{folded}"));
+    assert!(host(&view) >= span(&format!("materialize#{kept}")), "{}", run.explain.render());
+    assert!(host(&reader) <= span(&reader), "{}", run.explain.render());
 }
 
 /// Keyed AGGREGATE folds runs of base rows, so a filtered view is gathered

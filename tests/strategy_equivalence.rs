@@ -142,6 +142,21 @@ fn col_lt(col: usize, float: bool, v: i64) -> kfusion::ir::KernelBody {
     }
 }
 
+/// Any of the six orders, over a column of the type it reads.
+fn arb_sort(rng: &mut Rng, floats: &[bool]) -> SortBy {
+    let desc = rng.gen_range(0u32..2) == 0;
+    if floats.is_empty() || rng.gen_range(0u32..3) == 0 {
+        return if desc { SortBy::KeyDesc } else { SortBy::Key };
+    }
+    let c = rng.gen_range(0..floats.len());
+    match (floats[c], desc) {
+        (false, false) => SortBy::I64Col(c),
+        (false, true) => SortBy::I64ColDesc(c),
+        (true, false) => SortBy::F64Col(c),
+        (true, true) => SortBy::F64ColDesc(c),
+    }
+}
+
 /// A random plan over input 0 (the base table), drawing further inputs
 /// from `kinds`. Every operator the view path touches appears: SELECTs
 /// (random, all-true, all-false, and — rarely — one the batch engine
@@ -154,6 +169,22 @@ fn col_lt(col: usize, float: bool, v: i64) -> kfusion::ir::KernelBody {
 /// AGGREGATE — behind a PROJECT too, which it reads as a view), and a view
 /// read both inside its group (SELECT) and outside it (SORT).
 fn arb_dag(rng: &mut Rng, g: &mut PlanGraph, base: NodeId, kinds: &mut Vec<InputKind>) -> NodeId {
+    arb_dag_over(rng, g, base, kinds, 19)
+}
+
+/// [`arb_dag`] drawing each step from the first `arms` arms of its menu:
+/// 19 are what the original cases were drawn from, the three past them put
+/// views in front of SORT — SELECT → ARITH+ → REKEY chains on both sides of
+/// the gather-first rule, with negative keys in rows the SELECT drops or
+/// keeps; filtered, rearranged views sorted every way, in order and not;
+/// and a SELECT alone between two SORTs, a group of one.
+fn arb_dag_over(
+    rng: &mut Rng,
+    g: &mut PlanGraph,
+    base: NodeId,
+    kinds: &mut Vec<InputKind>,
+    arms: usize,
+) -> NodeId {
     let mut cur = Cur { id: base, floats: vec![false, false], sorted: true };
     for _ in 0..rng.gen_range(2usize..9) {
         let cols = cur.floats.len();
@@ -161,7 +192,7 @@ fn arb_dag(rng: &mut Rng, g: &mut PlanGraph, base: NodeId, kinds: &mut Vec<Input
         let float = cur.floats.get(col).copied().unwrap_or(false);
         let select =
             |g: &mut PlanGraph, pred, from: NodeId| g.add(OpKind::Select { pred }, vec![from]);
-        match rng.gen_range(0usize..19) {
+        match rng.gen_range(0usize..arms) {
             0 => cur.id = select(g, predicates::key_lt(rng.gen_range(0u64..2000)), cur.id),
             1 | 17 if cols > 0 => {
                 cur.id = select(g, col_lt(col, float, rng.gen_range(-40i64..40)), cur.id);
@@ -226,6 +257,42 @@ fn arb_dag(rng: &mut Rng, g: &mut PlanGraph, base: NodeId, kinds: &mut Vec<Input
             // the interpreter fails on the first row that reaches it.
             18 if cols > 0 && rng.gen_range(0u32..3) == 0 => {
                 cur.id = select(g, col_lt(col, !float, 1), cur.id);
+            }
+            // Keys below 150 or 1 200 of the base table's 1 500: too few
+            // rows to widen where they are, or plenty. The new key
+            // `t - 1 - key` is negative exactly on the rows the SELECT
+            // drops; `t / 2 - key` also on some it keeps.
+            19 => {
+                let t = if rng.gen_range(0u32..2) == 0 { 150 } else { 1_200 };
+                let kept = select(g, predicates::key_lt(t), cur.id);
+                let shift = if rng.gen_range(0u32..3) == 0 { t / 2 } else { t - 1 };
+                let mut b = BodyBuilder::new(1 + cols as u32);
+                b.emit_output(Expr::lit(shift as i64).sub(Expr::input(0)));
+                let extended = g.add(OpKind::ArithExtend { body: b.build() }, vec![kept]);
+                let rekeyed = g.add(OpKind::Rekey { col: cols }, vec![extended]);
+                let by = arb_sort(rng, &cur.floats);
+                cur.id = g.add(OpKind::Sort { by }, vec![rekeyed]);
+                cur.sorted = by == SortBy::Key;
+            }
+            20 => {
+                let kept = select(g, predicates::key_lt(rng.gen_range(0u64..2000)), cur.id);
+                let keep: Vec<usize> =
+                    (0..rng.gen_range(0usize..4)).map(|_| rng.gen_range(0..cols.max(1))).collect();
+                let keep = if cols == 0 { Vec::new() } else { keep };
+                cur.floats = keep.iter().map(|&c| cur.floats[c]).collect();
+                let rearranged = g.add(OpKind::Project { keep }, vec![kept]);
+                // By the key it is sorted by already: nothing to reorder.
+                let in_order = cur.sorted && rng.gen_range(0u32..2) == 0;
+                let by = if in_order { SortBy::Key } else { arb_sort(rng, &cur.floats) };
+                cur.id = g.add(OpKind::Sort { by }, vec![rearranged]);
+                cur.sorted = by == SortBy::Key;
+            }
+            21 => {
+                let sorted = g.add(OpKind::Sort { by: SortBy::Key }, vec![cur.id]);
+                let alone = select(g, predicates::key_lt(rng.gen_range(0u64..2000)), sorted);
+                let by = arb_sort(rng, &cur.floats);
+                cur.id = g.add(OpKind::Sort { by }, vec![alone]);
+                cur.sorted = by == SortBy::Key;
             }
             _ => {}
         }
@@ -313,6 +380,80 @@ fn views_never_change_answers_cardinalities_or_errors() {
         ok > 20 && mismatched > 5 && declined > 0,
         "{ok} ok, {mismatched} key mismatches, {declined} declined predicates"
     );
+}
+
+/// Views in front of the barriers: ARITH+ and REKEY widen a filtered view
+/// where it is, and the SORT behind them reads it — or, where a view holds
+/// too few rows, gathers first — with the answers, sizes and errors of the
+/// unfused scalar run, on the generator's plans with its arms that put a
+/// view in front of a SORT.
+#[test]
+fn views_into_a_sort_never_change_answers_cardinalities_or_errors() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let (mut ok, mut failed) = (0, 0);
+    for case in 0u64..96 {
+        let mut rng = Rng::seed_from_u64(0xE5 << 32 | case);
+        let mut g = PlanGraph::new();
+        let mut kinds = vec![InputKind::Base];
+        let base = g.input(0);
+        let root = arb_dag_over(&mut rng, &mut g, base, &mut kinds, 22);
+        g.root = root;
+        let n = match case % 8 {
+            0 => 0,
+            1 => 70_000,
+            _ => 800,
+        };
+        let inputs = make_inputs(&kinds, case, n);
+        let outcome = same_in_every_cell(&format!("case {case} ({n} rows): {g:?}"), |strat| {
+            execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+                .map(|r| (vec![r.output], r.cards))
+                .map_err(|e| e.to_string())
+        });
+        match outcome {
+            Ok(_) => ok += 1,
+            // A key mismatch in a COLUMN-JOIN or a negative key a REKEY
+            // keeps; a declined predicate that rows reach.
+            Err(e) if e.contains("different schemas") || e.contains("evaluation failed") => {
+                failed += 1
+            }
+            Err(e) => panic!("case {case}: unexpected error {e}"),
+        }
+    }
+    assert!(ok > 20 && failed > 5, "{ok} ok, {failed} failed");
+}
+
+/// A negative value fails a REKEY only where the view it reads keeps it:
+/// the SELECT in front drops every row `t - 1 - key` is negative on, while
+/// `t / 2 - key` is negative on rows it keeps too — at selectivities on
+/// both sides of the gather-first rule, in one CTA and across several.
+#[test]
+fn a_negative_key_fails_a_rekey_only_where_it_is_kept() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    for (t, n) in [(150u64, 800usize), (1_200, 800), (150, 70_000), (1_200, 70_000)] {
+        for shift in [t - 1, t / 2] {
+            let mut g = PlanGraph::new();
+            let base = g.input(0);
+            let kept = g.add(OpKind::Select { pred: predicates::key_lt(t) }, vec![base]);
+            let mut b = BodyBuilder::new(3);
+            b.emit_output(Expr::lit(shift as i64).sub(Expr::input(0)));
+            let extended = g.add(OpKind::ArithExtend { body: b.build() }, vec![kept]);
+            let rekeyed = g.add(OpKind::Rekey { col: 2 }, vec![extended]);
+            g.add(OpKind::Sort { by: SortBy::I64ColDesc(1) }, vec![rekeyed]);
+            let inputs = make_inputs(&[InputKind::Base], 5, n);
+            let what = format!("t={t} shift={shift} n={n}");
+            let outcome = same_in_every_cell(&what, |strat| {
+                execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+                    .map(|r| (vec![r.output], r.cards))
+                    .map_err(|e| e.to_string())
+            });
+            match outcome {
+                Ok((roots, _)) => assert!(shift == t - 1 && !roots[0].is_empty(), "{what}"),
+                Err(e) => assert!(shift == t / 2 && e.contains("different schemas"), "{what}: {e}"),
+            }
+        }
+    }
 }
 
 /// ROADMAP item 4's defect, pinned: a fused group whose SELECTs read one
