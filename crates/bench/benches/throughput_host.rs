@@ -29,7 +29,9 @@
 //!    plus the exact bytes each wrote through the gather primitive — and,
 //!    for fused Q1 alone, those bytes against its barriers' output and its
 //!    SORT's host milliseconds: the filtered wide table reaches the SORT as
-//!    a view and is gathered once.
+//!    a view and is gathered once. Beside it, Q6's SELECTs under both
+//!    strategies: their host milliseconds and the morsels they walk —
+//!    fused, the five are one run and walk the table once.
 //! 6. `tpch_q21_functional` — the Fig. 18(b) Q21 plan the same way
 //!    (`Serial` in the `scalar` column, `Fusion` in the `batch` column),
 //!    with the host milliseconds its SORT and its keyed AGGREGATE nodes take
@@ -44,8 +46,9 @@
 //! batch slower than scalar on the predicate or Q1 functional cases, the
 //! recorder overhead above its pin, a nonzero steady-state allocation
 //! count, fused groups that materialize as much as the unfused plan or
-//! run slower than it, a fused Q1 that writes more than its SORT and
-//! UNIQUE, or an ordered SORT that copies rows.
+//! run slower than it, fused Q6 SELECTs that walk the table more than
+//! once, a fused Q1 that writes more than its SORT and UNIQUE, or an
+//! ordered SORT that copies rows.
 //!
 //! ```sh
 //! cargo bench --bench throughput_host -- [--rows N] [--scale SF] [--out PATH]
@@ -65,6 +68,7 @@ use kfusion_tpch::gen::{generate, TpchConfig, MAX_DAY, Q1_CUTOFF_DAY};
 use kfusion_tpch::{q1, q21, q6, sql};
 use kfusion_trace::allocwatch;
 use kfusion_trace::explain::ExplainNode;
+use kfusion_vgpu::exec::DEFAULT_CTA_CHUNK;
 use kfusion_vgpu::GpuSystem;
 
 /// Every allocation in this process ticks [`allocwatch`]'s counters while
@@ -370,6 +374,25 @@ fn main() {
         batch: fused_secs * 1e3,
         speedup: serial_secs / fused_secs,
     });
+    // Q6's five SELECTs: fused they are one run, one pass of morsels over
+    // the table; unfused, five passes. Host time is the best of the reps.
+    let q6_selects = |strategy: Strategy| {
+        let cfg = ExecConfig::new(strategy, &sys);
+        let morsels = || kfusion_trace::snapshot().counter("kfusion_host_morsels_total");
+        let before = morsels();
+        let run = || execute(&sys, &q6_sql_plan, &q6_table, &cfg).unwrap();
+        let select_ms = host_ms(&run().explain, "select#");
+        let walked = morsels() - before;
+        let best = (1..OVERHEAD_REPS).map(|_| host_ms(&run().explain, "select#"));
+        (best.fold(select_ms, f64::min), walked)
+    };
+    let (q6_serial_ms, q6_serial_morsels) = q6_selects(Strategy::Serial);
+    let (q6_select_ms, q6_morsels) = q6_selects(Strategy::Fusion);
+    let q6_table_morsels = q6_table[0].len().div_ceil(DEFAULT_CTA_CHUNK) as u64;
+    println!(
+        "Q6 SELECTs: fused {q6_select_ms:.2} ms host over {q6_morsels} morsels, unfused \
+         {q6_serial_ms:.2} ms over {q6_serial_morsels} (the table is {q6_table_morsels})\n"
+    );
 
     // Case 7: Q21, whose heaviest host nodes were its barriers. Same
     // protocol as case 6; the tree is the last fused run's.
@@ -428,7 +451,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"throughput_host\",\n  \"predicate_rows\": {rows},\n  \"tpch_scale\": {scale},\n  \"materialized_bytes\": {{\"serial\": {serial_bytes}, \"fusion\": {fused_bytes}}},\n  \"q1_fusion\": {{\"sort_host_ms\": {q1_sort_ms:.3}, \"materialized_bytes\": {q1_bytes}, \"barrier_bytes\": {q1_budget}}},\n  \"q21_fusion\": {{\"sort_host_ms\": {q21_sort_ms:.3}, \"aggregate_host_ms\": {q21_aggregate_ms:.3}, \"sorts_ordered\": {q21_ordered}, \"materialized_bytes\": {q21_bytes}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"throughput_host\",\n  \"predicate_rows\": {rows},\n  \"tpch_scale\": {scale},\n  \"materialized_bytes\": {{\"serial\": {serial_bytes}, \"fusion\": {fused_bytes}}},\n  \"q6_fusion\": {{\"select_host_ms\": {q6_select_ms:.3}, \"select_host_ms_serial\": {q6_serial_ms:.3}, \"select_morsels\": {q6_morsels}, \"select_morsels_serial\": {q6_serial_morsels}, \"table_morsels\": {q6_table_morsels}}},\n  \"q1_fusion\": {{\"sort_host_ms\": {q1_sort_ms:.3}, \"materialized_bytes\": {q1_bytes}, \"barrier_bytes\": {q1_budget}}},\n  \"q21_fusion\": {{\"sort_host_ms\": {q21_sort_ms:.3}, \"aggregate_host_ms\": {q21_aggregate_ms:.3}, \"sorts_ordered\": {q21_ordered}, \"materialized_bytes\": {q21_bytes}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write JSON artifact");
@@ -480,6 +503,14 @@ fn main() {
              in {:.1} ms; fusion must write fewer bytes and not run slower",
             fused_secs * 1e3,
             serial_secs * 1e3
+        );
+        std::process::exit(1);
+    }
+    // CI gate: fused Q6's five SELECTs read the table once.
+    if q6_morsels != q6_table_morsels {
+        eprintln!(
+            "FAIL: fused Q6's SELECTs walked {q6_morsels} morsels, the table is \
+             {q6_table_morsels}; a run of SELECTs must be one pass"
         );
         std::process::exit(1);
     }

@@ -7,12 +7,16 @@
 //! (DESIGN.md §17): which operators hand a view on and which read one is
 //! the `host` column of [`OpKind::traits`]. Every intermediate with one
 //! reader is handed to it by value, so a view that reader builds holds its
-//! storage alone and [`materialize`] moves it rather than copies.
+//! storage alone and [`materialize`] moves it rather than copies. And, like
+//! the paper's back-to-back filters in one kernel, a run of SELECTs inside
+//! one group reads its rows once: its head evaluates the whole run in one
+//! pass ([`select_runs`]).
 
 use super::Cardinalities;
 use crate::fusion::FusionPlan;
 use crate::graph::{Host, NodeId, OpKind, PlanGraph};
 use crate::CoreError;
+use kfusion_ir::KernelBody;
 use kfusion_relalg::{materialize, ops, Column, Relation, View};
 use std::sync::Arc;
 use std::time::Instant;
@@ -147,9 +151,9 @@ impl<'a> Slots<'a> {
 /// The nodes whose output stays a view: the [`Host::View`] members (SELECT,
 /// COLUMN-JOIN, PROJECT, ARITH+, REKEY) of a fused group with other members,
 /// which no caller asked for and nothing outside the group reads but an
-/// operator that reads views (SORT). This is the fusion plan's only
-/// influence on the functional phase — a singleton plan marks nothing, so
-/// the unfused strategies materialize every node.
+/// operator that reads views (SORT). This and [`select_runs`] are the
+/// fusion plan's only influence on the functional phase — a singleton plan
+/// marks nothing, so the unfused strategies materialize every node.
 fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<bool> {
     let mut escapes = vec![false; graph.len()];
     for (c, node) in graph.nodes.iter().enumerate() {
@@ -165,6 +169,29 @@ fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<b
     (0..graph.len())
         .map(|id| graph.nodes[id].kind.traits().host == Host::View && fused(id) && !escapes[id])
         .collect()
+}
+
+/// Runs of SELECTs, as the next member of each: `next[s] = Some(c)` when
+/// `s` is a lazy SELECT ([`lazy_nodes`]) whose one reader is the SELECT
+/// `c` of its own group. A run is a maximal such chain: every member but
+/// the last stays a view that only the next one reads, so the whole run is
+/// one pass over its head's input (`ops::select_run_view`), evaluated when
+/// the head's wave comes; each later member then takes its own view of it.
+/// Derived from the fusion plan alone, like `lazy_nodes` — singleton
+/// groups have no runs.
+fn select_runs(graph: &PlanGraph, fusion: &FusionPlan, lazy: &[bool]) -> Vec<Option<NodeId>> {
+    let readers = graph.consumer_counts();
+    let is_select = |id: NodeId| matches!(graph.nodes[id].kind, OpKind::Select { .. });
+    let mut next = vec![None; graph.len()];
+    for (c, node) in graph.nodes.iter().enumerate() {
+        if let [p] = node.inputs[..] {
+            let same_group = fusion.group_of[p] == fusion.group_of[c];
+            if is_select(c) && is_select(p) && lazy[p] && readers[p] == 1 && same_group {
+                next[p] = Some(c);
+            }
+        }
+    }
+    next
 }
 
 /// Whether `kind` needs its input `val` gathered into its slot before it
@@ -195,9 +222,11 @@ fn gathers_first(kind: &OpKind, val: &NodeVal<'_>) -> bool {
 /// indexed by node id, and a wave's errors surface in id order — so answers
 /// are deterministic and identical to a serial loop.
 ///
-/// `fusion` decides which intermediates exist ([`lazy_nodes`]); it cannot
-/// change an answer, a cardinality or an error, only how many rows are
-/// copied on the way (DESIGN.md §17).
+/// `fusion` decides which intermediates exist ([`lazy_nodes`]) and which
+/// SELECTs share a pass ([`select_runs`]); it cannot change an answer, a
+/// cardinality or an error, only how many rows are copied or read on the
+/// way (DESIGN.md §17). A run's pass happens in its head's wave, but only
+/// its batch-compiled stages, which cannot fail, run early.
 pub(super) fn functional_phase<'a>(
     graph: &PlanGraph,
     inputs: &'a [Relation],
@@ -213,6 +242,9 @@ pub(super) fn functional_phase<'a>(
     let consumers = graph.consumer_counts();
     let mut unserved = consumers.clone();
     let lazy = lazy_nodes(graph, fusion, roots);
+    let runs = select_runs(graph, fusion, &lazy);
+    // The views a run's head computed for the later members of its run.
+    let mut ahead: Vec<Option<View<'a>>> = (0..graph.len()).map(|_| None).collect();
     let _phase = kfusion_trace::host_span("host", "functional_phase");
     for (level, wave) in wavefronts(graph).into_iter().enumerate() {
         let _wave = kfusion_trace::enabled()
@@ -236,14 +268,19 @@ pub(super) fn functional_phase<'a>(
                 }
             }
             let last = |p: NodeId| consumers[p] == 1 && !roots.contains(&p);
-            let vals: Vec<NodeVal<'a>> =
+            let mut vals: Vec<NodeVal<'a>> =
                 node.inputs.iter().map(|&p| slots.lend(p, last(p))).collect();
-            args.push((vals, stays_view));
+            args.push(match (ahead[id].take(), runs[id]) {
+                (Some(view), _) => Work::Ahead { view, lazy: stays_view },
+                (None, Some(_)) => {
+                    let run = std::iter::successors(Some(id), |&m| runs[m]).collect();
+                    Work::Run { input: vals.pop().expect("a SELECT has one input"), run }
+                }
+                (None, None) => Work::Eval { args: vals, lazy: stays_view },
+            });
         }
-        let eval = |id: NodeId, (vals, lazy): (Vec<NodeVal<'a>>, bool)| {
-            eval_node_timed(graph, id, inputs, vals, lazy)
-        };
-        let evaluated: Vec<Result<(NodeVal<'a>, f64), CoreError>> = if wave.len() == 1 {
+        let eval = |id: NodeId, work: Work<'a>| eval_node_timed(graph, id, inputs, work);
+        let evaluated: Vec<Result<Evaluated<'a>, CoreError>> = if wave.len() == 1 {
             vec![eval(wave[0], args.pop().expect("one per node"))]
         } else {
             std::thread::scope(|scope| {
@@ -259,7 +296,12 @@ pub(super) fn functional_phase<'a>(
             })
         };
         for (&id, r) in wave.iter().zip(evaluated) {
-            let (val, secs) = r?;
+            let (val, later, secs) = r?;
+            let mut member = id;
+            for view in later {
+                member = runs[member].expect("one view per later member of the run");
+                ahead[member] = Some(view);
+            }
             let (rows, row_bytes) = val.size();
             cards.rows[id] = rows as u64;
             cards.row_bytes[id] = row_bytes as f64;
@@ -286,24 +328,55 @@ pub(super) fn functional_phase<'a>(
     Ok(Measured { slots, cards, host_secs })
 }
 
-/// Evaluate one node under a host trace span, returning the relation and
-/// the wall-clock seconds the evaluation took (the EXPLAIN tree's
-/// `host=` column). Runs on the wave's thread, so parallel nodes land on
-/// distinct host lanes.
+/// What a wave's thread does for one node.
+enum Work<'a> {
+    /// Evaluate the operator over its inputs' values ([`eval_node`]).
+    Eval { args: Vec<NodeVal<'a>>, lazy: bool },
+    /// Evaluate the run of SELECTs `run` (this node first, [`select_runs`])
+    /// over this node's input.
+    Run { input: NodeVal<'a>, run: Vec<NodeId> },
+    /// Hold the view the head of this SELECT's run computed for it.
+    Ahead { view: View<'a>, lazy: bool },
+}
+
+/// A node's value, the views it computed for the later members of its run,
+/// and the host seconds it took.
+type Evaluated<'a> = (NodeVal<'a>, Vec<View<'a>>, f64);
+
+/// Do a node's [`Work`] under a host trace span, timing it (the EXPLAIN
+/// tree's `host=` column: a run's one pass is its head's). Runs on the
+/// wave's thread, so parallel nodes land on distinct host lanes.
 fn eval_node_timed<'a>(
     graph: &PlanGraph,
     id: NodeId,
     inputs: &'a [Relation],
-    args: Vec<NodeVal<'a>>,
-    lazy: bool,
-) -> Result<(NodeVal<'a>, f64), CoreError> {
+    work: Work<'a>,
+) -> Result<Evaluated<'a>, CoreError> {
     let _span = kfusion_trace::enabled().then(|| {
         let name = format!("{}#{id}", graph.nodes[id].kind.name().to_lowercase());
         kfusion_trace::host_span("host", &name)
     });
     let t0 = Instant::now();
-    let rel = eval_node(&graph.nodes[id].kind, inputs, args, lazy)?;
-    Ok((rel, t0.elapsed().as_secs_f64()))
+    let (val, later) = match work {
+        Work::Eval { args, lazy } => {
+            (eval_node(&graph.nodes[id].kind, inputs, args, lazy)?, vec![])
+        }
+        Work::Ahead { view, lazy } => (held(view, lazy), vec![]),
+        Work::Run { input, run } => {
+            let preds: Vec<&KernelBody> = run
+                .iter()
+                .map(|&m| match &graph.nodes[m].kind {
+                    OpKind::Select { pred } => pred,
+                    _ => unreachable!("a run is SELECTs"),
+                })
+                .collect();
+            let mut views = ops::select_run_view(&input.into_view(), &preds)?.into_iter();
+            // A run's head is lazy: it has a reader in the run.
+            let head = views.next().expect("a run yields its head's view");
+            (NodeVal::View(head), views.collect())
+        }
+    };
+    Ok((val, later, t0.elapsed().as_secs_f64()))
 }
 
 /// Partition node ids into topological wavefronts: level 0 holds nodes with
@@ -365,10 +438,17 @@ fn eval_node<'a>(
         OpKind::Difference => ops::difference(next().as_rel(), next().as_rel())?.into(),
         OpKind::Unique => ops::unique(next().as_rel())?.into(),
     };
-    Ok(match lazy {
+    Ok(held(out, lazy))
+}
+
+/// A node's output as its slot holds it: the view itself for a `lazy` node,
+/// storage otherwise — sharing an intermediate the view is exactly rather
+/// than copying it.
+fn held(out: View<'_>, lazy: bool) -> NodeVal<'_> {
+    match lazy {
         true => NodeVal::View(out),
         false => NodeVal::Owned(out.into_shared()),
-    })
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::cost::{fused_step, group_regs, node_kernels};
 use crate::deps::Dep;
 use crate::fusion::FusionPlan;
 use crate::graph::{BodyRole, NodeId, OpKind, PlanGraph};
-use kfusion_ir::fuse::fuse_predicate_chain;
+use kfusion_ir::fuse::try_fuse_predicate_chain;
 use kfusion_ir::opt::OptLevel;
 use kfusion_relalg::profiles::{
     self, FILTER_BOOKKEEPING_BYTES, FILTER_STAGE_INSTR, STREAM_MEM_EFF,
@@ -113,7 +113,9 @@ fn group_kernels(
     // leads back to through those two and the right sides appended on the
     // way; two numberings agree when one is a prefix of the other. Past a
     // PROJECT slot `k` is another column, perhaps of another type, and each
-    // predicate is charged alone.
+    // predicate is charged alone — as they are when one of them reads a slot
+    // at the other type than its column has (the batch engine declines it;
+    // the functional phase ran it only because no row reached it).
     let numbering = |mut id: NodeId| {
         let mut appended = Vec::new();
         loop {
@@ -138,13 +140,15 @@ fn group_kernels(
         selects.iter().map(|(n, _)| n).max_by_key(|n| n.1.len()).is_some_and(|widest| {
             selects.iter().all(|(n, _)| n.0 == widest.0 && widest.1.starts_with(&n.1))
         });
-    let mut instr = FILTER_STAGE_INSTR;
-    if selects.len() >= 2 && one_schema {
+    let spliced = (selects.len() >= 2 && one_schema).then(|| {
         let preds: Vec<_> = selects.iter().map(|&(_, pred)| pred.clone()).collect();
-        instr += profiles::body_instr(&fuse_predicate_chain(&preds), level);
-    } else {
-        instr += selects.iter().map(|(_, p)| profiles::body_instr(p, level) + 2.0).sum::<f64>();
-    }
+        try_fuse_predicate_chain(&preds).ok()
+    });
+    let mut instr = FILTER_STAGE_INSTR;
+    instr += match spliced.flatten() {
+        Some(fused) => profiles::body_instr(&fused, level),
+        None => selects.iter().map(|(_, p)| profiles::body_instr(p, level) + 2.0).sum::<f64>(),
+    };
     instr += members
         .iter()
         .filter(|&&m| predicate(m).is_none())
@@ -541,6 +545,7 @@ mod tests {
     use super::super::{execute, schedule_given};
     use super::*;
     use crate::patterns;
+    use kfusion_ir::fuse::fuse_predicate_chain;
     use kfusion_ir::KernelBody;
     use kfusion_relalg::{gen, predicates};
     use kfusion_vgpu::Engine;
@@ -667,8 +672,9 @@ mod tests {
     /// The sim clock's charge for fused SELECTs, both ways: one spliced body
     /// (the Table III credit) when they number their slots alike — directly
     /// chained, or with a COLUMN-JOIN widening the tuple between them — and
-    /// each predicate on its own when a PROJECT renumbers between them or
-    /// two COLUMN-JOINs put different columns into the same slots.
+    /// each predicate on its own when a PROJECT renumbers between them, two
+    /// COLUMN-JOINs put different columns into the same slots, or two
+    /// predicates read one slot at different types.
     #[test]
     fn only_selects_over_one_schema_are_charged_as_one_body() {
         let level = ExecConfig::new(Strategy::Fusion, &sys()).level;
@@ -710,5 +716,16 @@ mod tests {
         let steps = 3.0 * fused_step(&OpKind::ColumnJoin, level).instr;
         let selects = alone(&a) + 2.0 * alone(&b);
         assert_eq!(fused_compute_instr(&g), FILTER_STAGE_INSTR + selects + steps);
+
+        // Slot 1 read as an i64 and as an f64: no column feeds both, so the
+        // two are not one body (the batch engine declines one of them; the
+        // query reaches this phase only if no row reached it).
+        let ints = predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Lt, 3);
+        let floats = predicates::col_cmp_f64(0, kfusion_ir::CmpOp::Lt, 0.5);
+        let mut g = PlanGraph::new();
+        let i = g.input(0);
+        let first = g.add(select(&ints), vec![i]);
+        g.add(select(&floats), vec![first]);
+        assert_eq!(fused_compute_instr(&g), FILTER_STAGE_INSTR + alone(&ints) + alone(&floats));
     }
 }

@@ -28,6 +28,7 @@ use crate::ir::{BinOp, CmpOp, Instr, KernelBody, Reg, UnOp};
 use crate::value::{Ty, Value};
 use crate::verify::{self, VerifyError};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -219,8 +220,9 @@ enum Fused {
     /// `out0 = p * (c_sub - d)`, `out1 = out0 * (c_add + t)` over f64
     /// (Q1's discounted/charged price pair).
     MoneyPair { price: u32, disc: u32, tax: u32, c_sub: f64, c_add: f64 },
-    /// `out0 = term_0 && term_1 && ...`, each term `in[slot] <op> const`
-    /// (every Q1/Q6 SELECT predicate, including the two-sided range).
+    /// `out0 = term_0 && term_1 && ...`, each term `in[slot] <op> const` or
+    /// `in[slot] <op> in[slot']` (every Q1/Q6 SELECT predicate, including
+    /// the two-sided range, and Q21's column-against-column filters).
     CmpChain { terms: Vec<CmpTerm> },
 }
 
@@ -229,7 +231,16 @@ enum Fused {
 struct CmpTerm {
     slot: u32,
     op: CmpOp,
-    rhs: Value,
+    rhs: CmpRhs,
+}
+
+/// The right-hand side of a [`CmpTerm`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum CmpRhs {
+    /// A constant (`i64` or `f64`, the type of the left column).
+    Const(Value),
+    /// Another input slot of the same type.
+    Slot(u32),
 }
 
 impl Fused {
@@ -305,32 +316,30 @@ impl Fused {
                 c_add: const_f64(ca_reg)?,
             })
         };
-        // Conjunction tree of `load <op> const` comparisons, bool result.
+        // Conjunction tree of `load <op> const` and `load <op> load`
+        // comparisons, bool result.
         fn chain_terms(instrs: &[Instr], r: Reg, terms: &mut Vec<CmpTerm>) -> bool {
             match instrs[r as usize] {
                 Instr::Bin { op: BinOp::And, lhs, rhs } => {
                     chain_terms(instrs, lhs, terms) && chain_terms(instrs, rhs, terms)
                 }
                 Instr::Cmp { op, lhs, rhs } => {
-                    let load = |x: Reg| match instrs[x as usize] {
-                        Instr::LoadInput { slot } => Some(slot),
+                    let operand = |x: Reg| match instrs[x as usize] {
+                        Instr::LoadInput { slot } => Some(CmpRhs::Slot(slot)),
+                        Instr::Const { value: v @ (Value::I64(_) | Value::F64(_)) } => {
+                            Some(CmpRhs::Const(v))
+                        }
                         _ => None,
                     };
-                    let konst = |x: Reg| match instrs[x as usize] {
-                        Instr::Const { value: v @ (Value::I64(_) | Value::F64(_)) } => Some(v),
-                        _ => None,
+                    let term = match (operand(lhs), operand(rhs)) {
+                        (Some(CmpRhs::Slot(slot)), Some(rhs)) => CmpTerm { slot, op, rhs },
+                        (Some(lhs @ CmpRhs::Const(_)), Some(CmpRhs::Slot(slot))) => {
+                            CmpTerm { slot, op: op.swapped(), rhs: lhs }
+                        }
+                        _ => return false,
                     };
-                    match (load(lhs), konst(rhs), konst(lhs), load(rhs)) {
-                        (Some(slot), Some(rhs), _, _) => {
-                            terms.push(CmpTerm { slot, op, rhs });
-                            true
-                        }
-                        (_, _, Some(lhs), Some(slot)) => {
-                            terms.push(CmpTerm { slot, op: op.swapped(), rhs: lhs });
-                            true
-                        }
-                        _ => false,
-                    }
+                    terms.push(term);
+                    true
                 }
                 _ => false,
             }
@@ -592,9 +601,15 @@ impl BatchMachine {
                     Bank::I64(d) => &mut d[..n],
                     _ => unreachable!("pack output is i64"),
                 };
-                let (a, b) = (I64Lanes::of(cols[*a as usize]), I64Lanes::of(cols[*b as usize]));
-                for (j, dj) in d.iter_mut().enumerate() {
-                    *dj = a.get(base + j).wrapping_mul(*mul).wrapping_add(b.get(base + j));
+                let (rows, mul) = (base..base + n, *mul);
+                match (cols[*a as usize], cols[*b as usize]) {
+                    (ColRef::I64(a), ColRef::I64(b)) => pack(d, &a[rows.clone()], mul, &b[rows]),
+                    (ColRef::I64(a), ColRef::KeyU64(b)) => pack(d, &a[rows.clone()], mul, &b[rows]),
+                    (ColRef::KeyU64(a), ColRef::I64(b)) => pack(d, &a[rows.clone()], mul, &b[rows]),
+                    (ColRef::KeyU64(a), ColRef::KeyU64(b)) => {
+                        pack(d, &a[rows.clone()], mul, &b[rows])
+                    }
+                    _ => unreachable!("binding checked by CompiledKernel::check_binding"),
                 }
             }
             Fused::MoneyPair { price, disc, tax, c_sub, c_add } => {
@@ -617,18 +632,14 @@ impl BatchMachine {
             }
             Fused::CmpChain { terms } => {
                 let d = match &mut self.banks[k.outputs[0] as usize] {
-                    Bank::Bool(d) => d,
+                    Bank::Bool(d) => &mut d[..n.div_ceil(64)],
                     _ => unreachable!("predicate output is bool"),
                 };
-                for (w, dw) in d.iter_mut().enumerate().take(n.div_ceil(64)) {
-                    let lo = w * 64;
-                    let hi = (lo + 64).min(n);
-                    // Lanes >= n of the last word cleared, like store_lanes.
-                    let mut acc = if hi - lo == 64 { u64::MAX } else { (1u64 << (hi - lo)) - 1 };
-                    for term in terms {
-                        acc &= cmp_term_word(term, cols, base + lo, hi - lo);
-                    }
-                    *dw = acc;
+                // Every term clears the lanes >= n of the last word, like
+                // store_lanes; a chain has at least one.
+                d.fill(u64::MAX);
+                for term in terms {
+                    and_term(d, term, cols, base..base + n);
                 }
             }
         }
@@ -707,32 +718,6 @@ fn load(dst: &mut Bank, col: ColRef<'_>, base: usize, n: usize) {
     }
 }
 
-/// An `i64`-typed input column for fused primitives: either a plain slice
-/// or the key column read through the `u64 -> i64` calling convention.
-#[derive(Clone, Copy)]
-enum I64Lanes<'a> {
-    Plain(&'a [i64]),
-    Key(&'a [u64]),
-}
-
-impl<'a> I64Lanes<'a> {
-    fn of(col: ColRef<'a>) -> Self {
-        match col {
-            ColRef::I64(s) => I64Lanes::Plain(s),
-            ColRef::KeyU64(s) => I64Lanes::Key(s),
-            ColRef::F64(_) => unreachable!("binding checked by CompiledKernel::check_binding"),
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> i64 {
-        match self {
-            I64Lanes::Plain(s) => s[i],
-            I64Lanes::Key(s) => s[i] as i64,
-        }
-    }
-}
-
 fn f64_lanes<'a>(col: ColRef<'a>) -> &'a [f64] {
     match col {
         ColRef::F64(s) => s,
@@ -740,54 +725,123 @@ fn f64_lanes<'a>(col: ColRef<'a>) -> &'a [f64] {
     }
 }
 
-/// One bitmask word (`lanes` low bits) of `in[term.slot] <op> term.rhs`
-/// evaluated at rows `start .. start + lanes`.
-#[inline]
-fn cmp_term_word(term: &CmpTerm, cols: &[ColRef<'_>], start: usize, lanes: usize) -> u64 {
-    let mut m = 0u64;
+/// A stored column element as the IR reads it: keys are `u64` in storage
+/// and `i64` in the IR (`v as i64`, as [`ColRef::KeyU64`] says). The fused
+/// primitives are generic over it, so each (operator, column kind) pair is
+/// its own loop with no per-lane dispatch.
+trait Lane: Copy {
+    type V: Copy + PartialOrd;
+    fn get(self) -> Self::V;
+}
+
+impl Lane for i64 {
+    type V = i64;
+    #[inline(always)]
+    fn get(self) -> i64 {
+        self
+    }
+}
+
+impl Lane for u64 {
+    type V = i64;
+    #[inline(always)]
+    fn get(self) -> i64 {
+        self as i64
+    }
+}
+
+impl Lane for f64 {
+    type V = f64;
+    #[inline(always)]
+    fn get(self) -> f64 {
+        self
+    }
+}
+
+/// `d[j] = a[j] * mul + b[j]`, wrapping.
+fn pack<A: Lane<V = i64>, B: Lane<V = i64>>(d: &mut [i64], a: &[A], mul: i64, b: &[B]) {
+    for (dj, (&x, &y)) in d.iter_mut().zip(a.iter().zip(b)) {
+        *dj = x.get().wrapping_mul(mul).wrapping_add(y.get());
+    }
+}
+
+/// The right operand of one comparison, over the rows its left one covers.
+#[derive(Clone, Copy)]
+enum Operand<'a, B> {
+    Splat(B),
+    Col(&'a [B]),
+}
+
+/// AND one term into the mask words `d`, bit `j` for row `rows.start + j`.
+/// The column kinds are matched here, once per batch.
+fn and_term(d: &mut [u64], term: &CmpTerm, cols: &[ColRef<'_>], rows: Range<usize>) {
+    use ColRef::{KeyU64, F64, I64};
+    let (op, r) = (term.op, rows.clone());
     match (cols[term.slot as usize], term.rhs) {
-        (ColRef::I64(s), Value::I64(c)) => {
-            for (j, &v) in s[start..start + lanes].iter().enumerate() {
-                m |= (cmp_scalar_i64(term.op, v, c) as u64) << j;
-            }
-        }
-        (ColRef::KeyU64(s), Value::I64(c)) => {
-            for (j, &v) in s[start..start + lanes].iter().enumerate() {
-                m |= (cmp_scalar_i64(term.op, v as i64, c) as u64) << j;
-            }
-        }
-        (ColRef::F64(s), Value::F64(c)) => {
-            for (j, &v) in s[start..start + lanes].iter().enumerate() {
-                m |= (cmp_scalar_f64(term.op, v, c) as u64) << j;
-            }
-        }
+        (I64(a), CmpRhs::Const(Value::I64(c))) => and_cmp(d, &a[r], Operand::Splat(c), op),
+        (KeyU64(a), CmpRhs::Const(Value::I64(c))) => and_cmp(d, &a[r], Operand::Splat(c), op),
+        (F64(a), CmpRhs::Const(Value::F64(c))) => and_cmp(d, &a[r], Operand::Splat(c), op),
+        (a, CmpRhs::Slot(s)) => match (a, cols[s as usize]) {
+            (I64(a), I64(b)) => and_cmp(d, &a[r], Operand::Col(&b[rows]), op),
+            (I64(a), KeyU64(b)) => and_cmp(d, &a[r], Operand::Col(&b[rows]), op),
+            (KeyU64(a), I64(b)) => and_cmp(d, &a[r], Operand::Col(&b[rows]), op),
+            (KeyU64(a), KeyU64(b)) => and_cmp(d, &a[r], Operand::Col(&b[rows]), op),
+            (F64(a), F64(b)) => and_cmp(d, &a[r], Operand::Col(&b[rows]), op),
+            _ => unreachable!("the verifier types both sides of a comparison alike"),
+        },
         _ => unreachable!("binding checked by CompiledKernel::check_binding"),
     }
-    m
 }
 
-#[inline]
-fn cmp_scalar_i64(op: CmpOp, a: i64, b: i64) -> bool {
+/// [`and_term`] for one column kind: the operator is matched here, once.
+fn and_cmp<A: Lane, B: Lane<V = A::V>>(d: &mut [u64], a: &[A], b: Operand<'_, B>, op: CmpOp) {
     match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
+        CmpOp::Lt => and_lanes(d, a, b, |x, y| x < y),
+        CmpOp::Le => and_lanes(d, a, b, |x, y| x <= y),
+        CmpOp::Gt => and_lanes(d, a, b, |x, y| x > y),
+        CmpOp::Ge => and_lanes(d, a, b, |x, y| x >= y),
+        CmpOp::Eq => and_lanes(d, a, b, |x, y| x == y),
+        CmpOp::Ne => and_lanes(d, a, b, |x, y| x != y),
     }
 }
 
-#[inline]
-fn cmp_scalar_f64(op: CmpOp, a: f64, b: f64) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
+/// `d[w] &= word w of f(a[j], b[j])`: whole words are a fixed 64-lane loop,
+/// and the last word's lanes at or past `a.len()` come out cleared.
+#[inline(always)]
+fn and_lanes<A: Lane, B: Lane<V = A::V>>(
+    d: &mut [u64],
+    a: &[A],
+    b: Operand<'_, B>,
+    f: impl Fn(A::V, A::V) -> bool,
+) {
+    let (whole, tail) = a.as_chunks::<64>();
+    let (d_whole, d_tail) = d.split_at_mut(whole.len());
+    match b {
+        Operand::Splat(c) => {
+            let c = c.get();
+            for (dw, xs) in d_whole.iter_mut().zip(whole) {
+                *dw &= word(xs.iter().map(|&x| f(x.get(), c)));
+            }
+            if !tail.is_empty() {
+                d_tail[0] &= word(tail.iter().map(|&x| f(x.get(), c)));
+            }
+        }
+        Operand::Col(b) => {
+            let (b_whole, b_tail) = b.as_chunks::<64>();
+            for ((dw, xs), ys) in d_whole.iter_mut().zip(whole).zip(b_whole) {
+                *dw &= word(xs.iter().zip(ys).map(|(&x, &y)| f(x.get(), y.get())));
+            }
+            if !tail.is_empty() {
+                d_tail[0] &= word(tail.iter().zip(b_tail).map(|(&x, &y)| f(x.get(), y.get())));
+            }
+        }
     }
+}
+
+/// Bit `j` set iff the `j`-th lane is true.
+#[inline(always)]
+fn word(lanes: impl Iterator<Item = bool>) -> u64 {
+    lanes.enumerate().fold(0, |m, (j, t)| m | ((t as u64) << j))
 }
 
 fn copy_bank(dst: &mut Bank, src: &Bank, n: usize) {
@@ -1063,25 +1117,29 @@ mod tests {
         assert!(matches!(k.check_binding(&[]), Err(BatchError::Binding { slot: 0, .. })));
     }
 
-    /// Run `body` fused and generically over the same columns and assert
-    /// both agree bit-for-bit with the scalar interpreter on every lane.
+    /// Run `body` fused and generically over base rows `range` of the same
+    /// columns and assert both agree bit-for-bit with the scalar
+    /// interpreter on every lane; `rows` are the interpreter's inputs for
+    /// every base row.
     fn assert_fused_matches_interp(
         body: &KernelBody,
         slot_tys: &[Option<Ty>],
         cols: &[ColRef<'_>],
         rows: &[Vec<Value>],
+        range: Range<usize>,
         expect_fused: &str,
     ) {
         let k = CompiledKernel::compile(body, slot_tys).unwrap();
         assert_eq!(k.fused_primitive(), Some(expect_fused));
         k.check_binding(cols).unwrap();
         let mut fused = BatchMachine::new(&k);
-        fused.run(&k, cols, 0, rows.len());
+        fused.poison(&k);
+        fused.run(&k, cols, range.start, range.len());
         let mut generic = BatchMachine::new(&k);
         let mut plain = k.clone();
         plain.fused = None;
-        generic.run(&plain, cols, 0, rows.len());
-        for (j, row) in rows.iter().enumerate() {
+        generic.run(&plain, cols, range.start, range.len());
+        for (j, row) in rows[range].iter().enumerate() {
             let expect = interp::eval(body, row).unwrap();
             for (slot, want) in expect.iter().enumerate() {
                 for (label, m) in [("fused", &fused), ("generic", &generic)] {
@@ -1094,7 +1152,7 @@ mod tests {
                         (Value::F64(a), Value::F64(b)) => {
                             assert_eq!(a.to_bits(), b.to_bits(), "{label} lane {j} out {slot}")
                         }
-                        (a, b) => assert_eq!(a, b, "{label} lane {j} out {slot}"),
+                        (a, b) => assert_eq!(a, b, "{label} lane {j} out {slot}: {row:?}"),
                     }
                 }
             }
@@ -1117,6 +1175,7 @@ mod tests {
             &[Some(Ty::I64), Some(Ty::I64), Some(Ty::I64)],
             &[ColRef::KeyU64(&keys), ColRef::I64(&flag), ColRef::I64(&status)],
             &rows,
+            0..200,
             "pack_i64",
         );
     }
@@ -1149,33 +1208,111 @@ mod tests {
             &[Some(Ty::I64), Some(Ty::F64), Some(Ty::F64), Some(Ty::F64)],
             &[ColRef::KeyU64(&keys), ColRef::F64(&price), ColRef::F64(&disc), ColRef::F64(&tax)],
             &rows,
+            0..200,
             "money_pair",
         );
     }
 
+    /// Every comparison operator on every column kind — `i64`, keys read as
+    /// `i64` (`>= 2^63` too), `f64` — against constants on either side and
+    /// against columns, over NaN, ±0.0, ±∞, `i64::MIN` and `i64::MAX`, at
+    /// `n` of 1, 63, 64, 65 and 1024 rows from a base row off the word grid;
+    /// plus Q6's three-term range and a chain that mixes constant and column
+    /// terms. Slots: 0 and 5 keys, 1 and 2 `i64`, 3 and 4 `f64`.
     #[test]
     fn fused_cmp_chain_matches_interp() {
-        // disc >= lo && disc <= hi && 24.0 > qty — mixed operand orders and
-        // a three-term conjunction (Q6's range predicate shape).
-        let mut b = BodyBuilder::new(3);
-        let range = Expr::input(1)
-            .cmp(CmpOp::Ge, Expr::lit(0.0499f64))
-            .and(Expr::input(1).cmp(CmpOp::Le, Expr::lit(0.0701f64)));
-        b.emit_output(range.and(Expr::lit(24.0f64).cmp(CmpOp::Gt, Expr::input(2))));
-        let body = b.build();
-        let disc: Vec<f64> = (0..300).map(|i| (i % 13) as f64 * 0.007).collect();
-        let qty: Vec<f64> = (0..300).map(|i| (i % 50) as f64).collect();
-        let keys: Vec<u64> = (0..300).collect();
-        let rows: Vec<Vec<Value>> = (0..300)
-            .map(|j| vec![Value::I64(keys[j] as i64), Value::F64(disc[j]), Value::F64(qty[j])])
+        const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+        const INTS: [i64; 9] = [i64::MIN, i64::MIN + 1, -7, -1, 0, 1, 7, i64::MAX - 1, i64::MAX];
+        const KEYS: [u64; 8] = [0, 1, 7, i64::MAX as u64, 1 << 63, (1 << 63) + 1, !6, u64::MAX];
+        const FLOATS: [f64; 9] = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            1.5,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::NAN,
+        ];
+        const BASE: usize = 3;
+        let len = BASE + BATCH_ROWS + 5;
+        // Each column draws from its pool in its own order, so every pair of
+        // values meets somewhere.
+        let pick = |i: usize, salt: u64, pool: usize| {
+            let h = (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (h >> 32) as usize % pool
+        };
+        let keys_a: Vec<u64> = (0..len).map(|i| KEYS[pick(i, 1, KEYS.len())]).collect();
+        let ints_a: Vec<i64> = (0..len).map(|i| INTS[pick(i, 2, INTS.len())]).collect();
+        let ints_b: Vec<i64> = (0..len).map(|i| INTS[pick(i, 3, INTS.len())]).collect();
+        let floats_a: Vec<f64> = (0..len).map(|i| FLOATS[pick(i, 4, FLOATS.len())]).collect();
+        let floats_b: Vec<f64> = (0..len).map(|i| FLOATS[pick(i, 5, FLOATS.len())]).collect();
+        let keys_b: Vec<u64> = (0..len).map(|i| KEYS[pick(i, 6, KEYS.len())]).collect();
+        let cols = [
+            ColRef::KeyU64(&keys_a),
+            ColRef::I64(&ints_a),
+            ColRef::I64(&ints_b),
+            ColRef::F64(&floats_a),
+            ColRef::F64(&floats_b),
+            ColRef::KeyU64(&keys_b),
+        ];
+        let slot_tys = cols.map(|c| Some(c.ty()));
+        let rows: Vec<Vec<Value>> = (0..len)
+            .map(|i| {
+                vec![
+                    Value::I64(keys_a[i] as i64),
+                    Value::I64(ints_a[i]),
+                    Value::I64(ints_b[i]),
+                    Value::F64(floats_a[i]),
+                    Value::F64(floats_b[i]),
+                    Value::I64(keys_b[i] as i64),
+                ]
+            })
             .collect();
-        assert_fused_matches_interp(
-            &body,
-            &[Some(Ty::I64), Some(Ty::F64), Some(Ty::F64)],
-            &[ColRef::KeyU64(&keys), ColRef::F64(&disc), ColRef::F64(&qty)],
-            &rows,
-            "cmp_chain",
-        );
+
+        let int_consts = [Value::I64(0), Value::I64(i64::MIN), Value::I64(i64::MAX)];
+        let float_consts = [Value::F64(f64::NAN), Value::F64(-0.0), Value::F64(f64::INFINITY)];
+        let mut preds: Vec<Expr> = Vec::new();
+        for op in OPS {
+            for (slots, consts) in [(&[0, 1, 2, 5][..], &int_consts), (&[3, 4][..], &float_consts)]
+            {
+                for &l in slots {
+                    for &c in consts {
+                        preds.push(Expr::input(l).cmp(op, Expr::lit(c)));
+                        preds.push(Expr::lit(c).cmp(op, Expr::input(l)));
+                    }
+                    for &r in slots.iter().filter(|&&r| r != l) {
+                        preds.push(Expr::input(l).cmp(op, Expr::input(r)));
+                    }
+                }
+            }
+        }
+        // Q6's range shape: disc >= lo && disc <= hi && 24.0 > qty.
+        let range = Expr::input(3)
+            .cmp(CmpOp::Ge, Expr::lit(-1.5f64))
+            .and(Expr::input(3).cmp(CmpOp::Le, Expr::lit(1.5f64)));
+        preds.push(range.and(Expr::lit(0.0f64).cmp(CmpOp::Gt, Expr::input(4))));
+        // Q21's shape beside constant terms: receipt > commit && min != max.
+        let mixed = Expr::input(1).cmp(CmpOp::Gt, Expr::input(2));
+        let mixed = mixed.and(Expr::input(0).cmp(CmpOp::Ne, Expr::input(5)));
+        preds.push(mixed.and(Expr::input(4).cmp(CmpOp::Le, Expr::lit(0.0f64))));
+
+        for pred in preds {
+            let mut b = BodyBuilder::new(cols.len() as u32);
+            b.emit_output(pred);
+            let body = b.build();
+            for n in [1, 63, 64, 65, BATCH_ROWS] {
+                assert_fused_matches_interp(
+                    &body,
+                    &slot_tys,
+                    &cols,
+                    &rows,
+                    BASE..BASE + n,
+                    "cmp_chain",
+                );
+            }
+        }
     }
 
     #[test]

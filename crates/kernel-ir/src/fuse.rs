@@ -204,16 +204,26 @@ pub fn fuse(
 /// their outputs.
 ///
 /// # Panics
-/// If `preds` is empty.
+/// If `preds` is empty, or two of them read one slot at different types
+/// ([`try_fuse_predicate_chain`] reports that instead).
 pub fn fuse_predicate_chain(preds: &[KernelBody]) -> KernelBody {
+    try_fuse_predicate_chain(preds).expect("predicates that read each slot at one type fuse")
+}
+
+/// [`fuse_predicate_chain`], or [`FuseError::Invalid`] when the conjunction
+/// is ill-typed: two predicates read one input slot at different types, so
+/// no column could feed both.
+///
+/// # Panics
+/// If `preds` is empty.
+pub fn try_fuse_predicate_chain(preds: &[KernelBody]) -> Result<KernelBody, FuseError> {
     assert!(!preds.is_empty(), "cannot fuse an empty predicate chain");
     let wiring: Vec<Vec<SlotSource>> =
         preds.iter().map(|p| (0..p.n_inputs).map(SlotSource::External).collect()).collect();
     // Splice all bodies, exposing every predicate output, then AND them.
     let outputs: Vec<FusedOutput> =
         (0..preds.len()).map(|b| FusedOutput { body: b, output: 0 }).collect();
-    let mut fused = fuse(preds, &wiring, &outputs)
-        .expect("predicate chain wiring is structurally valid by construction");
+    let mut fused = fuse(preds, &wiring, &outputs)?;
     let mut acc = fused.outputs[0];
     for k in 1..fused.outputs.len() {
         let rhs = fused.outputs[k];
@@ -228,7 +238,7 @@ pub fn fuse_predicate_chain(preds: &[KernelBody]) -> KernelBody {
             panic!("fuse_predicate_chain changed semantics:\n{cx}");
         }
     }
-    fused
+    Ok(fused)
 }
 
 #[cfg(test)]

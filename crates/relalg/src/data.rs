@@ -205,20 +205,6 @@ pub(crate) enum ColWindow<'a> {
     F64(&'a mut [f64]),
 }
 
-impl ColWindow<'_> {
-    /// Copy a whole same-typed column into this window.
-    ///
-    /// # Panics
-    /// If types or lengths differ.
-    pub(crate) fn copy_from(&mut self, src: &Column) {
-        match (self, src) {
-            (ColWindow::I64(d), Column::I64(s)) => d.copy_from_slice(s),
-            (ColWindow::F64(d), Column::F64(s)) => d.copy_from_slice(s),
-            _ => panic!("column type mismatch in ColWindow::copy_from"),
-        }
-    }
-}
-
 /// Split `s` into consecutive disjoint mutable windows of the given
 /// lengths. The lengths must sum to at most `s.len()`.
 pub(crate) fn slice_windows<'a, T>(mut s: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]> {
@@ -263,13 +249,10 @@ pub(crate) fn col_windows<'a>(cols: &'a mut [Column], lens: &[usize]) -> Vec<Vec
     out
 }
 
-/// Row count below which the parallel materialization helpers fall back to
-/// their serial equivalents (thread spawn would cost more than the copy).
-pub(crate) const PAR_COPY_MIN_ROWS: usize = 64 * 1024;
-
 /// Run `work` on every item, on one scoped thread per core with the items
 /// dealt round-robin (inline when there is one item or one core) — the
-/// executor for morsels that each own a disjoint window of an output.
+/// executor for morsels that each own a disjoint window of an output, and
+/// the only place this crate spawns threads.
 pub(crate) fn par_each<T: Send>(items: Vec<T>, work: impl Fn(T) + Sync) {
     let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
     let workers = cores.min(items.len());
@@ -455,41 +438,6 @@ impl Relation {
             key: Vec::with_capacity(cap),
             cols: self.cols.iter().map(|c| c.empty_like_with_capacity(cap)).collect(),
         }
-    }
-
-    /// Replace `self`'s rows with the concatenation of `parts` (which must
-    /// share `self`'s schema), copying the parts in parallel — one worker
-    /// per part, each writing a disjoint row-window sized up front. Small
-    /// totals fall back to serial appends.
-    ///
-    /// # Panics
-    /// If schemas differ.
-    pub fn concat_from_parallel(&mut self, parts: &[Relation]) {
-        let lens: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-        let total: usize = lens.iter().sum();
-        if total < PAR_COPY_MIN_ROWS || parts.len() < 2 {
-            self.clear();
-            for p in parts {
-                self.extend_from(p);
-            }
-            return;
-        }
-        resize_zeroed_vec(&mut self.key, total);
-        for c in &mut self.cols {
-            c.resize_zeroed(total);
-        }
-        let key_wins = slice_windows(&mut self.key, &lens);
-        let col_wins = col_windows(&mut self.cols, &lens);
-        std::thread::scope(|scope| {
-            for ((kw, cw), part) in key_wins.into_iter().zip(col_wins).zip(parts) {
-                scope.spawn(move || {
-                    kw.copy_from_slice(&part.key);
-                    for (mut w, s) in cw.into_iter().zip(&part.cols) {
-                        w.copy_from(s);
-                    }
-                });
-            }
-        });
     }
 
     /// Append the rows at `base + idx[..]` of `src` (same schema) onto

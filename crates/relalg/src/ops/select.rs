@@ -15,16 +15,18 @@
 //! the selection bitmask. Bodies that fail batch compilation fall back to
 //! the per-tuple interpreter, preserving its error behavior exactly.
 //!
-//! The two kernels are two functions: [`select_view`] partitions, filters
-//! and buffers, and yields a [`View`] — the input's columns under a
-//! narrowed selection — and [`crate::view::materialize`] is the gather.
-//! [`select`] is their composition; a fused group calls the first per
-//! member and the second once (DESIGN.md §17).
+//! The two kernels are two functions: [`select_run_view`] partitions,
+//! filters and buffers for a run of back-to-back SELECTs in one walk over
+//! the rows, and yields one [`View`] per SELECT — the input's columns under
+//! a narrowed selection — and [`crate::view::materialize`] is the gather.
+//! [`select_view`] is the one-SELECT run and [`select`] its composition
+//! with the gather; a fused group calls the first once per run of its
+//! SELECTs and the gather once (DESIGN.md §17).
 
 use crate::data::{RelError, Relation};
 use crate::engine;
 use crate::view::{materialize, View};
-use kfusion_ir::batch::{CompiledKernel, BATCH_ROWS};
+use kfusion_ir::batch::{BatchMachine, CompiledKernel, BATCH_ROWS, MASK_WORDS};
 use kfusion_ir::interp::Machine;
 use kfusion_ir::{KernelBody, Ty, Value};
 use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
@@ -33,84 +35,81 @@ use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
 /// engine is on and the body both resolves to concrete types and yields a
 /// boolean in output slot 0.
 fn compile_predicate(input: &View<'_>, predicate: &KernelBody) -> Option<CompiledKernel> {
-    if !engine::batch_enabled() || input.is_empty() {
+    if !engine::batch_enabled() || input.is_empty() || predicate.outputs.is_empty() {
         return None;
     }
-    let compiled = (|| {
-        if predicate.outputs.is_empty() {
-            return None;
-        }
-        let k = CompiledKernel::compile(predicate, &input.ir_slot_types()).ok()?;
-        if k.output_ty(0) != Ty::Bool || k.check_binding(&input.ir_cols()).is_err() {
-            return None;
-        }
-        Some(k)
-    })();
-    if compiled.is_none() {
-        kfusion_trace::counter("kfusion_batch_fallback_total{op=\"select\"}", 1);
-    }
-    compiled
+    let k = CompiledKernel::compile(predicate, &input.ir_slot_types()).ok()?;
+    (k.output_ty(0) == Ty::Bool && k.check_binding(&input.ir_cols()).is_ok()).then_some(k)
 }
 
-/// Partition + filter (the first kernel of Fig. 3): evaluate `k` over
-/// `input`'s base rows and AND the outcome into its selection. Returns the
-/// narrowed bitmap and its popcount — selection is bitmap-only, unselected
-/// lanes are never written anywhere.
-fn filter(input: &View<'_>, k: &CompiledKernel) -> (Vec<u64>, usize) {
+/// Partition + filter (the first kernel of Fig. 3) for a run of SELECTs:
+/// one walk over `input`'s base rows in which, per batch, stage `s`
+/// evaluates `ks[s]` and ANDs the outcome into what stage `s - 1` kept.
+/// Returns each stage's bitmap and popcount — selection is bitmap-only,
+/// unselected lanes are never written anywhere. A batch in which no row is
+/// live any more is skipped by every later stage.
+fn filter(input: &View<'_>, ks: &[CompiledKernel]) -> Vec<(Vec<u64>, usize)> {
     let cols = input.ir_cols();
     let sel_in = input.selection();
-    // Each CTA keeps one mask word per 64 rows, sized in the per-morsel
-    // setup; the per-batch loop inside the steady-state region allocates
-    // nothing. `DEFAULT_CTA_CHUNK` and `BATCH_ROWS` are 64-divisible, so
-    // every non-final batch contributes whole words and the CTAs' words
-    // concatenate exactly.
-    let parts: Vec<(Vec<u64>, usize)> =
+    // Each CTA keeps one mask word per 64 rows per stage, sized in the
+    // per-morsel setup; the per-batch loop inside the steady-state region
+    // allocates nothing. `DEFAULT_CTA_CHUNK` and `BATCH_ROWS` are
+    // 64-divisible, so every non-final batch contributes whole words and the
+    // CTAs' words concatenate exactly.
+    let parts: Vec<Vec<(Vec<u64>, usize)>> =
         par_range_map(input.base_len(), DEFAULT_CTA_CHUNK, |_cta, range| {
             crate::scratch::with_scratch(|s| {
-                let mut bm = s.machine(k);
-                let mut words: Vec<u64> = Vec::with_capacity(range.len().div_ceil(64));
-                let mut count = 0usize;
+                let mut bms: Vec<BatchMachine> = ks.iter().map(|k| s.machine(k)).collect();
+                let mut stages: Vec<(Vec<u64>, usize)> =
+                    ks.iter().map(|_| (Vec::with_capacity(range.len().div_ceil(64)), 0)).collect();
                 {
                     let _steady = kfusion_trace::allocwatch::region();
+                    let mut live = [0u64; MASK_WORDS];
                     let mut base = range.start;
                     while base < range.end {
                         let n = (range.end - base).min(BATCH_ROWS);
-                        let n_words = n.div_ceil(64);
-                        let live = sel_in.map(|sel| &sel[base / 64..base / 64 + n_words]);
-                        if live.is_some_and(|ws| ws.iter().all(|&w| w == 0)) {
-                            // Nothing upstream survived in this batch.
-                            words.resize(words.len() + n_words, 0);
-                            base += n;
-                            continue;
+                        let live = &mut live[..n.div_ceil(64)];
+                        // The rows upstream kept, lanes past `n` clear (a
+                        // selection has no bit past the base rows).
+                        match sel_in {
+                            Some(sel) => live.copy_from_slice(&sel[base / 64..][..live.len()]),
+                            None => {
+                                live.fill(u64::MAX);
+                                if n % 64 != 0 {
+                                    live[n / 64] = (1u64 << (n % 64)) - 1;
+                                }
+                            }
                         }
-                        bm.run(k, &cols, base, n);
-                        let mask = bm.selection_mask(k);
-                        for (w, &word) in mask.iter().enumerate().take(n_words) {
-                            let lo = w * 64;
-                            let mut m = word;
-                            if n - lo < 64 {
-                                m &= (1u64 << (n - lo)) - 1; // tail lanes are unspecified
+                        for ((k, bm), (words, count)) in ks.iter().zip(&mut bms).zip(&mut stages) {
+                            if live.iter().any(|&w| w != 0) {
+                                bm.run(k, &cols, base, n);
+                                // The mask's own lanes past `n` are
+                                // unspecified; `live` keeps them clear.
+                                for (l, &m) in live.iter_mut().zip(bm.selection_mask(k)) {
+                                    *l &= m;
+                                    *count += l.count_ones() as usize;
+                                }
                             }
-                            if let Some(ws) = live {
-                                m &= ws[w];
-                            }
-                            count += m.count_ones() as usize;
-                            words.push(m);
+                            words.extend_from_slice(live);
                         }
                         base += n;
                     }
                 }
-                s.put_machine(k, bm);
-                (words, count)
+                for (k, bm) in ks.iter().zip(bms) {
+                    s.put_machine(k, bm);
+                }
+                stages
             })
         });
-    let mut sel = Vec::with_capacity(input.base_len().div_ceil(64));
-    let mut rows = 0;
-    for (words, count) in parts {
-        sel.extend_from_slice(&words);
-        rows += count;
+    let mut out: Vec<(Vec<u64>, usize)> =
+        ks.iter().map(|_| (Vec::with_capacity(input.base_len().div_ceil(64)), 0)).collect();
+    for part in parts {
+        for ((sel, rows), (words, count)) in out.iter_mut().zip(part) {
+            sel.extend_from_slice(&words);
+            *rows += count;
+        }
     }
-    (sel, rows)
+    out
 }
 
 /// Per-tuple interpretation of `predicate` — the path for the scalar engine
@@ -137,25 +136,54 @@ fn select_scalar(input: &Relation, predicate: &KernelBody) -> Result<Relation, R
     Ok(out)
 }
 
+/// A run of SELECTs without the gather: stage `s` keeps the tuples of stage
+/// `s - 1`'s output (stage 0: of `input`) that satisfy `predicates[s]`, and
+/// each stage's output is a view over `input`'s base rows with a narrowed
+/// selection — what the unfused chain of [`select_view`]s returns, node for
+/// node, from one walk over the rows.
+///
+/// Covers the longest prefix of `predicates` that the batch engine
+/// compiles, which has no data-dependent errors; when that is empty, the
+/// first predicate alone takes the scalar fallback, which materializes
+/// `input`, filters it tuple by tuple and returns a view of that result.
+/// So the result holds at least one view (none for no predicates) and the
+/// caller evaluates the rest of the run over the last one.
+pub fn select_run_view<'a>(
+    input: &View<'a>,
+    predicates: &[&KernelBody],
+) -> Result<Vec<View<'a>>, RelError> {
+    let kernels: Vec<CompiledKernel> =
+        predicates.iter().map_while(|p| compile_predicate(input, p)).collect();
+    let views: Vec<View<'a>> = if kernels.is_empty() {
+        let Some(&first) = predicates.first() else { return Ok(Vec::new()) };
+        if engine::batch_enabled() && !input.is_empty() {
+            kfusion_trace::counter("kfusion_batch_fallback_total{op=\"select\"}", 1);
+        }
+        vec![select_scalar(&input.to_relation(), first)?.into()]
+    } else {
+        let stages = filter(input, &kernels).into_iter();
+        stages.map(|(sel, rows)| input.with_selection(sel, rows)).collect()
+    };
+    // Rows in and out of each stage, as each SELECT alone would count them.
+    let mut upstream = input.len();
+    for out in &views {
+        kfusion_trace::counter("kfusion_rows_in_total{op=\"select\"}", upstream as u64);
+        kfusion_trace::counter("kfusion_rows_out_total{op=\"select\"}", out.len() as u64);
+        upstream = out.len();
+    }
+    Ok(views)
+}
+
 /// SELECT without the gather: the tuples of `input` satisfying `predicate`,
-/// as a view over the same base rows with a narrowed selection. Nothing is
-/// copied on the batch engine; the scalar fallback materializes `input`,
-/// filters it tuple by tuple and returns a view of that result.
+/// as a view over the same base rows with a narrowed selection — the
+/// one-stage [`select_run_view`]. Nothing is copied on the batch engine.
 ///
 /// The predicate is an IR body with the library calling convention: input
 /// slot 0 is the key (as `i64`), slot `1+c` is payload column `c`; output 0
 /// must be a boolean.
 pub fn select_view<'a>(input: &View<'a>, predicate: &KernelBody) -> Result<View<'a>, RelError> {
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"select\"}", input.len() as u64);
-    let out = match compile_predicate(input, predicate) {
-        Some(k) => {
-            let (sel, rows) = filter(input, &k);
-            input.with_selection(sel, rows)
-        }
-        None => select_scalar(&input.to_relation(), predicate)?.into(),
-    };
-    kfusion_trace::counter("kfusion_rows_out_total{op=\"select\"}", out.len() as u64);
-    Ok(out)
+    let mut out = select_run_view(input, &[predicate])?;
+    Ok(out.pop().expect("one stage, one view"))
 }
 
 /// Filter `input` to the tuples satisfying `predicate`: [`select_view`],
@@ -272,9 +300,10 @@ mod tests {
     }
 
     /// The fused shape: each SELECT narrows the previous one's selection
-    /// over the same base rows, and one gather at the end reproduces the
-    /// chain of materializing SELECTs — across CTA and batch boundaries,
-    /// and through a batch none of whose rows survived upstream.
+    /// over the same base rows — member by member, or the whole run in one
+    /// walk — and one gather reproduces the chain of materializing SELECTs
+    /// at every stage, across CTA and batch boundaries, and through a batch
+    /// none of whose rows survived upstream.
     #[test]
     fn view_chain_gathers_what_the_materializing_chain_does() {
         let n = 2 * DEFAULT_CTA_CHUNK as u64 + 4321;
@@ -287,12 +316,15 @@ mod tests {
             predicates::key_lt(600),
             predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Lt, 50),
         ];
+        let run = select_run_view(&View::of(&r), &preds.iter().collect::<Vec<_>>()).unwrap();
+        assert_eq!(run.len(), preds.len());
         let mut view = View::of(&r);
         let mut stored = r.clone();
-        for p in &preds {
+        for (p, walked) in preds.iter().zip(run) {
             view = select_view(&view, p).unwrap();
             stored = select(&stored, p).unwrap();
-            assert_eq!(view.len(), stored.len());
+            assert_eq!((view.len(), walked.len()), (stored.len(), stored.len()));
+            assert_eq!(materialize(walked), stored);
         }
         assert!(!stored.is_empty());
         assert_eq!(materialize(view), stored);
@@ -308,6 +340,14 @@ mod tests {
         assert!(matches!(select_view(&narrowed, &declined), Err(RelError::Eval(_))));
         let none = select_view(&narrowed, &predicates::key_lt(0)).unwrap();
         assert!(select_view(&none, &declined).unwrap().is_empty());
+        // A run covers what the batch engine compiles up to the declined
+        // predicate, whose error it leaves to the caller's next call; a run
+        // that starts with it is that predicate alone, on the interpreter.
+        let short = predicates::key_lt(10);
+        let run = select_run_view(&View::of(&r), &[&predicates::key_lt(40), &declined, &short]);
+        assert_eq!(run.unwrap().iter().map(View::len).collect::<Vec<_>>(), [40]);
+        assert!(matches!(select_run_view(&narrowed, &[&declined, &short]), Err(RelError::Eval(_))));
+        assert_eq!(select_run_view(&none, &[&declined, &short]).unwrap().len(), 1);
     }
 
     #[test]

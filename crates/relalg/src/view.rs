@@ -352,30 +352,22 @@ pub fn materialize(view: View<'_>) -> Relation {
         c.resize_zeroed(view.len());
     }
     // Survivors copy straight from the base rows into disjoint windows of
-    // the output, one worker per CTA, so the result is written exactly once.
-    // A CTA chunk is a whole number of bitmap words.
+    // the output, the CTAs dealt to one worker per core, so the result is
+    // written exactly once. A CTA chunk is a whole number of bitmap words.
     let words_per_cta = DEFAULT_CTA_CHUNK / 64;
     let counts: Vec<usize> = sel
         .chunks(words_per_cta)
         .map(|ws| ws.iter().map(|w| w.count_ones() as usize).sum())
         .collect();
-    let ctas = sel
+    let ctas: Vec<_> = sel
         .chunks(words_per_cta)
         .zip(slice_windows(&mut out.key, &counts))
         .zip(col_windows(&mut out.cols, &counts))
-        .enumerate();
-    let view = &view;
-    if counts.len() == 1 {
-        for (cta, ((words, kw), cw)) in ctas {
-            scatter_cta(view, cta * DEFAULT_CTA_CHUNK, words, kw, cw);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for (cta, ((words, kw), cw)) in ctas {
-                scope.spawn(move || scatter_cta(view, cta * DEFAULT_CTA_CHUNK, words, kw, cw));
-            }
-        });
-    }
+        .enumerate()
+        .collect();
+    par_each(ctas, |(cta, ((words, kw), cw))| {
+        scatter_cta(&view, cta * DEFAULT_CTA_CHUNK, words, kw, cw)
+    });
     out
 }
 

@@ -19,6 +19,7 @@ use kfusion::relalg::{gen, predicates, Relation};
 use kfusion::tpch::gen::{generate, TpchConfig};
 use kfusion::tpch::{q1, q21, sql};
 use kfusion::trace::Trace;
+use kfusion::vgpu::exec::DEFAULT_CTA_CHUNK;
 use kfusion::vgpu::GpuSystem;
 
 // The trace recorder is process-global; tests here take turns.
@@ -40,6 +41,7 @@ const MATERIALIZED: &str = "kfusion_host_materialized_bytes_total";
 const VIEWS: &str = "kfusion_host_views_total";
 const LIVE_PEAK: &str = "kfusion_host_live_bytes_peak_total";
 const SORT_ORDERED: &str = "kfusion_sort_ordered_total";
+const MORSELS: &str = "kfusion_host_morsels_total";
 
 #[test]
 fn fused_q6_sql_gathers_once() {
@@ -64,6 +66,36 @@ fn fused_q6_sql_gathers_once() {
     assert!(fused_trace.counter(MATERIALIZED) * 20 <= serial_trace.counter(MATERIALIZED));
     assert_eq!(serial_trace.counter(VIEWS), 0);
     assert_eq!(fused_trace.counter(VIEWS), selects.len() as u64);
+}
+
+/// The paper's fused Q6 kernel (Fig. 6) reads each row once for all five
+/// filters. Fused, Q6's SELECTs are one run and make one pass of morsels
+/// over the wide table; unfused, each makes its own pass over its input.
+/// (On the batch engine the SELECTs are the only Q6 operators that count
+/// morsels: ARITH+, AGGREGATE* and the gather deal theirs to `par_each`.)
+#[test]
+fn fused_q6_selects_read_the_table_once() {
+    let _g = serial();
+    let db = generate(TpchConfig::scale(0.02));
+    let plan = compile(&sql::q6_sql(), &sql::q6_catalog()).expect("Q6 SQL compiles").plan;
+    let table = [sql::q6_wide_table(&db)];
+    let (serial_run, serial_trace) = traced(&plan, &table, Strategy::Serial);
+    let (fused_run, fused_trace) = traced(&plan, &table, Strategy::FusionFission { segments: 8 });
+    assert!(sql::bit_identical(&serial_run.output, &fused_run.output));
+    assert_eq!(serial_run.cards, fused_run.cards);
+
+    let selects: Vec<usize> = (0..plan.len())
+        .filter(|&id| matches!(plan.nodes[id].kind, OpKind::Select { .. }))
+        .collect();
+    assert_eq!(selects.len(), 5);
+    let pass_over_input = |id: usize| {
+        let rows = serial_run.cards.rows[plan.nodes[id].inputs[0]];
+        rows.div_ceil(DEFAULT_CTA_CHUNK as u64)
+    };
+    let table_pass = pass_over_input(selects[0]);
+    assert!(table_pass > 1, "the table spans several morsels");
+    assert_eq!(fused_trace.counter(MORSELS), table_pass);
+    assert_eq!(serial_trace.counter(MORSELS), selects.iter().map(|&id| pass_over_input(id)).sum());
 }
 
 #[test]

@@ -142,6 +142,55 @@ fn col_lt(col: usize, float: bool, v: i64) -> kfusion::ir::KernelBody {
     }
 }
 
+/// A predicate the batch engine compiles over a relation with `floats`'
+/// columns: a threshold on the key or a column, two columns of one type (or
+/// the key and an i64 column) compared, or — now and then — all or nothing.
+fn arb_pred(rng: &mut Rng, floats: &[bool]) -> kfusion::ir::KernelBody {
+    const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+    let cols = floats.len();
+    let col = if cols > 0 { rng.gen_range(0..cols) } else { 0 };
+    match rng.gen_range(0u32..8) {
+        0 => predicates::key_lt(1 << 40),
+        1 => predicates::key_lt(0),
+        2 | 3 if cols > 0 => col_lt(col, floats[col], rng.gen_range(-40i64..40)),
+        4 | 5 if cols > 0 => {
+            let op = OPS[rng.gen_range(0..OPS.len())];
+            // Slot 0 is the key, an i64; slot 1 + c is column c.
+            let slot_ty = |s: usize| s > 0 && floats[s - 1];
+            let lhs = 1 + col;
+            let rhs = (0..=cols).find(|&s| s != lhs && slot_ty(s) == slot_ty(lhs));
+            let mut b = BodyBuilder::new(1 + cols as u32);
+            let (lhs, rhs) = (Expr::input(lhs as u32), Expr::input(rhs.unwrap_or(lhs) as u32));
+            b.emit_output(lhs.cmp(op, rhs));
+            b.build()
+        }
+        _ => predicates::key_lt(rng.gen_range(0u64..2000)),
+    }
+}
+
+/// `len` SELECTs back to back over `from`, the one at `declined` (if any)
+/// typed the wrong way round, so the batch engine declines it; returns the
+/// members in order.
+fn select_run(
+    rng: &mut Rng,
+    g: &mut PlanGraph,
+    from: NodeId,
+    floats: &[bool],
+    len: usize,
+    declined: Option<usize>,
+) -> Vec<NodeId> {
+    let mut members: Vec<NodeId> = Vec::with_capacity(len);
+    for i in 0..len {
+        let pred = match declined {
+            Some(at) if at == i => col_lt(0, !floats[0], 1),
+            _ => arb_pred(rng, floats),
+        };
+        let input = members.last().copied().unwrap_or(from);
+        members.push(g.add(OpKind::Select { pred }, vec![input]));
+    }
+    members
+}
+
 /// Any of the six orders, over a column of the type it reads.
 fn arb_sort(rng: &mut Rng, floats: &[bool]) -> SortBy {
     let desc = rng.gen_range(0u32..2) == 0;
@@ -177,7 +226,10 @@ fn arb_dag(rng: &mut Rng, g: &mut PlanGraph, base: NodeId, kinds: &mut Vec<Input
 /// views in front of SORT — SELECT → ARITH+ → REKEY chains on both sides of
 /// the gather-first rule, with negative keys in rows the SELECT drops or
 /// keeps; filtered, rearranged views sorted every way, in order and not;
-/// and a SELECT alone between two SORTs, a group of one.
+/// and a SELECT alone between two SORTs, a group of one. The four past
+/// those build runs of SELECTs (`select_run`), which a fused group
+/// evaluates in one pass: plain, with a declined predicate, ending the
+/// plan, and with a second reader at the last or a middle member.
 fn arb_dag_over(
     rng: &mut Rng,
     g: &mut PlanGraph,
@@ -192,7 +244,8 @@ fn arb_dag_over(
         let float = cur.floats.get(col).copied().unwrap_or(false);
         let select =
             |g: &mut PlanGraph, pred, from: NodeId| g.add(OpKind::Select { pred }, vec![from]);
-        match rng.gen_range(0usize..arms) {
+        let arm = rng.gen_range(0usize..arms);
+        match arm {
             0 => cur.id = select(g, predicates::key_lt(rng.gen_range(0u64..2000)), cur.id),
             1 | 17 if cols > 0 => {
                 cur.id = select(g, col_lt(col, float, rng.gen_range(-40i64..40)), cur.id);
@@ -293,6 +346,40 @@ fn arb_dag_over(
                 let by = arb_sort(rng, &cur.floats);
                 cur.id = g.add(OpKind::Sort { by }, vec![alone]);
                 cur.sorted = by == SortBy::Key;
+            }
+            // Runs of SELECTs, which a fused group evaluates in one pass:
+            // 2–6 long; with a declined predicate at the head, in the middle
+            // or at the tail; ending the plan, so the last member is the
+            // root.
+            22..=24 => {
+                let len = rng.gen_range(2usize..7);
+                let declined = (arm == 23 && cols > 0)
+                    .then(|| [0, len / 2, len - 1][rng.gen_range(0usize..3)]);
+                let run = select_run(rng, g, cur.id, &cur.floats, len, declined);
+                cur.id = *run.last().expect("a run has members");
+                if arm == 24 {
+                    return cur.id;
+                }
+            }
+            // A run whose last member has two readers — a SELECT of its group
+            // and a SORT outside it — and a middle member with a second
+            // reader (a SELECT, or the SORT behind it), which splits the run.
+            25 => {
+                let len = rng.gen_range(3usize..7);
+                let run = select_run(rng, g, cur.id, &cur.floats, len, None);
+                let middle = run[rng.gen_range(1..run.len() - 1)];
+                let side = match rng.gen_range(0u32..2) {
+                    0 => select(g, arb_pred(rng, &cur.floats), middle),
+                    _ => middle,
+                };
+                let last = *run.last().expect("a run has members");
+                let inside = select(g, arb_pred(rng, &cur.floats), last);
+                let by_key =
+                    |g: &mut PlanGraph, id| g.add(OpKind::Sort { by: SortBy::Key }, vec![id]);
+                let (side, inside, outside) = (by_key(g, side), by_key(g, inside), by_key(g, last));
+                let met = g.add(OpKind::Semijoin, vec![side, inside]);
+                cur.id = g.add(OpKind::Semijoin, vec![outside, met]);
+                cur.sorted = true;
             }
             _ => {}
         }
@@ -421,6 +508,53 @@ fn views_into_a_sort_never_change_answers_cardinalities_or_errors() {
         }
     }
     assert!(ok > 20 && failed > 5, "{ok} ok, {failed} failed");
+}
+
+/// Runs of SELECTs: a fused group evaluates each in one pass from its head,
+/// and every later member takes its own view of it — with the answers,
+/// sizes and errors of the unfused scalar run, on the generator's plans
+/// drawn from its whole menu, run arms included: runs of 2–6, a declined
+/// predicate at the head, in the middle or at the tail, empty inputs, runs
+/// that end the plan, and second readers at the last or a middle member.
+#[test]
+fn select_runs_never_change_answers_cardinalities_or_errors() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let (mut ok, mut failed, mut chained) = (0, 0, 0);
+    for case in 0u64..96 {
+        let mut rng = Rng::seed_from_u64(0xE6 << 32 | case);
+        let mut g = PlanGraph::new();
+        let mut kinds = vec![InputKind::Base];
+        let base = g.input(0);
+        let root = arb_dag_over(&mut rng, &mut g, base, &mut kinds, 26);
+        g.root = root;
+        // SELECTs whose one reader is a SELECT: what runs are made of.
+        let is_select = |id: NodeId| matches!(g.nodes[id].kind, OpKind::Select { .. });
+        let readers = g.consumer_counts();
+        chained += (0..g.len())
+            .filter(|&c| is_select(c) && is_select(g.nodes[c].inputs[0]))
+            .filter(|&c| readers[g.nodes[c].inputs[0]] == 1)
+            .count();
+        let n = match case % 8 {
+            0 => 0,
+            1 => 70_000,
+            _ => 800,
+        };
+        let inputs = make_inputs(&kinds, case, n);
+        let outcome = same_in_every_cell(&format!("case {case} ({n} rows): {g:?}"), |strat| {
+            execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+                .map(|r| (vec![r.output], r.cards))
+                .map_err(|e| e.to_string())
+        });
+        match outcome {
+            Ok(_) => ok += 1,
+            Err(e) if e.contains("different schemas") || e.contains("evaluation failed") => {
+                failed += 1
+            }
+            Err(e) => panic!("case {case}: unexpected error {e}"),
+        }
+    }
+    assert!(ok > 20 && failed > 5 && chained > 100, "{ok} ok, {failed} failed, {chained} chained");
 }
 
 /// A negative value fails a REKEY only where the view it reads keeps it:
