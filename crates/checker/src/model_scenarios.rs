@@ -20,6 +20,7 @@ use std::time::Duration;
 
 use kfusion_core::exec::{ExecConfig, Strategy};
 use kfusion_core::graph::{OpKind, PlanGraph};
+use kfusion_core::multiquery::merge_plans;
 use kfusion_model::rt::{Config, Scenario};
 use kfusion_model::sync::atomic::{AtomicUsize, Ordering};
 use kfusion_model::sync::{Arc, Condvar, Mutex};
@@ -169,7 +170,8 @@ pub fn real_scenarios() -> Vec<ScenarioSpec> {
                 // compile (benign bounded duplication). Required: one entry,
                 // both callers share the winning Arc, and the loser's Arc is
                 // dropped (map + two callers = exactly 3 strong refs).
-                let cache = Arc::new(PlanCache::new());
+                let cfg = ExecConfig::new(Strategy::Fusion, &GpuSystem::c2070());
+                let cache = Arc::new(PlanCache::new(cfg));
                 let prepare = |cache: Arc<PlanCache>| {
                     thread::spawn(move || {
                         let mut g = PlanGraph::new();
@@ -178,8 +180,7 @@ pub fn real_scenarios() -> Vec<ScenarioSpec> {
                             OpKind::Select { pred: kfusion_relalg::predicates::key_lt(10) },
                             vec![i],
                         );
-                        let cfg = ExecConfig::new(Strategy::Fusion, &GpuSystem::c2070());
-                        cache.prepare(&g, &cfg).unwrap()
+                        cache.prepare(&merge_plans(&[g])).unwrap().0
                     })
                 };
                 let a = prepare(Arc::clone(&cache)).join().unwrap();

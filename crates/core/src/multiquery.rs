@@ -28,7 +28,9 @@ pub struct MergedPlan {
 }
 
 /// Splice `plans` into one graph, sharing `Input` leaves that read the same
-/// executor input.
+/// executor input. The graph's `root` is the last plan's root, so one plan
+/// whose `Input` leaves name distinct slots merges into itself, node for
+/// node.
 pub fn merge_plans(plans: &[PlanGraph]) -> MergedPlan {
     let mut graph = PlanGraph::new();
     let mut roots = Vec::with_capacity(plans.len());
@@ -45,6 +47,9 @@ pub fn merge_plans(plans: &[PlanGraph]) -> MergedPlan {
             remap.push(id);
         }
         roots.push(remap[plan.root]);
+    }
+    if let Some(&last) = roots.last() {
+        graph.root = last;
     }
     MergedPlan { graph, roots }
 }
@@ -145,6 +150,16 @@ mod tests {
         assert_eq!(inputs, 1, "same input index must merge");
         assert_eq!(merged.roots.len(), 2);
         assert!(merged.graph.validate().is_ok());
+    }
+
+    #[test]
+    fn one_plan_merges_into_itself() {
+        // Root included, even when it is not the last node.
+        let mut g = query(&[100, 50]);
+        g.root = 1;
+        let merged = merge_plans(std::slice::from_ref(&g));
+        assert_eq!(merged.roots, [1]);
+        assert_eq!(crate::fingerprint_plan(&merged.graph), crate::fingerprint_plan(&g));
     }
 
     #[test]

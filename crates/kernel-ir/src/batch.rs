@@ -413,11 +413,6 @@ pub fn mask_lane(mask: &[u64], j: usize) -> bool {
     (mask[j >> 6] >> (j & 63)) & 1 == 1
 }
 
-/// When `true` (default), [`Scratch`] hands cached machines and buffers
-/// back out instead of constructing fresh ones. Disable to A/B the reuse
-/// path against cold construction (the equivalence suite runs both).
-static SCRATCH_REUSE: AtomicBool = AtomicBool::new(true);
-
 /// When `true`, every [`BatchMachine::run`] first fills all non-constant
 /// banks with sentinel garbage. Any batch-path result that depends on a
 /// stale or zero-initialized lane — instead of on lanes the current batch
@@ -425,16 +420,6 @@ static SCRATCH_REUSE: AtomicBool = AtomicBool::new(true);
 /// assert reuse never leaks state between batches. Off by default (it
 /// costs a full bank sweep per batch).
 static SCRATCH_POISON: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable [`Scratch`] reuse of machines and index buffers.
-pub fn set_scratch_reuse(on: bool) {
-    SCRATCH_REUSE.store(on, Ordering::Relaxed);
-}
-
-/// Whether [`Scratch`] reuse is enabled.
-pub fn scratch_reuse() -> bool {
-    SCRATCH_REUSE.load(Ordering::Relaxed)
-}
 
 /// Enable or disable per-batch bank poisoning.
 pub fn set_scratch_poison(on: bool) {
@@ -479,41 +464,35 @@ impl Scratch {
         Scratch::default()
     }
 
-    /// Check out a machine for `k`: a cached one compiled from the same
-    /// `CompiledKernel::compile` call when reuse is on and one is pooled,
-    /// otherwise a fresh construction.
+    /// Check out a machine for `k`: a pooled one compiled from the same
+    /// `CompiledKernel::compile` call if there is one, otherwise a fresh
+    /// construction.
     pub fn machine(&mut self, k: &CompiledKernel) -> BatchMachine {
-        if scratch_reuse() {
-            if let Some(pos) = self.machines.iter().position(|(id, _)| *id == k.id) {
-                return self.machines.swap_remove(pos).1;
-            }
+        match self.machines.iter().position(|(id, _)| *id == k.id) {
+            Some(pos) => self.machines.swap_remove(pos).1,
+            None => BatchMachine::new(k),
         }
-        BatchMachine::new(k)
     }
 
     /// Return a machine checked out for `k` to the pool. Dropped (not
-    /// pooled) when reuse is off or the pool is full.
+    /// pooled) when the pool is full.
     pub fn put_machine(&mut self, k: &CompiledKernel, m: BatchMachine) {
-        if scratch_reuse() && self.machines.len() < SCRATCH_CAP {
+        if self.machines.len() < SCRATCH_CAP {
             self.machines.push((k.id, m));
         }
     }
 
     /// Check out an empty `u32` index buffer (capacity retained from prior
-    /// use when reuse is on).
+    /// use).
     pub fn idx_buf(&mut self) -> Vec<u32> {
-        if scratch_reuse() {
-            if let Some(mut v) = self.idx_bufs.pop() {
-                v.clear();
-                return v;
-            }
-        }
-        Vec::new()
+        let mut v = self.idx_bufs.pop().unwrap_or_default();
+        v.clear();
+        v
     }
 
     /// Return an index buffer to the pool.
     pub fn put_idx_buf(&mut self, v: Vec<u32>) {
-        if scratch_reuse() && self.idx_bufs.len() < SCRATCH_CAP {
+        if self.idx_bufs.len() < SCRATCH_CAP {
             self.idx_bufs.push(v);
         }
     }

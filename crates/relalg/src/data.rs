@@ -32,14 +32,6 @@ impl Column {
         self.len() == 0
     }
 
-    /// Remove all values, keeping the allocated capacity.
-    pub fn clear(&mut self) {
-        match self {
-            Column::I64(v) => v.clear(),
-            Column::F64(v) => v.clear(),
-        }
-    }
-
     /// An empty column of the same type.
     pub fn empty_like(&self) -> Column {
         match self {
@@ -73,18 +65,6 @@ impl Column {
             (Column::I64(d), Column::I64(s)) => d.push(s[i]),
             (Column::F64(d), Column::F64(s)) => d.push(s[i]),
             _ => panic!("column type mismatch in push_from"),
-        }
-    }
-
-    /// Append a [`kfusion_ir::Value`] of the matching type.
-    ///
-    /// # Panics
-    /// If the value type does not match the column type.
-    pub fn push_value(&mut self, v: kfusion_ir::Value) {
-        match (self, v) {
-            (Column::I64(d), kfusion_ir::Value::I64(x)) => d.push(x),
-            (Column::F64(d), kfusion_ir::Value::F64(x)) => d.push(x),
-            _ => panic!("value type mismatch in push_value"),
         }
     }
 
@@ -124,46 +104,6 @@ impl Column {
         match self {
             Column::I64(v) => Column::I64(idx.iter().map(|&i| v[i]).collect()),
             Column::F64(v) => Column::F64(idx.iter().map(|&i| v[i]).collect()),
-        }
-    }
-
-    /// [`Column::gather`] into a caller-owned column: replaces `dst`'s
-    /// contents with the rows at `idx`, reusing its capacity. The `_into`
-    /// shape the zero-allocation runtime uses wherever a gather repeats
-    /// (DESIGN.md §14).
-    ///
-    /// # Panics
-    /// If the column types differ.
-    pub fn gather_into(&self, idx: &[usize], dst: &mut Column) {
-        match (self, dst) {
-            (Column::I64(s), Column::I64(d)) => {
-                d.clear();
-                d.extend(idx.iter().map(|&i| s[i]));
-            }
-            (Column::F64(s), Column::F64(d)) => {
-                d.clear();
-                d.extend(idx.iter().map(|&i| s[i]));
-            }
-            _ => panic!("column type mismatch in gather_into"),
-        }
-    }
-
-    /// Append the rows at `base + idx[..]` (same-typed column) onto `dst` —
-    /// the columnar inner loop of the batch SELECT: one type dispatch per
-    /// column per batch instead of one per row. Within reserved capacity
-    /// this never allocates.
-    ///
-    /// # Panics
-    /// If the column types differ.
-    pub fn gather_append(&self, base: usize, idx: &[u32], dst: &mut Column) {
-        match (self, dst) {
-            (Column::I64(s), Column::I64(d)) => {
-                d.extend(idx.iter().map(|&i| s[base + i as usize]));
-            }
-            (Column::F64(s), Column::F64(d)) => {
-                d.extend(idx.iter().map(|&i| s[base + i as usize]));
-            }
-            _ => panic!("column type mismatch in gather_append"),
         }
     }
 
@@ -416,41 +356,9 @@ impl Relation {
         }
     }
 
-    /// Remove all tuples, keeping the schema and every column's allocated
-    /// capacity — the reset step of the `_into` operator variants.
-    pub fn clear(&mut self) {
-        self.key.clear();
-        for c in &mut self.cols {
-            c.clear();
-        }
-    }
-
     /// An empty relation with the same schema.
     pub fn empty_like(&self) -> Relation {
         Relation { key: Vec::new(), cols: self.cols.iter().map(Column::empty_like).collect() }
-    }
-
-    /// An empty relation with the same schema and `cap` rows of reserved
-    /// capacity in the key and every column — so appends up to `cap` rows
-    /// never reallocate.
-    pub fn empty_like_with_capacity(&self, cap: usize) -> Relation {
-        Relation {
-            key: Vec::with_capacity(cap),
-            cols: self.cols.iter().map(|c| c.empty_like_with_capacity(cap)).collect(),
-        }
-    }
-
-    /// Append the rows at `base + idx[..]` of `src` (same schema) onto
-    /// `self`, column at a time. Within reserved capacity this never
-    /// allocates — the batch SELECT's output path.
-    ///
-    /// # Panics
-    /// If schemas differ.
-    pub fn gather_append(&mut self, src: &Relation, base: usize, idx: &[u32]) {
-        self.key.extend(idx.iter().map(|&i| src.key[base + i as usize]));
-        for (d, s) in self.cols.iter_mut().zip(&src.cols) {
-            s.gather_append(base, idx, d);
-        }
     }
 
     /// The IR input row for tuple `i`: slot 0 = key (as i64), slot `1+c` =

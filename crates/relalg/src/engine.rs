@@ -28,11 +28,8 @@ pub fn batch_enabled() -> bool {
     BATCH_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enable or disable scratch-arena reuse of [`BatchMachine`]s and index
-/// buffers across morsels (on by default). Re-exported from
-/// [`kfusion_ir::batch`] so engine toggles live in one place; both engines
-/// produce bit-identical results either way — the scratch-poisoning
-/// equivalence suite enforces it.
-///
-/// [`BatchMachine`]: kfusion_ir::batch::BatchMachine
-pub use kfusion_ir::batch::{scratch_poison, scratch_reuse, set_scratch_poison, set_scratch_reuse};
+/// Enable or disable per-batch poisoning of the scratch arena's reused
+/// banks (off by default). Re-exported from [`kfusion_ir::batch`] so engine
+/// toggles live in one place; both engines produce bit-identical results
+/// either way — the scratch-poisoning equivalence suite enforces it.
+pub use kfusion_ir::batch::{scratch_poison, set_scratch_poison};

@@ -24,7 +24,7 @@ use crate::data::{
     col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
 };
 use crate::view::View;
-use kfusion_vgpu::exec::{par_cta_map, DEFAULT_CTA_CHUNK};
+use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
 
 /// One aggregate over a payload column (or over the rows themselves).
@@ -282,7 +282,7 @@ fn fold_by_key(input: &View<'_>, aggs: &[Agg], out: &mut Relation) -> Result<(),
     // Runs first — their number is the output's size, and finding them is
     // the scan that rejects unsorted keys — then the folds, each morsel
     // into its own window of every output column.
-    let starts = par_cta_map(&ranges, 1, |_, r| run_starts(keys, r[0].clone()));
+    let starts = par_range_map(ranges.len(), 1, |cta, _| run_starts(keys, ranges[cta].clone()));
     let starts = starts.into_iter().collect::<Result<Vec<_>, _>>()?;
     validate_agg_cols(input, aggs)?;
     kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", keys.len() as u64);

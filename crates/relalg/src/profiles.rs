@@ -111,22 +111,6 @@ pub fn cpu_select(row_bytes: f64, selectivity: f64) -> KernelProfile {
         .mem_efficiency(0.8)
 }
 
-/// Sort-merge JOIN kernels over presorted inputs: one matching kernel that
-/// streams both sides and buffers matches, one gather. `match_factor` =
-/// output rows / input rows.
-pub fn join_kernels(row_bytes_a: f64, row_bytes_b: f64, match_factor: f64) -> Vec<KernelProfile> {
-    let out_bytes = (row_bytes_a + row_bytes_b - 8.0).max(8.0);
-    vec![
-        KernelProfile::new("join_match")
-            .instr_per_elem(30.0)
-            .bytes_read_per_elem(row_bytes_a + row_bytes_b)
-            .bytes_written_per_elem(match_factor * out_bytes + FILTER_BOOKKEEPING_BYTES)
-            .regs_per_thread(STAGE_REGS + 10)
-            .mem_efficiency(STREAM_MEM_EFF),
-        select_gather("join_gather", out_bytes),
-    ]
-}
-
 /// SORT: a bitonic sorting network, the style of sort 2012-era GPU RA
 /// libraries used. A full network is `log2(n)·(log2(n)+1)/2` compare-swap
 /// passes; the early passes run in shared memory, which the `/2` efficiency
@@ -282,17 +266,5 @@ mod tests {
         let t_sort = sort_kernel(n, 32.0).time(&spec, &launch, n);
         let t_agg = aggregate_kernel(32.0, 5).time(&spec, &launch, n);
         assert!(t_sort > 8.0 * t_agg, "sort {t_sort} vs agg {t_agg}");
-    }
-
-    #[test]
-    fn join_profiles_scale_with_match_factor() {
-        let spec = DeviceSpec::tesla_c2070();
-        let n = 1u64 << 22;
-        let launch = LaunchConfig::for_elements(n, &spec);
-        let small: f64 =
-            join_kernels(16.0, 16.0, 0.1).iter().map(|k| k.time(&spec, &launch, n)).sum();
-        let big: f64 =
-            join_kernels(16.0, 16.0, 1.0).iter().map(|k| k.time(&spec, &launch, n)).sum();
-        assert!(big > small);
     }
 }

@@ -1,15 +1,15 @@
 //! Per-worker scratch arenas for the batch operators (DESIGN.md §14).
 //!
 //! Each morsel worker thread owns one [`Scratch`] in a thread-local. The
-//! morsel executors ([`kfusion_vgpu::exec::par_range_map`] and friends)
-//! hand every worker a *run* of chunks, so a machine checked out for the
-//! first chunk is checked back in and reused for every later chunk that
-//! thread processes — construction (bank allocation, constant splatting)
-//! happens once per worker per kernel, not once per morsel.
+//! morsel executor ([`kfusion_vgpu::exec::par_range_map`]) hands every
+//! worker a *run* of chunks, so a machine checked out for the first chunk
+//! is checked back in and reused for every later chunk that thread
+//! processes — construction (bank allocation, constant splatting) happens
+//! once per worker per kernel, not once per morsel.
 //!
-//! Arenas die with their worker thread (the executors use scoped threads),
-//! so there is no cross-query state to invalidate; the reuse/poison toggles
-//! in [`crate::engine`] govern behavior inside a run.
+//! Arenas die with their worker thread (the executor uses scoped threads),
+//! so there is no cross-query state to invalidate; the poison toggle in
+//! [`crate::engine`] checks that no reused bank leaks state inside a run.
 
 use kfusion_ir::batch::Scratch;
 use std::cell::RefCell;

@@ -1,12 +1,17 @@
-//! The plan cache: compile once per plan *shape*, share the result.
+//! The plan cache: compile once per batch *shape*, share the result.
 //!
 //! `prepare_fusion` — verify, fuse, optimize — is a pure function of the
-//! plan's structure, the register budget, and the optimization level
-//! ([`PlanKey`] captures exactly those), plus the strategy *class* (serial
-//! strategies take the singleton plan, fused ones run the fusion pass).
-//! The cache keys on `(PlanKey, class)` and hands out `Arc<FusionPlan>`s,
-//! so concurrent submissions of structurally identical plans pay the
-//! compile side once and share the result by reference.
+//! plan's structure and of the [`ExecConfig`] it runs under (strategy
+//! class, register budget, optimization level). A cache is built for the
+//! one config of the service that owns it, so the config is not part of the
+//! key and a cache can never mix strategy classes, budgets or levels: the
+//! key is the structural fingerprint of the merged plan a dispatch runs
+//! ([`fingerprint_multi`] over its graph and roots). A lone query is a merge
+//! of one, so a recurring query and a recurring batch *composition* (e.g.
+//! the same two dashboard queries admitted together every window) both hit
+//! after their first compile. Entries are `Arc<FusionPlan>`s, so concurrent
+//! dispatches of the same shape pay the compile side once and share the
+//! result by reference.
 //!
 //! Misses build **outside** the lock: two threads racing on the same fresh
 //! shape may both compile it (a benign, bounded duplication — the second
@@ -16,33 +21,16 @@
 //! from "once per query".
 
 use crate::ServerError;
-use kfusion_core::exec::{prepare_fusion, ExecConfig, Strategy};
+use kfusion_core::exec::{prepare_fusion, ExecConfig};
 use kfusion_core::fingerprint::fingerprint_multi;
 use kfusion_core::fusion::FusionPlan;
-use kfusion_core::graph::PlanGraph;
 use kfusion_core::multiquery::MergedPlan;
-use kfusion_core::PlanKey;
+use kfusion_core::Fingerprint;
 // Shimmed sync (std in production builds): the cache's racy-miss protocol
 // is one of the fixed scenarios `kfusion-model` explores exhaustively.
 use kfusion_model::sync::atomic::{AtomicU64, Ordering};
 use kfusion_model::sync::{Arc, Mutex, MutexGuard};
 use std::collections::HashMap;
-
-/// Unfused strategies prepare singleton plans, fused strategies run the
-/// fusion pass; a cached entry is only valid within its class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PlanClass {
-    Singleton,
-    Fused,
-}
-
-fn class_of(strategy: Strategy) -> PlanClass {
-    if strategy.fuses() {
-        PlanClass::Fused
-    } else {
-        PlanClass::Singleton
-    }
-}
 
 /// A point-in-time view of the cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,79 +42,44 @@ pub struct CacheStats {
     /// Actual compile-pipeline runs (≥ distinct shapes; > only when two
     /// threads raced on the same fresh shape).
     pub compiles: u64,
-    /// Distinct `(shape, budget, level, class)` entries resident.
+    /// Distinct batch shapes resident.
     pub entries: usize,
 }
 
-/// A concurrent map from plan shape to its prepared [`FusionPlan`].
-#[derive(Debug, Default)]
+/// A concurrent map from batch shape to its prepared [`FusionPlan`], for
+/// one [`ExecConfig`].
+#[derive(Debug)]
 pub struct PlanCache {
-    map: Mutex<HashMap<(PlanKey, PlanClass), Arc<FusionPlan>>>,
+    cfg: ExecConfig,
+    map: Mutex<HashMap<Fingerprint, Arc<FusionPlan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     compiles: AtomicU64,
 }
 
 impl PlanCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty cache that prepares every plan under `cfg`.
+    pub fn new(cfg: ExecConfig) -> Self {
+        PlanCache {
+            cfg,
+            map: Mutex::default(),
+            hits: AtomicU64::default(),
+            misses: AtomicU64::default(),
+            compiles: AtomicU64::default(),
+        }
     }
 
-    /// Prepared fusion plan for a single-root `graph` under `cfg`, cached.
-    pub fn prepare(
-        &self,
-        graph: &PlanGraph,
-        cfg: &ExecConfig,
-    ) -> Result<Arc<FusionPlan>, ServerError> {
-        self.prepare_observed(graph, cfg).map(|(plan, _)| plan)
+    /// The config every plan of this cache is prepared — and so must be
+    /// executed — under.
+    pub fn cfg(&self) -> &ExecConfig {
+        &self.cfg
     }
 
-    /// Like [`PlanCache::prepare`], but also reports whether the lookup was
-    /// a hit — the bit the service's `QueryRecord` attributes compile time
+    /// The prepared fusion plan for `merged`, and whether the lookup was a
+    /// hit — the bit the service's `QueryRecord` attributes compile time
     /// against.
-    pub fn prepare_observed(
-        &self,
-        graph: &PlanGraph,
-        cfg: &ExecConfig,
-    ) -> Result<(Arc<FusionPlan>, bool), ServerError> {
-        let key = (PlanKey::new(graph, &cfg.budget, cfg.level), class_of(cfg.strategy));
-        self.get_or_build(key, || prepare_fusion(graph, cfg).map_err(Into::into))
-    }
-
-    /// Prepared fusion plan for a merged multi-root batch, cached on the
-    /// batch's combined fingerprint: a recurring batch *composition* (e.g.
-    /// the same two dashboard queries admitted together every window) hits
-    /// after its first compile.
-    pub fn prepare_multi(
-        &self,
-        merged: &MergedPlan,
-        cfg: &ExecConfig,
-    ) -> Result<Arc<FusionPlan>, ServerError> {
-        self.prepare_multi_observed(merged, cfg).map(|(plan, _)| plan)
-    }
-
-    /// Like [`PlanCache::prepare_multi`], but also reports hit/miss.
-    pub fn prepare_multi_observed(
-        &self,
-        merged: &MergedPlan,
-        cfg: &ExecConfig,
-    ) -> Result<(Arc<FusionPlan>, bool), ServerError> {
-        let key = PlanKey {
-            plan: fingerprint_multi(&merged.graph, &merged.roots),
-            max_regs_per_thread: cfg.budget.max_regs_per_thread,
-            level: cfg.level,
-        };
-        self.get_or_build((key, class_of(cfg.strategy)), || {
-            prepare_fusion(&merged.graph, cfg).map_err(Into::into)
-        })
-    }
-
-    fn get_or_build(
-        &self,
-        key: (PlanKey, PlanClass),
-        build: impl FnOnce() -> Result<FusionPlan, ServerError>,
-    ) -> Result<(Arc<FusionPlan>, bool), ServerError> {
+    pub fn prepare(&self, merged: &MergedPlan) -> Result<(Arc<FusionPlan>, bool), ServerError> {
+        let key = fingerprint_multi(&merged.graph, &merged.roots);
         if let Some(plan) = self.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             kfusion_trace::counter("kfusion_server_plan_cache_hits_total", 1);
@@ -138,7 +91,7 @@ impl PlanCache {
         // never blocks behind it.
         self.compiles.fetch_add(1, Ordering::Relaxed);
         kfusion_trace::counter("kfusion_server_plan_compiles_total", 1);
-        let plan = Arc::new(build()?);
+        let plan = Arc::new(prepare_fusion(&merged.graph, &self.cfg)?);
         Ok((self.lock().entry(key).or_insert(plan).clone(), false))
     }
 
@@ -162,7 +115,7 @@ impl PlanCache {
         self.lock().is_empty()
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<(PlanKey, PlanClass), Arc<FusionPlan>>> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<Fingerprint, Arc<FusionPlan>>> {
         // The critical sections only touch the map; a poisoned lock means a
         // panic elsewhere, not a broken map.
         self.map.lock().unwrap_or_else(|e| e.into_inner())
@@ -172,7 +125,9 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kfusion_core::graph::OpKind;
+    use kfusion_core::exec::Strategy;
+    use kfusion_core::graph::{OpKind, PlanGraph};
+    use kfusion_core::multiquery::merge_plans;
     use kfusion_relalg::predicates;
     use kfusion_vgpu::GpuSystem;
 
@@ -183,53 +138,50 @@ mod tests {
         g
     }
 
+    fn fused() -> PlanCache {
+        PlanCache::new(ExecConfig::new(Strategy::Fusion, &GpuSystem::c2070()))
+    }
+
     #[test]
     fn same_shape_compiles_once() {
-        let s = GpuSystem::c2070();
-        let cfg = ExecConfig::new(Strategy::Fusion, &s);
-        let cache = PlanCache::new();
-        let a = cache.prepare(&query(10), &cfg).unwrap();
-        let b = cache.prepare(&query(10), &cfg).unwrap();
+        let cache = fused();
+        let (a, hit_a) = cache.prepare(&merge_plans(&[query(10)])).unwrap();
+        let (b, hit_b) = cache.prepare(&merge_plans(&[query(10)])).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same shape must share one plan");
+        assert_eq!((hit_a, hit_b), (false, true));
         let st = cache.stats();
         assert_eq!((st.hits, st.misses, st.compiles, st.entries), (1, 1, 1, 1));
     }
 
     #[test]
     fn predicate_constants_are_part_of_the_shape() {
-        let s = GpuSystem::c2070();
-        let cfg = ExecConfig::new(Strategy::Fusion, &s);
-        let cache = PlanCache::new();
-        cache.prepare(&query(10), &cfg).unwrap();
-        cache.prepare(&query(11), &cfg).unwrap();
+        let cache = fused();
+        cache.prepare(&merge_plans(&[query(10)])).unwrap();
+        cache.prepare(&merge_plans(&[query(11)])).unwrap();
         assert_eq!(cache.len(), 2, "different constants are different shapes");
     }
 
     #[test]
-    fn serial_and_fused_preparations_do_not_alias() {
+    fn a_cache_prepares_under_its_own_config() {
         let s = GpuSystem::c2070();
-        let cache = PlanCache::new();
         let mut g = PlanGraph::new();
         let i = g.input(0);
         let a = g.add(OpKind::Select { pred: predicates::key_lt(5) }, vec![i]);
         g.add(OpKind::Select { pred: predicates::key_lt(3) }, vec![a]);
-        let fused = cache.prepare(&g, &ExecConfig::new(Strategy::Fusion, &s)).unwrap();
-        let serial = cache.prepare(&g, &ExecConfig::new(Strategy::Serial, &s)).unwrap();
-        assert_eq!(fused.groups.len(), 1);
-        assert_eq!(serial.groups.len(), 2, "singleton plan per operator");
-        assert_eq!(cache.len(), 2);
+        let merged = merge_plans(&[g]);
+        let serial = PlanCache::new(ExecConfig::new(Strategy::Serial, &s));
+        assert_eq!(fused().prepare(&merged).unwrap().0.groups.len(), 1);
+        assert_eq!(serial.prepare(&merged).unwrap().0.groups.len(), 2, "one group per operator");
     }
 
     #[test]
-    fn multi_key_covers_batch_composition() {
-        let s = GpuSystem::c2070();
-        let cfg = ExecConfig::new(Strategy::Fusion, &s);
-        let cache = PlanCache::new();
-        let m2 = kfusion_core::multiquery::merge_plans(&[query(10), query(20)]);
-        let m1 = kfusion_core::multiquery::merge_plans(&[query(10)]);
-        cache.prepare_multi(&m2, &cfg).unwrap();
-        cache.prepare_multi(&m1, &cfg).unwrap();
-        cache.prepare_multi(&m2, &cfg).unwrap();
+    fn key_covers_batch_composition() {
+        let cache = fused();
+        let m2 = merge_plans(&[query(10), query(20)]);
+        let m1 = merge_plans(&[query(10)]);
+        cache.prepare(&m2).unwrap();
+        cache.prepare(&m1).unwrap();
+        cache.prepare(&m2).unwrap();
         let st = cache.stats();
         assert_eq!((st.hits, st.entries), (1, 2), "{st:?}");
     }

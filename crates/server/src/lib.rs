@@ -10,17 +10,19 @@
 //!
 //! * **Plan cache** ([`cache::PlanCache`]) — the compile side of an
 //!   execution (verify → fuse → optimize) depends only on the plan's
-//!   *structure* plus the register budget and optimization level, so it is
-//!   keyed by [`kfusion_core::PlanKey`] (a 128-bit structural fingerprint +
-//!   budget + level) and computed once per shape. Concurrent submissions of
-//!   the same shape share one `Arc<FusionPlan>`; hits and misses surface as
+//!   *structure* and the service's one [`kfusion_core::exec::ExecConfig`],
+//!   which the cache is built for, so it is keyed by the 128-bit structural
+//!   fingerprint of the merged plan a dispatch runs and computed once per
+//!   shape. Concurrent dispatches of the same shape share one
+//!   `Arc<FusionPlan>`; hits and misses surface as
 //!   `kfusion_server_plan_cache_*` counters.
 //! * **Admission window** ([`service::QueryService`]'s admission thread) —
 //!   submissions are grouped for a bounded count/time window; queries that
 //!   scan overlapping inputs merge through
 //!   [`kfusion_core::multiquery::merge_plans`] and execute as one batch
 //!   (shared scans, cross-query fused kernels), with each query's result
-//!   routed back over its own channel.
+//!   routed back over its own channel. A query that shares no scan is a
+//!   batch of one and takes the same path.
 //! * **Worker pool** — a `std::thread::scope`-based pool with bounded
 //!   queues for backpressure ([`queue::BoundedQueue`]), per-query deadlines
 //!   that reject rather than hang, and a graceful shutdown that drains
@@ -31,9 +33,10 @@
 //! --require-tracks server` can validate a load run end to end.
 //!
 //! The service changes *when* and *with whom* a plan executes, never *what*
-//! it computes: the functional phase ignores the fusion plan entirely, so a
-//! batched or cache-hit execution is byte-identical to a standalone
-//! [`kfusion_core::exec::execute`] (the equivalence tests enforce this).
+//! it computes: a view and the relation it stands for hold the same tuples
+//! under any fusion plan, so a batched or cache-hit execution is
+//! byte-identical to a standalone [`kfusion_core::exec::execute`] (the
+//! equivalence tests enforce this).
 
 pub mod cache;
 pub mod queue;

@@ -13,11 +13,11 @@
 //! The admission window is bounded in both count ([`ServerConfig::max_batch`])
 //! and time ([`ServerConfig::window`]): the first submission opens the
 //! window, and everything admitted before it closes is grouped by
-//! overlapping scan inputs (union-find). Groups of two or more splice
-//! through [`merge_plans`] and run as one cross-query-fused batch — shared
-//! scans uploaded once, SELECTs from different queries in one kernel — while
-//! singletons take the ordinary path. Either way the compile side comes
-//! from the shared [`PlanCache`].
+//! overlapping scan inputs (union-find). Every group splices through
+//! [`merge_plans`] and runs as one batch — shared scans uploaded once,
+//! SELECTs from different queries in one kernel — with its compile side
+//! from the shared [`PlanCache`]. A lone query is a batch of one: there is
+//! one dispatch path, whatever the group's size.
 //!
 //! Both queues are bounded: a full submission queue rejects with
 //! [`ServerError::Overloaded`] (backpressure at the edge), and a full
@@ -32,10 +32,11 @@ use crate::queue::{BoundedQueue, Pop, PushError};
 use crate::sql::{SqlTicket, TableRegistry};
 use crate::stats::{QueryRecord, RecordOutcome, ServerStats, StatsHub, SIM_STAGES};
 use crate::ServerError;
-use kfusion_core::exec::{execute_prepared, ExecConfig};
+use kfusion_core::exec::ExecConfig;
 use kfusion_core::graph::{OpKind, PlanGraph};
 use kfusion_core::multiquery::{execute_multi_prepared, merge_plans};
 use kfusion_core::report::Report;
+use kfusion_core::CoreError;
 use kfusion_relalg::Relation;
 use kfusion_vgpu::{Engine, GpuSystem};
 use std::collections::HashMap;
@@ -54,8 +55,8 @@ const QUEUE_WAIT_LANE: u32 = 1 << 16;
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Executor configuration shared by every query the service runs. One
-    /// service instance serves one `(strategy, budget, level)` regime —
-    /// exactly the regime its plan cache is sound for.
+    /// service instance serves one `(strategy, budget, level)` regime, and
+    /// its plan cache is built for exactly that one.
     pub exec: ExecConfig,
     /// Worker threads executing dispatched groups.
     pub workers: usize,
@@ -298,7 +299,7 @@ impl QueryService {
         config: &ServerConfig,
         f: impl FnOnce(&ServiceClient<'_>) -> R,
     ) -> R {
-        let cache = PlanCache::new();
+        let cache = PlanCache::new(config.exec);
         let hub = StatsHub::new(
             config.flight_recorder_depth,
             config.slow_log_depth,
@@ -310,7 +311,7 @@ impl QueryService {
         std::thread::scope(|s| {
             s.spawn(move || admission_loop(subs, disp, config));
             for _ in 0..config.workers.max(1) {
-                s.spawn(move || worker_loop(system, tables, config, cache_ref, hub_ref, disp));
+                s.spawn(move || worker_loop(system, tables, cache_ref, hub_ref, disp));
             }
             let client = ServiceClient {
                 submissions: subs,
@@ -437,18 +438,33 @@ fn group_by_shared_inputs(batch: Vec<Submission>) -> Vec<Vec<Submission>> {
     groups
 }
 
+/// `Ok` if [`merge_plans`] can splice `plan`: it passes
+/// [`PlanGraph::validate`] (nodes, arities, backward edges) and its root is
+/// one of its nodes. Plans arrive from clients, so this is an error reply,
+/// never a panic on the worker.
+fn well_formed(plan: &PlanGraph) -> Result<(), ServerError> {
+    plan.validate().map_err(CoreError::from)?;
+    if plan.root >= plan.len() {
+        return Err(ServerError::Exec(format!(
+            "invalid plan graph: root {} is not one of its {} nodes",
+            plan.root,
+            plan.len()
+        )));
+    }
+    Ok(())
+}
+
 /// A worker thread: pop groups, execute, route results.
 fn worker_loop(
     system: &GpuSystem,
     tables: &[Relation],
-    config: &ServerConfig,
     cache: &PlanCache,
     hub: &StatsHub,
     dispatch: &BoundedQueue<GroupJob>,
 ) {
     loop {
         match dispatch.pop_timeout(POLL) {
-            Pop::Item(job) => run_group(system, tables, config, cache, hub, job.members),
+            Pop::Item(job) => run_group(system, tables, cache, hub, job.members),
             Pop::TimedOut => continue,
             Pop::Closed => break,
         }
@@ -468,72 +484,103 @@ fn sim_shares(report: &Report, batch_size: usize) -> [f64; SIM_STAGES.len()] {
     ]
 }
 
-/// Close one member's lifecycle record: compute its host stage durations
-/// (queue wait → admission, batch form → pickup, compile, execute, reply,
-/// total), hand the record to the hub (histograms + flight recorder), and
-/// return it for the [`QueryOutcome`].
-#[allow(clippy::too_many_arguments)]
-fn close_record(
-    hub: &StatsHub,
-    m: &Submission,
+/// What one dispatch measured, shared by every member's record: when the
+/// worker picked the group up, the plan cache's answer and its cost, when
+/// execution ended and how long it took, the batch size, and each member's
+/// share of the simulated stages. A stage the dispatch never reached stays
+/// zero.
+struct Dispatch {
     picked_up: Instant,
     compile_s: f64,
+    cache_hit: bool,
     exec_end: Instant,
     exec_s: f64,
-    cache_hit: bool,
     batch_size: usize,
     sim: [f64; SIM_STAGES.len()],
-    outcome: RecordOutcome,
-) -> QueryRecord {
-    let done = Instant::now();
-    let admitted = m.admitted_at.unwrap_or(picked_up);
-    // Host stages in `stats::HOST_STAGES` order.
-    let host = [
-        admitted.saturating_duration_since(m.enqueued_at).as_secs_f64(),
-        picked_up.saturating_duration_since(admitted).as_secs_f64(),
-        compile_s,
-        exec_s,
-        done.saturating_duration_since(exec_end).as_secs_f64(),
-        done.saturating_duration_since(m.enqueued_at).as_secs_f64(),
-    ];
-    let record = QueryRecord { seq: m.seq, batch_size, cache_hit, outcome, host, sim };
-    hub.close_record(record.clone());
-    record
+}
+
+impl Dispatch {
+    /// A dispatch picked up at `at` that has done nothing yet.
+    fn picked_up(at: Instant) -> Self {
+        Dispatch {
+            picked_up: at,
+            compile_s: 0.0,
+            cache_hit: false,
+            exec_end: at,
+            exec_s: 0.0,
+            batch_size: 1,
+            sim: [0.0; SIM_STAGES.len()],
+        }
+    }
+
+    /// Close member `m`'s lifecycle record with `outcome`: compute its host
+    /// stage durations (queue wait → admission, batch form → pickup,
+    /// compile, execute, reply, total), hand the record to the hub
+    /// (histograms + flight recorder), and return it for the
+    /// [`QueryOutcome`].
+    fn close(&self, hub: &StatsHub, m: &Submission, outcome: RecordOutcome) -> QueryRecord {
+        let done = Instant::now();
+        let admitted = m.admitted_at.unwrap_or(self.picked_up);
+        // Host stages in `stats::HOST_STAGES` order.
+        let host = [
+            admitted.saturating_duration_since(m.enqueued_at).as_secs_f64(),
+            self.picked_up.saturating_duration_since(admitted).as_secs_f64(),
+            self.compile_s,
+            self.exec_s,
+            done.saturating_duration_since(self.exec_end).as_secs_f64(),
+            done.saturating_duration_since(m.enqueued_at).as_secs_f64(),
+        ];
+        let record = QueryRecord {
+            seq: m.seq,
+            batch_size: self.batch_size,
+            cache_hit: self.cache_hit,
+            outcome,
+            host,
+            sim: self.sim,
+        };
+        hub.close_record(record.clone());
+        record
+    }
 }
 
 /// Execute one dispatched group and answer every member exactly once —
 /// closing every member's [`QueryRecord`] exactly once on every path
-/// (success, execution failure, deadline shed); the `unobserved-stage`
-/// lint cross-checks that invariant from the emitted counters.
+/// (success, compile or execution failure, deadline shed); the
+/// `unobserved-stage` lint cross-checks that invariant from the emitted
+/// counters.
+///
+/// A group of one query or many takes the same steps: merge the members'
+/// plans ([`merge_plans`]), prepare the merged plan through the cache, run
+/// it, route one output per member. A lone query whose `Input` leaves name
+/// distinct slots merges into its own plan node for node, so its answer,
+/// schedule and simulated time are those of a standalone run. A member
+/// whose plan is malformed fails alone before the merge, and its
+/// group-mates still run.
 fn run_group(
     system: &GpuSystem,
     tables: &[Relation],
-    config: &ServerConfig,
     cache: &PlanCache,
     hub: &StatsHub,
     members: Vec<Submission>,
 ) {
-    let picked_up = Instant::now();
+    let mut dispatch = Dispatch::picked_up(Instant::now());
     let mut live = Vec::with_capacity(members.len());
     for m in members {
         // Recorded retroactively on a dedicated lane: the wait reaches back
         // across spans this worker has already closed on its own lane.
         kfusion_trace::record_host_span_on("server", QUEUE_WAIT_LANE, "queue_wait", m.enqueued_at);
-        if m.deadline.is_some_and(|d| picked_up > d) {
+        if m.deadline.is_some_and(|d| dispatch.picked_up > d) {
             kfusion_trace::counter("kfusion_server_deadline_rejections_total", 1);
-            close_record(
-                hub,
-                &m,
-                picked_up,
-                0.0,
-                picked_up,
-                0.0,
-                false,
-                1,
-                [0.0; SIM_STAGES.len()],
-                RecordOutcome::DeadlineExceeded,
-            );
+            // Shed before anything ran: a batch of one, no compile, no
+            // execution.
+            dispatch.close(hub, &m, RecordOutcome::DeadlineExceeded);
             let _ = m.reply.send(Err(ServerError::DeadlineExceeded));
+        } else if let Err(e) = well_formed(&m.plan) {
+            // Picked up and failed, as the checker fails it standalone: it
+            // counts as executed, so its closed record balances.
+            kfusion_trace::counter("kfusion_server_queries_executed_total", 1);
+            dispatch.close(hub, &m, RecordOutcome::Failed);
+            let _ = m.reply.send(Err(e));
         } else {
             live.push(m);
         }
@@ -542,137 +589,47 @@ fn run_group(
         return;
     }
     let _span = kfusion_trace::host_span("server", "execute");
-    kfusion_trace::counter("kfusion_server_queries_executed_total", live.len() as u64);
-    if live.len() == 1 {
-        let m = live.pop().expect("one member");
-        let compile_began = Instant::now();
-        let prepared = cache.prepare_observed(&m.plan, &config.exec);
-        let compile_s = compile_began.elapsed().as_secs_f64();
-        let (fusion, hit) = match prepared {
-            Ok(p) => p,
-            Err(e) => {
-                let now = Instant::now();
-                close_record(
-                    hub,
-                    &m,
-                    picked_up,
-                    compile_s,
-                    now,
-                    0.0,
-                    false,
-                    1,
-                    [0.0; SIM_STAGES.len()],
-                    RecordOutcome::Failed,
-                );
-                let _ = m.reply.send(Err(e));
-                return;
-            }
-        };
-        let exec_began = Instant::now();
-        let res = execute_prepared(system, &m.plan, tables, &config.exec, &fusion)
-            .map_err(ServerError::from);
-        let exec_end = Instant::now();
-        let exec_s = exec_end.saturating_duration_since(exec_began).as_secs_f64();
-        match res {
-            Ok(r) => {
-                let sim = sim_shares(&r.report, 1);
-                let record = close_record(
-                    hub,
-                    &m,
-                    picked_up,
-                    compile_s,
-                    exec_end,
-                    exec_s,
-                    hit,
-                    1,
-                    sim,
-                    RecordOutcome::Completed,
-                );
-                let _ = m.reply.send(Ok(QueryOutcome {
-                    output: r.output,
-                    batch_size: 1,
-                    sim_batch_total: r.report.total(),
-                    record,
-                }));
-            }
-            Err(e) => {
-                close_record(
-                    hub,
-                    &m,
-                    picked_up,
-                    compile_s,
-                    exec_end,
-                    exec_s,
-                    hit,
-                    1,
-                    [0.0; SIM_STAGES.len()],
-                    RecordOutcome::Failed,
-                );
-                let _ = m.reply.send(Err(e));
-            }
-        }
-        return;
+    let n = live.len();
+    dispatch.batch_size = n;
+    kfusion_trace::counter("kfusion_server_queries_executed_total", n as u64);
+    if n > 1 {
+        kfusion_trace::counter("kfusion_server_batched_queries_total", n as u64);
     }
-    kfusion_trace::counter("kfusion_server_batched_queries_total", live.len() as u64);
     // Canonicalize member order by structural fingerprint: a recurring batch
     // *composition* then always merges into the same graph regardless of
     // arrival order, so it re-keys in the plan cache. Results still route by
     // member (outputs come back in `live` order), so reordering is safe.
     live.sort_by_key(|m| kfusion_core::fingerprint_plan(&m.plan).0);
-    let plans: Vec<PlanGraph> = live.iter().map(|m| m.plan.clone()).collect();
+    let plans: Vec<PlanGraph> = live.iter_mut().map(|m| std::mem::take(&mut m.plan)).collect();
     let merged = merge_plans(&plans);
-    let n = live.len();
     let compile_began = Instant::now();
-    let prepared = cache.prepare_multi_observed(&merged, &config.exec);
-    let compile_s = compile_began.elapsed().as_secs_f64();
+    let prepared = cache.prepare(&merged);
+    dispatch.compile_s = compile_began.elapsed().as_secs_f64();
     let res = prepared.and_then(|(fusion, hit)| {
+        dispatch.cache_hit = hit;
         let exec_began = Instant::now();
-        let r = execute_multi_prepared(system, &merged, tables, &config.exec, &fusion)
-            .map_err(ServerError::from);
-        let exec_end = Instant::now();
-        let exec_s = exec_end.saturating_duration_since(exec_began).as_secs_f64();
-        r.map(|multi| (multi, hit, exec_end, exec_s))
+        let multi = execute_multi_prepared(system, &merged, tables, cache.cfg(), &fusion);
+        dispatch.exec_s = exec_began.elapsed().as_secs_f64();
+        multi.map_err(ServerError::from)
     });
+    dispatch.exec_end = Instant::now();
     match res {
-        Ok((multi, hit, exec_end, exec_s)) => {
-            let total = multi.report.total();
-            let sim = sim_shares(&multi.report, n);
+        Ok(multi) => {
+            dispatch.sim = sim_shares(&multi.report, n);
+            let sim_batch_total = multi.report.total();
             for (m, output) in live.into_iter().zip(multi.outputs) {
-                let record = close_record(
-                    hub,
-                    &m,
-                    picked_up,
-                    compile_s,
-                    exec_end,
-                    exec_s,
-                    hit,
-                    n,
-                    sim,
-                    RecordOutcome::Completed,
-                );
+                let record = dispatch.close(hub, &m, RecordOutcome::Completed);
                 let _ = m.reply.send(Ok(QueryOutcome {
                     output,
                     batch_size: n,
-                    sim_batch_total: total,
+                    sim_batch_total,
                     record,
                 }));
             }
         }
         Err(e) => {
-            let now = Instant::now();
             for m in live {
-                close_record(
-                    hub,
-                    &m,
-                    picked_up,
-                    compile_s,
-                    now,
-                    0.0,
-                    false,
-                    n,
-                    [0.0; SIM_STAGES.len()],
-                    RecordOutcome::Failed,
-                );
+                dispatch.close(hub, &m, RecordOutcome::Failed);
                 let _ = m.reply.send(Err(e.clone()));
             }
         }

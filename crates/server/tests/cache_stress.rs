@@ -9,6 +9,7 @@
 
 use kfusion_core::exec::{execute, execute_prepared, ExecConfig, Strategy};
 use kfusion_core::graph::{OpKind, PlanGraph};
+use kfusion_core::multiquery::merge_plans;
 use kfusion_relalg::{gen, predicates};
 use kfusion_server::PlanCache;
 use kfusion_vgpu::GpuSystem;
@@ -31,7 +32,7 @@ fn concurrent_lookups_share_compiles_and_answers_stay_byte_identical() {
     let system = GpuSystem::c2070();
     let cfg = ExecConfig::new(Strategy::Fusion, &system);
     let tables = [gen::random_keys(60_000, 17)];
-    let cache = PlanCache::new();
+    let cache = PlanCache::new(cfg);
     let shapes = 4;
 
     // Uncached ground truth, one per shape.
@@ -46,7 +47,8 @@ fn concurrent_lookups_share_compiles_and_answers_stay_byte_identical() {
                 for r in 0..ROUNDS {
                     let i = (t + r) % shapes;
                     let plan = shape(i);
-                    let fusion = cache.prepare(&plan, cfg).unwrap();
+                    let fusion =
+                        cache.prepare(&merge_plans(std::slice::from_ref(&plan))).unwrap().0;
                     let got = execute_prepared(system, &plan, tables, cfg, &fusion).unwrap();
                     assert_eq!(got.output, expected[i], "thread {t} round {r} shape {i}");
                 }
@@ -69,13 +71,13 @@ fn concurrent_lookups_share_compiles_and_answers_stay_byte_identical() {
 fn cache_hit_plans_are_shared_not_recompiled() {
     let system = GpuSystem::c2070();
     let cfg = ExecConfig::new(Strategy::Fusion, &system);
-    let cache = PlanCache::new();
-    let first = cache.prepare(&shape(0), &cfg).unwrap();
+    let cache = PlanCache::new(cfg);
+    let first = cache.prepare(&merge_plans(&[shape(0)])).unwrap().0;
     let handles: Vec<_> = std::thread::scope(|s| {
         (0..THREADS)
             .map(|_| {
-                let (cache, cfg) = (&cache, &cfg);
-                s.spawn(move || cache.prepare(&shape(0), cfg).unwrap())
+                let cache = &cache;
+                s.spawn(move || cache.prepare(&merge_plans(&[shape(0)])).unwrap().0)
             })
             .collect::<Vec<_>>()
             .into_iter()
@@ -99,12 +101,12 @@ fn racing_duplicate_compiles_stay_bounded_and_leak_nothing() {
     // thread scheduler at a scale the explorer cannot.
     let system = GpuSystem::c2070();
     let cfg = ExecConfig::new(Strategy::Fusion, &system);
-    let cache = PlanCache::new();
+    let cache = PlanCache::new(cfg);
     let plans: Vec<_> = std::thread::scope(|s| {
         (0..THREADS)
             .map(|_| {
-                let (cache, cfg) = (&cache, &cfg);
-                s.spawn(move || cache.prepare(&shape(1), cfg).unwrap())
+                let cache = &cache;
+                s.spawn(move || cache.prepare(&merge_plans(&[shape(1)])).unwrap().0)
             })
             .collect::<Vec<_>>()
             .into_iter()

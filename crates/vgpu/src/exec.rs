@@ -24,60 +24,15 @@ pub fn cta_ranges(n: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Run `work` over every CTA range of `input` in parallel, collecting each
+/// Run `work` over every CTA range of `0..n` in parallel, collecting each
 /// CTA's result in CTA order — the "partition, per-CTA compute, buffer"
 /// stages of the paper's multi-stage kernels. The final gather is whatever
-/// the caller does with the per-CTA outputs.
+/// the caller does with the per-CTA outputs. `work(cta, range)` receives the
+/// CTA index and its index range, so columnar data (several parallel
+/// arrays) needs no slice of its own.
 ///
 /// Work runs on scoped threads (one logical worker per available core, CTAs
 /// distributed round-robin), so `work` only needs `Sync` borrows.
-pub fn par_cta_map<T, R, F>(input: &[T], chunk: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    let ranges = cta_ranges(input.len(), chunk);
-    let n_ctas = ranges.len();
-    if n_ctas == 0 {
-        return Vec::new();
-    }
-    kfusion_trace::counter("kfusion_host_morsels_total", n_ctas as u64);
-    let workers = std::thread::available_parallelism().map_or(4, |p| p.get()).min(n_ctas);
-    if workers <= 1 || n_ctas == 1 {
-        return ranges.into_iter().enumerate().map(|(i, r)| work(i, &input[r])).collect();
-    }
-    let mut results: Vec<Option<R>> = (0..n_ctas).map(|_| None).collect();
-    let work = &work;
-    let ranges = &ranges;
-    std::thread::scope(|scope| {
-        for (w, mut slot_chunk) in chunked_slots(&mut results, workers).into_iter().enumerate() {
-            scope.spawn(move || {
-                for (offset, slot) in slot_chunk.iter_mut().enumerate() {
-                    let cta = w + offset * workers;
-                    let r = ranges[cta].clone();
-                    **slot = Some(work(cta, &input[r]));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("all CTAs filled")).collect()
-}
-
-/// Partition `slots` into `workers` interleaved views: worker `w` owns slots
-/// `w, w+workers, w+2*workers, ...`. Interleaving balances load when CTA
-/// costs trend with position (e.g. sorted data).
-fn chunked_slots<R>(slots: &mut [Option<R>], workers: usize) -> Vec<Vec<&mut Option<R>>> {
-    let mut views: Vec<Vec<&mut Option<R>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, slot) in slots.iter_mut().enumerate() {
-        views[i % workers].push(slot);
-    }
-    views
-}
-
-/// Like [`par_cta_map`] but driven by an element *count* instead of a slice,
-/// for callers whose data is columnar (several parallel arrays) rather than
-/// one slice. `work(cta, range)` receives the CTA index and its index range.
 pub fn par_range_map<R, F>(n: usize, chunk: usize, work: F) -> Vec<R>
 where
     R: Send,
@@ -109,18 +64,15 @@ where
     results.into_iter().map(|r| r.expect("all CTAs filled")).collect()
 }
 
-/// Parallel map over equal chunks followed by an associative reduction — for
-/// the CPU baseline's multi-threaded operators (paper Fig. 4(a) uses 16 CPU
-/// threads).
-pub fn par_map_reduce<T, A, F, G>(input: &[T], chunk: usize, map: F, reduce: G, identity: A) -> A
-where
-    T: Sync,
-    A: Send,
-    F: Fn(&[T]) -> A + Sync,
-    G: Fn(A, A) -> A,
-{
-    let partials = par_cta_map(input, chunk, |_, part| map(part));
-    partials.into_iter().fold(identity, reduce)
+/// Partition `slots` into `workers` interleaved views: worker `w` owns slots
+/// `w, w+workers, w+2*workers, ...`. Interleaving balances load when CTA
+/// costs trend with position (e.g. sorted data).
+fn chunked_slots<R>(slots: &mut [Option<R>], workers: usize) -> Vec<Vec<&mut Option<R>>> {
+    let mut views: Vec<Vec<&mut Option<R>>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, slot) in slots.iter_mut().enumerate() {
+        views[i % workers].push(slot);
+    }
+    views
 }
 
 #[cfg(test)]
@@ -142,9 +94,8 @@ mod tests {
     }
 
     #[test]
-    fn par_cta_map_preserves_order() {
-        let data: Vec<u32> = (0..100_000).collect();
-        let sums = par_cta_map(&data, 1024, |_, part| part.iter().map(|&x| x as u64).sum::<u64>());
+    fn par_range_map_preserves_order() {
+        let sums = par_range_map(100_000, 1024, |_, r| r.map(|x| x as u64).sum::<u64>());
         assert_eq!(sums.len(), 98);
         let total: u64 = sums.iter().sum();
         assert_eq!(total, (0..100_000u64).sum::<u64>());
@@ -153,17 +104,14 @@ mod tests {
     }
 
     #[test]
-    fn par_cta_map_passes_cta_index() {
-        let data = vec![0u8; 10_000];
-        let idxs = par_cta_map(&data, 1000, |cta, _| cta);
+    fn par_range_map_passes_cta_index() {
+        let idxs = par_range_map(10_000, 1000, |cta, _| cta);
         assert_eq!(idxs, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_input_gives_empty_output() {
-        let data: Vec<u32> = vec![];
-        let out = par_cta_map(&data, 16, |_, part| part.len());
-        assert!(out.is_empty());
+        assert!(par_range_map(0, 16, |_, r| r.len()).is_empty());
     }
 
     #[test]
@@ -179,16 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn map_reduce_matches_sequential() {
-        let data: Vec<i64> = (1..=1_000_000).collect();
-        let sum = par_map_reduce(&data, 4096, |p| p.iter().sum::<i64>(), |a, b| a + b, 0);
-        assert_eq!(sum, 500_000_500_000);
-    }
-
-    #[test]
     fn single_cta_path_works() {
-        let data = [1u32, 2, 3];
-        let out = par_cta_map(&data, 100, |_, p| p.to_vec());
-        assert_eq!(out, vec![vec![1, 2, 3]]);
+        assert_eq!(par_range_map(3, 100, |_, r| r), vec![0..3]);
     }
 }

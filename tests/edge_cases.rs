@@ -7,7 +7,7 @@ use kfusion::core::microbench::{run_with_cards, DataMode, SelectChain};
 use kfusion::core::{CoreError, OpKind, PlanGraph};
 use kfusion::relalg::ops::{Agg, SortBy};
 use kfusion::relalg::{gen, predicates, Column, Relation};
-use kfusion::server::{QueryService, RecordOutcome, ServerConfig, ServerError};
+use kfusion::server::{QueryService, QueryTicket, RecordOutcome, ServerConfig, ServerError};
 use kfusion::vgpu::GpuSystem;
 
 fn sys() -> GpuSystem {
@@ -267,6 +267,56 @@ fn service_fails_an_illegal_plan_and_keeps_its_worker() {
     assert_eq!((stats.submitted, stats.failed, stats.completed), (2, 1, 1));
     let outcomes: Vec<_> = stats.recent.iter().map(|r| r.outcome).collect();
     assert_eq!(outcomes, [RecordOutcome::Failed, RecordOutcome::Completed]);
+}
+
+/// Plans arrive from clients unchecked, and the service splices every group
+/// — a lone query too — through `merge_plans`. A plan it cannot splice (no
+/// nodes, a wrong arity, a forward edge, a root outside the graph) fails
+/// with an error reply; it neither panics the worker nor sinks the
+/// batch-mate it shares a scan with.
+#[test]
+fn service_fails_a_malformed_plan_and_keeps_its_worker() {
+    let good = || {
+        let mut g = PlanGraph::new();
+        let i = g.input(0);
+        g.add(OpKind::Select { pred: predicates::key_lt(2) }, vec![i]);
+        g
+    };
+    // Built past `PlanGraph::add`'s asserts, as a deserialized plan can be.
+    let mut arity = good();
+    arity.nodes[1].inputs.push(0);
+    let mut forward = good();
+    forward.nodes[1].inputs = vec![1];
+    let mut rootless = good();
+    rootless.root = 2;
+    let malformed = [PlanGraph::new(), arity, forward, rootless];
+    let tables = [Relation::from_keys(vec![0, 1, 2, 3])];
+    let mut cfg = ServerConfig::new(ExecConfig::new(Strategy::Fusion, &sys()));
+    cfg.workers = 1;
+    cfg.window = std::time::Duration::from_millis(200);
+    cfg.max_batch = 8;
+    // Bounded waits: a dead worker fails the test instead of hanging it.
+    let wait = |t: QueryTicket| t.wait_timeout(std::time::Duration::from_secs(30));
+    let (rejected, mate, after, stats) = QueryService::serve(&sys(), &tables, &cfg, |c| {
+        // One window: the four malformed plans and a good one that scans the
+        // same table. Then, on the one worker, a second good query.
+        let tickets: Vec<_> = malformed.into_iter().map(|g| c.submit(g).unwrap()).collect();
+        let mate = c.submit(good()).unwrap();
+        let rejected: Vec<_> = tickets.into_iter().map(wait).collect();
+        (rejected, wait(mate), wait(c.submit(good()).unwrap()), c.server_stats())
+    });
+    for r in rejected {
+        match r {
+            Err(ServerError::Exec(msg)) => assert!(msg.contains("invalid plan graph"), "{msg}"),
+            other => panic!("expected a malformed-plan error, got {other:?}"),
+        }
+    }
+    let mate = mate.expect("the batch-mate still runs");
+    assert_eq!(mate.batch_size, 1, "only the well-formed member executes");
+    for served in [mate, after.expect("the worker survives")] {
+        assert_eq!(served.output, Relation::from_keys(vec![0, 1]));
+    }
+    assert_eq!((stats.submitted, stats.failed, stats.completed), (6, 4, 2));
 }
 
 /// One name per operator: the lint line that blames a fused group's members

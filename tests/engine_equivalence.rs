@@ -105,23 +105,19 @@ fn batch_engine_never_changes_tpch_answers() {
 // with sentinel bit patterns — quiet-NaN payloads in f64 lanes, alternating
 // bits in masks — before each run, so any operator that reads a stale or
 // unselected lane produces a bitwise-visible diff against the scalar
-// engine. Reuse-off is the control: fresh banks every checkout.
+// engine.
 #[test]
 fn scratch_poisoning_never_changes_tpch_answers() {
     let _g = serial();
     let db: TpchDb = generate(TpchConfig::scale(0.01));
     let sys = GpuSystem::c2070();
-    for reuse in [false, true] {
-        for poison in [false, true] {
-            engine::set_scratch_reuse(reuse);
-            engine::set_scratch_poison(poison);
-            let what = |q: &str| format!("{q} reuse={reuse} poison={poison}");
-            check(&what("Q1"), Strategy::Serial, |s| q1::run_q1(&sys, &db, s).unwrap());
-            check(&what("Q6"), Strategy::Serial, |s| q6::run_q6(&sys, &db, s).unwrap());
-            check(&what("Q21"), Strategy::Serial, |s| q21::run_q21(&sys, &db, 20, s).unwrap());
-        }
+    for poison in [false, true] {
+        engine::set_scratch_poison(poison);
+        let what = |q: &str| format!("{q} poison={poison}");
+        check(&what("Q1"), Strategy::Serial, |s| q1::run_q1(&sys, &db, s).unwrap());
+        check(&what("Q6"), Strategy::Serial, |s| q6::run_q6(&sys, &db, s).unwrap());
+        check(&what("Q21"), Strategy::Serial, |s| q21::run_q21(&sys, &db, 20, s).unwrap());
     }
-    engine::set_scratch_reuse(true);
     engine::set_scratch_poison(false);
     engine::set_batch_enabled(true);
 }
