@@ -27,9 +27,11 @@
 //!    materializes) against `Strategy::Fusion` (the `batch` column: fused
 //!    groups exchange views, DESIGN.md §17), batch engine on both sides,
 //!    plus the exact bytes each wrote through the gather primitive — and,
-//!    for fused Q1 alone, those bytes against its barriers' output and its
-//!    SORT's host milliseconds: the filtered wide table reaches the SORT as
-//!    a view and is gathered once. Beside it, Q6's SELECTs under both
+//!    for fused Q1 alone, those bytes against its UNIQUE's output, its
+//!    SORT's host milliseconds and how many SORTs handed their AGGREGATE
+//!    groups instead of rows: the filtered wide table reaches the SORT as a
+//!    view, which finds its four groups and moves nothing, so the UNIQUE
+//!    alone writes rows. Beside it, Q6's SELECTs under both
 //!    strategies: their host milliseconds and the morsels they walk —
 //!    fused, the five are one run and walk the table once.
 //! 6. `tpch_q21_functional` — the Fig. 18(b) Q21 plan the same way
@@ -47,8 +49,8 @@
 //! recorder overhead above its pin, a nonzero steady-state allocation
 //! count, fused groups that materialize as much as the unfused plan or
 //! run slower than it, fused Q6 SELECTs that walk the table more than
-//! once, a fused Q1 that writes more than its SORT and UNIQUE, or an
-//! ordered SORT that copies rows.
+//! once, a fused Q1 that writes more than its UNIQUE or whose SORT does
+//! not group, or an ordered SORT that copies rows.
 //!
 //! ```sh
 //! cargo bench --bench throughput_host -- [--rows N] [--scale SF] [--out PATH]
@@ -196,10 +198,11 @@ fn written_bytes() -> u64 {
     kfusion_trace::snapshot().counter("kfusion_host_materialized_bytes_total")
 }
 
-/// The bytes of `plan`'s barriers' outputs — all a fused Q1 may write.
-fn barrier_bytes(plan: &PlanGraph, run: &ExecResult) -> u64 {
-    let barrier = |id: usize| matches!(plan.nodes[id].kind, OpKind::Sort { .. } | OpKind::Unique);
-    (0..plan.len()).filter(|&id| barrier(id)).map(|id| run.cards.bytes(id)).sum()
+/// The bytes of `plan`'s UNIQUE outputs — all a fused Q1 may write: its
+/// SORT hands the AGGREGATE groups, not rows.
+fn unique_bytes(plan: &PlanGraph, run: &ExecResult) -> u64 {
+    let unique = |id: usize| matches!(plan.nodes[id].kind, OpKind::Unique);
+    (0..plan.len()).filter(|&id| unique(id)).map(|id| run.cards.bytes(id)).sum()
 }
 
 /// The most bytes a Q21 execution may write if the SORTs over input that
@@ -354,18 +357,20 @@ fn main() {
         "host fusion: {serial_bytes} B materialized unfused, {fused_bytes} B fused ({:.1}%)",
         100.0 * fused_bytes as f64 / serial_bytes as f64
     );
-    // Q1 fused alone: the filtered wide table reaches its one barrier as a
-    // view, so only the SORT's gather and the UNIQUE write rows.
-    let (q1_run, q1_bytes) = {
-        let before = written_bytes();
+    // Q1 fused alone: the filtered wide table reaches its SORT as a view,
+    // which hands the AGGREGATE its groups and moves no row; only the
+    // UNIQUE writes rows.
+    let (q1_run, q1_bytes, q1_grouped) = {
+        let grouped = || kfusion_trace::snapshot().counter("kfusion_sort_grouped_total");
+        let before = (written_bytes(), grouped());
         let run = execute(&sys, &q1_plan, &q1_inputs, &ExecConfig::new(Strategy::Fusion, &sys));
-        (run.unwrap(), written_bytes() - before)
+        (run.unwrap(), written_bytes() - before.0, grouped() - before.1)
     };
-    let q1_budget = barrier_bytes(&q1_plan, &q1_run);
+    let q1_budget = unique_bytes(&q1_plan, &q1_run);
     let q1_sort_ms = host_ms(&q1_run.explain, "sort#");
     println!(
-        "Q1 fused: sort {q1_sort_ms:.2} ms host; {q1_bytes} B materialized (SORT + UNIQUE \
-         {q1_budget} B)\n"
+        "Q1 fused: sort {q1_sort_ms:.2} ms host, {q1_grouped} grouped; {q1_bytes} B \
+         materialized (UNIQUE {q1_budget} B)\n"
     );
     cases.push(Case {
         name: "host_fusion",
@@ -451,7 +456,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"throughput_host\",\n  \"predicate_rows\": {rows},\n  \"tpch_scale\": {scale},\n  \"materialized_bytes\": {{\"serial\": {serial_bytes}, \"fusion\": {fused_bytes}}},\n  \"q6_fusion\": {{\"select_host_ms\": {q6_select_ms:.3}, \"select_host_ms_serial\": {q6_serial_ms:.3}, \"select_morsels\": {q6_morsels}, \"select_morsels_serial\": {q6_serial_morsels}, \"table_morsels\": {q6_table_morsels}}},\n  \"q1_fusion\": {{\"sort_host_ms\": {q1_sort_ms:.3}, \"materialized_bytes\": {q1_bytes}, \"barrier_bytes\": {q1_budget}}},\n  \"q21_fusion\": {{\"sort_host_ms\": {q21_sort_ms:.3}, \"aggregate_host_ms\": {q21_aggregate_ms:.3}, \"sorts_ordered\": {q21_ordered}, \"materialized_bytes\": {q21_bytes}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"throughput_host\",\n  \"predicate_rows\": {rows},\n  \"tpch_scale\": {scale},\n  \"materialized_bytes\": {{\"serial\": {serial_bytes}, \"fusion\": {fused_bytes}}},\n  \"q6_fusion\": {{\"select_host_ms\": {q6_select_ms:.3}, \"select_host_ms_serial\": {q6_serial_ms:.3}, \"select_morsels\": {q6_morsels}, \"select_morsels_serial\": {q6_serial_morsels}, \"table_morsels\": {q6_table_morsels}}},\n  \"q1_fusion\": {{\"sort_host_ms\": {q1_sort_ms:.3}, \"sorts_grouped\": {q1_grouped}, \"materialized_bytes\": {q1_bytes}, \"barrier_bytes\": {q1_budget}}},\n  \"q21_fusion\": {{\"sort_host_ms\": {q21_sort_ms:.3}, \"aggregate_host_ms\": {q21_aggregate_ms:.3}, \"sorts_ordered\": {q21_ordered}, \"materialized_bytes\": {q21_bytes}}},\n  \"cases\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write JSON artifact");
@@ -514,12 +519,13 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // CI gate: fused Q1 writes nothing in front of its barrier — the
-    // filtered wide table is gathered once, by the SORT.
-    if q1_bytes > q1_budget {
+    // CI gate: fused Q1 writes no row but its UNIQUE's — nothing in front
+    // of its SORT, and the SORT, which hands its AGGREGATE groups, nothing.
+    if q1_bytes > q1_budget || q1_grouped != 1 {
         eprintln!(
-            "FAIL: fused Q1 materialized {q1_bytes} B, more than its SORT and UNIQUE \
-             ({q1_budget} B); a member of the group in front of the SORT wrote its rows"
+            "FAIL: fused Q1 materialized {q1_bytes} B, its UNIQUE {q1_budget} B, and grouped \
+             {q1_grouped} SORTs (1 feeds its AGGREGATE alone); a node in front of the \
+             AGGREGATE wrote rows"
         );
         std::process::exit(1);
     }

@@ -7,16 +7,18 @@
 //! (DESIGN.md §17): which operators hand a view on and which read one is
 //! the `host` column of [`OpKind::traits`]. Every intermediate with one
 //! reader is handed to it by value, so a view that reader builds holds its
-//! storage alone and [`materialize`] moves it rather than copies. And, like
-//! the paper's back-to-back filters in one kernel, a run of SELECTs inside
-//! one group reads its rows once: its head evaluates the whole run in one
-//! pass ([`select_runs`]).
+//! storage alone and [`materialize`] moves it rather than copies. Like the
+//! paper's back-to-back filters in one kernel, a run of SELECTs inside one
+//! group reads its rows once: its head evaluates the whole run in one pass
+//! ([`select_runs`]). And a SORT by key whose rows only a keyed AGGREGATE
+//! reads hands them on unmoved, with their groups ([`lazy_nodes`]).
 
 use super::Cardinalities;
 use crate::fusion::FusionPlan;
 use crate::graph::{Host, NodeId, OpKind, PlanGraph};
 use crate::CoreError;
 use kfusion_ir::KernelBody;
+use kfusion_relalg::ops::SortBy;
 use kfusion_relalg::{materialize, ops, Column, Relation, View};
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,7 +41,8 @@ pub(super) enum NodeVal<'a> {
     /// the slot is released or handed to another wave's threads.
     Owned(Arc<Relation>),
     /// The output of a fused-group member nobody outside the group but a
-    /// SORT reads: references and a selection, never materialized here.
+    /// SORT reads, or of a SORT that grouped its rows for the AGGREGATE
+    /// behind it: references and a selection, never materialized here.
     View(View<'a>),
 }
 
@@ -151,24 +154,52 @@ impl<'a> Slots<'a> {
 /// The nodes whose output stays a view: the [`Host::View`] members (SELECT,
 /// COLUMN-JOIN, PROJECT, ARITH+, REKEY) of a fused group with other members,
 /// which no caller asked for and nothing outside the group reads but an
-/// operator that reads views (SORT). This and [`select_runs`] are the
-/// fusion plan's only influence on the functional phase — a singleton plan
-/// marks nothing, so the unfused strategies materialize every node.
+/// operator that reads views (SORT) — and each SORT by key whose rows only
+/// a keyed AGGREGATE of a fused group reads, through such views of ARITH+
+/// and PROJECT alone: it may hand them on in the order they are in,
+/// carrying their groups (`ops::group_by_key_view`). This and
+/// [`select_runs`] are the fusion plan's only influence on the functional
+/// phase — a singleton plan marks nothing, so the unfused strategies
+/// materialize and sort every node.
 fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<bool> {
     let mut escapes = vec![false; graph.len()];
+    let mut reader = vec![None; graph.len()];
     for (c, node) in graph.nodes.iter().enumerate() {
         for &p in &node.inputs {
             let outside = fusion.group_of[p] != fusion.group_of[c];
             escapes[p] |= outside && node.kind.traits().host != Host::ReadsViews;
+            reader[p] = Some(c);
         }
     }
     for &r in roots {
         escapes[r] = true;
     }
     let fused = |id: NodeId| fusion.group_of[id].is_some_and(|g| fusion.groups[g].len() > 1);
-    (0..graph.len())
+    let mut lazy: Vec<bool> = (0..graph.len())
         .map(|id| graph.nodes[id].kind.traits().host == Host::View && fused(id) && !escapes[id])
-        .collect()
+        .collect();
+    // Follow a SORT's rows while each node on the way is its input's one
+    // reader, and no caller asked for the input.
+    let readers = graph.consumer_counts();
+    let only_reader = |p: NodeId| reader[p].filter(|_| readers[p] == 1 && !roots.contains(&p));
+    let groups_for_aggregate = |sort: NodeId| {
+        let mut id = sort;
+        while let Some(c) = only_reader(id) {
+            match graph.nodes[c].kind {
+                OpKind::Aggregate { .. } => return fused(c),
+                OpKind::ArithExtend { .. } | OpKind::Project { .. } if lazy[c] => id = c,
+                _ => return false,
+            }
+        }
+        false
+    };
+    let by_key = |id: NodeId| matches!(graph.nodes[id].kind, OpKind::Sort { by: SortBy::Key });
+    let grouping: Vec<NodeId> =
+        (0..graph.len()).filter(|&id| by_key(id) && groups_for_aggregate(id)).collect();
+    for id in grouping {
+        lazy[id] = true;
+    }
+    lazy
 }
 
 /// Runs of SELECTs, as the next member of each: `next[s] = Some(c)` when
@@ -198,11 +229,14 @@ fn select_runs(graph: &PlanGraph, fusion: &FusionPlan, lazy: &[bool]) -> Vec<Opt
 /// runs: a view, for an operator that needs stored rows; a filtered one,
 /// for one that walks base rows in order (keyed AGGREGATE) or — ARITH+ and
 /// REKEY — would write more bytes at base length than the view's rows hold,
-/// or cannot run its kernel where the view is.
+/// or cannot run its kernel where the view is. A view grouped by a SORT
+/// never is: its AGGREGATE folds it where it is, and an ARITH+ on the way
+/// that gathers first does so itself, keeping the groups.
 fn gathers_first(kind: &OpKind, val: &NodeVal<'_>) -> bool {
     let NodeVal::View(v) = val else { return false };
     match kind.traits().host {
         Host::Stored => true,
+        _ if v.is_grouped() => false,
         Host::ReadsDense => !v.is_dense(),
         Host::ReadsViews => false,
         Host::View => match kind {
@@ -423,6 +457,14 @@ fn eval_node<'a>(
         OpKind::Project { keep } => ops::project_view(&next().into_view(), keep)?,
         OpKind::Rekey { col } => ops::rekey_view(&next().into_view(), *col)?,
         OpKind::ArithExtend { body } => ops::arith_extend_view(&next().into_view(), body)?,
+        // A lazy SORT's rows go to a keyed AGGREGATE alone: grouped, they
+        // stay a view where they are; sorted, they are stored as any other
+        // SORT's.
+        OpKind::Sort { .. } if lazy => {
+            let out = ops::group_by_key_view(&next().into_view())?;
+            let grouped = out.is_grouped();
+            return Ok(held(out, grouped));
+        }
         // In order already, the input comes back: a stored intermediate is
         // shared once more, a plan input (borrowed) copied, a view gathered.
         OpKind::Sort { by } => ops::sort_view(&next().into_view(), *by)?,
@@ -455,7 +497,6 @@ fn held(out: View<'_>, lazy: bool) -> NodeVal<'_> {
 mod tests {
     use super::super::singleton_plan;
     use super::*;
-    use kfusion_relalg::ops::SortBy;
     use kfusion_relalg::{gen, predicates};
 
     /// A SORT that finds its input in order puts the same storage under a

@@ -3,18 +3,28 @@
 //! TPC-H Q1's tail is exactly this — sums, averages, and counts per
 //! `(returnflag, linestatus)` group — and Q21 decides its EXISTS / NOT
 //! EXISTS with grouped MIN/MAX over 300 k orders. Callers pack compound
-//! group attributes into the key with [`pack_key2`]. Input must be
-//! key-sorted (the paper's plans SORT before aggregating, Fig. 17), which
-//! makes the reduction a segmented fold: a group is a run of equal keys.
+//! group attributes into the key with [`pack_key2`]. The paper's plans
+//! SORT before aggregating (Fig. 17), and the fold takes one of two shapes,
+//! both columnar:
 //!
-//! The fold is columnar. The input is cut into morsels that end on run
-//! boundaries; per morsel the runs are found once ([`run_starts`]), then
-//! each aggregate makes one typed pass over its own column
-//! ([`fold_runs`]) and writes one value per run into that morsel's window
-//! of the output. No run crosses a morsel and every run is folded left to
-//! right from the aggregate's identity, so each float sum, wrapping integer
-//! sum and `min`/`max` is bit for bit what a row-at-a-time scan of the whole
-//! input produces, however many morsels or threads there are.
+//! * **runs** — input in key order (which is checked) is a segmented fold:
+//!   a group is a run of equal keys. The input is cut into morsels that end
+//!   on run boundaries; per morsel the runs are found once ([`run_starts`]),
+//!   then each aggregate makes one typed pass over its own column
+//!   ([`fold_runs`]) and writes one value per run into that morsel's window
+//!   of the output.
+//! * **groups** — a view a SORT by key grouped instead of sorting
+//!   ([`crate::ops::group_by_key_view`]) is in no key order, but each key's
+//!   rows are in the order the sorted rows would be. Each row is folded, in
+//!   that order, into its group's slot of each aggregate's output column;
+//!   the aggregates that fold alike (all of Q1's are f64 sums) share one
+//!   typed walk over the selected rows ([`fold_lanes`]). The aggregates,
+//!   never the rows, are dealt to the workers.
+//!
+//! Either way every group is folded left to right from the aggregate's
+//! identity, so each float sum, wrapping integer sum and `min`/`max` is bit
+//! for bit what a row-at-a-time scan of the sorted input produces, however
+//! many morsels or threads there are.
 //!
 //! The input is a [`View`]: only the key and the columns the aggregates
 //! name are read, where they already are — a PROJECT in front of an
@@ -23,7 +33,7 @@
 use crate::data::{
     col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
 };
-use crate::view::View;
+use crate::view::{Groups, View};
 use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
 
@@ -245,6 +255,143 @@ impl Morsel<'_> {
     }
 }
 
+/// One aggregate folded by group: the values it reads, its output column —
+/// a slot per group, which is the accumulator — and whether it ends as the
+/// mean.
+struct Lane<'a, T, A> {
+    vals: &'a [T],
+    acc: &'a mut [A],
+    mean: bool,
+}
+
+/// The lanes of a grouped fold, by how they fold: an AVG of f64s is their
+/// sum, and an AVG of i64s wraps its sum in the bits of its f64 slot until
+/// it is converted, last.
+#[derive(Default)]
+struct Lanes<'a> {
+    sum_i: Vec<Lane<'a, i64, i64>>,
+    sum_f: Vec<Lane<'a, f64, f64>>,
+    avg_i: Vec<Lane<'a, i64, f64>>,
+    min_i: Vec<Lane<'a, i64, i64>>,
+    min_f: Vec<Lane<'a, f64, f64>>,
+    max_i: Vec<Lane<'a, i64, i64>>,
+    max_f: Vec<Lane<'a, f64, f64>>,
+}
+
+/// Walk `input`'s selected rows once, in base-row order, folding each
+/// row's value in every lane into its group's slot (`of_keys[key - lo]`)
+/// from `init` with `step` — the identities and the operand order of
+/// [`fold_agg`] — then `finish` each mean's slots with their group's size.
+/// The lanes' folds are independent, so one row's steps overlap.
+fn fold_lanes<T: Copy, A: Copy>(
+    input: &View<'_>,
+    groups: &Groups,
+    lanes: &mut [Lane<'_, T, A>],
+    init: A,
+    step: impl Fn(A, T) -> A,
+    finish: impl Fn(A, u32) -> A,
+) {
+    let _steady = kfusion_trace::allocwatch::region();
+    let ((of_keys, lo), keys) = (groups.of_keys(), input.key());
+    lanes.iter_mut().for_each(|lane| lane.acc.fill(init));
+    input.for_each_row(0..input.base_len(), |i| {
+        let g = of_keys[(keys[i] - lo) as usize] as usize;
+        for lane in lanes.iter_mut() {
+            lane.acc[g] = step(lane.acc[g], lane.vals[i]);
+        }
+    });
+    for lane in lanes.iter_mut().filter(|lane| lane.mean) {
+        for (slot, &size) in lane.acc.iter_mut().zip(groups.sizes()) {
+            *slot = finish(*slot, size);
+        }
+    }
+}
+
+/// [`fold_lanes`] over lanes that fold alike, dealt to the workers in
+/// contiguous shares — each lane whole: splitting its rows would
+/// reassociate its sums.
+fn fold_alike<T: Copy + Sync, A: Copy + Send + Sync>(
+    input: &View<'_>,
+    groups: &Groups,
+    lanes: Vec<Lane<'_, T, A>>,
+    init: A,
+    step: impl Fn(A, T) -> A + Sync,
+    finish: impl Fn(A, u32) -> A + Sync,
+) {
+    // Most kinds have no lanes (Q1's are all f64 sums): nothing to deal,
+    // and no core count to read — on Linux that reads the cgroup's files.
+    if lanes.is_empty() {
+        return;
+    }
+    let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
+    let per_share = lanes.len().div_ceil(cores).max(1);
+    let mut lanes = lanes.into_iter().peekable();
+    let mut shares = Vec::new();
+    while lanes.peek().is_some() {
+        shares.push(lanes.by_ref().take(per_share).collect::<Vec<_>>());
+    }
+    par_each(shares, |mut share| fold_lanes(input, groups, &mut share, init, &step, &finish));
+}
+
+/// A fold's result as it stands, whatever the group's size.
+fn kept<A>(acc: A, _size: u32) -> A {
+    acc
+}
+
+/// [`aggregate_by_key_view`] over a view that carries its groups: one row
+/// per group, in key order. Aggregates that fold alike share a walk over
+/// the selected rows.
+fn fold_by_group(input: &View<'_>, groups: &Groups, aggs: &[Agg]) -> Result<Relation, RelError> {
+    validate_agg_cols(input, aggs)?;
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
+    let mut out = Relation::default();
+    shape_output(input, aggs, groups.len(), &mut out);
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
+    out.key.iter_mut().zip(groups.keys()).for_each(|(slot, key)| *slot = key);
+    let cols = col_windows(&mut out.cols, &[groups.len()]).pop().expect("one window asked for");
+    let mut by = Lanes::default();
+    for (&agg, dst) in aggs.iter().zip(cols) {
+        let mean = matches!(agg, Agg::Avg(_));
+        match (agg, agg.col().map(|c| input.col(c)), dst) {
+            (Agg::Count, None, ColWindow::I64(d)) => {
+                d.iter_mut().zip(groups.sizes()).for_each(|(slot, &size)| *slot = size as i64)
+            }
+            (Agg::Sum(_), Some(Column::I64(vals)), ColWindow::I64(acc)) => {
+                by.sum_i.push(Lane { vals, acc, mean })
+            }
+            (Agg::Sum(_) | Agg::Avg(_), Some(Column::F64(vals)), ColWindow::F64(acc)) => {
+                by.sum_f.push(Lane { vals, acc, mean })
+            }
+            (Agg::Avg(_), Some(Column::I64(vals)), ColWindow::F64(acc)) => {
+                by.avg_i.push(Lane { vals, acc, mean })
+            }
+            (Agg::Min(_), Some(Column::I64(vals)), ColWindow::I64(acc)) => {
+                by.min_i.push(Lane { vals, acc, mean })
+            }
+            (Agg::Min(_), Some(Column::F64(vals)), ColWindow::F64(acc)) => {
+                by.min_f.push(Lane { vals, acc, mean })
+            }
+            (Agg::Max(_), Some(Column::I64(vals)), ColWindow::I64(acc)) => {
+                by.max_i.push(Lane { vals, acc, mean })
+            }
+            (Agg::Max(_), Some(Column::F64(vals)), ColWindow::F64(acc)) => {
+                by.max_f.push(Lane { vals, acc, mean })
+            }
+            _ => unreachable!("output schema set from the aggregates"),
+        }
+    }
+    let wrapping = |acc: f64, v: i64| f64::from_bits((acc.to_bits() as i64).wrapping_add(v) as u64);
+    let mean_of_wrapped = |sum: f64, size: u32| sum.to_bits() as i64 as f64 / size as f64;
+    fold_alike(input, groups, by.sum_i, 0, i64::wrapping_add, kept);
+    fold_alike(input, groups, by.sum_f, 0.0, |acc, v| acc + v, |sum, size| sum / size as f64);
+    fold_alike(input, groups, by.avg_i, 0.0, wrapping, mean_of_wrapped);
+    fold_alike(input, groups, by.min_i, i64::MAX, i64::min, kept);
+    fold_alike(input, groups, by.min_f, f64::INFINITY, f64::min, kept);
+    fold_alike(input, groups, by.max_i, i64::MIN, i64::max, kept);
+    fold_alike(input, groups, by.max_f, f64::NEG_INFINITY, f64::max, kept);
+    Ok(out)
+}
+
 /// Group the (key-sorted) input by key and compute `aggs` per group. The
 /// result has one row per distinct key and one column per aggregate.
 ///
@@ -256,9 +403,14 @@ pub fn aggregate_by_key(input: &Relation, aggs: &[Agg]) -> Result<Relation, RelE
 }
 
 /// [`aggregate_by_key`] over a view: the key and the columns `aggs` name
-/// are read in place, the view's other columns not at all. A view with a
-/// selection is made dense first, so that a group is a run of base rows.
+/// are read in place, the view's other columns not at all. A view that
+/// carries its groups ([`View::is_grouped`]) is folded by group through its
+/// selection; any other with a selection is made dense first, so that a
+/// group is a run of base rows.
 pub fn aggregate_by_key_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, RelError> {
+    if let Some(groups) = input.groups() {
+        return fold_by_group(input, groups, aggs);
+    }
     let mut out = Relation::default();
     fold_by_key(input, aggs, &mut out)?;
     Ok(out)
@@ -614,6 +766,54 @@ mod tests {
         // Q1's shape: a handful of long runs.
         assert_matches_oracle(&awkward([90_000, 1, 120_000, 70_000], 7), "long runs");
         crate::engine::set_scratch_poison(false);
+    }
+
+    /// A view a SORT by key grouped instead of sorting folds to what its
+    /// sorted rows fold to, bit for bit — a group per row, short runs,
+    /// Q1's few long ones — dense or filtered, through a PROJECT, and
+    /// gathered first.
+    #[test]
+    fn a_grouped_view_folds_as_its_sorted_rows_do() {
+        use crate::ops::{group_by_key_view, project_view, select, select_view, sort, SortBy};
+        let mut rng = Rng::seed_from_u64(15);
+        let shapes: [(&str, Vec<usize>); 3] = [
+            ("a group per row", vec![1; 5_000]),
+            ("short runs", (0..3_000).map(|g| 1 + g % 7).collect()),
+            ("long runs", vec![90_000, 1, 120_000, 70_000]),
+        ];
+        for (seed, (shape, lens)) in (16..).zip(shapes) {
+            // The rows out of key order: a shuffle of the sorted table.
+            let mut shuffled = awkward(lens, seed);
+            let mut order: Vec<usize> = (0..shuffled.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..i + 1));
+            }
+            shuffled.permute(&order);
+            let sorted_oracle =
+                |r: &Relation, aggs: &[Agg]| oracle(&sort(r, SortBy::Key).unwrap(), aggs, false);
+            let pred = crate::predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Lt, 0);
+            let kept = select_view(&View::of(&shuffled), &pred).unwrap();
+            for (view, rows) in
+                [(View::of(&shuffled), shuffled.clone()), (kept, select(&shuffled, &pred).unwrap())]
+            {
+                let what = format!("{shape}, {} of {} rows", rows.len(), shuffled.len());
+                let grouped = group_by_key_view(&view).unwrap();
+                assert!(grouped.is_grouped(), "{what}");
+                let want = sorted_oracle(&rows, &EVERY_AGG);
+                let got = aggregate_by_key_view(&grouped, &EVERY_AGG).unwrap();
+                assert_same_bits(&got, &want, &what);
+                let gathered = grouped.dense();
+                assert!(gathered.is_grouped(), "{what}");
+                let got = aggregate_by_key_view(&gathered, &EVERY_AGG).unwrap();
+                assert_same_bits(&got, &want, &format!("{what}, gathered"));
+                // PROJECT[1, 0, 1] renumbers the columns and keeps the groups.
+                let projected = project_view(&grouped, &[1, 0, 1]).unwrap();
+                let remapped = [Agg::Min(1), Agg::Sum(2), Agg::Avg(0), Agg::Max(1), Agg::Count];
+                let aggs = [Agg::Min(0), Agg::Sum(1), Agg::Avg(1), Agg::Max(0), Agg::Count];
+                let got = aggregate_by_key_view(&projected, &remapped).unwrap();
+                assert_same_bits(&got, &sorted_oracle(&rows, &aggs), &format!("{what}, projected"));
+            }
+        }
     }
 
     #[test]

@@ -18,15 +18,21 @@
 //!   SORTs Fig. 17(b) puts in front of each merge join have nothing to do.
 //!   [`sort_view`] then hands the view itself on, and a view that is
 //!   exactly a stored intermediate is shared, not copied.
-//! * **counting** — a narrow rank range (Q1 sorts ~6 packed group codes):
-//!   per-morsel histograms, one prefix sum and a per-morsel scatter of
-//!   `u32` base-row positions, in buffers from the thread-local
+//! * **counting** — a narrow rank range (Q1's four packed group codes span
+//!   131 074 ranks): per-morsel histograms, one prefix sum and a per-morsel
+//!   scatter of `u32` base-row positions, in buffers from the thread-local
 //!   [`crate::scratch`].
 //! * **merge** — parallel chunk sorts and a pairwise k-way merge, the BSP
 //!   shape a GPU merge sort has.
 //!
 //! Either sorting path ends in the one gather: every column copied once,
 //! from wherever the view's columns are, into the sorted relation.
+//!
+//! A SORT by key that only a keyed AGGREGATE reads — through views, which
+//! the plan executor decides — need not order anything: the AGGREGATE
+//! needs each key's rows together, not the keys in order.
+//! [`group_by_key_view`] stops the counting path after its histograms and
+//! hands the view on unmoved, carrying its groups.
 //!
 //! None of this reaches the sim clock: the cost model prices every SORT as
 //! the bitonic network's `log²n` read+write passes ([`bitonic_sort`]), which
@@ -38,7 +44,7 @@
 
 use crate::data::{par_each, Column, RelError, Relation};
 use crate::scratch::with_scratch;
-use crate::view::{gather, materialize, View};
+use crate::view::{gather, materialize, Groups, View};
 use kfusion_ir::batch::Scratch;
 use kfusion_vgpu::exec::{cta_ranges, par_range_map, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
@@ -159,6 +165,22 @@ impl Scan {
         s
     }
 
+    /// The scan of `input`'s selected ranks, one morsel of `morsels` per
+    /// worker; `None` when it has no base rows.
+    fn all(input: &View<'_>, rank: Rank<'_>, morsels: &[Range<usize>]) -> Option<Scan> {
+        let chunk = morsels.first().map_or(1, Range::len);
+        let scans = par_range_map(input.base_len(), chunk, |_, range| Scan::of(input, rank, range));
+        scans.into_iter().reduce(Scan::then)
+    }
+
+    /// How many buckets a counting sort of the scanned ranks takes, if that
+    /// is few enough: the histograms must stay O(n) (+ a fixed floor so
+    /// tiny inputs with moderate ranges still qualify).
+    fn counting_buckets(&self) -> Option<usize> {
+        let buckets = (self.hi - self.lo).saturating_add(1);
+        (buckets < 4 * self.rows as u64 + 65_536).then_some(buckets as usize)
+    }
+
     /// The scan of `self`'s rows followed by `next`'s.
     fn then(self, next: Scan) -> Scan {
         match (self.rows, next.rows) {
@@ -182,8 +204,63 @@ impl Scan {
 /// once, into storage of their own.
 pub fn sort_view<'a>(input: &View<'a>, by: SortBy) -> Result<View<'a>, RelError> {
     let rank = Rank::of(input, by)?;
+    let morsels = worker_ranges(input.base_len());
+    Ok(sorted(input, rank, &morsels, Scan::all(input, rank, &morsels)))
+}
+
+/// SORT by key for a keyed AGGREGATE that alone reads its rows: their
+/// groups in place of their order, when the key range is narrow enough to
+/// count. Per-morsel histograms of the selected keys — the first pass of
+/// the counting sort — become the table of groups the view then carries
+/// ([`View::is_grouped`]); the rows are neither ranked nor moved. The
+/// AGGREGATE folds each row into its group in the order the rows are in,
+/// which, a SORT being stable, is the order the sorted rows of one key
+/// would be in — so it computes what it would have over the sorted rows,
+/// bit for bit. Input in key order already, or keys too far apart for the
+/// histograms, takes [`sort_view`]'s path.
+pub fn group_by_key_view<'a>(input: &View<'a>) -> Result<View<'a>, RelError> {
+    let rank = Rank::of(input, SortBy::Key)?;
+    let morsels = worker_ranges(input.base_len());
+    let scan = Scan::all(input, rank, &morsels);
+    let Some((scan, buckets)) =
+        scan.filter(|s| s.inversions > 0).and_then(|s| Some((s, s.counting_buckets()?)))
+    else {
+        return Ok(sorted(input, rank, &morsels, scan));
+    };
+    kfusion_trace::counter("kfusion_sort_grouped_total", 1);
+    let mut table = with_scratch(Scratch::idx_buf);
+    // Room for the groups' sizes after the key table, whatever the morsels.
+    table.resize(morsels.len().max(2) * buckets, 0);
+    count_ranks(input, rank, &morsels, scan.lo, buckets, &mut table);
+    let (keys, hists) = table.split_at_mut(buckets);
+    for hist in hists.chunks(buckets).take(morsels.len() - 1) {
+        keys.iter_mut().zip(hist).for_each(|(count, more)| *count += more);
+    }
+    // Each count becomes its key's group, and moves behind the key table —
+    // over histograms already summed, as group `g` is at most bucket `g`.
+    let mut groups = 0;
+    for b in 0..buckets {
+        let count = std::mem::replace(&mut table[b], Groups::NONE);
+        if count > 0 {
+            (table[b], table[buckets + groups]) = (groups as u32, count);
+            groups += 1;
+        }
+    }
+    table.truncate(buckets + groups);
+    Ok(input.with_groups(Groups::new(scan.lo, buckets, table)))
+}
+
+/// `input` in the stable order of `rank`, given its [`Scan`]: itself when
+/// it is in that order, otherwise its rows gathered once into storage of
+/// their own.
+fn sorted<'a>(
+    input: &View<'a>,
+    rank: Rank<'_>,
+    morsels: &[Range<usize>],
+    scan: Option<Scan>,
+) -> View<'a> {
     let mut buf = with_scratch(Scratch::idx_buf);
-    let sorted = match sort_positions(input, rank, &mut buf) {
+    let sorted = match sort_positions(input, rank, morsels, scan, &mut buf) {
         Some(n) => View::from(gather(input, &buf[..n])),
         None => {
             kfusion_trace::counter("kfusion_sort_ordered_total", 1);
@@ -191,7 +268,7 @@ pub fn sort_view<'a>(input: &View<'a>, by: SortBy) -> Result<View<'a>, RelError>
         }
     };
     with_scratch(|s| s.put_idx_buf(buf));
-    Ok(sorted)
+    sorted
 }
 
 /// Sort the relation (stable): [`sort_view`], then the gather — ordered
@@ -215,36 +292,47 @@ fn worker_ranges(n: usize) -> Vec<Range<usize>> {
 
 /// The stable order of `input`'s selected rows by `(rank, position)`, as
 /// base-row positions in `buf[..n]` (`buf` is scratch, resized here) — or
-/// `None` when that order is the view's own (the ranks never decrease, so
-/// equal ones keep their order and every other pair is in order already).
+/// `None` when that order is the view's own (`scan` of `input` found the
+/// ranks never decrease, so equal ones keep their order and every other
+/// pair is in order already).
 ///
 /// Otherwise picks between two stable algorithms that produce the
 /// *identical* order, so the choice is invisible to callers and to
 /// cross-engine bit-equality: counting when the rank range is small
 /// relative to the rows (the common case after REKEY packs a handful of
-/// group codes — Q1's post-rekey sort has ~6 distinct ranks), the parallel
+/// group codes — Q1's four groups span 131 074 packed ranks), the parallel
 /// chunk-sort + pairwise-merge otherwise (the BSP shape the cost model
 /// prices).
-fn sort_positions(input: &View<'_>, rank: Rank<'_>, buf: &mut Vec<u32>) -> Option<usize> {
-    // One scan per morsel: the range picks the algorithm, the inversion
-    // count decides whether any is needed.
-    let morsels = worker_ranges(input.base_len());
-    let chunk = morsels.first().map_or(1, Range::len);
-    let scans = par_range_map(input.base_len(), chunk, |_, range| Scan::of(input, rank, range));
-    let scan = scans.into_iter().reduce(Scan::then)?;
-    if scan.inversions == 0 {
-        return None;
+fn sort_positions(
+    input: &View<'_>,
+    rank: Rank<'_>,
+    morsels: &[Range<usize>],
+    scan: Option<Scan>,
+    buf: &mut Vec<u32>,
+) -> Option<usize> {
+    let scan = scan.filter(|s| s.inversions > 0)?;
+    match scan.counting_buckets() {
+        Some(buckets) => counting_positions(input, rank, morsels, scan.lo, buckets, scan.rows, buf),
+        None => merge_positions(input, rank, scan.rows, buf),
     }
-    // Counting-sort threshold: the histograms must stay O(n) (+ a fixed
-    // floor so tiny inputs with moderate ranges still qualify).
-    let n = scan.rows;
-    let buckets = scan.hi - scan.lo + 1;
-    if buckets < 4 * n as u64 + 65_536 {
-        counting_positions(input, rank, &morsels, scan.lo, buckets as usize, n, buf);
-    } else {
-        merge_positions(input, rank, n, buf);
-    }
-    Some(n)
+    Some(scan.rows)
+}
+
+/// Histogram `m` of `hists` (each `buckets` long, from rank `lo`) counts
+/// the ranks of `input`'s selected rows in `morsels[m]`.
+fn count_ranks(
+    input: &View<'_>,
+    rank: Rank<'_>,
+    morsels: &[Range<usize>],
+    lo: u64,
+    buckets: usize,
+    hists: &mut [u32],
+) {
+    let counting: Vec<_> = morsels.iter().cloned().zip(hists.chunks_mut(buckets)).collect();
+    par_each(counting, |(range, hist)| {
+        let _steady = kfusion_trace::allocwatch::region();
+        input.for_each_row(range, |i| hist[(rank.at(i) - lo) as usize] += 1)
+    });
 }
 
 /// Stable counting sort into `buf[..n]`: a histogram per morsel, one
@@ -266,11 +354,7 @@ fn counting_positions(
     buf.resize(n + morsels.len() * buckets, 0);
     let (out, hists) = buf.split_at_mut(n);
     let slot = |i: usize| (rank.at(i) - lo) as usize;
-    let counting: Vec<_> = morsels.iter().cloned().zip(hists.chunks_mut(buckets)).collect();
-    par_each(counting, |(range, hist)| {
-        let _steady = kfusion_trace::allocwatch::region();
-        input.for_each_row(range, |i| hist[slot(i)] += 1)
-    });
+    count_ranks(input, rank, morsels, lo, buckets, hists);
     // Each count becomes the index of its window in its morsel's list.
     let mut windows: Vec<Vec<&mut [u32]>> = morsels.iter().map(|_| Vec::new()).collect();
     let mut rest = out;
@@ -446,8 +530,10 @@ mod tests {
 
     /// The order `sort_positions` finds, `None` for the view's own.
     fn positions(input: &View<'_>, by: SortBy) -> Option<Vec<u32>> {
+        let (rank, morsels) = (Rank::of(input, by).unwrap(), worker_ranges(input.base_len()));
+        let scan = Scan::all(input, rank, &morsels);
         let mut buf = Vec::new();
-        let n = sort_positions(input, Rank::of(input, by).unwrap(), &mut buf)?;
+        let n = sort_positions(input, rank, &morsels, scan, &mut buf)?;
         Some(buf[..n].to_vec())
     }
 
@@ -526,6 +612,10 @@ mod tests {
         let out = sort(&r, SortBy::Key).unwrap();
         assert!(out.is_key_sorted());
         assert_eq!(out.len(), n);
+        // Ranks spanning every u64: the bucket count does not wrap to 0.
+        let r = Relation::from_keys(vec![u64::MAX, 0, 5]);
+        assert_eq!(sort(&r, SortBy::Key).unwrap().key, [0, 5, u64::MAX]);
+        assert_eq!(sort(&r, SortBy::KeyDesc).unwrap().key, [u64::MAX, 5, 0]);
     }
 
     /// Rows whose key, i64 column and f64 column each run in order —
@@ -584,6 +674,32 @@ mod tests {
         for by in [SortBy::Key, SortBy::KeyDesc, SortBy::F64Col(0), SortBy::I64ColDesc(1)] {
             let sorted = sort_view(&view, by).unwrap();
             assert_eq!(materialize(sorted), sort(&stored, by).unwrap(), "{by:?}");
+        }
+    }
+
+    /// A SORT for an AGGREGATE groups exactly what it would have counted:
+    /// out of order and narrow, the view comes back as it was, carrying its
+    /// distinct selected keys in order and their sizes; in order, or too
+    /// wide to count, it is what [`sort_view`] gives.
+    #[test]
+    fn a_sort_for_an_aggregate_groups_what_it_would_count() {
+        let r = Relation::new(vec![9, 3, 9, 5, 3, 3], vec![Column::I64((0..6).collect())]).unwrap();
+        let grouped = group_by_key_view(&View::of(&r)).unwrap();
+        let groups = grouped.groups().expect("out of order and narrow");
+        assert_eq!(groups.keys().collect::<Vec<_>>(), [3, 5, 9]);
+        assert_eq!(groups.sizes(), [3, 1, 2]);
+        assert_eq!(materialize(grouped), r, "nothing moved");
+        // Only the selected keys are groups: rows 1 and 3 are dropped.
+        let some = View::of(&r).with_selection(vec![0b11_0101], 4);
+        let grouped = group_by_key_view(&some).unwrap();
+        let groups = grouped.groups().expect("out of order and narrow");
+        assert_eq!((groups.keys().collect::<Vec<_>>(), groups.sizes()), (vec![3, 9], &[2, 2][..]));
+        let ordered = Relation::from_keys(vec![1, 1, 4]);
+        let wide = Relation::from_keys(vec![1 << 40, 0, 5]);
+        for r in [ordered, wide] {
+            let got = group_by_key_view(&View::of(&r)).unwrap();
+            assert!(!got.is_grouped());
+            assert_eq!(materialize(got), sort(&r, SortBy::Key).unwrap());
         }
     }
 

@@ -11,8 +11,10 @@
 //! ([`crate::ops::arith_extend_view`], [`crate::ops::rekey_view`]); nothing
 //! is copied until [`materialize`] — the gather stage every multi-stage
 //! operator ends with — is asked for real storage, or SORT gathers the
-//! view in its own order ([`gather`]). The materializing operators are
-//! exactly `materialize ∘ view-op`, so a fused group and the unfused
+//! view in its own order ([`gather`]) — or, when a keyed AGGREGATE alone
+//! reads what it sorts, leaves the view where it is and hands on its
+//! groups ([`crate::ops::group_by_key_view`]). The materializing operators
+//! are exactly `materialize ∘ view-op`, so a fused group and the unfused
 //! baseline run the same filter and the same gather, only a different
 //! number of times.
 
@@ -63,6 +65,65 @@ pub struct View<'a> {
     cols: Vec<(Src<'a>, usize)>,
     sel: Option<Arc<Vec<u64>>>,
     rows: usize,
+    groups: Option<Arc<Groups>>,
+}
+
+/// The groups a SORT by key found in a view instead of sorting it
+/// ([`crate::ops::group_by_key_view`]): the distinct keys of its tuples in
+/// key order, and how many tuples hold each. The tuples stay in their own
+/// order, which is a stable sort's order within each key — all a keyed
+/// AGGREGATE needs from a SORT. The groups go by key value, not by
+/// position, so they hold for the same tuples in the same order wherever
+/// they are: ARITH+, PROJECT and a gather keep them, a SELECT or a REKEY
+/// drops them.
+#[derive(Debug)]
+pub(crate) struct Groups {
+    /// The lowest key.
+    lo: u64,
+    /// Keys `lo..lo + buckets` can be looked up.
+    buckets: usize,
+    /// Key `lo + b`'s group at `b` ([`Groups::NONE`] when no tuple holds
+    /// it), then the tuple count of every group. A scratch buffer, returned
+    /// when the last view holding it goes.
+    table: Vec<u32>,
+}
+
+impl Groups {
+    /// The group of a key no tuple holds.
+    pub(crate) const NONE: u32 = u32::MAX;
+
+    /// Groups over `table`: the group of key `lo + b` at `b < buckets`, then
+    /// the group sizes.
+    pub(crate) fn new(lo: u64, buckets: usize, table: Vec<u32>) -> Self {
+        Groups { lo, buckets, table }
+    }
+
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.table.len() - self.buckets
+    }
+
+    /// Group `g`'s tuple count at `g`.
+    pub(crate) fn sizes(&self) -> &[u32] {
+        &self.table[self.buckets..]
+    }
+
+    /// The group of each key `k` at `k - lo`, and `lo`.
+    pub(crate) fn of_keys(&self) -> (&[u32], u64) {
+        (&self.table[..self.buckets], self.lo)
+    }
+
+    /// Group `g`'s key at `g`.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        let of_keys = self.table[..self.buckets].iter();
+        (self.lo..).zip(of_keys).filter(|(_, &g)| g != Groups::NONE).map(|(key, _)| key)
+    }
+}
+
+impl Drop for Groups {
+    fn drop(&mut self) {
+        crate::scratch::recycle_idx_buf(std::mem::take(&mut self.table));
+    }
 }
 
 impl From<Relation> for View<'_> {
@@ -84,7 +145,7 @@ impl<'a> View<'a> {
 
     fn whole(src: Src<'a>) -> Self {
         let cols = (0..src.n_cols()).map(|c| (src.clone(), c)).collect();
-        View { rows: src.len(), key: src, cols, sel: None }
+        View { rows: src.len(), key: src, cols, sel: None, groups: None }
     }
 
     /// Number of tuples (selected rows).
@@ -111,6 +172,22 @@ impl<'a> View<'a> {
     /// position for position ([`View::dense`] then has nothing to gather).
     pub fn is_dense(&self) -> bool {
         self.sel.is_none()
+    }
+
+    /// Whether the view carries the groups a SORT by key found in it
+    /// instead of sorting it ([`crate::ops::group_by_key_view`]) — what a
+    /// keyed AGGREGATE folds where the view is.
+    pub fn is_grouped(&self) -> bool {
+        self.groups.is_some()
+    }
+
+    pub(crate) fn groups(&self) -> Option<&Groups> {
+        self.groups.as_deref()
+    }
+
+    /// The same tuples, carrying `groups`.
+    pub(crate) fn with_groups(&self, groups: Groups) -> View<'a> {
+        View { groups: Some(Arc::new(groups)), ..self.clone() }
     }
 
     /// Whether an operator that writes `added` columns at base length
@@ -157,19 +234,21 @@ impl<'a> View<'a> {
         }
     }
 
-    /// The same columns under a different selection of `rows` base rows.
+    /// The same columns under a different selection of `rows` base rows
+    /// (and without groups, which are of the old selection's tuples).
     pub(crate) fn with_selection(&self, sel: Vec<u64>, rows: usize) -> View<'a> {
         debug_assert_eq!(sel.len(), self.base_len().div_ceil(64));
-        View { key: self.key.clone(), cols: self.cols.clone(), sel: Some(Arc::new(sel)), rows }
+        let sel = Some(Arc::new(sel));
+        View { key: self.key.clone(), cols: self.cols.clone(), sel, rows, groups: None }
     }
 
     /// The same tuples with every base row selected: this view if it has no
-    /// selection, its materialization otherwise. What an operator that
-    /// pairs rows by position (COLUMN-JOIN) or walks runs of them (keyed
-    /// AGGREGATE) asks for first.
+    /// selection, its materialization — carrying its groups — otherwise.
+    /// What an operator that pairs rows by position (COLUMN-JOIN) or walks
+    /// runs of them (keyed AGGREGATE) asks for first.
     pub(crate) fn dense(&self) -> View<'a> {
         match self.sel {
-            Some(_) => materialize(self.clone()).into(),
+            Some(_) => View { groups: self.groups.clone(), ..materialize(self.clone()).into() },
             None => self.clone(),
         }
     }
@@ -185,7 +264,8 @@ impl<'a> View<'a> {
     /// This view restricted to the payload columns `keep`, in that order.
     pub(crate) fn with_columns(&self, keep: &[usize]) -> View<'a> {
         let cols = keep.iter().map(|&c| self.cols[c].clone()).collect();
-        View { key: self.key.clone(), cols, sel: self.sel.clone(), rows: self.rows }
+        let (key, sel, groups) = (self.key.clone(), self.sel.clone(), self.groups.clone());
+        View { key, cols, sel, rows: self.rows, groups }
     }
 
     /// This view widened by `computed`, columns of base length the caller
@@ -199,13 +279,14 @@ impl<'a> View<'a> {
     }
 
     /// This view keyed by `key`, a base-length column the caller wrote for
-    /// it, with payload column `col` gone (REKEY).
+    /// it, with payload column `col` gone (REKEY) — and its groups, which
+    /// were of the old keys.
     pub(crate) fn rekeyed(&self, key: Vec<u64>, col: usize) -> View<'a> {
         debug_assert_eq!(key.len(), self.base_len());
         let mut cols = self.cols.clone();
         cols.remove(col);
         let key = Src::Shared(Arc::new(Relation::from_keys(key)));
-        View { key, cols, sel: self.sel.clone(), rows: self.rows }
+        View { key, cols, sel: self.sel.clone(), rows: self.rows, groups: None }
     }
 
     /// The batch-engine binding of the library calling convention over the

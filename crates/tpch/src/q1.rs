@@ -15,8 +15,10 @@
 //! key, fused arithmetic computes the two money expressions, and a grouped
 //! AGGREGATION + UNIQUE finish. The fusion pass merges the JOIN+SELECT
 //! block into one kernel and the arithmetic+aggregation into another, with
-//! the SORT as the immovable barrier between them — exactly the paper's
-//! fusion structure for this query.
+//! the SORT as the barrier between them — exactly the paper's fusion
+//! structure for this query, and what the sim clock prices. On the host the
+//! fused SORT moves no row: only the AGGREGATE reads what it sorts, so it
+//! hands over the four groups instead of the order (DESIGN.md §17).
 
 use crate::gen::{TpchDb, Q1_COLUMNS, Q1_CUTOFF_DAY};
 use kfusion_core::exec::{execute, ExecConfig, ExecResult, Strategy};

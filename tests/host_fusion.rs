@@ -9,7 +9,9 @@
 //! functional phase held in computed relations
 //! (`kfusion_host_live_bytes_peak_total`). The barriers are counted the
 //! same way: a SORT adds the bytes it moves to the first counter and, when
-//! its input was in order already, one to `kfusion_sort_ordered_total`.
+//! its input was in order already, one to `kfusion_sort_ordered_total` —
+//! or, when it handed a keyed AGGREGATE its rows' groups instead of moving
+//! them, one to `kfusion_sort_grouped_total`.
 
 use kfusion::core::exec::{execute, ExecConfig, ExecResult, Strategy};
 use kfusion::core::{OpKind, PlanGraph};
@@ -41,6 +43,7 @@ const MATERIALIZED: &str = "kfusion_host_materialized_bytes_total";
 const VIEWS: &str = "kfusion_host_views_total";
 const LIVE_PEAK: &str = "kfusion_host_live_bytes_peak_total";
 const SORT_ORDERED: &str = "kfusion_sort_ordered_total";
+const SORT_GROUPED: &str = "kfusion_sort_grouped_total";
 const MORSELS: &str = "kfusion_host_morsels_total";
 
 #[test]
@@ -118,20 +121,27 @@ fn fused_q1_never_writes_its_column_joins() {
     let (join_bytes, select_bytes) =
         (bytes_of(joins), bytes_of(|k| matches!(k, OpKind::Select { .. })));
     let barrier_bytes = bytes_of(|k| matches!(k, OpKind::Sort { .. } | OpKind::Unique));
+    let (sort_bytes, unique_bytes) =
+        (bytes_of(|k| matches!(k, OpKind::Sort { .. })), bytes_of(|k| matches!(k, OpKind::Unique)));
     // Unfused, the six joins, the SELECT and the two barriers write their
     // rows; ARITH+ and REKEY move the relation they are handed and write
     // only their new columns. Fused, the filtered wide table reaches the
-    // SORT as a view and is gathered once, in sorted order.
+    // SORT as a view, and the SORT — whose rows only the AGGREGATE reads,
+    // through the money ARITH+ — finds their four groups instead of moving
+    // them: the AGGREGATE folds them where they are, and UNIQUE alone
+    // writes rows.
     assert_eq!(serial_trace.counter(MATERIALIZED), join_bytes + select_bytes + barrier_bytes);
-    assert_eq!(fused_trace.counter(MATERIALIZED), barrier_bytes);
+    assert_eq!(fused_trace.counter(MATERIALIZED), unique_bytes);
     assert_eq!(
         serial_trace.counter(MATERIALIZED) - fused_trace.counter(MATERIALIZED),
-        join_bytes + select_bytes,
-        "fusion saves exactly the six wide intermediates and the filtered table"
+        join_bytes + select_bytes + sort_bytes,
+        "fusion saves exactly the six wide intermediates, the filtered table and its sorted copy"
     );
+    assert_eq!((serial_trace.counter(SORT_GROUPED), fused_trace.counter(SORT_GROUPED)), (0, 1));
     // The six joins, the SELECT, the pack ARITH+ and the REKEY in front of
-    // the SORT, and the money ARITH+ the AGGREGATE reads stay views.
-    assert_eq!(fused_trace.counter(VIEWS), 10);
+    // the SORT, the grouped SORT, and the money ARITH+ the AGGREGATE reads
+    // stay views.
+    assert_eq!(fused_trace.counter(VIEWS), 11);
 
     // A relation is dropped after its last consumer, so the functional
     // phase never holds what a keep-everything executor would — under
@@ -145,6 +155,9 @@ fn fused_q1_never_writes_its_column_joins() {
     assert!(fused_peak > 0 && fused_peak < serial_peak, "{fused_peak} vs {serial_peak}");
     assert!(serial_peak < all_outputs, "{serial_peak} vs {all_outputs}");
     assert!(fused_peak * 4 < all_outputs, "{fused_peak} vs {all_outputs}");
+    // Nor, fused, as many as the sorted table alone would be: those rows
+    // are never held.
+    assert!(fused_peak < sort_bytes, "{fused_peak} vs {sort_bytes}");
 }
 
 #[test]
@@ -179,6 +192,8 @@ fn q21_barriers_move_only_what_is_out_of_place() {
     let passed_through = (0..plan.len()).filter(|&id| in_order(id)).count() as u64;
     assert_eq!(serial_trace.counter(SORT_ORDERED), passed_through);
     assert_eq!(fused_trace.counter(SORT_ORDERED), passed_through);
+    // No SORT finds groups instead: each has a join or a second reader.
+    assert_eq!((serial_trace.counter(SORT_GROUPED), fused_trace.counter(SORT_GROUPED)), (0, 0));
 
     // What does write rows: every SELECT, SEMIJOIN / ANTIJOIN and UNIQUE
     // through the gather, the SORTs that reorder — and, unfused, PROJECT.

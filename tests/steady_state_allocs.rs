@@ -10,11 +10,12 @@
 //!
 //! The keyed AGGREGATE is held to the same contract from outside: what a
 //! warm call allocates depends on how many morsels its input is cut into,
-//! never on how many groups the morsels hold.
+//! never on how many groups the morsels hold — and, folding a view a SORT
+//! grouped, never on how many groups there are.
 
 use kfusion::core::exec::Strategy;
 use kfusion::relalg::ops::{self, Agg, SortBy};
-use kfusion::relalg::{engine, Column, Relation};
+use kfusion::relalg::{engine, Column, Relation, View};
 use kfusion::tpch::gen::{generate, TpchConfig};
 use kfusion::tpch::q1;
 use kfusion::trace::allocwatch;
@@ -124,4 +125,53 @@ fn warm_sort_allocates_the_same_for_64_ki_rows_as_for_1_mi() {
     assert!(small > 0, "counting allocator saw no allocations at all");
     assert_eq!(small, large, "blocks allocated: 64 Ki rows vs 1 Mi rows");
     assert_eq!((small_steady, large_steady), ((0, 0), (0, 0)), "per-row loops must not allocate");
+}
+
+/// And so is the grouped fold a SORT by key hands a keyed AGGREGATE (Q1's
+/// under the fusing strategies): the table of groups is thread-local
+/// scratch, and every aggregate folds into its own output column, so warm
+/// calls allocate as many blocks for four groups as for one group per row
+/// — the output's and the same bookkeeping — and the per-row loops (scan,
+/// histograms, fold) none at all.
+#[test]
+fn warm_grouped_fold_allocates_the_same_for_four_groups_as_for_one_per_row() {
+    let _g = serial();
+    let n = 256 * 1024;
+    let aggs = [Agg::Sum(0), Agg::Min(1), Agg::Avg(1), Agg::Avg(0), Agg::Max(0), Agg::Count];
+    let warm_call = |groups: usize| {
+        // Keys scattered, so the SORT has something to order.
+        let input = Relation::new(
+            (0..n).map(|i| (i * 7_919 % n % groups) as u64 * 3).collect(),
+            vec![
+                Column::I64((0..n as i64).map(|i| i % 97 - 40).collect()),
+                Column::F64((0..n).map(|i| (i % 89) as f64 * 0.125).collect()),
+            ],
+        )
+        .unwrap();
+        let fold = || {
+            let grouped = ops::group_by_key_view(&View::of(&input)).unwrap();
+            assert!(grouped.is_grouped());
+            ops::aggregate_by_key_view(&grouped, &aggs).unwrap()
+        };
+        fold();
+
+        allocwatch::reset();
+        allocwatch::set_enabled(true);
+        let out = fold();
+        allocwatch::set_enabled(false);
+        let sorted = ops::sort(&input, SortBy::Key).unwrap();
+        assert_eq!(out, ops::aggregate_by_key(&sorted, &aggs).unwrap());
+        // Beyond the output, a few KiB of bookkeeping: the table of groups
+        // — 4 MiB for one group per row — is not allocated again.
+        let (blocks, bytes) = allocwatch::total_counts();
+        let extra = bytes - out.total_bytes();
+        assert!(extra < 64 * 1024, "{groups} groups: {extra} bytes allocated beyond the output");
+        (out.len(), blocks, allocwatch::region_counts())
+    };
+    let (few, few_blocks, few_steady) = warm_call(4);
+    let (many, many_blocks, many_steady) = warm_call(n);
+    assert_eq!((few, many), (4, n));
+    assert!(few_blocks > 0, "counting allocator saw no allocations at all");
+    assert_eq!(few_blocks, many_blocks, "blocks allocated: {few} groups vs {many} groups");
+    assert_eq!((few_steady, many_steady), ((0, 0), (0, 0)), "per-row loops must not allocate");
 }

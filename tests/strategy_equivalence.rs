@@ -14,6 +14,7 @@ use kfusion::ir::builder::{BodyBuilder, Expr};
 use kfusion::ir::CmpOp;
 use kfusion::relalg::ops::{Agg, SortBy};
 use kfusion::relalg::{engine, predicates, Column, Relation};
+use kfusion::tpch::sql::bit_identical;
 use kfusion::vgpu::GpuSystem;
 use kfusion_prng::Rng;
 
@@ -75,6 +76,33 @@ enum InputKind {
     FloatColumn,
     /// Unrelated sorted keys, for SEMIJOIN / ANTIJOIN.
     Probe,
+    /// Two more columns over the base table's exact key vector: i64s whose
+    /// sums wrap ([`awkward_ints`]) and f64s among NaN, -0.0 and the
+    /// infinities ([`awkward_floats`]).
+    Awkward,
+}
+
+/// `n` i64s, half of them the extremes whose sums wrap.
+fn awkward_ints(rng: &mut Rng, n: usize) -> Vec<i64> {
+    const EXTREMES: [i64; 4] = [i64::MAX, i64::MIN, i64::MAX - 1, -1];
+    (0..n)
+        .map(|_| match rng.gen_range(0usize..8) {
+            k if k < EXTREMES.len() => EXTREMES[k],
+            _ => rng.gen_range(-1000i64..1000),
+        })
+        .collect()
+}
+
+/// `n` f64s, two in five of them NaN, -0.0, 0.0 or an infinity, the rest
+/// quarters.
+fn awkward_floats(rng: &mut Rng, n: usize) -> Vec<f64> {
+    const SPECIAL: [f64; 5] = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
+    (0..n)
+        .map(|_| match rng.gen_range(0usize..12) {
+            k if k < SPECIAL.len() => SPECIAL[k],
+            _ => rng.gen_range(-160i64..160) as f64 * 0.25,
+        })
+        .collect()
 }
 
 fn make_inputs(kinds: &[InputKind], seed: u64, n: usize) -> Vec<Relation> {
@@ -104,6 +132,13 @@ fn make_inputs(kinds: &[InputKind], seed: u64, n: usize) -> Vec<Relation> {
                         (0..n / 2).map(|_| rng.gen_range(0u64..1500)).collect();
                     probe.sort_unstable();
                     Relation::from_keys(probe)
+                }
+                InputKind::Awkward => {
+                    let cols = vec![
+                        Column::I64(awkward_ints(&mut rng, n)),
+                        Column::F64(awkward_floats(&mut rng, n)),
+                    ];
+                    Relation::new(keys.clone(), cols).unwrap()
                 }
             }
         })
@@ -206,6 +241,47 @@ fn arb_sort(rng: &mut Rng, floats: &[bool]) -> SortBy {
     }
 }
 
+/// 0–3 ARITH+ and PROJECT steps over `from`, each the only reader of the
+/// last: the way a SORT's rows may take to a keyed AGGREGATE.
+fn elementwise_path(
+    rng: &mut Rng,
+    g: &mut PlanGraph,
+    from: NodeId,
+    floats: &mut Vec<bool>,
+) -> NodeId {
+    let mut cur = from;
+    for _ in 0..rng.gen_range(0usize..4) {
+        let cols = floats.len();
+        if cols > 0 && rng.gen_range(0u32..2) == 0 {
+            let col = rng.gen_range(0..cols);
+            let body = extend_body(cols, col, floats[col]);
+            cur = g.add(OpKind::ArithExtend { body }, vec![cur]);
+            floats.push(floats[col]);
+        } else {
+            let picks = if cols == 0 { 0 } else { rng.gen_range(1usize..4) };
+            let keep: Vec<usize> = (0..picks).map(|_| rng.gen_range(0..cols)).collect();
+            *floats = keep.iter().map(|&c| floats[c]).collect();
+            cur = g.add(OpKind::Project { keep }, vec![cur]);
+        }
+    }
+    cur
+}
+
+/// SUM, MIN, MAX and AVG of each of `cols` columns, and COUNT.
+fn every_agg(cols: usize) -> Vec<Agg> {
+    let per_col = (0..cols).flat_map(|c| [Agg::Sum(c), Agg::Min(c), Agg::Max(c), Agg::Avg(c)]);
+    per_col.chain([Agg::Count]).collect()
+}
+
+/// ARITH+ then REKEY: `shift - key` becomes the key of `from`'s rows —
+/// negative wherever a row's key exceeds `shift`.
+fn rekey_below(g: &mut PlanGraph, from: NodeId, cols: usize, shift: i64) -> NodeId {
+    let mut b = BodyBuilder::new(1 + cols as u32);
+    b.emit_output(Expr::lit(shift).sub(Expr::input(0)));
+    let extended = g.add(OpKind::ArithExtend { body: b.build() }, vec![from]);
+    g.add(OpKind::Rekey { col: cols }, vec![extended])
+}
+
 /// A random plan over input 0 (the base table), drawing further inputs
 /// from `kinds`. Every operator the view path touches appears: SELECTs
 /// (random, all-true, all-false, and — rarely — one the batch engine
@@ -229,7 +305,12 @@ fn arb_dag(rng: &mut Rng, g: &mut PlanGraph, base: NodeId, kinds: &mut Vec<Input
 /// and a SELECT alone between two SORTs, a group of one. The four past
 /// those build runs of SELECTs (`select_run`), which a fused group
 /// evaluates in one pass: plain, with a declined predicate, ending the
-/// plan, and with a second reader at the last or a middle member.
+/// plan, and with a second reader at the last or a middle member. The six
+/// past those, two arms of three draws each, end the plan in a keyed
+/// AGGREGATE behind a SORT by key: with only ARITH+ and PROJECT between
+/// them, over awkward values, behind a REKEY to one group or to keys that
+/// go negative; and with a second reader of the SORT, or a SELECT or a
+/// REKEY between the two.
 fn arb_dag_over(
     rng: &mut Rng,
     g: &mut PlanGraph,
@@ -381,6 +462,51 @@ fn arb_dag_over(
                 cur.id = g.add(OpKind::Semijoin, vec![outside, met]);
                 cur.sorted = true;
             }
+            // SORT by key, then only ARITH+ and PROJECT on the way to a keyed
+            // AGGREGATE: over awkward values joined in (a key mismatch once
+            // anything upstream filtered), behind a REKEY to one group or to
+            // `t - key`, negative on some rows. The plan ends here: which
+            // NaN an f64 sum yields is the code generator's choice, so
+            // nothing may sort or compare by it.
+            26..=28 => {
+                if rng.gen_range(0u32..2) == 0 {
+                    let rhs = new_input(g, kinds, InputKind::Awkward);
+                    cur.id = g.add(OpKind::ColumnJoin, vec![cur.id, rhs]);
+                    cur.floats.extend([false, true]);
+                }
+                let cols = cur.floats.len();
+                match rng.gen_range(0u32..4) {
+                    0 => cur.id = rekey_below(g, cur.id, cols, 7),
+                    1 => cur.id = rekey_below(g, cur.id, cols, rng.gen_range(0i64..1600)),
+                    _ => {}
+                }
+                let sorted = g.add(OpKind::Sort { by: SortBy::Key }, vec![cur.id]);
+                let path = elementwise_path(rng, g, sorted, &mut cur.floats);
+                let aggs = every_agg(cur.floats.len());
+                return g.add(OpKind::Aggregate { aggs }, vec![path]);
+            }
+            // SORT by key into a keyed AGGREGATE that must keep the sort:
+            // the SORT has a second reader (its UNIQUE rows, semijoined with
+            // the groups), or a SELECT or a REKEY sits between the two —
+            // the REKEY's AGGREGATE fails the static check in every cell.
+            29..=31 => {
+                let sorted = g.add(OpKind::Sort { by: SortBy::Key }, vec![cur.id]);
+                let mut floats = cur.floats.clone();
+                let (cols, shape) = (floats.len(), rng.gen_range(0u32..3));
+                let before_path = match shape {
+                    1 => select(g, arb_pred(rng, &floats), sorted),
+                    2 => rekey_below(g, sorted, cols, 1_600),
+                    _ => sorted,
+                };
+                let path = elementwise_path(rng, g, before_path, &mut floats);
+                let aggs = every_agg(floats.len());
+                let grouped = g.add(OpKind::Aggregate { aggs }, vec![path]);
+                if shape != 0 {
+                    return grouped;
+                }
+                let distinct = g.add(OpKind::Unique, vec![sorted]);
+                return g.add(OpKind::Semijoin, vec![grouped, distinct]);
+            }
             _ => {}
         }
     }
@@ -405,6 +531,21 @@ fn cells() -> Vec<(ExecStrategy, bool, bool)> {
 
 type Outcome = Result<(Vec<Relation>, Cardinalities), String>;
 
+/// Whether two outcomes are one: the same error, or the same per-node sizes
+/// and the same roots bit for bit ([`bit_identical`]: `-0.0` is not `0.0`,
+/// and a NaN is a NaN).
+fn same_outcome(got: &Outcome, want: &Outcome) -> bool {
+    match (got, want) {
+        (Ok((got, got_cards)), Ok((want, want_cards))) => {
+            got_cards == want_cards
+                && got.len() == want.len()
+                && got.iter().zip(want).all(|(a, b)| bit_identical(a, b))
+        }
+        (Err(got), Err(want)) => got == want,
+        _ => false,
+    }
+}
+
 /// Run `run` in every cell and demand the reference cell's outcome — the
 /// same roots and per-node `(rows, row_bytes)`, or the same error — which
 /// is returned.
@@ -418,10 +559,10 @@ fn same_in_every_cell(what: &str, run: impl Fn(ExecStrategy) -> Outcome) -> Outc
         engine::set_scratch_poison(false);
         match &reference {
             None => reference = Some(got),
-            // No NaN and no -0.0 is ever generated, so `==` is bit identity.
-            Some(want) => assert_eq!(
-                &got, want,
-                "{what}: {strat:?} batch={batch} poison={poison} differs from the unfused scalar run"
+            Some(want) => assert!(
+                same_outcome(&got, want),
+                "{what}: {strat:?} batch={batch} poison={poison} differs from the unfused scalar \
+                 run:\n{got:?}\nvs\n{want:?}"
             ),
         }
     }
@@ -555,6 +696,152 @@ fn select_runs_never_change_answers_cardinalities_or_errors() {
         }
     }
     assert!(ok > 20 && failed > 5 && chained > 100, "{ok} ok, {failed} failed, {chained} chained");
+}
+
+/// The SORTs by key of `g` whose one reader — through ARITH+ and PROJECT
+/// nodes that have one reader each — is a keyed AGGREGATE.
+fn sorts_into_aggregates(g: &PlanGraph) -> usize {
+    let readers = g.consumer_counts();
+    let reader_of = |id: NodeId| (0..g.len()).find(|&c| g.nodes[c].inputs.contains(&id));
+    let reaches = |mut id: NodeId| loop {
+        match reader_of(id).filter(|_| readers[id] == 1).map(|c| (c, &g.nodes[c].kind)) {
+            Some((_, OpKind::Aggregate { .. })) => return true,
+            Some((c, OpKind::ArithExtend { .. } | OpKind::Project { .. })) => id = c,
+            _ => return false,
+        }
+    };
+    let by_key = |id: NodeId| matches!(g.nodes[id].kind, OpKind::Sort { by: SortBy::Key });
+    (0..g.len()).filter(|&id| by_key(id) && reaches(id)).count()
+}
+
+/// A SORT by key in front of a keyed AGGREGATE, on the generator's plans
+/// drawn from its whole menu, the two arms that end in one included: only
+/// ARITH+ and PROJECT between the two, over wrapping i64s, NaN, -0.0 and
+/// the infinities, behind a REKEY to one group or to negative keys; or a
+/// second reader of the SORT, or a SELECT or a REKEY between them. Every
+/// cell gives the answers, sizes and errors of the unfused scalar run.
+#[test]
+fn sorts_into_keyed_aggregates_never_change_answers_cardinalities_or_errors() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let (mut ok, mut failed, mut into_aggregates) = (0, 0, 0);
+    for case in 0u64..96 {
+        let mut rng = Rng::seed_from_u64(0xE7 << 32 | case);
+        let mut g = PlanGraph::new();
+        let mut kinds = vec![InputKind::Base];
+        let base = g.input(0);
+        let root = arb_dag_over(&mut rng, &mut g, base, &mut kinds, 32);
+        g.root = root;
+        into_aggregates += sorts_into_aggregates(&g);
+        let n = match case % 8 {
+            0 => 0,
+            1 => 70_000,
+            _ => 800,
+        };
+        let inputs = make_inputs(&kinds, case, n);
+        let outcome = same_in_every_cell(&format!("case {case} ({n} rows): {g:?}"), |strat| {
+            execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+                .map(|r| (vec![r.output], r.cards))
+                .map_err(|e| e.to_string())
+        });
+        match outcome {
+            Ok(_) => ok += 1,
+            // A key mismatch or a negative key; a declined predicate rows
+            // reach; an AGGREGATE behind a REKEY.
+            Err(e)
+                if e.contains("different schemas")
+                    || e.contains("evaluation failed")
+                    || e.contains("requires key-sorted input") =>
+            {
+                failed += 1
+            }
+            Err(e) => panic!("case {case}: unexpected error {e}"),
+        }
+    }
+    assert!(
+        ok > 20 && failed > 5 && into_aggregates > 15,
+        "{ok} ok, {failed} failed, {into_aggregates} SORTs into an AGGREGATE"
+    );
+}
+
+/// Keys that put a SORT by key on either side of its counting-sort bound
+/// (`4n + 65 536` buckets for the `n` rows it sees): one group, one group
+/// per row, and key spans one below, at and one above the bound — each
+/// over wrapping i64s, NaN, -0.0 and the infinities, through Q1's shape
+/// (SORT, ARITH+, PROJECT, keyed AGGREGATE), over every row or behind a
+/// SELECT that drops a third of them (keys far outside the span), and
+/// behind a REKEY to `t - key`: reversed, or negative on rows it keeps.
+#[test]
+fn a_sort_into_a_keyed_aggregate_is_exact_on_both_sides_of_the_counting_bound() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    for n in [800usize, 70_000] {
+        let mut rng = Rng::seed_from_u64(n as u64);
+        let (ints, floats) = (awkward_ints(&mut rng, n), awkward_floats(&mut rng, n));
+        let flags: Vec<i64> = (0..n).map(|i| (i % 3 != 1) as i64).collect();
+        for filtered in [false, true] {
+            let seen = |i: usize| !filtered || flags[i] == 1;
+            let (first, last) = ((0..n).find(|&i| seen(i)), (0..n).rfind(|&i| seen(i)));
+            let bound = 4 * (0..n).filter(|&i| seen(i)).count() as u64 + 65_536;
+            let scattered = |i: usize, span: u64| (i as u64).wrapping_mul(7_919) % span;
+            // The first row the SORT sees holds the highest key, its last
+            // the lowest.
+            let spanning = |span: u64| -> Vec<u64> {
+                let key = |i: usize| match (seen(i), Some(i)) {
+                    (false, _) => 1 << 40,
+                    (true, at) if at == first => 1_000 + span - 1,
+                    (true, at) if at == last => 1_000,
+                    (true, _) => 1_000 + scattered(i, span),
+                };
+                (0..n).map(key).collect()
+            };
+            let shapes = [
+                ("one group", vec![5; n]),
+                ("one group per row", (0..n).map(|i| 3 * scattered(i, n as u64) + 1).collect()),
+                ("span one below the bound", spanning(bound - 1)),
+                ("span at the bound", spanning(bound)),
+                ("span one above the bound", spanning(bound + 1)),
+            ];
+            for (shape, keys) in shapes {
+                let highest = (0..n).filter(|&i| seen(i)).map(|i| keys[i]).max().unwrap() as i64;
+                let cols = vec![
+                    Column::I64(ints.clone()),
+                    Column::F64(floats.clone()),
+                    Column::I64(flags.clone()),
+                ];
+                let inputs = [Relation::new(keys, cols).unwrap()];
+                for shift in [None, Some(highest), Some(highest / 2)] {
+                    let mut g = PlanGraph::new();
+                    let mut cur = g.input(0);
+                    if filtered {
+                        let pred = predicates::col_cmp_i64(2, CmpOp::Eq, 1);
+                        cur = g.add(OpKind::Select { pred }, vec![cur]);
+                    }
+                    if let Some(t) = shift {
+                        cur = rekey_below(&mut g, cur, 3, t);
+                    }
+                    let sorted = g.add(OpKind::Sort { by: SortBy::Key }, vec![cur]);
+                    let halved =
+                        g.add(OpKind::ArithExtend { body: extend_body(3, 1, true) }, vec![sorted]);
+                    let kept = g.add(OpKind::Project { keep: vec![3, 0, 1, 0] }, vec![halved]);
+                    g.add(OpKind::Aggregate { aggs: every_agg(4) }, vec![kept]);
+                    let what = format!("{shape}, n={n}, filtered={filtered}, shift={shift:?}");
+                    let outcome = same_in_every_cell(&what, |strat| {
+                        execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+                            .map(|r| (vec![r.output], r.cards))
+                            .map_err(|e| e.to_string())
+                    });
+                    let negative = shift.is_some_and(|t| t < highest);
+                    match outcome {
+                        Ok((roots, _)) => assert!(!negative && !roots[0].is_empty(), "{what}"),
+                        Err(e) => {
+                            assert!(negative && e.contains("different schemas"), "{what}: {e}")
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A negative value fails a REKEY only where the view it reads keeps it:
