@@ -204,8 +204,8 @@ pub fn demo_defects() -> LintReport {
     //     records closed (a worker path returned early without closing its
     //     QueryRecord), and the reply-stage histogram is one observation
     //     short of the completed count. (Live enforcement: the service's
-    //     `run_group` closes a record on every path; the soak bench + CI
-    //     gate the real counters. This entry pins the telemetry→lint
+    //     `run_group` closes a record on every path; the served-mix test
+    //     gates the real counters. This entry pins the telemetry→lint
     //     mapping.)
     let mut unobserved = kfusion_trace::Trace::default();
     let c = &mut unobserved.counters;

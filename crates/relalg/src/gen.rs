@@ -47,8 +47,9 @@ pub fn sorted_f64_table(n: usize, lo: f64, hi: f64, seed: u64) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::select::count_selected;
+    use crate::ops::select_view;
     use crate::predicates;
+    use crate::View;
 
     #[test]
     fn generation_is_deterministic() {
@@ -61,7 +62,7 @@ mod tests {
         let r = random_keys(200_000, 7);
         for frac in [0.1, 0.5, 0.9] {
             let pred = predicates::key_lt(threshold_for_selectivity(frac));
-            let got = count_selected(&r, &pred).unwrap() as f64 / r.len() as f64;
+            let got = select_view(&View::of(&r), &pred).unwrap().len() as f64 / r.len() as f64;
             assert!((got - frac).abs() < 0.01, "selectivity {frac}: measured {got}");
         }
     }

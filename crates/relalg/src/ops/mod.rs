@@ -21,7 +21,7 @@ pub use arith::{
 pub use join::{antijoin, column_join, column_join_view, join, semijoin};
 pub use product::product;
 pub use project::{project, project_view, rekey, rekey_gathers_first, rekey_owned, rekey_view};
-pub use select::{count_selected, select, select_chain_unfused, select_run_view, select_view};
+pub use select::{select, select_chain_unfused, select_run_view, select_view};
 pub use setops::{difference, intersection, union};
 pub use sort::{
     bitonic_pass_count, bitonic_sort, group_by_key_view, sort, sort_view, unique, SortBy,

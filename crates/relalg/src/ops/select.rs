@@ -212,12 +212,6 @@ pub fn select_chain_unfused(
     Ok((cur, cards))
 }
 
-/// Count (without materializing) how many tuples satisfy `predicate` — used
-/// by harnesses that only need cardinalities.
-pub fn count_selected(input: &Relation, predicate: &KernelBody) -> Result<usize, RelError> {
-    Ok(select_view(&View::of(input), predicate)?.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,13 +284,6 @@ mod tests {
             select_chain_unfused(&r, &[predicates::key_lt(50), predicates::key_lt(25)]).unwrap();
         assert_eq!(cards, vec![50, 25]);
         assert_eq!(out.len(), 25);
-    }
-
-    #[test]
-    fn count_matches_select_len() {
-        let r = Relation::from_keys((0..10_000).map(|k| k * 7 % 1000).collect());
-        let p = predicates::key_lt(500);
-        assert_eq!(count_selected(&r, &p).unwrap(), select(&r, &p).unwrap().len());
     }
 
     /// The fused shape: each SELECT narrows the previous one's selection

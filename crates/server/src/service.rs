@@ -51,6 +51,15 @@ const POLL: Duration = Duration::from_millis(50);
 /// overlap freely) never interleave with a worker's own `execute` spans.
 const QUEUE_WAIT_LANE: u32 = 1 << 16;
 
+/// Capacity of the submission and dispatch queues.
+const QUEUE_DEPTH: usize = 64;
+
+/// How many recent [`QueryRecord`]s the flight recorder retains.
+const FLIGHT_RECORDER_DEPTH: usize = 256;
+
+/// How many slow-query records the slow log retains.
+const SLOW_LOG_DEPTH: usize = 32;
+
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
@@ -66,18 +75,9 @@ pub struct ServerConfig {
     /// Time bound of the admission window, measured from the first
     /// submission that opens it.
     pub window: Duration,
-    /// Capacity of the submission and dispatch queues.
-    pub queue_depth: usize,
     /// How long `submit` waits for a submission-queue slot before
     /// rejecting with [`ServerError::Overloaded`].
     pub submit_timeout: Duration,
-    /// Deadline applied to submissions that do not carry their own: a query
-    /// still queued when its deadline passes is rejected, not executed.
-    pub default_deadline: Option<Duration>,
-    /// How many recent [`QueryRecord`]s the flight recorder retains.
-    pub flight_recorder_depth: usize,
-    /// How many slow-query records the slow log retains.
-    pub slow_log_depth: usize,
     /// End-to-end host latency at which a completed query is copied into
     /// the slow log (`None` disables the log).
     pub slow_query_threshold: Option<Duration>,
@@ -85,19 +85,16 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A config for `exec` with small-service defaults: 2 workers, windows
-    /// of up to 4 queries or 2 ms, queues of 64, 20 ms submit patience, no
-    /// deadline, a 256-record flight recorder, and the slow log disabled.
+    /// of up to 4 queries or 2 ms, 20 ms submit patience, and the slow log
+    /// disabled. The service's sizes are constants, not knobs: queues of 64,
+    /// a 256-record flight recorder and a 32-record slow log.
     pub fn new(exec: ExecConfig) -> Self {
         ServerConfig {
             exec,
             workers: 2,
             max_batch: 4,
             window: Duration::from_millis(2),
-            queue_depth: 64,
             submit_timeout: Duration::from_millis(20),
-            default_deadline: None,
-            flight_recorder_depth: 256,
-            slow_log_depth: 32,
             slow_query_threshold: None,
         }
     }
@@ -176,10 +173,9 @@ pub struct ServiceClient<'a> {
 }
 
 impl ServiceClient<'_> {
-    /// Submit `plan` (over the service's table registry) under the
-    /// config's default deadline.
+    /// Submit `plan` (over the service's table registry) with no deadline.
     pub fn submit(&self, plan: PlanGraph) -> Result<QueryTicket, ServerError> {
-        self.submit_with_deadline(plan, self.config.default_deadline)
+        self.submit_with_deadline(plan, None)
     }
 
     /// Submit with an explicit deadline (`None` = never times out).
@@ -217,27 +213,17 @@ impl ServiceClient<'_> {
         self.submit(plan)?.wait()
     }
 
-    /// Submit SQL text under the config's default deadline. The query
-    /// compiles against the service's table registry
-    /// ([`ServerError::NoCatalog`] if the service was started without one,
-    /// [`ServerError::Compile`] with the positioned diagnostic if the text
-    /// is bad), then rides the ordinary admission/batching/plan-cache path:
-    /// repeated text compiles to the same plan shape and hits the cache,
-    /// and a text query fuses into cross-query batches exactly like a
-    /// hand-built plan.
+    /// Submit SQL text with no deadline. The query compiles against the
+    /// service's table registry ([`ServerError::NoCatalog`] if the service
+    /// was started without one, [`ServerError::Compile`] with the
+    /// positioned diagnostic if the text is bad), then rides the ordinary
+    /// admission/batching/plan-cache path: repeated text compiles to the
+    /// same plan shape and hits the cache, and a text query fuses into
+    /// cross-query batches exactly like a hand-built plan.
     pub fn submit_sql(&self, sql: &str) -> Result<SqlTicket, ServerError> {
-        self.submit_sql_with_deadline(sql, self.config.default_deadline)
-    }
-
-    /// [`ServiceClient::submit_sql`] with an explicit deadline.
-    pub fn submit_sql_with_deadline(
-        &self,
-        sql: &str,
-        deadline: Option<Duration>,
-    ) -> Result<SqlTicket, ServerError> {
         let registry = self.registry.ok_or(ServerError::NoCatalog)?;
         let compiled = registry.compile(sql).map_err(ServerError::Compile)?;
-        let ticket = self.submit_with_deadline(compiled.plan, deadline)?;
+        let ticket = self.submit(compiled.plan)?;
         Ok(SqlTicket { columns: compiled.columns, ticket })
     }
 
@@ -300,13 +286,9 @@ impl QueryService {
         f: impl FnOnce(&ServiceClient<'_>) -> R,
     ) -> R {
         let cache = PlanCache::new(config.exec);
-        let hub = StatsHub::new(
-            config.flight_recorder_depth,
-            config.slow_log_depth,
-            config.slow_query_threshold,
-        );
-        let submissions: BoundedQueue<Submission> = BoundedQueue::new(config.queue_depth);
-        let dispatch: BoundedQueue<GroupJob> = BoundedQueue::new(config.queue_depth);
+        let hub = StatsHub::new(FLIGHT_RECORDER_DEPTH, SLOW_LOG_DEPTH, config.slow_query_threshold);
+        let submissions: BoundedQueue<Submission> = BoundedQueue::new(QUEUE_DEPTH);
+        let dispatch: BoundedQueue<GroupJob> = BoundedQueue::new(QUEUE_DEPTH);
         let (subs, disp, cache_ref, hub_ref) = (&submissions, &dispatch, &cache, &hub);
         std::thread::scope(|s| {
             s.spawn(move || admission_loop(subs, disp, config));

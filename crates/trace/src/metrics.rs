@@ -6,8 +6,9 @@
 //! with its `# TYPE` line. Histograms expand into the exposition format's
 //! three sibling series — `<fam>_bucket{...,le="..."}` (cumulative),
 //! `<fam>_sum`, `<fam>_count` — all grouped under one
-//! `# TYPE <fam> histogram` header. The output is what the CI observability
-//! and soak-smoke jobs and `kfusion-trace-check --metrics` validate.
+//! `# TYPE <fam> histogram` header. The output is what
+//! `kfusion-trace-check --metrics` (CI's observability job) and the
+//! served-mix test validate.
 
 use crate::Trace;
 
