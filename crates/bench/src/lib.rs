@@ -4,13 +4,11 @@
 //! paper: it prints the same rows/series the paper plots, as an aligned
 //! text table plus a TSV block that plotting scripts can consume. This
 //! module holds the shared formatting, the Table II environment header,
-//! the element-count axes the paper sweeps, the shared wall-clock timers,
-//! and the [`trace_session`] guard every bench uses to emit its Perfetto
-//! trace + metrics artifacts.
+//! the element-count axes the paper sweeps, and the [`trace_session`] guard
+//! every bench uses to emit its Perfetto trace + metrics artifacts.
 
 use kfusion_vgpu::{DeviceSpec, GpuSystem};
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Print the experiment banner with the simulated environment — the
 /// reproduction's version of the paper's Table II.
@@ -143,36 +141,6 @@ pub fn system() -> GpuSystem {
     GpuSystem::c2070()
 }
 
-/// Best-of-`reps` wall-clock seconds for `f`, after one warmup call. The
-/// returned value is the last call's result.
-pub fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
-    let mut out = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        out = f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    (out, best)
-}
-
-/// Median seconds per call of `f` over `samples` timed runs of `iters`
-/// calls each (after one warmup call).
-pub fn time_median<R>(samples: usize, iters: u32, mut f: impl FnMut() -> R) -> f64 {
-    std::hint::black_box(f());
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            t0.elapsed().as_secs_f64() / iters as f64
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
 /// Where bench artifacts go: `KFUSION_TRACE_DIR` if set, else the repo
 /// root.
 pub fn artifact_dir() -> PathBuf {
@@ -253,15 +221,6 @@ mod tests {
         assert_eq!(gbps(1.23456), "1.235");
         assert_eq!(ms(0.001), "1.000");
         assert_eq!(ratio(2.0), "2.000");
-    }
-
-    #[test]
-    fn timers_measure_something() {
-        let (v, best) = time_best(2, || 41 + 1);
-        assert_eq!(v, 42);
-        assert!(best >= 0.0 && best.is_finite());
-        let med = time_median(3, 10, || std::hint::black_box(1 + 1));
-        assert!(med >= 0.0 && med.is_finite());
     }
 
     #[test]

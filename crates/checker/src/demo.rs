@@ -188,9 +188,8 @@ pub fn demo_defects() -> LintReport {
     // 12. A steady-state allocation regression, as an allocation-counting
     //     harness would export it: a run that processed batches but whose
     //     per-batch loops allocated — a buffer sized per batch instead of
-    //     per morsel. (Live measurement lives in the `throughput_host`
-    //     bench and the `steady_state_allocs` test; this entry pins the
-    //     counter→lint mapping.)
+    //     per morsel. (Live measurement lives in the `steady_state_allocs`
+    //     test; this entry pins the counter→lint mapping.)
     let mut leaky = kfusion_trace::Trace::default();
     leaky.counters.insert("kfusion_batch_batches_total".into(), 4096);
     leaky.counters.insert("kfusion_batch_allocs_total{scope=\"steady_state\"}".into(), 4096);

@@ -555,11 +555,42 @@ impl BatchMachine {
     /// method panics on a mismatched binding rather than reporting it.
     ///
     /// Counts one `kfusion_batch_batches_total` tick per call (a relaxed
-    /// atomic load when tracing is off — the cost the disabled-recorder
-    /// overhead gate in `throughput_host` measures).
+    /// atomic load when tracing is off — the cost `tests/host_clock.rs`
+    /// holds under 2 % of a batch).
     pub fn run(&mut self, k: &CompiledKernel, cols: &[ColRef<'_>], base: usize, n: usize) {
         kfusion_trace::counter("kfusion_batch_batches_total", 1);
-        self.run_uncounted(k, cols, base, n);
+        debug_assert!(n <= BATCH_ROWS);
+        if scratch_poison() {
+            self.poison(k);
+        }
+        if let Some(f) = &k.fused {
+            self.run_fused(f, k, cols, base, n);
+            return;
+        }
+        for (i, instr) in k.instrs.iter().enumerate() {
+            let (prev, rest) = self.banks.split_at_mut(i);
+            let dst = &mut rest[0];
+            match *instr {
+                Instr::Const { .. } => {} // splatted at construction
+                Instr::LoadInput { slot } => load(dst, cols[slot as usize], base, n),
+                Instr::Copy { src } => copy_bank(dst, &prev[src as usize], n),
+                Instr::Bin { op, lhs, rhs } => {
+                    bin(dst, op, &prev[lhs as usize], &prev[rhs as usize], n)
+                }
+                Instr::Un { op, arg } => un(dst, op, &prev[arg as usize], n),
+                Instr::Cmp { op, lhs, rhs } => {
+                    cmp(dst, op, &prev[lhs as usize], &prev[rhs as usize], n)
+                }
+                Instr::Select { cond, then_r, else_r } => select(
+                    dst,
+                    prev[cond as usize].as_mask(),
+                    &prev[then_r as usize],
+                    &prev[else_r as usize],
+                    n,
+                ),
+                Instr::Cast { ty: _, arg } => cast(dst, &prev[arg as usize], n),
+            }
+        }
     }
 
     /// Execute a recognized [`Fused`] primitive: a single pass straight
@@ -620,50 +651,6 @@ impl BatchMachine {
                 for term in terms {
                     and_term(d, term, cols, base..base + n);
                 }
-            }
-        }
-    }
-
-    /// [`BatchMachine::run`] without the batch counter — the baseline the
-    /// disabled-recorder overhead benchmark compares against. Not for
-    /// general use: operators should stay observable.
-    pub fn run_uncounted(
-        &mut self,
-        k: &CompiledKernel,
-        cols: &[ColRef<'_>],
-        base: usize,
-        n: usize,
-    ) {
-        debug_assert!(n <= BATCH_ROWS);
-        if scratch_poison() {
-            self.poison(k);
-        }
-        if let Some(f) = &k.fused {
-            self.run_fused(f, k, cols, base, n);
-            return;
-        }
-        for (i, instr) in k.instrs.iter().enumerate() {
-            let (prev, rest) = self.banks.split_at_mut(i);
-            let dst = &mut rest[0];
-            match *instr {
-                Instr::Const { .. } => {} // splatted at construction
-                Instr::LoadInput { slot } => load(dst, cols[slot as usize], base, n),
-                Instr::Copy { src } => copy_bank(dst, &prev[src as usize], n),
-                Instr::Bin { op, lhs, rhs } => {
-                    bin(dst, op, &prev[lhs as usize], &prev[rhs as usize], n)
-                }
-                Instr::Un { op, arg } => un(dst, op, &prev[arg as usize], n),
-                Instr::Cmp { op, lhs, rhs } => {
-                    cmp(dst, op, &prev[lhs as usize], &prev[rhs as usize], n)
-                }
-                Instr::Select { cond, then_r, else_r } => select(
-                    dst,
-                    prev[cond as usize].as_mask(),
-                    &prev[then_r as usize],
-                    &prev[else_r as usize],
-                    n,
-                ),
-                Instr::Cast { ty: _, arg } => cast(dst, &prev[arg as usize], n),
             }
         }
     }

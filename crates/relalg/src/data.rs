@@ -194,8 +194,7 @@ pub(crate) fn col_windows<'a>(cols: &'a mut [Column], lens: &[usize]) -> Vec<Vec
 /// executor for morsels that each own a disjoint window of an output, and
 /// the only place this crate spawns threads.
 pub(crate) fn par_each<T: Send>(items: Vec<T>, work: impl Fn(T) + Sync) {
-    let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
-    let workers = cores.min(items.len());
+    let workers = kfusion_vgpu::exec::workers().min(items.len());
     if workers <= 1 {
         return items.into_iter().for_each(work);
     }

@@ -6,7 +6,7 @@
 //! default), or the per-tuple [`kfusion_ir::interp::Machine`]. Both produce
 //! bit-identical results — the equivalence tests in
 //! `tests/engine_equivalence.rs` and the batch property tests enforce it —
-//! so the toggle exists for benchmarking (`throughput_host` measures the
+//! so the toggle exists for benchmarking (`tests/host_clock.rs` gates the
 //! gap) and as a diagnostic escape hatch. Bodies that fail batch
 //! compilation fall back to the scalar path regardless of this setting.
 //!

@@ -34,7 +34,7 @@ use crate::data::{
     col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
 };
 use crate::view::{Groups, View};
-use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
+use kfusion_vgpu::exec::{par_range_map, workers, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
 
 /// One aggregate over a payload column (or over the rows themselves).
@@ -318,13 +318,7 @@ fn fold_alike<T: Copy + Sync, A: Copy + Send + Sync>(
     step: impl Fn(A, T) -> A + Sync,
     finish: impl Fn(A, u32) -> A + Sync,
 ) {
-    // Most kinds have no lanes (Q1's are all f64 sums): nothing to deal,
-    // and no core count to read — on Linux that reads the cgroup's files.
-    if lanes.is_empty() {
-        return;
-    }
-    let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
-    let per_share = lanes.len().div_ceil(cores).max(1);
+    let per_share = lanes.len().div_ceil(workers()).max(1);
     let mut lanes = lanes.into_iter().peekable();
     let mut shares = Vec::new();
     while lanes.peek().is_some() {

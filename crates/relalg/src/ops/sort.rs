@@ -46,7 +46,7 @@ use crate::data::{par_each, Column, RelError, Relation};
 use crate::scratch::with_scratch;
 use crate::view::{gather, materialize, Groups, View};
 use kfusion_ir::batch::Scratch;
-use kfusion_vgpu::exec::{cta_ranges, par_range_map, DEFAULT_CTA_CHUNK};
+use kfusion_vgpu::exec::{cta_ranges, par_range_map, workers, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
 
 /// What to order by.
@@ -285,8 +285,7 @@ const MIN_WORKER_ROWS: usize = 4096;
 /// long. The count depends on the cores, not on `n` beyond that floor, so
 /// a SORT allocates as much for 64 Ki rows as for 1 Mi.
 fn worker_ranges(n: usize) -> Vec<Range<usize>> {
-    let cores = std::thread::available_parallelism().map_or(4, |p| p.get());
-    let workers = cores.min(n.div_ceil(MIN_WORKER_ROWS)).max(1);
+    let workers = workers().min(n.div_ceil(MIN_WORKER_ROWS)).max(1);
     cta_ranges(n, n.div_ceil(workers).next_multiple_of(64).max(64))
 }
 

@@ -7,9 +7,9 @@
 //!
 //! * [`CountingAlloc`] is a [`GlobalAlloc`] wrapper over the system
 //!   allocator that counts allocations. A harness binary (the
-//!   `throughput_host` bench, the `steady_state_allocs` integration test)
-//!   installs it with `#[global_allocator]`; library code never does, so
-//!   production builds pay nothing.
+//!   `steady_state_allocs` integration test) installs it with
+//!   `#[global_allocator]`; library code never does, so production builds
+//!   pay nothing.
 //! * [`region`] returns an RAII guard that marks the current thread as
 //!   inside a steady-state region. While the flag is set, every allocation
 //!   on that thread ticks the region counters. The relational operators
@@ -17,7 +17,7 @@
 //!   (machine checkout, output-buffer reservation) stays outside.
 //! * When counting is [`enabled`], *all* allocations (region or not) tick
 //!   the total counters, giving the "how much does the whole run allocate"
-//!   denominator the bench reports next to the steady-state zero.
+//!   denominator a harness reports next to the steady-state zero.
 //!
 //! The thread-local region flag is a `const`-initialized `Cell<bool>`:
 //! reading it never allocates and it has no destructor, both of which

@@ -11,6 +11,14 @@
 /// Default number of elements each simulated CTA processes.
 pub const DEFAULT_CTA_CHUNK: usize = 64 * 1024;
 
+/// How many host threads a parallel step may use: one per available core
+/// (4 when the count is unknown). Read once per process — on Linux,
+/// `available_parallelism` reads the cgroup's files on every call.
+pub fn workers() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
+}
+
 /// Split `n` items into per-CTA ranges of at most `chunk` items.
 pub fn cta_ranges(n: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
     assert!(chunk > 0, "chunk size must be positive");
@@ -44,7 +52,7 @@ where
         return Vec::new();
     }
     kfusion_trace::counter("kfusion_host_morsels_total", n_ctas as u64);
-    let workers = std::thread::available_parallelism().map_or(4, |p| p.get()).min(n_ctas);
+    let workers = workers().min(n_ctas);
     if workers <= 1 || n_ctas == 1 {
         return ranges.into_iter().enumerate().map(|(i, r)| work(i, r)).collect();
     }

@@ -5,8 +5,7 @@
 //! run entirely out of checked-out scratch banks and preallocated output
 //! buffers. This test installs the counting allocator (its own binary, so
 //! no other test pays for it), warms the engine with one run, then fails
-//! on the first region allocation of a second run — the same measurement
-//! the `throughput_host` bench gates in CI, here at test scale.
+//! on the first region allocation of a second run.
 //!
 //! The keyed AGGREGATE is held to the same contract from outside: what a
 //! warm call allocates depends on how many morsels its input is cut into,
