@@ -11,6 +11,13 @@
 //! `u64` bitmask for bools — and evaluates column-at-a-time over batches of
 //! [`BATCH_ROWS`] rows. Predicate outputs come back as selection bitmasks.
 //!
+//! The hottest instruction chains run as fused primitives instead (`Fused`):
+//! one pass from the input columns into the output banks. The compare chain
+//! behind every Q1/Q6 SELECT (`cmp_chain`) is compiled twice, at the target's
+//! baseline width and for AVX2; the AVX2 build runs when the CPU reports the
+//! feature at run time. Both are the same source, so they give the same mask
+//! words. Nothing else in the workspace picks an instruction set.
+//!
 //! Semantics are bit-exact with [`crate::interp::eval`]: integer arithmetic
 //! wraps, `Div`/`Rem` by zero yield 0, shifts mask the amount to 6 bits,
 //! float min/max keep `f64::min`/`f64::max` NaN behavior, and comparisons on
@@ -645,12 +652,15 @@ impl BatchMachine {
                     Bank::Bool(d) => &mut d[..n.div_ceil(64)],
                     _ => unreachable!("predicate output is bool"),
                 };
-                // Every term clears the lanes >= n of the last word, like
-                // store_lanes; a chain has at least one.
-                d.fill(u64::MAX);
-                for term in terms {
-                    and_term(d, term, cols, base..base + n);
+                let rows = base..base + n;
+                #[cfg(target_arch = "x86_64")]
+                if std::is_x86_feature_detected!("avx2") {
+                    // SAFETY: `cmp_chain_avx2` is compiled for AVX2 alone,
+                    // and the CPU running this line has just reported it.
+                    unsafe { cmp_chain_avx2(d, terms, cols, rows) };
+                    return;
                 }
+                cmp_chain(d, terms, cols, rows);
             }
         }
     }
@@ -738,8 +748,35 @@ enum Operand<'a, B> {
     Col(&'a [B]),
 }
 
+/// The `CmpChain` mask words `d` over `rows`: every lane set, then each term
+/// ANDed in. Every term clears the lanes past the last row of the last word,
+/// like store_lanes; a chain has at least one.
+///
+/// This is the build at the target's baseline width (SSE2 on x86-64: two
+/// `f64` or `i64` lanes per compare). Everything down to [`word`] is
+/// `#[inline(always)]`, so [`cmp_chain_avx2`] compiles the same source again.
+#[inline(always)]
+fn cmp_chain(d: &mut [u64], terms: &[CmpTerm], cols: &[ColRef<'_>], rows: Range<usize>) {
+    d.fill(u64::MAX);
+    for term in terms {
+        and_term(d, term, cols, rows.clone());
+    }
+}
+
+/// [`cmp_chain`] compiled a second time for AVX2, four lanes per compare.
+/// It is the same Rust source with no intrinsics, so every comparison keeps
+/// Rust's IEEE and integer semantics and the mask words are identical bit for
+/// bit. Running it on a CPU without AVX2 is undefined behaviour, so its one
+/// call, in `run_fused`, is `unsafe` and guarded by the run-time check.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn cmp_chain_avx2(d: &mut [u64], terms: &[CmpTerm], cols: &[ColRef<'_>], rows: Range<usize>) {
+    cmp_chain(d, terms, cols, rows)
+}
+
 /// AND one term into the mask words `d`, bit `j` for row `rows.start + j`.
 /// The column kinds are matched here, once per batch.
+#[inline(always)]
 fn and_term(d: &mut [u64], term: &CmpTerm, cols: &[ColRef<'_>], rows: Range<usize>) {
     use ColRef::{KeyU64, F64, I64};
     let (op, r) = (term.op, rows.clone());
@@ -760,6 +797,7 @@ fn and_term(d: &mut [u64], term: &CmpTerm, cols: &[ColRef<'_>], rows: Range<usiz
 }
 
 /// [`and_term`] for one column kind: the operator is matched here, once.
+#[inline(always)]
 fn and_cmp<A: Lane, B: Lane<V = A::V>>(d: &mut [u64], a: &[A], b: Operand<'_, B>, op: CmpOp) {
     match op {
         CmpOp::Lt => and_lanes(d, a, b, |x, y| x < y),
@@ -772,7 +810,10 @@ fn and_cmp<A: Lane, B: Lane<V = A::V>>(d: &mut [u64], a: &[A], b: Operand<'_, B>
 }
 
 /// `d[w] &= word w of f(a[j], b[j])`: whole words are a fixed 64-lane loop,
-/// and the last word's lanes at or past `a.len()` come out cleared.
+/// and the last word's lanes at or past `a.len()` come out cleared. The
+/// compiler vectorizes the 64-lane loop at the width of the function it is
+/// inlined into: two lanes per compare in [`cmp_chain`] at the x86-64
+/// baseline (SSE2), four in [`cmp_chain_avx2`].
 #[inline(always)]
 fn and_lanes<A: Lane, B: Lane<V = A::V>>(
     d: &mut [u64],
@@ -1086,7 +1127,7 @@ mod tests {
     /// Run `body` fused and generically over base rows `range` of the same
     /// columns and assert both agree bit-for-bit with the scalar
     /// interpreter on every lane; `rows` are the interpreter's inputs for
-    /// every base row.
+    /// every base row. Returns the kernel and the fused machine after its run.
     fn assert_fused_matches_interp(
         body: &KernelBody,
         slot_tys: &[Option<Ty>],
@@ -1094,7 +1135,7 @@ mod tests {
         rows: &[Vec<Value>],
         range: Range<usize>,
         expect_fused: &str,
-    ) {
+    ) -> (CompiledKernel, BatchMachine) {
         let k = CompiledKernel::compile(body, slot_tys).unwrap();
         assert_eq!(k.fused_primitive(), Some(expect_fused));
         k.check_binding(cols).unwrap();
@@ -1123,6 +1164,7 @@ mod tests {
                 }
             }
         }
+        (k, fused)
     }
 
     #[test]
@@ -1185,8 +1227,19 @@ mod tests {
     /// `n` of 1, 63, 64, 65 and 1024 rows from a base row off the word grid;
     /// plus Q6's three-term range and a chain that mixes constant and column
     /// terms. Slots: 0 and 5 keys, 1 and 2 `i64`, 3 and 4 `f64`.
+    ///
+    /// Every case runs through both builds of the chain: `BatchMachine::run`
+    /// takes the AVX2 build on a CPU that has it, and `cmp_chain` is called
+    /// directly for the baseline build. Their mask words must be identical.
     #[test]
     fn fused_cmp_chain_matches_interp() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            println!("no AVX2 on this CPU: the AVX2 build of cmp_chain is not run");
+        }
         const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
         const INTS: [i64; 9] = [i64::MIN, i64::MIN + 1, -7, -1, 0, 1, 7, i64::MAX - 1, i64::MAX];
         const KEYS: [u64; 8] = [0, 1, 7, i64::MAX as u64, 1 << 63, (1 << 63) + 1, !6, u64::MAX];
@@ -1269,13 +1322,22 @@ mod tests {
             b.emit_output(pred);
             let body = b.build();
             for n in [1, 63, 64, 65, BATCH_ROWS] {
-                assert_fused_matches_interp(
+                let (k, fused) = assert_fused_matches_interp(
                     &body,
                     &slot_tys,
                     &cols,
                     &rows,
                     BASE..BASE + n,
                     "cmp_chain",
+                );
+                let Some(Fused::CmpChain { terms }) = &k.fused else { unreachable!() };
+                let mut baseline = vec![POISON_MASK; n.div_ceil(64)];
+                cmp_chain(&mut baseline, terms, &cols, BASE..BASE + n);
+                let run = if avx2 { "AVX2" } else { "baseline" };
+                assert_eq!(
+                    baseline[..],
+                    fused.selection_mask(&k)[..baseline.len()],
+                    "baseline vs {run} build, n = {n}, terms {terms:?}"
                 );
             }
         }
