@@ -11,14 +11,15 @@
 //! `BENCH_model.json`:
 //!
 //! 1. **Certify** every TPC-H Q1/Q6/Q21 schedule the planner emits (serial,
-//!    fusion, fusion+fission ×8) — wait-for-graph deadlock-freedom and peak
-//!    resident footprint ≤ device capacity, with a concrete witness on
-//!    failure (surfaced as `schedule-deadlock` / `footprint-over-capacity`
-//!    lints).
+//!    fusion, fusion+fission ×8) — deadlock-freedom and peak resident
+//!    footprint ≤ device capacity, both read from the schedule's
+//!    happens-before relation (`kfusion_vgpu::hazard::HappensBefore`), with
+//!    a concrete witness on failure (surfaced as `schedule-deadlock` /
+//!    `footprint-over-capacity` lints).
 //! 2. **Explore** the real-protocol scenario suite
 //!    (`kfusion_check::model_scenarios`) exhaustively — every interleaving
-//!    of `BoundedQueue`, `PlanCache`, and `StreamClaims` under the
-//!    configured preemption bound. This half needs the shim compiled in:
+//!    of `BoundedQueue` and `PlanCache` under the configured preemption
+//!    bound. This half needs the shim compiled in:
 //!    `RUSTFLAGS="--cfg kfusion_model" cargo run -p kfusion-check --bin
 //!    kfusion-model`. Without it the bin still certifies, reports
 //!    `"model_cfg": false`, and prints the rebuild hint.

@@ -37,7 +37,7 @@ pub mod ir {
 /// The dataflow analyses the lints are built on (re-export of
 /// [`kfusion_ir::dataflow`]).
 pub mod dataflow {
-    pub use kfusion_ir::dataflow::{available, liveness, range, reaching};
+    pub use kfusion_ir::dataflow::{available, liveness, range};
     pub use kfusion_ir::dataflow::{Analysis, BitSet, Direction, Solution};
 }
 

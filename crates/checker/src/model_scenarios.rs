@@ -22,13 +22,11 @@ use kfusion_core::exec::{ExecConfig, Strategy};
 use kfusion_core::graph::{OpKind, PlanGraph};
 use kfusion_core::multiquery::merge_plans;
 use kfusion_model::rt::{Config, Scenario};
-use kfusion_model::sync::atomic::{AtomicUsize, Ordering};
 use kfusion_model::sync::{Arc, Condvar, Mutex};
 use kfusion_model::thread;
 use kfusion_model::time::Instant;
 use kfusion_server::queue::{BoundedQueue, Pop, PushError};
 use kfusion_server::PlanCache;
-use kfusion_streampool::StreamClaims;
 use kfusion_vgpu::GpuSystem;
 
 /// One entry in the suite: a named scenario with its exploration config and
@@ -194,37 +192,6 @@ pub fn real_scenarios() -> Vec<ScenarioSpec> {
                     "compiles = {} exceeds the benign-race ceiling",
                     st.compiles
                 );
-            }),
-        },
-        ScenarioSpec {
-            name: "claims-exclusive",
-            seeded: false,
-            config: bounded(2),
-            scenario: Arc::new(|| {
-                // Two claimers contend for one stream: at most one may hold
-                // it at a time, and the release's notify_one must not be
-                // lost (a lost wakeup deadlocks the second claimer and the
-                // explorer reports it).
-                let claims = Arc::new(StreamClaims::new(1));
-                let occupancy = Arc::new(AtomicUsize::new(0));
-                let handles: Vec<_> = (0..2)
-                    .map(|_| {
-                        let claims = Arc::clone(&claims);
-                        let occupancy = Arc::clone(&occupancy);
-                        thread::spawn(move || {
-                            let slot = claims.claim_timeout(Duration::MAX).expect("wait forever");
-                            assert_eq!(slot, 0, "only slot 0 exists");
-                            let prev = occupancy.fetch_add(1, Ordering::SeqCst);
-                            assert_eq!(prev, 0, "two holders of one stream");
-                            occupancy.fetch_sub(1, Ordering::SeqCst);
-                            claims.release(slot).unwrap();
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().unwrap();
-                }
-                assert_eq!(claims.claimed(), 0);
             }),
         },
     ]

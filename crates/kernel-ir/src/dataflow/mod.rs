@@ -7,7 +7,6 @@
 //! * [`liveness`] — backward; powers the register-pressure metric that
 //!   drives fusion-depth decisions ([`crate::cost::max_live_regs`]) and the
 //!   dead-code / unused-input-slot lints.
-//! * [`reaching`] — forward reaching definitions and def-use chains.
 //! * [`available`] — forward available expressions (the analysis CSE
 //!   implicitly computes); surfaces missed-CSE facts for diagnostics.
 //! * [`range`] — forward value-range (interval) abstract interpretation;
@@ -22,7 +21,6 @@
 pub mod available;
 pub mod liveness;
 pub mod range;
-pub mod reaching;
 
 use crate::ir::KernelBody;
 

@@ -2,15 +2,15 @@
 //! no model cfg needed; these are whole-schedule proofs, not dynamic
 //! exploration).
 //!
-//! Two certificates, both computed from the same happens-before relation
-//! (program order within a stream, plus `record(e) → wait(e)` edges across
-//! streams):
+//! Two certificates, both read from `vgpu`'s happens-before relation
+//! ([`HappensBefore`]: program order within a stream, plus `record(e) →
+//! wait(e)` edges across streams), the one the hazard detector audits:
 //!
-//! * [`certify_deadlock_free`] — the wait-for graph of a schedule is
-//!   acyclic and every `wait` has a matching `record`, so a conforming
-//!   executor (the DES, or real streams with events) can always retire the
-//!   next command: the schedule cannot deadlock. On failure the witness is
-//!   the concrete command cycle (or the orphaned wait).
+//! * [`certify_deadlock_free`] — the relation (the schedule's wait-for
+//!   graph) is acyclic and every `wait` has a matching `record`, so a
+//!   conforming executor (the DES, or real streams with events) can always
+//!   retire the next command: the schedule cannot deadlock. On failure the
+//!   witness is the first orphaned wait, or else a concrete command cycle.
 //! * [`certify_memory_bound`] — an abstract interpretation of peak resident
 //!   device memory: a buffer is considered resident at a command unless the
 //!   happens-before relation *proves* all its uses are fully before or
@@ -28,9 +28,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use kfusion_vgpu::des::{Command, CommandKind, Schedule};
+use kfusion_vgpu::des::{CommandKind, Schedule};
 use kfusion_vgpu::device::DeviceSpec;
-use kfusion_vgpu::hazard::CmdRef;
+use kfusion_vgpu::hazard::{CmdRef, HappensBefore};
 
 /// Proof summary that a schedule cannot deadlock.
 #[derive(Debug, Clone)]
@@ -144,188 +144,45 @@ impl fmt::Display for MemoryCert {
     }
 }
 
-/// Flattened view: command + its (stream, index) coordinates.
-struct Flat<'a> {
-    cmds: Vec<(&'a Command, usize, usize)>,
-}
-
-impl<'a> Flat<'a> {
-    fn new(schedule: &'a Schedule) -> Self {
-        let mut cmds = Vec::new();
-        for (s, stream) in schedule.streams.iter().enumerate() {
-            for (i, cmd) in stream.iter().enumerate() {
-                cmds.push((cmd, s, i));
-            }
-        }
-        Flat { cmds }
-    }
-
-    fn cref(&self, id: usize) -> CmdRef {
-        let (cmd, stream, index) = self.cmds[id];
-        CmdRef { stream, index, label: cmd.label.clone() }
-    }
-}
-
-/// Successor lists of the wait-for graph: stream order + record→wait.
-fn wait_for_graph(flat: &Flat<'_>) -> Result<(Vec<Vec<usize>>, usize), DeadlockWitness> {
-    let n = flat.cmds.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut records: HashMap<u32, Vec<usize>> = HashMap::new();
-    let mut waits: HashMap<u32, Vec<usize>> = HashMap::new();
-    for (id, (cmd, _, index)) in flat.cmds.iter().enumerate() {
-        if *index > 0 {
-            succs[id - 1].push(id);
-        }
-        match cmd.kind {
-            CommandKind::RecordEvent(ev) => records.entry(ev.0).or_default().push(id),
-            CommandKind::WaitEvent(ev) => waits.entry(ev.0).or_default().push(id),
-            _ => {}
-        }
-    }
-    let mut event_edges = 0usize;
-    for (ev, ws) in &waits {
-        match records.get(ev) {
-            None => {
-                return Err(DeadlockWitness::UnmatchedWait { cmd: flat.cref(ws[0]), event: *ev });
-            }
-            Some(rs) => {
-                for &r in rs {
-                    for &w in ws {
-                        succs[r].push(w);
-                        event_edges += 1;
-                    }
-                }
-            }
-        }
-    }
-    Ok((succs, event_edges))
-}
-
-/// Kahn's algorithm; `Ok(topo_order)` or `Err(nodes_on_cycles)`.
-fn toposort(succs: &[Vec<usize>]) -> Result<Vec<usize>, Vec<usize>> {
-    let n = succs.len();
-    let mut indeg = vec![0usize; n];
-    for ss in succs {
-        for &s in ss {
-            indeg[s] += 1;
-        }
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(id) = queue.pop() {
-        order.push(id);
-        for &s in &succs[id] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    if order.len() == n {
-        Ok(order)
-    } else {
-        Err((0..n).filter(|&i| indeg[i] > 0).collect())
-    }
-}
-
-/// Extract one concrete cycle from the residual (all-on-or-before-a-cycle)
-/// node set: walk successors within the set until a node repeats.
-fn extract_cycle(succs: &[Vec<usize>], residual: &[usize]) -> Vec<usize> {
-    let in_residual: std::collections::HashSet<usize> = residual.iter().copied().collect();
-    let start = residual[0];
-    let mut path = vec![start];
-    let mut seen: HashMap<usize, usize> = HashMap::new();
-    seen.insert(start, 0);
-    let mut cur = start;
-    loop {
-        let next = succs[cur]
-            .iter()
-            .copied()
-            .find(|s| in_residual.contains(s))
-            .expect("residual node has a residual successor");
-        if let Some(&pos) = seen.get(&next) {
-            return path[pos..].to_vec();
-        }
-        seen.insert(next, path.len());
-        path.push(next);
-        cur = next;
-    }
-}
-
 /// Prove the schedule's wait-for graph is acyclic and every wait matched —
-/// i.e. the schedule cannot deadlock under any conforming executor.
+/// i.e. the schedule cannot deadlock under any conforming executor. An
+/// orphaned wait is reported before a cycle; with several, the first in
+/// (stream, index) order.
 pub fn certify_deadlock_free(schedule: &Schedule) -> Result<DeadlockCert, DeadlockWitness> {
-    let flat = Flat::new(schedule);
-    let (succs, event_edges) = wait_for_graph(&flat)?;
-    match toposort(&succs) {
-        Ok(_) => Ok(DeadlockCert {
-            commands: flat.cmds.len(),
-            streams: schedule.streams.len(),
-            event_edges,
-        }),
-        Err(residual) => {
-            let cycle = extract_cycle(&succs, &residual);
-            Err(DeadlockWitness::Cycle { cmds: cycle.iter().map(|&id| flat.cref(id)).collect() })
-        }
+    let hb = HappensBefore::new(schedule);
+    if let Some((cmd, event)) = hb.orphaned_wait() {
+        return Err(DeadlockWitness::UnmatchedWait { cmd, event });
     }
-}
-
-/// Dense happens-before reachability: `hb[a]` has bit `b` set iff `a`
-/// happens-before `b` (strict).
-struct Reach {
-    words: Vec<Vec<u64>>,
-}
-
-impl Reach {
-    fn compute(succs: &[Vec<usize>], topo: &[usize]) -> Reach {
-        let n = succs.len();
-        let stride = n.div_ceil(64);
-        let mut words = vec![vec![0u64; stride]; n];
-        // Reverse topological order: a node's reachable set is the union of
-        // its successors' sets plus the successors themselves.
-        for &id in topo.iter().rev() {
-            let mut acc = vec![0u64; stride];
-            for &s in &succs[id] {
-                acc[s / 64] |= 1 << (s % 64);
-                for (w, sw) in acc.iter_mut().zip(&words[s]) {
-                    *w |= sw;
-                }
-            }
-            words[id] = acc;
-        }
-        Reach { words }
+    if let Some(cmds) = hb.cycle() {
+        return Err(DeadlockWitness::Cycle { cmds });
     }
-
-    fn before(&self, a: usize, b: usize) -> bool {
-        self.words[a][b / 64] & (1 << (b % 64)) != 0
-    }
+    Ok(DeadlockCert {
+        commands: hb.len(),
+        streams: schedule.streams.len(),
+        event_edges: hb.event_edges(),
+    })
 }
 
 /// Certify that the schedule's peak resident device memory never exceeds
 /// `spec.mem_capacity`, under the sound liveness abstraction described in
-/// the module docs. A cyclic schedule degrades to "everything is always
-/// resident" (no happens-before facts can be proven), which stays sound.
+/// the module docs. A cyclic schedule or one with an orphaned wait degrades
+/// to "everything is always resident" (no happens-before facts can be
+/// proven), which stays sound.
 pub fn certify_memory_bound(
     schedule: &Schedule,
     spec: &DeviceSpec,
 ) -> Result<MemoryCert, Box<MemoryWitness>> {
-    let flat = Flat::new(schedule);
-    let n = flat.cmds.len();
-    let (succs, _) = match wait_for_graph(&flat) {
-        Ok(g) => g,
-        // An orphaned wait blocks forever; treat as "no ordering facts".
-        Err(_) => (vec![Vec::new(); n], 0),
-    };
-    let reach = match toposort(&succs) {
-        Ok(topo) => Reach::compute(&succs, &topo),
-        Err(_) => Reach { words: vec![vec![0u64; n.div_ceil(64)]; n] },
-    };
+    let hb = HappensBefore::new(schedule);
+    let n = hb.len();
+    let ordered = hb.orphaned_wait().is_none();
+    let before = |a: usize, b: usize| ordered && hb.before(a, b);
 
     // Buffer table: label -> (bytes, commands touching it). Sizes come from
     // the transfers; kernels only extend liveness.
     let mut buffers: Vec<(String, u64, Vec<usize>)> = Vec::new();
     let mut by_label: HashMap<&str, usize> = HashMap::new();
-    for (id, (cmd, _, _)) in flat.cmds.iter().enumerate() {
+    for id in 0..n {
+        let cmd = hb.command(id);
         let bytes = match cmd.kind {
             CommandKind::CopyH2D { bytes, .. } | CommandKind::CopyD2H { bytes, .. } => bytes,
             _ => 0,
@@ -339,30 +196,25 @@ pub fn certify_memory_bound(
             buffers[slot].2.push(id);
         }
     }
+    buffers.retain(|(_, bytes, _)| *bytes > 0);
 
+    // A buffer is dead at `c` only if provably entirely before or entirely
+    // after it; anything unordered must be assumed resident.
+    let resident = |c: usize| {
+        buffers.iter().filter(move |(_, _, touches)| {
+            !(touches.iter().all(|&t| before(t, c)) || touches.iter().all(|&t| before(c, t)))
+        })
+    };
     let mut peak: u64 = 0;
     let mut peak_at: usize = 0;
-    let mut peak_resident: Vec<(String, u64)> = Vec::new();
     for c in 0..n {
-        let mut resident_bytes = 0u64;
-        let mut resident: Vec<(String, u64)> = Vec::new();
-        for (label, bytes, touches) in &buffers {
-            if *bytes == 0 {
-                continue;
-            }
-            // Dead at `c` only if provably entirely before or entirely
-            // after; anything unordered must be assumed resident.
-            let all_before = touches.iter().all(|&t| reach.before(t, c));
-            let all_after = touches.iter().all(|&t| reach.before(c, t));
-            if !(all_before || all_after) {
-                resident_bytes += bytes;
-                resident.push((label.clone(), *bytes));
-            }
-        }
+        let resident_bytes: u64 = resident(c).map(|(_, bytes, _)| bytes).sum();
         if resident_bytes > spec.mem_capacity {
+            let mut resident: Vec<(String, u64)> =
+                resident(c).map(|(label, bytes, _)| (label.clone(), *bytes)).collect();
             resident.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             return Err(Box::new(MemoryWitness {
-                at: flat.cref(c),
+                at: hb.cref(c),
                 resident_bytes,
                 capacity: spec.mem_capacity,
                 resident,
@@ -371,19 +223,17 @@ pub fn certify_memory_bound(
         if resident_bytes > peak {
             peak = resident_bytes;
             peak_at = c;
-            peak_resident = resident;
         }
     }
-    let _ = peak_resident;
     Ok(MemoryCert {
         peak_bytes: peak,
         capacity: spec.mem_capacity,
-        peak_at: if n == 0 {
+        peak_at: if hb.is_empty() {
             CmdRef { stream: 0, index: 0, label: "<empty>".to_string() }
         } else {
-            flat.cref(peak_at)
+            hb.cref(peak_at)
         },
-        buffers: buffers.iter().filter(|(_, b, _)| *b > 0).count(),
+        buffers: buffers.len(),
     })
 }
 
@@ -458,6 +308,49 @@ mod tests {
         match certify_deadlock_free(&s) {
             Err(DeadlockWitness::UnmatchedWait { event, .. }) => assert_eq!(event, 7),
             other => panic!("expected an unmatched wait, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_first_orphaned_wait_is_the_witness() {
+        // Two orphaned events: the witness is the first wait in (stream,
+        // index) order on every run, not whichever event a hash seed
+        // happens to visit first.
+        let mut s = Schedule::new();
+        s.add_stream();
+        s.add_stream();
+        s.push(0, kernel("k"));
+        s.push(0, Command::wait(EventId(9)));
+        s.push(1, Command::wait(EventId(3)));
+        s.push(1, Command::wait(EventId(9)));
+        for _ in 0..16 {
+            match certify_deadlock_free(&s) {
+                Err(DeadlockWitness::UnmatchedWait { cmd, event }) => {
+                    assert_eq!((event, cmd.stream, cmd.index), (9, 0, 1));
+                }
+                other => panic!("expected an unmatched wait, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_cycle_with_a_tail_is_witnessed() {
+        // The kernel after the cycle is stuck too but on no cycle; the
+        // witness walks past it.
+        let mut s = Schedule::new();
+        s.add_stream();
+        s.add_stream();
+        s.push(0, Command::wait(EventId(1)));
+        s.push(0, Command::record(EventId(0)));
+        s.push(1, Command::wait(EventId(0)));
+        s.push(1, Command::record(EventId(1)));
+        s.push(1, kernel("tail"));
+        match certify_deadlock_free(&s) {
+            Err(DeadlockWitness::Cycle { cmds }) => {
+                let at: Vec<_> = cmds.iter().map(|c| (c.stream, c.index)).collect();
+                assert_eq!(at, [(0, 0), (0, 1), (1, 0), (1, 1)]);
+            }
+            other => panic!("expected a cycle, got {other:?}"),
         }
     }
 

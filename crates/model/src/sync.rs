@@ -1,7 +1,7 @@
 //! `std::sync` shim: plain re-exports in ordinary builds, instrumented
 //! primitives under `cfg(kfusion_model)`.
 //!
-//! Ported code (`server::queue`, `server::cache`, `streampool`) imports
+//! Ported code (`server::queue`, `server::cache`) imports
 //! `kfusion_model::sync::{Mutex, Condvar, MutexGuard}` and
 //! `kfusion_model::sync::atomic::*` instead of the std paths. Outside the
 //! model cfg these ARE the std types (`pub use`), so production builds are

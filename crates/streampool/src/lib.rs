@@ -41,9 +41,6 @@
 use kfusion_vgpu::des::EventId;
 use kfusion_vgpu::{Command, GpuSystem, Schedule, SimError, Timeline};
 
-pub mod shared;
-pub use shared::StreamClaims;
-
 /// Opaque handle to a pool stream. The caller never learns which underlying
 /// CUDA-stream-equivalent it maps to — that detail is the pool's, as in the
 /// paper.
@@ -55,10 +52,6 @@ pub struct StreamHandle(usize);
 pub enum PoolError {
     /// The handle does not belong to this pool.
     UnknownStream,
-    /// `reuse_stream` on a stream some caller currently holds.
-    AlreadyClaimed,
-    /// Releasing a stream nobody holds ([`StreamClaims::release`]).
-    NotClaimed,
     /// Commands cannot be queued after `start_streams`.
     AlreadyStarted,
     /// `wait_all` called before `start_streams`.
@@ -71,8 +64,6 @@ impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PoolError::UnknownStream => write!(f, "unknown stream handle"),
-            PoolError::AlreadyClaimed => write!(f, "stream is currently claimed"),
-            PoolError::NotClaimed => write!(f, "stream is not claimed"),
             PoolError::AlreadyStarted => write!(f, "pool already started"),
             PoolError::NotStarted => write!(f, "pool not started"),
             PoolError::Sim(e) => write!(f, "simulation failed: {e}"),
@@ -136,43 +127,13 @@ impl StreamPool {
         self.slots.is_empty()
     }
 
-    /// Claim an idle **clean** stream (`getAvailabeStream`): a slot that is
-    /// neither taken nor holding commands queued by a previous owner.
-    /// Returns `None` when no such stream exists.
-    ///
-    /// A released stream with a pending queue is deliberately *not*
-    /// claimable here — handing it out would silently serialize the new
-    /// owner's commands behind a stranger's (the stale-queue bug this
-    /// contract exists to prevent). Re-claim such a stream explicitly with
-    /// [`StreamPool::reuse_stream`] when appending is intended.
+    /// Claim an idle stream (`getAvailabeStream`): a slot that is neither
+    /// taken nor holding queued commands. Returns `None` when no such stream
+    /// exists; [`StreamPool::terminate`] frees them all.
     pub fn get_available_stream(&mut self) -> Option<StreamHandle> {
         let idx = self.slots.iter().position(|s| !s.taken && s.commands.is_empty())?;
         self.slots[idx].taken = true;
         Some(StreamHandle(idx))
-    }
-
-    /// Hand a stream back to the pool. Its queued commands remain — they
-    /// still execute on `start_streams` — so the slot is only re-claimable
-    /// through [`StreamPool::reuse_stream`] (which documents the append)
-    /// until the queue drains; a command-free released stream returns to
-    /// the [`StreamPool::get_available_stream`] rotation.
-    pub fn release_stream(&mut self, h: StreamHandle) -> Result<(), PoolError> {
-        self.slot_mut(h)?.taken = false;
-        Ok(())
-    }
-
-    /// Explicitly re-claim a previously released stream, **keeping** its
-    /// queued commands: subsequent [`StreamPool::set_stream_command`] calls
-    /// append after them, and per-stream FIFO order serializes the new work
-    /// behind the old. This is the opt-in counterpart to the clean-stream
-    /// guarantee of [`StreamPool::get_available_stream`].
-    pub fn reuse_stream(&mut self, h: StreamHandle) -> Result<(), PoolError> {
-        let slot = self.slot_mut(h)?;
-        if slot.taken {
-            return Err(PoolError::AlreadyClaimed);
-        }
-        slot.taken = true;
-        Ok(())
     }
 
     /// Queue a command on a claimed stream (`setStreamCommand`).
@@ -237,25 +198,6 @@ impl StreamPool {
         self.timeline = None;
     }
 
-    /// Convenience: distribute `segments` round-robin over the pool and run
-    /// them — the shape of every fission pipeline in the paper (Fig. 13).
-    /// Each segment's commands execute in order; different segments overlap
-    /// as engines allow.
-    pub fn run_pipelined(&mut self, segments: Vec<Vec<Command>>) -> Result<&Timeline, PoolError> {
-        if self.started {
-            return Err(PoolError::AlreadyStarted);
-        }
-        let n = self.slots.len().max(1);
-        for (i, seg) in segments.into_iter().enumerate() {
-            let h = StreamHandle(i % n);
-            for cmd in seg {
-                self.set_stream_command(h, cmd)?;
-            }
-        }
-        self.start_streams()?;
-        self.wait_all()
-    }
-
     fn slot_mut(&mut self, h: StreamHandle) -> Result<&mut StreamSlot, PoolError> {
         self.slots.get_mut(h.0).ok_or(PoolError::UnknownStream)
     }
@@ -286,34 +228,6 @@ mod tests {
         let b = pool.get_available_stream().unwrap();
         assert_ne!(a, b);
         assert!(pool.get_available_stream().is_none());
-        pool.release_stream(a).unwrap();
-        assert_eq!(pool.get_available_stream(), Some(a));
-    }
-
-    #[test]
-    fn released_stream_with_pending_queue_is_not_silently_reassigned() {
-        // Regression: release_stream used to hand the slot straight back to
-        // get_available_stream with its queue intact, so a new claimant's
-        // commands landed behind a previous owner's without anyone opting in.
-        let mut pool = StreamPool::new(sys(), 2);
-        let a = pool.get_available_stream().unwrap();
-        let b = pool.get_available_stream().unwrap();
-        pool.set_stream_command(a, kern("stale", 1 << 18)).unwrap();
-        pool.release_stream(a).unwrap();
-        pool.release_stream(b).unwrap();
-        // Only the clean stream is claimable; `a` still holds "stale".
-        assert_eq!(pool.get_available_stream(), Some(b));
-        assert_eq!(pool.get_available_stream(), None);
-        // Appending to the dirty stream requires the explicit opt-in…
-        pool.reuse_stream(a).unwrap();
-        pool.set_stream_command(a, kern("appended", 1 << 18)).unwrap();
-        // …and double-claiming it is rejected.
-        assert!(matches!(pool.reuse_stream(a), Err(PoolError::AlreadyClaimed)));
-        pool.start_streams().unwrap();
-        let t = pool.wait_all().unwrap();
-        let stale = t.spans.iter().find(|s| s.label == "stale").unwrap();
-        let appended = t.spans.iter().find(|s| s.label == "appended").unwrap();
-        assert!(appended.start >= stale.end - 1e-12, "reuse keeps FIFO order");
     }
 
     #[test]
@@ -389,49 +303,10 @@ mod tests {
             pool.set_stream_command(StreamHandle(7), kern("k", 1)),
             Err(PoolError::UnknownStream)
         ));
-        assert!(matches!(pool.release_stream(StreamHandle(7)), Err(PoolError::UnknownStream)));
-    }
-
-    #[test]
-    fn pipelined_segments_overlap() {
-        // 6 segments of [H2D, kernel, D2H] over 3 streams: the fission
-        // pipeline of Fig. 13. Must beat the same work on 1 stream. The
-        // kernel is compute-heavy: async copies run derated, so pipelines
-        // only pay off when there is real work to hide transfers behind.
-        let heavy = |name: &str, n: u64| {
-            let spec = DeviceSpec::tesla_c2070();
-            let p = KernelProfile::new(name)
-                .instr_per_elem(500.0)
-                .bytes_read_per_elem(4.0)
-                .bytes_written_per_elem(2.0);
-            Command::kernel(p, LaunchConfig::for_elements(n, &spec), n)
-        };
-        let seg = |i: usize| {
-            vec![
-                Command::h2d(
-                    format!("in{i}"),
-                    CommandClass::InputOutput,
-                    32 << 20,
-                    HostMemKind::Pinned,
-                ),
-                heavy(&format!("k{i}"), 8 << 20),
-                Command::d2h(
-                    format!("out{i}"),
-                    CommandClass::InputOutput,
-                    16 << 20,
-                    HostMemKind::Pinned,
-                ),
-            ]
-        };
-        let mut pool3 = StreamPool::new(sys(), 3);
-        let t3 = pool3.run_pipelined((0..6).map(seg).collect()).unwrap().total();
-        let mut pool1 = StreamPool::new(sys(), 1);
-        let t1 = pool1.run_pipelined((0..6).map(seg).collect()).unwrap().total();
-        assert!(t3 < 0.85 * t1, "3-stream {t3} vs 1-stream {t1}");
-        // The pipeline is bounded below by its busiest engine (H2D here);
-        // the overlap should get within ~25% of that bound.
-        let h2d_bound = pool3.wait_all().unwrap().busy(kfusion_vgpu::Engine::CopyH2D);
-        assert!(t3 < 1.25 * h2d_bound, "pipeline {t3} vs H2D bound {h2d_bound}");
+        assert!(matches!(
+            pool.select_wait(StreamHandle(0), StreamHandle(7)),
+            Err(PoolError::UnknownStream)
+        ));
     }
 
     #[test]

@@ -602,75 +602,58 @@ mod tests {
         assert!(matches!(s.simulate(&sched), Err(SimError::DuplicateEvent(1))));
     }
 
+    /// Kernel fission's Fig. 13 shape: `segments` segments of [32 MB H2D,
+    /// compute-heavy kernel, D2H of `written` bytes per element], dealt
+    /// round-robin over `streams` streams.
+    fn pipeline(streams: usize, segments: usize, instr: f64, written: f64) -> Schedule {
+        let spec = DeviceSpec::tesla_c2070();
+        let seg_bytes = 32u64 << 20;
+        let elems = seg_bytes / 4;
+        let mut sched = Schedule::new();
+        for _ in 0..streams {
+            sched.add_stream();
+        }
+        for i in 0..segments {
+            let p = KernelProfile::new(format!("k{i}"))
+                .instr_per_elem(instr)
+                .bytes_read_per_elem(4.0)
+                .bytes_written_per_elem(written);
+            let st = i % streams;
+            let (input, output) = (format!("in{i}"), format!("out{i}"));
+            let out_bytes = (elems as f64 * written) as u64;
+            sched.push(
+                st,
+                Command::h2d(input, CommandClass::InputOutput, seg_bytes, HostMemKind::Pinned),
+            );
+            sched.push(st, Command::kernel(p, LaunchConfig::for_elements(elems, &spec), elems));
+            sched.push(
+                st,
+                Command::d2h(output, CommandClass::InputOutput, out_bytes, HostMemKind::Pinned),
+            );
+        }
+        sched
+    }
+
     #[test]
     fn pipelined_segments_beat_serial() {
-        // The kernel-fission effect in miniature: 4 segments of
-        // [H2D, kernel, D2H] on 3 rotating streams vs one serial stream.
-        // The kernel is compute-heavy so there is work to hide the derated
-        // async transfers behind.
-        let kern = |name: &str, n: u64| {
-            let spec = DeviceSpec::tesla_c2070();
-            let p = KernelProfile::new(name)
-                .instr_per_elem(400.0)
-                .bytes_read_per_elem(4.0)
-                .bytes_written_per_elem(4.0);
-            Command::kernel(p, LaunchConfig::for_elements(n, &spec), n)
-        };
+        // The kernel-fission effect in miniature: segments on 3 rotating
+        // streams vs one stream. The kernel is compute-heavy so there is
+        // work to hide the derated async transfers behind.
         let s = sys();
-        let seg_bytes = 32u64 << 20;
-        let seg_elems = seg_bytes / 4;
-        let serial: Vec<Command> = (0..4)
-            .flat_map(|i| {
-                vec![
-                    Command::h2d(
-                        format!("in{i}"),
-                        CommandClass::InputOutput,
-                        seg_bytes,
-                        HostMemKind::Pinned,
-                    ),
-                    kern(&format!("k{i}"), seg_elems),
-                    Command::d2h(
-                        format!("out{i}"),
-                        CommandClass::InputOutput,
-                        seg_bytes,
-                        HostMemKind::Pinned,
-                    ),
-                ]
-            })
-            .collect();
-        let t_serial = s.simulate(&Schedule::serial(serial)).unwrap().total();
-
-        let mut pipe = Schedule::new();
-        for _ in 0..3 {
-            pipe.add_stream();
-        }
-        for i in 0..4 {
-            let st = i % 3;
-            pipe.push(
-                st,
-                Command::h2d(
-                    format!("in{i}"),
-                    CommandClass::InputOutput,
-                    seg_bytes,
-                    HostMemKind::Pinned,
-                ),
-            );
-            pipe.push(st, kern(&format!("k{i}"), seg_elems));
-            pipe.push(
-                st,
-                Command::d2h(
-                    format!("out{i}"),
-                    CommandClass::InputOutput,
-                    seg_bytes,
-                    HostMemKind::Pinned,
-                ),
-            );
-        }
-        let t_pipe = s.simulate(&pipe).unwrap().total();
+        let t_serial = s.simulate(&pipeline(1, 4, 400.0, 4.0)).unwrap().total();
+        let t_pipe = s.simulate(&pipeline(3, 4, 400.0, 4.0)).unwrap().total();
         assert!(
             t_pipe < 0.8 * t_serial,
             "pipelining should hide transfers: serial {t_serial} vs pipe {t_pipe}"
         );
+        // Six segments with half the output: 3 streams beat 1 by >= 15 %,
+        // and the run gets within 25 % of its lower bound, the busiest
+        // engine (H2D here).
+        let t1 = s.simulate(&pipeline(1, 6, 500.0, 2.0)).unwrap().total();
+        let t3 = s.simulate(&pipeline(3, 6, 500.0, 2.0)).unwrap();
+        assert!(t3.total() < 0.85 * t1, "3-stream {} vs 1-stream {t1}", t3.total());
+        let h2d_bound = t3.busy(Engine::CopyH2D);
+        assert!(t3.total() < 1.25 * h2d_bound, "pipeline {} vs H2D bound {h2d_bound}", t3.total());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! finds those bugs before simulation.
 //!
 //! The analysis builds the **happens-before** relation over all commands —
-//! the transitive closure of stream program order plus event edges — then
-//! audits every named device buffer (see [`Command::reads`] /
+//! the transitive closure of stream program order plus event edges,
+//! [`HappensBefore`], which the schedule certificates of `kfusion-model`
+//! read too — then audits every named device buffer (see [`Command::reads`] /
 //! [`Command::writes`]):
 //!
 //! * [`Hazard::UseBeforeDef`] — a read with **no** write of the buffer
@@ -27,7 +28,7 @@
 //! access sets: it flags a pair if and only if no happens-before path
 //! orders it.
 
-use crate::des::{CommandKind, Schedule};
+use crate::des::{Command, CommandKind, Schedule};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -127,99 +128,213 @@ impl IdSet {
     }
 }
 
+/// The happens-before relation of a schedule: stream program order plus a
+/// `record(e) → wait(e)` edge for every record and wait of the same event,
+/// closed transitively. [`find_hazards`] audits buffer accesses against it,
+/// and `kfusion_model::certify` proves deadlock freedom and a memory bound
+/// from it; each reads the facts below under its own policy.
+///
+/// Commands are numbered stream by stream in issue order, so id order is
+/// (stream, index) order. A `wait(e)` that no command records is *orphaned*
+/// and gets no edge. If the edges form a cycle the schedule cannot run:
+/// then no pair is ordered and [`HappensBefore::cycle`] names one.
+pub struct HappensBefore<'a> {
+    schedule: &'a Schedule,
+    /// id → (stream, index).
+    at: Vec<(usize, usize)>,
+    succs: Vec<Vec<usize>>,
+    event_edges: usize,
+    /// The first orphaned wait and its event.
+    orphan: Option<(usize, u32)>,
+    /// Commands the topological sort could not order: those on a cycle and
+    /// after one. Empty iff the relation is acyclic.
+    stuck: Vec<usize>,
+    /// `before[b]` holds every `a` that happens-before `b` (empty if cyclic).
+    before: Vec<IdSet>,
+}
+
+impl<'a> HappensBefore<'a> {
+    /// Build the relation of `schedule`.
+    pub fn new(schedule: &'a Schedule) -> Self {
+        let mut at = Vec::new();
+        for (s, cmds) in schedule.streams.iter().enumerate() {
+            at.extend((0..cmds.len()).map(|i| (s, i)));
+        }
+        let n = at.len();
+
+        // ---- edges: stream order, then record → wait ----------------------
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut records: HashMap<u32, Vec<usize>> = HashMap::new();
+        let mut waits: Vec<(usize, u32)> = Vec::new();
+        for (id, &(s, i)) in at.iter().enumerate() {
+            if i + 1 < schedule.streams[s].len() {
+                succs[id].push(id + 1);
+            }
+            match schedule.streams[s][i].kind {
+                CommandKind::RecordEvent(e) => records.entry(e.0).or_default().push(id),
+                CommandKind::WaitEvent(e) => waits.push((id, e.0)),
+                _ => {}
+            }
+        }
+        let mut event_edges = 0;
+        let mut orphan = None;
+        for &(w, e) in &waits {
+            match records.get(&e) {
+                Some(rs) => {
+                    for &r in rs {
+                        succs[r].push(w);
+                        event_edges += 1;
+                    }
+                }
+                None => {
+                    orphan.get_or_insert((w, e));
+                }
+            }
+        }
+
+        // ---- topological order (Kahn) -------------------------------------
+        let mut indeg = vec![0usize; n];
+        for ys in &succs {
+            for &y in ys {
+                indeg[y] += 1;
+            }
+        }
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        while let Some(x) = ready.pop() {
+            order.push(x);
+            for &y in &succs[x] {
+                indeg[y] -= 1;
+                if indeg[y] == 0 {
+                    ready.push(y);
+                }
+            }
+        }
+        let stuck: Vec<usize> = (0..n).filter(|&i| indeg[i] > 0).collect();
+
+        // ---- transitive closure in topological order ----------------------
+        let mut before: Vec<IdSet> = Vec::new();
+        if stuck.is_empty() {
+            before = (0..n).map(|_| IdSet::new(n)).collect();
+            for &x in &order {
+                for &y in &succs[x] {
+                    // Split-borrow: x != y in a DAG.
+                    let (src, dst) = if x < y {
+                        let (a, b) = before.split_at_mut(y);
+                        (&a[x], &mut b[0])
+                    } else {
+                        let (a, b) = before.split_at_mut(x);
+                        (&b[0], &mut a[y])
+                    };
+                    dst.union_in(src);
+                    dst.insert(x);
+                }
+            }
+        }
+        HappensBefore { schedule, at, succs, event_edges, orphan, stuck, before }
+    }
+
+    /// Number of commands.
+    pub fn len(&self) -> usize {
+        self.at.len()
+    }
+
+    /// Whether the schedule has no commands.
+    pub fn is_empty(&self) -> bool {
+        self.at.is_empty()
+    }
+
+    /// The command with id `id`.
+    pub fn command(&self, id: usize) -> &'a Command {
+        let (s, i) = self.at[id];
+        &self.schedule.streams[s][i]
+    }
+
+    /// Where command `id` sits, for diagnostics.
+    pub fn cref(&self, id: usize) -> CmdRef {
+        let (stream, index) = self.at[id];
+        CmdRef { stream, index, label: self.command(id).label.clone() }
+    }
+
+    /// Cross-stream `record → wait` edges.
+    pub fn event_edges(&self) -> usize {
+        self.event_edges
+    }
+
+    /// Whether the edges are acyclic, i.e. every command can be ordered.
+    pub fn is_acyclic(&self) -> bool {
+        self.stuck.is_empty()
+    }
+
+    /// Whether command `a` happens-before command `b` (strictly). Always
+    /// false on a cyclic relation.
+    pub fn before(&self, a: usize, b: usize) -> bool {
+        self.is_acyclic() && self.before[b].contains(a)
+    }
+
+    /// The first orphaned wait in (stream, index) order, with its event.
+    pub fn orphaned_wait(&self) -> Option<(CmdRef, u32)> {
+        self.orphan.map(|(w, e)| (self.cref(w), e))
+    }
+
+    /// One cycle of the relation, in edge order, or `None` if it is acyclic.
+    /// Each command on it waits (through an event or stream order) on the
+    /// one before it, and the first on the last.
+    pub fn cycle(&self) -> Option<Vec<CmdRef>> {
+        // `stuck` is the cycles plus what comes after them. Drop the
+        // commands that reach no cycle, then follow first successors from
+        // the lowest id left until one repeats.
+        let mut on = vec![false; self.len()];
+        for &x in &self.stuck {
+            on[x] = true;
+        }
+        let mut trimmed = true;
+        while trimmed {
+            trimmed = false;
+            for &x in &self.stuck {
+                if on[x] && !self.succs[x].iter().any(|&y| on[y]) {
+                    on[x] = false;
+                    trimmed = true;
+                }
+            }
+        }
+        let mut path = vec![*self.stuck.iter().find(|&&x| on[x])?];
+        loop {
+            let cur = path[path.len() - 1];
+            let next = self.succs[cur]
+                .iter()
+                .copied()
+                .find(|&y| on[y])
+                .expect("a command left after trimming has a successor left");
+            if let Some(p) = path.iter().position(|&x| x == next) {
+                return Some(path[p..].iter().map(|&id| self.cref(id)).collect());
+            }
+            path.push(next);
+        }
+    }
+}
+
 /// Find every hazard in `schedule`, in deterministic order (by buffer name,
 /// then command position). An empty result means the schedule's declared
 /// buffer accesses are fully ordered.
 ///
 /// A schedule whose event edges form a cycle cannot execute at all; the
 /// analysis returns no hazards for it and leaves the diagnosis to the
-/// simulator's deadlock detection.
+/// simulator's deadlock detection. An orphaned wait orders nothing.
 pub fn find_hazards(schedule: &Schedule) -> Vec<Hazard> {
-    // ---- flatten ----------------------------------------------------------
-    let mut ids: Vec<(usize, usize)> = Vec::new(); // id -> (stream, index)
-    let mut id_of: Vec<Vec<usize>> = Vec::new(); // [stream][index] -> id
-    for (s, cmds) in schedule.streams.iter().enumerate() {
-        let mut row = Vec::with_capacity(cmds.len());
-        for i in 0..cmds.len() {
-            row.push(ids.len());
-            ids.push((s, i));
-        }
-        id_of.push(row);
+    let rel = HappensBefore::new(schedule);
+    if !rel.is_acyclic() {
+        return Vec::new(); // the simulator reports the deadlock
     }
-    let n = ids.len();
-    let cmd = |id: usize| &schedule.streams[ids[id].0][ids[id].1];
-    let cref = |id: usize| {
-        let (stream, index) = ids[id];
-        CmdRef { stream, index, label: cmd(id).label.clone() }
-    };
+    let hb = |a: usize, b: usize| rel.before(a, b);
 
-    // ---- happens-before edges ---------------------------------------------
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut indeg: Vec<usize> = vec![0; n];
-    let mut records: HashMap<u32, Vec<usize>> = HashMap::new();
-    let mut waits: HashMap<u32, Vec<usize>> = HashMap::new();
-    for id in 0..n {
-        let (s, i) = ids[id];
-        if i + 1 < id_of[s].len() {
-            succs[id].push(id_of[s][i + 1]);
-            indeg[id_of[s][i + 1]] += 1;
-        }
-        match &cmd(id).kind {
-            CommandKind::RecordEvent(e) => records.entry(e.0).or_default().push(id),
-            CommandKind::WaitEvent(e) => waits.entry(e.0).or_default().push(id),
-            _ => {}
-        }
-    }
-    for (e, recs) in &records {
-        if let Some(ws) = waits.get(e) {
-            for &r in recs {
-                for &w in ws {
-                    succs[r].push(w);
-                    indeg[w] += 1;
-                }
-            }
-        }
-    }
-
-    // ---- transitive closure in topological order --------------------------
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    while let Some(x) = ready.pop() {
-        order.push(x);
-        for &y in &succs[x] {
-            indeg[y] -= 1;
-            if indeg[y] == 0 {
-                ready.push(y);
-            }
-        }
-    }
-    if order.len() < n {
-        return Vec::new(); // cyclic event edges: the simulator reports deadlock
-    }
-    let mut before: Vec<IdSet> = (0..n).map(|_| IdSet::new(n)).collect();
-    for &x in &order {
-        for &y in &succs[x] {
-            // Split-borrow: x != y in a DAG.
-            let (src, dst) = if x < y {
-                let (a, b) = before.split_at_mut(y);
-                (&a[x], &mut b[0])
-            } else {
-                let (a, b) = before.split_at_mut(x);
-                (&b[0], &mut a[y])
-            };
-            dst.union_in(src);
-            dst.insert(x);
-        }
-    }
-    let hb = |a: usize, b: usize| before[b].contains(a);
-
-    // ---- audit each written buffer ----------------------------------------
     let mut buffers: BTreeMap<&str, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
-    for id in 0..n {
-        for w in &cmd(id).writes {
+    for id in 0..rel.len() {
+        let cmd = rel.command(id);
+        for w in &cmd.writes {
             buffers.entry(w.as_str()).or_default().0.push(id);
         }
-        for r in &cmd(id).reads {
+        for r in &cmd.reads {
             buffers.entry(r.as_str()).or_default().1.push(id);
         }
     }
@@ -233,8 +348,8 @@ pub fn find_hazards(schedule: &Schedule) -> Vec<Hazard> {
                 if !hb(w1, w2) && !hb(w2, w1) {
                     hazards.push(Hazard::WriteRace {
                         buffer: buffer.to_string(),
-                        first: cref(w1),
-                        second: cref(w2),
+                        first: rel.cref(w1),
+                        second: rel.cref(w2),
                     });
                 }
             }
@@ -243,14 +358,14 @@ pub fn find_hazards(schedule: &Schedule) -> Vec<Hazard> {
             if !writers.iter().any(|&w| hb(w, r)) {
                 hazards.push(Hazard::UseBeforeDef {
                     buffer: buffer.to_string(),
-                    read: cref(r),
-                    write: cref(writers[0]),
+                    read: rel.cref(r),
+                    write: rel.cref(writers[0]),
                 });
             } else if let Some(&w) = writers.iter().find(|&&w| !hb(w, r) && !hb(r, w)) {
                 hazards.push(Hazard::ReadWriteRace {
                     buffer: buffer.to_string(),
-                    read: cref(r),
-                    write: cref(w),
+                    read: rel.cref(r),
+                    write: rel.cref(w),
                 });
             }
         }
@@ -332,6 +447,19 @@ mod tests {
         sched.push(b, Command::wait(e));
         sched.push(b, kern("filter").reading("in"));
         assert_eq!(find_hazards(&sched), Vec::new());
+    }
+
+    #[test]
+    fn an_orphaned_wait_orders_nothing() {
+        // No stream records event 9, so the wait adds no edge and the read
+        // still races the upload.
+        let mut sched = Schedule::new();
+        let a = sched.add_stream();
+        let b = sched.add_stream();
+        sched.push(a, h2d("in"));
+        sched.push(b, Command::wait(EventId(9)));
+        sched.push(b, kern("filter").reading("in"));
+        assert!(matches!(&find_hazards(&sched)[..], [Hazard::UseBeforeDef { .. }]));
     }
 
     #[test]
