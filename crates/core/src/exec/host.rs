@@ -85,7 +85,10 @@ impl<'a> NodeVal<'a> {
         let buffer = |ptr: usize, len: usize| (ptr, len as u64 * Column::BYTES_PER_VALUE);
         let mut out = Vec::new();
         for r in held {
-            out.push(buffer(r.key.as_ptr() as usize, r.key.len()));
+            // Keys by row id are stored nowhere.
+            if let Some(key) = r.keys().stored() {
+                out.push(buffer(key.as_ptr() as usize, key.len()));
+            }
             out.extend(r.cols.iter().map(|c| match c {
                 Column::I64(v) => buffer(v.as_ptr() as usize, v.len()),
                 Column::F64(v) => buffer(v.as_ptr() as usize, v.len()),

@@ -276,7 +276,7 @@ pub fn gen_case(seed: u64, rows: usize) -> FuzzCase {
 // ---------------------------------------------------------------------------
 
 fn bit_identical(a: &Relation, b: &Relation) -> bool {
-    if a.key != b.key || a.cols.len() != b.cols.len() {
+    if a.keys() != b.keys() || a.cols.len() != b.cols.len() {
         return false;
     }
     a.cols.iter().zip(&b.cols).all(|(x, y)| match (x, y) {
@@ -523,7 +523,7 @@ mod tests {
             let a = gen_case(seed, 64);
             let b = gen_case(seed, 64);
             assert_eq!(a.sql, b.sql, "seed {seed} not deterministic");
-            assert_eq!(a.table.key, b.table.key);
+            assert_eq!(a.table.keys(), b.table.keys());
             compile(&a.sql, &a.catalog)
                 .unwrap_or_else(|e| panic!("seed {seed}: {:?} failed to compile: {e}", a.sql));
         }

@@ -36,11 +36,11 @@ fn order_by_f64_column_executes() {
     let out = run("SELECT score FROM t ORDER BY score");
     assert_eq!(out.cols[0].as_f64().unwrap(), &[-0.5, 2.5, 2.5, 7.25]);
     // Ties keep source order (stable sort): key 3 precedes key 2.
-    assert_eq!(out.key, vec![1, 3, 2, 0]);
+    assert_eq!(*out.keys(), vec![1, 3, 2, 0]);
 
     let out = run("SELECT score FROM t ORDER BY score DESC");
     assert_eq!(out.cols[0].as_f64().unwrap(), &[7.25, 2.5, 2.5, -0.5]);
-    assert_eq!(out.key, vec![0, 3, 2, 1], "descending is stable too");
+    assert_eq!(*out.keys(), vec![0, 3, 2, 1], "descending is stable too");
 }
 
 #[test]
@@ -56,7 +56,7 @@ fn group_by_key_over_unsorted_keys_executes() {
     // Regression: lowering emitted no key sort, so grouped aggregation over
     // any unsorted table failed at runtime with NotSorted.
     let out = run("SELECT SUM(score), COUNT(*) FROM t GROUP BY KEY");
-    assert_eq!(out.key, vec![0, 1, 2, 3]);
+    assert_eq!(*out.keys(), vec![0, 1, 2, 3]);
     assert_eq!(out.cols[0].as_f64().unwrap(), &[7.25, -0.5, 2.5, 2.5]);
     assert_eq!(out.cols[1].as_i64().unwrap(), &[1, 1, 1, 1]);
 }
@@ -73,7 +73,7 @@ fn duplicate_keys_group_correctly() {
     let out = execute(&system, &q.plan, &[rel], &ExecConfig::new(Strategy::Serial, &system))
         .unwrap()
         .output;
-    assert_eq!(out.key, vec![1, 2]);
+    assert_eq!(*out.keys(), vec![1, 2]);
     assert_eq!(out.cols[0].as_f64().unwrap(), &[10.0, 21.0]);
     assert_eq!(out.cols[1].as_i64().unwrap(), &[4, 5]);
 }

@@ -91,7 +91,8 @@ impl From<VerifyError> for BatchError {
 ///
 /// Keys are `u64` in the relational layer but the IR calling convention
 /// reads them as `i64`; [`ColRef::KeyU64`] performs that reinterpretation
-/// per lane (`v as i64`), matching `Relation::ir_inputs`.
+/// per lane (`v as i64`), matching `Relation::ir_inputs`. A relation keyed
+/// by row id stores no key: [`ColRef::RowIds`] loads row `i` as `i`.
 #[derive(Debug, Clone, Copy)]
 pub enum ColRef<'a> {
     /// An `i64` payload column.
@@ -100,13 +101,16 @@ pub enum ColRef<'a> {
     F64(&'a [f64]),
     /// The `u64` key column, loaded as `i64` lanes.
     KeyU64(&'a [u64]),
+    /// The row numbers `0..len`, loaded as `i64` lanes: the key of a
+    /// relation keyed by row id, which is stored nowhere.
+    RowIds(usize),
 }
 
 impl ColRef<'_> {
     /// The IR-level type lanes of this column load as.
     pub fn ty(&self) -> Ty {
         match self {
-            ColRef::I64(_) | ColRef::KeyU64(_) => Ty::I64,
+            ColRef::I64(_) | ColRef::KeyU64(_) | ColRef::RowIds(_) => Ty::I64,
             ColRef::F64(_) => Ty::F64,
         }
     }
@@ -612,20 +616,30 @@ impl BatchMachine {
         base: usize,
         n: usize,
     ) {
+        // A row-id slot is loaded as the generic path loads it, into its
+        // `LoadInput` register's bank — unused by a fused primitive
+        // otherwise — and read from there like a stored column.
+        for (r, instr) in k.instrs.iter().enumerate() {
+            if let Instr::LoadInput { slot } = *instr {
+                if let col @ ColRef::RowIds(_) = cols[slot as usize] {
+                    load(&mut self.banks[r], col, base, n);
+                }
+            }
+        }
+        // SSA: every `LoadInput` register is below the output it feeds.
+        let (loaded, out) = self.banks.split_at_mut(k.outputs[0] as usize);
+        let batch = Batch { cols, rows: base..base + n, instrs: &k.instrs, banks: loaded };
         match f {
             Fused::PackI64 { a, mul, b } => {
-                let d = match &mut self.banks[k.outputs[0] as usize] {
+                let d = match &mut out[0] {
                     Bank::I64(d) => &mut d[..n],
                     _ => unreachable!("pack output is i64"),
                 };
-                let (rows, mul) = (base..base + n, *mul);
-                match (cols[*a as usize], cols[*b as usize]) {
-                    (ColRef::I64(a), ColRef::I64(b)) => pack(d, &a[rows.clone()], mul, &b[rows]),
-                    (ColRef::I64(a), ColRef::KeyU64(b)) => pack(d, &a[rows.clone()], mul, &b[rows]),
-                    (ColRef::KeyU64(a), ColRef::I64(b)) => pack(d, &a[rows.clone()], mul, &b[rows]),
-                    (ColRef::KeyU64(a), ColRef::KeyU64(b)) => {
-                        pack(d, &a[rows.clone()], mul, &b[rows])
-                    }
+                match (batch.lanes(*a), batch.lanes(*b)) {
+                    (ColRef::I64(a), ColRef::I64(b)) => pack(d, a, *mul, b),
+                    (ColRef::I64(a), ColRef::KeyU64(b)) => pack(d, a, *mul, b),
+                    (ColRef::KeyU64(a), ColRef::I64(b)) => pack(d, a, *mul, b),
+                    (ColRef::KeyU64(a), ColRef::KeyU64(b)) => pack(d, a, *mul, b),
                     _ => unreachable!("binding checked by CompiledKernel::check_binding"),
                 }
             }
@@ -633,8 +647,8 @@ impl BatchMachine {
                 let (o0, o1) = (k.outputs[0] as usize, k.outputs[1] as usize);
                 // SSA: out1's defining Mul reads registers above out0's
                 // whole subtree, so o0 < o1 always holds here.
-                let (lo, hi) = self.banks.split_at_mut(o1);
-                let (d0, d1) = match (&mut lo[o0], &mut hi[0]) {
+                let (lo, hi) = out.split_at_mut(o1 - o0);
+                let (d0, d1) = match (&mut lo[0], &mut hi[0]) {
                     (Bank::F64(d0), Bank::F64(d1)) => (&mut d0[..n], &mut d1[..n]),
                     _ => unreachable!("money outputs are f64"),
                 };
@@ -648,19 +662,18 @@ impl BatchMachine {
                 }
             }
             Fused::CmpChain { terms } => {
-                let d = match &mut self.banks[k.outputs[0] as usize] {
+                let d = match &mut out[0] {
                     Bank::Bool(d) => &mut d[..n.div_ceil(64)],
                     _ => unreachable!("predicate output is bool"),
                 };
-                let rows = base..base + n;
                 #[cfg(target_arch = "x86_64")]
                 if std::is_x86_feature_detected!("avx2") {
                     // SAFETY: `cmp_chain_avx2` is compiled for AVX2 alone,
                     // and the CPU running this line has just reported it.
-                    unsafe { cmp_chain_avx2(d, terms, cols, rows) };
+                    unsafe { cmp_chain_avx2(d, terms, &batch) };
                     return;
                 }
-                cmp_chain(d, terms, cols, rows);
+                cmp_chain(d, terms, &batch);
             }
         }
     }
@@ -690,7 +703,49 @@ fn load(dst: &mut Bank, col: ColRef<'_>, base: usize, n: usize) {
                 *dj = sj as i64;
             }
         }
+        (Bank::I64(d), ColRef::RowIds(len)) => {
+            debug_assert!(base + n <= len);
+            fill_row_ids(&mut d[..n], base);
+        }
         _ => unreachable!("binding checked by CompiledKernel::check_binding"),
+    }
+}
+
+/// `d[j] = base + j`: the row numbers a [`ColRef::RowIds`] slot loads.
+fn fill_row_ids(d: &mut [i64], base: usize) {
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = (base + j) as i64;
+    }
+}
+
+/// The rows one fused run covers: the bound columns, the base rows of the
+/// batch, and the kernel's instructions with the banks below its output —
+/// where a [`ColRef::RowIds`] slot's `LoadInput` register holds the rows'
+/// numbers.
+struct Batch<'b> {
+    cols: &'b [ColRef<'b>],
+    rows: Range<usize>,
+    instrs: &'b [Instr],
+    banks: &'b [Bank],
+}
+
+impl<'b> Batch<'b> {
+    /// Slot `slot` over the batch's rows, lane `j` = base row
+    /// `rows.start + j`: a window of a stored column, or the row numbers
+    /// loaded into the slot's register.
+    #[inline(always)]
+    fn lanes(&self, slot: u32) -> ColRef<'b> {
+        let rows = self.rows.clone();
+        match self.cols[slot as usize] {
+            ColRef::I64(s) => ColRef::I64(&s[rows]),
+            ColRef::F64(s) => ColRef::F64(&s[rows]),
+            ColRef::KeyU64(s) => ColRef::KeyU64(&s[rows]),
+            ColRef::RowIds(_) => {
+                let load = Instr::LoadInput { slot };
+                let r = self.instrs.iter().position(|i| *i == load).expect("a slot read is loaded");
+                ColRef::I64(&self.banks[r].as_i64()[..rows.len()])
+            }
+        }
     }
 }
 
@@ -748,18 +803,18 @@ enum Operand<'a, B> {
     Col(&'a [B]),
 }
 
-/// The `CmpChain` mask words `d` over `rows`: every lane set, then each term
-/// ANDed in. Every term clears the lanes past the last row of the last word,
-/// like store_lanes; a chain has at least one.
+/// The `CmpChain` mask words `d` over the batch: every lane set, then each
+/// term ANDed in. Every term clears the lanes past the last row of the last
+/// word, like store_lanes; a chain has at least one.
 ///
 /// This is the build at the target's baseline width (SSE2 on x86-64: two
 /// `f64` or `i64` lanes per compare). Everything down to [`word`] is
 /// `#[inline(always)]`, so [`cmp_chain_avx2`] compiles the same source again.
 #[inline(always)]
-fn cmp_chain(d: &mut [u64], terms: &[CmpTerm], cols: &[ColRef<'_>], rows: Range<usize>) {
+fn cmp_chain(d: &mut [u64], terms: &[CmpTerm], batch: &Batch<'_>) {
     d.fill(u64::MAX);
     for term in terms {
-        and_term(d, term, cols, rows.clone());
+        and_term(d, term, batch);
     }
 }
 
@@ -770,26 +825,26 @@ fn cmp_chain(d: &mut [u64], terms: &[CmpTerm], cols: &[ColRef<'_>], rows: Range<
 /// call, in `run_fused`, is `unsafe` and guarded by the run-time check.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn cmp_chain_avx2(d: &mut [u64], terms: &[CmpTerm], cols: &[ColRef<'_>], rows: Range<usize>) {
-    cmp_chain(d, terms, cols, rows)
+fn cmp_chain_avx2(d: &mut [u64], terms: &[CmpTerm], batch: &Batch<'_>) {
+    cmp_chain(d, terms, batch)
 }
 
-/// AND one term into the mask words `d`, bit `j` for row `rows.start + j`.
+/// AND one term into the mask words `d`, bit `j` for the batch's lane `j`.
 /// The column kinds are matched here, once per batch.
 #[inline(always)]
-fn and_term(d: &mut [u64], term: &CmpTerm, cols: &[ColRef<'_>], rows: Range<usize>) {
+fn and_term(d: &mut [u64], term: &CmpTerm, batch: &Batch<'_>) {
     use ColRef::{KeyU64, F64, I64};
-    let (op, r) = (term.op, rows.clone());
-    match (cols[term.slot as usize], term.rhs) {
-        (I64(a), CmpRhs::Const(Value::I64(c))) => and_cmp(d, &a[r], Operand::Splat(c), op),
-        (KeyU64(a), CmpRhs::Const(Value::I64(c))) => and_cmp(d, &a[r], Operand::Splat(c), op),
-        (F64(a), CmpRhs::Const(Value::F64(c))) => and_cmp(d, &a[r], Operand::Splat(c), op),
-        (a, CmpRhs::Slot(s)) => match (a, cols[s as usize]) {
-            (I64(a), I64(b)) => and_cmp(d, &a[r], Operand::Col(&b[rows]), op),
-            (I64(a), KeyU64(b)) => and_cmp(d, &a[r], Operand::Col(&b[rows]), op),
-            (KeyU64(a), I64(b)) => and_cmp(d, &a[r], Operand::Col(&b[rows]), op),
-            (KeyU64(a), KeyU64(b)) => and_cmp(d, &a[r], Operand::Col(&b[rows]), op),
-            (F64(a), F64(b)) => and_cmp(d, &a[r], Operand::Col(&b[rows]), op),
+    let op = term.op;
+    match (batch.lanes(term.slot), term.rhs) {
+        (I64(a), CmpRhs::Const(Value::I64(c))) => and_cmp(d, a, Operand::Splat(c), op),
+        (KeyU64(a), CmpRhs::Const(Value::I64(c))) => and_cmp(d, a, Operand::Splat(c), op),
+        (F64(a), CmpRhs::Const(Value::F64(c))) => and_cmp(d, a, Operand::Splat(c), op),
+        (a, CmpRhs::Slot(s)) => match (a, batch.lanes(s)) {
+            (I64(a), I64(b)) => and_cmp(d, a, Operand::Col(b), op),
+            (I64(a), KeyU64(b)) => and_cmp(d, a, Operand::Col(b), op),
+            (KeyU64(a), I64(b)) => and_cmp(d, a, Operand::Col(b), op),
+            (KeyU64(a), KeyU64(b)) => and_cmp(d, a, Operand::Col(b), op),
+            (F64(a), F64(b)) => and_cmp(d, a, Operand::Col(b), op),
             _ => unreachable!("the verifier types both sides of a comparison alike"),
         },
         _ => unreachable!("binding checked by CompiledKernel::check_binding"),
@@ -1089,6 +1144,22 @@ mod tests {
         );
     }
 
+    /// A row-id slot loads each row's number, from any base row, on the
+    /// generic path.
+    #[test]
+    fn row_ids_load_as_their_row_numbers() {
+        let mut b = BodyBuilder::new(1);
+        b.emit_output(Expr::input(0).mul(Expr::lit(3i64)));
+        let k = compile_all_i64(&b.build());
+        let cols = [ColRef::RowIds(2000)];
+        k.check_binding(&cols).unwrap();
+        let mut bm = BatchMachine::new(&k);
+        bm.poison(&k);
+        bm.run(&k, &cols, 900, 100);
+        let BankView::I64(out) = bm.output(&k, 0) else { panic!("output is i64") };
+        assert_eq!(out[..100], (900..1000).map(|i| i * 3).collect::<Vec<i64>>()[..]);
+    }
+
     #[test]
     fn polymorphic_body_fails_to_compile() {
         // out = in[0] with no seed: no single register type.
@@ -1186,6 +1257,19 @@ mod tests {
             0..200,
             "pack_i64",
         );
+        // The same pack reading a row-id key in both operands' places.
+        for (a, c) in [(0, 2), (1, 0)] {
+            let mut b = BodyBuilder::new(3);
+            b.emit_output(Expr::input(a).mul(Expr::lit(65536i64)).add(Expr::input(c)));
+            assert_fused_matches_interp(
+                &b.build(),
+                &[Some(Ty::I64), Some(Ty::I64), Some(Ty::I64)],
+                &[ColRef::RowIds(200), ColRef::I64(&flag), ColRef::I64(&status)],
+                &rows,
+                37..200,
+                "pack_i64",
+            );
+        }
     }
 
     #[test]
@@ -1226,7 +1310,7 @@ mod tests {
     /// against columns, over NaN, ±0.0, ±∞, `i64::MIN` and `i64::MAX`, at
     /// `n` of 1, 63, 64, 65 and 1024 rows from a base row off the word grid;
     /// plus Q6's three-term range and a chain that mixes constant and column
-    /// terms. Slots: 0 and 5 keys, 1 and 2 `i64`, 3 and 4 `f64`.
+    /// terms. Slots: 0 and 5 keys, 1 and 2 `i64`, 3 and 4 `f64`, 6 row ids.
     ///
     /// Every case runs through both builds of the chain: `BatchMachine::run`
     /// takes the AVX2 build on a CPU that has it, and `cmp_chain` is called
@@ -1275,6 +1359,7 @@ mod tests {
             ColRef::F64(&floats_a),
             ColRef::F64(&floats_b),
             ColRef::KeyU64(&keys_b),
+            ColRef::RowIds(len),
         ];
         let slot_tys = cols.map(|c| Some(c.ty()));
         let rows: Vec<Vec<Value>> = (0..len)
@@ -1286,15 +1371,18 @@ mod tests {
                     Value::F64(floats_a[i]),
                     Value::F64(floats_b[i]),
                     Value::I64(keys_b[i] as i64),
+                    Value::I64(i as i64),
                 ]
             })
             .collect();
 
-        let int_consts = [Value::I64(0), Value::I64(i64::MIN), Value::I64(i64::MAX)];
+        let int_consts =
+            [Value::I64(0), Value::I64(i64::MIN), Value::I64(i64::MAX), Value::I64(500)];
         let float_consts = [Value::F64(f64::NAN), Value::F64(-0.0), Value::F64(f64::INFINITY)];
         let mut preds: Vec<Expr> = Vec::new();
         for op in OPS {
-            for (slots, consts) in [(&[0, 1, 2, 5][..], &int_consts), (&[3, 4][..], &float_consts)]
+            for (slots, consts) in
+                [(&[0, 1, 2, 5, 6][..], &int_consts[..]), (&[3, 4][..], &float_consts[..])]
             {
                 for &l in slots {
                     for &c in consts {
@@ -1332,7 +1420,10 @@ mod tests {
                 );
                 let Some(Fused::CmpChain { terms }) = &k.fused else { unreachable!() };
                 let mut baseline = vec![POISON_MASK; n.div_ceil(64)];
-                cmp_chain(&mut baseline, terms, &cols, BASE..BASE + n);
+                // The fused run left the row-id slot's register loaded.
+                let rows = BASE..BASE + n;
+                let batch = Batch { cols: &cols, rows, instrs: &k.instrs, banks: &fused.banks };
+                cmp_chain(&mut baseline, terms, &batch);
                 let run = if avx2 { "AVX2" } else { "baseline" };
                 assert_eq!(
                     baseline[..],

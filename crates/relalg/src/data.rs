@@ -2,11 +2,14 @@
 //!
 //! Following Diamos et al. (GIT-CERCS-12-01), the substrate the paper builds
 //! on, a relation is a densely packed array of tuples sorted by an integer
-//! *key*, with fixed-width payload fields. We store it columnar: one `u64`
-//! key vector plus typed payload columns. The key doubles as the join/set
+//! *key*, with fixed-width payload fields. We store it columnar: the keys
+//! ([`Keys`]) plus typed payload columns. The key doubles as the join/set
 //! attribute; the "first field is the key" convention of the paper's
-//! Table I.
+//! Table I. A relation keyed by row id — the per-column inputs of the
+//! paper's Q1 plan (Fig. 17(a)) — stores no key at all.
 
+use kfusion_ir::batch::ColRef;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A typed payload column.
@@ -104,6 +107,14 @@ impl Column {
         match self {
             Column::I64(v) => Column::I64(idx.iter().map(|&i| v[i]).collect()),
             Column::F64(v) => Column::F64(idx.iter().map(|&i| v[i]).collect()),
+        }
+    }
+
+    /// The batch-engine binding of this column as an input slot.
+    pub(crate) fn ir_col(&self) -> ColRef<'_> {
+        match self {
+            Column::I64(v) => ColRef::I64(v),
+            Column::F64(v) => ColRef::F64(v),
         }
     }
 
@@ -261,11 +272,146 @@ impl From<kfusion_ir::interp::EvalError> for RelError {
     }
 }
 
-/// A relation: a key vector plus payload columns of equal length.
+/// The tuple keys of a relation. Two `Keys` are equal when they hold the
+/// same sequence, however it is represented: `RowIds(n)` equals
+/// `Stored((0..n).collect())`.
+#[derive(Debug, Clone)]
+pub enum Keys {
+    /// Tuple `i`'s key is `i`: the keys are `0..len`, stored nowhere.
+    RowIds(usize),
+    /// One stored key per tuple.
+    Stored(Vec<u64>),
+}
+
+impl Default for Keys {
+    fn default() -> Self {
+        Keys::Stored(Vec::new())
+    }
+}
+
+impl Keys {
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        match self {
+            Keys::RowIds(n) => *n,
+            Keys::Stored(v) => v.len(),
+        }
+    }
+
+    /// Whether there are no keys.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Key `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        match self {
+            Keys::RowIds(n) => {
+                assert!(i < *n, "row {i} of {n}");
+                i as u64
+            }
+            Keys::Stored(v) => v[i],
+        }
+    }
+
+    /// The batch-engine binding of the keys as input slot 0: the stored
+    /// ones, or the row numbers.
+    pub(crate) fn ir_col(&self) -> ColRef<'_> {
+        match self {
+            Keys::RowIds(n) => ColRef::RowIds(*n),
+            Keys::Stored(v) => ColRef::KeyU64(v),
+        }
+    }
+
+    /// Whether the keys are the row numbers, stored nowhere.
+    pub fn is_row_ids(&self) -> bool {
+        matches!(self, Keys::RowIds(_))
+    }
+
+    /// The stored keys, `None` for row ids.
+    pub fn stored(&self) -> Option<&[u64]> {
+        match self {
+            Keys::RowIds(_) => None,
+            Keys::Stored(v) => Some(v),
+        }
+    }
+
+    /// The keys in order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = u64> + ExactSizeIterator + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Whether the keys are non-decreasing — row ids always are.
+    pub fn is_sorted(&self) -> bool {
+        match self {
+            Keys::RowIds(_) => true,
+            Keys::Stored(v) => v.is_sorted(),
+        }
+    }
+
+    /// The keys as a slice: stored keys where they are, row ids written
+    /// out. This is the one place row ids are written out, and it counts
+    /// the bytes in `kfusion_host_materialized_bytes_total`, so a path that
+    /// must never pay for it can be held to that.
+    pub fn as_slice(&self) -> Cow<'_, [u64]> {
+        match self {
+            Keys::RowIds(n) => {
+                kfusion_trace::counter(
+                    "kfusion_host_materialized_bytes_total",
+                    *n as u64 * Column::BYTES_PER_VALUE,
+                );
+                Cow::Owned((0..*n as u64).collect())
+            }
+            Keys::Stored(v) => Cow::Borrowed(v),
+        }
+    }
+
+    /// The stored keys' buffer, to be overwritten: row ids leave an empty
+    /// one, and nothing is written out.
+    pub(crate) fn buffer_mut(&mut self) -> &mut Vec<u64> {
+        if let Keys::RowIds(_) = self {
+            *self = Keys::default();
+        }
+        match self {
+            Keys::Stored(v) => v,
+            Keys::RowIds(_) => unreachable!("replaced above"),
+        }
+    }
+
+    /// The stored keys, for appending to: row ids are written out first
+    /// ([`Keys::as_slice`]).
+    fn stored_mut(&mut self) -> &mut Vec<u64> {
+        if let Keys::RowIds(_) = self {
+            *self = Keys::Stored(self.as_slice().into_owned());
+        }
+        self.buffer_mut()
+    }
+}
+
+impl PartialEq for Keys {
+    fn eq(&self, other: &Keys) -> bool {
+        match (self, other) {
+            (Keys::RowIds(a), Keys::RowIds(b)) => a == b,
+            (Keys::Stored(a), Keys::Stored(b)) => a == b,
+            (Keys::RowIds(n), Keys::Stored(v)) | (Keys::Stored(v), Keys::RowIds(n)) => {
+                v.len() == *n && v.iter().enumerate().all(|(i, &k)| k == i as u64)
+            }
+        }
+    }
+}
+
+impl PartialEq<Vec<u64>> for Keys {
+    fn eq(&self, other: &Vec<u64>) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter().copied())
+    }
+}
+
+/// A relation: its keys plus payload columns of equal length.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Relation {
     /// Tuple keys (the first field in the paper's Table I examples).
-    pub key: Vec<u64>,
+    pub(crate) key: Keys,
     /// Payload columns.
     pub cols: Vec<Column>,
 }
@@ -273,7 +419,7 @@ pub struct Relation {
 impl Relation {
     /// A relation of bare keys (the paper's compressed-row SELECT inputs).
     pub fn from_keys(key: Vec<u64>) -> Self {
-        Relation { key, cols: Vec::new() }
+        Relation { key: Keys::Stored(key), cols: Vec::new() }
     }
 
     /// A relation with payload columns.
@@ -281,9 +427,32 @@ impl Relation {
     /// # Errors
     /// [`RelError::RaggedColumns`] if lengths differ.
     pub fn new(key: Vec<u64>, cols: Vec<Column>) -> Result<Self, RelError> {
+        Relation::from_parts(Keys::Stored(key), cols)
+    }
+
+    /// A relation keyed by row id: tuple `i`'s key is `i`, and no key is
+    /// stored. Its length is the first column's (0 without columns).
+    ///
+    /// # Errors
+    /// [`RelError::RaggedColumns`] if lengths differ.
+    pub fn with_row_ids(cols: Vec<Column>) -> Result<Self, RelError> {
+        let rows = cols.first().map_or(0, Column::len);
+        Relation::from_parts(Keys::RowIds(rows), cols)
+    }
+
+    /// A relation of `key` and `cols`.
+    ///
+    /// # Errors
+    /// [`RelError::RaggedColumns`] if lengths differ.
+    pub fn from_parts(key: Keys, cols: Vec<Column>) -> Result<Self, RelError> {
         let r = Relation { key, cols };
         r.check_rect()?;
         Ok(r)
+    }
+
+    /// The keys.
+    pub fn keys(&self) -> &Keys {
+        &self.key
     }
 
     fn check_rect(&self) -> Result<(), RelError> {
@@ -326,7 +495,7 @@ impl Relation {
 
     /// Whether keys are non-decreasing.
     pub fn is_key_sorted(&self) -> bool {
-        self.key.windows(2).all(|w| w[0] <= w[1])
+        self.key.is_sorted()
     }
 
     /// Error unless key-sorted (operators with merge-based implementations
@@ -341,15 +510,18 @@ impl Relation {
 
     /// Sort tuples by key (stable), carrying payload columns along.
     pub fn sort_by_key(&mut self) {
+        if self.key.is_row_ids() {
+            return;
+        }
         let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.sort_by_key(|&i| self.key[i]);
+        idx.sort_by_key(|&i| self.key.get(i));
         self.permute(&idx);
     }
 
     /// Reorder tuples so that row `i` of the result is row `idx[i]` of the
     /// input.
     pub fn permute(&mut self, idx: &[usize]) {
-        self.key = idx.iter().map(|&i| self.key[i]).collect();
+        self.key = Keys::Stored(idx.iter().map(|&i| self.key.get(i)).collect());
         for c in &mut self.cols {
             *c = c.gather(idx);
         }
@@ -357,7 +529,7 @@ impl Relation {
 
     /// An empty relation with the same schema.
     pub fn empty_like(&self) -> Relation {
-        Relation { key: Vec::new(), cols: self.cols.iter().map(Column::empty_like).collect() }
+        Relation { key: Keys::default(), cols: self.cols.iter().map(Column::empty_like).collect() }
     }
 
     /// The IR input row for tuple `i`: slot 0 = key (as i64), slot `1+c` =
@@ -365,7 +537,7 @@ impl Relation {
     /// arithmetic expression in the library uses.
     pub fn ir_inputs(&self, i: usize, out: &mut Vec<kfusion_ir::Value>) {
         out.clear();
-        out.push(kfusion_ir::Value::I64(self.key[i] as i64));
+        out.push(kfusion_ir::Value::I64(self.key.get(i) as i64));
         for c in &self.cols {
             out.push(c.value(i));
         }
@@ -373,35 +545,17 @@ impl Relation {
 
     /// The batch-engine view of the same calling convention as
     /// [`Relation::ir_inputs`]: one [`kfusion_ir::batch::ColRef`] per input
-    /// slot — the key column at slot 0 (loaded as `i64`), payload column `c`
-    /// at slot `1+c`.
+    /// slot — the keys at slot 0 (loaded as `i64`), payload column `c` at
+    /// slot `1+c`.
     pub fn ir_cols(&self) -> Vec<kfusion_ir::batch::ColRef<'_>> {
-        use kfusion_ir::batch::ColRef;
-        let mut out = Vec::with_capacity(1 + self.cols.len());
-        out.push(ColRef::KeyU64(&self.key));
-        for c in &self.cols {
-            out.push(match c {
-                Column::I64(v) => ColRef::I64(v),
-                Column::F64(v) => ColRef::F64(v),
-            });
-        }
-        out
+        std::iter::once(self.key.ir_col()).chain(self.cols.iter().map(Column::ir_col)).collect()
     }
 
     /// The concrete IR type of each input slot under the library calling
     /// convention — the seeds batch compilation resolves register types
     /// against.
     pub fn ir_slot_types(&self) -> Vec<Option<kfusion_ir::Ty>> {
-        use kfusion_ir::Ty;
-        let mut out = Vec::with_capacity(1 + self.cols.len());
-        out.push(Some(Ty::I64));
-        for c in &self.cols {
-            out.push(Some(match c {
-                Column::I64(_) => Ty::I64,
-                Column::F64(_) => Ty::F64,
-            }));
-        }
-        out
+        self.ir_cols().iter().map(|c| Some(c.ty())).collect()
     }
 
     /// Append row `i` of `src` (same schema).
@@ -409,7 +563,7 @@ impl Relation {
     /// # Panics
     /// If schemas differ.
     pub fn push_row_from(&mut self, src: &Relation, i: usize) {
-        self.key.push(src.key[i]);
+        self.key.stored_mut().push(src.key.get(i));
         for (d, s) in self.cols.iter_mut().zip(&src.cols) {
             d.push_from(s, i);
         }
@@ -420,7 +574,7 @@ impl Relation {
     /// # Panics
     /// If schemas differ.
     pub fn extend_from(&mut self, other: &Relation) {
-        self.key.extend_from_slice(&other.key);
+        self.key.stored_mut().extend(other.key.iter());
         for (d, s) in self.cols.iter_mut().zip(&other.cols) {
             d.extend_from(s);
         }
@@ -429,7 +583,7 @@ impl Relation {
     /// Compare full tuples at `(self, i)` and `(other, j)` for equality
     /// (used by the set operators, which work on whole tuples per Table I).
     pub fn tuple_eq(&self, i: usize, other: &Relation, j: usize) -> bool {
-        if self.key[i] != other.key[j] || self.cols.len() != other.cols.len() {
+        if self.key.get(i) != other.key.get(j) || self.cols.len() != other.cols.len() {
             return false;
         }
         self.cols.iter().zip(&other.cols).all(|(a, b)| match (a, b) {
@@ -472,14 +626,14 @@ mod tests {
         assert!(!r.is_key_sorted());
         assert!(r.require_sorted().is_err());
         r.sort_by_key();
-        assert_eq!(r.key, vec![1, 2, 3]);
+        assert_eq!(*r.keys(), vec![1, 2, 3]);
     }
 
     #[test]
     fn sort_carries_payload() {
         let mut r = Relation::new(vec![3, 1, 2], vec![Column::I64(vec![30, 10, 20])]).unwrap();
         r.sort_by_key();
-        assert_eq!(r.key, vec![1, 2, 3]);
+        assert_eq!(*r.keys(), vec![1, 2, 3]);
         assert_eq!(r.cols[0].as_i64().unwrap(), &[10, 20, 30]);
     }
 
@@ -487,7 +641,7 @@ mod tests {
     fn sort_is_stable_for_equal_keys() {
         let mut r = Relation::new(vec![2, 1, 2, 1], vec![Column::I64(vec![1, 2, 3, 4])]).unwrap();
         r.sort_by_key();
-        assert_eq!(r.key, vec![1, 1, 2, 2]);
+        assert_eq!(*r.keys(), vec![1, 1, 2, 2]);
         assert_eq!(r.cols[0].as_i64().unwrap(), &[2, 4, 1, 3]);
     }
 
@@ -507,7 +661,7 @@ mod tests {
         let r = rel();
         let mut out = r.empty_like();
         out.push_row_from(&r, 2);
-        assert_eq!(out.key, vec![3]);
+        assert_eq!(*out.keys(), vec![3]);
         out.extend_from(&r);
         assert_eq!(out.len(), 4);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[30, 10, 20, 30]);

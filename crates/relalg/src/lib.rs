@@ -45,5 +45,5 @@ pub mod profiles;
 pub mod scratch;
 pub mod view;
 
-pub use data::{Column, RelError, Relation};
+pub use data::{Column, Keys, RelError, Relation};
 pub use view::{materialize, View};

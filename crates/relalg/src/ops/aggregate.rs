@@ -96,7 +96,7 @@ fn shape_output(input: &View<'_>, aggs: &[Agg], rows: usize, out: &mut Relation)
     if out.cols.len() != fresh.len() || out.cols.iter().zip(&fresh).any(|(o, f)| !o.same_type(f)) {
         out.cols = fresh;
     }
-    resize_zeroed_vec(&mut out.key, rows);
+    resize_zeroed_vec(out.key.buffer_mut(), rows);
     for c in &mut out.cols {
         c.resize_zeroed(rows);
     }
@@ -187,11 +187,11 @@ fn fold_runs<T: Copy, A: Copy, U>(
 }
 
 /// Compute `agg` into `dst`, one slot per run of the morsel `starts`
-/// delimits. The identities and the operand order are the row-at-a-time
-/// fold's, which the tests keep as the oracle.
-fn fold_agg(agg: Agg, input: &View<'_>, starts: &[usize], dst: ColWindow<'_>) {
+/// delimits; `keys` are the morsel's (a morsel of one run reads none). The
+/// identities and the operand order are the row-at-a-time fold's, which the
+/// tests keep as the oracle.
+fn fold_agg(agg: Agg, input: &View<'_>, keys: &[u64], starts: &[usize], dst: ColWindow<'_>) {
     let rows = starts[0]..starts[starts.len() - 1];
-    let keys = &input.key()[rows.clone()];
     let lens = || starts.windows(2).map(|run| run[1] - run[0]);
     let fsum = |acc: f64, v: f64| acc + v;
     match (agg, agg.col().map(|c| input.col(c)), dst) {
@@ -243,14 +243,14 @@ struct Morsel<'o> {
 }
 
 impl Morsel<'_> {
-    fn fold(self, input: &View<'_>, aggs: &[Agg]) {
+    fn fold(self, input: &View<'_>, keys: &[u64], aggs: &[Agg]) {
         let _steady = kfusion_trace::allocwatch::region();
-        let keys = input.key();
         for (slot, &start) in self.key.iter_mut().zip(&self.starts) {
             *slot = keys[start];
         }
+        let rows = self.starts[0]..self.starts[self.starts.len() - 1];
         for (&agg, dst) in aggs.iter().zip(self.cols) {
-            fold_agg(agg, input, &self.starts, dst);
+            fold_agg(agg, input, &keys[rows.clone()], &self.starts, dst);
         }
     }
 }
@@ -292,7 +292,8 @@ fn fold_lanes<T: Copy, A: Copy>(
     finish: impl Fn(A, u32) -> A,
 ) {
     let _steady = kfusion_trace::allocwatch::region();
-    let ((of_keys, lo), keys) = (groups.of_keys(), input.key());
+    let keys = input.key().as_slice();
+    let ((of_keys, lo), keys) = (groups.of_keys(), &keys[..]);
     lanes.iter_mut().for_each(|lane| lane.acc.fill(init));
     input.for_each_row(0..input.base_len(), |i| {
         let g = of_keys[(keys[i] - lo) as usize] as usize;
@@ -341,7 +342,7 @@ fn fold_by_group(input: &View<'_>, groups: &Groups, aggs: &[Agg]) -> Result<Rela
     let mut out = Relation::default();
     shape_output(input, aggs, groups.len(), &mut out);
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
-    out.key.iter_mut().zip(groups.keys()).for_each(|(slot, key)| *slot = key);
+    out.key.buffer_mut().iter_mut().zip(groups.keys()).for_each(|(slot, key)| *slot = key);
     let cols = col_windows(&mut out.cols, &[groups.len()]).pop().expect("one window asked for");
     let mut by = Lanes::default();
     for (&agg, dst) in aggs.iter().zip(cols) {
@@ -423,7 +424,8 @@ pub fn aggregate_by_key_into(
 
 fn fold_by_key(input: &View<'_>, aggs: &[Agg], out: &mut Relation) -> Result<(), RelError> {
     let input = &input.dense();
-    let keys = input.key();
+    let keys = input.key().as_slice();
+    let keys = &keys[..];
     let ranges = group_aligned_ranges(keys, DEFAULT_CTA_CHUNK);
     // Runs first — their number is the output's size, and finding them is
     // the scan that rejects unsorted keys — then the folds, each morsel
@@ -437,11 +439,11 @@ fn fold_by_key(input: &View<'_>, aggs: &[Agg], out: &mut Relation) -> Result<(),
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
     let morsels = starts
         .into_iter()
-        .zip(slice_windows(&mut out.key, &runs))
+        .zip(slice_windows(out.key.buffer_mut(), &runs))
         .zip(col_windows(&mut out.cols, &runs))
         .map(|((starts, key), cols)| Morsel { starts, key, cols })
         .collect();
-    par_each(morsels, |m: Morsel<'_>| m.fold(input, aggs));
+    par_each(morsels, |m: Morsel<'_>| m.fold(input, keys, aggs));
     Ok(())
 }
 
@@ -467,8 +469,9 @@ pub fn aggregate_all_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, Re
     }
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", 1);
     let cols = col_windows(&mut out.cols, &[1]).pop().expect("one window asked for");
+    // One run: the fold reads no key.
     for (&agg, dst) in aggs.iter().zip(cols) {
-        fold_agg(agg, view, &[0, view.len()], dst);
+        fold_agg(agg, view, &[], &[0, view.len()], dst);
     }
     Ok(out)
 }
@@ -497,7 +500,7 @@ mod tests {
             &[Agg::Sum(0), Agg::Count, Agg::Avg(1), Agg::Min(0), Agg::Max(1)],
         )
         .unwrap();
-        assert_eq!(out.key, vec![1, 2, 5]);
+        assert_eq!(*out.keys(), vec![1, 2, 5]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[60, 3, 7]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[3, 2, 1]);
         assert_eq!(out.cols[2].as_f64().unwrap(), &[2.0, 15.0, 5.0]);
@@ -514,7 +517,7 @@ mod tests {
     #[test]
     fn aggregate_all_single_group() {
         let out = aggregate_all(&sales(), &[Agg::Sum(0), Agg::Count]).unwrap();
-        assert_eq!(out.key, vec![0]);
+        assert_eq!(*out.keys(), vec![0]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[70]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[6]);
     }
@@ -646,20 +649,20 @@ mod tests {
     fn oracle(input: &Relation, aggs: &[Agg], all: bool) -> Relation {
         let view = View::of(input);
         let mut out = Relation {
-            key: Vec::new(),
+            key: crate::data::Keys::default(),
             cols: aggs.iter().map(|&a| out_column(a, &view)).collect(),
         };
         let mut i = 0;
         while i < input.len() {
-            let k = input.key[i];
+            let k = input.keys().get(i);
             let mut accs: Vec<Acc> = aggs.iter().map(|&a| make_acc(input, a)).collect();
-            while i < input.len() && (all || input.key[i] == k) {
+            while i < input.len() && (all || input.keys().get(i) == k) {
                 for (acc, &agg) in accs.iter_mut().zip(aggs) {
                     feed(acc, agg, input, i);
                 }
                 i += 1;
             }
-            out.key.push(if all { 0 } else { k });
+            out.key.buffer_mut().push(if all { 0 } else { k });
             for (acc, col) in accs.into_iter().zip(out.cols.iter_mut()) {
                 flush(acc, col);
             }
@@ -674,7 +677,7 @@ mod tests {
     #[track_caller]
     fn assert_same_bits(got: &Relation, want: &Relation, what: &str) {
         let float_bits = |v: &f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
-        assert_eq!(got.key, want.key, "{what}: keys");
+        assert_eq!(*got.keys(), want.key, "{what}: keys");
         assert_eq!(got.n_cols(), want.n_cols(), "{what}: column count");
         for (c, pair) in got.cols.iter().zip(&want.cols).enumerate() {
             let first_diff = match pair {

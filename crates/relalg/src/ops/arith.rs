@@ -174,7 +174,7 @@ pub fn arith_map(input: &Relation, body: &KernelBody) -> Result<Relation, RelErr
     let view = View::of(input);
     count_rows(&view);
     let cols = computed(&view, body, compile(&view, body).as_ref())?;
-    Ok(Relation { key: input.key.clone(), cols })
+    Ok(Relation { key: input.keys().clone(), cols })
 }
 
 /// ARITH preserves cardinality: rows out == rows in, counted up front.
@@ -255,7 +255,7 @@ mod tests {
         let out = arith_map(&r, &predicates::discounted_price(0, 1)).unwrap();
         assert_eq!(out.n_cols(), 1);
         assert_eq!(out.cols[0].as_f64().unwrap(), &[90.0, 25.0]);
-        assert_eq!(out.key, vec![1, 2]);
+        assert_eq!(*out.keys(), vec![1, 2]);
     }
 
     #[test]
@@ -344,7 +344,7 @@ mod tests {
         let scalar = arith_map(&r, &body).unwrap();
         engine::set_batch_enabled(true);
         let batch = arith_map(&r, &body).unwrap();
-        assert_eq!(scalar.key, batch.key);
+        assert_eq!(*scalar.keys(), batch.key);
         for (a, c) in scalar.cols.iter().zip(&batch.cols) {
             match (a, c) {
                 (Column::I64(x), Column::I64(y)) => assert_eq!(x, y),

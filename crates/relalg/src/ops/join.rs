@@ -24,19 +24,21 @@ pub fn join(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
     a.require_sorted()?;
     b.require_sorted()?;
     kfusion_trace::counter("kfusion_rows_in_total{op=\"join\"}", (a.len() + b.len()) as u64);
+    let (ak, bk) = (a.keys().as_slice(), b.keys().as_slice());
+    let (ak, bk) = (&ak[..], &bk[..]);
     let mut out_key = Vec::new();
     let mut a_idx: Vec<usize> = Vec::new();
     let mut b_idx: Vec<usize> = Vec::new();
     let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a.key[i].cmp(&b.key[j]) {
+    while i < ak.len() && j < bk.len() {
+        match ak[i].cmp(&bk[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                let (ae, be) = (group_end(&a.key, i), group_end(&b.key, j));
+                let (ae, be) = (group_end(ak, i), group_end(bk, j));
                 for ai in i..ae {
                     for bi in j..be {
-                        out_key.push(a.key[ai]);
+                        out_key.push(ak[i]);
                         a_idx.push(ai);
                         b_idx.push(bi);
                     }
@@ -57,8 +59,8 @@ pub fn join(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
     Relation::new(out_key, cols)
 }
 
-/// Column-combining join: zip two relations with *identical* key vectors
-/// into one wide relation (key + `a`'s columns + `b`'s columns).
+/// Column-combining join: zip two relations with *identical* keys into one
+/// wide relation (key + `a`'s columns + `b`'s columns).
 ///
 /// This is the join the paper's Q1 plan uses to assemble a seven-column
 /// table from per-column relations keyed by row id (Fig. 17(a)). Because
@@ -72,7 +74,8 @@ pub fn column_join(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
 /// [`column_join`] without the copy: after the same key check, the result
 /// references `a`'s key and both sides' columns where they already are. A
 /// side that carries a selection is materialized first, so that both sides
-/// are over base rows that correspond one to one.
+/// are over base rows that correspond one to one. Two sides keyed by row id
+/// are equal when their lengths are, so the check costs nothing there.
 pub fn column_join_view<'a>(a: &View<'a>, b: &View<'a>) -> Result<View<'a>, RelError> {
     let (a, b) = (a.dense(), b.dense());
     if a.key() != b.key() {
@@ -112,12 +115,14 @@ fn filter_by_membership(
     b.require_sorted()?;
     let mut sel = vec![0u64; a.len().div_ceil(64)];
     let mut rows = 0usize;
+    let (ak, bk) = (a.keys().as_slice(), b.keys().as_slice());
+    let (ak, bk) = (&ak[..], &bk[..]);
     let mut j = 0usize;
-    for i in 0..a.len() {
-        while j < b.len() && b.key[j] < a.key[i] {
+    for (i, &key) in ak.iter().enumerate() {
+        while j < bk.len() && bk[j] < key {
             j += 1;
         }
-        let present = j < b.len() && b.key[j] == a.key[i];
+        let present = j < bk.len() && bk[j] == key;
         if present == keep_present {
             sel[i / 64] |= 1 << (i % 64);
             rows += 1;
@@ -142,7 +147,7 @@ mod tests {
         x.sort_by_key();
         y.sort_by_key();
         let out = join(&x, &y).unwrap();
-        assert_eq!(out.key, vec![2, 3]);
+        assert_eq!(*out.keys(), vec![2, 3]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[2, 1]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[6, 3]);
     }
@@ -152,7 +157,7 @@ mod tests {
         let a = Relation::new(vec![1, 1, 2], vec![Column::I64(vec![10, 11, 20])]).unwrap();
         let b = Relation::new(vec![1, 1], vec![Column::I64(vec![100, 101])]).unwrap();
         let out = join(&a, &b).unwrap();
-        assert_eq!(out.key, vec![1, 1, 1, 1]);
+        assert_eq!(*out.keys(), vec![1, 1, 1, 1]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[10, 10, 11, 11]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[100, 101, 100, 101]);
     }
@@ -221,8 +226,8 @@ mod tests {
         let b = Relation::from_keys(vec![2, 4, 9]);
         let semi = semijoin(&a, &b).unwrap();
         let anti = antijoin(&a, &b).unwrap();
-        assert_eq!(semi.key, vec![2, 4]);
-        assert_eq!(anti.key, vec![1, 3, 5]);
+        assert_eq!(*semi.keys(), vec![2, 4]);
+        assert_eq!(*anti.keys(), vec![1, 3, 5]);
         assert_eq!(semi.len() + anti.len(), a.len());
     }
 

@@ -16,7 +16,7 @@ pub fn product(x: &Relation, y: &Relation) -> Result<Relation, RelError> {
     let mut y_idx = Vec::with_capacity(n);
     for i in 0..x.len() {
         for j in 0..y.len() {
-            key.push(x.key[i]);
+            key.push(x.keys().get(i));
             x_idx.push(i);
             y_idx.push(j);
         }
@@ -25,7 +25,7 @@ pub fn product(x: &Relation, y: &Relation) -> Result<Relation, RelError> {
     for c in &x.cols {
         cols.push(c.gather(&x_idx));
     }
-    cols.push(Column::I64(y_idx.iter().map(|&j| y.key[j] as i64).collect()));
+    cols.push(Column::I64(y_idx.iter().map(|&j| y.keys().get(j) as i64).collect()));
     for c in &y.cols {
         cols.push(c.gather(&y_idx));
     }
@@ -44,7 +44,7 @@ mod tests {
         let x = Relation::new(vec![3, 4], vec![Column::I64(vec![1, 1])]).unwrap();
         let y = Relation::new(vec![1], vec![Column::I64(vec![2])]).unwrap();
         let out = product(&x, &y).unwrap();
-        assert_eq!(out.key, vec![3, 4]);
+        assert_eq!(*out.keys(), vec![3, 4]);
         assert_eq!(out.n_cols(), 3);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[1, 1]); // x payload "a"
         assert_eq!(out.cols[1].as_i64().unwrap(), &[1, 1]); // y key "True"
@@ -57,7 +57,7 @@ mod tests {
         let y = Relation::from_keys(vec![10, 20]);
         let out = product(&x, &y).unwrap();
         assert_eq!(out.len(), 6);
-        assert_eq!(out.key, vec![1, 1, 2, 2, 3, 3]);
+        assert_eq!(*out.keys(), vec![1, 1, 2, 2, 3, 3]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[10, 20, 10, 20, 10, 20]);
     }
 

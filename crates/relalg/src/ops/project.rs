@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn table1_project_example() {
         let out = project(&x(), &[1]).unwrap();
-        assert_eq!(out.key, vec![3, 4, 2]);
+        assert_eq!(*out.keys(), vec![3, 4, 2]);
         assert_eq!(out.n_cols(), 1);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[1, 1, 2]);
     }
@@ -129,7 +129,7 @@ mod tests {
     fn project_to_key_only() {
         let out = project(&x(), &[]).unwrap();
         assert_eq!(out.n_cols(), 0);
-        assert_eq!(out.key, vec![3, 4, 2]);
+        assert_eq!(*out.keys(), vec![3, 4, 2]);
     }
 
     #[test]
@@ -137,7 +137,7 @@ mod tests {
         let r = x();
         let two = crate::ops::select_view(&View::of(&r), &crate::predicates::key_lt(4)).unwrap();
         let out = materialize(project_view(&two, &[1]).unwrap());
-        assert_eq!(out.key, vec![3, 2]);
+        assert_eq!(*out.keys(), vec![3, 2]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[1, 2]);
         assert!(matches!(project_view(&two, &[2]), Err(RelError::NoSuchColumn { col: 2, .. })));
     }
@@ -164,7 +164,7 @@ mod rekey_tests {
         )
         .unwrap();
         let out = rekey(&r, 0).unwrap();
-        assert_eq!(out.key, vec![30, 10, 20]);
+        assert_eq!(*out.keys(), vec![30, 10, 20]);
         assert_eq!(out.n_cols(), 1);
         assert_eq!(out.cols[0].as_f64().unwrap(), &[0.3, 0.1, 0.2]);
     }

@@ -231,7 +231,7 @@ mod tests {
         .unwrap();
         let pred = predicates::key_eq(2);
         let out = select(&x, &pred).unwrap();
-        assert_eq!(out.key, vec![2]);
+        assert_eq!(*out.keys(), vec![2]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[0]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[2]);
     }
@@ -240,7 +240,7 @@ mod tests {
     fn select_keeps_input_order() {
         let r = Relation::from_keys(vec![5, 1, 9, 3, 7]);
         let out = select(&r, &predicates::key_lt(8)).unwrap();
-        assert_eq!(out.key, vec![5, 1, 3, 7]);
+        assert_eq!(*out.keys(), vec![5, 1, 3, 7]);
     }
 
     #[test]
@@ -249,7 +249,7 @@ mod tests {
         let mut b = BodyBuilder::new(2);
         b.emit_output(Expr::input(1).gt(Expr::lit(1.0f64)));
         let out = select(&r, &b.build()).unwrap();
-        assert_eq!(out.key, vec![2, 3]);
+        assert_eq!(*out.keys(), vec![2, 3]);
     }
 
     #[test]
@@ -273,8 +273,8 @@ mod tests {
         let out = select(&r, &predicates::key_lt(12345)).unwrap();
         assert_eq!(out.len(), 12345);
         // Partition order preserved: descending keys filtered keep order.
-        assert_eq!(out.key[0], 12344);
-        assert_eq!(*out.key.last().unwrap(), 0);
+        assert_eq!(out.keys().get(0), 12344);
+        assert_eq!(out.keys().get(out.len() - 1), 0);
     }
 
     #[test]

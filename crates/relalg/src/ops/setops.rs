@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 fn key_index(r: &Relation) -> HashMap<u64, Vec<usize>> {
     let mut idx: HashMap<u64, Vec<usize>> = HashMap::with_capacity(r.len());
-    for (i, &k) in r.key.iter().enumerate() {
+    for (i, k) in r.keys().iter().enumerate() {
         idx.entry(k).or_default().push(i);
     }
     idx
@@ -24,7 +24,8 @@ fn contains_tuple(
     probe: &Relation,
     i: usize,
 ) -> bool {
-    idx.get(&probe.key[i]).is_some_and(|cands| cands.iter().any(|&j| probe.tuple_eq(i, rel, j)))
+    idx.get(&probe.keys().get(i))
+        .is_some_and(|cands| cands.iter().any(|&j| probe.tuple_eq(i, rel, j)))
 }
 
 /// Schema check shared by the set operators.
@@ -49,13 +50,13 @@ pub fn union(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
     let mut seen = key_index(&out);
     for i in 0..a.len() {
         if !contains_tuple(&seen, &out, a, i) {
-            seen.entry(a.key[i]).or_default().push(out.len());
+            seen.entry(a.keys().get(i)).or_default().push(out.len());
             out.push_row_from(a, i);
         }
     }
     for i in 0..b.len() {
         if !contains_tuple(&seen, &out, b, i) {
-            seen.entry(b.key[i]).or_default().push(out.len());
+            seen.entry(b.keys().get(i)).or_default().push(out.len());
             out.push_row_from(b, i);
         }
     }
@@ -71,7 +72,7 @@ pub fn intersection(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
     let mut emitted = key_index(&out);
     for i in 0..a.len() {
         if contains_tuple(&b_idx, b, a, i) && !contains_tuple(&emitted, &out, a, i) {
-            emitted.entry(a.key[i]).or_default().push(out.len());
+            emitted.entry(a.keys().get(i)).or_default().push(out.len());
             out.push_row_from(a, i);
         }
     }
@@ -111,7 +112,7 @@ mod tests {
     #[test]
     fn table1_union_example() {
         let out = union(&x(), &y_union()).unwrap();
-        assert_eq!(out.key, vec![3, 4, 2, 0]);
+        assert_eq!(*out.keys(), vec![3, 4, 2, 0]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[1, 1, 2, 1]);
     }
 
@@ -119,7 +120,7 @@ mod tests {
     #[test]
     fn table1_intersection_example() {
         let out = intersection(&x(), &y_union()).unwrap();
-        assert_eq!(out.key, vec![2]);
+        assert_eq!(*out.keys(), vec![2]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[2]);
     }
 
@@ -128,7 +129,7 @@ mod tests {
     fn table1_difference_example() {
         let y = Relation::new(vec![4, 3], vec![Column::I64(vec![1, 1])]).unwrap();
         let out = difference(&x(), &y).unwrap();
-        assert_eq!(out.key, vec![2]);
+        assert_eq!(*out.keys(), vec![2]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[2]);
     }
 

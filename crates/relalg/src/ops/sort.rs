@@ -42,7 +42,7 @@
 //! bitmap, column at a time, and gathers through [`crate::view`] like every
 //! other filtering operator.
 
-use crate::data::{par_each, Column, RelError, Relation};
+use crate::data::{par_each, Column, Keys, RelError, Relation};
 use crate::scratch::with_scratch;
 use crate::view::{gather, materialize, Groups, View};
 use kfusion_ir::batch::Scratch;
@@ -103,6 +103,8 @@ fn f64_rank(v: f64) -> u64 {
 #[derive(Clone, Copy)]
 enum Rank<'v> {
     Key(&'v [u64], u64),
+    /// Keys that are the row numbers.
+    RowId(u64),
     I64(&'v [i64], u64),
     F64(&'v [f64], u64),
 }
@@ -115,7 +117,10 @@ impl<'v> Rank<'v> {
             false => Err(RelError::NoSuchColumn { col: c, available: input.n_cols() }),
         };
         Ok(match by {
-            SortBy::Key | SortBy::KeyDesc => Rank::Key(input.key(), flip),
+            SortBy::Key | SortBy::KeyDesc => match input.key() {
+                Keys::Stored(keys) => Rank::Key(keys, flip),
+                Keys::RowIds(_) => Rank::RowId(flip),
+            },
             SortBy::I64Col(c) | SortBy::I64ColDesc(c) => {
                 Rank::I64(col(c)?.as_i64().ok_or(RelError::SchemaMismatch)?, flip)
             }
@@ -129,6 +134,7 @@ impl<'v> Rank<'v> {
     fn at(self, i: usize) -> u64 {
         match self {
             Rank::Key(keys, flip) => keys[i] ^ flip,
+            Rank::RowId(flip) => i as u64 ^ flip,
             // Order-preserving map i64 -> u64 so one comparator serves both.
             Rank::I64(vals, flip) => (vals[i] as u64 ^ (1 << 63)) ^ flip,
             Rank::F64(vals, flip) => f64_rank(vals[i]) ^ flip,
@@ -203,6 +209,10 @@ impl Scan {
 /// nothing ranked, nothing moved; otherwise the sorted rows are gathered,
 /// once, into storage of their own.
 pub fn sort_view<'a>(input: &View<'a>, by: SortBy) -> Result<View<'a>, RelError> {
+    if by == SortBy::Key && input.key().is_row_ids() {
+        // The selected rows' keys are their ascending row numbers.
+        return Ok(ordered(input));
+    }
     let rank = Rank::of(input, by)?;
     let morsels = worker_ranges(input.base_len());
     Ok(sorted(input, rank, &morsels, Scan::all(input, rank, &morsels)))
@@ -219,6 +229,9 @@ pub fn sort_view<'a>(input: &View<'a>, by: SortBy) -> Result<View<'a>, RelError>
 /// bit for bit. Input in key order already, or keys too far apart for the
 /// histograms, takes [`sort_view`]'s path.
 pub fn group_by_key_view<'a>(input: &View<'a>) -> Result<View<'a>, RelError> {
+    if input.key().is_row_ids() {
+        return sort_view(input, SortBy::Key);
+    }
     let rank = Rank::of(input, SortBy::Key)?;
     let morsels = worker_ranges(input.base_len());
     let scan = Scan::all(input, rank, &morsels);
@@ -262,13 +275,16 @@ fn sorted<'a>(
     let mut buf = with_scratch(Scratch::idx_buf);
     let sorted = match sort_positions(input, rank, morsels, scan, &mut buf) {
         Some(n) => View::from(gather(input, &buf[..n])),
-        None => {
-            kfusion_trace::counter("kfusion_sort_ordered_total", 1);
-            input.clone()
-        }
+        None => ordered(input),
     };
     with_scratch(|s| s.put_idx_buf(buf));
     sorted
+}
+
+/// `input`, which is in the order asked for already.
+fn ordered<'a>(input: &View<'a>) -> View<'a> {
+    kfusion_trace::counter("kfusion_sort_ordered_total", 1);
+    input.clone()
 }
 
 /// Sort the relation (stable): [`sort_view`], then the gather — ordered
@@ -502,7 +518,7 @@ pub fn unique(input: &Relation) -> Result<Relation, RelError> {
     if let Some(first) = sel.first_mut() {
         *first = 1;
     }
-    mark_changes(&input.key, &mut sel, |a, b| a != b);
+    mark_changes(&input.keys().as_slice(), &mut sel, |a, b| a != b);
     for c in &input.cols {
         match c {
             Column::I64(v) => mark_changes(v, &mut sel, |a, b| a != b),
@@ -540,7 +556,7 @@ mod tests {
     fn sort_by_key_small() {
         let r = Relation::new(vec![3, 1, 2], vec![Column::I64(vec![30, 10, 20])]).unwrap();
         let out = sort(&r, SortBy::Key).unwrap();
-        assert_eq!(out.key, vec![1, 2, 3]);
+        assert_eq!(*out.keys(), vec![1, 2, 3]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[10, 20, 30]);
     }
 
@@ -549,7 +565,7 @@ mod tests {
         let r = Relation::new(vec![1, 2, 3], vec![Column::I64(vec![30, 10, 20])]).unwrap();
         let out = sort(&r, SortBy::I64Col(0)).unwrap();
         assert_eq!(out.cols[0].as_i64().unwrap(), &[10, 20, 30]);
-        assert_eq!(out.key, vec![2, 3, 1]);
+        assert_eq!(*out.keys(), vec![2, 3, 1]);
     }
 
     #[test]
@@ -572,7 +588,7 @@ mod tests {
         // Stability: within equal keys, original order (= payload order).
         let pay = out.cols[0].as_i64().unwrap();
         for w in 0..n - 1 {
-            if out.key[w] == out.key[w + 1] {
+            if out.keys().get(w) == out.keys().get(w + 1) {
                 assert!(pay[w] < pay[w + 1], "unstable at {w}");
             }
         }
@@ -613,8 +629,8 @@ mod tests {
         assert_eq!(out.len(), n);
         // Ranks spanning every u64: the bucket count does not wrap to 0.
         let r = Relation::from_keys(vec![u64::MAX, 0, 5]);
-        assert_eq!(sort(&r, SortBy::Key).unwrap().key, [0, 5, u64::MAX]);
-        assert_eq!(sort(&r, SortBy::KeyDesc).unwrap().key, [u64::MAX, 5, 0]);
+        assert_eq!(sort(&r, SortBy::Key).unwrap().key, vec![0, 5, u64::MAX]);
+        assert_eq!(sort(&r, SortBy::KeyDesc).unwrap().key, vec![u64::MAX, 5, 0]);
     }
 
     /// Rows whose key, i64 column and f64 column each run in order —
@@ -770,7 +786,7 @@ mod tests {
         )
         .unwrap();
         let out = sort(&r, SortBy::F64Col(0)).unwrap();
-        assert_eq!(out.key, vec![11, 13, 10, 12]);
+        assert_eq!(*out.keys(), vec![11, 13, 10, 12]);
     }
 
     #[test]
@@ -783,12 +799,12 @@ mod tests {
         let by_i = sort(&r, SortBy::I64ColDesc(0)).unwrap();
         // 9, 8, then the two 7s in original order (stable).
         assert_eq!(by_i.cols[0].as_i64().unwrap(), &[9, 8, 7, 7]);
-        assert_eq!(by_i.key, vec![2, 4, 1, 3]);
+        assert_eq!(*by_i.keys(), vec![2, 4, 1, 3]);
         let by_f = sort(&r, SortBy::F64ColDesc(1)).unwrap();
         assert_eq!(by_f.cols[1].as_f64().unwrap(), &[2.5, 0.5, 0.5, -1.5]);
-        assert_eq!(by_f.key, vec![4, 1, 3, 2]);
+        assert_eq!(*by_f.keys(), vec![4, 1, 3, 2]);
         let by_k = sort(&r, SortBy::KeyDesc).unwrap();
-        assert_eq!(by_k.key, vec![4, 3, 2, 1]);
+        assert_eq!(*by_k.keys(), vec![4, 3, 2, 1]);
     }
 
     #[test]
@@ -813,7 +829,7 @@ mod tests {
         let merge = sort(&r, SortBy::Key).unwrap();
         let bitonic = bitonic_sort(&r, SortBy::Key).unwrap();
         // Both orderings are stable-equivalent on (key, original index).
-        assert_eq!(bitonic.key, merge.key);
+        assert_eq!(*bitonic.keys(), merge.key);
         assert_eq!(
             bitonic.cols[0].as_i64().unwrap(),
             merge.cols[0].as_i64().unwrap(),
@@ -863,7 +879,7 @@ mod tests {
             .unwrap();
         let out = unique(&r).unwrap();
         // (2,8) and (2,7) differ in payload: both kept.
-        assert_eq!(out.key, vec![1, 2, 2, 3]);
+        assert_eq!(*out.keys(), vec![1, 2, 2, 3]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[9, 8, 7, 6]);
     }
 
@@ -874,7 +890,7 @@ mod tests {
         let key: Vec<u64> = (0..n as u64).map(|i| i / 3).collect();
         let r = Relation::new(key.clone(), vec![Column::F64(vec![f64::NAN; n])]).unwrap();
         let out = unique(&r).unwrap();
-        assert_eq!(out.key, (0..n.div_ceil(3) as u64).collect::<Vec<_>>(), "NaN repeats NaN");
+        assert_eq!(*out.keys(), (0..n.div_ceil(3) as u64).collect::<Vec<_>>(), "NaN repeats NaN");
         let signed = Relation::new(vec![4, 4, 4], vec![Column::F64(vec![0.0, -0.0, -0.0])]);
         assert_eq!(unique(&signed.unwrap()).unwrap().len(), 2, "-0.0 is not 0.0");
         assert!(unique(&Relation::from_keys(vec![])).unwrap().is_empty());

@@ -19,7 +19,7 @@
 //! number of times.
 
 use crate::data::{
-    col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, Relation,
+    col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, Keys, Relation,
 };
 use kfusion_ir::batch::ColRef;
 use kfusion_ir::{Ty, Value};
@@ -30,8 +30,8 @@ use std::sync::Arc;
 
 /// Stored rows a view's columns point into: a caller's relation, or an
 /// intermediate kept alive by the views (and executor slots) sharing it.
-/// The columns ARITH+ computes are kept in a relation of their own whose
-/// key is empty: the view's key is always another storage's.
+/// The columns ARITH+ computes are kept in a relation of their own keyed by
+/// row id, which stores no key: the view's key is always another storage's.
 #[derive(Debug, Clone)]
 enum Src<'a> {
     Borrowed(&'a Relation),
@@ -204,8 +204,9 @@ impl<'a> View<'a> {
         self.key.len()
     }
 
-    pub(crate) fn key(&self) -> &[u64] {
-        &self.key.key
+    /// The keys of all base rows.
+    pub(crate) fn key(&self) -> &Keys {
+        self.key.keys()
     }
 
     /// Payload column `c`, all base rows of it.
@@ -272,7 +273,8 @@ impl<'a> View<'a> {
     /// wrote for it (ARITH+).
     pub(crate) fn with_computed(&self, computed: Vec<Column>) -> View<'a> {
         debug_assert!(computed.iter().all(|c| c.len() == self.base_len()));
-        let store = Src::Shared(Arc::new(Relation { key: Vec::new(), cols: computed }));
+        let key = Keys::RowIds(self.base_len());
+        let store = Src::Shared(Arc::new(Relation { key, cols: computed }));
         let mut out = self.clone();
         out.cols.extend((0..store.n_cols()).map(|c| (store.clone(), c)));
         out
@@ -294,11 +296,8 @@ impl<'a> View<'a> {
     /// column `c`.
     pub(crate) fn ir_cols(&self) -> Vec<ColRef<'_>> {
         let mut out = Vec::with_capacity(1 + self.cols.len());
-        out.push(ColRef::KeyU64(self.key()));
-        out.extend((0..self.cols.len()).map(|c| match self.col(c) {
-            Column::I64(v) => ColRef::I64(v),
-            Column::F64(v) => ColRef::F64(v),
-        }));
+        out.push(self.key().ir_col());
+        out.extend((0..self.cols.len()).map(|c| self.col(c).ir_col()));
         out
     }
 
@@ -310,7 +309,7 @@ impl<'a> View<'a> {
     /// The interpreter's input row for base row `i` ([`Relation::ir_inputs`]).
     pub(crate) fn ir_inputs(&self, i: usize, out: &mut Vec<Value>) {
         out.clear();
-        out.push(Value::I64(self.key()[i] as i64));
+        out.push(Value::I64(self.key().get(i) as i64));
         out.extend((0..self.cols.len()).map(|c| self.col(c).value(i)));
     }
 
@@ -405,7 +404,10 @@ impl<'a> View<'a> {
 /// (paper Fig. 3), and the only place a view's rows are copied. A view that
 /// alone holds the intermediates it references — the one an operator
 /// builds over an input handed to it — takes their columns over without
-/// copying a value; only copied bytes are counted.
+/// copying a value; only copied bytes are counted. Row ids stay row ids
+/// when every base row survives, and the survivors' row numbers are
+/// written as stored keys otherwise: the bytes a stored key would take,
+/// and no key is read.
 pub fn materialize(view: View<'_>) -> Relation {
     let view = match view.into_moved() {
         Ok(rel) => return rel,
@@ -420,16 +422,14 @@ pub fn materialize(view: View<'_>) -> Relation {
         // 2-core machines this was measured on, a worker per column lost a
         // quarter to contention on the fresh buffers' page faults.
         return Relation {
-            key: view.key().to_vec(),
+            key: view.key().clone(),
             cols: (0..view.n_cols()).map(|c| view.col(c).clone()).collect(),
         };
     };
-    let mut out = Relation {
-        key: Vec::new(),
-        cols: (0..view.n_cols()).map(|c| view.col(c).empty_like()).collect(),
-    };
-    resize_zeroed_vec(&mut out.key, view.len());
-    for c in &mut out.cols {
+    let mut key = Vec::new();
+    resize_zeroed_vec(&mut key, view.len());
+    let mut cols: Vec<Column> = (0..view.n_cols()).map(|c| view.col(c).empty_like()).collect();
+    for c in &mut cols {
         c.resize_zeroed(view.len());
     }
     // Survivors copy straight from the base rows into disjoint windows of
@@ -442,14 +442,14 @@ pub fn materialize(view: View<'_>) -> Relation {
         .collect();
     let ctas: Vec<_> = sel
         .chunks(words_per_cta)
-        .zip(slice_windows(&mut out.key, &counts))
-        .zip(col_windows(&mut out.cols, &counts))
+        .zip(slice_windows(&mut key, &counts))
+        .zip(col_windows(&mut cols, &counts))
         .enumerate()
         .collect();
     par_each(ctas, |(cta, ((words, kw), cw))| {
         scatter_cta(&view, cta * DEFAULT_CTA_CHUNK, words, kw, cw)
     });
-    out
+    Relation { key: Keys::Stored(key), cols }
 }
 
 /// The tuples of `view` at base rows `idx`, in that order, in storage of
@@ -463,25 +463,27 @@ pub(crate) fn gather(view: &View<'_>, idx: &[u32]) -> Relation {
         "kfusion_host_materialized_bytes_total",
         idx.len() as u64 * view.row_bytes(),
     );
-    let mut out = Relation {
-        key: Vec::with_capacity(idx.len()),
-        cols: (0..view.n_cols()).map(|c| view.col(c).empty_like_with_capacity(idx.len())).collect(),
-    };
-    let Relation { key, cols } = &mut out;
-    let mut tasks = vec![Gather::Key(key, view.key())];
+    let mut key = Vec::with_capacity(idx.len());
+    let mut cols: Vec<Column> =
+        (0..view.n_cols()).map(|c| view.col(c).empty_like_with_capacity(idx.len())).collect();
+    let mut tasks = vec![Gather::Key(&mut key, view.key())];
     tasks.extend(cols.iter_mut().enumerate().map(|(c, dst)| Gather::Col(dst, view.col(c))));
     par_each(tasks, |task| match task {
-        Gather::Key(dst, src) => gather_col(src, idx, dst),
+        Gather::Key(dst, Keys::Stored(src)) => gather_col(src, idx, dst),
+        Gather::Key(dst, Keys::RowIds(_)) => {
+            let _steady = kfusion_trace::allocwatch::region();
+            dst.extend(idx.iter().map(|&i| i as u64));
+        }
         Gather::Col(Column::I64(dst), Column::I64(src)) => gather_col(src, idx, dst),
         Gather::Col(Column::F64(dst), Column::F64(src)) => gather_col(src, idx, dst),
         Gather::Col(..) => unreachable!("output schema set from the view"),
     });
-    out
+    Relation { key: Keys::Stored(key), cols }
 }
 
 /// One column of [`gather`]'s output and the source it reads.
 enum Gather<'o, 's> {
-    Key(&'o mut Vec<u64>, &'s [u64]),
+    Key(&'o mut Vec<u64>, &'s Keys),
     Col(&'o mut Column, &'s Column),
 }
 
@@ -500,7 +502,10 @@ fn scatter_cta(
     kw: &mut [u64],
     cw: Vec<ColWindow<'_>>,
 ) {
-    scatter_col(view.key(), start, words, kw);
+    match view.key() {
+        Keys::Stored(keys) => scatter_col(keys, start, words, kw),
+        Keys::RowIds(_) => scatter_rows(start, words, kw),
+    }
     for (c, win) in cw.into_iter().enumerate() {
         match (win, view.col(c)) {
             (ColWindow::I64(d), Column::I64(s)) => scatter_col(s, start, words, d),
@@ -514,12 +519,24 @@ fn scatter_cta(
 /// `words` (lane 0 = `src[start]`), in lane order. `dst` is exactly as long
 /// as the survivor count, so a full walk fills it.
 fn scatter_col<T: Copy>(src: &[T], start: usize, words: &[u64], dst: &mut [T]) {
+    for_each_lane(start, words, dst, |i| src[i]);
+}
+
+/// [`scatter_col`] of the row numbers: each selected lane's own.
+fn scatter_rows(start: usize, words: &[u64], dst: &mut [u64]) {
+    for_each_lane(start, words, dst, |i| i as u64);
+}
+
+/// `dst[pos] = value(i)` for the `pos`-th set bit of `words`, at base row
+/// `i` (lane 0 = `start`).
+#[inline(always)]
+fn for_each_lane<T>(start: usize, words: &[u64], dst: &mut [T], value: impl Fn(usize) -> T) {
     let mut pos = 0;
     for (w, &word) in words.iter().enumerate() {
         let base = start + w * 64;
         let mut m = word;
         while m != 0 {
-            dst[pos] = src[base + m.trailing_zeros() as usize];
+            dst[pos] = value(base + m.trailing_zeros() as usize);
             pos += 1;
             m &= m - 1;
         }
@@ -561,9 +578,9 @@ mod tests {
     #[test]
     fn unshared_intermediate_is_handed_over_not_copied() {
         let r = rel(100);
-        let ptr = r.key.as_ptr();
+        let ptr = r.keys().stored().unwrap().as_ptr();
         let out = materialize(View::from(r));
-        assert_eq!(out.key.as_ptr(), ptr);
+        assert_eq!(out.keys().stored().unwrap().as_ptr(), ptr);
     }
 
     /// A view over intermediates nothing else holds moves their columns —
@@ -572,19 +589,21 @@ mod tests {
     #[test]
     fn a_view_that_alone_holds_its_storage_moves_it() {
         let input = Arc::new(rel(100));
-        let (key, ints) = (input.key.as_ptr(), input.cols[0].as_i64().unwrap().as_ptr());
+        let (key, ints) =
+            (input.keys().stored().unwrap().as_ptr(), input.cols[0].as_i64().unwrap().as_ptr());
         let computed = vec![Column::I64((0..100).collect())];
         let view = View::shared(input).with_columns(&[1, 0, 0]).with_computed(computed);
         let want = materialize(view.clone());
         let moved = materialize(view);
         assert_eq!(moved, want);
-        assert_eq!(moved.key.as_ptr(), key);
+        assert_eq!(moved.keys().stored().unwrap().as_ptr(), key);
         assert_eq!(moved.cols[1].as_i64().unwrap().as_ptr(), ints);
         assert_ne!(moved.cols[2].as_i64().unwrap().as_ptr(), ints);
 
         let shared = Arc::new(rel(100));
         let view = View::shared(Arc::clone(&shared)).with_computed(vec![Column::I64(vec![0; 100])]);
-        assert_ne!(materialize(view).key.as_ptr(), shared.key.as_ptr());
+        let stored = |r: &Relation| r.keys().stored().unwrap().as_ptr();
+        assert_ne!(stored(&materialize(view)), stored(&shared));
     }
 
     #[test]
@@ -594,7 +613,7 @@ mod tests {
         let v = View::of(&r).with_selection(sel, rows).rekeyed((0..200).rev().collect(), 0);
         let out = materialize(v);
         assert_eq!(out.n_cols(), 1);
-        assert_eq!(out.key[..3], [199, 196, 193]);
+        assert_eq!(out.keys().stored().unwrap()[..3], [199, 196, 193]);
         assert_eq!(out.cols[0].as_f64().unwrap()[1], 1.5);
     }
 
@@ -607,7 +626,7 @@ mod tests {
         let out = materialize(View::of(&r).with_selection(sel, rows));
         assert_eq!(out.len(), rows);
         let want: Vec<u64> = (0..n as u64).step_by(3).collect();
-        assert_eq!(out.key, want);
+        assert_eq!(*out.keys(), want);
         assert_eq!(out.cols[0].as_i64().unwrap()[5], 150);
         assert_eq!(out.cols[1].as_f64().unwrap()[5], 7.5);
     }
@@ -631,7 +650,7 @@ mod tests {
         let idx: Vec<u32> = (0..n as u32).rev().step_by(2).collect();
         let out = gather(&v, &idx);
         assert_eq!(out.len(), idx.len());
-        assert_eq!(out.key[..2], [n as u64 - 1, n as u64 - 3]);
+        assert_eq!(out.keys().stored().unwrap()[..2], [n as u64 - 1, n as u64 - 3]);
         assert_eq!(out.cols[0].as_f64().unwrap()[1], (n - 3) as f64 * 0.5);
         assert_eq!(out.cols[1].as_i64().unwrap()[1], (n as i64 - 3) * 10);
     }

@@ -46,8 +46,8 @@ fn select_matches_filter() {
         let r = rel_keys(&mut rng, 1000, 200);
         let t = rng.gen_range(0u64..1000);
         let out = ops::select(&r, &predicates::key_lt(t)).unwrap();
-        let expect: Vec<u64> = r.key.iter().copied().filter(|&k| k < t).collect();
-        assert_eq!(out.key, expect, "case {case}");
+        let expect: Vec<u64> = r.keys().iter().filter(|&k| k < t).collect();
+        assert_eq!(*out.keys(), expect, "case {case}");
     }
 }
 
@@ -79,16 +79,20 @@ fn join_matches_nested_loop() {
         let out = ops::join(&a, &b).unwrap();
         let mut got: Vec<(u64, i64, i64)> = (0..out.len())
             .map(|i| {
-                (out.key[i], out.cols[0].as_i64().unwrap()[i], out.cols[1].as_i64().unwrap()[i])
+                (
+                    out.keys().get(i),
+                    out.cols[0].as_i64().unwrap()[i],
+                    out.cols[1].as_i64().unwrap()[i],
+                )
             })
             .collect();
         got.sort_unstable();
         let mut expect = Vec::new();
         for i in 0..a.len() {
             for j in 0..b.len() {
-                if a.key[i] == b.key[j] {
+                if a.keys().get(i) == b.keys().get(j) {
                     expect.push((
-                        a.key[i],
+                        a.keys().get(i),
                         a.cols[0].as_i64().unwrap()[i],
                         b.cols[0].as_i64().unwrap()[j],
                     ));
@@ -110,9 +114,9 @@ fn semi_plus_anti_partition() {
         let semi = ops::semijoin(&a, &b).unwrap();
         let anti = ops::antijoin(&a, &b).unwrap();
         assert_eq!(semi.len() + anti.len(), a.len(), "case {case}");
-        let b_keys: HashSet<u64> = b.key.iter().copied().collect();
-        assert!(semi.key.iter().all(|k| b_keys.contains(k)), "case {case}");
-        assert!(anti.key.iter().all(|k| !b_keys.contains(k)), "case {case}");
+        let b_keys: HashSet<u64> = b.keys().iter().collect();
+        assert!(semi.keys().iter().all(|k| b_keys.contains(&k)), "case {case}");
+        assert!(anti.keys().iter().all(|k| !b_keys.contains(&k)), "case {case}");
     }
 }
 
@@ -128,14 +132,17 @@ fn set_op_identities() {
         let uni = ops::union(&a, &b).unwrap();
         // difference keeps duplicates of a; intersection dedups — compare
         // against per-tuple membership instead of cardinality arithmetic.
-        let b_set: HashSet<u64> = b.key.iter().copied().collect();
-        let expect_diff: Vec<u64> = a.key.iter().copied().filter(|k| !b_set.contains(k)).collect();
-        assert_eq!(&diff.key, &expect_diff, "case {case}");
-        let uni_set: HashSet<u64> = uni.key.iter().copied().collect();
-        assert!(a.key.iter().all(|k| uni_set.contains(k)), "case {case}");
-        assert!(b.key.iter().all(|k| uni_set.contains(k)), "case {case}");
-        let a_set: HashSet<u64> = a.key.iter().copied().collect();
-        assert!(inter.key.iter().all(|k| a_set.contains(k) && b_set.contains(k)), "case {case}");
+        let b_set: HashSet<u64> = b.keys().iter().collect();
+        let expect_diff: Vec<u64> = a.keys().iter().filter(|k| !b_set.contains(k)).collect();
+        assert_eq!(*diff.keys(), expect_diff, "case {case}");
+        let uni_set: HashSet<u64> = uni.keys().iter().collect();
+        assert!(a.keys().iter().all(|k| uni_set.contains(&k)), "case {case}");
+        assert!(b.keys().iter().all(|k| uni_set.contains(&k)), "case {case}");
+        let a_set: HashSet<u64> = a.keys().iter().collect();
+        assert!(
+            inter.keys().iter().all(|k| a_set.contains(&k) && b_set.contains(&k)),
+            "case {case}"
+        );
         // Union has no duplicate tuples (bare keys: no duplicate keys).
         assert_eq!(uni_set.len(), uni.len(), "case {case}");
     }
@@ -152,10 +159,10 @@ fn sort_then_unique() {
         assert!(sorted.is_key_sorted(), "case {case}");
         let mut expect = keys.clone();
         expect.sort_unstable();
-        assert_eq!(&sorted.key, &expect, "case {case}");
+        assert_eq!(*sorted.keys(), expect, "case {case}");
         let uniq = ops::unique(&sorted).unwrap();
         expect.dedup();
-        assert_eq!(&uniq.key, &expect, "case {case}");
+        assert_eq!(*uniq.keys(), expect, "case {case}");
     }
 }
 
@@ -168,13 +175,13 @@ fn aggregate_matches_hashmap() {
         let out = ops::aggregate_by_key(&r, &[ops::Agg::Sum(0), ops::Agg::Count]).unwrap();
         let mut expect: std::collections::BTreeMap<u64, (i64, i64)> = Default::default();
         for i in 0..r.len() {
-            let e = expect.entry(r.key[i]).or_insert((0, 0));
+            let e = expect.entry(r.keys().get(i)).or_insert((0, 0));
             e.0 += r.cols[0].as_i64().unwrap()[i];
             e.1 += 1;
         }
-        assert_eq!(out.key.len(), expect.len(), "case {case}");
+        assert_eq!(out.keys().len(), expect.len(), "case {case}");
         for (i, (k, (sum, count))) in expect.iter().enumerate() {
-            assert_eq!(out.key[i], *k, "case {case}");
+            assert_eq!(out.keys().get(i), *k, "case {case}");
             assert_eq!(out.cols[0].as_i64().unwrap()[i], *sum, "case {case}");
             assert_eq!(out.cols[1].as_i64().unwrap()[i], *count, "case {case}");
         }
@@ -191,8 +198,8 @@ fn product_shape() {
         let out = ops::product(&a, &b).unwrap();
         assert_eq!(out.len(), a.len() * b.len(), "case {case}");
         if !b.is_empty() {
-            for (i, &k) in a.key.iter().enumerate() {
-                assert_eq!(out.key[i * b.len()], k, "case {case}");
+            for (i, k) in a.keys().iter().enumerate() {
+                assert_eq!(out.keys().get(i * b.len()), k, "case {case}");
             }
         }
     }
@@ -231,7 +238,7 @@ fn rekey_then_sort_groups() {
         assert!(sorted.is_key_sorted(), "case {case}");
         let mut expect: Vec<u64> = vals.iter().map(|&v| v as u64).collect();
         expect.sort_unstable();
-        assert_eq!(sorted.key, expect, "case {case}");
+        assert_eq!(*sorted.keys(), expect, "case {case}");
     }
 }
 

@@ -212,10 +212,9 @@ pub fn generate(cfg: TpchConfig) -> TpchDb {
 
 impl TpchDb {
     /// One LINEITEM column as a relation keyed by row id — the per-column
-    /// inputs Q1's column-joins reassemble (paper Fig. 17(a)).
+    /// inputs Q1's column-joins reassemble (paper Fig. 17(a)). The key is
+    /// the row number and is stored nowhere.
     pub fn lineitem_column(&self, col: LineitemCol) -> Relation {
-        let n = self.lineitem.len() as u64;
-        let key: Vec<u64> = (0..n).collect();
         let c = match col {
             LineitemCol::Shipdate => Column::I64(self.lineitem.shipdate.clone()),
             LineitemCol::Quantity => Column::F64(self.lineitem.quantity.clone()),
@@ -225,7 +224,7 @@ impl TpchDb {
             LineitemCol::ReturnFlag => Column::I64(self.lineitem.returnflag.clone()),
             LineitemCol::LineStatus => Column::I64(self.lineitem.linestatus.clone()),
         };
-        Relation::new(key, vec![c]).expect("columns are rectangular")
+        Relation::with_row_ids(vec![c]).expect("one column is rectangular")
     }
 
     /// LINEITEM keyed by orderkey with `[suppkey, receiptdate, commitdate]`
@@ -379,8 +378,8 @@ mod tests {
         for col in Q1_COLUMNS {
             let r = db.lineitem_column(col);
             assert_eq!(r.len(), db.lineitem.len());
-            assert!(r.is_key_sorted());
-            assert_eq!(r.key[0], 0);
+            assert!(r.keys().is_row_ids());
+            assert_eq!(*r.keys(), (0..db.lineitem.len() as u64).collect::<Vec<_>>());
         }
     }
 

@@ -186,7 +186,7 @@ pub fn reference_q1(db: &TpchDb) -> Relation {
 /// Compare a plan output against the reference with a floating-point
 /// tolerance (summation order may differ in principle).
 pub fn q1_matches_reference(out: &Relation, reference: &Relation, rel_tol: f64) -> bool {
-    if out.key != reference.key || out.n_cols() != reference.n_cols() {
+    if out.keys() != reference.keys() || out.n_cols() != reference.n_cols() {
         return false;
     }
     for (a, b) in out.cols.iter().zip(&reference.cols) {
@@ -231,8 +231,8 @@ mod tests {
         assert!(
             q1_matches_reference(&r.output, &expect, 1e-9),
             "plan output disagrees with reference:\nplan keys {:?}\nref keys {:?}",
-            r.output.key,
-            expect.key
+            r.output.keys(),
+            expect.keys()
         );
     }
 

@@ -249,7 +249,7 @@ mod tests {
         let a = reference_q21(&db, 0);
         let b = reference_q21(&db, 1);
         // Supplier sets are disjoint across nations.
-        let sa: std::collections::HashSet<u64> = a.key.iter().copied().collect();
-        assert!(b.key.iter().all(|k| !sa.contains(k)));
+        let sa: std::collections::HashSet<u64> = a.keys().iter().collect();
+        assert!(b.keys().iter().all(|k| !sa.contains(&k)));
     }
 }

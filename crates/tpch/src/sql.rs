@@ -86,19 +86,16 @@ pub fn q1_catalog() -> Catalog {
 }
 
 /// The Q6 wide table: exactly what the hand-built plan's ColumnJoins
-/// assemble from [`crate::q6::q6_inputs`] — row-id keys, columns
-/// `[shipdate, quantity, extendedprice, discount]`.
+/// assemble from [`crate::q6::q6_inputs`] — keyed by row id, which stores
+/// no key; columns `[shipdate, quantity, extendedprice, discount]`.
 pub fn q6_wide_table(db: &TpchDb) -> Relation {
     let li = &db.lineitem;
-    Relation::new(
-        (0..li.len() as u64).collect(),
-        vec![
-            Column::I64(li.shipdate.clone()),
-            Column::F64(li.quantity.clone()),
-            Column::F64(li.extendedprice.clone()),
-            Column::F64(li.discount.clone()),
-        ],
-    )
+    Relation::with_row_ids(vec![
+        Column::I64(li.shipdate.clone()),
+        Column::F64(li.quantity.clone()),
+        Column::F64(li.extendedprice.clone()),
+        Column::F64(li.discount.clone()),
+    ])
     .expect("lineitem columns are rectangular")
 }
 
@@ -127,7 +124,7 @@ pub fn q1_packed_table(db: &TpchDb) -> Relation {
 /// equal, f64 values equal *as bit patterns* (so `-0.0 != 0.0` and NaNs
 /// compare by payload).
 pub fn bit_identical(a: &Relation, b: &Relation) -> bool {
-    if a.key != b.key || a.n_cols() != b.n_cols() {
+    if a.keys() != b.keys() || a.n_cols() != b.n_cols() {
         return false;
     }
     a.cols.iter().zip(&b.cols).all(|(x, y)| match (x, y) {
@@ -204,8 +201,8 @@ mod tests {
                 bit_identical(&sql_out, &hand),
                 "Q1 SQL route diverges from hand-built plan under {strat:?}\n\
                  sql keys {:?}\nhand keys {:?}",
-                sql_out.key,
-                hand.key
+                sql_out.keys(),
+                hand.keys()
             );
         }
         // Also grounded against the imperative reference (tolerance).
@@ -214,16 +211,29 @@ mod tests {
         assert!(q1::q1_matches_reference(&out, &q1::reference_q1(&db), 1e-9));
     }
 
+    /// The served Q6 table stores no key, and is bit for bit the table with
+    /// its row numbers stored — the one `bit_identical` tells apart from a
+    /// table one key off.
+    #[test]
+    fn a_table_keyed_by_row_id_is_bit_identical_to_its_row_numbers_stored() {
+        let table = q6_wide_table(&db());
+        assert!(table.keys().is_row_ids());
+        let n = table.len() as u64;
+        let stored = |keys: Vec<u64>| Relation::new(keys, table.cols.clone()).unwrap();
+        assert!(bit_identical(&table, &stored((0..n).collect())));
+        assert!(bit_identical(&stored((0..n).collect()), &table));
+        assert!(!bit_identical(&table, &stored((1..=n).collect())));
+    }
+
     #[test]
     fn packed_table_groups_match_reference_keys() {
         let db = db();
         let expect = q1::reference_q1(&db);
-        let keys: std::collections::BTreeSet<u64> =
-            q1_packed_table(&db).key.iter().copied().collect();
+        let keys: std::collections::BTreeSet<u64> = q1_packed_table(&db).keys().iter().collect();
         // Reference groups only cover rows passing the date filter, so the
         // table's key set must be a superset.
-        for k in &expect.key {
-            assert!(keys.contains(k), "group key {k} missing from packed table");
+        for k in expect.keys().iter() {
+            assert!(keys.contains(&k), "group key {k} missing from packed table");
         }
     }
 }

@@ -58,7 +58,7 @@ fn main() {
 
     println!("\nQ1 result (per returnflag/linestatus group):");
     println!("flag status |   sum_qty    sum_base_price   count");
-    for (i, &k) in reference.key.iter().enumerate() {
+    for (i, k) in reference.keys().iter().enumerate() {
         let (flag, status) = unpack_key2(k);
         let flag = ["R", "A", "N"][flag as usize];
         let status = ["F", "O", "P"][status as usize];

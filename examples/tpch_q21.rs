@@ -63,7 +63,7 @@ fn main() {
 
     println!("\ntop waiting suppliers of nation {NATION} (suppkey: orders kept waiting):");
     let counts = reference.cols[0].as_i64().expect("count column");
-    for (k, c) in reference.key.iter().zip(counts).rev().take(10) {
+    for (k, c) in reference.keys().iter().zip(counts).rev().take(10) {
         println!("  supplier {k:>6}: {c}");
     }
     if reference.is_empty() {

@@ -107,7 +107,7 @@ fn single_row_relation_through_tpch_style_plan() {
     let one_b = Relation::new(vec![7], vec![Column::I64(vec![8])]).unwrap();
     let r =
         execute(&sys(), &g, &[one_a, one_b], &ExecConfig::new(Strategy::Fusion, &sys())).unwrap();
-    assert_eq!(r.output.key, vec![7]);
+    assert_eq!(*r.output.keys(), vec![7]);
     assert_eq!(r.output.cols[0].as_i64().unwrap(), &[42]);
     assert_eq!(r.output.cols[1].as_i64().unwrap(), &[1]);
 }

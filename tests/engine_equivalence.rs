@@ -19,7 +19,7 @@ use kfusion::tpch::{q1, q21, q6};
 use kfusion::vgpu::GpuSystem;
 
 fn assert_bit_identical(a: &Relation, b: &Relation, what: &str) {
-    assert_eq!(a.key, b.key, "{what}: keys differ");
+    assert_eq!(a.keys(), b.keys(), "{what}: keys differ");
     assert_eq!(a.n_cols(), b.n_cols(), "{what}: column counts differ");
     for (c, (x, y)) in a.cols.iter().zip(&b.cols).enumerate() {
         match (x, y) {

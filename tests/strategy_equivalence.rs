@@ -13,7 +13,7 @@ use kfusion::core::{NodeId, OpKind, PlanGraph};
 use kfusion::ir::builder::{BodyBuilder, Expr};
 use kfusion::ir::CmpOp;
 use kfusion::relalg::ops::{Agg, SortBy};
-use kfusion::relalg::{engine, predicates, Column, Relation};
+use kfusion::relalg::{engine, predicates, Column, Keys, Relation};
 use kfusion::tpch::sql::bit_identical;
 use kfusion::vgpu::GpuSystem;
 use kfusion_prng::Rng;
@@ -973,4 +973,94 @@ fn views_never_change_batched_queries() {
         answered += outcome.is_ok() as u32;
     }
     assert!(answered > 5, "only {answered} batches without a key mismatch");
+}
+
+/// `kind`'s columns over `rows` rows keyed by row id — `stored` writes the
+/// same keys `0..rows` out, which is the relation the row ids stand for.
+fn row_keyed(kind: InputKind, seed: u64, rows: usize, stored: bool) -> Relation {
+    let cols = make_inputs(&[kind], seed, rows).remove(0).cols;
+    let keys = if stored { Keys::Stored((0..rows as u64).collect()) } else { Keys::RowIds(rows) };
+    Relation::from_parts(keys, cols).unwrap()
+}
+
+/// Keys that cost nothing: a relation keyed by row id stores no key, and
+/// every binary operator over it — one side by row id, the other stored, or
+/// both — gives in every cell what it gives over the same keys stored, bit
+/// for bit, or the same error. So do a SELECT on the key (slot 0 read as the
+/// row number by the batch engine and by the interpreter) in front of the
+/// operator and one behind it. Sides of unequal length make COLUMN-JOIN
+/// fail with the one `SchemaMismatch` wherever the key is.
+#[test]
+fn row_id_keys_never_change_answers_cardinalities_or_errors() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let ops = [
+        OpKind::ColumnJoin,
+        OpKind::Join,
+        OpKind::Semijoin,
+        OpKind::Antijoin,
+        OpKind::Product,
+        OpKind::Union,
+        OpKind::Intersect,
+        OpKind::Difference,
+    ];
+    let sides = [
+        (InputKind::Base, InputKind::Column),
+        (InputKind::Column, InputKind::FloatColumn),
+        (InputKind::FloatColumn, InputKind::FloatColumn),
+        (InputKind::Base, InputKind::Base),
+    ];
+    let n = 300;
+    let (mut ok, mut mismatched) = (0, 0);
+    for (case, op) in ops.iter().enumerate() {
+        for (s, &(ka, kb)) in sides.iter().enumerate() {
+            for (la, lb) in [(n, n), (n, n - 1), (n - 1, n)] {
+                for filtered in [false, true] {
+                    let mut g = PlanGraph::new();
+                    let (a, b) = (g.input(0), g.input(1));
+                    let a = match filtered {
+                        true => g.add(OpKind::Select { pred: predicates::key_lt(200) }, vec![a]),
+                        false => a,
+                    };
+                    let joined = g.add(op.clone(), vec![a, b]);
+                    g.root = g.add(OpKind::Select { pred: predicates::key_lt(250) }, vec![joined]);
+                    let seed = (case * 8 + s) as u64;
+                    let run = |stored_a: bool, stored_b: bool| {
+                        let inputs = [
+                            row_keyed(ka, seed, la, stored_a),
+                            row_keyed(kb, seed + 1, lb, stored_b),
+                        ];
+                        let what = format!(
+                            "{op:?} over {ka:?}({la}) stored={stored_a}, \
+                             {kb:?}({lb}) stored={stored_b}, filtered={filtered}"
+                        );
+                        let outcome = same_in_every_cell(&what, |strat| {
+                            execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+                                .map(|r| (vec![r.output], r.cards))
+                                .map_err(|e| e.to_string())
+                        });
+                        (what, outcome)
+                    };
+                    let (_, want) = run(true, true);
+                    for (stored_a, stored_b) in [(false, false), (false, true), (true, false)] {
+                        let (what, got) = run(stored_a, stored_b);
+                        assert!(same_outcome(&got, &want), "{what}:\n{got:?}\nvs stored\n{want:?}");
+                    }
+                    let column_join = matches!(op, OpKind::ColumnJoin);
+                    if column_join && (la != lb || filtered) {
+                        assert!(
+                            matches!(&want, Err(e) if e.contains("different schemas")),
+                            "{op:?} of {la} and {lb} rows, filtered={filtered}: {want:?}"
+                        );
+                    }
+                    match want {
+                        Ok(_) => ok += 1,
+                        Err(e) if e.contains("different schemas") => mismatched += 1,
+                        Err(e) => panic!("{op:?}: unexpected error {e}"),
+                    }
+                }
+            }
+        }
+    }
+    assert!(ok > 100 && mismatched > 10, "{ok} ok, {mismatched} schema mismatches");
 }
