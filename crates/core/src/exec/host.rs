@@ -11,7 +11,8 @@
 //! paper's back-to-back filters in one kernel, a run of SELECTs inside one
 //! group reads its rows once: its head evaluates the whole run in one pass
 //! ([`select_runs`]). And a SORT by key whose rows only a keyed AGGREGATE
-//! reads hands them on unmoved, with their groups ([`lazy_nodes`]).
+//! reads hands them on unmoved, with their groups, as a SORT that finds a
+//! fused group's filtered view in order hands on the view ([`lazy_nodes`]).
 
 use super::Cardinalities;
 use crate::fusion::FusionPlan;
@@ -41,8 +42,10 @@ pub(super) enum NodeVal<'a> {
     /// the slot is released or handed to another wave's threads.
     Owned(Arc<Relation>),
     /// The output of a fused-group member nobody outside the group but a
-    /// SORT reads, or of a SORT that grouped its rows for the AGGREGATE
-    /// behind it: references and a selection, never materialized here.
+    /// SORT reads, of a SORT that grouped its rows for the AGGREGATE behind
+    /// it, or of one that found such a member's filtered view in order:
+    /// references and a selection, gathered only for a reader that needs
+    /// stored or dense rows.
     View(View<'a>),
 }
 
@@ -154,17 +157,33 @@ impl<'a> Slots<'a> {
     }
 }
 
-/// The nodes whose output stays a view: the [`Host::View`] members (SELECT,
-/// COLUMN-JOIN, PROJECT, ARITH+, REKEY) of a fused group with other members,
-/// which no caller asked for and nothing outside the group reads but an
-/// operator that reads views (SORT) — and each SORT by key whose rows only
+/// How a node's slot holds its output ([`lazy_nodes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// Stored: in rows of its own, or an intermediate it is exactly.
+    Stored,
+    /// The view it is. A SORT holds one only when it hands on a filtered
+    /// input in the order asked for.
+    View,
+    /// A SORT by key's rows where they are, carrying their groups, when it
+    /// found any instead of sorting (`ops::group_by_key_view`).
+    Groups,
+}
+
+/// How each node's output is held. Views: the [`Host::View`] members
+/// (SELECT, COLUMN-JOIN, PROJECT, ARITH+, REKEY, SEMIJOIN, ANTIJOIN) of a
+/// fused group with other members, which no caller asked for and nothing
+/// outside the group reads but an operator that reads views (SORT); and
+/// each SORT no caller asked for that reads such a view, or another such
+/// SORT — a filtered input it finds in order is handed on as it is, to
+/// readers of any group, each gathering it first if it needs stored or
+/// dense rows ([`gathers_first`]). Groups: each SORT by key whose rows only
 /// a keyed AGGREGATE of a fused group reads, through such views of ARITH+
-/// and PROJECT alone: it may hand them on in the order they are in,
-/// carrying their groups (`ops::group_by_key_view`). This and
-/// [`select_runs`] are the fusion plan's only influence on the functional
-/// phase — a singleton plan marks nothing, so the unfused strategies
-/// materialize and sort every node.
-fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<bool> {
+/// and PROJECT alone, which may hand them on in the order they are in,
+/// carrying their groups. This and [`select_runs`] are the fusion plan's
+/// only influence on the functional phase — a singleton plan marks
+/// nothing, so the unfused strategies materialize and sort every node.
+fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<Hold> {
     let mut escapes = vec![false; graph.len()];
     let mut reader = vec![None; graph.len()];
     for (c, node) in graph.nodes.iter().enumerate() {
@@ -178,8 +197,9 @@ fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<b
         escapes[r] = true;
     }
     let fused = |id: NodeId| fusion.group_of[id].is_some_and(|g| fusion.groups[g].len() > 1);
-    let mut lazy: Vec<bool> = (0..graph.len())
+    let mut lazy: Vec<Hold> = (0..graph.len())
         .map(|id| graph.nodes[id].kind.traits().host == Host::View && fused(id) && !escapes[id])
+        .map(|view| if view { Hold::View } else { Hold::Stored })
         .collect();
     // Follow a SORT's rows while each node on the way is its input's one
     // reader, and no caller asked for the input.
@@ -190,7 +210,9 @@ fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<b
         while let Some(c) = only_reader(id) {
             match graph.nodes[c].kind {
                 OpKind::Aggregate { .. } => return fused(c),
-                OpKind::ArithExtend { .. } | OpKind::Project { .. } if lazy[c] => id = c,
+                OpKind::ArithExtend { .. } | OpKind::Project { .. } if lazy[c] == Hold::View => {
+                    id = c
+                }
                 _ => return false,
             }
         }
@@ -200,7 +222,13 @@ fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<b
     let grouping: Vec<NodeId> =
         (0..graph.len()).filter(|&id| by_key(id) && groups_for_aggregate(id)).collect();
     for id in grouping {
-        lazy[id] = true;
+        lazy[id] = Hold::Groups;
+    }
+    for (id, node) in graph.nodes.iter().enumerate() {
+        let sort = matches!(node.kind, OpKind::Sort { .. }) && lazy[id] == Hold::Stored;
+        if sort && !roots.contains(&id) && lazy[node.inputs[0]] != Hold::Stored {
+            lazy[id] = Hold::View;
+        }
     }
     lazy
 }
@@ -213,14 +241,15 @@ fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<b
 /// the head's wave comes; each later member then takes its own view of it.
 /// Derived from the fusion plan alone, like `lazy_nodes` — singleton
 /// groups have no runs.
-fn select_runs(graph: &PlanGraph, fusion: &FusionPlan, lazy: &[bool]) -> Vec<Option<NodeId>> {
+fn select_runs(graph: &PlanGraph, fusion: &FusionPlan, lazy: &[Hold]) -> Vec<Option<NodeId>> {
     let readers = graph.consumer_counts();
     let is_select = |id: NodeId| matches!(graph.nodes[id].kind, OpKind::Select { .. });
     let mut next = vec![None; graph.len()];
     for (c, node) in graph.nodes.iter().enumerate() {
         if let [p] = node.inputs[..] {
             let same_group = fusion.group_of[p] == fusion.group_of[c];
-            if is_select(c) && is_select(p) && lazy[p] && readers[p] == 1 && same_group {
+            let lazy = lazy[p] == Hold::View;
+            if is_select(c) && is_select(p) && lazy && readers[p] == 1 && same_group {
                 next[p] = Some(c);
             }
         }
@@ -245,8 +274,9 @@ fn gathers_first(kind: &OpKind, val: &NodeVal<'_>) -> bool {
         Host::View => match kind {
             OpKind::ArithExtend { body } => ops::arith_extend_gathers_first(v, body),
             OpKind::Rekey { .. } => ops::rekey_gathers_first(v),
-            // SELECT and PROJECT keep the selection; COLUMN-JOIN pairs
-            // base rows, and gathers a filtered side itself.
+            // SELECT, PROJECT, SEMIJOIN and ANTIJOIN keep the selection or
+            // narrow it; COLUMN-JOIN pairs base rows, and gathers a
+            // filtered side itself.
             _ => false,
         },
     }
@@ -293,7 +323,7 @@ pub(super) fn functional_phase<'a>(
         let mut args = Vec::with_capacity(wave.len());
         for &id in &wave {
             let node = &graph.nodes[id];
-            let mut stays_view = lazy[id];
+            let mut hold = lazy[id];
             for &p in &node.inputs {
                 let val = slots.vals[p].as_ref().expect("input wave completed");
                 if gathers_first(&node.kind, val) {
@@ -301,19 +331,19 @@ pub(super) fn functional_phase<'a>(
                     slots.force(p);
                     host_secs[p] += began.elapsed().as_secs_f64();
                     // Exactly as if it had always needed stored rows.
-                    stays_view = false;
+                    hold = Hold::Stored;
                 }
             }
             let last = |p: NodeId| consumers[p] == 1 && !roots.contains(&p);
             let mut vals: Vec<NodeVal<'a>> =
                 node.inputs.iter().map(|&p| slots.lend(p, last(p))).collect();
             args.push(match (ahead[id].take(), runs[id]) {
-                (Some(view), _) => Work::Ahead { view, lazy: stays_view },
+                (Some(view), _) => Work::Ahead { view, lazy: hold == Hold::View },
                 (None, Some(_)) => {
                     let run = std::iter::successors(Some(id), |&m| runs[m]).collect();
                     Work::Run { input: vals.pop().expect("a SELECT has one input"), run }
                 }
-                (None, None) => Work::Eval { args: vals, lazy: stays_view },
+                (None, None) => Work::Eval { args: vals, hold },
             });
         }
         let eval = |id: NodeId, work: Work<'a>| eval_node_timed(graph, id, inputs, work);
@@ -368,7 +398,7 @@ pub(super) fn functional_phase<'a>(
 /// What a wave's thread does for one node.
 enum Work<'a> {
     /// Evaluate the operator over its inputs' values ([`eval_node`]).
-    Eval { args: Vec<NodeVal<'a>>, lazy: bool },
+    Eval { args: Vec<NodeVal<'a>>, hold: Hold },
     /// Evaluate the run of SELECTs `run` (this node first, [`select_runs`])
     /// over this node's input.
     Run { input: NodeVal<'a>, run: Vec<NodeId> },
@@ -395,8 +425,8 @@ fn eval_node_timed<'a>(
     });
     let t0 = Instant::now();
     let (val, later) = match work {
-        Work::Eval { args, lazy } => {
-            (eval_node(&graph.nodes[id].kind, inputs, args, lazy)?, vec![])
+        Work::Eval { args, hold } => {
+            (eval_node(&graph.nodes[id].kind, inputs, args, hold)?, vec![])
         }
         Work::Ahead { view, lazy } => (held(view, lazy), vec![]),
         Work::Run { input, run } => {
@@ -435,14 +465,14 @@ fn wavefronts(graph: &PlanGraph) -> Vec<Vec<NodeId>> {
 }
 
 /// Evaluate one plan node over `args`, its inputs' values in order —
-/// stored ones unless the operator reads views. A `lazy` node's output
-/// stays a view; any other's is stored, sharing an intermediate it is
-/// exactly rather than copying it.
+/// stored ones unless the operator reads views — and hold its output as
+/// `hold` says: a view, or stored, sharing an intermediate it is exactly
+/// rather than copying it.
 fn eval_node<'a>(
     kind: &OpKind,
     inputs: &'a [Relation],
     args: Vec<NodeVal<'a>>,
-    lazy: bool,
+    hold: Hold,
 ) -> Result<NodeVal<'a>, CoreError> {
     let mut args = args.into_iter();
     let mut next = || args.next().expect("one value per input");
@@ -460,13 +490,17 @@ fn eval_node<'a>(
         OpKind::Project { keep } => ops::project_view(&next().into_view(), keep)?,
         OpKind::Rekey { col } => ops::rekey_view(&next().into_view(), *col)?,
         OpKind::ArithExtend { body } => ops::arith_extend_view(&next().into_view(), body)?,
-        // A lazy SORT's rows go to a keyed AGGREGATE alone: grouped, they
-        // stay a view where they are; sorted, they are stored as any other
-        // SORT's.
-        OpKind::Sort { .. } if lazy => {
-            let out = ops::group_by_key_view(&next().into_view())?;
-            let grouped = out.is_grouped();
-            return Ok(held(out, grouped));
+        // A SORT that may hand on a view: grouped, or its filtered input in
+        // order already, the rows stay where they are; sorted, they are
+        // stored as any other SORT's.
+        OpKind::Sort { by } if hold != Hold::Stored => {
+            let input = next().into_view();
+            let out = match hold {
+                Hold::Groups => ops::group_by_key_view(&input)?,
+                _ => ops::sort_view(&input, *by)?,
+            };
+            let stays = out.is_grouped() || !out.is_dense();
+            return Ok(held(out, stays));
         }
         // In order already, the input comes back: a stored intermediate is
         // shared once more, a plan input (borrowed) copied, a view gathered.
@@ -475,22 +509,22 @@ fn eval_node<'a>(
         OpKind::AggregateAll { aggs } => ops::aggregate_all_view(&next().into_view(), aggs)?.into(),
         OpKind::Arith { body } => ops::arith_map(next().as_rel(), body)?.into(),
         OpKind::Join => ops::join(next().as_rel(), next().as_rel())?.into(),
-        OpKind::Semijoin => ops::semijoin(next().as_rel(), next().as_rel())?.into(),
-        OpKind::Antijoin => ops::antijoin(next().as_rel(), next().as_rel())?.into(),
+        OpKind::Semijoin => ops::semijoin_view(&next().into_view(), &next().into_view())?,
+        OpKind::Antijoin => ops::antijoin_view(&next().into_view(), &next().into_view())?,
         OpKind::Product => ops::product(next().as_rel(), next().as_rel())?.into(),
         OpKind::Union => ops::union(next().as_rel(), next().as_rel())?.into(),
         OpKind::Intersect => ops::intersection(next().as_rel(), next().as_rel())?.into(),
         OpKind::Difference => ops::difference(next().as_rel(), next().as_rel())?.into(),
         OpKind::Unique => ops::unique(next().as_rel())?.into(),
     };
-    Ok(held(out, lazy))
+    Ok(held(out, hold != Hold::Stored))
 }
 
-/// A node's output as its slot holds it: the view itself for a `lazy` node,
-/// storage otherwise — sharing an intermediate the view is exactly rather
-/// than copying it.
-fn held(out: View<'_>, lazy: bool) -> NodeVal<'_> {
-    match lazy {
+/// A node's output as its slot holds it: the view itself when it stays
+/// one, storage otherwise — sharing an intermediate the view is exactly
+/// rather than copying it.
+fn held(out: View<'_>, view: bool) -> NodeVal<'_> {
+    match view {
         true => NodeVal::View(out),
         false => NodeVal::Owned(out.into_shared()),
     }

@@ -126,7 +126,8 @@ pub fn fuse_plan(graph: &PlanGraph, budget: &FusionBudget, level: OptLevel) -> F
                     .collect();
                 members.push(id);
                 members.sort_unstable();
-                if group_regs(graph, &members, level) <= budget.max_regs_per_thread {
+                let fits = || group_regs(graph, &members, level) <= budget.max_regs_per_thread;
+                if is_convex(graph, &members) && fits() {
                     // Commit: merge into the first group.
                     let target = producer_groups[0];
                     for &g in &producer_groups[1..] {
@@ -182,6 +183,31 @@ pub fn fuse_plan(graph: &PlanGraph, budget: &FusionBudget, level: OptLevel) -> F
     plan
 }
 
+/// Whether no path leaves `members` (ascending) through another node and
+/// comes back — what `check::check_fusion` demands of every group. Two
+/// producer groups of one node are not merged when one reaches the other
+/// through a barrier: a SELECT that a SORT reads on the way to a SEMIJOIN,
+/// grouped with a sibling SELECT of its input, and an ANTIJOIN of the
+/// SEMIJOIN and the sibling.
+fn is_convex(graph: &PlanGraph, members: &[NodeId]) -> bool {
+    let (first, last) = (members[0], members[members.len() - 1]);
+    // Whether each node in between is outside and reached from a member.
+    let mut left = vec![false; last - first];
+    for id in first..=last {
+        let member = members.binary_search(&id).is_ok();
+        let inputs = &graph.nodes[id].inputs;
+        let through_outside = inputs.iter().any(|&p| p >= first && left[p - first]);
+        if member && through_outside {
+            return false;
+        }
+        if id < last {
+            let from_member = inputs.iter().any(|p| members.binary_search(p).is_ok());
+            left[id - first] = !member && (through_outside || from_member);
+        }
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +248,26 @@ mod tests {
         let plan = fuse(&g);
         assert_eq!(plan.groups.len(), 1, "{:?}", plan.groups);
         assert_eq!(plan.groups[0], vec![s1, s2, j]);
+    }
+
+    /// Two open producer groups of an ANTIJOIN, one reaching the other
+    /// through a SORT: merged, the path would leave the group and come back,
+    /// so the ANTIJOIN starts a group of its own.
+    #[test]
+    fn groups_a_barrier_path_connects_are_not_merged() {
+        let mut g = PlanGraph::new();
+        let (a, b) = (g.input(0), g.input(1));
+        let kept = g.add(OpKind::Select { pred: predicates::key_lt(10) }, vec![a]);
+        let probe = g.add(OpKind::Select { pred: predicates::key_lt(20) }, vec![b]);
+        let sorted = g.add(OpKind::Sort { by: SortBy::Key }, vec![probe]);
+        let semi = g.add(OpKind::Semijoin, vec![kept, sorted]);
+        // A sibling of `probe`: it joins `probe`'s group.
+        let other = g.add(OpKind::Select { pred: predicates::key_lt(5) }, vec![b]);
+        let anti = g.add(OpKind::Antijoin, vec![semi, other]);
+        let plan = fuse(&g);
+        assert_eq!(plan.group_of[probe], plan.group_of[other]);
+        assert_ne!(plan.group_of[kept], plan.group_of[semi]);
+        assert_eq!(plan.groups[plan.group_of[anti].unwrap()], vec![anti]);
     }
 
     /// Fig. 2(g): SELECT → AGGREGATION fuses, but the group closes.

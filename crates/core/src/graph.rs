@@ -89,8 +89,9 @@ pub enum OpKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Host {
     /// Reads its inputs as views and yields one: its result is its input's
-    /// columns under a narrower selection, in another arrangement, or beside
-    /// the columns it computes, so inside a fused group it is never
+    /// columns under a narrower selection (a filter, by predicate or by
+    /// membership of its key in another input), in another arrangement, or
+    /// beside the columns it computes, so inside a fused group it is never
     /// materialized. A filtered input it would widen by more bytes than the
     /// input's rows is gathered first (`relalg::View::gathers_first`).
     View,
@@ -155,8 +156,8 @@ impl OpKind {
             OpKind::Rekey { .. }        => row("REKEY",      1, Elementwise, View,       false, false),
             OpKind::Join                => row("JOIN",       2, Fusable,     Stored,     true,  false),
             OpKind::ColumnJoin          => row("COLJOIN",    2, Elementwise, View,       false, false),
-            OpKind::Semijoin            => row("SEMIJOIN",   2, Fusable,     Stored,     true,  true),
-            OpKind::Antijoin            => row("ANTIJOIN",   2, Fusable,     Stored,     true,  true),
+            OpKind::Semijoin            => row("SEMIJOIN",   2, Fusable,     View,       true,  true),
+            OpKind::Antijoin            => row("ANTIJOIN",   2, Fusable,     View,       true,  true),
             OpKind::Product             => row("PRODUCT",    2, Fusable,     Stored,     false, false),
             OpKind::Union               => row("UNION",      2, Barrier,     Stored,     false, false),
             OpKind::Intersect           => row("INTERSECT",  2, Barrier,     Stored,     false, false),
@@ -394,9 +395,15 @@ mod tests {
     fn the_table_is_consistent_with_itself() {
         for kind in all_kinds() {
             let t = kind.traits();
-            // What never needs its rows stored works a tuple at a time.
+            // What never needs its rows stored works a tuple at a time, or
+            // is a key filter: SEMIJOIN and ANTIJOIN output a subset of
+            // their left side's tuples, unchanged and in order, and read
+            // only the keys of their right side — so a selection over the
+            // left side is the whole result, though which tuples it keeps
+            // depends on another input (not elementwise: it must be sorted).
             if t.host == Host::View {
-                assert_eq!(t.dep, Dep::Elementwise, "{}", t.name);
+                let key_filter = t.arity == 2 && t.keeps_schema && t.needs_sorted;
+                assert!(t.dep == Dep::Elementwise || key_filter, "{}", t.name);
             }
             let carries_ir = ["SELECT", "ARITH", "ARITH+"].contains(&t.name);
             assert_eq!(kind.body().is_some(), carries_ir, "{}", t.name);

@@ -3,9 +3,10 @@
 //! The substrate stores relations key-sorted, so the equijoin is a linear
 //! merge with group-wise cross products for duplicate keys. Semijoin and
 //! antijoin variants implement the EXISTS / NOT EXISTS sub-queries of
-//! TPC-H Q21.
+//! TPC-H Q21: filters of their left side, which narrow its selection
+//! without copying a row ([`semijoin_view`], [`antijoin_view`]).
 
-use crate::data::{RelError, Relation};
+use crate::data::{Keys, RelError, Relation};
 use crate::view::{materialize, View};
 
 fn group_end(keys: &[u64], start: usize) -> usize {
@@ -89,46 +90,171 @@ pub fn column_join_view<'a>(a: &View<'a>, b: &View<'a>) -> Result<View<'a>, RelE
 /// Semijoin: tuples of `a` whose key appears in `b` (EXISTS). Keeps `a`'s
 /// schema; duplicate matches in `b` do not duplicate output.
 pub fn semijoin(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"semijoin\"}", (a.len() + b.len()) as u64);
-    let out = filter_by_membership(a, b, true)?;
-    kfusion_trace::counter("kfusion_rows_out_total{op=\"semijoin\"}", out.len() as u64);
-    Ok(out)
+    Ok(materialize(semijoin_view(&View::of(a), &View::of(b))?))
 }
 
 /// Antijoin: tuples of `a` whose key does **not** appear in `b`
 /// (NOT EXISTS). Keeps `a`'s schema.
 pub fn antijoin(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
+    Ok(materialize(antijoin_view(&View::of(a), &View::of(b))?))
+}
+
+/// [`semijoin`] without the copy: `a` under the narrower selection of the
+/// tuples whose key `b` selects. A semijoin is a filter of its left bag —
+/// it never duplicates a tuple and never reads the right side's payload —
+/// so a selection bitmap over `a`'s base rows is the whole result.
+pub fn semijoin_view<'a>(a: &View<'a>, b: &View<'_>) -> Result<View<'a>, RelError> {
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"semijoin\"}", (a.len() + b.len()) as u64);
+    let out = KeySet::of(b, a.len())?.filter(a, true)?;
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"semijoin\"}", out.len() as u64);
+    Ok(out)
+}
+
+/// [`antijoin`] without the copy: `a` under the narrower selection of the
+/// tuples whose key `b` does not select.
+pub fn antijoin_view<'a>(a: &View<'a>, b: &View<'_>) -> Result<View<'a>, RelError> {
     kfusion_trace::counter("kfusion_rows_in_total{op=\"antijoin\"}", (a.len() + b.len()) as u64);
-    let out = filter_by_membership(a, b, false)?;
+    let out = KeySet::of(b, a.len())?.filter(a, false)?;
     kfusion_trace::counter("kfusion_rows_out_total{op=\"antijoin\"}", out.len() as u64);
     Ok(out)
 }
 
-/// The merge walk marks `a`'s survivors in a selection bitmap; the gather
-/// is the one every view materializes through.
-fn filter_by_membership(
-    a: &Relation,
-    b: &Relation,
-    keep_present: bool,
-) -> Result<Relation, RelError> {
-    a.require_sorted()?;
-    b.require_sorted()?;
-    let mut sel = vec![0u64; a.len().div_ceil(64)];
-    let mut rows = 0usize;
-    let (ak, bk) = (a.keys().as_slice(), b.keys().as_slice());
-    let (ak, bk) = (&ak[..], &bk[..]);
-    let mut j = 0usize;
-    for (i, &key) in ak.iter().enumerate() {
-        while j < bk.len() && bk[j] < key {
-            j += 1;
-        }
-        let present = j < bk.len() && bk[j] == key;
-        if present == keep_present {
-            sel[i / 64] |= 1 << (i % 64);
-            rows += 1;
-        }
+/// A key-sorted view's selected keys, for membership tests: built in one
+/// walk of the right side ([`KeySet::of`]), tested in one walk of the left
+/// ([`KeySet::filter`]), each checking that its side's keys never decrease.
+#[derive(Debug)]
+enum KeySet {
+    /// Bit `k - lo` set for each key `k`, and bit `span` — one past the
+    /// highest — clear.
+    Bits { lo: u64, span: u64, bits: Vec<u64> },
+    /// The keys in order, for a merge walk: what keys too far apart for a
+    /// bitmap of O(rows) bits are kept as.
+    Sorted(Vec<u64>),
+}
+
+impl KeySet {
+    /// `b`'s selected keys, checked never to decrease. A bitmap when their
+    /// span stays under `4 * (rows + b.len()) + 65 536` bits, where `rows`
+    /// are the other side's tuples — O(the rows of both sides), like a
+    /// counting sort's histograms — and a sorted list otherwise.
+    fn of(b: &View<'_>, rows: usize) -> Result<KeySet, RelError> {
+        let Some((first, last)) = first_and_last_rows(b) else {
+            return Ok(KeySet::Bits { lo: 0, span: 0, bits: vec![0] });
+        };
+        let (lo, hi) = (b.key().get(first), b.key().get(last));
+        let span = hi.checked_sub(lo).ok_or(RelError::NotSorted)?.saturating_add(1);
+        let (set, sorted) = if span < 4 * (rows + b.len()) as u64 + 65_536 {
+            let mut bits = vec![0u64; (span + 1).div_ceil(64) as usize];
+            let sorted = keyed_walk(
+                b,
+                |key| {
+                    // Clamped, for an unsorted side's keys out of range.
+                    let d = key.wrapping_sub(lo).min(span);
+                    bits[(d / 64) as usize] |= 1 << (d % 64);
+                    false
+                },
+                |_, _| {},
+            );
+            (KeySet::Bits { lo, span, bits }, sorted)
+        } else {
+            let mut keys = Vec::with_capacity(b.len());
+            let sorted = keyed_walk(
+                b,
+                |key| {
+                    keys.push(key);
+                    false
+                },
+                |_, _| {},
+            );
+            (KeySet::Sorted(keys), sorted)
+        };
+        sorted.then_some(set).ok_or(RelError::NotSorted)
     }
-    Ok(materialize(View::of(a).with_selection(sel, rows)))
+
+    /// `a` under the selection of its tuples whose key is in the set
+    /// (`keep_present`) or is not, its keys checked never to decrease.
+    fn filter<'a>(&self, a: &View<'a>, keep_present: bool) -> Result<View<'a>, RelError> {
+        let mut sel = vec![0u64; a.base_len().div_ceil(64)];
+        let mut rows = 0;
+        let emit = |w: usize, word: u64| {
+            sel[w] = word;
+            rows += word.count_ones() as usize;
+        };
+        let sorted = match self {
+            // No branch per key: one outside the span lands on the clear
+            // bit `span`.
+            KeySet::Bits { lo, span, bits } => keyed_walk(
+                a,
+                |key| {
+                    let d = key.wrapping_sub(*lo).min(*span);
+                    (bits[(d / 64) as usize] >> (d % 64) & 1 == 1) == keep_present
+                },
+                emit,
+            ),
+            KeySet::Sorted(keys) => {
+                let mut j = 0;
+                let present = |key| {
+                    while j < keys.len() && keys[j] < key {
+                        j += 1;
+                    }
+                    (j < keys.len() && keys[j] == key) == keep_present
+                };
+                keyed_walk(a, present, emit)
+            }
+        };
+        sorted.then(|| a.with_selection(sel, rows)).ok_or(RelError::NotSorted)
+    }
+}
+
+/// The first and the last selected base row of `v`, if it has a tuple.
+fn first_and_last_rows(v: &View<'_>) -> Option<(usize, usize)> {
+    if v.is_empty() {
+        return None;
+    }
+    let Some(sel) = v.selection() else { return Some((0, v.base_len() - 1)) };
+    let (first, last) = (sel.iter().position(|&w| w != 0)?, sel.iter().rposition(|&w| w != 0)?);
+    let first_row = first * 64 + sel[first].trailing_zeros() as usize;
+    Some((first_row, last * 64 + 63 - sel[last].leading_zeros() as usize))
+}
+
+/// Walk `v`'s selected rows in order: `keep` is called with each one's key,
+/// and `emit(w, word)` with the rows of selection word `w` it kept. Returns
+/// whether the keys never decrease. Keys by row id and stored keys each get
+/// a walk of their own, with no branch on the key kind inside.
+fn keyed_walk(v: &View<'_>, keep: impl FnMut(u64) -> bool, emit: impl FnMut(usize, u64)) -> bool {
+    match v.key() {
+        Keys::Stored(keys) => walk(v, |i| keys[i], keep, emit),
+        Keys::RowIds(_) => walk(v, |i| i as u64, keep, emit),
+    }
+}
+
+fn walk(
+    v: &View<'_>,
+    key: impl Fn(usize) -> u64,
+    mut keep: impl FnMut(u64) -> bool,
+    mut emit: impl FnMut(usize, u64),
+) -> bool {
+    let n = v.base_len();
+    let sel = v.selection();
+    let (mut prev, mut sorted) = (0u64, true);
+    for w in 0..n.div_ceil(64) {
+        let mut m = match sel {
+            Some(sel) => sel[w],
+            None if n - w * 64 >= 64 => u64::MAX,
+            None => (1 << (n - w * 64)) - 1,
+        };
+        let mut kept = 0u64;
+        while m != 0 {
+            let bit = m.trailing_zeros();
+            let k = key(w * 64 + bit as usize);
+            sorted &= k >= prev;
+            prev = k;
+            kept |= (keep(k) as u64) << bit;
+            m &= m - 1;
+        }
+        emit(w, kept);
+    }
+    sorted
 }
 
 #[cfg(test)]
@@ -236,5 +362,116 @@ mod tests {
         let a = Relation::from_keys(vec![1, 2]);
         let b = Relation::from_keys(vec![2, 2, 2]);
         assert_eq!(semijoin(&a, &b).unwrap().key, vec![2]);
+    }
+
+    /// `n` sorted keys below `max`, with duplicates, over a column that is
+    /// 0 on every other row.
+    fn keyed(n: usize, max: u64, seed: u64) -> Relation {
+        let mut rng = kfusion_prng::Rng::seed_from_u64(seed);
+        let mut keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..max)).collect();
+        keys.sort_unstable();
+        Relation::new(keys, vec![Column::I64((0..n as i64).map(|i| i % 2).collect())]).unwrap()
+    }
+
+    /// The rows of `rel` whose column 0 is 0: every other one.
+    fn every_other(rel: &Relation) -> View<'_> {
+        let pred = crate::predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Eq, 0);
+        crate::ops::select_view(&View::of(rel), &pred).unwrap()
+    }
+
+    /// What a semijoin (`keep_present`) or an antijoin keeps, row at a time.
+    fn oracle(a: &View<'_>, b: &View<'_>, keep_present: bool) -> Relation {
+        let (a, b) = (materialize(a.clone()), materialize(b.clone()));
+        let present: std::collections::HashSet<u64> = b.keys().iter().collect();
+        let keep: Vec<usize> =
+            (0..a.len()).filter(|&i| present.contains(&a.keys().get(i)) == keep_present).collect();
+        let cols = a.cols.iter().map(|c| c.gather(&keep)).collect();
+        Relation::new(keep.iter().map(|&i| a.keys().get(i)).collect(), cols).unwrap()
+    }
+
+    #[test]
+    fn semijoin_and_antijoin_are_their_views_materialized() {
+        for (na, nb, max) in
+            [(0, 50, 100), (50, 0, 100), (3_000, 700, 2_000), (5_000, 4_000, 1 << 40)]
+        {
+            let (a, b) = (keyed(na, max, 1), keyed(nb, max, 2));
+            let (va, vb) = (View::of(&a), View::of(&b));
+            assert_eq!(semijoin(&a, &b).unwrap(), materialize(semijoin_view(&va, &vb).unwrap()));
+            assert_eq!(antijoin(&a, &b).unwrap(), materialize(antijoin_view(&va, &vb).unwrap()));
+            // Filtered sides are read where they are.
+            for (va, vb) in [(every_other(&a), View::of(&b)), (View::of(&a), every_other(&b))] {
+                for keep_present in [true, false] {
+                    let got = KeySet::of(&vb, va.len()).unwrap().filter(&va, keep_present);
+                    let got = got.unwrap();
+                    assert_eq!(materialize(got), oracle(&va, &vb, keep_present), "{na} {nb}");
+                }
+            }
+        }
+    }
+
+    /// The widest bitmap and the narrowest list: spans one below, at and
+    /// one past `4 * (|a| + |b|) + 65 536`. Either set gives the same
+    /// selection as the other, and `KeySet::of` picks the bitmap only
+    /// below the bound.
+    #[test]
+    fn the_probe_and_the_merge_agree_on_both_sides_of_the_span_bound() {
+        let a = keyed(9_000, 100_000, 3);
+        let mid = keyed(1_000, 100_000, 4);
+        let bound = 4 * (a.len() + mid.len() + 2) as u64 + 65_536;
+        for span in [bound - 1, bound, bound + 1] {
+            // Keys from 7 to 7 + span - 1: the middle ones and both ends.
+            let mut keys = vec![7];
+            keys.extend(mid.keys().iter().map(|k| 7 + k * (span - 1) / 100_000));
+            keys.push(7 + span - 1);
+            let b = Relation::from_keys(keys.clone());
+            let (va, vb) = (View::of(&a), View::of(&b));
+            let picked = KeySet::of(&vb, va.len()).unwrap();
+            assert_eq!(matches!(picked, KeySet::Bits { .. }), span < bound, "span {span}");
+            let mut bits = vec![0u64; (span + 1).div_ceil(64) as usize];
+            keys.iter().map(|k| k - 7).for_each(|d| bits[(d / 64) as usize] |= 1 << (d % 64));
+            let probe = KeySet::Bits { lo: 7, span, bits };
+            let merge = KeySet::Sorted(keys);
+            for keep_present in [true, false] {
+                let (p, m) = (probe.filter(&va, keep_present), merge.filter(&va, keep_present));
+                let (p, m) = (p.unwrap(), m.unwrap());
+                assert_eq!((p.selection(), p.len()), (m.selection(), m.len()), "span {span}");
+                assert_eq!(materialize(p), oracle(&va, &vb, keep_present));
+            }
+        }
+    }
+
+    #[test]
+    fn keys_zero_and_max_take_the_merge_without_overflow() {
+        let b = Relation::from_keys(vec![0, 5, u64::MAX]);
+        assert!(matches!(KeySet::of(&View::of(&b), 3), Ok(KeySet::Sorted(_))));
+        let a = Relation::from_keys(vec![0, 1, 5, u64::MAX - 1, u64::MAX]);
+        assert_eq!(*semijoin(&a, &b).unwrap().keys(), vec![0, 5, u64::MAX]);
+        assert_eq!(*antijoin(&a, &b).unwrap().keys(), vec![1, u64::MAX - 1]);
+    }
+
+    #[test]
+    fn an_unsorted_side_is_rejected_either_way_round() {
+        let (sorted, unsorted) =
+            (Relation::from_keys(vec![1, 2, 3]), Relation::from_keys(vec![3, 1, 2]));
+        // Unsorted between sorted ends too.
+        let middle = Relation::from_keys(vec![1, 9, 0, 3]);
+        let wide = Relation::from_keys(vec![0, 1 << 50, 7, u64::MAX]);
+        for bad in [&unsorted, &middle, &wide] {
+            for (a, b) in [(bad, &sorted), (&sorted, bad)] {
+                assert!(matches!(semijoin(a, b), Err(RelError::NotSorted)));
+                assert!(matches!(antijoin(a, b), Err(RelError::NotSorted)));
+            }
+        }
+    }
+
+    #[test]
+    fn row_id_keys_are_probed_as_their_row_numbers() {
+        let ids = Relation::with_row_ids(vec![Column::I64((0..500).collect())]).unwrap();
+        let b = Relation::from_keys(vec![3, 3, 64, 499, 900]);
+        let semi = semijoin(&ids, &b).unwrap();
+        assert_eq!(*semi.keys(), vec![3, 64, 499]);
+        assert_eq!(semi.cols[0].as_i64().unwrap(), &[3, 64, 499]);
+        assert_eq!(antijoin(&ids, &b).unwrap().len(), 497);
+        assert_eq!(*semijoin(&b, &ids).unwrap().keys(), vec![3, 3, 64, 499]);
     }
 }

@@ -18,7 +18,9 @@ pub use aggregate::{
 pub use arith::{
     arith_extend, arith_extend_gathers_first, arith_extend_owned, arith_extend_view, arith_map,
 };
-pub use join::{antijoin, column_join, column_join_view, join, semijoin};
+pub use join::{
+    antijoin, antijoin_view, column_join, column_join_view, join, semijoin, semijoin_view,
+};
 pub use product::product;
 pub use project::{project, project_view, rekey, rekey_gathers_first, rekey_owned, rekey_view};
 pub use select::{select, select_chain_unfused, select_run_view, select_view};

@@ -1064,3 +1064,159 @@ fn row_id_keys_never_change_answers_cardinalities_or_errors() {
     }
     assert!(ok > 100 && mismatched > 10, "{ok} ok, {mismatched} schema mismatches");
 }
+
+/// The right side of a SEMIJOIN / ANTIJOIN: `n` sorted keys below 1 500,
+/// each present twice, and — when `wide` — as many again from 2^41 up, so
+/// that the keys span more than 2^40 and the membership test takes its
+/// merge walk instead of its bitmap.
+fn probe_keys(seed: u64, n: usize, wide: bool) -> Relation {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut keys: Vec<u64> = (0..n / 2).map(|_| rng.gen_range(0u64..1500)).collect();
+    keys.extend(keys.clone());
+    if wide {
+        keys.extend((0..n).map(|_| (1 << 41) + rng.gen_range(0u64..1 << 41)));
+    }
+    keys.sort_unstable();
+    Relation::from_keys(keys)
+}
+
+/// One side of a SEMIJOIN / ANTIJOIN over `input`: the input itself, a
+/// SELECT of it (a filtered view, fused with the join), or an ordered SORT
+/// of a run of two SELECTs (a group of its own, whose filtered view the
+/// SORT hands on).
+fn join_side(
+    g: &mut PlanGraph,
+    input: NodeId,
+    shape: usize,
+    pred: kfusion::ir::KernelBody,
+) -> NodeId {
+    if shape == 0 {
+        return input;
+    }
+    let kept = g.add(OpKind::Select { pred }, vec![input]);
+    if shape == 1 {
+        return kept;
+    }
+    let kept = g.add(OpKind::Select { pred: predicates::key_lt(1 << 62) }, vec![kept]);
+    g.add(OpKind::Sort { by: SortBy::Key }, vec![kept])
+}
+
+/// SEMIJOIN and ANTIJOIN read both sides as views, filtered ones included
+/// — a SELECT, or an ordered SORT of one that hands its view on — and
+/// test membership through a bitmap of the right side's keys, or a merge
+/// walk where those span ≥ 2^40. Every cell gives the unfused scalar run's
+/// answers, sizes and errors over: empty left and right sides, duplicate
+/// keys on both, a left side keyed by row id, an unsorted side on either
+/// hand (`NotSorted` everywhere, unless a SORT reorders it first), and
+/// readers behind the join that read its view (SORT by a column, another
+/// ANTIJOIN) or force its gather (a keyed AGGREGATE).
+#[test]
+fn semijoins_over_views_never_change_answers_cardinalities_or_errors() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let n = 800;
+    let (mut ok, mut unsorted) = (0, 0);
+    for left in ["base", "empty", "row ids", "unsorted"] {
+        for (right, wide) in
+            [("narrow", false), ("wide", true), ("empty", false), ("unsorted", false)]
+        {
+            let base = match left {
+                "empty" => make_inputs(&[InputKind::Base], 1, 0).remove(0),
+                "row ids" => row_keyed(InputKind::Base, 2, n, false),
+                _ => make_inputs(&[InputKind::Base], 3, n).remove(0),
+            };
+            let base = match left {
+                "unsorted" => {
+                    let reversed = Keys::Stored(base.keys().iter().rev().collect());
+                    Relation::from_parts(reversed, base.cols.clone()).unwrap()
+                }
+                _ => base,
+            };
+            let probe = match right {
+                "empty" => probe_keys(4, 0, false),
+                "unsorted" => {
+                    let mut keys: Vec<u64> = probe_keys(5, n, false).keys().iter().collect();
+                    keys.swap(0, n / 2);
+                    Relation::from_keys(keys)
+                }
+                _ => probe_keys(6, n, wide),
+            };
+            let inputs = [base, probe];
+            for (l, r, anti) in (0..3).flat_map(|l| (0..3).map(move |r| (l, r, (l + r) % 2 == 1))) {
+                let mut g = PlanGraph::new();
+                let (a, b) = (g.input(0), g.input(1));
+                let a = join_side(&mut g, a, l, col_lt(1, false, 30));
+                // A wide right side keeps its keys from 2^41 to 2^42.
+                let b_pred = predicates::key_lt(if wide { 1 << 42 } else { 1_200 });
+                let b_side = join_side(&mut g, b, r, b_pred);
+                let kind = if anti { OpKind::Antijoin } else { OpKind::Semijoin };
+                let joined = g.add(kind, vec![a, b_side]);
+                let tail = (l + 2 * r) % 3;
+                g.root = match tail {
+                    0 => g.add(OpKind::Aggregate { aggs: every_agg(2) }, vec![joined]),
+                    1 => g.add(OpKind::Sort { by: SortBy::I64ColDesc(0) }, vec![joined]),
+                    _ => {
+                        let other = join_side(&mut g, b, 1, predicates::key_lt(600));
+                        g.add(OpKind::Antijoin, vec![joined, other])
+                    }
+                };
+                let what = format!("{left} left, {right} right, sides ({l}, {r}), anti={anti}");
+                let unsorted_before = unsorted;
+                let outcome = same_in_every_cell(&what, |strat| {
+                    execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+                        .map(|r| (vec![r.output], r.cards))
+                        .map_err(|e| e.to_string())
+                });
+                // A SORT in front of a side puts it in order.
+                let reads_unsorted =
+                    (left == "unsorted" && l < 2) || (right == "unsorted" && (r < 2 || tail == 2));
+                match outcome {
+                    Ok(_) => ok += 1,
+                    Err(e) if e.contains("not key-sorted") => unsorted += 1,
+                    Err(e) => panic!("{what}: unexpected error {e}"),
+                }
+                assert_eq!(reads_unsorted, unsorted > unsorted_before, "{what}");
+            }
+        }
+    }
+    assert!(ok > 90 && unsorted > 20, "{ok} ok, {unsorted} unsorted");
+}
+
+/// An ordered SORT whose view two readers take: a SEMIJOIN reads it where
+/// it is, a keyed AGGREGATE has it gathered first — reading it before the
+/// SEMIJOIN does, or after — in one CTA and across several, against a
+/// right side on either path of the membership test.
+#[test]
+fn an_ordered_sort_read_as_a_view_and_gathered_never_changes_answers() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    for n in [800, 70_000] {
+        for wide in [false, true] {
+            let inputs = [make_inputs(&[InputKind::Base], 7, n).remove(0), probe_keys(8, n, wide)];
+            for aggregate_first in [false, true] {
+                let mut g = PlanGraph::new();
+                let (a, b) = (g.input(0), g.input(1));
+                let sorted = join_side(&mut g, a, 2, col_lt(0, false, 10));
+                let (folded, semi) = match aggregate_first {
+                    true => {
+                        let folded = g.add(OpKind::Aggregate { aggs: every_agg(2) }, vec![sorted]);
+                        (folded, g.add(OpKind::Semijoin, vec![sorted, b]))
+                    }
+                    false => {
+                        let semi = g.add(OpKind::Semijoin, vec![sorted, b]);
+                        (g.add(OpKind::Aggregate { aggs: every_agg(2) }, vec![sorted]), semi)
+                    }
+                };
+                g.root = g.add(OpKind::Semijoin, vec![folded, semi]);
+                let what = format!("n={n} wide={wide} aggregate_first={aggregate_first}");
+                let (roots, _) = same_in_every_cell(&what, |strat| {
+                    execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+                        .map(|r| (vec![r.output], r.cards))
+                        .map_err(|e| e.to_string())
+                })
+                .expect("sorted sides");
+                assert!(!roots[0].is_empty(), "{what}");
+            }
+        }
+    }
+}
