@@ -21,6 +21,8 @@ use crate::CoreError;
 use kfusion_ir::KernelBody;
 use kfusion_relalg::ops::SortBy;
 use kfusion_relalg::{materialize, ops, Column, Relation, View};
+use kfusion_vgpu::exec::par_map;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -39,7 +41,7 @@ pub(super) enum NodeVal<'a> {
     /// relations in every TPC-H plan; they are never copied).
     Ref(&'a Relation),
     /// A computed relation. Shared, so that views over it stay valid after
-    /// the slot is released or handed to another wave's threads.
+    /// the slot is released or handed to another wave's pool job.
     Owned(Arc<Relation>),
     /// The output of a fused-group member nobody outside the group but a
     /// SORT reads, of a SORT that grouped its rows for the AGGREGATE behind
@@ -284,10 +286,12 @@ fn gathers_first(kind: &OpKind, val: &NodeVal<'_>) -> bool {
 
 /// Evaluate every node of `graph` over `inputs`.
 ///
-/// Independent nodes evaluate in parallel: topological wavefronts (a node's
-/// level is one past its deepest input) run on scoped threads, results land
-/// indexed by node id, and a wave's errors surface in id order — so answers
-/// are deterministic and identical to a serial loop.
+/// Independent nodes evaluate in parallel: each topological wavefront (a
+/// node's level is one past its deepest input) is one job on the
+/// process-wide pool ([`par_map`]), results land indexed by node id, and a
+/// wave's errors surface in id order — so answers are deterministic and
+/// identical to a serial loop. A node that panics fails the query with
+/// [`CoreError::Internal`] ([`eval_node_guarded`]).
 ///
 /// `fusion` decides which intermediates exist ([`lazy_nodes`]) and which
 /// SELECTs share a pass ([`select_runs`]); it cannot change an answer, a
@@ -316,8 +320,8 @@ pub(super) fn functional_phase<'a>(
     for (level, wave) in wavefronts(graph).into_iter().enumerate() {
         let _wave = kfusion_trace::enabled()
             .then(|| kfusion_trace::host_span("host", &format!("wave#{level}")));
-        // Each operator gets its inputs as values before the wave's threads
-        // start: a view it cannot read where it is gathered into its slot
+        // Each operator gets its inputs as values before the wave's job
+        // starts: a view it cannot read where it is gathered into its slot
         // first (once, whoever asks first; booked to the view's own node),
         // then every input lent — moved to its last reader.
         let mut args = Vec::with_capacity(wave.len());
@@ -337,31 +341,17 @@ pub(super) fn functional_phase<'a>(
             let last = |p: NodeId| consumers[p] == 1 && !roots.contains(&p);
             let mut vals: Vec<NodeVal<'a>> =
                 node.inputs.iter().map(|&p| slots.lend(p, last(p))).collect();
-            args.push(match (ahead[id].take(), runs[id]) {
+            let work = match (ahead[id].take(), runs[id]) {
                 (Some(view), _) => Work::Ahead { view, lazy: hold == Hold::View },
                 (None, Some(_)) => {
                     let run = std::iter::successors(Some(id), |&m| runs[m]).collect();
                     Work::Run { input: vals.pop().expect("a SELECT has one input"), run }
                 }
                 (None, None) => Work::Eval { args: vals, hold },
-            });
+            };
+            args.push((id, work));
         }
-        let eval = |id: NodeId, work: Work<'a>| eval_node_timed(graph, id, inputs, work);
-        let evaluated: Vec<Result<Evaluated<'a>, CoreError>> = if wave.len() == 1 {
-            vec![eval(wave[0], args.pop().expect("one per node"))]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .zip(args)
-                    .map(|(&id, a)| scope.spawn(move || eval(id, a)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("plan node evaluation panicked"))
-                    .collect()
-            })
-        };
+        let evaluated = par_map(args, |_, (id, work)| eval_node_guarded(graph, id, inputs, work));
         for (&id, r) in wave.iter().zip(evaluated) {
             let (val, later, secs) = r?;
             let mut member = id;
@@ -395,7 +385,7 @@ pub(super) fn functional_phase<'a>(
     Ok(Measured { slots, cards, host_secs })
 }
 
-/// What a wave's thread does for one node.
+/// What a wave's job does for one node.
 enum Work<'a> {
     /// Evaluate the operator over its inputs' values ([`eval_node`]).
     Eval { args: Vec<NodeVal<'a>>, hold: Hold },
@@ -410,9 +400,31 @@ enum Work<'a> {
 /// and the host seconds it took.
 type Evaluated<'a> = (NodeVal<'a>, Vec<View<'a>>, f64);
 
+/// The executor's panic boundary: [`eval_node_timed`] under
+/// `catch_unwind`, a panic turned into [`CoreError::Internal`] naming the
+/// node, so it fails this query and leaves the thread that ran it serving.
+fn eval_node_guarded<'a>(
+    graph: &PlanGraph,
+    id: NodeId,
+    inputs: &'a [Relation],
+    work: Work<'a>,
+) -> Result<Evaluated<'a>, CoreError> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| eval_node_timed(graph, id, inputs, work)))
+        .unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a non-string payload");
+            let node = format!("{}#{id}", graph.nodes[id].kind.name().to_lowercase());
+            Err(CoreError::Internal(format!("{node} panicked: {message}")))
+        })
+}
+
 /// Do a node's [`Work`] under a host trace span, timing it (the EXPLAIN
 /// tree's `host=` column: a run's one pass is its head's). Runs on the
-/// wave's thread, so parallel nodes land on distinct host lanes.
+/// thread that claimed the node, so parallel nodes land on distinct host
+/// lanes.
 fn eval_node_timed<'a>(
     graph: &PlanGraph,
     id: NodeId,

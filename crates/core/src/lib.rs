@@ -86,6 +86,8 @@ pub enum CoreError {
     Check(check::CheckError),
     /// Strategy/plan combination the executor does not support.
     Unsupported(String),
+    /// A plan node's evaluation panicked: the node and the panic message.
+    Internal(String),
 }
 
 impl std::fmt::Display for CoreError {
@@ -96,6 +98,7 @@ impl std::fmt::Display for CoreError {
             CoreError::Graph(e) => write!(f, "invalid plan graph: {e}"),
             CoreError::Check(e) => write!(f, "plan rejected by static checker: {e}"),
             CoreError::Unsupported(s) => write!(f, "unsupported: {s}"),
+            CoreError::Internal(s) => write!(f, "internal error: {s}"),
         }
     }
 }

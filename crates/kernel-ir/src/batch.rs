@@ -480,17 +480,20 @@ impl Scratch {
     /// construction.
     pub fn machine(&mut self, k: &CompiledKernel) -> BatchMachine {
         match self.machines.iter().position(|(id, _)| *id == k.id) {
-            Some(pos) => self.machines.swap_remove(pos).1,
+            Some(pos) => self.machines.remove(pos).1,
             None => BatchMachine::new(k),
         }
     }
 
-    /// Return a machine checked out for `k` to the pool. Dropped (not
-    /// pooled) when the pool is full.
+    /// Return a machine checked out for `k` to the pool, evicting the
+    /// longest-returned one when the pool is full. An arena outlives every
+    /// kernel it has seen (SELECT and ARITH compile one per call), so
+    /// keeping the oldest would fill it with machines no kernel asks for.
     pub fn put_machine(&mut self, k: &CompiledKernel, m: BatchMachine) {
-        if self.machines.len() < SCRATCH_CAP {
-            self.machines.push((k.id, m));
+        if self.machines.len() == SCRATCH_CAP {
+            self.machines.remove(0);
         }
+        self.machines.push((k.id, m));
     }
 
     /// Check out an empty `u32` index buffer (capacity retained from prior
@@ -1464,6 +1467,22 @@ mod tests {
         assert_eq!(s.machines.iter().filter(|(id, _)| *id == k1.id()).count(), 0);
         s.reset();
         assert!(s.machines.is_empty());
+    }
+
+    #[test]
+    fn a_full_scratch_evicts_its_oldest_machine() {
+        let body = BodyBuilder::threshold_lt(0, 100).build();
+        let ks: Vec<CompiledKernel> = (0..=SCRATCH_CAP).map(|_| compile_all_i64(&body)).collect();
+        let mut s = Scratch::new();
+        for k in &ks {
+            let m = s.machine(k);
+            s.put_machine(k, m);
+        }
+        assert_eq!(s.machines.len(), SCRATCH_CAP);
+        assert!(s.machines.iter().all(|(id, _)| *id != ks[0].id()), "the first kernel's is gone");
+        // The 17th kernel's machine is the pooled one, not a new one.
+        let _m = s.machine(&ks[SCRATCH_CAP]);
+        assert_eq!(s.machines.len(), SCRATCH_CAP - 1);
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub(crate) fn resize_zeroed_vec<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
 
 /// A disjoint mutable row-window over one column's buffer — the unit of
 /// work for parallel materialization (each worker owns one window of every
-/// column, so scoped threads write without locks).
+/// column, so pool threads write without locks).
 pub(crate) enum ColWindow<'a> {
     /// Window of an i64 column.
     I64(&'a mut [i64]),
@@ -200,25 +200,11 @@ pub(crate) fn col_windows<'a>(cols: &'a mut [Column], lens: &[usize]) -> Vec<Vec
     out
 }
 
-/// Run `work` on every item, on one scoped thread per core with the items
-/// dealt round-robin (inline when there is one item or one core) — the
-/// executor for morsels that each own a disjoint window of an output, and
-/// the only place this crate spawns threads.
+/// Run `work` on every item on the process-wide pool
+/// ([`kfusion_vgpu::exec::par_map`]) — the executor for morsels that each
+/// own a disjoint window of an output.
 pub(crate) fn par_each<T: Send>(items: Vec<T>, work: impl Fn(T) + Sync) {
-    let workers = kfusion_vgpu::exec::workers().min(items.len());
-    if workers <= 1 {
-        return items.into_iter().for_each(work);
-    }
-    let mut lanes: Vec<Vec<T>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        lanes[i % workers].push(item);
-    }
-    let work = &work;
-    std::thread::scope(|scope| {
-        for lane in lanes {
-            scope.spawn(move || lane.into_iter().for_each(work));
-        }
-    });
+    kfusion_vgpu::exec::par_map(items, |_, item| work(item));
 }
 
 /// Structural errors on relations.

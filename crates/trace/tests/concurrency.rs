@@ -4,7 +4,7 @@
 //!
 //! This mirrors how the executor actually drives the recorder: the
 //! functional phase of `kfusion_core::exec::run_plan` evaluates whole
-//! wavefronts on `std::thread::scope` threads, each opening host spans and
+//! wavefronts on the worker pool's threads, each opening host spans and
 //! bumping operator counters while the others do the same.
 
 use kfusion_trace::Clock;

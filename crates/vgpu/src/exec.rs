@@ -2,11 +2,24 @@
 //!
 //! Simulated kernels still compute *real* results: the relational operators
 //! partition their input into CTA-sized chunks and run each chunk's work on
-//! a scoped thread pool, mirroring the BSP structure of the CUDA
-//! implementations the paper builds on (partition → per-CTA work → global
-//! sync → gather). Timing comes from the cost model, not from these threads;
-//! this module is purely about producing correct outputs fast enough to test
-//! at figure scale.
+//! host threads, mirroring the BSP structure of the CUDA implementations the
+//! paper builds on (partition → per-CTA work → global sync → gather). Timing
+//! comes from the cost model, not from these threads; this module is purely
+//! about producing correct outputs fast enough to test at figure scale.
+//!
+//! Every parallel step runs on one process-wide pool ([`par_for`]):
+//! `workers() − 1` threads that start on the first parallel call and then
+//! live for the whole process, with each caller as the last worker. It is
+//! the host's counterpart of the paper's Stream Pool (§IV-A), which reuses
+//! a fixed set of streams instead of creating one per kernel, and of
+//! morsel-driven execution, which runs every morsel on one fixed set of
+//! workers: a step costs a queue push, never a thread spawn.
+
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 
 /// Default number of elements each simulated CTA processes.
 pub const DEFAULT_CTA_CHUNK: usize = 64 * 1024;
@@ -17,6 +30,190 @@ pub const DEFAULT_CTA_CHUNK: usize = 64 * 1024;
 pub fn workers() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
+}
+
+/// How many threads the pool has started in this process: `workers() − 1`
+/// once a parallel step has run, 0 before — and never more, however many
+/// queries run.
+pub fn threads_spawned() -> usize {
+    SPAWNED.load(Ordering::Relaxed)
+}
+
+/// Run `work(i)` for every `i` in `0..n` on the process-wide pool; return
+/// once every call has returned.
+///
+/// The caller and the pool's threads claim indices through one atomic
+/// counter, so which thread runs an index varies from call to call: a
+/// caller that needs an order writes each result to its own slot
+/// ([`par_map`]). Once its own claims run out, the caller runs other
+/// callers' queued indices — nested jobs, or another query's — until its
+/// own have finished. So a `par_for` inside `work` cannot deadlock: every
+/// claimed index is running on a live thread.
+///
+/// Each index runs under `catch_unwind`. The first panic's payload is
+/// raised again here once every index has finished, so a panic in `work`
+/// reaches the caller and never kills a pool thread.
+pub fn par_for(n: usize, work: &(dyn Fn(usize) + Sync)) {
+    if n <= 1 || workers() <= 1 {
+        return (0..n).for_each(work);
+    }
+    // SAFETY: only lifetimes change. The pool calls `work` only for an
+    // index below `n` that it claimed from `job.next`, and this function
+    // returns only once `job.done` has counted all `n` of those calls as
+    // returned; a claim at or past `n` returns without touching `work`. So
+    // every call through the erased reference happens while the borrow it
+    // came from is live, although a pool thread may hold the `Job` longer.
+    let work = unsafe {
+        std::mem::transmute::<&(dyn Fn(usize) + Sync + '_), &'static (dyn Fn(usize) + Sync)>(work)
+    };
+    let job = Arc::new(Job {
+        work,
+        n,
+        next: AtomicUsize::new(0),
+        done: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+    });
+    let pool = Pool::get();
+    pool.queue().push_back(Arc::clone(&job));
+    pool.wake.notify_all();
+    job.run(pool);
+    pool.help_until_done(&job);
+    let panic = job.panic.lock().expect("a panic slot is never locked across a call").take();
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
+}
+
+/// [`par_for`] over owned items: `work(i, item)` for each of `items`, the
+/// results in item order whichever thread ran what.
+pub fn par_map<T: Send, R: Send>(items: Vec<T>, work: impl Fn(usize, T) -> R + Sync) -> Vec<R> {
+    let slots: Vec<Mutex<(Option<T>, Option<R>)>> =
+        items.into_iter().map(|item| Mutex::new((Some(item), None))).collect();
+    let slot = |i: usize| slots[i].lock().expect("a slot is never locked across a call");
+    par_for(slots.len(), &|i| {
+        let item = slot(i).0.take().expect("each index is claimed once");
+        let out = work(i, item);
+        slot(i).1 = Some(out);
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("a slot is never locked across a call").1.expect("ran"))
+        .collect()
+}
+
+/// One [`par_for`] call: the indices `0..n` of `work`, claimed through
+/// `next` and counted through `done` as their calls return.
+struct Job {
+    work: &'static (dyn Fn(usize) + Sync),
+    n: usize,
+    next: AtomicUsize,
+    done: AtomicUsize,
+    /// The first panic's payload, raised again by the caller.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Job {
+    /// Claim and run indices until none is left to claim.
+    fn run(&self, pool: &Pool) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                return;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.work)(i))) {
+                let mut first =
+                    self.panic.lock().expect("a panic slot is never locked across a call");
+                first.get_or_insert(payload);
+            }
+            // Release: see `Pool::help_until_done`.
+            if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+                // Under the queue lock, under which the caller checks
+                // `done` before it sleeps: the wake-up cannot fall between.
+                let _queue = pool.queue();
+                pool.wake.notify_all();
+            }
+        }
+    }
+}
+
+/// The queued jobs, oldest first (a job leaves once its indices are all
+/// claimed), and one condition variable for "a job was queued" and "a job
+/// finished".
+struct Pool {
+    jobs: Mutex<VecDeque<Arc<Job>>>,
+    wake: Condvar,
+}
+
+static POOL: Pool = Pool { jobs: Mutex::new(VecDeque::new()), wake: Condvar::new() };
+static SPAWNED: AtomicUsize = AtomicUsize::new(0);
+
+impl Pool {
+    /// The pool, its threads started by the first call.
+    fn get() -> &'static Pool {
+        static START: Once = Once::new();
+        START.call_once(|| {
+            for i in 1..workers() {
+                // Detached on purpose: a pool thread serves until the
+                // process exits, and no panic escapes `Job::run`. One that
+                // fails to start leaves the callers more work, not less.
+                let started = std::thread::Builder::new()
+                    .name(format!("kfusion-pool-{i}"))
+                    .spawn(|| POOL.serve());
+                if started.is_ok() {
+                    SPAWNED.fetch_add(1, Ordering::Relaxed);
+                    kfusion_trace::counter("kfusion_host_threads_spawned_total", 1);
+                }
+            }
+        });
+        &POOL
+    }
+
+    fn queue(&self) -> MutexGuard<'_, VecDeque<Arc<Job>>> {
+        // Nothing that can panic runs under this lock.
+        self.jobs.lock().expect("the job queue's lock is never poisoned")
+    }
+
+    /// A pool thread's life: run queued jobs' indices, oldest job first,
+    /// and sleep while none is queued.
+    fn serve(&self) {
+        self.work_until(|| false);
+    }
+
+    /// A caller's wait for `job`: run other jobs' indices while any are
+    /// queued, sleep otherwise.
+    fn help_until_done(&self, job: &Job) {
+        // Acquire pairs with the Release in `Job::run`: all `n` calls'
+        // writes happen before `par_for` returns.
+        self.work_until(|| job.done.load(Ordering::Acquire) == job.n);
+    }
+
+    fn work_until(&self, finished: impl Fn() -> bool) {
+        let mut queue = self.queue();
+        while !finished() {
+            match next_job(&mut queue) {
+                Some(job) => {
+                    drop(queue);
+                    job.run(self);
+                    queue = self.queue();
+                }
+                None => {
+                    queue = self.wake.wait(queue).expect("the job queue's lock is never poisoned")
+                }
+            }
+        }
+    }
+}
+
+/// The oldest queued job with an index left to claim; jobs ahead of it
+/// whose indices are all claimed leave the queue.
+fn next_job(queue: &mut VecDeque<Arc<Job>>) -> Option<Arc<Job>> {
+    while let Some(job) = queue.front() {
+        if job.next.load(Ordering::Relaxed) < job.n {
+            return Some(Arc::clone(job));
+        }
+        queue.pop_front();
+    }
+    None
 }
 
 /// Split `n` items into per-CTA ranges of at most `chunk` items.
@@ -39,48 +236,18 @@ pub fn cta_ranges(n: usize, chunk: usize) -> Vec<std::ops::Range<usize>> {
 /// CTA index and its index range, so columnar data (several parallel
 /// arrays) needs no slice of its own.
 ///
-/// Work runs on scoped threads (one logical worker per available core, CTAs
-/// distributed round-robin), so `work` only needs `Sync` borrows.
+/// The CTAs are [`par_map`]'s items, so `work` only needs `Sync` borrows.
 pub fn par_range_map<R, F>(n: usize, chunk: usize, work: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize, std::ops::Range<usize>) -> R + Sync,
 {
     let ranges = cta_ranges(n, chunk);
-    let n_ctas = ranges.len();
-    if n_ctas == 0 {
+    if ranges.is_empty() {
         return Vec::new();
     }
-    kfusion_trace::counter("kfusion_host_morsels_total", n_ctas as u64);
-    let workers = workers().min(n_ctas);
-    if workers <= 1 || n_ctas == 1 {
-        return ranges.into_iter().enumerate().map(|(i, r)| work(i, r)).collect();
-    }
-    let mut results: Vec<Option<R>> = (0..n_ctas).map(|_| None).collect();
-    let work = &work;
-    let ranges = &ranges;
-    std::thread::scope(|scope| {
-        for (w, mut slot_chunk) in chunked_slots(&mut results, workers).into_iter().enumerate() {
-            scope.spawn(move || {
-                for (offset, slot) in slot_chunk.iter_mut().enumerate() {
-                    let cta = w + offset * workers;
-                    **slot = Some(work(cta, ranges[cta].clone()));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("all CTAs filled")).collect()
-}
-
-/// Partition `slots` into `workers` interleaved views: worker `w` owns slots
-/// `w, w+workers, w+2*workers, ...`. Interleaving balances load when CTA
-/// costs trend with position (e.g. sorted data).
-fn chunked_slots<R>(slots: &mut [Option<R>], workers: usize) -> Vec<Vec<&mut Option<R>>> {
-    let mut views: Vec<Vec<&mut Option<R>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, slot) in slots.iter_mut().enumerate() {
-        views[i % workers].push(slot);
-    }
-    views
+    kfusion_trace::counter("kfusion_host_morsels_total", ranges.len() as u64);
+    par_map(ranges, work)
 }
 
 #[cfg(test)]
@@ -137,5 +304,71 @@ mod tests {
     #[test]
     fn single_cta_path_works() {
         assert_eq!(par_range_map(3, 100, |_, r| r), vec![0..3]);
+    }
+
+    /// How many times `par_for(n, ..)` ran each index.
+    fn runs_per_index(n: usize) -> Vec<u32> {
+        let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        par_for(n, &|i| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+        });
+        runs.into_iter().map(|r| r.into_inner() as u32).collect()
+    }
+
+    #[test]
+    fn par_for_runs_every_index_once() {
+        for n in [0, 1, 100_000] {
+            assert_eq!(runs_per_index(n), vec![1; n], "n = {n}");
+        }
+    }
+
+    #[test]
+    fn par_for_nests_three_levels_deep() {
+        let runs: Vec<AtomicUsize> = (0..5 * 6 * 7).map(|_| AtomicUsize::new(0)).collect();
+        par_for(5, &|i| {
+            par_for(6, &|j| {
+                par_for(7, &|k| {
+                    runs[(i * 6 + j) * 7 + k].fetch_add(1, Ordering::Relaxed);
+                })
+            })
+        });
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn concurrent_callers_get_their_results_in_index_order() {
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for caller in 0..2u64 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        let items: Vec<u64> = (0..1000).collect();
+                        let got = par_map(items, |i, x| (i as u64, x * 3 + caller));
+                        let want: Vec<_> = (0..1000).map(|x| (x, x * 3 + caller)).collect();
+                        assert_eq!(got, want);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_panic_reaches_the_caller_and_the_pool_serves_on() {
+        runs_per_index(16);
+        let spawned = threads_spawned();
+        assert_eq!(spawned, workers() - 1);
+        let caught = std::panic::catch_unwind(|| {
+            par_for(64, &|i| {
+                if i == 37 {
+                    panic!("index {i} failed");
+                }
+            })
+        });
+        let payload = caught.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("index 37 failed"));
+        assert_eq!(runs_per_index(10_000), vec![1; 10_000]);
+        assert_eq!(threads_spawned(), spawned, "no thread replaced one lost to the panic");
     }
 }

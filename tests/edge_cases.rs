@@ -351,3 +351,42 @@ fn a_lint_line_and_an_explain_label_name_a_node_the_same_way() {
         assert!(explain.contains(&format!("{}#{m}", name.to_lowercase())), "{explain}");
     }
 }
+
+/// The executor's panic boundary: a node whose evaluation panics fails the
+/// query with `CoreError::Internal` naming the node, in a wave of one node
+/// and in a wave of many alike, and the threads that ran it serve on.
+#[test]
+fn a_panicking_node_fails_its_query_not_its_thread() {
+    // A payload column shorter than the keys, which `Relation::new` would
+    // refuse: reading its missing rows panics inside the operator.
+    let mut ragged = gen::sorted_table(200_000, 1, 7);
+    if let Column::I64(c) = &mut ragged.cols[0] {
+        c.truncate(10);
+    }
+    let select = || OpKind::Select { pred: predicates::col_cmp_i64(0, kfusion::ir::CmpOp::Lt, 5) };
+    let mut alone = PlanGraph::new();
+    let i = alone.input(0);
+    alone.add(select(), vec![i]);
+    let mut siblings = PlanGraph::new();
+    let i = siblings.input(0);
+    let (a, b) = (siblings.add(select(), vec![i]), siblings.add(select(), vec![i]));
+    siblings.add(OpKind::Join, vec![a, b]);
+    let spawned = kfusion::vgpu::exec::threads_spawned();
+    for (g, node) in [(&alone, 1), (&siblings, 1)] {
+        for strat in [Strategy::Serial, Strategy::FusionFission { segments: 8 }] {
+            let cfg = ExecConfig::new(strat, &sys());
+            match execute(&sys(), g, std::slice::from_ref(&ragged), &cfg) {
+                Err(CoreError::Internal(msg)) => {
+                    assert!(msg.starts_with(&format!("select#{node} panicked: ")), "{msg}")
+                }
+                other => panic!("{strat:?}: expected an internal error, got {other:?}"),
+            }
+        }
+    }
+    let sound = gen::sorted_table(200_000, 1, 7);
+    let r = execute(&sys(), &siblings, &[sound], &ExecConfig::new(Strategy::Serial, &sys()));
+    assert!(r.is_ok(), "{r:?}");
+    let pool = kfusion::vgpu::exec::workers() - 1;
+    assert!(spawned == 0 || spawned == pool);
+    assert_eq!(kfusion::vgpu::exec::threads_spawned(), pool, "no pool thread was lost");
+}

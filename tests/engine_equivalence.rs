@@ -105,7 +105,9 @@ fn batch_engine_never_changes_tpch_answers() {
 // with sentinel bit patterns — quiet-NaN payloads in f64 lanes, alternating
 // bits in masks — before each run, so any operator that reads a stale or
 // unselected lane produces a bitwise-visible diff against the scalar
-// engine.
+// engine. Arenas outlive queries (their threads serve the process), so
+// each query runs twice in a row: the second run checks out banks the
+// first one left behind.
 #[test]
 fn scratch_poisoning_never_changes_tpch_answers() {
     let _g = serial();
@@ -113,10 +115,12 @@ fn scratch_poisoning_never_changes_tpch_answers() {
     let sys = GpuSystem::c2070();
     for poison in [false, true] {
         engine::set_scratch_poison(poison);
-        let what = |q: &str| format!("{q} poison={poison}");
-        check(&what("Q1"), Strategy::Serial, |s| q1::run_q1(&sys, &db, s).unwrap());
-        check(&what("Q6"), Strategy::Serial, |s| q6::run_q6(&sys, &db, s).unwrap());
-        check(&what("Q21"), Strategy::Serial, |s| q21::run_q21(&sys, &db, 20, s).unwrap());
+        for run in 1..=2 {
+            let what = |q: &str| format!("{q} poison={poison} run {run}");
+            check(&what("Q1"), Strategy::Serial, |s| q1::run_q1(&sys, &db, s).unwrap());
+            check(&what("Q6"), Strategy::Serial, |s| q6::run_q6(&sys, &db, s).unwrap());
+            check(&what("Q21"), Strategy::Serial, |s| q21::run_q21(&sys, &db, 20, s).unwrap());
+        }
     }
     engine::set_scratch_poison(false);
     engine::set_batch_enabled(true);

@@ -330,3 +330,30 @@ fn a_filtered_view_under_an_aggregate_is_gathered_once() {
         cards.bytes(kept) + cards.bytes(most) + cards.bytes(fewer)
     );
 }
+
+/// Every parallel step runs on one process-wide pool (DESIGN.md §9): once
+/// warm, the executor starts no thread. After a run each of Q6, Q1 and
+/// Q21 the pool holds its `workers() − 1` threads, and a second round
+/// starts none — nor does the counter that mirrors the spawns move.
+#[test]
+fn warm_queries_start_no_thread() {
+    let _g = serial();
+    let db = generate(TpchConfig::scale(0.01));
+    let q6 = compile(&sql::q6_sql(), &sql::q6_catalog()).expect("Q6 SQL compiles").plan;
+    let queries = [
+        (q6, vec![sql::q6_wide_table(&db)]),
+        (q1::q1_plan(), q1::q1_inputs(&db)),
+        (q21::q21_plan(20), q21::q21_inputs(&db)),
+    ];
+    let strategy = Strategy::FusionFission { segments: 8 };
+    for (plan, inputs) in &queries {
+        traced(plan, inputs, strategy);
+    }
+    let pool = kfusion::vgpu::exec::workers() - 1;
+    assert_eq!(kfusion::vgpu::exec::threads_spawned(), pool);
+    for (plan, inputs) in &queries {
+        let (_, trace) = traced(plan, inputs, strategy);
+        assert_eq!(trace.counter("kfusion_host_threads_spawned_total"), 0);
+    }
+    assert_eq!(kfusion::vgpu::exec::threads_spawned(), pool);
+}

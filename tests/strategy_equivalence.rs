@@ -517,7 +517,9 @@ fn arb_dag_over(
 }
 
 /// Every cell of strategy x host engine x scratch poisoning, the unfused
-/// scalar cell first: it is the reference the others must reproduce.
+/// scalar cell first: it is the reference the others must reproduce. A
+/// poisoned cell runs twice in a row, so that banks reused across queries
+/// are poisoned too.
 fn cells() -> Vec<(ExecStrategy, bool, bool)> {
     let mut cells = Vec::new();
     for strat in
@@ -552,18 +554,20 @@ fn same_outcome(got: &Outcome, want: &Outcome) -> bool {
 fn same_in_every_cell(what: &str, run: impl Fn(ExecStrategy) -> Outcome) -> Outcome {
     let mut reference = None;
     for (strat, batch, poison) in cells() {
-        engine::set_batch_enabled(batch);
-        engine::set_scratch_poison(poison);
-        let got = run(strat);
-        engine::set_batch_enabled(true);
-        engine::set_scratch_poison(false);
-        match &reference {
-            None => reference = Some(got),
-            Some(want) => assert!(
-                same_outcome(&got, want),
-                "{what}: {strat:?} batch={batch} poison={poison} differs from the unfused scalar \
-                 run:\n{got:?}\nvs\n{want:?}"
-            ),
+        for run_no in 1..=1 + poison as usize {
+            engine::set_batch_enabled(batch);
+            engine::set_scratch_poison(poison);
+            let got = run(strat);
+            engine::set_batch_enabled(true);
+            engine::set_scratch_poison(false);
+            match &reference {
+                None => reference = Some(got),
+                Some(want) => assert!(
+                    same_outcome(&got, want),
+                    "{what}: {strat:?} batch={batch} poison={poison} run {run_no} differs from \
+                     the unfused scalar run:\n{got:?}\nvs\n{want:?}"
+                ),
+            }
         }
     }
     reference.expect("at least one cell")
