@@ -299,3 +299,232 @@ mod compress_props {
         }
     }
 }
+
+/// JOIN, PRODUCT and the set operators against nested-loop oracles over
+/// tuple lists, bit for bit: every cell is compared as its 64-bit pattern
+/// (an i64 as itself, an f64 by `to_bits`, so NaN payloads and `-0.0` count),
+/// in output order, with the output's column types. Inputs mix duplicate
+/// keys, empty sides, skewed keys, i64 and f64 payloads drawn from a few
+/// values — NaN, a second NaN payload, `0.0` and `-0.0` among them, so equal
+/// tuples recur — and keys stored or by row id.
+mod oracle {
+    use super::rng_for;
+    use kfusion_prng::Rng;
+    use kfusion_relalg::ops;
+    use kfusion_relalg::{Column, Keys, RelError, Relation};
+
+    /// A tuple as bit patterns: the key, then each payload cell.
+    type Tuple = Vec<u64>;
+
+    /// Column types, `true` for f64.
+    type Schema = Vec<bool>;
+
+    const FLOATS: [f64; 5] = [0.0, -0.0, f64::NAN, 1.5, -2.25];
+
+    /// A NaN whose payload differs from `f64::NAN`'s.
+    fn other_nan() -> f64 {
+        f64::from_bits(f64::NAN.to_bits() | 1)
+    }
+
+    fn tuples(r: &Relation) -> Vec<Tuple> {
+        (0..r.len())
+            .map(|i| {
+                let cells = r.cols.iter().map(|c| match c {
+                    Column::I64(v) => v[i] as u64,
+                    Column::F64(v) => v[i].to_bits(),
+                });
+                std::iter::once(r.keys().get(i)).chain(cells).collect()
+            })
+            .collect()
+    }
+
+    fn schema(r: &Relation) -> Schema {
+        r.cols.iter().map(|c| matches!(c, Column::F64(_))).collect()
+    }
+
+    /// Keys drawn the way `shape` says: 0 a narrow range (many duplicates),
+    /// 1 skewed (most rows on one key), 2 a wide range (few duplicates).
+    fn arb_keys(rng: &mut Rng, len: usize, shape: u32) -> Vec<u64> {
+        (0..len)
+            .map(|_| match shape {
+                0 => rng.gen_range(0u64..6),
+                1 if rng.gen_range(0u32..4) != 0 => 3,
+                _ => rng.gen_range(0u64..40),
+            })
+            .collect()
+    }
+
+    fn arb_column(rng: &mut Rng, len: usize, float: bool) -> Column {
+        match float {
+            true => Column::F64(
+                (0..len)
+                    .map(|_| match rng.gen_range(0usize..FLOATS.len() + 1) {
+                        k if k < FLOATS.len() => FLOATS[k],
+                        _ => other_nan(),
+                    })
+                    .collect(),
+            ),
+            false => Column::I64((0..len).map(|_| rng.gen_range(-2i64..2)).collect()),
+        }
+    }
+
+    /// A relation of `schema`, `len` rows: keyed by row id when `row_ids`,
+    /// else by drawn keys, sorted when `sorted`.
+    fn arb_rel(
+        rng: &mut Rng,
+        schema: &[bool],
+        len: usize,
+        row_ids: bool,
+        sorted: bool,
+    ) -> Relation {
+        let cols: Vec<Column> = schema.iter().map(|&f| arb_column(rng, len, f)).collect();
+        if row_ids {
+            return Relation::from_parts(Keys::RowIds(len), cols).unwrap();
+        }
+        let shape = rng.gen_range(0u32..3);
+        let mut keys = arb_keys(rng, len, shape);
+        if sorted {
+            keys.sort_unstable();
+        }
+        Relation::new(keys, cols).unwrap()
+    }
+
+    fn arb_schema(rng: &mut Rng) -> Schema {
+        (0..rng.gen_range(0usize..3)).map(|_| rng.gen_range(0u32..2) == 0).collect()
+    }
+
+    /// A side's length: empty now and then, a few rows mostly, and once in
+    /// a while enough to span several gather workers' columns.
+    fn arb_len(rng: &mut Rng, case: u64) -> usize {
+        match (case % 16, rng.gen_range(0u32..6)) {
+            (15, _) => rng.gen_range(1000usize..3000),
+            (_, 0) => 0,
+            _ => rng.gen_range(1usize..30),
+        }
+    }
+
+    /// Two sides for a case: their schemas equal when `same_schema`.
+    fn sides(rng: &mut Rng, case: u64, same_schema: bool, sorted: bool) -> (Relation, Relation) {
+        let sa = arb_schema(rng);
+        let sb = if same_schema { sa.clone() } else { arb_schema(rng) };
+        // Keys by row id are sorted and distinct; a set operator over two
+        // such sides sees equal keys only at equal positions.
+        let (ra, rb) = (rng.gen_range(0u32..4) == 0, rng.gen_range(0u32..4) == 0);
+        let (la, lb) = (arb_len(rng, case), arb_len(rng, case));
+        (arb_rel(rng, &sa, la, ra, sorted), arb_rel(rng, &sb, lb, rb, sorted))
+    }
+
+    fn check(what: &str, got: &Relation, want: (Schema, Vec<Tuple>)) {
+        assert_eq!(schema(got), want.0, "{what}: column types");
+        assert_eq!(tuples(got), want.1, "{what}");
+    }
+
+    #[test]
+    fn join_matches_the_nested_loop_bit_for_bit() {
+        for case in 0..super::CASES {
+            let mut rng = rng_for(0xC1, case);
+            let (a, b) = sides(&mut rng, case, false, true);
+            let (ta, tb) = (tuples(&a), tuples(&b));
+            let mut want = Vec::new();
+            for x in &ta {
+                for y in tb.iter().filter(|y| y[0] == x[0]) {
+                    want.push(x.iter().chain(&y[1..]).copied().collect());
+                }
+            }
+            let types = schema(&a).into_iter().chain(schema(&b)).collect();
+            check(&format!("join case {case}"), &ops::join(&a, &b).unwrap(), (types, want));
+        }
+    }
+
+    #[test]
+    fn an_unsorted_join_side_is_rejected_either_way_round() {
+        for case in 0..super::CASES {
+            let mut rng = rng_for(0xC2, case);
+            let (a, b) = sides(&mut rng, case, false, false);
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let sorted = x.is_key_sorted() && y.is_key_sorted();
+                match ops::join(x, y) {
+                    Ok(_) => assert!(sorted, "case {case}: an unsorted side joined"),
+                    Err(e) => assert!(!sorted && e == RelError::NotSorted, "case {case}: {e:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn product_matches_the_nested_loop_bit_for_bit() {
+        for case in 0..super::CASES {
+            let mut rng = rng_for(0xC3, case);
+            // Never the long sides: their product is millions of rows.
+            let (x, y) = sides(&mut rng, case % 15, false, false);
+            let (tx, ty) = (tuples(&x), tuples(&y));
+            let mut want = Vec::new();
+            for l in &tx {
+                for r in &ty {
+                    // `y`'s key becomes an i64 column after `x`'s payload.
+                    want.push(l.iter().chain(r).copied().collect());
+                }
+            }
+            let types = schema(&x).into_iter().chain([false]).chain(schema(&y)).collect();
+            check(&format!("product case {case}"), &ops::product(&x, &y).unwrap(), (types, want));
+        }
+    }
+
+    /// `t` in `list`, compared cell by cell as bit patterns.
+    fn contains(list: &[Tuple], t: &Tuple) -> bool {
+        list.iter().any(|u| u == t)
+    }
+
+    /// UNION: `a`'s tuples, then `b`'s, each kept once — the first time it
+    /// appears. INTERSECT: `a`'s tuples that `b` holds, each once.
+    /// DIFFERENCE: `a`'s tuples that `b` does not hold, duplicates kept.
+    #[test]
+    fn set_operators_match_the_nested_loop_bit_for_bit() {
+        for case in 0..super::CASES {
+            let mut rng = rng_for(0xC4, case);
+            let sorted = rng.gen_range(0u32..2) == 0;
+            let (a, b) = sides(&mut rng, case, true, sorted);
+            let (ta, tb) = (tuples(&a), tuples(&b));
+            let types = schema(&a);
+
+            let mut union = Vec::new();
+            for t in ta.iter().chain(&tb) {
+                if !contains(&union, t) {
+                    union.push(t.clone());
+                }
+            }
+            let mut inter = Vec::new();
+            for t in &ta {
+                if contains(&tb, t) && !contains(&inter, t) {
+                    inter.push(t.clone());
+                }
+            }
+            let diff: Vec<Tuple> = ta.iter().filter(|t| !contains(&tb, t)).cloned().collect();
+
+            let what = |op: &str| format!("{op} case {case}");
+            check(&what("union"), &ops::union(&a, &b).unwrap(), (types.clone(), union));
+            check(
+                &what("intersection"),
+                &ops::intersection(&a, &b).unwrap(),
+                (types.clone(), inter),
+            );
+            check(&what("difference"), &ops::difference(&a, &b).unwrap(), (types, diff));
+        }
+    }
+
+    /// The special floats are told apart by bit pattern: `0.0` and `-0.0`
+    /// are different tuples, so are two NaN payloads, and a NaN equals its
+    /// own bit pattern.
+    #[test]
+    fn set_operators_compare_floats_by_bit_pattern() {
+        let col = |v: Vec<f64>| Relation::new(vec![1; v.len()], vec![Column::F64(v)]).unwrap();
+        let a = col(vec![0.0, -0.0, f64::NAN, other_nan(), f64::NAN]);
+        let b = col(vec![-0.0, f64::NAN]);
+        let bits = |r: &Relation| tuples(r).into_iter().map(|t| t[1]).collect::<Vec<_>>();
+        let (z, nz, nan, nan2) =
+            (0.0f64.to_bits(), (-0.0f64).to_bits(), f64::NAN.to_bits(), other_nan().to_bits());
+        assert_eq!(bits(&ops::union(&a, &b).unwrap()), [z, nz, nan, nan2]);
+        assert_eq!(bits(&ops::intersection(&a, &b).unwrap()), [nz, nan]);
+        assert_eq!(bits(&ops::difference(&a, &b).unwrap()), [z, nan2]);
+    }
+}
