@@ -35,79 +35,48 @@ pub(super) struct Measured<'a> {
     pub(super) host_secs: Vec<f64>,
 }
 
-/// A functional-phase slot value.
-pub(super) enum NodeVal<'a> {
-    /// A plan input, borrowed from the caller (base tables are the largest
-    /// relations in every TPC-H plan; they are never copied).
-    Ref(&'a Relation),
-    /// A computed relation. Shared, so that views over it stay valid after
-    /// the slot is released or handed to another wave's pool job.
-    Owned(Arc<Relation>),
-    /// The output of a fused-group member nobody outside the group but a
-    /// SORT reads, of a SORT that grouped its rows for the AGGREGATE behind
-    /// it, or of one that found such a member's filtered view in order:
-    /// references and a selection, gathered only for a reader that needs
-    /// stored or dense rows.
-    View(View<'a>),
+/// The stored relation a slot holds — a plan input, or a computed relation
+/// it is exactly ([`View::as_stored`]); views are forced before a storage
+/// operator runs or a root is read.
+pub(super) fn stored<'v>(val: &'v View<'_>) -> &'v Relation {
+    val.as_stored().expect("views are forced before a storage operator runs")
 }
 
-impl<'a> NodeVal<'a> {
-    /// The stored relation; views are forced before anything asks.
-    pub(super) fn as_rel(&self) -> &Relation {
-        match self {
-            NodeVal::Ref(r) => r,
-            NodeVal::Owned(r) => r,
-            NodeVal::View(_) => unreachable!("views are forced before a storage operator runs"),
+/// The buffers of the intermediates `val` keeps alive, as `(address,
+/// bytes)`: a column moved from one relation into another is the same
+/// buffer in both.
+fn buffers(val: &View<'_>) -> Vec<(usize, u64)> {
+    let mut held: Vec<&Arc<Relation>> = val.shared_storage().collect();
+    held.sort_unstable_by_key(|r| Arc::as_ptr(r));
+    held.dedup_by(|a, b| Arc::ptr_eq(a, b));
+    let buffer = |ptr: usize, len: usize| (ptr, len as u64 * Column::BYTES_PER_VALUE);
+    let mut out = Vec::new();
+    for r in held {
+        // Keys by row id are stored nowhere.
+        if let Some(key) = r.keys().stored() {
+            out.push(buffer(key.as_ptr() as usize, key.len()));
         }
+        out.extend(r.cols.iter().map(|c| match c {
+            Column::I64(v) => buffer(v.as_ptr() as usize, v.len()),
+            Column::F64(v) => buffer(v.as_ptr() as usize, v.len()),
+        }));
     }
-
-    /// `(rows, bytes per row)` of the relation this value is or stands for.
-    fn size(&self) -> (usize, u64) {
-        match self {
-            NodeVal::Ref(r) => (r.len(), r.row_bytes()),
-            NodeVal::Owned(r) => (r.len(), r.row_bytes()),
-            NodeVal::View(v) => (v.len(), v.row_bytes()),
-        }
-    }
-
-    fn into_view(self) -> View<'a> {
-        match self {
-            NodeVal::Ref(r) => View::of(r),
-            NodeVal::Owned(r) => View::shared(r),
-            NodeVal::View(v) => v,
-        }
-    }
-
-    /// The buffers of the intermediates this value keeps alive, as
-    /// `(address, bytes)`: a column moved from one relation into another
-    /// is the same buffer in both.
-    fn buffers(&self) -> Vec<(usize, u64)> {
-        let held: Vec<&Relation> = match self {
-            NodeVal::Ref(_) => Vec::new(),
-            NodeVal::Owned(r) => vec![r],
-            NodeVal::View(v) => v.shared_storage().map(|r| &**r).collect(),
-        };
-        let buffer = |ptr: usize, len: usize| (ptr, len as u64 * Column::BYTES_PER_VALUE);
-        let mut out = Vec::new();
-        for r in held {
-            // Keys by row id are stored nowhere.
-            if let Some(key) = r.keys().stored() {
-                out.push(buffer(key.as_ptr() as usize, key.len()));
-            }
-            out.extend(r.cols.iter().map(|c| match c {
-                Column::I64(v) => buffer(v.as_ptr() as usize, v.len()),
-                Column::F64(v) => buffer(v.as_ptr() as usize, v.len()),
-            }));
-        }
-        out
-    }
+    out
 }
 
 /// The functional phase's per-node values, and the high-water mark of the
 /// bytes of computed relations they — and the inputs lent to a running
-/// wave — held.
+/// wave — held. A plan input is held as a view of the caller's relation
+/// (base tables are the largest relations in every TPC-H plan; they are
+/// never copied), a computed relation as a view that shares it, so that
+/// views over it stay valid after the slot is released or handed to
+/// another wave's pool job; and the output of a fused-group member nobody
+/// outside the group but a SORT reads, of a SORT that grouped its rows for
+/// the AGGREGATE behind it, or of one that found such a member's filtered
+/// view in order, as the view it is: references and a selection, gathered
+/// only for a reader that needs stored or dense rows.
 pub(super) struct Slots<'a> {
-    pub(super) vals: Vec<Option<NodeVal<'a>>>,
+    pub(super) vals: Vec<Option<View<'a>>>,
     /// Buffers handed to the running wave's operators: live until they
     /// return, though no slot holds them.
     lent: Vec<(usize, u64)>,
@@ -124,7 +93,7 @@ impl<'a> Slots<'a> {
     /// shares them with others, and those bytes are live once.
     fn live_bytes(&self) -> u64 {
         let mut live = self.lent.clone();
-        live.extend(self.vals.iter().flatten().flat_map(NodeVal::buffers));
+        live.extend(self.vals.iter().flatten().flat_map(buffers));
         live.sort_unstable();
         live.dedup_by_key(|(ptr, _)| *ptr);
         live.iter().map(|(_, bytes)| bytes).sum()
@@ -132,30 +101,27 @@ impl<'a> Slots<'a> {
 
     /// Node `p`'s value for one of its readers: moved out of the slot when
     /// that reader is its last, shared otherwise.
-    fn lend(&mut self, p: NodeId, last_reader: bool) -> NodeVal<'a> {
+    fn lend(&mut self, p: NodeId, last_reader: bool) -> View<'a> {
         let val = self.vals[p].as_ref().expect("input wave completed");
         if !last_reader {
-            return match val {
-                NodeVal::Ref(r) => NodeVal::Ref(r),
-                NodeVal::Owned(r) => NodeVal::Owned(Arc::clone(r)),
-                NodeVal::View(v) => NodeVal::View(v.clone()),
-            };
+            return val.clone();
         }
-        self.lent.extend(val.buffers());
+        self.lent.extend(buffers(val));
         self.vals[p].take().expect("checked above")
     }
 
-    /// Give node `id`'s value real storage if it is still a view — the one
-    /// gather a fused group pays, at the first member that needs rows.
+    /// Give node `id`'s value real storage if it is not stored yet — the
+    /// one gather a fused group pays, at the first member that needs rows.
     fn force(&mut self, id: NodeId) {
-        if let Some(NodeVal::View(_)) = &self.vals[id] {
-            let _span = kfusion_trace::enabled()
-                .then(|| kfusion_trace::host_span("host", &format!("materialize#{id}")));
-            let Some(NodeVal::View(v)) = self.vals[id].take() else {
-                unreachable!("matched above")
-            };
-            self.vals[id] = Some(NodeVal::Owned(Arc::new(materialize(v))));
-        }
+        let val = self.vals[id].take().expect("input wave completed");
+        self.vals[id] = Some(match val.as_stored() {
+            Some(_) => val,
+            None => {
+                let _span = kfusion_trace::enabled()
+                    .then(|| kfusion_trace::host_span("host", &format!("materialize#{id}")));
+                View::shared(Arc::new(materialize(val)))
+            }
+        });
     }
 }
 
@@ -260,14 +226,17 @@ fn select_runs(graph: &PlanGraph, fusion: &FusionPlan, lazy: &[Hold]) -> Vec<Opt
 }
 
 /// Whether `kind` needs its input `val` gathered into its slot before it
-/// runs: a view, for an operator that needs stored rows; a filtered one,
+/// runs: one that is no stored relation, for an operator that needs stored
+/// rows; a filtered one,
 /// for one that walks base rows in order (keyed AGGREGATE) or — ARITH+ and
 /// REKEY — would write more bytes at base length than the view's rows hold,
 /// or cannot run its kernel where the view is. A view grouped by a SORT
 /// never is: its AGGREGATE folds it where it is, and an ARITH+ on the way
 /// that gathers first does so itself, keeping the groups.
-fn gathers_first(kind: &OpKind, val: &NodeVal<'_>) -> bool {
-    let NodeVal::View(v) = val else { return false };
+fn gathers_first(kind: &OpKind, v: &View<'_>) -> bool {
+    if v.as_stored().is_some() {
+        return false;
+    }
     match kind.traits().host {
         Host::Stored => true,
         _ if v.is_grouped() => false,
@@ -339,7 +308,7 @@ pub(super) fn functional_phase<'a>(
                 }
             }
             let last = |p: NodeId| consumers[p] == 1 && !roots.contains(&p);
-            let mut vals: Vec<NodeVal<'a>> =
+            let mut vals: Vec<View<'a>> =
                 node.inputs.iter().map(|&p| slots.lend(p, last(p))).collect();
             let work = match (ahead[id].take(), runs[id]) {
                 (Some(view), _) => Work::Ahead { view, lazy: hold == Hold::View },
@@ -353,17 +322,16 @@ pub(super) fn functional_phase<'a>(
         }
         let evaluated = par_map(args, |_, (id, work)| eval_node_guarded(graph, id, inputs, work));
         for (&id, r) in wave.iter().zip(evaluated) {
-            let (val, later, secs) = r?;
+            let ((val, view), later, secs) = r?;
             let mut member = id;
             for view in later {
                 member = runs[member].expect("one view per later member of the run");
                 ahead[member] = Some(view);
             }
-            let (rows, row_bytes) = val.size();
-            cards.rows[id] = rows as u64;
-            cards.row_bytes[id] = row_bytes as f64;
+            cards.rows[id] = val.len() as u64;
+            cards.row_bytes[id] = val.row_bytes() as f64;
             host_secs[id] += secs;
-            if matches!(val, NodeVal::View(_)) {
+            if view {
                 kfusion_trace::counter("kfusion_host_views_total", 1);
             }
             slots.vals[id] = Some(val);
@@ -388,17 +356,17 @@ pub(super) fn functional_phase<'a>(
 /// What a wave's job does for one node.
 enum Work<'a> {
     /// Evaluate the operator over its inputs' values ([`eval_node`]).
-    Eval { args: Vec<NodeVal<'a>>, hold: Hold },
+    Eval { args: Vec<View<'a>>, hold: Hold },
     /// Evaluate the run of SELECTs `run` (this node first, [`select_runs`])
     /// over this node's input.
-    Run { input: NodeVal<'a>, run: Vec<NodeId> },
+    Run { input: View<'a>, run: Vec<NodeId> },
     /// Hold the view the head of this SELECT's run computed for it.
     Ahead { view: View<'a>, lazy: bool },
 }
 
-/// A node's value, the views it computed for the later members of its run,
-/// and the host seconds it took.
-type Evaluated<'a> = (NodeVal<'a>, Vec<View<'a>>, f64);
+/// A node's value as its slot holds it, the views it computed for the later
+/// members of its run, and the host seconds it took.
+type Evaluated<'a> = (Held<'a>, Vec<View<'a>>, f64);
 
 /// The executor's panic boundary: [`eval_node_timed`] under
 /// `catch_unwind`, a panic turned into [`CoreError::Internal`] naming the
@@ -449,10 +417,10 @@ fn eval_node_timed<'a>(
                     _ => unreachable!("a run is SELECTs"),
                 })
                 .collect();
-            let mut views = ops::select_run_view(&input.into_view(), &preds)?.into_iter();
+            let mut views = ops::select_run_view(&input, &preds)?.into_iter();
             // A run's head is lazy: it has a reader in the run.
             let head = views.next().expect("a run yields its head's view");
-            (NodeVal::View(head), views.collect())
+            ((head, true), views.collect())
         }
     };
     Ok((val, later, t0.elapsed().as_secs_f64()))
@@ -483,9 +451,9 @@ fn wavefronts(graph: &PlanGraph) -> Vec<Vec<NodeId>> {
 fn eval_node<'a>(
     kind: &OpKind,
     inputs: &'a [Relation],
-    args: Vec<NodeVal<'a>>,
+    args: Vec<View<'a>>,
     hold: Hold,
-) -> Result<NodeVal<'a>, CoreError> {
+) -> Result<Held<'a>, CoreError> {
     let mut args = args.into_iter();
     let mut next = || args.next().expect("one value per input");
     // Each arm's inputs drop with the arm, so the result alone holds what
@@ -494,19 +462,19 @@ fn eval_node<'a>(
         OpKind::Input { input } => {
             return inputs
                 .get(*input)
-                .map(NodeVal::Ref)
+                .map(|input| (View::of(input), false))
                 .ok_or_else(|| CoreError::Unsupported(format!("missing plan input {input}")))
         }
-        OpKind::Select { pred } => ops::select_view(&next().into_view(), pred)?,
-        OpKind::ColumnJoin => ops::column_join_view(&next().into_view(), &next().into_view())?,
-        OpKind::Project { keep } => ops::project_view(&next().into_view(), keep)?,
-        OpKind::Rekey { col } => ops::rekey_view(&next().into_view(), *col)?,
-        OpKind::ArithExtend { body } => ops::arith_extend_view(&next().into_view(), body)?,
+        OpKind::Select { pred } => ops::select_view(&next(), pred)?,
+        OpKind::ColumnJoin => ops::column_join_view(&next(), &next())?,
+        OpKind::Project { keep } => ops::project_view(&next(), keep)?,
+        OpKind::Rekey { col } => ops::rekey_view(&next(), *col)?,
+        OpKind::ArithExtend { body } => ops::arith_extend_view(&next(), body)?,
         // A SORT that may hand on a view: grouped, or its filtered input in
         // order already, the rows stay where they are; sorted, they are
         // stored as any other SORT's.
         OpKind::Sort { by } if hold != Hold::Stored => {
-            let input = next().into_view();
+            let input = next();
             let out = match hold {
                 Hold::Groups => ops::group_by_key_view(&input)?,
                 _ => ops::sort_view(&input, *by)?,
@@ -516,29 +484,33 @@ fn eval_node<'a>(
         }
         // In order already, the input comes back: a stored intermediate is
         // shared once more, a plan input (borrowed) copied, a view gathered.
-        OpKind::Sort { by } => ops::sort_view(&next().into_view(), *by)?,
-        OpKind::Aggregate { aggs } => ops::aggregate_by_key_view(&next().into_view(), aggs)?.into(),
-        OpKind::AggregateAll { aggs } => ops::aggregate_all_view(&next().into_view(), aggs)?.into(),
-        OpKind::Arith { body } => ops::arith_map(next().as_rel(), body)?.into(),
-        OpKind::Join => ops::join(next().as_rel(), next().as_rel())?.into(),
-        OpKind::Semijoin => ops::semijoin_view(&next().into_view(), &next().into_view())?,
-        OpKind::Antijoin => ops::antijoin_view(&next().into_view(), &next().into_view())?,
-        OpKind::Product => ops::product(next().as_rel(), next().as_rel())?.into(),
-        OpKind::Union => ops::union(next().as_rel(), next().as_rel())?.into(),
-        OpKind::Intersect => ops::intersection(next().as_rel(), next().as_rel())?.into(),
-        OpKind::Difference => ops::difference(next().as_rel(), next().as_rel())?.into(),
-        OpKind::Unique => ops::unique(next().as_rel())?.into(),
+        OpKind::Sort { by } => ops::sort_view(&next(), *by)?,
+        OpKind::Aggregate { aggs } => ops::aggregate_by_key_view(&next(), aggs)?.into(),
+        OpKind::AggregateAll { aggs } => ops::aggregate_all_view(&next(), aggs)?.into(),
+        OpKind::Arith { body } => ops::arith_map(stored(&next()), body)?.into(),
+        OpKind::Join => ops::join(stored(&next()), stored(&next()))?.into(),
+        OpKind::Semijoin => ops::semijoin_view(&next(), &next())?,
+        OpKind::Antijoin => ops::antijoin_view(&next(), &next())?,
+        OpKind::Product => ops::product(stored(&next()), stored(&next()))?.into(),
+        OpKind::Union => ops::union(stored(&next()), stored(&next()))?.into(),
+        OpKind::Intersect => ops::intersection(stored(&next()), stored(&next()))?.into(),
+        OpKind::Difference => ops::difference(stored(&next()), stored(&next()))?.into(),
+        OpKind::Unique => ops::unique(stored(&next()))?.into(),
     };
     Ok(held(out, hold != Hold::Stored))
 }
 
+/// A node's output as its slot holds it, and whether that is as a view
+/// (the hold `kfusion_host_views_total` counts).
+type Held<'a> = (View<'a>, bool);
+
 /// A node's output as its slot holds it: the view itself when it stays
 /// one, storage otherwise — sharing an intermediate the view is exactly
 /// rather than copying it.
-fn held(out: View<'_>, view: bool) -> NodeVal<'_> {
+fn held(out: View<'_>, view: bool) -> Held<'_> {
     match view {
-        true => NodeVal::View(out),
-        false => NodeVal::Owned(out.into_shared()),
+        true => (out, true),
+        false => (View::shared(out.into_shared()), false),
     }
 }
 
@@ -566,7 +538,7 @@ mod tests {
             let m = functional_phase(&g, std::slice::from_ref(&input), &roots, &plan).unwrap();
             assert_eq!(m.slots.peak_bytes, input.total_bytes(), "{roots:?}");
             assert_eq!(m.slots.live_bytes(), input.total_bytes(), "{roots:?}");
-            assert_eq!(m.slots.vals[sorted].as_ref().unwrap().as_rel(), &input);
+            assert_eq!(stored(m.slots.vals[sorted].as_ref().unwrap()), &input);
             assert_eq!(m.slots.vals[kept].is_some(), roots.contains(&kept));
         }
         // Out of order, the SORT's rows are its own and both relations live

@@ -308,7 +308,7 @@ fn run_plan(
     let peak_resident_bytes = peak_resident_bytes(graph, &cards);
     let outputs: Vec<Relation> = roots
         .iter()
-        .map(|&r| slots.vals[r].as_ref().expect("roots are never released").as_rel().clone())
+        .map(|&r| host::stored(slots.vals[r].as_ref().expect("roots are never released")).clone())
         .collect();
     let measurements =
         crate::explain::NodeMeasurements { rows: &cards.rows, host_seconds: &host_secs };

@@ -59,18 +59,6 @@ impl Column {
         }
     }
 
-    /// Append the value at `src[i]` (same-typed column) to `self`.
-    ///
-    /// # Panics
-    /// If the column types differ.
-    pub fn push_from(&mut self, src: &Column, i: usize) {
-        match (self, src) {
-            (Column::I64(d), Column::I64(s)) => d.push(s[i]),
-            (Column::F64(d), Column::F64(s)) => d.push(s[i]),
-            _ => panic!("column type mismatch in push_from"),
-        }
-    }
-
     /// Bytes per value (both variants are 8-byte scalars).
     pub const BYTES_PER_VALUE: u64 = 8;
 
@@ -99,14 +87,6 @@ impl Column {
             (Column::I64(d), Column::I64(s)) => d.extend_from_slice(s),
             (Column::F64(d), Column::F64(s)) => d.extend_from_slice(s),
             _ => panic!("column type mismatch in extend_from"),
-        }
-    }
-
-    /// Take the rows at `idx`, in order.
-    pub fn gather(&self, idx: &[usize]) -> Column {
-        match self {
-            Column::I64(v) => Column::I64(idx.iter().map(|&i| v[i]).collect()),
-            Column::F64(v) => Column::F64(idx.iter().map(|&i| v[i]).collect()),
         }
     }
 
@@ -364,15 +344,6 @@ impl Keys {
             Keys::RowIds(_) => unreachable!("replaced above"),
         }
     }
-
-    /// The stored keys, for appending to: row ids are written out first
-    /// ([`Keys::as_slice`]).
-    fn stored_mut(&mut self) -> &mut Vec<u64> {
-        if let Keys::RowIds(_) = self {
-            *self = Keys::Stored(self.as_slice().into_owned());
-        }
-        self.buffer_mut()
-    }
 }
 
 impl PartialEq for Keys {
@@ -494,30 +465,6 @@ impl Relation {
         }
     }
 
-    /// Sort tuples by key (stable), carrying payload columns along.
-    pub fn sort_by_key(&mut self) {
-        if self.key.is_row_ids() {
-            return;
-        }
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.sort_by_key(|&i| self.key.get(i));
-        self.permute(&idx);
-    }
-
-    /// Reorder tuples so that row `i` of the result is row `idx[i]` of the
-    /// input.
-    pub fn permute(&mut self, idx: &[usize]) {
-        self.key = Keys::Stored(idx.iter().map(|&i| self.key.get(i)).collect());
-        for c in &mut self.cols {
-            *c = c.gather(idx);
-        }
-    }
-
-    /// An empty relation with the same schema.
-    pub fn empty_like(&self) -> Relation {
-        Relation { key: Keys::default(), cols: self.cols.iter().map(Column::empty_like).collect() }
-    }
-
     /// The IR input row for tuple `i`: slot 0 = key (as i64), slot `1+c` =
     /// column `c`. This is the calling convention every predicate and
     /// arithmetic expression in the library uses.
@@ -542,41 +489,6 @@ impl Relation {
     /// against.
     pub fn ir_slot_types(&self) -> Vec<Option<kfusion_ir::Ty>> {
         self.ir_cols().iter().map(|c| Some(c.ty())).collect()
-    }
-
-    /// Append row `i` of `src` (same schema).
-    ///
-    /// # Panics
-    /// If schemas differ.
-    pub fn push_row_from(&mut self, src: &Relation, i: usize) {
-        self.key.stored_mut().push(src.key.get(i));
-        for (d, s) in self.cols.iter_mut().zip(&src.cols) {
-            d.push_from(s, i);
-        }
-    }
-
-    /// Concatenate `other` (same schema) onto `self`.
-    ///
-    /// # Panics
-    /// If schemas differ.
-    pub fn extend_from(&mut self, other: &Relation) {
-        self.key.stored_mut().extend(other.key.iter());
-        for (d, s) in self.cols.iter_mut().zip(&other.cols) {
-            d.extend_from(s);
-        }
-    }
-
-    /// Compare full tuples at `(self, i)` and `(other, j)` for equality
-    /// (used by the set operators, which work on whole tuples per Table I).
-    pub fn tuple_eq(&self, i: usize, other: &Relation, j: usize) -> bool {
-        if self.key.get(i) != other.key.get(j) || self.cols.len() != other.cols.len() {
-            return false;
-        }
-        self.cols.iter().zip(&other.cols).all(|(a, b)| match (a, b) {
-            (Column::I64(x), Column::I64(y)) => x[i] == y[j],
-            (Column::F64(x), Column::F64(y)) => x[i].to_bits() == y[j].to_bits(),
-            _ => false,
-        })
     }
 }
 
@@ -608,27 +520,12 @@ mod tests {
     #[test]
     fn sortedness_checks() {
         assert!(rel().is_key_sorted());
-        let mut r = Relation::from_keys(vec![3, 1, 2]);
+        let r = Relation::from_keys(vec![3, 1, 2]);
         assert!(!r.is_key_sorted());
         assert!(r.require_sorted().is_err());
-        r.sort_by_key();
-        assert_eq!(*r.keys(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn sort_carries_payload() {
-        let mut r = Relation::new(vec![3, 1, 2], vec![Column::I64(vec![30, 10, 20])]).unwrap();
-        r.sort_by_key();
-        assert_eq!(*r.keys(), vec![1, 2, 3]);
-        assert_eq!(r.cols[0].as_i64().unwrap(), &[10, 20, 30]);
-    }
-
-    #[test]
-    fn sort_is_stable_for_equal_keys() {
-        let mut r = Relation::new(vec![2, 1, 2, 1], vec![Column::I64(vec![1, 2, 3, 4])]).unwrap();
-        r.sort_by_key();
-        assert_eq!(*r.keys(), vec![1, 1, 2, 2]);
-        assert_eq!(r.cols[0].as_i64().unwrap(), &[2, 4, 1, 3]);
+        let sorted = crate::ops::sort(&r, crate::ops::SortBy::Key).unwrap();
+        assert!(sorted.require_sorted().is_ok());
+        assert_eq!(*sorted.keys(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -640,34 +537,6 @@ mod tests {
         assert_eq!(buf[0].as_i64(), Some(2));
         assert_eq!(buf[1].as_i64(), Some(20));
         assert_eq!(buf[2].as_f64(), Some(0.2));
-    }
-
-    #[test]
-    fn push_and_extend_preserve_schema() {
-        let r = rel();
-        let mut out = r.empty_like();
-        out.push_row_from(&r, 2);
-        assert_eq!(*out.keys(), vec![3]);
-        out.extend_from(&r);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out.cols[0].as_i64().unwrap(), &[30, 10, 20, 30]);
-    }
-
-    #[test]
-    fn tuple_equality_is_full_width() {
-        let a = rel();
-        let mut b = rel();
-        assert!(a.tuple_eq(0, &b, 0));
-        if let Column::I64(v) = &mut b.cols[0] {
-            v[0] = 99;
-        }
-        assert!(!a.tuple_eq(0, &b, 0));
-    }
-
-    #[test]
-    fn gather_reorders() {
-        let c = Column::I64(vec![5, 6, 7]);
-        assert_eq!(c.gather(&[2, 0]).as_i64().unwrap(), &[7, 5]);
     }
 
     #[test]

@@ -780,12 +780,12 @@ mod tests {
         ];
         for (seed, (shape, lens)) in (16..).zip(shapes) {
             // The rows out of key order: a shuffle of the sorted table.
-            let mut shuffled = awkward(lens, seed);
-            let mut order: Vec<usize> = (0..shuffled.len()).collect();
+            let sorted = awkward(lens, seed);
+            let mut order: Vec<u32> = (0..sorted.len() as u32).collect();
             for i in (1..order.len()).rev() {
                 order.swap(i, rng.gen_range(0..i + 1));
             }
-            shuffled.permute(&order);
+            let shuffled = crate::view::gather(&View::of(&sorted), &order);
             let sorted_oracle =
                 |r: &Relation, aggs: &[Agg]| oracle(&sort(r, SortBy::Key).unwrap(), aggs, false);
             let pred = crate::predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Lt, 0);

@@ -7,57 +7,42 @@
 //! without copying a row ([`semijoin_view`], [`antijoin_view`]).
 
 use crate::data::{Keys, RelError, Relation};
-use crate::view::{materialize, View};
+use crate::view::{gather_pairs, materialize, View};
 
-fn group_end(keys: &[u64], start: usize) -> usize {
-    let k = keys[start];
-    let mut end = start + 1;
-    while end < keys.len() && keys[end] == k {
-        end += 1;
-    }
-    end
+/// One past the last row of the run of keys equal to `keys[start]`.
+fn group_end(keys: &Keys, start: usize) -> usize {
+    let k = keys.get(start);
+    (start + 1..keys.len()).find(|&i| keys.get(i) != k).unwrap_or(keys.len())
 }
 
 /// Inner equijoin of two key-sorted relations. Output schema: key, then
 /// `a`'s payload columns, then `b`'s. Duplicate keys produce the group
-/// cross-product, ordered `a`-major.
+/// cross-product, ordered `a`-major. The merge finds the `u32` positions of
+/// each output row's two sides, and [`crate::view`]'s gather writes them.
 pub fn join(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
     a.require_sorted()?;
     b.require_sorted()?;
     kfusion_trace::counter("kfusion_rows_in_total{op=\"join\"}", (a.len() + b.len()) as u64);
-    let (ak, bk) = (a.keys().as_slice(), b.keys().as_slice());
-    let (ak, bk) = (&ak[..], &bk[..]);
-    let mut out_key = Vec::new();
-    let mut a_idx: Vec<usize> = Vec::new();
-    let mut b_idx: Vec<usize> = Vec::new();
+    let (ak, bk) = (a.keys(), b.keys());
+    let (mut a_idx, mut b_idx): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
     let (mut i, mut j) = (0usize, 0usize);
     while i < ak.len() && j < bk.len() {
-        match ak[i].cmp(&bk[j]) {
+        match ak.get(i).cmp(&bk.get(j)) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 let (ae, be) = (group_end(ak, i), group_end(bk, j));
-                for ai in i..ae {
-                    for bi in j..be {
-                        out_key.push(ak[i]);
-                        a_idx.push(ai);
-                        b_idx.push(bi);
-                    }
+                for ai in i as u32..ae as u32 {
+                    a_idx.extend(std::iter::repeat_n(ai, be - j));
+                    b_idx.extend(j as u32..be as u32);
                 }
                 i = ae;
                 j = be;
             }
         }
     }
-    kfusion_trace::counter("kfusion_rows_out_total{op=\"join\"}", out_key.len() as u64);
-    let mut cols = Vec::with_capacity(a.n_cols() + b.n_cols());
-    for c in &a.cols {
-        cols.push(c.gather(&a_idx));
-    }
-    for c in &b.cols {
-        cols.push(c.gather(&b_idx));
-    }
-    Relation::new(out_key, cols)
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"join\"}", a_idx.len() as u64);
+    Ok(gather_pairs((&View::of(a), &a_idx), (&View::of(b), &b_idx), false))
 }
 
 /// Column-combining join: zip two relations with *identical* keys into one
@@ -268,11 +253,10 @@ mod tests {
     #[test]
     fn table1_join_example() {
         // a=1 b=2 c=3 f=6.
-        let mut x = Relation::new(vec![3, 4, 2], vec![Column::I64(vec![1, 1, 2])]).unwrap();
-        let mut y = Relation::new(vec![2, 3], vec![Column::I64(vec![6, 3])]).unwrap();
-        x.sort_by_key();
-        y.sort_by_key();
-        let out = join(&x, &y).unwrap();
+        let x = Relation::new(vec![3, 4, 2], vec![Column::I64(vec![1, 1, 2])]).unwrap();
+        let y = Relation::new(vec![2, 3], vec![Column::I64(vec![6, 3])]).unwrap();
+        let by_key = |r: &Relation| crate::ops::sort(r, crate::ops::SortBy::Key).unwrap();
+        let out = join(&by_key(&x), &by_key(&y)).unwrap();
         assert_eq!(*out.keys(), vec![2, 3]);
         assert_eq!(out.cols[0].as_i64().unwrap(), &[2, 1]);
         assert_eq!(out.cols[1].as_i64().unwrap(), &[6, 3]);
@@ -383,10 +367,10 @@ mod tests {
     fn oracle(a: &View<'_>, b: &View<'_>, keep_present: bool) -> Relation {
         let (a, b) = (materialize(a.clone()), materialize(b.clone()));
         let present: std::collections::HashSet<u64> = b.keys().iter().collect();
-        let keep: Vec<usize> =
-            (0..a.len()).filter(|&i| present.contains(&a.keys().get(i)) == keep_present).collect();
-        let cols = a.cols.iter().map(|c| c.gather(&keep)).collect();
-        Relation::new(keep.iter().map(|&i| a.keys().get(i)).collect(), cols).unwrap()
+        let keep: Vec<u32> = (0..a.len() as u32)
+            .filter(|&i| present.contains(&a.keys().get(i as usize)) == keep_present)
+            .collect();
+        crate::view::gather(&View::of(&a), &keep)
     }
 
     #[test]

@@ -5,36 +5,24 @@
 //! column (the paper's example keeps `y`'s first field inline:
 //! `(3,a,True,2)`).
 
-use crate::data::{Column, RelError, Relation};
+use crate::data::{RelError, Relation};
+use crate::view::{gather_pairs, View};
 
 /// Cartesian product, `x`-major. Output schema: `x.key`, `x` payload
-/// columns, `y.key` as an i64 column, `y` payload columns.
+/// columns, `y.key` as an i64 column, `y` payload columns. Row `i * |y| + j`
+/// pairs `x`'s row `i` with `y`'s row `j`; [`crate::view`]'s gather writes
+/// them.
 pub fn product(x: &Relation, y: &Relation) -> Result<Relation, RelError> {
-    let n = x.len() * y.len();
-    let mut key = Vec::with_capacity(n);
-    let mut x_idx = Vec::with_capacity(n);
-    let mut y_idx = Vec::with_capacity(n);
-    for i in 0..x.len() {
-        for j in 0..y.len() {
-            key.push(x.keys().get(i));
-            x_idx.push(i);
-            y_idx.push(j);
-        }
-    }
-    let mut cols = Vec::with_capacity(x.n_cols() + 1 + y.n_cols());
-    for c in &x.cols {
-        cols.push(c.gather(&x_idx));
-    }
-    cols.push(Column::I64(y_idx.iter().map(|&j| y.keys().get(j) as i64).collect()));
-    for c in &y.cols {
-        cols.push(c.gather(&y_idx));
-    }
-    Relation::new(key, cols)
+    let (nx, ny) = (x.len() as u32, y.len() as u32);
+    let x_idx: Vec<u32> = (0..nx).flat_map(|i| std::iter::repeat_n(i, ny as usize)).collect();
+    let y_idx: Vec<u32> = (0..nx).flat_map(|_| 0..ny).collect();
+    Ok(gather_pairs((&View::of(x), &x_idx), (&View::of(y), &y_idx), true))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::Column;
 
     /// Table I PRODUCT example: x = {(3,a),(4,a)}, y = {(True,2)};
     /// product x y → {(3,a,True,2), (4,a,True,2)}.

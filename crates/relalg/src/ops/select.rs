@@ -114,26 +114,39 @@ fn filter(input: &View<'_>, ks: &[CompiledKernel]) -> Vec<(Vec<u64>, usize)> {
 
 /// Per-tuple interpretation of `predicate` — the path for the scalar engine
 /// and for bodies the batch engine declines, with the interpreter's error
-/// behaviour.
-fn select_scalar(input: &Relation, predicate: &KernelBody) -> Result<Relation, RelError> {
-    let parts: Vec<Result<Relation, RelError>> =
-        par_range_map(input.len(), DEFAULT_CTA_CHUNK, |_cta, range| {
+/// behaviour: the first failing tuple's error, in tuple order. Each CTA marks
+/// the tuples it keeps in its words of a selection bitmap, as [`filter`]
+/// does, and the result is `input` under that selection.
+fn select_scalar<'a>(input: &View<'a>, predicate: &KernelBody) -> Result<View<'a>, RelError> {
+    let parts: Vec<Result<(Vec<u64>, usize), RelError>> =
+        par_range_map(input.base_len(), DEFAULT_CTA_CHUNK, |_cta, range| {
             let mut m = Machine::for_body(predicate);
             let mut row: Vec<Value> = Vec::with_capacity(1 + input.n_cols());
-            let mut buf = input.empty_like();
-            for i in range {
-                input.ir_inputs(i, &mut row);
-                if m.run_predicate(predicate, &row)? {
-                    buf.push_row_from(input, i);
+            let (start, mut words, mut rows) =
+                (range.start, vec![0u64; range.len().div_ceil(64)], 0);
+            let mut failed = None;
+            input.for_each_row(range, |i| {
+                if failed.is_some() {
+                    return;
                 }
-            }
-            Ok(buf)
+                input.ir_inputs(i, &mut row);
+                match m.run_predicate(predicate, &row) {
+                    Ok(keep) => {
+                        words[(i - start) / 64] |= (keep as u64) << (i % 64);
+                        rows += keep as usize;
+                    }
+                    Err(e) => failed = Some(e),
+                }
+            });
+            failed.map_or(Ok((words, rows)), |e| Err(e.into()))
         });
-    let mut out = input.empty_like();
-    for p in parts {
-        out.extend_from(&p?);
+    let (mut sel, mut rows) = (Vec::with_capacity(input.base_len().div_ceil(64)), 0);
+    for part in parts {
+        let (words, kept) = part?;
+        sel.extend_from_slice(&words);
+        rows += kept;
     }
-    Ok(out)
+    Ok(input.with_selection(sel, rows))
 }
 
 /// A run of SELECTs without the gather: stage `s` keeps the tuples of stage
@@ -144,8 +157,8 @@ fn select_scalar(input: &Relation, predicate: &KernelBody) -> Result<Relation, R
 ///
 /// Covers the longest prefix of `predicates` that the batch engine
 /// compiles, which has no data-dependent errors; when that is empty, the
-/// first predicate alone takes the scalar fallback, which materializes
-/// `input`, filters it tuple by tuple and returns a view of that result.
+/// first predicate alone takes the scalar fallback, which marks the same
+/// bitmap tuple by tuple on the interpreter.
 /// So the result holds at least one view (none for no predicates) and the
 /// caller evaluates the rest of the run over the last one.
 pub fn select_run_view<'a>(
@@ -159,7 +172,7 @@ pub fn select_run_view<'a>(
         if engine::batch_enabled() && !input.is_empty() {
             kfusion_trace::counter("kfusion_batch_fallback_total{op=\"select\"}", 1);
         }
-        vec![select_scalar(&input.to_relation(), first)?.into()]
+        vec![select_scalar(input, first)?]
     } else {
         let stages = filter(input, &kernels).into_iter();
         stages.map(|(sel, rows)| input.with_selection(sel, rows)).collect()

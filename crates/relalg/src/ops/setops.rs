@@ -5,27 +5,60 @@
 //!
 //! Implementation: a key-indexed probe table over `other`, with full-tuple
 //! comparison on key hits. Works on unsorted inputs (Table I's literals are
-//! unsorted) and preserves the left argument's tuple order.
+//! unsorted) and preserves the left argument's tuple order. Each operator
+//! finds the `u32` positions of the tuples it keeps, and
+//! [`crate::view`]'s gather writes them.
 
-use crate::data::{RelError, Relation};
+use crate::data::{Column, RelError, Relation};
+use crate::view::{gather, gather_rows, View};
 use std::collections::HashMap;
 
-fn key_index(r: &Relation) -> HashMap<u64, Vec<usize>> {
-    let mut idx: HashMap<u64, Vec<usize>> = HashMap::with_capacity(r.len());
-    for (i, k) in r.keys().iter().enumerate() {
-        idx.entry(k).or_default().push(i);
+/// Whole tuples of some relations, by position, found by key and then
+/// compared field by field.
+#[derive(Default)]
+struct Tuples<'r>(HashMap<u64, Vec<(&'r Relation, usize)>>);
+
+impl<'r> Tuples<'r> {
+    /// Every tuple of `r`.
+    fn of(r: &'r Relation) -> Self {
+        let mut set = Tuples(HashMap::with_capacity(r.len()));
+        for i in 0..r.len() {
+            set.0.entry(r.keys().get(i)).or_default().push((r, i));
+        }
+        set
     }
-    idx
+
+    /// Whether tuple `i` of `r` is in the set.
+    fn contains(&self, r: &Relation, i: usize) -> bool {
+        let cands = self.0.get(&r.keys().get(i));
+        cands.is_some_and(|cands| cands.iter().any(|&(s, j)| tuple_eq(r, i, s, j)))
+    }
+
+    /// Add tuple `i` of `r` unless the set holds it; whether it was added.
+    fn insert(&mut self, r: &'r Relation, i: usize) -> bool {
+        let cands = self.0.entry(r.keys().get(i)).or_default();
+        let new = !cands.iter().any(|&(s, j)| tuple_eq(r, i, s, j));
+        if new {
+            cands.push((r, i));
+        }
+        new
+    }
 }
 
-fn contains_tuple(
-    idx: &HashMap<u64, Vec<usize>>,
-    rel: &Relation,
-    probe: &Relation,
-    i: usize,
-) -> bool {
-    idx.get(&probe.keys().get(i))
-        .is_some_and(|cands| cands.iter().any(|&j| probe.tuple_eq(i, rel, j)))
+/// Whether tuple `i` of `a` and tuple `j` of `b` — of one schema — are
+/// equal: key and every field, floats by bit pattern.
+fn tuple_eq(a: &Relation, i: usize, b: &Relation, j: usize) -> bool {
+    a.keys().get(i) == b.keys().get(j)
+        && a.cols.iter().zip(&b.cols).all(|(x, y)| match (x, y) {
+            (Column::I64(x), Column::I64(y)) => x[i] == y[j],
+            (Column::F64(x), Column::F64(y)) => x[i].to_bits() == y[j].to_bits(),
+            _ => false,
+        })
+}
+
+/// The positions of the tuples of `r` that `keep` accepts, ascending.
+fn positions(r: &Relation, mut keep: impl FnMut(usize) -> bool) -> Vec<u32> {
+    (0..r.len()).filter(|&i| keep(i)).map(|i| i as u32).collect()
 }
 
 /// Schema check shared by the set operators.
@@ -45,58 +78,32 @@ fn check_schemas(a: &Relation, b: &Relation) -> Result<(), RelError> {
 /// `a`. Table I: `union x y → {(3,a), (4,a), (2,b), (0,a)}`.
 pub fn union(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
     check_schemas(a, b)?;
-    let mut out = a.empty_like();
-    // Dedup within `a` while preserving first occurrence.
-    let mut seen = key_index(&out);
-    for i in 0..a.len() {
-        if !contains_tuple(&seen, &out, a, i) {
-            seen.entry(a.keys().get(i)).or_default().push(out.len());
-            out.push_row_from(a, i);
-        }
-    }
-    for i in 0..b.len() {
-        if !contains_tuple(&seen, &out, b, i) {
-            seen.entry(b.keys().get(i)).or_default().push(out.len());
-            out.push_row_from(b, i);
-        }
-    }
-    Ok(out)
+    let mut seen = Tuples::default();
+    let from_a = positions(a, |i| seen.insert(a, i));
+    let from_b = positions(b, |i| seen.insert(b, i));
+    Ok(gather_rows(&[(&View::of(a), &from_a), (&View::of(b), &from_b)]))
 }
 
 /// Tuples of `a` that also appear in `b` (in `a`'s order, deduplicated).
 /// Table I: `intersection x y → {(2,b)}`.
 pub fn intersection(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
     check_schemas(a, b)?;
-    let b_idx = key_index(b);
-    let mut out = a.empty_like();
-    let mut emitted = key_index(&out);
-    for i in 0..a.len() {
-        if contains_tuple(&b_idx, b, a, i) && !contains_tuple(&emitted, &out, a, i) {
-            emitted.entry(a.keys().get(i)).or_default().push(out.len());
-            out.push_row_from(a, i);
-        }
-    }
-    Ok(out)
+    let (in_b, mut seen) = (Tuples::of(b), Tuples::default());
+    let kept = positions(a, |i| in_b.contains(a, i) && seen.insert(a, i));
+    Ok(gather(&View::of(a), &kept))
 }
 
 /// Tuples of `a` that do not appear in `b`. Table I:
 /// `difference x y → {(2,b)}`.
 pub fn difference(a: &Relation, b: &Relation) -> Result<Relation, RelError> {
     check_schemas(a, b)?;
-    let b_idx = key_index(b);
-    let mut out = a.empty_like();
-    for i in 0..a.len() {
-        if !contains_tuple(&b_idx, b, a, i) {
-            out.push_row_from(a, i);
-        }
-    }
-    Ok(out)
+    let in_b = Tuples::of(b);
+    Ok(gather(&View::of(a), &positions(a, |i| !in_b.contains(a, i))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::Column;
 
     // Table I encodings: a=1, b=2, f=6, c=3.
     fn x() -> Relation {
@@ -168,5 +175,16 @@ mod tests {
     fn union_with_empty_is_identity() {
         let e = Relation::new(vec![], vec![Column::I64(vec![])]).unwrap();
         assert_eq!(union(&x(), &e).unwrap(), x());
+    }
+
+    #[test]
+    fn tuple_equality_is_full_width() {
+        let a = x();
+        let mut b = x();
+        assert!(tuple_eq(&a, 0, &b, 0));
+        if let Column::I64(v) = &mut b.cols[0] {
+            v[0] = 99;
+        }
+        assert!(!tuple_eq(&a, 0, &b, 0));
     }
 }

@@ -16,7 +16,11 @@
 //! groups ([`crate::ops::group_by_key_view`]). The materializing operators
 //! are exactly `materialize ∘ view-op`, so a fused group and the unfused
 //! baseline run the same filter and the same gather, only a different
-//! number of times.
+//! number of times. The operators that write rows of their own — JOIN,
+//! PRODUCT, UNION, INTERSECT, DIFFERENCE — find `u32` base-row positions
+//! and write through the same gather core (`gather_rows`,
+//! `gather_pairs`): the rows of a relation are copied here and nowhere
+//! else, and every byte copied is counted.
 
 use crate::data::{
     col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, Keys, Relation,
@@ -24,7 +28,6 @@ use crate::data::{
 use kfusion_ir::batch::ColRef;
 use kfusion_ir::{Ty, Value};
 use kfusion_vgpu::exec::DEFAULT_CTA_CHUNK;
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -323,21 +326,13 @@ impl<'a> View<'a> {
     }
 
     /// The stored relation this view is exactly — all of its rows, all of
-    /// its columns, in order — if there is one.
-    fn as_stored(&self) -> Option<&Relation> {
+    /// its columns, in order — if there is one: what an operator that reads
+    /// stored rows is handed.
+    pub fn as_stored(&self) -> Option<&Relation> {
         let whole = self.sel.is_none()
             && self.cols.len() == self.key.n_cols()
             && self.cols.iter().enumerate().all(|(c, (s, i))| *i == c && s.same_storage(&self.key));
         whole.then_some(&*self.key)
-    }
-
-    /// The view's tuples as a relation: borrowed when the view is exactly a
-    /// stored relation, materialized otherwise.
-    pub(crate) fn to_relation(&self) -> Cow<'_, Relation> {
-        match self.as_stored() {
-            Some(rel) => Cow::Borrowed(rel),
-            None => Cow::Owned(materialize(self.clone())),
-        }
     }
 
     /// The view's tuples as a shared relation: the intermediate itself when
@@ -452,45 +447,102 @@ pub fn materialize(view: View<'_>) -> Relation {
     Relation { key: Keys::Stored(key), cols }
 }
 
+/// Rows to gather: a view's tuples at base rows `idx`, in that order.
+pub(crate) type Rows<'v, 'a> = (&'v View<'a>, &'v [u32]);
+
 /// The tuples of `view` at base rows `idx`, in that order, in storage of
-/// their own — SORT's gather: every column copied once, straight from the
-/// view's sources. Whole columns are dealt to the workers. Each buffer is
-/// reserved, not zeroed, and its worker writes it exactly once: a zeroed
-/// one is zeroed first, serially, wherever the allocator recycles memory
-/// rather than maps fresh pages (EXPERIMENTS.md Note 17).
+/// their own — SORT's gather, and INTERSECT's and DIFFERENCE's.
 pub(crate) fn gather(view: &View<'_>, idx: &[u32]) -> Relation {
-    kfusion_trace::counter(
-        "kfusion_host_materialized_bytes_total",
-        idx.len() as u64 * view.row_bytes(),
-    );
-    let mut key = Vec::with_capacity(idx.len());
-    let mut cols: Vec<Column> =
-        (0..view.n_cols()).map(|c| view.col(c).empty_like_with_capacity(idx.len())).collect();
-    let mut tasks = vec![Gather::Key(&mut key, view.key())];
-    tasks.extend(cols.iter_mut().enumerate().map(|(c, dst)| Gather::Col(dst, view.col(c))));
-    par_each(tasks, |task| match task {
-        Gather::Key(dst, Keys::Stored(src)) => gather_col(src, idx, dst),
-        Gather::Key(dst, Keys::RowIds(_)) => {
-            let _steady = kfusion_trace::allocwatch::region();
-            dst.extend(idx.iter().map(|&i| i as u64));
+    gather_rows(&[(view, idx)])
+}
+
+/// The rows of `parts` one after another, in storage of their own — UNION's
+/// gather, its two sides' distinct tuples. The views have one schema.
+pub(crate) fn gather_rows(parts: &[Rows<'_, '_>]) -> Relation {
+    let key = parts.iter().map(|&(v, idx)| (Source::Keys(v.key()), idx)).collect();
+    let col = |c: usize| parts.iter().map(|&(v, idx)| (Source::Col(v.col(c)), idx)).collect();
+    gather_columns(key, (0..parts[0].0.n_cols()).map(col).collect())
+}
+
+/// The rows of `left` and `right` side by side, pair by pair: `left`'s key
+/// and payload, then — `right_key` — `right`'s key as an i64 column, then
+/// `right`'s payload. JOIN's gather, and PRODUCT's with `right_key`.
+pub(crate) fn gather_pairs(left: Rows<'_, '_>, right: Rows<'_, '_>, right_key: bool) -> Relation {
+    let ((lv, li), (rv, ri)) = (left, right);
+    let mut cols: Vec<Segments<'_>> =
+        (0..lv.n_cols()).map(|c| vec![(Source::Col(lv.col(c)), li)]).collect();
+    if right_key {
+        cols.push(vec![(Source::Keys(rv.key()), ri)]);
+    }
+    cols.extend((0..rv.n_cols()).map(|c| vec![(Source::Col(rv.col(c)), ri)]));
+    gather_columns(vec![(Source::Keys(lv.key()), li)], cols)
+}
+
+/// What a gathered column reads: a view's keys or one of its payload
+/// columns, at base-row positions.
+#[derive(Clone, Copy)]
+enum Source<'s> {
+    Keys(&'s Keys),
+    Col(&'s Column),
+}
+
+/// One output column of a gather: each segment's values, appended in order.
+type Segments<'s> = Vec<(Source<'s>, &'s [u32])>;
+
+/// The gather core: the key and every payload column of the output is its
+/// segments' values, appended in order — every column copied once,
+/// straight from its sources. Whole columns are dealt to the workers. Each
+/// buffer is reserved, not zeroed, and its worker writes it exactly once: a
+/// zeroed one is zeroed first, serially, wherever the allocator recycles
+/// memory rather than maps fresh pages (EXPERIMENTS.md Note 17). A payload
+/// column read from keys is an i64 column.
+fn gather_columns(key: Segments<'_>, cols: Vec<Segments<'_>>) -> Relation {
+    let rows: usize = key.iter().map(|(_, idx)| idx.len()).sum();
+    let row_bytes = (1 + cols.len() as u64) * Column::BYTES_PER_VALUE;
+    kfusion_trace::counter("kfusion_host_materialized_bytes_total", rows as u64 * row_bytes);
+    let mut out_key = Vec::with_capacity(rows);
+    let mut out_cols: Vec<Column> = cols
+        .iter()
+        .map(|segments| match segments[0].0 {
+            Source::Col(c) => c.empty_like_with_capacity(rows),
+            Source::Keys(_) => Column::I64(Vec::with_capacity(rows)),
+        })
+        .collect();
+    let mut tasks = vec![(Dst::Key(&mut out_key), &key)];
+    tasks.extend(out_cols.iter_mut().zip(&cols).map(|(dst, segments)| (Dst::Col(dst), segments)));
+    par_each(tasks, |(mut dst, segments)| {
+        let _steady = kfusion_trace::allocwatch::region();
+        for &(src, idx) in segments {
+            match (&mut dst, src) {
+                (Dst::Key(d), Source::Keys(k)) => gather_keys(k, idx, d, |k| k),
+                (Dst::Col(Column::I64(d)), Source::Keys(k)) => gather_keys(k, idx, d, |k| k as i64),
+                (Dst::Col(Column::I64(d)), Source::Col(Column::I64(s))) => gather_col(s, idx, d),
+                (Dst::Col(Column::F64(d)), Source::Col(Column::F64(s))) => gather_col(s, idx, d),
+                _ => unreachable!("output schema set from the sources"),
+            }
         }
-        Gather::Col(Column::I64(dst), Column::I64(src)) => gather_col(src, idx, dst),
-        Gather::Col(Column::F64(dst), Column::F64(src)) => gather_col(src, idx, dst),
-        Gather::Col(..) => unreachable!("output schema set from the view"),
     });
-    Relation { key: Keys::Stored(key), cols }
+    Relation { key: Keys::Stored(out_key), cols: out_cols }
 }
 
-/// One column of [`gather`]'s output and the source it reads.
-enum Gather<'o, 's> {
-    Key(&'o mut Vec<u64>, &'s Keys),
-    Col(&'o mut Column, &'s Column),
+/// Where one column of [`gather_columns`]' output goes.
+enum Dst<'o> {
+    Key(&'o mut Vec<u64>),
+    Col(&'o mut Column),
 }
 
-/// `dst = src[idx[..]]`, into the capacity `dst` has.
+/// `dst += src[idx[..]]`, into the capacity `dst` has.
 fn gather_col<T: Copy>(src: &[T], idx: &[u32], dst: &mut Vec<T>) {
-    let _steady = kfusion_trace::allocwatch::region();
     dst.extend(idx.iter().map(|&i| src[i as usize]));
+}
+
+/// `dst += f(keys[idx[..]])`: stored keys read, row ids written as the
+/// positions they are.
+fn gather_keys<T>(keys: &Keys, idx: &[u32], dst: &mut Vec<T>, f: impl Fn(u64) -> T) {
+    match keys {
+        Keys::Stored(src) => dst.extend(idx.iter().map(|&i| f(src[i as usize]))),
+        Keys::RowIds(_) => dst.extend(idx.iter().map(|&i| f(i as u64))),
+    }
 }
 
 /// Copy one CTA's survivors — the set bits of `words`, lane 0 being base
@@ -571,7 +623,7 @@ mod tests {
         let r = rel(1000);
         let v = View::of(&r);
         assert_eq!((v.len(), v.n_cols(), v.row_bytes()), (1000, 2, 24));
-        assert!(matches!(v.to_relation(), Cow::Borrowed(_)));
+        assert_eq!(v.as_stored(), Some(&r));
         assert_eq!(materialize(v), r);
     }
 
@@ -635,7 +687,7 @@ mod tests {
     fn rearranged_columns_materialize_from_their_sources() {
         let (a, b) = (rel(10), rel(10));
         let v = View::of(&a).with_columns(&[1]).with_columns_of(&View::of(&b).with_columns(&[0]));
-        assert!(matches!(v.to_relation(), Cow::Owned(_)));
+        assert!(v.as_stored().is_none());
         let out = materialize(v);
         assert_eq!(out.n_cols(), 2);
         assert_eq!(out.cols[0], a.cols[1]);

@@ -127,3 +127,46 @@ fn a_gather_of_a_filtered_row_id_view_writes_the_selected_row_numbers() {
     assert!(wide.keys().is_row_ids());
     assert_eq!(t.counter(MATERIALIZED), wide.len() as u64 * wide.row_bytes());
 }
+
+/// JOIN, PRODUCT and the set operators write their rows through the one
+/// gather, which counts every byte it writes: each counts exactly its
+/// output's bytes, over keys by row id and stored alike — a side keyed by
+/// row id is read as its row numbers, never written out.
+#[test]
+fn every_operator_that_writes_rows_counts_exactly_its_output() {
+    let _g = serial();
+    let (rows, stored) = both(2 * 4096 + 5);
+    let few = Relation::new(vec![3, 3, 7], vec![Column::I64(vec![1, 2, 3])]).unwrap();
+    // Tuples 1 and 40 of `rows` (twice), one of them with a NaN for its
+    // float, and a key past them: the set operators find some in common.
+    let (ints, floats) = (rows.cols[0].as_i64().unwrap(), rows.cols[1].as_f64().unwrap());
+    let floats = Relation::new(
+        vec![1, 40, 40, 9000],
+        vec![
+            Column::I64(vec![ints[1], ints[40], ints[40], 5]),
+            Column::F64(vec![floats[1], floats[40], f64::NAN, 2.5]),
+        ],
+    )
+    .unwrap();
+    type Op = fn(&Relation, &Relation) -> Result<Relation, kfusion_relalg::RelError>;
+    let binary: [(&str, Op); 5] = [
+        ("join", ops::join),
+        ("product", ops::product),
+        ("union", ops::union),
+        ("intersection", ops::intersection),
+        ("difference", ops::difference),
+    ];
+    for (name, op) in binary {
+        let mut wrote = 0;
+        for (a, b) in [(&rows, &stored), (&stored, &rows), (&rows, &floats), (&floats, &rows)] {
+            // PRODUCT of the long sides would be 67 M rows; the few rows stand in.
+            let (a, b) =
+                if name == "product" && a.len() > 10 && b.len() > 10 { (a, &few) } else { (a, b) };
+            let (out, t) = traced(|| op(a, b).unwrap());
+            let what = format!("{name} of {} and {} rows", a.len(), b.len());
+            wrote += out.len();
+            assert_eq!(t.counter(MATERIALIZED), out.len() as u64 * out.row_bytes(), "{what}");
+        }
+        assert!(wrote > 0, "{name} wrote no row");
+    }
+}

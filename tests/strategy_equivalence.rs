@@ -310,7 +310,10 @@ fn arb_dag(rng: &mut Rng, g: &mut PlanGraph, base: NodeId, kinds: &mut Vec<Input
 /// AGGREGATE behind a SORT by key: with only ARITH+ and PROJECT between
 /// them, over awkward values, behind a REKEY to one group or to keys that
 /// go negative; and with a second reader of the SORT, or a SELECT or a
-/// REKEY between the two.
+/// REKEY between the two. The seven past those bring in the operators that
+/// write rows of their own through the gather — JOIN (filtered sides, a
+/// side read again, a side out of key order), PRODUCT, and UNION, INTERSECT
+/// and DIFFERENCE over filtered, reordered or rearranged sides.
 fn arb_dag_over(
     rng: &mut Rng,
     g: &mut PlanGraph,
@@ -506,6 +509,82 @@ fn arb_dag_over(
                 }
                 let distinct = g.add(OpKind::Unique, vec![sorted]);
                 return g.add(OpKind::Semijoin, vec![grouped, distinct]);
+            }
+            // JOIN of `cur`, or of a SELECT of it, with fresh columns or
+            // probe keys over the base table's key range — or a SELECT of
+            // `cur` itself — either behind a SELECT; now and then the left
+            // side is read again, by a SEMIJOIN of the JOIN's rows.
+            32 | 33 if cur.sorted => {
+                let left = match rng.gen_range(0u32..2) {
+                    0 => cur.id,
+                    _ => select(g, arb_pred(rng, &cur.floats), cur.id),
+                };
+                let (rhs, right_floats) = match rng.gen_range(0u32..4) {
+                    0 => (new_input(g, kinds, InputKind::Column), vec![false]),
+                    1 => (new_input(g, kinds, InputKind::FloatColumn), vec![true]),
+                    2 => (new_input(g, kinds, InputKind::Probe), vec![]),
+                    _ => (select(g, arb_pred(rng, &cur.floats), cur.id), cur.floats.clone()),
+                };
+                let rhs = match rng.gen_range(0u32..2) {
+                    0 => select(g, predicates::key_lt(rng.gen_range(0u64..1600)), rhs),
+                    _ => rhs,
+                };
+                let joined = g.add(OpKind::Join, vec![left, rhs]);
+                cur.floats.extend(right_floats);
+                cur.id = match rng.gen_range(0u32..3) {
+                    0 => g.add(OpKind::Semijoin, vec![joined, left]),
+                    _ => joined,
+                };
+            }
+            // A JOIN side out of key order — sorted by a column, or by the
+            // key descending — on either hand: `NotSorted` in every cell
+            // (unless the rows happen to be in key order). The plan ends.
+            34 => {
+                let by = match arb_sort(rng, &cur.floats) {
+                    SortBy::Key => SortBy::KeyDesc,
+                    by => by,
+                };
+                let unsorted = g.add(OpKind::Sort { by }, vec![cur.id]);
+                let probe = new_input(g, kinds, InputKind::Probe);
+                let sides =
+                    if rng.gen_range(0u32..2) == 0 { [unsorted, probe] } else { [probe, unsorted] };
+                return g.add(OpKind::Join, sides.to_vec());
+            }
+            // PRODUCT of `cur`, or of a SELECT of it, with the few probe keys
+            // below a small bound, on either hand. The plan ends: each
+            // PRODUCT multiplies its rows.
+            35 => {
+                let x = match rng.gen_range(0u32..2) {
+                    0 => cur.id,
+                    _ => select(g, arb_pred(rng, &cur.floats), cur.id),
+                };
+                let probe = new_input(g, kinds, InputKind::Probe);
+                let y = select(g, predicates::key_lt(rng.gen_range(0u64..8)), probe);
+                let sides = if rng.gen_range(0u32..2) == 0 { [x, y] } else { [y, x] };
+                return g.add(OpKind::Product, sides.to_vec());
+            }
+            // UNION, INTERSECT or DIFFERENCE of two SELECTs of `cur` — `cur`
+            // read twice — or of `cur` and one: the right side sorted by a
+            // column (any order will do), or its columns reversed (a schema
+            // mismatch unless their types agree).
+            36..=38 => {
+                let left = match rng.gen_range(0u32..3) {
+                    0 => cur.id,
+                    _ => select(g, arb_pred(rng, &cur.floats), cur.id),
+                };
+                let right = select(g, arb_pred(rng, &cur.floats), cur.id);
+                let right = match rng.gen_range(0u32..4) {
+                    0 => g.add(OpKind::Sort { by: arb_sort(rng, &cur.floats) }, vec![right]),
+                    1 => g.add(OpKind::Project { keep: (0..cols).rev().collect() }, vec![right]),
+                    _ => right,
+                };
+                let kind = match rng.gen_range(0u32..3) {
+                    0 => OpKind::Union,
+                    1 => OpKind::Intersect,
+                    _ => OpKind::Difference,
+                };
+                cur.id = g.add(kind, vec![left, right]);
+                cur.sorted = false;
             }
             _ => {}
         }
@@ -765,6 +844,66 @@ fn sorts_into_keyed_aggregates_never_change_answers_cardinalities_or_errors() {
     assert!(
         ok > 20 && failed > 5 && into_aggregates > 15,
         "{ok} ok, {failed} failed, {into_aggregates} SORTs into an AGGREGATE"
+    );
+}
+
+/// The operators that write rows of their own — JOIN, PRODUCT, UNION,
+/// INTERSECT and DIFFERENCE — on the generator's plans drawn from its whole
+/// menu: over filtered views on either side, a side read again by a second
+/// operator, and a JOIN side out of key order. Every cell gives the
+/// answers, sizes and errors of the unfused scalar run.
+#[test]
+fn joins_and_set_operators_never_change_answers_cardinalities_or_errors() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let (mut ok, mut unsorted, mut writers) = (0, 0, [0usize; 5]);
+    for case in 0u64..384 {
+        let mut rng = Rng::seed_from_u64(0xE8 << 32 | case);
+        let mut g = PlanGraph::new();
+        let mut kinds = vec![InputKind::Base];
+        let base = g.input(0);
+        let root = arb_dag_over(&mut rng, &mut g, base, &mut kinds, 39);
+        g.root = root;
+        for node in &g.nodes {
+            let k = match node.kind {
+                OpKind::Join => 0,
+                OpKind::Product => 1,
+                OpKind::Union => 2,
+                OpKind::Intersect => 3,
+                OpKind::Difference => 4,
+                _ => continue,
+            };
+            writers[k] += 1;
+        }
+        // A JOIN multiplies duplicate keys, so the large case stays small.
+        let n = match case % 8 {
+            0 => 0,
+            1 => 4_000,
+            _ => 800,
+        };
+        let inputs = make_inputs(&kinds, case, n);
+        let outcome = same_in_every_cell(&format!("case {case} ({n} rows): {g:?}"), |strat| {
+            execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+                .map(|r| (vec![r.output], r.cards))
+                .map_err(|e| e.to_string())
+        });
+        match outcome {
+            Ok(_) => ok += 1,
+            Err(e) if e.contains("not key-sorted") => unsorted += 1,
+            // A key mismatch, a set operator over different column types or
+            // a negative key; a declined predicate rows reach; an AGGREGATE
+            // behind a REKEY.
+            Err(e)
+                if e.contains("different schemas")
+                    || e.contains("evaluation failed")
+                    || e.contains("requires key-sorted input") => {}
+            Err(e) => panic!("case {case}: unexpected error {e}"),
+        }
+    }
+    assert!(
+        ok > 120 && unsorted > 8 && writers.iter().all(|&w| w > 15),
+        "{ok} ok, {unsorted} unsorted JOINs, {writers:?} JOIN / PRODUCT / UNION / INTERSECT / \
+         DIFFERENCE nodes"
     );
 }
 
