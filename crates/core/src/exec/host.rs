@@ -8,18 +8,19 @@
 //! the `host` column of [`OpKind::traits`]. Every intermediate with one
 //! reader is handed to it by value, so a view that reader builds holds its
 //! storage alone and [`materialize`] moves it rather than copies. Like the
-//! paper's back-to-back filters in one kernel, a run of SELECTs inside one
-//! group reads its rows once: its head evaluates the whole run in one pass
-//! ([`select_runs`]). And a SORT by key whose rows only a keyed AGGREGATE
-//! reads hands them on unmoved, with their groups, as a SORT that finds a
-//! fused group's filtered view in order hands on the view ([`lazy_nodes`]).
+//! paper's fused kernels, a chain of members inside one group — SELECT,
+//! ARITH+ and REKEY, or ARITH+ into a keyed AGGREGATE — is one loop over its
+//! head's input, evaluated by its head, whose intermediates stay in batch
+//! banks ([`chains`], `ops::group_loop_view`). And a SORT by key whose rows
+//! only a keyed AGGREGATE reads hands them on unmoved, with their groups, as
+//! a SORT that finds a fused group's filtered view in order hands on the
+//! view ([`lazy_nodes`]).
 
 use super::Cardinalities;
 use crate::fusion::FusionPlan;
 use crate::graph::{Host, NodeId, OpKind, PlanGraph};
 use crate::CoreError;
-use kfusion_ir::KernelBody;
-use kfusion_relalg::ops::SortBy;
+use kfusion_relalg::ops::{Member, SortBy, Stage};
 use kfusion_relalg::{materialize, ops, Column, Relation, View};
 use kfusion_vgpu::exec::par_map;
 use std::panic::AssertUnwindSafe;
@@ -49,19 +50,30 @@ fn buffers(val: &View<'_>) -> Vec<(usize, u64)> {
     let mut held: Vec<&Arc<Relation>> = val.shared_storage().collect();
     held.sort_unstable_by_key(|r| Arc::as_ptr(r));
     held.dedup_by(|a, b| Arc::ptr_eq(a, b));
+    held.into_iter().flat_map(|r| stored_buffers(r)).collect()
+}
+
+/// The buffers of a stored relation, as `(address, bytes)`.
+fn stored_buffers(r: &Relation) -> Vec<(usize, u64)> {
     let buffer = |ptr: usize, len: usize| (ptr, len as u64 * Column::BYTES_PER_VALUE);
-    let mut out = Vec::new();
-    for r in held {
-        // Keys by row id are stored nowhere.
-        if let Some(key) = r.keys().stored() {
-            out.push(buffer(key.as_ptr() as usize, key.len()));
-        }
-        out.extend(r.cols.iter().map(|c| match c {
+    // Keys by row id are stored nowhere.
+    let key = r.keys().stored().map(|key| buffer(key.as_ptr() as usize, key.len()));
+    key.into_iter()
+        .chain(r.cols.iter().map(|c| match c {
             Column::I64(v) => buffer(v.as_ptr() as usize, v.len()),
             Column::F64(v) => buffer(v.as_ptr() as usize, v.len()),
-        }));
+        }))
+        .collect()
+}
+
+/// The buffers a chain's result for a later member holds until that
+/// member's wave takes it.
+fn stage_buffers(stage: &Result<Stage<'_>, kfusion_relalg::RelError>) -> Vec<(usize, u64)> {
+    match stage {
+        Ok(Stage::View(view)) => buffers(view),
+        Ok(Stage::Folded(rel)) => stored_buffers(rel),
+        Ok(Stage::Passed { .. }) | Err(_) => Vec::new(),
     }
-    out
 }
 
 /// The functional phase's per-node values, and the high-water mark of the
@@ -77,6 +89,9 @@ fn buffers(val: &View<'_>) -> Vec<(usize, u64)> {
 /// only for a reader that needs stored or dense rows.
 pub(super) struct Slots<'a> {
     pub(super) vals: Vec<Option<View<'a>>>,
+    /// What a chain's head computed for each later member of its chain,
+    /// until that member's wave takes it.
+    ahead: Vec<Option<Result<Stage<'a>, kfusion_relalg::RelError>>>,
     /// Buffers handed to the running wave's operators: live until they
     /// return, though no slot holds them.
     lent: Vec<(usize, u64)>,
@@ -85,15 +100,19 @@ pub(super) struct Slots<'a> {
 
 impl<'a> Slots<'a> {
     fn new(nodes: usize) -> Self {
-        Slots { vals: (0..nodes).map(|_| None).collect(), lent: Vec::new(), peak_bytes: 0 }
+        let vals = (0..nodes).map(|_| None).collect();
+        let ahead = (0..nodes).map(|_| None).collect();
+        Slots { vals, ahead, lent: Vec::new(), peak_bytes: 0 }
     }
 
-    /// Bytes of the distinct buffers the slots and the lent inputs hold —
-    /// an ordered SORT's slot, a view, or a relation whose columns moved
-    /// shares them with others, and those bytes are live once.
+    /// Bytes of the distinct buffers the slots, the results held for later
+    /// chain members and the lent inputs hold — an ordered SORT's slot, a
+    /// view, or a relation whose columns moved shares them with others, and
+    /// those bytes are live once.
     fn live_bytes(&self) -> u64 {
         let mut live = self.lent.clone();
         live.extend(self.vals.iter().flatten().flat_map(buffers));
+        live.extend(self.ahead.iter().flatten().flat_map(stage_buffers));
         live.sort_unstable();
         live.dedup_by_key(|(ptr, _)| *ptr);
         live.iter().map(|(_, bytes)| bytes).sum()
@@ -148,7 +167,7 @@ enum Hold {
 /// dense rows ([`gathers_first`]). Groups: each SORT by key whose rows only
 /// a keyed AGGREGATE of a fused group reads, through such views of ARITH+
 /// and PROJECT alone, which may hand them on in the order they are in,
-/// carrying their groups. This and [`select_runs`] are the fusion plan's
+/// carrying their groups. This and [`chains`] are the fusion plan's
 /// only influence on the functional phase — a singleton plan marks
 /// nothing, so the unfused strategies materialize and sort every node.
 fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<Hold> {
@@ -201,25 +220,41 @@ fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<H
     lazy
 }
 
-/// Runs of SELECTs, as the next member of each: `next[s] = Some(c)` when
-/// `s` is a lazy SELECT ([`lazy_nodes`]) whose one reader is the SELECT
-/// `c` of its own group. A run is a maximal such chain: every member but
-/// the last stays a view that only the next one reads, so the whole run is
-/// one pass over its head's input (`ops::select_run_view`), evaluated when
-/// the head's wave comes; each later member then takes its own view of it.
-/// Derived from the fusion plan alone, like `lazy_nodes` — singleton
-/// groups have no runs.
-fn select_runs(graph: &PlanGraph, fusion: &FusionPlan, lazy: &[Hold]) -> Vec<Option<NodeId>> {
+/// Chains of a fused group's members, as the next member of each:
+/// `next[p] = Some(c)` when `p` is a lazy SELECT, ARITH+ or REKEY
+/// ([`lazy_nodes`]) whose one reader is `c` of its own group — a SELECT,
+/// ARITH+ or REKEY, or a keyed AGGREGATE that only ARITH+ members of the
+/// chain lead to. A chain is a maximal such sequence: every member but the
+/// last is read by the next alone, so the whole chain is one loop over its
+/// head's input (`ops::group_loop_view`), evaluated when the head's wave
+/// comes; the later members then take what it computed for them. Derived
+/// from the fusion plan alone, like `lazy_nodes` — singleton groups have no
+/// chains.
+fn chains(graph: &PlanGraph, fusion: &FusionPlan, lazy: &[Hold]) -> Vec<Option<NodeId>> {
     let readers = graph.consumer_counts();
-    let is_select = |id: NodeId| matches!(graph.nodes[id].kind, OpKind::Select { .. });
+    let kind = |id: NodeId| &graph.nodes[id].kind;
+    let member = |id: NodeId| {
+        matches!(
+            kind(id),
+            OpKind::Select { .. } | OpKind::ArithExtend { .. } | OpKind::Rekey { .. }
+        )
+    };
     let mut next = vec![None; graph.len()];
+    let mut prev: Vec<Option<NodeId>> = vec![None; graph.len()];
     for (c, node) in graph.nodes.iter().enumerate() {
-        if let [p] = node.inputs[..] {
-            let same_group = fusion.group_of[p] == fusion.group_of[c];
-            let lazy = lazy[p] == Hold::View;
-            if is_select(c) && is_select(p) && lazy && readers[p] == 1 && same_group {
-                next[p] = Some(c);
-            }
+        let [p] = node.inputs[..] else { continue };
+        let linked = member(p)
+            && lazy[p] == Hold::View
+            && readers[p] == 1
+            && fusion.group_of[p] == fusion.group_of[c];
+        let arith_only = || {
+            std::iter::successors(Some(p), |&m| prev[m])
+                .all(|m| matches!(kind(m), OpKind::ArithExtend { .. }))
+        };
+        let joins = member(c) || matches!(kind(c), OpKind::Aggregate { .. }) && arith_only();
+        if linked && joins {
+            next[p] = Some(c);
+            prev[c] = Some(p);
         }
     }
     next
@@ -263,10 +298,10 @@ fn gathers_first(kind: &OpKind, v: &View<'_>) -> bool {
 /// [`CoreError::Internal`] ([`eval_node_guarded`]).
 ///
 /// `fusion` decides which intermediates exist ([`lazy_nodes`]) and which
-/// SELECTs share a pass ([`select_runs`]); it cannot change an answer, a
-/// cardinality or an error, only how many rows are copied or read on the
-/// way (DESIGN.md §17). A run's pass happens in its head's wave, but only
-/// its batch-compiled stages, which cannot fail, run early.
+/// members share a loop ([`chains`]); it cannot change an answer, a
+/// cardinality or an error, only how many rows are copied, written or read
+/// on the way (DESIGN.md §17). A chain's loop runs in its head's wave; a
+/// later member's error surfaces in that member's own wave.
 pub(super) fn functional_phase<'a>(
     graph: &PlanGraph,
     inputs: &'a [Relation],
@@ -282,9 +317,7 @@ pub(super) fn functional_phase<'a>(
     let consumers = graph.consumer_counts();
     let mut unserved = consumers.clone();
     let lazy = lazy_nodes(graph, fusion, roots);
-    let runs = select_runs(graph, fusion, &lazy);
-    // The views a run's head computed for the later members of its run.
-    let mut ahead: Vec<Option<View<'a>>> = (0..graph.len()).map(|_| None).collect();
+    let chains = chains(graph, fusion, &lazy);
     let _phase = kfusion_trace::host_span("host", "functional_phase");
     for (level, wave) in wavefronts(graph).into_iter().enumerate() {
         let _wave = kfusion_trace::enabled()
@@ -295,6 +328,12 @@ pub(super) fn functional_phase<'a>(
         // then every input lent — moved to its last reader.
         let mut args = Vec::with_capacity(wave.len());
         for &id in &wave {
+            // A later member of a chain takes what its head computed for
+            // it, and reads no input.
+            if let Some(stage) = slots.ahead[id].take() {
+                args.push((id, Work::Ahead { stage, lazy: lazy[id] == Hold::View }));
+                continue;
+            }
             let node = &graph.nodes[id];
             let mut hold = lazy[id];
             for &p in &node.inputs {
@@ -310,31 +349,41 @@ pub(super) fn functional_phase<'a>(
             let last = |p: NodeId| consumers[p] == 1 && !roots.contains(&p);
             let mut vals: Vec<View<'a>> =
                 node.inputs.iter().map(|&p| slots.lend(p, last(p))).collect();
-            let work = match (ahead[id].take(), runs[id]) {
-                (Some(view), _) => Work::Ahead { view, lazy: hold == Hold::View },
-                (None, Some(_)) => {
-                    let run = std::iter::successors(Some(id), |&m| runs[m]).collect();
-                    Work::Run { input: vals.pop().expect("a SELECT has one input"), run }
+            // A head whose input was gathered first runs alone, as if it
+            // had always needed stored rows; its next member heads the rest.
+            let work = match chains[id] {
+                Some(_) if hold == lazy[id] => {
+                    let chain = std::iter::successors(Some(id), |&m| chains[m]).collect();
+                    Work::Chain { input: vals.pop().expect("a chain's head has one input"), chain }
                 }
-                (None, None) => Work::Eval { args: vals, hold },
+                _ => Work::Eval { args: vals, hold },
             };
             args.push((id, work));
         }
         let evaluated = par_map(args, |_, (id, work)| eval_node_guarded(graph, id, inputs, work));
         for (&id, r) in wave.iter().zip(evaluated) {
-            let ((val, view), later, secs) = r?;
+            let (filled, later, secs) = r?;
             let mut member = id;
-            for view in later {
-                member = runs[member].expect("one view per later member of the run");
-                ahead[member] = Some(view);
+            for stage in later {
+                member = chains[member].expect("one result per later member of the chain");
+                slots.ahead[member] = Some(stage);
             }
-            cards.rows[id] = val.len() as u64;
-            cards.row_bytes[id] = val.row_bytes() as f64;
             host_secs[id] += secs;
-            if view {
-                kfusion_trace::counter("kfusion_host_views_total", 1);
+            match filled {
+                Filled::Held(val, view) => {
+                    cards.rows[id] = val.len() as u64;
+                    cards.row_bytes[id] = val.row_bytes() as f64;
+                    if view {
+                        kfusion_trace::counter("kfusion_host_views_total", 1);
+                    }
+                    slots.vals[id] = Some(val);
+                }
+                // A member a loop ran past holds nothing: only its size.
+                Filled::Passed { rows, row_bytes } => {
+                    cards.rows[id] = rows as u64;
+                    cards.row_bytes[id] = row_bytes as f64;
+                }
             }
-            slots.vals[id] = Some(val);
         }
         slots.peak_bytes = slots.peak_bytes.max(slots.live_bytes());
         slots.lent.clear();
@@ -357,16 +406,24 @@ pub(super) fn functional_phase<'a>(
 enum Work<'a> {
     /// Evaluate the operator over its inputs' values ([`eval_node`]).
     Eval { args: Vec<View<'a>>, hold: Hold },
-    /// Evaluate the run of SELECTs `run` (this node first, [`select_runs`])
-    /// over this node's input.
-    Run { input: View<'a>, run: Vec<NodeId> },
-    /// Hold the view the head of this SELECT's run computed for it.
-    Ahead { view: View<'a>, lazy: bool },
+    /// Run the chain `chain` (this node first, [`chains`]) as one loop over
+    /// this node's input.
+    Chain { input: View<'a>, chain: Vec<NodeId> },
+    /// Take what the head of this node's chain computed for it.
+    Ahead { stage: Result<Stage<'a>, kfusion_relalg::RelError>, lazy: bool },
 }
 
-/// A node's value as its slot holds it, the views it computed for the later
-/// members of its run, and the host seconds it took.
-type Evaluated<'a> = (Held<'a>, Vec<View<'a>>, f64);
+/// A node's output as the functional phase records it: the value its slot
+/// holds, and whether as a view (the hold `kfusion_host_views_total`
+/// counts) — or, for a member a chain's loop ran past, its size alone.
+enum Filled<'a> {
+    Held(View<'a>, bool),
+    Passed { rows: usize, row_bytes: u64 },
+}
+
+/// A node's output, what its chain's loop computed for the later members,
+/// and the host seconds it took.
+type Evaluated<'a> = (Filled<'a>, Vec<Result<Stage<'a>, kfusion_relalg::RelError>>, f64);
 
 /// The executor's panic boundary: [`eval_node_timed`] under
 /// `catch_unwind`, a panic turned into [`CoreError::Internal`] naming the
@@ -390,7 +447,7 @@ fn eval_node_guarded<'a>(
 }
 
 /// Do a node's [`Work`] under a host trace span, timing it (the EXPLAIN
-/// tree's `host=` column: a run's one pass is its head's). Runs on the
+/// tree's `host=` column: a chain's one loop is its head's). Runs on the
 /// thread that claimed the node, so parallel nodes land on distinct host
 /// lanes.
 fn eval_node_timed<'a>(
@@ -404,26 +461,40 @@ fn eval_node_timed<'a>(
         kfusion_trace::host_span("host", &name)
     });
     let t0 = Instant::now();
-    let (val, later) = match work {
+    let (filled, later) = match work {
         Work::Eval { args, hold } => {
-            (eval_node(&graph.nodes[id].kind, inputs, args, hold)?, vec![])
+            let (val, view) = eval_node(&graph.nodes[id].kind, inputs, args, hold)?;
+            (Filled::Held(val, view), vec![])
         }
-        Work::Ahead { view, lazy } => (held(view, lazy), vec![]),
-        Work::Run { input, run } => {
-            let preds: Vec<&KernelBody> = run
+        Work::Ahead { stage, lazy } => (filled(stage?, lazy), vec![]),
+        Work::Chain { input, chain } => {
+            let members: Vec<Member<'_>> = chain
                 .iter()
                 .map(|&m| match &graph.nodes[m].kind {
-                    OpKind::Select { pred } => pred,
-                    _ => unreachable!("a run is SELECTs"),
+                    OpKind::Select { pred } => Member::Select(pred),
+                    OpKind::ArithExtend { body } => Member::ArithExtend(body),
+                    OpKind::Rekey { col } => Member::Rekey(*col),
+                    OpKind::Aggregate { aggs } => Member::Aggregate(aggs),
+                    _ => unreachable!("chains are of the loop's members"),
                 })
                 .collect();
-            let mut views = ops::select_run_view(&input, &preds)?.into_iter();
-            // A run's head is lazy: it has a reader in the run.
-            let head = views.next().expect("a run yields its head's view");
-            ((head, true), views.collect())
+            let mut stages = ops::group_loop_view(&input, &members).into_iter();
+            // A chain's head is lazy: it has a reader in the chain.
+            let head = stages.next().expect("a loop covers its chain's head")?;
+            (filled(head, true), stages.collect())
         }
     };
-    Ok((val, later, t0.elapsed().as_secs_f64()))
+    Ok((filled, later, t0.elapsed().as_secs_f64()))
+}
+
+/// What a chain's loop gave a member, as its slot holds it ([`held`]).
+fn filled(stage: Stage<'_>, lazy: bool) -> Filled<'_> {
+    let (val, view) = match stage {
+        Stage::Passed { rows, row_bytes } => return Filled::Passed { rows, row_bytes },
+        Stage::View(view) => held(view, lazy),
+        Stage::Folded(rel) => held(rel.into(), lazy),
+    };
+    Filled::Held(val, view)
 }
 
 /// Partition node ids into topological wavefronts: level 0 holds nodes with

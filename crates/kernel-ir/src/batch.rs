@@ -12,7 +12,9 @@
 //! [`BATCH_ROWS`] rows. Predicate outputs come back as selection bitmasks.
 //!
 //! The hottest instruction chains run as fused primitives instead (`Fused`):
-//! one pass from the input columns into the output banks. The compare chain
+//! one pass from the input columns into the output banks — for a whole
+//! body, or for each output of a body spliced from several (a fused
+//! group's loop) that is a primitive on its own. The compare chain
 //! behind every Q1/Q6 SELECT (`cmp_chain`) is compiled twice, at the target's
 //! baseline width and for AVX2; the AVX2 build runs when the CPU reports the
 //! feature at run time. Both are the same source, so they give the same mask
@@ -132,7 +134,14 @@ pub struct CompiledKernel {
     /// Distinct per `compile` call; clones share it. [`Scratch`] uses this
     /// to recognize a cached [`BatchMachine`] whose bank shapes still fit.
     id: u64,
-    fused: Option<Fused>,
+    /// The fused primitives that compute some of the outputs, each with the
+    /// first output it computes: the whole body's, or — a body spliced from
+    /// several — each output that is a primitive's shape and that no
+    /// instruction reads.
+    fused: Arc<[(usize, Fused)]>,
+    /// Whether instruction `i` runs on the generic path: an output no
+    /// primitive computes needs it.
+    generic: Arc<[bool]>,
 }
 
 static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(1);
@@ -152,13 +161,15 @@ impl CompiledKernel {
                 .enumerate()
                 .map(|(r, t)| t.ok_or(BatchError::Unresolved { reg: r as Reg }))
                 .collect::<Result<Vec<Ty>, BatchError>>()?;
-            let fused = Fused::recognize(&body.instrs, &body.outputs, &reg_ty);
+            let fused = Fused::recognize_outputs(&body.instrs, &body.outputs, &reg_ty);
+            let generic = generic_instrs(&body.instrs, &body.outputs, &fused);
             Ok(CompiledKernel {
                 instrs: body.instrs.as_slice().into(),
                 outputs: body.outputs.as_slice().into(),
                 reg_ty: reg_ty.into(),
                 id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
-                fused,
+                fused: fused.into(),
+                generic: generic.into(),
             })
         })();
         kfusion_trace::counter(
@@ -177,10 +188,10 @@ impl CompiledKernel {
         self.id
     }
 
-    /// Name of the recognized multi-op fused primitive, if any — for tests
-    /// and EXPLAIN-style introspection.
+    /// Name of the first recognized multi-op fused primitive, if any — for
+    /// tests and EXPLAIN-style introspection.
     pub fn fused_primitive(&self) -> Option<&'static str> {
-        self.fused.as_ref().map(|f| match f {
+        self.fused.first().map(|(_, f)| match f {
             Fused::PackI64 { .. } => "pack_i64",
             Fused::MoneyPair { .. } => "money_pair",
             Fused::CmpChain { .. } => "cmp_chain",
@@ -254,7 +265,50 @@ enum CmpRhs {
     Slot(u32),
 }
 
+/// The instructions the outputs no primitive of `fused` computes need.
+fn generic_instrs(instrs: &[Instr], outputs: &[Reg], fused: &[(usize, Fused)]) -> Vec<bool> {
+    let covered =
+        |o: usize| fused.iter().any(|(first, f)| (*first..first + f.outputs()).contains(&o));
+    let mut generic = vec![false; instrs.len()];
+    let mut needed: Vec<Reg> =
+        outputs.iter().enumerate().filter(|&(o, _)| !covered(o)).map(|(_, &r)| r).collect();
+    while let Some(r) = needed.pop() {
+        if !std::mem::replace(&mut generic[r as usize], true) {
+            instrs[r as usize].for_each_operand(|x| needed.push(x));
+        }
+    }
+    generic
+}
+
 impl Fused {
+    /// How many outputs, from its first, the primitive computes.
+    fn outputs(&self) -> usize {
+        match self {
+            Fused::MoneyPair { .. } => 2,
+            Fused::PackI64 { .. } | Fused::CmpChain { .. } => 1,
+        }
+    }
+
+    /// The primitives that compute `outputs`: one for the whole body, or one
+    /// per output that is a primitive on its own and that no instruction
+    /// reads (a body spliced from several members' bodies, each output one
+    /// member's).
+    fn recognize_outputs(instrs: &[Instr], outputs: &[Reg], reg_ty: &[Ty]) -> Vec<(usize, Fused)> {
+        if let Some(f) = Fused::recognize(instrs, outputs, reg_ty) {
+            return vec![(0, f)];
+        }
+        let mut read = vec![false; instrs.len()];
+        for instr in instrs {
+            instr.for_each_operand(|r| read[r as usize] = true);
+        }
+        let alone = |o: usize| {
+            let out = &outputs[o..o + 1];
+            Fused::recognize(instrs, out, reg_ty)
+                .filter(|_| outputs.len() > 1 && !read[out[0] as usize])
+        };
+        (0..outputs.len()).filter_map(|o| alone(o).map(|f| (o, f))).collect()
+    }
+
     fn recognize(instrs: &[Instr], outputs: &[Reg], reg_ty: &[Ty]) -> Option<Fused> {
         let load = |r: Reg| match instrs[r as usize] {
             Instr::LoadInput { slot } => Some(slot),
@@ -385,23 +439,41 @@ impl Bank {
     }
 
     fn as_i64(&self) -> &[i64] {
-        match self {
-            Bank::I64(v) => v,
-            _ => unreachable!("typed compile guarantees an i64 bank"),
-        }
-    }
-
-    fn as_f64(&self) -> &[f64] {
-        match self {
-            Bank::F64(v) => v,
-            _ => unreachable!("typed compile guarantees an f64 bank"),
-        }
+        self.view().as_i64()
     }
 
     fn as_mask(&self) -> &[u64] {
+        self.view().as_mask()
+    }
+
+    fn view(&self) -> BankView<'_> {
         match self {
-            Bank::Bool(v) => v,
-            _ => unreachable!("typed compile guarantees a bool bank"),
+            Bank::I64(v) => BankView::I64(v),
+            Bank::F64(v) => BankView::F64(v),
+            Bank::Bool(v) => BankView::Bool(v),
+        }
+    }
+}
+
+impl<'a> BankView<'a> {
+    fn as_i64(self) -> &'a [i64] {
+        match self {
+            BankView::I64(v) => v,
+            _ => unreachable!("typed compile guarantees i64 lanes"),
+        }
+    }
+
+    fn as_f64(self) -> &'a [f64] {
+        match self {
+            BankView::F64(v) => v,
+            _ => unreachable!("typed compile guarantees f64 lanes"),
+        }
+    }
+
+    fn as_mask(self) -> &'a [u64] {
+        match self {
+            BankView::Bool(v) => v,
+            _ => unreachable!("typed compile guarantees a bool mask"),
         }
     }
 }
@@ -577,32 +649,45 @@ impl BatchMachine {
         if scratch_poison() {
             self.poison(k);
         }
-        if let Some(f) = &k.fused {
-            self.run_fused(f, k, cols, base, n);
-            return;
+        self.run_generic(k, cols, base, n);
+        for (first, f) in k.fused.iter() {
+            self.run_fused(f, *first, k, cols, base, n);
         }
-        for (i, instr) in k.instrs.iter().enumerate() {
+    }
+
+    /// The instructions the generic path runs, each a typed sweep over the
+    /// batch's lanes.
+    fn run_generic(&mut self, k: &CompiledKernel, cols: &[ColRef<'_>], base: usize, n: usize) {
+        // An i64 or f64 column a body loads is read where it is, its
+        // register's bank left unused — unless the register is an output,
+        // which callers read from its bank.
+        let in_place = |r: usize| {
+            match k.instrs[r] {
+                Instr::LoadInput { slot } => match cols[slot as usize] {
+                    ColRef::I64(s) => Some(BankView::I64(&s[base..base + n])),
+                    ColRef::F64(s) => Some(BankView::F64(&s[base..base + n])),
+                    ColRef::KeyU64(_) | ColRef::RowIds(_) => None,
+                },
+                _ => None,
+            }
+            .filter(|_| !k.outputs.contains(&(r as Reg)))
+        };
+        for (i, instr) in k.instrs.iter().enumerate().filter(|&(i, _)| k.generic[i]) {
             let (prev, rest) = self.banks.split_at_mut(i);
             let dst = &mut rest[0];
+            let read = |r: Reg| in_place(r as usize).unwrap_or_else(|| prev[r as usize].view());
             match *instr {
                 Instr::Const { .. } => {} // splatted at construction
+                Instr::LoadInput { .. } if in_place(i).is_some() => {}
                 Instr::LoadInput { slot } => load(dst, cols[slot as usize], base, n),
-                Instr::Copy { src } => copy_bank(dst, &prev[src as usize], n),
-                Instr::Bin { op, lhs, rhs } => {
-                    bin(dst, op, &prev[lhs as usize], &prev[rhs as usize], n)
+                Instr::Copy { src } => copy_bank(dst, read(src), n),
+                Instr::Bin { op, lhs, rhs } => bin(dst, op, read(lhs), read(rhs), n),
+                Instr::Un { op, arg } => un(dst, op, read(arg), n),
+                Instr::Cmp { op, lhs, rhs } => cmp(dst, op, read(lhs), read(rhs), n),
+                Instr::Select { cond, then_r, else_r } => {
+                    select(dst, read(cond).as_mask(), read(then_r), read(else_r), n)
                 }
-                Instr::Un { op, arg } => un(dst, op, &prev[arg as usize], n),
-                Instr::Cmp { op, lhs, rhs } => {
-                    cmp(dst, op, &prev[lhs as usize], &prev[rhs as usize], n)
-                }
-                Instr::Select { cond, then_r, else_r } => select(
-                    dst,
-                    prev[cond as usize].as_mask(),
-                    &prev[then_r as usize],
-                    &prev[else_r as usize],
-                    n,
-                ),
-                Instr::Cast { ty: _, arg } => cast(dst, &prev[arg as usize], n),
+                Instr::Cast { ty: _, arg } => cast(dst, read(arg), n),
             }
         }
     }
@@ -614,6 +699,7 @@ impl BatchMachine {
     fn run_fused(
         &mut self,
         f: &Fused,
+        first: usize,
         k: &CompiledKernel,
         cols: &[ColRef<'_>],
         base: usize,
@@ -630,7 +716,7 @@ impl BatchMachine {
             }
         }
         // SSA: every `LoadInput` register is below the output it feeds.
-        let (loaded, out) = self.banks.split_at_mut(k.outputs[0] as usize);
+        let (loaded, out) = self.banks.split_at_mut(k.outputs[first] as usize);
         let batch = Batch { cols, rows: base..base + n, instrs: &k.instrs, banks: loaded };
         match f {
             Fused::PackI64 { a, mul, b } => {
@@ -647,7 +733,7 @@ impl BatchMachine {
                 }
             }
             Fused::MoneyPair { price, disc, tax, c_sub, c_add } => {
-                let (o0, o1) = (k.outputs[0] as usize, k.outputs[1] as usize);
+                let (o0, o1) = (k.outputs[first] as usize, k.outputs[first + 1] as usize);
                 // SSA: out1's defining Mul reads registers above out0's
                 // whole subtree, so o0 < o1 always holds here.
                 let (lo, hi) = out.split_at_mut(o1 - o0);
@@ -909,16 +995,16 @@ fn word(lanes: impl Iterator<Item = bool>) -> u64 {
     lanes.enumerate().fold(0, |m, (j, t)| m | ((t as u64) << j))
 }
 
-fn copy_bank(dst: &mut Bank, src: &Bank, n: usize) {
+fn copy_bank(dst: &mut Bank, src: BankView<'_>, n: usize) {
     match (dst, src) {
-        (Bank::I64(d), Bank::I64(s)) => d[..n].copy_from_slice(&s[..n]),
-        (Bank::F64(d), Bank::F64(s)) => d[..n].copy_from_slice(&s[..n]),
-        (Bank::Bool(d), Bank::Bool(s)) => d.copy_from_slice(s),
+        (Bank::I64(d), BankView::I64(s)) => d[..n].copy_from_slice(&s[..n]),
+        (Bank::F64(d), BankView::F64(s)) => d[..n].copy_from_slice(&s[..n]),
+        (Bank::Bool(d), BankView::Bool(s)) => d.copy_from_slice(s),
         _ => unreachable!("copy banks share a type"),
     }
 }
 
-fn bin(dst: &mut Bank, op: BinOp, lhs: &Bank, rhs: &Bank, n: usize) {
+fn bin(dst: &mut Bank, op: BinOp, lhs: BankView<'_>, rhs: BankView<'_>, n: usize) {
     match dst {
         Bank::I64(d) => {
             let (a, b) = (lhs.as_i64(), rhs.as_i64());
@@ -964,7 +1050,7 @@ fn bin(dst: &mut Bank, op: BinOp, lhs: &Bank, rhs: &Bank, n: usize) {
     }
 }
 
-fn un(dst: &mut Bank, op: UnOp, arg: &Bank, n: usize) {
+fn un(dst: &mut Bank, op: UnOp, arg: BankView<'_>, n: usize) {
     match dst {
         Bank::I64(d) => {
             let a = arg.as_i64();
@@ -988,35 +1074,19 @@ fn un(dst: &mut Bank, op: UnOp, arg: &Bank, n: usize) {
     }
 }
 
-fn cmp(dst: &mut Bank, op: CmpOp, lhs: &Bank, rhs: &Bank, n: usize) {
+fn cmp(dst: &mut Bank, op: CmpOp, lhs: BankView<'_>, rhs: BankView<'_>, n: usize) {
     let d = match dst {
         Bank::Bool(d) => d,
         _ => unreachable!("cmp result is bool"),
     };
+    // Whole 64-lane words, as `cmp_chain` builds them: the words past the
+    // batch's last are left as they are (unspecified).
+    let words = &mut d[..n.div_ceil(64)];
+    words.fill(u64::MAX);
     match lhs {
-        Bank::I64(_) => {
-            let (a, b) = (lhs.as_i64(), rhs.as_i64());
-            match op {
-                CmpOp::Lt => store_lanes(d, n, |j| a[j] < b[j]),
-                CmpOp::Le => store_lanes(d, n, |j| a[j] <= b[j]),
-                CmpOp::Gt => store_lanes(d, n, |j| a[j] > b[j]),
-                CmpOp::Ge => store_lanes(d, n, |j| a[j] >= b[j]),
-                CmpOp::Eq => store_lanes(d, n, |j| a[j] == b[j]),
-                CmpOp::Ne => store_lanes(d, n, |j| a[j] != b[j]),
-            }
-        }
-        Bank::F64(_) => {
-            let (a, b) = (lhs.as_f64(), rhs.as_f64());
-            match op {
-                CmpOp::Lt => store_lanes(d, n, |j| a[j] < b[j]),
-                CmpOp::Le => store_lanes(d, n, |j| a[j] <= b[j]),
-                CmpOp::Gt => store_lanes(d, n, |j| a[j] > b[j]),
-                CmpOp::Ge => store_lanes(d, n, |j| a[j] >= b[j]),
-                CmpOp::Eq => store_lanes(d, n, |j| a[j] == b[j]),
-                CmpOp::Ne => store_lanes(d, n, |j| a[j] != b[j]),
-            }
-        }
-        Bank::Bool(_) => {
+        BankView::I64(a) => and_cmp(words, &a[..n], Operand::Col(&rhs.as_i64()[..n]), op),
+        BankView::F64(a) => and_cmp(words, &a[..n], Operand::Col(&rhs.as_f64()[..n]), op),
+        BankView::Bool(_) => {
             let (a, b) = (lhs.as_mask(), rhs.as_mask());
             match op {
                 CmpOp::Eq => zip3(d, a, b, |x, y| !(x ^ y)),
@@ -1027,7 +1097,7 @@ fn cmp(dst: &mut Bank, op: CmpOp, lhs: &Bank, rhs: &Bank, n: usize) {
     }
 }
 
-fn select(dst: &mut Bank, cond: &[u64], then_b: &Bank, else_b: &Bank, n: usize) {
+fn select(dst: &mut Bank, cond: &[u64], then_b: BankView<'_>, else_b: BankView<'_>, n: usize) {
     match dst {
         Bank::I64(d) => {
             let (t, e) = (then_b.as_i64(), else_b.as_i64());
@@ -1050,25 +1120,25 @@ fn select(dst: &mut Bank, cond: &[u64], then_b: &Bank, else_b: &Bank, n: usize) 
     }
 }
 
-fn cast(dst: &mut Bank, arg: &Bank, n: usize) {
+fn cast(dst: &mut Bank, arg: BankView<'_>, n: usize) {
     match (dst, arg) {
-        (Bank::I64(d), Bank::I64(s)) => d[..n].copy_from_slice(&s[..n]),
-        (Bank::F64(d), Bank::F64(s)) => d[..n].copy_from_slice(&s[..n]),
-        (Bank::Bool(d), Bank::Bool(s)) => d.copy_from_slice(s),
-        (Bank::I64(d), Bank::F64(s)) => zip2(&mut d[..n], s, |x| x as i64),
-        (Bank::F64(d), Bank::I64(s)) => zip2(&mut d[..n], s, |x| x as f64),
-        (Bank::I64(d), Bank::Bool(s)) => {
+        (Bank::I64(d), BankView::I64(s)) => d[..n].copy_from_slice(&s[..n]),
+        (Bank::F64(d), BankView::F64(s)) => d[..n].copy_from_slice(&s[..n]),
+        (Bank::Bool(d), BankView::Bool(s)) => d.copy_from_slice(s),
+        (Bank::I64(d), BankView::F64(s)) => zip2(&mut d[..n], s, |x| x as i64),
+        (Bank::F64(d), BankView::I64(s)) => zip2(&mut d[..n], s, |x| x as f64),
+        (Bank::I64(d), BankView::Bool(s)) => {
             for (j, dj) in d[..n].iter_mut().enumerate() {
                 *dj = mask_lane(s, j) as i64;
             }
         }
-        (Bank::F64(d), Bank::Bool(s)) => {
+        (Bank::F64(d), BankView::Bool(s)) => {
             for (j, dj) in d[..n].iter_mut().enumerate() {
                 *dj = mask_lane(s, j) as u8 as f64;
             }
         }
-        (Bank::Bool(d), Bank::I64(s)) => store_lanes(d, n, |j| s[j] != 0),
-        (Bank::Bool(_), Bank::F64(_)) => unreachable!("verifier rejects f64 -> bool cast"),
+        (Bank::Bool(d), BankView::I64(s)) => store_lanes(d, n, |j| s[j] != 0),
+        (Bank::Bool(_), BankView::F64(_)) => unreachable!("verifier rejects f64 -> bool cast"),
     }
 }
 
@@ -1218,7 +1288,8 @@ mod tests {
         fused.run(&k, cols, range.start, range.len());
         let mut generic = BatchMachine::new(&k);
         let mut plain = k.clone();
-        plain.fused = None;
+        plain.fused = Arc::from([]);
+        plain.generic = vec![true; k.instrs.len()].into();
         generic.run(&plain, cols, range.start, range.len());
         for (j, row) in rows[range].iter().enumerate() {
             let expect = interp::eval(body, row).unwrap();
@@ -1272,6 +1343,76 @@ mod tests {
                 37..200,
                 "pack_i64",
             );
+        }
+    }
+
+    /// A body spliced from several members' bodies runs each output that
+    /// is a primitive on its own — and read by no instruction — as that
+    /// primitive, and the rest on the generic path: here a compare chain
+    /// and a pack beside a generic sum, the pack's output read again by a
+    /// later body, so it stays generic too. Every lane is the
+    /// interpreter's, with poisoned banks.
+    #[test]
+    fn a_spliced_body_runs_each_primitive_output_as_its_primitive() {
+        use crate::fuse::{fuse, FusedOutput, SlotSource};
+        let body = |out: Expr| {
+            let mut b = BodyBuilder::new(3);
+            b.emit_output(out);
+            b.build()
+        };
+        let pred = body(Expr::input(1).cmp(CmpOp::Lt, Expr::lit(2i64)));
+        let pack = body(Expr::input(1).mul(Expr::lit(65536i64)).add(Expr::input(2)));
+        let sum = body(Expr::input(1).add(Expr::input(2)));
+        let ext = || (0..3).map(SlotSource::External).collect::<Vec<_>>();
+        let out = |body| FusedOutput { body, output: 0 };
+        let spliced = fuse(
+            &[pred.clone(), pack.clone(), sum.clone()],
+            &[ext(), ext(), ext()],
+            &[out(0), out(1), out(2)],
+        )
+        .unwrap();
+        // The pack's output read by a later body, as a spliced ARITH+ that
+        // feeds another would be.
+        let reread = vec![
+            SlotSource::External(0),
+            SlotSource::Producer { body: 1, output: 0 },
+            SlotSource::External(2),
+        ];
+        let fed =
+            fuse(&[pred, pack, sum], &[ext(), ext(), reread], &[out(0), out(1), out(2)]).unwrap();
+        let flag: Vec<i64> = (0..300).map(|i| i % 3).collect();
+        let status: Vec<i64> = (0..300).map(|i| (i * 7) % 5 - 2).collect();
+        let cols = [ColRef::RowIds(300), ColRef::I64(&flag), ColRef::I64(&status)];
+        let rows: Vec<Vec<Value>> = (0..300)
+            .map(|j| vec![Value::I64(j as i64), Value::I64(flag[j]), Value::I64(status[j])])
+            .collect();
+        let tys = [Some(Ty::I64), Some(Ty::I64), Some(Ty::I64)];
+        for (body, primitives) in
+            [(&spliced, vec!["cmp_chain", "pack_i64"]), (&fed, vec!["cmp_chain"])]
+        {
+            let k = CompiledKernel::compile(body, &tys).unwrap();
+            let names: Vec<&str> = k
+                .fused
+                .iter()
+                .map(|(_, f)| match f {
+                    Fused::CmpChain { .. } => "cmp_chain",
+                    Fused::PackI64 { .. } => "pack_i64",
+                    Fused::MoneyPair { .. } => "money_pair",
+                })
+                .collect();
+            assert_eq!(names, primitives);
+            let mut bm = BatchMachine::new(&k);
+            bm.poison(&k);
+            bm.run(&k, &cols, 41, 259);
+            for j in 0..259 {
+                let want = interp::eval(body, &rows[41 + j]).unwrap();
+                let got = (0..3).map(|o| match bm.output(&k, o) {
+                    BankView::I64(v) => Value::I64(v[j]),
+                    BankView::F64(v) => Value::F64(v[j]),
+                    BankView::Bool(mask) => Value::Bool(mask_lane(mask, j)),
+                });
+                assert_eq!(got.collect::<Vec<_>>(), want, "row {}", 41 + j);
+            }
         }
     }
 
@@ -1421,7 +1562,7 @@ mod tests {
                     BASE..BASE + n,
                     "cmp_chain",
                 );
-                let Some(Fused::CmpChain { terms }) = &k.fused else { unreachable!() };
+                let [(0, Fused::CmpChain { terms })] = &k.fused[..] else { unreachable!() };
                 let mut baseline = vec![POISON_MASK; n.div_ceil(64)];
                 // The fused run left the row-id slot's register loaded.
                 let rows = BASE..BASE + n;

@@ -10,21 +10,25 @@
 //! * **runs** — input in key order (which is checked) is a segmented fold:
 //!   a group is a run of equal keys. The input is cut into morsels that end
 //!   on run boundaries; per morsel the runs are found once ([`run_starts`]),
-//!   then each aggregate makes one typed pass over its own column
+//!   then each accumulator makes one typed pass over its column
 //!   ([`fold_runs`]) and writes one value per run into that morsel's window
 //!   of the output.
 //! * **groups** — a view a SORT by key grouped instead of sorting
 //!   ([`crate::ops::group_by_key_view`]) is in no key order, but each key's
 //!   rows are in the order the sorted rows would be. Each row is folded, in
-//!   that order, into its group's slot of each aggregate's output column;
-//!   the aggregates that fold alike (all of Q1's are f64 sums) share one
-//!   typed walk over the selected rows ([`fold_lanes`]). The aggregates,
+//!   that order, into its group's slot of each accumulator; the
+//!   accumulators that fold alike (all of Q1's are f64 sums) share one
+//!   typed walk over the selected rows ([`fold_rows`]). The accumulators,
 //!   never the rows, are dealt to the workers.
 //!
-//! Either way every group is folded left to right from the aggregate's
-//! identity, so each float sum, wrapping integer sum and `min`/`max` is bit
-//! for bit what a row-at-a-time scan of the sorted input produces, however
-//! many morsels or threads there are.
+//! Aggregates that fold one source with one step share an accumulator — an
+//! AVG divides its SUM's ([`Plan`]). The sources are the view's columns or,
+//! in a fused group's loop ([`crate::ops::group_loop_view`]), outputs of a
+//! kernel the fold runs over each batch of rows. Either way every group is
+//! folded left to right from the aggregate's identity, so each float sum,
+//! wrapping integer sum and `min`/`max` is bit for bit what a row-at-a-time
+//! scan of the sorted input produces, however many morsels or threads
+//! there are.
 //!
 //! The input is a [`View`]: only the key and the columns the aggregates
 //! name are read, where they already are — a PROJECT in front of an
@@ -34,6 +38,7 @@ use crate::data::{
     col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
 };
 use crate::view::{Groups, View};
+use kfusion_ir::batch::{BankView, BatchMachine, ColRef, CompiledKernel, BATCH_ROWS};
 use kfusion_vgpu::exec::{par_range_map, workers, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
 
@@ -53,7 +58,8 @@ pub enum Agg {
 }
 
 impl Agg {
-    fn col(&self) -> Option<usize> {
+    /// The column the aggregate reads, if any.
+    pub(crate) fn col(&self) -> Option<usize> {
         match self {
             Agg::Sum(c) | Agg::Min(c) | Agg::Max(c) | Agg::Avg(c) => Some(*c),
             Agg::Count => None,
@@ -72,33 +78,313 @@ pub fn unpack_key2(k: u64) -> (u64, u64) {
     (k >> 16, k & 0xFFFF)
 }
 
-/// The (empty) output column of `agg` over `input`, whose columns
-/// [`validate_agg_cols`] has checked.
-fn out_column(agg: Agg, input: &View<'_>) -> Column {
-    match agg {
-        Agg::Count => Column::I64(Vec::new()),
-        Agg::Avg(_) => Column::F64(Vec::new()),
-        Agg::Sum(c) | Agg::Min(c) | Agg::Max(c) => input.col(c).empty_like(),
+/// Where an aggregate reads its values, batch by batch: a column of the
+/// view it folds, or — in a fused group's loop — an output of the kernel
+/// the fold runs over the same rows (`f64` says which type of lanes).
+#[derive(Clone, Copy)]
+pub(crate) enum Vals<'v> {
+    Col(&'v Column),
+    Out { slot: usize, f64: bool },
+}
+
+impl Vals<'_> {
+    fn is_f64(self) -> bool {
+        match self {
+            Vals::Col(c) => matches!(c, Column::F64(_)),
+            Vals::Out { f64, .. } => f64,
+        }
     }
 }
 
-fn validate_agg_cols(input: &View<'_>, aggs: &[Agg]) -> Result<(), RelError> {
-    match aggs.iter().filter_map(Agg::col).find(|&c| c >= input.n_cols()) {
-        Some(col) => Err(RelError::NoSuchColumn { col, available: input.n_cols() }),
+/// The sources of a view's own columns, in order.
+pub(crate) fn col_vals<'v>(input: &'v View<'_>) -> Vec<Vals<'v>> {
+    (0..input.n_cols()).map(|c| Vals::Col(input.col(c))).collect()
+}
+
+/// A kernel whose outputs some [`Vals::Out`] sources are, bound to the base
+/// rows the fold walks.
+pub(crate) struct Bound<'k> {
+    pub(crate) kernel: &'k CompiledKernel,
+    pub(crate) cols: &'k [ColRef<'k>],
+}
+
+/// The (empty) output column of `agg` over `srcs`, which
+/// [`validate_agg_cols`] has checked.
+fn out_column(agg: Agg, srcs: &[Vals<'_>]) -> Column {
+    match agg {
+        Agg::Count => Column::I64(Vec::new()),
+        Agg::Avg(_) => Column::F64(Vec::new()),
+        Agg::Sum(c) | Agg::Min(c) | Agg::Max(c) if srcs[c].is_f64() => Column::F64(Vec::new()),
+        Agg::Sum(_) | Agg::Min(_) | Agg::Max(_) => Column::I64(Vec::new()),
+    }
+}
+
+fn validate_agg_cols(available: usize, aggs: &[Agg]) -> Result<(), RelError> {
+    match aggs.iter().filter_map(Agg::col).find(|&c| c >= available) {
+        Some(col) => Err(RelError::NoSuchColumn { col, available }),
         None => Ok(()),
     }
 }
 
 /// Give `out` the aggregate schema with `rows` zeroed rows per column,
 /// keeping its buffers where the column types already match.
-fn shape_output(input: &View<'_>, aggs: &[Agg], rows: usize, out: &mut Relation) {
-    let fresh: Vec<Column> = aggs.iter().map(|&a| out_column(a, input)).collect();
+fn shape_output(srcs: &[Vals<'_>], aggs: &[Agg], rows: usize, out: &mut Relation) {
+    let fresh: Vec<Column> = aggs.iter().map(|&a| out_column(a, srcs)).collect();
     if out.cols.len() != fresh.len() || out.cols.iter().zip(&fresh).any(|(o, f)| !o.same_type(f)) {
         out.cols = fresh;
     }
     resize_zeroed_vec(out.key.buffer_mut(), rows);
     for c in &mut out.cols {
         c.resize_zeroed(rows);
+    }
+}
+
+/// How an accumulator folds: a SUM (which an AVG divides last), a MIN or a
+/// MAX.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    Sum,
+    Min,
+    Max,
+}
+
+/// One accumulator: the source it folds and how.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Acc {
+    src: usize,
+    step: Step,
+}
+
+/// Where one aggregate's output comes from.
+#[derive(Debug, Clone, Copy)]
+enum Out {
+    Count,
+    Fold(usize),
+    Mean(usize),
+}
+
+/// The accumulators a list of aggregates folds. Aggregates that fold one
+/// source with one step share an accumulator — an AVG takes the sum its
+/// SUM folds — so they share its walk too. Each accumulator lives in the
+/// output column of the first aggregate that is exactly it, else of its
+/// first AVG: an f64 sum as itself, an i64 one in the bits of the f64 slot
+/// until it is divided, last.
+struct Plan {
+    accs: Vec<Acc>,
+    outs: Vec<Out>,
+    /// Accumulator `a`'s output column.
+    home: Vec<usize>,
+    /// Whether accumulator `a` folds f64s.
+    f64: Vec<bool>,
+}
+
+impl Plan {
+    /// The plan for `aggs` over `srcs`: sources in columns first, kernel
+    /// outputs last, so a share of workers that folds columns alone runs
+    /// no kernel.
+    fn new(aggs: &[Agg], srcs: &[Vals<'_>]) -> Plan {
+        let acc_of = |agg: Agg| match agg {
+            Agg::Sum(src) | Agg::Avg(src) => Some(Acc { src, step: Step::Sum }),
+            Agg::Min(src) => Some(Acc { src, step: Step::Min }),
+            Agg::Max(src) => Some(Acc { src, step: Step::Max }),
+            Agg::Count => None,
+        };
+        let mut accs: Vec<Acc> = Vec::new();
+        for computed in [false, true] {
+            for acc in aggs.iter().filter_map(|&agg| acc_of(agg)) {
+                let is_out = matches!(srcs[acc.src], Vals::Out { .. });
+                if is_out == computed && !accs.contains(&acc) {
+                    accs.push(acc);
+                }
+            }
+        }
+        let index = |agg: Agg| acc_of(agg).and_then(|acc| accs.iter().position(|&a| a == acc));
+        let outs: Vec<Out> = aggs
+            .iter()
+            .map(|&agg| match (agg, index(agg)) {
+                (Agg::Avg(_), Some(a)) => Out::Mean(a),
+                (_, Some(a)) => Out::Fold(a),
+                (_, None) => Out::Count,
+            })
+            .collect();
+        let home = (0..accs.len())
+            .map(|a| {
+                let fold = outs.iter().position(|o| matches!(o, Out::Fold(b) if *b == a));
+                let mean = || outs.iter().position(|o| matches!(o, Out::Mean(b) if *b == a));
+                fold.or_else(mean).expect("every accumulator has an aggregate")
+            })
+            .collect();
+        let f64 = accs.iter().map(|acc| srcs[acc.src].is_f64()).collect();
+        Plan { accs, outs, home, f64 }
+    }
+
+    /// Turn folded accumulators into the aggregates' outputs over a window
+    /// of groups, group `g` holding `size(g)` rows: COUNT writes the sizes,
+    /// an aggregate that shares an accumulator it does not hold copies or
+    /// divides it, and last every AVG that holds its sum divides it in
+    /// place.
+    fn finish(&self, cols: &mut [ColWindow<'_>], size: impl Fn(usize) -> usize) {
+        let mean = |sum: f64, f64: bool, g: usize| {
+            let sum = if f64 { sum } else { sum.to_bits() as i64 as f64 };
+            sum / size(g) as f64
+        };
+        for (o, &out) in self.outs.iter().enumerate() {
+            match out {
+                Out::Count => {
+                    let ColWindow::I64(d) = &mut cols[o] else { unreachable!("COUNT is i64") };
+                    d.iter_mut().enumerate().for_each(|(g, slot)| *slot = size(g) as i64);
+                }
+                Out::Fold(a) | Out::Mean(a) if self.home[a] != o => {
+                    let (home, dst) = pair(cols, self.home[a], o);
+                    match (out, home, dst) {
+                        (Out::Fold(_), ColWindow::I64(h), ColWindow::I64(d)) => {
+                            d.copy_from_slice(h)
+                        }
+                        (Out::Fold(_), ColWindow::F64(h), ColWindow::F64(d)) => {
+                            d.copy_from_slice(h)
+                        }
+                        (Out::Mean(_), ColWindow::I64(h), ColWindow::F64(d)) => {
+                            for (g, (slot, &sum)) in d.iter_mut().zip(h.iter()).enumerate() {
+                                *slot = sum as f64 / size(g) as f64;
+                            }
+                        }
+                        (Out::Mean(_), ColWindow::F64(h), ColWindow::F64(d)) => {
+                            for (g, (slot, &sum)) in d.iter_mut().zip(h.iter()).enumerate() {
+                                *slot = mean(sum, self.f64[a], g);
+                            }
+                        }
+                        _ => unreachable!("output schema set from the aggregates"),
+                    }
+                }
+                _ => {}
+            }
+        }
+        for (o, &out) in self.outs.iter().enumerate() {
+            if let (Out::Mean(a), ColWindow::F64(d)) = (out, &mut cols[o]) {
+                if self.home[a] == o {
+                    d.iter_mut()
+                        .enumerate()
+                        .for_each(|(g, slot)| *slot = mean(*slot, self.f64[a], g));
+                }
+            }
+        }
+    }
+}
+
+/// Window `read` to read and window `write` to write, `read != write`.
+fn pair<'c, 'w>(
+    cols: &'c mut [ColWindow<'w>],
+    read: usize,
+    write: usize,
+) -> (&'c ColWindow<'w>, &'c mut ColWindow<'w>) {
+    if read < write {
+        let (lo, hi) = cols.split_at_mut(write);
+        (&lo[read], &mut hi[0])
+    } else {
+        let (lo, hi) = cols.split_at_mut(read);
+        (&hi[0], &mut lo[write])
+    }
+}
+
+/// One batch's values of a source.
+#[derive(Clone, Copy)]
+enum Lanes<'b> {
+    I64(&'b [i64]),
+    F64(&'b [f64]),
+}
+
+/// Source `src` over base rows `rows`: a window of its column, or the lanes
+/// the kernel left in its output's bank for this batch.
+fn batch_lanes<'b>(
+    src: Vals<'b>,
+    run: Option<(&CompiledKernel, &'b BatchMachine)>,
+    rows: Range<usize>,
+) -> Lanes<'b> {
+    match src {
+        Vals::Col(Column::I64(v)) => Lanes::I64(&v[rows]),
+        Vals::Col(Column::F64(v)) => Lanes::F64(&v[rows]),
+        Vals::Out { slot, .. } => {
+            let (k, bm) = run.expect("a computed source runs its kernel");
+            match bm.output(k, slot) {
+                BankView::I64(b) => Lanes::I64(&b[..rows.len()]),
+                BankView::F64(b) => Lanes::F64(&b[..rows.len()]),
+                BankView::Bool(_) => unreachable!("flag outputs are not folded"),
+            }
+        }
+    }
+}
+
+/// The value types accumulators fold from and into.
+trait Slot: Copy {
+    fn lanes(l: Lanes<'_>) -> &[Self];
+    fn window<'w>(w: &'w mut ColWindow<'_>) -> &'w mut [Self];
+    fn bits(self) -> u64;
+    fn of_bits(bits: u64) -> Self;
+}
+
+impl Slot for i64 {
+    fn bits(self) -> u64 {
+        self as u64
+    }
+    fn of_bits(bits: u64) -> i64 {
+        bits as i64
+    }
+    fn lanes(l: Lanes<'_>) -> &[i64] {
+        let Lanes::I64(v) = l else { unreachable!("an i64 source") };
+        v
+    }
+    fn window<'w>(w: &'w mut ColWindow<'_>) -> &'w mut [i64] {
+        let ColWindow::I64(d) = w else { unreachable!("an i64 accumulator") };
+        d
+    }
+}
+
+impl Slot for f64 {
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+    fn of_bits(bits: u64) -> f64 {
+        f64::from_bits(bits)
+    }
+    fn lanes(l: Lanes<'_>) -> &[f64] {
+        let Lanes::F64(v) = l else { unreachable!("an f64 source") };
+        v
+    }
+    fn window<'w>(w: &'w mut ColWindow<'_>) -> &'w mut [f64] {
+        let ColWindow::F64(d) = w else { unreachable!("an f64 accumulator") };
+        d
+    }
+}
+
+/// An i64 sum kept in the bits of an f64 slot (an AVG's, until it divides).
+fn wrapping_bits(acc: f64, v: i64) -> f64 {
+    f64::from_bits((acc.to_bits() as i64).wrapping_add(v) as u64)
+}
+
+/// How accumulator `a` folds, by value and slot type: its identity and
+/// step are those of the row-at-a-time fold the tests keep as the oracle.
+/// `$fold` is called with the lanes' type, the slot's type, the identity
+/// and the step.
+macro_rules! by_kind {
+    ($plan:expr, $a:expr, $fold:ident($($arg:expr),*)) => {
+        match $plan.kind($a) {
+            (Step::Sum, false, false) => $fold::<i64, i64>($($arg,)* 0, i64::wrapping_add),
+            (Step::Sum, false, true) => $fold::<i64, f64>($($arg,)* 0.0, wrapping_bits),
+            (Step::Sum, true, _) => $fold::<f64, f64>($($arg,)* 0.0, |acc, v| acc + v),
+            (Step::Min, false, _) => $fold::<i64, i64>($($arg,)* i64::MAX, i64::min),
+            (Step::Min, true, _) => $fold::<f64, f64>($($arg,)* f64::INFINITY, f64::min),
+            (Step::Max, false, _) => $fold::<i64, i64>($($arg,)* i64::MIN, i64::max),
+            (Step::Max, true, _) => $fold::<f64, f64>($($arg,)* f64::NEG_INFINITY, f64::max),
+        }
+    };
+}
+
+impl Plan {
+    /// How accumulator `a` folds: its step, whether it folds f64s, and
+    /// whether it lives in an f64 column.
+    fn kind(&self, a: usize) -> (Step, bool, bool) {
+        let home_f64 = self.f64[a] || matches!(self.outs[self.home[a]], Out::Mean(_));
+        (self.accs[a].step, self.f64[a], home_f64)
     }
 }
 
@@ -156,86 +442,68 @@ fn run_starts(keys: &[u64], range: Range<usize>) -> Result<Vec<usize>, RelError>
     Ok(starts)
 }
 
-/// One aggregate's pass over one morsel — `keys` and `vals` are its rows,
-/// `dst` has a slot per run: fold every run left to right from `init` and
-/// leave `finish(fold)` in the run's slot. Runs are a few rows long as
-/// often as a few hundred thousand (Q21's orders, Q1's flags), so there is
-/// no loop per run to mispredict: every row restarts or extends the fold by
-/// a select and stores it, and a run's last row stores last. A morsel that
-/// is a single run — all AGGREGATE-ALL ever has, whatever its keys — is
-/// folded outright.
-fn fold_runs<T: Copy, A: Copy, U>(
+/// A run fold between two batches of one morsel: the open run, its key,
+/// and its accumulator.
+#[derive(Clone, Copy)]
+struct Open<A> {
+    run: usize,
+    key: u64,
+    acc: A,
+}
+
+/// One accumulator's pass over one batch of a morsel — `keys` and `vals`
+/// are its rows, `dst` has a slot per run of the morsel: every run folds
+/// left to right from `init`, its slot holding the fold so far. Runs are a
+/// few rows long as often as a few hundred thousand (Q21's orders, Q1's
+/// flags), so there is no loop per run to mispredict: every row restarts
+/// or extends the fold by a select and stores it, and a run's last row
+/// stores last. A morsel that is a single run — all AGGREGATE-ALL ever
+/// has, whatever its keys — is folded outright, reading no key.
+fn fold_runs<T: Copy, A: Copy>(
     keys: &[u64],
     vals: &[T],
-    dst: &mut [U],
+    dst: &mut [A],
+    open: &mut Open<A>,
     init: A,
     step: impl Fn(A, T) -> A,
-    finish: impl Fn(A) -> U,
 ) {
     if let [only] = dst {
-        *only = finish(vals.iter().fold(init, |acc, &v| step(acc, v)));
+        open.acc = vals.iter().fold(open.acc, |acc, &v| step(acc, v));
+        *only = open.acc;
         return;
     }
-    let (mut run, mut acc, mut prev) = (0, init, keys[0]);
+    let Open { mut run, key: mut prev, mut acc } = *open;
     for (&key, &v) in keys.iter().zip(vals) {
         let fresh = key != prev;
         run += fresh as usize;
         acc = step(if fresh { init } else { acc }, v);
-        dst[run] = finish(acc);
+        dst[run] = acc;
         prev = key;
     }
+    *open = Open { run, key: prev, acc };
 }
 
-/// Compute `agg` into `dst`, one slot per run of the morsel `starts`
-/// delimits; `keys` are the morsel's (a morsel of one run reads none). The
-/// identities and the operand order are the row-at-a-time fold's, which the
-/// tests keep as the oracle.
-fn fold_agg(agg: Agg, input: &View<'_>, keys: &[u64], starts: &[usize], dst: ColWindow<'_>) {
-    let rows = starts[0]..starts[starts.len() - 1];
-    let lens = || starts.windows(2).map(|run| run[1] - run[0]);
-    let fsum = |acc: f64, v: f64| acc + v;
-    match (agg, agg.col().map(|c| input.col(c)), dst) {
-        (Agg::Count, None, ColWindow::I64(d)) => {
-            for (slot, len) in d.iter_mut().zip(lens()) {
-                *slot = len as i64;
-            }
-        }
-        (Agg::Sum(_), Some(Column::I64(v)), ColWindow::I64(d)) => {
-            fold_runs(keys, &v[rows], d, 0, i64::wrapping_add, |sum| sum)
-        }
-        (Agg::Sum(_), Some(Column::F64(v)), ColWindow::F64(d)) => {
-            fold_runs(keys, &v[rows], d, 0.0, fsum, |sum| sum)
-        }
-        (Agg::Min(_), Some(Column::I64(v)), ColWindow::I64(d)) => {
-            fold_runs(keys, &v[rows], d, i64::MAX, i64::min, |min| min)
-        }
-        (Agg::Min(_), Some(Column::F64(v)), ColWindow::F64(d)) => {
-            fold_runs(keys, &v[rows], d, f64::INFINITY, f64::min, |min| min)
-        }
-        (Agg::Max(_), Some(Column::I64(v)), ColWindow::I64(d)) => {
-            fold_runs(keys, &v[rows], d, i64::MIN, i64::max, |max| max)
-        }
-        (Agg::Max(_), Some(Column::F64(v)), ColWindow::F64(d)) => {
-            fold_runs(keys, &v[rows], d, f64::NEG_INFINITY, f64::max, |max| max)
-        }
-        // The mean is the sum — an integer one converted last — over the
-        // run length.
-        (Agg::Avg(_), Some(col), ColWindow::F64(d)) => {
-            match col {
-                Column::I64(v) => {
-                    fold_runs(keys, &v[rows], d, 0, i64::wrapping_add, |sum| sum as f64)
-                }
-                Column::F64(v) => fold_runs(keys, &v[rows], d, 0.0, fsum, |sum| sum),
-            }
-            for (slot, len) in d.iter_mut().zip(lens()) {
-                *slot /= len as f64;
-            }
-        }
-        _ => unreachable!("output schema set from the aggregates"),
-    }
+/// [`fold_runs`] for one accumulator, whose state `open` keeps as the bits
+/// of its value between batches.
+fn fold_runs_of<T: Slot, A: Slot>(
+    keys: &[u64],
+    vals: Lanes<'_>,
+    dst: &mut ColWindow<'_>,
+    open: &mut Open<u64>,
+    init: A,
+    step: impl Fn(A, T) -> A,
+) {
+    let mut typed = Open { run: open.run, key: open.key, acc: A::of_bits(open.acc) };
+    fold_runs(keys, T::lanes(vals), A::window(dst), &mut typed, init, step);
+    *open = Open { run: typed.run, key: typed.key, acc: typed.acc.bits() };
 }
 
-/// One morsel of the fold: its runs, and its windows of the output.
+/// An accumulator's identity, as [`Open`] keeps it.
+fn identity_of<T, A: Slot>(init: A, _step: impl Fn(A, T) -> A) -> u64 {
+    init.bits()
+}
+
+/// One morsel of the run fold: its runs, and its windows of the output.
 struct Morsel<'o> {
     starts: Vec<usize>,
     key: &'o mut [u64],
@@ -243,148 +511,289 @@ struct Morsel<'o> {
 }
 
 impl Morsel<'_> {
-    fn fold(self, input: &View<'_>, keys: &[u64], aggs: &[Agg]) {
-        let _steady = kfusion_trace::allocwatch::region();
+    /// Fold the morsel's rows — `keys` are all the input's, empty when the
+    /// morsel is one run (AGGREGATE-ALL) — into its windows, batch by batch
+    /// when a kernel computes some of the values, then finish them.
+    fn fold(mut self, keys: &[u64], plan: &Plan, srcs: &[Vals<'_>], kernel: Option<&Bound<'_>>) {
         for (slot, &start) in self.key.iter_mut().zip(&self.starts) {
             *slot = keys[start];
         }
         let rows = self.starts[0]..self.starts[self.starts.len() - 1];
-        for (&agg, dst) in aggs.iter().zip(self.cols) {
-            fold_agg(agg, input, &keys[rows.clone()], &self.starts, dst);
+        let first = keys.get(rows.start).copied().unwrap_or(0);
+        let mut open: Vec<Open<u64>> = (0..plan.accs.len())
+            .map(|a| Open { run: 0, key: first, acc: by_kind!(plan, a, identity_of()) })
+            .collect();
+        let batch = if kernel.is_some() { BATCH_ROWS } else { rows.len() };
+        let mut walk = |run: Option<(&CompiledKernel, &mut BatchMachine)>| {
+            let _steady = kfusion_trace::allocwatch::region();
+            let mut run = run;
+            let mut base = rows.start;
+            while base < rows.end {
+                let n = batch.min(rows.end - base);
+                if let Some((k, bm)) = run.as_mut() {
+                    bm.run(k, kernel.expect("bound").cols, base, n);
+                }
+                let batch_keys = keys.get(base..base + n).unwrap_or(&[]);
+                let done = run.as_ref().map(|(k, bm)| (*k, &**bm));
+                for (a, acc) in plan.accs.iter().enumerate() {
+                    let vals = batch_lanes(srcs[acc.src], done, base..base + n);
+                    let dst = &mut self.cols[plan.home[a]];
+                    by_kind!(plan, a, fold_runs_of(batch_keys, vals, dst, &mut open[a]));
+                }
+                base += n;
+            }
+        };
+        match kernel {
+            Some(b) => crate::scratch::with_scratch(|s| {
+                let mut bm = s.machine(b.kernel);
+                walk(Some((b.kernel, &mut bm)));
+                s.put_machine(b.kernel, bm);
+            }),
+            None => walk(None),
         }
+        let starts = &self.starts;
+        plan.finish(&mut self.cols, |g| starts[g + 1] - starts[g]);
     }
 }
 
-/// One aggregate folded by group: the values it reads, its output column —
-/// a slot per group, which is the accumulator — and whether it ends as the
-/// mean.
-struct Lane<'a, T, A> {
-    vals: &'a [T],
-    acc: &'a mut [A],
-    mean: bool,
+/// Accumulator `a` of a grouped fold: the values it reads and the column it
+/// folds into, a slot per group.
+struct Lane<'o, 'v> {
+    a: usize,
+    src: Vals<'v>,
+    acc: ColWindow<'o>,
 }
 
-/// The lanes of a grouped fold, by how they fold: an AVG of f64s is their
-/// sum, and an AVG of i64s wraps its sum in the bits of its f64 slot until
-/// it is converted, last.
-#[derive(Default)]
-struct Lanes<'a> {
-    sum_i: Vec<Lane<'a, i64, i64>>,
-    sum_f: Vec<Lane<'a, f64, f64>>,
-    avg_i: Vec<Lane<'a, i64, f64>>,
-    min_i: Vec<Lane<'a, i64, i64>>,
-    min_f: Vec<Lane<'a, f64, f64>>,
-    max_i: Vec<Lane<'a, i64, i64>>,
-    max_f: Vec<Lane<'a, f64, f64>>,
+/// One batch of a grouped fold: its rows' keys, which of them are
+/// selected (`None`: all), and where each key's group is (`of_keys[key -
+/// lo]`).
+struct GroupedBatch<'b> {
+    keys: &'b [u64],
+    sel: Option<&'b [u64]>,
+    of_keys: &'b [u32],
+    lo: u64,
 }
 
-/// Walk `input`'s selected rows once, in base-row order, folding each
-/// row's value in every lane into its group's slot (`of_keys[key - lo]`)
-/// from `init` with `step` — the identities and the operand order of
-/// [`fold_agg`] — then `finish` each mean's slots with their group's size.
-/// The lanes' folds are independent, so one row's steps overlap.
-fn fold_lanes<T: Copy, A: Copy>(
-    input: &View<'_>,
-    groups: &Groups,
-    lanes: &mut [Lane<'_, T, A>],
-    init: A,
+/// Fold each selected row of a batch into its group's slot of each of the
+/// `L` accumulators `accs`, reading `vals`, the row's steps of all
+/// accumulators together: their folds are independent, so they overlap.
+/// `L` is a constant, so the steps unroll and the slices stay in registers.
+fn fold_rows<T: Copy, A: Copy, const L: usize>(
+    batch: &GroupedBatch<'_>,
+    vals: [&[T]; L],
+    mut accs: [&mut [A]; L],
+    step: &impl Fn(A, T) -> A,
+) {
+    let mut row = |j: usize| {
+        let g = batch.of_keys[(batch.keys[j] - batch.lo) as usize] as usize;
+        for l in 0..L {
+            accs[l][g] = step(accs[l][g], vals[l][j]);
+        }
+    };
+    match batch.sel {
+        None => (0..batch.keys.len()).for_each(row),
+        Some(words) => each_set_bit(words, &mut row),
+    }
+}
+
+/// [`fold_rows`] for the lanes that fold like accumulator `a`, up to four
+/// at a time.
+fn fold_like<'v, 'b, T: Slot, A: Slot>(
+    batch: &GroupedBatch<'_>,
+    lanes: &mut [Lane<'_, 'v>],
+    like: &dyn Fn(usize) -> bool,
+    vals_of: &dyn Fn(Vals<'v>) -> Lanes<'b>,
+    _init: A,
     step: impl Fn(A, T) -> A,
-    finish: impl Fn(A, u32) -> A,
 ) {
-    let _steady = kfusion_trace::allocwatch::region();
-    let keys = input.key().as_slice();
-    let ((of_keys, lo), keys) = (groups.of_keys(), &keys[..]);
-    lanes.iter_mut().for_each(|lane| lane.acc.fill(init));
-    input.for_each_row(0..input.base_len(), |i| {
-        let g = of_keys[(keys[i] - lo) as usize] as usize;
-        for lane in lanes.iter_mut() {
-            lane.acc[g] = step(lane.acc[g], lane.vals[i]);
+    let mut picked = lanes.iter_mut().filter(|lane| like(lane.a)).peekable();
+    while picked.peek().is_some() {
+        let mut vals: [&[T]; 4] = [&[]; 4];
+        let mut accs: [&mut [A]; 4] = Default::default();
+        let mut m = 0;
+        for lane in picked.by_ref().take(4) {
+            vals[m] = T::lanes(vals_of(lane.src));
+            accs[m] = A::window(&mut lane.acc);
+            m += 1;
         }
-    });
-    for lane in lanes.iter_mut().filter(|lane| lane.mean) {
-        for (slot, &size) in lane.acc.iter_mut().zip(groups.sizes()) {
-            *slot = finish(*slot, size);
+        let [a0, a1, a2, a3] = accs;
+        let [v0, v1, v2, v3] = vals;
+        match m {
+            1 => fold_rows(batch, [v0], [a0], &step),
+            2 => fold_rows(batch, [v0, v1], [a0, a1], &step),
+            3 => fold_rows(batch, [v0, v1, v2], [a0, a1, a2], &step),
+            _ => fold_rows(batch, [v0, v1, v2, v3], [a0, a1, a2, a3], &step),
         }
     }
 }
 
-/// [`fold_lanes`] over lanes that fold alike, dealt to the workers in
-/// contiguous shares — each lane whole: splitting its rows would
+/// Fill accumulator `a`'s slots with its identity.
+fn fill_identity<T, A: Slot>(acc: &mut ColWindow<'_>, init: A, _step: impl Fn(A, T) -> A) {
+    A::window(acc).fill(init);
+}
+
+/// The grouped fold of one share of the accumulators: every selected row
+/// of `input`, in base-row order, into its group's slot of each — batch by
+/// batch, the kernel run for a batch only when the share folds one of its
+/// outputs.
+fn fold_share(
+    input: &View<'_>,
+    keys: &[u64],
+    groups: &Groups,
+    plan: &Plan,
+    mut lanes: Vec<Lane<'_, '_>>,
+    kernel: Option<&Bound<'_>>,
+) {
+    for lane in &mut lanes {
+        by_kind!(plan, lane.a, fill_identity(&mut lane.acc));
+    }
+    // One accumulator of each way of folding the share has.
+    let mut kinds: Vec<usize> = Vec::new();
+    for lane in &lanes {
+        if !kinds.iter().any(|&b| plan.kind(b) == plan.kind(lane.a)) {
+            kinds.push(lane.a);
+        }
+    }
+    let kernel = kernel.filter(|_| lanes.iter().any(|lane| matches!(lane.src, Vals::Out { .. })));
+    let (of_keys, lo) = groups.of_keys();
+    let sel = input.selection();
+    let mut walk = |mut run: Option<(&CompiledKernel, &mut BatchMachine)>| {
+        let _steady = kfusion_trace::allocwatch::region();
+        for base in (0..input.base_len()).step_by(BATCH_ROWS) {
+            let n = BATCH_ROWS.min(input.base_len() - base);
+            let sel = sel.map(|sel| &sel[base / 64..(base + n).div_ceil(64)]);
+            if sel.is_some_and(|words| words.iter().all(|&w| w == 0)) {
+                continue;
+            }
+            if let Some((k, bm)) = run.as_mut() {
+                bm.run(k, kernel.expect("bound").cols, base, n);
+            }
+            let done = run.as_ref().map(|(k, bm)| (*k, &**bm));
+            let vals_of = |src| batch_lanes(src, done, base..base + n);
+            let batch = GroupedBatch { keys: &keys[base..base + n], sel, of_keys, lo };
+            for &kind in &kinds {
+                let like = |b: usize| plan.kind(b) == plan.kind(kind);
+                by_kind!(plan, kind, fold_like(&batch, &mut lanes, &like, &vals_of));
+            }
+        }
+    };
+    match kernel {
+        Some(b) => crate::scratch::with_scratch(|s| {
+            let mut bm = s.machine(b.kernel);
+            walk(Some((b.kernel, &mut bm)));
+            s.put_machine(b.kernel, bm);
+        }),
+        None => walk(None),
+    }
+}
+
+/// One window over all `rows` of every column.
+fn whole(cols: &mut [Column], rows: usize) -> Vec<ColWindow<'_>> {
+    col_windows(cols, &[rows]).pop().expect("one window asked for")
+}
+
+/// Call `f` with the index of each set bit of `words`, ascending.
+fn each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut m = word;
+        while m != 0 {
+            f(w * 64 + m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
+    }
+}
+
+/// The keyed fold of `aggs` over `input` into `out` — a view that carries
+/// its groups folded by group through its selection, any other (dense, in
+/// key order, which is checked) by runs — reading each aggregate's values
+/// from `srcs`, some of which may be outputs of `kernel` run over
+/// `input`'s base rows.
+pub(crate) fn fold_keyed(
+    input: &View<'_>,
+    aggs: &[Agg],
+    srcs: &[Vals<'_>],
+    kernel: Option<&Bound<'_>>,
+    out: &mut Relation,
+) -> Result<(), RelError> {
+    match input.groups() {
+        Some(groups) => fold_by_group(input, groups, aggs, srcs, kernel, out),
+        None => fold_by_key(input, aggs, srcs, kernel, out),
+    }
+}
+
+/// [`fold_keyed`] over a view that carries its groups: one row per group,
+/// in key order. The accumulators, never the rows, are dealt to the
+/// workers, in contiguous shares: splitting a fold's rows would
 /// reassociate its sums.
-fn fold_alike<T: Copy + Sync, A: Copy + Send + Sync>(
+fn fold_by_group(
     input: &View<'_>,
     groups: &Groups,
-    lanes: Vec<Lane<'_, T, A>>,
-    init: A,
-    step: impl Fn(A, T) -> A + Sync,
-    finish: impl Fn(A, u32) -> A + Sync,
-) {
-    let per_share = lanes.len().div_ceil(workers()).max(1);
-    let mut lanes = lanes.into_iter().peekable();
-    let mut shares = Vec::new();
-    while lanes.peek().is_some() {
-        shares.push(lanes.by_ref().take(per_share).collect::<Vec<_>>());
-    }
-    par_each(shares, |mut share| fold_lanes(input, groups, &mut share, init, &step, &finish));
-}
-
-/// A fold's result as it stands, whatever the group's size.
-fn kept<A>(acc: A, _size: u32) -> A {
-    acc
-}
-
-/// [`aggregate_by_key_view`] over a view that carries its groups: one row
-/// per group, in key order. Aggregates that fold alike share a walk over
-/// the selected rows.
-fn fold_by_group(input: &View<'_>, groups: &Groups, aggs: &[Agg]) -> Result<Relation, RelError> {
-    validate_agg_cols(input, aggs)?;
+    aggs: &[Agg],
+    srcs: &[Vals<'_>],
+    kernel: Option<&Bound<'_>>,
+    out: &mut Relation,
+) -> Result<(), RelError> {
+    validate_agg_cols(srcs.len(), aggs)?;
     kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
-    let mut out = Relation::default();
-    shape_output(input, aggs, groups.len(), &mut out);
+    shape_output(srcs, aggs, groups.len(), out);
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
     out.key.buffer_mut().iter_mut().zip(groups.keys()).for_each(|(slot, key)| *slot = key);
-    let cols = col_windows(&mut out.cols, &[groups.len()]).pop().expect("one window asked for");
-    let mut by = Lanes::default();
-    for (&agg, dst) in aggs.iter().zip(cols) {
-        let mean = matches!(agg, Agg::Avg(_));
-        match (agg, agg.col().map(|c| input.col(c)), dst) {
-            (Agg::Count, None, ColWindow::I64(d)) => {
-                d.iter_mut().zip(groups.sizes()).for_each(|(slot, &size)| *slot = size as i64)
-            }
-            (Agg::Sum(_), Some(Column::I64(vals)), ColWindow::I64(acc)) => {
-                by.sum_i.push(Lane { vals, acc, mean })
-            }
-            (Agg::Sum(_) | Agg::Avg(_), Some(Column::F64(vals)), ColWindow::F64(acc)) => {
-                by.sum_f.push(Lane { vals, acc, mean })
-            }
-            (Agg::Avg(_), Some(Column::I64(vals)), ColWindow::F64(acc)) => {
-                by.avg_i.push(Lane { vals, acc, mean })
-            }
-            (Agg::Min(_), Some(Column::I64(vals)), ColWindow::I64(acc)) => {
-                by.min_i.push(Lane { vals, acc, mean })
-            }
-            (Agg::Min(_), Some(Column::F64(vals)), ColWindow::F64(acc)) => {
-                by.min_f.push(Lane { vals, acc, mean })
-            }
-            (Agg::Max(_), Some(Column::I64(vals)), ColWindow::I64(acc)) => {
-                by.max_i.push(Lane { vals, acc, mean })
-            }
-            (Agg::Max(_), Some(Column::F64(vals)), ColWindow::F64(acc)) => {
-                by.max_f.push(Lane { vals, acc, mean })
-            }
-            _ => unreachable!("output schema set from the aggregates"),
+    let plan = Plan::new(aggs, srcs);
+    let keys = input.key().as_slice();
+    let mut homes: Vec<Option<ColWindow<'_>>> =
+        whole(&mut out.cols, groups.len()).into_iter().map(Some).collect();
+    let mut lanes = (0..plan.accs.len()).map(|a| Lane {
+        a,
+        src: srcs[plan.accs[a].src],
+        acc: homes[plan.home[a]].take().expect("an output column holds one accumulator"),
+    });
+    let per_share = plan.accs.len().div_ceil(workers()).max(1);
+    let mut shares = Vec::new();
+    loop {
+        let share: Vec<Lane<'_, '_>> = lanes.by_ref().take(per_share).collect();
+        if share.is_empty() {
+            break;
         }
+        shares.push(share);
     }
-    let wrapping = |acc: f64, v: i64| f64::from_bits((acc.to_bits() as i64).wrapping_add(v) as u64);
-    let mean_of_wrapped = |sum: f64, size: u32| sum.to_bits() as i64 as f64 / size as f64;
-    fold_alike(input, groups, by.sum_i, 0, i64::wrapping_add, kept);
-    fold_alike(input, groups, by.sum_f, 0.0, |acc, v| acc + v, |sum, size| sum / size as f64);
-    fold_alike(input, groups, by.avg_i, 0.0, wrapping, mean_of_wrapped);
-    fold_alike(input, groups, by.min_i, i64::MAX, i64::min, kept);
-    fold_alike(input, groups, by.min_f, f64::INFINITY, f64::min, kept);
-    fold_alike(input, groups, by.max_i, i64::MIN, i64::max, kept);
-    fold_alike(input, groups, by.max_f, f64::NEG_INFINITY, f64::max, kept);
-    Ok(out)
+    par_each(shares, |share| fold_share(input, &keys, groups, &plan, share, kernel));
+    plan.finish(&mut whole(&mut out.cols, groups.len()), |g| groups.sizes()[g] as usize);
+    Ok(())
+}
+
+/// [`fold_keyed`] over a dense view in key order: the input is cut into
+/// morsels that end on run boundaries, and each morsel folds its runs into
+/// its own window of every output column.
+fn fold_by_key(
+    input: &View<'_>,
+    aggs: &[Agg],
+    srcs: &[Vals<'_>],
+    kernel: Option<&Bound<'_>>,
+    out: &mut Relation,
+) -> Result<(), RelError> {
+    debug_assert!(input.is_dense(), "runs are of base rows");
+    let keys = input.key().as_slice();
+    let keys = &keys[..];
+    let ranges = group_aligned_ranges(keys, DEFAULT_CTA_CHUNK);
+    // Runs first — their number is the output's size, and finding them is
+    // the scan that rejects unsorted keys — then the folds, each morsel
+    // into its own window of every output column.
+    let starts = par_range_map(ranges.len(), 1, |cta, _| run_starts(keys, ranges[cta].clone()));
+    let starts = starts.into_iter().collect::<Result<Vec<_>, _>>()?;
+    validate_agg_cols(srcs.len(), aggs)?;
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", keys.len() as u64);
+    let runs: Vec<usize> = starts.iter().map(|s| s.len() - 1).collect();
+    shape_output(srcs, aggs, runs.iter().sum(), out);
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
+    let plan = Plan::new(aggs, srcs);
+    let morsels = starts
+        .into_iter()
+        .zip(slice_windows(out.key.buffer_mut(), &runs))
+        .zip(col_windows(&mut out.cols, &runs))
+        .map(|((starts, key), cols)| Morsel { starts, key, cols })
+        .collect();
+    par_each(morsels, |m: Morsel<'_>| m.fold(keys, &plan, srcs, kernel));
+    Ok(())
 }
 
 /// Group the (key-sorted) input by key and compute `aggs` per group. The
@@ -403,11 +812,9 @@ pub fn aggregate_by_key(input: &Relation, aggs: &[Agg]) -> Result<Relation, RelE
 /// selection; any other with a selection is made dense first, so that a
 /// group is a run of base rows.
 pub fn aggregate_by_key_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, RelError> {
-    if let Some(groups) = input.groups() {
-        return fold_by_group(input, groups, aggs);
-    }
+    let input = if input.is_grouped() { input.clone() } else { input.dense() };
     let mut out = Relation::default();
-    fold_by_key(input, aggs, &mut out)?;
+    fold_keyed(&input, aggs, &col_vals(&input), None, &mut out)?;
     Ok(out)
 }
 
@@ -419,32 +826,8 @@ pub fn aggregate_by_key_into(
     aggs: &[Agg],
     out: &mut Relation,
 ) -> Result<(), RelError> {
-    fold_by_key(&View::of(input), aggs, out)
-}
-
-fn fold_by_key(input: &View<'_>, aggs: &[Agg], out: &mut Relation) -> Result<(), RelError> {
-    let input = &input.dense();
-    let keys = input.key().as_slice();
-    let keys = &keys[..];
-    let ranges = group_aligned_ranges(keys, DEFAULT_CTA_CHUNK);
-    // Runs first — their number is the output's size, and finding them is
-    // the scan that rejects unsorted keys — then the folds, each morsel
-    // into its own window of every output column.
-    let starts = par_range_map(ranges.len(), 1, |cta, _| run_starts(keys, ranges[cta].clone()));
-    let starts = starts.into_iter().collect::<Result<Vec<_>, _>>()?;
-    validate_agg_cols(input, aggs)?;
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", keys.len() as u64);
-    let runs: Vec<usize> = starts.iter().map(|s| s.len() - 1).collect();
-    shape_output(input, aggs, runs.iter().sum(), out);
-    kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
-    let morsels = starts
-        .into_iter()
-        .zip(slice_windows(out.key.buffer_mut(), &runs))
-        .zip(col_windows(&mut out.cols, &runs))
-        .map(|((starts, key), cols)| Morsel { starts, key, cols })
-        .collect();
-    par_each(morsels, |m: Morsel<'_>| m.fold(input, keys, aggs));
-    Ok(())
+    let view = View::of(input);
+    fold_by_key(&view, aggs, &col_vals(&view), None, out)
 }
 
 /// Aggregate the whole relation as a single group (no key), producing a
@@ -459,20 +842,20 @@ pub fn aggregate_all(input: &Relation, aggs: &[Agg]) -> Result<Relation, RelErro
 /// [`aggregate_by_key_view`] does — a view with a selection is made dense
 /// first.
 pub fn aggregate_all_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, RelError> {
-    validate_agg_cols(input, aggs)?;
+    validate_agg_cols(input.n_cols(), aggs)?;
     let view = &input.dense();
     kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", view.len() as u64);
+    let srcs = col_vals(view);
     let mut out = Relation::default();
-    shape_output(view, aggs, usize::from(!view.is_empty()), &mut out);
+    shape_output(&srcs, aggs, usize::from(!view.is_empty()), &mut out);
     if view.is_empty() {
         return Ok(out);
     }
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", 1);
+    let plan = Plan::new(aggs, &srcs);
     let cols = col_windows(&mut out.cols, &[1]).pop().expect("one window asked for");
     // One run: the fold reads no key.
-    for (&agg, dst) in aggs.iter().zip(cols) {
-        fold_agg(agg, view, &[], &[0, view.len()], dst);
-    }
+    Morsel { starts: vec![0, view.len()], key: &mut [], cols }.fold(&[], &plan, &srcs, None);
     Ok(out)
 }
 
@@ -650,7 +1033,7 @@ mod tests {
         let view = View::of(input);
         let mut out = Relation {
             key: crate::data::Keys::default(),
-            cols: aggs.iter().map(|&a| out_column(a, &view)).collect(),
+            cols: aggs.iter().map(|&a| out_column(a, &col_vals(&view))).collect(),
         };
         let mut i = 0;
         while i < input.len() {
@@ -707,6 +1090,22 @@ mod tests {
         Agg::Count,
     ];
 
+    /// Lists that name a column more than once, so that aggregates share an
+    /// accumulator: an AVG before the SUM it takes its sum from, an AVG
+    /// alone (an i64 sum kept in its f64 slot), one aggregate twice, and
+    /// Q1's shape — SUM and AVG of the same columns.
+    const REPEATS: [&[Agg]; 4] = [
+        &[Agg::Avg(0), Agg::Sum(0), Agg::Avg(0), Agg::Sum(1), Agg::Avg(1), Agg::Count],
+        &[Agg::Avg(0)],
+        &[Agg::Min(1), Agg::Max(0), Agg::Min(1), Agg::Avg(1), Agg::Max(0), Agg::Avg(1)],
+        &[Agg::Sum(0), Agg::Sum(1), Agg::Avg(0), Agg::Avg(1), Agg::Count],
+    ];
+
+    /// [`EVERY_AGG`] and the [`REPEATS`].
+    fn agg_lists() -> impl Iterator<Item = &'static [Agg]> {
+        std::iter::once(&EVERY_AGG[..]).chain(REPEATS)
+    }
+
     /// Key-sorted rows with the given run lengths; values drawn from the
     /// awkward ones — `-0.0`, NaN, the infinities, i64 extremes whose sums
     /// wrap — as often as from ordinary ones.
@@ -732,16 +1131,19 @@ mod tests {
     }
 
     fn assert_matches_oracle(r: &Relation, what: &str) {
-        let want = oracle(r, &EVERY_AGG, false);
-        assert_same_bits(&aggregate_by_key(r, &EVERY_AGG).unwrap(), &want, what);
-        // Into a buffer of another shape and size, and into a warm one.
-        let mut out = sales();
-        for _ in 0..2 {
-            aggregate_by_key_into(r, &EVERY_AGG, &mut out).unwrap();
-            assert_same_bits(&out, &want, &format!("{what}, _into"));
+        for aggs in agg_lists() {
+            let what = &format!("{what}, {aggs:?}");
+            let want = oracle(r, aggs, false);
+            assert_same_bits(&aggregate_by_key(r, aggs).unwrap(), &want, what);
+            // Into a buffer of another shape and size, and into a warm one.
+            let mut out = sales();
+            for _ in 0..2 {
+                aggregate_by_key_into(r, aggs, &mut out).unwrap();
+                assert_same_bits(&out, &want, &format!("{what}, _into"));
+            }
+            let all = aggregate_all(r, aggs).unwrap();
+            assert_same_bits(&all, &oracle(r, aggs, true), &format!("{what}, as one group"));
         }
-        let all = aggregate_all(r, &EVERY_AGG).unwrap();
-        assert_same_bits(&all, &oracle(r, &EVERY_AGG, true), &format!("{what}, as one group"));
     }
 
     #[test]
@@ -796,13 +1198,15 @@ mod tests {
                 let what = format!("{shape}, {} of {} rows", rows.len(), shuffled.len());
                 let grouped = group_by_key_view(&view).unwrap();
                 assert!(grouped.is_grouped(), "{what}");
-                let want = sorted_oracle(&rows, &EVERY_AGG);
-                let got = aggregate_by_key_view(&grouped, &EVERY_AGG).unwrap();
-                assert_same_bits(&got, &want, &what);
                 let gathered = grouped.dense();
                 assert!(gathered.is_grouped(), "{what}");
-                let got = aggregate_by_key_view(&gathered, &EVERY_AGG).unwrap();
-                assert_same_bits(&got, &want, &format!("{what}, gathered"));
+                for aggs in agg_lists() {
+                    let want = sorted_oracle(&rows, aggs);
+                    let got = aggregate_by_key_view(&grouped, aggs).unwrap();
+                    assert_same_bits(&got, &want, &format!("{what}, {aggs:?}"));
+                    let got = aggregate_by_key_view(&gathered, aggs).unwrap();
+                    assert_same_bits(&got, &want, &format!("{what}, {aggs:?}, gathered"));
+                }
                 // PROJECT[1, 0, 1] renumbers the columns and keeps the groups.
                 let projected = project_view(&grouped, &[1, 0, 1]).unwrap();
                 let remapped = [Agg::Min(1), Agg::Sum(2), Agg::Avg(0), Agg::Max(1), Agg::Count];

@@ -57,6 +57,8 @@ fn computed(
     body: &KernelBody,
     kernel: Option<&CompiledKernel>,
 ) -> Result<Vec<Column>, RelError> {
+    let bytes = body.outputs.len() as u64 * input.base_len() as u64 * Column::BYTES_PER_VALUE;
+    kfusion_trace::counter("kfusion_host_computed_bytes_total", bytes);
     if let Some(k) = kernel {
         return Ok(computed_batch(input, k));
     }
@@ -172,15 +174,15 @@ fn computed_batch(input: &View<'_>, k: &CompiledKernel) -> Vec<Column> {
 /// per-tuple interpreter, preserving its error behavior.
 pub fn arith_map(input: &Relation, body: &KernelBody) -> Result<Relation, RelError> {
     let view = View::of(input);
-    count_rows(&view);
+    count_rows(view.len());
     let cols = computed(&view, body, compile(&view, body).as_ref())?;
     Ok(Relation { key: input.keys().clone(), cols })
 }
 
 /// ARITH preserves cardinality: rows out == rows in, counted up front.
-fn count_rows(input: &View<'_>) {
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"arith\"}", input.len() as u64);
-    kfusion_trace::counter("kfusion_rows_out_total{op=\"arith\"}", input.len() as u64);
+pub(crate) fn count_rows(rows: usize) {
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"arith\"}", rows as u64);
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"arith\"}", rows as u64);
 }
 
 /// Whether [`arith_extend_view`] gathers a filtered `input` before it
@@ -202,7 +204,7 @@ fn gathers_first(input: &View<'_>, body: &KernelBody, compiles: impl FnOnce() ->
 /// references ([`arith_extend_gathers_first`] says when a filtered input is
 /// gathered first instead).
 pub fn arith_extend_view<'a>(input: &View<'a>, body: &KernelBody) -> Result<View<'a>, RelError> {
-    count_rows(input);
+    count_rows(input.len());
     let kernel = compile(input, body);
     if gathers_first(input, body, || kernel.is_some()) {
         let dense = input.dense();

@@ -4,6 +4,7 @@
 
 pub mod aggregate;
 pub mod arith;
+pub mod group_loop;
 pub mod join;
 pub mod product;
 pub mod project;
@@ -18,6 +19,7 @@ pub use aggregate::{
 pub use arith::{
     arith_extend, arith_extend_gathers_first, arith_extend_owned, arith_extend_view, arith_map,
 };
+pub use group_loop::{group_loop_view, Member, Stage};
 pub use join::{
     antijoin, antijoin_view, column_join, column_join_view, join, semijoin, semijoin_view,
 };

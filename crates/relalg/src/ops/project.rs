@@ -36,6 +36,8 @@ pub fn rekey_view<'a>(input: &View<'a>, col: usize) -> Result<View<'a>, RelError
         return rekey_view(&input.dense(), col);
     }
     let vals = input.col(col).as_i64().ok_or(RelError::SchemaMismatch)?;
+    let bytes = input.base_len() as u64 * crate::data::Column::BYTES_PER_VALUE;
+    kfusion_trace::counter("kfusion_host_computed_bytes_total", bytes);
     let mut key = Vec::new();
     resize_zeroed_vec(&mut key, input.base_len());
     let ranges = cta_ranges(key.len(), DEFAULT_CTA_CHUNK);

@@ -224,13 +224,15 @@ impl<'a> View<'a> {
     }
 
     /// Call `f` with each selected base row in `range`, ascending. `range`
-    /// starts on a bitmap word.
+    /// starts on a bitmap word; it may end inside one, whose rows at or past
+    /// `range.end` are not visited.
     pub(crate) fn for_each_row(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
         let Some(sel) = self.selection() else { return range.for_each(f) };
         debug_assert_eq!(range.start % 64, 0);
         let first = range.start / 64;
         for (w, &word) in (first..).zip(&sel[first..range.end.div_ceil(64)]) {
-            let mut m = word;
+            let past = (w + 1) * 64 - range.end.min((w + 1) * 64);
+            let mut m = word & (u64::MAX >> past);
             while m != 0 {
                 f(w * 64 + m.trailing_zeros() as usize);
                 m &= m - 1;
@@ -284,14 +286,20 @@ impl<'a> View<'a> {
     }
 
     /// This view keyed by `key`, a base-length column the caller wrote for
-    /// it, with payload column `col` gone (REKEY) — and its groups, which
-    /// were of the old keys.
+    /// it, with payload column `col` gone (REKEY).
     pub(crate) fn rekeyed(&self, key: Vec<u64>, col: usize) -> View<'a> {
+        let mut out = self.with_key(key);
+        out.cols.remove(col);
+        out
+    }
+
+    /// This view keyed by `key`, a base-length column the caller wrote for
+    /// it (a fused group's REKEY writes one for a column that never left
+    /// its loop) — and without its groups, which were of the old keys.
+    pub(crate) fn with_key(&self, key: Vec<u64>) -> View<'a> {
         debug_assert_eq!(key.len(), self.base_len());
-        let mut cols = self.cols.clone();
-        cols.remove(col);
         let key = Src::Shared(Arc::new(Relation::from_keys(key)));
-        View { key, cols, sel: self.sel.clone(), rows: self.rows, groups: None }
+        View { key, groups: None, ..self.clone() }
     }
 
     /// The batch-engine binding of the library calling convention over the
@@ -667,6 +675,23 @@ mod tests {
         assert_eq!(out.n_cols(), 1);
         assert_eq!(out.keys().stored().unwrap()[..3], [199, 196, 193]);
         assert_eq!(out.cols[0].as_f64().unwrap()[1], 1.5);
+    }
+
+    /// A range that ends inside a bitmap word visits no row at or past its
+    /// end, even where every row is selected.
+    #[test]
+    fn a_row_walk_stops_at_the_end_of_its_range() {
+        let r = rel(200);
+        let full = View::of(&r).with_selection(vec![u64::MAX, u64::MAX, u64::MAX, 0xFF], 200);
+        for range in [0..70, 64..100, 0..128, 128..200, 128..129, 0..0] {
+            let mut seen = Vec::new();
+            full.for_each_row(range.clone(), |i| seen.push(i));
+            assert_eq!(seen, range.clone().collect::<Vec<_>>(), "{range:?}");
+        }
+        let (sel, rows) = every_third(200);
+        let mut seen = Vec::new();
+        View::of(&r).with_selection(sel, rows).for_each_row(64..131, |i| seen.push(i));
+        assert_eq!(seen, (66..131).step_by(3).collect::<Vec<_>>());
     }
 
     #[test]

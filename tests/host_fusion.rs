@@ -7,7 +7,9 @@
 //! (`kfusion_host_materialized_bytes_total`), nodes that stayed views
 //! (`kfusion_host_views_total`), and the high-water mark of bytes the
 //! functional phase held in computed relations
-//! (`kfusion_host_live_bytes_peak_total`). The barriers are counted the
+//! (`kfusion_host_live_bytes_peak_total`), and bytes ARITH+, REKEY and a
+//! fused group's loop write into computed columns
+//! (`kfusion_host_computed_bytes_total`). The barriers are counted the
 //! same way: a SORT adds the bytes it moves to the first counter and, when
 //! its input was in order already, one to `kfusion_sort_ordered_total` —
 //! or, when it handed a keyed AGGREGATE its rows' groups instead of moving
@@ -45,6 +47,43 @@ const LIVE_PEAK: &str = "kfusion_host_live_bytes_peak_total";
 const SORT_ORDERED: &str = "kfusion_sort_ordered_total";
 const SORT_GROUPED: &str = "kfusion_sort_grouped_total";
 const MORSELS: &str = "kfusion_host_morsels_total";
+const COMPUTED: &str = "kfusion_host_computed_bytes_total";
+
+/// The members a fused group's loop runs past (DESIGN.md §17): a SELECT,
+/// ARITH+ or REKEY whose one reader, in its own group, is the next member
+/// of a loop — a SELECT, ARITH+ or REKEY, or a keyed AGGREGATE behind
+/// ARITH+ alone. Their values stay in the loop's banks; their slots hold
+/// nothing.
+fn run_past(plan: &PlanGraph, group_of: &[Option<usize>]) -> Vec<usize> {
+    let readers = plan.consumer_counts();
+    let kind = |id: usize| &plan.nodes[id].kind;
+    let member = |id: usize| {
+        matches!(
+            kind(id),
+            OpKind::Select { .. } | OpKind::ArithExtend { .. } | OpKind::Rekey { .. }
+        )
+    };
+    let reader = |id: usize| (0..plan.len()).find(|&c| plan.nodes[c].inputs.contains(&id));
+    let arith_only = |mut id: usize| loop {
+        if !matches!(kind(id), OpKind::ArithExtend { .. }) {
+            return false;
+        }
+        match plan.nodes[id].inputs[..] {
+            [p] if member(p) && readers[p] == 1 && group_of[p] == group_of[id] => id = p,
+            _ => return true,
+        }
+    };
+    (0..plan.len())
+        .filter(|&id| member(id) && readers[id] == 1 && id != plan.root)
+        .filter(|&id| {
+            reader(id).is_some_and(|c| {
+                let next =
+                    member(c) || matches!(kind(c), OpKind::Aggregate { .. }) && arith_only(id);
+                group_of[c] == group_of[id] && next
+            })
+        })
+        .collect()
+}
 
 #[test]
 fn fused_q6_sql_gathers_once() {
@@ -138,10 +177,27 @@ fn fused_q1_never_writes_its_column_joins() {
         "fusion saves exactly the six wide intermediates, the filtered table and its sorted copy"
     );
     assert_eq!((serial_trace.counter(SORT_GROUPED), fused_trace.counter(SORT_GROUPED)), (0, 1));
-    // The six joins, the SELECT, the pack ARITH+ and the REKEY in front of
-    // the SORT, the grouped SORT, and the money ARITH+ the AGGREGATE reads
-    // stay views.
-    assert_eq!(fused_trace.counter(VIEWS), 11);
+    // The six joins, the REKEY in front of the SORT and the grouped SORT
+    // stay views. The SELECT and the pack ARITH+ (one loop, with the
+    // REKEY) and the money ARITH+ (one loop, with the AGGREGATE) hold
+    // nothing: their values stay in the loops' banks.
+    let past = run_past(&plan, &fused_run.fusion.group_of);
+    let names: Vec<&str> = past.iter().map(|&id| plan.nodes[id].kind.name()).collect();
+    assert_eq!(names, ["SELECT", "ARITH+", "ARITH+"]);
+    let fused_views = (0..plan.len()).filter(|&id| {
+        let kind = &plan.nodes[id].kind;
+        let view = matches!(
+            kind,
+            OpKind::ColumnJoin
+                | OpKind::Select { .. }
+                | OpKind::ArithExtend { .. }
+                | OpKind::Rekey { .. }
+        );
+        let grouped = matches!(kind, OpKind::Sort { .. });
+        (view || grouped) && !past.contains(&id)
+    });
+    assert_eq!(fused_views.count(), 8);
+    assert_eq!(fused_trace.counter(VIEWS), 8);
 
     // A relation is dropped after its last consumer, so the functional
     // phase never holds what a keep-everything executor would — under
@@ -158,6 +214,52 @@ fn fused_q1_never_writes_its_column_joins() {
     // Nor, fused, as many as the sorted table alone would be: those rows
     // are never held.
     assert!(fused_peak < sort_bytes, "{fused_peak} vs {sort_bytes}");
+    // Exactly: the key the first loop writes — one per lineitem row, the
+    // REKEY's, which the grouped SORT and the second loop read where it is
+    // — and, while the second loop's caller still lends it, the groups
+    // it folded.
+    let aggregate =
+        (0..plan.len()).find(|&id| matches!(plan.nodes[id].kind, OpKind::Aggregate { .. }));
+    let key_bytes = 8 * inputs[0].len() as u64;
+    assert_eq!(fused_peak, key_bytes + cards.bytes(aggregate.expect("Q1 aggregates")));
+}
+
+/// The paper's fused kernel keeps its intermediates in registers (§III-C,
+/// Fig. 7(c)). Fused, Q1's two groups run as two loops: the pack value and
+/// the two money values stay in batch banks, and the only computed column
+/// written is the key the first loop hands the SORT — 8 bytes per lineitem
+/// row, no f64 column. Unfused, every ARITH+ writes its columns and the
+/// REKEY its key, at the length of the relation each is handed.
+#[test]
+fn fused_q1_writes_one_key_per_lineitem_row() {
+    let _g = serial();
+    let db = generate(TpchConfig::scale(0.02));
+    let (plan, inputs) = (q1::q1_plan(), q1::q1_inputs(&db));
+    let (serial_run, serial_trace) = traced(&plan, &inputs, Strategy::Serial);
+    let (fused_run, fused_trace) = traced(&plan, &inputs, Strategy::FusionFission { segments: 8 });
+    assert!(sql::bit_identical(&serial_run.output, &fused_run.output));
+    assert_eq!(serial_run.cards, fused_run.cards);
+
+    let lineitem_rows = db.lineitem.len() as u64;
+    assert_eq!(fused_trace.counter(COMPUTED), 8 * lineitem_rows);
+    // Unfused: rows handed in times the bytes per row each node adds — the
+    // ARITH+ outputs — or, for REKEY, one key per row.
+    let cards = &serial_run.cards;
+    let written = |id: usize| {
+        let rows = |input: usize| cards.rows[input];
+        let added = |input: usize| (cards.row_bytes[id] - cards.row_bytes[input]) as u64;
+        match (&plan.nodes[id].kind, &plan.nodes[id].inputs[..]) {
+            (OpKind::ArithExtend { .. }, &[input]) => rows(input) * added(input),
+            (OpKind::Rekey { .. }, &[input]) => rows(input) * 8,
+            _ => 0,
+        }
+    };
+    let serial_bytes: u64 = (0..plan.len()).map(written).sum();
+    assert_eq!(serial_trace.counter(COMPUTED), serial_bytes);
+    // Pack (8 bytes), key (8) and money (16) per kept row, unfused.
+    let kept = cards.rows
+        [(0..plan.len()).find(|&id| matches!(plan.nodes[id].kind, OpKind::Select { .. })).unwrap()];
+    assert_eq!(serial_bytes, 32 * kept);
 }
 
 #[test]

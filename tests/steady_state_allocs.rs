@@ -174,3 +174,62 @@ fn warm_grouped_fold_allocates_the_same_for_four_groups_as_for_one_per_row() {
     assert_eq!(few_blocks, many_blocks, "blocks allocated: {few} groups vs {many} groups");
     assert_eq!((few_steady, many_steady), ((0, 0), (0, 0)), "per-row loops must not allocate");
 }
+
+/// A fused group's loop (`ops::group_loop_view`, DESIGN.md §17) runs its
+/// kernel, its masks, its REKEY's key and its AGGREGATE's folds out of
+/// checked-out banks and buffers sized before the batches start: warm, its
+/// per-batch regions allocate nothing — the walk of a SELECT → ARITH+ →
+/// REKEY chain, and the fold of an ARITH+ → AGGREGATE chain over a grouped
+/// view and over runs of a sorted one.
+#[test]
+fn warm_group_loops_allocate_nothing_per_batch() {
+    use kfusion::ir::builder::{BodyBuilder, Expr};
+    use kfusion::ir::CmpOp;
+    use kfusion::relalg::ops::Member;
+    use kfusion::relalg::predicates;
+    let _g = serial();
+    engine::set_batch_enabled(true);
+    let n = 4 * DEFAULT_CTA_CHUNK + 777;
+    let table = Relation::new(
+        (0..n).map(|i| (i * 7_919 % n) as u64).collect(),
+        vec![
+            Column::I64((0..n as i64).map(|i| i % 97).collect()),
+            Column::F64((0..n).map(|i| (i % 89) as f64 * 0.125).collect()),
+        ],
+    )
+    .unwrap();
+    let pred = predicates::col_cmp_i64(0, CmpOp::Lt, 90);
+    let mut b = BodyBuilder::new(3);
+    b.emit_output(Expr::input(1).mul(Expr::lit(4i64)).add(Expr::lit(1i64)));
+    let pack = b.build();
+    let mut b = BodyBuilder::new(3);
+    b.emit_output(Expr::input(2).mul(Expr::lit(0.5f64)));
+    let money = b.build();
+    let aggs = [Agg::Sum(2), Agg::Avg(1), Agg::Sum(1), Agg::Max(0), Agg::Count];
+    let walk = [Member::Select(&pred), Member::ArithExtend(&pack), Member::Rekey(2)];
+    let fold = [Member::ArithExtend(&money), Member::Aggregate(&aggs)];
+    let sorted = ops::sort(&table, SortBy::Key).unwrap();
+    let cases: [(&str, View<'_>, &[Member<'_>]); 3] = [
+        ("walk", View::of(&table), &walk),
+        ("grouped fold", ops::group_by_key_view(&View::of(&table)).unwrap(), &fold),
+        ("run fold", View::of(&sorted), &fold),
+    ];
+    for (what, input, members) in cases {
+        let run = || {
+            let stages = ops::group_loop_view(&input, members);
+            assert_eq!(stages.len(), members.len(), "{what}: the loop covers the chain");
+            assert!(stages.into_iter().all(|s| s.is_ok()), "{what}");
+        };
+        run();
+        allocwatch::reset();
+        allocwatch::set_enabled(true);
+        run();
+        allocwatch::set_enabled(false);
+        assert_eq!(
+            allocwatch::region_counts(),
+            (0, 0),
+            "{what}: per-batch loops must not allocate"
+        );
+        assert!(allocwatch::total_counts().0 > 0, "counting allocator saw no allocations at all");
+    }
+}

@@ -8,9 +8,10 @@
 //! streams.
 
 use kfusion::core::exec::{execute, Cardinalities, ExecConfig, Strategy as ExecStrategy};
-use kfusion::core::multiquery::{execute_multi, merge_plans};
+use kfusion::core::multiquery::{execute_multi, merge_plans, MergedPlan};
 use kfusion::core::{NodeId, OpKind, PlanGraph};
 use kfusion::ir::builder::{BodyBuilder, Expr};
+use kfusion::ir::opt::OptLevel;
 use kfusion::ir::CmpOp;
 use kfusion::relalg::ops::{Agg, SortBy};
 use kfusion::relalg::{engine, predicates, Column, Keys, Relation};
@@ -985,6 +986,100 @@ fn a_sort_into_a_keyed_aggregate_is_exact_on_both_sides_of_the_counting_bound() 
             }
         }
     }
+}
+
+/// Q1's two fused groups, generated: SELECT → pack ARITH+ → REKEY, a SORT
+/// by the new key, then ARITH+ → keyed AGGREGATE — each group one loop
+/// under the fusing strategies on the batch engine (DESIGN.md §17), its
+/// members' own operators everywhere else. Over wrapping i64s and NaN,
+/// ±0.0 and ±∞ in the folded columns and the computed ones, every
+/// aggregate of each and some named twice (sharing an accumulator); a
+/// SELECT that keeps nothing; a packed key too wide to count (the SORT
+/// sorts, and the second loop folds runs), or negative on kept rows (the
+/// REKEY fails); and a member also requested as a root, which takes it
+/// out of its loop. Every cell, at O1, O2 and O3, gives the answers, sizes
+/// and errors of the unfused scalar run.
+#[test]
+fn group_loops_never_change_answers_cardinalities_or_errors() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let (mut ok, mut negative, mut empty, mut wide, mut rooted) = (0, 0, 0, 0, 0);
+    for case in 0u64..64 {
+        let mut rng = Rng::seed_from_u64(0xE9 << 32 | case);
+        let mut g = PlanGraph::new();
+        let kinds = [InputKind::Base, InputKind::Awkward];
+        let (base, awkward) = (g.input(0), g.input(1));
+        // Columns: i64s in -50..50, i64s in 0..40, wrapping i64s, and f64s
+        // among the specials.
+        let table = g.add(OpKind::ColumnJoin, vec![base, awkward]);
+        let floats = [false, false, false, true];
+        let nothing = case % 4 == 0;
+        let pred = if nothing { predicates::key_lt(0) } else { arb_pred(&mut rng, &floats) };
+        let kept = g.add(OpKind::Select { pred }, vec![table]);
+        // The packed key: a few hundred codes, codes spread past the
+        // counting bound, or codes negative wherever column 0 is.
+        let shape = rng.gen_range(0u32..3);
+        let mut b = BodyBuilder::new(5);
+        b.emit_output(match shape {
+            0 => Expr::input(2).mul(Expr::lit(64i64)).add(Expr::lit(3i64)),
+            1 => Expr::input(2).mul(Expr::lit(1i64 << 40)).add(Expr::input(0)),
+            _ => Expr::input(1).mul(Expr::lit(64i64)).add(Expr::input(2)),
+        });
+        let packed = g.add(OpKind::ArithExtend { body: b.build() }, vec![kept]);
+        let rekeyed = g.add(OpKind::Rekey { col: 4 }, vec![packed]);
+        let sorted = g.add(OpKind::Sort { by: SortBy::Key }, vec![rekeyed]);
+        // The money columns: half the f64s, and the i64s times three plus
+        // the key, wrapping.
+        let mut b = BodyBuilder::new(5);
+        b.emit_output(Expr::input(4).mul(Expr::lit(0.5f64)));
+        b.emit_output(Expr::input(3).mul(Expr::lit(3i64)).add(Expr::input(0)));
+        let money = g.add(OpKind::ArithExtend { body: b.build() }, vec![sorted]);
+        let mut aggs = every_agg(6);
+        aggs.extend([Agg::Avg(4), Agg::Sum(5), Agg::Avg(5), Agg::Sum(4), Agg::Count]);
+        let folded = g.add(OpKind::Aggregate { aggs }, vec![money]);
+        g.root = folded;
+        let also = [None, None, Some(kept), Some(packed), Some(money)][rng.gen_range(0usize..5)];
+        let n = match case % 8 {
+            1 => 70_000,
+            5 => 0,
+            _ => 800,
+        };
+        let inputs = make_inputs(&kinds, case, n);
+        let what = format!("case {case} ({n} rows, key shape {shape}, also {also:?}): {g:?}");
+        // Every cell at O1, O2 and O3, one outcome for all.
+        let at = |level: OptLevel| {
+            same_in_every_cell(&format!("{what} at {level}"), |strat| {
+                let cfg = ExecConfig { level, ..ExecConfig::new(strat, &sys) };
+                match also {
+                    None => execute(&sys, &g, &inputs, &cfg).map(|r| (vec![r.output], r.cards)),
+                    Some(member) => {
+                        let plan = MergedPlan { graph: g.clone(), roots: vec![folded, member] };
+                        execute_multi(&sys, &plan, &inputs, &cfg).map(|r| (r.outputs, r.cards))
+                    }
+                }
+                .map_err(|e| e.to_string())
+            })
+        };
+        let outcome = at(OptLevel::O1);
+        for level in [OptLevel::O2, OptLevel::O3] {
+            assert!(same_outcome(&at(level), &outcome), "{what}: {level} differs from O1");
+        }
+        rooted += also.is_some() as u32;
+        match outcome {
+            Ok(_) => {
+                ok += 1;
+                empty += (nothing && n > 0) as u32;
+                wide += (shape == 1 && !nothing && n > 0) as u32;
+            }
+            Err(e) if e.contains("different schemas") => negative += 1,
+            Err(e) => panic!("case {case}: unexpected error {e}"),
+        }
+    }
+    assert!(
+        ok > 30 && negative > 3 && empty > 5 && wide > 3 && rooted > 15,
+        "{ok} ok, {negative} negative keys, {empty} empty selections, {wide} wide keys, \
+         {rooted} with a member as a root"
+    );
 }
 
 /// A negative value fails a REKEY only where the view it reads keeps it:
