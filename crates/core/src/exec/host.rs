@@ -260,14 +260,14 @@ fn chains(graph: &PlanGraph, fusion: &FusionPlan, lazy: &[Hold]) -> Vec<Option<N
     next
 }
 
-/// Whether `kind` needs its input `val` gathered into its slot before it
+/// Whether `kind` needs its input `v` gathered into its slot before it
 /// runs: one that is no stored relation, for an operator that needs stored
-/// rows; a filtered one,
-/// for one that walks base rows in order (keyed AGGREGATE) or — ARITH+ and
-/// REKEY — would write more bytes at base length than the view's rows hold,
-/// or cannot run its kernel where the view is. A view grouped by a SORT
-/// never is: its AGGREGATE folds it where it is, and an ARITH+ on the way
-/// that gathers first does so itself, keeping the groups.
+/// rows; a filtered one, for ARITH+ and REKEY when they would write more
+/// bytes at base length than the view's rows hold, or cannot run their
+/// kernel where the view is. A view grouped by a SORT never is: its
+/// AGGREGATE folds it where it is, and an ARITH+ on the way that gathers
+/// first does so itself, keeping the groups. The operators that read views
+/// (SORT, keyed AGGREGATE, AGGREGATE*) read any where it is.
 fn gathers_first(kind: &OpKind, v: &View<'_>) -> bool {
     if v.as_stored().is_some() {
         return false;
@@ -275,7 +275,6 @@ fn gathers_first(kind: &OpKind, v: &View<'_>) -> bool {
     match kind.traits().host {
         Host::Stored => true,
         _ if v.is_grouped() => false,
-        Host::ReadsDense => !v.is_dense(),
         Host::ReadsViews => false,
         Host::View => match kind {
             OpKind::ArithExtend { body } => ops::arith_extend_gathers_first(v, body),

@@ -98,9 +98,6 @@ pub enum Host {
     /// Reads any view where it is, filtered or not; what it produces is new
     /// rows — so a group's last view may leave the group for it.
     ReadsViews,
-    /// Reads a dense view where it is (a filtered one is gathered first);
-    /// what it produces is new rows.
-    ReadsDense,
     /// Needs stored rows, produces stored rows.
     Stored,
 }
@@ -162,8 +159,8 @@ impl OpKind {
             OpKind::Union               => row("UNION",      2, Barrier,     Stored,     false, false),
             OpKind::Intersect           => row("INTERSECT",  2, Barrier,     Stored,     false, false),
             OpKind::Difference          => row("DIFFERENCE", 2, Barrier,     Stored,     false, false),
-            OpKind::Aggregate { .. }    => row("AGGREGATE",  1, Terminal,    ReadsDense, true,  false),
-            OpKind::AggregateAll { .. } => row("AGGREGATE*", 1, Terminal,    ReadsDense, false, false),
+            OpKind::Aggregate { .. }    => row("AGGREGATE",  1, Terminal,    ReadsViews, true,  false),
+            OpKind::AggregateAll { .. } => row("AGGREGATE*", 1, Terminal,    ReadsViews, false, false),
             OpKind::Sort { .. }         => row("SORT",       1, Barrier,     ReadsViews, false, true),
             OpKind::Unique              => row("UNIQUE",     1, Barrier,     Stored,     true,  true),
         }

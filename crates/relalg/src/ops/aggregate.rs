@@ -7,12 +7,14 @@
 //! SORT before aggregating (Fig. 17), and the fold takes one of two shapes,
 //! both columnar:
 //!
-//! * **runs** — input in key order (which is checked) is a segmented fold:
-//!   a group is a run of equal keys. The input is cut into morsels that end
-//!   on run boundaries; per morsel the runs are found once ([`run_starts`]),
-//!   then each accumulator makes one typed pass over its column
-//!   ([`fold_runs`]) and writes one value per run into that morsel's window
-//!   of the output.
+//! * **runs** — a view whose selected keys are in key order (which is
+//!   checked) is a segmented fold: a group is a run of equal selected keys.
+//!   The base rows are cut into morsels of whole selection words that no run
+//!   crosses; pass 1 counts each morsel's runs, pass 2 walks its selected
+//!   lanes batch by batch, the accumulators of one value and slot type
+//!   sharing one walk with the runs' keys ([`fold_runs`]), into that
+//!   morsel's window of the output. A dense view is the case with no
+//!   selection.
 //! * **groups** — a view a SORT by key grouped instead of sorting
 //!   ([`crate::ops::group_by_key_view`]) is in no key order, but each key's
 //!   rows are in the order the sorted rows would be. Each row is folded, in
@@ -356,26 +358,93 @@ impl Slot for f64 {
     }
 }
 
-/// An i64 sum kept in the bits of an f64 slot (an AVG's, until it divides).
-fn wrapping_bits(acc: f64, v: i64) -> f64 {
-    f64::from_bits((acc.to_bits() as i64).wrapping_add(v) as u64)
+/// How a slot of type `Self` folds values of type `T` at each [`Step`] it
+/// takes: the identity and the step of the row-at-a-time fold the tests
+/// keep as the oracle. An f64 slot folds an i64 sum only for an AVG, in
+/// its bits, until the AVG divides it.
+trait Fold<T>: Slot {
+    fn identity(step: Step) -> Self;
+    fn apply(step: Step, acc: Self, v: T) -> Self;
 }
 
-/// How accumulator `a` folds, by value and slot type: its identity and
-/// step are those of the row-at-a-time fold the tests keep as the oracle.
-/// `$fold` is called with the lanes' type, the slot's type, the identity
-/// and the step.
+impl Fold<i64> for i64 {
+    fn identity(step: Step) -> i64 {
+        match step {
+            Step::Sum => 0,
+            Step::Min => i64::MAX,
+            Step::Max => i64::MIN,
+        }
+    }
+    #[inline(always)]
+    fn apply(step: Step, acc: i64, v: i64) -> i64 {
+        match step {
+            Step::Sum => acc.wrapping_add(v),
+            Step::Min => acc.min(v),
+            Step::Max => acc.max(v),
+        }
+    }
+}
+
+impl Fold<i64> for f64 {
+    fn identity(_step: Step) -> f64 {
+        0.0
+    }
+    #[inline(always)]
+    fn apply(_step: Step, acc: f64, v: i64) -> f64 {
+        f64::from_bits((acc.to_bits() as i64).wrapping_add(v) as u64)
+    }
+}
+
+impl Fold<f64> for f64 {
+    fn identity(step: Step) -> f64 {
+        match step {
+            Step::Sum => 0.0,
+            Step::Min => f64::INFINITY,
+            Step::Max => f64::NEG_INFINITY,
+        }
+    }
+    #[inline(always)]
+    fn apply(step: Step, acc: f64, v: f64) -> f64 {
+        match step {
+            Step::Sum => acc + v,
+            Step::Min => acc.min(v),
+            Step::Max => acc.max(v),
+        }
+    }
+}
+
+/// Call `$fold` with accumulator `a`'s value and slot types.
+macro_rules! by_class {
+    ($plan:expr, $a:expr, $fold:ident($($arg:expr),*)) => {
+        match $plan.kind($a) {
+            (_, false, false) => $fold::<i64, i64>($($arg),*),
+            (_, false, true) => $fold::<i64, f64>($($arg),*),
+            (_, true, _) => $fold::<f64, f64>($($arg),*),
+        }
+    };
+}
+
+/// Call `$fold` with accumulator `a`'s value and slot types, its identity
+/// and its step — each step a function of its own, so a loop over rows
+/// has no branch on it.
 macro_rules! by_kind {
     ($plan:expr, $a:expr, $fold:ident($($arg:expr),*)) => {
         match $plan.kind($a) {
-            (Step::Sum, false, false) => $fold::<i64, i64>($($arg,)* 0, i64::wrapping_add),
-            (Step::Sum, false, true) => $fold::<i64, f64>($($arg,)* 0.0, wrapping_bits),
-            (Step::Sum, true, _) => $fold::<f64, f64>($($arg,)* 0.0, |acc, v| acc + v),
-            (Step::Min, false, _) => $fold::<i64, i64>($($arg,)* i64::MAX, i64::min),
-            (Step::Min, true, _) => $fold::<f64, f64>($($arg,)* f64::INFINITY, f64::min),
-            (Step::Max, false, _) => $fold::<i64, i64>($($arg,)* i64::MIN, i64::max),
-            (Step::Max, true, _) => $fold::<f64, f64>($($arg,)* f64::NEG_INFINITY, f64::max),
+            (Step::Sum, false, false) => by_kind!(@ $fold, i64, i64, Sum, $($arg),*),
+            (Step::Sum, false, true) => by_kind!(@ $fold, i64, f64, Sum, $($arg),*),
+            (Step::Sum, true, _) => by_kind!(@ $fold, f64, f64, Sum, $($arg),*),
+            (Step::Min, false, _) => by_kind!(@ $fold, i64, i64, Min, $($arg),*),
+            (Step::Min, true, _) => by_kind!(@ $fold, f64, f64, Min, $($arg),*),
+            (Step::Max, false, _) => by_kind!(@ $fold, i64, i64, Max, $($arg),*),
+            (Step::Max, true, _) => by_kind!(@ $fold, f64, f64, Max, $($arg),*),
         }
+    };
+    (@ $fold:ident, $t:ty, $a:ty, $step:ident, $($arg:expr),*) => {
+        $fold::<$t, $a>(
+            $($arg,)*
+            <$a as Fold<$t>>::identity(Step::$step),
+            |acc, v| <$a as Fold<$t>>::apply(Step::$step, acc, v),
+        )
     };
 }
 
@@ -386,161 +455,365 @@ impl Plan {
         let home_f64 = self.f64[a] || matches!(self.outs[self.home[a]], Out::Mean(_));
         (self.accs[a].step, self.f64[a], home_f64)
     }
+
+    /// Accumulator `a`'s value and slot types: whether it folds f64s, and
+    /// whether it lives in an f64 column.
+    fn class(&self, a: usize) -> (bool, bool) {
+        let (_, f64, home_f64) = self.kind(a);
+        (f64, home_f64)
+    }
+
+    /// Whether an aggregate reads the groups' sizes: a COUNT, or an AVG.
+    fn sized(&self) -> bool {
+        self.outs.iter().any(|o| matches!(o, Out::Count | Out::Mean(_)))
+    }
 }
 
-/// Split `0..keys.len()` into ~`chunk`-row morsels whose boundaries sit on
-/// key-run boundaries, so every group lands wholly inside one morsel and
-/// per-group accumulation order (hence float summation order) is exactly
-/// the serial scan's. No rows, no morsels.
-fn group_aligned_ranges(keys: &[u64], chunk: usize) -> Vec<Range<usize>> {
+/// The base rows of a view cut into ~`chunk`-row morsels of whole
+/// selection words (`chunk` is a multiple of 64), each cut where the
+/// selected keys on either side of it differ: every run of equal selected
+/// keys lands wholly inside one morsel, so its fold order — hence every
+/// float sum — is the serial scan's. A cut that would split a run moves on
+/// past the word of the run's next selected row. No rows, no morsels.
+fn run_aligned_morsels(keys: &[u64], sel: Option<&[u64]>, chunk: usize) -> Vec<Range<usize>> {
     let n = keys.len();
     if n == 0 {
         return Vec::new();
     }
-    let mut bounds = vec![0usize];
-    loop {
-        let start = *bounds.last().unwrap();
-        let tentative = start + chunk;
-        if tentative >= n {
-            break;
+    // The first selected row at or after word boundary `row`, and the last
+    // before it but not before `floor`, the morsel's first row.
+    let next = |row: usize| match sel {
+        None => Some(row),
+        Some(sel) => (row / 64..sel.len())
+            .find(|&w| sel[w] != 0)
+            .map(|w| w * 64 + sel[w].trailing_zeros() as usize),
+    };
+    let prev = |floor: usize, row: usize| match sel {
+        None => Some(row - 1),
+        Some(sel) => (floor / 64..row / 64)
+            .rev()
+            .find(|&w| sel[w] != 0)
+            .map(|w| w * 64 + 63 - sel[w].leading_zeros() as usize),
+    };
+    let mut bounds = vec![0];
+    let mut cut = chunk;
+    while cut < n {
+        let floor = bounds[bounds.len() - 1];
+        match (prev(floor, cut), next(cut)) {
+            // No row selected past the cut: the rest is one morsel.
+            (_, None) => break,
+            (Some(p), Some(q)) if keys[p] == keys[q] => cut = (q / 64 + 1) * 64,
+            _ => {
+                bounds.push(cut);
+                cut += chunk;
+            }
         }
-        // Snap forward past the run of the key straddling the cut.
-        let run_key = keys[tentative - 1];
-        let end = keys.partition_point(|&x| x <= run_key).max(tentative);
-        if end >= n {
-            break;
-        }
-        bounds.push(end);
     }
     bounds.push(n);
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// The runs of equal keys in the non-empty `range`: run `g` is rows
-/// `starts[g]..starts[g + 1]`. Counted first — in the scan that also checks
-/// the rows are in key order, the one before `range` included — so the list
-/// is allocated once at its final size, then filled without a branch per
-/// row: every row writes its index into the next open slot and only a key
-/// change moves on.
-fn run_starts(keys: &[u64], range: Range<usize>) -> Result<Vec<usize>, RelError> {
-    let morsel = &keys[range.clone()];
-    let (mut runs, mut inversions) = (1, 0);
-    for w in morsel.windows(2) {
-        runs += (w[0] != w[1]) as usize;
-        inversions += (w[0] > w[1]) as usize;
-    }
-    if inversions > 0 || range.start > 0 && keys[range.start - 1] > keys[range.start] {
-        return Err(RelError::NotSorted);
-    }
-    let mut starts = vec![range.start; runs + 1];
-    let mut open = 1;
-    for (i, w) in morsel.windows(2).enumerate() {
-        starts[open] = range.start + i + 1;
-        open += (w[0] != w[1]) as usize;
-    }
-    starts[runs] = range.end;
-    Ok(starts)
+/// The selection words of the batch of base rows `rows`, which starts on
+/// one; `None` for a dense view.
+fn batch_words<'s>(sel: Option<&'s [u64]>, rows: &Range<usize>) -> Option<&'s [u64]> {
+    sel.map(|sel| &sel[rows.start / 64..rows.end.div_ceil(64)])
 }
 
-/// A run fold between two batches of one morsel: the open run, its key,
-/// and its accumulator.
+/// Run `$body` with `$j` each of the `$n` lanes of a batch that `$words`
+/// selects (every one when it is `None`), ascending — a loop, not a
+/// closure, so the folds' state stays in registers.
+macro_rules! for_each_lane {
+    ($words:expr, $n:expr, |$j:ident| $body:block) => {
+        match $words {
+            None => {
+                #[allow(clippy::needless_range_loop)]
+                for $j in 0..$n $body
+            }
+            Some(words) => {
+                for (w, &word) in words.iter().enumerate() {
+                    let mut m = word;
+                    while m != 0 {
+                        let $j = w * 64 + m.trailing_zeros() as usize;
+                        $body
+                        m &= m - 1;
+                    }
+                }
+            }
+        }
+    };
+}
+
+/// What pass 1 finds in a morsel's selected keys: how many runs they make,
+/// the first and the last, and whether they never decrease.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Scan {
+    runs: usize,
+    first: u64,
+    last: u64,
+    sorted: bool,
+}
+
+/// Pass 1 over one morsel: its runs, counted in the scan that checks its
+/// selected keys are in order. `None` when it selects no row.
+fn scan_runs(keys: &[u64], sel: Option<&[u64]>, rows: Range<usize>) -> Option<Scan> {
+    let _steady = kfusion_trace::allocwatch::region();
+    let mut scan: Option<Scan> = None;
+    for base in rows.clone().step_by(BATCH_ROWS) {
+        let lanes = base..rows.end.min(base + BATCH_ROWS);
+        let (batch, words) = (&keys[lanes.clone()], batch_words(sel, &lanes));
+        let Some((first, _)) = end_lanes(words, batch.len()) else { continue };
+        let head = batch[first];
+        let s = scan.get_or_insert(Scan { runs: 1, first: head, last: head, sorted: true });
+        let (mut prev, mut runs, mut inversions) = (s.last, 0, 0);
+        for_each_lane!(words, batch.len(), |j| {
+            let key = batch[j];
+            runs += (key != prev) as usize;
+            inversions += (key < prev) as usize;
+            prev = key;
+        });
+        *s = Scan { runs: s.runs + runs, last: prev, sorted: s.sorted && inversions == 0, ..*s };
+    }
+    scan
+}
+
+/// The first and the last lane of a batch of `n` lanes that `words`
+/// selects (every one when it is `None`).
+fn end_lanes(words: Option<&[u64]>, n: usize) -> Option<(usize, usize)> {
+    let Some(words) = words else { return (n > 0).then(|| (0, n - 1)) };
+    let (first, last) = (words.iter().position(|&w| w != 0)?, words.iter().rposition(|&w| w != 0)?);
+    let first_lane = first * 64 + words[first].trailing_zeros() as usize;
+    Some((first_lane, last * 64 + 63 - words[last].leading_zeros() as usize))
+}
+
+/// Where a morsel's run fold stands between batches: the open run and its
+/// key.
 #[derive(Clone, Copy)]
-struct Open<A> {
+struct At {
     run: usize,
     key: u64,
-    acc: A,
 }
 
-/// One accumulator's pass over one batch of a morsel — `keys` and `vals`
-/// are its rows, `dst` has a slot per run of the morsel: every run folds
-/// left to right from `init`, its slot holding the fold so far. Runs are a
-/// few rows long as often as a few hundred thousand (Q21's orders, Q1's
-/// flags), so there is no loop per run to mispredict: every row restarts
-/// or extends the fold by a select and stores it, and a run's last row
-/// stores last. A morsel that is a single run — all AGGREGATE-ALL ever
-/// has, whatever its keys — is folded outright, reading no key.
-fn fold_runs<T: Copy, A: Copy>(
-    keys: &[u64],
-    vals: &[T],
-    dst: &mut [A],
-    open: &mut Open<A>,
-    init: A,
-    step: impl Fn(A, T) -> A,
-) {
-    if let [only] = dst {
-        open.acc = vals.iter().fold(open.acc, |acc, &v| step(acc, v));
-        *only = open.acc;
-        return;
+/// What pass 2 writes besides the accumulators: each run's key and — when
+/// an aggregate reads them (`sizes` is empty otherwise) — its size, the
+/// open run's so far in `size`.
+struct Head<'h> {
+    key: &'h mut [u64],
+    sizes: &'h mut [u32],
+    size: u32,
+}
+
+/// One batch of a morsel's run fold: its base rows' keys, which lanes the
+/// view selects, and how many lanes.
+struct RunBatch<'b> {
+    keys: &'b [u64],
+    words: Option<&'b [u64]>,
+    n: usize,
+}
+
+/// `L` accumulators of one value and slot type over one batch, from `at`
+/// on — `vals` their lanes, `dst` their windows of the output, a slot per
+/// run of the morsel, `acc` each one's fold of the open run — and the
+/// head, when it is handed in: every selected row restarts or extends each
+/// fold by a select and stores it, so a run's last row stores last. Runs
+/// are a few rows long as often as a few hundred thousand (Q21's orders,
+/// Q1's flags) — or, for AGGREGATE-ALL, the whole input — so there is no
+/// loop per run to mispredict, and the folds share the walk and the key
+/// compare: their chains overlap. Returns where the batch leaves the fold.
+fn fold_runs<T: Copy, A: Fold<T>, const L: usize>(
+    batch: &RunBatch<'_>,
+    (vals, dst, steps): ([&[T]; L], [&mut [A]; L], [Step; L]),
+    acc: &mut [A],
+    head: Option<&mut Head<'_>>,
+    at: At,
+) -> At {
+    let init: [A; L] = std::array::from_fn(|l| A::identity(steps[l]));
+    let mut folds: [A; L] = std::array::from_fn(|l| acc[l]);
+    let (mut run, mut prev) = (at.run, at.key);
+    let mut none = Head { key: &mut [], sizes: &mut [], size: 0 };
+    let head = head.unwrap_or(&mut none);
+    let (key_out, sizes, mut size) = (&mut *head.key, &mut *head.sizes, head.size);
+    let (keyed, sized) = (!key_out.is_empty(), !sizes.is_empty());
+    // A batch whose first and last selected keys are the open run's
+    // extends it: pass 1 found the keys in order, so every selected key
+    // between them is that key too. The lanes fold outright and store once
+    // — every batch of AGGREGATE-ALL, and most of a long run's.
+    let (lo, hi) = end_lanes(batch.words, batch.n).expect("a folded batch selects a row");
+    if batch.keys[lo] == prev && batch.keys[hi] == prev {
+        let mut rows = 0;
+        for_each_lane!(batch.words, batch.n, |j| {
+            for l in 0..L {
+                folds[l] = A::apply(steps[l], folds[l], vals[l][j]);
+            }
+            rows += 1;
+        });
+        for l in 0..L {
+            dst[l][run] = folds[l];
+        }
+        if keyed {
+            key_out[run] = prev;
+        }
+        if sized {
+            size += rows;
+            sizes[run] = size;
+        }
+        head.size = size;
+        acc[..L].copy_from_slice(&folds);
+        return at;
     }
-    let Open { mut run, key: mut prev, mut acc } = *open;
-    for (&key, &v) in keys.iter().zip(vals) {
+    for_each_lane!(batch.words, batch.n, |j| {
+        let key = batch.keys[j];
         let fresh = key != prev;
         run += fresh as usize;
-        acc = step(if fresh { init } else { acc }, v);
-        dst[run] = acc;
+        for l in 0..L {
+            folds[l] = A::apply(steps[l], if fresh { init[l] } else { folds[l] }, vals[l][j]);
+            dst[l][run] = folds[l];
+        }
+        if keyed {
+            key_out[run] = key;
+        }
+        if sized {
+            size = if fresh { 1 } else { size + 1 };
+            sizes[run] = size;
+        }
         prev = key;
+    });
+    head.size = size;
+    acc[..L].copy_from_slice(&folds);
+    At { run, key: prev }
+}
+
+/// One batch's fold of the lanes of one value and slot type (`like`), up
+/// to four of them sharing a walk; `open[a]` keeps accumulator `a`'s fold
+/// of the open run as bits between batches. The head goes to the first
+/// walk.
+#[allow(clippy::too_many_arguments)]
+fn fold_class<'v, 'b, T: Slot, A: Fold<T>>(
+    batch: &RunBatch<'_>,
+    lanes: &mut [Lane<'_, 'v>],
+    like: &dyn Fn(usize) -> bool,
+    vals_of: &dyn Fn(Vals<'v>) -> Lanes<'b>,
+    plan: &Plan,
+    open: &mut [u64],
+    mut head: Option<&mut Head<'_>>,
+    at: At,
+) -> At {
+    let mut picked = lanes.iter_mut().filter(|lane| like(lane.a)).peekable();
+    let mut end = at;
+    while picked.peek().is_some() {
+        let mut vals: [&[T]; 4] = [&[]; 4];
+        let mut dst: [&mut [A]; 4] = Default::default();
+        let mut steps = [Step::Sum; 4];
+        let mut folds = [A::identity(Step::Sum); 4];
+        let mut picks = [0; 4];
+        let mut m = 0;
+        for lane in picked.by_ref().take(4) {
+            (vals[m], dst[m], steps[m]) =
+                (T::lanes(vals_of(lane.src)), A::window(&mut lane.acc), plan.accs[lane.a].step);
+            (folds[m], picks[m]) = (A::of_bits(open[lane.a]), lane.a);
+            m += 1;
+        }
+        let ([v0, v1, v2, v3], [d0, d1, d2, d3], [s0, s1, s2, s3]) = (vals, dst, steps);
+        let (head, f) = (head.take(), &mut folds);
+        end = match m {
+            1 => fold_runs(batch, ([v0], [d0], [s0]), f, head, at),
+            2 => fold_runs(batch, ([v0, v1], [d0, d1], [s0, s1]), f, head, at),
+            3 => fold_runs(batch, ([v0, v1, v2], [d0, d1, d2], [s0, s1, s2]), f, head, at),
+            _ => fold_runs(
+                batch,
+                ([v0, v1, v2, v3], [d0, d1, d2, d3], [s0, s1, s2, s3]),
+                f,
+                head,
+                at,
+            ),
+        };
+        for (&a, fold) in picks.iter().zip(&folds).take(m) {
+            open[a] = fold.bits();
+        }
     }
-    *open = Open { run, key: prev, acc };
+    end
 }
 
-/// [`fold_runs`] for one accumulator, whose state `open` keeps as the bits
-/// of its value between batches.
-fn fold_runs_of<T: Slot, A: Slot>(
-    keys: &[u64],
-    vals: Lanes<'_>,
-    dst: &mut ColWindow<'_>,
-    open: &mut Open<u64>,
-    init: A,
-    step: impl Fn(A, T) -> A,
-) {
-    let mut typed = Open { run: open.run, key: open.key, acc: A::of_bits(open.acc) };
-    fold_runs(keys, T::lanes(vals), A::window(dst), &mut typed, init, step);
-    *open = Open { run: typed.run, key: typed.key, acc: typed.acc.bits() };
-}
-
-/// An accumulator's identity, as [`Open`] keeps it.
-fn identity_of<T, A: Slot>(init: A, _step: impl Fn(A, T) -> A) -> u64 {
-    init.bits()
-}
-
-/// One morsel of the run fold: its runs, and its windows of the output.
+/// One morsel of the run fold: its base rows (from a selection word on),
+/// its first selected key, and its windows of the output — a slot per run.
 struct Morsel<'o> {
-    starts: Vec<usize>,
+    rows: Range<usize>,
+    first: u64,
     key: &'o mut [u64],
     cols: Vec<ColWindow<'o>>,
 }
 
 impl Morsel<'_> {
-    /// Fold the morsel's rows — `keys` are all the input's, empty when the
-    /// morsel is one run (AGGREGATE-ALL) — into its windows, batch by batch
-    /// when a kernel computes some of the values, then finish them.
-    fn fold(mut self, keys: &[u64], plan: &Plan, srcs: &[Vals<'_>], kernel: Option<&Bound<'_>>) {
-        for (slot, &start) in self.key.iter_mut().zip(&self.starts) {
-            *slot = keys[start];
-        }
-        let rows = self.starts[0]..self.starts[self.starts.len() - 1];
-        let first = keys.get(rows.start).copied().unwrap_or(0);
-        let mut open: Vec<Open<u64>> = (0..plan.accs.len())
-            .map(|a| Open { run: 0, key: first, acc: by_kind!(plan, a, identity_of()) })
+    /// Pass 2: fold the morsel's selected rows of `input` into its windows,
+    /// batch by batch — `keys` are the keys of all base rows, `None` when
+    /// the morsel is one run whose key is not written (AGGREGATE-ALL) —
+    /// running `kernel` over each batch that selects a row when it computes
+    /// some of the values. Each run's key and, when an aggregate reads them,
+    /// its rows are folded in the same walks. Then finish the windows.
+    fn fold(
+        self,
+        input: &View<'_>,
+        keys: Option<&[u64]>,
+        plan: &Plan,
+        srcs: &[Vals<'_>],
+        kernel: Option<&Bound<'_>>,
+    ) {
+        let Morsel { rows, first, key, cols } = self;
+        let mut sizes = vec![0u32; if keys.is_some() && plan.sized() { key.len() } else { 0 }];
+        let mut head = Head { key, sizes: &mut sizes, size: 0 };
+        let mut homes: Vec<Option<ColWindow<'_>>> = cols.into_iter().map(Some).collect();
+        let mut lanes: Vec<Lane<'_, '_>> = (0..plan.accs.len())
+            .map(|a| Lane {
+                a,
+                src: srcs[plan.accs[a].src],
+                acc: homes[plan.home[a]].take().expect("an output column holds one accumulator"),
+            })
             .collect();
-        let batch = if kernel.is_some() { BATCH_ROWS } else { rows.len() };
-        let mut walk = |run: Option<(&CompiledKernel, &mut BatchMachine)>| {
+        let mut open: Vec<u64> = (0..lanes.len())
+            .map(|a| by_class!(plan, a, identity_bits(plan.accs[a].step)))
+            .collect();
+        // One accumulator of each value and slot type.
+        let mut classes: Vec<usize> = Vec::new();
+        for a in 0..lanes.len() {
+            if !classes.iter().any(|&b| plan.class(b) == plan.class(a)) {
+                classes.push(a);
+            }
+        }
+        let sel = input.selection();
+        // One run has one key: AGGREGATE-ALL's rows all read key 0.
+        let zeros = [0u64; BATCH_ROWS];
+        let mut walk = |mut run: Option<(&CompiledKernel, &mut BatchMachine)>| {
             let _steady = kfusion_trace::allocwatch::region();
-            let mut run = run;
-            let mut base = rows.start;
-            while base < rows.end {
-                let n = batch.min(rows.end - base);
+            let mut at = At { run: 0, key: first };
+            for base in rows.clone().step_by(BATCH_ROWS) {
+                let lanes_in = base..rows.end.min(base + BATCH_ROWS);
+                let words = batch_words(sel, &lanes_in);
+                if words.is_some_and(|words| words.iter().all(|&w| w == 0)) {
+                    continue;
+                }
                 if let Some((k, bm)) = run.as_mut() {
-                    bm.run(k, kernel.expect("bound").cols, base, n);
+                    bm.run(k, kernel.expect("bound").cols, base, lanes_in.len());
                 }
-                let batch_keys = keys.get(base..base + n).unwrap_or(&[]);
                 let done = run.as_ref().map(|(k, bm)| (*k, &**bm));
-                for (a, acc) in plan.accs.iter().enumerate() {
-                    let vals = batch_lanes(srcs[acc.src], done, base..base + n);
-                    let dst = &mut self.cols[plan.home[a]];
-                    by_kind!(plan, a, fold_runs_of(batch_keys, vals, dst, &mut open[a]));
+                let vals_of = |src| batch_lanes(src, done, lanes_in.clone());
+                let keys = keys.map_or(&zeros[..lanes_in.len()], |keys| &keys[lanes_in.clone()]);
+                let batch = RunBatch { keys, words, n: lanes_in.len() };
+                // The head goes to the first walk — its own when no
+                // accumulator has one.
+                let mut handed = Some(&mut head);
+                let mut end = at;
+                for &class in &classes {
+                    let like = |b: usize| plan.class(b) == plan.class(class);
+                    let head = handed.take();
+                    end = by_class!(
+                        plan,
+                        class,
+                        fold_class(&batch, &mut lanes, &like, &vals_of, plan, &mut open, head, at)
+                    );
                 }
-                base += n;
+                if let Some(head) = handed {
+                    end = fold_runs::<i64, i64, 0>(&batch, ([], [], []), &mut [], Some(head), at);
+                }
+                at = end;
             }
         };
         match kernel {
@@ -551,9 +824,21 @@ impl Morsel<'_> {
             }),
             None => walk(None),
         }
-        let starts = &self.starts;
-        plan.finish(&mut self.cols, |g| starts[g + 1] - starts[g]);
+        for lane in lanes {
+            homes[plan.home[lane.a]] = Some(lane.acc);
+        }
+        let mut cols: Vec<ColWindow<'_>> =
+            homes.into_iter().map(|h| h.expect("every window back")).collect();
+        match keys {
+            Some(_) => plan.finish(&mut cols, |g| sizes[g] as usize),
+            None => plan.finish(&mut cols, |_| input.len()),
+        }
     }
+}
+
+/// An accumulator's identity, as bits.
+fn identity_bits<T, A: Fold<T>>(step: Step) -> u64 {
+    A::identity(step).bits()
 }
 
 /// Accumulator `a` of a grouped fold: the values it reads and the column it
@@ -581,19 +866,15 @@ struct GroupedBatch<'b> {
 fn fold_rows<T: Copy, A: Copy, const L: usize>(
     batch: &GroupedBatch<'_>,
     vals: [&[T]; L],
-    mut accs: [&mut [A]; L],
+    accs: [&mut [A]; L],
     step: &impl Fn(A, T) -> A,
 ) {
-    let mut row = |j: usize| {
+    for_each_lane!(batch.sel, batch.keys.len(), |j| {
         let g = batch.of_keys[(batch.keys[j] - batch.lo) as usize] as usize;
         for l in 0..L {
             accs[l][g] = step(accs[l][g], vals[l][j]);
         }
-    };
-    match batch.sel {
-        None => (0..batch.keys.len()).for_each(row),
-        Some(words) => each_set_bit(words, &mut row),
-    }
+    });
 }
 
 /// [`fold_rows`] for the lanes that fold like accumulator `a`, up to four
@@ -692,22 +973,11 @@ fn whole(cols: &mut [Column], rows: usize) -> Vec<ColWindow<'_>> {
     col_windows(cols, &[rows]).pop().expect("one window asked for")
 }
 
-/// Call `f` with the index of each set bit of `words`, ascending.
-fn each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &word) in words.iter().enumerate() {
-        let mut m = word;
-        while m != 0 {
-            f(w * 64 + m.trailing_zeros() as usize);
-            m &= m - 1;
-        }
-    }
-}
-
 /// The keyed fold of `aggs` over `input` into `out` — a view that carries
-/// its groups folded by group through its selection, any other (dense, in
-/// key order, which is checked) by runs — reading each aggregate's values
-/// from `srcs`, some of which may be outputs of `kernel` run over
-/// `input`'s base rows.
+/// its groups folded by group through its selection, any other (its
+/// selected keys in order, which is checked) by runs — reading each
+/// aggregate's values from `srcs`, some of which may be outputs of
+/// `kernel` run over `input`'s base rows.
 pub(crate) fn fold_keyed(
     input: &View<'_>,
     aggs: &[Agg],
@@ -761,9 +1031,12 @@ fn fold_by_group(
     Ok(())
 }
 
-/// [`fold_keyed`] over a dense view in key order: the input is cut into
-/// morsels that end on run boundaries, and each morsel folds its runs into
-/// its own window of every output column.
+/// [`fold_keyed`] over a view in key order, which is checked: its base
+/// rows are cut into morsels of whole selection words that no run of
+/// selected keys crosses ([`run_aligned_morsels`]); pass 1 counts each
+/// morsel's runs ([`scan_runs`]), pass 2 folds each morsel's selected rows
+/// into its own window of every output column ([`Morsel::fold`]). A dense
+/// view is the case with no selection.
 fn fold_by_key(
     input: &View<'_>,
     aggs: &[Agg],
@@ -771,50 +1044,56 @@ fn fold_by_key(
     kernel: Option<&Bound<'_>>,
     out: &mut Relation,
 ) -> Result<(), RelError> {
-    debug_assert!(input.is_dense(), "runs are of base rows");
-    let keys = input.key().as_slice();
-    let keys = &keys[..];
-    let ranges = group_aligned_ranges(keys, DEFAULT_CTA_CHUNK);
-    // Runs first — their number is the output's size, and finding them is
-    // the scan that rejects unsorted keys — then the folds, each morsel
-    // into its own window of every output column.
-    let starts = par_range_map(ranges.len(), 1, |cta, _| run_starts(keys, ranges[cta].clone()));
-    let starts = starts.into_iter().collect::<Result<Vec<_>, _>>()?;
     validate_agg_cols(srcs.len(), aggs)?;
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", keys.len() as u64);
-    let runs: Vec<usize> = starts.iter().map(|s| s.len() - 1).collect();
+    let keys = input.key().as_slice();
+    let (keys, sel) = (&keys[..], input.selection());
+    let morsels = run_aligned_morsels(keys, sel, DEFAULT_CTA_CHUNK);
+    // Runs first — their number is the output's size, and counting them is
+    // the scan that rejects unsorted keys, inside each morsel and across
+    // its cuts — then the folds.
+    let scans = par_range_map(morsels.len(), 1, |m, _| scan_runs(keys, sel, morsels[m].clone()));
+    let mut last = None;
+    for scan in scans.iter().flatten() {
+        if !scan.sorted || last.is_some_and(|last| last > scan.first) {
+            return Err(RelError::NotSorted);
+        }
+        last = Some(scan.last);
+    }
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
+    let runs: Vec<usize> = scans.iter().map(|s| s.map_or(0, |s| s.runs)).collect();
     shape_output(srcs, aggs, runs.iter().sum(), out);
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
     let plan = Plan::new(aggs, srcs);
-    let morsels = starts
+    let morsels = morsels
         .into_iter()
+        .zip(scans)
         .zip(slice_windows(out.key.buffer_mut(), &runs))
         .zip(col_windows(&mut out.cols, &runs))
-        .map(|((starts, key), cols)| Morsel { starts, key, cols })
+        .filter_map(|(((rows, scan), key), cols)| {
+            scan.map(|scan| Morsel { rows, first: scan.first, key, cols })
+        })
         .collect();
-    par_each(morsels, |m: Morsel<'_>| m.fold(keys, &plan, srcs, kernel));
+    par_each(morsels, |m: Morsel<'_>| m.fold(input, Some(keys), &plan, srcs, kernel));
     Ok(())
 }
 
 /// Group the (key-sorted) input by key and compute `aggs` per group. The
 /// result has one row per distinct key and one column per aggregate.
 ///
-/// Large inputs aggregate in parallel over group-aligned morsels; because
+/// Large inputs aggregate in parallel over run-aligned morsels; because
 /// no group spans a morsel boundary, the per-group fold order — and thus
 /// every float sum — is bit-identical to the serial scan.
 pub fn aggregate_by_key(input: &Relation, aggs: &[Agg]) -> Result<Relation, RelError> {
     aggregate_by_key_view(&View::of(input), aggs)
 }
 
-/// [`aggregate_by_key`] over a view: the key and the columns `aggs` name
-/// are read in place, the view's other columns not at all. A view that
-/// carries its groups ([`View::is_grouped`]) is folded by group through its
-/// selection; any other with a selection is made dense first, so that a
-/// group is a run of base rows.
+/// [`aggregate_by_key`] over a view, read where it is: the key and the
+/// columns `aggs` name, at the rows the view selects — a view that carries
+/// its groups ([`View::is_grouped`]) folded by group, any other by runs of
+/// its selected keys. The view's other columns are not read at all.
 pub fn aggregate_by_key_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, RelError> {
-    let input = if input.is_grouped() { input.clone() } else { input.dense() };
     let mut out = Relation::default();
-    fold_keyed(&input, aggs, &col_vals(&input), None, &mut out)?;
+    fold_keyed(input, aggs, &col_vals(input), None, &mut out)?;
     Ok(out)
 }
 
@@ -839,23 +1118,20 @@ pub fn aggregate_all(input: &Relation, aggs: &[Agg]) -> Result<Relation, RelErro
 }
 
 /// [`aggregate_all`] over a view, which it reads where it is, as
-/// [`aggregate_by_key_view`] does — a view with a selection is made dense
-/// first.
+/// [`aggregate_by_key_view`] does: one morsel, one run, the selected rows.
 pub fn aggregate_all_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, RelError> {
     validate_agg_cols(input.n_cols(), aggs)?;
-    let view = &input.dense();
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", view.len() as u64);
-    let srcs = col_vals(view);
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
+    let srcs = col_vals(input);
     let mut out = Relation::default();
-    shape_output(&srcs, aggs, usize::from(!view.is_empty()), &mut out);
-    if view.is_empty() {
+    shape_output(&srcs, aggs, usize::from(!input.is_empty()), &mut out);
+    if input.is_empty() {
         return Ok(out);
     }
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", 1);
     let plan = Plan::new(aggs, &srcs);
-    let cols = col_windows(&mut out.cols, &[1]).pop().expect("one window asked for");
-    // One run: the fold reads no key.
-    Morsel { starts: vec![0, view.len()], key: &mut [], cols }.fold(&[], &plan, &srcs, None);
+    let (rows, cols) = (0..input.base_len(), whole(&mut out.cols, 1));
+    Morsel { rows, first: 0, key: &mut [], cols }.fold(input, None, &plan, &srcs, None);
     Ok(out)
 }
 
@@ -933,29 +1209,56 @@ mod tests {
         assert_ne!(pack_key2(1, 2), pack_key2(2, 1));
     }
 
+    /// Morsels are whole selection words, and no run of selected keys
+    /// crosses a cut — dense, or with the rows either side of a cut
+    /// unselected.
     #[test]
-    fn group_aligned_ranges_land_on_run_boundaries() {
+    fn morsels_are_cut_between_runs_of_selected_keys() {
         let keys: Vec<u64> = (0..1000u64).map(|i| i / 90).collect();
-        assert!(group_aligned_ranges(&[], 100).is_empty());
-        assert_eq!(group_aligned_ranges(&keys[..100], 100), vec![0..100]);
-        let ranges = group_aligned_ranges(&keys, 100);
-        assert_eq!(ranges.first().unwrap().start, 0);
-        assert_eq!(ranges.last().unwrap().end, keys.len());
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-            assert_ne!(keys[w[0].end - 1], keys[w[0].end], "cut inside a run");
+        assert!(run_aligned_morsels(&[], None, 128).is_empty());
+        assert_eq!(run_aligned_morsels(&keys[..100], None, 128), vec![0..100]);
+        // Every third row, and rows 256..448 not at all.
+        let mut sel = vec![0u64; keys.len().div_ceil(64)];
+        (0..keys.len()).filter(|i| i % 3 == 0 && !(256..448).contains(i)).for_each(|i| {
+            sel[i / 64] |= 1 << (i % 64);
+        });
+        for sel in [None, Some(&sel[..])] {
+            let morsels = run_aligned_morsels(&keys, sel, 128);
+            assert_eq!((morsels[0].start, morsels[morsels.len() - 1].end), (0, keys.len()));
+            let selected: Vec<usize> = match sel {
+                None => (0..keys.len()).collect(),
+                Some(sel) => {
+                    (0..keys.len()).filter(|&i| sel[i / 64] >> (i % 64) & 1 == 1).collect()
+                }
+            };
+            for w in morsels.windows(2) {
+                assert_eq!((w[0].end, w[0].end % 64), (w[1].start, 0), "{sel:?}");
+                let before = selected.iter().rev().find(|&&i| i < w[0].end);
+                let after = selected.iter().find(|&&i| i >= w[0].end);
+                if let (Some(&p), Some(&q)) = (before, after) {
+                    assert_ne!(keys[p], keys[q], "a run crosses the cut at {}", w[0].end);
+                }
+            }
         }
+        // A run that fills the selection past every cut is one morsel.
+        assert_eq!(run_aligned_morsels(&[7; 1000], None, 128), vec![0..1000]);
     }
 
     #[test]
-    fn run_starts_delimit_every_run_of_a_range() {
+    fn a_scan_counts_the_runs_of_the_selected_keys_in_order() {
         let keys = [7, 7, 8, 9, 9, 9, 12, 12];
-        assert_eq!(run_starts(&keys, 0..8), Ok(vec![0, 2, 3, 6, 8]));
-        assert_eq!(run_starts(&keys, 2..6), Ok(vec![2, 3, 6]));
-        assert_eq!(run_starts(&keys, 3..4), Ok(vec![3, 4]));
-        // Out of order inside the range, or against the row before it.
-        assert_eq!(run_starts(&[1, 3, 2], 0..3), Err(RelError::NotSorted));
-        assert_eq!(run_starts(&[5, 1, 2], 1..3), Err(RelError::NotSorted));
+        let scan = |sel: Option<&[u64]>, rows| scan_runs(&keys, sel, rows);
+        let want = |runs, first, last| Some(Scan { runs, first, last, sorted: true });
+        assert_eq!(scan(None, 0..8), want(4, 7, 12));
+        // Rows 1, 3 and 6: keys 7, 9, 12; rows 1..3 only: 7 and 8.
+        assert_eq!(scan(Some(&[0b0100_1010]), 0..8), want(3, 7, 12));
+        assert_eq!(scan(Some(&[0b0000_0110]), 0..8), want(2, 7, 8));
+        assert_eq!(scan(Some(&[0]), 0..8), None);
+        // Out of order among the selected rows, not among the others.
+        let unsorted = [1, 3, 2, 0];
+        assert!(!scan_runs(&unsorted, None, 0..4).unwrap().sorted);
+        assert!(!scan_runs(&unsorted, Some(&[0b0110]), 0..4).unwrap().sorted);
+        assert!(scan_runs(&unsorted, Some(&[0b0101]), 0..4).unwrap().sorted);
     }
 
     #[test]
@@ -1165,6 +1468,96 @@ mod tests {
         // Q1's shape: a handful of long runs.
         assert_matches_oracle(&awkward([90_000, 1, 120_000, 70_000], 7), "long runs");
         crate::engine::set_scratch_poison(false);
+    }
+
+    /// `rel` under the selection of the base rows `keep` picks.
+    fn selecting<'r>(rel: &'r Relation, keep: impl Fn(usize) -> bool) -> View<'r> {
+        let mut sel = vec![0u64; rel.len().div_ceil(64)];
+        let rows = (0..rel.len()).filter(|&i| keep(i)).inspect(|i| sel[i / 64] |= 1 << (i % 64));
+        let rows = rows.count();
+        View::of(rel).with_selection(sel, rows)
+    }
+
+    /// The run fold and AGGREGATE-ALL over a filtered view give what the
+    /// row-at-a-time oracle gives over its gathered rows, bit for bit.
+    fn assert_view_matches_oracle(view: &View<'_>, what: &str) {
+        let rows = crate::view::materialize(view.clone());
+        for aggs in agg_lists() {
+            let what = &format!("{what}, {aggs:?}");
+            let got = aggregate_by_key_view(view, aggs).unwrap();
+            assert_same_bits(&got, &oracle(&rows, aggs, false), what);
+            let all = aggregate_all_view(view, aggs).unwrap();
+            assert_same_bits(&all, &oracle(&rows, aggs, true), &format!("{what}, as one group"));
+        }
+    }
+
+    #[test]
+    fn the_run_fold_reads_a_filtered_view_where_it_is() {
+        crate::engine::set_scratch_poison(true);
+        let mut rng = Rng::seed_from_u64(21);
+        // Short runs over several morsels, a third of the rows selected;
+        // the base ends mid-word, and so does the selection.
+        let lens: Vec<usize> = (0..40_000).map(|_| rng.gen_range(1usize..8)).collect();
+        let r = awkward(lens, 22);
+        assert_ne!(r.len() % 64, 0);
+        let picks: Vec<bool> = (0..r.len()).map(|_| rng.gen_range(0u32..3) == 0).collect();
+        assert_view_matches_oracle(&selecting(&r, |i| picks[i]), "a third of short runs");
+        let last = r.len() - 1;
+        assert_view_matches_oracle(&selecting(&r, |i| i == last || i % 2 == 0), "even rows");
+        // No row, one row, the last row alone.
+        assert_view_matches_oracle(&selecting(&r, |_| false), "no row");
+        assert_view_matches_oracle(&selecting(&r, |i| i == 4_321), "one row");
+        assert_view_matches_oracle(&selecting(&r, |i| i == last), "the last row");
+
+        // A run over the first morsel cut whose rows either side of the cut
+        // are unselected.
+        let chunk = DEFAULT_CTA_CHUNK;
+        let r = awkward([chunk - 300, 600, 2, chunk - 80, 60, 20, 5], 23);
+        let gap = |i: usize| (chunk - 150..chunk + 150).contains(&i);
+        assert_view_matches_oracle(&selecting(&r, |i| !gap(i)), "a run across the cut");
+        // A run ending in the gap, and one wholly inside it.
+        let r = awkward([chunk - 10, 30, chunk], 24);
+        let gap = |i: usize| (chunk - 20..chunk + 20).contains(&i);
+        assert_view_matches_oracle(&selecting(&r, |i| !gap(i)), "runs end in the gap");
+        crate::engine::set_scratch_poison(false);
+    }
+
+    #[test]
+    fn unsorted_selected_keys_are_rejected_and_unselected_ones_are_not() {
+        let chunk = DEFAULT_CTA_CHUNK as u64;
+        // Key 9 among 5s — once inside the first morsel, once as the last
+        // selected row before the cut, against the first one after it.
+        for at in [100, chunk - 1] {
+            let keys: Vec<u64> =
+                (0..2 * chunk).map(|i| if i == at { 9 } else { 5 + i / chunk }).collect();
+            let r = Relation::new(keys, vec![Column::I64(vec![1; 2 * chunk as usize])]).unwrap();
+            let at = at as usize;
+            assert_eq!(
+                aggregate_by_key_view(&View::of(&r), &[Agg::Count]),
+                Err(RelError::NotSorted)
+            );
+            let without = selecting(&r, |i| i != at);
+            let got = aggregate_by_key_view(&without, &[Agg::Count]).unwrap();
+            assert_eq!(*got.keys(), vec![5, 6]);
+            assert_eq!(got.cols[0].as_i64().unwrap(), &[chunk as i64 - 1, chunk as i64]);
+        }
+    }
+
+    /// Every fold names a missing column before it looks at the order of
+    /// the keys: the run fold, the grouped fold and AGGREGATE-ALL agree.
+    #[test]
+    fn a_missing_column_is_reported_before_unsorted_keys() {
+        use crate::ops::group_by_key_view;
+        let r = Relation::new(vec![3, 1, 2, 1], vec![Column::I64(vec![1, 2, 3, 4])]).unwrap();
+        let missing = RelError::NoSuchColumn { col: 4, available: 1 };
+        let aggs = [Agg::Count, Agg::Min(4)];
+        let grouped = group_by_key_view(&View::of(&r)).unwrap();
+        assert!(grouped.is_grouped());
+        for view in [View::of(&r), selecting(&r, |i| i != 2), grouped] {
+            assert_eq!(aggregate_by_key_view(&view, &aggs), Err(missing.clone()));
+            assert_eq!(aggregate_all_view(&view, &aggs), Err(missing.clone()));
+        }
+        assert_eq!(aggregate_by_key_into(&r, &aggs, &mut Relation::default()), Err(missing));
     }
 
     /// A view a SORT by key grouped instead of sorting folds to what its

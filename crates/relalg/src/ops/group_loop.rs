@@ -17,9 +17,8 @@
 //! sizes ([`Stage::Passed`]). The unfused operators stay the oracle — a
 //! chain the loop cannot run as they would (the scalar engine, a body the
 //! batch engine declines, a static error, a last member that would hold an
-//! ARITH+ column, an AGGREGATE over a view that is neither grouped nor
-//! dense) is cut to the longest prefix it can run, and a chain of one
-//! member is that member's own operator.
+//! ARITH+ column) is cut to the longest prefix it can run, and a chain of
+//! one member is that member's own operator.
 
 use super::aggregate::{col_vals, fold_keyed, Bound, Vals};
 use super::arith::count_rows;
@@ -154,8 +153,7 @@ impl<'k> Loop<'k> {
     /// cannot run it as the members' own operators would: the batch engine
     /// is off or declines the spliced body, a predicate is not boolean, a
     /// member names a column its input lacks or of the wrong type, there
-    /// are two REKEYs, or an AGGREGATE follows anything but ARITH+ or reads
-    /// a view that is neither grouped nor dense.
+    /// are two REKEYs, or an AGGREGATE follows anything but ARITH+.
     fn build(input: &View<'_>, chain: &[Member<'k>]) -> Option<Loop<'k>> {
         if !engine::batch_enabled() || input.is_empty() {
             return None;
@@ -213,9 +211,8 @@ impl<'k> Loop<'k> {
                 }
                 Member::Aggregate(list) => {
                     let after_arith = steps.iter().all(|(s, _)| matches!(s, Step::Arith));
-                    let readable = input.is_grouped() || input.is_dense();
                     let named = list.iter().all(|agg| agg.col().is_none_or(|c| c < cols.len()));
-                    if m + 1 != chain.len() || !after_arith || !readable || !named {
+                    if m + 1 != chain.len() || !after_arith || !named {
                         return None;
                     }
                     aggs = Some(list);

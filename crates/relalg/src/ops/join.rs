@@ -8,6 +8,8 @@
 
 use crate::data::{Keys, RelError, Relation};
 use crate::view::{gather_pairs, materialize, View};
+use kfusion_vgpu::exec::{par_map, DEFAULT_CTA_CHUNK};
+use std::ops::Range;
 
 /// One past the last row of the run of keys equal to `keys[start]`.
 fn group_end(keys: &Keys, start: usize) -> usize {
@@ -121,17 +123,20 @@ impl KeySet {
     /// `b`'s selected keys, checked never to decrease. A bitmap when their
     /// span stays under `4 * (rows + b.len()) + 65 536` bits, where `rows`
     /// are the other side's tuples — O(the rows of both sides), like a
-    /// counting sort's histograms — and a sorted list otherwise.
+    /// counting sort's histograms — and a sorted list otherwise. One walk,
+    /// on the calling thread.
     fn of(b: &View<'_>, rows: usize) -> Result<KeySet, RelError> {
         let Some((first, last)) = first_and_last_rows(b) else {
             return Ok(KeySet::Bits { lo: 0, span: 0, bits: vec![0] });
         };
         let (lo, hi) = (b.key().get(first), b.key().get(last));
         let span = hi.checked_sub(lo).ok_or(RelError::NotSorted)?.saturating_add(1);
-        let (set, sorted) = if span < 4 * (rows + b.len()) as u64 + 65_536 {
+        let words = 0..b.base_len().div_ceil(64);
+        let (set, stretch) = if span < 4 * (rows + b.len()) as u64 + 65_536 {
             let mut bits = vec![0u64; (span + 1).div_ceil(64) as usize];
-            let sorted = keyed_walk(
+            let stretch = keyed_walk(
                 b,
+                words,
                 |key| {
                     // Clamped, for an unsorted side's keys out of range.
                     let d = key.wrapping_sub(lo).min(span);
@@ -140,54 +145,70 @@ impl KeySet {
                 },
                 |_, _| {},
             );
-            (KeySet::Bits { lo, span, bits }, sorted)
+            (KeySet::Bits { lo, span, bits }, stretch)
         } else {
             let mut keys = Vec::with_capacity(b.len());
-            let sorted = keyed_walk(
+            let stretch = keyed_walk(
                 b,
+                words,
                 |key| {
                     keys.push(key);
                     false
                 },
                 |_, _| {},
             );
-            (KeySet::Sorted(keys), sorted)
+            (KeySet::Sorted(keys), stretch)
         };
-        sorted.then_some(set).ok_or(RelError::NotSorted)
+        stretch.is_none_or(|s| s.sorted).then_some(set).ok_or(RelError::NotSorted)
     }
 
     /// `a` under the selection of its tuples whose key is in the set
-    /// (`keep_present`) or is not, its keys checked never to decrease.
+    /// (`keep_present`) or is not, its keys checked never to decrease. The
+    /// walk runs on the pool, a morsel of whole selection words at a time:
+    /// each writes its own words of the selection, and the order check
+    /// goes on across the cuts — one morsel's last key against the next
+    /// one's first.
     fn filter<'a>(&self, a: &View<'a>, keep_present: bool) -> Result<View<'a>, RelError> {
         let mut sel = vec![0u64; a.base_len().div_ceil(64)];
-        let mut rows = 0;
-        let emit = |w: usize, word: u64| {
-            sel[w] = word;
-            rows += word.count_ones() as usize;
-        };
-        let sorted = match self {
-            // No branch per key: one outside the span lands on the clear
-            // bit `span`.
-            KeySet::Bits { lo, span, bits } => keyed_walk(
-                a,
-                |key| {
-                    let d = key.wrapping_sub(*lo).min(*span);
-                    (bits[(d / 64) as usize] >> (d % 64) & 1 == 1) == keep_present
-                },
-                emit,
-            ),
-            KeySet::Sorted(keys) => {
-                let mut j = 0;
-                let present = |key| {
-                    while j < keys.len() && keys[j] < key {
-                        j += 1;
-                    }
-                    (j < keys.len() && keys[j] == key) == keep_present
-                };
-                keyed_walk(a, present, emit)
+        let per = DEFAULT_CTA_CHUNK / 64;
+        let morsels: Vec<_> = sel.chunks_mut(per).enumerate().collect();
+        let stretches = par_map(morsels, |_, (m, window)| {
+            let words = m * per..m * per + window.len();
+            let emit = |w: usize, word: u64| window[w - m * per] = word;
+            match self {
+                // No branch per key: one outside the span lands on the
+                // clear bit `span`.
+                KeySet::Bits { lo, span, bits } => keyed_walk(
+                    a,
+                    words,
+                    |key| {
+                        let d = key.wrapping_sub(*lo).min(*span);
+                        (bits[(d / 64) as usize] >> (d % 64) & 1 == 1) == keep_present
+                    },
+                    emit,
+                ),
+                // The merge picks up where the morsel's first key falls.
+                KeySet::Sorted(keys) => {
+                    let mut j = None;
+                    let present = |key| {
+                        let j = j.get_or_insert_with(|| keys.partition_point(|&k| k < key));
+                        while *j < keys.len() && keys[*j] < key {
+                            *j += 1;
+                        }
+                        (*j < keys.len() && keys[*j] == key) == keep_present
+                    };
+                    keyed_walk(a, words, present, emit)
+                }
             }
-        };
-        sorted.then(|| a.with_selection(sel, rows)).ok_or(RelError::NotSorted)
+        });
+        let (mut rows, mut last) = (0, None);
+        for s in stretches.iter().flatten() {
+            if !s.sorted || last.is_some_and(|last| last > s.first) {
+                return Err(RelError::NotSorted);
+            }
+            (rows, last) = (rows + s.kept, Some(s.last));
+        }
+        Ok(a.with_selection(sel, rows))
     }
 }
 
@@ -202,33 +223,58 @@ fn first_and_last_rows(v: &View<'_>) -> Option<(usize, usize)> {
     Some((first_row, last * 64 + 63 - sel[last].leading_zeros() as usize))
 }
 
-/// Walk `v`'s selected rows in order: `keep` is called with each one's key,
-/// and `emit(w, word)` with the rows of selection word `w` it kept. Returns
-/// whether the keys never decrease. Keys by row id and stored keys each get
-/// a walk of their own, with no branch on the key kind inside.
-fn keyed_walk(v: &View<'_>, keep: impl FnMut(u64) -> bool, emit: impl FnMut(usize, u64)) -> bool {
+/// What a walk of some selection words found: the first and the last key
+/// of the rows they select, whether those keys never decrease, and how
+/// many rows it kept.
+#[derive(Debug, Clone, Copy)]
+struct Stretch {
+    first: u64,
+    last: u64,
+    sorted: bool,
+    kept: usize,
+}
+
+/// Walk `v`'s selected rows in selection words `words`, in order: `keep`
+/// is called with each one's key, and `emit(w, word)` with the rows of
+/// word `w` it kept. `None` when the words select no row. Keys by row id
+/// and stored keys each get a walk of their own, with no branch on the key
+/// kind inside.
+fn keyed_walk(
+    v: &View<'_>,
+    words: Range<usize>,
+    keep: impl FnMut(u64) -> bool,
+    emit: impl FnMut(usize, u64),
+) -> Option<Stretch> {
     match v.key() {
-        Keys::Stored(keys) => walk(v, |i| keys[i], keep, emit),
-        Keys::RowIds(_) => walk(v, |i| i as u64, keep, emit),
+        Keys::Stored(keys) => walk(v, words, |i| keys[i], keep, emit),
+        Keys::RowIds(_) => walk(v, words, |i| i as u64, keep, emit),
     }
 }
 
 fn walk(
     v: &View<'_>,
+    words: Range<usize>,
     key: impl Fn(usize) -> u64,
     mut keep: impl FnMut(u64) -> bool,
     mut emit: impl FnMut(usize, u64),
-) -> bool {
+) -> Option<Stretch> {
+    let _steady = kfusion_trace::allocwatch::region();
     let n = v.base_len();
     let sel = v.selection();
-    let (mut prev, mut sorted) = (0u64, true);
-    for w in 0..n.div_ceil(64) {
+    let mut stretch: Option<Stretch> = None;
+    for w in words {
         let mut m = match sel {
             Some(sel) => sel[w],
             None if n - w * 64 >= 64 => u64::MAX,
             None => (1 << (n - w * 64)) - 1,
         };
-        let mut kept = 0u64;
+        if m == 0 {
+            emit(w, 0);
+            continue;
+        }
+        let head = key(w * 64 + m.trailing_zeros() as usize);
+        let s = stretch.get_or_insert(Stretch { first: head, last: head, sorted: true, kept: 0 });
+        let (mut prev, mut sorted, mut kept) = (s.last, s.sorted, 0u64);
         while m != 0 {
             let bit = m.trailing_zeros();
             let k = key(w * 64 + bit as usize);
@@ -237,9 +283,10 @@ fn walk(
             kept |= (keep(k) as u64) << bit;
             m &= m - 1;
         }
+        *s = Stretch { last: prev, sorted, kept: s.kept + kept.count_ones() as usize, ..*s };
         emit(w, kept);
     }
-    sorted
+    stretch
 }
 
 #[cfg(test)]

@@ -250,8 +250,8 @@ impl<'a> View<'a> {
 
     /// The same tuples with every base row selected: this view if it has no
     /// selection, its materialization — carrying its groups — otherwise.
-    /// What an operator that pairs rows by position (COLUMN-JOIN) or walks
-    /// runs of them (keyed AGGREGATE) asks for first.
+    /// What an operator that pairs rows by position (COLUMN-JOIN) asks for
+    /// first.
     pub(crate) fn dense(&self) -> View<'a> {
         match self.sel {
             Some(_) => View { groups: self.groups.clone(), ..materialize(self.clone()).into() },

@@ -309,9 +309,11 @@ mod compress_props {
 /// tuples recur — and keys stored or by row id.
 mod oracle {
     use super::rng_for;
+    use kfusion_ir::CmpOp;
     use kfusion_prng::Rng;
-    use kfusion_relalg::ops;
-    use kfusion_relalg::{Column, Keys, RelError, Relation};
+    use kfusion_relalg::{materialize, ops, predicates};
+    use kfusion_relalg::{Column, Keys, RelError, Relation, View};
+    use kfusion_vgpu::exec::DEFAULT_CTA_CHUNK;
 
     /// A tuple as bit patterns: the key, then each payload cell.
     type Tuple = Vec<u64>;
@@ -468,6 +470,82 @@ mod oracle {
             let types = schema(&x).into_iter().chain([false]).chain(schema(&y)).collect();
             check(&format!("product case {case}"), &ops::product(&x, &y).unwrap(), (types, want));
         }
+    }
+
+    /// SEMIJOIN keeps `a`'s tuples whose key some tuple of `b` holds, in
+    /// order; ANTIJOIN the others.
+    fn semi_anti_oracle(a: &Relation, b: &Relation) -> (Vec<Tuple>, Vec<Tuple>) {
+        let tb = tuples(b);
+        tuples(a).into_iter().partition(|x| tb.iter().any(|y| y[0] == x[0]))
+    }
+
+    /// The rows of `rel` whose i64 column `c` is 0, as a view.
+    fn zeros_of(rel: &Relation, c: usize) -> View<'_> {
+        ops::select_view(&View::of(rel), &predicates::col_cmp_i64(c, CmpOp::Eq, 0)).unwrap()
+    }
+
+    /// SEMIJOIN and ANTIJOIN of a view, against the oracle over its rows.
+    fn check_semi_anti(what: &str, a: &View<'_>, b: &Relation) {
+        let rows = materialize(a.clone());
+        let (semi, anti) = semi_anti_oracle(&rows, b);
+        let vb = View::of(b);
+        let semijoin = materialize(ops::semijoin_view(a, &vb).unwrap());
+        let antijoin = materialize(ops::antijoin_view(a, &vb).unwrap());
+        check(&format!("semijoin, {what}"), &semijoin, (schema(&rows), semi));
+        check(&format!("antijoin, {what}"), &antijoin, (schema(&rows), anti));
+    }
+
+    #[test]
+    fn semijoin_and_antijoin_match_the_nested_loop_bit_for_bit() {
+        for case in 0..super::CASES {
+            let mut rng = rng_for(0xC5, case);
+            let (a, b) = sides(&mut rng, case, false, true);
+            check_semi_anti(&format!("case {case}"), &View::of(&a), &b);
+        }
+        // A left side over several of the walk's morsels, whole and every
+        // other row of it.
+        let mut rng = rng_for(0xC5, super::CASES);
+        let n = 3 * DEFAULT_CTA_CHUNK + 17;
+        let mut keys: Vec<u64> = (0..n).map(|_| rng.gen_range(0..n as u64 / 3)).collect();
+        keys.sort_unstable();
+        let parity = Column::I64((0..n as i64).map(|i| i % 2).collect());
+        let a = Relation::new(keys, vec![parity, arb_column(&mut rng, n, true)]).unwrap();
+        let b = arb_rel(&mut rng, &[true], 300, false, true);
+        let b =
+            Relation::new(b.keys().iter().map(|k| k * n as u64 / 120).collect(), b.cols).unwrap();
+        // A key far past the others makes the right side a sorted list for
+        // the merge walk instead of a bitmap.
+        let far = Relation::from_keys(b.keys().iter().chain([u64::MAX]).collect());
+        for b in [&b, &far] {
+            check_semi_anti("over morsels", &View::of(&a), b);
+            check_semi_anti("every other row over morsels", &zeros_of(&a, 0), b);
+        }
+    }
+
+    /// The left walk runs a morsel of whole selection words at a time; the
+    /// order check goes on across the cuts. Keys in order inside each
+    /// morsel, out of order only from the last selected row before a cut to
+    /// the first after it, are `NotSorted` — and out of order only among
+    /// rows the view does not select, are not.
+    #[test]
+    fn an_inversion_on_a_morsel_cut_is_rejected() {
+        let cut = DEFAULT_CTA_CHUNK as u64;
+        let n = 2 * cut + 100;
+        // Every key past the cut 30 below its row number; column `c` flags
+        // the rows within 5 (`c` = 0) or 30 (`c` = 1) of the cut.
+        let keys: Vec<u64> = (0..n).map(|i| if i < cut { i } else { i - 30 }).collect();
+        let near =
+            |w: u64| Column::I64((0..n).map(|i| (i + w >= cut && i < cut + w) as i64).collect());
+        let a = Relation::new(keys, vec![near(5), near(30)]).unwrap();
+        let b = Relation::from_keys(vec![3, cut - 40, cut + 7, n]);
+        let vb = View::of(&b);
+        for left in [View::of(&a), zeros_of(&a, 0)] {
+            assert_eq!(ops::semijoin_view(&left, &vb).err(), Some(RelError::NotSorted));
+            assert_eq!(ops::antijoin_view(&left, &vb).err(), Some(RelError::NotSorted));
+        }
+        let in_order = zeros_of(&a, 1);
+        assert!(materialize(in_order.clone()).is_key_sorted());
+        check_semi_anti("the inverted rows unselected", &in_order, &b);
     }
 
     /// `t` in `list`, compared cell by cell as bit patterns.

@@ -78,6 +78,10 @@ pub fn par_for(n: usize, work: &(dyn Fn(usize) + Sync)) {
     pool.wake.notify_all();
     job.run(pool);
     pool.help_until_done(&job);
+    // A job whose indices this caller claimed before a pool thread looked
+    // leaves the queue now, not whenever a pool thread next wakes: stale
+    // jobs piling up would grow the queue — an allocation — in a warm call.
+    pool.queue().retain(|queued| !Arc::ptr_eq(queued, &job));
     let panic = job.panic.lock().expect("a panic slot is never locked across a call").take();
     if let Some(payload) = panic {
         resume_unwind(payload);
@@ -152,6 +156,9 @@ impl Pool {
     fn get() -> &'static Pool {
         static START: Once = Once::new();
         START.call_once(|| {
+            // Room for every live `par_for` frame (callers × nesting depth,
+            // a handful), so a warm call never grows the queue.
+            POOL.queue().reserve(64);
             for i in 1..workers() {
                 // Detached on purpose: a pool thread serves until the
                 // process exits, and no panic escapes `Job::run`. One that

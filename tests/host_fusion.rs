@@ -330,11 +330,12 @@ fn q21_barriers_move_only_what_is_out_of_place() {
     // Fused, a SELECT, SEMIJOIN or ANTIJOIN in a group with others narrows
     // a view; a PROJECT rearranges one; and a SORT that finds such a view
     // in order hands it on. No row is written until a reader needs them
-    // stored or dense: each keyed AGGREGATE and the REKEY (its few rows
-    // widened where they are would be more bytes than gathered) reading a
-    // filtered view — the late lineitems' PROJECT (#12), the last SEMIJOIN
-    // (#20) and the PROJECT behind the ANTIJOIN (#16). The SELECTs alone in
-    // their groups, UNIQUE and the SORTs that reorder write theirs as
+    // stored: each keyed AGGREGATE folds the filtered view it reads where
+    // it is — the late lineitems' PROJECT (#12) and the last SEMIJOIN
+    // (#20) — and only the REKEY, whose few rows widened where they are
+    // would be more bytes than gathered, has its filtered view (the
+    // PROJECT behind the ANTIJOIN, #16) gathered first. The SELECTs alone
+    // in their groups, UNIQUE and the SORTs that reorder write theirs as
     // unfused.
     let group_of = &fused_run.fusion.group_of;
     let alone_in_group = |id: usize| {
@@ -351,20 +352,26 @@ fn q21_barriers_move_only_what_is_out_of_place() {
             _ => false,
         };
     }
-    let needs_dense = |c: usize| matches!(kind(c), OpKind::Aggregate { .. } | OpKind::Rekey { .. });
-    let forced = |id: usize| {
-        filtered[id]
-            && (0..plan.len()).any(|c| plan.nodes[c].inputs.contains(&id) && needs_dense(c))
+    let read_by = |id: usize, reader: &dyn Fn(usize) -> bool| {
+        (0..plan.len()).any(|c| plan.nodes[c].inputs.contains(&id) && reader(c))
     };
+    let aggregate = |c: usize| matches!(kind(c), OpKind::Aggregate { .. });
+    let rekey = |c: usize| matches!(kind(c), OpKind::Rekey { .. });
+    let folded_in_place: Vec<usize> =
+        (0..plan.len()).filter(|&id| filtered[id] && read_by(id, &aggregate)).collect();
+    let in_place_kinds: Vec<&str> = folded_in_place.iter().map(|&id| kind(id).name()).collect();
+    assert_eq!(in_place_kinds, ["PROJECT", "SEMIJOIN"], "{folded_in_place:?}");
+    let forced = |id: usize| filtered[id] && read_by(id, &rekey);
     let forced_ids: Vec<usize> = (0..plan.len()).filter(|&id| forced(id)).collect();
-    assert_eq!(forced_ids.len(), 3, "{forced_ids:?}");
+    assert_eq!(forced_ids.len(), 1, "{forced_ids:?}");
+    assert!(project(forced_ids[0]) && matches!(feeds(forced_ids[0]), OpKind::Antijoin));
     let stored_filters = |id: usize| filters(id) && !filtered[id];
     assert_eq!(
         fused_trace.counter(MATERIALIZED),
         bytes_of(&stored_filters) + bytes_of(&forced) + reordered
     );
     // Every SEMIJOIN / ANTIJOIN, the two ordered SORTs, the SELECTs in
-    // groups of more and the PROJECTs stay views — the forced ones too: a
+    // groups of more and the PROJECTs stay views — the forced one too: a
     // node counts as one when its slot fills.
     let views = (0..plan.len()).filter(|&id| filtered[id] || project(id)).count() as u64;
     assert_eq!(views, 11);
@@ -379,15 +386,16 @@ fn q21_barriers_move_only_what_is_out_of_place() {
 #[test]
 fn a_forced_gather_is_booked_to_the_view_it_gathers() {
     let _g = serial();
-    // One group: the SELECT stays a view, and the keyed AGGREGATE, which
-    // folds runs of base rows, has it gathered first.
+    // One group: the SELECT stays a view, and the JOIN, which needs stored
+    // rows, has it gathered first.
     let mut g = PlanGraph::new();
-    let input = g.input(0);
+    let (input, other) = (g.input(0), g.input(1));
     let pred = predicates::col_cmp_i64(0, kfusion::ir::CmpOp::Lt, 0);
     let kept = g.add(OpKind::Select { pred }, vec![input]);
-    let folded = g.add(OpKind::Aggregate { aggs: vec![Agg::Count, Agg::Sum(1)] }, vec![kept]);
-    let (run, trace) = traced(&g, &[gen::sorted_table(300_000, 2, 4)], Strategy::Fusion);
-    assert_eq!(run.fusion.group_of[kept], run.fusion.group_of[folded]);
+    let joined = g.add(OpKind::Join, vec![kept, other]);
+    let inputs = [gen::sorted_table(300_000, 2, 4), gen::sorted_table(300_000, 1, 5)];
+    let (run, trace) = traced(&g, &inputs, Strategy::Fusion);
+    assert_eq!(run.fusion.group_of[kept], run.fusion.group_of[joined]);
     let span = |name: &str| {
         let found = trace.spans.iter().find(|s| s.name == name);
         found.unwrap_or_else(|| panic!("no {name} span")).duration()
@@ -396,15 +404,15 @@ fn a_forced_gather_is_booked_to_the_view_it_gathers() {
         let (root, select) = (&run.explain, &run.explain.children[0]);
         [root, select].into_iter().find(|n| n.label == label).expect(label).host_seconds
     };
-    let (view, reader) = (format!("select#{kept}"), format!("aggregate#{folded}"));
+    let (view, reader) = (format!("select#{kept}"), format!("join#{joined}"));
     assert!(host(&view) >= span(&format!("materialize#{kept}")), "{}", run.explain.render());
     assert!(host(&reader) <= span(&reader), "{}", run.explain.render());
 }
 
-/// Keyed AGGREGATE folds runs of base rows, so a filtered view is gathered
-/// for it — once, into the view's slot: the JOIN that reads the same SELECT
-/// a wave later finds those rows there and gathers nothing again. The JOIN
-/// writes its own rows through the same gather, under either strategy.
+/// A filtered view is gathered once, into its slot, by the one reader that
+/// needs its rows stored — the JOIN; the keyed AGGREGATE that reads the
+/// same SELECT a wave earlier folds it where it is. The JOIN writes its own
+/// rows through the same gather, under either strategy.
 #[test]
 fn a_filtered_view_under_an_aggregate_is_gathered_once() {
     let _g = serial();
@@ -424,7 +432,8 @@ fn a_filtered_view_under_an_aggregate_is_gathered_once() {
     assert_eq!(fused_run.fusion.groups.len(), 1, "{:?}", fused_run.fusion.groups);
 
     // Fused, the three SELECTs stay views; the AGGREGATE (second wave)
-    // and the JOIN (third) both read `kept`, and the JOIN `fewer`.
+    // and the JOIN (third) both read `kept`, and the JOIN `fewer`: the
+    // JOIN gathers both.
     let cards = &fused_run.cards;
     assert_eq!(fused_trace.counter(VIEWS), 3);
     assert_eq!(

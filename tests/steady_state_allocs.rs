@@ -1,6 +1,6 @@
 //! The zero-allocation steady state, enforced end to end (DESIGN.md §14).
 //!
-//! A warm batch-engine Q1 execution must not allocate inside any
+//! A warm batch-engine Q1 or Q21 execution must not allocate inside any
 //! steady-state region: the per-batch loops of the relational operators
 //! run entirely out of checked-out scratch banks and preallocated output
 //! buffers. This test installs the counting allocator (its own binary, so
@@ -16,7 +16,7 @@ use kfusion::core::exec::Strategy;
 use kfusion::relalg::ops::{self, Agg, SortBy};
 use kfusion::relalg::{engine, Column, Relation, View};
 use kfusion::tpch::gen::{generate, TpchConfig};
-use kfusion::tpch::q1;
+use kfusion::tpch::{q1, q21};
 use kfusion::trace::allocwatch;
 use kfusion::vgpu::exec::DEFAULT_CTA_CHUNK;
 use kfusion::vgpu::GpuSystem;
@@ -56,6 +56,34 @@ fn warm_q1_steady_state_allocates_nothing() {
             (0, 0),
             "{strategy:?}: steady-state regions must not allocate: {region_allocs} allocations \
              ({region_bytes} bytes) observed inside per-batch loops"
+        );
+    }
+}
+
+/// Warm Q21 holds it too: its keyed AGGREGATEs fold lineitem-length
+/// views, filtered and dense, batch by batch, and its SEMIJOIN / ANTIJOIN
+/// walks run a morsel of selection words at a time on the pool — none of
+/// those per-batch loops, nor any other, allocates.
+#[test]
+fn warm_q21_folds_and_walks_allocate_nothing_per_batch() {
+    let _g = serial();
+    let db = generate(TpchConfig::scale(0.02));
+    let sys = GpuSystem::c2070();
+    engine::set_batch_enabled(true);
+    for strategy in [Strategy::Serial, Strategy::FusionFission { segments: 8 }] {
+        q21::run_q21(&sys, &db, 20, strategy).unwrap();
+
+        allocwatch::reset();
+        allocwatch::set_enabled(true);
+        q21::run_q21(&sys, &db, 20, strategy).unwrap();
+        allocwatch::set_enabled(false);
+
+        let (region_allocs, region_bytes) = allocwatch::region_counts();
+        assert!(allocwatch::total_counts().0 > 0, "counting allocator saw no allocations at all");
+        assert_eq!(
+            (region_allocs, region_bytes),
+            (0, 0),
+            "{strategy:?}: {region_allocs} allocations ({region_bytes} bytes) inside per-batch loops"
         );
     }
 }

@@ -1082,6 +1082,85 @@ fn group_loops_never_change_answers_cardinalities_or_errors() {
     );
 }
 
+/// Keyed AGGREGATE and AGGREGATE* fold a filtered view where it is: a
+/// SELECT → PROJECT → keyed AGGREGATE and a SELECT → AGGREGATE*, each of
+/// one fused group, over wrapping i64s and f64s among NaN, -0.0 and
+/// the infinities — in key order, or out of it where the SELECT may keep
+/// the rows that invert, which the keyed AGGREGATE then rejects. Every cell gives the answers, sizes and errors of the
+/// unfused scalar run.
+#[test]
+fn filtered_views_into_aggregates_never_change_answers_cardinalities_or_errors() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let (mut ok, mut unsorted, mut grouped) = (0, 0, 0);
+    for case in 0u64..48 {
+        let mut rng = Rng::seed_from_u64(0xEB << 32 | case);
+        let mut g = PlanGraph::new();
+        let kinds = [InputKind::Base, InputKind::Awkward];
+        let (base, awkward) = (g.input(0), g.input(1));
+        // Columns: i64s in -50..50, i64s in 0..40, wrapping i64s, and f64s
+        // among the specials.
+        let table = g.add(OpKind::ColumnJoin, vec![base, awkward]);
+        let floats = [false, false, false, true];
+        let ordered = case % 3 != 0;
+        let pred = match case % 6 {
+            1 => predicates::key_lt(1 << 40),
+            4 => predicates::key_lt(0),
+            _ => arb_pred(&mut rng, &floats),
+        };
+        let kept = g.add(OpKind::Select { pred }, vec![table]);
+        // The last column first, then the others: the AGGREGATE reads the
+        // view through the PROJECT's renumbering.
+        let keep: Vec<usize> =
+            std::iter::once(floats.len() - 1).chain(0..floats.len() - 1).collect();
+        let projected = g.add(OpKind::Project { keep }, vec![kept]);
+        let folded = g.add(OpKind::Aggregate { aggs: every_agg(floats.len()) }, vec![projected]);
+        let pred = arb_pred(&mut rng, &floats);
+        let kept_too = g.add(OpKind::Select { pred }, vec![table]);
+        let all = g.add(OpKind::AggregateAll { aggs: every_agg(floats.len()) }, vec![kept_too]);
+        g.root = folded;
+        let plan = MergedPlan { graph: g.clone(), roots: vec![folded, all] };
+        let n = match case % 8 {
+            1 => 70_000,
+            5 => 0,
+            _ => 800,
+        };
+        let mut inputs = make_inputs(&kinds, case, n);
+        if !ordered {
+            // Out of key order: three rows swapped with ones half the
+            // table away, in both inputs alike.
+            let mut keys: Vec<u64> = inputs[0].keys().iter().collect();
+            for _ in 0..3.min(n / 2) {
+                let i = rng.gen_range(0..n / 2);
+                keys.swap(i, i + n / 2);
+            }
+            for rel in &mut inputs {
+                *rel = Relation::new(keys.clone(), rel.cols.clone()).unwrap();
+            }
+        }
+        let what = format!("case {case} ({n} rows, ordered {ordered}): {g:?}");
+        let outcome = same_in_every_cell(&what, |strat| {
+            execute_multi(&sys, &plan, &inputs, &ExecConfig::new(strat, &sys))
+                .map(|r| (r.outputs, r.cards))
+                .map_err(|e| e.to_string())
+        });
+        let cfg = ExecConfig::new(ExecStrategy::FusionFission { segments: 8 }, &sys);
+        let fused = kfusion::core::fuse_plan(&g, &cfg.budget, cfg.level);
+        let group = |id: NodeId| fused.group_of[id];
+        let one_group = |ids: &[NodeId]| ids.iter().all(|&id| group(id) == group(ids[0]));
+        grouped += (one_group(&[kept, projected, folded]) && one_group(&[kept_too, all])) as u32;
+        match outcome {
+            Ok(_) => ok += 1,
+            Err(e) if !ordered && e.contains("not key-sorted") => unsorted += 1,
+            Err(e) => panic!("{what}: unexpected error {e}"),
+        }
+    }
+    assert!(
+        ok > 30 && unsorted > 5 && grouped == 48,
+        "{ok} ok, {unsorted} unsorted, {grouped} grouped"
+    );
+}
+
 /// A negative value fails a REKEY only where the view it reads keeps it:
 /// the SELECT in front drops every row `t - 1 - key` is negative on, while
 /// `t / 2 - key` is negative on rows it keeps too — at selectivities on
