@@ -4,11 +4,15 @@
 //!
 //! [`merge_plans`] splices several query plans into one multi-root
 //! [`PlanGraph`], deduplicating plan-input leaves so queries that scan the
-//! same relation share the scan. The ordinary fusion pass then does the
-//! rest: operators from *different* queries reading the same input land in
-//! one kernel group (the Fig. 2(c) shape, generalized), which reads the
-//! input once and writes every query's survivors — one PCIe upload and one
-//! partition/gather skeleton amortized across the whole batch.
+//! same relation share the upload: one PCIe transfer amortized across the
+//! whole batch. The ordinary fusion pass then groups the merged graph.
+//! Its sibling rule joins a SELECT to an *open* group over the same input
+//! (the Fig. 2(c) shape), so chains of bare SELECTs from different queries
+//! land in one kernel group. A query whose chain closes its group — at an
+//! AGGREGATE, as Q6's does — keeps a group of its own: two merged Q6
+//! variants are two 7-node fusion groups that share one `Input` leaf, and
+//! each still reads the input itself. Making such sibling runs one walk is
+//! ROADMAP item 8.
 
 use crate::exec::{ExecConfig, Strategy};
 use crate::fusion::FusionPlan;

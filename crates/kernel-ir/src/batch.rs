@@ -522,7 +522,7 @@ const POISON_F64_BITS: u64 = 0x7FF8_DEAD_BEEF_F00D;
 const POISON_MASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 
 /// A per-worker scratch arena: caches [`BatchMachine`]s by kernel identity
-/// and recycles index buffers, so steady-state batch loops check state out
+/// and recycles index and word buffers, so steady-state batch loops check state out
 /// and return it instead of allocating. Keep one per worker thread (the
 /// relational operators hold one in a thread-local) and `reset` it when the
 /// worker retires.
@@ -534,6 +534,7 @@ const POISON_MASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 pub struct Scratch {
     machines: Vec<(u64, BatchMachine)>,
     idx_bufs: Vec<Vec<u32>>,
+    word_bufs: Vec<Vec<u64>>,
 }
 
 /// Cap on cached machines / buffers per arena; a worker only ever needs a
@@ -583,10 +584,25 @@ impl Scratch {
         }
     }
 
+    /// Check out an empty `u64` buffer (capacity retained from prior use).
+    pub fn word_buf(&mut self) -> Vec<u64> {
+        let mut v = self.word_bufs.pop().unwrap_or_default();
+        v.clear();
+        v
+    }
+
+    /// Return a word buffer to the pool.
+    pub fn put_word_buf(&mut self, v: Vec<u64>) {
+        if self.word_bufs.len() < SCRATCH_CAP {
+            self.word_bufs.push(v);
+        }
+    }
+
     /// Drop all pooled state.
     pub fn reset(&mut self) {
         self.machines.clear();
         self.idx_bufs.clear();
+        self.word_bufs.clear();
     }
 }
 

@@ -17,11 +17,13 @@
 //!   selection.
 //! * **groups** — a view a SORT by key grouped instead of sorting
 //!   ([`crate::ops::group_by_key_view`]) is in no key order, but each key's
-//!   rows are in the order the sorted rows would be. Each row is folded, in
-//!   that order, into its group's slot of each accumulator; the
+//!   rows are in the order the sorted rows would be. The groups are
+//!   numbered as their keys first appear ([`Slots`]), and each row is
+//!   folded, in that order, into its group's slot of each accumulator; the
 //!   accumulators that fold alike (all of Q1's are f64 sums) share one
 //!   typed walk over the selected rows ([`fold_rows`]). The accumulators,
-//!   never the rows, are dealt to the workers.
+//!   never the rows, are dealt to the workers, and the groups written in
+//!   key order.
 //!
 //! Aggregates that fold one source with one step share an accumulator — an
 //! AVG divides its SUM's ([`Plan`]). The sources are the view's columns or,
@@ -424,9 +426,9 @@ macro_rules! by_class {
     };
 }
 
-/// Call `$fold` with accumulator `a`'s value and slot types, its identity
-/// and its step — each step a function of its own, so a loop over rows
-/// has no branch on it.
+/// Call `$fold` with accumulator `a`'s value and slot types and its step —
+/// each step a function of its own, so a loop over rows has no branch on
+/// it.
 macro_rules! by_kind {
     ($plan:expr, $a:expr, $fold:ident($($arg:expr),*)) => {
         match $plan.kind($a) {
@@ -440,11 +442,7 @@ macro_rules! by_kind {
         }
     };
     (@ $fold:ident, $t:ty, $a:ty, $step:ident, $($arg:expr),*) => {
-        $fold::<$t, $a>(
-            $($arg,)*
-            <$a as Fold<$t>>::identity(Step::$step),
-            |acc, v| <$a as Fold<$t>>::apply(Step::$step, acc, v),
-        )
+        $fold::<$t, $a>($($arg,)* |acc, v| <$a as Fold<$t>>::apply(Step::$step, acc, v))
     };
 }
 
@@ -520,18 +518,24 @@ fn batch_words<'s>(sel: Option<&'s [u64]>, rows: &Range<usize>) -> Option<&'s [u
 }
 
 /// Run `$body` with `$j` each of the `$n` lanes of a batch that `$words`
-/// selects (every one when it is `None`), ascending — a loop, not a
-/// closure, so the folds' state stays in registers.
+/// selects (every one when it is `None`), ascending — from lane `$from`
+/// on, when given — a loop, not a closure, so the folds' state stays in
+/// registers.
 macro_rules! for_each_lane {
     ($words:expr, $n:expr, |$j:ident| $body:block) => {
+        for_each_lane!($words, $n, 0, |$j| $body)
+    };
+    ($words:expr, $n:expr, $from:expr, |$j:ident| $body:block) => {
+        let from: usize = $from;
         match $words {
             None => {
                 #[allow(clippy::needless_range_loop)]
-                for $j in 0..$n $body
+                for $j in from..$n $body
             }
             Some(words) => {
-                for (w, &word) in words.iter().enumerate() {
-                    let mut m = word;
+                let mut before = u64::MAX << (from % 64);
+                for (w, &word) in words.iter().enumerate().skip(from / 64) {
+                    let mut m = word & std::mem::replace(&mut before, u64::MAX);
                     while m != 0 {
                         let $j = w * 64 + m.trailing_zeros() as usize;
                         $body
@@ -602,8 +606,8 @@ struct Head<'h> {
     size: u32,
 }
 
-/// One batch of a morsel's run fold: its base rows' keys, which lanes the
-/// view selects, and how many lanes.
+/// One batch of a fold: its base rows' keys, which lanes the view selects,
+/// and how many lanes.
 struct RunBatch<'b> {
     keys: &'b [u64],
     words: Option<&'b [u64]>,
@@ -841,130 +845,236 @@ fn identity_bits<T, A: Fold<T>>(step: Step) -> u64 {
     A::identity(step).bits()
 }
 
-/// Accumulator `a` of a grouped fold: the values it reads and the column it
-/// folds into, a slot per group.
+/// Accumulator `a` of a run fold: the values it reads and the column it
+/// folds into, a slot per run.
 struct Lane<'o, 'v> {
     a: usize,
     src: Vals<'v>,
     acc: ColWindow<'o>,
 }
 
-/// One batch of a grouped fold: its rows' keys, which of them are
-/// selected (`None`: all), and where each key's group is (`of_keys[key -
-/// lo]`).
-struct GroupedBatch<'b> {
-    keys: &'b [u64],
-    sel: Option<&'b [u64]>,
-    of_keys: &'b [u32],
+/// The slot of a key no selected row has shown yet.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Where a share of a grouped fold keeps its groups: a slot of `stride`
+/// words per group in `accs`, in the order their keys first appear, and
+/// where key `lo + b`'s slot starts at `of_key[b]` ([`NO_SLOT`] until a
+/// row holds it). A slot holds the bits of each of the share's
+/// accumulators in turn, then, when the share counts them, the group's
+/// size.
+struct Slots<'t> {
     lo: u64,
+    of_key: &'t mut [u32],
+    accs: &'t mut Vec<u64>,
+    /// A slot's accumulators as it opens: each one's identity, and a size
+    /// of 0. Its length is the stride.
+    fresh: &'t [u64],
 }
 
-/// Fold each selected row of a batch into its group's slot of each of the
-/// `L` accumulators `accs`, reading `vals`, the row's steps of all
-/// accumulators together: their folds are independent, so they overlap.
-/// `L` is a constant, so the steps unroll and the slices stay in registers.
-fn fold_rows<T: Copy, A: Copy, const L: usize>(
-    batch: &GroupedBatch<'_>,
-    vals: [&[T]; L],
-    accs: [&mut [A]; L],
+impl Slots<'_> {
+    /// Open the next slot for `key`, every accumulator at its identity.
+    /// `accs` has room for every slot, so this never allocates.
+    #[cold]
+    fn open(&mut self, key: u64) {
+        let at = u32::try_from(self.accs.len()).ok().filter(|&at| at != NO_SLOT);
+        self.of_key[(key - self.lo) as usize] = at.expect("slots start below u32::MAX");
+        self.accs.extend_from_slice(self.fresh);
+    }
+}
+
+/// Fold each selected row of a batch into its group's `L` accumulators
+/// that start at word `first` of its slot, reading `vals`, opening the
+/// group's slot at its first row — and, when `count` is set, add the row to
+/// its group's size, the last word of the slot. The walk holds the slots
+/// opened so far as a slice, so that no store to an accumulator can move
+/// it: a row whose key has none stops the walk, which opens its slot and
+/// goes on from that row. The `L` steps of a row are independent, so they
+/// overlap; `L` is a constant, so they unroll and the slices stay in
+/// registers.
+fn fold_rows<T: Copy, A: Slot, const L: usize>(
+    batch: &RunBatch<'_>,
+    (vals, first): ([&[T]; L], usize),
     step: &impl Fn(A, T) -> A,
+    slots: &mut Slots<'_>,
+    count: bool,
 ) {
-    for_each_lane!(batch.sel, batch.keys.len(), |j| {
-        let g = batch.of_keys[(batch.keys[j] - batch.lo) as usize] as usize;
-        for l in 0..L {
-            accs[l][g] = step(accs[l][g], vals[l][j]);
-        }
-    });
+    let (lo, size_at) = (slots.lo, slots.fresh.len() - 1);
+    let (keys, vals) = (&batch.keys[..batch.n], vals.map(|v| &v[..batch.n]));
+    let mut from = 0;
+    loop {
+        let (of_key, accs) = (&*slots.of_key, &mut slots.accs[..]);
+        let unopened = 'walk: {
+            for_each_lane!(batch.words, batch.n, from, |j| {
+                let at = of_key[(keys[j] - lo) as usize];
+                if at == NO_SLOT {
+                    break 'walk Some(j);
+                }
+                let at = at as usize;
+                let lanes: &mut [u64; L] = (&mut accs[at + first..][..L]).try_into().expect("L");
+                for l in 0..L {
+                    lanes[l] = step(A::of_bits(lanes[l]), vals[l][j]).bits();
+                }
+                if count {
+                    accs[at + size_at] += 1;
+                }
+            });
+            None
+        };
+        let Some(j) = unopened else { return };
+        slots.open(batch.keys[j]);
+        from = j;
+    }
 }
 
-/// [`fold_rows`] for the lanes that fold like accumulator `a`, up to four
-/// at a time.
+/// [`fold_rows`] for `lanes`, the sources of accumulators that fold alike
+/// and lie side by side in a slot from word `first` on, up to four at a
+/// time; the first walk counts the sizes when `count` asks for it, and
+/// clears it.
 fn fold_like<'v, 'b, T: Slot, A: Slot>(
-    batch: &GroupedBatch<'_>,
-    lanes: &mut [Lane<'_, 'v>],
-    like: &dyn Fn(usize) -> bool,
+    batch: &RunBatch<'_>,
+    (first, lanes): (usize, &[Vals<'v>]),
     vals_of: &dyn Fn(Vals<'v>) -> Lanes<'b>,
-    _init: A,
+    slots: &mut Slots<'_>,
+    count: &mut bool,
     step: impl Fn(A, T) -> A,
 ) {
-    let mut picked = lanes.iter_mut().filter(|lane| like(lane.a)).peekable();
-    while picked.peek().is_some() {
+    for (four, first) in lanes.chunks(4).zip((first..).step_by(4)) {
         let mut vals: [&[T]; 4] = [&[]; 4];
-        let mut accs: [&mut [A]; 4] = Default::default();
-        let mut m = 0;
-        for lane in picked.by_ref().take(4) {
-            vals[m] = T::lanes(vals_of(lane.src));
-            accs[m] = A::window(&mut lane.acc);
-            m += 1;
+        for (m, &src) in four.iter().enumerate() {
+            vals[m] = T::lanes(vals_of(src));
         }
-        let [a0, a1, a2, a3] = accs;
         let [v0, v1, v2, v3] = vals;
-        match m {
-            1 => fold_rows(batch, [v0], [a0], &step),
-            2 => fold_rows(batch, [v0, v1], [a0, a1], &step),
-            3 => fold_rows(batch, [v0, v1, v2], [a0, a1, a2], &step),
-            _ => fold_rows(batch, [v0, v1, v2, v3], [a0, a1, a2, a3], &step),
+        let count = std::mem::take(count);
+        match four.len() {
+            1 => fold_rows(batch, ([v0], first), &step, slots, count),
+            2 => fold_rows(batch, ([v0, v1], first), &step, slots, count),
+            3 => fold_rows(batch, ([v0, v1, v2], first), &step, slots, count),
+            _ => fold_rows(batch, ([v0, v1, v2, v3], first), &step, slots, count),
         }
     }
 }
 
-/// Fill accumulator `a`'s slots with its identity.
-fn fill_identity<T, A: Slot>(acc: &mut ColWindow<'_>, init: A, _step: impl Fn(A, T) -> A) {
-    A::window(acc).fill(init);
+/// One share of a grouped fold: some of the accumulators, and the slots
+/// its walk over every selected row finds the groups in ([`Slots`]). Every
+/// share walks the same rows in the same order, so all number the groups
+/// alike.
+struct Share {
+    /// The share's accumulators, in slot order: those that fold alike side
+    /// by side.
+    accs: Vec<usize>,
+    /// Whether the share counts the groups' sizes.
+    sized: bool,
+    /// Each accumulator's identity then — when sized — a size of 0, as bits.
+    fresh: Vec<u64>,
+    /// Where each key of the range has its slot ([`Slots`]); after
+    /// [`Share::write`], the slots in key order at its head. A scratch
+    /// buffer.
+    of_key: Vec<u32>,
+    /// The slots' accumulators ([`Slots`]). A scratch buffer.
+    slots: Vec<u64>,
 }
 
-/// The grouped fold of one share of the accumulators: every selected row
-/// of `input`, in base-row order, into its group's slot of each — batch by
-/// batch, the kernel run for a batch only when the share folds one of its
-/// outputs.
-fn fold_share(
-    input: &View<'_>,
-    keys: &[u64],
-    groups: &Groups,
-    plan: &Plan,
-    mut lanes: Vec<Lane<'_, '_>>,
-    kernel: Option<&Bound<'_>>,
-) {
-    for lane in &mut lanes {
-        by_kind!(plan, lane.a, fill_identity(&mut lane.acc));
-    }
-    // One accumulator of each way of folding the share has.
-    let mut kinds: Vec<usize> = Vec::new();
-    for lane in &lanes {
-        if !kinds.iter().any(|&b| plan.kind(b) == plan.kind(lane.a)) {
-            kinds.push(lane.a);
-        }
-    }
-    let kernel = kernel.filter(|_| lanes.iter().any(|lane| matches!(lane.src, Vals::Out { .. })));
-    let (of_keys, lo) = groups.of_keys();
-    let sel = input.selection();
-    let mut walk = |mut run: Option<(&CompiledKernel, &mut BatchMachine)>| {
-        let _steady = kfusion_trace::allocwatch::region();
-        for base in (0..input.base_len()).step_by(BATCH_ROWS) {
-            let n = BATCH_ROWS.min(input.base_len() - base);
-            let sel = sel.map(|sel| &sel[base / 64..(base + n).div_ceil(64)]);
-            if sel.is_some_and(|words| words.iter().all(|&w| w == 0)) {
-                continue;
-            }
-            if let Some((k, bm)) = run.as_mut() {
-                bm.run(k, kernel.expect("bound").cols, base, n);
-            }
-            let done = run.as_ref().map(|(k, bm)| (*k, &**bm));
-            let vals_of = |src| batch_lanes(src, done, base..base + n);
-            let batch = GroupedBatch { keys: &keys[base..base + n], sel, of_keys, lo };
-            for &kind in &kinds {
-                let like = |b: usize| plan.kind(b) == plan.kind(kind);
-                by_kind!(plan, kind, fold_like(&batch, &mut lanes, &like, &vals_of));
+impl Share {
+    /// The walk: every selected row of `input`, in base-row order, into its
+    /// group's slot of each of the share's accumulators — batch by batch,
+    /// the kernel run for a batch only when the share folds one of its
+    /// outputs. The key range is `lo..lo + buckets`.
+    fn fold(
+        &mut self,
+        input: &View<'_>,
+        keys: &[u64],
+        (lo, buckets): (u64, usize),
+        plan: &Plan,
+        srcs: &[Vals<'_>],
+        kernel: Option<&Bound<'_>>,
+    ) {
+        // For each way the share's accumulators fold: one of them, where
+        // in a slot they start, and their sources.
+        let mut kinds: Vec<(usize, usize, Vec<Vals<'_>>)> = Vec::new();
+        for (off, &a) in self.accs.iter().enumerate() {
+            let src = srcs[plan.accs[a].src];
+            match kinds.last_mut() {
+                Some((b, _, lanes)) if plan.kind(*b) == plan.kind(a) => lanes.push(src),
+                _ => kinds.push((a, off, vec![src])),
             }
         }
-    };
-    match kernel {
-        Some(b) => crate::scratch::with_scratch(|s| {
-            let mut bm = s.machine(b.kernel);
-            walk(Some((b.kernel, &mut bm)));
-            s.put_machine(b.kernel, bm);
-        }),
-        None => walk(None),
+        let mut computed = kinds.iter().flat_map(|(_, _, lanes)| lanes);
+        let kernel = kernel.filter(|_| computed.any(|src| matches!(src, Vals::Out { .. })));
+        self.of_key.resize(buckets, NO_SLOT);
+        let mut slots =
+            Slots { lo, of_key: &mut self.of_key, accs: &mut self.slots, fresh: &self.fresh };
+        let (sel, sized) = (input.selection(), self.sized);
+        let mut walk = |mut run: Option<(&CompiledKernel, &mut BatchMachine)>| {
+            let _steady = kfusion_trace::allocwatch::region();
+            for base in (0..input.base_len()).step_by(BATCH_ROWS) {
+                let n = BATCH_ROWS.min(input.base_len() - base);
+                let words = batch_words(sel, &(base..base + n));
+                if words.is_some_and(|words| words.iter().all(|&w| w == 0)) {
+                    continue;
+                }
+                if let Some((k, bm)) = run.as_mut() {
+                    bm.run(k, kernel.expect("bound").cols, base, n);
+                }
+                let done = run.as_ref().map(|(k, bm)| (*k, &**bm));
+                let vals_of = |src| batch_lanes(src, done, base..base + n);
+                let batch = RunBatch { keys: &keys[base..base + n], words, n };
+                let mut count = sized;
+                for (a, first, lanes) in &kinds {
+                    let lanes = (*first, &lanes[..]);
+                    by_kind!(plan, *a, fold_like(&batch, lanes, &vals_of, &mut slots, &mut count));
+                }
+                if count {
+                    fold_rows::<i64, i64, 0>(&batch, ([], 0), &|acc, _| acc, &mut slots, true);
+                }
+            }
+        };
+        match kernel {
+            Some(b) => crate::scratch::with_scratch(|s| {
+                let mut bm = s.machine(b.kernel);
+                walk(Some((b.kernel, &mut bm)));
+                s.put_machine(b.kernel, bm);
+            }),
+            None => walk(None),
+        }
+    }
+
+    /// How many groups the walk found.
+    fn groups(&self) -> usize {
+        self.slots.len() / self.fresh.len()
+    }
+
+    /// Write the share's accumulators into `cols`, their windows of the
+    /// output, in key order — and, when handed the key column, each
+    /// group's key — in one pass over the slot table, which leaves the
+    /// slots in key order at its head.
+    fn write(&mut self, mut cols: Vec<ColWindow<'_>>, mut key: Option<&mut [u64]>, lo: u64) {
+        let mut groups = 0;
+        for b in 0..self.of_key.len() {
+            let s = self.of_key[b];
+            if s != NO_SLOT {
+                self.of_key[groups] = s;
+                if let Some(key) = key.as_deref_mut() {
+                    key[groups] = lo + b as u64;
+                }
+                groups += 1;
+            }
+        }
+        let in_order = &self.of_key[..groups];
+        for (off, col) in cols.iter_mut().enumerate() {
+            let bits = in_order.iter().map(|&s| self.slots[s as usize + off]);
+            match col {
+                ColWindow::I64(d) => d.iter_mut().zip(bits).for_each(|(v, b)| *v = b as i64),
+                ColWindow::F64(d) => {
+                    d.iter_mut().zip(bits).for_each(|(v, b)| *v = f64::from_bits(b))
+                }
+            }
+        }
+    }
+
+    /// Group `g`'s size, in key order: the share must count sizes, and have
+    /// written its groups.
+    fn size(&self, g: usize) -> usize {
+        self.slots[self.of_key[g] as usize + self.fresh.len() - 1] as usize
     }
 }
 
@@ -974,7 +1084,7 @@ fn whole(cols: &mut [Column], rows: usize) -> Vec<ColWindow<'_>> {
 }
 
 /// The keyed fold of `aggs` over `input` into `out` — a view that carries
-/// its groups folded by group through its selection, any other (its
+/// its key range folded by group through its selection, any other (its
 /// selected keys in order, which is checked) by runs — reading each
 /// aggregate's values from `srcs`, some of which may be outputs of
 /// `kernel` run over `input`'s base rows.
@@ -991,13 +1101,17 @@ pub(crate) fn fold_keyed(
     }
 }
 
-/// [`fold_keyed`] over a view that carries its groups: one row per group,
-/// in key order. The accumulators, never the rows, are dealt to the
-/// workers, in contiguous shares: splitting a fold's rows would
-/// reassociate its sums.
+/// [`fold_keyed`] over a view that carries the range of its keys: one row
+/// per group, in key order. The accumulators, never the rows, are dealt to
+/// the workers, in contiguous shares: splitting a fold's rows would
+/// reassociate its sums. Each share numbers the groups as their keys first
+/// appear ([`Share::fold`]); then the output is sized, and each share
+/// writes its accumulators in key order ([`Share::write`]), the first also
+/// the keys. When an aggregate reads the groups' sizes, one share counts
+/// them in its walk.
 fn fold_by_group(
     input: &View<'_>,
-    groups: &Groups,
+    groups: Groups,
     aggs: &[Agg],
     srcs: &[Vals<'_>],
     kernel: Option<&Bound<'_>>,
@@ -1005,29 +1119,64 @@ fn fold_by_group(
 ) -> Result<(), RelError> {
     validate_agg_cols(srcs.len(), aggs)?;
     kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
-    shape_output(srcs, aggs, groups.len(), out);
-    kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
-    out.key.buffer_mut().iter_mut().zip(groups.keys()).for_each(|(slot, key)| *slot = key);
     let plan = Plan::new(aggs, srcs);
     let keys = input.key().as_slice();
-    let mut homes: Vec<Option<ColWindow<'_>>> =
-        whole(&mut out.cols, groups.len()).into_iter().map(Some).collect();
-    let mut lanes = (0..plan.accs.len()).map(|a| Lane {
-        a,
-        src: srcs[plan.accs[a].src],
-        acc: homes[plan.home[a]].take().expect("an output column holds one accumulator"),
-    });
-    let per_share = plan.accs.len().div_ceil(workers()).max(1);
-    let mut shares = Vec::new();
-    loop {
-        let share: Vec<Lane<'_, '_>> = lanes.by_ref().take(per_share).collect();
-        if share.is_empty() {
-            break;
-        }
-        shares.push(share);
+    // No accumulator (COUNT alone): one share that only counts.
+    let all: Vec<usize> = (0..plan.accs.len()).collect();
+    let mut dealt: Vec<&[usize]> = all.chunks(all.len().div_ceil(workers()).max(1)).collect();
+    if dealt.is_empty() {
+        dealt.push(&[]);
     }
-    par_each(shares, |share| fold_share(input, &keys, groups, &plan, share, kernel));
-    plan.finish(&mut whole(&mut out.cols, groups.len()), |g| groups.sizes()[g] as usize);
+    // The sizes cost a store per row, so the lightest share counts them:
+    // the last that runs no kernel (shares deal columns first, and the
+    // last holds the fewest), else the first. One with no accumulator
+    // counts all the same, so that its slots are a word long.
+    let computes =
+        |accs: &&[usize]| accs.iter().any(|&a| matches!(srcs[plan.accs[a].src], Vals::Out { .. }));
+    let counts = dealt.iter().rposition(|accs| !computes(accs)).unwrap_or(0);
+    let mut shares: Vec<Share> = crate::scratch::with_scratch(|s| {
+        let share = |(i, dealt): (usize, &[usize])| {
+            let sized = i == counts && (plan.sized() || dealt.is_empty());
+            let mut accs = dealt.to_vec();
+            accs.sort_by_key(|&a| dealt.iter().position(|&b| plan.kind(b) == plan.kind(a)));
+            let identities =
+                accs.iter().map(|&a| by_class!(plan, a, identity_bits(plan.accs[a].step)));
+            let fresh: Vec<u64> = identities.chain(sized.then_some(0)).collect();
+            // Room for a slot table and for a slot per selected row or key,
+            // taken here so that the buffers stay in this thread's heap.
+            let (mut of_key, mut slots) = (s.idx_buf(), s.word_buf());
+            of_key.reserve(groups.buckets);
+            slots.reserve(input.len().min(groups.buckets) * fresh.len());
+            Share { accs, sized, fresh, of_key, slots }
+        };
+        dealt.into_iter().enumerate().map(share).collect()
+    });
+    let range = (groups.lo, groups.buckets);
+    par_each(shares.iter_mut().collect(), |share: &mut Share| {
+        share.fold(input, &keys, range, &plan, srcs, kernel)
+    });
+    let found = shares[0].groups();
+    shape_output(srcs, aggs, found, out);
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
+    let mut homes: Vec<Option<ColWindow<'_>>> =
+        whole(&mut out.cols, found).into_iter().map(Some).collect();
+    let mut key = Some(&mut out.key.buffer_mut()[..]);
+    let writes: Vec<_> = shares
+        .iter_mut()
+        .map(|share| {
+            let home = |&a: &usize| homes[plan.home[a]].take().expect("one accumulator a column");
+            let cols: Vec<ColWindow<'_>> = share.accs.iter().map(home).collect();
+            (share, cols, key.take())
+        })
+        .collect();
+    par_each(writes, |(share, cols, key)| share.write(cols, key, groups.lo));
+    plan.finish(&mut whole(&mut out.cols, found), |g| shares[counts].size(g));
+    crate::scratch::with_scratch(|s| {
+        for share in shares.into_iter().rev() {
+            s.put_word_buf(share.slots);
+            s.put_idx_buf(share.of_key);
+        }
+    });
     Ok(())
 }
 
@@ -1608,6 +1757,60 @@ mod tests {
                 assert_same_bits(&got, &sorted_oracle(&rows, &aggs), &format!("{what}, projected"));
             }
         }
+    }
+
+    /// The grouped fold numbers groups as their keys first appear, and
+    /// writes them in key order: it equals the oracle over the stably
+    /// sorted rows, bit for bit, when keys first appear in reverse key
+    /// order, one row to a group, filtered, through no row at all, and for
+    /// COUNT or AVG alone, no aggregate that reads the groups' sizes, or no
+    /// aggregate at all.
+    #[test]
+    fn the_grouped_fold_numbers_groups_as_they_appear() {
+        use crate::ops::{group_by_key_view, sort, SortBy};
+        use crate::view::{gather, materialize, Groups};
+        crate::engine::set_scratch_poison(true);
+        let lists: [&[Agg]; 6] = [
+            &[],
+            &[Agg::Count],
+            &[Agg::Avg(0)],
+            &[Agg::Avg(1)],
+            &[Agg::Sum(0), Agg::Min(1), Agg::Max(0), Agg::Sum(1)],
+            &[Agg::Max(1), Agg::Count, Agg::Sum(1), Agg::Min(0), Agg::Avg(0)],
+        ];
+        let shapes: [(&str, Vec<usize>); 3] = [
+            ("one row to a group", vec![1; 3_000]),
+            ("short runs", (0..2_000).map(|g| 1 + g % 9).collect()),
+            ("long runs", vec![70_000, 3, 50_000, 1, 20_000]),
+        ];
+        for (seed, (shape, lens)) in (40..).zip(shapes) {
+            // Reversed, the rows' keys first appear from the highest down.
+            let sorted = awkward(lens, seed);
+            let reversed: Vec<u32> = (0..sorted.len() as u32).rev().collect();
+            let rows = gather(&View::of(&sorted), &reversed);
+            let mut rng = Rng::seed_from_u64(seed);
+            let picks: Vec<bool> = (0..rows.len()).map(|_| rng.gen_range(0u32..4) != 0).collect();
+            for (what, view) in
+                [("dense", View::of(&rows)), ("filtered", selecting(&rows, |i| picks[i]))]
+            {
+                let grouped = group_by_key_view(&view).unwrap();
+                assert!(grouped.is_grouped(), "{shape}, {what}");
+                let want_rows = sort(&materialize(view.clone()), SortBy::Key).unwrap();
+                for aggs in lists.into_iter().chain(agg_lists()) {
+                    let got = aggregate_by_key_view(&grouped, aggs).unwrap();
+                    let what = format!("{shape}, {what}, {aggs:?}");
+                    assert_same_bits(&got, &oracle(&want_rows, aggs, false), &what);
+                }
+            }
+        }
+        // A grouped view that selects no row folds to no group.
+        let r = awkward([3, 2], 49);
+        let none = selecting(&r, |_| false).with_groups(Groups { lo: 1, buckets: 4 });
+        for aggs in lists.into_iter().chain(agg_lists()) {
+            let got = aggregate_by_key_view(&none, aggs).unwrap();
+            assert_same_bits(&got, &oracle(&materialize(none.clone()), aggs, false), "no row");
+        }
+        crate::engine::set_scratch_poison(false);
     }
 
     #[test]

@@ -31,8 +31,13 @@
 //! A SORT by key that only a keyed AGGREGATE reads — through views, which
 //! the plan executor decides — need not order anything: the AGGREGATE
 //! needs each key's rows together, not the keys in order.
-//! [`group_by_key_view`] stops the counting path after its histograms and
-//! hands the view on unmoved, carrying its groups.
+//! [`group_by_key_view`] stops after the scan and hands the view on
+//! unmoved, carrying the range of its selected keys; the AGGREGATE numbers
+//! the groups as it folds them.
+//!
+//! Every loop over ranks — the scan, the histograms, the scatter — is
+//! compiled once per kind of rank ([`with_rank!`]), with no `match` per
+//! row, and walks a full selection word as a contiguous run of rows.
 //!
 //! None of this reaches the sim clock: the cost model prices every SORT as
 //! the bitonic network's `log²n` read+write passes ([`bitonic_sort`]), which
@@ -99,7 +104,7 @@ fn f64_rank(v: f64) -> u64 {
 /// The u64 a sort orders base row `i` by, read off the column where it is.
 /// Ranks are ascending; a descending sort inverts the bits (stability ties
 /// still break by ascending position, which is what a stable descending SQL
-/// sort does).
+/// sort does). Read through [`with_rank!`], never row by row.
 #[derive(Clone, Copy)]
 enum Rank<'v> {
     Key(&'v [u64], u64),
@@ -129,46 +134,66 @@ impl<'v> Rank<'v> {
             }
         })
     }
+}
 
-    #[inline]
-    fn at(self, i: usize) -> u64 {
-        match self {
-            Rank::Key(keys, flip) => keys[i] ^ flip,
-            Rank::RowId(flip) => i as u64 ^ flip,
+/// Run `$body` with `$at` a closure from a base row to its [`Rank`] — a
+/// closure type of its own for each kind of rank, so every loop over rows
+/// in `$body` is compiled once per kind and matches on none.
+macro_rules! with_rank {
+    ($rank:expr, |$at:ident| $body:expr) => {
+        match $rank {
+            Rank::Key(keys, flip) => {
+                let $at = |i: usize| keys[i] ^ flip;
+                $body
+            }
+            Rank::RowId(flip) => {
+                let $at = |i: usize| i as u64 ^ flip;
+                $body
+            }
             // Order-preserving map i64 -> u64 so one comparator serves both.
-            Rank::I64(vals, flip) => (vals[i] as u64 ^ (1 << 63)) ^ flip,
-            Rank::F64(vals, flip) => f64_rank(vals[i]) ^ flip,
+            Rank::I64(vals, flip) => {
+                let $at = |i: usize| (vals[i] as u64 ^ (1 << 63)) ^ flip;
+                $body
+            }
+            Rank::F64(vals, flip) => {
+                let $at = |i: usize| f64_rank(vals[i]) ^ flip;
+                $body
+            }
         }
-    }
+    };
 }
 
 /// What one scan of a morsel's selected ranks finds.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Scan {
     rows: usize,
     lo: u64,
     hi: u64,
     first: u64,
     last: u64,
-    inversions: usize,
+    /// Whether some selected rank is below the one before it.
+    inverted: bool,
 }
 
 impl Scan {
+    /// The scan of `input`'s selected ranks in `range`, which starts on a
+    /// selection word: one walk, a full word as a contiguous run of rows.
     fn of(input: &View<'_>, rank: Rank<'_>, range: Range<usize>) -> Scan {
-        let mut s = Scan { rows: 0, lo: u64::MAX, hi: 0, first: 0, last: 0, inversions: 0 };
         let _steady = kfusion_trace::allocwatch::region();
-        input.for_each_row(range, |i| {
-            let r = rank.at(i);
-            if s.rows == 0 {
-                (s.first, s.last) = (r, r);
-            }
-            s.lo = s.lo.min(r);
-            s.hi = s.hi.max(r);
-            s.inversions += (r < s.last) as usize;
-            s.last = r;
-            s.rows += 1;
-        });
-        s
+        with_rank!(rank, |at| {
+            let (mut rows, mut lo, mut hi, mut first, mut last, mut inverted) =
+                (0, u64::MAX, 0, 0, 0, false);
+            input.for_each_row(range, |i| {
+                let r = at(i);
+                if rows == 0 {
+                    first = r;
+                }
+                // `last` starts at 0, which no rank is below.
+                inverted |= r < last;
+                (lo, hi, last, rows) = (lo.min(r), hi.max(r), r, rows + 1);
+            });
+            Scan { rows, lo, hi, first, last, inverted }
+        })
     }
 
     /// The scan of `input`'s selected ranks, one morsel of `morsels` per
@@ -176,6 +201,7 @@ impl Scan {
     fn all(input: &View<'_>, rank: Rank<'_>, morsels: &[Range<usize>]) -> Option<Scan> {
         let chunk = morsels.first().map_or(1, Range::len);
         let scans = par_range_map(input.base_len(), chunk, |_, range| Scan::of(input, rank, range));
+        ranks_read(input.len());
         scans.into_iter().reduce(Scan::then)
     }
 
@@ -198,7 +224,7 @@ impl Scan {
                 hi: self.hi.max(next.hi),
                 first: self.first,
                 last: next.last,
-                inversions: self.inversions + next.inversions + (next.first < self.last) as usize,
+                inverted: self.inverted || next.inverted || next.first < self.last,
             },
         }
     }
@@ -220,14 +246,14 @@ pub fn sort_view<'a>(input: &View<'a>, by: SortBy) -> Result<View<'a>, RelError>
 
 /// SORT by key for a keyed AGGREGATE that alone reads its rows: their
 /// groups in place of their order, when the key range is narrow enough to
-/// count. Per-morsel histograms of the selected keys — the first pass of
-/// the counting sort — become the table of groups the view then carries
-/// ([`View::is_grouped`]); the rows are neither ranked nor moved. The
-/// AGGREGATE folds each row into its group in the order the rows are in,
-/// which, a SORT being stable, is the order the sorted rows of one key
+/// count. The scan that would pick the sorting path is all it does: the
+/// view comes back unmoved, carrying the range of its selected keys
+/// ([`View::is_grouped`]), and the AGGREGATE numbers the groups as it
+/// folds them. It folds each row into its group in the order the rows are
+/// in, which, a SORT being stable, is the order the sorted rows of one key
 /// would be in — so it computes what it would have over the sorted rows,
-/// bit for bit. Input in key order already, or keys too far apart for the
-/// histograms, takes [`sort_view`]'s path.
+/// bit for bit. Input in key order already, or keys too far apart to
+/// count, takes [`sort_view`]'s path.
 pub fn group_by_key_view<'a>(input: &View<'a>) -> Result<View<'a>, RelError> {
     if input.key().is_row_ids() {
         return sort_view(input, SortBy::Key);
@@ -235,32 +261,13 @@ pub fn group_by_key_view<'a>(input: &View<'a>) -> Result<View<'a>, RelError> {
     let rank = Rank::of(input, SortBy::Key)?;
     let morsels = worker_ranges(input.base_len());
     let scan = Scan::all(input, rank, &morsels);
-    let Some((scan, buckets)) =
-        scan.filter(|s| s.inversions > 0).and_then(|s| Some((s, s.counting_buckets()?)))
-    else {
-        return Ok(sorted(input, rank, &morsels, scan));
-    };
-    kfusion_trace::counter("kfusion_sort_grouped_total", 1);
-    let mut table = with_scratch(Scratch::idx_buf);
-    // Room for the groups' sizes after the key table, whatever the morsels.
-    table.resize(morsels.len().max(2) * buckets, 0);
-    count_ranks(input, rank, &morsels, scan.lo, buckets, &mut table);
-    let (keys, hists) = table.split_at_mut(buckets);
-    for hist in hists.chunks(buckets).take(morsels.len() - 1) {
-        keys.iter_mut().zip(hist).for_each(|(count, more)| *count += more);
-    }
-    // Each count becomes its key's group, and moves behind the key table —
-    // over histograms already summed, as group `g` is at most bucket `g`.
-    let mut groups = 0;
-    for b in 0..buckets {
-        let count = std::mem::replace(&mut table[b], Groups::NONE);
-        if count > 0 {
-            (table[b], table[buckets + groups]) = (groups as u32, count);
-            groups += 1;
+    match scan.filter(|s| s.inverted).and_then(|s| Some((s.lo, s.counting_buckets()?))) {
+        Some((lo, buckets)) => {
+            kfusion_trace::counter("kfusion_sort_grouped_total", 1);
+            Ok(input.with_groups(Groups { lo, buckets }))
         }
+        None => Ok(sorted(input, rank, &morsels, scan)),
     }
-    table.truncate(buckets + groups);
-    Ok(input.with_groups(Groups::new(scan.lo, buckets, table)))
 }
 
 /// `input` in the stable order of `rank`, given its [`Scan`]: itself when
@@ -279,6 +286,13 @@ fn sorted<'a>(
     };
     with_scratch(|s| s.put_idx_buf(buf));
     sorted
+}
+
+/// Count a pass over the ranks of `rows` selected rows: how often a SORT
+/// reads its keys (or the column it orders by) shows in
+/// `kfusion_sort_ranks_read_total`.
+fn ranks_read(rows: usize) {
+    kfusion_trace::counter("kfusion_sort_ranks_read_total", rows as u64);
 }
 
 /// `input`, which is in the order asked for already.
@@ -325,7 +339,7 @@ fn sort_positions(
     scan: Option<Scan>,
     buf: &mut Vec<u32>,
 ) -> Option<usize> {
-    let scan = scan.filter(|s| s.inversions > 0)?;
+    let scan = scan.filter(|s| s.inverted)?;
     match scan.counting_buckets() {
         Some(buckets) => counting_positions(input, rank, morsels, scan.lo, buckets, scan.rows, buf),
         None => merge_positions(input, rank, scan.rows, buf),
@@ -344,10 +358,10 @@ fn count_ranks(
     hists: &mut [u32],
 ) {
     let counting: Vec<_> = morsels.iter().cloned().zip(hists.chunks_mut(buckets)).collect();
-    par_each(counting, |(range, hist)| {
+    with_rank!(rank, |at| par_each(counting, |(range, hist)| {
         let _steady = kfusion_trace::allocwatch::region();
-        input.for_each_row(range, |i| hist[(rank.at(i) - lo) as usize] += 1)
-    });
+        input.for_each_row(range, |i| hist[(at(i) - lo) as usize] += 1)
+    }));
 }
 
 /// Stable counting sort into `buf[..n]`: a histogram per morsel, one
@@ -365,10 +379,11 @@ fn counting_positions(
     n: usize,
     buf: &mut Vec<u32>,
 ) {
+    // Two passes: the histograms and the scatter.
+    ranks_read(2 * n);
     buf.clear();
     buf.resize(n + morsels.len() * buckets, 0);
     let (out, hists) = buf.split_at_mut(n);
-    let slot = |i: usize| (rank.at(i) - lo) as usize;
     count_ranks(input, rank, morsels, lo, buckets, hists);
     // Each count becomes the index of its window in its morsel's list.
     let mut windows: Vec<Vec<&mut [u32]>> = morsels.iter().map(|_| Vec::new()).collect();
@@ -385,25 +400,26 @@ fn counting_positions(
         }
     }
     let scatter: Vec<_> = morsels.iter().cloned().zip(hists.chunks(buckets)).zip(windows).collect();
-    par_each(scatter, |((range, hist), mut windows)| {
+    with_rank!(rank, |at| par_each(scatter, |((range, hist), mut windows)| {
         let _steady = kfusion_trace::allocwatch::region();
         input.for_each_row(range, |i| {
-            let w = &mut windows[hist[slot(i)] as usize];
+            let w = &mut windows[hist[(at(i) - lo) as usize] as usize];
             let (first, rest) = std::mem::take(w).split_first_mut().expect("counted");
             *first = i as u32;
             *w = rest;
         })
-    });
+    }));
 }
 
 /// The merge path into `buf[..n]`: the selected rows' ranks in view order
 /// through [`merge_sort_index`], mapped back to base positions.
 fn merge_positions(input: &View<'_>, rank: Rank<'_>, n: usize, buf: &mut Vec<u32>) {
+    ranks_read(n);
     let (mut ranks, mut positions) = (Vec::with_capacity(n), Vec::with_capacity(n));
-    input.for_each_row(0..input.base_len(), |i| {
-        ranks.push(rank.at(i));
+    with_rank!(rank, |at| input.for_each_row(0..input.base_len(), |i| {
+        ranks.push(at(i));
         positions.push(i as u32);
-    });
+    }));
     buf.clear();
     buf.extend(merge_sort_index(&ranks).into_iter().map(|j| positions[j]));
 }
@@ -469,8 +485,9 @@ pub fn bitonic_sort(input: &Relation, by: SortBy) -> Result<Relation, RelError> 
     // Pad to a power of two with +inf sentinels (index n == sentinel).
     let m = n.next_power_of_two();
     let sentinel = u64::MAX;
+    let ranks: Vec<u64> = with_rank!(rank, |at| (0..n).map(at).collect());
     let key_of =
-        |idx: usize| if idx < n { (rank.at(idx), idx as u64) } else { (sentinel, idx as u64) };
+        |idx: usize| if idx < n { (ranks[idx], idx as u64) } else { (sentinel, idx as u64) };
     let mut idx: Vec<usize> = (0..m).collect();
     // The classic network: k = subsequence size, j = compare distance.
     let mut k = 2usize;
@@ -693,22 +710,32 @@ mod tests {
     }
 
     /// A SORT for an AGGREGATE groups exactly what it would have counted:
-    /// out of order and narrow, the view comes back as it was, carrying its
-    /// distinct selected keys in order and their sizes; in order, or too
+    /// out of order and narrow, the view comes back as it was, carrying the
+    /// range of its selected keys, and the AGGREGATE finds each distinct
+    /// selected key in it, in key order, with its count; in order, or too
     /// wide to count, it is what [`sort_view`] gives.
     #[test]
     fn a_sort_for_an_aggregate_groups_what_it_would_count() {
+        use crate::ops::{aggregate_by_key_view, Agg};
+        let count = |v: &View<'_>| {
+            let out = aggregate_by_key_view(v, &[Agg::Count]).unwrap();
+            (out.keys().as_slice().to_vec(), out.cols[0].as_i64().unwrap().to_vec())
+        };
         let r = Relation::new(vec![9, 3, 9, 5, 3, 3], vec![Column::I64((0..6).collect())]).unwrap();
         let grouped = group_by_key_view(&View::of(&r)).unwrap();
-        let groups = grouped.groups().expect("out of order and narrow");
-        assert_eq!(groups.keys().collect::<Vec<_>>(), [3, 5, 9]);
-        assert_eq!(groups.sizes(), [3, 1, 2]);
+        assert_eq!(grouped.groups(), Some(Groups { lo: 3, buckets: 7 }));
+        assert_eq!(count(&grouped), (vec![3, 5, 9], vec![3, 1, 2]));
         assert_eq!(materialize(grouped), r, "nothing moved");
         // Only the selected keys are groups: rows 1 and 3 are dropped.
         let some = View::of(&r).with_selection(vec![0b11_0101], 4);
         let grouped = group_by_key_view(&some).unwrap();
-        let groups = grouped.groups().expect("out of order and narrow");
-        assert_eq!((groups.keys().collect::<Vec<_>>(), groups.sizes()), (vec![3, 9], &[2, 2][..]));
+        assert_eq!(grouped.groups(), Some(Groups { lo: 3, buckets: 7 }));
+        assert_eq!(count(&grouped), (vec![3, 9], vec![2, 2]));
+        // And only they span the range: rows 1, 3 and 4 hold 3, 5, 3.
+        let few = View::of(&r).with_selection(vec![0b1_1010], 3);
+        let grouped = group_by_key_view(&few).unwrap();
+        assert_eq!(grouped.groups(), Some(Groups { lo: 3, buckets: 3 }));
+        assert_eq!(count(&grouped), (vec![3, 5], vec![2, 1]));
         let ordered = Relation::from_keys(vec![1, 1, 4]);
         let wide = Relation::from_keys(vec![1 << 40, 0, 5]);
         for r in [ordered, wide] {
@@ -716,6 +743,101 @@ mod tests {
             assert!(!got.is_grouped());
             assert_eq!(materialize(got), sort(&r, SortBy::Key).unwrap());
         }
+    }
+
+    /// A rank read the way the scan read it before [`with_rank!`]: a
+    /// `match` on its kind for every row.
+    fn rank_at(rank: Rank<'_>, i: usize) -> u64 {
+        match rank {
+            Rank::Key(keys, flip) => keys[i] ^ flip,
+            Rank::RowId(flip) => i as u64 ^ flip,
+            Rank::I64(vals, flip) => (vals[i] as u64 ^ (1 << 63)) ^ flip,
+            Rank::F64(vals, flip) => f64_rank(vals[i]) ^ flip,
+        }
+    }
+
+    /// The oracle: the scan row by row, each row's selection bit tested on
+    /// its own.
+    fn scan_oracle(input: &View<'_>, rank: Rank<'_>, range: Range<usize>) -> Scan {
+        let mut s = Scan { rows: 0, lo: u64::MAX, hi: 0, first: 0, last: 0, inverted: false };
+        let sel = input.selection();
+        for i in range.filter(|&i| sel.is_none_or(|sel| sel[i / 64] >> (i % 64) & 1 == 1)) {
+            let r = rank_at(rank, i);
+            if s.rows == 0 {
+                (s.first, s.last) = (r, r);
+            }
+            s.inverted |= r < s.last;
+            (s.lo, s.hi, s.last, s.rows) = (s.lo.min(r), s.hi.max(r), r, s.rows + 1);
+        }
+        s
+    }
+
+    /// The scan equals the oracle over every kind of rank, ascending and
+    /// descending, f64 ranks with NaN and ±0.0 among them, under selections
+    /// that end mid-word, select nothing, are all full words or hold one
+    /// row, over every morsel of [`worker_ranges`] and the whole.
+    #[test]
+    fn the_scan_equals_the_row_by_row_oracle() {
+        use kfusion_prng::Rng;
+        const F: [f64; 7] = [-0.0, 0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5];
+        let mut rng = Rng::seed_from_u64(33);
+        // Three words of every morsel of 64 Ki rows, and 37 rows more.
+        let n = 2 * MIN_WORKER_ROWS + 37;
+        let ints = (0..n).map(|_| rng.gen_range(-50i64..50) * (i64::MAX / 50)).collect();
+        let floats = (0..n)
+            .map(|i| if i % 3 == 0 { F[rng.gen_range(0..F.len())] } else { i as f64 * 0.25 })
+            .collect();
+        let keys = (0..n as u64).map(|i| if i % 5 == 0 { i / 2 } else { i }).collect();
+        let cols = vec![Column::I64(ints), Column::F64(floats)];
+        let stored = Relation::new(keys, cols.clone()).unwrap();
+        let row_ids = Relation { key: Keys::RowIds(n), cols };
+        let picks = |keep: &dyn Fn(usize) -> bool, len: usize| {
+            let mut sel = vec![0u64; len.div_ceil(64)];
+            (0..len).filter(|&i| keep(i)).for_each(|i| sel[i / 64] |= 1 << (i % 64));
+            let rows = (0..len).filter(|&i| keep(i)).count();
+            (sel, rows)
+        };
+        for r in [&stored, &row_ids, &ordered_table(n)] {
+            let whole = n / 64 * 64;
+            let selections: [(&str, (Vec<u64>, usize)); 5] = [
+                ("every third row, ending mid-word", picks(&|i| i % 3 != 1, n)),
+                ("no row", picks(&|_| false, n)),
+                ("every row of the full words", picks(&|i| i < whole, n)),
+                ("one row", picks(&|i| i == n / 2 + 5, n)),
+                ("runs of 100 rows", picks(&|i| i / 100 % 2 == 0, n)),
+            ];
+            let views = selections
+                .into_iter()
+                .map(|(what, (sel, rows))| (what, View::of(r).with_selection(sel, rows)))
+                .chain([("dense", View::of(r))]);
+            for (what, view) in views {
+                let mut ranges = worker_ranges(n);
+                ranges.extend([0..n, 64..n - 3, 128..192]);
+                for by in EVERY_SORT {
+                    let rank = Rank::of(&view, by).unwrap();
+                    for range in &ranges {
+                        let want = scan_oracle(&view, rank, range.clone());
+                        assert_eq!(
+                            Scan::of(&view, rank, range.clone()),
+                            want,
+                            "{what} {by:?} {range:?}"
+                        );
+                    }
+                    let all = Scan::all(&view, rank, &worker_ranges(n)).unwrap();
+                    assert_eq!(all, scan_oracle(&view, rank, 0..n), "{what} {by:?}, all morsels");
+                }
+            }
+        }
+        // Keys in order inside every morsel, and out of order exactly on
+        // each cut between them.
+        let cut = MIN_WORKER_ROWS;
+        let r = Relation::from_keys((0..n).map(|i| (i % cut) as u64).collect());
+        let (view, morsels) = (View::of(&r), cta_ranges(n, cut));
+        let rank = Rank::of(&view, SortBy::Key).unwrap();
+        assert!(morsels.iter().all(|m| !Scan::of(&view, rank, m.clone()).inverted));
+        let all = Scan::all(&view, rank, &morsels).unwrap();
+        assert!(all.inverted, "an inversion on a cut");
+        assert_eq!(all, scan_oracle(&view, rank, 0..n));
     }
 
     #[test]

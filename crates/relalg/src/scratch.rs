@@ -30,14 +30,3 @@ thread_local! {
 pub fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
-
-/// Return an index buffer to this thread's arena from wherever it is
-/// dropped — it is dropped instead while the arena is in use or the thread
-/// is exiting.
-pub(crate) fn recycle_idx_buf(buf: Vec<u32>) {
-    let _ = SCRATCH.try_with(|s| {
-        if let Ok(mut s) = s.try_borrow_mut() {
-            s.put_idx_buf(buf);
-        }
-    });
-}

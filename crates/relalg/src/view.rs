@@ -12,15 +12,15 @@
 //! is copied until [`materialize`] — the gather stage every multi-stage
 //! operator ends with — is asked for real storage, or SORT gathers the
 //! view in its own order ([`gather`]) — or, when a keyed AGGREGATE alone
-//! reads what it sorts, leaves the view where it is and hands on its
-//! groups ([`crate::ops::group_by_key_view`]). The materializing operators
-//! are exactly `materialize ∘ view-op`, so a fused group and the unfused
-//! baseline run the same filter and the same gather, only a different
-//! number of times. The operators that write rows of their own — JOIN,
-//! PRODUCT, UNION, INTERSECT, DIFFERENCE — find `u32` base-row positions
-//! and write through the same gather core (`gather_rows`,
-//! `gather_pairs`): the rows of a relation are copied here and nowhere
-//! else, and every byte copied is counted.
+//! reads what it sorts, leaves the view where it is and hands on the
+//! range of its keys ([`crate::ops::group_by_key_view`]). The
+//! materializing operators are exactly `materialize ∘ view-op`, so a
+//! fused group and the unfused baseline run the same filter and the same
+//! gather, only a different number of times. The operators that write
+//! rows of their own — JOIN, PRODUCT, UNION, INTERSECT, DIFFERENCE — find
+//! `u32` base-row positions and write through the same gather core
+//! (`gather_rows`, `gather_pairs`): the rows of a relation are copied here
+//! and nowhere else, and every byte copied is counted.
 
 use crate::data::{
     col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, Keys, Relation,
@@ -68,65 +68,23 @@ pub struct View<'a> {
     cols: Vec<(Src<'a>, usize)>,
     sel: Option<Arc<Vec<u64>>>,
     rows: usize,
-    groups: Option<Arc<Groups>>,
+    groups: Option<Groups>,
 }
 
-/// The groups a SORT by key found in a view instead of sorting it
-/// ([`crate::ops::group_by_key_view`]): the distinct keys of its tuples in
-/// key order, and how many tuples hold each. The tuples stay in their own
-/// order, which is a stable sort's order within each key — all a keyed
-/// AGGREGATE needs from a SORT. The groups go by key value, not by
-/// position, so they hold for the same tuples in the same order wherever
-/// they are: ARITH+, PROJECT and a gather keep them, a SELECT or a REKEY
-/// drops them.
-#[derive(Debug)]
+/// What a SORT by key found in a view instead of sorting it
+/// ([`crate::ops::group_by_key_view`]): the range its selected keys span,
+/// `lo..lo + buckets`, narrow enough to number the groups by key. The
+/// tuples stay in their own order, which is a stable sort's order within
+/// each key — all a keyed AGGREGATE needs from a SORT; it finds the groups
+/// itself, in the walk that folds them. The range goes by key value, not by
+/// position, so it holds for the same tuples wherever they are: ARITH+,
+/// PROJECT and a gather keep it, a SELECT or a REKEY drops it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Groups {
-    /// The lowest key.
-    lo: u64,
-    /// Keys `lo..lo + buckets` can be looked up.
-    buckets: usize,
-    /// Key `lo + b`'s group at `b` ([`Groups::NONE`] when no tuple holds
-    /// it), then the tuple count of every group. A scratch buffer, returned
-    /// when the last view holding it goes.
-    table: Vec<u32>,
-}
-
-impl Groups {
-    /// The group of a key no tuple holds.
-    pub(crate) const NONE: u32 = u32::MAX;
-
-    /// Groups over `table`: the group of key `lo + b` at `b < buckets`, then
-    /// the group sizes.
-    pub(crate) fn new(lo: u64, buckets: usize, table: Vec<u32>) -> Self {
-        Groups { lo, buckets, table }
-    }
-
-    /// Number of groups.
-    pub(crate) fn len(&self) -> usize {
-        self.table.len() - self.buckets
-    }
-
-    /// Group `g`'s tuple count at `g`.
-    pub(crate) fn sizes(&self) -> &[u32] {
-        &self.table[self.buckets..]
-    }
-
-    /// The group of each key `k` at `k - lo`, and `lo`.
-    pub(crate) fn of_keys(&self) -> (&[u32], u64) {
-        (&self.table[..self.buckets], self.lo)
-    }
-
-    /// Group `g`'s key at `g`.
-    pub(crate) fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        let of_keys = self.table[..self.buckets].iter();
-        (self.lo..).zip(of_keys).filter(|(_, &g)| g != Groups::NONE).map(|(key, _)| key)
-    }
-}
-
-impl Drop for Groups {
-    fn drop(&mut self) {
-        crate::scratch::recycle_idx_buf(std::mem::take(&mut self.table));
-    }
+    /// The lowest selected key.
+    pub(crate) lo: u64,
+    /// How many keys from `lo` on the range holds.
+    pub(crate) buckets: usize,
 }
 
 impl From<Relation> for View<'_> {
@@ -177,20 +135,20 @@ impl<'a> View<'a> {
         self.sel.is_none()
     }
 
-    /// Whether the view carries the groups a SORT by key found in it
-    /// instead of sorting it ([`crate::ops::group_by_key_view`]) — what a
-    /// keyed AGGREGATE folds where the view is.
+    /// Whether the view carries the key range a SORT by key found in it
+    /// instead of sorting it ([`crate::ops::group_by_key_view`]) — a view
+    /// a keyed AGGREGATE folds by group where it is.
     pub fn is_grouped(&self) -> bool {
         self.groups.is_some()
     }
 
-    pub(crate) fn groups(&self) -> Option<&Groups> {
-        self.groups.as_deref()
+    pub(crate) fn groups(&self) -> Option<Groups> {
+        self.groups
     }
 
     /// The same tuples, carrying `groups`.
     pub(crate) fn with_groups(&self, groups: Groups) -> View<'a> {
-        View { groups: Some(Arc::new(groups)), ..self.clone() }
+        View { groups: Some(groups), ..self.clone() }
     }
 
     /// Whether an operator that writes `added` columns at base length
@@ -223,9 +181,11 @@ impl<'a> View<'a> {
         self.sel.as_deref().map(Vec::as_slice)
     }
 
-    /// Call `f` with each selected base row in `range`, ascending. `range`
-    /// starts on a bitmap word; it may end inside one, whose rows at or past
-    /// `range.end` are not visited.
+    /// Call `f` with each selected base row in `range`, ascending: a word
+    /// whose 64 rows are all selected as one contiguous run, any other by
+    /// its set bits. `range` starts on a bitmap word; it may end inside one,
+    /// whose rows at or past `range.end` are not visited.
+    #[inline]
     pub(crate) fn for_each_row(&self, range: Range<usize>, mut f: impl FnMut(usize)) {
         let Some(sel) = self.selection() else { return range.for_each(f) };
         debug_assert_eq!(range.start % 64, 0);
@@ -233,6 +193,10 @@ impl<'a> View<'a> {
         for (w, &word) in (first..).zip(&sel[first..range.end.div_ceil(64)]) {
             let past = (w + 1) * 64 - range.end.min((w + 1) * 64);
             let mut m = word & (u64::MAX >> past);
+            if m == u64::MAX {
+                (w * 64..w * 64 + 64).for_each(&mut f);
+                continue;
+            }
             while m != 0 {
                 f(w * 64 + m.trailing_zeros() as usize);
                 m &= m - 1;
@@ -254,7 +218,7 @@ impl<'a> View<'a> {
     /// first.
     pub(crate) fn dense(&self) -> View<'a> {
         match self.sel {
-            Some(_) => View { groups: self.groups.clone(), ..materialize(self.clone()).into() },
+            Some(_) => View { groups: self.groups, ..materialize(self.clone()).into() },
             None => self.clone(),
         }
     }
@@ -270,7 +234,7 @@ impl<'a> View<'a> {
     /// This view restricted to the payload columns `keep`, in that order.
     pub(crate) fn with_columns(&self, keep: &[usize]) -> View<'a> {
         let cols = keep.iter().map(|&c| self.cols[c].clone()).collect();
-        let (key, sel, groups) = (self.key.clone(), self.sel.clone(), self.groups.clone());
+        let (key, sel, groups) = (self.key.clone(), self.sel.clone(), self.groups);
         View { key, cols, sel, rows: self.rows, groups }
     }
 

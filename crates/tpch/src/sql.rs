@@ -236,4 +236,26 @@ mod tests {
             assert!(keys.contains(&k), "group key {k} missing from packed table");
         }
     }
+
+    /// Two Q6 variants merged into one batch share their `Input` leaf but
+    /// not a kernel: the fusion pass makes one 7-node group per query, so
+    /// each walks the table on its own. Horizontal fusion of sibling runs
+    /// (ROADMAP item 8) would make them one group; this pins today's split.
+    #[test]
+    fn a_merged_q6_pair_is_two_groups_over_one_input() {
+        use kfusion_core::fusion::fuse_plan;
+        use kfusion_core::multiquery::merge_plans;
+        use kfusion_core::FusionBudget;
+        use kfusion_ir::opt::OptLevel;
+        let plan = |sql: &str| compile(sql, &q6_catalog()).expect("Q6 SQL compiles").plan;
+        let variant = q6_sql().replace("quantity < 24", "quantity < 25");
+        let merged = merge_plans(&[plan(&q6_sql()), plan(&variant)]);
+        assert_eq!(merged.graph.inputs().count(), 1, "one shared input leaf");
+        let fused =
+            fuse_plan(&merged.graph, &FusionBudget { max_regs_per_thread: 63 }, OptLevel::O3);
+        assert_eq!(fused.groups.iter().map(Vec::len).collect::<Vec<_>>(), [7, 7]);
+        for (group, &root) in fused.groups.iter().zip(&merged.roots) {
+            assert_eq!(group.last(), Some(&root), "a group per query, ending in its root");
+        }
+    }
 }

@@ -15,13 +15,18 @@
 //!   on that thread ticks the region counters. The relational operators
 //!   wrap exactly their per-batch loops in a region — per-morsel setup
 //!   (machine checkout, output-buffer reservation) stays outside.
-//! * When counting is [`enabled`], *all* allocations (region or not) tick
-//!   the total counters, giving the "how much does the whole run allocate"
-//!   denominator a harness reports next to the steady-state zero.
+//! * When counting is [`enabled`], all allocations (region or not) of an
+//!   [`enroll`]ed thread tick the total counters, giving the "how much
+//!   does the whole run allocate" denominator a harness reports next to
+//!   the steady-state zero. A harness enrolls the thread it measures on;
+//!   the worker pool's threads (`kfusion_vgpu::exec`) enroll themselves.
+//!   Other threads — a test harness's own bookkeeping, say — are never
+//!   counted, so what one measurement sees cannot depend on what another
+//!   thread is doing meanwhile.
 //!
-//! The thread-local region flag is a `const`-initialized `Cell<bool>`:
-//! reading it never allocates and it has no destructor, both of which
-//! matter because the check runs *inside* the allocator. Harnesses export
+//! The thread-local flags are `const`-initialized `Cell<bool>`s: reading
+//! them never allocates and they have no destructor, both of which matter
+//! because the check runs *inside* the allocator. Harnesses export
 //! the totals into trace counters (`kfusion_batch_allocs_total`,
 //! `kfusion_batch_alloc_bytes_total`) after a run, where the
 //! `allocating-steady-state` lint and the metrics exporter can see them.
@@ -38,6 +43,7 @@ static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static IN_REGION: Cell<bool> = const { Cell::new(false) };
+    static ENROLLED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Turn allocation counting on or off (off by default). Only effective in
@@ -70,6 +76,26 @@ pub fn region_counts() -> (u64, u64) {
 /// since the last [`reset`].
 pub fn total_counts() -> (u64, u64) {
     (TOTAL_ALLOCS.load(Ordering::Relaxed), TOTAL_BYTES.load(Ordering::Relaxed))
+}
+
+/// Counts the current thread's allocations until dropped. Nesting is fine;
+/// the flag restores to its previous value.
+pub struct Enrolled {
+    prev: bool,
+    /// The flag is the enrolling thread's: the guard stays on it.
+    _thread: std::marker::PhantomData<*const ()>,
+}
+
+/// Count this thread's allocations while the guard lives.
+pub fn enroll() -> Enrolled {
+    let prev = ENROLLED.try_with(|c| c.replace(true)).unwrap_or(false);
+    Enrolled { prev, _thread: std::marker::PhantomData }
+}
+
+impl Drop for Enrolled {
+    fn drop(&mut self) {
+        let _ = ENROLLED.try_with(|c| c.set(self.prev));
+    }
 }
 
 /// Marks the current thread as inside a steady-state (supposedly
@@ -118,7 +144,7 @@ pub struct CountingAlloc;
 impl CountingAlloc {
     #[inline]
     fn count(size: usize) {
-        if !enabled() {
+        if !enabled() || !ENROLLED.try_with(|c| c.get()).unwrap_or(false) {
             return;
         }
         TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);

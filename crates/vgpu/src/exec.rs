@@ -163,9 +163,13 @@ impl Pool {
                 // Detached on purpose: a pool thread serves until the
                 // process exits, and no panic escapes `Job::run`. One that
                 // fails to start leaves the callers more work, not less.
-                let started = std::thread::Builder::new()
-                    .name(format!("kfusion-pool-{i}"))
-                    .spawn(|| POOL.serve());
+                // Its allocations count wherever a caller counts its own
+                // (`kfusion_trace::allocwatch`): it runs only their jobs.
+                let started =
+                    std::thread::Builder::new().name(format!("kfusion-pool-{i}")).spawn(|| {
+                        let _counted = kfusion_trace::allocwatch::enroll();
+                        POOL.serve()
+                    });
                 if started.is_ok() {
                     SPAWNED.fetch_add(1, Ordering::Relaxed);
                     kfusion_trace::counter("kfusion_host_threads_spawned_total", 1);

@@ -13,7 +13,8 @@
 //! same way: a SORT adds the bytes it moves to the first counter and, when
 //! its input was in order already, one to `kfusion_sort_ordered_total` —
 //! or, when it handed a keyed AGGREGATE its rows' groups instead of moving
-//! them, one to `kfusion_sort_grouped_total`.
+//! them, one to `kfusion_sort_grouped_total`; and every pass it makes over
+//! its selected ranks adds their number to `kfusion_sort_ranks_read_total`.
 
 use kfusion::core::exec::{execute, ExecConfig, ExecResult, Strategy};
 use kfusion::core::{OpKind, PlanGraph};
@@ -48,6 +49,7 @@ const SORT_ORDERED: &str = "kfusion_sort_ordered_total";
 const SORT_GROUPED: &str = "kfusion_sort_grouped_total";
 const MORSELS: &str = "kfusion_host_morsels_total";
 const COMPUTED: &str = "kfusion_host_computed_bytes_total";
+const RANKS_READ: &str = "kfusion_sort_ranks_read_total";
 
 /// The members a fused group's loop runs past (DESIGN.md §17): a SELECT,
 /// ARITH+ or REKEY whose one reader, in its own group, is the next member
@@ -83,6 +85,32 @@ fn run_past(plan: &PlanGraph, group_of: &[Option<usize>]) -> Vec<usize> {
             })
         })
         .collect()
+}
+
+/// Q1's SORT exists only to bring each group together for the AGGREGATE
+/// behind it (Fig. 17(a)). Fused, it reads its keys once — the scan that
+/// finds their range — and moves nothing: the AGGREGATE numbers the groups
+/// as it folds them. Unfused, the counting sort reads them three times:
+/// the scan, the histograms and the scatter.
+#[test]
+fn fused_q1_sort_reads_its_keys_once() {
+    let _g = serial();
+    let db = generate(TpchConfig::scale(0.02));
+    let (plan, inputs) = (q1::q1_plan(), q1::q1_inputs(&db));
+    let is_sort = |id: &usize| matches!(plan.nodes[*id].kind, OpKind::Sort { .. });
+    let sort = (0..plan.len()).find(is_sort).expect("Q1 sorts");
+    let (serial_run, serial_trace) = traced(&plan, &inputs, Strategy::Serial);
+    let fused = Strategy::FusionFission { segments: 8 };
+    let (fused_run, fused_trace) = traced(&plan, &inputs, fused);
+    assert!(sql::bit_identical(&serial_run.output, &fused_run.output));
+    assert_eq!(serial_run.cards, fused_run.cards);
+    let keys = serial_run.cards.rows[plan.nodes[sort].inputs[0]];
+    assert!(keys > 0);
+    assert_eq!((fused_trace.counter(SORT_GROUPED), fused_trace.counter(RANKS_READ)), (1, keys));
+    assert_eq!(
+        (serial_trace.counter(SORT_GROUPED), serial_trace.counter(RANKS_READ)),
+        (0, 3 * keys)
+    );
 }
 
 #[test]

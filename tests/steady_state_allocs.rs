@@ -24,10 +24,15 @@ use kfusion::vgpu::GpuSystem;
 #[global_allocator]
 static ALLOC: allocwatch::CountingAlloc = allocwatch::CountingAlloc;
 
-// The allocation counters are process-global; tests here take turns.
-fn serial() -> std::sync::MutexGuard<'static, ()> {
+// The allocation counters are process-global; tests here take turns. They
+// count only enrolled threads — the test's own, enrolled here until its turn
+// ends, and the worker pool's — so the harness thread that records one
+// test's result while the next one counts adds nothing to its count.
+fn serial() -> (allocwatch::Enrolled, std::sync::MutexGuard<'static, ()>) {
     static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
+    let turn = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    // A tuple drops in order: the thread leaves the count before the turn.
+    (allocwatch::enroll(), turn)
 }
 
 #[test]

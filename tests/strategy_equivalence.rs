@@ -988,6 +988,61 @@ fn a_sort_into_a_keyed_aggregate_is_exact_on_both_sides_of_the_counting_bound() 
     }
 }
 
+/// A SORT → ARITH+ → keyed AGGREGATE over keys whose first appearance is
+/// not their key order: the grouped fold numbers its groups as their keys
+/// first appear, and must still write them in key order. Keys seen from the
+/// highest down, a few groups dealt out of order, and one scattered key
+/// per row — dense and filtered, over wrapping i64s and NaN, ±0.0 and ±∞.
+/// Every cell gives the answers and sizes of the unfused scalar run.
+#[test]
+fn a_grouped_fold_writes_groups_in_key_order_whatever_order_they_appear_in() {
+    use kfusion::relalg::{ops, View};
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    for n in [900usize, 70_000] {
+        let mut rng = Rng::seed_from_u64(0xEA << 32 | n as u64);
+        let (ints, floats) = (awkward_ints(&mut rng, n), awkward_floats(&mut rng, n));
+        let flags: Vec<i64> = (0..n).map(|i| (i % 5 != 2) as i64).collect();
+        // 7 919 is prime, so it deals `0..n` out as a permutation.
+        let dealt = |i: usize, span: u64| (i as u64).wrapping_mul(7_919) % span;
+        let shapes: [(&str, Vec<u64>); 3] = [
+            ("highest first", (0..n).map(|i| (n - i) as u64 / 97).collect()),
+            ("a few groups dealt out", (0..n).map(|i| dealt(i, 13) * 1_001 + 5).collect()),
+            ("a scattered key per row", (0..n).map(|i| 3 * dealt(i, n as u64)).collect()),
+        ];
+        for (shape, keys) in shapes {
+            let cols = vec![
+                Column::I64(ints.clone()),
+                Column::F64(floats.clone()),
+                Column::I64(flags.clone()),
+            ];
+            let inputs = [Relation::new(keys, cols).unwrap()];
+            let grouped = ops::group_by_key_view(&View::of(&inputs[0])).unwrap();
+            assert!(grouped.is_grouped(), "{shape}: the SORT groups instead of sorting");
+            for filtered in [false, true] {
+                let mut g = PlanGraph::new();
+                let mut cur = g.input(0);
+                if filtered {
+                    let pred = predicates::col_cmp_i64(2, CmpOp::Eq, 1);
+                    cur = g.add(OpKind::Select { pred }, vec![cur]);
+                }
+                let sorted = g.add(OpKind::Sort { by: SortBy::Key }, vec![cur]);
+                let halved =
+                    g.add(OpKind::ArithExtend { body: extend_body(3, 1, true) }, vec![sorted]);
+                g.add(OpKind::Aggregate { aggs: every_agg(4) }, vec![halved]);
+                let what = format!("{shape}, n={n}, filtered={filtered}");
+                let outcome = same_in_every_cell(&what, |strat| {
+                    execute(&sys, &g, &inputs, &ExecConfig::new(strat, &sys))
+                        .map(|r| (vec![r.output], r.cards))
+                        .map_err(|e| e.to_string())
+                });
+                let (roots, _) = outcome.unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert!(roots[0].len() > 1, "{what}");
+            }
+        }
+    }
+}
+
 /// Q1's two fused groups, generated: SELECT → pack ARITH+ → REKEY, a SORT
 /// by the new key, then ARITH+ → keyed AGGREGATE — each group one loop
 /// under the fusing strategies on the batch engine (DESIGN.md §17), its
