@@ -38,8 +38,8 @@ use crate::value::{Ty, Value};
 use crate::verify::{self, VerifyError};
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Rows per batch: small enough for register banks to stay cache-resident,
 /// large enough to amortize dispatch. 1024 lanes = 16 bitmask words.
@@ -123,17 +123,18 @@ impl ColRef<'_> {
 /// types. Compile once per (body, binding); run over many batches.
 ///
 /// The instruction/output/type tables live behind `Arc`s, so cloning a
-/// compiled kernel (the plan cache hands one copy to every concurrent
-/// submission) is three refcount bumps, never a per-clone duplication of
-/// the instruction vector.
+/// compiled kernel is refcount bumps, never a per-clone duplication of the
+/// instruction vector.
+///
+/// A kernel owns the [`BatchMachine`]s that run it: [`CompiledKernel::checkout`]
+/// hands one out of a pool its clones share and takes it back when the
+/// checkout drops, so a thread that walks morsel after morsel reuses one
+/// machine, and the machines are freed with the last clone of the kernel.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
     instrs: Arc<[Instr]>,
     outputs: Arc<[Reg]>,
     reg_ty: Arc<[Ty]>,
-    /// Distinct per `compile` call; clones share it. [`Scratch`] uses this
-    /// to recognize a cached [`BatchMachine`] whose bank shapes still fit.
-    id: u64,
     /// The fused primitives that compute some of the outputs, each with the
     /// first output it computes: the whole body's, or — a body spliced from
     /// several — each output that is a primitive's shape and that no
@@ -142,9 +143,9 @@ pub struct CompiledKernel {
     /// Whether instruction `i` runs on the generic path: an output no
     /// primitive computes needs it.
     generic: Arc<[bool]>,
+    /// The machines checked back in, each idle until its next checkout.
+    machines: Arc<Mutex<Vec<BatchMachine>>>,
 }
-
-static NEXT_KERNEL_ID: AtomicU64 = AtomicU64::new(1);
 
 impl CompiledKernel {
     /// Compile `body` against known input slot types (`None` = unknown).
@@ -167,9 +168,9 @@ impl CompiledKernel {
                 instrs: body.instrs.as_slice().into(),
                 outputs: body.outputs.as_slice().into(),
                 reg_ty: reg_ty.into(),
-                id: NEXT_KERNEL_ID.fetch_add(1, Ordering::Relaxed),
                 fused: fused.into(),
                 generic: generic.into(),
+                machines: Arc::default(),
             })
         })();
         kfusion_trace::counter(
@@ -182,10 +183,12 @@ impl CompiledKernel {
         compiled
     }
 
-    /// Identity of this compile (shared by clones, distinct across
-    /// `compile` calls). The key under which [`Scratch`] caches machines.
-    pub fn id(&self) -> u64 {
-        self.id
+    /// A machine for this kernel, exclusively the caller's until the
+    /// checkout drops: an idle one from the kernel's pool, its banks as the
+    /// last run left them, or a fresh one when every pooled machine is out.
+    pub fn checkout(&self) -> Checkout<'_> {
+        let idle = self.machines.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        Checkout { kernel: self, machine: Some(idle.unwrap_or_else(|| BatchMachine::new(self))) }
     }
 
     /// Name of the first recognized multi-op fused primitive, if any — for
@@ -223,6 +226,35 @@ impl CompiledKernel {
             }
         }
         Ok(())
+    }
+}
+
+/// A [`BatchMachine`] checked out of its kernel's pool
+/// ([`CompiledKernel::checkout`]); dropping it puts the machine back.
+#[derive(Debug)]
+pub struct Checkout<'k> {
+    kernel: &'k CompiledKernel,
+    machine: Option<BatchMachine>,
+}
+
+impl std::ops::Deref for Checkout<'_> {
+    type Target = BatchMachine;
+    fn deref(&self) -> &BatchMachine {
+        self.machine.as_ref().expect("held until drop")
+    }
+}
+
+impl std::ops::DerefMut for Checkout<'_> {
+    fn deref_mut(&mut self) -> &mut BatchMachine {
+        self.machine.as_mut().expect("held until drop")
+    }
+}
+
+impl Drop for Checkout<'_> {
+    fn drop(&mut self) {
+        if let Some(m) = self.machine.take() {
+            self.kernel.machines.lock().unwrap_or_else(PoisonError::into_inner).push(m);
+        }
     }
 }
 
@@ -521,52 +553,25 @@ const POISON_I64: i64 = 0x5AA5_5AA5_5AA5_5AA5_u64 as i64;
 const POISON_F64_BITS: u64 = 0x7FF8_DEAD_BEEF_F00D;
 const POISON_MASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 
-/// A per-worker scratch arena: caches [`BatchMachine`]s by kernel identity
-/// and recycles index and word buffers, so steady-state batch loops check state out
-/// and return it instead of allocating. Keep one per worker thread (the
-/// relational operators hold one in a thread-local) and `reset` it when the
-/// worker retires.
-///
-/// The checkout/return protocol moves ownership — a checked-out machine is
-/// plain owned state with no lifetime tie to the arena — so holding a
-/// machine across a whole morsel loop borrows nothing.
+/// A per-worker scratch arena: recycles index and word buffers, so
+/// steady-state loops check them out and return them instead of
+/// allocating. Keep one per worker thread (the relational operators hold
+/// one in a thread-local) and `reset` it when the worker retires. Machines
+/// are not kept here: each kernel pools its own ([`CompiledKernel::checkout`]).
 #[derive(Debug, Default)]
 pub struct Scratch {
-    machines: Vec<(u64, BatchMachine)>,
     idx_bufs: Vec<Vec<u32>>,
     word_bufs: Vec<Vec<u64>>,
 }
 
-/// Cap on cached machines / buffers per arena; a worker only ever needs a
-/// handful (one per distinct kernel in flight), so anything beyond this is
-/// leak, not reuse.
+/// Cap on pooled buffers of each kind per arena; a worker only ever needs
+/// a handful, so anything beyond this is leak, not reuse.
 const SCRATCH_CAP: usize = 16;
 
 impl Scratch {
     /// A fresh, empty arena.
     pub fn new() -> Self {
         Scratch::default()
-    }
-
-    /// Check out a machine for `k`: a pooled one compiled from the same
-    /// `CompiledKernel::compile` call if there is one, otherwise a fresh
-    /// construction.
-    pub fn machine(&mut self, k: &CompiledKernel) -> BatchMachine {
-        match self.machines.iter().position(|(id, _)| *id == k.id) {
-            Some(pos) => self.machines.remove(pos).1,
-            None => BatchMachine::new(k),
-        }
-    }
-
-    /// Return a machine checked out for `k` to the pool, evicting the
-    /// longest-returned one when the pool is full. An arena outlives every
-    /// kernel it has seen (SELECT and ARITH compile one per call), so
-    /// keeping the oldest would fill it with machines no kernel asks for.
-    pub fn put_machine(&mut self, k: &CompiledKernel, m: BatchMachine) {
-        if self.machines.len() == SCRATCH_CAP {
-            self.machines.remove(0);
-        }
-        self.machines.push((k.id, m));
     }
 
     /// Check out an empty `u32` index buffer (capacity retained from prior
@@ -600,7 +605,6 @@ impl Scratch {
 
     /// Drop all pooled state.
     pub fn reset(&mut self) {
-        self.machines.clear();
         self.idx_bufs.clear();
         self.word_bufs.clear();
     }
@@ -608,7 +612,8 @@ impl Scratch {
 
 /// Reusable batch evaluation state for one [`CompiledKernel`]: one typed
 /// bank per register, with constant banks splatted once at construction.
-/// Hold one per worker thread.
+/// One per thread that runs the kernel at once, checked out of the
+/// kernel's pool ([`CompiledKernel::checkout`]).
 #[derive(Debug, Clone)]
 pub struct BatchMachine {
     banks: Vec<Bank>,
@@ -1603,43 +1608,76 @@ mod tests {
         assert_eq!(k.fused_primitive(), None);
     }
 
-    #[test]
-    fn scratch_reuses_machines_by_kernel_identity() {
-        let body = BodyBuilder::threshold_lt(0, 100).build();
-        let k1 = compile_all_i64(&body);
-        let k2 = compile_all_i64(&body); // same body, distinct compile
-        assert_ne!(k1.id(), k2.id());
-        assert_eq!(k1.id(), k1.clone().id(), "clones share identity");
-        let mut s = Scratch::new();
-        let m = s.machine(&k1);
-        s.put_machine(&k1, m);
-        assert_eq!(s.machines.len(), 1);
-        // A different kernel misses the cache; the k1 machine stays pooled.
-        let m2 = s.machine(&k2);
-        assert_eq!(s.machines.len(), 1);
-        s.put_machine(&k2, m2);
-        assert_eq!(s.machines.len(), 2);
-        // Checking k1 back out drains its pool slot.
-        let _m = s.machine(&k1);
-        assert_eq!(s.machines.iter().filter(|(id, _)| *id == k1.id()).count(), 0);
-        s.reset();
-        assert!(s.machines.is_empty());
+    /// Where a machine's mask bank lives: the same address twice is the
+    /// same machine.
+    fn mask_at(m: &BatchMachine, k: &CompiledKernel) -> *const u64 {
+        m.selection_mask(k).as_ptr()
     }
 
     #[test]
-    fn a_full_scratch_evicts_its_oldest_machine() {
-        let body = BodyBuilder::threshold_lt(0, 100).build();
-        let ks: Vec<CompiledKernel> = (0..=SCRATCH_CAP).map(|_| compile_all_i64(&body)).collect();
-        let mut s = Scratch::new();
-        for k in &ks {
-            let m = s.machine(k);
-            s.put_machine(k, m);
+    fn a_checkout_goes_back_to_its_kernels_pool_and_out_again() {
+        let k = compile_all_i64(&BodyBuilder::threshold_lt(0, 100).build());
+        let first = mask_at(&k.checkout(), &k);
+        assert_eq!(k.machines.lock().unwrap().len(), 1, "the dropped checkout is pooled");
+        let clone = k.clone();
+        let again = clone.checkout();
+        assert_eq!(mask_at(&again, &k), first, "a clone hands out the same machine");
+        assert!(k.machines.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_kernels_machines_are_dropped_with_the_kernel() {
+        let k = compile_all_i64(&BodyBuilder::threshold_lt(0, 100).build());
+        let clone = k.clone();
+        drop(clone.checkout());
+        let pool = Arc::downgrade(&k.machines);
+        drop(k);
+        assert!(pool.upgrade().is_some(), "a clone still holds the pool");
+        drop(clone);
+        assert!(pool.upgrade().is_none(), "the last clone took its machines with it");
+    }
+
+    #[test]
+    fn two_threads_get_two_machines() {
+        let k = compile_all_i64(&BodyBuilder::threshold_lt(0, 100).build());
+        let both_out = std::sync::Barrier::new(2);
+        let masks: Vec<usize> = std::thread::scope(|s| {
+            let take = || {
+                let m = k.checkout();
+                both_out.wait();
+                mask_at(&m, &k) as usize
+            };
+            let other = s.spawn(take);
+            let mine = take();
+            vec![mine, other.join().unwrap()]
+        });
+        assert_ne!(masks[0], masks[1], "two machines out at once");
+        assert_eq!(k.machines.lock().unwrap().len(), 2, "both went back");
+    }
+
+    #[test]
+    fn poisoning_applies_to_a_reused_machine() {
+        let k = compile_all_i64(&BodyBuilder::threshold_lt(0, 100).build());
+        let vals: Vec<i64> = (0..BATCH_ROWS as i64).map(|i| i * 2 - 30).collect();
+        let cols = [ColRef::I64(&vals)];
+        let mut clean = BatchMachine::new(&k);
+        clean.run(&k, &cols, 0, 100);
+        let first = {
+            let mut m = k.checkout();
+            m.run(&k, &cols, 0, vals.len());
+            mask_at(&m, &k)
+        };
+        set_scratch_poison(true);
+        let mut m = k.checkout();
+        m.run(&k, &cols, 0, 100);
+        set_scratch_poison(false);
+        assert_eq!(mask_at(&m, &k), first, "the pooled machine came back");
+        let (mask, want) = (m.selection_mask(&k), clean.selection_mask(&k));
+        for j in 0..100 {
+            assert_eq!(mask_lane(mask, j), mask_lane(want, j), "lane {j}");
         }
-        assert_eq!(s.machines.len(), SCRATCH_CAP);
-        assert!(s.machines.iter().all(|(id, _)| *id != ks[0].id()), "the first kernel's is gone");
-        // The 17th kernel's machine is the pooled one, not a new one.
-        let _m = s.machine(&ks[SCRATCH_CAP]);
-        assert_eq!(s.machines.len(), SCRATCH_CAP - 1);
+        // The words past the run hold the poison, not the first run's lanes.
+        assert!(mask[2..].iter().all(|&w| w == POISON_MASK));
     }
 
     #[test]

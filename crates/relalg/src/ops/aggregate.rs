@@ -39,10 +39,10 @@
 //! AGGREGATE inside one fused kernel copies nothing (DESIGN.md §17).
 
 use crate::data::{
-    col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, RelError, Relation,
+    col_windows, par_each, slice_windows, ColWindow, Column, Keys, RelError, Relation,
 };
-use crate::view::{Groups, View};
-use kfusion_ir::batch::{BankView, BatchMachine, ColRef, CompiledKernel, BATCH_ROWS};
+use crate::view::{self, Batch, Bound, Groups, View};
+use kfusion_ir::batch::{BankView, BATCH_ROWS};
 use kfusion_vgpu::exec::{par_range_map, workers, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
 
@@ -105,13 +105,6 @@ pub(crate) fn col_vals<'v>(input: &'v View<'_>) -> Vec<Vals<'v>> {
     (0..input.n_cols()).map(|c| Vals::Col(input.col(c))).collect()
 }
 
-/// A kernel whose outputs some [`Vals::Out`] sources are, bound to the base
-/// rows the fold walks.
-pub(crate) struct Bound<'k> {
-    pub(crate) kernel: &'k CompiledKernel,
-    pub(crate) cols: &'k [ColRef<'k>],
-}
-
 /// The (empty) output column of `agg` over `srcs`, which
 /// [`validate_agg_cols`] has checked.
 fn out_column(agg: Agg, srcs: &[Vals<'_>]) -> Column {
@@ -130,17 +123,11 @@ fn validate_agg_cols(available: usize, aggs: &[Agg]) -> Result<(), RelError> {
     }
 }
 
-/// Give `out` the aggregate schema with `rows` zeroed rows per column,
-/// keeping its buffers where the column types already match.
-fn shape_output(srcs: &[Vals<'_>], aggs: &[Agg], rows: usize, out: &mut Relation) {
-    let fresh: Vec<Column> = aggs.iter().map(|&a| out_column(a, srcs)).collect();
-    if out.cols.len() != fresh.len() || out.cols.iter().zip(&fresh).any(|(o, f)| !o.same_type(f)) {
-        out.cols = fresh;
-    }
-    resize_zeroed_vec(out.key.buffer_mut(), rows);
-    for c in &mut out.cols {
-        c.resize_zeroed(rows);
-    }
+/// The aggregate schema with `rows` zeroed rows per column.
+fn zeroed_output(srcs: &[Vals<'_>], aggs: &[Agg], rows: usize) -> Relation {
+    let mut cols: Vec<Column> = aggs.iter().map(|&a| out_column(a, srcs)).collect();
+    cols.iter_mut().for_each(|c| c.resize_zeroed(rows));
+    Relation { key: Keys::Stored(vec![0; rows]), cols }
 }
 
 /// How an accumulator folds: a SUM (which an AVG divides last), a MIN or a
@@ -297,24 +284,18 @@ enum Lanes<'b> {
     F64(&'b [f64]),
 }
 
-/// Source `src` over base rows `rows`: a window of its column, or the lanes
-/// the kernel left in its output's bank for this batch.
-fn batch_lanes<'b>(
-    src: Vals<'b>,
-    run: Option<(&CompiledKernel, &'b BatchMachine)>,
-    rows: Range<usize>,
-) -> Lanes<'b> {
+/// Source `src` over one batch of a walk: a window of its column, or the
+/// lanes the kernel left in its output's bank.
+fn batch_lanes<'b>(src: Vals<'b>, batch: &Batch<'b>) -> Lanes<'b> {
+    let rows = batch.rows.clone();
     match src {
         Vals::Col(Column::I64(v)) => Lanes::I64(&v[rows]),
         Vals::Col(Column::F64(v)) => Lanes::F64(&v[rows]),
-        Vals::Out { slot, .. } => {
-            let (k, bm) = run.expect("a computed source runs its kernel");
-            match bm.output(k, slot) {
-                BankView::I64(b) => Lanes::I64(&b[..rows.len()]),
-                BankView::F64(b) => Lanes::F64(&b[..rows.len()]),
-                BankView::Bool(_) => unreachable!("flag outputs are not folded"),
-            }
-        }
+        Vals::Out { slot, .. } => match batch.output(slot) {
+            BankView::I64(b) => Lanes::I64(&b[..rows.len()]),
+            BankView::F64(b) => Lanes::F64(&b[..rows.len()]),
+            BankView::Bool(_) => unreachable!("flag outputs are not folded"),
+        },
     }
 }
 
@@ -511,12 +492,6 @@ fn run_aligned_morsels(keys: &[u64], sel: Option<&[u64]>, chunk: usize) -> Vec<R
     bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// The selection words of the batch of base rows `rows`, which starts on
-/// one; `None` for a dense view.
-fn batch_words<'s>(sel: Option<&'s [u64]>, rows: &Range<usize>) -> Option<&'s [u64]> {
-    sel.map(|sel| &sel[rows.start / 64..rows.end.div_ceil(64)])
-}
-
 /// Run `$body` with `$j` each of the `$n` lanes of a batch that `$words`
 /// selects (every one when it is `None`), ascending — from lane `$from`
 /// on, when given — a loop, not a closure, so the folds' state stays in
@@ -557,15 +532,14 @@ struct Scan {
     sorted: bool,
 }
 
-/// Pass 1 over one morsel: its runs, counted in the scan that checks its
-/// selected keys are in order. `None` when it selects no row.
-fn scan_runs(keys: &[u64], sel: Option<&[u64]>, rows: Range<usize>) -> Option<Scan> {
-    let _steady = kfusion_trace::allocwatch::region();
+/// Pass 1 over one morsel of `input`, whose keys are `keys`: its runs,
+/// counted in the scan that checks its selected keys are in order. `None`
+/// when it selects no row.
+fn scan_runs(input: &View<'_>, keys: &[u64], rows: Range<usize>) -> Option<Scan> {
     let mut scan: Option<Scan> = None;
-    for base in rows.clone().step_by(BATCH_ROWS) {
-        let lanes = base..rows.end.min(base + BATCH_ROWS);
-        let (batch, words) = (&keys[lanes.clone()], batch_words(sel, &lanes));
-        let Some((first, _)) = end_lanes(words, batch.len()) else { continue };
+    view::walk(input, rows, None, |b| {
+        let (batch, words) = (&keys[b.rows.clone()], b.words);
+        let Some((first, _)) = end_lanes(words, batch.len()) else { return };
         let head = batch[first];
         let s = scan.get_or_insert(Scan { runs: 1, first: head, last: head, sorted: true });
         let (mut prev, mut runs, mut inversions) = (s.last, 0, 0);
@@ -576,7 +550,7 @@ fn scan_runs(keys: &[u64], sel: Option<&[u64]>, rows: Range<usize>) -> Option<Sc
             prev = key;
         });
         *s = Scan { runs: s.runs + runs, last: prev, sorted: s.sorted && inversions == 0, ..*s };
-    }
+    });
     scan
 }
 
@@ -782,52 +756,32 @@ impl Morsel<'_> {
                 classes.push(a);
             }
         }
-        let sel = input.selection();
         // One run has one key: AGGREGATE-ALL's rows all read key 0.
         let zeros = [0u64; BATCH_ROWS];
-        let mut walk = |mut run: Option<(&CompiledKernel, &mut BatchMachine)>| {
-            let _steady = kfusion_trace::allocwatch::region();
-            let mut at = At { run: 0, key: first };
-            for base in rows.clone().step_by(BATCH_ROWS) {
-                let lanes_in = base..rows.end.min(base + BATCH_ROWS);
-                let words = batch_words(sel, &lanes_in);
-                if words.is_some_and(|words| words.iter().all(|&w| w == 0)) {
-                    continue;
-                }
-                if let Some((k, bm)) = run.as_mut() {
-                    bm.run(k, kernel.expect("bound").cols, base, lanes_in.len());
-                }
-                let done = run.as_ref().map(|(k, bm)| (*k, &**bm));
-                let vals_of = |src| batch_lanes(src, done, lanes_in.clone());
-                let keys = keys.map_or(&zeros[..lanes_in.len()], |keys| &keys[lanes_in.clone()]);
-                let batch = RunBatch { keys, words, n: lanes_in.len() };
-                // The head goes to the first walk — its own when no
-                // accumulator has one.
-                let mut handed = Some(&mut head);
-                let mut end = at;
-                for &class in &classes {
-                    let like = |b: usize| plan.class(b) == plan.class(class);
-                    let head = handed.take();
-                    end = by_class!(
-                        plan,
-                        class,
-                        fold_class(&batch, &mut lanes, &like, &vals_of, plan, &mut open, head, at)
-                    );
-                }
-                if let Some(head) = handed {
-                    end = fold_runs::<i64, i64, 0>(&batch, ([], [], []), &mut [], Some(head), at);
-                }
-                at = end;
+        let mut at = At { run: 0, key: first };
+        view::walk(input, rows, kernel.copied(), |b| {
+            let vals_of = |src| batch_lanes(src, b);
+            let n = b.rows.len();
+            let keys = keys.map_or(&zeros[..n], |keys| &keys[b.rows.clone()]);
+            let batch = RunBatch { keys, words: b.words, n };
+            // The head goes to the first walk — its own when no accumulator
+            // has one.
+            let mut handed = Some(&mut head);
+            let mut end = at;
+            for &class in &classes {
+                let like = |c: usize| plan.class(c) == plan.class(class);
+                let head = handed.take();
+                end = by_class!(
+                    plan,
+                    class,
+                    fold_class(&batch, &mut lanes, &like, &vals_of, plan, &mut open, head, at)
+                );
             }
-        };
-        match kernel {
-            Some(b) => crate::scratch::with_scratch(|s| {
-                let mut bm = s.machine(b.kernel);
-                walk(Some((b.kernel, &mut bm)));
-                s.put_machine(b.kernel, bm);
-            }),
-            None => walk(None),
-        }
+            if let Some(head) = handed {
+                end = fold_runs::<i64, i64, 0>(&batch, ([], [], []), &mut [], Some(head), at);
+            }
+            at = end;
+        });
         for lane in lanes {
             homes[plan.home[lane.a]] = Some(lane.acc);
         }
@@ -1003,39 +957,19 @@ impl Share {
         self.of_key.resize(buckets, NO_SLOT);
         let mut slots =
             Slots { lo, of_key: &mut self.of_key, accs: &mut self.slots, fresh: &self.fresh };
-        let (sel, sized) = (input.selection(), self.sized);
-        let mut walk = |mut run: Option<(&CompiledKernel, &mut BatchMachine)>| {
-            let _steady = kfusion_trace::allocwatch::region();
-            for base in (0..input.base_len()).step_by(BATCH_ROWS) {
-                let n = BATCH_ROWS.min(input.base_len() - base);
-                let words = batch_words(sel, &(base..base + n));
-                if words.is_some_and(|words| words.iter().all(|&w| w == 0)) {
-                    continue;
-                }
-                if let Some((k, bm)) = run.as_mut() {
-                    bm.run(k, kernel.expect("bound").cols, base, n);
-                }
-                let done = run.as_ref().map(|(k, bm)| (*k, &**bm));
-                let vals_of = |src| batch_lanes(src, done, base..base + n);
-                let batch = RunBatch { keys: &keys[base..base + n], words, n };
-                let mut count = sized;
-                for (a, first, lanes) in &kinds {
-                    let lanes = (*first, &lanes[..]);
-                    by_kind!(plan, *a, fold_like(&batch, lanes, &vals_of, &mut slots, &mut count));
-                }
-                if count {
-                    fold_rows::<i64, i64, 0>(&batch, ([], 0), &|acc, _| acc, &mut slots, true);
-                }
+        let sized = self.sized;
+        view::walk(input, 0..input.base_len(), kernel.copied(), |b| {
+            let vals_of = |src| batch_lanes(src, b);
+            let batch = RunBatch { keys: &keys[b.rows.clone()], words: b.words, n: b.rows.len() };
+            let mut count = sized;
+            for (a, first, lanes) in &kinds {
+                let lanes = (*first, &lanes[..]);
+                by_kind!(plan, *a, fold_like(&batch, lanes, &vals_of, &mut slots, &mut count));
             }
-        };
-        match kernel {
-            Some(b) => crate::scratch::with_scratch(|s| {
-                let mut bm = s.machine(b.kernel);
-                walk(Some((b.kernel, &mut bm)));
-                s.put_machine(b.kernel, bm);
-            }),
-            None => walk(None),
-        }
+            if count {
+                fold_rows::<i64, i64, 0>(&batch, ([], 0), &|acc, _| acc, &mut slots, true);
+            }
+        });
     }
 
     /// How many groups the walk found.
@@ -1083,7 +1017,7 @@ fn whole(cols: &mut [Column], rows: usize) -> Vec<ColWindow<'_>> {
     col_windows(cols, &[rows]).pop().expect("one window asked for")
 }
 
-/// The keyed fold of `aggs` over `input` into `out` — a view that carries
+/// The keyed fold of `aggs` over `input` — a view that carries
 /// its key range folded by group through its selection, any other (its
 /// selected keys in order, which is checked) by runs — reading each
 /// aggregate's values from `srcs`, some of which may be outputs of
@@ -1093,11 +1027,10 @@ pub(crate) fn fold_keyed(
     aggs: &[Agg],
     srcs: &[Vals<'_>],
     kernel: Option<&Bound<'_>>,
-    out: &mut Relation,
-) -> Result<(), RelError> {
+) -> Result<Relation, RelError> {
     match input.groups() {
-        Some(groups) => fold_by_group(input, groups, aggs, srcs, kernel, out),
-        None => fold_by_key(input, aggs, srcs, kernel, out),
+        Some(groups) => fold_by_group(input, groups, aggs, srcs, kernel),
+        None => fold_by_key(input, aggs, srcs, kernel),
     }
 }
 
@@ -1115,8 +1048,7 @@ fn fold_by_group(
     aggs: &[Agg],
     srcs: &[Vals<'_>],
     kernel: Option<&Bound<'_>>,
-    out: &mut Relation,
-) -> Result<(), RelError> {
+) -> Result<Relation, RelError> {
     validate_agg_cols(srcs.len(), aggs)?;
     kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
     let plan = Plan::new(aggs, srcs);
@@ -1156,7 +1088,7 @@ fn fold_by_group(
         share.fold(input, &keys, range, &plan, srcs, kernel)
     });
     let found = shares[0].groups();
-    shape_output(srcs, aggs, found, out);
+    let mut out = zeroed_output(srcs, aggs, found);
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
     let mut homes: Vec<Option<ColWindow<'_>>> =
         whole(&mut out.cols, found).into_iter().map(Some).collect();
@@ -1177,7 +1109,7 @@ fn fold_by_group(
             s.put_idx_buf(share.of_key);
         }
     });
-    Ok(())
+    Ok(out)
 }
 
 /// [`fold_keyed`] over a view in key order, which is checked: its base
@@ -1191,8 +1123,7 @@ fn fold_by_key(
     aggs: &[Agg],
     srcs: &[Vals<'_>],
     kernel: Option<&Bound<'_>>,
-    out: &mut Relation,
-) -> Result<(), RelError> {
+) -> Result<Relation, RelError> {
     validate_agg_cols(srcs.len(), aggs)?;
     let keys = input.key().as_slice();
     let (keys, sel) = (&keys[..], input.selection());
@@ -1200,7 +1131,7 @@ fn fold_by_key(
     // Runs first — their number is the output's size, and counting them is
     // the scan that rejects unsorted keys, inside each morsel and across
     // its cuts — then the folds.
-    let scans = par_range_map(morsels.len(), 1, |m, _| scan_runs(keys, sel, morsels[m].clone()));
+    let scans = par_range_map(morsels.len(), 1, |m, _| scan_runs(input, keys, morsels[m].clone()));
     let mut last = None;
     for scan in scans.iter().flatten() {
         if !scan.sorted || last.is_some_and(|last| last > scan.first) {
@@ -1210,7 +1141,7 @@ fn fold_by_key(
     }
     kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
     let runs: Vec<usize> = scans.iter().map(|s| s.map_or(0, |s| s.runs)).collect();
-    shape_output(srcs, aggs, runs.iter().sum(), out);
+    let mut out = zeroed_output(srcs, aggs, runs.iter().sum());
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", out.len() as u64);
     let plan = Plan::new(aggs, srcs);
     let morsels = morsels
@@ -1223,7 +1154,7 @@ fn fold_by_key(
         })
         .collect();
     par_each(morsels, |m: Morsel<'_>| m.fold(input, Some(keys), &plan, srcs, kernel));
-    Ok(())
+    Ok(out)
 }
 
 /// Group the (key-sorted) input by key and compute `aggs` per group. The
@@ -1241,21 +1172,7 @@ pub fn aggregate_by_key(input: &Relation, aggs: &[Agg]) -> Result<Relation, RelE
 /// its groups ([`View::is_grouped`]) folded by group, any other by runs of
 /// its selected keys. The view's other columns are not read at all.
 pub fn aggregate_by_key_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, RelError> {
-    let mut out = Relation::default();
-    fold_keyed(input, aggs, &col_vals(input), None, &mut out)?;
-    Ok(out)
-}
-
-/// [`aggregate_by_key`] writing into a caller-owned relation (the `_into`
-/// contract, DESIGN.md §14): `out` is overwritten, reusing its key and
-/// column buffers whenever they already match the aggregate schema.
-pub fn aggregate_by_key_into(
-    input: &Relation,
-    aggs: &[Agg],
-    out: &mut Relation,
-) -> Result<(), RelError> {
-    let view = View::of(input);
-    fold_by_key(&view, aggs, &col_vals(&view), None, out)
+    fold_keyed(input, aggs, &col_vals(input), None)
 }
 
 /// Aggregate the whole relation as a single group (no key), producing a
@@ -1272,8 +1189,7 @@ pub fn aggregate_all_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, Re
     validate_agg_cols(input.n_cols(), aggs)?;
     kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
     let srcs = col_vals(input);
-    let mut out = Relation::default();
-    shape_output(&srcs, aggs, usize::from(!input.is_empty()), &mut out);
+    let mut out = zeroed_output(&srcs, aggs, usize::from(!input.is_empty()));
     if input.is_empty() {
         return Ok(out);
     }
@@ -1395,19 +1311,28 @@ mod tests {
 
     #[test]
     fn a_scan_counts_the_runs_of_the_selected_keys_in_order() {
+        // The scan of `keys` where the one selection word `sel` selects
+        // (every row when it is `None`).
+        let scan = |keys: &[u64], sel: Option<u64>, rows| {
+            let rel = Relation::from_keys(keys.to_vec());
+            let view = match sel {
+                Some(w) => View::of(&rel).with_selection(vec![w], w.count_ones() as usize),
+                None => View::of(&rel),
+            };
+            scan_runs(&view, keys, rows)
+        };
         let keys = [7, 7, 8, 9, 9, 9, 12, 12];
-        let scan = |sel: Option<&[u64]>, rows| scan_runs(&keys, sel, rows);
         let want = |runs, first, last| Some(Scan { runs, first, last, sorted: true });
-        assert_eq!(scan(None, 0..8), want(4, 7, 12));
+        assert_eq!(scan(&keys, None, 0..8), want(4, 7, 12));
         // Rows 1, 3 and 6: keys 7, 9, 12; rows 1..3 only: 7 and 8.
-        assert_eq!(scan(Some(&[0b0100_1010]), 0..8), want(3, 7, 12));
-        assert_eq!(scan(Some(&[0b0000_0110]), 0..8), want(2, 7, 8));
-        assert_eq!(scan(Some(&[0]), 0..8), None);
+        assert_eq!(scan(&keys, Some(0b0100_1010), 0..8), want(3, 7, 12));
+        assert_eq!(scan(&keys, Some(0b0000_0110), 0..8), want(2, 7, 8));
+        assert_eq!(scan(&keys, Some(0), 0..8), None);
         // Out of order among the selected rows, not among the others.
         let unsorted = [1, 3, 2, 0];
-        assert!(!scan_runs(&unsorted, None, 0..4).unwrap().sorted);
-        assert!(!scan_runs(&unsorted, Some(&[0b0110]), 0..4).unwrap().sorted);
-        assert!(scan_runs(&unsorted, Some(&[0b0101]), 0..4).unwrap().sorted);
+        assert!(!scan(&unsorted, None, 0..4).unwrap().sorted);
+        assert!(!scan(&unsorted, Some(0b0110), 0..4).unwrap().sorted);
+        assert!(scan(&unsorted, Some(0b0101), 0..4).unwrap().sorted);
     }
 
     #[test]
@@ -1587,12 +1512,6 @@ mod tests {
             let what = &format!("{what}, {aggs:?}");
             let want = oracle(r, aggs, false);
             assert_same_bits(&aggregate_by_key(r, aggs).unwrap(), &want, what);
-            // Into a buffer of another shape and size, and into a warm one.
-            let mut out = sales();
-            for _ in 0..2 {
-                aggregate_by_key_into(r, aggs, &mut out).unwrap();
-                assert_same_bits(&out, &want, &format!("{what}, _into"));
-            }
             let all = aggregate_all(r, aggs).unwrap();
             assert_same_bits(&all, &oracle(r, aggs, true), &format!("{what}, as one group"));
         }
@@ -1706,7 +1625,7 @@ mod tests {
             assert_eq!(aggregate_by_key_view(&view, &aggs), Err(missing.clone()));
             assert_eq!(aggregate_all_view(&view, &aggs), Err(missing.clone()));
         }
-        assert_eq!(aggregate_by_key_into(&r, &aggs, &mut Relation::default()), Err(missing));
+        assert_eq!(aggregate_by_key(&r, &aggs), Err(missing));
     }
 
     /// A view a SORT by key grouped instead of sorting folds to what its

@@ -11,8 +11,8 @@
 
 use crate::data::{col_windows, par_each, ColWindow, Column, RelError, Relation};
 use crate::engine;
-use crate::view::{materialize, View};
-use kfusion_ir::batch::{mask_lane, BankView, CompiledKernel, BATCH_ROWS};
+use crate::view::{self, materialize, Bound, View};
+use kfusion_ir::batch::{mask_lane, BankView, CompiledKernel};
 use kfusion_ir::interp::Machine;
 use kfusion_ir::opt::infer_types;
 use kfusion_ir::{KernelBody, Ty, Value};
@@ -102,12 +102,12 @@ fn computed(
     Ok(out)
 }
 
-/// Batch-engine ARITH over `input`'s base rows: each CTA evaluates the
-/// compiled kernel over [`BATCH_ROWS`]-row batches and writes whole typed
-/// lanes straight into its window of the base-length output columns, which
-/// are therefore written exactly once. A batch none of whose rows the view
-/// selects is skipped; its lanes stay zero and nobody reads them. Boolean
-/// outputs become i64 flag columns, as in the scalar path.
+/// Batch-engine ARITH over `input`'s base rows: each CTA walks its rows
+/// ([`view::walk`]) and writes the kernel's whole typed lanes straight into
+/// its window of the base-length output columns, which are therefore
+/// written exactly once. A batch none of whose rows the view selects is
+/// skipped; its lanes stay zero and nobody reads them. Boolean outputs
+/// become i64 flag columns, as in the scalar path.
 fn computed_batch(input: &View<'_>, k: &CompiledKernel) -> Vec<Column> {
     let base_len = input.base_len();
     let mut cols: Vec<Column> = (0..k.n_outputs())
@@ -123,43 +123,23 @@ fn computed_batch(input: &View<'_>, k: &CompiledKernel) -> Vec<Column> {
     let ranges = cta_ranges(base_len, DEFAULT_CTA_CHUNK);
     let lens: Vec<usize> = ranges.iter().map(Range::len).collect();
     let ctas: Vec<_> = ranges.into_iter().zip(col_windows(&mut cols, &lens)).collect();
-    let (bound, sel) = (input.ir_cols(), input.selection());
+    let bound = input.ir_cols();
+    let kernel = Bound { kernel: k, cols: &bound };
     par_each(ctas, |(range, mut windows)| {
-        crate::scratch::with_scratch(|s| {
-            // Per-morsel setup; the per-batch loop below runs inside a
-            // steady-state region and writes into preallocated windows.
-            let mut bm = s.machine(k);
-            {
-                let _steady = kfusion_trace::allocwatch::region();
-                let mut base = range.start;
-                while base < range.end {
-                    let n = (range.end - base).min(BATCH_ROWS);
-                    let words = base / 64..(base + n).div_ceil(64);
-                    let live = sel.is_none_or(|sel| sel[words].iter().any(|&w| w != 0));
-                    if live {
-                        bm.run(k, &bound, base, n);
-                        let at = base - range.start;
-                        for (slot, window) in windows.iter_mut().enumerate() {
-                            match (window, bm.output(k, slot)) {
-                                (ColWindow::I64(d), BankView::I64(v)) => {
-                                    d[at..at + n].copy_from_slice(&v[..n])
-                                }
-                                (ColWindow::F64(d), BankView::F64(v)) => {
-                                    d[at..at + n].copy_from_slice(&v[..n])
-                                }
-                                (ColWindow::I64(d), BankView::Bool(m)) => {
-                                    for (j, lane) in d[at..at + n].iter_mut().enumerate() {
-                                        *lane = mask_lane(m, j) as i64;
-                                    }
-                                }
-                                _ => unreachable!("output column type fixed by compile"),
-                            }
+        view::walk(input, range.clone(), Some(kernel), |batch| {
+            let (at, n) = (batch.rows.start - range.start, batch.rows.len());
+            for (slot, window) in windows.iter_mut().enumerate() {
+                match (window, batch.output(slot)) {
+                    (ColWindow::I64(d), BankView::I64(v)) => d[at..at + n].copy_from_slice(&v[..n]),
+                    (ColWindow::F64(d), BankView::F64(v)) => d[at..at + n].copy_from_slice(&v[..n]),
+                    (ColWindow::I64(d), BankView::Bool(m)) => {
+                        for (j, lane) in d[at..at + n].iter_mut().enumerate() {
+                            *lane = mask_lane(m, j) as i64;
                         }
                     }
-                    base += n;
+                    _ => unreachable!("output column type fixed by compile"),
                 }
             }
-            s.put_machine(k, bm);
         })
     });
     cols

@@ -18,15 +18,18 @@
 //! chain the loop cannot run as they would (the scalar engine, a body the
 //! batch engine declines, a static error, a last member that would hold an
 //! ARITH+ column) is cut to the longest prefix it can run, and a chain of
-//! one member is that member's own operator.
+//! one member is that member's own operator. A run of SELECTs is such a
+//! chain — the paper's fused Q6 kernel (Fig. 6), one walk for every
+//! predicate — and a lone SELECT is the one-member loop
+//! ([`super::select_view`]).
 
-use super::aggregate::{col_vals, fold_keyed, Bound, Vals};
+use super::aggregate::{col_vals, fold_keyed, Vals};
 use super::arith::count_rows;
-use super::{aggregate_by_key_view, arith_extend_view, rekey_view, select_run_view, Agg};
+use super::{aggregate_by_key_view, arith_extend_view, rekey_view, Agg};
 use crate::data::{resize_zeroed_vec, slice_windows, Column, RelError, Relation};
 use crate::engine;
-use crate::view::View;
-use kfusion_ir::batch::{BankView, BatchMachine, ColRef, CompiledKernel, BATCH_ROWS, MASK_WORDS};
+use crate::view::{self, Batch, Bound, View};
+use kfusion_ir::batch::{BankView, ColRef, CompiledKernel, MASK_WORDS};
 use kfusion_ir::fuse::{fuse, FusedOutput, SlotSource};
 use kfusion_ir::{KernelBody, Ty};
 use kfusion_vgpu::exec::{cta_ranges, par_map, DEFAULT_CTA_CHUNK};
@@ -68,22 +71,14 @@ pub enum Stage<'a> {
 /// one result per member covered, in order, ending at the first error.
 /// The covered members are a prefix of the chain, at least its first — the
 /// caller evaluates the rest, from the last covered member's output. Every
-/// member but the last covered is [`Stage::Passed`] — unless the chain is
-/// SELECTs alone, which [`select_run_view`] runs, a view per member.
+/// member but the last covered is [`Stage::Passed`].
 pub fn group_loop_view<'a>(
     input: &View<'a>,
     members: &[Member<'_>],
 ) -> Vec<Result<Stage<'a>, RelError>> {
     for len in (2..=members.len()).rev() {
-        let chain = &members[..len];
-        if let Some(preds) = selects(chain) {
-            return match select_run_view(input, &preds) {
-                Ok(views) => views.into_iter().map(|v| Ok(Stage::View(v))).collect(),
-                Err(e) => vec![Err(e)],
-            };
-        }
-        if let Some(group) = Loop::build(input, chain) {
-            return group.run(input);
+        if let Some(stages) = whole(input, &members[..len]) {
+            return stages;
         }
     }
     match members.first() {
@@ -92,15 +87,18 @@ pub fn group_loop_view<'a>(
     }
 }
 
-/// The predicates of a chain of SELECTs alone.
-fn selects<'k>(chain: &[Member<'k>]) -> Option<Vec<&'k KernelBody>> {
-    chain
-        .iter()
-        .map(|m| match m {
-            Member::Select(pred) => Some(*pred),
-            _ => None,
-        })
-        .collect()
+/// `chain` over `input` as one loop — a result per member — or `None`
+/// where the loop cannot run all of it as the members' operators would
+/// ([`Loop::build`]).
+pub(crate) fn whole<'a>(
+    input: &View<'a>,
+    chain: &[Member<'_>],
+) -> Option<Vec<Result<Stage<'a>, RelError>>> {
+    let group = Loop::build(input, chain)?;
+    Some(match group.aggs {
+        Some(aggs) => group.fold(input, aggs),
+        None => group.walk(input),
+    })
 }
 
 /// One member over `input` by its own operator.
@@ -252,15 +250,6 @@ impl<'k> Loop<'k> {
         (masks_are_flags && folds_numbers).then_some(Loop { kernel, steps, cols, selects, aggs })
     }
 
-    /// Run the loop: a fold for a chain that ends in an AGGREGATE, a walk
-    /// of morsels that writes what leaves the chain otherwise.
-    fn run<'a>(&self, input: &View<'a>) -> Vec<Result<Stage<'a>, RelError>> {
-        match self.aggs {
-            Some(aggs) => self.fold(input, aggs),
-            None => self.walk(input),
-        }
-    }
-
     /// ARITH+ members then a keyed AGGREGATE: the aggregates fold the
     /// input's columns and the kernel's outputs, batch by batch; nothing
     /// is written but the groups.
@@ -276,10 +265,7 @@ impl<'k> Loop<'k> {
         let bound =
             self.kernel.as_ref().filter(|_| computed).map(|kernel| Bound { kernel, cols: &cols });
         let mut stages = self.passed(input.len(), self.steps.len() - 1);
-        let mut out = Relation::default();
-        stages.push(
-            fold_keyed(input, aggs, &srcs, bound.as_ref(), &mut out).map(|()| Stage::Folded(out)),
-        );
+        stages.push(fold_keyed(input, aggs, &srcs, bound.as_ref()).map(Stage::Folded));
         stages
     }
 
@@ -311,25 +297,30 @@ impl<'k> Loop<'k> {
             let bytes = base_len as u64 * Column::BYTES_PER_VALUE;
             kfusion_trace::counter("kfusion_host_computed_bytes_total", bytes);
         }
+        let mut sel: Vec<u64> = Vec::new();
+        if self.selects {
+            resize_zeroed_vec(&mut sel, base_len.div_ceil(64));
+        }
         let ranges = cta_ranges(base_len, DEFAULT_CTA_CHUNK);
         kfusion_trace::counter("kfusion_host_morsels_total", ranges.len() as u64);
-        let lens: Vec<usize> = ranges.iter().map(Range::len).collect();
-        let key_windows: Vec<&mut [u64]> = match rekey {
-            Some(_) => slice_windows(&mut key, &lens),
-            None => ranges.iter().map(|_| &mut [][..]).collect(),
-        };
+        // Each morsel's windows of the key and of the selection — empty
+        // ones of what the chain does not write.
+        let key_lens: Vec<usize> =
+            ranges.iter().map(|r| if rekey.is_some() { r.len() } else { 0 }).collect();
+        let sel_lens: Vec<usize> =
+            ranges.iter().map(|r| if self.selects { r.len().div_ceil(64) } else { 0 }).collect();
+        let windows = slice_windows(&mut key, &key_lens).into_iter();
+        let windows = windows.zip(slice_windows(&mut sel, &sel_lens));
         let cols = input.ir_cols();
-        let morsels: Vec<_> = ranges.into_iter().zip(key_windows).collect();
-        let parts = par_map(morsels, |_, (range, key)| self.morsel(input, &cols, range, key));
-        // Each member's rows, the selection, and whether a selected key is
-        // negative, over all morsels.
+        let morsels: Vec<_> = ranges.into_iter().zip(windows).collect();
+        let parts =
+            par_map(morsels, |_, (range, (key, sel))| self.morsel(input, &cols, range, key, sel));
+        // Each member's rows, and whether a selected key is negative, over
+        // all morsels.
         let mut rows = vec![0usize; self.steps.len()];
-        let mut sel: Vec<u64> =
-            Vec::with_capacity(if self.selects { base_len.div_ceil(64) } else { 0 });
         let mut negative = false;
         for part in parts {
             rows.iter_mut().zip(&part.rows).for_each(|(total, r)| *total += r);
-            sel.extend_from_slice(&part.sel);
             negative |= part.negative;
         }
         let mut stages = Vec::with_capacity(self.steps.len());
@@ -372,56 +363,26 @@ impl<'k> Loop<'k> {
         stages
     }
 
-    /// One morsel of [`Loop::walk`]: base rows `range` and its window of the
-    /// key, the kernel run per batch with a live row in it.
+    /// One morsel of [`Loop::walk`]: base rows `range`, and its windows of
+    /// the key and of the selection — per batch with a live row, the rows
+    /// the input holds, each member's mask or check in chain order, and the
+    /// key.
     fn morsel(
         &self,
         input: &View<'_>,
         cols: &[ColRef<'_>],
         range: Range<usize>,
         key: &mut [u64],
+        sel: &mut [u64],
     ) -> Part {
-        let mut part = Part {
-            rows: vec![0; self.steps.len()],
-            sel: Vec::with_capacity(if self.selects { range.len().div_ceil(64) } else { 0 }),
-            negative: false,
-        };
-        let Some(k) = self.kernel.as_ref() else {
-            // REKEY alone by an input column: no kernel to run.
-            let _steady = kfusion_trace::allocwatch::region();
-            self.batches(input, cols, range, key, &mut part, None);
-            return part;
-        };
-        crate::scratch::with_scratch(|s| {
-            let mut bm = s.machine(k);
-            {
-                let _steady = kfusion_trace::allocwatch::region();
-                self.batches(input, cols, range, key, &mut part, Some((k, &mut bm)));
-            }
-            s.put_machine(k, bm);
-        });
-        part
-    }
-
-    /// The batches of one morsel: per batch, the rows the input holds, each
-    /// member's mask or check in chain order, and the key.
-    fn batches(
-        &self,
-        input: &View<'_>,
-        cols: &[ColRef<'_>],
-        range: Range<usize>,
-        key: &mut [u64],
-        part: &mut Part,
-        mut run: Option<(&CompiledKernel, &mut BatchMachine)>,
-    ) {
+        let mut part = Part { rows: vec![0; self.steps.len()], negative: false };
+        let kernel = self.kernel.as_ref().map(|kernel| Bound { kernel, cols });
         let mut live = [0u64; MASK_WORDS];
-        let mut base = range.start;
-        while base < range.end {
-            let n = (range.end - base).min(BATCH_ROWS);
+        view::walk(input, range.clone(), kernel, |batch| {
+            let n = batch.rows.len();
             let live = &mut live[..n.div_ceil(64)];
-            // The rows the input holds, lanes past `n` clear.
-            match input.selection() {
-                Some(sel) => live.copy_from_slice(&sel[base / 64..][..live.len()]),
+            match batch.words {
+                Some(words) => live.copy_from_slice(words),
                 None => {
                     live.fill(u64::MAX);
                     if !n.is_multiple_of(64) {
@@ -429,54 +390,42 @@ impl<'k> Loop<'k> {
                     }
                 }
             }
-            if live.iter().any(|&w| w != 0) {
-                if let Some((k, bm)) = run.as_mut() {
-                    bm.run(k, cols, base, n);
-                }
-                let done = run.as_ref().map(|(k, bm)| (*k, &**bm));
-                self.members(
-                    done,
-                    cols,
-                    base..base + n,
-                    &mut key[base - range.start..][..n],
-                    live,
-                    part,
-                );
-            }
+            let at = batch.rows.start - range.start;
+            self.members(batch, cols, key, at, live, &mut part);
             if self.selects {
-                part.sel.extend_from_slice(live);
+                sel[at / 64..][..live.len()].copy_from_slice(live);
             }
-            base += n;
-        }
+        });
+        part
     }
 
-    /// Each member's step over one batch of base rows `rows`, whose live
-    /// lanes are `live`: a SELECT narrows them, a REKEY writes `key` and
-    /// checks the live lanes; every member counts what it holds.
+    /// Each member's step over one batch, whose live lanes are `live`: a
+    /// SELECT narrows them, a REKEY writes the batch's lanes of `key` — the
+    /// morsel's window, the batch at `at` in it — and checks the live
+    /// lanes; every member counts what it holds.
     fn members(
         &self,
-        done: Option<(&CompiledKernel, &BatchMachine)>,
+        batch: &Batch<'_>,
         cols: &[ColRef<'_>],
-        rows: Range<usize>,
         key: &mut [u64],
+        at: usize,
         live: &mut [u64],
         part: &mut Part,
     ) {
-        let bank = |o: usize| {
-            let (k, bm) = done.expect("an output has a kernel");
-            bm.output(k, o)
-        };
+        let rows = batch.rows.clone();
         for (m, &(step, _)) in self.steps.iter().enumerate() {
             match step {
                 Step::Select { mask } => {
-                    let BankView::Bool(mask) = bank(mask) else { unreachable!("checked Bool") };
+                    let BankView::Bool(mask) = batch.output(mask) else {
+                        unreachable!("checked Bool")
+                    };
                     // The mask's own lanes past the batch are unspecified;
                     // `live` keeps them clear.
                     live.iter_mut().zip(mask).for_each(|(l, &m)| *l &= m);
                 }
                 Step::Rekey { key: src } => {
                     let vals = match src {
-                        Src::Out(o) => match bank(o) {
+                        Src::Out(o) => match batch.output(o) {
                             BankView::I64(v) => &v[..rows.len()],
                             _ => unreachable!("checked i64"),
                         },
@@ -485,7 +434,7 @@ impl<'k> Loop<'k> {
                             _ => unreachable!("checked i64"),
                         },
                     };
-                    for (k, &v) in key.iter_mut().zip(vals) {
+                    for (k, &v) in key[at..][..rows.len()].iter_mut().zip(vals) {
                         *k = v as u64;
                     }
                     part.negative |= vals.chunks(64).zip(live.iter()).any(|(lanes, &word)| {
@@ -507,12 +456,10 @@ impl<'k> Loop<'k> {
     }
 }
 
-/// What one morsel of [`Loop::walk`] found: each member's rows, the
-/// morsel's words of the last selection (when the chain selects), and
+/// What one morsel of [`Loop::walk`] found: each member's rows, and
 /// whether the REKEY met a negative key on a selected row.
 struct Part {
     rows: Vec<usize>,
-    sel: Vec<u64>,
     negative: bool,
 }
 

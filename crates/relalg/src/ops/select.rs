@@ -10,113 +10,33 @@
 //! second; [`crate::profiles`] prices them accordingly.
 //!
 //! Predicates are evaluated by the vectorized batch engine when the body
-//! compiles against the relation's column types ([`crate::engine`]): each
-//! CTA runs a `BatchMachine` over [`BATCH_ROWS`]-row batches and keeps only
-//! the selection bitmask. Bodies that fail batch compilation fall back to
-//! the per-tuple interpreter, preserving its error behavior exactly.
+//! compiles against the relation's column types ([`crate::engine`]): a
+//! SELECT is the one-member loop of [`super::group_loop`], whose morsels run
+//! the compiled predicate over [`kfusion_ir::batch::BATCH_ROWS`]-row
+//! batches and keep only the selection bitmask — and a run of SELECTs in
+//! one fused group is that loop with a member per predicate. Bodies that
+//! fail batch compilation fall back to the per-tuple interpreter,
+//! preserving its error behavior exactly.
 //!
-//! The two kernels are two functions: [`select_run_view`] partitions,
-//! filters and buffers for a run of back-to-back SELECTs in one walk over
-//! the rows, and yields one [`View`] per SELECT — the input's columns under
-//! a narrowed selection — and [`crate::view::materialize`] is the gather.
-//! [`select_view`] is the one-SELECT run and [`select`] its composition
-//! with the gather; a fused group calls the first once per run of its
-//! SELECTs and the gather once (DESIGN.md §17).
+//! The two kernels are two functions: [`select_view`] partitions, filters
+//! and buffers, and yields the input's columns under a narrowed selection,
+//! and [`crate::view::materialize`] is the gather. [`select`] is their
+//! composition; a fused group calls the first once per run of its SELECTs
+//! and the gather once (DESIGN.md §17).
 
+use super::group_loop::{self, Member, Stage};
 use crate::data::{RelError, Relation};
 use crate::engine;
 use crate::view::{materialize, View};
-use kfusion_ir::batch::{BatchMachine, CompiledKernel, BATCH_ROWS, MASK_WORDS};
 use kfusion_ir::interp::Machine;
-use kfusion_ir::{KernelBody, Ty, Value};
+use kfusion_ir::{KernelBody, Value};
 use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
-
-/// Compile `predicate` for batch execution over `input`'s columns, if the
-/// engine is on and the body both resolves to concrete types and yields a
-/// boolean in output slot 0.
-fn compile_predicate(input: &View<'_>, predicate: &KernelBody) -> Option<CompiledKernel> {
-    if !engine::batch_enabled() || input.is_empty() || predicate.outputs.is_empty() {
-        return None;
-    }
-    let k = CompiledKernel::compile(predicate, &input.ir_slot_types()).ok()?;
-    (k.output_ty(0) == Ty::Bool && k.check_binding(&input.ir_cols()).is_ok()).then_some(k)
-}
-
-/// Partition + filter (the first kernel of Fig. 3) for a run of SELECTs:
-/// one walk over `input`'s base rows in which, per batch, stage `s`
-/// evaluates `ks[s]` and ANDs the outcome into what stage `s - 1` kept.
-/// Returns each stage's bitmap and popcount — selection is bitmap-only,
-/// unselected lanes are never written anywhere. A batch in which no row is
-/// live any more is skipped by every later stage.
-fn filter(input: &View<'_>, ks: &[CompiledKernel]) -> Vec<(Vec<u64>, usize)> {
-    let cols = input.ir_cols();
-    let sel_in = input.selection();
-    // Each CTA keeps one mask word per 64 rows per stage, sized in the
-    // per-morsel setup; the per-batch loop inside the steady-state region
-    // allocates nothing. `DEFAULT_CTA_CHUNK` and `BATCH_ROWS` are
-    // 64-divisible, so every non-final batch contributes whole words and the
-    // CTAs' words concatenate exactly.
-    let parts: Vec<Vec<(Vec<u64>, usize)>> =
-        par_range_map(input.base_len(), DEFAULT_CTA_CHUNK, |_cta, range| {
-            crate::scratch::with_scratch(|s| {
-                let mut bms: Vec<BatchMachine> = ks.iter().map(|k| s.machine(k)).collect();
-                let mut stages: Vec<(Vec<u64>, usize)> =
-                    ks.iter().map(|_| (Vec::with_capacity(range.len().div_ceil(64)), 0)).collect();
-                {
-                    let _steady = kfusion_trace::allocwatch::region();
-                    let mut live = [0u64; MASK_WORDS];
-                    let mut base = range.start;
-                    while base < range.end {
-                        let n = (range.end - base).min(BATCH_ROWS);
-                        let live = &mut live[..n.div_ceil(64)];
-                        // The rows upstream kept, lanes past `n` clear (a
-                        // selection has no bit past the base rows).
-                        match sel_in {
-                            Some(sel) => live.copy_from_slice(&sel[base / 64..][..live.len()]),
-                            None => {
-                                live.fill(u64::MAX);
-                                if n % 64 != 0 {
-                                    live[n / 64] = (1u64 << (n % 64)) - 1;
-                                }
-                            }
-                        }
-                        for ((k, bm), (words, count)) in ks.iter().zip(&mut bms).zip(&mut stages) {
-                            if live.iter().any(|&w| w != 0) {
-                                bm.run(k, &cols, base, n);
-                                // The mask's own lanes past `n` are
-                                // unspecified; `live` keeps them clear.
-                                for (l, &m) in live.iter_mut().zip(bm.selection_mask(k)) {
-                                    *l &= m;
-                                    *count += l.count_ones() as usize;
-                                }
-                            }
-                            words.extend_from_slice(live);
-                        }
-                        base += n;
-                    }
-                }
-                for (k, bm) in ks.iter().zip(bms) {
-                    s.put_machine(k, bm);
-                }
-                stages
-            })
-        });
-    let mut out: Vec<(Vec<u64>, usize)> =
-        ks.iter().map(|_| (Vec::with_capacity(input.base_len().div_ceil(64)), 0)).collect();
-    for part in parts {
-        for ((sel, rows), (words, count)) in out.iter_mut().zip(part) {
-            sel.extend_from_slice(&words);
-            *rows += count;
-        }
-    }
-    out
-}
 
 /// Per-tuple interpretation of `predicate` — the path for the scalar engine
 /// and for bodies the batch engine declines, with the interpreter's error
 /// behaviour: the first failing tuple's error, in tuple order. Each CTA marks
-/// the tuples it keeps in its words of a selection bitmap, as [`filter`]
-/// does, and the result is `input` under that selection.
+/// the tuples it keeps in its words of a selection bitmap, as the batch
+/// loop does, and the result is `input` under that selection.
 fn select_scalar<'a>(input: &View<'a>, predicate: &KernelBody) -> Result<View<'a>, RelError> {
     let parts: Vec<Result<(Vec<u64>, usize), RelError>> =
         par_range_map(input.base_len(), DEFAULT_CTA_CHUNK, |_cta, range| {
@@ -149,54 +69,29 @@ fn select_scalar<'a>(input: &View<'a>, predicate: &KernelBody) -> Result<View<'a
     Ok(input.with_selection(sel, rows))
 }
 
-/// A run of SELECTs without the gather: stage `s` keeps the tuples of stage
-/// `s - 1`'s output (stage 0: of `input`) that satisfy `predicates[s]`, and
-/// each stage's output is a view over `input`'s base rows with a narrowed
-/// selection — what the unfused chain of [`select_view`]s returns, node for
-/// node, from one walk over the rows.
-///
-/// Covers the longest prefix of `predicates` that the batch engine
-/// compiles, which has no data-dependent errors; when that is empty, the
-/// first predicate alone takes the scalar fallback, which marks the same
-/// bitmap tuple by tuple on the interpreter.
-/// So the result holds at least one view (none for no predicates) and the
-/// caller evaluates the rest of the run over the last one.
-pub fn select_run_view<'a>(
-    input: &View<'a>,
-    predicates: &[&KernelBody],
-) -> Result<Vec<View<'a>>, RelError> {
-    let kernels: Vec<CompiledKernel> =
-        predicates.iter().map_while(|p| compile_predicate(input, p)).collect();
-    let views: Vec<View<'a>> = if kernels.is_empty() {
-        let Some(&first) = predicates.first() else { return Ok(Vec::new()) };
-        if engine::batch_enabled() && !input.is_empty() {
-            kfusion_trace::counter("kfusion_batch_fallback_total{op=\"select\"}", 1);
-        }
-        vec![select_scalar(input, first)?]
-    } else {
-        let stages = filter(input, &kernels).into_iter();
-        stages.map(|(sel, rows)| input.with_selection(sel, rows)).collect()
-    };
-    // Rows in and out of each stage, as each SELECT alone would count them.
-    let mut upstream = input.len();
-    for out in &views {
-        kfusion_trace::counter("kfusion_rows_in_total{op=\"select\"}", upstream as u64);
-        kfusion_trace::counter("kfusion_rows_out_total{op=\"select\"}", out.len() as u64);
-        upstream = out.len();
-    }
-    Ok(views)
-}
-
 /// SELECT without the gather: the tuples of `input` satisfying `predicate`,
-/// as a view over the same base rows with a narrowed selection — the
-/// one-stage [`select_run_view`]. Nothing is copied on the batch engine.
+/// as a view over the same base rows with a narrowed selection. Nothing is
+/// copied. On the batch engine this is the one-member group loop; an empty
+/// input, the scalar engine and a body the batch engine declines take the
+/// interpreter, which marks the same bitmap tuple by tuple.
 ///
 /// The predicate is an IR body with the library calling convention: input
 /// slot 0 is the key (as `i64`), slot `1+c` is payload column `c`; output 0
 /// must be a boolean.
 pub fn select_view<'a>(input: &View<'a>, predicate: &KernelBody) -> Result<View<'a>, RelError> {
-    let mut out = select_run_view(input, &[predicate])?;
-    Ok(out.pop().expect("one stage, one view"))
+    if let Some(mut stages) = group_loop::whole(input, &[Member::Select(predicate)]) {
+        let Some(Ok(Stage::View(out))) = stages.pop() else {
+            unreachable!("a lone SELECT's loop ends in its view")
+        };
+        return Ok(out);
+    }
+    if engine::batch_enabled() && !input.is_empty() {
+        kfusion_trace::counter("kfusion_batch_fallback_total{op=\"select\"}", 1);
+    }
+    let out = select_scalar(input, predicate)?;
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"select\"}", input.len() as u64);
+    kfusion_trace::counter("kfusion_rows_out_total{op=\"select\"}", out.len() as u64);
+    Ok(out)
 }
 
 /// Filter `input` to the tuples satisfying `predicate`: [`select_view`],
@@ -299,37 +194,6 @@ mod tests {
         assert_eq!(out.len(), 25);
     }
 
-    /// The fused shape: each SELECT narrows the previous one's selection
-    /// over the same base rows — member by member, or the whole run in one
-    /// walk — and one gather reproduces the chain of materializing SELECTs
-    /// at every stage, across CTA and batch boundaries, and through a batch
-    /// none of whose rows survived upstream.
-    #[test]
-    fn view_chain_gathers_what_the_materializing_chain_does() {
-        let n = 2 * DEFAULT_CTA_CHUNK as u64 + 4321;
-        let keys: Vec<u64> = (0..n).map(|k| k.wrapping_mul(2654435761) % 1000).collect();
-        let hole = |i: u64| (70_000..75_000).contains(&i);
-        let col: Vec<i64> = (0..n).map(|i| if hole(i) { -1 } else { (i % 97) as i64 }).collect();
-        let r = Relation::new(keys, vec![Column::I64(col)]).unwrap();
-        let preds = [
-            predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Ge, 0),
-            predicates::key_lt(600),
-            predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Lt, 50),
-        ];
-        let run = select_run_view(&View::of(&r), &preds.iter().collect::<Vec<_>>()).unwrap();
-        assert_eq!(run.len(), preds.len());
-        let mut view = View::of(&r);
-        let mut stored = r.clone();
-        for (p, walked) in preds.iter().zip(run) {
-            view = select_view(&view, p).unwrap();
-            stored = select(&stored, p).unwrap();
-            assert_eq!((view.len(), walked.len()), (stored.len(), stored.len()));
-            assert_eq!(materialize(walked), stored);
-        }
-        assert!(!stored.is_empty());
-        assert_eq!(materialize(view), stored);
-    }
-
     #[test]
     fn scalar_fallback_over_a_view_filters_its_selected_rows() {
         let r = Relation::new((0..100).collect(), vec![Column::I64((0..100).collect())]).unwrap();
@@ -340,14 +204,6 @@ mod tests {
         assert!(matches!(select_view(&narrowed, &declined), Err(RelError::Eval(_))));
         let none = select_view(&narrowed, &predicates::key_lt(0)).unwrap();
         assert!(select_view(&none, &declined).unwrap().is_empty());
-        // A run covers what the batch engine compiles up to the declined
-        // predicate, whose error it leaves to the caller's next call; a run
-        // that starts with it is that predicate alone, on the interpreter.
-        let short = predicates::key_lt(10);
-        let run = select_run_view(&View::of(&r), &[&predicates::key_lt(40), &declined, &short]);
-        assert_eq!(run.unwrap().iter().map(View::len).collect::<Vec<_>>(), [40]);
-        assert!(matches!(select_run_view(&narrowed, &[&declined, &short]), Err(RelError::Eval(_))));
-        assert_eq!(select_run_view(&none, &[&declined, &short]).unwrap().len(), 1);
     }
 
     #[test]

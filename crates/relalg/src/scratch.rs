@@ -1,20 +1,13 @@
 //! Per-worker scratch arenas for the batch operators (DESIGN.md §14).
 //!
-//! Each thread that runs morsels owns one [`Scratch`] in a thread-local.
-//! The morsel executor ([`kfusion_vgpu::exec::par_for`]) lets every thread
-//! claim morsel after morsel, so a machine checked out for one morsel is
-//! checked back in and reused for every later morsel that thread runs —
-//! construction (bank allocation, constant splatting) happens about once
-//! per thread per kernel, not once per morsel.
-//!
-//! The pool's threads and the server's workers live for the process, so
-//! their arenas outlive queries. That is safe because machines are cached
-//! by kernel id, and ids are unique in the process (every
-//! `CompiledKernel::compile` call takes a fresh one): no query can check
-//! out a machine built for another query's kernel. A full arena evicts its
-//! oldest machine, so the ones for finished queries' kernels age out. The
-//! poison toggle in [`crate::engine`] checks that no reused bank leaks
-//! state, inside a query and across queries.
+//! Each thread that runs morsels owns one [`Scratch`] in a thread-local,
+//! which recycles the index and word buffers SORT and the grouped fold
+//! take per call, so a warm call allocates per worker, never per row.
+//! Batch machines are not kept here: each compiled kernel pools its own
+//! (`CompiledKernel::checkout`), so a thread that claims morsel after
+//! morsel of one walk reuses one machine, and the machines go with the
+//! kernel when its query is done. The poison toggle in [`crate::engine`]
+//! checks that no reused bank leaks state between batches.
 
 use kfusion_ir::batch::Scratch;
 use std::cell::RefCell;

@@ -25,7 +25,7 @@
 use crate::data::{
     col_windows, par_each, resize_zeroed_vec, slice_windows, ColWindow, Column, Keys, Relation,
 };
-use kfusion_ir::batch::ColRef;
+use kfusion_ir::batch::{BankView, BatchMachine, ColRef, CompiledKernel, BATCH_ROWS, MASK_WORDS};
 use kfusion_ir::{Ty, Value};
 use kfusion_vgpu::exec::DEFAULT_CTA_CHUNK;
 use std::ops::Range;
@@ -367,6 +367,73 @@ impl<'a> View<'a> {
     }
 }
 
+/// A compiled kernel bound to the columns of the base rows a [`walk`] runs
+/// it over.
+#[derive(Clone, Copy)]
+pub(crate) struct Bound<'k> {
+    pub(crate) kernel: &'k CompiledKernel,
+    pub(crate) cols: &'k [ColRef<'k>],
+}
+
+/// One batch of a [`walk`]: its base rows, the view's selection words
+/// over them — exactly its live lanes, none past its end — or `None` when
+/// the view is dense, and the kernel's machine after it ran on the batch.
+pub(crate) struct Batch<'w> {
+    pub(crate) rows: Range<usize>,
+    pub(crate) words: Option<&'w [u64]>,
+    ran: Option<(&'w CompiledKernel, &'w BatchMachine)>,
+}
+
+impl<'w> Batch<'w> {
+    /// Output `o` of the kernel the walk ran over this batch.
+    pub(crate) fn output(&self, o: usize) -> BankView<'w> {
+        let (k, m) = self.ran.expect("a walk with a kernel");
+        m.output(k, o)
+    }
+}
+
+/// The one batch walk: every operator that runs a compiled kernel over a
+/// view — a group's loop, ARITH+, the run fold and the grouped fold —
+/// walks base rows `rows` (from a selection word on) through here, in
+/// [`BATCH_ROWS`] batches, ascending, inside one steady-state region. A
+/// batch in which the view selects no row is skipped; for every other,
+/// `kernel` (when given) runs once, on a machine checked out of its pool
+/// for the walk, and `body` gets the batch.
+pub(crate) fn walk(
+    view: &View<'_>,
+    rows: Range<usize>,
+    kernel: Option<Bound<'_>>,
+    mut body: impl FnMut(&Batch<'_>),
+) {
+    debug_assert_eq!(rows.start % 64, 0, "a walk starts on a selection word");
+    let mut machine = kernel.map(|b| b.kernel.checkout());
+    let _steady = kfusion_trace::allocwatch::region();
+    let sel = view.selection();
+    let mut live = [0u64; MASK_WORDS];
+    for base in rows.clone().step_by(BATCH_ROWS) {
+        let n = BATCH_ROWS.min(rows.end - base);
+        let words = match sel {
+            Some(sel) => {
+                let live = &mut live[..n.div_ceil(64)];
+                live.copy_from_slice(&sel[base / 64..][..live.len()]);
+                if !n.is_multiple_of(64) {
+                    live[n / 64] &= (1 << (n % 64)) - 1;
+                }
+                Some(&*live)
+            }
+            None => None,
+        };
+        if words.is_some_and(|words| words.iter().all(|&w| w == 0)) {
+            continue;
+        }
+        let ran = kernel.zip(machine.as_deref_mut()).map(|(b, m)| {
+            m.run(b.kernel, b.cols, base, n);
+            (b.kernel, &*m)
+        });
+        body(&Batch { rows: base..base + n, words, ran });
+    }
+}
+
 /// Give `view` real storage: the gather stage of the multi-stage operators
 /// (paper Fig. 3), and the only place a view's rows are copied. A view that
 /// alone holds the intermediates it references — the one an operator
@@ -570,6 +637,7 @@ fn for_each_lane<T>(start: usize, words: &[u64], dst: &mut [T], value: impl Fn(u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kfusion_ir::batch::mask_lane;
 
     fn rel(n: u64) -> Relation {
         Relation::new(
@@ -656,6 +724,69 @@ mod tests {
         let mut seen = Vec::new();
         View::of(&r).with_selection(sel, rows).for_each_row(64..131, |i| seen.push(i));
         assert_eq!(seen, (66..131).step_by(3).collect::<Vec<_>>());
+    }
+
+    /// Each batch a walk hands its body: its rows, how many of them the
+    /// view selects (`None` when dense), and the kernel's mask over them.
+    type Seen = Vec<(Range<usize>, Option<u32>, Option<u32>)>;
+
+    fn walked(view: &View<'_>, rows: Range<usize>, kernel: Option<Bound<'_>>) -> Seen {
+        let mut seen = Vec::new();
+        walk(view, rows, kernel, |b| {
+            let live = b.words.map(|w| w.iter().map(|w| w.count_ones()).sum());
+            let kept = kernel.map(|_| match b.output(0) {
+                BankView::Bool(m) => (0..b.rows.len()).filter(|&j| mask_lane(m, j)).count() as u32,
+                _ => unreachable!("a predicate"),
+            });
+            seen.push((b.rows.clone(), live, kept));
+        });
+        seen
+    }
+
+    /// The walk visits each batch with a live row once, in order, and no
+    /// other; it runs the kernel for exactly those — the binding below ends
+    /// where the last dead batch starts, so running it there would panic.
+    #[test]
+    fn a_walk_runs_the_kernel_on_every_live_batch_once_in_order() {
+        let n = 4 * BATCH_ROWS;
+        let r = Relation::from_keys((0..n as u64).collect());
+        // Batches 0 and 2 hold a live row each, batches 1 and 3 none.
+        let mut sel = vec![0u64; n / 64];
+        sel[0] = 0b101;
+        sel[2 * BATCH_ROWS / 64 + 3] = 1 << 63;
+        let filtered = View::of(&r).with_selection(sel, 3);
+        let k = CompiledKernel::compile(&crate::predicates::key_lt(2), &filtered.ir_slot_types())
+            .unwrap();
+        let keys: Vec<u64> = (0..n as u64).collect();
+        let cols = [ColRef::KeyU64(&keys[..3 * BATCH_ROWS])];
+        let kernel = Some(Bound { kernel: &k, cols: &cols });
+        let b = BATCH_ROWS;
+        assert_eq!(
+            walked(&filtered, 0..n, kernel),
+            [(0..b, Some(2), Some(2)), (2 * b..3 * b, Some(1), Some(0))]
+        );
+        // A dense view: every batch, its words `None`.
+        let cols = [ColRef::KeyU64(&keys)];
+        let dense = walked(&View::of(&r), 0..n, Some(Bound { kernel: &k, cols: &cols }));
+        let want: Seen =
+            (0..4).map(|i| (i * b..(i + 1) * b, None, Some(2 * (i == 0) as u32))).collect();
+        assert_eq!(dense, want);
+    }
+
+    /// A walk over a range that ends inside a selection word hands over no
+    /// lane at or past its end, even where every row is selected.
+    #[test]
+    fn a_walk_stops_at_the_end_of_its_range() {
+        let n = 3 * BATCH_ROWS;
+        let r = Relation::from_keys((0..n as u64).collect());
+        let full = View::of(&r).with_selection(vec![u64::MAX; n / 64], n);
+        let end = 2 * BATCH_ROWS + 100;
+        let seen = walked(&full, BATCH_ROWS..end, None);
+        let b = BATCH_ROWS;
+        assert_eq!(seen, [(b..2 * b, Some(b as u32), None), (2 * b..end, Some(100), None)]);
+        assert_eq!(walked(&full, 0..70, None), [(0..70, Some(70), None)]);
+        assert_eq!(walked(&View::of(&r), 64..70, None), [(64..70, None, None)]);
+        assert!(walked(&full, 128..128, None).is_empty());
     }
 
     #[test]

@@ -123,8 +123,8 @@ fn a_loop_gives_each_member_what_its_operator_does() {
 /// Where the loop cannot run a chain as its members' operators would,
 /// it runs the longest prefix it can: a last member holding an ARITH+
 /// column, a second REKEY, an AGGREGATE behind a SELECT, a body the batch
-/// engine declines, the scalar engine — and SELECTs alone are a run of
-/// views.
+/// engine declines, the scalar engine. SELECTs alone it runs whole, the
+/// first one passed.
 #[test]
 fn a_chain_the_loop_cannot_run_whole_is_cut() {
     let _g = serial();
@@ -136,7 +136,9 @@ fn a_chain_the_loop_cannot_run_whole_is_cut() {
     let aggs = [Agg::Sum(1), Agg::Count];
     let declined = predicates::col_cmp_f64(0, CmpOp::Lt, 0.5);
     assert_as_operators(&v, &[Member::Select(&keep), Member::ArithExtend(&pack)], 1);
-    assert_as_operators(&v, &[Member::Select(&keep), Member::Select(&fewer)], 2);
+    let selects = [Member::Select(&keep), Member::Select(&fewer)];
+    assert_as_operators(&v, &selects, 2);
+    assert!(matches!(group_loop_view(&v, &selects)[0], Ok(Stage::Passed { .. })));
     let two_rekeys = [Member::ArithExtend(&pack), Member::Rekey(3), Member::Rekey(0)];
     assert_as_operators(&v, &two_rekeys, 2);
     assert_as_operators(&v, &[Member::Select(&keep), Member::Aggregate(&aggs)], 1);
@@ -166,4 +168,96 @@ fn a_members_error_is_its_own() {
     let unsorted = ops::rekey_view(&v, 1).unwrap();
     let aggs = [Agg::Count];
     assert_as_operators(&unsorted, &[Member::ArithExtend(&shift), Member::Aggregate(&aggs)], 2);
+}
+
+/// Every member of a loop but the last covered is passed.
+#[track_caller]
+fn assert_passed_but_last(stages: &[Result<Stage<'_>, RelError>]) {
+    let (last, passed) = stages.split_last().expect("a loop covers its head");
+    assert!(passed.iter().all(|s| matches!(s, Ok(Stage::Passed { .. }))), "{stages:?}");
+    assert!(matches!(last, Ok(Stage::View(_))), "{last:?}");
+}
+
+/// A chain of SELECTs alone — the paper's fused Q6 kernel (Fig. 6) — is
+/// one loop over several morsels, each member what its operator gives:
+/// over a dense input and a filtered one, through a stage that keeps
+/// nothing, cut at a predicate the batch engine declines, and member by
+/// member on the scalar engine.
+#[test]
+fn a_run_of_selects_is_one_loop() {
+    let _g = serial();
+    let t = table(3 * DEFAULT_CTA_CHUNK + 1_234);
+    let dense = View::of(&t);
+    let keep = predicates::col_cmp_i64(0, CmpOp::Lt, 30);
+    let small = predicates::col_cmp_i64(1, CmpOp::Lt, 25);
+    let wide = predicates::col_cmp_f64(2, CmpOp::Gt, -2.0);
+    let none = predicates::key_lt(0);
+    let declined = predicates::col_cmp_f64(0, CmpOp::Lt, 0.5);
+    let run = [Member::Select(&keep), Member::Select(&small), Member::Select(&wide)];
+    let filtered = ops::select_view(&dense, &predicates::key_lt(60_000)).unwrap();
+    assert!(filtered.len() < dense.len());
+    for input in [&dense, &filtered] {
+        assert_as_operators(input, &run, 3);
+        assert_passed_but_last(&group_loop_view(input, &run));
+    }
+    let emptied = [Member::Select(&keep), Member::Select(&none), Member::Select(&wide)];
+    assert_as_operators(&dense, &emptied, 3);
+    let stages = group_loop_view(&dense, &emptied);
+    assert!(matches!(stages[1], Ok(Stage::Passed { rows: 0, .. })));
+    let cut = [Member::Select(&keep), Member::Select(&small), Member::Select(&declined)];
+    assert_as_operators(&dense, &cut, 2);
+    assert_passed_but_last(&group_loop_view(&dense, &cut));
+    engine::set_batch_enabled(false);
+    assert_as_operators(&dense, &run, 1);
+    engine::set_batch_enabled(true);
+}
+
+/// The fused shape: each SELECT of a run narrows the one before's
+/// selection over the same base rows, and one gather of the last
+/// reproduces the chain of materializing SELECTs, across morsel and batch
+/// boundaries and through a batch none of whose rows survived upstream.
+#[test]
+fn a_run_of_selects_gathers_what_the_materializing_chain_does() {
+    let _g = serial();
+    let n = 2 * DEFAULT_CTA_CHUNK as u64 + 4321;
+    let keys: Vec<u64> = (0..n).map(|k| k.wrapping_mul(2654435761) % 1000).collect();
+    let hole = |i: u64| (70_000..75_000).contains(&i);
+    let col: Vec<i64> = (0..n).map(|i| if hole(i) { -1 } else { (i % 97) as i64 }).collect();
+    let r = Relation::new(keys, vec![Column::I64(col)]).unwrap();
+    let preds = [
+        predicates::col_cmp_i64(0, CmpOp::Ge, 0),
+        predicates::key_lt(600),
+        predicates::col_cmp_i64(0, CmpOp::Lt, 50),
+    ];
+    let run: Vec<Member<'_>> = preds.iter().map(Member::Select).collect();
+    let mut stored = r.clone();
+    for (m, p) in preds.iter().enumerate() {
+        stored = ops::select(&stored, p).unwrap();
+        let mut stages = group_loop_view(&View::of(&r), &run[..=m]);
+        let Some(Ok(Stage::View(last))) = stages.pop() else { panic!("a run ends in a view") };
+        assert_eq!(last.len(), stored.len());
+        assert_eq!(materialize(last), stored);
+    }
+    assert!(!stored.is_empty());
+}
+
+/// A run covers what the batch engine compiles up to a declined
+/// predicate, whose error it leaves to the caller's next call; a run that
+/// starts with it is that predicate alone, on the interpreter — which
+/// reports the type error unless no row is left.
+#[test]
+fn a_declined_predicate_cuts_a_run_of_selects() {
+    let _g = serial();
+    let r = Relation::new((0..100).collect(), vec![Column::I64((0..100).collect())]).unwrap();
+    let (keep, short) = (predicates::key_lt(40), predicates::key_lt(10));
+    let declined = predicates::col_cmp_f64(0, CmpOp::Lt, 0.5);
+    let run = [Member::Select(&keep), Member::Select(&declined), Member::Select(&short)];
+    let got = group_loop_view(&View::of(&r), &run);
+    assert!(matches!(&got[..], [Ok(Stage::View(v))] if v.len() == 40), "{got:?}");
+    let narrowed = ops::select_view(&View::of(&r), &keep).unwrap();
+    let tail = [Member::Select(&declined), Member::Select(&short)];
+    assert!(matches!(&group_loop_view(&narrowed, &tail)[..], [Err(RelError::Eval(_))]));
+    let emptied = ops::select_view(&narrowed, &predicates::key_lt(0)).unwrap();
+    let got = group_loop_view(&emptied, &tail);
+    assert!(matches!(&got[..], [Ok(Stage::View(v))] if v.is_empty()), "{got:?}");
 }

@@ -2,7 +2,7 @@
 //!
 //! A warm batch-engine Q1 or Q21 execution must not allocate inside any
 //! steady-state region: the per-batch loops of the relational operators
-//! run entirely out of checked-out scratch banks and preallocated output
+//! run entirely out of checked-out batch machines and preallocated output
 //! buffers. This test installs the counting allocator (its own binary, so
 //! no other test pays for it), warms the engine with one run, then fails
 //! on the first region allocation of a second run.
@@ -108,12 +108,11 @@ fn warm_keyed_aggregate_allocates_the_same_for_ten_groups_as_for_a_hundred_thous
             ],
         )
         .unwrap();
-        let mut out = Relation::default();
-        ops::aggregate_by_key_into(&input, &aggs, &mut out).unwrap();
+        ops::aggregate_by_key(&input, &aggs).unwrap();
 
         allocwatch::reset();
         allocwatch::set_enabled(true);
-        ops::aggregate_by_key_into(&input, &aggs, &mut out).unwrap();
+        let out = ops::aggregate_by_key(&input, &aggs).unwrap();
         allocwatch::set_enabled(false);
         assert_eq!(out, ops::aggregate_by_key(&input, &aggs).unwrap());
         (out.len(), allocwatch::total_counts().0, allocwatch::region_counts())
