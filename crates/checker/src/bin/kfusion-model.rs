@@ -36,6 +36,7 @@ use kfusion_check::lint::lint_certificates;
 use kfusion_core::exec::{plan_schedule, ExecConfig, Strategy};
 use kfusion_model::certify::{certify_deadlock_free, certify_memory_bound};
 use kfusion_tpch::gen::{generate, TpchConfig};
+use kfusion_trace::json::quote;
 use kfusion_vgpu::des::Schedule;
 use kfusion_vgpu::GpuSystem;
 
@@ -43,24 +44,6 @@ use kfusion_vgpu::GpuSystem;
 /// certified, and the planner emits the same shape at any scale, so small
 /// keeps the run fast.
 const CERT_SCALE: f64 = 0.05;
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// One certified (query, strategy) cell of the matrix.
 struct CertRow {
@@ -92,19 +75,19 @@ fn certify_one(
             detail: format!(
                 "{{\"query\":{},\"strategy\":{},\"ok\":true,\"commands\":{},\"streams\":{},\
                  \"event_edges\":{},\"peak_bytes\":{},\"capacity\":{},\"peak_at\":{}}}",
-                json_str(query),
-                json_str(strategy),
+                quote(query),
+                quote(strategy),
                 d.commands,
                 d.streams,
                 d.event_edges,
                 m.peak_bytes,
                 m.capacity,
-                json_str(&m.peak_at.to_string()),
+                quote(&m.peak_at.to_string()),
             ),
         }
     } else {
         let rendered: Vec<String> = lints.iter().map(|l| l.render()).collect();
-        let ids: Vec<String> = lints.iter().map(|l| json_str(l.id)).collect();
+        let ids: Vec<String> = lints.iter().map(|l| quote(l.id)).collect();
         CertRow {
             query,
             strategy,
@@ -112,8 +95,8 @@ fn certify_one(
             summary: rendered.join("\n"),
             detail: format!(
                 "{{\"query\":{},\"strategy\":{},\"ok\":false,\"lints\":[{}]}}",
-                json_str(query),
-                json_str(strategy),
+                quote(query),
+                quote(strategy),
                 ids.join(",")
             ),
         }
@@ -159,7 +142,7 @@ struct ScenarioRow {
 
 #[cfg(kfusion_model)]
 mod scenarios {
-    use super::{json_str, ScenarioRow};
+    use super::{quote, ScenarioRow};
     use kfusion_check::lint::lint_model_violation;
     use kfusion_check::model_scenarios::{suite, ScenarioSpec};
     use kfusion_model::explore::explore;
@@ -172,9 +155,9 @@ mod scenarios {
             None => "null".to_string(),
             Some(v) => format!(
                 "{{\"kind\":{},\"message\":{},\"replay\":{},\"spurious_wakeups\":{}}}",
-                json_str(&v.kind.to_string()),
-                json_str(&v.message),
-                json_str(&v.replay_csv()),
+                quote(&v.kind.to_string()),
+                quote(&v.message),
+                quote(&v.replay_csv()),
                 v.spurious_wakeups
             ),
         };
@@ -196,7 +179,7 @@ mod scenarios {
                 "{{\"name\":{},\"seeded\":{},\"executions\":{},\"decision_points\":{},\
                  \"max_preemptions\":{},\"peak_preemptions\":{},\"spurious_budget\":{},\
                  \"spurious_injected\":{},\"complete\":{},\"wall_ms\":{},\"violation\":{}}}",
-                json_str(&r.name),
+                quote(&r.name),
                 spec.seeded,
                 r.executions,
                 r.decision_points,

@@ -17,6 +17,7 @@ use kfusion_core::{fuse_plan, FusionBudget, FusionPlan};
 use kfusion_ir::dataflow::{available, liveness, range};
 use kfusion_ir::opt::{optimize_report, OptLevel};
 use kfusion_ir::KernelBody;
+use kfusion_trace::json::quote;
 use kfusion_vgpu::des::{CommandKind, Schedule};
 
 /// How a diagnostic counts toward the exit status.
@@ -73,36 +74,15 @@ impl Lint {
 
     /// One JSON object: `{"id","severity","message","notes"}`.
     pub fn to_json(&self) -> String {
-        let notes: Vec<String> = self.notes.iter().map(|n| json_string(n)).collect();
+        let notes: Vec<String> = self.notes.iter().map(|n| quote(n)).collect();
         format!(
             "{{\"id\":{},\"severity\":{},\"message\":{},\"notes\":[{}]}}",
-            json_string(self.id),
-            json_string(&self.severity.to_string()),
-            json_string(&self.message),
+            quote(self.id),
+            quote(&self.severity.to_string()),
+            quote(&self.message),
             notes.join(",")
         )
     }
-}
-
-/// Minimal JSON string encoder (the workspace is dependency-free; mirrors
-/// `kfusion_trace::json`'s escaping rules, which the golden test parses
-/// back with that same module).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Every diagnostic from one lint run.
@@ -163,7 +143,7 @@ pub fn targets_json(targets: &[(String, LintReport)], deny_warnings: bool) -> St
         .map(|(name, r)| {
             let body = r.to_json();
             // Splice the target name into the report object.
-            format!("{{\"target\":{},{}", json_string(name), &body[1..])
+            format!("{{\"target\":{},{}", quote(name), &body[1..])
         })
         .collect();
     format!(

@@ -317,18 +317,10 @@ fn check_body_slots(
 
 fn check_agg_cols(node: NodeId, aggs: &[Agg], cols: Option<usize>) -> Result<(), PlanCheckError> {
     let Some(available) = cols else { return Ok(()) };
-    for agg in aggs {
-        let col = match agg {
-            Agg::Sum(c) | Agg::Min(c) | Agg::Max(c) | Agg::Avg(c) => Some(*c),
-            Agg::Count => None,
-        };
-        if let Some(col) = col {
-            if col >= available {
-                return Err(PlanCheckError::ColumnOutOfRange { node, col, available });
-            }
-        }
+    match aggs.iter().filter_map(Agg::col).find(|&col| col >= available) {
+        Some(col) => Err(PlanCheckError::ColumnOutOfRange { node, col, available }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Verify plan well-formedness: structure, embedded body typing, column

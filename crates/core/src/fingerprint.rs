@@ -1,29 +1,26 @@
 //! Structural plan fingerprints — the key of the server's plan cache.
 //!
-//! Kernel Weaver's premise (and this repo's PR-5 service) is that the
-//! verify → fuse → optimize pipeline is worth paying **once per plan
-//! shape**: concurrent submissions of structurally identical plans should
-//! share one compiled [`FusionPlan`](crate::fusion::FusionPlan). That needs
-//! a cache key that is (a) purely structural — two independently built
-//! `PlanGraph`s with the same operators, bodies, and wiring must collide —
-//! and (b) wide enough that accidental collisions are negligible.
+//! Kernel Weaver's premise is that the verify → fuse → optimize pipeline
+//! is worth paying **once per plan shape**: structurally identical plans
+//! share one compiled [`FusionPlan`](crate::fusion::FusionPlan). The cache
+//! key must be purely structural — two independently built `PlanGraph`s
+//! with the same operators, bodies and wiring collide — and wide enough
+//! that accidental collisions are negligible.
 //!
-//! [`fingerprint_plan`] walks the graph in topological (construction) order
-//! and folds every node kind, every IR instruction of every kernel body,
-//! and the edge lists into **two independent 64-bit mix lanes** (a
-//! splitmix64-style finalizer with different seeds). 128 bits make chance
-//! collisions irrelevant at any realistic cache size; the cache still only
-//! ever serves a plan *produced by the deterministic fusion pass*, so even
-//! a collision could only waste work, never corrupt an answer — the
-//! functional phase does not consume the fusion plan.
+//! The plan types' derived [`Hash`] (literals by their bits) is the one
+//! description of a plan's structure; [`fingerprint_plan`] feeds it through
+//! a [`Hasher`] that folds every word into **two independent 64-bit mix
+//! lanes** (splitmix64-style finalizers with different seeds). Even a
+//! collision cannot corrupt an answer: a prepared plan that does not
+//! partition the graph it is handed
+//! ([`FusionPlan::covers`](crate::fusion::FusionPlan::covers)) is
+//! recompiled, and any partition gives the same answer (DESIGN.md, "Plan
+//! fingerprints and the cache").
 
 use crate::cost::FusionBudget;
-use crate::graph::{OpKind, PlanGraph};
-use kfusion_ir::ir::Instr;
+use crate::graph::{NodeId, PlanGraph};
 use kfusion_ir::opt::OptLevel;
-use kfusion_ir::value::Value;
-use kfusion_ir::KernelBody;
-use kfusion_relalg::ops::{Agg, SortBy};
+use std::hash::{Hash, Hasher};
 
 /// A 128-bit structural fingerprint (two independent 64-bit lanes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,10 +66,6 @@ const LANE_SEEDS: [u64; 2] = [0x9e37_79b9_7f4a_7c15, 0xd1b5_4a32_d192_ed03];
 const LANE_STEPS: [u64; 2] = [0xbf58_476d_1ce4_e5b9, 0x94d0_49bb_1331_11eb];
 
 impl Mixer {
-    fn new() -> Self {
-        Mixer { lanes: LANE_SEEDS }
-    }
-
     fn word(&mut self, w: u64) {
         for (lane, step) in self.lanes.iter_mut().zip(LANE_STEPS) {
             let mut z = (*lane ^ w).wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -82,217 +75,85 @@ impl Mixer {
         }
     }
 
-    fn usize(&mut self, v: usize) {
-        self.word(v as u64);
-    }
-
-    fn finish(self) -> Fingerprint {
-        Fingerprint(self.lanes)
-    }
-}
-
-fn mix_value(m: &mut Mixer, v: &Value) {
-    match v {
-        // `to_bits` keeps -0.0 and NaN payloads distinct — structural, not
-        // numeric, equality is what a compile cache wants.
-        Value::I64(x) => {
-            m.word(0x10);
-            m.word(*x as u64);
-        }
-        Value::F64(x) => {
-            m.word(0x11);
-            m.word(x.to_bits());
-        }
-        Value::Bool(b) => {
-            m.word(0x12);
-            m.word(*b as u64);
-        }
+    /// Both lanes after hashing `value` into a fresh mixer.
+    fn fingerprint(value: &impl Hash) -> Fingerprint {
+        let mut m = Mixer { lanes: LANE_SEEDS };
+        value.hash(&mut m);
+        Fingerprint(m.lanes)
     }
 }
 
-fn mix_body(m: &mut Mixer, body: &KernelBody) {
-    m.word(body.n_inputs as u64);
-    m.usize(body.instrs.len());
-    for instr in &body.instrs {
-        match instr {
-            Instr::LoadInput { slot } => {
-                m.word(0x20);
-                m.word(*slot as u64);
-            }
-            Instr::Const { value } => {
-                m.word(0x21);
-                mix_value(m, value);
-            }
-            Instr::Copy { src } => {
-                m.word(0x22);
-                m.word(*src as u64);
-            }
-            Instr::Bin { op, lhs, rhs } => {
-                m.word(0x23);
-                m.word(*op as u64);
-                m.word(*lhs as u64);
-                m.word(*rhs as u64);
-            }
-            Instr::Un { op, arg } => {
-                m.word(0x24);
-                m.word(*op as u64);
-                m.word(*arg as u64);
-            }
-            Instr::Cmp { op, lhs, rhs } => {
-                m.word(0x25);
-                m.word(*op as u64);
-                m.word(*lhs as u64);
-                m.word(*rhs as u64);
-            }
-            Instr::Select { cond, then_r, else_r } => {
-                m.word(0x26);
-                m.word(*cond as u64);
-                m.word(*then_r as u64);
-                m.word(*else_r as u64);
-            }
-            Instr::Cast { ty, arg } => {
-                m.word(0x27);
-                m.word(*ty as u64);
-                m.word(*arg as u64);
-            }
+/// Every integer the derived `Hash`es write — discriminants, lengths,
+/// registers, columns, literal bits — is one word. Byte slices (a slice of
+/// integers hashes as its bytes) fold 8 bytes a word, the last zero-padded:
+/// the derive writes every slice's length before it, so no byte count is
+/// needed to tell `[1]` from `[1, 0]`. Without `#[inline]` every word is a
+/// call from the codegen units the derives land in (~40 % slower a plan).
+impl Hasher for Mixer {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let (words, tail) = bytes.as_chunks::<8>();
+        for w in words {
+            self.word(u64::from_le_bytes(*w));
+        }
+        if !tail.is_empty() {
+            let mut last = [0; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(last));
         }
     }
-    m.usize(body.outputs.len());
-    for &r in &body.outputs {
-        m.word(r as u64);
-    }
-}
 
-fn mix_aggs(m: &mut Mixer, aggs: &[Agg]) {
-    m.usize(aggs.len());
-    for a in aggs {
-        match a {
-            Agg::Sum(c) => {
-                m.word(0x30);
-                m.usize(*c);
-            }
-            Agg::Count => m.word(0x31),
-            Agg::Min(c) => {
-                m.word(0x32);
-                m.usize(*c);
-            }
-            Agg::Max(c) => {
-                m.word(0x33);
-                m.usize(*c);
-            }
-            Agg::Avg(c) => {
-                m.word(0x34);
-                m.usize(*c);
-            }
-        }
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.word(i.into());
     }
-}
 
-fn mix_kind(m: &mut Mixer, kind: &OpKind) {
-    match kind {
-        OpKind::Input { input } => {
-            m.word(0x01);
-            m.usize(*input);
-        }
-        OpKind::Select { pred } => {
-            m.word(0x02);
-            mix_body(m, pred);
-        }
-        OpKind::Project { keep } => {
-            m.word(0x03);
-            m.usize(keep.len());
-            for &c in keep {
-                m.usize(c);
-            }
-        }
-        OpKind::Arith { body } => {
-            m.word(0x04);
-            mix_body(m, body);
-        }
-        OpKind::ArithExtend { body } => {
-            m.word(0x05);
-            mix_body(m, body);
-        }
-        OpKind::Rekey { col } => {
-            m.word(0x06);
-            m.usize(*col);
-        }
-        OpKind::Join => m.word(0x07),
-        OpKind::ColumnJoin => m.word(0x08),
-        OpKind::Semijoin => m.word(0x09),
-        OpKind::Antijoin => m.word(0x0a),
-        OpKind::Product => m.word(0x0b),
-        OpKind::Union => m.word(0x0c),
-        OpKind::Intersect => m.word(0x0d),
-        OpKind::Difference => m.word(0x0e),
-        OpKind::Aggregate { aggs } => {
-            m.word(0x0f);
-            mix_aggs(m, aggs);
-        }
-        OpKind::AggregateAll { aggs } => {
-            m.word(0x13);
-            mix_aggs(m, aggs);
-        }
-        OpKind::Sort { by } => {
-            m.word(0x14);
-            match by {
-                SortBy::Key => m.word(0x40),
-                SortBy::I64Col(c) => {
-                    m.word(0x41);
-                    m.usize(*c);
-                }
-                SortBy::F64Col(c) => {
-                    m.word(0x42);
-                    m.usize(*c);
-                }
-                SortBy::KeyDesc => m.word(0x43),
-                SortBy::I64ColDesc(c) => {
-                    m.word(0x44);
-                    m.usize(*c);
-                }
-                SortBy::F64ColDesc(c) => {
-                    m.word(0x45);
-                    m.usize(*c);
-                }
-            }
-        }
-        OpKind::Unique => m.word(0x15),
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.word(i.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+
+    #[inline]
+    fn write_isize(&mut self, i: isize) {
+        self.word(i as u64);
+    }
+
+    /// The first lane; the fingerprint is both.
+    fn finish(&self) -> u64 {
+        self.lanes[0]
     }
 }
 
 /// Fingerprint the structure of `graph`: node kinds (bodies included),
 /// edges, and the root, in topological order.
 pub fn fingerprint_plan(graph: &PlanGraph) -> Fingerprint {
-    let mut m = Mixer::new();
-    m.usize(graph.nodes.len());
-    for node in &graph.nodes {
-        mix_kind(&mut m, &node.kind);
-        m.usize(node.inputs.len());
-        for &p in &node.inputs {
-            m.usize(p);
-        }
-    }
-    m.usize(graph.root);
-    m.finish()
+    Mixer::fingerprint(graph)
 }
 
 /// Fingerprint a multi-root merged plan: the graph plus every root, in
 /// order — so the same batch composition (and only that) gets a cache hit.
-pub fn fingerprint_multi(graph: &PlanGraph, roots: &[crate::graph::NodeId]) -> Fingerprint {
-    let base = fingerprint_plan(graph);
-    let mut m = Mixer::new();
-    m.word(base.0[0]);
-    m.word(base.0[1]);
-    m.usize(roots.len());
-    for &r in roots {
-        m.usize(r);
-    }
-    m.finish()
+pub fn fingerprint_multi(graph: &PlanGraph, roots: &[NodeId]) -> Fingerprint {
+    Mixer::fingerprint(&(graph, roots))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::OpKind;
+    use kfusion_ir::ir::Instr;
+    use kfusion_ir::value::Value;
+    use kfusion_ir::KernelBody;
+    use kfusion_relalg::ops::{Agg, SortBy};
     use kfusion_relalg::predicates;
 
     fn chain(thresholds: &[u64]) -> PlanGraph {
@@ -371,5 +232,57 @@ mod tests {
         };
         assert_eq!(fingerprint_plan(&plan(1.5)), fingerprint_plan(&plan(1.5)));
         assert_ne!(fingerprint_plan(&plan(0.0)), fingerprint_plan(&plan(-0.0)));
+    }
+
+    /// A plan whose root is `kind` over as many leaves as it reads.
+    fn lone(kind: OpKind) -> PlanGraph {
+        let mut g = PlanGraph::new();
+        let leaves = [g.input(0), g.input(1)];
+        let arity = kind.arity();
+        g.add(kind, leaves[..arity].to_vec());
+        g
+    }
+
+    fn body(instrs: Vec<Instr>, outputs: Vec<u32>, n_inputs: u32) -> KernelBody {
+        KernelBody { instrs, outputs, n_inputs }
+    }
+
+    #[test]
+    fn every_operator_and_payload_field_reaches_the_fingerprint() {
+        let mut kinds = crate::graph::tests::all_kinds();
+        let c = 1;
+        kinds.extend(
+            [Agg::Sum(c), Agg::Min(c), Agg::Max(c), Agg::Avg(c)]
+                .map(|a| OpKind::Aggregate { aggs: vec![a] }),
+        );
+        kinds.extend(
+            [
+                SortBy::KeyDesc,
+                SortBy::I64Col(c),
+                SortBy::I64ColDesc(c),
+                SortBy::F64Col(c),
+                SortBy::F64ColDesc(c),
+            ]
+            .map(|by| OpKind::Sort { by }),
+        );
+        kinds.push(OpKind::Project { keep: vec![0, 1] });
+        kinds.push(OpKind::Project { keep: vec![1, 0] });
+        kinds.push(OpKind::Rekey { col: 1 });
+        let loads = || vec![Instr::LoadInput { slot: 0 }, Instr::LoadInput { slot: 1 }];
+        kinds.push(OpKind::Arith { body: body(loads(), vec![0, 1], 2) });
+        kinds.push(OpKind::Arith { body: body(loads(), vec![0, 1], 3) });
+        kinds.push(OpKind::Arith { body: body(loads(), vec![1, 0], 2) });
+        for payload in [1, 2] {
+            let nan = Value::F64(f64::from_bits(0x7ff8_0000_0000_0000 | payload));
+            kinds.push(OpKind::Arith { body: body(vec![Instr::Const { value: nan }], vec![0], 0) });
+        }
+
+        let prints: Vec<(String, Fingerprint)> =
+            kinds.into_iter().map(|k| (format!("{k:?}"), fingerprint_plan(&lone(k)))).collect();
+        for (i, (a, fa)) in prints.iter().enumerate() {
+            for (b, fb) in &prints[i + 1..] {
+                assert_ne!(fa, fb, "{a} and {b} share a fingerprint");
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@ use kfusion_relalg::ops::{Agg, SortBy};
 pub type NodeId = usize;
 
 /// The operator at a node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum OpKind {
     /// A plan input (leaf): `input` indexes the relation array passed to the
     /// executor.
@@ -192,7 +192,7 @@ impl OpKind {
 }
 
 /// One node of the plan DAG.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Node {
     /// Operator.
     pub kind: OpKind,
@@ -240,7 +240,7 @@ impl std::fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// A DAG of operators; node ids are topologically ordered by construction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 pub struct PlanGraph {
     /// Nodes; `nodes[i].inputs[j] < i` always.
     pub nodes: Vec<Node>,
@@ -332,7 +332,7 @@ impl PlanGraph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::check::{check_plan, PlanCheckError};
     use crate::exec::{execute, ExecConfig, Strategy};
@@ -342,7 +342,7 @@ mod tests {
     /// An instance of every variant. The match beside it has no wildcard, so
     /// a new variant does not compile until it is listed here — and with
     /// that is covered by every table test below.
-    fn all_kinds() -> Vec<OpKind> {
+    pub(crate) fn all_kinds() -> Vec<OpKind> {
         let kinds = vec![
             OpKind::Input { input: 0 },
             OpKind::Select { pred: predicates::key_lt(10) },

@@ -469,21 +469,16 @@ impl Bank {
             Ty::Bool => Bank::Bool(vec![0; MASK_WORDS]),
         }
     }
+}
 
-    fn as_i64(&self) -> &[i64] {
-        self.view().as_i64()
-    }
-
-    fn as_mask(&self) -> &[u64] {
-        self.view().as_mask()
-    }
-
-    fn view(&self) -> BankView<'_> {
-        match self {
-            Bank::I64(v) => BankView::I64(v),
-            Bank::F64(v) => BankView::F64(v),
-            Bank::Bool(v) => BankView::Bool(v),
-        }
+/// The lanes of a register that has a bank: an output, a register the
+/// generic path writes or splats, or an `i64` load ([`BatchMachine::new`]).
+fn view(bank: &Option<Bank>) -> BankView<'_> {
+    match bank {
+        Some(Bank::I64(v)) => BankView::I64(v),
+        Some(Bank::F64(v)) => BankView::F64(v),
+        Some(Bank::Bool(v)) => BankView::Bool(v),
+        None => unreachable!("the register has no bank"),
     }
 }
 
@@ -610,19 +605,32 @@ impl Scratch {
     }
 }
 
-/// Reusable batch evaluation state for one [`CompiledKernel`]: one typed
-/// bank per register, with constant banks splatted once at construction.
-/// One per thread that runs the kernel at once, checked out of the
-/// kernel's pool ([`CompiledKernel::checkout`]).
+/// Reusable batch evaluation state for one [`CompiledKernel`]: a typed
+/// bank for each register a run writes or a generic instruction reads from
+/// one, with constant banks splatted once at construction. One per thread
+/// that runs the kernel at once, checked out of the kernel's pool
+/// ([`CompiledKernel::checkout`]).
 #[derive(Debug, Clone)]
 pub struct BatchMachine {
-    banks: Vec<Bank>,
+    banks: Vec<Option<Bank>>,
 }
 
 impl BatchMachine {
-    /// Allocate banks for `k` and pre-splat its constants.
+    /// Allocate banks for `k` and pre-splat its constants. A register gets
+    /// one when it is an output, a generic-path instruction or constant, or
+    /// an `i64` load — a key or row-id slot is loaded into its bank. An
+    /// `f64` load is read in place, and what only a fused primitive
+    /// computes, or reads as a constant, never leaves it.
     pub fn new(k: &CompiledKernel) -> Self {
-        let banks = k.reg_ty.iter().map(|&t| Bank::for_ty(t)).collect();
+        let banked = |r: usize| match k.instrs[r] {
+            Instr::LoadInput { .. } => k.reg_ty[r] == Ty::I64,
+            _ => k.generic[r],
+        };
+        let banks = (0..k.instrs.len())
+            .map(|r| {
+                (banked(r) || k.outputs.contains(&(r as Reg))).then(|| Bank::for_ty(k.reg_ty[r]))
+            })
+            .collect();
         let mut m = BatchMachine { banks };
         m.splat_consts(k);
         m
@@ -630,8 +638,8 @@ impl BatchMachine {
 
     fn splat_consts(&mut self, k: &CompiledKernel) {
         for (r, instr) in k.instrs.iter().enumerate() {
-            if let Instr::Const { value } = *instr {
-                match (&mut self.banks[r], value) {
+            if let (Instr::Const { value }, Some(bank)) = (*instr, &mut self.banks[r]) {
+                match (bank, value) {
                     (Bank::I64(d), Value::I64(c)) => d.fill(c),
                     (Bank::F64(d), Value::F64(c)) => d.fill(c),
                     (Bank::Bool(d), Value::Bool(c)) => d.fill(if c { u64::MAX } else { 0 }),
@@ -645,7 +653,7 @@ impl BatchMachine {
     /// banks. Leaves the machine in the worst legal state reuse can hand a
     /// batch: nothing zeroed, every stale lane poisoned.
     pub fn poison(&mut self, k: &CompiledKernel) {
-        for bank in &mut self.banks {
+        for bank in self.banks.iter_mut().flatten() {
             match bank {
                 Bank::I64(d) => d.fill(POISON_I64),
                 Bank::F64(d) => d.fill(f64::from_bits(POISON_F64_BITS)),
@@ -680,8 +688,8 @@ impl BatchMachine {
     /// batch's lanes.
     fn run_generic(&mut self, k: &CompiledKernel, cols: &[ColRef<'_>], base: usize, n: usize) {
         // An i64 or f64 column a body loads is read where it is, its
-        // register's bank left unused — unless the register is an output,
-        // which callers read from its bank.
+        // register's bank (if any) left unused — unless the register is an
+        // output, which callers read from its bank.
         let in_place = |r: usize| {
             match k.instrs[r] {
                 Instr::LoadInput { slot } => match cols[slot as usize] {
@@ -694,12 +702,16 @@ impl BatchMachine {
             .filter(|_| !k.outputs.contains(&(r as Reg)))
         };
         for (i, instr) in k.instrs.iter().enumerate().filter(|&(i, _)| k.generic[i]) {
+            // Constants are splatted at construction, and a column read in
+            // place is not loaded.
+            if matches!(instr, Instr::Const { .. }) || in_place(i).is_some() {
+                continue;
+            }
             let (prev, rest) = self.banks.split_at_mut(i);
-            let dst = &mut rest[0];
-            let read = |r: Reg| in_place(r as usize).unwrap_or_else(|| prev[r as usize].view());
+            let dst = rest[0].as_mut().expect("the generic path writes a banked register");
+            let read = |r: Reg| in_place(r as usize).unwrap_or_else(|| view(&prev[r as usize]));
             match *instr {
-                Instr::Const { .. } => {} // splatted at construction
-                Instr::LoadInput { .. } if in_place(i).is_some() => {}
+                Instr::Const { .. } => unreachable!("splatted at construction"),
                 Instr::LoadInput { slot } => load(dst, cols[slot as usize], base, n),
                 Instr::Copy { src } => copy_bank(dst, read(src), n),
                 Instr::Bin { op, lhs, rhs } => bin(dst, op, read(lhs), read(rhs), n),
@@ -732,7 +744,7 @@ impl BatchMachine {
         for (r, instr) in k.instrs.iter().enumerate() {
             if let Instr::LoadInput { slot } = *instr {
                 if let col @ ColRef::RowIds(_) = cols[slot as usize] {
-                    load(&mut self.banks[r], col, base, n);
+                    load(self.banks[r].as_mut().expect("an i64 load has a bank"), col, base, n);
                 }
             }
         }
@@ -742,7 +754,7 @@ impl BatchMachine {
         match f {
             Fused::PackI64 { a, mul, b } => {
                 let d = match &mut out[0] {
-                    Bank::I64(d) => &mut d[..n],
+                    Some(Bank::I64(d)) => &mut d[..n],
                     _ => unreachable!("pack output is i64"),
                 };
                 match (batch.lanes(*a), batch.lanes(*b)) {
@@ -759,7 +771,7 @@ impl BatchMachine {
                 // whole subtree, so o0 < o1 always holds here.
                 let (lo, hi) = out.split_at_mut(o1 - o0);
                 let (d0, d1) = match (&mut lo[0], &mut hi[0]) {
-                    (Bank::F64(d0), Bank::F64(d1)) => (&mut d0[..n], &mut d1[..n]),
+                    (Some(Bank::F64(d0)), Some(Bank::F64(d1))) => (&mut d0[..n], &mut d1[..n]),
                     _ => unreachable!("money outputs are f64"),
                 };
                 let p = f64_lanes(cols[*price as usize]);
@@ -773,7 +785,7 @@ impl BatchMachine {
             }
             Fused::CmpChain { terms } => {
                 let d = match &mut out[0] {
-                    Bank::Bool(d) => &mut d[..n.div_ceil(64)],
+                    Some(Bank::Bool(d)) => &mut d[..n.div_ceil(64)],
                     _ => unreachable!("predicate output is bool"),
                 };
                 #[cfg(target_arch = "x86_64")]
@@ -790,17 +802,13 @@ impl BatchMachine {
 
     /// View output slot `idx` after a run.
     pub fn output(&self, k: &CompiledKernel, idx: usize) -> BankView<'_> {
-        match &self.banks[k.outputs[idx] as usize] {
-            Bank::I64(v) => BankView::I64(v),
-            Bank::F64(v) => BankView::F64(v),
-            Bank::Bool(v) => BankView::Bool(v),
-        }
+        view(&self.banks[k.outputs[idx] as usize])
     }
 
     /// The selection bitmask of a predicate's output slot 0; panics if the
     /// output is not boolean (check [`CompiledKernel::output_ty`] first).
     pub fn selection_mask(&self, k: &CompiledKernel) -> &[u64] {
-        self.banks[k.outputs[0] as usize].as_mask()
+        view(&self.banks[k.outputs[0] as usize]).as_mask()
     }
 }
 
@@ -836,7 +844,7 @@ struct Batch<'b> {
     cols: &'b [ColRef<'b>],
     rows: Range<usize>,
     instrs: &'b [Instr],
-    banks: &'b [Bank],
+    banks: &'b [Option<Bank>],
 }
 
 impl<'b> Batch<'b> {
@@ -853,7 +861,7 @@ impl<'b> Batch<'b> {
             ColRef::RowIds(_) => {
                 let load = Instr::LoadInput { slot };
                 let r = self.instrs.iter().position(|i| *i == load).expect("a slot read is loaded");
-                ColRef::I64(&self.banks[r].as_i64()[..rows.len()])
+                ColRef::I64(&view(&self.banks[r]).as_i64()[..rows.len()])
             }
         }
     }
@@ -1307,10 +1315,10 @@ mod tests {
         let mut fused = BatchMachine::new(&k);
         fused.poison(&k);
         fused.run(&k, cols, range.start, range.len());
-        let mut generic = BatchMachine::new(&k);
         let mut plain = k.clone();
         plain.fused = Arc::from([]);
         plain.generic = vec![true; k.instrs.len()].into();
+        let mut generic = BatchMachine::new(&plain);
         generic.run(&plain, cols, range.start, range.len());
         for (j, row) in rows[range].iter().enumerate() {
             let expect = interp::eval(body, row).unwrap();
@@ -1596,6 +1604,27 @@ mod tests {
                     "baseline vs {run} build, n = {n}, terms {terms:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_machine_banks_only_the_registers_a_run_writes() {
+        let banked = |k: &CompiledKernel| BatchMachine::new(k).banks.iter().flatten().count();
+        // Q6's shape: the compare chain reads its f64 loads in place and its
+        // constants from the primitive, so only the mask has a bank.
+        let mut b = BodyBuilder::new(2);
+        let lo = Expr::input(0).cmp(CmpOp::Ge, Expr::lit(0.05f64));
+        b.emit_output(lo.and(Expr::input(1).cmp(CmpOp::Lt, Expr::lit(24.0f64))));
+        let k = CompiledKernel::compile(&b.build(), &[Some(Ty::F64), Some(Ty::F64)]).unwrap();
+        assert_eq!((k.fused_primitive(), k.instrs.len(), banked(&k)), (Some("cmp_chain"), 7, 1));
+        // The generic path: an f64 load is read in place; the constant it
+        // reads and its destination are banked, and an i64 load may be a
+        // key, so it is banked too.
+        for (ty, lit, banks) in [(Ty::F64, Value::F64(3.0), 2), (Ty::I64, Value::I64(3), 3)] {
+            let mut b = BodyBuilder::new(1);
+            b.emit_output(Expr::input(0).div(Expr::lit(lit)));
+            let k = CompiledKernel::compile(&b.build(), &[Some(ty)]).unwrap();
+            assert_eq!((k.fused_primitive(), k.instrs.len(), banked(&k)), (None, 3, banks));
         }
     }
 

@@ -47,7 +47,7 @@ use kfusion_vgpu::exec::{par_range_map, workers, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
 
 /// One aggregate over a payload column (or over the rows themselves).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Agg {
     /// Sum of column `c` (result type = column type; i64 sums wrap).
     Sum(usize),
@@ -63,7 +63,7 @@ pub enum Agg {
 
 impl Agg {
     /// The column the aggregate reads, if any.
-    pub(crate) fn col(&self) -> Option<usize> {
+    pub fn col(&self) -> Option<usize> {
         match self {
             Agg::Sum(c) | Agg::Min(c) | Agg::Max(c) | Agg::Avg(c) => Some(*c),
             Agg::Count => None,

@@ -55,7 +55,7 @@ use kfusion_vgpu::exec::{cta_ranges, par_range_map, workers, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
 
 /// What to order by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SortBy {
     /// The tuple key.
     Key,

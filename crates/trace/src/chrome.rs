@@ -17,6 +17,7 @@
 //! before `B` at equal instants so it is monotone and well nested — the
 //! invariants `kfusion-trace-check` and the golden test enforce.
 
+use crate::json::quote;
 use crate::{Clock, Span, Trace};
 use std::collections::BTreeMap;
 
@@ -37,23 +38,6 @@ fn pid(clock: Clock) -> u32 {
         Clock::Sim => 1,
         Clock::Host => 2,
     }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One pre-serialized event with its sort key.
@@ -92,13 +76,13 @@ pub fn export(trace: &Trace) -> String {
                 Clock::Host => "host (wall clock)",
             };
             meta.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":0,\"ts\":0,\"args\":{{\"name\":\"{}\"}}}}",
-                escape(pname)
+                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":0,\"ts\":0,\"args\":{{\"name\":{}}}}}",
+                quote(pname)
             ));
         }
         meta.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":{tid},\"ts\":0,\"args\":{{\"name\":\"{}/{lane}\"}}}}",
-            escape(track)
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":{tid},\"ts\":0,\"args\":{{\"name\":{}}}}}",
+            quote(&format!("{track}/{lane}"))
         ));
         tids.insert((p, track.to_string(), lane), tid);
     }
@@ -146,12 +130,12 @@ fn span_head(s: &Span, pid: u32, tid: u32) -> String {
     let args = if s.scope.is_empty() {
         String::new()
     } else {
-        format!(",\"args\":{{\"scope\":\"{}\"}}", escape(&s.scope))
+        format!(",\"args\":{{\"scope\":{}}}", quote(&s.scope))
     };
     format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{pid},\"tid\":{tid}{args}",
-        escape(&s.name),
-        escape(&s.track)
+        "{{\"name\":{},\"cat\":{},\"pid\":{pid},\"tid\":{tid}{args}",
+        quote(&s.name),
+        quote(&s.track)
     )
 }
 

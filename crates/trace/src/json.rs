@@ -1,4 +1,5 @@
-//! A minimal recursive-descent JSON parser.
+//! A minimal recursive-descent JSON parser, and the one JSON string
+//! encoder ([`quote`]) every exporter writes strings with.
 //!
 //! The workspace is offline and dependency-free, but the trace layer needs
 //! to *read* JSON in two places: the `kfusion-trace-check` validator (CI
@@ -65,6 +66,27 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// `s` as a JSON string literal, quotes included: `"` and `\` escaped,
+/// newline, carriage return and tab by name, other control characters as
+/// `\u00XX`.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
@@ -267,6 +289,14 @@ impl Parser<'_> {
 mod tests {
     use super::*;
     use crate::Trace;
+
+    #[test]
+    fn a_quoted_string_parses_back_to_itself() {
+        let s = "a \"b\" \\ \n\r\t \u{1} \u{1f} é \u{1F600} /";
+        let q = quote(s);
+        assert_eq!(q, "\"a \\\"b\\\" \\\\ \\n\\r\\t \\u0001 \\u001f é \u{1F600} /\"");
+        assert_eq!(parse(&q).unwrap(), Value::Str(s.to_string()));
+    }
 
     #[test]
     fn parses_scalars_arrays_objects() {
