@@ -8,12 +8,13 @@
 //! the `host` column of [`OpKind::traits`]. Every intermediate with one
 //! reader is handed to it by value, so a view that reader builds holds its
 //! storage alone and [`materialize`] moves it rather than copies. Like the
-//! paper's fused kernels, a chain of members inside one group — SELECT,
-//! ARITH+ and REKEY, or ARITH+ into a keyed AGGREGATE — is one loop over its
-//! head's input, evaluated by its head, whose intermediates stay in batch
-//! banks ([`chains`], `ops::group_loop_view`). And a SORT by key whose rows
-//! only a keyed AGGREGATE reads hands them on unmoved, with their groups, as
-//! a SORT that finds a fused group's filtered view in order hands on the
+//! paper's fused kernels, a chain of loop members inside one group —
+//! SELECT, ARITH+, REKEY and keyed AGGREGATE, each read by the next alone
+//! ([`chains`]) — is one loop over its head's input, whose intermediates
+//! stay in batch banks, as far as `ops::group_loop_view` can run it; the
+//! member after a cut heads the rest. And a SORT by key whose rows only a
+//! keyed AGGREGATE reads hands them on unmoved, with their groups, as a
+//! SORT that finds a fused group's filtered view in order hands on the
 //! view ([`lazy_nodes`]).
 
 use super::Cardinalities;
@@ -22,18 +23,20 @@ use crate::graph::{Host, NodeId, OpKind, PlanGraph};
 use crate::CoreError;
 use kfusion_relalg::ops::{Member, SortBy, Stage};
 use kfusion_relalg::{materialize, ops, Column, Relation, View};
+use kfusion_trace::explain::Covered;
 use kfusion_vgpu::exec::par_map;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// What the functional phase leaves behind: the relations still held when it
-/// ends (the requested roots at least), every node's measured size, and host
-/// seconds.
+/// ends (the requested roots at least), every node's measured size, host
+/// seconds, and what each chain's loop covered.
 pub(super) struct Measured<'a> {
     pub(super) slots: Slots<'a>,
     pub(super) cards: Cardinalities,
     pub(super) host_secs: Vec<f64>,
+    pub(super) covered: Vec<Option<Covered>>,
 }
 
 /// The stored relation a slot holds — a plan input, or a computed relation
@@ -220,41 +223,36 @@ fn lazy_nodes(graph: &PlanGraph, fusion: &FusionPlan, roots: &[NodeId]) -> Vec<H
     lazy
 }
 
+/// `kind` as a member of a group's loop (`ops::Member`), if it can be one.
+fn member(kind: &OpKind) -> Option<Member<'_>> {
+    Some(match kind {
+        OpKind::Select { pred } => Member::Select(pred),
+        OpKind::ArithExtend { body } => Member::ArithExtend(body),
+        OpKind::Rekey { col } => Member::Rekey(*col),
+        OpKind::Aggregate { aggs } => Member::Aggregate(aggs),
+        _ => return None,
+    })
+}
+
 /// Chains of a fused group's members, as the next member of each:
-/// `next[p] = Some(c)` when `p` is a lazy SELECT, ARITH+ or REKEY
-/// ([`lazy_nodes`]) whose one reader is `c` of its own group — a SELECT,
-/// ARITH+ or REKEY, or a keyed AGGREGATE that only ARITH+ members of the
-/// chain lead to. A chain is a maximal such sequence: every member but the
-/// last is read by the next alone, so the whole chain is one loop over its
-/// head's input (`ops::group_loop_view`), evaluated when the head's wave
-/// comes; the later members then take what it computed for them. Derived
-/// from the fusion plan alone, like `lazy_nodes` — singleton groups have no
-/// chains.
+/// `next[p] = Some(c)` when `p` is a lazy loop member ([`lazy_nodes`],
+/// [`member`]) whose one reader is `c`, a loop member of its own group. A
+/// chain is a maximal such sequence: every member but the last is read by
+/// the next alone, so it is one loop over its head's input, evaluated when
+/// the head's wave comes; the later members then take what it computed for
+/// them. What one loop covers is `ops::group_loop_view`'s to decide: it
+/// runs the longest prefix it can, and the member after the cut heads the
+/// rest in its own wave. Derived from the fusion plan alone, like
+/// `lazy_nodes` — singleton groups have no chains.
 fn chains(graph: &PlanGraph, fusion: &FusionPlan, lazy: &[Hold]) -> Vec<Option<NodeId>> {
     let readers = graph.consumer_counts();
-    let kind = |id: NodeId| &graph.nodes[id].kind;
-    let member = |id: NodeId| {
-        matches!(
-            kind(id),
-            OpKind::Select { .. } | OpKind::ArithExtend { .. } | OpKind::Rekey { .. }
-        )
-    };
+    let is_member = |id: NodeId| member(&graph.nodes[id].kind).is_some();
     let mut next = vec![None; graph.len()];
-    let mut prev: Vec<Option<NodeId>> = vec![None; graph.len()];
     for (c, node) in graph.nodes.iter().enumerate() {
         let [p] = node.inputs[..] else { continue };
-        let linked = member(p)
-            && lazy[p] == Hold::View
-            && readers[p] == 1
-            && fusion.group_of[p] == fusion.group_of[c];
-        let arith_only = || {
-            std::iter::successors(Some(p), |&m| prev[m])
-                .all(|m| matches!(kind(m), OpKind::ArithExtend { .. }))
-        };
-        let joins = member(c) || matches!(kind(c), OpKind::Aggregate { .. }) && arith_only();
-        if linked && joins {
+        let same_group = fusion.group_of[p] == fusion.group_of[c];
+        if lazy[p] == Hold::View && readers[p] == 1 && same_group && is_member(p) && is_member(c) {
             next[p] = Some(c);
-            prev[c] = Some(p);
         }
     }
     next
@@ -309,6 +307,7 @@ pub(super) fn functional_phase<'a>(
 ) -> Result<Measured<'a>, CoreError> {
     let mut slots = Slots::new(graph.len());
     let mut host_secs = vec![0.0f64; graph.len()];
+    let mut covered = vec![None; graph.len()];
     // Cardinalities are captured the moment a slot fills: a value is handed
     // to its last reader and released after it — the timing phase still
     // needs every node's size.
@@ -362,10 +361,14 @@ pub(super) fn functional_phase<'a>(
         let evaluated = par_map(args, |_, (id, work)| eval_node_guarded(graph, id, inputs, work));
         for (&id, r) in wave.iter().zip(evaluated) {
             let (filled, later, secs) = r?;
-            let mut member = id;
-            for stage in later {
-                member = chains[member].expect("one result per later member of the chain");
-                slots.ahead[member] = Some(stage);
+            if let Some(later) = later {
+                covered[id] = Some(Covered::Loop(1 + later.len()));
+                let mut member = id;
+                for stage in later {
+                    member = chains[member].expect("one result per later member of the chain");
+                    covered[member] = Some(Covered::Passed);
+                    slots.ahead[member] = Some(stage);
+                }
             }
             host_secs[id] += secs;
             match filled {
@@ -398,15 +401,15 @@ pub(super) fn functional_phase<'a>(
         }
     }
     kfusion_trace::counter("kfusion_host_live_bytes_peak_total", slots.peak_bytes);
-    Ok(Measured { slots, cards, host_secs })
+    Ok(Measured { slots, cards, host_secs, covered })
 }
 
 /// What a wave's job does for one node.
 enum Work<'a> {
     /// Evaluate the operator over its inputs' values ([`eval_node`]).
     Eval { args: Vec<View<'a>>, hold: Hold },
-    /// Run the chain `chain` (this node first, [`chains`]) as one loop over
-    /// this node's input.
+    /// Run the chain `chain` (this node first, [`chains`]) over this node's
+    /// input: one loop covers as much of it as it can.
     Chain { input: View<'a>, chain: Vec<NodeId> },
     /// Take what the head of this node's chain computed for it.
     Ahead { stage: Result<Stage<'a>, kfusion_relalg::RelError>, lazy: bool },
@@ -420,9 +423,9 @@ enum Filled<'a> {
     Passed { rows: usize, row_bytes: u64 },
 }
 
-/// A node's output, what its chain's loop computed for the later members,
-/// and the host seconds it took.
-type Evaluated<'a> = (Filled<'a>, Vec<Result<Stage<'a>, kfusion_relalg::RelError>>, f64);
+/// A node's output, what its chain's loop — if it heads one — computed for
+/// the later members it covered, and the host seconds it took.
+type Evaluated<'a> = (Filled<'a>, Option<Vec<Result<Stage<'a>, kfusion_relalg::RelError>>>, f64);
 
 /// The executor's panic boundary: [`eval_node_timed`] under
 /// `catch_unwind`, a panic turned into [`CoreError::Internal`] naming the
@@ -446,7 +449,8 @@ fn eval_node_guarded<'a>(
 }
 
 /// Do a node's [`Work`] under a host trace span, timing it (the EXPLAIN
-/// tree's `host=` column: a chain's one loop is its head's). Runs on the
+/// tree's `host=` column: a chain's loop is its head's, marked `loop(k)`
+/// there and `passed` on the other members it covered). Runs on the
 /// thread that claimed the node, so parallel nodes land on distinct host
 /// lanes.
 fn eval_node_timed<'a>(
@@ -463,24 +467,18 @@ fn eval_node_timed<'a>(
     let (filled, later) = match work {
         Work::Eval { args, hold } => {
             let (val, view) = eval_node(&graph.nodes[id].kind, inputs, args, hold)?;
-            (Filled::Held(val, view), vec![])
+            (Filled::Held(val, view), None)
         }
-        Work::Ahead { stage, lazy } => (filled(stage?, lazy), vec![]),
+        Work::Ahead { stage, lazy } => (filled(stage?, lazy), None),
         Work::Chain { input, chain } => {
             let members: Vec<Member<'_>> = chain
                 .iter()
-                .map(|&m| match &graph.nodes[m].kind {
-                    OpKind::Select { pred } => Member::Select(pred),
-                    OpKind::ArithExtend { body } => Member::ArithExtend(body),
-                    OpKind::Rekey { col } => Member::Rekey(*col),
-                    OpKind::Aggregate { aggs } => Member::Aggregate(aggs),
-                    _ => unreachable!("chains are of the loop's members"),
-                })
+                .map(|&m| member(&graph.nodes[m].kind).expect("chains are of the loop's members"))
                 .collect();
             let mut stages = ops::group_loop_view(&input, &members).into_iter();
             // A chain's head is lazy: it has a reader in the chain.
             let head = stages.next().expect("a loop covers its chain's head")?;
-            (filled(head, true), stages.collect())
+            (filled(head, true), Some(stages.collect()))
         }
     };
     Ok((filled, later, t0.elapsed().as_secs_f64()))

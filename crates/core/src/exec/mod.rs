@@ -300,7 +300,8 @@ fn run_plan(
         }
         _ => prepare_fusion(graph, cfg)?,
     };
-    let Measured { slots, cards, host_secs } = functional_phase(graph, inputs, roots, &fusion)?;
+    let Measured { slots, cards, host_secs, covered } =
+        functional_phase(graph, inputs, roots, &fusion)?;
     let timeline = {
         let _phase = kfusion_trace::host_span("host", "timing_phase");
         system.simulate(&build_schedule(system, graph, &fusion, &cards, cfg, roots))?
@@ -310,8 +311,11 @@ fn run_plan(
         .iter()
         .map(|&r| host::stored(slots.vals[r].as_ref().expect("roots are never released")).clone())
         .collect();
-    let measurements =
-        crate::explain::NodeMeasurements { rows: &cards.rows, host_seconds: &host_secs };
+    let measurements = crate::explain::NodeMeasurements {
+        rows: &cards.rows,
+        host_seconds: &host_secs,
+        covered: &covered,
+    };
     let explain = crate::explain::build_explain(
         graph,
         &fusion,

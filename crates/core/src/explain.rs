@@ -10,7 +10,7 @@ use crate::cost::group_regs;
 use crate::fusion::FusionPlan;
 use crate::graph::{NodeId, PlanGraph};
 use kfusion_ir::opt::OptLevel;
-use kfusion_trace::explain::ExplainNode;
+use kfusion_trace::explain::{Covered, ExplainNode};
 use kfusion_vgpu::Timeline;
 
 /// Measurements the executor hands to [`build_explain`], one slot per plan
@@ -20,6 +20,8 @@ pub struct NodeMeasurements<'a> {
     pub rows: &'a [u64],
     /// Host wall-clock seconds of each node's functional evaluation.
     pub host_seconds: &'a [f64],
+    /// What a fused group's loop covered at each node.
+    pub covered: &'a [Option<Covered>],
 }
 
 /// Attribute the simulated timeline to plan nodes.
@@ -84,6 +86,7 @@ fn build_node(
         host_seconds: m.host_seconds.get(id).copied().unwrap_or(0.0),
         fusion_group,
         max_live_regs: fusion_group.map_or(0, |g| group_regs[g]),
+        covered: m.covered.get(id).copied().flatten(),
         children: node
             .inputs
             .iter()
@@ -157,7 +160,7 @@ mod tests {
         };
         let rows = [100, 50, 25];
         let host = [0.0, 0.001, 0.002];
-        let m = NodeMeasurements { rows: &rows, host_seconds: &host };
+        let m = NodeMeasurements { rows: &rows, host_seconds: &host, covered: &[] };
         let tree = build_explain(&graph, &fusion, &timeline, &m, OptLevel::O3, 2);
         assert_eq!(tree.count(), 3);
         assert_eq!(tree.label, "select#2");

@@ -98,11 +98,6 @@ impl Column {
         }
     }
 
-    /// Whether `other` stores the same value type.
-    pub fn same_type(&self, other: &Column) -> bool {
-        matches!((self, other), (Column::I64(_), Column::I64(_)) | (Column::F64(_), Column::F64(_)))
-    }
-
     /// Resize to exactly `n` values, zero-filled. When the current buffer
     /// cannot hold `n`, the old allocation is dropped and a fresh
     /// zero-initialized one is requested instead of growing in place —

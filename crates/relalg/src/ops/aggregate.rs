@@ -41,7 +41,7 @@
 use crate::data::{
     col_windows, par_each, slice_windows, ColWindow, Column, Keys, RelError, Relation,
 };
-use crate::view::{self, Batch, Bound, Groups, View};
+use crate::view::{self, end_lanes, Batch, Bound, Groups, View};
 use kfusion_ir::batch::{BankView, BATCH_ROWS};
 use kfusion_vgpu::exec::{par_range_map, workers, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
@@ -552,15 +552,6 @@ fn scan_runs(input: &View<'_>, keys: &[u64], rows: Range<usize>) -> Option<Scan>
         *s = Scan { runs: s.runs + runs, last: prev, sorted: s.sorted && inversions == 0, ..*s };
     });
     scan
-}
-
-/// The first and the last lane of a batch of `n` lanes that `words`
-/// selects (every one when it is `None`).
-fn end_lanes(words: Option<&[u64]>, n: usize) -> Option<(usize, usize)> {
-    let Some(words) = words else { return (n > 0).then(|| (0, n - 1)) };
-    let (first, last) = (words.iter().position(|&w| w != 0)?, words.iter().rposition(|&w| w != 0)?);
-    let first_lane = first * 64 + words[first].trailing_zeros() as usize;
-    Some((first_lane, last * 64 + 63 - words[last].leading_zeros() as usize))
 }
 
 /// Where a morsel's run fold stands between batches: the open run and its

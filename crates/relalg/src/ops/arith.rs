@@ -5,19 +5,20 @@
 //! column of the result. Because each output element depends on exactly one
 //! input element it is freely fusable with its neighbours (dependence class
 //! (i) of §III-C) — and on the host it writes nothing but the columns it
-//! computes: [`arith_extend_view`] computes them where its input is, as
-//! base-length columns beside the input's own, so a fused group hands them
-//! on without a gather (DESIGN.md §17).
+//! computes: on the batch engine [`arith_extend_view`] is the one-member
+//! group loop ([`super::group_loop`]), which writes them where its input
+//! is, as base-length columns beside the input's own, so a fused group
+//! hands them on without a gather (DESIGN.md §17). The per-tuple
+//! interpreter is the fallback, and the reference for errors.
 
-use crate::data::{col_windows, par_each, ColWindow, Column, RelError, Relation};
+use super::group_loop::{self, Member};
+use crate::data::{Column, RelError, Relation};
 use crate::engine;
-use crate::view::{self, materialize, Bound, View};
-use kfusion_ir::batch::{mask_lane, BankView, CompiledKernel};
+use crate::view::{materialize, View};
 use kfusion_ir::interp::Machine;
 use kfusion_ir::opt::infer_types;
 use kfusion_ir::{KernelBody, Ty, Value};
-use kfusion_vgpu::exec::{cta_ranges, par_range_map, DEFAULT_CTA_CHUNK};
-use std::ops::Range;
+use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
 
 fn output_tys(body: &KernelBody) -> Vec<Ty> {
     let tys = infer_types(body);
@@ -37,31 +38,13 @@ fn empty_cols(tys: &[Ty], cap: usize) -> Vec<Column> {
         .collect()
 }
 
-/// `body` compiled for the batch engine over `input`'s columns — if the
-/// engine is on, there is a row to run it on, and the body binds.
-fn compile(input: &View<'_>, body: &KernelBody) -> Option<CompiledKernel> {
-    if !engine::batch_enabled() || input.is_empty() {
-        return None;
-    }
-    CompiledKernel::compile(body, &input.ir_slot_types())
-        .ok()
-        .filter(|k| k.check_binding(&input.ir_cols()).is_ok())
-}
-
-/// The output columns of `body` over every base row of `input`, on
-/// whichever engine applies: `kernel`'s batches where the view is, or —
-/// with no kernel, over a dense input only — the per-tuple interpreter,
-/// whose error behavior is the reference.
-fn computed(
-    input: &View<'_>,
-    body: &KernelBody,
-    kernel: Option<&CompiledKernel>,
-) -> Result<Vec<Column>, RelError> {
+/// The output columns of `body` over every row of `input`, a dense view,
+/// on the per-tuple interpreter — the path for the scalar engine, a body
+/// the batch engine declines and an empty input, whose error behavior is
+/// the reference.
+fn interpreted(input: &View<'_>, body: &KernelBody) -> Result<Vec<Column>, RelError> {
     let bytes = body.outputs.len() as u64 * input.base_len() as u64 * Column::BYTES_PER_VALUE;
     kfusion_trace::counter("kfusion_host_computed_bytes_total", bytes);
-    if let Some(k) = kernel {
-        return Ok(computed_batch(input, k));
-    }
     if engine::batch_enabled() && !input.is_empty() {
         kfusion_trace::counter("kfusion_batch_fallback_total{op=\"arith\"}", 1);
     }
@@ -102,64 +85,22 @@ fn computed(
     Ok(out)
 }
 
-/// Batch-engine ARITH over `input`'s base rows: each CTA walks its rows
-/// ([`view::walk`]) and writes the kernel's whole typed lanes straight into
-/// its window of the base-length output columns, which are therefore
-/// written exactly once. A batch none of whose rows the view selects is
-/// skipped; its lanes stay zero and nobody reads them. Boolean outputs
-/// become i64 flag columns, as in the scalar path.
-fn computed_batch(input: &View<'_>, k: &CompiledKernel) -> Vec<Column> {
-    let base_len = input.base_len();
-    let mut cols: Vec<Column> = (0..k.n_outputs())
-        .map(|s| match k.output_ty(s) {
-            Ty::F64 => Column::F64(Vec::new()),
-            _ => Column::I64(Vec::new()),
-        })
-        .collect();
-    // Zeroed buffers fault their pages in on the workers that write them.
-    for c in &mut cols {
-        c.resize_zeroed(base_len);
-    }
-    let ranges = cta_ranges(base_len, DEFAULT_CTA_CHUNK);
-    let lens: Vec<usize> = ranges.iter().map(Range::len).collect();
-    let ctas: Vec<_> = ranges.into_iter().zip(col_windows(&mut cols, &lens)).collect();
-    let bound = input.ir_cols();
-    let kernel = Bound { kernel: k, cols: &bound };
-    par_each(ctas, |(range, mut windows)| {
-        view::walk(input, range.clone(), Some(kernel), |batch| {
-            let (at, n) = (batch.rows.start - range.start, batch.rows.len());
-            for (slot, window) in windows.iter_mut().enumerate() {
-                match (window, batch.output(slot)) {
-                    (ColWindow::I64(d), BankView::I64(v)) => d[at..at + n].copy_from_slice(&v[..n]),
-                    (ColWindow::F64(d), BankView::F64(v)) => d[at..at + n].copy_from_slice(&v[..n]),
-                    (ColWindow::I64(d), BankView::Bool(m)) => {
-                        for (j, lane) in d[at..at + n].iter_mut().enumerate() {
-                            *lane = mask_lane(m, j) as i64;
-                        }
-                    }
-                    _ => unreachable!("output column type fixed by compile"),
-                }
-            }
-        })
-    });
-    cols
-}
-
 /// Compute `body` per tuple; the result keeps the input keys and has one
 /// column per body output (the sources are discarded, as PROJECT does in
-/// the paper's ARITH→PROJECT idiom).
-///
-/// Runs on the vectorized batch engine when the body compiles against the
-/// input's column types ([`crate::engine`]); otherwise falls back to the
-/// per-tuple interpreter, preserving its error behavior.
+/// the paper's ARITH→PROJECT idiom): [`arith_extend_view`]'s columns, each
+/// written once — on the batch engine by the one-member group loop, on the
+/// per-tuple interpreter otherwise, preserving its error behavior.
 pub fn arith_map(input: &Relation, body: &KernelBody) -> Result<Relation, RelError> {
-    let view = View::of(input);
-    count_rows(view.len());
-    let cols = computed(&view, body, compile(&view, body).as_ref())?;
-    Ok(Relation { key: input.keys().clone(), cols })
+    // Over a copy of the input's keys, the view of the computed columns
+    // alone holds its storage, and `materialize` moves them.
+    let extended = arith_extend_view(&View::of(input).with_key(input.keys().clone()), body)?;
+    let computed: Vec<usize> = (input.n_cols()..extended.n_cols()).collect();
+    let out = extended.with_columns(&computed);
+    drop(extended);
+    Ok(materialize(out))
 }
 
-/// ARITH preserves cardinality: rows out == rows in, counted up front.
+/// ARITH preserves cardinality: rows out == rows in.
 pub(crate) fn count_rows(rows: usize) {
     kfusion_trace::counter("kfusion_rows_in_total{op=\"arith\"}", rows as u64);
     kfusion_trace::counter("kfusion_rows_out_total{op=\"arith\"}", rows as u64);
@@ -167,30 +108,30 @@ pub(crate) fn count_rows(rows: usize) {
 
 /// Whether [`arith_extend_view`] gathers a filtered `input` before it
 /// computes: when the columns it adds, at base length, would be more bytes
-/// than the selected rows ([`View::gathers_first`]), or when the batch
-/// engine cannot run `body` where the view is (the engine is off, or
+/// than the selected rows ([`View::gathers_first`]), or when the group loop
+/// cannot run `body` where the view is (the batch engine is off, or
 /// declines the body) and the interpreter needs gathered rows. The plan
 /// executor asks first, so the gather lands in the view's slot.
 pub fn arith_extend_gathers_first(input: &View<'_>, body: &KernelBody) -> bool {
-    gathers_first(input, body, || compile(input, body).is_some())
-}
-
-fn gathers_first(input: &View<'_>, body: &KernelBody, compiles: impl FnOnce() -> bool) -> bool {
-    !input.is_dense() && (input.gathers_first(body.outputs.len()) || !compiles())
+    let runs = || group_loop::runs(input, &[Member::ArithExtend(body)]);
+    !input.is_dense() && (input.gathers_first(body.outputs.len()) || !runs())
 }
 
 /// ARITH+ without the copy: `input` widened by the outputs of `body`, which
-/// are computed over its base rows and written once, beside the columns it
-/// references ([`arith_extend_gathers_first`] says when a filtered input is
-/// gathered first instead).
+/// the one-member group loop computes over its base rows and writes once,
+/// beside the columns it references ([`arith_extend_gathers_first`] says
+/// when a filtered input is gathered first instead). The interpreter runs
+/// where the loop does not, over gathered rows.
 pub fn arith_extend_view<'a>(input: &View<'a>, body: &KernelBody) -> Result<View<'a>, RelError> {
-    count_rows(input.len());
-    let kernel = compile(input, body);
-    if gathers_first(input, body, || kernel.is_some()) {
-        let dense = input.dense();
-        return Ok(dense.with_computed(computed(&dense, body, kernel.as_ref())?));
+    if input.gathers_first(body.outputs.len()) {
+        return arith_extend_view(&input.dense(), body);
     }
-    Ok(input.with_computed(computed(input, body, kernel.as_ref())?))
+    if let Some(extended) = group_loop::lone(input, Member::ArithExtend(body)) {
+        return extended;
+    }
+    let dense = input.dense();
+    count_rows(dense.len());
+    Ok(dense.with_computed(interpreted(&dense, body)?))
 }
 
 /// Like [`arith_map`] but *appends* the computed columns to the existing

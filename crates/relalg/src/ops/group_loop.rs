@@ -2,34 +2,36 @@
 //! or of ARITH+ members ending in a keyed AGGREGATE — run as one compiled
 //! kernel over one walk of morsels (paper §III-C: a fused kernel's
 //! intermediates "live in registers instead of GPU global memory",
-//! Fig. 7(c)).
+//! Fig. 7(c)). It is the one code that runs a compiled kernel over a view
+//! and writes what leaves it: a lone SELECT, ARITH+ or REKEY is the
+//! one-member loop ([`super::select_view`], [`super::arith_extend_view`],
+//! [`super::rekey_view`]).
 //!
 //! The members' bodies are spliced into one body ([`kfusion_ir::fuse`]) and
 //! compiled once for the batch engine. Per [`BATCH_ROWS`] batch the kernel
 //! runs once: each SELECT's predicate is ANDed into the selection mask,
 //! ARITH+ outputs stay in the batch's banks, and REKEY writes its key
-//! straight from a bank. What leaves the chain is written once: the
-//! selection and the key a REKEY computes — or, for a chain that ends in a
-//! keyed AGGREGATE, only the groups it folds, read from the banks and the
-//! input's columns ([`super::aggregate`]'s folds, batch by batch).
+//! straight from a bank. What leaves the chain is written once, at base
+//! length: the selection, the key a REKEY computes and the ARITH+ columns
+//! the last member holds — or, for a chain that ends in a keyed AGGREGATE,
+//! only the groups it folds, read from the banks and the input's columns
+//! ([`super::aggregate`]'s folds, batch by batch).
 //!
 //! The members before the last hand on nothing: the loop reports their
 //! sizes ([`Stage::Passed`]). The unfused operators stay the oracle — a
-//! chain the loop cannot run as they would (the scalar engine, a body the
-//! batch engine declines, a static error, a last member that would hold an
-//! ARITH+ column) is cut to the longest prefix it can run, and a chain of
-//! one member is that member's own operator. A run of SELECTs is such a
-//! chain — the paper's fused Q6 kernel (Fig. 6), one walk for every
-//! predicate — and a lone SELECT is the one-member loop
-//! ([`super::select_view`]).
+//! chain the loop cannot run as they would is cut to the longest prefix it
+//! can run ([`Loop::build`] is the one rule set for what a loop covers),
+//! and a member no loop can run takes its operator's fallback, the
+//! interpreter. A run of SELECTs is such a chain — the paper's fused Q6
+//! kernel (Fig. 6), one walk for every predicate.
 
 use super::aggregate::{col_vals, fold_keyed, Vals};
 use super::arith::count_rows;
 use super::{aggregate_by_key_view, arith_extend_view, rekey_view, Agg};
-use crate::data::{resize_zeroed_vec, slice_windows, Column, RelError, Relation};
+use crate::data::{col_windows, slice_windows, ColWindow, Column, Keys, RelError, Relation};
 use crate::engine;
 use crate::view::{self, Batch, Bound, View};
-use kfusion_ir::batch::{BankView, ColRef, CompiledKernel, MASK_WORDS};
+use kfusion_ir::batch::{mask_lane, BankView, ColRef, CompiledKernel, MASK_WORDS};
 use kfusion_ir::fuse::{fuse, FusedOutput, SlotSource};
 use kfusion_ir::{KernelBody, Ty};
 use kfusion_vgpu::exec::{cta_ranges, par_map, DEFAULT_CTA_CHUNK};
@@ -90,15 +92,29 @@ pub fn group_loop_view<'a>(
 /// `chain` over `input` as one loop — a result per member — or `None`
 /// where the loop cannot run all of it as the members' operators would
 /// ([`Loop::build`]).
-pub(crate) fn whole<'a>(
-    input: &View<'a>,
-    chain: &[Member<'_>],
-) -> Option<Vec<Result<Stage<'a>, RelError>>> {
+fn whole<'a>(input: &View<'a>, chain: &[Member<'_>]) -> Option<Vec<Result<Stage<'a>, RelError>>> {
     let group = Loop::build(input, chain)?;
     Some(match group.aggs {
         Some(aggs) => group.fold(input, aggs),
         None => group.walk(input),
     })
+}
+
+/// `member` — a SELECT, ARITH+ or REKEY — over `input` as the one-member
+/// loop: the view its operator returns, or its error; `None` where
+/// [`Loop::build`] declines it and the operator takes its fallback.
+pub(crate) fn lone<'a>(input: &View<'a>, member: Member<'_>) -> Option<Result<View<'a>, RelError>> {
+    let mut stages = whole(input, &[member])?;
+    Some(match stages.pop() {
+        Some(Ok(Stage::View(view))) => Ok(view),
+        Some(Err(e)) => Err(e),
+        _ => unreachable!("a one-member walk ends in its view or its error"),
+    })
+}
+
+/// Whether one loop runs all of `chain` over `input` ([`Loop::build`]).
+pub(crate) fn runs(input: &View<'_>, chain: &[Member<'_>]) -> bool {
+    Loop::build(input, chain).is_some()
 }
 
 /// One member over `input` by its own operator.
@@ -148,14 +164,14 @@ struct Loop<'k> {
 
 impl<'k> Loop<'k> {
     /// Splice and compile `chain` over `input`, or `None` where the loop
-    /// cannot run it as the members' own operators would: the batch engine
-    /// is off or declines the spliced body, a predicate is not boolean, a
-    /// member names a column its input lacks or of the wrong type, there
-    /// are two REKEYs, or an AGGREGATE follows anything but ARITH+.
+    /// cannot run it as the members' own operators would — the one place
+    /// that decides what a loop covers: a member carries a body and the
+    /// batch engine is off, has no row to run on or declines the spliced
+    /// body; a predicate is not boolean; a member names a column its input
+    /// lacks or of the wrong type; there are two REKEYs; an AGGREGATE
+    /// follows anything but ARITH+; or a chain that selects would end in a
+    /// member holding an ARITH+ column.
     fn build(input: &View<'_>, chain: &[Member<'k>]) -> Option<Loop<'k>> {
-        if !engine::batch_enabled() || input.is_empty() {
-            return None;
-        }
         let width = 1 + input.n_cols() as u32;
         let mut key = Src::Ext(0);
         let mut cols: Vec<Src> = (1..width).map(Src::Ext).collect();
@@ -219,14 +235,19 @@ impl<'k> Loop<'k> {
             };
             steps.push((step, cols.len()));
         }
-        // A last member that holds an ARITH+ column would write it at base
-        // length where its operator may gather the few rows first: such a
-        // chain ends before it, and nothing is spliced for it.
-        if aggs.is_none() && cols.iter().any(|c| matches!(c, Src::Out(_))) {
+        // A chain that selects ends before a last member that would hold an
+        // ARITH+ column: that member's operator may gather the few rows the
+        // selection keeps rather than write the column at base length
+        // (`View::gathers_first`), and how few they are is known only once
+        // the walk has run. Nothing is spliced for it.
+        let selects = steps.iter().any(|(s, _)| matches!(s, Step::Select { .. }));
+        if aggs.is_none() && selects && cols.iter().any(|c| matches!(c, Src::Out(_))) {
             return None;
         }
         let kernel = match bodies.is_empty() {
+            // A chain without a body (a lone REKEY) compiles nothing.
             true => None,
+            false if !engine::batch_enabled() || input.is_empty() => return None,
             false => {
                 let spliced = fuse(&bodies, &wiring, &outputs).ok()?;
                 let k = CompiledKernel::compile(&spliced, &input.ir_slot_types()).ok()?;
@@ -246,8 +267,12 @@ impl<'k> Loop<'k> {
         let folds_numbers = aggs.is_none_or(|list| {
             list.iter().filter_map(|&agg| agg.col()).all(|c| ty(cols[c]) != Ty::Bool)
         });
-        let selects = steps.iter().any(|(s, _)| matches!(s, Step::Select { .. }));
         (masks_are_flags && folds_numbers).then_some(Loop { kernel, steps, cols, selects, aggs })
+    }
+
+    /// The type of the spliced kernel's output `o`.
+    fn output_ty(&self, o: usize) -> Ty {
+        self.kernel.as_ref().expect("an output has a kernel").output_ty(o)
     }
 
     /// ARITH+ members then a keyed AGGREGATE: the aggregates fold the
@@ -257,8 +282,7 @@ impl<'k> Loop<'k> {
         let mut srcs = col_vals(input);
         for &src in &self.cols[input.n_cols()..] {
             let Src::Out(slot) = src else { unreachable!("ARITH+ appends kernel outputs") };
-            let f64 = self.kernel.as_ref().expect("outputs come from a kernel").output_ty(slot);
-            srcs.push(Vals::Out { slot, f64: f64 == Ty::F64 });
+            srcs.push(Vals::Out { slot, f64: self.output_ty(slot) == Ty::F64 });
         }
         let computed = aggs.iter().filter_map(|&agg| agg.col()).any(|c| c >= input.n_cols());
         let cols = input.ir_cols();
@@ -282,39 +306,61 @@ impl<'k> Loop<'k> {
     }
 
     /// SELECT, ARITH+ and REKEY members: one walk of morsels over the
-    /// input's base rows, each batch run through the kernel once; what
-    /// leaves the chain — the last member's selection and key — is written
-    /// once, at base length, where the view is.
+    /// input's base rows, each batch with a live row run through the kernel
+    /// once; what leaves the chain — the last member's selection, its key
+    /// and the ARITH+ columns it holds — is written once, at base length,
+    /// where the view is. A walk that selects counts its morsels
+    /// (`kfusion_host_morsels_total`, the passes SELECT makes over a table).
     fn walk<'a>(&self, input: &View<'a>) -> Vec<Result<Stage<'a>, RelError>> {
         let base_len = input.base_len();
         let rekey = self.steps.iter().find_map(|&(s, _)| match s {
             Step::Rekey { key } => Some(key),
             _ => None,
         });
-        let mut key: Vec<u64> = Vec::new();
-        if rekey.is_some() {
-            resize_zeroed_vec(&mut key, base_len);
-            let bytes = base_len as u64 * Column::BYTES_PER_VALUE;
+        // The input's columns the last member keeps, then the kernel outputs
+        // it holds: ARITH+ appends its outputs after every column.
+        let (mut kept, mut held) = (Vec::new(), Vec::new());
+        for &src in &self.cols {
+            match src {
+                Src::Ext(slot) => kept.push(slot as usize - 1),
+                Src::Out(o) => held.push(o),
+            }
+        }
+        // Zeroed buffers fault their pages in on the workers that write them.
+        let mut computed: Vec<Column> = held
+            .iter()
+            .map(|&o| match self.output_ty(o) {
+                Ty::F64 => Column::F64(vec![0.0; base_len]),
+                _ => Column::I64(vec![0; base_len]),
+            })
+            .collect();
+        let mut key = vec![0u64; if rekey.is_some() { base_len } else { 0 }];
+        let mut sel = vec![0u64; if self.selects { base_len.div_ceil(64) } else { 0 }];
+        let written = computed.len() + rekey.is_some() as usize;
+        if written > 0 {
+            let bytes = (written * base_len) as u64 * Column::BYTES_PER_VALUE;
             kfusion_trace::counter("kfusion_host_computed_bytes_total", bytes);
         }
-        let mut sel: Vec<u64> = Vec::new();
-        if self.selects {
-            resize_zeroed_vec(&mut sel, base_len.div_ceil(64));
-        }
         let ranges = cta_ranges(base_len, DEFAULT_CTA_CHUNK);
-        kfusion_trace::counter("kfusion_host_morsels_total", ranges.len() as u64);
-        // Each morsel's windows of the key and of the selection — empty
-        // ones of what the chain does not write.
-        let key_lens: Vec<usize> =
-            ranges.iter().map(|r| if rekey.is_some() { r.len() } else { 0 }).collect();
-        let sel_lens: Vec<usize> =
-            ranges.iter().map(|r| if self.selects { r.len().div_ceil(64) } else { 0 }).collect();
-        let windows = slice_windows(&mut key, &key_lens).into_iter();
-        let windows = windows.zip(slice_windows(&mut sel, &sel_lens));
+        if self.selects {
+            kfusion_trace::counter("kfusion_host_morsels_total", ranges.len() as u64);
+        }
+        // Each morsel's windows of the key, the selection and the columns —
+        // empty ones of what the chain does not write.
+        let lens = |on: bool, len: fn(usize) -> usize| -> Vec<usize> {
+            ranges.iter().map(|r| if on { len(r.len()) } else { 0 }).collect()
+        };
+        let keys = slice_windows(&mut key, &lens(rekey.is_some(), |n| n));
+        let sels = slice_windows(&mut sel, &lens(self.selects, |n| n.div_ceil(64)));
+        let outs = col_windows(&mut computed, &lens(true, |n| n));
+        let windows = keys.into_iter().zip(sels).zip(outs).map(|((key, sel), cols)| Windows {
+            key,
+            sel,
+            cols: held.iter().copied().zip(cols).collect(),
+        });
         let cols = input.ir_cols();
         let morsels: Vec<_> = ranges.into_iter().zip(windows).collect();
-        let parts =
-            par_map(morsels, |_, (range, (key, sel))| self.morsel(input, &cols, range, key, sel));
+        let parts = par_map(morsels, |_, (range, out)| self.morsel(input, &cols, range, out));
         // Each member's rows, and whether a selected key is negative, over
         // all morsels.
         let mut rows = vec![0usize; self.steps.len()];
@@ -341,39 +387,33 @@ impl<'k> Loop<'k> {
             upstream = rows[m];
             stages.push(Ok(Stage::Passed { rows: rows[m], row_bytes: row_bytes(width) }));
         }
-        // The last member's view: the input's columns it keeps, under the
-        // chain's selection and key.
-        let kept: Vec<usize> = self
-            .cols
-            .iter()
-            .map(|&src| match src {
-                Src::Ext(slot) => slot as usize - 1,
-                Src::Out(_) => unreachable!("the last member holds no computed column"),
-            })
-            .collect();
+        // The last member's view: the input's columns it keeps and the
+        // columns it holds, under the chain's selection and key.
         let mut view = match self.selects {
             true => input.with_selection(sel, upstream),
             false => input.clone(),
         };
         view = view.with_columns(&kept);
+        if !computed.is_empty() {
+            view = view.with_computed(computed);
+        }
         if rekey.is_some() {
-            view = view.with_key(key);
+            view = view.with_key(Keys::Stored(key));
         }
         *stages.last_mut().expect("a chain has members") = Ok(Stage::View(view));
         stages
     }
 
     /// One morsel of [`Loop::walk`]: base rows `range`, and its windows of
-    /// the key and of the selection — per batch with a live row, the rows
-    /// the input holds, each member's mask or check in chain order, and the
-    /// key.
+    /// what the walk writes — per batch with a live row, the rows the input
+    /// holds, each member's mask or check in chain order, the key and the
+    /// held outputs' lanes (a `Bool` output as 0/1 flags).
     fn morsel(
         &self,
         input: &View<'_>,
         cols: &[ColRef<'_>],
         range: Range<usize>,
-        key: &mut [u64],
-        sel: &mut [u64],
+        mut out: Windows<'_>,
     ) -> Part {
         let mut part = Part { rows: vec![0; self.steps.len()], negative: false };
         let kernel = self.kernel.as_ref().map(|kernel| Bound { kernel, cols });
@@ -391,9 +431,21 @@ impl<'k> Loop<'k> {
                 }
             }
             let at = batch.rows.start - range.start;
-            self.members(batch, cols, key, at, live, &mut part);
+            self.members(batch, cols, out.key, at, live, &mut part);
             if self.selects {
-                sel[at / 64..][..live.len()].copy_from_slice(live);
+                out.sel[at / 64..][..live.len()].copy_from_slice(live);
+            }
+            for (o, window) in &mut out.cols {
+                match (window, batch.output(*o)) {
+                    (ColWindow::I64(d), BankView::I64(v)) => d[at..][..n].copy_from_slice(&v[..n]),
+                    (ColWindow::F64(d), BankView::F64(v)) => d[at..][..n].copy_from_slice(&v[..n]),
+                    (ColWindow::I64(d), BankView::Bool(m)) => {
+                        for (j, lane) in d[at..][..n].iter_mut().enumerate() {
+                            *lane = mask_lane(m, j) as i64;
+                        }
+                    }
+                    _ => unreachable!("a column has its output's type"),
+                }
             }
         });
         part
@@ -454,6 +506,15 @@ impl<'k> Loop<'k> {
             part.rows[m] += live.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         }
     }
+}
+
+/// One morsel's windows of what [`Loop::walk`] writes — empty where the
+/// chain writes nothing: the key, the selection, and a window of each
+/// column the last member holds with the kernel output it takes.
+struct Windows<'w> {
+    key: &'w mut [u64],
+    sel: &'w mut [u64],
+    cols: Vec<(usize, ColWindow<'w>)>,
 }
 
 /// What one morsel of [`Loop::walk`] found: each member's rows, and

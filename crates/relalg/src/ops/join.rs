@@ -7,7 +7,7 @@
 //! without copying a row ([`semijoin_view`], [`antijoin_view`]).
 
 use crate::data::{Keys, RelError, Relation};
-use crate::view::{gather_pairs, materialize, View};
+use crate::view::{self, gather_pairs, materialize, View};
 use kfusion_vgpu::exec::{par_map, DEFAULT_CTA_CHUNK};
 use std::ops::Range;
 
@@ -126,7 +126,7 @@ impl KeySet {
     /// counting sort's histograms — and a sorted list otherwise. One walk,
     /// on the calling thread.
     fn of(b: &View<'_>, rows: usize) -> Result<KeySet, RelError> {
-        let Some((first, last)) = first_and_last_rows(b) else {
+        let Some((first, last)) = view::end_lanes(b.selection(), b.base_len()) else {
             return Ok(KeySet::Bits { lo: 0, span: 0, bits: vec![0] });
         };
         let (lo, hi) = (b.key().get(first), b.key().get(last));
@@ -210,17 +210,6 @@ impl KeySet {
         }
         Ok(a.with_selection(sel, rows))
     }
-}
-
-/// The first and the last selected base row of `v`, if it has a tuple.
-fn first_and_last_rows(v: &View<'_>) -> Option<(usize, usize)> {
-    if v.is_empty() {
-        return None;
-    }
-    let Some(sel) = v.selection() else { return Some((0, v.base_len() - 1)) };
-    let (first, last) = (sel.iter().position(|&w| w != 0)?, sel.iter().rposition(|&w| w != 0)?);
-    let first_row = first * 64 + sel[first].trailing_zeros() as usize;
-    Some((first_row, last * 64 + 63 - sel[last].leading_zeros() as usize))
 }
 
 /// What a walk of some selection words found: the first and the last key

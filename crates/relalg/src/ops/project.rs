@@ -1,15 +1,15 @@
-//! PROJECT: keep a subset of payload columns.
+//! PROJECT: keep a subset of payload columns — and REKEY, which moves one
+//! into the key.
 //!
 //! Table I's `project [0,2] x` keeps fields 0 and 2; in our layout the key
 //! is always retained and `keep` names the payload columns that survive.
 //! The paper's Fig. 2(h) uses PROJECT to discard arithmetic sources and keep
-//! only results.
+//! only results. PROJECT only rearranges references; REKEY writes its new
+//! key through the one-member group loop ([`super::group_loop`]).
 
-use crate::data::{par_each, resize_zeroed_vec, slice_windows, RelError, Relation};
+use super::group_loop::{self, Member};
+use crate::data::{RelError, Relation};
 use crate::view::{materialize, View};
-use kfusion_vgpu::exec::{cta_ranges, DEFAULT_CTA_CHUNK};
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Whether [`rekey_view`] gathers a filtered `input` before it writes the
 /// new key: when a key at base length would be more bytes than the selected
@@ -20,11 +20,11 @@ pub fn rekey_gathers_first(input: &View<'_>) -> bool {
 }
 
 /// REKEY without the copy: the i64 payload column `col`'s values become the
-/// tuple keys — written once, at base length — and the column leaves the
-/// payload; every other column stays where it is. The query plans use this
-/// before a SORT "by a different key" (paper Fig. 17(a)) — e.g. Q1 re-keys
-/// the wide lineitem table by its packed group attribute before sorting and
-/// aggregating.
+/// tuple keys — written once, at base length, by the one-member group loop,
+/// which also checks them — and the column leaves the payload; every other
+/// column stays where it is. The query plans use this before a SORT "by a
+/// different key" (paper Fig. 17(a)) — e.g. Q1 re-keys the wide lineitem
+/// table by its packed group attribute before sorting and aggregating.
 ///
 /// Selected values must be non-negative (keys are unsigned); what rows the
 /// view does not select may hold is nobody's business.
@@ -35,37 +35,8 @@ pub fn rekey_view<'a>(input: &View<'a>, col: usize) -> Result<View<'a>, RelError
     if rekey_gathers_first(input) {
         return rekey_view(&input.dense(), col);
     }
-    let vals = input.col(col).as_i64().ok_or(RelError::SchemaMismatch)?;
-    let bytes = input.base_len() as u64 * crate::data::Column::BYTES_PER_VALUE;
-    kfusion_trace::counter("kfusion_host_computed_bytes_total", bytes);
-    let mut key = Vec::new();
-    resize_zeroed_vec(&mut key, input.base_len());
-    let ranges = cta_ranges(key.len(), DEFAULT_CTA_CHUNK);
-    let lens: Vec<usize> = ranges.iter().map(Range::len).collect();
-    let ctas: Vec<_> = ranges.into_iter().zip(slice_windows(&mut key, &lens)).collect();
-    let negative = AtomicBool::new(false);
-    par_each(ctas, |(range, window)| {
-        for (k, &v) in window.iter_mut().zip(&vals[range.clone()]) {
-            *k = v as u64;
-        }
-        if selects_a_negative(input, vals, range) {
-            negative.store(true, Ordering::Relaxed);
-        }
-    });
-    if negative.into_inner() {
-        return Err(RelError::SchemaMismatch);
-    }
-    Ok(input.rekeyed(key, col))
-}
-
-/// Whether a base row of `range` (starting on a bitmap word) that `input`
-/// selects holds a negative value in `vals`.
-fn selects_a_negative(input: &View<'_>, vals: &[i64], range: Range<usize>) -> bool {
-    let Some(sel) = input.selection() else { return vals[range].iter().any(|&v| v < 0) };
-    vals[range.clone()].chunks(64).zip(&sel[range.start / 64..]).any(|(lanes, &word)| {
-        let negative = lanes.iter().enumerate().fold(0u64, |m, (j, &v)| m | ((v < 0) as u64) << j);
-        negative & word != 0
-    })
+    input.col(col).as_i64().ok_or(RelError::SchemaMismatch)?;
+    group_loop::lone(input, Member::Rekey(col)).expect("a REKEY of an i64 column is a loop")
 }
 
 /// Re-key the relation by an i64 payload column: [`rekey_view`], then the
@@ -157,6 +128,7 @@ mod tests {
 mod rekey_tests {
     use super::*;
     use crate::data::Column;
+    use kfusion_vgpu::exec::DEFAULT_CTA_CHUNK;
 
     #[test]
     fn rekey_moves_column_to_key() {

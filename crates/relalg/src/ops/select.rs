@@ -24,7 +24,7 @@
 //! composition; a fused group calls the first once per run of its SELECTs
 //! and the gather once (DESIGN.md §17).
 
-use super::group_loop::{self, Member, Stage};
+use super::group_loop::{self, Member};
 use crate::data::{RelError, Relation};
 use crate::engine;
 use crate::view::{materialize, View};
@@ -79,11 +79,8 @@ fn select_scalar<'a>(input: &View<'a>, predicate: &KernelBody) -> Result<View<'a
 /// slot 0 is the key (as `i64`), slot `1+c` is payload column `c`; output 0
 /// must be a boolean.
 pub fn select_view<'a>(input: &View<'a>, predicate: &KernelBody) -> Result<View<'a>, RelError> {
-    if let Some(mut stages) = group_loop::whole(input, &[Member::Select(predicate)]) {
-        let Some(Ok(Stage::View(out))) = stages.pop() else {
-            unreachable!("a lone SELECT's loop ends in its view")
-        };
-        return Ok(out);
+    if let Some(out) = group_loop::lone(input, Member::Select(predicate)) {
+        return out;
     }
     if engine::batch_enabled() && !input.is_empty() {
         kfusion_trace::counter("kfusion_batch_fallback_total{op=\"select\"}", 1);

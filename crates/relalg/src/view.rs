@@ -249,20 +249,12 @@ impl<'a> View<'a> {
         out
     }
 
-    /// This view keyed by `key`, a base-length column the caller wrote for
-    /// it, with payload column `col` gone (REKEY).
-    pub(crate) fn rekeyed(&self, key: Vec<u64>, col: usize) -> View<'a> {
-        let mut out = self.with_key(key);
-        out.cols.remove(col);
-        out
-    }
-
-    /// This view keyed by `key`, a base-length column the caller wrote for
-    /// it (a fused group's REKEY writes one for a column that never left
-    /// its loop) — and without its groups, which were of the old keys.
-    pub(crate) fn with_key(&self, key: Vec<u64>) -> View<'a> {
+    /// This view keyed by `key`, base-length keys of its own (the key a
+    /// group loop's REKEY writes, ARITH's copy of its input's keys) — and
+    /// without its groups, which were of the old keys.
+    pub(crate) fn with_key(&self, key: Keys) -> View<'a> {
         debug_assert_eq!(key.len(), self.base_len());
-        let key = Src::Shared(Arc::new(Relation::from_keys(key)));
+        let key = Src::Shared(Arc::new(Relation { key, cols: Vec::new() }));
         View { key, groups: None, ..self.clone() }
     }
 
@@ -393,7 +385,8 @@ impl<'w> Batch<'w> {
 }
 
 /// The one batch walk: every operator that runs a compiled kernel over a
-/// view — a group's loop, ARITH+, the run fold and the grouped fold —
+/// view — a group's loop (a lone SELECT, ARITH+ or REKEY is one), the run
+/// fold and the grouped fold —
 /// walks base rows `rows` (from a selection word on) through here, in
 /// [`BATCH_ROWS`] batches, ascending, inside one steady-state region. A
 /// batch in which the view selects no row is skipped; for every other,
@@ -432,6 +425,15 @@ pub(crate) fn walk(
         });
         body(&Batch { rows: base..base + n, words, ran });
     }
+}
+
+/// The first and the last of `n` lanes that `words` selects — every one
+/// when it is `None` — if it selects any.
+pub(crate) fn end_lanes(words: Option<&[u64]>, n: usize) -> Option<(usize, usize)> {
+    let Some(words) = words else { return (n > 0).then(|| (0, n - 1)) };
+    let (first, last) = (words.iter().position(|&w| w != 0)?, words.iter().rposition(|&w| w != 0)?);
+    let first_lane = first * 64 + words[first].trailing_zeros() as usize;
+    Some((first_lane, last * 64 + 63 - words[last].leading_zeros() as usize))
 }
 
 /// Give `view` real storage: the gather stage of the multi-stage operators
@@ -702,8 +704,9 @@ mod tests {
     fn rekeyed_views_take_their_key_and_lose_the_column() {
         let r = rel(200);
         let (sel, rows) = every_third(200);
-        let v = View::of(&r).with_selection(sel, rows).rekeyed((0..200).rev().collect(), 0);
-        let out = materialize(v);
+        let v =
+            View::of(&r).with_selection(sel, rows).with_key(Keys::Stored((0..200).rev().collect()));
+        let out = materialize(v.with_columns(&[1]));
         assert_eq!(out.n_cols(), 1);
         assert_eq!(out.keys().stored().unwrap()[..3], [199, 196, 193]);
         assert_eq!(out.cols[0].as_f64().unwrap()[1], 1.5);

@@ -2,7 +2,11 @@
 //! fusion group gives every member it covers what that member's operator
 //! gives — a member it runs past its size, the last covered its tuples, a
 //! failing member its error — and covers exactly the prefix of a chain it
-//! can run as those operators would (DESIGN.md §17).
+//! can run as those operators would (DESIGN.md §17). A lone SELECT, ARITH+
+//! or REKEY is itself the one-member loop, so ARITH+, ARITH and REKEY — and
+//! chains of them without a SELECT — are also held to an oracle that runs
+//! no loop: the interpreter (the batch engine off) and a REKEY by hand,
+//! over the gathered rows.
 use kfusion_ir::builder::{BodyBuilder, Expr};
 use kfusion_ir::{CmpOp, KernelBody};
 use kfusion_relalg::ops::{self, group_loop_view, Agg, Member, Stage};
@@ -121,8 +125,8 @@ fn a_loop_gives_each_member_what_its_operator_does() {
 }
 
 /// Where the loop cannot run a chain as its members' operators would,
-/// it runs the longest prefix it can: a last member holding an ARITH+
-/// column, a second REKEY, an AGGREGATE behind a SELECT, a body the batch
+/// it runs the longest prefix it can: a chain that selects ending in a
+/// member that holds an ARITH+ column, a second REKEY, an AGGREGATE behind a SELECT, a body the batch
 /// engine declines, the scalar engine. SELECTs alone it runs whole, the
 /// first one passed.
 #[test]
@@ -260,4 +264,156 @@ fn a_declined_predicate_cuts_a_run_of_selects() {
     let emptied = ops::select_view(&narrowed, &predicates::key_lt(0)).unwrap();
     let got = group_loop_view(&emptied, &tail);
     assert!(matches!(&got[..], [Ok(Stage::View(v))] if v.is_empty()), "{got:?}");
+}
+
+/// REKEY by hand over stored rows: payload column `col`, every value
+/// non-negative, becomes the key.
+fn rekey_by_hand(rel: Relation, col: usize) -> Result<Relation, RelError> {
+    let vals = rel.cols[col].as_i64().ok_or(RelError::SchemaMismatch)?;
+    if vals.iter().any(|&v| v < 0) {
+        return Err(RelError::SchemaMismatch);
+    }
+    let key = vals.iter().map(|&v| v as u64).collect();
+    let mut cols = rel.cols;
+    cols.remove(col);
+    Relation::new(key, cols)
+}
+
+/// What a chain of ARITH+ and REKEY members gives with no loop run: the
+/// input's rows gathered, each ARITH+ on the interpreter, each REKEY by
+/// hand.
+fn without_a_loop(input: &View<'_>, members: &[Member<'_>]) -> Result<Relation, RelError> {
+    engine::set_batch_enabled(false);
+    let out = members.iter().try_fold(materialize(input.clone()), |rel, &member| match member {
+        Member::ArithExtend(body) => ops::arith_extend(&rel, body),
+        Member::Rekey(col) => rekey_by_hand(rel, col),
+        _ => unreachable!("ARITH+ and REKEY members only"),
+    });
+    engine::set_batch_enabled(true);
+    out
+}
+
+/// The table over several morsels, and a view of it that drops the rows of
+/// its first and last few batches and keeps nine tenths — enough that an
+/// ARITH+ or a REKEY runs where it is rather than gathering them first.
+fn dense_and_filtered(t: &Relation) -> [View<'_>; 2] {
+    let keys = t.len() as u64 / 3;
+    let kept = predicates::key_in_range(keys / 20, keys * 19 / 20);
+    [View::of(t), ops::select_view(&View::of(t), &kept).unwrap()]
+}
+
+/// A lone ARITH+ is the one-member loop: over a dense and a filtered input
+/// across several morsels it writes its columns where the view is — an f64
+/// output, a `Bool` one as 0/1 flags, an i64 one — and they are the
+/// interpreter's.
+#[test]
+fn a_lone_arith_extend_matches_the_interpreter() {
+    let _g = serial();
+    let t = table(3 * DEFAULT_CTA_CHUNK + 1_234);
+    let mut b = BodyBuilder::new(4);
+    b.emit_output(Expr::input(3).mul(Expr::lit(2.5f64)));
+    b.emit_output(Expr::input(1).gt(Expr::lit(0i64)));
+    b.emit_output(Expr::input(2).add(Expr::input(0)));
+    let body = b.build();
+    for input in dense_and_filtered(&t) {
+        assert!(!ops::arith_extend_gathers_first(&input, &body));
+        let got = ops::arith_extend_view(&input, &body).unwrap();
+        assert_eq!(got.is_dense(), input.is_dense(), "computed where the view is");
+        let got = materialize(got);
+        assert!(got.cols[4].as_i64().unwrap().iter().all(|&flag| flag == 0 || flag == 1));
+        assert!(got.cols[4].as_i64().unwrap().contains(&1));
+        assert_eq!(got, without_a_loop(&input, &[Member::ArithExtend(&body)]).unwrap());
+    }
+}
+
+/// A lone ARITH gets its columns from the same loop: over the table and
+/// over the rows a filter kept, they are the interpreter's.
+#[test]
+fn a_lone_arith_matches_the_interpreter() {
+    let _g = serial();
+    let t = table(3 * DEFAULT_CTA_CHUNK + 1_234);
+    let mut b = BodyBuilder::new(4);
+    b.emit_output(Expr::input(1).lt(Expr::lit(10i64)));
+    b.emit_output(Expr::input(3).sub(Expr::input(3).mul(Expr::lit(0.25f64))));
+    let body = b.build();
+    let [_, filtered] = dense_and_filtered(&t);
+    for rel in [t.clone(), materialize(filtered)] {
+        let got = ops::arith_map(&rel, &body).unwrap();
+        engine::set_batch_enabled(false);
+        let want = ops::arith_map(&rel, &body);
+        engine::set_batch_enabled(true);
+        assert_eq!(got.keys(), rel.keys());
+        assert_eq!(got, want.unwrap());
+    }
+}
+
+/// A lone REKEY is the one-member loop — on either engine, as it compiles
+/// no kernel: over a dense and a filtered input it writes the key where
+/// the view is, and gathers to a REKEY by hand of the gathered rows.
+#[test]
+fn a_lone_rekey_matches_a_rekey_by_hand() {
+    let _g = serial();
+    let t = table(3 * DEFAULT_CTA_CHUNK + 1_234);
+    for batch in [true, false] {
+        engine::set_batch_enabled(batch);
+        for input in dense_and_filtered(&t) {
+            assert!(!ops::rekey_gathers_first(&input));
+            let got = ops::rekey_view(&input, 1).unwrap();
+            assert_eq!(got.is_dense(), input.is_dense(), "keyed where the view is");
+            let want = rekey_by_hand(materialize(input.clone()), 1).unwrap();
+            assert_eq!(materialize(got), want, "batch engine {batch}");
+        }
+    }
+    engine::set_batch_enabled(true);
+}
+
+/// A REKEY fails on a negative key only where its input selects the row:
+/// over several morsels, where the view is, column 0's negatives fail a
+/// dense input and one keeping -1, not one that keeps the rest.
+#[test]
+fn a_rekey_fails_only_on_a_selected_negative_key() {
+    let _g = serial();
+    let t = table(3 * DEFAULT_CTA_CHUNK + 1_234);
+    let dense = View::of(&t);
+    assert_eq!(ops::rekey_view(&dense, 0).unwrap_err(), RelError::SchemaMismatch);
+    for (floor, fails) in [(0, false), (-1, true)] {
+        let kept = ops::select_view(&dense, &predicates::col_cmp_i64(0, CmpOp::Ge, floor)).unwrap();
+        assert!(!kept.is_dense() && !ops::rekey_gathers_first(&kept));
+        let got = ops::rekey_view(&kept, 0).map(materialize);
+        assert_eq!(got.is_err(), fails, "floor {floor}");
+        assert_eq!(got, rekey_by_hand(materialize(kept), 0), "floor {floor}");
+    }
+}
+
+/// Chains without a SELECT end where their last member does, ARITH+
+/// columns and all: ARITH+ → ARITH+ (the second reading the first's
+/// output) and REKEY → ARITH+ are each one loop, the first member passed,
+/// over a dense and a filtered input — the last one's tuples what the
+/// interpreter and a REKEY by hand give.
+#[test]
+fn chains_without_a_select_run_whole() {
+    let _g = serial();
+    let t = table(3 * DEFAULT_CTA_CHUNK + 1_234);
+    let triple = body(Expr::input(1).mul(Expr::lit(3i64)), 4);
+    let mut b = BodyBuilder::new(5);
+    b.emit_output(Expr::input(4).add(Expr::input(2)));
+    b.emit_output(Expr::input(3).mul(Expr::lit(0.5f64)));
+    let after = b.build();
+    let mut b = BodyBuilder::new(3);
+    b.emit_output(Expr::input(0).gt(Expr::lit(20i64)));
+    b.emit_output(Expr::input(2).add(Expr::lit(1.0f64)));
+    let rekeyed = b.build();
+    let arith_arith = [Member::ArithExtend(&triple), Member::ArithExtend(&after)];
+    let rekey_arith = [Member::Rekey(1), Member::ArithExtend(&rekeyed)];
+    for input in dense_and_filtered(&t) {
+        for chain in [&arith_arith[..], &rekey_arith[..]] {
+            let mut stages = group_loop_view(&input, chain);
+            assert_eq!(stages.len(), 2, "{chain:?}");
+            assert_passed_but_last(&stages);
+            let Some(Ok(Stage::View(last))) = stages.pop() else { unreachable!() };
+            assert_eq!(last.is_dense(), input.is_dense(), "{chain:?}");
+            assert_eq!(materialize(last), without_a_loop(&input, chain).unwrap(), "{chain:?}");
+            assert_as_operators(&input, chain, 2);
+        }
+    }
 }

@@ -6,8 +6,9 @@
 //! produce one without depending on the planner. Each node carries the
 //! measurements the paper's figures turn on: observed rows, *simulated*
 //! time on the virtual GPU, *host* wall-clock of the functional evaluation,
-//! the fusion group the node was placed in, and `max_live_regs` of the code
-//! it contributed.
+//! the fusion group the node was placed in, `max_live_regs` of the code
+//! it contributed, and — where the host ran a group's members as one loop —
+//! what that loop covered.
 
 /// One annotated plan node.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +26,22 @@ pub struct ExplainNode {
     /// Liveness-precise register pressure of the node's (or its group's)
     /// kernel body; 0 for nodes that emit no kernel.
     pub max_live_regs: u32,
+    /// What a fused group's loop did here, if one ran the node.
+    pub covered: Option<Covered>,
     /// Input plan nodes.
     pub children: Vec<ExplainNode>,
+}
+
+/// A node's part in a loop the host ran a chain of one fusion group's
+/// members as: one kernel, evaluated and timed by its head.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Covered {
+    /// The head of a loop that covered this many members, itself
+    /// included: its `host=` time is the whole loop's (`loop(k)`).
+    Loop(usize),
+    /// A member the loop of another node ran: its time is in that head's
+    /// (`passed`).
+    Passed,
 }
 
 impl ExplainNode {
@@ -39,6 +54,7 @@ impl ExplainNode {
             host_seconds: 0.0,
             fusion_group: None,
             max_live_regs: 0,
+            covered: None,
             children: Vec::new(),
         }
     }
@@ -53,8 +69,13 @@ impl ExplainNode {
             Some(g) => format!("group=g{g}"),
             None => "group=-".to_string(),
         };
+        let covered = match self.covered {
+            Some(Covered::Loop(k)) => format!("  loop({k})"),
+            Some(Covered::Passed) => "  passed".to_string(),
+            None => String::new(),
+        };
         format!(
-            "rows={}  sim={:.6} ms  host={:.3} ms  {group}  live_regs={}",
+            "rows={}  sim={:.6} ms  host={:.3} ms  {group}  live_regs={}{covered}",
             self.rows,
             self.sim_seconds * 1e3,
             self.host_seconds * 1e3,
@@ -101,6 +122,7 @@ mod tests {
         root.sim_seconds = 0.0025;
         let mut sel = node("select#2", 100, Some(0));
         sel.max_live_regs = 3;
+        sel.covered = Some(Covered::Loop(2));
         sel.children.push(node("scan#0", 1000, None));
         root.children.push(sel);
         root.children.push(node("scan#1", 1000, None));
@@ -110,9 +132,10 @@ mod tests {
         assert!(lines[1].starts_with("aggregate#4  rows=4  sim=2.500000 ms"));
         assert!(lines[1].contains("group=g1"));
         assert!(lines[2].starts_with("├─ select#2"));
-        assert!(lines[2].contains("live_regs=3"));
+        assert!(lines[2].ends_with("live_regs=3  loop(2)"), "{}", lines[2]);
         assert!(lines[3].starts_with("│  └─ scan#0"));
         assert!(lines[3].contains("group=-"));
+        assert!(lines[3].ends_with("live_regs=0"), "{}", lines[3]);
         assert!(lines[4].starts_with("└─ scan#1"));
         assert_eq!(root.count(), 4);
     }

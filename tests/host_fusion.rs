@@ -23,9 +23,11 @@ use kfusion::relalg::ops::{Agg, SortBy};
 use kfusion::relalg::{gen, predicates, Relation};
 use kfusion::tpch::gen::{generate, TpchConfig};
 use kfusion::tpch::{q1, q21, sql};
+use kfusion::trace::explain::{Covered, ExplainNode};
 use kfusion::trace::Trace;
 use kfusion::vgpu::exec::DEFAULT_CTA_CHUNK;
 use kfusion::vgpu::GpuSystem;
+use std::collections::BTreeMap;
 
 // The trace recorder is process-global; tests here take turns.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -55,10 +57,10 @@ const RANKS_READ: &str = "kfusion_sort_ranks_read_total";
 /// ARITH+ or REKEY whose one reader, in its own group, is the next member
 /// of a loop — a SELECT, ARITH+ or REKEY, or a keyed AGGREGATE behind
 /// ARITH+ alone. Their values stay in the loop's banks; their slots hold
-/// nothing. A loop's last member holds no ARITH+ column, so a chain whose
-/// tail is ARITH+ members alone (Q6's SELECTs, then the ARITH+ in front of
-/// its AGGREGATE*) ends before that tail: the member in front of it is the
-/// loop's last, a view.
+/// nothing. A loop that selects cannot end in a member holding an ARITH+
+/// column, so a chain that selects and whose tail is ARITH+ members alone
+/// (Q6's SELECTs, then the ARITH+ in front of its AGGREGATE*) ends before
+/// that tail: the member in front of it is the loop's last, a view.
 fn run_past(plan: &PlanGraph, group_of: &[Option<usize>]) -> Vec<usize> {
     let readers = plan.consumer_counts();
     let kind = |id: usize| &plan.nodes[id].kind;
@@ -95,7 +97,19 @@ fn run_past(plan: &PlanGraph, group_of: &[Option<usize>]) -> Vec<usize> {
             None => return true,
         }
     };
-    (0..plan.len()).filter(|&id| next(id).is_some_and(|c| !arith_tail(c))).collect()
+    // Whether the chain up to `id` selects.
+    let selects = |mut id: usize| loop {
+        if matches!(kind(id), OpKind::Select { .. }) {
+            return true;
+        }
+        match plan.nodes[id].inputs[..] {
+            [p] if next(p) == Some(id) => id = p,
+            _ => return false,
+        }
+    };
+    (0..plan.len())
+        .filter(|&id| next(id).is_some_and(|c| !(arith_tail(c) && selects(id))))
+        .collect()
 }
 
 /// Q1's SORT exists only to bring each group together for the AGGREGATE
@@ -304,6 +318,71 @@ fn fused_q1_writes_one_key_per_lineitem_row() {
     let kept = cards.rows
         [(0..plan.len()).find(|&id| matches!(plan.nodes[id].kind, OpKind::Select { .. })).unwrap()];
     assert_eq!(serial_bytes, 32 * kept);
+}
+
+/// Each node's loop mark in an EXPLAIN ANALYZE tree, by plan node id (the
+/// label's `#id`).
+fn loop_marks(node: &ExplainNode, out: &mut BTreeMap<usize, Covered>) {
+    if let Some(mark) = node.covered {
+        let id = node.label.rsplit('#').next().and_then(|id| id.parse().ok());
+        out.insert(id.expect("a node label ends in its id"), mark);
+    }
+    node.children.iter().for_each(|c| loop_marks(c, out));
+}
+
+/// EXPLAIN ANALYZE says what each of a fused plan's loops covered: the
+/// head that ran `k` members is `loop(k)` — its host time is the loop's —
+/// and every other member it ran is `passed`. Fused Q1 is two loops,
+/// SELECT → pack ARITH+ → REKEY and money ARITH+ → AGGREGATE; fused Q6 as
+/// SQL one, its run of SELECTs, which ends before the ARITH+. `Serial`
+/// runs no chain, and its tree carries no mark.
+#[test]
+fn explain_marks_what_each_loop_covered() {
+    let _g = serial();
+    let db = generate(TpchConfig::scale(0.01));
+    let sys = GpuSystem::c2070();
+    let marks = |plan: &PlanGraph, inputs: &[Relation], strategy: Strategy| {
+        let run = execute(&sys, plan, inputs, &ExecConfig::new(strategy, &sys)).unwrap();
+        let mut marks = BTreeMap::new();
+        loop_marks(&run.explain, &mut marks);
+        (marks, run.explain.render())
+    };
+    let fused = Strategy::FusionFission { segments: 8 };
+    let of = |plan: &PlanGraph, kind: fn(&OpKind) -> bool| -> Vec<usize> {
+        (0..plan.len()).filter(|&id| kind(&plan.nodes[id].kind)).collect()
+    };
+
+    let (plan, inputs) = (q1::q1_plan(), q1::q1_inputs(&db));
+    let [select] = of(&plan, |k| matches!(k, OpKind::Select { .. }))[..] else { panic!() };
+    let [pack, money] = of(&plan, |k| matches!(k, OpKind::ArithExtend { .. }))[..] else {
+        panic!()
+    };
+    let [rekey] = of(&plan, |k| matches!(k, OpKind::Rekey { .. }))[..] else { panic!() };
+    let [aggregate] = of(&plan, |k| matches!(k, OpKind::Aggregate { .. }))[..] else { panic!() };
+    let (got, tree) = marks(&plan, &inputs, fused);
+    let want = BTreeMap::from([
+        (select, Covered::Loop(3)),
+        (pack, Covered::Passed),
+        (rekey, Covered::Passed),
+        (money, Covered::Loop(2)),
+        (aggregate, Covered::Passed),
+    ]);
+    assert_eq!(got, want, "{tree}");
+    let line = |id: usize| tree.lines().find(|l| l.contains(&format!("#{id} "))).expect("a line");
+    assert!(line(select).ends_with("  loop(3)") && line(rekey).ends_with("  passed"), "{tree}");
+    let (got, tree) = marks(&plan, &inputs, Strategy::Serial);
+    assert!(got.is_empty(), "{tree}");
+
+    let plan = compile(&sql::q6_sql(), &sql::q6_catalog()).expect("Q6 SQL compiles").plan;
+    let table = [sql::q6_wide_table(&db)];
+    let selects = of(&plan, |k| matches!(k, OpKind::Select { .. }));
+    assert_eq!(selects.len(), 5);
+    let (got, tree) = marks(&plan, &table, fused);
+    let mut want = BTreeMap::from([(selects[0], Covered::Loop(selects.len()))]);
+    want.extend(selects[1..].iter().map(|&id| (id, Covered::Passed)));
+    assert_eq!(got, want, "{tree}");
+    let (got, tree) = marks(&plan, &table, Strategy::Serial);
+    assert!(got.is_empty(), "{tree}");
 }
 
 #[test]

@@ -1282,6 +1282,46 @@ fn selects_over_different_schemas_share_a_group_not_a_body() {
     assert!(roots[0].cols[0].as_f64().unwrap().iter().all(|&v| v < 2.0));
 }
 
+/// SELECT → PROJECT → SELECT over one relation of mixed column types: one
+/// fused group whose SELECTs read payload slot 1 as an i64 and then, past
+/// the PROJECT that swaps the columns, as an f64 — the shape that once made
+/// the timing phase panic while splicing the group's predicates. Every
+/// strategy, on either engine, keeps the same rows, bit for bit.
+#[test]
+fn a_select_project_select_over_mixed_types_answers_in_every_cell() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let n = 10_000;
+    let ints = |i: usize| (i % 10) as i64;
+    let floats = |i: usize| (i * 37 % 100) as f64 / 100.0;
+    let input = Relation::new(
+        (0..n as u64).collect(),
+        vec![Column::I64((0..n).map(ints).collect()), Column::F64((0..n).map(floats).collect())],
+    )
+    .unwrap();
+    let mut g = PlanGraph::new();
+    let i = g.input(0);
+    let few = g.add(OpKind::Select { pred: predicates::col_cmp_i64(0, CmpOp::Lt, 5) }, vec![i]);
+    let swapped = g.add(OpKind::Project { keep: vec![1, 0] }, vec![few]);
+    let pred = predicates::col_cmp_f64(0, CmpOp::Lt, 0.35);
+    let fewer = g.add(OpKind::Select { pred }, vec![swapped]);
+    let (roots, _) = same_in_every_cell("SELECT → PROJECT → SELECT over i64 and f64", |strat| {
+        execute(&sys, &g, std::slice::from_ref(&input), &ExecConfig::new(strat, &sys))
+            .map(|r| {
+                if strat.fuses() {
+                    let group = r.fusion.group_of[few];
+                    assert!(group.is_some() && group == r.fusion.group_of[fewer], "{strat:?}");
+                }
+                (vec![r.output], r.cards)
+            })
+            .map_err(|e| e.to_string())
+    })
+    .expect("a well-typed plan");
+    let kept = (0..n).filter(|&i| ints(i) < 5 && floats(i) < 0.35).count();
+    assert!(kept > 0 && kept < n / 2);
+    assert_eq!(roots[0].len(), kept);
+}
+
 /// A predicate the batch engine declines — an f64 comparison on an i64
 /// column, which the plan checker cannot see — falls back to the scalar
 /// interpreter wherever it sits in a fused group, with the interpreter's
