@@ -31,12 +31,13 @@ use std::time::Instant;
 
 /// What the functional phase leaves behind: the relations still held when it
 /// ends (the requested roots at least), every node's measured size, host
-/// seconds, and what each chain's loop covered.
+/// seconds, what each chain's loop covered and which views it gathered.
 pub(super) struct Measured<'a> {
     pub(super) slots: Slots<'a>,
     pub(super) cards: Cardinalities,
     pub(super) host_secs: Vec<f64>,
     pub(super) covered: Vec<Option<Covered>>,
+    pub(super) gathered: Vec<bool>,
 }
 
 /// The stored relation a slot holds — a plan input, or a computed relation
@@ -258,14 +259,14 @@ fn chains(graph: &PlanGraph, fusion: &FusionPlan, lazy: &[Hold]) -> Vec<Option<N
     next
 }
 
-/// Whether `kind` needs its input `v` gathered into its slot before it
-/// runs: one that is no stored relation, for an operator that needs stored
-/// rows; a filtered one, for ARITH+ and REKEY when they would write more
-/// bytes at base length than the view's rows hold, or cannot run their
-/// kernel where the view is. A view grouped by a SORT never is: its
-/// AGGREGATE folds it where it is, and an ARITH+ on the way that gathers
-/// first does so itself, keeping the groups. The operators that read views
-/// (SORT, keyed AGGREGATE, AGGREGATE*) read any where it is.
+/// Whether `kind` has its input `v` gathered into its slot before it runs,
+/// decided here alone: a view that is no stored relation, for an operator
+/// that needs stored rows; a filtered one, for ARITH+ and REKEY, when what
+/// they write at base length would outweigh its rows ([`View::gathers_first`]).
+/// Never a view grouped by a SORT, which its AGGREGATE folds and an ARITH+
+/// extends where it is, nor one for an operator that reads views (SORT,
+/// keyed AGGREGATE, AGGREGATE*). Operators gather only where they cannot
+/// run: ARITH+'s interpreter, a COLUMN-JOIN's filtered side.
 fn gathers_first(kind: &OpKind, v: &View<'_>) -> bool {
     if v.as_stored().is_some() {
         return false;
@@ -275,11 +276,10 @@ fn gathers_first(kind: &OpKind, v: &View<'_>) -> bool {
         _ if v.is_grouped() => false,
         Host::ReadsViews => false,
         Host::View => match kind {
-            OpKind::ArithExtend { body } => ops::arith_extend_gathers_first(v, body),
-            OpKind::Rekey { .. } => ops::rekey_gathers_first(v),
+            OpKind::ArithExtend { body } => v.gathers_first(body.outputs.len()),
+            OpKind::Rekey { .. } => v.gathers_first(1),
             // SELECT, PROJECT, SEMIJOIN and ANTIJOIN keep the selection or
-            // narrow it; COLUMN-JOIN pairs base rows, and gathers a
-            // filtered side itself.
+            // narrow it; COLUMN-JOIN pairs base rows.
             _ => false,
         },
     }
@@ -308,6 +308,7 @@ pub(super) fn functional_phase<'a>(
     let mut slots = Slots::new(graph.len());
     let mut host_secs = vec![0.0f64; graph.len()];
     let mut covered = vec![None; graph.len()];
+    let mut gathered = vec![false; graph.len()];
     // Cardinalities are captured the moment a slot fills: a value is handed
     // to its last reader and released after it — the timing phase still
     // needs every node's size.
@@ -340,6 +341,7 @@ pub(super) fn functional_phase<'a>(
                     let began = Instant::now();
                     slots.force(p);
                     host_secs[p] += began.elapsed().as_secs_f64();
+                    gathered[p] = true;
                     // Exactly as if it had always needed stored rows.
                     hold = Hold::Stored;
                 }
@@ -401,7 +403,7 @@ pub(super) fn functional_phase<'a>(
         }
     }
     kfusion_trace::counter("kfusion_host_live_bytes_peak_total", slots.peak_bytes);
-    Ok(Measured { slots, cards, host_secs, covered })
+    Ok(Measured { slots, cards, host_secs, covered, gathered })
 }
 
 /// What a wave's job does for one node.

@@ -300,7 +300,7 @@ fn run_plan(
         }
         _ => prepare_fusion(graph, cfg)?,
     };
-    let Measured { slots, cards, host_secs, covered } =
+    let Measured { slots, cards, host_secs, covered, gathered } =
         functional_phase(graph, inputs, roots, &fusion)?;
     let timeline = {
         let _phase = kfusion_trace::host_span("host", "timing_phase");
@@ -315,6 +315,7 @@ fn run_plan(
         rows: &cards.rows,
         host_seconds: &host_secs,
         covered: &covered,
+        gathered: &gathered,
     };
     let explain = crate::explain::build_explain(
         graph,

@@ -22,6 +22,8 @@ pub struct NodeMeasurements<'a> {
     pub host_seconds: &'a [f64],
     /// What a fused group's loop covered at each node.
     pub covered: &'a [Option<Covered>],
+    /// Whether each node's view was gathered for a reader.
+    pub gathered: &'a [bool],
 }
 
 /// Attribute the simulated timeline to plan nodes.
@@ -87,6 +89,7 @@ fn build_node(
         fusion_group,
         max_live_regs: fusion_group.map_or(0, |g| group_regs[g]),
         covered: m.covered.get(id).copied().flatten(),
+        gathered: m.gathered.get(id).copied().unwrap_or(false),
         children: node
             .inputs
             .iter()
@@ -160,7 +163,7 @@ mod tests {
         };
         let rows = [100, 50, 25];
         let host = [0.0, 0.001, 0.002];
-        let m = NodeMeasurements { rows: &rows, host_seconds: &host, covered: &[] };
+        let m = NodeMeasurements { rows: &rows, host_seconds: &host, covered: &[], gathered: &[] };
         let tree = build_explain(&graph, &fusion, &timeline, &m, OptLevel::O3, 2);
         assert_eq!(tree.count(), 3);
         assert_eq!(tree.label, "select#2");

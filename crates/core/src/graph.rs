@@ -93,7 +93,9 @@ pub enum Host {
     /// membership of its key in another input), in another arrangement, or
     /// beside the columns it computes, so inside a fused group it is never
     /// materialized. A filtered input it would widen by more bytes than the
-    /// input's rows is gathered first (`relalg::View::gathers_first`).
+    /// input's rows is gathered into its slot first — the executor decides
+    /// that, and only there (`exec::host::gathers_first`, by
+    /// `relalg::View::gathers_first`).
     View,
     /// Reads any view where it is, filtered or not; what it produces is new
     /// rows — so a group's last view may leave the group for it.

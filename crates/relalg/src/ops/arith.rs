@@ -8,8 +8,9 @@
 //! computes: on the batch engine [`arith_extend_view`] is the one-member
 //! group loop ([`super::group_loop`]), which writes them where its input
 //! is, as base-length columns beside the input's own, so a fused group
-//! hands them on without a gather (DESIGN.md §17). The per-tuple
-//! interpreter is the fallback, and the reference for errors.
+//! hands them on without a gather (DESIGN.md §17) — a filtered input is
+//! gathered first by the plan executor's rule alone. The per-tuple
+//! interpreter is the fallback, over rows it gathers, and the reference.
 
 use super::group_loop::{self, Member};
 use crate::data::{Column, RelError, Relation};
@@ -106,26 +107,14 @@ pub(crate) fn count_rows(rows: usize) {
     kfusion_trace::counter("kfusion_rows_out_total{op=\"arith\"}", rows as u64);
 }
 
-/// Whether [`arith_extend_view`] gathers a filtered `input` before it
-/// computes: when the columns it adds, at base length, would be more bytes
-/// than the selected rows ([`View::gathers_first`]), or when the group loop
-/// cannot run `body` where the view is (the batch engine is off, or
-/// declines the body) and the interpreter needs gathered rows. The plan
-/// executor asks first, so the gather lands in the view's slot.
-pub fn arith_extend_gathers_first(input: &View<'_>, body: &KernelBody) -> bool {
-    let runs = || group_loop::runs(input, &[Member::ArithExtend(body)]);
-    !input.is_dense() && (input.gathers_first(body.outputs.len()) || !runs())
-}
-
 /// ARITH+ without the copy: `input` widened by the outputs of `body`, which
 /// the one-member group loop computes over its base rows and writes once,
-/// beside the columns it references ([`arith_extend_gathers_first`] says
-/// when a filtered input is gathered first instead). The interpreter runs
-/// where the loop does not, over gathered rows.
+/// where the view is, beside the columns it references. Whether a filtered
+/// input is gathered first is the plan executor's to decide, before the
+/// view is handed here. The interpreter runs where the loop does not — the
+/// scalar engine, an empty input, a body the batch engine declines — over
+/// gathered rows.
 pub fn arith_extend_view<'a>(input: &View<'a>, body: &KernelBody) -> Result<View<'a>, RelError> {
-    if input.gathers_first(body.outputs.len()) {
-        return arith_extend_view(&input.dense(), body);
-    }
     if let Some(extended) = group_loop::lone(input, Member::ArithExtend(body)) {
         return extended;
     }
@@ -208,8 +197,8 @@ mod tests {
 
     /// Over a filtered view the new column is computed where the view is —
     /// batches no selected row falls in are skipped — and gathers with the
-    /// others to exactly what extending the gathered rows gives; a view
-    /// that keeps too few rows for that to pay is gathered first.
+    /// others to exactly what extending the gathered rows gives, for a view
+    /// the bytes rule leaves in place and for one it would gather first.
     #[test]
     fn extend_view_computes_beside_a_selection() {
         let n = 3 * DEFAULT_CTA_CHUNK + 99;

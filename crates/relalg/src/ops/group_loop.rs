@@ -112,11 +112,6 @@ pub(crate) fn lone<'a>(input: &View<'a>, member: Member<'_>) -> Option<Result<Vi
     })
 }
 
-/// Whether one loop runs all of `chain` over `input` ([`Loop::build`]).
-pub(crate) fn runs(input: &View<'_>, chain: &[Member<'_>]) -> bool {
-    Loop::build(input, chain).is_some()
-}
-
 /// One member over `input` by its own operator.
 fn alone<'a>(input: &View<'a>, member: Member<'_>) -> Result<Stage<'a>, RelError> {
     Ok(match member {
@@ -236,10 +231,10 @@ impl<'k> Loop<'k> {
             steps.push((step, cols.len()));
         }
         // A chain that selects ends before a last member that would hold an
-        // ARITH+ column: that member's operator may gather the few rows the
-        // selection keeps rather than write the column at base length
-        // (`View::gathers_first`), and how few they are is known only once
-        // the walk has run. Nothing is spliced for it.
+        // ARITH+ column: the plan executor may gather the few rows a selection
+        // keeps before that member runs (its bytes rule, `View::gathers_first`),
+        // and how few they are is known only once the walk has run. Nothing
+        // is spliced for it.
         let selects = steps.iter().any(|(s, _)| matches!(s, Step::Select { .. }));
         if aggs.is_none() && selects && cols.iter().any(|c| matches!(c, Src::Out(_))) {
             return None;

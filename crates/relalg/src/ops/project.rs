@@ -11,14 +11,6 @@ use super::group_loop::{self, Member};
 use crate::data::{RelError, Relation};
 use crate::view::{materialize, View};
 
-/// Whether [`rekey_view`] gathers a filtered `input` before it writes the
-/// new key: when a key at base length would be more bytes than the selected
-/// rows ([`View::gathers_first`]). The plan executor asks first, so the
-/// gather lands in the view's slot.
-pub fn rekey_gathers_first(input: &View<'_>) -> bool {
-    input.gathers_first(1)
-}
-
 /// REKEY without the copy: the i64 payload column `col`'s values become the
 /// tuple keys — written once, at base length, by the one-member group loop,
 /// which also checks them — and the column leaves the payload; every other
@@ -31,9 +23,6 @@ pub fn rekey_gathers_first(input: &View<'_>) -> bool {
 pub fn rekey_view<'a>(input: &View<'a>, col: usize) -> Result<View<'a>, RelError> {
     if col >= input.n_cols() {
         return Err(RelError::NoSuchColumn { col, available: input.n_cols() });
-    }
-    if rekey_gathers_first(input) {
-        return rekey_view(&input.dense(), col);
     }
     input.col(col).as_i64().ok_or(RelError::SchemaMismatch)?;
     group_loop::lone(input, Member::Rekey(col)).expect("a REKEY of an i64 column is a loop")
@@ -159,7 +148,8 @@ mod rekey_tests {
 
     /// Only selected values must be keys: a negative one the view filtered
     /// out is never looked at, one it keeps fails the REKEY — across CTAs,
-    /// where the view is and gathered first alike.
+    /// keyed where the view is, whether or not the bytes rule would gather
+    /// it first.
     #[test]
     fn a_filtered_view_rekeys_what_it_selects() {
         let n = 2 * DEFAULT_CTA_CHUNK + 300;
@@ -168,7 +158,7 @@ mod rekey_tests {
         let skip_negatives = crate::predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Ge, 0);
         for (pred, few) in [(skip_negatives, false), (crate::predicates::key_lt(40), true)] {
             let kept = crate::ops::select_view(&View::of(&r), &pred).unwrap();
-            assert_eq!(rekey_gathers_first(&kept), few);
+            assert_eq!(kept.gathers_first(1), few);
             let stored = crate::ops::select(&r, &pred).unwrap();
             let got = rekey_view(&kept, 0).map(materialize);
             assert_eq!(got, rekey(&stored, 0));

@@ -316,7 +316,7 @@ fn a_lone_arith_extend_matches_the_interpreter() {
     b.emit_output(Expr::input(2).add(Expr::input(0)));
     let body = b.build();
     for input in dense_and_filtered(&t) {
-        assert!(!ops::arith_extend_gathers_first(&input, &body));
+        assert!(!input.gathers_first(body.outputs.len()));
         let got = ops::arith_extend_view(&input, &body).unwrap();
         assert_eq!(got.is_dense(), input.is_dense(), "computed where the view is");
         let got = materialize(got);
@@ -357,7 +357,7 @@ fn a_lone_rekey_matches_a_rekey_by_hand() {
     for batch in [true, false] {
         engine::set_batch_enabled(batch);
         for input in dense_and_filtered(&t) {
-            assert!(!ops::rekey_gathers_first(&input));
+            assert!(!input.gathers_first(1));
             let got = ops::rekey_view(&input, 1).unwrap();
             assert_eq!(got.is_dense(), input.is_dense(), "keyed where the view is");
             let want = rekey_by_hand(materialize(input.clone()), 1).unwrap();
@@ -378,7 +378,7 @@ fn a_rekey_fails_only_on_a_selected_negative_key() {
     assert_eq!(ops::rekey_view(&dense, 0).unwrap_err(), RelError::SchemaMismatch);
     for (floor, fails) in [(0, false), (-1, true)] {
         let kept = ops::select_view(&dense, &predicates::col_cmp_i64(0, CmpOp::Ge, floor)).unwrap();
-        assert!(!kept.is_dense() && !ops::rekey_gathers_first(&kept));
+        assert!(!kept.is_dense() && !kept.gathers_first(1));
         let got = ops::rekey_view(&kept, 0).map(materialize);
         assert_eq!(got.is_err(), fails, "floor {floor}");
         assert_eq!(got, rekey_by_hand(materialize(kept), 0), "floor {floor}");

@@ -7,8 +7,9 @@
 //! measurements the paper's figures turn on: observed rows, *simulated*
 //! time on the virtual GPU, *host* wall-clock of the functional evaluation,
 //! the fusion group the node was placed in, `max_live_regs` of the code
-//! it contributed, and — where the host ran a group's members as one loop —
-//! what that loop covered.
+//! it contributed, and from the host: what a loop that ran a group's
+//! members as one covered, and whether the node's view was gathered for a
+//! reader.
 
 /// One annotated plan node.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,6 +29,9 @@ pub struct ExplainNode {
     pub max_live_regs: u32,
     /// What a fused group's loop did here, if one ran the node.
     pub covered: Option<Covered>,
+    /// Whether the host gathered this node's view into stored rows before
+    /// a reader ran (its `host=` time includes the gather; `gathered`).
+    pub gathered: bool,
     /// Input plan nodes.
     pub children: Vec<ExplainNode>,
 }
@@ -55,6 +59,7 @@ impl ExplainNode {
             fusion_group: None,
             max_live_regs: 0,
             covered: None,
+            gathered: false,
             children: Vec::new(),
         }
     }
@@ -74,8 +79,9 @@ impl ExplainNode {
             Some(Covered::Passed) => "  passed".to_string(),
             None => String::new(),
         };
+        let gathered = if self.gathered { "  gathered" } else { "" };
         format!(
-            "rows={}  sim={:.6} ms  host={:.3} ms  {group}  live_regs={}{covered}",
+            "rows={}  sim={:.6} ms  host={:.3} ms  {group}  live_regs={}{covered}{gathered}",
             self.rows,
             self.sim_seconds * 1e3,
             self.host_seconds * 1e3,
@@ -125,7 +131,9 @@ mod tests {
         sel.covered = Some(Covered::Loop(2));
         sel.children.push(node("scan#0", 1000, None));
         root.children.push(sel);
-        root.children.push(node("scan#1", 1000, None));
+        let mut scan = node("scan#1", 1000, None);
+        scan.gathered = true;
+        root.children.push(scan);
         let r = root.render();
         let lines: Vec<&str> = r.lines().collect();
         assert_eq!(lines[0], "EXPLAIN ANALYZE");
@@ -137,6 +145,7 @@ mod tests {
         assert!(lines[3].contains("group=-"));
         assert!(lines[3].ends_with("live_regs=0"), "{}", lines[3]);
         assert!(lines[4].starts_with("└─ scan#1"));
+        assert!(lines[4].ends_with("live_regs=0  gathered"), "{}", lines[4]);
         assert_eq!(root.count(), 4);
     }
 }

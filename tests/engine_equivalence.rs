@@ -12,8 +12,12 @@
 //! above the engine dispatch, so a divergence means an engine dropped or
 //! duplicated work even if the final answer happens to agree.
 
-use kfusion::core::exec::{ExecResult, Strategy};
-use kfusion::relalg::{engine, Column, Relation};
+use kfusion::core::exec::{execute, ExecConfig, ExecResult, Strategy};
+use kfusion::core::{OpKind, PlanGraph};
+use kfusion::ir::builder::{BodyBuilder, Expr};
+use kfusion::ir::CmpOp;
+use kfusion::relalg::ops::Agg;
+use kfusion::relalg::{engine, gen, predicates, Column, Relation};
 use kfusion::tpch::gen::{generate, TpchConfig, TpchDb};
 use kfusion::tpch::{q1, q21, q6};
 use kfusion::vgpu::GpuSystem;
@@ -94,6 +98,31 @@ fn batch_engine_never_changes_tpch_answers() {
         check(&format!("Q1 {strat:?}"), strat, |s| q1::run_q1(&sys, &db, s).unwrap());
         check(&format!("Q6 {strat:?}"), strat, |s| q6::run_q6(&sys, &db, s).unwrap());
         check(&format!("Q21 {strat:?}"), strat, |s| q21::run_q21(&sys, &db, 20, s).unwrap());
+    }
+    engine::set_batch_enabled(true);
+}
+
+/// SELECT keeping ~95 % of 200 000 rows → ARITH+ → AGGREGATE*, in one
+/// fused group: the bytes rule leaves the SELECT's view in place, so on the
+/// scalar engine the ARITH+ gathers it for its interpreter itself, where
+/// the batch engine computes beside it.
+#[test]
+fn an_arith_extend_over_a_kept_view_never_changes_answers() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let mut plan = PlanGraph::new();
+    let input = plan.input(0);
+    let pred = predicates::col_cmp_i64(0, CmpOp::Ge, -900);
+    let kept = plan.add(OpKind::Select { pred }, vec![input]);
+    let mut b = BodyBuilder::new(3);
+    b.emit_output(Expr::input(1).mul(Expr::lit(3i64)).add(Expr::input(2)));
+    let extended = plan.add(OpKind::ArithExtend { body: b.build() }, vec![kept]);
+    plan.add(OpKind::AggregateAll { aggs: vec![Agg::Sum(2), Agg::Count] }, vec![extended]);
+    let inputs = [gen::sorted_table(200_000, 2, 7)];
+    for strat in strategies() {
+        check(&format!("SELECT → ARITH+ → AGGREGATE* {strat:?}"), strat, |s| {
+            execute(&sys, &plan, &inputs, &ExecConfig::new(s, &sys)).unwrap()
+        });
     }
     engine::set_batch_enabled(true);
 }

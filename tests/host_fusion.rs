@@ -19,6 +19,8 @@
 use kfusion::core::exec::{execute, ExecConfig, ExecResult, Strategy};
 use kfusion::core::{OpKind, PlanGraph};
 use kfusion::frontend::compile;
+use kfusion::ir::builder::{BodyBuilder, Expr};
+use kfusion::ir::CmpOp;
 use kfusion::relalg::ops::{Agg, SortBy};
 use kfusion::relalg::{gen, predicates, Relation};
 use kfusion::tpch::gen::{generate, TpchConfig};
@@ -52,6 +54,7 @@ const SORT_GROUPED: &str = "kfusion_sort_grouped_total";
 const MORSELS: &str = "kfusion_host_morsels_total";
 const COMPUTED: &str = "kfusion_host_computed_bytes_total";
 const RANKS_READ: &str = "kfusion_sort_ranks_read_total";
+const COMPILED: &str = "kfusion_batch_compile_total{result=\"ok\"}";
 
 /// The members a fused group's loop runs past (DESIGN.md §17): a SELECT,
 /// ARITH+ or REKEY whose one reader, in its own group, is the next member
@@ -196,6 +199,49 @@ fn fused_q6_selects_read_the_table_once() {
     assert!(table_pass > 1, "the table spans several morsels");
     assert_eq!(fused_trace.counter(MORSELS), table_pass);
     assert_eq!(serial_trace.counter(MORSELS), selects.iter().map(|&id| pass_over_input(id)).sum());
+}
+
+/// SELECT keeping ~95 % of 200 000 rows (several morsels) → ARITH+ →
+/// AGGREGATE*: one fused group whose ARITH+ input is a filtered view the
+/// bytes rule leaves in place.
+fn select_extend_sum() -> (PlanGraph, [Relation; 1]) {
+    let mut g = PlanGraph::new();
+    let input = g.input(0);
+    let pred = predicates::col_cmp_i64(0, CmpOp::Ge, -900);
+    let kept = g.add(OpKind::Select { pred }, vec![input]);
+    let mut b = BodyBuilder::new(3);
+    b.emit_output(Expr::input(1).mul(Expr::lit(3i64)).add(Expr::input(2)));
+    let extended = g.add(OpKind::ArithExtend { body: b.build() }, vec![kept]);
+    g.add(OpKind::AggregateAll { aggs: vec![Agg::Sum(2), Agg::Count] }, vec![extended]);
+    (g, [gen::sorted_table(200_000, 2, 7)])
+}
+
+/// A kernel is built once per loop: fused, [`select_extend_sum`] compiles
+/// two — the SELECT's loop and the ARITH+'s, which runs where the view is
+/// without a second build to ask whether it could. Fused Q6 as SQL, Q1 and
+/// Q21 compile exactly as many as before.
+#[test]
+fn an_arith_extend_loop_is_built_once() {
+    let _g = serial();
+    let (plan, inputs) = select_extend_sum();
+    let (serial_run, _) = traced(&plan, &inputs, Strategy::Serial);
+    let (fused_run, fused_trace) = traced(&plan, &inputs, Strategy::Fusion);
+    assert!(sql::bit_identical(&serial_run.output, &fused_run.output));
+    assert_eq!(serial_run.cards, fused_run.cards);
+    assert_eq!(fused_run.fusion.groups.len(), 1, "{:?}", fused_run.fusion.groups);
+    let kept = serial_run.cards.rows[1];
+    assert!(kept * 100 > 93 * 200_000 && kept * 100 < 97 * 200_000, "{kept}");
+    assert_eq!(fused_trace.counter(COMPILED), 2);
+
+    let db = generate(TpchConfig::scale(0.02));
+    let q6 = compile(&sql::q6_sql(), &sql::q6_catalog()).expect("Q6 SQL compiles").plan;
+    let fused = Strategy::FusionFission { segments: 8 };
+    let compiles =
+        |plan: &PlanGraph, inputs: &[Relation]| traced(plan, inputs, fused).1.counter(COMPILED);
+    let q6 = compiles(&q6, &[sql::q6_wide_table(&db)]);
+    let q1 = compiles(&q1::q1_plan(), &q1::q1_inputs(&db));
+    let q21 = compiles(&q21::q21_plan(20), &q21::q21_inputs(&db));
+    assert_eq!([q6, q1, q21], [2, 2, 5]);
 }
 
 #[test]
@@ -385,6 +431,56 @@ fn explain_marks_what_each_loop_covered() {
     assert!(got.is_empty(), "{tree}");
 }
 
+/// The plan node ids whose views an EXPLAIN ANALYZE tree marks `gathered`.
+fn gathered(node: &ExplainNode, out: &mut Vec<usize>) {
+    if node.gathered {
+        let id = node.label.rsplit('#').next().and_then(|id| id.parse().ok());
+        out.push(id.expect("a node label ends in its id"));
+    }
+    node.children.iter().for_each(|c| gathered(c, out));
+}
+
+/// EXPLAIN ANALYZE marks each view the executor gathered for a reader
+/// `gathered`: fused Q6 as SQL only its last SELECT — the loop's last
+/// member, gathered for the ARITH+ — and fused Q21 only the PROJECT in
+/// front of the REKEY. `Serial` holds no view, and marks none.
+#[test]
+fn explain_marks_the_views_it_gathered() {
+    let _g = serial();
+    let db = generate(TpchConfig::scale(0.01));
+    let sys = GpuSystem::c2070();
+    let marks = |plan: &PlanGraph, inputs: &[Relation], strategy: Strategy| {
+        let run = execute(&sys, plan, inputs, &ExecConfig::new(strategy, &sys)).unwrap();
+        let mut ids = Vec::new();
+        gathered(&run.explain, &mut ids);
+        ids.sort_unstable();
+        ids.dedup();
+        (ids, run.explain.render())
+    };
+    let fused = Strategy::FusionFission { segments: 8 };
+
+    let plan = compile(&sql::q6_sql(), &sql::q6_catalog()).expect("Q6 SQL compiles").plan;
+    let table = [sql::q6_wide_table(&db)];
+    let is_select = |id: &usize| matches!(plan.nodes[*id].kind, OpKind::Select { .. });
+    let last = (0..plan.len()).rfind(is_select).expect("Q6 filters");
+    let (ids, tree) = marks(&plan, &table, fused);
+    assert_eq!(ids, [last], "{tree}");
+    let line = tree.lines().find(|l| l.contains(&format!("#{last} "))).expect("a line");
+    assert!(line.ends_with("  passed  gathered"), "{tree}");
+    let (ids, tree) = marks(&plan, &table, Strategy::Serial);
+    assert!(ids.is_empty(), "{tree}");
+
+    let (plan, inputs) = (q21::q21_plan(20), q21::q21_inputs(&db));
+    let (ids, tree) = marks(&plan, &inputs, fused);
+    let [id] = ids[..] else { panic!("{tree}") };
+    assert!(matches!(plan.nodes[id].kind, OpKind::Project { .. }), "{tree}");
+    let read_by_rekey =
+        plan.nodes.iter().any(|n| matches!(n.kind, OpKind::Rekey { .. }) && n.inputs.contains(&id));
+    assert!(read_by_rekey, "{tree}");
+    let (ids, tree) = marks(&plan, &inputs, Strategy::Serial);
+    assert!(ids.is_empty(), "{tree}");
+}
+
 #[test]
 fn q21_barriers_move_only_what_is_out_of_place() {
     let _g = serial();
@@ -502,10 +598,11 @@ fn q21_barriers_move_only_what_is_out_of_place() {
     assert_eq!(serial_trace.counter(VIEWS), 0);
 }
 
-/// A view a reader cannot use where it is gets gathered before the reader
-/// runs — and that time is the view's: its node's host seconds cover the
-/// `materialize#` span, while the reader's stay inside its own evaluation
-/// span. (Nested timers, so the test holds on any machine.)
+/// A view a reader cannot use where it is, or one the bytes rule gathers
+/// for an ARITH+, gets gathered before the reader runs — and that time is
+/// the view's: its node's host seconds cover the `materialize#` span, while
+/// the reader's stay inside its own evaluation span. (Nested timers, so the
+/// test holds on any machine.)
 #[test]
 fn a_forced_gather_is_booked_to_the_view_it_gathers() {
     let _g = serial();
@@ -517,19 +614,33 @@ fn a_forced_gather_is_booked_to_the_view_it_gathers() {
     let kept = g.add(OpKind::Select { pred }, vec![input]);
     let joined = g.add(OpKind::Join, vec![kept, other]);
     let inputs = [gen::sorted_table(300_000, 2, 4), gen::sorted_table(300_000, 1, 5)];
-    let (run, trace) = traced(&g, &inputs, Strategy::Fusion);
-    assert_eq!(run.fusion.group_of[kept], run.fusion.group_of[joined]);
-    let span = |name: &str| {
-        let found = trace.spans.iter().find(|s| s.name == name);
-        found.unwrap_or_else(|| panic!("no {name} span")).duration()
-    };
-    let host = |label: &str| {
-        let (root, select) = (&run.explain, &run.explain.children[0]);
-        [root, select].into_iter().find(|n| n.label == label).expect(label).host_seconds
-    };
-    let (view, reader) = (format!("select#{kept}"), format!("join#{joined}"));
-    assert!(host(&view) >= span(&format!("materialize#{kept}")), "{}", run.explain.render());
-    assert!(host(&reader) <= span(&reader), "{}", run.explain.render());
+    // One group too: the SELECT keeps ~2 %, fewer bytes than the column
+    // the ARITH+ would write beside them, so the bytes rule gathers it.
+    let mut few = PlanGraph::new();
+    let input = few.input(0);
+    let pred = predicates::col_cmp_i64(0, CmpOp::Lt, -960);
+    let rare = few.add(OpKind::Select { pred }, vec![input]);
+    let mut b = BodyBuilder::new(3);
+    b.emit_output(Expr::input(1).add(Expr::input(2)));
+    let extended = few.add(OpKind::ArithExtend { body: b.build() }, vec![rare]);
+    for (g, inputs, kept, read) in
+        [(&g, &inputs[..], kept, joined), (&few, &inputs[..1], rare, extended)]
+    {
+        let (run, trace) = traced(g, inputs, Strategy::Fusion);
+        assert_eq!(run.fusion.group_of[kept], run.fusion.group_of[read]);
+        let span = |name: &str| {
+            let found = trace.spans.iter().find(|s| s.name == name);
+            found.unwrap_or_else(|| panic!("no {name} span")).duration()
+        };
+        let host = |label: &str| {
+            let (root, select) = (&run.explain, &run.explain.children[0]);
+            [root, select].into_iter().find(|n| n.label == label).expect(label).host_seconds
+        };
+        let view = format!("select#{kept}");
+        let reader = format!("{}#{read}", g.nodes[read].kind.name().to_lowercase());
+        assert!(host(&view) >= span(&format!("materialize#{kept}")), "{}", run.explain.render());
+        assert!(host(&reader) <= span(&reader), "{}", run.explain.render());
+    }
 }
 
 /// A filtered view is gathered once, into its slot, by the one reader that
