@@ -10,11 +10,11 @@
 //!    (paper: three for the C2070's two copy engines + compute).
 
 use kfusion_bench::{chain, gbps, print_header, ratio, system, Table};
+use kfusion_core::cost::STAGE_REGS;
 use kfusion_core::exec::Strategy;
 use kfusion_core::microbench::{run, run_with_cards, select_plan, SelectChain};
 use kfusion_core::{fuse_plan, FusionBudget, OpKind, PlanGraph};
 use kfusion_ir::opt::OptLevel;
-use kfusion_relalg::profiles::STAGE_REGS;
 use kfusion_vgpu::DeviceSpec;
 
 fn main() {

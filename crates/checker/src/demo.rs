@@ -9,13 +9,13 @@
 use crate::lint::{
     lint_body, lint_certificates, lint_fusion, lint_model_violation, lint_schedule, LintReport,
 };
+use kfusion_core::cost::STAGE_REGS;
 use kfusion_core::graph::{OpKind, PlanGraph};
 use kfusion_core::{FusionBudget, FusionPlan};
 use kfusion_ir::opt::OptLevel;
 use kfusion_ir::{BinOp, CmpOp, Instr, KernelBody, Value};
 use kfusion_model::{ViolationInfo, ViolationKind};
 use kfusion_relalg::predicates;
-use kfusion_relalg::profiles::STAGE_REGS;
 use kfusion_vgpu::des::{Command, CommandClass, EventId, Schedule};
 use kfusion_vgpu::{DeviceSpec, HostMemKind, KernelProfile, LaunchConfig};
 

@@ -625,10 +625,10 @@ pub fn lint_model_violation(v: &kfusion_model::ViolationInfo) -> Vec<Lint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kfusion_core::cost::STAGE_REGS;
     use kfusion_core::OpKind;
     use kfusion_ir::{BinOp, CmpOp, Instr, Value};
     use kfusion_relalg::predicates;
-    use kfusion_relalg::profiles::STAGE_REGS;
     use kfusion_vgpu::des::{Command, CommandClass, EventId};
     use kfusion_vgpu::{DeviceSpec, HostMemKind, KernelProfile, LaunchConfig};
 

@@ -12,14 +12,13 @@
 //! the distinction the paper's register-pressure limit (§III-C) is about,
 //! and one per-op constants cannot express.
 
-use crate::cost::fused_step;
+use crate::cost::{fused_step, STAGE_REGS};
 use crate::graph::{BodyRole, NodeId, PlanGraph};
 use kfusion_ir::cost::max_live_regs;
 use kfusion_ir::fuse::{fuse, FuseError, FusedOutput, SlotSource};
 use kfusion_ir::ir::{BinOp, Instr};
 use kfusion_ir::opt::{optimize, OptLevel};
 use kfusion_ir::KernelBody;
-use kfusion_relalg::profiles::STAGE_REGS;
 
 /// Build the fused compute body of a group's IR-bearing members, mirroring
 /// what code generation does: bodies splice in topological order; a member

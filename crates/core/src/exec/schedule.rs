@@ -2,21 +2,17 @@
 //! in, `vgpu` command streams out. The only place a strategy becomes
 //! transfer and kernel commands.
 //!
-//! What an operator costs — alone ([`node_kernels`]) or as a member of a
-//! fused kernel ([`fused_step`]) — is `crate::cost`'s; what may be segmented
-//! is the `dep` column of `OpKind::traits`. The one per-operator walk here
-//! is [`group_kernels`]' slot numbering.
+//! This module arranges commands on streams and prices nothing: every
+//! kernel it emits, a lone node's ([`node_kernels`]) or a fused group's
+//! ([`fused_kernels`]), comes from `crate::cost`, and what may be segmented
+//! is the `dep` column of `OpKind::traits`.
 
 use super::{Cardinalities, ExecConfig, Strategy};
-use crate::cost::{fused_step, group_regs, node_kernels};
+use crate::cost::{fused_kernels, node_kernels};
 use crate::deps::Dep;
 use crate::fusion::FusionPlan;
-use crate::graph::{BodyRole, NodeId, OpKind, PlanGraph};
-use kfusion_ir::fuse::try_fuse_predicate_chain;
+use crate::graph::{NodeId, PlanGraph};
 use kfusion_ir::opt::OptLevel;
-use kfusion_relalg::profiles::{
-    self, FILTER_BOOKKEEPING_BYTES, FILTER_STAGE_INSTR, STREAM_MEM_EFF,
-};
 use kfusion_vgpu::des::EventId;
 use kfusion_vgpu::{
     segment, Command, CommandClass, Direction, GpuSystem, HostMemKind, KernelProfile, LaunchConfig,
@@ -83,9 +79,8 @@ fn group_outputs(
     outs
 }
 
-/// The kernels of one fused group: a single compute kernel (shared
-/// skeleton, members' stages interleaved, intermediates in registers) plus
-/// one gather.
+/// The kernels of one group: a singleton's own, or a fused group's priced
+/// over its externals and outputs.
 fn group_kernels(
     graph: &PlanGraph,
     plan: &FusionPlan,
@@ -100,79 +95,7 @@ fn group_kernels(
     }
     let externals = group_externals(graph, members);
     let outputs = group_outputs(graph, plan, members, roots);
-    let elems = externals.iter().map(|&e| cards.rows[e]).max().unwrap_or(1).max(1);
-    let read: f64 = externals.iter().map(|&e| cards.bytes(e) as f64).sum::<f64>() / elems as f64;
-    let write: f64 = outputs.iter().map(|&o| cards.bytes(o) as f64).sum::<f64>() / elems as f64;
-
-    // Instruction count: fused SELECT predicates enjoy the Table III
-    // cross-kernel optimization; other members contribute their step costs.
-    // Predicates name input slots by position, so only SELECTs that number
-    // their slots alike can be spliced into one body. SELECT keeps its
-    // input's schema and COLUMN-JOIN appends its right side's columns to its
-    // left side's, so a SELECT's numbering is given by the node its input
-    // leads back to through those two and the right sides appended on the
-    // way; two numberings agree when one is a prefix of the other. Past a
-    // PROJECT slot `k` is another column, perhaps of another type, and each
-    // predicate is charged alone — as they are when one of them reads a slot
-    // at the other type than its column has (the batch engine declines it;
-    // the functional phase ran it only because no row reached it).
-    let numbering = |mut id: NodeId| {
-        let mut appended = Vec::new();
-        loop {
-            let node = &graph.nodes[id];
-            match node.kind {
-                OpKind::Select { .. } => {}
-                OpKind::ColumnJoin => appended.push(node.inputs[1]),
-                _ => break,
-            }
-            id = node.inputs[0];
-        }
-        appended.reverse();
-        (id, appended)
-    };
-    let predicate = |m: NodeId| match graph.nodes[m].kind.body() {
-        Some((pred, BodyRole::Predicate)) => Some(pred),
-        _ => None,
-    };
-    let selects: Vec<_> =
-        members.iter().filter_map(|&m| predicate(m).map(|pred| (numbering(m), pred))).collect();
-    let one_schema =
-        selects.iter().map(|(n, _)| n).max_by_key(|n| n.1.len()).is_some_and(|widest| {
-            selects.iter().all(|(n, _)| n.0 == widest.0 && widest.1.starts_with(&n.1))
-        });
-    let spliced = (selects.len() >= 2 && one_schema).then(|| {
-        let preds: Vec<_> = selects.iter().map(|&(_, pred)| pred.clone()).collect();
-        try_fuse_predicate_chain(&preds).ok()
-    });
-    let mut instr = FILTER_STAGE_INSTR;
-    instr += match spliced.flatten() {
-        Some(fused) => profiles::body_instr(&fused, level),
-        None => selects.iter().map(|(_, p)| profiles::body_instr(p, level) + 2.0).sum::<f64>(),
-    };
-    instr += members
-        .iter()
-        .filter(|&&m| predicate(m).is_none())
-        .map(|&m| fused_step(&graph.nodes[m].kind, level).instr)
-        .sum::<f64>();
-
-    let regs = group_regs(graph, members, level);
-    let compute = KernelProfile::new(format!("fused_compute#g{gidx}"))
-        .instr_per_elem(instr)
-        .bytes_read_per_elem(read)
-        .bytes_written_per_elem(write + FILTER_BOOKKEEPING_BYTES)
-        .regs_per_thread(regs)
-        .mem_efficiency(STREAM_MEM_EFF);
-
-    let out_rows: u64 = outputs.iter().map(|&o| cards.rows[o]).max().unwrap_or(0);
-    let out_bytes: f64 = if out_rows == 0 {
-        8.0
-    } else {
-        outputs.iter().map(|&o| cards.bytes(o) as f64).sum::<f64>() / out_rows as f64
-    };
-    vec![
-        (compute, elems),
-        (profiles::select_gather(format!("fused_gather#g{gidx}"), out_bytes), out_rows),
-    ]
+    fused_kernels(graph, cards, members, &externals, &outputs, level, gidx)
 }
 
 fn kernel_cmds(system: &GpuSystem, kernels: Vec<(KernelProfile, u64)>) -> Vec<Command> {
@@ -544,10 +467,9 @@ pub(super) fn peak_resident_bytes(graph: &PlanGraph, cards: &Cardinalities) -> u
 mod tests {
     use super::super::{execute, schedule_given};
     use super::*;
+    use crate::graph::OpKind;
     use crate::patterns;
-    use kfusion_ir::fuse::fuse_predicate_chain;
-    use kfusion_ir::KernelBody;
-    use kfusion_relalg::{gen, predicates};
+    use kfusion_relalg::gen;
     use kfusion_vgpu::Engine;
 
     fn sys() -> GpuSystem {
@@ -649,83 +571,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The compute kernel of the one fused group `g` forms under FUSION.
-    fn fused_compute_instr(g: &PlanGraph) -> f64 {
-        let s = sys();
-        let cards = Cardinalities { rows: vec![1 << 20; g.len()], row_bytes: vec![16.0; g.len()] };
-        let sched = schedule_given(&s, g, &cards, &ExecConfig::new(Strategy::Fusion, &s)).unwrap();
-        let mut fused = sched.streams.iter().flatten().filter_map(|cmd| match &cmd.kind {
-            kfusion_vgpu::des::CommandKind::Kernel { profile, .. }
-                if cmd.label.starts_with("fused_compute") =>
-            {
-                Some(profile.instr_per_elem)
-            }
-            _ => None,
-        });
-        let instr = fused.next().expect("a fused group");
-        assert!(fused.next().is_none(), "one fused group");
-        instr
-    }
-
-    /// The sim clock's charge for fused SELECTs, both ways: one spliced body
-    /// (the Table III credit) when they number their slots alike — directly
-    /// chained, or with a COLUMN-JOIN widening the tuple between them — and
-    /// each predicate on its own when a PROJECT renumbers between them, two
-    /// COLUMN-JOINs put different columns into the same slots, or two
-    /// predicates read one slot at different types.
-    #[test]
-    fn only_selects_over_one_schema_are_charged_as_one_body() {
-        let level = ExecConfig::new(Strategy::Fusion, &sys()).level;
-        let (a, b) = (predicates::key_lt(1 << 40), predicates::key_lt(1 << 30));
-        let alone = |p: &KernelBody| profiles::body_instr(p, level) + 2.0;
-        let select = |p: &KernelBody| OpKind::Select { pred: p.clone() };
-        let spliced = profiles::body_instr(&fuse_predicate_chain(&[a.clone(), b.clone()]), level);
-        assert!(spliced < alone(&a) + alone(&b));
-
-        let mut chain = PlanGraph::new();
-        let i = chain.input(0);
-        let first = chain.add(select(&a), vec![i]);
-        chain.add(select(&b), vec![first]);
-        assert_eq!(fused_compute_instr(&chain), FILTER_STAGE_INSTR + spliced);
-
-        for between in [OpKind::ColumnJoin, OpKind::Project { keep: vec![0] }] {
-            let mut g = PlanGraph::new();
-            let (i, other) = (g.input(0), g.input(1));
-            let first = g.add(select(&a), vec![i]);
-            let widens = matches!(between, OpKind::ColumnJoin);
-            let inputs = if widens { vec![first, other] } else { vec![first] };
-            let step = fused_step(&between, level).instr;
-            let mid = g.add(between, inputs);
-            g.add(select(&b), vec![mid]);
-            let selects = if widens { spliced } else { alone(&a) + alone(&b) };
-            assert_eq!(fused_compute_instr(&g), FILTER_STAGE_INSTR + selects + step);
-        }
-
-        // One SELECT's output widened two ways: slot 2 is `x`'s column for
-        // one consumer and `y`'s for the other.
-        let mut g = PlanGraph::new();
-        let (i, x, y) = (g.input(0), g.input(1), g.input(2));
-        let first = g.add(select(&a), vec![i]);
-        let with_x = g.add(OpKind::ColumnJoin, vec![first, x]);
-        let with_y = g.add(OpKind::ColumnJoin, vec![first, y]);
-        let over_x = g.add(select(&b), vec![with_x]);
-        let over_y = g.add(select(&b), vec![with_y]);
-        g.add(OpKind::ColumnJoin, vec![over_x, over_y]);
-        let steps = 3.0 * fused_step(&OpKind::ColumnJoin, level).instr;
-        let selects = alone(&a) + 2.0 * alone(&b);
-        assert_eq!(fused_compute_instr(&g), FILTER_STAGE_INSTR + selects + steps);
-
-        // Slot 1 read as an i64 and as an f64: no column feeds both, so the
-        // two are not one body (the batch engine declines one of them; the
-        // query reaches this phase only if no row reached it).
-        let ints = predicates::col_cmp_i64(0, kfusion_ir::CmpOp::Lt, 3);
-        let floats = predicates::col_cmp_f64(0, kfusion_ir::CmpOp::Lt, 0.5);
-        let mut g = PlanGraph::new();
-        let i = g.input(0);
-        let first = g.add(select(&ints), vec![i]);
-        g.add(select(&floats), vec![first]);
-        assert_eq!(fused_compute_instr(&g), FILTER_STAGE_INSTR + alone(&ints) + alone(&floats));
     }
 }

@@ -341,7 +341,7 @@ mod tests {
                 vec![cur],
             );
         }
-        let tight = FusionBudget { max_regs_per_thread: kfusion_relalg::profiles::STAGE_REGS + 5 };
+        let tight = FusionBudget { max_regs_per_thread: crate::cost::STAGE_REGS + 5 };
         let plan = fuse_plan(&g, &tight, OptLevel::O3);
         assert!(plan.groups.len() > 1, "tight budget must split: {:?}", plan.groups);
         let generous = fuse(&g);
@@ -359,7 +359,7 @@ mod tests {
         for k in 0..8 {
             cur = g.add(OpKind::Select { pred: predicates::key_lt(100 + k) }, vec![cur]);
         }
-        let tight = FusionBudget { max_regs_per_thread: kfusion_relalg::profiles::STAGE_REGS + 5 };
+        let tight = FusionBudget { max_regs_per_thread: crate::cost::STAGE_REGS + 5 };
         let plan = fuse_plan(&g, &tight, OptLevel::O3);
         assert_eq!(plan.groups.len(), 1, "collapsible chain split: {:?}", plan.groups);
     }

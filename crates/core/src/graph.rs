@@ -223,6 +223,13 @@ pub enum GraphError {
     },
     /// The graph has no nodes.
     Empty,
+    /// The root is not one of the graph's nodes.
+    Root {
+        /// The named root.
+        root: NodeId,
+        /// The graph's node count.
+        nodes: usize,
+    },
 }
 
 impl std::fmt::Display for GraphError {
@@ -235,6 +242,9 @@ impl std::fmt::Display for GraphError {
                 write!(f, "node {node} takes {expected} inputs, got {got}")
             }
             GraphError::Empty => write!(f, "empty plan graph"),
+            GraphError::Root { root, nodes } => {
+                write!(f, "root {root} is not one of its {nodes} nodes")
+            }
         }
     }
 }
@@ -301,6 +311,9 @@ impl PlanGraph {
     pub fn validate(&self) -> Result<(), GraphError> {
         if self.nodes.is_empty() {
             return Err(GraphError::Empty);
+        }
+        if self.root >= self.nodes.len() {
+            return Err(GraphError::Root { root: self.root, nodes: self.nodes.len() });
         }
         for (id, node) in self.nodes.iter().enumerate() {
             if node.kind.arity() != node.inputs.len() {
@@ -506,5 +519,14 @@ pub(crate) mod tests {
     #[test]
     fn empty_graph_invalid() {
         assert!(matches!(PlanGraph::new().validate(), Err(GraphError::Empty)));
+    }
+
+    #[test]
+    fn validate_catches_a_root_that_is_not_a_node() {
+        let g = PlanGraph {
+            nodes: vec![Node { kind: OpKind::Input { input: 0 }, inputs: vec![] }],
+            root: 1,
+        };
+        assert_eq!(g.validate(), Err(GraphError::Root { root: 1, nodes: 1 }));
     }
 }

@@ -13,11 +13,11 @@
 //! optimum split balances the host's compute rate against the GPU
 //! pipeline's transfer rate.
 
+use crate::cost;
 use crate::exec::{self, ExecConfig, Strategy, CPU_GATHER_BW};
 use crate::microbench::SelectChain;
 use crate::report::Report;
 use crate::CoreError;
-use kfusion_relalg::profiles;
 use kfusion_vgpu::{segment, Command, DeviceSpec, GpuSystem, LaunchConfig, Schedule};
 
 /// Run `chain` under fused fission with `cpu_fraction` of the segments
@@ -87,7 +87,7 @@ fn hetero_schedule(
             .windows(2)
             .map(|w| {
                 let sel = if w[0] == 0 { 0.0 } else { w[1] as f64 / w[0] as f64 };
-                profiles::cpu_select(chain.row_bytes, sel).time(cpu, &cpu_launch, w[0])
+                cost::cpu_select(chain.row_bytes, sel).time(cpu, &cpu_launch, w[0])
             })
             .sum();
         let out_bytes = seg[chain.depth()] as f64 * chain.row_bytes;

@@ -24,7 +24,6 @@ use kfusion_ir::builder::{BodyBuilder, Expr};
 use kfusion_ir::fuse::fuse_predicate_chain;
 use kfusion_ir::opt::OptLevel;
 use kfusion_ir::KernelBody;
-use kfusion_relalg::profiles;
 use kfusion_relalg::{gen, ops, Relation};
 use kfusion_vgpu::{Command, CommandClass, GpuSystem, HostMemKind, LaunchConfig, Schedule};
 
@@ -190,7 +189,7 @@ pub fn run_cpu(cpu: &kfusion_vgpu::DeviceSpec, chain: &SelectChain) -> Result<Re
     let mut spans = Vec::new();
     for i in 0..chain.depth() {
         let sel = stage_sel(&cards, i);
-        let p = profiles::cpu_select(chain.row_bytes, sel);
+        let p = cost::cpu_select(chain.row_bytes, sel);
         let t = p.time(cpu, &launch, cards[i]);
         spans.push(kfusion_vgpu::des::Span {
             stream: 0,

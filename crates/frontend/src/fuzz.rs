@@ -20,7 +20,7 @@ use crate::lower::compile;
 use kfusion_core::exec::{execute, ExecConfig, Strategy};
 use kfusion_ir::opt::OptLevel;
 use kfusion_prng::Rng;
-use kfusion_relalg::{engine, Column, Relation};
+use kfusion_relalg::{bit_identical, engine, Column, Relation};
 use kfusion_vgpu::GpuSystem;
 use std::fmt;
 
@@ -274,19 +274,6 @@ pub fn gen_case(seed: u64, rows: usize) -> FuzzCase {
 // ---------------------------------------------------------------------------
 // Differential execution
 // ---------------------------------------------------------------------------
-
-fn bit_identical(a: &Relation, b: &Relation) -> bool {
-    if a.keys() != b.keys() || a.cols.len() != b.cols.len() {
-        return false;
-    }
-    a.cols.iter().zip(&b.cols).all(|(x, y)| match (x, y) {
-        (Column::I64(x), Column::I64(y)) => x == y,
-        (Column::F64(x), Column::F64(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
-        }
-        _ => false,
-    })
-}
 
 const STRATEGIES: [Strategy; 3] =
     [Strategy::Serial, Strategy::Fusion, Strategy::FusionFission { segments: 4 }];

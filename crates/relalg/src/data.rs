@@ -487,6 +487,22 @@ impl Relation {
     }
 }
 
+/// Bit-level relation equality: keys equal, column types equal, i64 values
+/// equal, f64 values equal *as bit patterns* (so `-0.0 != 0.0` and NaNs
+/// compare by payload).
+pub fn bit_identical(a: &Relation, b: &Relation) -> bool {
+    if a.keys() != b.keys() || a.n_cols() != b.n_cols() {
+        return false;
+    }
+    a.cols.iter().zip(&b.cols).all(|(x, y)| match (x, y) {
+        (Column::I64(x), Column::I64(y)) => x == y,
+        (Column::F64(x), Column::F64(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
+        }
+        _ => false,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,18 +10,15 @@
 //! global synchronization — which is exactly the structure kernel fusion
 //! interleaves (one partition + one gather per *fused* kernel).
 //!
-//! Every operator has two faces:
-//!
-//! * **Functional** ([`ops`]) — computes real results on host threads,
-//!   validated against the paper's Table I examples and by property tests.
-//! * **Cost** ([`profiles`]) — the [`kfusion_vgpu::KernelProfile`]s of its
-//!   CUDA-kernel-equivalents, which the executor in `kfusion-core` prices on
-//!   the virtual GPU.
+//! This crate is the host engine only: [`ops`] computes real results on
+//! host threads, validated against the paper's Table I examples and by
+//! property tests. It prices nothing; every kernel the virtual GPU charges
+//! is priced in `kfusion_core::cost`.
 //!
 //! Predicates and arithmetic expressions are `kfusion-ir` bodies
 //! ([`predicates`] has stock builders), so the *same* body that filters
-//! tuples functionally also supplies the instruction count its kernel is
-//! charged for — fusing predicates speeds up both stories coherently.
+//! tuples here also supplies the instruction count its kernel is charged
+//! for — fusing predicates speeds up both stories coherently.
 //!
 //! # Example
 //!
@@ -41,9 +38,8 @@ pub mod engine;
 pub mod gen;
 pub mod ops;
 pub mod predicates;
-pub mod profiles;
 pub mod scratch;
 pub mod view;
 
-pub use data::{Column, Keys, RelError, Relation};
+pub use data::{bit_identical, Column, Keys, RelError, Relation};
 pub use view::{materialize, View};

@@ -7,7 +7,7 @@
 //! implementation below executes literally that structure on host threads:
 //! `par_range_map` is partition+filter+buffer, the final concatenation is
 //! the gather. The first three stages are one CUDA kernel, the gather a
-//! second; [`crate::profiles`] prices them accordingly.
+//! second; `kfusion_core::cost` prices them accordingly.
 //!
 //! Predicates are evaluated by the vectorized batch engine when the body
 //! compiles against the relation's column types ([`crate::engine`]): a

@@ -4,10 +4,11 @@
 //!
 //! Both ends are timed: producers use [`BoundedQueue::push_timeout`] so an
 //! overloaded service rejects ([`crate::ServerError::Overloaded`]) instead
-//! of buffering without bound, and consumers use
-//! [`BoundedQueue::pop_timeout`] so admission windows and shutdown drains
-//! never block forever. [`BoundedQueue::close`] wakes everyone: queued
-//! items stay poppable (shutdown *drains*), new pushes are refused.
+//! of buffering without bound, and [`BoundedQueue::pop_timeout`] closes an
+//! admission window on time. A `Duration::MAX` timeout waits until an item
+//! arrives or the queue closes, which is how the service's threads idle.
+//! [`BoundedQueue::close`] wakes everyone: queued items stay poppable
+//! (shutdown *drains*), new pushes are refused.
 //!
 //! Sync primitives come from `kfusion_model::sync` — plain `std::sync`
 //! re-exports in production builds, the model-checker shim under

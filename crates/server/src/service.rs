@@ -43,9 +43,6 @@ use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// How long a blocked-but-not-closed queue end sleeps between re-checks.
-const POLL: Duration = Duration::from_millis(50);
-
 /// Lane carrying the retroactive `queue_wait` spans on the `server` track —
 /// far above the recorder's per-thread lane counter, so waits (which
 /// overlap freely) never interleave with a worker's own `execute` spans.
@@ -302,12 +299,22 @@ impl QueryService {
                 hub: hub_ref,
                 registry,
             };
-            let out = f(&client);
             // Drain, don't drop: admission flushes what is queued into
-            // final batches and then closes the dispatch queue itself.
-            subs.close();
-            out
+            // final batches and then closes the dispatch queue itself. The
+            // guard closes on every exit, so a panicking `f` lets the scope
+            // join its threads and re-raise the panic instead of hanging.
+            let _close = CloseOnDrop(subs);
+            f(&client)
         })
+    }
+}
+
+/// Closes its queue when dropped, unwinding included.
+struct CloseOnDrop<'a, T>(&'a BoundedQueue<T>);
+
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -318,13 +325,8 @@ fn admission_loop(
     dispatch: &BoundedQueue<GroupJob>,
     config: &ServerConfig,
 ) {
-    loop {
-        let mut first = match subs.pop_timeout(POLL) {
-            Pop::Item(x) => x,
-            Pop::TimedOut => continue,
-            // Closed is only returned once fully drained.
-            Pop::Closed => break,
-        };
+    // An unbounded wait ends only in an item or, once drained, `Closed`.
+    while let Pop::Item(mut first) = subs.pop_timeout(Duration::MAX) {
         let window_open = Instant::now();
         first.admitted_at = Some(window_open);
         let closes_at = window_open + config.window;
@@ -345,24 +347,15 @@ fn admission_loop(
         kfusion_trace::counter("kfusion_server_windows_total", 1);
         kfusion_trace::record_host_span("server", "batch_form", window_open);
         for members in group_by_shared_inputs(batch) {
-            push_until_placed(dispatch, GroupJob { members });
+            // Block until the dispatch queue takes the group — the
+            // backpressure path: admission stalls, the submission queue
+            // fills, submitters see `Overloaded`. Only admission closes the
+            // dispatch queue, so the push cannot be refused.
+            let placed = dispatch.push_timeout(GroupJob { members }, Duration::MAX);
+            assert!(placed.is_ok(), "dispatch closes only after admission exits");
         }
     }
     dispatch.close();
-}
-
-/// Block until the dispatch queue takes `job` — this is the backpressure
-/// path: admission stalls, the submission queue fills, submitters see
-/// `Overloaded`. Only admission closes the dispatch queue, so `Closed`
-/// cannot happen while it still holds a job.
-fn push_until_placed(dispatch: &BoundedQueue<GroupJob>, mut job: GroupJob) {
-    loop {
-        match dispatch.push_timeout(job, POLL) {
-            Ok(()) => return,
-            Err(PushError::Full(j)) => job = j,
-            Err(PushError::Closed(_)) => unreachable!("dispatch closes only after admission exits"),
-        }
-    }
 }
 
 /// The executor-input indices a plan scans, sorted and deduplicated.
@@ -420,22 +413,6 @@ fn group_by_shared_inputs(batch: Vec<Submission>) -> Vec<Vec<Submission>> {
     groups
 }
 
-/// `Ok` if [`merge_plans`] can splice `plan`: it passes
-/// [`PlanGraph::validate`] (nodes, arities, backward edges) and its root is
-/// one of its nodes. Plans arrive from clients, so this is an error reply,
-/// never a panic on the worker.
-fn well_formed(plan: &PlanGraph) -> Result<(), ServerError> {
-    plan.validate().map_err(CoreError::from)?;
-    if plan.root >= plan.len() {
-        return Err(ServerError::Exec(format!(
-            "invalid plan graph: root {} is not one of its {} nodes",
-            plan.root,
-            plan.len()
-        )));
-    }
-    Ok(())
-}
-
 /// A worker thread: pop groups, execute, route results.
 fn worker_loop(
     system: &GpuSystem,
@@ -444,12 +421,8 @@ fn worker_loop(
     hub: &StatsHub,
     dispatch: &BoundedQueue<GroupJob>,
 ) {
-    loop {
-        match dispatch.pop_timeout(POLL) {
-            Pop::Item(job) => run_group(system, tables, cache, hub, job.members),
-            Pop::TimedOut => continue,
-            Pop::Closed => break,
-        }
+    while let Pop::Item(job) = dispatch.pop_timeout(Duration::MAX) {
+        run_group(system, tables, cache, hub, job.members);
     }
 }
 
@@ -557,12 +530,14 @@ fn run_group(
             // execution.
             dispatch.close(hub, &m, RecordOutcome::DeadlineExceeded);
             let _ = m.reply.send(Err(ServerError::DeadlineExceeded));
-        } else if let Err(e) = well_formed(&m.plan) {
-            // Picked up and failed, as the checker fails it standalone: it
-            // counts as executed, so its closed record balances.
+        } else if let Err(e) = m.plan.validate() {
+            // A malformed plan — [`merge_plans`] could not splice it — is
+            // picked up and failed, as the checker fails it standalone: it
+            // counts as executed, so its closed record balances. Plans
+            // arrive from clients, so this is an error reply, never a panic.
             kfusion_trace::counter("kfusion_server_queries_executed_total", 1);
             dispatch.close(hub, &m, RecordOutcome::Failed);
-            let _ = m.reply.send(Err(e));
+            let _ = m.reply.send(Err(CoreError::from(e).into()));
         } else {
             live.push(m);
         }

@@ -23,6 +23,8 @@
 use crate::gen::{TpchDb, Q1_CUTOFF_DAY};
 use crate::q6::{DATE_HI, DATE_LO};
 use kfusion_frontend::{Catalog, ColType, TableSchema};
+/// Re-exported: callers compare served answers with it under this path.
+pub use kfusion_relalg::bit_identical;
 use kfusion_relalg::ops::pack_key2;
 use kfusion_relalg::{Column, Relation};
 
@@ -118,22 +120,6 @@ pub fn q1_packed_table(db: &TpchDb) -> Relation {
         ],
     )
     .expect("lineitem columns are rectangular")
-}
-
-/// Bit-level relation equality: keys equal, column types equal, i64 values
-/// equal, f64 values equal *as bit patterns* (so `-0.0 != 0.0` and NaNs
-/// compare by payload).
-pub fn bit_identical(a: &Relation, b: &Relation) -> bool {
-    if a.keys() != b.keys() || a.n_cols() != b.n_cols() {
-        return false;
-    }
-    a.cols.iter().zip(&b.cols).all(|(x, y)| match (x, y) {
-        (Column::I64(x), Column::I64(y)) => x == y,
-        (Column::F64(x), Column::F64(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
-        }
-        _ => false,
-    })
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | [`core`] | `kfusion-core` | fusion/fission passes, plan executor + schedule builder, micro-benchmark workload |
 //! | [`ir`] | `kfusion-ir` | kernel IR, optimizer (`O0`–`O3`), IR-level fusion |
-//! | [`relalg`] | `kfusion-relalg` | RA operators as multi-stage kernels + cost profiles |
+//! | [`relalg`] | `kfusion-relalg` | host engine: RA operators as multi-stage kernels |
 //! | [`vgpu`] | `kfusion-vgpu` | virtual GPU: device model, PCIe curves, DES scheduler |
 //! | [`streampool`] | `kfusion-streampool` | the paper's Stream Pool runtime (Table IV) |
 //! | [`tpch`] | `kfusion-tpch` | dbgen-lite + Q1/Q21/Q6 plans + reference executors |

@@ -319,6 +319,49 @@ fn service_fails_a_malformed_plan_and_keeps_its_worker() {
     assert_eq!((stats.submitted, stats.failed, stats.completed), (6, 4, 2));
 }
 
+/// A plan whose root is not one of its nodes is an error from `execute`,
+/// under the unfused and the fused strategies alike — not an index panic
+/// before the executor's per-node boundary.
+#[test]
+fn execute_rejects_a_plan_whose_root_is_not_a_node() {
+    let mut g = PlanGraph::new();
+    let i = g.input(0);
+    g.add(OpKind::Select { pred: predicates::key_lt(2) }, vec![i]);
+    g.root = 7;
+    let input = Relation::from_keys(vec![0, 1, 2, 3]);
+    for strat in [Strategy::Serial, Strategy::Fusion] {
+        let cfg = ExecConfig::new(strat, &sys());
+        match execute(&sys(), &g, std::slice::from_ref(&input), &cfg) {
+            Err(e) => {
+                let msg = e.to_string();
+                assert!(msg.contains("root 7 is not one of its 2 nodes"), "{strat:?}: {msg}");
+            }
+            Ok(_) => panic!("{strat:?} executed a plan rooted outside itself"),
+        }
+    }
+}
+
+/// A `serve` closure that panics shuts the service down and re-raises the
+/// panic; it used to leave admission and the workers waiting on an open
+/// queue, so `serve` never returned. A watchdog bounds the wait, so a hang
+/// fails the test instead of hanging it.
+#[test]
+fn a_panicking_serve_closure_shuts_the_service_down() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let tables = [Relation::from_keys(vec![0, 1, 2, 3])];
+        let cfg = ServerConfig::new(ExecConfig::new(Strategy::Fusion, &sys()));
+        let served = std::panic::catch_unwind(|| {
+            QueryService::serve(&sys(), &tables, &cfg, |_| panic!("client gave up"))
+        });
+        let _ = done.send(served.is_err());
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(30)) {
+        Ok(panicked) => assert!(panicked, "the closure's panic reaches the caller"),
+        Err(_) => panic!("serve did not return within 30 s of its closure panicking"),
+    }
+}
+
 /// One name per operator: the lint line that blames a fused group's members
 /// and the EXPLAIN tree of the same plan spell every node as
 /// `OpKind::name()` does — `ARITH+`, `COLJOIN`, `AGGREGATE*` included, which
