@@ -27,6 +27,16 @@ impl From<crate::token::LexError> for ParseError {
     }
 }
 
+/// The deepest expression tree the parser builds. Parentheses, unary minus
+/// and each operator of a chain add a level, and a deeper expression is a
+/// [`ParseError`] at the token that crosses the bound. The parser recurses
+/// three calls per parenthesis, and lowering the tree and dropping it
+/// recurse once per level, all on the caller's stack; 256 levels keeps the
+/// deepest of them far below the 2 MiB a spawned thread starts with, and far
+/// above any query written or generated in this workspace (the fuzzer's nest
+/// at most 3).
+pub const MAX_EXPR_DEPTH: usize = 256;
+
 /// Parse one query.
 pub fn parse(src: &str) -> Result<Query, ParseError> {
     let tokens = lex(src)?;
@@ -209,65 +219,80 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.term()?;
+        Ok(self.sum(0)?.0)
+    }
+
+    /// Fail unless a tree of `levels` levels is within [`MAX_EXPR_DEPTH`];
+    /// `pos` is the token that adds the last level.
+    fn within(&self, levels: usize, pos: usize) -> Result<(), ParseError> {
+        if levels <= MAX_EXPR_DEPTH {
+            return Ok(());
+        }
+        Err(ParseError { pos, message: format!("expression nests deeper than {MAX_EXPR_DEPTH}") })
+    }
+
+    /// A sum `depth` levels below the top of its tree, with its height in
+    /// levels.
+    fn sum(&mut self, depth: usize) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut height) = self.product(depth)?;
         loop {
             let op = match self.peek().kind {
                 TokenKind::Plus => BinOp::Add,
                 TokenKind::Minus => BinOp::Sub,
                 _ => break,
             };
-            self.bump();
-            let rhs = self.term()?;
+            let pos = self.bump().pos;
+            let (rhs, h) = self.product(depth)?;
+            height = height.max(h) + 1;
+            self.within(depth + height, pos)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn term(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.factor()?;
+    /// [`Parser::sum`] for a product.
+    fn product(&mut self, depth: usize) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut height) = self.factor(depth)?;
         loop {
             let op = match self.peek().kind {
                 TokenKind::Star => BinOp::Mul,
                 TokenKind::Slash => BinOp::Div,
                 _ => break,
             };
-            self.bump();
-            let rhs = self.factor()?;
+            let pos = self.bump().pos;
+            let (rhs, h) = self.factor(depth)?;
+            height = height.max(h) + 1;
+            self.within(depth + height, pos)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn factor(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().kind.clone() {
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::Int(v))
-            }
-            TokenKind::Float(v) => {
-                self.bump();
-                Ok(Expr::Float(v))
-            }
+    /// [`Parser::sum`] for a factor. A parenthesis and a unary minus are a
+    /// level each, checked before the parser recurses.
+    fn factor(&mut self, depth: usize) -> Result<(Expr, usize), ParseError> {
+        let leaf = match self.peek().kind.clone() {
+            TokenKind::Int(v) => Expr::Int(v),
+            TokenKind::Float(v) => Expr::Float(v),
+            TokenKind::Keyword(Keyword::Key) => Expr::Key,
+            TokenKind::Ident(name) => Expr::Column(name),
             TokenKind::Minus => {
-                self.bump();
-                Ok(Expr::Neg(Box::new(self.factor()?)))
-            }
-            TokenKind::Keyword(Keyword::Key) => {
-                self.bump();
-                Ok(Expr::Key)
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(Expr::Column(name))
+                let pos = self.bump().pos;
+                self.within(depth + 2, pos)?;
+                let (e, h) = self.factor(depth + 1)?;
+                return Ok((Expr::Neg(Box::new(e)), h + 1));
             }
             TokenKind::LParen => {
-                self.bump();
-                let e = self.expr()?;
+                let pos = self.bump().pos;
+                self.within(depth + 2, pos)?;
+                let (e, h) = self.sum(depth + 1)?;
                 self.expect(TokenKind::RParen)?;
-                Ok(e)
+                return Ok((e, h + 1));
             }
-            other => self.err(format!("expected expression, found {other:?}")),
-        }
+            other => return self.err(format!("expected expression, found {other:?}")),
+        };
+        self.bump();
+        Ok((leaf, 1))
     }
 }
 
@@ -390,5 +415,30 @@ mod tests {
         let q = parse("SELECT -a FROM t WHERE b < -5").unwrap();
         assert!(matches!(&q.items[0], Item::Expr { expr: Expr::Neg(_), .. }));
         assert_eq!(q.predicates[0].rhs, Expr::Neg(Box::new(Expr::Int(5))));
+    }
+
+    /// 100 000 nested parentheses, unary minus signs and terms of one sum
+    /// are each an error at the token past the bound, not a stack overflow;
+    /// each shape parses at the bound.
+    #[test]
+    fn deep_expressions_are_errors_up_to_the_bound() {
+        let parens = |k: usize| format!("SELECT {}a{} FROM t", "(".repeat(k), ")".repeat(k));
+        let minus = |k: usize| format!("SELECT {}a FROM t", "-".repeat(k));
+        let sum = |k: usize| format!("SELECT a{} FROM t", " + a".repeat(k));
+        // A leaf is one level; each parenthesis, minus or `+` one more.
+        let at_bound = MAX_EXPR_DEPTH - 1;
+        let shapes: [(&str, &dyn Fn(usize) -> String); 3] =
+            [("parens", &parens), ("minus", &minus), ("sum", &sum)];
+        for (shape, sql) in shapes {
+            assert!(parse(&sql(at_bound)).is_ok(), "{shape} at the bound");
+            let err = parse(&sql(at_bound + 1)).unwrap_err();
+            assert!(err.message.contains("deeper than"), "{shape}: {err}");
+            let err = parse(&sql(100_000)).unwrap_err();
+            assert!(err.message.contains("deeper than"), "{shape}: {err}");
+            assert!(err.pos < sql(100_000).len() / 2, "{shape}: stops early, at {}", err.pos);
+        }
+        // Predicates are bounded the same way, on both sides.
+        let deep = format!("SELECT a FROM t WHERE a < {}1{}", "(".repeat(300), ")".repeat(300));
+        assert!(parse(&deep).unwrap_err().message.contains("deeper than"));
     }
 }

@@ -3,22 +3,25 @@
 //! The per-element [`crate::interp::Machine`] pays boxed [`Value`] dispatch
 //! on every instruction of every tuple. This module removes that cost the
 //! same way the paper's fused kernels do: resolve every register to a static
-//! type *once*, then run each instruction as a tight loop over a whole batch
-//! of rows. A [`CompiledKernel`] uses the verifier's union-find inference
-//! ([`crate::verify::infer_with_slots`]), seeded with the bound column
-//! types, to assign one [`Ty`] per register; a [`BatchMachine`] then holds
-//! one typed columnar bank per register — `Vec<i64>`, `Vec<f64>`, or a
-//! `u64` bitmask for bools — and evaluates column-at-a-time over batches of
-//! [`BATCH_ROWS`] rows. Predicate outputs come back as selection bitmasks.
+//! type, and every operand to where its lanes live, *once*, then run the
+//! body over a whole batch of rows. A [`CompiledKernel`] uses the verifier's
+//! union-find inference ([`crate::verify::infer_with_slots`]), seeded with
+//! the bound column types, to assign one [`Ty`] per register, and lowers the
+//! body to steps: a constant is a splat with no bank, a loaded column is read
+//! where it is stored, identical instructions (and a `Copy` and its source)
+//! share one register, and a compare read only by a boolean `And` ANDs
+//! straight into that conjunction's mask words. A [`BatchMachine`] holds one
+//! typed columnar bank — `Vec<i64>`, `Vec<f64>`, or a `u64` bitmask for
+//! bools — per register a step writes, and runs each step as one loop over
+//! [`BATCH_ROWS`] lanes. Predicate outputs come back as selection bitmasks.
 //!
-//! The hottest instruction chains run as fused primitives instead (`Fused`):
-//! one pass from the input columns into the output banks — for a whole
-//! body, or for each output of a body spliced from several (a fused
-//! group's loop) that is a primitive on its own. The compare chain
-//! behind every Q1/Q6 SELECT (`cmp_chain`) is compiled twice, at the target's
-//! baseline width and for AVX2; the AVX2 build runs when the CPU reports the
-//! feature at run time. Both are the same source, so they give the same mask
-//! words. Nothing else in the workspace picks an instruction set.
+//! The runner is one body compiled twice, at the target's baseline width and
+//! for AVX2; the AVX2 build runs when the CPU reports the feature at run
+//! time. Both are the same source, so they give the same lanes. Nothing else
+//! in the workspace picks an instruction set. One shape keeps a loop of its
+//! own, matched on the whole body: Q1's discounted and charged price pair
+//! (`MoneyPair`), whose three column reads a step per instruction cannot
+//! overlap with its arithmetic.
 //!
 //! Semantics are bit-exact with [`crate::interp::eval`]: integer arithmetic
 //! wraps, `Div`/`Rem` by zero yield 0, shifts mask the amount to 6 bits,
@@ -36,8 +39,8 @@
 use crate::ir::{BinOp, CmpOp, Instr, KernelBody, Reg, UnOp};
 use crate::value::{Ty, Value};
 use crate::verify::{self, VerifyError};
+use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -118,13 +121,13 @@ impl ColRef<'_> {
     }
 }
 
-/// A body compiled for batch execution: the instruction list plus a single
-/// static [`Ty`] for every register, resolved against the caller's column
-/// types. Compile once per (body, binding); run over many batches.
+/// A body compiled for batch execution: its steps, a single static [`Ty`]
+/// for every register, resolved against the caller's column types, and
+/// where each operand's lanes live. Compile once per (body, binding); run
+/// over many batches.
 ///
-/// The instruction/output/type tables live behind `Arc`s, so cloning a
-/// compiled kernel is refcount bumps, never a per-clone duplication of the
-/// instruction vector.
+/// The tables live behind `Arc`s, so cloning a compiled kernel is refcount
+/// bumps, never a per-clone duplication of the steps.
 ///
 /// A kernel owns the [`BatchMachine`]s that run it: [`CompiledKernel::checkout`]
 /// hands one out of a pool its clones share and takes it back when the
@@ -132,17 +135,17 @@ impl ColRef<'_> {
 /// machine, and the machines are freed with the last clone of the kernel.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
-    instrs: Arc<[Instr]>,
+    /// The input slots the body loads, with the type it loads each as.
+    loads: Arc<[(u32, Ty)]>,
+    /// Each output's register, after value numbering.
     outputs: Arc<[Reg]>,
     reg_ty: Arc<[Ty]>,
-    /// The fused primitives that compute some of the outputs, each with the
-    /// first output it computes: the whole body's, or — a body spliced from
-    /// several — each output that is a primitive's shape and that no
-    /// instruction reads.
-    fused: Arc<[(usize, Fused)]>,
-    /// Whether instruction `i` runs on the generic path: an output no
-    /// primitive computes needs it.
-    generic: Arc<[bool]>,
+    /// Where the lanes of each register a step reads come from.
+    operands: Arc<[Operand]>,
+    steps: Arc<[Step]>,
+    /// The whole body's own loop, when it is Q1's price pair; `steps` is
+    /// then empty.
+    money: Option<MoneyPair>,
     /// The machines checked back in, each idle until its next checkout.
     machines: Arc<Mutex<Vec<BatchMachine>>>,
 }
@@ -162,14 +165,20 @@ impl CompiledKernel {
                 .enumerate()
                 .map(|(r, t)| t.ok_or(BatchError::Unresolved { reg: r as Reg }))
                 .collect::<Result<Vec<Ty>, BatchError>>()?;
-            let fused = Fused::recognize_outputs(&body.instrs, &body.outputs, &reg_ty);
-            let generic = generic_instrs(&body.instrs, &body.outputs, &fused);
+            let loads = (body.instrs.iter().zip(&reg_ty))
+                .filter_map(|(i, &ty)| match *i {
+                    Instr::LoadInput { slot } => Some((slot, ty)),
+                    _ => None,
+                })
+                .collect();
+            let lowered = Lowered::new(&body.instrs, &body.outputs, &reg_ty);
             Ok(CompiledKernel {
-                instrs: body.instrs.as_slice().into(),
-                outputs: body.outputs.as_slice().into(),
+                loads,
+                outputs: lowered.outputs.into(),
                 reg_ty: reg_ty.into(),
-                fused: fused.into(),
-                generic: generic.into(),
+                operands: lowered.operands.into(),
+                steps: lowered.steps.into(),
+                money: lowered.money,
                 machines: Arc::default(),
             })
         })();
@@ -191,16 +200,6 @@ impl CompiledKernel {
         Checkout { kernel: self, machine: Some(idle.unwrap_or_else(|| BatchMachine::new(self))) }
     }
 
-    /// Name of the first recognized multi-op fused primitive, if any — for
-    /// tests and EXPLAIN-style introspection.
-    pub fn fused_primitive(&self) -> Option<&'static str> {
-        self.fused.first().map(|(_, f)| match f {
-            Fused::PackI64 { .. } => "pack_i64",
-            Fused::MoneyPair { .. } => "money_pair",
-            Fused::CmpChain { .. } => "cmp_chain",
-        })
-    }
-
     /// Number of output slots.
     pub fn n_outputs(&self) -> usize {
         self.outputs.len()
@@ -216,13 +215,10 @@ impl CompiledKernel {
     /// slots the body never loads need no column (mirroring the scalar
     /// interpreter, which only errors on executed `LoadInput`s).
     pub fn check_binding(&self, cols: &[ColRef<'_>]) -> Result<(), BatchError> {
-        for (r, instr) in self.instrs.iter().enumerate() {
-            if let Instr::LoadInput { slot } = *instr {
-                let expected = self.reg_ty[r];
-                match cols.get(slot as usize) {
-                    Some(c) if c.ty() == expected => {}
-                    _ => return Err(BatchError::Binding { slot, expected }),
-                }
+        for &(slot, expected) in self.loads.iter() {
+            match cols.get(slot as usize) {
+                Some(c) if c.ty() == expected => {}
+                _ => return Err(BatchError::Binding { slot, expected }),
             }
         }
         Ok(())
@@ -258,198 +254,187 @@ impl Drop for Checkout<'_> {
     }
 }
 
-/// A hardcoded multi-op fused primitive: one of the hottest Q1/Q6
-/// instruction chains, recognized at compile time and executed as a single
-/// pass over the input columns instead of one bank sweep per instruction.
-///
-/// Every variant is bit-exact with the generic interpretation: the fused
-/// loop performs the same operations on the same operands in the same
-/// order (`MoneyPair` reuses the discounted price the generic path
-/// recomputes, but a repeated identical f64 expression yields identical
-/// bits, so sharing it is observationally invisible).
-#[derive(Debug, Clone, PartialEq)]
-enum Fused {
-    /// `out0 = in[a] * mul + in[b]` over i64 (Q1's group-code pack).
-    PackI64 { a: u32, mul: i64, b: u32 },
-    /// `out0 = p * (c_sub - d)`, `out1 = out0 * (c_add + t)` over f64
-    /// (Q1's discounted/charged price pair).
-    MoneyPair { price: u32, disc: u32, tax: u32, c_sub: f64, c_add: f64 },
-    /// `out0 = term_0 && term_1 && ...`, each term `in[slot] <op> const` or
-    /// `in[slot] <op> in[slot']` (every Q1/Q6 SELECT predicate, including
-    /// the two-sided range, and Q21's column-against-column filters).
-    CmpChain { terms: Vec<CmpTerm> },
-}
-
-/// One comparison of a `CmpChain`: `in[slot] <op> rhs`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CmpTerm {
-    slot: u32,
-    op: CmpOp,
-    rhs: CmpRhs,
-}
-
-/// The right-hand side of a [`CmpTerm`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CmpRhs {
-    /// A constant (`i64` or `f64`, the type of the left column).
-    Const(Value),
-    /// Another input slot of the same type.
+/// Where the lanes of a register come from.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    /// A constant: every lane the same, and no bank.
+    Splat(Value),
+    /// An input slot, read where it is stored: a window of the column, or
+    /// for a row-id slot the bank its load fills.
     Slot(u32),
+    /// The bank a step writes.
+    Bank,
 }
 
-/// The instructions the outputs no primitive of `fused` computes need.
-fn generic_instrs(instrs: &[Instr], outputs: &[Reg], fused: &[(usize, Fused)]) -> Vec<bool> {
-    let covered =
-        |o: usize| fused.iter().any(|(first, f)| (*first..first + f.outputs()).contains(&o));
-    let mut generic = vec![false; instrs.len()];
-    let mut needed: Vec<Reg> =
-        outputs.iter().enumerate().filter(|&(o, _)| !covered(o)).map(|(_, &r)| r).collect();
-    while let Some(r) = needed.pop() {
-        if !std::mem::replace(&mut generic[r as usize], true) {
-            instrs[r as usize].for_each_operand(|x| needed.push(x));
-        }
-    }
-    generic
+/// One step of a lowered body, writing the bank of register `dst`.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Load an input slot into `dst`'s bank: a row-id slot's numbers
+    /// always, a stored column only when `dst` is an output (`copy`).
+    Load { dst: Reg, slot: u32, copy: bool },
+    /// `dst = instr`, lanes at a time: an arithmetic, unary, select or cast
+    /// instruction with its operands value-numbered.
+    Eval { dst: Reg, instr: Instr },
+    /// `dst` = every lane set, each term ANDed in: a compare, or a boolean
+    /// `And` with the compares and `And`s that only it reads.
+    All { dst: Reg, terms: Box<[Term]> },
 }
 
-impl Fused {
-    /// How many outputs, from its first, the primitive computes.
-    fn outputs(&self) -> usize {
-        match self {
-            Fused::MoneyPair { .. } => 2,
-            Fused::PackI64 { .. } | Fused::CmpChain { .. } => 1,
+impl Step {
+    fn dst(&self) -> Reg {
+        match *self {
+            Step::Load { dst, .. } | Step::Eval { dst, .. } | Step::All { dst, .. } => dst,
         }
     }
+}
 
-    /// The primitives that compute `outputs`: one for the whole body, or one
-    /// per output that is a primitive on its own and that no instruction
-    /// reads (a body spliced from several members' bodies, each output one
-    /// member's).
-    fn recognize_outputs(instrs: &[Instr], outputs: &[Reg], reg_ty: &[Ty]) -> Vec<(usize, Fused)> {
-        if let Some(f) = Fused::recognize(instrs, outputs, reg_ty) {
-            return vec![(0, f)];
+/// One term of a [`Step::All`].
+#[derive(Debug, Clone, Copy)]
+enum Term {
+    /// `lhs <op> rhs`, one bit per lane.
+    Cmp { op: CmpOp, lhs: Reg, rhs: Reg },
+    /// The mask words of a boolean register.
+    Mask(Reg),
+}
+
+/// `out0 = p * (c_sub - d)`, `out1 = out0 * (c_add + t)` over `f64` input
+/// slots (Q1's discounted and charged price): one pass that reads its three
+/// columns once and shares the discounted price, as value numbering shares
+/// the subtree the builder emits twice.
+#[derive(Debug, Clone, Copy)]
+struct MoneyPair {
+    price: u32,
+    disc: u32,
+    tax: u32,
+    c_sub: f64,
+    c_add: f64,
+}
+
+/// A body lowered to steps: [`CompiledKernel::compile`]'s one pass.
+struct Lowered {
+    outputs: Vec<Reg>,
+    operands: Vec<Operand>,
+    steps: Vec<Step>,
+    money: Option<MoneyPair>,
+}
+
+impl Lowered {
+    fn new(instrs: &[Instr], outputs: &[Reg], reg_ty: &[Ty]) -> Lowered {
+        // Value numbering: an instruction identical to an earlier one (its
+        // operands numbered first, constants by bits) or a `Copy` is that
+        // register. Identical operations on identical operands give
+        // identical bits, so sharing one is invisible.
+        let mut body = instrs.to_vec();
+        let mut canon: Vec<Reg> = Vec::with_capacity(instrs.len());
+        let mut seen: HashMap<Instr, Reg> = HashMap::new();
+        for (r, instr) in body.iter_mut().enumerate() {
+            instr.map_operands(|x| canon[x as usize]);
+            canon.push(match *instr {
+                Instr::Copy { src } => src,
+                _ => *seen.entry(*instr).or_insert(r as Reg),
+            });
         }
-        let mut read = vec![false; instrs.len()];
-        for instr in instrs {
-            instr.for_each_operand(|r| read[r as usize] = true);
+        let outputs: Vec<Reg> = outputs.iter().map(|&o| canon[o as usize]).collect();
+        let money = MoneyPair::recognize(&body, &outputs);
+
+        // The registers the outputs need, and how many times each is read.
+        let n = body.len();
+        let (mut live, mut reads, mut reader) = (vec![false; n], vec![0u32; n], vec![0; n]);
+        let mut output = vec![false; n];
+        let mut todo = outputs.clone();
+        for &o in &outputs {
+            output[o as usize] = true;
         }
-        let alone = |o: usize| {
-            let out = &outputs[o..o + 1];
-            Fused::recognize(instrs, out, reg_ty)
-                .filter(|_| outputs.len() > 1 && !read[out[0] as usize])
+        while let Some(r) = todo.pop() {
+            if !std::mem::replace(&mut live[r as usize], true) {
+                body[r as usize].for_each_operand(|x| {
+                    reads[x as usize] += 1;
+                    reader[x as usize] = r;
+                    todo.push(x);
+                });
+            }
+        }
+        // A conjunct: a compare or boolean `And` that is no output and is
+        // read once, by a boolean `And`, which ANDs it into its own words.
+        let bool_and = |r: usize| {
+            matches!(body[r], Instr::Bin { op: BinOp::And, .. }) && reg_ty[r] == Ty::Bool
         };
-        (0..outputs.len()).filter_map(|o| alone(o).map(|f| (o, f))).collect()
-    }
+        let conjunct = |r: usize| {
+            (bool_and(r) || matches!(body[r], Instr::Cmp { .. }))
+                && !output[r]
+                && reads[r] == 1
+                && bool_and(reader[r] as usize)
+        };
 
-    fn recognize(instrs: &[Instr], outputs: &[Reg], reg_ty: &[Ty]) -> Option<Fused> {
-        let load = |r: Reg| match instrs[r as usize] {
+        let mut operands = vec![Operand::Bank; n];
+        let mut steps = Vec::new();
+        for r in (0..n).filter(|&r| live[r] && money.is_none()) {
+            let dst = r as Reg;
+            match body[r] {
+                Instr::Const { value } => operands[r] = Operand::Splat(value),
+                Instr::LoadInput { slot } => {
+                    operands[r] = Operand::Slot(slot);
+                    if reg_ty[r] == Ty::I64 || output[r] {
+                        steps.push(Step::Load { dst, slot, copy: output[r] });
+                    }
+                }
+                _ if conjunct(r) => {}
+                Instr::Cmp { .. } | Instr::Bin { op: BinOp::And, .. } if reg_ty[r] == Ty::Bool => {
+                    let mut terms = Vec::new();
+                    let mut todo = vec![dst];
+                    while let Some(x) = todo.pop() {
+                        match body[x as usize] {
+                            Instr::Cmp { op, lhs, rhs } => terms.push(Term::Cmp { op, lhs, rhs }),
+                            Instr::Bin { lhs, rhs, .. } => {
+                                for y in [rhs, lhs] {
+                                    if conjunct(y as usize) {
+                                        todo.push(y);
+                                    } else {
+                                        terms.push(Term::Mask(y));
+                                    }
+                                }
+                            }
+                            _ => unreachable!("a conjunct is a compare or an And"),
+                        }
+                    }
+                    steps.push(Step::All { dst, terms: terms.into() });
+                }
+                instr => steps.push(Step::Eval { dst, instr }),
+            }
+        }
+        Lowered { outputs, operands, steps, money }
+    }
+}
+
+impl MoneyPair {
+    /// The pair, when the value-numbered body's two outputs are its shape.
+    fn recognize(body: &[Instr], outputs: &[Reg]) -> Option<MoneyPair> {
+        let load = |r: Reg| match body[r as usize] {
             Instr::LoadInput { slot } => Some(slot),
             _ => None,
         };
-        let const_i64 = |r: Reg| match instrs[r as usize] {
-            Instr::Const { value: Value::I64(c) } => Some(c),
+        // `c <op> in[slot]`, `c` an f64 constant.
+        let const_with = |r: Reg, want: BinOp| match body[r as usize] {
+            Instr::Bin { op, lhs, rhs } if op == want => match body[lhs as usize] {
+                Instr::Const { value: Value::F64(c) } => Some((c, load(rhs)?)),
+                _ => None,
+            },
             _ => None,
         };
-        let const_f64 = |r: Reg| match instrs[r as usize] {
-            Instr::Const { value: Value::F64(c) } => Some(c),
-            _ => None,
+        let &[o0, o1] = outputs else { return None };
+        let (
+            Instr::Bin { op: BinOp::Mul, lhs: price, rhs: sub },
+            Instr::Bin { op: BinOp::Mul, lhs: discounted, rhs: add },
+        ) = (body[o0 as usize], body[o1 as usize])
+        else {
+            return None;
         };
-        // out = load(a) * mul + load(b), all i64.
-        let pack = |r: Reg| -> Option<Fused> {
-            if reg_ty[r as usize] != Ty::I64 {
-                return None;
-            }
-            let (sum_l, sum_r) = match instrs[r as usize] {
-                Instr::Bin { op: BinOp::Add, lhs, rhs } => (lhs, rhs),
-                _ => return None,
-            };
-            let (mul_l, mul_r) = match instrs[sum_l as usize] {
-                Instr::Bin { op: BinOp::Mul, lhs, rhs } => (lhs, rhs),
-                _ => return None,
-            };
-            let (a, mul) = match (load(mul_l), const_i64(mul_r), const_i64(mul_l), load(mul_r)) {
-                (Some(a), Some(m), _, _) => (a, m),
-                (_, _, Some(m), Some(a)) => (a, m),
-                _ => return None,
-            };
-            Some(Fused::PackI64 { a, mul, b: load(sum_r)? })
-        };
-        // dp(r) = load(price) * (c_sub - load(disc)), all f64.
-        let discounted = |r: Reg| -> Option<(u32, u32, f64)> {
-            let (p_reg, sub_reg) = match instrs[r as usize] {
-                Instr::Bin { op: BinOp::Mul, lhs, rhs } => (lhs, rhs),
-                _ => return None,
-            };
-            let (c_reg, d_reg) = match instrs[sub_reg as usize] {
-                Instr::Bin { op: BinOp::Sub, lhs, rhs } => (lhs, rhs),
-                _ => return None,
-            };
-            Some((load(p_reg)?, load(d_reg)?, const_f64(c_reg)?))
-        };
-        let money = |o0: Reg, o1: Reg| -> Option<Fused> {
-            if reg_ty[o0 as usize] != Ty::F64 || reg_ty[o1 as usize] != Ty::F64 {
-                return None;
-            }
-            let (price, disc, c_sub) = discounted(o0)?;
-            let (dp_reg, add_reg) = match instrs[o1 as usize] {
-                Instr::Bin { op: BinOp::Mul, lhs, rhs } => (lhs, rhs),
-                _ => return None,
-            };
-            // The naive builder re-emits the discounted-price subtree; it
-            // must match out0's exactly for the fused sharing to be sound.
-            let (p2, d2, c2) = discounted(dp_reg)?;
-            if (p2, d2, c2.to_bits()) != (price, disc, c_sub.to_bits()) {
-                return None;
-            }
-            let (ca_reg, t_reg) = match instrs[add_reg as usize] {
-                Instr::Bin { op: BinOp::Add, lhs, rhs } => (lhs, rhs),
-                _ => return None,
-            };
-            Some(Fused::MoneyPair {
-                price,
-                disc,
-                tax: load(t_reg)?,
-                c_sub,
-                c_add: const_f64(ca_reg)?,
-            })
-        };
-        // Conjunction tree of `load <op> const` and `load <op> load`
-        // comparisons, bool result.
-        fn chain_terms(instrs: &[Instr], r: Reg, terms: &mut Vec<CmpTerm>) -> bool {
-            match instrs[r as usize] {
-                Instr::Bin { op: BinOp::And, lhs, rhs } => {
-                    chain_terms(instrs, lhs, terms) && chain_terms(instrs, rhs, terms)
-                }
-                Instr::Cmp { op, lhs, rhs } => {
-                    let operand = |x: Reg| match instrs[x as usize] {
-                        Instr::LoadInput { slot } => Some(CmpRhs::Slot(slot)),
-                        Instr::Const { value: v @ (Value::I64(_) | Value::F64(_)) } => {
-                            Some(CmpRhs::Const(v))
-                        }
-                        _ => None,
-                    };
-                    let term = match (operand(lhs), operand(rhs)) {
-                        (Some(CmpRhs::Slot(slot)), Some(rhs)) => CmpTerm { slot, op, rhs },
-                        (Some(lhs @ CmpRhs::Const(_)), Some(CmpRhs::Slot(slot))) => {
-                            CmpTerm { slot, op: op.swapped(), rhs: lhs }
-                        }
-                        _ => return false,
-                    };
-                    terms.push(term);
-                    true
-                }
-                _ => false,
-            }
+        if discounted != o0 {
+            return None;
         }
-        match outputs {
-            [o] if reg_ty[*o as usize] == Ty::Bool => {
-                let mut terms = Vec::new();
-                chain_terms(instrs, *o, &mut terms).then_some(Fused::CmpChain { terms })
-            }
-            [o] => pack(*o),
-            [o0, o1] => money(*o0, *o1),
-            _ => None,
-        }
+        let (c_sub, disc) = const_with(sub, BinOp::Sub)?;
+        let (c_add, tax) = const_with(add, BinOp::Add)?;
+        Some(MoneyPair { price: load(price)?, disc, tax, c_sub, c_add })
     }
 }
 
@@ -471,37 +456,14 @@ impl Bank {
     }
 }
 
-/// The lanes of a register that has a bank: an output, a register the
-/// generic path writes or splats, or an `i64` load ([`BatchMachine::new`]).
+/// The lanes of a register that has a bank: an output, or a step's
+/// destination ([`BatchMachine::new`]).
 fn view(bank: &Option<Bank>) -> BankView<'_> {
     match bank {
         Some(Bank::I64(v)) => BankView::I64(v),
         Some(Bank::F64(v)) => BankView::F64(v),
         Some(Bank::Bool(v)) => BankView::Bool(v),
         None => unreachable!("the register has no bank"),
-    }
-}
-
-impl<'a> BankView<'a> {
-    fn as_i64(self) -> &'a [i64] {
-        match self {
-            BankView::I64(v) => v,
-            _ => unreachable!("typed compile guarantees i64 lanes"),
-        }
-    }
-
-    fn as_f64(self) -> &'a [f64] {
-        match self {
-            BankView::F64(v) => v,
-            _ => unreachable!("typed compile guarantees f64 lanes"),
-        }
-    }
-
-    fn as_mask(self) -> &'a [u64] {
-        match self {
-            BankView::Bool(v) => v,
-            _ => unreachable!("typed compile guarantees a bool mask"),
-        }
     }
 }
 
@@ -605,281 +567,53 @@ impl Scratch {
     }
 }
 
-/// Reusable batch evaluation state for one [`CompiledKernel`]: a typed
-/// bank for each register a run writes or a generic instruction reads from
-/// one, with constant banks splatted once at construction. One per thread
-/// that runs the kernel at once, checked out of the kernel's pool
-/// ([`CompiledKernel::checkout`]).
-#[derive(Debug, Clone)]
-pub struct BatchMachine {
-    banks: Vec<Option<Bank>>,
+/// The lanes of one operand over a run's rows, as [`CompiledKernel::compile`]
+/// resolved it: a window of a stored column or of a bank, or a constant.
+#[derive(Clone, Copy)]
+enum Lanes<'a> {
+    I64(&'a [i64]),
+    /// A key column, read as `i64` lanes.
+    Key(&'a [u64]),
+    F64(&'a [f64]),
+    /// Boolean lanes, as mask words.
+    Mask(&'a [u64]),
+    Splat(Value),
 }
 
-impl BatchMachine {
-    /// Allocate banks for `k` and pre-splat its constants. A register gets
-    /// one when it is an output, a generic-path instruction or constant, or
-    /// an `i64` load — a key or row-id slot is loaded into its bank. An
-    /// `f64` load is read in place, and what only a fused primitive
-    /// computes, or reads as a constant, never leaves it.
-    pub fn new(k: &CompiledKernel) -> Self {
-        let banked = |r: usize| match k.instrs[r] {
-            Instr::LoadInput { .. } => k.reg_ty[r] == Ty::I64,
-            _ => k.generic[r],
-        };
-        let banks = (0..k.instrs.len())
-            .map(|r| {
-                (banked(r) || k.outputs.contains(&(r as Reg))).then(|| Bank::for_ty(k.reg_ty[r]))
-            })
-            .collect();
-        let mut m = BatchMachine { banks };
-        m.splat_consts(k);
-        m
-    }
-
-    fn splat_consts(&mut self, k: &CompiledKernel) {
-        for (r, instr) in k.instrs.iter().enumerate() {
-            if let (Instr::Const { value }, Some(bank)) = (*instr, &mut self.banks[r]) {
-                match (bank, value) {
-                    (Bank::I64(d), Value::I64(c)) => d.fill(c),
-                    (Bank::F64(d), Value::F64(c)) => d.fill(c),
-                    (Bank::Bool(d), Value::Bool(c)) => d.fill(if c { u64::MAX } else { 0 }),
-                    _ => unreachable!("const bank type mismatch"),
-                }
-            }
+impl<'a> Lanes<'a> {
+    /// The first `n` lanes of a bank.
+    fn of(bank: &'a Option<Bank>, n: usize) -> Lanes<'a> {
+        match view(bank) {
+            BankView::I64(v) => Lanes::I64(&v[..n]),
+            BankView::F64(v) => Lanes::F64(&v[..n]),
+            BankView::Bool(v) => Lanes::Mask(&v[..n.div_ceil(64)]),
         }
     }
 
-    /// Fill every bank with sentinel garbage, then re-splat `k`'s constant
-    /// banks. Leaves the machine in the worst legal state reuse can hand a
-    /// batch: nothing zeroed, every stale lane poisoned.
-    pub fn poison(&mut self, k: &CompiledKernel) {
-        for bank in self.banks.iter_mut().flatten() {
-            match bank {
-                Bank::I64(d) => d.fill(POISON_I64),
-                Bank::F64(d) => d.fill(f64::from_bits(POISON_F64_BITS)),
-                Bank::Bool(d) => d.fill(POISON_MASK),
-            }
-        }
-        self.splat_consts(k);
-    }
-
-    /// Evaluate `k` over rows `base .. base + n` of `cols` (`n` at most
-    /// [`BATCH_ROWS`]), leaving each register's lanes in its bank.
-    ///
-    /// The binding must satisfy [`CompiledKernel::check_binding`]; this
-    /// method panics on a mismatched binding rather than reporting it.
-    ///
-    /// Counts one `kfusion_batch_batches_total` tick per call (a relaxed
-    /// atomic load when tracing is off — the cost `tests/host_clock.rs`
-    /// holds under 2 % of a batch).
-    pub fn run(&mut self, k: &CompiledKernel, cols: &[ColRef<'_>], base: usize, n: usize) {
-        kfusion_trace::counter("kfusion_batch_batches_total", 1);
-        debug_assert!(n <= BATCH_ROWS);
-        if scratch_poison() {
-            self.poison(k);
-        }
-        self.run_generic(k, cols, base, n);
-        for (first, f) in k.fused.iter() {
-            self.run_fused(f, *first, k, cols, base, n);
-        }
-    }
-
-    /// The instructions the generic path runs, each a typed sweep over the
-    /// batch's lanes.
-    fn run_generic(&mut self, k: &CompiledKernel, cols: &[ColRef<'_>], base: usize, n: usize) {
-        // An i64 or f64 column a body loads is read where it is, its
-        // register's bank (if any) left unused — unless the register is an
-        // output, which callers read from its bank.
-        let in_place = |r: usize| {
-            match k.instrs[r] {
-                Instr::LoadInput { slot } => match cols[slot as usize] {
-                    ColRef::I64(s) => Some(BankView::I64(&s[base..base + n])),
-                    ColRef::F64(s) => Some(BankView::F64(&s[base..base + n])),
-                    ColRef::KeyU64(_) | ColRef::RowIds(_) => None,
-                },
-                _ => None,
-            }
-            .filter(|_| !k.outputs.contains(&(r as Reg)))
-        };
-        for (i, instr) in k.instrs.iter().enumerate().filter(|&(i, _)| k.generic[i]) {
-            // Constants are splatted at construction, and a column read in
-            // place is not loaded.
-            if matches!(instr, Instr::Const { .. }) || in_place(i).is_some() {
-                continue;
-            }
-            let (prev, rest) = self.banks.split_at_mut(i);
-            let dst = rest[0].as_mut().expect("the generic path writes a banked register");
-            let read = |r: Reg| in_place(r as usize).unwrap_or_else(|| view(&prev[r as usize]));
-            match *instr {
-                Instr::Const { .. } => unreachable!("splatted at construction"),
-                Instr::LoadInput { slot } => load(dst, cols[slot as usize], base, n),
-                Instr::Copy { src } => copy_bank(dst, read(src), n),
-                Instr::Bin { op, lhs, rhs } => bin(dst, op, read(lhs), read(rhs), n),
-                Instr::Un { op, arg } => un(dst, op, read(arg), n),
-                Instr::Cmp { op, lhs, rhs } => cmp(dst, op, read(lhs), read(rhs), n),
-                Instr::Select { cond, then_r, else_r } => {
-                    select(dst, read(cond).as_mask(), read(then_r), read(else_r), n)
-                }
-                Instr::Cast { ty: _, arg } => cast(dst, read(arg), n),
-            }
-        }
-    }
-
-    /// Execute a recognized [`Fused`] primitive: a single pass straight
-    /// from the input columns into the output banks, skipping per-instr
-    /// bank sweeps entirely. Nothing in here allocates — this is the
-    /// steady-state inner loop the allocation gate measures.
-    fn run_fused(
-        &mut self,
-        f: &Fused,
-        first: usize,
-        k: &CompiledKernel,
-        cols: &[ColRef<'_>],
-        base: usize,
-        n: usize,
-    ) {
-        // A row-id slot is loaded as the generic path loads it, into its
-        // `LoadInput` register's bank — unused by a fused primitive
-        // otherwise — and read from there like a stored column.
-        for (r, instr) in k.instrs.iter().enumerate() {
-            if let Instr::LoadInput { slot } = *instr {
-                if let col @ ColRef::RowIds(_) = cols[slot as usize] {
-                    load(self.banks[r].as_mut().expect("an i64 load has a bank"), col, base, n);
-                }
-            }
-        }
-        // SSA: every `LoadInput` register is below the output it feeds.
-        let (loaded, out) = self.banks.split_at_mut(k.outputs[first] as usize);
-        let batch = Batch { cols, rows: base..base + n, instrs: &k.instrs, banks: loaded };
-        match f {
-            Fused::PackI64 { a, mul, b } => {
-                let d = match &mut out[0] {
-                    Some(Bank::I64(d)) => &mut d[..n],
-                    _ => unreachable!("pack output is i64"),
-                };
-                match (batch.lanes(*a), batch.lanes(*b)) {
-                    (ColRef::I64(a), ColRef::I64(b)) => pack(d, a, *mul, b),
-                    (ColRef::I64(a), ColRef::KeyU64(b)) => pack(d, a, *mul, b),
-                    (ColRef::KeyU64(a), ColRef::I64(b)) => pack(d, a, *mul, b),
-                    (ColRef::KeyU64(a), ColRef::KeyU64(b)) => pack(d, a, *mul, b),
-                    _ => unreachable!("binding checked by CompiledKernel::check_binding"),
-                }
-            }
-            Fused::MoneyPair { price, disc, tax, c_sub, c_add } => {
-                let (o0, o1) = (k.outputs[first] as usize, k.outputs[first + 1] as usize);
-                // SSA: out1's defining Mul reads registers above out0's
-                // whole subtree, so o0 < o1 always holds here.
-                let (lo, hi) = out.split_at_mut(o1 - o0);
-                let (d0, d1) = match (&mut lo[0], &mut hi[0]) {
-                    (Some(Bank::F64(d0)), Some(Bank::F64(d1))) => (&mut d0[..n], &mut d1[..n]),
-                    _ => unreachable!("money outputs are f64"),
-                };
-                let p = f64_lanes(cols[*price as usize]);
-                let dc = f64_lanes(cols[*disc as usize]);
-                let t = f64_lanes(cols[*tax as usize]);
-                for j in 0..n {
-                    let dp = p[base + j] * (c_sub - dc[base + j]);
-                    d0[j] = dp;
-                    d1[j] = dp * (c_add + t[base + j]);
-                }
-            }
-            Fused::CmpChain { terms } => {
-                let d = match &mut out[0] {
-                    Some(Bank::Bool(d)) => &mut d[..n.div_ceil(64)],
-                    _ => unreachable!("predicate output is bool"),
-                };
-                #[cfg(target_arch = "x86_64")]
-                if std::is_x86_feature_detected!("avx2") {
-                    // SAFETY: `cmp_chain_avx2` is compiled for AVX2 alone,
-                    // and the CPU running this line has just reported it.
-                    unsafe { cmp_chain_avx2(d, terms, &batch) };
-                    return;
-                }
-                cmp_chain(d, terms, &batch);
-            }
-        }
-    }
-
-    /// View output slot `idx` after a run.
-    pub fn output(&self, k: &CompiledKernel, idx: usize) -> BankView<'_> {
-        view(&self.banks[k.outputs[idx] as usize])
-    }
-
-    /// The selection bitmask of a predicate's output slot 0; panics if the
-    /// output is not boolean (check [`CompiledKernel::output_ty`] first).
-    pub fn selection_mask(&self, k: &CompiledKernel) -> &[u64] {
-        view(&self.banks[k.outputs[0] as usize]).as_mask()
-    }
-}
-
-fn load(dst: &mut Bank, col: ColRef<'_>, base: usize, n: usize) {
-    match (dst, col) {
-        (Bank::I64(d), ColRef::I64(s)) => d[..n].copy_from_slice(&s[base..base + n]),
-        (Bank::F64(d), ColRef::F64(s)) => d[..n].copy_from_slice(&s[base..base + n]),
-        (Bank::I64(d), ColRef::KeyU64(s)) => {
-            for (dj, &sj) in d[..n].iter_mut().zip(&s[base..base + n]) {
-                *dj = sj as i64;
-            }
-        }
-        (Bank::I64(d), ColRef::RowIds(len)) => {
-            debug_assert!(base + n <= len);
-            fill_row_ids(&mut d[..n], base);
-        }
-        _ => unreachable!("binding checked by CompiledKernel::check_binding"),
-    }
-}
-
-/// `d[j] = base + j`: the row numbers a [`ColRef::RowIds`] slot loads.
-fn fill_row_ids(d: &mut [i64], base: usize) {
-    for (j, dj) in d.iter_mut().enumerate() {
-        *dj = (base + j) as i64;
-    }
-}
-
-/// The rows one fused run covers: the bound columns, the base rows of the
-/// batch, and the kernel's instructions with the banks below its output —
-/// where a [`ColRef::RowIds`] slot's `LoadInput` register holds the rows'
-/// numbers.
-struct Batch<'b> {
-    cols: &'b [ColRef<'b>],
-    rows: Range<usize>,
-    instrs: &'b [Instr],
-    banks: &'b [Option<Bank>],
-}
-
-impl<'b> Batch<'b> {
-    /// Slot `slot` over the batch's rows, lane `j` = base row
-    /// `rows.start + j`: a window of a stored column, or the row numbers
-    /// loaded into the slot's register.
-    #[inline(always)]
-    fn lanes(&self, slot: u32) -> ColRef<'b> {
-        let rows = self.rows.clone();
-        match self.cols[slot as usize] {
-            ColRef::I64(s) => ColRef::I64(&s[rows]),
-            ColRef::F64(s) => ColRef::F64(&s[rows]),
-            ColRef::KeyU64(s) => ColRef::KeyU64(&s[rows]),
-            ColRef::RowIds(_) => {
-                let load = Instr::LoadInput { slot };
-                let r = self.instrs.iter().position(|i| *i == load).expect("a slot read is loaded");
-                ColRef::I64(&view(&self.banks[r]).as_i64()[..rows.len()])
-            }
+    fn ty(self) -> Ty {
+        match self {
+            Lanes::I64(_) | Lanes::Key(_) => Ty::I64,
+            Lanes::F64(_) => Ty::F64,
+            Lanes::Mask(_) => Ty::Bool,
+            Lanes::Splat(v) => v.ty(),
         }
     }
 }
 
-fn f64_lanes<'a>(col: ColRef<'a>) -> &'a [f64] {
-    match col {
-        ColRef::F64(s) => s,
-        _ => unreachable!("binding checked by CompiledKernel::check_binding"),
-    }
+/// An operand's lanes as a loop reads them. Every (operator, lane kind)
+/// pair is its own loop, with no per-lane dispatch.
+trait Src: Copy {
+    type V: Copy;
+    /// Lane `j`.
+    fn at(self, j: usize) -> Self::V;
+    /// Lanes `lo .. lo + len`.
+    fn cut(self, lo: usize, len: usize) -> Self;
 }
 
 /// A stored column element as the IR reads it: keys are `u64` in storage
-/// and `i64` in the IR (`v as i64`, as [`ColRef::KeyU64`] says). The fused
-/// primitives are generic over it, so each (operator, column kind) pair is
-/// its own loop with no per-lane dispatch.
+/// and `i64` in the IR (`v as i64`, as [`ColRef::KeyU64`] says).
 trait Lane: Copy {
-    type V: Copy + PartialOrd;
+    type V: Copy;
     fn get(self) -> Self::V;
 }
 
@@ -907,114 +641,483 @@ impl Lane for f64 {
     }
 }
 
-/// `d[j] = a[j] * mul + b[j]`, wrapping.
-fn pack<A: Lane<V = i64>, B: Lane<V = i64>>(d: &mut [i64], a: &[A], mul: i64, b: &[B]) {
-    for (dj, (&x, &y)) in d.iter_mut().zip(a.iter().zip(b)) {
-        *dj = x.get().wrapping_mul(mul).wrapping_add(y.get());
+impl<T: Lane> Src for &[T] {
+    type V = T::V;
+    #[inline(always)]
+    fn at(self, j: usize) -> T::V {
+        self[j].get()
+    }
+    #[inline(always)]
+    fn cut(self, lo: usize, len: usize) -> Self {
+        &self[lo..lo + len]
     }
 }
 
-/// The right operand of one comparison, over the rows its left one covers.
+/// A constant in every lane.
 #[derive(Clone, Copy)]
-enum Operand<'a, B> {
-    Splat(B),
-    Col(&'a [B]),
+struct Splat<V>(V);
+
+impl<V: Copy> Src for Splat<V> {
+    type V = V;
+    #[inline(always)]
+    fn at(self, _: usize) -> V {
+        self.0
+    }
+    #[inline(always)]
+    fn cut(self, _: usize, _: usize) -> Self {
+        self
+    }
 }
 
-/// The `CmpChain` mask words `d` over the batch: every lane set, then each
-/// term ANDed in. Every term clears the lanes past the last row of the last
-/// word, like store_lanes; a chain has at least one.
+/// Boolean lanes as mask words: "lane" `w` is word `w`.
+#[derive(Clone, Copy)]
+struct Words<'a>(&'a [u64]);
+
+impl Src for Words<'_> {
+    type V = u64;
+    #[inline(always)]
+    fn at(self, w: usize) -> u64 {
+        self.0[w]
+    }
+    #[inline(always)]
+    fn cut(self, lo: usize, len: usize) -> Self {
+        Words(&self.0[lo..lo + len])
+    }
+}
+
+/// Binds `$lanes`, the lanes of an `i64` register, to `$x` in `$body`: one
+/// copy of `$body` per lane kind, so each is its own loop.
+macro_rules! i64_src {
+    ($lanes:expr, $x:ident => $body:expr) => {
+        match $lanes {
+            Lanes::I64($x) => $body,
+            Lanes::Key($x) => $body,
+            Lanes::Splat(Value::I64(c)) => {
+                let $x = Splat(c);
+                $body
+            }
+            _ => unreachable!("typed compile guarantees i64 lanes"),
+        }
+    };
+}
+
+/// [`i64_src`] for the lanes of an `f64` register.
+macro_rules! f64_src {
+    ($lanes:expr, $x:ident => $body:expr) => {
+        match $lanes {
+            Lanes::F64($x) => $body,
+            Lanes::Splat(Value::F64(c)) => {
+                let $x = Splat(c);
+                $body
+            }
+            _ => unreachable!("typed compile guarantees f64 lanes"),
+        }
+    };
+}
+
+/// [`i64_src`] for the mask words of a `bool` register.
+macro_rules! mask_src {
+    ($lanes:expr, $x:ident => $body:expr) => {
+        match $lanes {
+            Lanes::Mask(w) => {
+                let $x = Words(w);
+                $body
+            }
+            Lanes::Splat(Value::Bool(b)) => {
+                let $x = Splat(if b { u64::MAX } else { 0 });
+                $body
+            }
+            _ => unreachable!("typed compile guarantees a bool mask"),
+        }
+    };
+}
+
+/// Reusable batch evaluation state for one [`CompiledKernel`]: a typed
+/// bank for each register a step writes and each output, with constant
+/// outputs splatted once at construction. One per thread that runs the
+/// kernel at once, checked out of the kernel's pool
+/// ([`CompiledKernel::checkout`]).
+#[derive(Debug, Clone)]
+pub struct BatchMachine {
+    banks: Vec<Option<Bank>>,
+}
+
+impl BatchMachine {
+    /// Allocate banks for `k` and splat its constant outputs. A register
+    /// gets one when it is an output or a step writes it: an arithmetic,
+    /// select, cast or conjunction, or an `i64` load — a row-id slot is
+    /// loaded into its bank. A constant or a stored column another step
+    /// reads, and a compare ANDed into its conjunction, has none.
+    pub fn new(k: &CompiledKernel) -> Self {
+        let mut banks = vec![None; k.reg_ty.len()];
+        let dsts = k.steps.iter().map(Step::dst);
+        for r in dsts.chain(k.outputs.iter().copied()).map(|r| r as usize) {
+            banks[r] = Some(Bank::for_ty(k.reg_ty[r]));
+        }
+        let mut m = BatchMachine { banks };
+        m.splat_consts(k);
+        m
+    }
+
+    fn splat_consts(&mut self, k: &CompiledKernel) {
+        for &o in k.outputs.iter() {
+            if let (Operand::Splat(value), Some(bank)) =
+                (k.operands[o as usize], &mut self.banks[o as usize])
+            {
+                match (bank, value) {
+                    (Bank::I64(d), Value::I64(c)) => d.fill(c),
+                    (Bank::F64(d), Value::F64(c)) => d.fill(c),
+                    (Bank::Bool(d), Value::Bool(c)) => d.fill(if c { u64::MAX } else { 0 }),
+                    _ => unreachable!("const bank type mismatch"),
+                }
+            }
+        }
+    }
+
+    /// Fill every bank with sentinel garbage, then re-splat `k`'s constant
+    /// outputs. Leaves the machine in the worst legal state reuse can hand a
+    /// batch: nothing zeroed, every stale lane poisoned.
+    pub fn poison(&mut self, k: &CompiledKernel) {
+        for bank in self.banks.iter_mut().flatten() {
+            match bank {
+                Bank::I64(d) => d.fill(POISON_I64),
+                Bank::F64(d) => d.fill(f64::from_bits(POISON_F64_BITS)),
+                Bank::Bool(d) => d.fill(POISON_MASK),
+            }
+        }
+        self.splat_consts(k);
+    }
+
+    /// Evaluate `k` over rows `base .. base + n` of `cols` (`n` at most
+    /// [`BATCH_ROWS`]), leaving each output's lanes in its bank.
+    ///
+    /// The binding must satisfy [`CompiledKernel::check_binding`]; this
+    /// method panics on a mismatched binding rather than reporting it.
+    ///
+    /// Counts one `kfusion_batch_batches_total` tick per call (a relaxed
+    /// atomic load when tracing is off — the cost `tests/host_clock.rs`
+    /// holds under 2 % of a batch).
+    pub fn run(&mut self, k: &CompiledKernel, cols: &[ColRef<'_>], base: usize, n: usize) {
+        kfusion_trace::counter("kfusion_batch_batches_total", 1);
+        debug_assert!(n <= BATCH_ROWS);
+        if scratch_poison() {
+            self.poison(k);
+        }
+        self.run_build(k, cols, base, n, true);
+    }
+
+    /// [`BatchMachine::run`] in the AVX2 build when `wide` holds and the CPU
+    /// has AVX2, in the baseline build otherwise.
+    fn run_build(
+        &mut self,
+        k: &CompiledKernel,
+        cols: &[ColRef<'_>],
+        base: usize,
+        n: usize,
+        wide: bool,
+    ) {
+        let batch = Rows { cols, base, n };
+        #[cfg(target_arch = "x86_64")]
+        if wide && avx2() {
+            // SAFETY: `runner_avx2` is compiled for AVX2 alone, and the CPU
+            // running this line has just reported it.
+            unsafe { runner_avx2(&mut self.banks, k, batch) };
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = wide;
+        runner(&mut self.banks, k, batch);
+    }
+
+    /// View output slot `idx` after a run.
+    pub fn output(&self, k: &CompiledKernel, idx: usize) -> BankView<'_> {
+        view(&self.banks[k.outputs[idx] as usize])
+    }
+
+    /// The selection bitmask of a predicate's output slot 0; panics if the
+    /// output is not boolean (check [`CompiledKernel::output_ty`] first).
+    pub fn selection_mask(&self, k: &CompiledKernel) -> &[u64] {
+        match self.output(k, 0) {
+            BankView::Bool(mask) => mask,
+            _ => unreachable!("typed compile guarantees a bool mask"),
+        }
+    }
+}
+
+/// Whether the CPU runs the AVX2 build of the runner: the one place the
+/// workspace asks which instruction set it runs on (std caches the answer).
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+/// The rows one run covers: base rows `base .. base + n` of `cols`.
+#[derive(Clone, Copy)]
+struct Rows<'c> {
+    cols: &'c [ColRef<'c>],
+    base: usize,
+    n: usize,
+}
+
+/// The runner: every step of `k` over `rows`, each writing its bank in
+/// `banks`. Nothing in here allocates — this is the steady-state inner loop
+/// the allocation gate measures.
 ///
 /// This is the build at the target's baseline width (SSE2 on x86-64: two
-/// `f64` or `i64` lanes per compare). Everything down to [`word`] is
-/// `#[inline(always)]`, so [`cmp_chain_avx2`] compiles the same source again.
+/// `f64` or `i64` lanes an instruction). Everything it calls down to the
+/// lane loops is `#[inline(always)]`, so [`runner_avx2`] compiles the same
+/// source again.
 #[inline(always)]
-fn cmp_chain(d: &mut [u64], terms: &[CmpTerm], batch: &Batch<'_>) {
-    d.fill(u64::MAX);
-    for term in terms {
-        and_term(d, term, batch);
+fn runner(banks: &mut [Option<Bank>], k: &CompiledKernel, rows: Rows<'_>) {
+    let Rows { cols, base, n } = rows;
+    if let Some(m) = k.money {
+        return money_pair(banks, k, &m, rows);
+    }
+    for step in k.steps.iter() {
+        // SSA: every register a step reads is below the one it writes.
+        let (below, rest) = banks.split_at_mut(step.dst() as usize);
+        let dst = rest[0].as_mut().expect("a step writes a banked register");
+        let lanes = |r: Reg| match k.operands[r as usize] {
+            Operand::Splat(v) => Lanes::Splat(v),
+            Operand::Slot(slot) => match cols[slot as usize] {
+                ColRef::I64(s) => Lanes::I64(&s[base..base + n]),
+                ColRef::F64(s) => Lanes::F64(&s[base..base + n]),
+                ColRef::KeyU64(s) => Lanes::Key(&s[base..base + n]),
+                ColRef::RowIds(_) => Lanes::of(&below[r as usize], n),
+            },
+            Operand::Bank => Lanes::of(&below[r as usize], n),
+        };
+        match *step {
+            Step::Load { slot, copy, .. } => load(dst, cols[slot as usize], base, n, copy),
+            Step::Eval { instr, .. } => match instr {
+                Instr::Bin { op, lhs, rhs } => bin(dst, op, lanes(lhs), lanes(rhs), n),
+                Instr::Un { op, arg } => un(dst, op, lanes(arg), n),
+                Instr::Select { cond, then_r, else_r } => {
+                    select(dst, lanes(cond), lanes(then_r), lanes(else_r), n)
+                }
+                Instr::Cast { arg, .. } => cast(dst, lanes(arg), n),
+                _ => unreachable!("loads, constants, copies and compares are not evaluated"),
+            },
+            Step::All { ref terms, .. } => {
+                let Bank::Bool(d) = dst else { unreachable!("a conjunction is bool") };
+                let d = &mut d[..n.div_ceil(64)];
+                d.fill(u64::MAX);
+                for term in terms.iter() {
+                    match *term {
+                        Term::Cmp { op, lhs, rhs } => and_cmp(d, op, lanes(lhs), lanes(rhs), n),
+                        Term::Mask(m) => mask_src!(lanes(m), m => {
+                            d.iter_mut().enumerate().for_each(|(w, dw)| *dw &= m.at(w))
+                        }),
+                    }
+                }
+            }
+        }
     }
 }
 
-/// [`cmp_chain`] compiled a second time for AVX2, four lanes per compare.
-/// It is the same Rust source with no intrinsics, so every comparison keeps
-/// Rust's IEEE and integer semantics and the mask words are identical bit for
+/// [`runner`] compiled a second time for AVX2, four lanes an instruction.
+/// It is the same Rust source with no intrinsics, so every operation keeps
+/// Rust's IEEE and integer semantics and the banks are identical bit for
 /// bit. Running it on a CPU without AVX2 is undefined behaviour, so its one
-/// call, in `run_fused`, is `unsafe` and guarded by the run-time check.
+/// call, in `BatchMachine::run_build`, is `unsafe` and guarded by the
+/// run-time check.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn cmp_chain_avx2(d: &mut [u64], terms: &[CmpTerm], batch: &Batch<'_>) {
-    cmp_chain(d, terms, batch)
+fn runner_avx2(banks: &mut [Option<Bank>], k: &CompiledKernel, rows: Rows<'_>) {
+    runner(banks, k, rows)
 }
 
-/// AND one term into the mask words `d`, bit `j` for the batch's lane `j`.
-/// The column kinds are matched here, once per batch.
+/// Run Q1's price pair over `rows` into the two outputs' banks.
 #[inline(always)]
-fn and_term(d: &mut [u64], term: &CmpTerm, batch: &Batch<'_>) {
-    use ColRef::{KeyU64, F64, I64};
-    let op = term.op;
-    match (batch.lanes(term.slot), term.rhs) {
-        (I64(a), CmpRhs::Const(Value::I64(c))) => and_cmp(d, a, Operand::Splat(c), op),
-        (KeyU64(a), CmpRhs::Const(Value::I64(c))) => and_cmp(d, a, Operand::Splat(c), op),
-        (F64(a), CmpRhs::Const(Value::F64(c))) => and_cmp(d, a, Operand::Splat(c), op),
-        (a, CmpRhs::Slot(s)) => match (a, batch.lanes(s)) {
-            (I64(a), I64(b)) => and_cmp(d, a, Operand::Col(b), op),
-            (I64(a), KeyU64(b)) => and_cmp(d, a, Operand::Col(b), op),
-            (KeyU64(a), I64(b)) => and_cmp(d, a, Operand::Col(b), op),
-            (KeyU64(a), KeyU64(b)) => and_cmp(d, a, Operand::Col(b), op),
-            (F64(a), F64(b)) => and_cmp(d, a, Operand::Col(b), op),
-            _ => unreachable!("the verifier types both sides of a comparison alike"),
-        },
+fn money_pair(banks: &mut [Option<Bank>], k: &CompiledKernel, m: &MoneyPair, rows: Rows<'_>) {
+    let Rows { cols, base, n } = rows;
+    // SSA: out1's defining Mul reads out0, so o0 < o1.
+    let (o0, o1) = (k.outputs[0] as usize, k.outputs[1] as usize);
+    let (lo, hi) = banks.split_at_mut(o1);
+    let (Some(Bank::F64(d0)), Some(Bank::F64(d1))) = (&mut lo[o0], &mut hi[0]) else {
+        unreachable!("money outputs are f64")
+    };
+    let f64s = |slot: u32| match cols[slot as usize] {
+        ColRef::F64(s) => &s[base..base + n],
+        _ => unreachable!("binding checked by CompiledKernel::check_binding"),
+    };
+    let (p, dc, t) = (f64s(m.price), f64s(m.disc), f64s(m.tax));
+    let (d0, d1) = (&mut d0[..n], &mut d1[..n]);
+    for j in 0..n {
+        let dp = p[j] * (m.c_sub - dc[j]);
+        d0[j] = dp;
+        d1[j] = dp * (m.c_add + t[j]);
+    }
+}
+
+/// Load slot `col` into `dst`: a row-id slot's numbers always, a stored
+/// column when `copy` holds.
+#[inline(always)]
+fn load(dst: &mut Bank, col: ColRef<'_>, base: usize, n: usize, copy: bool) {
+    match (dst, col) {
+        (Bank::I64(d), ColRef::RowIds(len)) => {
+            debug_assert!(base + n <= len);
+            for (j, dj) in d[..n].iter_mut().enumerate() {
+                *dj = (base + j) as i64;
+            }
+        }
+        _ if !copy => {}
+        (Bank::I64(d), ColRef::I64(s)) => d[..n].copy_from_slice(&s[base..base + n]),
+        (Bank::F64(d), ColRef::F64(s)) => d[..n].copy_from_slice(&s[base..base + n]),
+        (Bank::I64(d), ColRef::KeyU64(s)) => map1(&mut d[..n], &s[base..base + n], |v| v),
         _ => unreachable!("binding checked by CompiledKernel::check_binding"),
     }
 }
 
-/// [`and_term`] for one column kind: the operator is matched here, once.
 #[inline(always)]
-fn and_cmp<A: Lane, B: Lane<V = A::V>>(d: &mut [u64], a: &[A], b: Operand<'_, B>, op: CmpOp) {
-    match op {
-        CmpOp::Lt => and_lanes(d, a, b, |x, y| x < y),
-        CmpOp::Le => and_lanes(d, a, b, |x, y| x <= y),
-        CmpOp::Gt => and_lanes(d, a, b, |x, y| x > y),
-        CmpOp::Ge => and_lanes(d, a, b, |x, y| x >= y),
-        CmpOp::Eq => and_lanes(d, a, b, |x, y| x == y),
-        CmpOp::Ne => and_lanes(d, a, b, |x, y| x != y),
+fn bin(dst: &mut Bank, op: BinOp, a: Lanes<'_>, b: Lanes<'_>, n: usize) {
+    match dst {
+        Bank::I64(d) => i64_src!(a, a => i64_src!(b, b => bin_i64(&mut d[..n], op, a, b))),
+        Bank::F64(d) => f64_src!(a, a => f64_src!(b, b => bin_f64(&mut d[..n], op, a, b))),
+        Bank::Bool(d) => mask_src!(a, a => mask_src!(b, b => {
+            let d = &mut d[..n.div_ceil(64)];
+            match op {
+                BinOp::Or => map2(d, a, b, |x, y| x | y),
+                BinOp::Xor => map2(d, a, b, |x, y| x ^ y),
+                _ => unreachable!("a bool And is a conjunction; no arithmetic on bool"),
+            }
+        })),
     }
 }
 
-/// `d[w] &= word w of f(a[j], b[j])`: whole words are a fixed 64-lane loop,
-/// and the last word's lanes at or past `a.len()` come out cleared. The
-/// compiler vectorizes the 64-lane loop at the width of the function it is
-/// inlined into: two lanes per compare in [`cmp_chain`] at the x86-64
-/// baseline (SSE2), four in [`cmp_chain_avx2`].
 #[inline(always)]
-fn and_lanes<A: Lane, B: Lane<V = A::V>>(
+fn bin_i64(d: &mut [i64], op: BinOp, a: impl Src<V = i64>, b: impl Src<V = i64>) {
+    match op {
+        BinOp::Add => map2(d, a, b, i64::wrapping_add),
+        BinOp::Sub => map2(d, a, b, i64::wrapping_sub),
+        BinOp::Mul => map2(d, a, b, i64::wrapping_mul),
+        BinOp::Div => map2(d, a, b, |x, y| if y == 0 { 0 } else { x.wrapping_div(y) }),
+        BinOp::Rem => map2(d, a, b, |x, y| if y == 0 { 0 } else { x.wrapping_rem(y) }),
+        BinOp::Min => map2(d, a, b, i64::min),
+        BinOp::Max => map2(d, a, b, i64::max),
+        BinOp::And => map2(d, a, b, |x, y| x & y),
+        BinOp::Or => map2(d, a, b, |x, y| x | y),
+        BinOp::Xor => map2(d, a, b, |x, y| x ^ y),
+        BinOp::Shl => map2(d, a, b, |x, y| x.wrapping_shl(y as u32 & 63)),
+        BinOp::Shr => map2(d, a, b, |x, y| x.wrapping_shr(y as u32 & 63)),
+    }
+}
+
+#[inline(always)]
+fn bin_f64(d: &mut [f64], op: BinOp, a: impl Src<V = f64>, b: impl Src<V = f64>) {
+    match op {
+        BinOp::Add => map2(d, a, b, |x, y| x + y),
+        BinOp::Sub => map2(d, a, b, |x, y| x - y),
+        BinOp::Mul => map2(d, a, b, |x, y| x * y),
+        BinOp::Div => map2(d, a, b, |x, y| x / y),
+        BinOp::Rem => map2(d, a, b, |x, y| x % y),
+        BinOp::Min => map2(d, a, b, f64::min),
+        BinOp::Max => map2(d, a, b, f64::max),
+        _ => unreachable!("verifier rejects bit ops on f64"),
+    }
+}
+
+#[inline(always)]
+fn un(dst: &mut Bank, op: UnOp, a: Lanes<'_>, n: usize) {
+    match (dst, op) {
+        (Bank::I64(d), UnOp::Not) => i64_src!(a, a => map1(&mut d[..n], a, |x| !x)),
+        (Bank::I64(d), UnOp::Neg) => i64_src!(a, a => map1(&mut d[..n], a, i64::wrapping_neg)),
+        (Bank::F64(d), UnOp::Neg) => f64_src!(a, a => map1(&mut d[..n], a, |x| -x)),
+        (Bank::Bool(d), UnOp::Not) => mask_src!(a, a => map1(&mut d[..n.div_ceil(64)], a, |x| !x)),
+        _ => unreachable!("verifier rejects Not on f64 and Neg on bool"),
+    }
+}
+
+#[inline(always)]
+fn select(dst: &mut Bank, cond: Lanes<'_>, t: Lanes<'_>, e: Lanes<'_>, n: usize) {
+    mask_src!(cond, c => match dst {
+        Bank::I64(d) => i64_src!(t, t => i64_src!(e, e => pick(&mut d[..n], c, t, e))),
+        Bank::F64(d) => f64_src!(t, t => f64_src!(e, e => pick(&mut d[..n], c, t, e))),
+        Bank::Bool(d) => mask_src!(t, t => mask_src!(e, e => {
+            let d = &mut d[..n.div_ceil(64)];
+            for (w, dw) in d.iter_mut().enumerate() {
+                *dw = (c.at(w) & t.at(w)) | (!c.at(w) & e.at(w));
+            }
+        })),
+    })
+}
+
+#[inline(always)]
+fn cast(dst: &mut Bank, a: Lanes<'_>, n: usize) {
+    match (dst, a.ty()) {
+        (Bank::I64(d), Ty::I64) => i64_src!(a, a => map1(&mut d[..n], a, |x| x)),
+        (Bank::I64(d), Ty::F64) => f64_src!(a, a => map1(&mut d[..n], a, |x| x as i64)),
+        (Bank::I64(d), Ty::Bool) => mask_src!(a, a => pick(&mut d[..n], a, Splat(1), Splat(0))),
+        (Bank::F64(d), Ty::I64) => i64_src!(a, a => map1(&mut d[..n], a, |x| x as f64)),
+        (Bank::F64(d), Ty::F64) => f64_src!(a, a => map1(&mut d[..n], a, |x| x)),
+        (Bank::F64(d), Ty::Bool) => {
+            mask_src!(a, a => pick(&mut d[..n], a, Splat(1.0), Splat(0.0)))
+        }
+        (Bank::Bool(d), Ty::I64) => {
+            let d = &mut d[..n.div_ceil(64)];
+            d.fill(u64::MAX);
+            i64_src!(a, a => and_lanes(d, a, Splat(0), n, |x, zero| x != zero))
+        }
+        (Bank::Bool(d), Ty::Bool) => mask_src!(a, a => map1(&mut d[..n.div_ceil(64)], a, |x| x)),
+        (Bank::Bool(_), Ty::F64) => unreachable!("verifier rejects f64 -> bool cast"),
+    }
+}
+
+/// AND the compare `a <op> b` into the mask words `d`, bit `j` for lane
+/// `j`. The lane kinds and the operator are matched here, once per batch.
+#[inline(always)]
+fn and_cmp(d: &mut [u64], op: CmpOp, a: Lanes<'_>, b: Lanes<'_>, n: usize) {
+    match a.ty() {
+        Ty::I64 => i64_src!(a, a => i64_src!(b, b => and_ord(d, op, a, b, n))),
+        Ty::F64 => f64_src!(a, a => f64_src!(b, b => and_ord(d, op, a, b, n))),
+        Ty::Bool => mask_src!(a, a => mask_src!(b, b => {
+            let eq = match op {
+                CmpOp::Eq => u64::MAX,
+                CmpOp::Ne => 0,
+                _ => unreachable!("verifier rejects ordered cmp on bool"),
+            };
+            for (w, dw) in d.iter_mut().enumerate() {
+                *dw &= a.at(w) ^ b.at(w) ^ eq;
+            }
+        })),
+    }
+}
+
+#[inline(always)]
+fn and_ord<V: PartialOrd, A: Src<V = V>, B: Src<V = V>>(
     d: &mut [u64],
-    a: &[A],
-    b: Operand<'_, B>,
-    f: impl Fn(A::V, A::V) -> bool,
+    op: CmpOp,
+    a: A,
+    b: B,
+    n: usize,
 ) {
-    let (whole, tail) = a.as_chunks::<64>();
-    let (d_whole, d_tail) = d.split_at_mut(whole.len());
-    match b {
-        Operand::Splat(c) => {
-            let c = c.get();
-            for (dw, xs) in d_whole.iter_mut().zip(whole) {
-                *dw &= word(xs.iter().map(|&x| f(x.get(), c)));
-            }
-            if !tail.is_empty() {
-                d_tail[0] &= word(tail.iter().map(|&x| f(x.get(), c)));
-            }
-        }
-        Operand::Col(b) => {
-            let (b_whole, b_tail) = b.as_chunks::<64>();
-            for ((dw, xs), ys) in d_whole.iter_mut().zip(whole).zip(b_whole) {
-                *dw &= word(xs.iter().zip(ys).map(|(&x, &y)| f(x.get(), y.get())));
-            }
-            if !tail.is_empty() {
-                d_tail[0] &= word(tail.iter().zip(b_tail).map(|(&x, &y)| f(x.get(), y.get())));
-            }
-        }
+    match op {
+        CmpOp::Lt => and_lanes(d, a, b, n, |x, y| x < y),
+        CmpOp::Le => and_lanes(d, a, b, n, |x, y| x <= y),
+        CmpOp::Gt => and_lanes(d, a, b, n, |x, y| x > y),
+        CmpOp::Ge => and_lanes(d, a, b, n, |x, y| x >= y),
+        CmpOp::Eq => and_lanes(d, a, b, n, |x, y| x == y),
+        CmpOp::Ne => and_lanes(d, a, b, n, |x, y| x != y),
+    }
+}
+
+/// `d[w] &= word w of f(a[j], b[j])` over `n` lanes: whole words are a
+/// fixed 64-lane loop, and the last word's lanes at or past `n` come out
+/// cleared. The compiler vectorizes the 64-lane loop at the width of the
+/// runner it is inlined into: two lanes per compare in [`runner`] at the
+/// x86-64 baseline (SSE2), four in [`runner_avx2`].
+#[inline(always)]
+fn and_lanes<A: Src, B: Src>(d: &mut [u64], a: A, b: B, n: usize, f: impl Fn(A::V, B::V) -> bool) {
+    let (whole, tail) = (n / 64, n % 64);
+    for (w, dw) in d[..whole].iter_mut().enumerate() {
+        let (x, y) = (a.cut(w * 64, 64), b.cut(w * 64, 64));
+        *dw &= word((0..64).map(|j| f(x.at(j), y.at(j))));
+    }
+    if tail != 0 {
+        let (x, y) = (a.cut(whole * 64, tail), b.cut(whole * 64, tail));
+        d[whole] &= word((0..tail).map(|j| f(x.at(j), y.at(j))));
     }
 }
 
@@ -1024,181 +1127,30 @@ fn word(lanes: impl Iterator<Item = bool>) -> u64 {
     lanes.enumerate().fold(0, |m, (j, t)| m | ((t as u64) << j))
 }
 
-fn copy_bank(dst: &mut Bank, src: BankView<'_>, n: usize) {
-    match (dst, src) {
-        (Bank::I64(d), BankView::I64(s)) => d[..n].copy_from_slice(&s[..n]),
-        (Bank::F64(d), BankView::F64(s)) => d[..n].copy_from_slice(&s[..n]),
-        (Bank::Bool(d), BankView::Bool(s)) => d.copy_from_slice(s),
-        _ => unreachable!("copy banks share a type"),
+/// `d[j] = f(a[j])` for every lane of `d`.
+#[inline(always)]
+fn map1<A: Src, T>(d: &mut [T], a: A, f: impl Fn(A::V) -> T) {
+    let a = a.cut(0, d.len());
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = f(a.at(j));
     }
 }
 
-fn bin(dst: &mut Bank, op: BinOp, lhs: BankView<'_>, rhs: BankView<'_>, n: usize) {
-    match dst {
-        Bank::I64(d) => {
-            let (a, b) = (lhs.as_i64(), rhs.as_i64());
-            let d = &mut d[..n];
-            match op {
-                BinOp::Add => zip3(d, a, b, |x, y| x.wrapping_add(y)),
-                BinOp::Sub => zip3(d, a, b, |x, y| x.wrapping_sub(y)),
-                BinOp::Mul => zip3(d, a, b, |x, y| x.wrapping_mul(y)),
-                BinOp::Div => zip3(d, a, b, |x, y| if y == 0 { 0 } else { x.wrapping_div(y) }),
-                BinOp::Rem => zip3(d, a, b, |x, y| if y == 0 { 0 } else { x.wrapping_rem(y) }),
-                BinOp::Min => zip3(d, a, b, i64::min),
-                BinOp::Max => zip3(d, a, b, i64::max),
-                BinOp::And => zip3(d, a, b, |x, y| x & y),
-                BinOp::Or => zip3(d, a, b, |x, y| x | y),
-                BinOp::Xor => zip3(d, a, b, |x, y| x ^ y),
-                BinOp::Shl => zip3(d, a, b, |x, y| x.wrapping_shl(y as u32 & 63)),
-                BinOp::Shr => zip3(d, a, b, |x, y| x.wrapping_shr(y as u32 & 63)),
-            }
-        }
-        Bank::F64(d) => {
-            let (a, b) = (lhs.as_f64(), rhs.as_f64());
-            let d = &mut d[..n];
-            match op {
-                BinOp::Add => zip3(d, a, b, |x, y| x + y),
-                BinOp::Sub => zip3(d, a, b, |x, y| x - y),
-                BinOp::Mul => zip3(d, a, b, |x, y| x * y),
-                BinOp::Div => zip3(d, a, b, |x, y| x / y),
-                BinOp::Rem => zip3(d, a, b, |x, y| x % y),
-                BinOp::Min => zip3(d, a, b, f64::min),
-                BinOp::Max => zip3(d, a, b, f64::max),
-                _ => unreachable!("verifier rejects bit ops on f64"),
-            }
-        }
-        Bank::Bool(d) => {
-            let (a, b) = (lhs.as_mask(), rhs.as_mask());
-            match op {
-                BinOp::And => zip3(d, a, b, |x, y| x & y),
-                BinOp::Or => zip3(d, a, b, |x, y| x | y),
-                BinOp::Xor => zip3(d, a, b, |x, y| x ^ y),
-                _ => unreachable!("verifier rejects arithmetic on bool"),
-            }
-        }
+/// `d[j] = f(a[j], b[j])` for every lane of `d`.
+#[inline(always)]
+fn map2<A: Src, B: Src, T>(d: &mut [T], a: A, b: B, f: impl Fn(A::V, B::V) -> T) {
+    let (a, b) = (a.cut(0, d.len()), b.cut(0, d.len()));
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = f(a.at(j), b.at(j));
     }
 }
 
-fn un(dst: &mut Bank, op: UnOp, arg: BankView<'_>, n: usize) {
-    match dst {
-        Bank::I64(d) => {
-            let a = arg.as_i64();
-            let d = &mut d[..n];
-            match op {
-                UnOp::Not => zip2(d, a, |x| !x),
-                UnOp::Neg => zip2(d, a, i64::wrapping_neg),
-            }
-        }
-        Bank::F64(d) => {
-            let a = arg.as_f64();
-            match op {
-                UnOp::Neg => zip2(&mut d[..n], a, |x| -x),
-                UnOp::Not => unreachable!("verifier rejects Not on f64"),
-            }
-        }
-        Bank::Bool(d) => match op {
-            UnOp::Not => zip2(d, arg.as_mask(), |x| !x),
-            UnOp::Neg => unreachable!("verifier rejects Neg on bool"),
-        },
-    }
-}
-
-fn cmp(dst: &mut Bank, op: CmpOp, lhs: BankView<'_>, rhs: BankView<'_>, n: usize) {
-    let d = match dst {
-        Bank::Bool(d) => d,
-        _ => unreachable!("cmp result is bool"),
-    };
-    // Whole 64-lane words, as `cmp_chain` builds them: the words past the
-    // batch's last are left as they are (unspecified).
-    let words = &mut d[..n.div_ceil(64)];
-    words.fill(u64::MAX);
-    match lhs {
-        BankView::I64(a) => and_cmp(words, &a[..n], Operand::Col(&rhs.as_i64()[..n]), op),
-        BankView::F64(a) => and_cmp(words, &a[..n], Operand::Col(&rhs.as_f64()[..n]), op),
-        BankView::Bool(_) => {
-            let (a, b) = (lhs.as_mask(), rhs.as_mask());
-            match op {
-                CmpOp::Eq => zip3(d, a, b, |x, y| !(x ^ y)),
-                CmpOp::Ne => zip3(d, a, b, |x, y| x ^ y),
-                _ => unreachable!("verifier rejects ordered cmp on bool"),
-            }
-        }
-    }
-}
-
-fn select(dst: &mut Bank, cond: &[u64], then_b: BankView<'_>, else_b: BankView<'_>, n: usize) {
-    match dst {
-        Bank::I64(d) => {
-            let (t, e) = (then_b.as_i64(), else_b.as_i64());
-            for (j, dj) in d[..n].iter_mut().enumerate() {
-                *dj = if mask_lane(cond, j) { t[j] } else { e[j] };
-            }
-        }
-        Bank::F64(d) => {
-            let (t, e) = (then_b.as_f64(), else_b.as_f64());
-            for (j, dj) in d[..n].iter_mut().enumerate() {
-                *dj = if mask_lane(cond, j) { t[j] } else { e[j] };
-            }
-        }
-        Bank::Bool(d) => {
-            let (t, e) = (then_b.as_mask(), else_b.as_mask());
-            for (w, dw) in d.iter_mut().enumerate() {
-                *dw = (cond[w] & t[w]) | (!cond[w] & e[w]);
-            }
-        }
-    }
-}
-
-fn cast(dst: &mut Bank, arg: BankView<'_>, n: usize) {
-    match (dst, arg) {
-        (Bank::I64(d), BankView::I64(s)) => d[..n].copy_from_slice(&s[..n]),
-        (Bank::F64(d), BankView::F64(s)) => d[..n].copy_from_slice(&s[..n]),
-        (Bank::Bool(d), BankView::Bool(s)) => d.copy_from_slice(s),
-        (Bank::I64(d), BankView::F64(s)) => zip2(&mut d[..n], s, |x| x as i64),
-        (Bank::F64(d), BankView::I64(s)) => zip2(&mut d[..n], s, |x| x as f64),
-        (Bank::I64(d), BankView::Bool(s)) => {
-            for (j, dj) in d[..n].iter_mut().enumerate() {
-                *dj = mask_lane(s, j) as i64;
-            }
-        }
-        (Bank::F64(d), BankView::Bool(s)) => {
-            for (j, dj) in d[..n].iter_mut().enumerate() {
-                *dj = mask_lane(s, j) as u8 as f64;
-            }
-        }
-        (Bank::Bool(d), BankView::I64(s)) => store_lanes(d, n, |j| s[j] != 0),
-        (Bank::Bool(_), BankView::F64(_)) => unreachable!("verifier rejects f64 -> bool cast"),
-    }
-}
-
-/// `d[j] = f(a[j], b[j])` over the common prefix — the auto-vectorizable
-/// inner-loop shape every typed operation lowers to.
-#[inline]
-fn zip3<T: Copy, U: Copy>(d: &mut [T], a: &[U], b: &[U], f: impl Fn(U, U) -> T) {
-    for (dj, (&aj, &bj)) in d.iter_mut().zip(a.iter().zip(b)) {
-        *dj = f(aj, bj);
-    }
-}
-
-#[inline]
-fn zip2<T: Copy, U: Copy>(d: &mut [T], a: &[U], f: impl Fn(U) -> T) {
-    for (dj, &aj) in d.iter_mut().zip(a) {
-        *dj = f(aj);
-    }
-}
-
-/// Pack per-lane booleans into whole bitmask words; lanes `>= n` of the last
-/// written word are cleared, later words untouched (unspecified).
-#[inline]
-fn store_lanes(d: &mut [u64], n: usize, f: impl Fn(usize) -> bool) {
-    for (w, dw) in d.iter_mut().enumerate().take(n.div_ceil(64)) {
-        let lo = w * 64;
-        let hi = (lo + 64).min(n);
-        let mut m = 0u64;
-        for j in lo..hi {
-            m |= (f(j) as u64) << (j - lo);
-        }
-        *dw = m;
+/// `d[j] = if lane j of c { a[j] } else { b[j] }`.
+#[inline(always)]
+fn pick<C: Src<V = u64>, A: Src, B: Src<V = A::V>>(d: &mut [A::V], c: C, a: A, b: B) {
+    let (a, b) = (a.cut(0, d.len()), b.cut(0, d.len()));
+    for (j, dj) in d.iter_mut().enumerate() {
+        *dj = if (c.at(j >> 6) >> (j & 63)) & 1 == 1 { a.at(j) } else { b.at(j) };
     }
 }
 
@@ -1207,6 +1159,8 @@ mod tests {
     use super::*;
     use crate::builder::{BodyBuilder, Expr};
     use crate::interp;
+    use kfusion_prng::Rng;
+    use std::ops::Range;
 
     fn compile_all_i64(body: &KernelBody) -> CompiledKernel {
         let seeds: Vec<Option<Ty>> = vec![Some(Ty::I64); body.n_inputs as usize];
@@ -1246,8 +1200,7 @@ mod tests {
         );
     }
 
-    /// A row-id slot loads each row's number, from any base row, on the
-    /// generic path.
+    /// A row-id slot loads each row's number, from any base row.
     #[test]
     fn row_ids_load_as_their_row_numbers() {
         let mut b = BodyBuilder::new(1);
@@ -1297,52 +1250,63 @@ mod tests {
         assert!(matches!(k.check_binding(&[]), Err(BatchError::Binding { slot: 0, .. })));
     }
 
-    /// Run `body` fused and generically over base rows `range` of the same
-    /// columns and assert both agree bit-for-bit with the scalar
-    /// interpreter on every lane; `rows` are the interpreter's inputs for
-    /// every base row. Returns the kernel and the fused machine after its run.
-    fn assert_fused_matches_interp(
+    /// Every bank of `m`, as bits.
+    fn bits(m: &BatchMachine) -> Vec<Vec<u64>> {
+        let bank = |b: &Bank| match b {
+            Bank::I64(v) => v.iter().map(|&x| x as u64).collect(),
+            Bank::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+            Bank::Bool(v) => v.clone(),
+        };
+        m.banks.iter().flatten().map(bank).collect()
+    }
+
+    /// Run `k` over base rows `range` of `cols` in the baseline build and,
+    /// on a CPU that has it, in the AVX2 build, each on a poisoned machine,
+    /// and require identical banks. Returns the baseline's machine.
+    fn both_builds(k: &CompiledKernel, cols: &[ColRef<'_>], range: Range<usize>) -> BatchMachine {
+        let run = |wide: bool| {
+            let mut m = BatchMachine::new(k);
+            m.poison(k);
+            m.run_build(k, cols, range.start, range.len(), wide);
+            m
+        };
+        let baseline = run(false);
+        if avx2() {
+            assert_eq!(bits(&baseline), bits(&run(true)), "baseline vs AVX2 build over {range:?}");
+        }
+        baseline
+    }
+
+    /// Run `body` over base rows `range` of `cols` through both builds of
+    /// the runner ([`both_builds`]) and assert it agrees bit for bit with
+    /// the scalar interpreter on every lane; `rows` are the interpreter's
+    /// inputs for every base row. Returns the kernel and the machine.
+    fn assert_matches_interp(
         body: &KernelBody,
         slot_tys: &[Option<Ty>],
         cols: &[ColRef<'_>],
         rows: &[Vec<Value>],
         range: Range<usize>,
-        expect_fused: &str,
     ) -> (CompiledKernel, BatchMachine) {
         let k = CompiledKernel::compile(body, slot_tys).unwrap();
-        assert_eq!(k.fused_primitive(), Some(expect_fused));
         k.check_binding(cols).unwrap();
-        let mut fused = BatchMachine::new(&k);
-        fused.poison(&k);
-        fused.run(&k, cols, range.start, range.len());
-        let mut plain = k.clone();
-        plain.fused = Arc::from([]);
-        plain.generic = vec![true; k.instrs.len()].into();
-        let mut generic = BatchMachine::new(&plain);
-        generic.run(&plain, cols, range.start, range.len());
+        let m = both_builds(&k, cols, range.clone());
         for (j, row) in rows[range].iter().enumerate() {
             let expect = interp::eval(body, row).unwrap();
             for (slot, want) in expect.iter().enumerate() {
-                for (label, m) in [("fused", &fused), ("generic", &generic)] {
-                    let got = match m.output(&k, slot) {
-                        BankView::I64(v) => Value::I64(v[j]),
-                        BankView::F64(v) => Value::F64(v[j]),
-                        BankView::Bool(mask) => Value::Bool(mask_lane(mask, j)),
-                    };
-                    match (got, *want) {
-                        (Value::F64(a), Value::F64(b)) => {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{label} lane {j} out {slot}")
-                        }
-                        (a, b) => assert_eq!(a, b, "{label} lane {j} out {slot}: {row:?}"),
-                    }
-                }
+                let got = match m.output(&k, slot) {
+                    BankView::I64(v) => Value::I64(v[j]),
+                    BankView::F64(v) => Value::F64(v[j]),
+                    BankView::Bool(mask) => Value::Bool(mask_lane(mask, j)),
+                };
+                assert_eq!(got, *want, "lane {j} out {slot}: {row:?}");
             }
         }
-        (k, fused)
+        (k, m)
     }
 
     #[test]
-    fn fused_pack_matches_interp() {
+    fn a_key_pack_matches_interp() {
         let mut b = BodyBuilder::new(3);
         b.emit_output(Expr::input(1).mul(Expr::lit(65536i64)).add(Expr::input(2)));
         let body = b.build();
@@ -1352,38 +1316,34 @@ mod tests {
         let rows: Vec<Vec<Value>> = (0..200)
             .map(|j| vec![Value::I64(keys[j] as i64), Value::I64(flag[j]), Value::I64(status[j])])
             .collect();
-        assert_fused_matches_interp(
+        assert_matches_interp(
             &body,
             &[Some(Ty::I64), Some(Ty::I64), Some(Ty::I64)],
             &[ColRef::KeyU64(&keys), ColRef::I64(&flag), ColRef::I64(&status)],
             &rows,
             0..200,
-            "pack_i64",
         );
         // The same pack reading a row-id key in both operands' places.
         for (a, c) in [(0, 2), (1, 0)] {
             let mut b = BodyBuilder::new(3);
             b.emit_output(Expr::input(a).mul(Expr::lit(65536i64)).add(Expr::input(c)));
-            assert_fused_matches_interp(
+            assert_matches_interp(
                 &b.build(),
                 &[Some(Ty::I64), Some(Ty::I64), Some(Ty::I64)],
                 &[ColRef::RowIds(200), ColRef::I64(&flag), ColRef::I64(&status)],
                 &rows,
                 37..200,
-                "pack_i64",
             );
         }
     }
 
-    /// A body spliced from several members' bodies runs each output that
-    /// is a primitive on its own — and read by no instruction — as that
-    /// primitive, and the rest on the generic path: here a compare chain
-    /// and a pack beside a generic sum, the pack's output read again by a
-    /// later body, so it stays generic too. Every lane is the
-    /// interpreter's, with poisoned banks.
+    /// A body spliced from several members' bodies runs as one lowering:
+    /// here a compare and a key pack beside a sum, and the same splice
+    /// with the pack's output read again by a later member, as a spliced
+    /// ARITH+ that feeds another would be. Every lane is the interpreter's,
+    /// with poisoned banks.
     #[test]
-    fn a_spliced_body_runs_each_primitive_output_as_its_primitive() {
-        use crate::fuse::{fuse, FusedOutput, SlotSource};
+    fn a_spliced_body_matches_interp() {
         let body = |out: Expr| {
             let mut b = BodyBuilder::new(3);
             b.emit_output(out);
@@ -1400,8 +1360,6 @@ mod tests {
             &[out(0), out(1), out(2)],
         )
         .unwrap();
-        // The pack's output read by a later body, as a spliced ARITH+ that
-        // feeds another would be.
         let reread = vec![
             SlotSource::External(0),
             SlotSource::Producer { body: 1, output: 0 },
@@ -1416,32 +1374,8 @@ mod tests {
             .map(|j| vec![Value::I64(j as i64), Value::I64(flag[j]), Value::I64(status[j])])
             .collect();
         let tys = [Some(Ty::I64), Some(Ty::I64), Some(Ty::I64)];
-        for (body, primitives) in
-            [(&spliced, vec!["cmp_chain", "pack_i64"]), (&fed, vec!["cmp_chain"])]
-        {
-            let k = CompiledKernel::compile(body, &tys).unwrap();
-            let names: Vec<&str> = k
-                .fused
-                .iter()
-                .map(|(_, f)| match f {
-                    Fused::CmpChain { .. } => "cmp_chain",
-                    Fused::PackI64 { .. } => "pack_i64",
-                    Fused::MoneyPair { .. } => "money_pair",
-                })
-                .collect();
-            assert_eq!(names, primitives);
-            let mut bm = BatchMachine::new(&k);
-            bm.poison(&k);
-            bm.run(&k, &cols, 41, 259);
-            for j in 0..259 {
-                let want = interp::eval(body, &rows[41 + j]).unwrap();
-                let got = (0..3).map(|o| match bm.output(&k, o) {
-                    BankView::I64(v) => Value::I64(v[j]),
-                    BankView::F64(v) => Value::F64(v[j]),
-                    BankView::Bool(mask) => Value::Bool(mask_lane(mask, j)),
-                });
-                assert_eq!(got.collect::<Vec<_>>(), want, "row {}", 41 + j);
-            }
+        for body in [&spliced, &fed] {
+            assert_matches_interp(body, &tys, &cols, &rows, 41..300);
         }
     }
 
@@ -1468,141 +1402,174 @@ mod tests {
                 ]
             })
             .collect();
-        assert_fused_matches_interp(
+        let (k, _) = assert_matches_interp(
             &body,
             &[Some(Ty::I64), Some(Ty::F64), Some(Ty::F64), Some(Ty::F64)],
             &[ColRef::KeyU64(&keys), ColRef::F64(&price), ColRef::F64(&disc), ColRef::F64(&tax)],
             &rows,
             0..200,
-            "money_pair",
         );
+        assert!(k.money.is_some(), "the price pair runs as its own loop");
     }
 
     /// Every comparison operator on every column kind — `i64`, keys read as
-    /// `i64` (`>= 2^63` too), `f64` — against constants on either side and
-    /// against columns, over NaN, ±0.0, ±∞, `i64::MIN` and `i64::MAX`, at
-    /// `n` of 1, 63, 64, 65 and 1024 rows from a base row off the word grid;
-    /// plus Q6's three-term range and a chain that mixes constant and column
-    /// terms. Slots: 0 and 5 keys, 1 and 2 `i64`, 3 and 4 `f64`, 6 row ids.
-    ///
-    /// Every case runs through both builds of the chain: `BatchMachine::run`
-    /// takes the AVX2 build on a CPU that has it, and `cmp_chain` is called
-    /// directly for the baseline build. Their mask words must be identical.
-    #[test]
-    fn fused_cmp_chain_matches_interp() {
-        #[cfg(target_arch = "x86_64")]
-        let avx2 = std::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        if !avx2 {
-            println!("no AVX2 on this CPU: the AVX2 build of cmp_chain is not run");
-        }
-        const OPS: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
-        const INTS: [i64; 9] = [i64::MIN, i64::MIN + 1, -7, -1, 0, 1, 7, i64::MAX - 1, i64::MAX];
-        const KEYS: [u64; 8] = [0, 1, 7, i64::MAX as u64, 1 << 63, (1 << 63) + 1, !6, u64::MAX];
-        const FLOATS: [f64; 9] = [
-            f64::NAN,
-            f64::NEG_INFINITY,
-            -1.5,
-            -0.0,
-            0.0,
-            1.5,
-            f64::INFINITY,
-            f64::MIN_POSITIVE,
-            -f64::NAN,
-        ];
-        const BASE: usize = 3;
-        let len = BASE + BATCH_ROWS + 5;
-        // Each column draws from its pool in its own order, so every pair of
-        // values meets somewhere.
-        let pick = |i: usize, salt: u64, pool: usize| {
-            let h = (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (h >> 32) as usize % pool
-        };
-        let keys_a: Vec<u64> = (0..len).map(|i| KEYS[pick(i, 1, KEYS.len())]).collect();
-        let ints_a: Vec<i64> = (0..len).map(|i| INTS[pick(i, 2, INTS.len())]).collect();
-        let ints_b: Vec<i64> = (0..len).map(|i| INTS[pick(i, 3, INTS.len())]).collect();
-        let floats_a: Vec<f64> = (0..len).map(|i| FLOATS[pick(i, 4, FLOATS.len())]).collect();
-        let floats_b: Vec<f64> = (0..len).map(|i| FLOATS[pick(i, 5, FLOATS.len())]).collect();
-        let keys_b: Vec<u64> = (0..len).map(|i| KEYS[pick(i, 6, KEYS.len())]).collect();
-        let cols = [
-            ColRef::KeyU64(&keys_a),
-            ColRef::I64(&ints_a),
-            ColRef::I64(&ints_b),
-            ColRef::F64(&floats_a),
-            ColRef::F64(&floats_b),
-            ColRef::KeyU64(&keys_b),
-            ColRef::RowIds(len),
-        ];
-        let slot_tys = cols.map(|c| Some(c.ty()));
-        let rows: Vec<Vec<Value>> = (0..len)
-            .map(|i| {
-                vec![
-                    Value::I64(keys_a[i] as i64),
-                    Value::I64(ints_a[i]),
-                    Value::I64(ints_b[i]),
-                    Value::F64(floats_a[i]),
-                    Value::F64(floats_b[i]),
-                    Value::I64(keys_b[i] as i64),
-                    Value::I64(i as i64),
-                ]
-            })
-            .collect();
+    /// `i64` (`>= 2^63` too), `f64`, row ids — against constants on either
+    /// side and against columns, over NaN, ±0.0, ±∞, `i64::MIN` and
+    /// `i64::MAX`; plus Q6's three-term range and a chain that mixes
+    /// constant and column terms. Slots: 0 and 5 keys, 1 and 2 `i64`, 3 and
+    /// 4 `f64`, 6 row ids.
+    struct CompareTable {
+        keys_a: Vec<u64>,
+        ints_a: Vec<i64>,
+        ints_b: Vec<i64>,
+        floats_a: Vec<f64>,
+        floats_b: Vec<f64>,
+        keys_b: Vec<u64>,
+    }
 
-        let int_consts =
-            [Value::I64(0), Value::I64(i64::MIN), Value::I64(i64::MAX), Value::I64(500)];
-        let float_consts = [Value::F64(f64::NAN), Value::F64(-0.0), Value::F64(f64::INFINITY)];
-        let mut preds: Vec<Expr> = Vec::new();
-        for op in OPS {
-            for (slots, consts) in
-                [(&[0, 1, 2, 5, 6][..], &int_consts[..]), (&[3, 4][..], &float_consts[..])]
-            {
-                for &l in slots {
-                    for &c in consts {
-                        preds.push(Expr::input(l).cmp(op, Expr::lit(c)));
-                        preds.push(Expr::lit(c).cmp(op, Expr::input(l)));
-                    }
-                    for &r in slots.iter().filter(|&&r| r != l) {
-                        preds.push(Expr::input(l).cmp(op, Expr::input(r)));
+    /// The table's first rows lie off the word grid.
+    const BASE: usize = 3;
+
+    impl CompareTable {
+        fn new() -> CompareTable {
+            const INTS: [i64; 9] =
+                [i64::MIN, i64::MIN + 1, -7, -1, 0, 1, 7, i64::MAX - 1, i64::MAX];
+            const KEYS: [u64; 8] = [0, 1, 7, i64::MAX as u64, 1 << 63, (1 << 63) + 1, !6, u64::MAX];
+            const FLOATS: [f64; 9] = [
+                f64::NAN,
+                f64::NEG_INFINITY,
+                -1.5,
+                -0.0,
+                0.0,
+                1.5,
+                f64::INFINITY,
+                f64::MIN_POSITIVE,
+                -f64::NAN,
+            ];
+            let len = BASE + BATCH_ROWS + 5;
+            // Each column draws from its pool in its own order, so every
+            // pair of values meets somewhere.
+            let pick = |i: usize, salt: u64, pool: usize| {
+                let h = (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (h >> 32) as usize % pool
+            };
+            CompareTable {
+                keys_a: (0..len).map(|i| KEYS[pick(i, 1, KEYS.len())]).collect(),
+                ints_a: (0..len).map(|i| INTS[pick(i, 2, INTS.len())]).collect(),
+                ints_b: (0..len).map(|i| INTS[pick(i, 3, INTS.len())]).collect(),
+                floats_a: (0..len).map(|i| FLOATS[pick(i, 4, FLOATS.len())]).collect(),
+                floats_b: (0..len).map(|i| FLOATS[pick(i, 5, FLOATS.len())]).collect(),
+                keys_b: (0..len).map(|i| KEYS[pick(i, 6, KEYS.len())]).collect(),
+            }
+        }
+
+        fn cols(&self) -> [ColRef<'_>; 7] {
+            [
+                ColRef::KeyU64(&self.keys_a),
+                ColRef::I64(&self.ints_a),
+                ColRef::I64(&self.ints_b),
+                ColRef::F64(&self.floats_a),
+                ColRef::F64(&self.floats_b),
+                ColRef::KeyU64(&self.keys_b),
+                ColRef::RowIds(self.keys_a.len()),
+            ]
+        }
+
+        fn rows(&self) -> Vec<Vec<Value>> {
+            (0..self.keys_a.len())
+                .map(|i| {
+                    vec![
+                        Value::I64(self.keys_a[i] as i64),
+                        Value::I64(self.ints_a[i]),
+                        Value::I64(self.ints_b[i]),
+                        Value::F64(self.floats_a[i]),
+                        Value::F64(self.floats_b[i]),
+                        Value::I64(self.keys_b[i] as i64),
+                        Value::I64(i as i64),
+                    ]
+                })
+                .collect()
+        }
+
+        fn bodies() -> Vec<KernelBody> {
+            const OPS: [CmpOp; 6] =
+                [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+            let int_consts =
+                [Value::I64(0), Value::I64(i64::MIN), Value::I64(i64::MAX), Value::I64(500)];
+            let float_consts = [Value::F64(f64::NAN), Value::F64(-0.0), Value::F64(f64::INFINITY)];
+            let mut preds: Vec<Expr> = Vec::new();
+            for op in OPS {
+                for (slots, consts) in
+                    [(&[0, 1, 2, 5, 6][..], &int_consts[..]), (&[3, 4][..], &float_consts[..])]
+                {
+                    for &l in slots {
+                        for &c in consts {
+                            preds.push(Expr::input(l).cmp(op, Expr::lit(c)));
+                            preds.push(Expr::lit(c).cmp(op, Expr::input(l)));
+                        }
+                        for &r in slots.iter().filter(|&&r| r != l) {
+                            preds.push(Expr::input(l).cmp(op, Expr::input(r)));
+                        }
                     }
                 }
             }
+            // Q6's range shape: disc >= lo && disc <= hi && 24.0 > qty.
+            let range = Expr::input(3)
+                .cmp(CmpOp::Ge, Expr::lit(-1.5f64))
+                .and(Expr::input(3).cmp(CmpOp::Le, Expr::lit(1.5f64)));
+            preds.push(range.and(Expr::lit(0.0f64).cmp(CmpOp::Gt, Expr::input(4))));
+            // Q21's shape beside constant terms: receipt > commit && min != max.
+            let mixed = Expr::input(1).cmp(CmpOp::Gt, Expr::input(2));
+            let mixed = mixed.and(Expr::input(0).cmp(CmpOp::Ne, Expr::input(5)));
+            preds.push(mixed.and(Expr::input(4).cmp(CmpOp::Le, Expr::lit(0.0f64))));
+            let body = |pred| {
+                let mut b = BodyBuilder::new(7);
+                b.emit_output(pred);
+                b.build()
+            };
+            preds.into_iter().map(body).collect()
         }
-        // Q6's range shape: disc >= lo && disc <= hi && 24.0 > qty.
-        let range = Expr::input(3)
-            .cmp(CmpOp::Ge, Expr::lit(-1.5f64))
-            .and(Expr::input(3).cmp(CmpOp::Le, Expr::lit(1.5f64)));
-        preds.push(range.and(Expr::lit(0.0f64).cmp(CmpOp::Gt, Expr::input(4))));
-        // Q21's shape beside constant terms: receipt > commit && min != max.
-        let mixed = Expr::input(1).cmp(CmpOp::Gt, Expr::input(2));
-        let mixed = mixed.and(Expr::input(0).cmp(CmpOp::Ne, Expr::input(5)));
-        preds.push(mixed.and(Expr::input(4).cmp(CmpOp::Le, Expr::lit(0.0f64))));
+    }
 
-        for pred in preds {
-            let mut b = BodyBuilder::new(cols.len() as u32);
-            b.emit_output(pred);
-            let body = b.build();
+    /// The twin check: the baseline and the AVX2 build of the whole runner
+    /// leave identical banks, and agree with the interpreter, on the
+    /// compare table at `n` of 1, 63, 64, 65 and 1024 rows from a base row
+    /// off the word grid, and on random bodies of every `prop_batch.rs` arm
+    /// (random instructions, splices, repeated subtrees, constants on
+    /// either side of compares, conjunction trees), with slot 0 a key
+    /// column or row ids. On a CPU without AVX2 it says it skipped that
+    /// build.
+    #[test]
+    fn both_builds_of_the_runner_agree() {
+        if !avx2() {
+            println!("no AVX2 on this CPU: the AVX2 build of the runner is not run");
+        }
+        let table = CompareTable::new();
+        let (cols, rows) = (table.cols(), table.rows());
+        let slot_tys = cols.map(|c| Some(c.ty()));
+        for body in CompareTable::bodies() {
             for n in [1, 63, 64, 65, BATCH_ROWS] {
-                let (k, fused) = assert_fused_matches_interp(
-                    &body,
-                    &slot_tys,
-                    &cols,
-                    &rows,
-                    BASE..BASE + n,
-                    "cmp_chain",
-                );
-                let [(0, Fused::CmpChain { terms })] = &k.fused[..] else { unreachable!() };
-                let mut baseline = vec![POISON_MASK; n.div_ceil(64)];
-                // The fused run left the row-id slot's register loaded.
-                let rows = BASE..BASE + n;
-                let batch = Batch { cols: &cols, rows, instrs: &k.instrs, banks: &fused.banks };
-                cmp_chain(&mut baseline, terms, &batch);
-                let run = if avx2 { "AVX2" } else { "baseline" };
-                assert_eq!(
-                    baseline[..],
-                    fused.selection_mask(&k)[..baseline.len()],
-                    "baseline vs {run} build, n = {n}, terms {terms:?}"
-                );
+                assert_matches_interp(&body, &slot_tys, &cols, &rows, BASE..BASE + n);
+            }
+        }
+        let len = BASE + BATCH_ROWS;
+        for seed in 0..100u64 {
+            let mut rng = Rng::seed_from_u64(0x7715 ^ seed);
+            let mut data = test_bodies::gen_columns(&mut rng, len, 2, 2);
+            data.keys = (0..len as u64).collect();
+            let body = match seed % 5 {
+                4 => {
+                    let extra = rng.gen_range(8..32usize);
+                    test_bodies::gen_body(&mut rng, &data.slot_tys, extra)
+                }
+                arm => test_bodies::gen_arm(&mut rng, arm as usize, &data.slot_tys),
+            };
+            let slot_tys: Vec<Option<Ty>> = data.slot_tys.iter().map(|&t| Some(t)).collect();
+            let rows: Vec<Vec<Value>> = (0..len).map(|i| data.row(i)).collect();
+            for cols in [data.ir_cols(), data.row_id_cols()] {
+                for n in [65, BATCH_ROWS] {
+                    assert_matches_interp(&body, &slot_tys, &cols, &rows, BASE..BASE + n);
+                }
             }
         }
     }
@@ -1610,31 +1577,49 @@ mod tests {
     #[test]
     fn a_machine_banks_only_the_registers_a_run_writes() {
         let banked = |k: &CompiledKernel| BatchMachine::new(k).banks.iter().flatten().count();
-        // Q6's shape: the compare chain reads its f64 loads in place and its
-        // constants from the primitive, so only the mask has a bank.
+        // Q6's shape: the conjunction reads its f64 loads in place and its
+        // constants as splats and ANDs both compares into its own words, so
+        // only the mask has a bank.
         let mut b = BodyBuilder::new(2);
         let lo = Expr::input(0).cmp(CmpOp::Ge, Expr::lit(0.05f64));
         b.emit_output(lo.and(Expr::input(1).cmp(CmpOp::Lt, Expr::lit(24.0f64))));
-        let k = CompiledKernel::compile(&b.build(), &[Some(Ty::F64), Some(Ty::F64)]).unwrap();
-        assert_eq!((k.fused_primitive(), k.instrs.len(), banked(&k)), (Some("cmp_chain"), 7, 1));
-        // The generic path: an f64 load is read in place; the constant it
-        // reads and its destination are banked, and an i64 load may be a
-        // key, so it is banked too.
-        for (ty, lit, banks) in [(Ty::F64, Value::F64(3.0), 2), (Ty::I64, Value::I64(3), 3)] {
+        let body = b.build();
+        let k = CompiledKernel::compile(&body, &[Some(Ty::F64), Some(Ty::F64)]).unwrap();
+        assert_eq!((body.instrs.len(), banked(&k)), (7, 1));
+        // An f64 load is read in place and a constant is a splat: only the
+        // quotient is banked. An i64 load may be a row-id slot, so it is
+        // banked too.
+        for (ty, lit, banks) in [(Ty::F64, Value::F64(3.0), 1), (Ty::I64, Value::I64(3), 2)] {
             let mut b = BodyBuilder::new(1);
             b.emit_output(Expr::input(0).div(Expr::lit(lit)));
-            let k = CompiledKernel::compile(&b.build(), &[Some(ty)]).unwrap();
-            assert_eq!((k.fused_primitive(), k.instrs.len(), banked(&k)), (None, 3, banks));
+            let body = b.build();
+            let k = CompiledKernel::compile(&body, &[Some(ty)]).unwrap();
+            assert_eq!((body.instrs.len(), banked(&k)), (3, banks));
         }
     }
 
+    /// Identical instructions — a subtree the builder emits twice, loads
+    /// and constants included — and a `Copy` share one register: the twice
+    /// emitted `a * b + 1.5` is computed once, and both outputs read one
+    /// bank.
     #[test]
-    fn unrecognized_shapes_stay_generic() {
-        // A division chain matches no fused primitive.
+    fn identical_instructions_share_one_register() {
+        let twice = || Expr::input(0).mul(Expr::input(1)).add(Expr::lit(1.5f64));
         let mut b = BodyBuilder::new(2);
-        b.emit_output(Expr::input(1).div(Expr::lit(3i64)));
-        let k = CompiledKernel::compile(&b.build(), &[Some(Ty::I64), Some(Ty::I64)]).unwrap();
-        assert_eq!(k.fused_primitive(), None);
+        b.emit_output(twice());
+        b.emit_output(twice());
+        let mut body = b.build();
+        let copy = body.push(Instr::Copy { src: body.outputs[0] });
+        body.outputs.push(copy);
+        let k = CompiledKernel::compile(&body, &[Some(Ty::F64), Some(Ty::F64)]).unwrap();
+        assert_eq!((body.instrs.len(), k.steps.len()), (11, 2));
+        assert_eq!(BatchMachine::new(&k).banks.iter().flatten().count(), 2);
+        let (a, c): (Vec<f64>, Vec<f64>) =
+            (0..100).map(|i| (i as f64 * 0.7, 3.0 - i as f64)).unzip();
+        let rows: Vec<Vec<Value>> =
+            (0..100).map(|i| vec![Value::F64(a[i]), Value::F64(c[i])]).collect();
+        let tys = [Some(Ty::F64), Some(Ty::F64)];
+        assert_matches_interp(&body, &tys, &[ColRef::F64(&a), ColRef::F64(&c)], &rows, 0..100);
     }
 
     /// Where a machine's mask bank lives: the same address twice is the
@@ -1759,3 +1744,10 @@ mod tests {
         }
     }
 }
+
+/// The random bodies `tests/prop_batch.rs` checks, for the twin test.
+#[cfg(test)]
+#[path = "../tests/bodies/mod.rs"]
+mod test_bodies;
+#[cfg(test)]
+use crate::fuse::{fuse, FusedOutput, SlotSource};

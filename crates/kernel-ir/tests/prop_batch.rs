@@ -2,223 +2,48 @@
 //! bit-identical to the per-element interpreter ([`kfusion_ir::interp`]) on
 //! randomly generated well-typed bodies.
 //!
-//! The generator tracks a concrete type for every register it emits, so
-//! every body it produces verifies and fully resolves under
-//! `infer_with_slots` — the batch engine never gets to decline. Input
-//! columns are salted with the adversarial values the scalar semantics are
-//! defined over: 0 divisors, `i64::MIN / -1`, out-of-range shift amounts,
-//! NaN / ±0.0 / ±inf floats, and `u64` keys above `i64::MAX`.
+//! The generators (`bodies/mod.rs`) track a concrete type for every
+//! register they emit, so every body they produce verifies and fully
+//! resolves under `infer_with_slots` — the batch engine never gets to
+//! decline. Beside bodies of random instructions they splice 2–5 members
+//! with `fuse`, repeat subtrees, put constants on either side of compares
+//! and build conjunction trees of compares. Input columns are salted with
+//! the adversarial values the scalar semantics are defined over: 0
+//! divisors, `i64::MIN / -1`, out-of-range shift amounts, NaN / ±0.0 /
+//! ±inf floats, and `u64` keys above `i64::MAX`.
 
 use kfusion_ir::batch::{mask_lane, BankView, BatchMachine, ColRef, CompiledKernel, BATCH_ROWS};
+use kfusion_ir::fuse::{fuse, FusedOutput, SlotSource};
 use kfusion_ir::interp::eval;
 use kfusion_ir::{BinOp, CmpOp, Instr, KernelBody, Reg, Ty, UnOp, Value};
 use kfusion_prng::Rng;
 
-/// Adversarial i64 draws, biased toward the wrapping/division edge cases.
-fn gen_i64(rng: &mut Rng) -> i64 {
-    const POOL: &[i64] = &[0, 1, -1, 2, -2, 63, 64, 65, -64, i64::MIN, i64::MAX, i64::MIN + 1];
-    if rng.gen_bool(0.4) {
-        POOL[rng.gen_range(0..POOL.len())]
-    } else {
-        rng.next_u64() as i64
-    }
-}
-
-/// Adversarial f64 draws, biased toward NaN / signed zero / infinities.
-fn gen_f64(rng: &mut Rng) -> f64 {
-    const POOL: &[f64] = &[0.0, -0.0, 1.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
-    if rng.gen_bool(0.4) {
-        POOL[rng.gen_range(0..POOL.len())]
-    } else {
-        (rng.next_u64() as i64 as f64) * 1e-3
-    }
-}
-
-fn pick_of_ty(rng: &mut Rng, reg_ty: &[Ty], want: Ty) -> Option<Reg> {
-    let candidates: Vec<Reg> =
-        (0..reg_ty.len()).filter(|&r| reg_ty[r] == want).map(|r| r as Reg).collect();
-    if candidates.is_empty() {
-        None
-    } else {
-        Some(candidates[rng.gen_range(0..candidates.len())])
-    }
-}
-
-const TYS: [Ty; 3] = [Ty::I64, Ty::F64, Ty::Bool];
-
-/// Generate a random well-typed body over `slot_tys` input columns.
-///
-/// Starts by loading every slot (the relational layer binds all loaded
-/// slots), then emits `extra` random instructions, each drawn from the
-/// type-legal subset of the ISA, and finishes with 1–4 random outputs.
-fn gen_body(rng: &mut Rng, slot_tys: &[Ty], extra: usize) -> KernelBody {
-    let mut instrs = Vec::new();
-    let mut reg_ty: Vec<Ty> = Vec::new();
-    for (slot, &ty) in slot_tys.iter().enumerate() {
-        instrs.push(Instr::LoadInput { slot: slot as u32 });
-        reg_ty.push(ty);
-    }
-    for _ in 0..extra {
-        let (instr, ty) = gen_instr(rng, &reg_ty);
-        instrs.push(instr);
-        reg_ty.push(ty);
-    }
-    let n_out = rng.gen_range(1..5usize);
-    let outputs = (0..n_out).map(|_| rng.gen_range(0..reg_ty.len()) as Reg).collect::<Vec<Reg>>();
-    KernelBody { instrs, outputs, n_inputs: slot_tys.len() as u32 }
-}
-
-fn gen_instr(rng: &mut Rng, reg_ty: &[Ty]) -> (Instr, Ty) {
-    loop {
-        match rng.gen_range(0..6u32) {
-            0 => {
-                // Const of a random type, drawn from the adversarial pools.
-                let value = match TYS[rng.gen_range(0..3usize)] {
-                    Ty::I64 => Value::I64(gen_i64(rng)),
-                    Ty::F64 => Value::F64(gen_f64(rng)),
-                    Ty::Bool => Value::Bool(rng.gen_bool(0.5)),
-                };
-                return (Instr::Const { value }, value.ty());
-            }
-            1 => {
-                let ty = TYS[rng.gen_range(0..3usize)];
-                let ops: &[BinOp] = match ty {
-                    Ty::I64 => &[
-                        BinOp::Add,
-                        BinOp::Sub,
-                        BinOp::Mul,
-                        BinOp::Div,
-                        BinOp::Rem,
-                        BinOp::Min,
-                        BinOp::Max,
-                        BinOp::And,
-                        BinOp::Or,
-                        BinOp::Xor,
-                        BinOp::Shl,
-                        BinOp::Shr,
-                    ],
-                    Ty::F64 => &[
-                        BinOp::Add,
-                        BinOp::Sub,
-                        BinOp::Mul,
-                        BinOp::Div,
-                        BinOp::Rem,
-                        BinOp::Min,
-                        BinOp::Max,
-                    ],
-                    Ty::Bool => &[BinOp::And, BinOp::Or, BinOp::Xor],
-                };
-                let op = ops[rng.gen_range(0..ops.len())];
-                let (Some(lhs), Some(rhs)) =
-                    (pick_of_ty(rng, reg_ty, ty), pick_of_ty(rng, reg_ty, ty))
-                else {
-                    continue;
-                };
-                return (Instr::Bin { op, lhs, rhs }, ty);
-            }
-            2 => {
-                let (op, ty) = match rng.gen_range(0..4u32) {
-                    0 => (UnOp::Not, Ty::Bool),
-                    1 => (UnOp::Not, Ty::I64),
-                    2 => (UnOp::Neg, Ty::I64),
-                    _ => (UnOp::Neg, Ty::F64),
-                };
-                let Some(arg) = pick_of_ty(rng, reg_ty, ty) else { continue };
-                return (Instr::Un { op, arg }, ty);
-            }
-            3 => {
-                let ty = TYS[rng.gen_range(0..3usize)];
-                let ops: &[CmpOp] = if ty == Ty::Bool {
-                    &[CmpOp::Eq, CmpOp::Ne]
-                } else {
-                    &[CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne]
-                };
-                let op = ops[rng.gen_range(0..ops.len())];
-                let (Some(lhs), Some(rhs)) =
-                    (pick_of_ty(rng, reg_ty, ty), pick_of_ty(rng, reg_ty, ty))
-                else {
-                    continue;
-                };
-                return (Instr::Cmp { op, lhs, rhs }, Ty::Bool);
-            }
-            4 => {
-                let ty = TYS[rng.gen_range(0..3usize)];
-                let (Some(cond), Some(then_r), Some(else_r)) = (
-                    pick_of_ty(rng, reg_ty, Ty::Bool),
-                    pick_of_ty(rng, reg_ty, ty),
-                    pick_of_ty(rng, reg_ty, ty),
-                ) else {
-                    continue;
-                };
-                return (Instr::Select { cond, then_r, else_r }, ty);
-            }
-            _ => {
-                let ty = TYS[rng.gen_range(0..3usize)];
-                // f64 -> bool is the one illegal cast.
-                let src = if ty == Ty::Bool { [Ty::I64, Ty::Bool] } else { [Ty::I64, Ty::F64] };
-                let want = if ty == Ty::Bool || rng.gen_bool(0.5) {
-                    src[rng.gen_range(0..2usize)]
-                } else {
-                    Ty::Bool
-                };
-                let Some(arg) = pick_of_ty(rng, reg_ty, want) else { continue };
-                return (Instr::Cast { ty, arg }, ty);
-            }
-        }
-    }
-}
-
-/// Columns for a batch run and the matching per-row `Value` views for the
-/// interpreter. Slot 0 is a `u64` key column (loaded as i64, like the
-/// relational calling convention); the rest alternate i64/f64.
-struct Columns {
-    keys: Vec<u64>,
-    i64s: Vec<Vec<i64>>,
-    f64s: Vec<Vec<f64>>,
-    slot_tys: Vec<Ty>,
-}
-
-fn gen_columns(rng: &mut Rng, rows: usize, n_i64: usize, n_f64: usize) -> Columns {
-    let keys = (0..rows)
-        .map(|_| if rng.gen_bool(0.2) { u64::MAX - rng.gen_range(0..4u64) } else { rng.next_u64() })
-        .collect();
-    let i64s = (0..n_i64).map(|_| (0..rows).map(|_| gen_i64(rng)).collect()).collect();
-    let f64s = (0..n_f64).map(|_| (0..rows).map(|_| gen_f64(rng)).collect()).collect();
-    let mut slot_tys = vec![Ty::I64]; // the key loads as i64
-    slot_tys.extend(std::iter::repeat_n(Ty::I64, n_i64));
-    slot_tys.extend(std::iter::repeat_n(Ty::F64, n_f64));
-    Columns { keys, i64s, f64s, slot_tys }
-}
-
-impl Columns {
-    fn ir_cols(&self) -> Vec<ColRef<'_>> {
-        let mut cols = vec![ColRef::KeyU64(&self.keys)];
-        cols.extend(self.i64s.iter().map(|c| ColRef::I64(c)));
-        cols.extend(self.f64s.iter().map(|c| ColRef::F64(c)));
-        cols
-    }
-
-    fn row(&self, i: usize) -> Vec<Value> {
-        let mut row = vec![Value::I64(self.keys[i] as i64)];
-        row.extend(self.i64s.iter().map(|c| Value::I64(c[i])));
-        row.extend(self.f64s.iter().map(|c| Value::F64(c[i])));
-        row
-    }
-}
+mod bodies;
+use bodies::*;
 
 /// Run `body` both ways over `cols` and assert every output lane is
 /// bit-identical to the interpreter's row-at-a-time answer.
 fn assert_batch_matches_interp(body: &KernelBody, cols: &Columns, rows: usize, what: &str) {
+    assert_bound_matches_interp(body, cols, &cols.ir_cols(), rows, what)
+}
+
+/// [`assert_batch_matches_interp`] with `cols` bound as `ir_cols`.
+fn assert_bound_matches_interp(
+    body: &KernelBody,
+    cols: &Columns,
+    ir_cols: &[ColRef<'_>],
+    rows: usize,
+    what: &str,
+) {
     let slot_seeds: Vec<Option<Ty>> = cols.slot_tys.iter().map(|&t| Some(t)).collect();
     let k = CompiledKernel::compile(body, &slot_seeds)
         .unwrap_or_else(|e| panic!("{what}: generated body failed to compile: {e}"));
-    k.check_binding(&cols.ir_cols()).expect("column binding");
+    k.check_binding(ir_cols).expect("column binding");
     let mut bm = BatchMachine::new(&k);
-    let ir_cols = cols.ir_cols();
     let mut base = 0;
     while base < rows {
         let n = (rows - base).min(BATCH_ROWS);
-        bm.run(&k, &ir_cols, base, n);
+        bm.run(&k, ir_cols, base, n);
         for j in 0..n {
             let expected = eval(body, &cols.row(base + j))
                 .unwrap_or_else(|e| panic!("{what}: interp failed on a well-typed body: {e}"));
@@ -327,4 +152,54 @@ fn nan_propagation_matches_interp() {
         n_inputs: 3,
     };
     assert_batch_matches_interp(&body, &cols, rows, "nan gauntlet");
+}
+
+/// Run `arm` (`bodies::gen_arm`, or random instructions when `None`) over
+/// 40 seeds, with slot 0 bound as a key column on even seeds and as row ids
+/// on odd ones, each against the interpreter.
+fn arm_matches_interp(arm: Option<usize>, salt: u64) {
+    let rows = 2 * BATCH_ROWS + 389;
+    for seed in 0..40u64 {
+        let mut rng = Rng::seed_from_u64(salt ^ seed);
+        let mut cols = gen_columns(&mut rng, rows, 2, 2);
+        let body = match arm {
+            Some(arm) => gen_arm(&mut rng, arm, &cols.slot_tys),
+            None => {
+                let extra = rng.gen_range(8..32usize);
+                gen_body(&mut rng, &cols.slot_tys, extra)
+            }
+        };
+        if seed % 2 == 0 {
+            assert_batch_matches_interp(&body, &cols, rows, &format!("seed {seed}"));
+        } else {
+            cols.keys = (0..rows as u64).collect();
+            let what = format!("seed {seed}, row ids");
+            assert_bound_matches_interp(&body, &cols, &cols.row_id_cols(), rows, &what);
+        }
+    }
+}
+
+#[test]
+fn row_id_slots_match_interp() {
+    arm_matches_interp(None, 0x0b0d_1e55);
+}
+
+#[test]
+fn spliced_bodies_match_interp() {
+    arm_matches_interp(Some(0), 0x5b11_ce00);
+}
+
+#[test]
+fn repeated_subtrees_match_interp() {
+    arm_matches_interp(Some(1), 0x7e9e_a700);
+}
+
+#[test]
+fn constants_on_either_side_of_a_compare_match_interp() {
+    arm_matches_interp(Some(2), 0xc0f5_7a00);
+}
+
+#[test]
+fn conjunction_trees_of_compares_match_interp() {
+    arm_matches_interp(Some(3), 0xa11_a4d0);
 }

@@ -8,7 +8,7 @@
 //!    build they are plain re-exports of std — production binaries are
 //!    byte-identical. Compiled with `RUSTFLAGS="--cfg kfusion_model"`, every
 //!    lock acquisition, condvar wait, notify, and atomic access instead
-//!    yields to an explorer ([`explore`]) that serializes the threads of a
+//!    yields to an explorer (`explore`) that serializes the threads of a
 //!    small fixed scenario and enumerates **every** interleaving by stateless
 //!    DFS over the scheduling choices (with an optional CHESS-style
 //!    preemption bound). Deadlocks, lost wakeups, and assertion failures are

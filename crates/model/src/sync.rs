@@ -7,7 +7,7 @@
 //! model cfg these ARE the std types (`pub use`), so production builds are
 //! byte-identical. Under the cfg, each primitive keeps a real std twin for
 //! the data it protects but routes all *blocking and visibility* through
-//! the [`crate::rt`] runtime: logical ownership, waitsets, wake reasons,
+//! the `crate::rt` runtime: logical ownership, waitsets, wake reasons,
 //! and the virtual clock all live in the explorer, which makes every
 //! interleaving enumerable and replayable.
 //!

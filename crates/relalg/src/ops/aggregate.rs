@@ -12,21 +12,21 @@
 //!   The base rows are cut into morsels of whole selection words that no run
 //!   crosses; pass 1 counts each morsel's runs, pass 2 walks its selected
 //!   lanes batch by batch, the accumulators of one value and slot type
-//!   sharing one walk with the runs' keys ([`fold_runs`]), into that
+//!   sharing one walk with the runs' keys (`fold_runs`), into that
 //!   morsel's window of the output. A dense view is the case with no
 //!   selection.
 //! * **groups** — a view a SORT by key grouped instead of sorting
 //!   ([`crate::ops::group_by_key_view`]) is in no key order, but each key's
 //!   rows are in the order the sorted rows would be. The groups are
-//!   numbered as their keys first appear ([`Slots`]), and each row is
+//!   numbered as their keys first appear (`Slots`), and each row is
 //!   folded, in that order, into its group's slot of each accumulator; the
 //!   accumulators that fold alike (all of Q1's are f64 sums) share one
-//!   typed walk over the selected rows ([`fold_rows`]). The accumulators,
+//!   typed walk over the selected rows (`fold_rows`). The accumulators,
 //!   never the rows, are dealt to the workers, and the groups written in
 //!   key order.
 //!
 //! Aggregates that fold one source with one step share an accumulator — an
-//! AVG divides its SUM's ([`Plan`]). The sources are the view's columns or,
+//! AVG divides its SUM's (`Plan`). The sources are the view's columns or,
 //! in a fused group's loop ([`crate::ops::group_loop_view`]), outputs of a
 //! kernel the fold runs over each batch of rows. Either way every group is
 //! folded left to right from the aggregate's identity, so each float sum,

@@ -8,7 +8,7 @@
 //! [`super::rekey_view`]).
 //!
 //! The members' bodies are spliced into one body ([`kfusion_ir::fuse`]) and
-//! compiled once for the batch engine. Per [`BATCH_ROWS`] batch the kernel
+//! compiled once for the batch engine. Per [`BATCH_ROWS`](kfusion_ir::batch::BATCH_ROWS) batch the kernel
 //! runs once: each SELECT's predicate is ANDed into the selection mask,
 //! ARITH+ outputs stay in the batch's banks, and REKEY writes its key
 //! straight from a bank. What leaves the chain is written once, at base
@@ -20,7 +20,7 @@
 //! The members before the last hand on nothing: the loop reports their
 //! sizes ([`Stage::Passed`]). The unfused operators stay the oracle — a
 //! chain the loop cannot run as they would is cut to the longest prefix it
-//! can run ([`Loop::build`] is the one rule set for what a loop covers),
+//! can run (`Loop::build` is the one rule set for what a loop covers),
 //! and a member no loop can run takes its operator's fallback, the
 //! interpreter. A run of SELECTs is such a chain — the paper's fused Q6
 //! kernel (Fig. 6), one walk for every predicate.

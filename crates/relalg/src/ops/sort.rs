@@ -36,7 +36,7 @@
 //! the groups as it folds them.
 //!
 //! Every loop over ranks — the scan, the histograms, the scatter — is
-//! compiled once per kind of rank ([`with_rank!`]), with no `match` per
+//! compiled once per kind of rank (`with_rank!`), with no `match` per
 //! row, and walks a full selection word as a contiguous run of rows.
 //!
 //! None of this reaches the sim clock: `kfusion_core::cost` prices every

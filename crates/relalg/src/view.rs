@@ -11,7 +11,7 @@
 //! ([`crate::ops::arith_extend_view`], [`crate::ops::rekey_view`]); nothing
 //! is copied until [`materialize`] — the gather stage every multi-stage
 //! operator ends with — is asked for real storage, or SORT gathers the
-//! view in its own order ([`gather`]) — or, when a keyed AGGREGATE alone
+//! view in its own order (`gather`) — or, when a keyed AGGREGATE alone
 //! reads what it sorts, leaves the view where it is and hands on the
 //! range of its keys ([`crate::ops::group_by_key_view`]). The
 //! materializing operators are exactly `materialize ∘ view-op`, so a
@@ -130,7 +130,7 @@ impl<'a> View<'a> {
     }
 
     /// Whether every base row is selected — the tuples are the stored rows,
-    /// position for position ([`View::dense`] then has nothing to gather).
+    /// position for position (`View::dense` then has nothing to gather).
     pub fn is_dense(&self) -> bool {
         self.sel.is_none()
     }

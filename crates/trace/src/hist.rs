@@ -148,7 +148,7 @@ impl Hist {
         &self.counts
     }
 
-    /// The `q`-quantile (q in [0,1]): the upper bound of the bucket holding
+    /// The `q`-quantile (q in `[0, 1]`): the upper bound of the bucket holding
     /// the `ceil(q·count)`-th smallest recorded value. Returns 0 for an
     /// empty histogram; values in the overflow bucket report the overflow
     /// *lower* bound (2^MAX_EXP) rather than infinity.

@@ -5,9 +5,13 @@
 use kfusion::core::exec::{execute, execute_prepared, prepare_fusion, ExecConfig, Strategy};
 use kfusion::core::microbench::{run_with_cards, DataMode, SelectChain};
 use kfusion::core::{CoreError, OpKind, PlanGraph};
+use kfusion::frontend::compile;
 use kfusion::relalg::ops::{Agg, SortBy};
 use kfusion::relalg::{gen, predicates, Column, Relation};
+use kfusion::server::TableRegistry;
 use kfusion::server::{QueryService, QueryTicket, RecordOutcome, ServerConfig, ServerError};
+use kfusion::tpch::gen::{generate, TpchConfig};
+use kfusion::tpch::sql;
 use kfusion::vgpu::GpuSystem;
 
 fn sys() -> GpuSystem {
@@ -432,4 +436,37 @@ fn a_panicking_node_fails_its_query_not_its_thread() {
     let pool = kfusion::vgpu::exec::workers() - 1;
     assert!(spawned == 0 || spawned == pool);
     assert_eq!(kfusion::vgpu::exec::threads_spawned(), pool, "no pool thread was lost");
+}
+
+/// The service parses SQL on the client's thread, so a query nested
+/// 100 000 deep — parentheses, unary minus signs or the terms of one sum —
+/// must be a compile error for that client, not a stack overflow that takes
+/// the process down. The same service then answers Q6.
+#[test]
+fn deeply_nested_sql_fails_to_compile_and_the_service_answers_on() {
+    const DEEP: usize = 100_000;
+    let deep = [
+        format!("SELECT {}quantity{} FROM lineitem", "(".repeat(DEEP), ")".repeat(DEEP)),
+        format!("SELECT {}quantity FROM lineitem", "-".repeat(DEEP)),
+        format!("SELECT quantity{} FROM lineitem", " + quantity".repeat(DEEP)),
+    ];
+    let db = generate(TpchConfig::scale(0.01));
+    let mut registry = TableRegistry::new();
+    registry.add_table("lineitem", sql::q6_schema(), sql::q6_wide_table(&db)).unwrap();
+    let exec = ExecConfig::new(Strategy::Fusion, &sys());
+    let (errors, q6) =
+        QueryService::serve_catalog(&sys(), &registry, &ServerConfig::new(exec), |c| {
+            let errors: Vec<_> = deep.iter().map(|q| c.submit_sql(q).err()).collect();
+            (errors, c.query_sql(&sql::q6_sql()))
+        });
+    for e in errors {
+        match e {
+            Some(ServerError::Compile(e)) => assert!(e.to_string().contains("deeper than"), "{e}"),
+            other => panic!("expected a compile error, got {other:?}"),
+        }
+    }
+    let (_, q6) = q6.expect("the service answers Q6");
+    let plan = compile(&sql::q6_sql(), &sql::q6_catalog()).unwrap().plan;
+    let want = execute(&sys(), &plan, &[sql::q6_wide_table(&db)], &exec).unwrap();
+    assert!(sql::bit_identical(&q6.output, &want.output));
 }
