@@ -260,7 +260,7 @@ enum Operand {
     /// A constant: every lane the same, and no bank.
     Splat(Value),
     /// An input slot, read where it is stored: a window of the column, or
-    /// for a row-id slot the bank its load fills.
+    /// for a row-id slot the row numbers themselves.
     Slot(u32),
     /// The bank a step writes.
     Bank,
@@ -269,9 +269,8 @@ enum Operand {
 /// One step of a lowered body, writing the bank of register `dst`.
 #[derive(Debug, Clone)]
 enum Step {
-    /// Load an input slot into `dst`'s bank: a row-id slot's numbers
-    /// always, a stored column only when `dst` is an output (`copy`).
-    Load { dst: Reg, slot: u32, copy: bool },
+    /// Copy an input slot that is an output into `dst`'s bank.
+    Load { dst: Reg },
     /// `dst = instr`, lanes at a time: an arithmetic, unary, select or cast
     /// instruction with its operands value-numbered.
     Eval { dst: Reg, instr: Instr },
@@ -374,8 +373,8 @@ impl Lowered {
                 Instr::Const { value } => operands[r] = Operand::Splat(value),
                 Instr::LoadInput { slot } => {
                     operands[r] = Operand::Slot(slot);
-                    if reg_ty[r] == Ty::I64 || output[r] {
-                        steps.push(Step::Load { dst, slot, copy: output[r] });
+                    if output[r] {
+                        steps.push(Step::Load { dst });
                     }
                 }
                 _ if conjunct(r) => {}
@@ -574,6 +573,8 @@ enum Lanes<'a> {
     I64(&'a [i64]),
     /// A key column, read as `i64` lanes.
     Key(&'a [u64]),
+    /// Row ids, the numbers themselves.
+    RowIds(RowNumbers),
     F64(&'a [f64]),
     /// Boolean lanes, as mask words.
     Mask(&'a [u64]),
@@ -592,7 +593,7 @@ impl<'a> Lanes<'a> {
 
     fn ty(self) -> Ty {
         match self {
-            Lanes::I64(_) | Lanes::Key(_) => Ty::I64,
+            Lanes::I64(_) | Lanes::Key(_) | Lanes::RowIds(_) => Ty::I64,
             Lanes::F64(_) => Ty::F64,
             Lanes::Mask(_) => Ty::Bool,
             Lanes::Splat(v) => v.ty(),
@@ -669,6 +670,22 @@ impl<V: Copy> Src for Splat<V> {
     }
 }
 
+/// Row ids from a base on as `i64` lanes: lane `j` is `base + j`.
+#[derive(Clone, Copy)]
+struct RowNumbers(usize);
+
+impl Src for RowNumbers {
+    type V = i64;
+    #[inline(always)]
+    fn at(self, j: usize) -> i64 {
+        (self.0 + j) as i64
+    }
+    #[inline(always)]
+    fn cut(self, lo: usize, _: usize) -> Self {
+        RowNumbers(self.0 + lo)
+    }
+}
+
 /// Boolean lanes as mask words: "lane" `w` is word `w`.
 #[derive(Clone, Copy)]
 struct Words<'a>(&'a [u64]);
@@ -692,6 +709,7 @@ macro_rules! i64_src {
         match $lanes {
             Lanes::I64($x) => $body,
             Lanes::Key($x) => $body,
+            Lanes::RowIds($x) => $body,
             Lanes::Splat(Value::I64(c)) => {
                 let $x = Splat(c);
                 $body
@@ -745,9 +763,8 @@ pub struct BatchMachine {
 impl BatchMachine {
     /// Allocate banks for `k` and splat its constant outputs. A register
     /// gets one when it is an output or a step writes it: an arithmetic,
-    /// select, cast or conjunction, or an `i64` load — a row-id slot is
-    /// loaded into its bank. A constant or a stored column another step
-    /// reads, and a compare ANDed into its conjunction, has none.
+    /// select, cast or conjunction. A constant or an input slot another
+    /// step reads, and a compare ANDed into its conjunction, has none.
     pub fn new(k: &CompiledKernel) -> Self {
         let mut banks = vec![None; k.reg_ty.len()];
         let dsts = k.steps.iter().map(Step::dst);
@@ -885,12 +902,13 @@ fn runner(banks: &mut [Option<Bank>], k: &CompiledKernel, rows: Rows<'_>) {
                 ColRef::I64(s) => Lanes::I64(&s[base..base + n]),
                 ColRef::F64(s) => Lanes::F64(&s[base..base + n]),
                 ColRef::KeyU64(s) => Lanes::Key(&s[base..base + n]),
-                ColRef::RowIds(_) => Lanes::of(&below[r as usize], n),
+                ColRef::RowIds(_) => Lanes::RowIds(RowNumbers(base)),
             },
             Operand::Bank => Lanes::of(&below[r as usize], n),
         };
         match *step {
-            Step::Load { slot, copy, .. } => load(dst, cols[slot as usize], base, n, copy),
+            // A load is a cast to its own type.
+            Step::Load { dst: r } => cast(dst, lanes(r), n),
             Step::Eval { instr, .. } => match instr {
                 Instr::Bin { op, lhs, rhs } => bin(dst, op, lanes(lhs), lanes(rhs), n),
                 Instr::Un { op, arg } => un(dst, op, lanes(arg), n),
@@ -949,25 +967,6 @@ fn money_pair(banks: &mut [Option<Bank>], k: &CompiledKernel, m: &MoneyPair, row
         let dp = p[j] * (m.c_sub - dc[j]);
         d0[j] = dp;
         d1[j] = dp * (m.c_add + t[j]);
-    }
-}
-
-/// Load slot `col` into `dst`: a row-id slot's numbers always, a stored
-/// column when `copy` holds.
-#[inline(always)]
-fn load(dst: &mut Bank, col: ColRef<'_>, base: usize, n: usize, copy: bool) {
-    match (dst, col) {
-        (Bank::I64(d), ColRef::RowIds(len)) => {
-            debug_assert!(base + n <= len);
-            for (j, dj) in d[..n].iter_mut().enumerate() {
-                *dj = (base + j) as i64;
-            }
-        }
-        _ if !copy => {}
-        (Bank::I64(d), ColRef::I64(s)) => d[..n].copy_from_slice(&s[base..base + n]),
-        (Bank::F64(d), ColRef::F64(s)) => d[..n].copy_from_slice(&s[base..base + n]),
-        (Bank::I64(d), ColRef::KeyU64(s)) => map1(&mut d[..n], &s[base..base + n], |v| v),
-        _ => unreachable!("binding checked by CompiledKernel::check_binding"),
     }
 }
 
@@ -1586,10 +1585,10 @@ mod tests {
         let body = b.build();
         let k = CompiledKernel::compile(&body, &[Some(Ty::F64), Some(Ty::F64)]).unwrap();
         assert_eq!((body.instrs.len(), banked(&k)), (7, 1));
-        // An f64 load is read in place and a constant is a splat: only the
-        // quotient is banked. An i64 load may be a row-id slot, so it is
-        // banked too.
-        for (ty, lit, banks) in [(Ty::F64, Value::F64(3.0), 1), (Ty::I64, Value::I64(3), 2)] {
+        // A load is read in place, a row-id slot too, and a constant is a
+        // splat: only the quotient is banked. (An i64 load was banked while
+        // a row-id slot was read from a bank its load filled.)
+        for (ty, lit, banks) in [(Ty::F64, Value::F64(3.0), 1), (Ty::I64, Value::I64(3), 1)] {
             let mut b = BodyBuilder::new(1);
             b.emit_output(Expr::input(0).div(Expr::lit(lit)));
             let body = b.build();

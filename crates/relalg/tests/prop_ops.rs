@@ -605,4 +605,84 @@ mod oracle {
         assert_eq!(bits(&ops::intersection(&a, &b).unwrap()), [nz, nan]);
         assert_eq!(bits(&ops::difference(&a, &b).unwrap()), [z, nan2]);
     }
+
+    /// The f64 whose `f64::total_cmp` rank, as SORT ranks it, is `r`:
+    /// every rank is one, NaNs of every payload and ±∞ among them.
+    fn of_rank(r: u64) -> f64 {
+        f64::from_bits(if r >> 63 == 1 { r ^ 1 << 63 } else { !r })
+    }
+
+    /// SORT is one stable radix sort whose passes follow the rank span. By
+    /// every `SortBy`, over ranks that span either side of the counting
+    /// bound (`4n + 65 536` buckets for `n` selected rows: one pass below
+    /// it, digit passes from it on) and 2⁸, 2¹⁶, 2³², 2⁵⁶ and 2⁶⁴ − 1,
+    /// `sort` and `sort_view` give what the bitonic network gives, bit for
+    /// bit: over dense views and every third row, keys and i64 columns that
+    /// reach 0, `u64::MAX`, `i64::MIN` and `i64::MAX`, and f64 columns with
+    /// NaN, ±0.0 and ±∞ among them.
+    #[test]
+    fn sort_matches_the_bitonic_network_over_every_rank_span() {
+        use kfusion_relalg::ops::SortBy;
+        const SPECIAL: [f64; 5] = [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+        let every_sort = [
+            SortBy::Key,
+            SortBy::KeyDesc,
+            SortBy::I64Col(0),
+            SortBy::I64ColDesc(0),
+            SortBy::F64Col(1),
+            SortBy::F64ColDesc(1),
+            SortBy::F64Col(2),
+            SortBy::F64ColDesc(2),
+        ];
+        for n in [0usize, 1, 63, 64, 65, 4_097, 70_000] {
+            for thirds in [false, true] {
+                let rows = if thirds { n.div_ceil(3) } else { n } as u64;
+                let bound = 4 * rows + 65_536;
+                let spans =
+                    [bound - 2, bound - 1, bound, 1 << 8, 1 << 16, 1 << 32, 1 << 56, u64::MAX];
+                for (s, span) in spans.into_iter().enumerate() {
+                    let mut rng = rng_for(0xC9, (n * 64 + s * 2 + thirds as usize) as u64);
+                    // Ranks in lo ..= lo + span, each end on a row every
+                    // third row keeps.
+                    let lo = rng.gen_range(0..=u64::MAX - span);
+                    let mut ranks = || -> Vec<u64> {
+                        (0..n)
+                            .map(|i| match i {
+                                0 => lo,
+                                3 => lo + span,
+                                _ => lo + rng.gen_range(0..=span),
+                            })
+                            .collect()
+                    };
+                    let (keys, ints, floats) = (ranks(), ranks(), ranks());
+                    let special = (0..n)
+                        .map(|i| match i % 5 {
+                            0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+                            1 if i % 2 == 0 => other_nan(),
+                            _ => rng.next_f64() * 2e3 - 1e3,
+                        })
+                        .collect();
+                    let r = Relation::new(
+                        keys,
+                        vec![
+                            Column::I64(ints.into_iter().map(|r| (r ^ 1 << 63) as i64).collect()),
+                            Column::F64(floats.into_iter().map(of_rank).collect()),
+                            Column::F64(special),
+                            Column::I64((0..n as i64).map(|i| i % 3).collect()),
+                        ],
+                    )
+                    .unwrap();
+                    let view = if thirds { zeros_of(&r, 3) } else { View::of(&r) };
+                    let rows_of_view = materialize(view.clone());
+                    for by in every_sort {
+                        let what = format!("n={n} thirds={thirds} span={span:#x} {by:?}");
+                        let want = tuples(&ops::bitonic_sort(&rows_of_view, by).unwrap());
+                        let got = materialize(ops::sort_view(&view, by).unwrap());
+                        assert_eq!(tuples(&got), want, "sort_view, {what}");
+                        assert_eq!(tuples(&ops::sort(&rows_of_view, by).unwrap()), want, "{what}");
+                    }
+                }
+            }
+        }
+    }
 }

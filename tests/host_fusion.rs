@@ -515,6 +515,11 @@ fn q21_barriers_move_only_what_is_out_of_place() {
     assert_eq!(fused_trace.counter(SORT_ORDERED), passed_through);
     // No SORT finds groups instead: each has a join or a second reader.
     assert_eq!((serial_trace.counter(SORT_GROUPED), fused_trace.counter(SORT_GROUPED)), (0, 0));
+    // What the SORTs read of their ranks, pinned: each scan, and one
+    // counting pass for each SORT that reorders. A SORT that took digit
+    // passes would read them twice more a pass.
+    let ranks_read = (serial_trace.counter(RANKS_READ), fused_trace.counter(RANKS_READ));
+    assert_eq!(ranks_read, (116_935, 116_935));
 
     // What does write rows unfused: every SELECT, SEMIJOIN / ANTIJOIN and
     // UNIQUE through the gather, the SORTs that reorder, and the PROJECTs.

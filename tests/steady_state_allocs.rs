@@ -125,37 +125,46 @@ fn warm_keyed_aggregate_allocates_the_same_for_ten_groups_as_for_a_hundred_thous
     assert_eq!((few_steady, many_steady), ((0, 0), (0, 0)), "the folds must not allocate");
 }
 
-/// SORT is held to it too: its positions and histograms are thread-local
-/// scratch and its morsels one per core, so a warm call allocates as many
-/// blocks for 64 Ki rows as for 1 Mi — its output's, and no more — and its
-/// per-row loops (scan, histogram, scatter, gather) none at all.
+/// SORT is held to it too: its positions, ranks and histograms are
+/// thread-local scratch and its morsels one per core, so a warm call
+/// allocates as many blocks for 64 Ki rows as for 1 Mi — its output's, and
+/// no more — and its per-row loops (scan, histogram, deal, gather) none at
+/// all, in one pass or in eight.
 #[test]
 fn warm_sort_allocates_the_same_for_64_ki_rows_as_for_1_mi() {
     let _g = serial();
-    let warm_call = |n: usize| {
-        // Seven group codes out of order: the counting path Q1's SORT takes.
-        let input = Relation::new(
-            (0..n).map(|i| (i * 5 % 7) as u64).collect(),
-            vec![
-                Column::I64((0..n as i64).collect()),
-                Column::F64((0..n).map(|i| i as f64 * 0.5).collect()),
-            ],
-        )
-        .unwrap();
-        ops::sort(&input, SortBy::Key).unwrap();
+    // Seven group codes out of order: the one pass Q1's SORT takes. Keys
+    // spread over every u64: eight digit passes.
+    for (what, wide) in [("seven group codes", false), ("wide keys", true)] {
+        let key = |i: usize| match wide {
+            false => (i * 5 % 7) as u64,
+            true => (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        };
+        let warm_call = |n: usize| {
+            let input = Relation::new(
+                (0..n).map(key).collect(),
+                vec![
+                    Column::I64((0..n as i64).collect()),
+                    Column::F64((0..n).map(|i| i as f64 * 0.5).collect()),
+                ],
+            )
+            .unwrap();
+            ops::sort(&input, SortBy::Key).unwrap();
 
-        allocwatch::reset();
-        allocwatch::set_enabled(true);
-        let sorted = ops::sort(&input, SortBy::Key).unwrap();
-        allocwatch::set_enabled(false);
-        assert!(sorted.is_key_sorted() && sorted.len() == n);
-        (allocwatch::total_counts().0, allocwatch::region_counts())
-    };
-    let (small, small_steady) = warm_call(64 * 1024);
-    let (large, large_steady) = warm_call(1024 * 1024);
-    assert!(small > 0, "counting allocator saw no allocations at all");
-    assert_eq!(small, large, "blocks allocated: 64 Ki rows vs 1 Mi rows");
-    assert_eq!((small_steady, large_steady), ((0, 0), (0, 0)), "per-row loops must not allocate");
+            allocwatch::reset();
+            allocwatch::set_enabled(true);
+            let sorted = ops::sort(&input, SortBy::Key).unwrap();
+            allocwatch::set_enabled(false);
+            assert!(sorted.is_key_sorted() && sorted.len() == n);
+            (allocwatch::total_counts().0, allocwatch::region_counts())
+        };
+        let (small, small_steady) = warm_call(64 * 1024);
+        let (large, large_steady) = warm_call(1024 * 1024);
+        assert!(small > 0, "{what}: counting allocator saw no allocations at all");
+        assert_eq!(small, large, "{what}: blocks allocated: 64 Ki rows vs 1 Mi rows");
+        let steady = (small_steady, large_steady);
+        assert_eq!(steady, ((0, 0), (0, 0)), "{what}: per-row loops must not allocate");
+    }
 }
 
 /// And so is the grouped fold a SORT by key hands a keyed AGGREGATE (Q1's
