@@ -231,6 +231,7 @@ fn member(kind: &OpKind) -> Option<Member<'_>> {
         OpKind::ArithExtend { body } => Member::ArithExtend(body),
         OpKind::Rekey { col } => Member::Rekey(*col),
         OpKind::Aggregate { aggs } => Member::Aggregate(aggs),
+        OpKind::AggregateAll { aggs } => Member::AggregateAll(aggs),
         _ => return None,
     })
 }

@@ -210,6 +210,12 @@ impl CompiledKernel {
         self.reg_ty[self.outputs[idx] as usize]
     }
 
+    /// The input slots the body loads, in body order (a slot once per
+    /// load): the only columns a run reads.
+    pub fn loaded_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.loads.iter().map(|&(slot, _)| slot as usize)
+    }
+
     /// Check that `cols` can feed this kernel: every slot the body actually
     /// loads must be present with the loaded type. Extra columns are fine;
     /// slots the body never loads need no column (mirroring the scalar
@@ -509,7 +515,7 @@ const POISON_I64: i64 = 0x5AA5_5AA5_5AA5_5AA5_u64 as i64;
 const POISON_F64_BITS: u64 = 0x7FF8_DEAD_BEEF_F00D;
 const POISON_MASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 
-/// A per-worker scratch arena: recycles index and word buffers, so
+/// A per-worker scratch arena: recycles index, word and lane buffers, so
 /// steady-state loops check them out and return them instead of
 /// allocating. Keep one per worker thread (the relational operators hold
 /// one in a thread-local) and `reset` it when the worker retires. Machines
@@ -518,11 +524,18 @@ const POISON_MASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 pub struct Scratch {
     idx_bufs: Vec<Vec<u32>>,
     word_bufs: Vec<Vec<u64>>,
+    i64_bufs: Vec<Vec<i64>>,
+    f64_bufs: Vec<Vec<f64>>,
 }
 
 /// Cap on pooled buffers of each kind per arena; a worker only ever needs
 /// a handful, so anything beyond this is leak, not reuse.
 const SCRATCH_CAP: usize = 16;
+
+/// Cap on pooled lane buffers of each type per arena: a fused group's fold
+/// holds one per morsel and buffered column on the thread that calls it
+/// (64 morsels are 4 Mi rows).
+const LANE_CAP: usize = 64;
 
 impl Scratch {
     /// A fresh, empty arena.
@@ -545,6 +558,30 @@ impl Scratch {
         }
     }
 
+    /// Check out an index buffer of `n` values that are not specified — as
+    /// a prior use left them, zeros past its length, the poison pattern
+    /// under [`scratch_poison`] — for a caller that writes each value
+    /// before it reads it, so a warm call zero-fills nothing.
+    pub fn idx_buf_of(&mut self, n: usize) -> Vec<u32> {
+        let mut v = self.idx_bufs.pop().unwrap_or_default();
+        v.resize(n, 0);
+        if scratch_poison() {
+            v.fill(POISON_I64 as u32);
+        }
+        v
+    }
+
+    /// Check out a `u64` buffer of `n` values that are not specified, as
+    /// [`Scratch::idx_buf_of`] does.
+    pub fn word_buf_of(&mut self, n: usize) -> Vec<u64> {
+        let mut v = self.word_bufs.pop().unwrap_or_default();
+        v.resize(n, 0);
+        if scratch_poison() {
+            v.fill(POISON_I64 as u64);
+        }
+        v
+    }
+
     /// Check out an empty `u64` buffer (capacity retained from prior use).
     pub fn word_buf(&mut self) -> Vec<u64> {
         let mut v = self.word_bufs.pop().unwrap_or_default();
@@ -559,10 +596,42 @@ impl Scratch {
         }
     }
 
+    /// Check out an empty `i64` lane buffer (capacity retained from prior
+    /// use).
+    pub fn i64_buf(&mut self) -> Vec<i64> {
+        let mut v = self.i64_bufs.pop().unwrap_or_default();
+        v.clear();
+        v
+    }
+
+    /// Return an `i64` lane buffer to the pool.
+    pub fn put_i64_buf(&mut self, v: Vec<i64>) {
+        if self.i64_bufs.len() < LANE_CAP {
+            self.i64_bufs.push(v);
+        }
+    }
+
+    /// Check out an empty `f64` lane buffer (capacity retained from prior
+    /// use).
+    pub fn f64_buf(&mut self) -> Vec<f64> {
+        let mut v = self.f64_bufs.pop().unwrap_or_default();
+        v.clear();
+        v
+    }
+
+    /// Return an `f64` lane buffer to the pool.
+    pub fn put_f64_buf(&mut self, v: Vec<f64>) {
+        if self.f64_bufs.len() < LANE_CAP {
+            self.f64_bufs.push(v);
+        }
+    }
+
     /// Drop all pooled state.
     pub fn reset(&mut self) {
         self.idx_bufs.clear();
         self.word_bufs.clear();
+        self.i64_bufs.clear();
+        self.f64_bufs.clear();
     }
 }
 

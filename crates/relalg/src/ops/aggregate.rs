@@ -652,15 +652,15 @@ fn fold_runs<T: Copy, A: Fold<T>, const L: usize>(
 }
 
 /// One batch's fold of the lanes of one value and slot type (`like`), up
-/// to four of them sharing a walk; `open[a]` keeps accumulator `a`'s fold
-/// of the open run as bits between batches. The head goes to the first
-/// walk.
+/// to four of them sharing a walk; `vals_of(a)` are accumulator `a`'s
+/// lanes, and `open[a]` keeps its fold of the open run as bits between
+/// batches. The head goes to the first walk.
 #[allow(clippy::too_many_arguments)]
-fn fold_class<'v, 'b, T: Slot, A: Fold<T>>(
+fn fold_class<'b, T: Slot, A: Fold<T>>(
     batch: &RunBatch<'_>,
-    lanes: &mut [Lane<'_, 'v>],
+    lanes: &mut [Lane<'_>],
     like: &dyn Fn(usize) -> bool,
-    vals_of: &dyn Fn(Vals<'v>) -> Lanes<'b>,
+    vals_of: &dyn Fn(usize) -> Lanes<'b>,
     plan: &Plan,
     open: &mut [u64],
     mut head: Option<&mut Head<'_>>,
@@ -677,7 +677,7 @@ fn fold_class<'v, 'b, T: Slot, A: Fold<T>>(
         let mut m = 0;
         for lane in picked.by_ref().take(4) {
             (vals[m], dst[m], steps[m]) =
-                (T::lanes(vals_of(lane.src)), A::window(&mut lane.acc), plan.accs[lane.a].step);
+                (T::lanes(vals_of(lane.a)), A::window(&mut lane.acc), plan.accs[lane.a].step);
             (folds[m], picks[m]) = (A::of_bits(open[lane.a]), lane.a);
             m += 1;
         }
@@ -702,38 +702,44 @@ fn fold_class<'v, 'b, T: Slot, A: Fold<T>>(
     end
 }
 
-/// One morsel of the run fold: its base rows (from a selection word on),
-/// its first selected key, and its windows of the output — a slot per run.
-struct Morsel<'o> {
+/// Rows a run fold reads: base rows `rows` of `input` (from a selection
+/// word on), whose aggregates read `srcs`.
+struct Stretch<'s> {
+    input: &'s View<'s>,
     rows: Range<usize>,
+    srcs: &'s [Vals<'s>],
+}
+
+/// One morsel of the run fold: its first selected key, and its windows of
+/// the output — a slot per run.
+struct Morsel<'o> {
     first: u64,
     key: &'o mut [u64],
     cols: Vec<ColWindow<'o>>,
 }
 
 impl Morsel<'_> {
-    /// Pass 2: fold the morsel's selected rows of `input` into its windows,
-    /// batch by batch — `keys` are the keys of all base rows, `None` when
-    /// the morsel is one run whose key is not written (AGGREGATE-ALL) —
-    /// running `kernel` over each batch that selects a row when it computes
-    /// some of the values. Each run's key and, when an aggregate reads them,
-    /// its rows are folded in the same walks. Then finish the windows.
+    /// Pass 2: fold the morsel's selected rows — those of each stretch in
+    /// turn — into its windows, batch by batch — `keys` are the keys of all
+    /// base rows of its one stretch, `None` when the morsel is one run
+    /// whose key is not written (AGGREGATE-ALL) — running `kernel` over
+    /// each batch that selects a row when it computes some of the values.
+    /// Each run's key and, when an aggregate reads them, its rows are
+    /// folded in the same walks. Then finish the windows.
     fn fold(
         self,
-        input: &View<'_>,
+        stretches: &[Stretch<'_>],
         keys: Option<&[u64]>,
         plan: &Plan,
-        srcs: &[Vals<'_>],
         kernel: Option<&Bound<'_>>,
     ) {
-        let Morsel { rows, first, key, cols } = self;
+        let Morsel { first, key, cols } = self;
         let mut sizes = vec![0u32; if keys.is_some() && plan.sized() { key.len() } else { 0 }];
         let mut head = Head { key, sizes: &mut sizes, size: 0 };
         let mut homes: Vec<Option<ColWindow<'_>>> = cols.into_iter().map(Some).collect();
-        let mut lanes: Vec<Lane<'_, '_>> = (0..plan.accs.len())
+        let mut lanes: Vec<Lane<'_>> = (0..plan.accs.len())
             .map(|a| Lane {
                 a,
-                src: srcs[plan.accs[a].src],
                 acc: homes[plan.home[a]].take().expect("an output column holds one accumulator"),
             })
             .collect();
@@ -750,29 +756,31 @@ impl Morsel<'_> {
         // One run has one key: AGGREGATE-ALL's rows all read key 0.
         let zeros = [0u64; BATCH_ROWS];
         let mut at = At { run: 0, key: first };
-        view::walk(input, rows, kernel.copied(), |b| {
-            let vals_of = |src| batch_lanes(src, b);
-            let n = b.rows.len();
-            let keys = keys.map_or(&zeros[..n], |keys| &keys[b.rows.clone()]);
-            let batch = RunBatch { keys, words: b.words, n };
-            // The head goes to the first walk — its own when no accumulator
-            // has one.
-            let mut handed = Some(&mut head);
-            let mut end = at;
-            for &class in &classes {
-                let like = |c: usize| plan.class(c) == plan.class(class);
-                let head = handed.take();
-                end = by_class!(
-                    plan,
-                    class,
-                    fold_class(&batch, &mut lanes, &like, &vals_of, plan, &mut open, head, at)
-                );
-            }
-            if let Some(head) = handed {
-                end = fold_runs::<i64, i64, 0>(&batch, ([], [], []), &mut [], Some(head), at);
-            }
-            at = end;
-        });
+        for Stretch { input, rows, srcs } in stretches {
+            view::walk(input, rows.clone(), kernel.copied(), |b| {
+                let vals_of = |a: usize| batch_lanes(srcs[plan.accs[a].src], b);
+                let n = b.rows.len();
+                let keys = keys.map_or(&zeros[..n], |keys| &keys[b.rows.clone()]);
+                let batch = RunBatch { keys, words: b.words, n };
+                // The head goes to the first walk — its own when no
+                // accumulator has one.
+                let mut handed = Some(&mut head);
+                let mut end = at;
+                for &class in &classes {
+                    let like = |c: usize| plan.class(c) == plan.class(class);
+                    let head = handed.take();
+                    end = by_class!(
+                        plan,
+                        class,
+                        fold_class(&batch, &mut lanes, &like, &vals_of, plan, &mut open, head, at)
+                    );
+                }
+                if let Some(head) = handed {
+                    end = fold_runs::<i64, i64, 0>(&batch, ([], [], []), &mut [], Some(head), at);
+                }
+                at = end;
+            });
+        }
         for lane in lanes {
             homes[plan.home[lane.a]] = Some(lane.acc);
         }
@@ -780,7 +788,10 @@ impl Morsel<'_> {
             homes.into_iter().map(|h| h.expect("every window back")).collect();
         match keys {
             Some(_) => plan.finish(&mut cols, |g| sizes[g] as usize),
-            None => plan.finish(&mut cols, |_| input.len()),
+            None => {
+                let rows: usize = stretches.iter().map(|s| s.input.len()).sum();
+                plan.finish(&mut cols, |_| rows)
+            }
         }
     }
 }
@@ -790,11 +801,10 @@ fn identity_bits<T, A: Fold<T>>(step: Step) -> u64 {
     A::identity(step).bits()
 }
 
-/// Accumulator `a` of a run fold: the values it reads and the column it
-/// folds into, a slot per run.
-struct Lane<'o, 'v> {
+/// Accumulator `a` of a run fold, and the column it folds into, a slot
+/// per run.
+struct Lane<'o> {
     a: usize,
-    src: Vals<'v>,
     acc: ColWindow<'o>,
 }
 
@@ -1141,10 +1151,12 @@ fn fold_by_key(
         .zip(slice_windows(out.key.buffer_mut(), &runs))
         .zip(col_windows(&mut out.cols, &runs))
         .filter_map(|(((rows, scan), key), cols)| {
-            scan.map(|scan| Morsel { rows, first: scan.first, key, cols })
+            scan.map(|scan| (Morsel { first: scan.first, key, cols }, rows))
         })
         .collect();
-    par_each(morsels, |m: Morsel<'_>| m.fold(input, Some(keys), &plan, srcs, kernel));
+    par_each(morsels, |(m, rows): (Morsel<'_>, Range<usize>)| {
+        m.fold(&[Stretch { input, rows, srcs }], Some(keys), &plan, kernel)
+    });
     Ok(out)
 }
 
@@ -1177,17 +1189,32 @@ pub fn aggregate_all(input: &Relation, aggs: &[Agg]) -> Result<Relation, RelErro
 /// [`aggregate_all`] over a view, which it reads where it is, as
 /// [`aggregate_by_key_view`] does: one morsel, one run, the selected rows.
 pub fn aggregate_all_view(input: &View<'_>, aggs: &[Agg]) -> Result<Relation, RelError> {
-    validate_agg_cols(input.n_cols(), aggs)?;
-    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", input.len() as u64);
-    let srcs = col_vals(input);
-    let mut out = zeroed_output(&srcs, aggs, usize::from(!input.is_empty()));
-    if input.is_empty() {
+    fold_all(std::slice::from_ref(input), aggs)
+}
+
+/// AGGREGATE-ALL over the selected rows of `parts`, one part after
+/// another, as over one view that holds them in that order: one morsel,
+/// one run, each accumulator folded left to right from its identity. A
+/// fused group's loop hands in the values it buffered for its survivors,
+/// a part per morsel in base-row order ([`crate::ops::group_loop_view`]),
+/// so the fold reads them in the order the unfused AGGREGATE-ALL does.
+pub(crate) fn fold_all(parts: &[View<'_>], aggs: &[Agg]) -> Result<Relation, RelError> {
+    validate_agg_cols(parts.first().map_or(0, View::n_cols), aggs)?;
+    let rows: usize = parts.iter().map(View::len).sum();
+    kfusion_trace::counter("kfusion_rows_in_total{op=\"aggregate\"}", rows as u64);
+    let srcs: Vec<Vec<Vals<'_>>> = parts.iter().map(col_vals).collect();
+    let types = srcs.first().map_or(&[][..], Vec::as_slice);
+    let mut out = zeroed_output(types, aggs, usize::from(rows > 0));
+    if rows == 0 {
         return Ok(out);
     }
     kfusion_trace::counter("kfusion_rows_out_total{op=\"aggregate\"}", 1);
-    let plan = Plan::new(aggs, &srcs);
-    let (rows, cols) = (0..input.base_len(), whole(&mut out.cols, 1));
-    Morsel { rows, first: 0, key: &mut [], cols }.fold(input, None, &plan, &srcs, None);
+    let plan = Plan::new(aggs, types);
+    let stretches: Vec<Stretch<'_>> = (parts.iter().zip(&srcs))
+        .map(|(input, srcs)| Stretch { input, rows: 0..input.base_len(), srcs })
+        .collect();
+    Morsel { first: 0, key: &mut [], cols: whole(&mut out.cols, 1) }
+        .fold(&stretches, None, &plan, None);
     Ok(out)
 }
 

@@ -21,7 +21,9 @@ use kfusion_ir::opt::infer_types;
 use kfusion_ir::{KernelBody, Ty, Value};
 use kfusion_vgpu::exec::{par_range_map, DEFAULT_CTA_CHUNK};
 
-fn output_tys(body: &KernelBody) -> Vec<Ty> {
+/// The types of `body`'s outputs from the body alone, as over an empty
+/// input.
+pub(crate) fn output_tys(body: &KernelBody) -> Vec<Ty> {
     let tys = infer_types(body);
     body.outputs
         .iter()

@@ -51,7 +51,6 @@
 use crate::data::{par_each, Column, Keys, RelError, Relation};
 use crate::scratch::with_scratch;
 use crate::view::{gather, materialize, Groups, View};
-use kfusion_ir::batch::Scratch;
 use kfusion_vgpu::exec::{cta_ranges, par_range_map, workers};
 use std::ops::Range;
 
@@ -280,7 +279,9 @@ fn sorted<'a>(
     morsels: &[Range<usize>],
     scan: Option<Scan>,
 ) -> View<'a> {
-    let mut buf = with_scratch(Scratch::idx_buf);
+    // Room for the positions only when they are sorted.
+    let rows = scan.filter(|s| s.inverted).map_or(0, |s| s.rows);
+    let mut buf = with_scratch(|s| s.idx_buf_of(rows));
     let sorted = match sort_positions(input, rank, morsels, scan, &mut buf) {
         Some(n) => View::from(gather(input, &buf[..n])),
         None => ordered(input),
@@ -291,9 +292,10 @@ fn sorted<'a>(
 
 /// Count a pass over the ranks of `rows` selected rows: how often a SORT
 /// reads its keys (or the column it orders by) shows in
-/// `kfusion_sort_ranks_read_total`. The scan adds `n`, and every radix
-/// pass `2n` (its histograms and its deal), the digit passes after the
-/// first reading the ranks the pass before wrote.
+/// `kfusion_sort_ranks_read_total`. The scan adds `n`, the first radix
+/// pass `2n` (its histograms and its deal) and every later digit pass `n`
+/// (its deal, of the ranks the pass before wrote, which counted its
+/// histograms).
 fn ranks_read(rows: usize) {
     kfusion_trace::counter("kfusion_sort_ranks_read_total", rows as u64);
 }
@@ -359,9 +361,15 @@ fn sort_positions(
 /// (part-minor within a bucket, so equal digits keep their order) that
 /// carves the outputs into one window per nonempty (bucket, part), and a
 /// per-part deal into windows of its own. The first pass's parts are the
-/// `morsels`; each later pass cuts the `n` pairs into no more parts than
-/// that, so every pass fits the one histogram buffer. Each part's list of
-/// windows is sized before it is filled.
+/// `morsels`, and its histograms a sweep of its own. Each later pass has
+/// as many parts, each a run of whole buckets of the pass before (a
+/// bucket goes to the part its first position falls in, so the parts are
+/// as even as the buckets allow), and no sweep: the deal before it counts
+/// each pair's next digit into the histogram of its window's part, each
+/// dealer into a set of its own (`parts²` histograms, summed after). Each
+/// part's list of windows is sized before it is filled. The output and
+/// carried buffers come from scratch unzeroed: every pass writes all `n`
+/// of each before the next reads them.
 fn radix_positions(
     input: &View<'_>,
     rank: Rank<'_>,
@@ -371,77 +379,137 @@ fn radix_positions(
     buf: &mut Vec<u32>,
 ) {
     let (lo, span, n) = (scan.lo, scan.hi - scan.lo, scan.rows);
-    // Two reads of the ranks a pass: the histograms and the deal.
-    ranks_read(2 * n * passes as usize);
+    // The first pass reads the ranks twice, its histograms and its deal;
+    // each later one once, its deal.
+    ranks_read(n * (passes as usize + 1));
     let width = (u64::BITS - span.leading_zeros()).div_ceil(passes);
     let mask = ((1u128 << width) - 1) as u64;
     let buckets = span.min(mask) as usize + 1;
-    let (mut hists, mut read, mut ranks, mut read_ranks) =
-        with_scratch(|s| (s.idx_buf(), s.idx_buf(), s.word_buf(), s.word_buf()));
-    let (mut out, parts) = (std::mem::take(buf), cta_ranges(n, n.div_ceil(morsels.len()).max(1)));
+    let cuts = morsels.len();
+    let chunk = n.div_ceil(cuts);
     let carried = if passes > 1 { n } else { 0 };
-    hists.resize(morsels.len() * buckets, 0);
+    // One pass takes no counts buffer, so its scratch roles are the same
+    // from call to call whatever the pass count.
+    let (mut hists, mut counts, mut read, mut ranks, mut read_ranks) = with_scratch(|s| {
+        let hists = s.idx_buf();
+        let counts = if passes > 1 { s.idx_buf() } else { Vec::new() };
+        (hists, counts, s.idx_buf_of(carried), s.word_buf_of(carried), s.word_buf_of(carried))
+    });
+    let mut out = std::mem::take(buf);
     out.resize(n, 0);
-    read.resize(carried, 0);
-    ranks.resize(carried, 0);
-    read_ranks.resize(carried, 0);
+    hists.resize(morsels.len() * buckets, 0);
+    counts.resize(if passes > 1 { cuts * cuts * buckets } else { 0 }, 0);
+    let (mut parts, mut next_parts) = (Vec::with_capacity(cuts), Vec::with_capacity(cuts));
     with_rank!(rank, |at| for p in 0..passes {
         let digit = move |r: u64| (r >> (p * width) & mask) as usize;
-        let (src, parts) = match p {
+        let next_digit = move |r: u64| (r >> ((p + 1) * width) & mask) as usize;
+        let last = p + 1 == passes;
+        let (src, dealers) = match p {
             0 => (Pairs::Rows(input, at, lo), morsels),
             _ => (Pairs::Written(&read_ranks, &read), &parts[..]),
         };
-        // The last pass writes positions alone.
-        let (mut rest, mut rest_ranks) =
-            (&mut out[..], if p + 1 < passes { &mut ranks[..] } else { &mut [] });
-        let hists = &mut hists[..parts.len() * buckets];
-        hists.fill(0);
-        let counting: Vec<_> = parts.iter().cloned().zip(hists.chunks_mut(buckets)).collect();
-        par_each(counting, |(part, hist)| {
-            let _steady = kfusion_trace::allocwatch::region();
-            src.each(part, |r, _| hist[digit(r)] += 1)
-        });
+        let hists = &mut hists[..dealers.len() * buckets];
+        if p == 0 {
+            hists.fill(0);
+            let counting: Vec<_> = dealers.iter().cloned().zip(hists.chunks_mut(buckets)).collect();
+            par_each(counting, |(part, hist)| {
+                let _steady = kfusion_trace::allocwatch::region();
+                src.each(part, |r, _| hist[digit(r)] += 1)
+            });
+        }
         // Each count becomes the index of its window in its part's list.
-        let mut windows: Vec<Vec<_>> = hists
+        let (mut rest, mut rest_ranks) =
+            (&mut out[..], if last { &mut [] } else { &mut ranks[..] });
+        let mut windows: Vec<Vec<Window<'_>>> = hists
             .chunks(buckets)
             .map(|hist| Vec::with_capacity(hist.iter().filter(|&&c| c > 0).count()))
             .collect();
+        // The next pass's parts are whole buckets of this one's output: a
+        // bucket goes to the part its first position falls in. The last
+        // pass has no next one.
+        let mut to = 0;
+        next_parts.clear();
         for b in 0..buckets {
+            while !last && next_parts.len() < cuts && to >= next_parts.len() * chunk {
+                next_parts.push(to..to);
+            }
+            let part = next_parts.len().saturating_sub(1) as u32;
             for (m, list) in windows.iter_mut().enumerate() {
                 let count = &mut hists[m * buckets + b];
                 if *count > 0 {
-                    let (window, tail) = std::mem::take(&mut rest).split_at_mut(*count as usize);
+                    let (pos, tail) = std::mem::take(&mut rest).split_at_mut(*count as usize);
                     let carried = (*count as usize).min(rest_ranks.len());
                     let (ranks, ranks_tail) = std::mem::take(&mut rest_ranks).split_at_mut(carried);
-                    (*count, rest, rest_ranks) = (list.len() as u32, tail, ranks_tail);
-                    list.push((window, ranks, 0));
+                    (rest, rest_ranks) = (tail, ranks_tail);
+                    list.push(Window { pos, ranks, next: 0, part });
+                    (to, *count) = (to + *count as usize, list.len() as u32 - 1);
                 }
             }
+            if let Some(part) = next_parts.last_mut() {
+                part.end = to;
+            }
         }
-        let dealing: Vec<_> =
-            parts.iter().cloned().zip(hists.chunks(buckets)).zip(windows).collect();
-        par_each(dealing, |((part, hist), mut windows)| {
+        next_parts.resize(cuts, n..n);
+        let stride = cuts * buckets;
+        let counts = &mut counts[..if last { 0 } else { dealers.len() * stride }];
+        counts.fill(0);
+        // A dealer's histograms of the next pass: none in the last.
+        let mut dealt = counts.chunks_mut(stride);
+        let dealing: Vec<_> = (dealers.iter().cloned().zip(hists.chunks(buckets)))
+            .zip(windows)
+            .map(|dealer| (dealer, dealt.next().unwrap_or_default()))
+            .collect();
+        par_each(dealing, |(((part, hist), mut windows), counts)| {
             let _steady = kfusion_trace::allocwatch::region();
-            src.each(part, |r, i| {
-                let (pos, ranks, next) = &mut windows[hist[digit(r)] as usize];
-                pos[*next] = i;
-                if let Some(rank) = ranks.get_mut(*next) {
-                    *rank = r;
-                }
-                *next += 1;
-            })
+            match last {
+                true => src.each(part, |r, i| {
+                    let w = &mut windows[hist[digit(r)] as usize];
+                    w.pos[w.next as usize] = i;
+                    w.next += 1;
+                }),
+                // Each pair also counts in the next pass's histogram of its
+                // window's part.
+                false => src.each(part, |r, i| {
+                    let w = &mut windows[hist[digit(r)] as usize];
+                    (w.pos[w.next as usize], w.ranks[w.next as usize]) = (i, r);
+                    w.next += 1;
+                    counts[w.part as usize * buckets + next_digit(r)] += 1;
+                }),
+            }
         });
+        if !last {
+            let hists = &mut hists[..stride];
+            hists.fill(0);
+            for dealt in counts.chunks(stride) {
+                hists.iter_mut().zip(dealt).for_each(|(h, c)| *h += c);
+            }
+        }
         std::mem::swap(&mut out, &mut read);
         std::mem::swap(&mut ranks, &mut read_ranks);
+        std::mem::swap(&mut parts, &mut next_parts);
     });
     *buf = read;
-    // Back in the order they were taken, so the next call's roles match.
+    // Back in the reverse of the order they were taken, so the next call's
+    // roles match.
     with_scratch(|s| {
-        s.put_idx_buf(out);
-        s.put_idx_buf(hists);
         s.put_word_buf(read_ranks);
         s.put_word_buf(ranks);
+        s.put_idx_buf(out);
+        if passes > 1 {
+            s.put_idx_buf(counts);
+        }
+        s.put_idx_buf(hists);
     });
+}
+
+/// One (bucket, part) window of a radix pass's output: the positions and —
+/// before the last pass — the ranks dealt to it, how many so far, and the
+/// part of the next pass it falls in.
+struct Window<'w> {
+    pos: &'w mut [u32],
+    ranks: &'w mut [u64],
+    next: u32,
+    part: u32,
 }
 
 /// Where a radix pass reads its (rank − lo, position) pairs: the first

@@ -26,6 +26,7 @@ fn alone<'a>(input: &View<'a>, member: Member<'_>) -> Result<Stage<'a>, RelError
         Member::ArithExtend(body) => Stage::View(ops::arith_extend_view(input, body)?),
         Member::Rekey(col) => Stage::View(ops::rekey_view(input, col)?),
         Member::Aggregate(aggs) => Stage::Folded(ops::aggregate_by_key_view(input, aggs)?),
+        Member::AggregateAll(aggs) => Stage::Folded(ops::aggregate_all_view(input, aggs)?),
     })
 }
 
@@ -124,11 +125,54 @@ fn a_loop_gives_each_member_what_its_operator_does() {
     assert_as_operators(&grouped, &fold, 2);
 }
 
+/// SELECTs, then ARITH+ members, then an AGGREGATE* — the paper's fused
+/// Q6 kernel (Fig. 6) — are one loop: the SELECTs and ARITH+ passed with
+/// their operators' sizes, the AGGREGATE* folding only the rows the
+/// SELECTs keep, bit for bit what its operator gives — over a dense and a
+/// filtered input, across several morsels, through a SELECT that keeps
+/// nothing, an aggregate of an input column no body reads and one of a
+/// column no SELECT reads.
+#[test]
+fn a_select_fold_is_one_loop() {
+    let _g = serial();
+    let t = table(3 * DEFAULT_CTA_CHUNK + 1_234);
+    let keep = predicates::col_cmp_i64(0, CmpOp::Lt, -40);
+    let small = predicates::col_cmp_i64(1, CmpOp::Lt, 25);
+    let none = predicates::key_lt(0);
+    let money =
+        body(Expr::input(3).mul(Expr::input(2).add(Expr::lit(1i64)).cast(kfusion_ir::Ty::F64)), 4);
+    let aggs = [Agg::Sum(3), Agg::Avg(1), Agg::Min(2), Agg::Max(3), Agg::Count, Agg::Avg(3)];
+    let plain = [Agg::Sum(2), Agg::Avg(1), Agg::Min(0), Agg::Max(2), Agg::Count];
+    let [dense, filtered] = dense_and_filtered(&t);
+    for input in [&dense, &filtered] {
+        for (chain, aggs) in [
+            (
+                &[Member::Select(&keep), Member::Select(&small), Member::ArithExtend(&money)][..],
+                &aggs[..],
+            ),
+            (&[Member::Select(&keep), Member::ArithExtend(&money)][..], &aggs[..]),
+            (
+                &[Member::Select(&keep), Member::Select(&none), Member::ArithExtend(&money)][..],
+                &aggs[..],
+            ),
+            (&[Member::Select(&small)][..], &plain[..]),
+        ] {
+            let chain = [chain, &[Member::AggregateAll(aggs)]].concat();
+            assert_as_operators(input, &chain, chain.len());
+            let stages = group_loop_view(input, &chain);
+            let (last, passed) = stages.split_last().unwrap();
+            assert!(passed.iter().all(|s| matches!(s, Ok(Stage::Passed { .. }))), "{stages:?}");
+            assert!(matches!(last, Ok(Stage::Folded(_))), "{last:?}");
+        }
+    }
+}
+
 /// Where the loop cannot run a chain as its members' operators would,
 /// it runs the longest prefix it can: a chain that selects ending in a
-/// member that holds an ARITH+ column, a second REKEY, an AGGREGATE behind a SELECT, a body the batch
-/// engine declines, the scalar engine. SELECTs alone it runs whole, the
-/// first one passed.
+/// member that holds an ARITH+ column, a second REKEY, an AGGREGATE behind
+/// a SELECT, an AGGREGATE* behind a REKEY or behind a SELECT that follows
+/// an ARITH+, a body the batch engine declines, the scalar engine. SELECTs
+/// alone it runs whole, the first one passed.
 #[test]
 fn a_chain_the_loop_cannot_run_whole_is_cut() {
     let _g = serial();
@@ -146,6 +190,11 @@ fn a_chain_the_loop_cannot_run_whole_is_cut() {
     let two_rekeys = [Member::ArithExtend(&pack), Member::Rekey(3), Member::Rekey(0)];
     assert_as_operators(&v, &two_rekeys, 2);
     assert_as_operators(&v, &[Member::Select(&keep), Member::Aggregate(&aggs)], 1);
+    let all = Member::AggregateAll(&aggs);
+    assert_as_operators(&v, &[Member::Select(&keep), Member::Rekey(1), all], 2);
+    let late = [Member::Select(&keep), Member::ArithExtend(&pack), Member::Select(&fewer), all];
+    assert_as_operators(&v, &late, 1);
+    assert_as_operators(&v, &[Member::Select(&declined), all], 1);
     assert_as_operators(&v, &[Member::Select(&declined), Member::Rekey(1)], 1);
     engine::set_batch_enabled(false);
     assert_as_operators(&v, &[Member::Select(&keep), Member::Rekey(1)], 1);

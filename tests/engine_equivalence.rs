@@ -22,6 +22,8 @@ use kfusion::tpch::gen::{generate, TpchConfig, TpchDb};
 use kfusion::tpch::{q1, q21, q6};
 use kfusion::vgpu::GpuSystem;
 
+mod survivors;
+
 fn assert_bit_identical(a: &Relation, b: &Relation, what: &str) {
     assert_eq!(a.keys(), b.keys(), "{what}: keys differ");
     assert_eq!(a.n_cols(), b.n_cols(), "{what}: column counts differ");
@@ -125,6 +127,40 @@ fn an_arith_extend_over_a_kept_view_never_changes_answers() {
         });
     }
     engine::set_batch_enabled(true);
+}
+
+/// The survivors' fold (DESIGN.md §17): SELECTs, then ARITH+ members, then
+/// an AGGREGATE*, one loop in a fused group that runs the ARITH+ over the
+/// rows its SELECTs keep alone. Over every selection of
+/// `survivors::selections` — no row, one row at either end of a morsel,
+/// the first and last lane of every batch, ~2 %, ~50 %, every row — with
+/// and without the ARITH+ (which read columns no SELECT reads), at each
+/// of `survivors::SIZES`, the folds of i64s that wrap and f64s among NaN,
+/// ±0.0 and the infinities are the same bits on both engines under every
+/// strategy, and the same as `Serial`'s.
+#[test]
+fn select_arith_fold_loops_never_change_answers_across_engines() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let mut plans = 0;
+    for (case, n) in survivors::SIZES.into_iter().enumerate() {
+        let inputs = [survivors::fold_table(n, 0xE0 + case as u64)];
+        for (what, preds) in survivors::selections() {
+            for arith in [true, false].into_iter().filter(|&a| a || !preds.is_empty()) {
+                let (plan, _) = survivors::select_arith_fold(&preds, arith);
+                let run = |s: Strategy| execute(&sys, &plan, &inputs, &ExecConfig::new(s, &sys));
+                let serial = run(Strategy::Serial).unwrap().output;
+                for strat in strategies() {
+                    let what = format!("{what}, arith {arith}, {n} rows, {strat:?}");
+                    check(&what, strat, |s| run(s).unwrap());
+                    assert_bit_identical(&run(strat).unwrap().output, &serial, &what);
+                }
+                plans += 1;
+            }
+        }
+    }
+    engine::set_batch_enabled(true);
+    assert_eq!(plans, 3 * 15);
 }
 
 // Scratch-poisoning equivalence: the arena's reused banks carry arbitrary

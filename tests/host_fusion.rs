@@ -17,6 +17,7 @@
 //! its selected ranks adds their number to `kfusion_sort_ranks_read_total`.
 
 use kfusion::core::exec::{execute, ExecConfig, ExecResult, Strategy};
+use kfusion::core::multiquery::{execute_multi, merge_plans};
 use kfusion::core::{OpKind, PlanGraph};
 use kfusion::frontend::compile;
 use kfusion::ir::builder::{BodyBuilder, Expr};
@@ -58,12 +59,13 @@ const COMPILED: &str = "kfusion_batch_compile_total{result=\"ok\"}";
 
 /// The members a fused group's loop runs past (DESIGN.md §17): a SELECT,
 /// ARITH+ or REKEY whose one reader, in its own group, is the next member
-/// of a loop — a SELECT, ARITH+ or REKEY, or a keyed AGGREGATE behind
-/// ARITH+ alone. Their values stay in the loop's banks; their slots hold
-/// nothing. A loop that selects cannot end in a member holding an ARITH+
-/// column, so a chain that selects and whose tail is ARITH+ members alone
-/// (Q6's SELECTs, then the ARITH+ in front of its AGGREGATE*) ends before
-/// that tail: the member in front of it is the loop's last, a view.
+/// of a loop — a SELECT, ARITH+ or REKEY, a keyed AGGREGATE behind ARITH+
+/// alone, or an AGGREGATE* behind SELECTs and then ARITH+ members (Q6's
+/// five SELECTs, its ARITH+ and its AGGREGATE* are one loop). Their values
+/// stay in the loop's banks; their slots hold nothing. A loop that selects
+/// cannot end in a member holding an ARITH+ column, so a chain that selects
+/// and whose tail is ARITH+ members alone ends before that tail: the member
+/// in front of it is the loop's last, a view.
 fn run_past(plan: &PlanGraph, group_of: &[Option<usize>]) -> Vec<usize> {
     let readers = plan.consumer_counts();
     let kind = |id: usize| &plan.nodes[id].kind;
@@ -83,12 +85,30 @@ fn run_past(plan: &PlanGraph, group_of: &[Option<usize>]) -> Vec<usize> {
             _ => return true,
         }
     };
+    // Whether the chain up to `id` is SELECTs and then ARITH+ members.
+    let selects_then_arith = |mut id: usize| {
+        let mut selected = false;
+        loop {
+            match kind(id) {
+                OpKind::Select { .. } => selected = true,
+                OpKind::ArithExtend { .. } if !selected => {}
+                _ => return false,
+            }
+            match plan.nodes[id].inputs[..] {
+                [p] if member(p) && readers[p] == 1 && group_of[p] == group_of[id] => id = p,
+                _ => return true,
+            }
+        }
+    };
     // The member a chain's loop takes `id` on to, if any.
     let next = |id: usize| {
         let linked = member(id) && readers[id] == 1 && id != plan.root;
         let reader = (0..plan.len()).find(|&c| plan.nodes[c].inputs.contains(&id))?;
-        let joins =
-            member(reader) || matches!(kind(reader), OpKind::Aggregate { .. }) && arith_only(id);
+        let joins = match kind(reader) {
+            OpKind::Aggregate { .. } => arith_only(id),
+            OpKind::AggregateAll { .. } => selects_then_arith(id),
+            _ => member(reader),
+        };
         (linked && joins && group_of[reader] == group_of[id]).then_some(reader)
     };
     let arith_tail = |mut id: usize| loop {
@@ -141,34 +161,75 @@ fn fused_q1_sort_reads_its_keys_once() {
     );
 }
 
+/// The paper's fused Q6 kernel (Fig. 6) filters, computes and folds in
+/// one pass. Fused, Q6 as SQL is one loop from its first SELECT through
+/// its AGGREGATE*: it gathers nothing and holds no view, and the only
+/// values it writes are its survivors' revenues — one buffered source,
+/// 8 bytes a survivor. Unfused, every SELECT writes its survivors. So
+/// with two Q6s merged over one table, as a batch of the service runs
+/// them: each is one loop of its own.
 #[test]
-fn fused_q6_sql_gathers_once() {
+fn fused_q6_sql_gathers_nothing() {
     let _g = serial();
     let db = generate(TpchConfig::scale(0.02));
     let plan = compile(&sql::q6_sql(), &sql::q6_catalog()).expect("Q6 SQL compiles").plan;
     let table = [sql::q6_wide_table(&db)];
+    let is_select =
+        |plan: &PlanGraph, id: usize| matches!(plan.nodes[id].kind, OpKind::Select { .. });
+    let select_bytes = |plan: &PlanGraph, run: &ExecResult| -> u64 {
+        (0..plan.len()).filter(|&id| is_select(plan, id)).map(|id| run.cards.bytes(id)).sum()
+    };
     let (serial_run, serial_trace) = traced(&plan, &table, Strategy::Serial);
-    let (fused_run, fused_trace) = traced(&plan, &table, Strategy::Fusion);
-    assert!(sql::bit_identical(&serial_run.output, &fused_run.output));
-    assert_eq!(serial_run.cards, fused_run.cards);
-
-    // Unfused, every SELECT writes its survivors; fused, only the last
-    // one's are gathered, for the ARITH that needs rows. The five SELECTs
-    // are one loop, which runs past the first four: the last alone is a
-    // view.
-    let selects: Vec<usize> = (0..plan.len())
-        .filter(|&id| matches!(plan.nodes[id].kind, OpKind::Select { .. }))
-        .collect();
-    let select_bytes: u64 = selects.iter().map(|&id| serial_run.cards.bytes(id)).sum();
-    let last = *selects.last().expect("Q6 filters");
-    assert_eq!(serial_trace.counter(MATERIALIZED), select_bytes);
-    assert_eq!(fused_trace.counter(MATERIALIZED), fused_run.cards.bytes(last));
-    assert!(fused_trace.counter(MATERIALIZED) * 20 <= serial_trace.counter(MATERIALIZED));
+    assert_eq!(serial_trace.counter(MATERIALIZED), select_bytes(&plan, &serial_run));
     assert_eq!(serial_trace.counter(VIEWS), 0);
-    let past = run_past(&plan, &fused_run.fusion.group_of);
-    assert!(past.iter().all(|id| selects.contains(id)), "{past:?}");
-    let views = selects.len() - past.len();
-    assert_eq!((fused_trace.counter(VIEWS), views), (views as u64, 1));
+    let [arith] = (0..plan.len())
+        .filter(|&id| matches!(plan.nodes[id].kind, OpKind::ArithExtend { .. }))
+        .collect::<Vec<_>>()[..]
+    else {
+        panic!("Q6 computes one column")
+    };
+    for strategy in [Strategy::Fusion, Strategy::FusionFission { segments: 8 }] {
+        let (fused_run, fused_trace) = traced(&plan, &table, strategy);
+        assert!(sql::bit_identical(&serial_run.output, &fused_run.output), "{strategy:?}");
+        assert_eq!(serial_run.cards, fused_run.cards, "{strategy:?}");
+        assert_eq!(fused_trace.counter(MATERIALIZED), 0, "{strategy:?}");
+        assert_eq!(fused_trace.counter(VIEWS), 0, "{strategy:?}");
+        let past = run_past(&plan, &fused_run.fusion.group_of);
+        let members: Vec<usize> =
+            (0..plan.len()).filter(|&id| is_select(&plan, id) || id == arith).collect();
+        assert_eq!(past, members, "{strategy:?}");
+        // SUM(extendedprice * discount) is the one source the fold reads.
+        let survivors = fused_run.cards.rows[arith];
+        assert!(survivors > 0);
+        assert_eq!(fused_trace.counter(COMPUTED), survivors * 8, "{strategy:?}");
+    }
+
+    // Two Q6s with different constants, merged over the one table.
+    let other = sql::q6_sql().replace("quantity < 24", "quantity < 25");
+    let other = compile(&other, &sql::q6_catalog()).expect("Q6 SQL compiles").plan;
+    let merged = merge_plans(&[plan.clone(), other.clone()]);
+    let sys = GpuSystem::c2070();
+    let batch = |strategy: Strategy| {
+        kfusion::trace::reset();
+        kfusion::trace::set_enabled(true);
+        let cfg = ExecConfig::new(strategy, &sys);
+        let result = execute_multi(&sys, &merged, &table, &cfg).unwrap();
+        kfusion::trace::set_enabled(false);
+        (result, kfusion::trace::take())
+    };
+    let (serial_run, serial_trace) = batch(Strategy::Serial);
+    let selects = (0..merged.graph.len()).filter(|&id| is_select(&merged.graph, id));
+    let serial_bytes: u64 = selects.map(|id| serial_run.cards.bytes(id)).sum();
+    assert_eq!(serial_trace.counter(MATERIALIZED), serial_bytes);
+    for strategy in [Strategy::Fusion, Strategy::FusionFission { segments: 8 }] {
+        let (fused_run, fused_trace) = batch(strategy);
+        for (s, f) in serial_run.outputs.iter().zip(&fused_run.outputs) {
+            assert!(sql::bit_identical(s, f), "{strategy:?}");
+        }
+        assert_eq!(serial_run.cards, fused_run.cards, "{strategy:?}");
+        assert_eq!(fused_trace.counter(MATERIALIZED), 0, "{strategy:?}");
+        assert_eq!(fused_trace.counter(VIEWS), 0, "{strategy:?}");
+    }
 }
 
 /// The paper's fused Q6 kernel (Fig. 6) reads each row once for all five
@@ -202,8 +263,7 @@ fn fused_q6_selects_read_the_table_once() {
 }
 
 /// SELECT keeping ~95 % of 200 000 rows (several morsels) → ARITH+ →
-/// AGGREGATE*: one fused group whose ARITH+ input is a filtered view the
-/// bytes rule leaves in place.
+/// AGGREGATE*: one fused group, one loop.
 fn select_extend_sum() -> (PlanGraph, [Relation; 1]) {
     let mut g = PlanGraph::new();
     let input = g.input(0);
@@ -217,9 +277,9 @@ fn select_extend_sum() -> (PlanGraph, [Relation; 1]) {
 }
 
 /// A kernel is built once per loop: fused, [`select_extend_sum`] compiles
-/// two — the SELECT's loop and the ARITH+'s, which runs where the view is
-/// without a second build to ask whether it could. Fused Q6 as SQL, Q1 and
-/// Q21 compile exactly as many as before.
+/// two — its loop's predicate kernel and the ARITH+ kernel it runs over
+/// the survivors — with no second build to ask whether it could. Fused Q6
+/// as SQL, Q1 and Q21 compile exactly as many as before.
 #[test]
 fn an_arith_extend_loop_is_built_once() {
     let _g = serial();
@@ -380,8 +440,8 @@ fn loop_marks(node: &ExplainNode, out: &mut BTreeMap<usize, Covered>) {
 /// head that ran `k` members is `loop(k)` — its host time is the loop's —
 /// and every other member it ran is `passed`. Fused Q1 is two loops,
 /// SELECT → pack ARITH+ → REKEY and money ARITH+ → AGGREGATE; fused Q6 as
-/// SQL one, its run of SELECTs, which ends before the ARITH+. `Serial`
-/// runs no chain, and its tree carries no mark.
+/// SQL one, from its first SELECT through its AGGREGATE*. `Serial` runs no
+/// chain, and its tree carries no mark.
 #[test]
 fn explain_marks_what_each_loop_covered() {
     let _g = serial();
@@ -414,7 +474,7 @@ fn explain_marks_what_each_loop_covered() {
         (aggregate, Covered::Passed),
     ]);
     assert_eq!(got, want, "{tree}");
-    let line = |id: usize| tree.lines().find(|l| l.contains(&format!("#{id} "))).expect("a line");
+    let line = |id: usize| line_of(&tree, id);
     assert!(line(select).ends_with("  loop(3)") && line(rekey).ends_with("  passed"), "{tree}");
     let (got, tree) = marks(&plan, &inputs, Strategy::Serial);
     assert!(got.is_empty(), "{tree}");
@@ -423,12 +483,20 @@ fn explain_marks_what_each_loop_covered() {
     let table = [sql::q6_wide_table(&db)];
     let selects = of(&plan, |k| matches!(k, OpKind::Select { .. }));
     assert_eq!(selects.len(), 5);
+    let [arith] = of(&plan, |k| matches!(k, OpKind::ArithExtend { .. }))[..] else { panic!() };
+    let [fold] = of(&plan, |k| matches!(k, OpKind::AggregateAll { .. }))[..] else { panic!() };
     let (got, tree) = marks(&plan, &table, fused);
-    let mut want = BTreeMap::from([(selects[0], Covered::Loop(selects.len()))]);
-    want.extend(selects[1..].iter().map(|&id| (id, Covered::Passed)));
+    let mut want = BTreeMap::from([(selects[0], Covered::Loop(selects.len() + 2))]);
+    want.extend(selects[1..].iter().chain([&arith, &fold]).map(|&id| (id, Covered::Passed)));
     assert_eq!(got, want, "{tree}");
+    assert!(line_of(&tree, selects[0]).ends_with("  loop(7)"), "{tree}");
     let (got, tree) = marks(&plan, &table, Strategy::Serial);
     assert!(got.is_empty(), "{tree}");
+}
+
+/// The line of plan node `id` in a rendered EXPLAIN ANALYZE tree.
+fn line_of(tree: &str, id: usize) -> &str {
+    tree.lines().find(|l| l.contains(&format!("#{id} "))).expect("a line")
 }
 
 /// The plan node ids whose views an EXPLAIN ANALYZE tree marks `gathered`.
@@ -441,9 +509,9 @@ fn gathered(node: &ExplainNode, out: &mut Vec<usize>) {
 }
 
 /// EXPLAIN ANALYZE marks each view the executor gathered for a reader
-/// `gathered`: fused Q6 as SQL only its last SELECT — the loop's last
-/// member, gathered for the ARITH+ — and fused Q21 only the PROJECT in
-/// front of the REKEY. `Serial` holds no view, and marks none.
+/// `gathered`: fused Q6 as SQL none — one loop from its first SELECT
+/// through its AGGREGATE*, which holds no view — and fused Q21 only the
+/// PROJECT in front of the REKEY. `Serial` holds no view, and marks none.
 #[test]
 fn explain_marks_the_views_it_gathered() {
     let _g = serial();
@@ -461,12 +529,9 @@ fn explain_marks_the_views_it_gathered() {
 
     let plan = compile(&sql::q6_sql(), &sql::q6_catalog()).expect("Q6 SQL compiles").plan;
     let table = [sql::q6_wide_table(&db)];
-    let is_select = |id: &usize| matches!(plan.nodes[*id].kind, OpKind::Select { .. });
-    let last = (0..plan.len()).rfind(is_select).expect("Q6 filters");
     let (ids, tree) = marks(&plan, &table, fused);
-    assert_eq!(ids, [last], "{tree}");
-    let line = tree.lines().find(|l| l.contains(&format!("#{last} "))).expect("a line");
-    assert!(line.ends_with("  passed  gathered"), "{tree}");
+    assert!(ids.is_empty(), "{tree}");
+    assert!(!tree.contains("gathered"), "{tree}");
     let (ids, tree) = marks(&plan, &table, Strategy::Serial);
     assert!(ids.is_empty(), "{tree}");
 

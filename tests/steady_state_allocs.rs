@@ -220,8 +220,9 @@ fn warm_grouped_fold_allocates_the_same_for_four_groups_as_for_one_per_row() {
 /// kernel, its masks, its REKEY's key and its AGGREGATE's folds out of
 /// checked-out banks and buffers sized before the batches start: warm, its
 /// per-batch regions allocate nothing — the walk of a SELECT → ARITH+ →
-/// REKEY chain, and the fold of an ARITH+ → AGGREGATE chain over a grouped
-/// view and over runs of a sorted one.
+/// REKEY chain, the fold of an ARITH+ → AGGREGATE chain over a grouped
+/// view and over runs of a sorted one, and a SELECT → ARITH+ → AGGREGATE*
+/// chain, whose morsels buffer their survivors.
 #[test]
 fn warm_group_loops_allocate_nothing_per_batch() {
     use kfusion::ir::builder::{BodyBuilder, Expr};
@@ -249,11 +250,14 @@ fn warm_group_loops_allocate_nothing_per_batch() {
     let aggs = [Agg::Sum(2), Agg::Avg(1), Agg::Sum(1), Agg::Max(0), Agg::Count];
     let walk = [Member::Select(&pred), Member::ArithExtend(&pack), Member::Rekey(2)];
     let fold = [Member::ArithExtend(&money), Member::Aggregate(&aggs)];
+    let select_fold =
+        [Member::Select(&pred), Member::ArithExtend(&money), Member::AggregateAll(&aggs)];
     let sorted = ops::sort(&table, SortBy::Key).unwrap();
-    let cases: [(&str, View<'_>, &[Member<'_>]); 3] = [
+    let cases: [(&str, View<'_>, &[Member<'_>]); 4] = [
         ("walk", View::of(&table), &walk),
         ("grouped fold", ops::group_by_key_view(&View::of(&table)).unwrap(), &fold),
         ("run fold", View::of(&sorted), &fold),
+        ("select fold", View::of(&table), &select_fold),
     ];
     for (what, input, members) in cases {
         let run = || {

@@ -19,6 +19,9 @@ use kfusion::tpch::sql::bit_identical;
 use kfusion::vgpu::GpuSystem;
 use kfusion_prng::Rng;
 
+mod survivors;
+use survivors::{awkward_floats, awkward_ints};
+
 // The engine and scratch toggles are process-global and `cargo test` runs
 // test functions on concurrent threads, so every test here serializes on
 // one lock.
@@ -81,29 +84,6 @@ enum InputKind {
     /// sums wrap ([`awkward_ints`]) and f64s among NaN, -0.0 and the
     /// infinities ([`awkward_floats`]).
     Awkward,
-}
-
-/// `n` i64s, half of them the extremes whose sums wrap.
-fn awkward_ints(rng: &mut Rng, n: usize) -> Vec<i64> {
-    const EXTREMES: [i64; 4] = [i64::MAX, i64::MIN, i64::MAX - 1, -1];
-    (0..n)
-        .map(|_| match rng.gen_range(0usize..8) {
-            k if k < EXTREMES.len() => EXTREMES[k],
-            _ => rng.gen_range(-1000i64..1000),
-        })
-        .collect()
-}
-
-/// `n` f64s, two in five of them NaN, -0.0, 0.0 or an infinity, the rest
-/// quarters.
-fn awkward_floats(rng: &mut Rng, n: usize) -> Vec<f64> {
-    const SPECIAL: [f64; 5] = [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY];
-    (0..n)
-        .map(|_| match rng.gen_range(0usize..12) {
-            k if k < SPECIAL.len() => SPECIAL[k],
-            _ => rng.gen_range(-160i64..160) as f64 * 0.25,
-        })
-        .collect()
 }
 
 fn make_inputs(kinds: &[InputKind], seed: u64, n: usize) -> Vec<Relation> {
@@ -1214,6 +1194,50 @@ fn filtered_views_into_aggregates_never_change_answers_cardinalities_or_errors()
         ok > 30 && unsorted > 5 && grouped == 48,
         "{ok} ok, {unsorted} unsorted, {grouped} grouped"
     );
+}
+
+/// The survivors' fold (DESIGN.md §17): SELECTs, then ARITH+ members, then
+/// an AGGREGATE*, one loop in a fused group — SELECTs that keep no row,
+/// one row (a morsel's first, or its last), the first and last lane of
+/// every batch, ~2 %, ~50 % and every row, with and without the ARITH+
+/// (which read columns no SELECT reads, and the key), and an ARITH+ with
+/// no SELECT in front; over several morsels, one partial batch, and no row.
+/// SUM, MIN, MAX, AVG and COUNT fold i64s that wrap and f64s among NaN,
+/// ±0.0 and the infinities. Every cell gives the answer, the sizes and the
+/// errors of the unfused scalar run, bit for bit; and fused on the batch
+/// engine, the loop covers the whole chain.
+#[test]
+fn select_arith_fold_loops_never_change_answers_cardinalities_or_errors() {
+    let _g = serial();
+    let sys = GpuSystem::c2070();
+    let selections = survivors::selections();
+    let mut covered = 0;
+    for (case, n) in survivors::SIZES.into_iter().enumerate() {
+        let inputs = [survivors::fold_table(n, 0xF0 + case as u64)];
+        for (what, preds) in &selections {
+            for arith in [true, false].into_iter().filter(|&a| a || !preds.is_empty()) {
+                let (plan, members) = survivors::select_arith_fold(preds, arith);
+                let what = format!("{what}, arith {arith}, {n} rows");
+                same_in_every_cell(&what, |strat| {
+                    execute(&sys, &plan, &inputs, &ExecConfig::new(strat, &sys))
+                        .map(|r| (vec![r.output], r.cards))
+                        .map_err(|e| e.to_string())
+                })
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                if n == 0 {
+                    continue;
+                }
+                let cfg = ExecConfig::new(ExecStrategy::FusionFission { segments: 8 }, &sys);
+                let tree = execute(&sys, &plan, &inputs, &cfg).unwrap().explain.render();
+                let head = plan.nodes.iter().position(|n| !matches!(n.kind, OpKind::Input { .. }));
+                let head = format!("#{} ", head.unwrap());
+                let line = tree.lines().find(|l| l.contains(&head)).expect("the head's line");
+                assert!(line.ends_with(&format!("  loop({members})")), "{what}:\n{tree}");
+                covered += 1;
+            }
+        }
+    }
+    assert_eq!(covered, 2 * 15);
 }
 
 /// A negative value fails a REKEY only where the view it reads keeps it:
